@@ -22,28 +22,28 @@
 //!   concurrently: work-stealing largest-first scheduling over vendored
 //!   crossbeam scoped threads + channels, with a deterministic
 //!   shard-index merge so threaded replay stays byte-identical.
-//! * [`service`] — the dispatch loop: apply churn via incremental greedy
-//!   repair, re-solve each touched shard with the robust engine under the
-//!   batch's shared deadline budget (via the pool), adopt improvements,
-//!   emit deltas. Poisoned shards degrade to the greedy floor without
-//!   stalling siblings. With the boundary pass on, a per-batch rescue
-//!   matching recovers cross-shard edges with residual capacity; with a
-//!   re-plan threshold armed, cut drift triggers a detach → re-partition
-//!   → resume migration at a batch boundary (journaled as a WAL plan
-//!   record). See DESIGN.md §13.
-//! * [`online`] — the per-event decision path (`--online`): greedy
-//!   repair plus a depth-1 exchange on every event, per-shard drift
-//!   accounting, and a warm-started exact fallback
-//!   (`mbta_core::warm::WarmSolver`) when drift crosses the configured
-//!   threshold. Sub-millisecond median decision latency, journaled as
-//!   one WAL record per deciding event. See DESIGN.md §14.
+//! * [`service`] — [`DispatchService`] itself: a *core* (per-shard
+//!   incremental states plus the run state a re-plan carries over
+//!   whole), one *commit path* every decision leaves through (sequence
+//!   number, tallies, write-ahead journal, sink), and a *mode* that says
+//!   when the core solves — micro-batches through the robust engine and
+//!   the pool (optionally with a boundary-rescue matching over
+//!   cross-shard edges), or every event through [`online`]. Poisoned
+//!   shards degrade to the greedy floor without stalling siblings; cut
+//!   drift past a threshold triggers a detach → re-partition → resume
+//!   migration. See DESIGN.md §8, §13.
+//! * [`online`] — the online mode's runtime (`--online`): depth-1
+//!   exchange, per-shard drift accounting, and a warm-started exact
+//!   fallback (`mbta_core::warm::WarmSolver`) past the drift threshold.
+//!   Sub-millisecond median decision latency, one commit per deciding
+//!   event. See DESIGN.md §14.
 //! * [`sink`] — pluggable decision output; the textual decision log is
 //!   byte-identical across replays under deterministic budgets.
 //! * [`report`] — end-of-run telemetry: throughput, batch-latency
 //!   percentiles, tier tallies, and the capacity-violation count (always
 //!   zero unless the shard invariant is broken).
 //! * durability — attach an `mbta-store` [`DurableStore`] via
-//!   [`service::DispatchService::attach_store`] and every batch is
+//!   [`service::DispatchService::attach_store`] and every commit is
 //!   journaled (WAL) before its decisions reach the sink, with periodic
 //!   full-state snapshots; `mbta_store::recover` rebuilds the state after
 //!   a crash. See DESIGN.md §11.

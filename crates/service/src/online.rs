@@ -21,16 +21,18 @@
 //!   node potentials and the previous matching across solves (see
 //!   `mbta_matching::warm`), then the accumulator resets.
 //!
-//! Decisions come out of the assignment's flip log (`net_flips` folds
-//! eviction/re-add churn by parity), are journaled as one
-//! `OnlineRecord` per event *before* they reach the sink, and replay
-//! through `mbta_store::recover` exactly like batch records. See
+//! Decisions come out of the assignment's flip log (folded by parity, so
+//! eviction/re-add churn cancels) and leave through the service's one
+//! commit path as an `OnlineRecord` per deciding event. The per-event
+//! procedure itself lives with the dispatch core in [`crate::service`];
+//! this module holds the mode's state and the exchange move. See
 //! DESIGN.md §14 for the full contract.
 
+use crate::report::ServiceReport;
 use crate::shard::ShardPlan;
 use crate::sink::Decision;
 use mbta_core::incremental::IncrementalAssignment;
-use mbta_core::warm::{WarmSolver, WarmSolverStats};
+use mbta_core::warm::WarmSolver;
 use mbta_graph::EdgeId;
 use mbta_telemetry::Histogram;
 
@@ -80,17 +82,14 @@ pub(crate) struct ShardOnline {
     pub acc: f64,
 }
 
-/// The service's online-mode runtime: per-shard warm/drift state plus
-/// the run counters that survive re-plans via [`OnlineCarried`].
+/// The online mode's state. `shards` is bound to one plan's topology
+/// ([`bind`](Self::bind) / [`unbind`](Self::unbind) around a re-plan); the
+/// latency histogram and the pooled buffers live as long as the run. The
+/// run counters (events, fallbacks, exchanges, warm-solver totals)
+/// accumulate in the service's [`ServiceReport`], not here.
 pub(crate) struct OnlineRuntime {
-    pub cfg: OnlineConfig,
+    cfg: OnlineConfig,
     pub shards: Vec<ShardOnline>,
-    pub events: u64,
-    pub fallbacks: u64,
-    pub exchanges: u64,
-    /// Warm-solver counters accumulated before the last re-plan (the
-    /// solvers themselves are rebuilt for each plan's topology).
-    prior_warm: WarmSolverStats,
     /// Per-event decision latency (wall-clock ms).
     pub lat: Histogram,
     /// Pooled per-event buffers (see [`OnlineScratch`]).
@@ -99,30 +98,29 @@ pub(crate) struct OnlineRuntime {
 
 /// Pooled working buffers for the per-event decision path. The flip
 /// log, its parity fold, and the outgoing decision list are the Vecs a
-/// profile shows on every online event; owning them here and recycling
-/// them (`mem::take` out for the event, hand back cleared) makes the
-/// steady-state path allocation-free once the buffers have grown to the
-/// event-size high-water mark. Capacity is deliberately *not* carried
-/// across a re-plan — shard topology changes reset the water mark too.
+/// profile shows on every online event; owning them here and clearing
+/// them per event makes the steady-state path allocation-free once the
+/// buffers have grown to the event-size high-water mark.
 #[derive(Default)]
 pub(crate) struct OnlineScratch {
     /// Raw flips drained for the current event (greedy + fallback).
     pub flips: Vec<(EdgeId, bool)>,
     /// Sort buffer for the parity fold.
     sorted: Vec<(EdgeId, bool)>,
-    /// Folded net flips, ascending by edge id.
-    net: Vec<(EdgeId, bool)>,
+    /// `flips` folded to net per-edge changes, ascending by edge id.
+    pub net: Vec<(EdgeId, bool)>,
     /// The event's outgoing decisions, in canonical order.
     pub decisions: Vec<Decision>,
 }
 
 impl OnlineScratch {
-    /// Folds `flips` by parity into the pooled `net` buffer and returns
-    /// it — the same contract as `net_flips` (the test oracle below),
-    /// minus the allocations.
-    pub fn fold(&mut self, flips: &[(EdgeId, bool)]) -> &[(EdgeId, bool)] {
+    /// Folds `flips` by parity into `net`. Flips for one edge strictly
+    /// alternate (an assigned edge cannot be inserted again), so an edge
+    /// with an odd flip count net-changed state, in the direction of its
+    /// last flip; even counts cancel out.
+    pub fn fold(&mut self) {
         self.sorted.clear();
-        self.sorted.extend_from_slice(flips);
+        self.sorted.extend_from_slice(&self.flips);
         // Stable sort: chronological order within each edge survives.
         self.sorted.sort_by_key(|&(e, _)| e);
         self.net.clear();
@@ -138,30 +136,44 @@ impl OnlineScratch {
             }
             i = j;
         }
-        &self.net
     }
 }
 
 impl OnlineRuntime {
-    /// Fresh runtime for a plan: one warm solver per shard topology.
+    /// Fresh runtime bound to `plan`.
     pub fn new(cfg: OnlineConfig, plan: &ShardPlan) -> Self {
         cfg.validate();
-        OnlineRuntime {
+        let mut rt = OnlineRuntime {
             cfg,
-            shards: plan
-                .shards
-                .iter()
-                .map(|slice| ShardOnline {
-                    warm: WarmSolver::new(&slice.sub.graph),
-                    acc: 0.0,
-                })
-                .collect(),
-            events: 0,
-            fallbacks: 0,
-            exchanges: 0,
-            prior_warm: WarmSolverStats::default(),
+            shards: Vec::new(),
             lat: Histogram::new(),
             scratch: OnlineScratch::default(),
+        };
+        rt.bind(plan);
+        rt
+    }
+
+    /// Builds the per-shard state for `plan`: one warm solver per shard
+    /// topology (cold — a re-plan changes every topology) and a zeroed
+    /// drift accumulator.
+    pub fn bind(&mut self, plan: &ShardPlan) {
+        self.shards = plan
+            .shards
+            .iter()
+            .map(|slice| ShardOnline {
+                warm: WarmSolver::new(&slice.sub.graph),
+                acc: 0.0,
+            })
+            .collect();
+    }
+
+    /// Folds the bound solvers' lifetime counters into `report` and drops
+    /// them: the plan they were built for is ending (re-plan or finish).
+    pub fn unbind(&mut self, report: &mut ServiceReport) {
+        for sh in self.shards.drain(..) {
+            let stats = sh.warm.stats();
+            report.online_warm_solves += stats.solves;
+            report.online_warm_hits += stats.warm_hits;
         }
     }
 
@@ -170,68 +182,18 @@ impl OnlineRuntime {
     pub fn fallback_due(&self, s: usize, shard_weight: f64) -> bool {
         self.shards[s].acc > self.cfg.drift_threshold * shard_weight.max(1.0)
     }
-
-    /// Lifetime warm-solver counters: the current solvers plus whatever
-    /// pre-replan solvers accumulated.
-    pub fn warm_totals(&self) -> WarmSolverStats {
-        let mut t = self.prior_warm;
-        for sh in &self.shards {
-            let s = sh.warm.stats();
-            t.solves += s.solves;
-            t.warm_hits += s.warm_hits;
-            t.audited_cold += s.audited_cold;
-            t.iterations += s.iterations;
-        }
-        t
-    }
-
-    /// Extracts the plan-independent half for a detach → resume cycle.
-    pub fn detach(self) -> OnlineCarried {
-        let warm = self.warm_totals();
-        OnlineCarried {
-            cfg: self.cfg,
-            events: self.events,
-            fallbacks: self.fallbacks,
-            exchanges: self.exchanges,
-            warm,
-            lat: self.lat,
-        }
-    }
-
-    /// Rebuilds the runtime over a new plan from carried counters. The
-    /// warm solvers start cold — the shard topologies changed.
-    pub fn resume(c: OnlineCarried, plan: &ShardPlan) -> Self {
-        let mut rt = OnlineRuntime::new(c.cfg, plan);
-        rt.events = c.events;
-        rt.fallbacks = c.fallbacks;
-        rt.exchanges = c.exchanges;
-        rt.prior_warm = c.warm;
-        rt.lat = c.lat;
-        rt
-    }
 }
 
-/// Plan-independent online counters carried across a re-plan.
-pub(crate) struct OnlineCarried {
-    cfg: OnlineConfig,
-    events: u64,
-    fallbacks: u64,
-    exchanges: u64,
-    warm: WarmSolverStats,
-    lat: Histogram,
-}
-
-/// Folds a raw flip log into net per-edge decisions. Flips for one edge
-/// strictly alternate (an assigned edge cannot be inserted again), so an
-/// edge with an odd flip count net-changed state, in the direction of
-/// its last flip; even counts cancel out. Output ascends by edge id.
-///
-/// Allocating convenience over [`OnlineScratch::fold`] — the per-event
-/// hot path goes through the runtime's pooled scratch instead, so this
-/// survives only as the test oracle for the fold.
+/// Allocating convenience over [`OnlineScratch::fold`], kept as the test
+/// oracle for the fold. Output ascends by edge id.
 #[cfg(test)]
 pub(crate) fn net_flips(flips: &[(EdgeId, bool)]) -> Vec<(EdgeId, bool)> {
-    OnlineScratch::default().fold(flips).to_vec()
+    let mut scratch = OnlineScratch {
+        flips: flips.to_vec(),
+        ..OnlineScratch::default()
+    };
+    scratch.fold();
+    scratch.net
 }
 
 /// Depth-1 exchange for an unassigned edge whose endpoints are
@@ -341,7 +303,9 @@ mod tests {
             vec![(eid(9), false)],
         ];
         for log in &logs {
-            assert_eq!(scratch.fold(log), net_flips(log).as_slice());
+            scratch.flips.clone_from(log);
+            scratch.fold();
+            assert_eq!(scratch.net, net_flips(log));
         }
     }
 
@@ -379,17 +343,24 @@ mod tests {
     }
 
     #[test]
-    fn runtime_detach_resume_carries_counters() {
+    fn unbind_folds_warm_counters_and_bind_starts_cold() {
         let g = from_edges(&[1], &[1], &[(0, 0, 0.5, 0.5)]);
         let w = vec![0.5];
         let plan = ShardPlan::build(&g, &w, 1, crate::shard::Routing::HashId);
         let mut rt = OnlineRuntime::new(OnlineConfig::default(), &plan);
-        rt.events = 7;
-        rt.fallbacks = 2;
-        rt.exchanges = 1;
-        let rt2 = OnlineRuntime::resume(rt.detach(), &plan);
-        assert_eq!(rt2.events, 7);
-        assert_eq!(rt2.fallbacks, 2);
-        assert_eq!(rt2.exchanges, 1);
+        let ctl = mbta_util::SolveCtl::unlimited();
+        rt.shards[0].warm.solve(&plan.shards[0].sub.graph, &w, &ctl);
+        rt.shards[0].acc = 0.7;
+        let mut report = ServiceReport::default();
+        rt.unbind(&mut report);
+        assert_eq!(report.online_warm_solves, 1);
+        assert!(rt.shards.is_empty());
+        rt.bind(&plan);
+        assert_eq!(rt.shards[0].acc, 0.0);
+        assert_eq!(rt.shards[0].warm.stats().solves, 0);
+        // A second epoch's solves add to the first's.
+        rt.shards[0].warm.solve(&plan.shards[0].sub.graph, &w, &ctl);
+        rt.unbind(&mut report);
+        assert_eq!(report.online_warm_solves, 2);
     }
 }

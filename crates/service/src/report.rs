@@ -11,8 +11,10 @@
 
 use mbta_util::table::{fnum, Table};
 
-/// Aggregated statistics for one service run.
-#[derive(Debug, Clone, PartialEq)]
+/// Aggregated statistics for one service run. The service accumulates
+/// its run counters directly into one of these (hence `Default`) and
+/// fills in the end-of-run measurements at `finish`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceReport {
     /// Shard count the service ran with.
     pub n_shards: usize,
@@ -64,7 +66,12 @@ pub struct ServiceReport {
     /// Deepest the ingress queue ever got.
     pub queue_high_watermark: usize,
 
-    /// Batches dispatched.
+    /// The commit sequence watermark: every record the run committed,
+    /// whatever wrote it — batch flushes, online deciding events and
+    /// closing-drain solves, and re-plan migrations. Always equals
+    /// `flush_count + flush_bytes + flush_watermark + flush_drain +
+    /// flush_online + replans`, and the durable watermark when a store
+    /// is attached.
     pub batches: u64,
     /// Batches closed by the count watermark.
     pub flush_count: u64,

@@ -1,19 +1,34 @@
-//! The dispatch service: event-driven, batched, sharded assignment.
+//! The dispatch service: one core, one commit path, two modes.
 //!
-//! [`DispatchService`] is the long-running loop this crate exists for,
-//! assembled from the rest of the crate plus the robust engine:
+//! [`DispatchService`] is the long-running loop this crate exists for:
+//!
+//! * **Core** — per-shard [`IncrementalAssignment`]s over the current
+//!   [`ShardPlan`] plus the plan-independent `RunState` (budget, pool,
+//!   ingress queue, store, live weights, and the run counters,
+//!   accumulated directly into a [`ServiceReport`]). The single place an
+//!   event is routed and applied; `RunState` is what a re-plan
+//!   ([`DispatchService::detach`] → [`DispatchService::resume`]) moves
+//!   wholesale onto the next plan.
+//! * **Commit** — the single place a decision leaves the service: it
+//!   owns the sequence number, the tallies, the write-ahead journaling
+//!   (record durable *before* any decision is released, snapshots on the
+//!   store's cadence, journaling stops at the first I/O error) and the
+//!   sink emission. Batches, online events, the online closing drain and
+//!   re-plan migrations all end in it.
+//! * **Mode** — *when* the core solves. `Batch` owns the [`Batcher`] and,
+//!   with the boundary pass on, the rescue overlay; `Online` owns the
+//!   per-event runtime. Each exists only in its mode, so
+//!   `online × boundary_pass` is unrepresentable past
+//!   [`DispatchService::new`].
 //!
 //! ```text
-//!  producers --offer--> BoundedQueue --pump--> Batcher --flush--> dispatch
-//!                                                                    |
-//!                       per touched shard: apply churn to the        |
-//!                       IncrementalAssignment (greedy local repair), |
-//!                       then solve_robust on the active sub-market — |
-//!                       all touched shards concurrently via the      |
-//!                       SolvePool, racing the batch's shared         |
-//!                       deadline — and adopt improvements via reseed |
-//!                                                                    v
-//!                              DecisionSink (assignment deltas + stats)
+//!  producers --offer--> BoundedQueue --pump--> Mode
+//!    Batch:  Batcher --flush--> route + apply churn (greedy repair), then
+//!            solve_robust per touched shard via the SolvePool, racing one
+//!            shared deadline; adopt improvements; [boundary rescue]
+//!    Online: route + apply one event, depth-1 exchange, drift accounting,
+//!            warm exact fallback past the threshold
+//!                 --> commit: seq + tallies --> WAL --> DecisionSink
 //! ```
 //!
 //! **Capacity safety.** Shards are node-disjoint ([`ShardPlan`]), so each
@@ -34,30 +49,14 @@
 //! events; the [`SolvePool`] merges results in shard-index order, so the
 //! decision stream is too — replaying a trace twice produces
 //! byte-identical decision logs **at any thread count**.
-//! [`BudgetMode::Wallclock`] trades that for bounded batch latency.
-//!
-//! **Budget policy.** A wall-clock batch budget is *never split* across
-//! the touched shards. Every shard solve gets the same absolute deadline
-//! (batch dispatch start + budget) via
-//! [`EngineConfig::with_deadline_at`]:
-//!
-//! * sequentially (`threads = 1`), a shard that finishes early leaves its
-//!   unused budget to the shards after it — the old `ms / touched.len()`
-//!   split burned that slack, starving late shards even in mostly-idle
-//!   batches;
-//! * concurrently (`threads > 1`), all shards race the same instant, so
-//!   batch latency is bounded by the budget while each shard may use up
-//!   to *all* of it.
-//!
-//! The cost is ordering sensitivity in sequential wall-clock mode: a slow
-//! early shard can eat the budget that previously was reserved for its
-//! successors, degrading them to the greedy floor. That is the intended
-//! trade — budget flows to whoever can still use it, and the quality-tier
-//! tallies make the effect observable.
+//! [`BudgetMode::Wallclock`] trades that for bounded batch latency: the
+//! budget is one absolute deadline every touched shard races, *never
+//! split* — unused budget flows to whoever can still use it, at the cost
+//! of ordering sensitivity in sequential runs (DESIGN.md §10.2).
 
 use crate::batch::{BatchConfig, Batcher, ClosedBatch, FlushReason};
 use crate::event::{Arrival, ServiceEvent};
-use crate::online::{self, OnlineConfig, OnlineRuntime};
+use crate::online::{self, OnlineConfig, OnlineRuntime, OnlineScratch};
 use crate::pool::{ShardJob, SolvePool};
 use crate::queue::{BoundedQueue, DropPolicy, OfferOutcome};
 use crate::report::ServiceReport;
@@ -68,11 +67,14 @@ use mbta_core::incremental::IncrementalAssignment;
 use mbta_graph::subgraph::{induce, SubgraphSpec};
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
 use mbta_matching::Matching;
-use mbta_partition::{migration_diff, residual_candidates, validate_rescue, CutTracker};
+use mbta_partition::{
+    migration_diff, residual_candidates, validate_rescue, CutTracker, MigrationStats,
+};
 use mbta_store::record::{BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WeightDelta};
 use mbta_store::snapshot::SnapshotState;
-use mbta_store::store::DurableStore;
+use mbta_store::store::{DurableStore, StoreStats};
 use mbta_util::{CancelToken, Deadline, SolveCtl};
+use std::io;
 use std::time::Instant;
 
 /// How solve budgets are assigned per batch.
@@ -87,6 +89,18 @@ pub enum BudgetMode {
     /// No deadlines: every solve runs the full chain to the exact tier.
     /// Deterministic decisions; latency bounded only by instance size.
     Deterministic,
+}
+
+impl BudgetMode {
+    /// The one budget → deadline mapping: a solve starting now may run
+    /// for `share(ms)` of a wall-clock budget, unbounded under
+    /// `Deterministic`.
+    fn deadline(self, share: impl FnOnce(u64) -> u64) -> Option<Deadline> {
+        match self {
+            BudgetMode::Wallclock(ms) => Some(Deadline::after_ms(share(ms))),
+            BudgetMode::Deterministic => None,
+        }
+    }
 }
 
 /// Service construction parameters.
@@ -179,73 +193,111 @@ impl Default for ServiceConfig {
 /// assert_eq!(report.events_processed, 2);
 /// ```
 pub struct DispatchService<'p> {
+    core: Core<'p>,
+    mode: Mode,
+}
+
+/// Shard states over the current plan and the run they serve: everything
+/// but the [`Mode`], so a mode's own state and the core can be borrowed
+/// side by side.
+struct Core<'p> {
     universe: &'p BipartiteGraph,
     plan: &'p ShardPlan,
-    budget: BudgetMode,
-    pool: SolvePool,
     states: Vec<IncrementalAssignment<'p>>,
+    /// Live intra/cross weight split for drift-driven re-planning.
+    cut: CutTracker,
+    run: RunState,
+}
+
+/// The plan-independent half of a running service — what a re-plan
+/// carries over unchanged. `detach` moves it into [`CarriedState`] and
+/// `resume` moves it back.
+struct RunState {
+    budget: BudgetMode,
+    replan_threshold: Option<f64>,
+    /// Single-shard ownership (see [`ServiceConfig::owned_shard`]).
+    owned_shard: Option<usize>,
+    pool: SolvePool,
     queue: BoundedQueue,
-    batcher: Batcher,
-    poisoned: Vec<bool>,
-    /// Universe-indexed live weights (benefit updates land here too, so
-    /// decisions can report the weight in parent terms).
-    live_weights: Vec<f64>,
-    /// Optional durability: when attached, every batch is journaled to
+    /// Optional durability: when attached, every commit is journaled to
     /// the WAL *before* its decisions reach the sink, and full-state
     /// snapshots are written on the store's cadence.
     store: Option<DurableStore>,
-    /// First store I/O error, if any. Journaling stops at the first
-    /// failure (the durable prefix stays valid); the service keeps
-    /// dispatching and the report carries the error.
-    store_error: Option<std::io::Error>,
-
-    /// Boundary-rescue state: the rescue overlay (sorted universe edge
-    /// ids currently assigned by the rescue market) and which cross edges
-    /// were ever offered to it.
-    boundary_pass: bool,
-    overlay: Vec<EdgeId>,
+    /// Universe-indexed live weights (benefit updates land here too, so
+    /// decisions can report the weight in parent terms).
+    live_weights: Vec<f64>,
+    /// Which cross edges were ever offered to the rescue market.
     cross_seen: Vec<bool>,
-    /// Live intra/cross weight split for drift-driven re-planning.
-    cut: CutTracker,
-    replan_threshold: Option<f64>,
-
-    /// Per-event online decision runtime (`None` = batch dispatch).
-    online: Option<OnlineRuntime>,
-
-    seq: u64,
-    events_in: u64,
-    events_processed: u64,
-    invalid_events: u64,
-    cross_benefit_drops: u64,
-    flush_tally: [u64; 5],
-    solves: u64,
-    tier_tally: [u64; 3],
-    degraded_by_shard: Vec<u64>,
-    decisions_out: u64,
-    steals: u64,
-    rescue_solves: u64,
-    rescue_assigns: u64,
-    rescue_violations: u64,
-    replans: u64,
-    migrated_workers: u64,
-    migrated_tasks: u64,
+    /// Per-shard poison marks (cleared when a re-plan changes the shard
+    /// count, like `report.degraded_by_shard`).
+    poisoned: Vec<bool>,
     /// Set by a `Deferred` offer, cleared by the next admitted one: the
-    /// admitted offer is then a defer-retry success, which used to go
-    /// uncounted.
+    /// admitted offer is then a defer-retry success.
     defer_pending: bool,
-    defer_retry_ok: u64,
-    reseeds: u64,
     /// Per-instance batch solve-latency histogram; the report's p50/p99
     /// derive from its buckets instead of a private sample buffer.
     solve_lat: mbta_telemetry::Histogram,
-    /// Single-shard ownership (see [`ServiceConfig::owned_shard`]).
-    owned_shard: Option<usize>,
-    foreign_events: u64,
-
     /// Largest stream timestamp seen on the online path — stamps the
     /// closing drain records, which have no triggering arrival.
     last_time: f64,
     started: Instant,
+    /// The run counters accumulate here directly: `batches` is the commit
+    /// sequence number, `store_error` the first store I/O error (after
+    /// which journaling stops; the durable prefix stays valid), and
+    /// `capacity_violations` collects the per-batch rescue validations.
+    /// [`DispatchService::finish`] fills in the end-of-run measurements.
+    report: ServiceReport,
+}
+
+/// When the core solves, and the state only that cadence needs. A service
+/// holds exactly one, so the variants' size difference costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum Mode {
+    /// Micro-batches: solve each touched shard when a watermark closes a
+    /// batch; `rescue` is `Some` with the boundary pass on.
+    Batch {
+        batcher: Batcher,
+        rescue: Option<Rescue>,
+    },
+    /// Decide on every event (see [`crate::online`]).
+    Online(OnlineRuntime),
+}
+
+/// Boundary-rescue state: the sorted universe edge ids currently assigned
+/// by the rescue market (pseudo-shard `n_shards` in decisions and
+/// snapshots).
+#[derive(Default)]
+struct Rescue {
+    overlay: Vec<EdgeId>,
+}
+
+impl Mode {
+    fn overlay(&self) -> Option<&[EdgeId]> {
+        match self {
+            Mode::Batch {
+                rescue: Some(r), ..
+            } => Some(&r.overlay),
+            _ => None,
+        }
+    }
+}
+
+/// What one commit journals besides its sequence number, event count and
+/// decisions, which [`Core::commit`] fills in.
+enum Record {
+    Batch {
+        first_time: f64,
+        last_time: f64,
+        deltas: Vec<WeightDelta>,
+    },
+    Online {
+        time: f64,
+        fallbacks: u32,
+        deltas: Vec<WeightDelta>,
+    },
+    /// A re-plan migration; the post-migration shard sets are read off the
+    /// core at commit time.
+    Plan(MigrationStats),
 }
 
 /// Where a batch event landed after routing.
@@ -257,167 +309,188 @@ enum Routed {
     Foreign,
 }
 
-impl<'p> DispatchService<'p> {
-    /// Builds a service over a shard plan. All nodes start *inactive* —
-    /// the market is empty until join/post events arrive.
-    pub fn new(universe: &'p BipartiteGraph, plan: &'p ShardPlan, cfg: ServiceConfig) -> Self {
-        assert!(
-            !(cfg.boundary_pass && cfg.online.is_some()),
-            "online mode is incompatible with the boundary pass"
-        );
-        assert!(
-            !(cfg.boundary_pass && cfg.owned_shard.is_some()),
-            "single-shard ownership is incompatible with the boundary pass"
-        );
-        if let Some(own) = cfg.owned_shard {
-            assert!(
-                own < plan.n_shards(),
-                "owned shard {own} out of range (plan has {} shards)",
-                plan.n_shards()
-            );
-        }
-        let (mut states, live_weights, cut) = seed_plan_state(universe, plan, None);
-        let online = cfg.online.map(|oc| {
-            for st in &mut states {
-                st.enable_log();
-            }
-            OnlineRuntime::new(oc, plan)
-        });
-        let n = plan.n_shards();
-        DispatchService {
-            universe,
-            plan,
-            budget: cfg.budget,
-            pool: SolvePool::new(cfg.threads),
-            states,
-            queue: BoundedQueue::new(cfg.queue_cap, cfg.drop_policy),
-            batcher: Batcher::new(cfg.batch),
-            poisoned: vec![false; n],
-            live_weights,
-            store: None,
-            store_error: None,
-            boundary_pass: cfg.boundary_pass,
-            overlay: Vec::new(),
-            cross_seen: vec![false; universe.n_edges()],
-            cut,
-            replan_threshold: cfg.replan_threshold,
-            online,
-            owned_shard: cfg.owned_shard,
-            seq: 0,
-            events_in: 0,
-            events_processed: 0,
+impl RunState {
+    /// The one place a [`BatchStats`] is built, stamped with the sequence
+    /// number the next commit will consume.
+    fn stats(
+        &self,
+        reason: FlushReason,
+        events: usize,
+        shards_touched: usize,
+        solve_ms: f64,
+    ) -> BatchStats {
+        BatchStats {
+            seq: self.report.batches,
+            reason,
+            events,
+            queue_depth: self.queue.len(),
+            shards_touched,
+            degraded_shards: 0,
+            worst_tier: None,
+            solve_ms,
             invalid_events: 0,
-            cross_benefit_drops: 0,
-            foreign_events: 0,
-            flush_tally: [0; 5],
-            solves: 0,
-            tier_tally: [0; 3],
-            degraded_by_shard: vec![0; n],
-            decisions_out: 0,
-            steals: 0,
-            rescue_solves: 0,
-            rescue_assigns: 0,
-            rescue_violations: 0,
-            replans: 0,
-            migrated_workers: 0,
-            migrated_tasks: 0,
-            defer_pending: false,
-            defer_retry_ok: 0,
-            reseeds: 0,
-            solve_lat: mbta_telemetry::Histogram::new(),
-            last_time: 0.0,
-            started: Instant::now(),
         }
     }
 
-    /// Attaches a durability store: from the next batch on, every commit
-    /// is journaled to the WAL before its decisions reach the sink, and
-    /// snapshots are written on the store's cadence. The store must be
-    /// fresh (nothing committed): this service starts from an empty
-    /// market, so attaching a store that already holds state would make
-    /// the journal lie about what the decisions were applied to. Use
-    /// `mbta_store::recover` to inspect an existing directory instead.
-    pub fn attach_store(&mut self, store: DurableStore) {
-        assert_eq!(
-            store.stats().watermark,
-            0,
-            "cannot attach a store with existing journaled state to a fresh service"
-        );
-        self.store = Some(store);
+    /// Records the first store I/O error. Journaling stops for good — the
+    /// durable prefix on disk stays valid — and the service keeps
+    /// dispatching; the report carries the error.
+    fn note_store_result(&mut self, res: io::Result<()>) {
+        if let Err(e) = res {
+            mbta_telemetry::counter_add("mbta_store_errors_total", 1);
+            self.report.store_error = Some(e.to_string());
+        }
+    }
+}
+
+impl<'p> Core<'p> {
+    /// Every shard-assigned edge as `(shard, universe edge)`.
+    fn assigned(&self) -> impl Iterator<Item = (usize, EdgeId)> + use<'_, 'p> {
+        let shards = self.plan.shards.iter().zip(&self.states).enumerate();
+        shards.flat_map(|(s, (slice, st))| {
+            let edges = st.matching().edges.into_iter();
+            edges.map(move |e| (s, slice.sub.edge_back[e.index()]))
+        })
     }
 
-    /// Captures the full dispatch state as a snapshot payload: per shard,
-    /// the sorted universe edge ids currently assigned, plus the live
-    /// weight vector.
-    fn snapshot_state(&self, watermark: u64) -> SnapshotState {
-        let mut shards: Vec<Vec<u32>> = self
-            .plan
-            .shards
-            .iter()
-            .zip(&self.states)
-            .map(|(slice, st)| {
-                let mut edges: Vec<u32> = st
-                    .matching()
-                    .edges
-                    .into_iter()
-                    .map(|e| slice.sub.edge_back[e.index()].raw())
-                    .collect();
-                edges.sort_unstable();
-                edges
-            })
-            .collect();
-        if self.boundary_pass {
-            // The rescue overlay snapshots as pseudo-shard `n_shards`,
-            // matching the shard id its decisions carry in the WAL.
-            shards.push(self.overlay.iter().map(|e| e.raw()).collect());
+    /// Per shard, the sorted universe edge ids currently assigned; the
+    /// rescue overlay, when the mode has one, follows as pseudo-shard
+    /// `n_shards` — the shard id its decisions carry.
+    fn shard_sets(&self, overlay: Option<&[EdgeId]>) -> Vec<Vec<u32>> {
+        let mut shards: Vec<Vec<u32>> = vec![Vec::new(); self.plan.n_shards()];
+        for (s, e) in self.assigned() {
+            shards[s].push(e.raw());
         }
+        for edges in &mut shards {
+            edges.sort_unstable();
+        }
+        shards.extend(overlay.map(|o| o.iter().map(|e| e.raw()).collect()));
+        shards
+    }
+
+    /// The full dispatch state as a snapshot payload at the current
+    /// sequence number.
+    fn snapshot_state(&self, overlay: Option<&[EdgeId]>) -> SnapshotState {
         SnapshotState {
-            watermark,
-            shards,
-            weights: self.live_weights.clone(),
+            watermark: self.run.report.batches,
+            shards: self.shard_sets(overlay),
+            weights: self.run.live_weights.clone(),
         }
     }
 
-    /// Journals one committed batch (and a snapshot, when due) through
-    /// the attached store. On the first I/O error journaling stops for
-    /// good — the durable prefix on disk stays valid — and the error is
-    /// surfaced in the run report.
-    fn journal(&mut self, rec: BatchRecord) {
-        let Some(mut store) = self.store.take() else {
+    /// Runs one store write (and a snapshot, when due) under the
+    /// first-error-stops-journaling contract.
+    fn journal(
+        &mut self,
+        overlay: Option<&[EdgeId]>,
+        write: impl FnOnce(&mut DurableStore) -> io::Result<()>,
+    ) {
+        if self.run.report.store_error.is_some() {
+            return;
+        }
+        let Some(mut store) = self.run.store.take() else {
             return;
         };
-        if self.store_error.is_none() {
-            let mut res = store.commit(&rec);
-            if res.is_ok() && store.snapshot_due() {
-                let snap = self.snapshot_state(rec.seq + 1);
-                res = store.snapshot(&snap);
-            }
-            if let Err(e) = res {
-                mbta_telemetry::counter_add("mbta_store_errors_total", 1);
-                self.store_error = Some(e);
-            }
+        let mut res = write(&mut store);
+        if res.is_ok() && store.snapshot_due() {
+            res = store.snapshot(&self.snapshot_state(overlay));
         }
-        self.store = Some(store);
+        self.run.store = Some(store);
+        self.run.note_store_result(res);
     }
 
-    /// Journals one online record through the attached store, with the
-    /// same first-error-stops-journaling contract as [`Self::journal`].
-    fn journal_online(&mut self, rec: OnlineRecord) {
-        let Some(mut store) = self.store.take() else {
-            return;
-        };
-        if self.store_error.is_none() {
-            let mut res = store.commit_online(&rec);
-            if res.is_ok() && store.snapshot_due() {
-                let snap = self.snapshot_state(rec.seq + 1);
-                res = store.snapshot(&snap);
-            }
-            if let Err(e) = res {
-                mbta_telemetry::counter_add("mbta_store_errors_total", 1);
-                self.store_error = Some(e);
+    /// The single commit path. Consumes sequence slot `stats.seq`, tallies
+    /// the flush reason (or the re-plan) and the decisions, journals the
+    /// record — write-ahead: durable before any decision escapes — and
+    /// releases the decisions to the sink.
+    fn commit(
+        &mut self,
+        stats: BatchStats,
+        record: Record,
+        decisions: &[Decision],
+        overlay: Option<&[EdgeId]>,
+        sink: &mut impl DecisionSink,
+    ) {
+        let report = &mut self.run.report;
+        debug_assert_eq!(stats.seq, report.batches, "stats built for another slot");
+        report.batches += 1;
+        let migration = matches!(record, Record::Plan(_));
+        match stats.reason {
+            _ if migration => report.replans += 1,
+            FlushReason::Count => report.flush_count += 1,
+            FlushReason::Bytes => report.flush_bytes += 1,
+            FlushReason::Watermark => report.flush_watermark += 1,
+            FlushReason::Drain => report.flush_drain += 1,
+            FlushReason::Online => report.flush_online += 1,
+        }
+        report.decisions += decisions.len() as u64;
+        mbta_telemetry::counter_add("mbta_service_decisions_total", decisions.len() as u64);
+
+        if self.run.store.is_some() {
+            let (seq, events) = (stats.seq, stats.events as u32);
+            let records = to_records(decisions);
+            match record {
+                Record::Batch {
+                    first_time,
+                    last_time,
+                    deltas,
+                } => self.journal(overlay, |store| {
+                    store.commit(&BatchRecord {
+                        seq,
+                        first_time,
+                        last_time,
+                        events,
+                        deltas,
+                        decisions: records,
+                    })
+                }),
+                Record::Online {
+                    time,
+                    fallbacks,
+                    deltas,
+                } => self.journal(overlay, |store| {
+                    store.commit_online(&OnlineRecord {
+                        seq,
+                        time,
+                        events,
+                        fallbacks,
+                        deltas,
+                        decisions: records,
+                    })
+                }),
+                // The plan frame carries the full post-migration shard
+                // sets, so recovery and WAL followers replay the exact
+                // same migration at the exact same sequence slot.
+                Record::Plan(moved) => {
+                    let rec = PlanRecord {
+                        seq,
+                        retained_weight: self.plan.retained_weight,
+                        moved_workers: moved.moved_workers,
+                        moved_tasks: moved.moved_tasks,
+                        shards: self.shard_sets(overlay),
+                    };
+                    self.journal(overlay, |store| store.commit_plan(&rec))
+                }
             }
         }
-        self.store = Some(store);
+        // A migration that unassigned nothing has nothing to tell the
+        // sink; every other commit is announced, decisions or not.
+        if !(migration && decisions.is_empty()) {
+            sink.on_batch(&stats, decisions);
+        }
+    }
+
+    /// The one place a [`Decision`] is built: universe ids plus the live
+    /// weight at decision time.
+    fn decision(&self, shard: u32, edge: EdgeId, action: Action) -> Decision {
+        Decision {
+            shard,
+            edge: edge.raw(),
+            action,
+            worker: self.universe.worker_of(edge).raw(),
+            task: self.universe.task_of(edge).raw(),
+            weight: self.run.live_weights[edge.index()],
+        }
     }
 
     /// Whether shard `s` has nothing an exact solver could work with.
@@ -426,400 +499,23 @@ impl<'p> DispatchService<'p> {
         g.n_edges() == 0 || g.n_workers() == 0 || g.n_tasks() == 0
     }
 
-    /// Warm-started exact re-solve of shard `s` (the caller has ruled
-    /// out poisoned and degenerate shards), adopting the solution when
-    /// it improves on the incremental state. Appends the applied flips
-    /// to the caller's (pooled) `out` buffer.
-    fn warm_solve_shard(&mut self, s: usize, ctl: &SolveCtl, out: &mut Vec<(EdgeId, bool)>) {
-        let rt = self.online.as_mut().expect("online solve requires runtime");
-        let st = &mut self.states[s];
-        let aw = st.active_weights();
-        let sh = &mut rt.shards[s];
-        sh.warm.seed(st.matching());
-        let m = sh.warm.solve(&self.plan.shards[s].sub.graph, &aw, ctl);
-        if m.total_weight(&aw) > st.total_weight() + 1e-12 {
-            st.reseed(&m)
-                .expect("warm solution is feasible on the active sub-market");
-            self.reseeds += 1;
+    /// Adopts a solver's matching for shard `s` when it beats the
+    /// incrementally repaired state. The solvers work on the active
+    /// sub-market (inactive edges weigh 0 and are never taken), so the
+    /// matching touches only active nodes and reseed cannot reject it.
+    fn adopt(&mut self, s: usize, matching: &Matching, value: f64) {
+        if value > self.states[s].total_weight() + 1e-12 {
+            self.states[s]
+                .reseed(matching)
+                .expect("solution is feasible on the active sub-market");
+            self.run.report.reseeds += 1;
             mbta_telemetry::counter_add("mbta_service_reseeds_total", 1);
         }
-        st.drain_log_into(out);
-    }
-
-    /// The per-event online decision path (see the [`crate::online`]
-    /// module docs): apply the event through the shard's incremental
-    /// state, attempt a depth-1 exchange for benefit updates, accumulate
-    /// drift, fall back to a warm-started exact re-solve past the drift
-    /// threshold, then journal and emit the event's net decisions.
-    fn dispatch_online(&mut self, a: Arrival, sink: &mut impl DecisionSink) {
-        let t0 = Instant::now();
-        self.last_time = self.last_time.max(a.time);
-        let s = match self.route(&a.event) {
-            Routed::Shard(s) => s,
-            Routed::Invalid => {
-                self.invalid_events += 1;
-                mbta_telemetry::counter_add("mbta_service_invalid_events_total", 1);
-                return;
-            }
-            // The rescue overlay is a batch construct; in online mode a
-            // cross-shard benefit update has no decision surface.
-            Routed::CrossBenefit => {
-                self.cross_benefit_drops += 1;
-                return;
-            }
-            Routed::Foreign => {
-                self.foreign_events += 1;
-                mbta_telemetry::counter_add("mbta_service_foreign_events_total", 1);
-                return;
-            }
-        };
-
-        // Deltas are collected whether or not a store is attached, so the
-        // sequence of deciding events — and therefore the decision stream
-        // — is identical with and without journaling.
-        let mut deltas: Vec<WeightDelta> = Vec::new();
-        // Benefit drift accrues before the weight is overwritten.
-        let mut drift = 0.0f64;
-        if let ServiceEvent::BenefitUpdate { edge, weight } = a.event {
-            deltas.push(WeightDelta { edge, weight });
-            drift = (weight - self.live_weights[edge as usize]).abs();
-        }
-        self.apply(s, &a.event);
-        self.events_processed += 1;
-
-        // A benefit update may make its edge newly attractive: take it
-        // greedily if capacity allows, else try the depth-1 exchange.
-        if let ServiceEvent::BenefitUpdate { edge, .. } = a.event {
-            let local = EdgeId::new(self.plan.edge_local[edge as usize]);
-            let st = &mut self.states[s];
-            if !st.edge_assigned(local) && !st.try_assign(local) && online::try_exchange(st, local)
-            {
-                let rt = self
-                    .online
-                    .as_mut()
-                    .expect("online dispatch requires runtime");
-                rt.exchanges += 1;
-                mbta_telemetry::counter_add("mbta_service_online_exchanges_total", 1);
-            }
-        }
-
-        // Drift: |Δw| of the update plus every net-removed edge's weight
-        // (departures and evictions — plain greedy fills accrue nothing).
-        // The flip and decision buffers are pooled in the runtime:
-        // `mem::take` them out for this event, hand them back cleared.
-        let mut flips = std::mem::take(
-            &mut self
-                .online
-                .as_mut()
-                .expect("online dispatch requires runtime")
-                .scratch
-                .flips,
-        );
-        flips.clear();
-        self.states[s].drain_log_into(&mut flips);
-        {
-            let rt = self
-                .online
-                .as_mut()
-                .expect("online dispatch requires runtime");
-            let st = &self.states[s];
-            for &(e, added) in rt.scratch.fold(&flips) {
-                if !added {
-                    drift += st.weight_of(e).max(0.0);
-                }
-            }
-        }
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online dispatch requires runtime");
-        rt.events += 1;
-        rt.shards[s].acc += drift;
-        mbta_telemetry::counter_add("mbta_service_online_events_total", 1);
-        let due = rt.fallback_due(s, self.states[s].total_weight());
-
-        // Drift fallback: warm-started exact re-solve of the shard,
-        // under the same per-batch budget the batch path gets — the
-        // event is on the latency path.
-        let mut fell_back = false;
-        if due && !self.poisoned[s] && !self.shard_degenerate(s) {
-            let ctl = match self.budget {
-                BudgetMode::Wallclock(ms) => {
-                    SolveCtl::unlimited().with_deadline(Deadline::after_ms(ms))
-                }
-                BudgetMode::Deterministic => SolveCtl::unlimited(),
-            };
-            self.warm_solve_shard(s, &ctl, &mut flips);
-            fell_back = true;
-        }
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online dispatch requires runtime");
-        if fell_back || (due && self.poisoned[s]) {
-            // A poisoned shard resets its accumulator without solving —
-            // it stays on the greedy floor, like its batch behavior.
-            rt.shards[s].acc = 0.0;
-            rt.fallbacks += 1;
-            mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
-        }
-
-        // Net decisions for this event, in universe ids (pooled buffer).
-        let mut decisions = std::mem::take(
-            &mut self
-                .online
-                .as_mut()
-                .expect("online dispatch requires runtime")
-                .scratch
-                .decisions,
-        );
-        self.online_decisions_into(s, &flips, &mut decisions);
-
-        let event_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online dispatch requires runtime");
-        rt.lat.observe(event_ms);
-        mbta_telemetry::observe("mbta_service_online_event_ms", event_ms);
-
-        // Events that changed nothing durable consume no sequence slot:
-        // the WAL stays contiguous and sinks see only deciding events.
-        if !decisions.is_empty() || !deltas.is_empty() {
-            let stats = BatchStats {
-                seq: self.seq,
-                reason: FlushReason::Online,
-                events: 1,
-                queue_depth: self.queue.len(),
-                shards_touched: 1,
-                degraded_shards: 0,
-                worst_tier: None,
-                solve_ms: event_ms,
-                invalid_events: 0,
-            };
-            self.seq += 1;
-            self.flush_tally[4] += 1;
-            self.decisions_out += decisions.len() as u64;
-            mbta_telemetry::counter_add("mbta_service_decisions_total", decisions.len() as u64);
-            // Write-ahead ordering, identical to the batch path: the
-            // record is durable before any decision escapes.
-            if self.store.is_some() {
-                let rec = OnlineRecord {
-                    seq: stats.seq,
-                    time: a.time,
-                    events: 1,
-                    fallbacks: u32::from(fell_back),
-                    deltas,
-                    decisions: to_records(&decisions),
-                };
-                self.journal_online(rec);
-            }
-            sink.on_batch(&stats, &decisions);
-        }
-        self.recycle_online_buffers(flips, decisions);
-    }
-
-    /// Returns the event's pooled buffers to the runtime scratch.
-    fn recycle_online_buffers(
-        &mut self,
-        mut flips: Vec<(EdgeId, bool)>,
-        mut decisions: Vec<Decision>,
-    ) {
-        flips.clear();
-        decisions.clear();
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online dispatch requires runtime");
-        rt.scratch.flips = flips;
-        rt.scratch.decisions = decisions;
-    }
-
-    /// Folds shard `s`'s flip log into canonical universe-id decisions,
-    /// written into the pooled `out` buffer (cleared first).
-    fn online_decisions_into(
-        &mut self,
-        s: usize,
-        flips: &[(EdgeId, bool)],
-        out: &mut Vec<Decision>,
-    ) {
-        out.clear();
-        let rt = self
-            .online
-            .as_mut()
-            .expect("online decisions require runtime");
-        let slice = &self.plan.shards[s];
-        for &(local, added) in rt.scratch.fold(flips) {
-            let parent = slice.sub.edge_back[local.index()];
-            out.push(Decision {
-                shard: s as u32,
-                edge: parent.raw(),
-                action: if added {
-                    Action::Assign
-                } else {
-                    Action::Unassign
-                },
-                worker: self.universe.worker_of(parent).raw(),
-                task: self.universe.task_of(parent).raw(),
-                weight: self.live_weights[parent.index()],
-            });
-        }
-        canonical_order(out);
-    }
-
-    /// The online analog of the batcher's final partial batch: one
-    /// closing warm exact solve per healthy shard, so the run converges
-    /// before the final report instead of ending wherever drift since
-    /// the last fallback left it. Decisions are journaled and emitted
-    /// exactly like per-event ones (`events: 0` — no arrival triggered
-    /// them), and shards whose closing solve changes nothing consume no
-    /// sequence slot.
-    fn drain_online(&mut self, sink: &mut impl DecisionSink) {
-        if self.online.is_none() {
-            return;
-        }
-        for s in 0..self.plan.n_shards() {
-            if self.owned_shard.is_some_and(|own| own != s) {
-                continue;
-            }
-            if self.poisoned[s] || self.shard_degenerate(s) {
-                continue;
-            }
-            let t0 = Instant::now();
-            // Shutdown is off the latency path, so the closing solve runs
-            // unbudgeted: a wall-clock budget sized for steady-state events
-            // would truncate the one solve whose whole point is to converge.
-            let rt = self.online.as_mut().expect("online drain requires runtime");
-            let mut flips = std::mem::take(&mut rt.scratch.flips);
-            flips.clear();
-            self.warm_solve_shard(s, &SolveCtl::unlimited(), &mut flips);
-            let rt = self.online.as_mut().expect("online drain requires runtime");
-            rt.shards[s].acc = 0.0;
-            rt.fallbacks += 1;
-            let mut decisions = std::mem::take(&mut rt.scratch.decisions);
-            mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
-            self.online_decisions_into(s, &flips, &mut decisions);
-            if !decisions.is_empty() {
-                let stats = BatchStats {
-                    seq: self.seq,
-                    reason: FlushReason::Online,
-                    events: 0,
-                    queue_depth: 0,
-                    shards_touched: 1,
-                    degraded_shards: 0,
-                    worst_tier: None,
-                    solve_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    invalid_events: 0,
-                };
-                self.seq += 1;
-                self.flush_tally[4] += 1;
-                self.decisions_out += decisions.len() as u64;
-                mbta_telemetry::counter_add("mbta_service_decisions_total", decisions.len() as u64);
-                if self.store.is_some() {
-                    let rec = OnlineRecord {
-                        seq: stats.seq,
-                        time: self.last_time,
-                        events: 0,
-                        fallbacks: 1,
-                        deltas: Vec::new(),
-                        decisions: to_records(&decisions),
-                    };
-                    self.journal_online(rec);
-                }
-                sink.on_batch(&stats, &decisions);
-            }
-            self.recycle_online_buffers(flips, decisions);
-        }
-    }
-
-    /// Marks a shard as poisoned: its solves are pre-cancelled and return
-    /// the greedy floor immediately. Sibling shards are unaffected.
-    pub fn poison_shard(&mut self, s: usize) {
-        if !self.poisoned[s] {
-            mbta_telemetry::counter_add("mbta_service_shard_poisoned_total", 1);
-        }
-        self.poisoned[s] = true;
-    }
-
-    /// Clears a shard's poison mark.
-    pub fn heal_shard(&mut self, s: usize) {
-        if self.poisoned[s] {
-            mbta_telemetry::counter_add("mbta_service_shard_healed_total", 1);
-        }
-        self.poisoned[s] = false;
-    }
-
-    /// Offers one arrival to the ingress queue. On [`OfferOutcome::Deferred`]
-    /// the caller must [`pump`](Self::pump) and re-offer — nothing was
-    /// admitted (and the offer is not counted as an ingress event).
-    pub fn offer(&mut self, a: Arrival) -> OfferOutcome {
-        let outcome = self.queue.offer(a);
-        match outcome {
-            OfferOutcome::Deferred => {
-                self.defer_pending = true;
-                mbta_telemetry::counter_add("mbta_service_deferrals_total", 1);
-            }
-            admitted => {
-                self.events_in += 1;
-                mbta_telemetry::counter_add("mbta_service_events_total", 1);
-                if self.defer_pending {
-                    self.defer_pending = false;
-                    self.defer_retry_ok += 1;
-                    mbta_telemetry::counter_add("mbta_service_defer_retry_ok_total", 1);
-                }
-                match admitted {
-                    OfferOutcome::DroppedNewest => mbta_telemetry::counter_add(
-                        "mbta_service_queue_dropped_total{policy=\"newest\"}",
-                        1,
-                    ),
-                    OfferOutcome::DroppedOldest => mbta_telemetry::counter_add(
-                        "mbta_service_queue_dropped_total{policy=\"oldest\"}",
-                        1,
-                    ),
-                    _ => {}
-                }
-            }
-        }
-        outcome
-    }
-
-    /// Drains the ingress queue: through the batcher in batch mode
-    /// (dispatching every batch a watermark closes), or event by event
-    /// through the online decision path when `online` is configured.
-    pub fn pump(&mut self, sink: &mut impl DecisionSink) {
-        if self.online.is_some() {
-            while let Some(a) = self.queue.pop() {
-                self.dispatch_online(a, sink);
-            }
-            return;
-        }
-        while let Some(a) = self.queue.pop() {
-            if let Some(closed) = self.batcher.offer(a) {
-                self.dispatch(closed, sink);
-            }
-        }
-    }
-
-    /// Batches dispatched so far — equals the durable watermark when a
-    /// store is attached. Cheap; safe to read every loop iteration for
-    /// status replies.
-    pub fn batches_committed(&self) -> u64 {
-        self.seq
-    }
-
-    /// Live assigned-edge count across all shards.
-    pub fn current_assignments(&self) -> usize {
-        self.states.iter().map(|s| s.len()).sum()
-    }
-
-    /// Live total assignment value across all shards.
-    pub fn current_value(&self) -> f64 {
-        self.states.iter().map(|s| s.total_weight()).sum()
     }
 
     fn route(&self, ev: &ServiceEvent) -> Routed {
         match self.route_universe(ev) {
-            Routed::Shard(s) if self.owned_shard.is_some_and(|own| own != s) => Routed::Foreign,
+            Routed::Shard(s) if self.run.owned_shard.is_some_and(|own| own != s) => Routed::Foreign,
             r => r,
         }
     }
@@ -859,6 +555,13 @@ impl<'p> DispatchService<'p> {
         }
     }
 
+    /// Lands a benefit update on the universe weights and the cut tracker
+    /// (`cross`: the edge spans shards, so no shard state holds it).
+    fn set_live_weight(&mut self, cross: bool, edge: u32, weight: f64) {
+        let old = std::mem::replace(&mut self.run.live_weights[edge as usize], weight);
+        self.cut.update(cross, old, weight);
+    }
+
     fn apply(&mut self, shard: usize, ev: &ServiceEvent) {
         let st = &mut self.states[shard];
         match *ev {
@@ -875,29 +578,24 @@ impl<'p> DispatchService<'p> {
                 st.deactivate_task(TaskId::new(self.plan.task_local[t as usize]));
             }
             ServiceEvent::BenefitUpdate { edge, weight } => {
-                let local = EdgeId::new(self.plan.edge_local[edge as usize]);
-                st.set_weight(local, weight);
-                let old = self.live_weights[edge as usize];
-                self.live_weights[edge as usize] = weight;
-                self.cut.update(false, old, weight);
+                st.set_weight(EdgeId::new(self.plan.edge_local[edge as usize]), weight);
+                self.set_live_weight(false, edge, weight);
             }
         }
     }
 
-    fn dispatch(&mut self, batch: ClosedBatch, sink: &mut impl DecisionSink) {
+    /// Batch mode: one closed micro-batch, start to commit.
+    fn dispatch_batch(
+        &mut self,
+        batch: ClosedBatch,
+        mut rescue: Option<&mut Rescue>,
+        sink: &mut impl DecisionSink,
+    ) {
         let batch_span = mbta_telemetry::span!("mbta_service_batch");
         batch_span.attr("events", batch.events.len() as u64);
         mbta_telemetry::counter_add("mbta_service_batches_total", 1);
         mbta_telemetry::observe("mbta_service_batch_events", batch.events.len() as f64);
-        mbta_telemetry::gauge_set("mbta_service_queue_depth", self.queue.len() as f64);
-        let reason = batch.reason;
-        self.flush_tally[match reason {
-            FlushReason::Count => 0,
-            FlushReason::Bytes => 1,
-            FlushReason::Watermark => 2,
-            FlushReason::Drain => 3,
-            FlushReason::Online => unreachable!("the batcher never emits online flushes"),
-        }] += 1;
+        mbta_telemetry::gauge_set("mbta_service_queue_depth", self.run.queue.len() as f64);
 
         // Pass 1: route every event so the touched-shard set (and thus the
         // pre-batch snapshots) is known before any state changes.
@@ -918,16 +616,18 @@ impl<'p> DispatchService<'p> {
                 Routed::Invalid => invalid += 1,
                 // With the boundary pass on, cross-shard benefit updates
                 // feed the rescue market instead of being dropped.
-                Routed::CrossBenefit if !self.boundary_pass => self.cross_benefit_drops += 1,
+                Routed::CrossBenefit if rescue.is_none() => {
+                    self.run.report.cross_benefit_drops += 1
+                }
                 Routed::CrossBenefit => {}
                 Routed::Foreign => foreign += 1,
             }
             routes.push(r);
         }
         touched.sort_unstable();
-        self.invalid_events += invalid as u64;
+        self.run.report.invalid_events += invalid as u64;
         mbta_telemetry::counter_add("mbta_service_invalid_events_total", invalid as u64);
-        self.foreign_events += foreign as u64;
+        self.run.report.foreign_events += foreign as u64;
         mbta_telemetry::counter_add("mbta_service_foreign_events_total", foreign as u64);
 
         let before: Vec<Matching> = touched.iter().map(|&s| self.states[s].matching()).collect();
@@ -935,35 +635,28 @@ impl<'p> DispatchService<'p> {
         // Pass 2: apply churn in arrival order (greedy local repair keeps
         // every intermediate state feasible). With a store attached, the
         // applied weight updates are collected for the batch's WAL record.
-        let journaling = self.store.is_some();
+        let journaling = self.run.store.is_some();
         let mut deltas: Vec<WeightDelta> = Vec::new();
         for (a, r) in batch.events.iter().zip(&routes) {
-            match *r {
+            let cross = match *r {
                 Routed::Shard(s) => {
-                    if journaling {
-                        if let ServiceEvent::BenefitUpdate { edge, weight } = a.event {
-                            deltas.push(WeightDelta { edge, weight });
-                        }
-                    }
                     self.apply(s, &a.event);
-                    self.events_processed += 1;
+                    false
                 }
-                Routed::CrossBenefit if self.boundary_pass => {
-                    // Cross-shard edges live outside every shard state; the
-                    // update lands on the universe weights directly and is
-                    // picked up by the next rescue solve.
-                    let ServiceEvent::BenefitUpdate { edge, weight } = a.event else {
-                        unreachable!("only benefit updates route as CrossBenefit");
-                    };
-                    if journaling {
-                        deltas.push(WeightDelta { edge, weight });
-                    }
-                    let old = self.live_weights[edge as usize];
-                    self.live_weights[edge as usize] = weight;
-                    self.cut.update(true, old, weight);
-                    self.events_processed += 1;
+                Routed::CrossBenefit if rescue.is_some() => true,
+                _ => continue,
+            };
+            self.run.report.events_processed += 1;
+            if let ServiceEvent::BenefitUpdate { edge, weight } = a.event {
+                if journaling {
+                    deltas.push(WeightDelta { edge, weight });
                 }
-                _ => {}
+                // Cross-shard edges live outside every shard state; the
+                // update lands on the universe weights directly and is
+                // picked up by the next rescue solve.
+                if cross {
+                    self.set_live_weight(true, edge, weight);
+                }
             }
         }
 
@@ -972,10 +665,7 @@ impl<'p> DispatchService<'p> {
         // for every shard solve (see the module docs' budget policy), so
         // sequential runs carry unused budget forward and concurrent runs
         // race the same instant.
-        let batch_deadline = match self.budget {
-            BudgetMode::Wallclock(ms) => Some(Deadline::after_ms(ms)),
-            BudgetMode::Deterministic => None,
-        };
+        let batch_deadline = self.run.budget.deadline(|ms| ms);
         let solve_start = Instant::now();
         // Jobs are built in ascending shard order; with `threads = 1` the
         // pool runs them inline in exactly this order (the sequential
@@ -983,29 +673,26 @@ impl<'p> DispatchService<'p> {
         // but still merges results back in shard order.
         let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(touched.len());
         for &s in &touched {
-            let g = &self.plan.shards[s].sub.graph;
-            if g.n_edges() == 0 || g.n_workers() == 0 || g.n_tasks() == 0 {
+            if self.shard_degenerate(s) {
                 continue;
             }
-            let mut cfg = EngineConfig::new();
-            if let Some(d) = batch_deadline {
-                cfg = cfg.with_deadline_at(d);
-            }
-            if self.poisoned[s] {
+            let mut config = engine_config(batch_deadline);
+            if self.run.poisoned[s] {
                 let token = CancelToken::new();
                 token.cancel();
-                cfg = cfg.with_cancel(token);
+                config = config.with_cancel(token);
             }
+            let graph = &self.plan.shards[s].sub.graph;
             jobs.push(ShardJob {
                 shard: s,
-                graph: g,
+                graph,
                 weights: self.states[s].active_weights(),
-                config: cfg,
-                est_size: g.n_edges(),
+                config,
+                est_size: graph.n_edges(),
             });
         }
-        let solved = self.pool.solve(jobs);
-        self.steals += solved.steals;
+        let solved = self.run.pool.solve(jobs);
+        self.run.report.steals += solved.steals;
 
         // Merge: outcomes arrive sorted by shard index, so adoption order
         // (and therefore the decision stream) is independent of which
@@ -1016,24 +703,19 @@ impl<'p> DispatchService<'p> {
             let s = outcome.shard;
             match outcome.result {
                 Ok(sol) => {
-                    self.solves += 1;
-                    self.tier_tally[sol.tier as usize] += 1;
-                    if sol.tier == QualityTier::Degraded {
-                        self.degraded_by_shard[s] += 1;
-                        degraded_shards += 1;
+                    let report = &mut self.run.report;
+                    report.solves += 1;
+                    match sol.tier {
+                        QualityTier::Exact => report.tier_exact += 1,
+                        QualityTier::Approximate => report.tier_approximate += 1,
+                        QualityTier::Degraded => {
+                            report.tier_degraded += 1;
+                            report.degraded_by_shard[s] += 1;
+                            degraded_shards += 1;
+                        }
                     }
                     worst_tier = Some(worst_tier.map_or(sol.tier, |t| t.min(sol.tier)));
-                    if sol.value > self.states[s].total_weight() + 1e-12 {
-                        // The engine solved the active sub-market (inactive
-                        // edges weigh 0 and are never taken), so the
-                        // matching touches only active nodes and reseed
-                        // cannot reject it.
-                        self.states[s]
-                            .reseed(&sol.matching)
-                            .expect("engine solution is feasible on the active sub-market");
-                        self.reseeds += 1;
-                        mbta_telemetry::counter_add("mbta_service_reseeds_total", 1);
-                    }
+                    self.adopt(s, &sol.matching, sol.value);
                 }
                 Err(_) => {
                     // Input errors cannot occur here (admission rejects bad
@@ -1051,89 +733,42 @@ impl<'p> DispatchService<'p> {
             }
         }
         let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
-        self.solve_lat.observe(solve_ms);
+        self.run.solve_lat.observe(solve_ms);
         mbta_telemetry::observe("mbta_service_batch_solve_ms", solve_ms);
 
-        // Pass 3b: boundary rescue — re-derive the cross-shard overlay
-        // from this batch's residual capacities. Budget policy: a fixed
-        // quarter-slice of the batch budget (the rescue market is tiny
-        // relative to the shard solves and must not starve them), none in
-        // deterministic mode.
-        let mut rescue_decisions = if self.boundary_pass {
-            let rescue_deadline = match self.budget {
-                BudgetMode::Wallclock(ms) => Some(Deadline::after_ms(ms / 4 + 1)),
-                BudgetMode::Deterministic => None,
-            };
-            self.boundary_rescue(rescue_deadline)
-        } else {
-            Vec::new()
-        };
-
-        // Pass 4: emit assignment deltas (per-shard before/after diff).
+        // Pass 4: the batch's decisions — each touched shard's
+        // before/after diff, plus the re-derived rescue overlay's.
         let mut decisions: Vec<Decision> = Vec::new();
         for (&s, pre) in touched.iter().zip(&before) {
             let post = self.states[s].matching();
-            let slice = &self.plan.shards[s];
-            let mut removed = Vec::new();
-            let mut added = Vec::new();
-            diff_sorted(
-                &pre.edges,
-                &post.edges,
-                |e| removed.push(e),
-                |e| added.push(e),
-            );
-            for (local, action) in removed
-                .into_iter()
-                .map(|e| (e, Action::Unassign))
-                .chain(added.into_iter().map(|e| (e, Action::Assign)))
-            {
-                let parent = slice.sub.edge_back[local.index()];
-                decisions.push(Decision {
-                    shard: s as u32,
-                    edge: parent.raw(),
-                    action,
-                    worker: self.universe.worker_of(parent).raw(),
-                    task: self.universe.task_of(parent).raw(),
-                    weight: self.live_weights[parent.index()],
-                });
-            }
+            let back = &self.plan.shards[s].sub.edge_back;
+            diff_sorted(&pre.edges, &post.edges, |local, action| {
+                decisions.push(self.decision(s as u32, back[local.index()], action));
+            });
         }
-        decisions.append(&mut rescue_decisions);
+        if let Some(rescue) = rescue.as_deref_mut() {
+            self.boundary_rescue(rescue, &mut decisions);
+        }
         canonical_order(&mut decisions);
-        self.decisions_out += decisions.len() as u64;
-        mbta_telemetry::counter_add("mbta_service_decisions_total", decisions.len() as u64);
 
-        let stats = BatchStats {
-            seq: self.seq,
-            reason,
-            events: batch.events.len(),
-            queue_depth: self.queue.len(),
-            shards_touched: touched.len(),
-            degraded_shards,
-            worst_tier,
-            solve_ms,
-            invalid_events: invalid,
+        let mut stats = self
+            .run
+            .stats(batch.reason, batch.events.len(), touched.len(), solve_ms);
+        stats.degraded_shards = degraded_shards;
+        stats.worst_tier = worst_tier;
+        stats.invalid_events = invalid;
+        let record = Record::Batch {
+            first_time: batch.events.first().map_or(0.0, |a| a.time),
+            last_time: batch.events.last().map_or(0.0, |a| a.time),
+            deltas,
         };
-        self.seq += 1;
-        // Write-ahead ordering: the batch is durable before any decision
-        // is released to the outside world.
-        if journaling {
-            let rec = BatchRecord {
-                seq: stats.seq,
-                first_time: batch.events.first().map_or(0.0, |a| a.time),
-                last_time: batch.events.last().map_or(0.0, |a| a.time),
-                events: batch.events.len() as u32,
-                deltas,
-                decisions: to_records(&decisions),
-            };
-            self.journal(rec);
-        }
-        sink.on_batch(&stats, &decisions);
+        let overlay = rescue.map(|r| &r.overlay[..]);
+        self.commit(stats, record, &decisions, overlay, sink);
     }
 
     /// Re-derives the cross-shard rescue overlay from this batch's
-    /// residual capacities and returns the overlay's assignment deltas
-    /// (pseudo-shard `n_shards` in the decision stream).
+    /// residual capacities and appends the overlay's assignment deltas
+    /// (pseudo-shard `n_shards` in the decision stream) to `out`.
     ///
     /// The overlay is *recomputed from scratch* every batch: residual
     /// capacity is whatever the intra-shard solves left unused, so a shard
@@ -1142,52 +777,46 @@ impl<'p> DispatchService<'p> {
     /// holds because the rescue instance's capacities *are* the residuals;
     /// [`validate_rescue`] re-checks and counts violations anyway.
     ///
+    /// Budget: a fixed quarter-slice of the batch budget (the rescue
+    /// market is tiny relative to the shard solves and must not starve
+    /// them), none in deterministic mode.
+    ///
     /// Determinism: candidates ascend by edge id, the node lists ascend by
     /// node id, and the single rescue solve runs inline — so under
     /// [`BudgetMode::Deterministic`] the overlay is a pure function of the
     /// event history at any thread count.
-    fn boundary_rescue(&mut self, rescue_deadline: Option<Deadline>) -> Vec<Decision> {
-        let plan = self.plan;
-        let universe = self.universe;
+    fn boundary_rescue(&mut self, rescue: &mut Rescue, out: &mut Vec<Decision>) {
+        let (plan, universe) = (self.plan, self.universe);
 
         // Residuals: universe capacity/demand minus the intra-shard load.
         let mut w_res: Vec<u32> = universe.workers().map(|w| universe.capacity(w)).collect();
         let mut t_res: Vec<u32> = universe.tasks().map(|t| universe.demand(t)).collect();
-        for (slice, st) in plan.shards.iter().zip(&self.states) {
-            for e in st.matching().edges {
-                let parent = slice.sub.edge_back[e.index()];
-                w_res[universe.worker_of(parent).index()] -= 1;
-                t_res[universe.task_of(parent).index()] -= 1;
-            }
+        for (_, e) in self.assigned() {
+            w_res[universe.worker_of(e).index()] -= 1;
+            t_res[universe.task_of(e).index()] -= 1;
         }
 
         let is_cross = |e: EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
         let states = &self.states;
-        let worker_ok = |w: WorkerId| {
-            states[plan.worker_shard[w.index()] as usize]
-                .worker_active(WorkerId::new(plan.worker_local[w.index()]))
-        };
-        let task_ok = |t: TaskId| {
-            states[plan.task_shard[t.index()] as usize]
-                .task_active(TaskId::new(plan.task_local[t.index()]))
-        };
+        let worker_ok = |w: WorkerId| worker_live(plan, states, w);
+        let task_ok = |t: TaskId| task_live(plan, states, t);
         // A cross edge is "seen" by the rescue market once both endpoints
         // are concurrently live — even with zero residual. Exhausted
         // residual means the capacity went to intra-shard assignments,
         // which is contention, not partition loss; `effective_retained`
         // must charge the partition only for weight it made unreachable.
         for e in universe.edges() {
-            if !self.cross_seen[e.index()]
+            if !self.run.cross_seen[e.index()]
                 && is_cross(e)
                 && worker_ok(universe.worker_of(e))
                 && task_ok(universe.task_of(e))
             {
-                self.cross_seen[e.index()] = true;
+                self.run.cross_seen[e.index()] = true;
             }
         }
         let spec = residual_candidates(
             universe,
-            &self.live_weights,
+            &self.run.live_weights,
             is_cross,
             worker_ok,
             task_ok,
@@ -1212,20 +841,14 @@ impl<'p> DispatchService<'p> {
                 },
                 |e| cand[e.index()],
             );
-            let weights = sub.project_weights(&self.live_weights);
-            let mut cfg = EngineConfig::new();
-            if let Some(d) = rescue_deadline {
-                cfg = cfg.with_deadline_at(d);
-            }
-            let est = sub.graph.n_edges();
-            let outcome = self.pool.solve_one(ShardJob {
+            let outcome = self.run.pool.solve_one(ShardJob {
                 shard: plan.n_shards(),
                 graph: &sub.graph,
-                weights,
-                config: cfg,
-                est_size: est,
+                weights: sub.project_weights(&self.run.live_weights),
+                config: engine_config(self.run.budget.deadline(|ms| ms / 4 + 1)),
+                est_size: sub.graph.n_edges(),
             });
-            self.rescue_solves += 1;
+            self.run.report.rescue_solves += 1;
             mbta_telemetry::counter_add("mbta_partition_rescue_solves_total", 1);
             match outcome.result {
                 Ok(sol) => sol
@@ -1241,123 +864,448 @@ impl<'p> DispatchService<'p> {
             }
         };
         new_overlay.sort_unstable();
-        self.rescue_violations +=
-            validate_rescue(universe, is_cross, &w_res, &t_res, &new_overlay) as u64;
+        self.run.report.capacity_violations +=
+            validate_rescue(universe, is_cross, &w_res, &t_res, &new_overlay);
 
-        let rescue_shard = plan.n_shards() as u32;
-        let mut removed = Vec::new();
-        let mut added = Vec::new();
-        diff_sorted(
-            &self.overlay,
-            &new_overlay,
-            |e| removed.push(e),
-            |e| added.push(e),
-        );
-        self.rescue_assigns += added.len() as u64;
-        let decisions: Vec<Decision> = removed
-            .into_iter()
-            .map(|e| (e, Action::Unassign))
-            .chain(added.into_iter().map(|e| (e, Action::Assign)))
-            .map(|(e, action)| Decision {
-                shard: rescue_shard,
-                edge: e.raw(),
-                action,
-                worker: universe.worker_of(e).raw(),
-                task: universe.task_of(e).raw(),
-                weight: self.live_weights[e.index()],
-            })
-            .collect();
+        let mut assigns = 0u64;
+        diff_sorted(&rescue.overlay, &new_overlay, |e, action| {
+            assigns += u64::from(action == Action::Assign);
+            out.push(self.decision(plan.n_shards() as u32, e, action));
+        });
+        self.run.report.rescue_assigns += assigns;
 
         let rescued: f64 = new_overlay
             .iter()
-            .map(|e| self.live_weights[e.index()])
+            .map(|e| self.run.live_weights[e.index()])
             .sum();
         mbta_telemetry::gauge_set("mbta_partition_rescued_weight", rescued);
-        self.overlay = new_overlay;
-        decisions
+        rescue.overlay = new_overlay;
+    }
+
+    /// Online mode: one event, start to commit (see the [`crate::online`]
+    /// module docs): apply the event through the shard's incremental
+    /// state, attempt a depth-1 exchange for benefit updates, accumulate
+    /// drift, fall back to a warm-started exact re-solve past the drift
+    /// threshold, then commit the event's net decisions.
+    fn dispatch_online(
+        &mut self,
+        rt: &mut OnlineRuntime,
+        a: Arrival,
+        sink: &mut impl DecisionSink,
+    ) {
+        let t0 = Instant::now();
+        self.run.last_time = self.run.last_time.max(a.time);
+        let s = match self.route(&a.event) {
+            Routed::Shard(s) => s,
+            Routed::Invalid => {
+                self.run.report.invalid_events += 1;
+                mbta_telemetry::counter_add("mbta_service_invalid_events_total", 1);
+                return;
+            }
+            // The rescue overlay is a batch construct; in online mode a
+            // cross-shard benefit update has no decision surface.
+            Routed::CrossBenefit => {
+                self.run.report.cross_benefit_drops += 1;
+                return;
+            }
+            Routed::Foreign => {
+                self.run.report.foreign_events += 1;
+                mbta_telemetry::counter_add("mbta_service_foreign_events_total", 1);
+                return;
+            }
+        };
+
+        // Deltas are collected whether or not a store is attached, so the
+        // sequence of deciding events — and therefore the decision stream
+        // — is identical with and without journaling.
+        let mut deltas: Vec<WeightDelta> = Vec::new();
+        // Benefit drift accrues before the weight is overwritten.
+        let mut drift = 0.0f64;
+        if let ServiceEvent::BenefitUpdate { edge, weight } = a.event {
+            deltas.push(WeightDelta { edge, weight });
+            drift = (weight - self.run.live_weights[edge as usize]).abs();
+        }
+        self.apply(s, &a.event);
+        self.run.report.events_processed += 1;
+
+        // A benefit update may make its edge newly attractive: take it
+        // greedily if capacity allows, else try the depth-1 exchange.
+        if let ServiceEvent::BenefitUpdate { edge, .. } = a.event {
+            let local = EdgeId::new(self.plan.edge_local[edge as usize]);
+            let st = &mut self.states[s];
+            if !st.edge_assigned(local) && !st.try_assign(local) && online::try_exchange(st, local)
+            {
+                self.run.report.online_exchanges += 1;
+                mbta_telemetry::counter_add("mbta_service_online_exchanges_total", 1);
+            }
+        }
+
+        // Drift: |Δw| of the update plus every net-removed edge's weight
+        // (departures and evictions — plain greedy fills accrue nothing).
+        rt.scratch.flips.clear();
+        self.states[s].drain_log_into(&mut rt.scratch.flips);
+        rt.scratch.fold();
+        for &(e, added) in &rt.scratch.net {
+            if !added {
+                drift += self.states[s].weight_of(e).max(0.0);
+            }
+        }
+        self.run.report.online_events += 1;
+        mbta_telemetry::counter_add("mbta_service_online_events_total", 1);
+        rt.shards[s].acc += drift;
+        let due = rt.fallback_due(s, self.states[s].total_weight());
+
+        // Drift fallback: warm-started exact re-solve of the shard, under
+        // the same budget a batch gets — the event is on the latency
+        // path. A poisoned shard resets its accumulator without solving:
+        // it stays on the greedy floor, like its batch behavior.
+        let fell_back = due && !self.run.poisoned[s] && !self.shard_degenerate(s);
+        if fell_back {
+            self.warm_solve_shard(rt, s, self.run.budget.deadline(|ms| ms));
+        }
+        if fell_back || (due && self.run.poisoned[s]) {
+            rt.shards[s].acc = 0.0;
+            self.run.report.online_fallbacks += 1;
+            mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
+        }
+
+        self.online_decisions(&mut rt.scratch, s);
+        let event_ms = t0.elapsed().as_secs_f64() * 1e3;
+        rt.lat.observe(event_ms);
+        mbta_telemetry::observe("mbta_service_online_event_ms", event_ms);
+
+        // Events that changed nothing durable consume no sequence slot:
+        // the WAL stays contiguous and sinks see only deciding events.
+        if !rt.scratch.decisions.is_empty() || !deltas.is_empty() {
+            let stats = self.run.stats(FlushReason::Online, 1, 1, event_ms);
+            let record = Record::Online {
+                time: a.time,
+                fallbacks: u32::from(fell_back),
+                deltas,
+            };
+            self.commit(stats, record, &rt.scratch.decisions, None, sink);
+        }
+    }
+
+    /// Warm-started exact re-solve of shard `s` (the caller has ruled
+    /// out poisoned and degenerate shards), adopting the solution when
+    /// it improves on the incremental state. Appends the applied flips
+    /// to the pooled flip buffer.
+    fn warm_solve_shard(&mut self, rt: &mut OnlineRuntime, s: usize, deadline: Option<Deadline>) {
+        let ctl = deadline.map_or_else(SolveCtl::unlimited, |d| {
+            SolveCtl::unlimited().with_deadline(d)
+        });
+        let aw = self.states[s].active_weights();
+        let warm = &mut rt.shards[s].warm;
+        warm.seed(self.states[s].matching());
+        let m = warm.solve(&self.plan.shards[s].sub.graph, &aw, &ctl);
+        self.adopt(s, &m, m.total_weight(&aw));
+        self.states[s].drain_log_into(&mut rt.scratch.flips);
+    }
+
+    /// Folds shard `s`'s pooled flip log into canonical universe-id
+    /// decisions, in the pooled decision buffer.
+    fn online_decisions(&self, scratch: &mut OnlineScratch, s: usize) {
+        scratch.fold();
+        let OnlineScratch { net, decisions, .. } = scratch;
+        let back = &self.plan.shards[s].sub.edge_back;
+        decisions.clear();
+        decisions.extend(net.iter().map(|&(local, added)| {
+            let action = if added {
+                Action::Assign
+            } else {
+                Action::Unassign
+            };
+            self.decision(s as u32, back[local.index()], action)
+        }));
+        canonical_order(decisions);
+    }
+
+    /// The online analog of the batcher's final partial batch: one
+    /// closing warm exact solve per healthy shard, so the run converges
+    /// before the final report instead of ending wherever drift since
+    /// the last fallback left it. Decisions are committed exactly like
+    /// per-event ones (`events: 0` — no arrival triggered them), and
+    /// shards whose closing solve changes nothing consume no sequence
+    /// slot.
+    fn drain_online(&mut self, rt: &mut OnlineRuntime, sink: &mut impl DecisionSink) {
+        for s in 0..self.plan.n_shards() {
+            if self.run.owned_shard.is_some_and(|own| own != s)
+                || self.run.poisoned[s]
+                || self.shard_degenerate(s)
+            {
+                continue;
+            }
+            let t0 = Instant::now();
+            // Shutdown is off the latency path, so the closing solve runs
+            // unbudgeted: a wall-clock budget sized for steady-state events
+            // would truncate the one solve whose whole point is to converge.
+            rt.scratch.flips.clear();
+            self.warm_solve_shard(rt, s, None);
+            rt.shards[s].acc = 0.0;
+            self.run.report.online_fallbacks += 1;
+            mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
+            self.online_decisions(&mut rt.scratch, s);
+            if !rt.scratch.decisions.is_empty() {
+                let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
+                let stats = self.run.stats(FlushReason::Online, 0, 1, solve_ms);
+                let record = Record::Online {
+                    time: self.run.last_time,
+                    fallbacks: 1,
+                    deltas: Vec::new(),
+                };
+                self.commit(stats, record, &rt.scratch.decisions, None, sink);
+            }
+        }
+    }
+}
+
+impl<'p> DispatchService<'p> {
+    /// Builds a service over a shard plan. All nodes start *inactive* —
+    /// the market is empty until join/post events arrive.
+    pub fn new(universe: &'p BipartiteGraph, plan: &'p ShardPlan, cfg: ServiceConfig) -> Self {
+        assert!(
+            !(cfg.boundary_pass && cfg.online.is_some()),
+            "online mode is incompatible with the boundary pass"
+        );
+        assert!(
+            !(cfg.boundary_pass && cfg.owned_shard.is_some()),
+            "single-shard ownership is incompatible with the boundary pass"
+        );
+        let n = plan.n_shards();
+        if let Some(own) = cfg.owned_shard {
+            assert!(
+                own < n,
+                "owned shard {own} out of range (plan has {n} shards)"
+            );
+        }
+        let live_weights = plan.universe_weights.clone();
+        let (mut states, cut) = seed_plan_state(universe, plan, &live_weights);
+        let mode = match cfg.online {
+            Some(oc) => {
+                for st in &mut states {
+                    st.enable_log();
+                }
+                Mode::Online(OnlineRuntime::new(oc, plan))
+            }
+            None => Mode::Batch {
+                batcher: Batcher::new(cfg.batch),
+                rescue: cfg.boundary_pass.then(Rescue::default),
+            },
+        };
+        let run = RunState {
+            budget: cfg.budget,
+            replan_threshold: cfg.replan_threshold,
+            owned_shard: cfg.owned_shard,
+            pool: SolvePool::new(cfg.threads),
+            queue: BoundedQueue::new(cfg.queue_cap, cfg.drop_policy),
+            store: None,
+            live_weights,
+            cross_seen: vec![false; universe.n_edges()],
+            poisoned: vec![false; n],
+            defer_pending: false,
+            solve_lat: mbta_telemetry::Histogram::new(),
+            last_time: 0.0,
+            started: Instant::now(),
+            report: ServiceReport {
+                degraded_by_shard: vec![0; n],
+                ..ServiceReport::default()
+            },
+        };
+        DispatchService {
+            core: Core {
+                universe,
+                plan,
+                states,
+                cut,
+                run,
+            },
+            mode,
+        }
+    }
+
+    /// Attaches a durability store: from the next commit on, every record
+    /// is journaled to the WAL before its decisions reach the sink, and
+    /// snapshots are written on the store's cadence. The store must be
+    /// fresh (nothing committed): this service starts from an empty
+    /// market, so attaching a store that already holds state would make
+    /// the journal lie about what the decisions were applied to. Use
+    /// `mbta_store::recover` to inspect an existing directory instead.
+    pub fn attach_store(&mut self, store: DurableStore) {
+        assert_eq!(
+            store.stats().watermark,
+            0,
+            "cannot attach a store with existing journaled state to a fresh service"
+        );
+        self.core.run.store = Some(store);
+    }
+
+    /// Marks a shard as poisoned: its solves are pre-cancelled and return
+    /// the greedy floor immediately. Sibling shards are unaffected.
+    pub fn poison_shard(&mut self, s: usize) {
+        if !self.core.run.poisoned[s] {
+            mbta_telemetry::counter_add("mbta_service_shard_poisoned_total", 1);
+        }
+        self.core.run.poisoned[s] = true;
+    }
+
+    /// Clears a shard's poison mark.
+    pub fn heal_shard(&mut self, s: usize) {
+        if self.core.run.poisoned[s] {
+            mbta_telemetry::counter_add("mbta_service_shard_healed_total", 1);
+        }
+        self.core.run.poisoned[s] = false;
+    }
+
+    /// Offers one arrival to the ingress queue. On [`OfferOutcome::Deferred`]
+    /// the caller must [`pump`](Self::pump) and re-offer — nothing was
+    /// admitted (and the offer is not counted as an ingress event).
+    pub fn offer(&mut self, a: Arrival) -> OfferOutcome {
+        let run = &mut self.core.run;
+        let outcome = run.queue.offer(a);
+        match outcome {
+            OfferOutcome::Deferred => {
+                run.defer_pending = true;
+                mbta_telemetry::counter_add("mbta_service_deferrals_total", 1);
+            }
+            admitted => {
+                run.report.events_in += 1;
+                mbta_telemetry::counter_add("mbta_service_events_total", 1);
+                if run.defer_pending {
+                    run.defer_pending = false;
+                    run.report.defer_retry_ok += 1;
+                    mbta_telemetry::counter_add("mbta_service_defer_retry_ok_total", 1);
+                }
+                match admitted {
+                    OfferOutcome::DroppedNewest => mbta_telemetry::counter_add(
+                        "mbta_service_queue_dropped_total{policy=\"newest\"}",
+                        1,
+                    ),
+                    OfferOutcome::DroppedOldest => mbta_telemetry::counter_add(
+                        "mbta_service_queue_dropped_total{policy=\"oldest\"}",
+                        1,
+                    ),
+                    _ => {}
+                }
+            }
+        }
+        outcome
+    }
+
+    /// Drains the ingress queue through the mode: the batcher in batch
+    /// mode (dispatching every batch a watermark closes), or event by
+    /// event through the online decision path.
+    pub fn pump(&mut self, sink: &mut impl DecisionSink) {
+        let DispatchService { core, mode } = self;
+        match mode {
+            Mode::Batch { batcher, rescue } => {
+                while let Some(a) = core.run.queue.pop() {
+                    if let Some(closed) = batcher.offer(a) {
+                        core.dispatch_batch(closed, rescue.as_mut(), sink);
+                    }
+                }
+            }
+            Mode::Online(rt) => {
+                while let Some(a) = core.run.queue.pop() {
+                    core.dispatch_online(rt, a, sink);
+                }
+            }
+        }
+    }
+
+    /// Records committed so far (the sequence watermark — see
+    /// [`ServiceReport::batches`]); equals the durable watermark when a
+    /// store is attached. Cheap; safe to read every loop iteration for
+    /// status replies.
+    pub fn batches_committed(&self) -> u64 {
+        self.core.run.report.batches
+    }
+
+    /// Live assigned-edge count across all shards.
+    pub fn current_assignments(&self) -> usize {
+        self.core.states.iter().map(|s| s.len()).sum()
+    }
+
+    /// Live total assignment value across all shards.
+    pub fn current_value(&self) -> f64 {
+        self.core.states.iter().map(|s| s.total_weight()).sum()
     }
 
     /// Flushes all remaining work, reconciles cross-shard state, and
     /// returns the run report.
     pub fn finish(mut self, sink: &mut impl DecisionSink) -> ServiceReport {
         self.pump(sink);
-        if let Some(closed) = self.batcher.drain() {
-            self.dispatch(closed, sink);
+        let DispatchService { mut core, mut mode } = self;
+        match &mut mode {
+            Mode::Batch { batcher, rescue } => {
+                if let Some(closed) = batcher.drain() {
+                    core.dispatch_batch(closed, rescue.as_mut(), sink);
+                }
+            }
+            Mode::Online(rt) => {
+                core.drain_online(rt, sink);
+                rt.unbind(&mut core.run.report);
+                let report = &mut core.run.report;
+                report.p50_online_ms = rt.lat.quantile(0.5);
+                report.p99_online_ms = rt.lat.quantile(0.99);
+                report.max_online_ms = rt.lat.max();
+            }
         }
-        self.drain_online(sink);
+        let overlay = mode.overlay();
 
         // Clean shutdown of the durability store: fsync the WAL and write
         // a final snapshot so recovery replays nothing.
-        let mut store_stats = mbta_store::store::StoreStats::default();
-        if let Some(mut store) = self.store.take() {
-            if self.store_error.is_none() {
-                let snap = self.snapshot_state(self.seq);
-                if let Err(e) = store.seal(&snap) {
-                    mbta_telemetry::counter_add("mbta_store_errors_total", 1);
-                    self.store_error = Some(e);
-                }
+        let mut store_stats = StoreStats::default();
+        if let Some(mut store) = core.run.store.take() {
+            if core.run.report.store_error.is_none() {
+                let res = store.seal(&core.snapshot_state(overlay));
+                core.run.note_store_result(res);
             }
             store_stats = store.stats();
         }
+        let overlay = overlay.unwrap_or_default();
 
         // Cross-shard reconciliation: the union of per-shard assignments
         // (plus the rescue overlay), mapped back to universe ids, must be
         // feasible on the universe graph. Shards are node-disjoint and the
         // rescue market's capacities are the shard residuals, so this
         // holds by construction; re-validate anyway and count violations
-        // per node.
-        let mut union: Vec<EdgeId> = self
-            .plan
-            .shards
-            .iter()
-            .zip(&self.states)
-            .flat_map(|(slice, st)| {
-                st.matching()
-                    .edges
-                    .into_iter()
-                    .map(|e| slice.sub.edge_back[e.index()])
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        union.extend(self.overlay.iter().copied());
-        let mut chosen = vec![false; self.universe.n_edges()];
-        let mut w_load = vec![0u32; self.universe.n_workers()];
-        let mut t_load = vec![0u32; self.universe.n_tasks()];
+        // per node, on top of the per-batch rescue validations already
+        // in the report.
+        let universe = core.universe;
+        let mut chosen = vec![false; universe.n_edges()];
+        let mut w_load = vec![0u32; universe.n_workers()];
+        let mut t_load = vec![0u32; universe.n_tasks()];
         let mut violations = 0usize;
-        for &e in &union {
+        let union = core.assigned().map(|(_, e)| e);
+        for e in union.chain(overlay.iter().copied()) {
             if chosen[e.index()] {
                 violations += 1;
             }
             chosen[e.index()] = true;
-            w_load[self.universe.worker_of(e).index()] += 1;
-            t_load[self.universe.task_of(e).index()] += 1;
+            w_load[universe.worker_of(e).index()] += 1;
+            t_load[universe.task_of(e).index()] += 1;
         }
-        for w in self.universe.workers() {
-            if w_load[w.index()] > self.universe.capacity(w) {
+        for w in universe.workers() {
+            if w_load[w.index()] > universe.capacity(w) {
                 violations += 1;
             }
         }
-        for t in self.universe.tasks() {
-            if t_load[t.index()] > self.universe.demand(t) {
+        for t in universe.tasks() {
+            if t_load[t.index()] > universe.demand(t) {
                 violations += 1;
             }
         }
 
-        // In-shard solve violations cannot occur, but a broken rescue
-        // overlay would: fold the per-batch rescue validations in.
-        violations += self.rescue_violations as usize;
-
+        let Core {
+            plan, states, run, ..
+        } = core;
         // `+ 0.0` normalizes the empty sum's -0.0 (cosmetic in reports).
-        let rescued_weight: f64 = self
-            .overlay
+        let rescued_weight: f64 = overlay
             .iter()
-            .map(|e| self.live_weights[e.index()])
+            .map(|e| run.live_weights[e.index()])
             .sum::<f64>()
             + 0.0;
-        let final_value: f64 =
-            self.states.iter().map(|s| s.total_weight()).sum::<f64>() + rescued_weight;
-        let final_assignments: usize =
-            self.states.iter().map(|s| s.len()).sum::<usize>() + self.overlay.len();
 
         // Retained weight from the *live* weights, not the plan-time ones
         // — benefit drift moves weight across the cut after planning, and
@@ -1365,12 +1313,12 @@ impl<'p> DispatchService<'p> {
         // figure also credits cross edges the rescue market was offered
         // (they are assignable, just second-stage).
         let (mut intra_live, mut seen_live, mut total_live) = (0.0f64, 0.0f64, 0.0f64);
-        for e in self.universe.edges() {
-            let w = self.live_weights[e.index()];
+        for e in universe.edges() {
+            let w = run.live_weights[e.index()];
             total_live += w;
-            if self.plan.edge_shard[e.index()] != UNMAPPED {
+            if plan.edge_shard[e.index()] != UNMAPPED {
                 intra_live += w;
-            } else if self.cross_seen[e.index()] {
+            } else if run.cross_seen[e.index()] {
                 seen_live += w;
             }
         }
@@ -1382,97 +1330,50 @@ impl<'p> DispatchService<'p> {
             }
         };
 
-        let wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
-        let lat = self.solve_lat;
-        let (online_events, online_fallbacks, online_exchanges) = self
-            .online
-            .as_ref()
-            .map_or((0, 0, 0), |rt| (rt.events, rt.fallbacks, rt.exchanges));
-        let (warm_solves, warm_hits) = self.online.as_ref().map_or((0, 0), |rt| {
-            let w = rt.warm_totals();
-            (w.solves, w.warm_hits)
-        });
-        let (p50_online_ms, p99_online_ms, max_online_ms) =
-            self.online.as_ref().map_or((0.0, 0.0, 0.0), |rt| {
-                (rt.lat.quantile(0.5), rt.lat.quantile(0.99), rt.lat.max())
-            });
-        ServiceReport {
-            n_shards: self.plan.n_shards(),
-            cross_edges: self.plan.cross_edges,
-            retained_weight: frac(intra_live),
-            effective_retained: frac(intra_live + seen_live),
-            rescued_weight,
-            rescue_solves: self.rescue_solves,
-            rescue_assigns: self.rescue_assigns,
-            replans: self.replans,
-            migrated_workers: self.migrated_workers,
-            migrated_tasks: self.migrated_tasks,
-            events_in: self.events_in,
-            events_processed: self.events_processed,
-            dropped_newest: self.queue.dropped_newest(),
-            dropped_oldest: self.queue.dropped_oldest(),
-            deferrals: self.queue.deferrals(),
-            defer_retry_ok: self.defer_retry_ok,
-            invalid_events: self.invalid_events,
-            cross_benefit_drops: self.cross_benefit_drops,
-            foreign_events: self.foreign_events,
-            queue_high_watermark: self.queue.high_watermark(),
-            batches: self.seq,
-            flush_count: self.flush_tally[0],
-            flush_bytes: self.flush_tally[1],
-            flush_watermark: self.flush_tally[2],
-            flush_drain: self.flush_tally[3],
-            flush_online: self.flush_tally[4],
-            online_events,
-            online_fallbacks,
-            online_exchanges,
-            online_warm_solves: warm_solves,
-            online_warm_hits: warm_hits,
-            p50_online_ms,
-            p99_online_ms,
-            max_online_ms,
-            solves: self.solves,
-            tier_exact: self.tier_tally[QualityTier::Exact as usize],
-            tier_approximate: self.tier_tally[QualityTier::Approximate as usize],
-            tier_degraded: self.tier_tally[QualityTier::Degraded as usize],
-            degraded_by_shard: self.degraded_by_shard,
-            reseeds: self.reseeds,
-            decisions: self.decisions_out,
-            p50_solve_ms: lat.quantile(0.5),
-            p99_solve_ms: lat.quantile(0.99),
-            max_solve_ms: lat.max(),
-            wall_ms,
-            events_per_sec: if wall_ms > 0.0 {
-                self.events_processed as f64 / (wall_ms / 1e3)
-            } else {
-                0.0
-            },
-            final_value,
-            final_assignments,
-            capacity_violations: violations,
-            pool_threads: self.pool.threads(),
-            steals: self.steals,
-            wal_records: store_stats.wal_records,
-            wal_bytes: store_stats.wal_bytes,
-            snapshots: store_stats.snapshots,
-            store_error: self.store_error.map(|e| e.to_string()),
+        let wall_ms = run.started.elapsed().as_secs_f64() * 1e3;
+        let mut report = run.report;
+        report.n_shards = plan.n_shards();
+        report.cross_edges = plan.cross_edges;
+        report.retained_weight = frac(intra_live);
+        report.effective_retained = frac(intra_live + seen_live);
+        report.rescued_weight = rescued_weight;
+        report.dropped_newest = run.queue.dropped_newest();
+        report.dropped_oldest = run.queue.dropped_oldest();
+        report.deferrals = run.queue.deferrals();
+        report.queue_high_watermark = run.queue.high_watermark();
+        report.p50_solve_ms = run.solve_lat.quantile(0.5);
+        report.p99_solve_ms = run.solve_lat.quantile(0.99);
+        report.max_solve_ms = run.solve_lat.max();
+        report.wall_ms = wall_ms;
+        if wall_ms > 0.0 {
+            report.events_per_sec = report.events_processed as f64 / (wall_ms / 1e3);
         }
+        report.final_value = states.iter().map(|s| s.total_weight()).sum::<f64>() + rescued_weight;
+        report.final_assignments = states.iter().map(|s| s.len()).sum::<usize>() + overlay.len();
+        report.capacity_violations += violations;
+        report.pool_threads = run.pool.threads();
+        report.wal_records = store_stats.wal_records;
+        report.wal_bytes = store_stats.wal_bytes;
+        report.snapshots = store_stats.snapshots;
+        report
     }
 
     /// Whether drift-driven re-planning is armed and the live cut
     /// fraction has degraded past the configured threshold. Cheap (two
     /// float reads); the driver polls it at batch boundaries.
     pub fn replan_due(&self) -> bool {
-        self.replan_threshold
-            .is_some_and(|t| self.cut.degradation() > t)
+        let threshold = self.core.run.replan_threshold;
+        threshold.is_some_and(|t| self.core.cut.degradation() > t)
     }
 
     /// Tears the service down to exactly the state a successor needs to
-    /// continue the run under a **new** shard plan: live weights, node
-    /// liveness, the assigned-edge union, the old node→shard maps (for
-    /// migration accounting), the ingress queue and batcher (queued
-    /// events carry over untouched), the durability store, and every
-    /// report counter. Pair with [`DispatchService::resume`]:
+    /// continue the run under a **new** shard plan: the whole `RunState`
+    /// (live weights, ingress queue, durability store, every report
+    /// counter) and the mode (a batcher's buffered events carry over
+    /// untouched), plus what is bound to the old plan in plan-free form —
+    /// node liveness, the assigned-edge union, and the old node→shard
+    /// maps for migration accounting. Pair with
+    /// [`DispatchService::resume`]:
     ///
     /// ```text
     /// let carried = svc.detach();
@@ -1480,78 +1381,36 @@ impl<'p> DispatchService<'p> {
     /// let mut svc = DispatchService::resume(&g, &plan2, carried, &mut sink);
     /// ```
     pub fn detach(self) -> CarriedState {
-        let mut active_workers = vec![false; self.universe.n_workers()];
-        for w in self.universe.workers() {
-            let s = self.plan.worker_shard[w.index()] as usize;
-            active_workers[w.index()] =
-                self.states[s].worker_active(WorkerId::new(self.plan.worker_local[w.index()]));
-        }
-        let mut active_tasks = vec![false; self.universe.n_tasks()];
-        for t in self.universe.tasks() {
-            let s = self.plan.task_shard[t.index()] as usize;
-            active_tasks[t.index()] =
-                self.states[s].task_active(TaskId::new(self.plan.task_local[t.index()]));
-        }
-        let mut assigned: Vec<(EdgeId, u32)> = self
-            .plan
-            .shards
-            .iter()
-            .zip(&self.states)
-            .enumerate()
-            .flat_map(|(s, (slice, st))| {
-                st.matching()
-                    .edges
-                    .into_iter()
-                    .map(move |e| (slice.sub.edge_back[e.index()], s as u32))
-                    .collect::<Vec<_>>()
-            })
+        let DispatchService { mut core, mut mode } = self;
+        let (universe, plan) = (core.universe, core.plan);
+        let active_workers = universe
+            .workers()
+            .map(|w| worker_live(plan, &core.states, w))
             .collect();
-        let rescue_shard = self.plan.n_shards() as u32;
-        assigned.extend(self.overlay.iter().map(|&e| (e, rescue_shard)));
+        let active_tasks = universe
+            .tasks()
+            .map(|t| task_live(plan, &core.states, t))
+            .collect();
+        let mut assigned: Vec<(EdgeId, u32)> =
+            core.assigned().map(|(s, e)| (e, s as u32)).collect();
+        match &mut mode {
+            Mode::Batch { rescue, .. } => {
+                if let Some(r) = rescue {
+                    let rescue_shard = plan.n_shards() as u32;
+                    assigned.extend(r.overlay.drain(..).map(|e| (e, rescue_shard)));
+                }
+            }
+            Mode::Online(rt) => rt.unbind(&mut core.run.report),
+        }
         assigned.sort_unstable_by_key(|&(e, _)| e);
         CarriedState {
-            live_weights: self.live_weights,
+            run: core.run,
+            mode,
             active_workers,
             active_tasks,
             assigned,
-            old_worker_shard: self.plan.worker_shard.clone(),
-            old_task_shard: self.plan.task_shard.clone(),
-            budget: self.budget,
-            pool: self.pool,
-            queue: self.queue,
-            batcher: self.batcher,
-            poisoned: self.poisoned,
-            store: self.store,
-            store_error: self.store_error,
-            boundary_pass: self.boundary_pass,
-            cross_seen: self.cross_seen,
-            replan_threshold: self.replan_threshold,
-            online: self.online.map(OnlineRuntime::detach),
-            owned_shard: self.owned_shard,
-            seq: self.seq,
-            events_in: self.events_in,
-            events_processed: self.events_processed,
-            invalid_events: self.invalid_events,
-            cross_benefit_drops: self.cross_benefit_drops,
-            foreign_events: self.foreign_events,
-            flush_tally: self.flush_tally,
-            solves: self.solves,
-            tier_tally: self.tier_tally,
-            degraded_by_shard: self.degraded_by_shard,
-            decisions_out: self.decisions_out,
-            steals: self.steals,
-            rescue_solves: self.rescue_solves,
-            rescue_assigns: self.rescue_assigns,
-            rescue_violations: self.rescue_violations,
-            replans: self.replans,
-            migrated_workers: self.migrated_workers,
-            migrated_tasks: self.migrated_tasks,
-            defer_pending: self.defer_pending,
-            defer_retry_ok: self.defer_retry_ok,
-            reseeds: self.reseeds,
-            solve_lat: self.solve_lat,
-            last_time: self.last_time,
-            started: self.started,
+            old_worker_shard: plan.worker_shard.clone(),
+            old_task_shard: plan.task_shard.clone(),
         }
     }
 
@@ -1566,8 +1425,9 @@ impl<'p> DispatchService<'p> {
     /// * carried assignments that became cross-shard move to the rescue
     ///   overlay when the boundary pass is on, otherwise they are
     ///   unassigned (decisions emitted under their old shard id);
-    /// * a [`PlanRecord`] is journaled *before* those decisions reach the
-    ///   sink, carrying the full post-migration shard sets, so
+    /// * the migration goes through the one commit path: a [`PlanRecord`]
+    ///   carrying the full post-migration shard sets is journaled
+    ///   *before* those decisions reach the sink, so
     ///   `mbta_store::recover` and WAL followers replay the exact same
     ///   migration at the exact same sequence slot;
     /// * drift tracking restarts from the new plan's baseline, and the
@@ -1578,184 +1438,100 @@ impl<'p> DispatchService<'p> {
         carried: CarriedState,
         sink: &mut impl DecisionSink,
     ) -> DispatchService<'p> {
+        let CarriedState {
+            mut run,
+            mut mode,
+            active_workers,
+            active_tasks,
+            assigned,
+            old_worker_shard,
+            old_task_shard,
+        } = carried;
         let n = plan.n_shards();
-        let (mut states, live_weights, cut) =
-            seed_plan_state(universe, plan, Some(carried.live_weights));
-        for w in universe.workers() {
-            if carried.active_workers[w.index()] {
-                states[plan.worker_shard[w.index()] as usize]
-                    .activate_worker(WorkerId::new(plan.worker_local[w.index()]));
-            }
+        let (mut states, cut) = seed_plan_state(universe, plan, &run.live_weights);
+        for w in universe.workers().filter(|w| active_workers[w.index()]) {
+            states[plan.worker_shard[w.index()] as usize]
+                .activate_worker(WorkerId::new(plan.worker_local[w.index()]));
         }
-        for t in universe.tasks() {
-            if carried.active_tasks[t.index()] {
-                states[plan.task_shard[t.index()] as usize]
-                    .activate_task(TaskId::new(plan.task_local[t.index()]));
-            }
+        for t in universe.tasks().filter(|t| active_tasks[t.index()]) {
+            states[plan.task_shard[t.index()] as usize]
+                .activate_task(TaskId::new(plan.task_local[t.index()]));
         }
 
         // Split the carried assignment under the new plan. `assigned` is
-        // sorted by universe edge id, so every per-shard list (and the
-        // overlay) comes out sorted too.
-        let mut per_shard_local: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
-        let mut shard_sets: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // sorted by universe edge id, so the overlay comes out sorted too.
+        let has_rescue = mode.overlay().is_some();
+        let mut per_shard: Vec<Vec<EdgeId>> = vec![Vec::new(); n];
         let mut overlay: Vec<EdgeId> = Vec::new();
         let mut dropped: Vec<(EdgeId, u32)> = Vec::new();
-        for &(e, old_shard) in &carried.assigned {
-            let s = plan.edge_shard[e.index()];
-            if s == UNMAPPED {
-                if carried.boundary_pass {
-                    overlay.push(e);
-                } else {
-                    dropped.push((e, old_shard));
-                }
-            } else {
-                per_shard_local[s as usize].push(EdgeId::new(plan.edge_local[e.index()]));
-                shard_sets[s as usize].push(e.raw());
+        for &(e, old_shard) in &assigned {
+            match plan.edge_shard[e.index()] {
+                UNMAPPED if has_rescue => overlay.push(e),
+                UNMAPPED => dropped.push((e, old_shard)),
+                s => per_shard[s as usize].push(EdgeId::new(plan.edge_local[e.index()])),
             }
         }
-        for (s, mut edges) in per_shard_local.into_iter().enumerate() {
-            if edges.is_empty() {
-                continue;
-            }
+        // Re-activation above greedily filled each shard; the reseed
+        // replaces those fills with exactly the carried assignment — in
+        // every shard, including one that carries nothing, so no edge is
+        // ever assigned without having been announced.
+        for (st, mut edges) in states.iter_mut().zip(per_shard) {
             edges.sort_unstable();
-            states[s]
-                .reseed(&Matching { edges })
+            st.reseed(&Matching { edges })
                 .expect("carried assignment stays feasible restricted to its new shard");
         }
-
-        // Online mode: re-arm the flip logs only after the migration
-        // reseeds (the migration is journaled as a plan record, not as
-        // per-event decisions) and rebuild the warm/drift state for the
-        // new topology, keeping the carried run counters.
-        let online = carried.online.map(|c| {
-            for st in &mut states {
-                st.enable_log();
+        match &mut mode {
+            Mode::Batch { rescue, .. } => {
+                if let Some(r) = rescue {
+                    r.overlay = overlay;
+                }
             }
-            OnlineRuntime::resume(c, plan)
-        });
+            // Re-arm the flip logs only after the migration reseeds (the
+            // migration is committed as a plan record, not as per-event
+            // decisions) and rebuild the warm/drift state for the new
+            // topology.
+            Mode::Online(rt) => {
+                for st in &mut states {
+                    st.enable_log();
+                }
+                rt.bind(plan);
+            }
+        }
 
         let moved = migration_diff(
-            &carried.old_worker_shard,
+            &old_worker_shard,
             &plan.worker_shard,
-            &carried.old_task_shard,
+            &old_task_shard,
             &plan.task_shard,
         );
-        let mut rec_shards = shard_sets;
-        if carried.boundary_pass {
-            rec_shards.push(overlay.iter().map(|e| e.raw()).collect());
+        // Per-shard marks mean nothing under a different shard count.
+        if run.poisoned.len() != n {
+            run.poisoned = vec![false; n];
+            run.report.degraded_by_shard = vec![0; n];
         }
-        let rec = PlanRecord {
-            seq: carried.seq,
-            retained_weight: plan.retained_weight,
-            moved_workers: moved.moved_workers,
-            moved_tasks: moved.moved_tasks,
-            shards: rec_shards,
-        };
-
-        let mut svc = DispatchService {
-            universe,
-            plan,
-            budget: carried.budget,
-            pool: carried.pool,
-            states,
-            queue: carried.queue,
-            batcher: carried.batcher,
-            poisoned: if carried.poisoned.len() == n {
-                carried.poisoned
-            } else {
-                vec![false; n]
-            },
-            live_weights,
-            store: carried.store,
-            store_error: carried.store_error,
-            boundary_pass: carried.boundary_pass,
-            overlay,
-            cross_seen: carried.cross_seen,
-            cut,
-            replan_threshold: carried.replan_threshold,
-            online,
-            owned_shard: carried.owned_shard,
-            seq: carried.seq + 1,
-            events_in: carried.events_in,
-            events_processed: carried.events_processed,
-            invalid_events: carried.invalid_events,
-            cross_benefit_drops: carried.cross_benefit_drops,
-            foreign_events: carried.foreign_events,
-            flush_tally: carried.flush_tally,
-            solves: carried.solves,
-            tier_tally: carried.tier_tally,
-            degraded_by_shard: if carried.degraded_by_shard.len() == n {
-                carried.degraded_by_shard
-            } else {
-                vec![0; n]
-            },
-            decisions_out: carried.decisions_out,
-            steals: carried.steals,
-            rescue_solves: carried.rescue_solves,
-            rescue_assigns: carried.rescue_assigns,
-            rescue_violations: carried.rescue_violations,
-            replans: carried.replans + 1,
-            migrated_workers: carried.migrated_workers + moved.moved_workers as u64,
-            migrated_tasks: carried.migrated_tasks + moved.moved_tasks as u64,
-            defer_pending: carried.defer_pending,
-            defer_retry_ok: carried.defer_retry_ok,
-            reseeds: carried.reseeds,
-            solve_lat: carried.solve_lat,
-            last_time: carried.last_time,
-            started: carried.started,
-        };
+        run.report.migrated_workers += u64::from(moved.moved_workers);
+        run.report.migrated_tasks += u64::from(moved.moved_tasks);
         mbta_telemetry::counter_add("mbta_partition_replans_total", 1);
         mbta_telemetry::gauge_set(
             "mbta_partition_migrated_nodes",
             (moved.moved_workers + moved.moved_tasks) as f64,
         );
 
-        // Write-ahead ordering, same as batches: the plan frame is
-        // durable before any migration decision is released.
-        if let Some(mut store) = svc.store.take() {
-            if svc.store_error.is_none() {
-                let mut res = store.commit_plan(&rec);
-                if res.is_ok() && store.snapshot_due() {
-                    let snap = svc.snapshot_state(rec.seq + 1);
-                    res = store.snapshot(&snap);
-                }
-                if let Err(e) = res {
-                    mbta_telemetry::counter_add("mbta_store_errors_total", 1);
-                    svc.store_error = Some(e);
-                }
-            }
-            svc.store = Some(store);
-        }
-
-        if !dropped.is_empty() {
-            let mut decisions: Vec<Decision> = dropped
-                .into_iter()
-                .map(|(e, old_shard)| Decision {
-                    shard: old_shard,
-                    edge: e.raw(),
-                    action: Action::Unassign,
-                    worker: universe.worker_of(e).raw(),
-                    task: universe.task_of(e).raw(),
-                    weight: svc.live_weights[e.index()],
-                })
-                .collect();
-            canonical_order(&mut decisions);
-            svc.decisions_out += decisions.len() as u64;
-            let stats = BatchStats {
-                seq: rec.seq,
-                reason: FlushReason::Drain,
-                events: 0,
-                queue_depth: svc.queue.len(),
-                shards_touched: 0,
-                degraded_shards: 0,
-                worst_tier: None,
-                solve_ms: 0.0,
-                invalid_events: 0,
-            };
-            sink.on_batch(&stats, &decisions);
-        }
-        svc
+        let mut core = Core {
+            universe,
+            plan,
+            states,
+            cut,
+            run,
+        };
+        let mut decisions: Vec<Decision> = dropped
+            .into_iter()
+            .map(|(e, old_shard)| core.decision(old_shard, e, Action::Unassign))
+            .collect();
+        canonical_order(&mut decisions);
+        let stats = core.run.stats(FlushReason::Drain, 0, 0, 0.0);
+        core.commit(stats, Record::Plan(moved), &decisions, mode.overlay(), sink);
+        DispatchService { core, mode }
     }
 }
 
@@ -1764,7 +1540,8 @@ impl<'p> DispatchService<'p> {
 /// continue a run under a new shard plan. Owns no borrow of the old plan,
 /// so the driver is free to drop and rebuild the plan in between.
 pub struct CarriedState {
-    live_weights: Vec<f64>,
+    run: RunState,
+    mode: Mode,
     active_workers: Vec<bool>,
     active_tasks: Vec<bool>,
     /// Sorted by edge id: every assigned universe edge plus the shard it
@@ -1772,79 +1549,52 @@ pub struct CarriedState {
     assigned: Vec<(EdgeId, u32)>,
     old_worker_shard: Vec<u32>,
     old_task_shard: Vec<u32>,
-    budget: BudgetMode,
-    pool: SolvePool,
-    queue: BoundedQueue,
-    batcher: Batcher,
-    poisoned: Vec<bool>,
-    store: Option<DurableStore>,
-    store_error: Option<std::io::Error>,
-    boundary_pass: bool,
-    cross_seen: Vec<bool>,
-    replan_threshold: Option<f64>,
-    online: Option<crate::online::OnlineCarried>,
-    owned_shard: Option<usize>,
-    seq: u64,
-    events_in: u64,
-    events_processed: u64,
-    invalid_events: u64,
-    cross_benefit_drops: u64,
-    foreign_events: u64,
-    flush_tally: [u64; 5],
-    solves: u64,
-    tier_tally: [u64; 3],
-    degraded_by_shard: Vec<u64>,
-    decisions_out: u64,
-    steals: u64,
-    rescue_solves: u64,
-    rescue_assigns: u64,
-    rescue_violations: u64,
-    replans: u64,
-    migrated_workers: u64,
-    migrated_tasks: u64,
-    defer_pending: bool,
-    defer_retry_ok: u64,
-    reseeds: u64,
-    solve_lat: mbta_telemetry::Histogram,
-    last_time: f64,
-    started: Instant,
 }
 
 impl CarriedState {
     /// The live universe edge weights at detach time — what the driver
     /// passes to [`ShardPlan::build`] for the replacement plan.
     pub fn live_weights(&self) -> &[f64] {
-        &self.live_weights
+        &self.run.live_weights
     }
 }
 
+/// Whether universe worker `w` is live in its home shard.
+fn worker_live(plan: &ShardPlan, states: &[IncrementalAssignment<'_>], w: WorkerId) -> bool {
+    states[plan.worker_shard[w.index()] as usize]
+        .worker_active(WorkerId::new(plan.worker_local[w.index()]))
+}
+
+/// Whether universe task `t` is live in its shard.
+fn task_live(plan: &ShardPlan, states: &[IncrementalAssignment<'_>], t: TaskId) -> bool {
+    states[plan.task_shard[t.index()] as usize].task_active(TaskId::new(plan.task_local[t.index()]))
+}
+
+fn engine_config(deadline: Option<Deadline>) -> EngineConfig {
+    deadline.map_or_else(EngineConfig::new, |d| {
+        EngineConfig::new().with_deadline_at(d)
+    })
+}
+
 /// Builds per-shard incremental states (empty matchings, every node
-/// inactive) plus the universe live-weight vector for `plan`. With
-/// `carry_weights` (resume after a re-plan) the live weights come from
-/// the previous service instance and override the slice weights edge by
-/// edge; otherwise they seed from the plan's own weights — cross-shard
-/// edges included, so benefit drift on unassignable edges is tracked from
-/// the correct baseline. Also returns a fresh [`CutTracker`]
-/// over the resulting weights.
-#[allow(clippy::type_complexity)]
+/// inactive) for `plan` under the universe `live_weights` — the plan's own
+/// weights for a fresh service (cross-shard edges included, so benefit
+/// drift on unassignable edges is tracked from the correct baseline), the
+/// carried ones on resume — plus a fresh [`CutTracker`] over them.
 fn seed_plan_state<'p>(
     universe: &'p BipartiteGraph,
     plan: &'p ShardPlan,
-    carry_weights: Option<Vec<f64>>,
-) -> (Vec<IncrementalAssignment<'p>>, Vec<f64>, CutTracker) {
-    let live_weights = match carry_weights {
-        Some(w) => {
-            assert_eq!(w.len(), universe.n_edges(), "carried weights mismatch");
-            w
-        }
-        None => plan.universe_weights.clone(),
-    };
+    live_weights: &[f64],
+) -> (Vec<IncrementalAssignment<'p>>, CutTracker) {
+    assert_eq!(
+        live_weights.len(),
+        universe.n_edges(),
+        "live weights mismatch"
+    );
     let mut states = Vec::with_capacity(plan.n_shards());
     for slice in &plan.shards {
-        let mut weights = slice.weights.clone();
-        for (local, &parent) in slice.sub.edge_back.iter().enumerate() {
-            weights[local] = live_weights[parent.index()];
-        }
+        let back = slice.sub.edge_back.iter();
+        let weights = back.map(|parent| live_weights[parent.index()]).collect();
         let mut st =
             IncrementalAssignment::from_matching(&slice.sub.graph, weights, &Matching::empty())
                 .expect("empty seed is always feasible");
@@ -1864,7 +1614,7 @@ fn seed_plan_state<'p>(
             intra += live_weights[e.index()];
         }
     }
-    (states, live_weights, CutTracker::new(intra, cross))
+    (states, CutTracker::new(intra, cross))
 }
 
 /// Maps emitted decisions to their WAL form, preserving order.
@@ -1882,23 +1632,18 @@ fn to_records(decisions: &[Decision]) -> Vec<DecisionRecord> {
         .collect()
 }
 
-/// Two-pointer diff of sorted edge lists: `removed` for entries only in
-/// `before`, `added` for entries only in `after`.
-fn diff_sorted(
-    before: &[EdgeId],
-    after: &[EdgeId],
-    mut removed: impl FnMut(EdgeId),
-    mut added: impl FnMut(EdgeId),
-) {
+/// Two-pointer diff of sorted edge lists: `Unassign` for entries only in
+/// `before`, `Assign` for entries only in `after`.
+fn diff_sorted(before: &[EdgeId], after: &[EdgeId], mut emit: impl FnMut(EdgeId, Action)) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < before.len() && j < after.len() {
         match before[i].cmp(&after[j]) {
             std::cmp::Ordering::Less => {
-                removed(before[i]);
+                emit(before[i], Action::Unassign);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                added(after[j]);
+                emit(after[j], Action::Assign);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
@@ -1907,13 +1652,11 @@ fn diff_sorted(
             }
         }
     }
-    while i < before.len() {
-        removed(before[i]);
-        i += 1;
+    for &e in &before[i..] {
+        emit(e, Action::Unassign);
     }
-    while j < after.len() {
-        added(after[j]);
-        j += 1;
+    for &e in &after[j..] {
+        emit(e, Action::Assign);
     }
 }
 
@@ -1992,6 +1735,68 @@ mod tests {
         let report = svc.finish(&mut sink);
         assert!(sink.error.is_none());
         (sink.into_inner(), report)
+    }
+
+    /// Every commit bumps the watermark and exactly one tally.
+    fn assert_watermark_adds_up(r: &ServiceReport) {
+        assert_eq!(
+            r.batches,
+            r.flush_count
+                + r.flush_bytes
+                + r.flush_watermark
+                + r.flush_drain
+                + r.flush_online
+                + r.replans
+        );
+    }
+
+    /// Net assignment deltas in `sink` (assigns minus unassigns).
+    fn net_assignments(sink: &CollectSink) -> i64 {
+        sink.decisions
+            .iter()
+            .map(|d| match d.action {
+                Action::Assign => 1i64,
+                Action::Unassign => -1i64,
+            })
+            .sum()
+    }
+
+    /// The driver's epoch loop: offer → pump, and on `replan_due` detach
+    /// → rebuild the plan from the live weights → resume.
+    fn run_epochs(
+        g: &BipartiteGraph,
+        w: &[f64],
+        cfg: &ServiceConfig,
+        events: &[Arrival],
+    ) -> (CollectSink, ServiceReport) {
+        let mut plan = ShardPlan::build(g, w, 4, Routing::MinCut);
+        let mut sink = CollectSink::default();
+        let mut idx = 0usize;
+        let mut carried: Option<CarriedState> = None;
+        let report = loop {
+            let mut svc = match carried.take() {
+                None => DispatchService::new(g, &plan, cfg.clone()),
+                Some(c) => DispatchService::resume(g, &plan, c, &mut sink),
+            };
+            while idx < events.len() {
+                let a = events[idx];
+                while let OfferOutcome::Deferred = svc.offer(a) {
+                    svc.pump(&mut sink);
+                }
+                idx += 1;
+                svc.pump(&mut sink);
+                if svc.replan_due() {
+                    break;
+                }
+            }
+            if idx >= events.len() {
+                break svc.finish(&mut sink);
+            }
+            let c = svc.detach();
+            plan = ShardPlan::build(g, c.live_weights(), 4, plan.routing);
+            carried = Some(c);
+        };
+        (sink, report)
     }
 
     #[test]
@@ -2134,7 +1939,7 @@ mod tests {
             }
             svc.pump(&mut sink);
         }
-        for st in &svc.states {
+        for st in &svc.core.states {
             st.check_invariants();
         }
         let report = svc.finish(&mut sink);
@@ -2143,16 +1948,10 @@ mod tests {
         assert!(report.batches > 0);
         assert!(report.reseeds > 0, "no solve improvement was ever adopted");
         assert!(report.reseeds <= report.solves);
+        assert_watermark_adds_up(&report);
+        assert_eq!(report.flush_online + report.replans, 0);
         // Net assignment deltas must equal the final assignment.
-        let net: i64 = sink
-            .decisions
-            .iter()
-            .map(|d| match d.action {
-                Action::Assign => 1i64,
-                Action::Unassign => -1i64,
-            })
-            .sum();
-        assert_eq!(net, report.final_assignments as i64);
+        assert_eq!(net_assignments(&sink), report.final_assignments as i64);
         // Ingress accounting closes.
         assert_eq!(
             report.events_in,
@@ -2385,7 +2184,8 @@ mod tests {
 
     /// Drift-driven re-planning: the epoch loop (detach → rebuild →
     /// resume) fires on a drifting trace, migrates nodes, and keeps every
-    /// safety invariant.
+    /// safety invariant — with the boundary pass (cut assignments move to
+    /// the overlay) and without (the migration unassigns them).
     #[test]
     fn replan_epoch_loop_migrates_and_stays_feasible() {
         let (g, w) = universe();
@@ -2396,60 +2196,98 @@ mod tests {
                 horizon: 50.0,
                 mean_session: 10.0,
                 mean_task_lifetime: 15.0,
-                seed: 7,
+                seed: 13,
             }
             .generate(g.n_workers(), g.n_tasks());
-            BenefitDrift::new(&g, 0.3, 7).weave(trace.into_iter().map(Arrival::from_trace))
+            BenefitDrift::new(&g, 0.3, 13).weave(trace.into_iter().map(Arrival::from_trace))
         };
-        let mut plan = ShardPlan::build(&g, &w, 4, Routing::MinCut);
-        let mut cfg = deterministic_cfg();
-        // Hair-trigger threshold so the drifting trace actually fires it
-        // (several times — the loop must survive repeated migrations).
-        cfg.replan_threshold = Some(1e-6);
-        cfg.boundary_pass = true;
-        let mut sink = CollectSink::default();
-        let mut idx = 0usize;
-        let mut carried: Option<CarriedState> = None;
-        let report = loop {
-            let mut svc = match carried.take() {
-                None => DispatchService::new(&g, &plan, cfg.clone()),
-                Some(c) => DispatchService::resume(&g, &plan, c, &mut sink),
-            };
-            while idx < events.len() {
-                let a = events[idx];
-                while let OfferOutcome::Deferred = svc.offer(a) {
-                    svc.pump(&mut sink);
-                }
-                idx += 1;
-                svc.pump(&mut sink);
-                if svc.replan_due() {
-                    break;
-                }
-            }
-            if idx >= events.len() {
-                break svc.finish(&mut sink);
-            }
-            let c = svc.detach();
-            plan = ShardPlan::build(&g, c.live_weights(), 4, plan.routing);
-            carried = Some(c);
-        };
-        assert!(report.replans > 0, "threshold 1e-6 never fired");
-        assert_eq!(report.capacity_violations, 0);
-        assert_eq!(report.events_in, events.len() as u64);
-        assert_eq!(
-            report.events_in,
-            report.events_processed + report.invalid_events
+        for boundary_pass in [true, false] {
+            let mut cfg = deterministic_cfg();
+            // Hair-trigger threshold so the drifting trace actually fires it
+            // (several times — the loop must survive repeated migrations).
+            cfg.replan_threshold = Some(1e-6);
+            cfg.boundary_pass = boundary_pass;
+            #[cfg(feature = "telemetry")]
+            let decisions = mbta_telemetry::global().counter("mbta_service_decisions_total");
+            #[cfg(feature = "telemetry")]
+            let d0 = decisions.get();
+            let (sink, report) = run_epochs(&g, &w, &cfg, &events);
+            assert!(report.replans > 0, "threshold 1e-6 never fired");
+            assert_eq!(report.capacity_violations, 0);
+            assert_eq!(report.events_in, events.len() as u64);
+            assert_eq!(
+                report.events_in,
+                report.events_processed + report.invalid_events + report.cross_benefit_drops
+            );
+            assert_watermark_adds_up(&report);
+            // Net assignment deltas reconcile across the plan changes.
+            assert_eq!(net_assignments(&sink), report.final_assignments as i64);
+            assert_eq!(report.decisions, sink.decisions.len() as u64);
+            // Migration commits announce no events and touch no shard.
+            let migrations = sink
+                .batches
+                .iter()
+                .filter(|b| b.events == 0 && b.shards_touched == 0);
+            assert_eq!(
+                migrations.count() > 0,
+                !boundary_pass,
+                "a migration unassigns cut edges exactly when no overlay can take them"
+            );
+            // Registry and report agree (`>=`: sibling tests share the
+            // process-wide registry) — migration unassigns included.
+            #[cfg(feature = "telemetry")]
+            assert!(decisions.get() >= d0 + report.decisions);
+        }
+    }
+
+    /// A re-plan can land while a shard of the new plan carries no
+    /// assignment. Re-activating that shard's nodes greedily fills it;
+    /// `resume` must replace those fills with the (empty) carried set, or
+    /// edges end up assigned that no sink or WAL record ever heard of.
+    /// The universe and hair trigger below re-plan from the third batch
+    /// on, while most shards are still empty.
+    #[test]
+    fn replan_onto_empty_shards_announces_every_assignment() {
+        let g = random_bipartite(
+            &RandomGraphSpec {
+                n_workers: 70,
+                n_tasks: 50,
+                avg_degree: 5.0,
+                capacity: 2,
+                demand: 2,
+            },
+            91,
         );
-        // Net assignment deltas reconcile across the plan changes.
-        let net: i64 = sink
-            .decisions
-            .iter()
-            .map(|d| match d.action {
-                Action::Assign => 1i64,
-                Action::Unassign => -1i64,
-            })
-            .sum();
-        assert_eq!(net, report.final_assignments as i64);
+        let w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
+        let trace = TraceSpec {
+            horizon: 45.0,
+            mean_session: 9.0,
+            mean_task_lifetime: 14.0,
+            seed: 23,
+        }
+        .generate(g.n_workers(), g.n_tasks());
+        let events =
+            BenefitDrift::new(&g, 0.3, 23).weave(trace.into_iter().map(Arrival::from_trace));
+        for online in [None, Some(OnlineConfig::default())] {
+            let mut cfg = deterministic_cfg();
+            cfg.batch.max_events = 24;
+            cfg.replan_threshold = Some(1e-6);
+            cfg.online = online;
+            let (sink, report) = run_epochs(&g, &w, &cfg, &events);
+            assert!(report.replans > 0);
+            let mut live = std::collections::BTreeSet::new();
+            for d in &sink.decisions {
+                match d.action {
+                    Action::Assign => {
+                        assert!(live.insert(d.edge), "edge {} assigned twice", d.edge)
+                    }
+                    Action::Unassign => {
+                        assert!(live.remove(&d.edge), "edge {} was never announced", d.edge)
+                    }
+                }
+            }
+            assert_eq!(live.len(), report.final_assignments);
+        }
     }
 
     #[test]
@@ -2498,7 +2336,7 @@ mod tests {
             }
             svc.pump(&mut sink);
         }
-        for st in &svc.states {
+        for st in &svc.core.states {
             st.check_invariants();
         }
         let report = svc.finish(&mut sink);
@@ -2520,9 +2358,10 @@ mod tests {
         assert_eq!(rep_a.online_fallbacks, rep_b.online_fallbacks);
         assert_eq!(rep_a.online_exchanges, rep_b.online_exchanges);
         assert_eq!(rep_a.final_assignments, rep_b.final_assignments);
+        assert_watermark_adds_up(&rep_a);
         assert_eq!(
             rep_a.batches, rep_a.flush_online,
-            "every online batch is a per-event flush"
+            "every online commit is a per-event flush"
         );
         assert_eq!(rep_a.capacity_violations, 0);
     }
@@ -2540,7 +2379,7 @@ mod tests {
             }
             svc.pump(&mut sink);
         }
-        for st in &svc.states {
+        for st in &svc.core.states {
             st.check_invariants();
         }
         let report = svc.finish(&mut sink);
@@ -2555,15 +2394,7 @@ mod tests {
             "healthy shards must solve on every fallback"
         );
         // Net assignment deltas equal the final assignment.
-        let net: i64 = sink
-            .decisions
-            .iter()
-            .map(|d| match d.action {
-                Action::Assign => 1i64,
-                Action::Unassign => -1i64,
-            })
-            .sum();
-        assert_eq!(net, report.final_assignments as i64);
+        assert_eq!(net_assignments(&sink), report.final_assignments as i64);
         // Ingress accounting closes in online mode too.
         assert_eq!(
             report.events_in,
@@ -2615,46 +2446,96 @@ mod tests {
     fn online_replan_loop_migrates_and_stays_feasible() {
         let (g, w) = universe();
         let events = stream(&g, 37);
-        let mut plan = ShardPlan::build(&g, &w, 4, Routing::MinCut);
         let mut cfg = online_cfg(0.1);
         cfg.replan_threshold = Some(1e-6);
-        let mut sink = CollectSink::default();
-        let mut idx = 0usize;
-        let mut carried: Option<CarriedState> = None;
-        let report = loop {
-            let mut svc = match carried.take() {
-                None => DispatchService::new(&g, &plan, cfg.clone()),
-                Some(c) => DispatchService::resume(&g, &plan, c, &mut sink),
-            };
-            while idx < events.len() {
-                let a = events[idx];
-                while let OfferOutcome::Deferred = svc.offer(a) {
-                    svc.pump(&mut sink);
-                }
-                idx += 1;
-                svc.pump(&mut sink);
-                if svc.replan_due() {
-                    break;
-                }
-            }
-            if idx >= events.len() {
-                break svc.finish(&mut sink);
-            }
-            let c = svc.detach();
-            plan = ShardPlan::build(&g, c.live_weights(), 4, plan.routing);
-            carried = Some(c);
-        };
+        let (sink, report) = run_epochs(&g, &w, &cfg, &events);
         assert!(report.replans > 0, "threshold 1e-6 never fired");
         assert_eq!(report.capacity_violations, 0);
         assert!(report.online_events > 0);
-        let net: i64 = sink
-            .decisions
-            .iter()
-            .map(|d| match d.action {
-                Action::Assign => 1i64,
-                Action::Unassign => -1i64,
-            })
-            .sum();
-        assert_eq!(net, report.final_assignments as i64);
+        assert_watermark_adds_up(&report);
+        assert_eq!(net_assignments(&sink), report.final_assignments as i64);
+    }
+
+    #[test]
+    #[should_panic(expected = "online mode is incompatible with the boundary pass")]
+    fn new_rejects_online_with_boundary_pass() {
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 4, Routing::HashId);
+        let mut cfg = online_cfg(0.1);
+        cfg.boundary_pass = true;
+        DispatchService::new(&g, &plan, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "single-shard ownership is incompatible with the boundary pass")]
+    fn new_rejects_owned_shard_with_boundary_pass() {
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 4, Routing::HashId);
+        let mut cfg = deterministic_cfg();
+        cfg.owned_shard = Some(1);
+        cfg.boundary_pass = true;
+        DispatchService::new(&g, &plan, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "owned shard 4 out of range (plan has 4 shards)")]
+    fn new_rejects_owned_shard_out_of_range() {
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 4, Routing::HashId);
+        let mut cfg = deterministic_cfg();
+        cfg.owned_shard = Some(4);
+        DispatchService::new(&g, &plan, cfg);
+    }
+
+    /// `detach` → `resume` moves the run state wholesale: every counter
+    /// survives, the migration itself is tallied, and the per-shard marks
+    /// (`poisoned`, `degraded_by_shard`) survive exactly when the new plan
+    /// has the same shard count.
+    #[test]
+    fn resume_keeps_counters_and_resets_per_shard_marks_on_a_new_shard_count() {
+        let (g, w) = universe();
+        let events = stream(&g, 31);
+        for (online, new_shards) in [(false, 3), (false, 4), (true, 3)] {
+            let plan = ShardPlan::build(&g, &w, 4, Routing::MinCut);
+            let cfg = if online {
+                online_cfg(0.05)
+            } else {
+                deterministic_cfg()
+            };
+            let mut svc = DispatchService::new(&g, &plan, cfg);
+            svc.poison_shard(0);
+            let mut sink = CollectSink::default();
+            for &a in &events[..events.len() / 2] {
+                svc.offer(a);
+                svc.pump(&mut sink);
+            }
+            let mut expected = svc.core.run.report.clone();
+            assert!(expected.events_processed > 0 && expected.decisions > 0);
+            assert!(online || expected.degraded_by_shard[0] > 0);
+
+            let carried = svc.detach();
+            let plan2 = ShardPlan::build(&g, carried.live_weights(), new_shards, Routing::MinCut);
+            let decided = sink.decisions.len() as u64;
+            let svc = DispatchService::resume(&g, &plan2, carried, &mut sink);
+            let got = &svc.core.run.report;
+
+            expected.batches += 1;
+            expected.replans += 1;
+            expected.decisions += sink.decisions.len() as u64 - decided;
+            // The migration's own tallies and the warm-solver totals the
+            // detach folded in are whatever they are; all else is pinned.
+            expected.migrated_workers = got.migrated_workers;
+            expected.migrated_tasks = got.migrated_tasks;
+            expected.online_warm_solves = got.online_warm_solves;
+            expected.online_warm_hits = got.online_warm_hits;
+            assert!(got.migrated_workers + got.migrated_tasks > 0);
+            if new_shards != 4 {
+                expected.degraded_by_shard = vec![0; new_shards];
+            }
+            assert_eq!(got, &expected);
+            assert_eq!(svc.core.run.poisoned.len(), new_shards);
+            assert_eq!(svc.core.run.poisoned[0], new_shards == 4);
+            assert_eq!(svc.finish(&mut sink).capacity_violations, 0);
+        }
     }
 }
