@@ -1,16 +1,38 @@
-//! Hand-rolled argument parsing (no external CLI dependency is on the
-//! workspace allowlist, and the surface is small enough that a parser
-//! generator would be overhead).
+//! Argument parsing: one walk over argv, and one declaration per flag (no
+//! external CLI dependency is on the workspace allowlist).
+//!
+//! [`Args::walk`] is the only loop that reads argv: it pairs every flag
+//! with the token after it (the [`SWITCHES`] take none). A command's arm of
+//! [`parse`] then reads its options out of the [`Args`] by name, and each
+//! read is that flag's whole declaration — name, value kind (`switch`,
+//! `num`, `named` with a `parse_*` vocabulary, [`Arg::text`] for paths and
+//! strings, [`Arg::list`]), default and range rule ([`Bound`]) — written
+//! where the field it fills is built, so the library's own config types
+//! are filled directly. Missing values, unparsable or out-of-range numbers
+//! and unknown words are reported by [`Args::last`] and [`Arg`], unknown
+//! flags, absent required flags and cross-flag rules by [`Args::finish`];
+//! no command formats those messages itself. Options that several
+//! commands share are [`Args`] methods (`wal`, `online`, `universe`,
+//! `routing`, `queue_cap`, `combiner`, ...), declared once.
+//!
+//! **To add a flag:** read it in the command's arm (or in the shared
+//! group it belongs to) with one line such as
+//! `shards: a.num("--shards", 4, Bound::Ge1)?`, and add it to the command's
+//! stanza in [`USAGE`]; a flag without a value also goes into [`SWITCHES`].
+//! The `usage_and_parser_agree` test fails until parser and usage text
+//! name the same flags.
 
+use mbta_cluster::{RouterConfig, WorkerConfig};
 use mbta_core::algorithms::Algorithm;
 use mbta_core::online::ArrivalOrder;
 use mbta_market::Combiner;
 use mbta_matching::mcmf::PathAlgo;
 use mbta_matching::online::OnlinePolicy;
 use mbta_service::{DropPolicy, FsyncPolicy, Routing};
-use mbta_workload::Profile;
+use mbta_workload::{Profile, WorkloadSpec};
 use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -75,6 +97,25 @@ pub enum FallbackMode {
     Chain,
 }
 
+/// Where a `serve` / `replay` run takes its events from. The trace-only
+/// knobs live inside [`Source::Trace`], so a network run that re-plans or
+/// weaves drift cannot be expressed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Source {
+    /// Read the events from the trace file.
+    Trace {
+        /// Benefit-drift injection rate in [0, 1] (0 = lifecycle events
+        /// only).
+        drift: f64,
+        /// Re-plan the shard layout at a batch boundary once the live cut
+        /// fraction has degraded past this much above the plan's baseline.
+        replan_threshold: Option<f64>,
+    },
+    /// Accept events over framed TCP on this address (the trace still
+    /// defines the market universe). `serve` only.
+    Listen(String),
+}
+
 /// Options shared by `serve` and `replay`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeOpts {
@@ -100,9 +141,6 @@ pub struct ServeOpts {
     /// Run the cross-shard boundary-rescue matching after every batch's
     /// per-shard solves.
     pub boundary_pass: bool,
-    /// Re-plan the shard layout at a batch boundary once the live cut
-    /// fraction has degraded past this much above the plan's baseline.
-    pub replan_threshold: Option<f64>,
     /// Per-event online decision path: bypass the batcher, decide on every
     /// event, and journal one WAL record per deciding event. Incompatible
     /// with `--boundary-pass`.
@@ -113,8 +151,6 @@ pub struct ServeOpts {
     /// Per-batch wall-clock solve budget in ms (`serve` only; `replay`
     /// always runs deterministic, unbudgeted solves).
     pub budget_ms: u64,
-    /// Benefit-drift injection rate in [0, 1] (0 = lifecycle events only).
-    pub drift: f64,
     /// Pre-poison one shard (fault-injection demo): its solves degrade to
     /// the greedy floor without stalling siblings.
     pub poison_shard: Option<usize>,
@@ -140,9 +176,8 @@ pub struct ServeOpts {
     /// With `--wal-dir`: group-commit window — buffer N records per
     /// combined WAL write (`1` = write-through).
     pub group_commit: u64,
-    /// Accept events over framed TCP on this address instead of reading
-    /// them from the trace (the trace still defines the market universe).
-    pub listen: Option<String>,
+    /// Event source: the trace itself, or a TCP ingress.
+    pub source: Source,
 }
 
 /// Options for `mbta follow` (WAL-follower replication).
@@ -169,93 +204,36 @@ pub struct FollowOpts {
     pub max_wait_ms: u64,
 }
 
+/// What `mbta send` does once connected.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SendMode {
+    /// Query the endpoint's status instead of sending events.
+    Status,
+    /// Stream a trace's events.
+    Trace {
+        /// Trace whose events are streamed.
+        trace: PathBuf,
+        /// Events per `EVENT_BATCH` request.
+        batch: usize,
+        /// Tenant namespace id stamped on every batch (single-tenant
+        /// endpoints ignore it; the cluster router routes by it).
+        namespace: u32,
+        /// Benefit-drift injection rate in [0, 1], woven exactly as
+        /// `serve --drift` would.
+        drift: f64,
+    },
+}
+
 /// Options for `mbta send` (TCP event producer / status probe).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SendOpts {
     /// Ingress address to connect to.
     pub addr: String,
-    /// Trace whose events are streamed (required unless `--status`).
-    pub trace: Option<PathBuf>,
-    /// Events per `EVENT_BATCH` request.
-    pub batch: usize,
-    /// Tenant namespace id stamped on every batch (single-tenant
-    /// endpoints ignore it; the cluster router routes by it).
-    pub namespace: u32,
-    /// Benefit-drift injection rate in [0, 1], woven exactly as `serve
-    /// --drift` would.
-    pub drift: f64,
-    /// Query the endpoint's status instead of sending events.
-    pub status: bool,
     /// How long to keep retrying the initial connect (covers starting
     /// the client before the server has bound).
     pub connect_wait_ms: u64,
-}
-
-/// Options for `mbta shard-worker` (one cluster shard-owner process).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardWorkerOpts {
-    /// Ordered tenant trace list — the shared cluster topology. Must be
-    /// identical (same order) on the router and every worker.
-    pub traces: Vec<PathBuf>,
-    /// The one shard this worker owns.
-    pub shard: usize,
-    /// Total shards in the cluster plan.
-    pub shards: usize,
-    /// Listen address (`127.0.0.1:0` binds an ephemeral port, printed on
-    /// startup).
-    pub listen: String,
-    /// Task-to-shard routing (must match the router's).
-    pub routing: Routing,
-    /// Placement file pinning the plans (see `route --save-placements`).
-    pub placements: Option<PathBuf>,
-    /// Per-owner WAL root; namespace `i` journals under `ns-<i>`.
-    pub wal_dir: Option<PathBuf>,
-    /// With `--wal-dir`: fsync policy for WAL appends.
-    pub fsync: FsyncPolicy,
-    /// With `--wal-dir`: group-commit window (records per combined WAL
-    /// write; 1 = write-through).
-    pub group_commit: u64,
-    /// With `--wal-dir`: snapshot cadence in committed batches.
-    pub snapshot_every: u64,
-    /// Ingress queue capacity.
-    pub queue_cap: usize,
-    /// Solver threads per namespace service.
-    pub threads: usize,
-    /// Per-event online dispatch instead of micro-batching.
-    pub online: bool,
-    /// With `--online`: drift fraction triggering the exact fallback.
-    pub drift_threshold: f64,
-    /// Per-batch wall-clock solve budget in ms (`0` = deterministic).
-    pub budget_ms: u64,
-    /// How long to keep answering `QUERY_REPORT` after the FIN drain.
-    pub linger_ms: u64,
-    /// Directory for per-namespace decision logs (`ns-<i>.log`).
-    pub decisions_dir: Option<PathBuf>,
-}
-
-/// Options for `mbta route` (the cluster router process).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteOpts {
-    /// Ordered tenant trace list — must match the workers'.
-    pub traces: Vec<PathBuf>,
-    /// Owner addresses, indexed by shard id (`len` = shard count).
-    pub owners: Vec<String>,
-    /// Client-facing listen address.
-    pub listen: String,
-    /// Task-to-shard routing (must match the workers').
-    pub routing: Routing,
-    /// Placement file pinning the plans.
-    pub placements: Option<PathBuf>,
-    /// Export the built plans to this placement file before serving.
-    pub save_placements: Option<PathBuf>,
-    /// Admission queue capacity.
-    pub queue_cap: usize,
-    /// Events per forwarded `EVENT_BATCH` frame.
-    pub batch: usize,
-    /// Reconnect window before a failing owner poisons its shard.
-    pub owner_retry_ms: u64,
-    /// Max wait for each owner's final report after FIN.
-    pub report_wait_ms: u64,
+    /// Status probe, or the trace to stream.
+    pub mode: SendMode,
 }
 
 /// A parsed command.
@@ -263,18 +241,8 @@ pub struct RouteOpts {
 pub enum Command {
     /// Generate an instance and persist it.
     Gen {
-        /// Workload profile.
-        profile: Profile,
-        /// Worker count.
-        workers: usize,
-        /// Task count.
-        tasks: usize,
-        /// Average worker degree.
-        degree: f64,
-        /// Skill dimensionality.
-        dims: usize,
-        /// Generation seed.
-        seed: u64,
+        /// The market universe to generate.
+        spec: WorkloadSpec,
         /// Output path.
         out: PathBuf,
     },
@@ -361,18 +329,8 @@ pub enum Command {
     },
     /// Generate a persisted event trace for the dispatch service.
     GenTrace {
-        /// Workload profile of the market universe.
-        profile: Profile,
-        /// Worker count.
-        workers: usize,
-        /// Task count.
-        tasks: usize,
-        /// Average worker degree.
-        degree: f64,
-        /// Skill dimensionality.
-        dims: usize,
-        /// Generation seed (universe and trace).
-        seed: u64,
+        /// The market universe; its seed also seeds the trace.
+        spec: WorkloadSpec,
         /// Trace horizon in abstract time units.
         horizon: f64,
         /// Sessions per worker / postings per task.
@@ -392,10 +350,10 @@ pub enum Command {
     /// an endpoint's status with `--status`).
     Send(SendOpts),
     /// Run one cluster shard-owner worker process.
-    ShardWorker(ShardWorkerOpts),
+    ShardWorker(WorkerConfig),
     /// Run the cluster router: client admission, placement routing, and
     /// owner fan-out.
-    Route(RouteOpts),
+    Route(RouterConfig),
     /// Rebuild assignment state from a WAL directory (latest snapshot +
     /// log-tail replay) and verify it against the trace's universe.
     Recover {
@@ -442,29 +400,9 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError(msg.into()))
 }
 
-struct Cursor<'a> {
-    args: &'a [String],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<&'a str> {
-        self.args.get(self.pos).map(|s| s.as_str())
-    }
-
-    fn next(&mut self) -> Option<&'a str> {
-        let v = self.args.get(self.pos).map(|s| s.as_str());
-        self.pos += 1;
-        v
-    }
-
-    fn value_for(&mut self, flag: &str) -> Result<&'a str, ParseError> {
-        match self.next() {
-            Some(v) => Ok(v),
-            None => err(format!("{flag} needs a value")),
-        }
-    }
-}
+const EXACT: Algorithm = Algorithm::ExactMB {
+    algo: PathAlgo::Dijkstra,
+};
 
 fn parse_profile(s: &str) -> Result<Profile, ParseError> {
     match s {
@@ -478,9 +416,7 @@ fn parse_profile(s: &str) -> Result<Profile, ParseError> {
 
 fn parse_algorithm(s: &str) -> Result<Algorithm, ParseError> {
     match s {
-        "exact" => Ok(Algorithm::ExactMB {
-            algo: PathAlgo::Dijkstra,
-        }),
+        "exact" => Ok(EXACT),
         "exact-spfa" => Ok(Algorithm::ExactMB {
             algo: PathAlgo::Spfa,
         }),
@@ -515,11 +451,6 @@ fn parse_combiner(s: &str) -> Result<Combiner, ParseError> {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, ParseError> {
-    s.parse()
-        .map_err(|_| ParseError(format!("bad value for {flag}: '{s}'")))
-}
-
 fn parse_fallback(s: &str) -> Result<FallbackMode, ParseError> {
     match s {
         "none" => Ok(FallbackMode::None),
@@ -537,879 +468,612 @@ fn parse_routing(s: &str) -> Result<Routing, ParseError> {
     }
 }
 
-fn parse_serve_opts(cur: &mut Cursor<'_>, cmd: &str) -> Result<ServeOpts, ParseError> {
-    let mut trace = None;
-    let mut shards = 4usize;
-    let mut threads = 0usize;
-    let mut batch_max = 256usize;
-    let mut batch_bytes = 64 * 1024usize;
-    let mut flush_ms = 10.0f64;
-    let mut queue_cap = 4096usize;
-    let mut drop_policy = DropPolicy::Defer;
-    let mut routing = Routing::HashId;
-    let mut boundary_pass = false;
-    let mut replan_threshold = None;
-    let mut online = false;
-    let mut drift_threshold = 0.2f64;
-    let mut drift_threshold_set = false;
-    let mut budget_ms = 50u64;
-    let mut drift = 0.0f64;
-    let mut poison_shard = None;
-    let mut max_wall_ms = None;
-    let mut decisions = None;
-    let mut metrics_out = None;
-    let mut metrics_every = None;
-    let mut wal_dir = None;
-    let mut snapshot_every = 64u64;
-    let mut snapshot_every_set = false;
-    let mut fsync = FsyncPolicy::Batch;
-    let mut fsync_set = false;
-    let mut group_commit = 1u64;
-    let mut group_commit_set = false;
-    let mut listen = None;
-    while let Some(flag) = cur.next() {
-        match flag {
-            "--trace" => trace = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--shards" => {
-                shards = parse_num(flag, cur.value_for(flag)?)?;
-                if shards == 0 {
-                    return err("--shards must be >= 1");
-                }
-            }
-            // 0 is allowed: "use the host's available parallelism".
-            "--threads" => threads = parse_num(flag, cur.value_for(flag)?)?,
-            "--batch-max" => {
-                batch_max = parse_num(flag, cur.value_for(flag)?)?;
-                if batch_max == 0 {
-                    return err("--batch-max must be >= 1");
-                }
-            }
-            "--batch-bytes" => {
-                batch_bytes = parse_num(flag, cur.value_for(flag)?)?;
-                if batch_bytes == 0 {
-                    return err("--batch-bytes must be >= 1");
-                }
-            }
-            "--flush-ms" => {
-                flush_ms = parse_num(flag, cur.value_for(flag)?)?;
-                if !(flush_ms > 0.0 && flush_ms.is_finite()) {
-                    return err("--flush-ms must be positive and finite");
-                }
-            }
-            "--queue-cap" => {
-                queue_cap = parse_num(flag, cur.value_for(flag)?)?;
-                if queue_cap == 0 {
-                    return err("--queue-cap must be >= 1");
-                }
-            }
-            "--drop-policy" => {
-                let v = cur.value_for(flag)?;
-                drop_policy = DropPolicy::parse(v).ok_or_else(|| {
-                    ParseError(format!(
-                        "unknown drop policy '{v}' (try drop-newest|drop-oldest|defer)"
-                    ))
-                })?;
-            }
-            "--routing" => routing = parse_routing(cur.value_for(flag)?)?,
-            "--boundary-pass" => boundary_pass = true,
-            "--replan-threshold" => {
-                let t: f64 = parse_num(flag, cur.value_for(flag)?)?;
-                if !(t > 0.0 && t.is_finite()) {
-                    return err("--replan-threshold must be positive and finite");
-                }
-                replan_threshold = Some(t);
-            }
-            "--online" => online = true,
-            "--drift-threshold" => {
-                let t: f64 = parse_num(flag, cur.value_for(flag)?)?;
-                if !(t > 0.0 && t.is_finite()) {
-                    return err("--drift-threshold must be positive and finite");
-                }
-                drift_threshold = t;
-                drift_threshold_set = true;
-            }
-            "--budget-ms" => {
-                budget_ms = parse_num(flag, cur.value_for(flag)?)?;
-                if budget_ms == 0 {
-                    return err("--budget-ms must be >= 1");
-                }
-            }
-            "--drift" => {
-                drift = parse_num(flag, cur.value_for(flag)?)?;
-                if !(0.0..=1.0).contains(&drift) {
-                    return err("--drift must be in [0,1]");
-                }
-            }
-            "--poison-shard" => poison_shard = Some(parse_num(flag, cur.value_for(flag)?)?),
-            "--max-wall-ms" => max_wall_ms = Some(parse_num(flag, cur.value_for(flag)?)?),
-            "--decisions" => decisions = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--metrics-out" => metrics_out = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--metrics-every" => {
-                let n: u64 = parse_num(flag, cur.value_for(flag)?)?;
-                if n == 0 {
-                    return err("--metrics-every must be >= 1");
-                }
-                metrics_every = Some(n);
-            }
-            "--wal-dir" => wal_dir = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--snapshot-every" => {
-                snapshot_every = parse_num(flag, cur.value_for(flag)?)?;
-                snapshot_every_set = true;
-            }
-            "--fsync" => {
-                let v = cur.value_for(flag)?;
-                fsync = FsyncPolicy::parse(v).ok_or_else(|| {
-                    ParseError(format!(
-                        "unknown fsync policy '{v}' (try always|batch|never)"
-                    ))
-                })?;
-                fsync_set = true;
-            }
-            "--group-commit" => {
-                group_commit = parse_num(flag, cur.value_for(flag)?)?;
-                if group_commit == 0 {
-                    return err("--group-commit must be >= 1");
-                }
-                group_commit_set = true;
-            }
-            "--listen" => listen = Some(cur.value_for(flag)?.to_string()),
-            _ => return err(format!("unknown flag for {cmd}: '{flag}'")),
+fn parse_drop_policy(s: &str) -> Result<DropPolicy, ParseError> {
+    DropPolicy::parse(s).ok_or_else(|| {
+        ParseError(format!(
+            "unknown drop policy '{s}' (try drop-newest|drop-oldest|defer)"
+        ))
+    })
+}
+
+fn parse_fsync(s: &str) -> Result<FsyncPolicy, ParseError> {
+    FsyncPolicy::parse(s).ok_or_else(|| {
+        ParseError(format!(
+            "unknown fsync policy '{s}' (try always|batch|never)"
+        ))
+    })
+}
+
+/// Seeded variants come back with seed 0; `online` binds `--seed` after
+/// the walk, so the seed may follow the flag it seeds.
+fn parse_policy(s: &str) -> Result<OnlinePolicy, ParseError> {
+    match s {
+        "greedy" => Ok(OnlinePolicy::Greedy),
+        "ranking" => Ok(OnlinePolicy::Ranking { seed: 0 }),
+        "twophase" => Ok(OnlinePolicy::TwoPhase {
+            sample_fraction: 0.5,
+            threshold_quantile: 0.5,
+        }),
+        "threshold" => Ok(OnlinePolicy::RandomThreshold { seed: 0 }),
+        _ => err(format!("unknown policy '{s}'")),
+    }
+}
+
+fn parse_order(s: &str) -> Result<ArrivalOrder, ParseError> {
+    match s {
+        "id" => Ok(ArrivalOrder::ById),
+        "random" => Ok(ArrivalOrder::Random { seed: 0 }),
+        "best-first" => Ok(ArrivalOrder::BestFirst),
+        "best-last" => Ok(ArrivalOrder::BestLast),
+        _ => err(format!("unknown order '{s}'")),
+    }
+}
+
+/// Range rule of a numeric flag.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    Any,
+    Ge1,
+    Ge2,
+    /// `> 0` and finite.
+    Positive,
+    /// `>= 0` and finite.
+    NonNeg,
+    /// In `[0, 1]`.
+    Unit,
+    UpTo100,
+}
+
+impl Bound {
+    /// The complaint to print after the flag's name when `x` is outside
+    /// the bound.
+    fn violated(self, x: f64) -> Option<&'static str> {
+        let (ok, complaint) = match self {
+            Bound::Any => (true, ""),
+            Bound::Ge1 => (x >= 1.0, "must be >= 1"),
+            Bound::Ge2 => (x >= 2.0, "must be >= 2"),
+            Bound::Positive => (x > 0.0 && x.is_finite(), "must be positive and finite"),
+            Bound::NonNeg => (x >= 0.0 && x.is_finite(), "must be finite and >= 0"),
+            Bound::Unit => ((0.0..=1.0).contains(&x), "must be in [0,1]"),
+            Bound::UpTo100 => ((1.0..=100.0).contains(&x), "must be in 1..=100"),
+        };
+        (!ok).then_some(complaint)
+    }
+}
+
+/// One occurrence of a value flag: the token that followed it, verbatim.
+#[derive(Clone, Copy)]
+struct Arg<'a> {
+    flag: &'a str,
+    text: &'a str,
+}
+
+impl Arg<'_> {
+    fn num<N: FromStr>(self, bound: Bound) -> Result<N, ParseError> {
+        // Whatever one of the number types accepts also reads as an `f64`,
+        // which is what the bound is checked on.
+        let (Ok(n), Ok(x)) = (self.text.parse::<N>(), self.text.parse::<f64>()) else {
+            return err(format!("bad value for {}: '{}'", self.flag, self.text));
+        };
+        match bound.violated(x) {
+            Some(complaint) => err(format!("{} {complaint}", self.flag)),
+            None => Ok(n),
         }
     }
-    let Some(trace) = trace else {
-        return err(format!("{cmd} requires --trace"));
-    };
-    if let Some(s) = poison_shard {
-        if s >= shards {
-            return err(format!("--poison-shard {s} out of range (shards {shards})"));
+
+    /// A path or a string, taken as is.
+    fn text<T: for<'s> From<&'s str>>(self) -> Result<T, ParseError> {
+        Ok(self.text.into())
+    }
+
+    /// Comma-separated items, trimmed, empty items skipped; at least one.
+    fn list<T: for<'s> From<&'s str>>(self, what: &str) -> Result<Vec<T>, ParseError> {
+        let items: Vec<T> = (self.text.split(','))
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(T::from)
+            .collect();
+        if items.is_empty() {
+            return err(format!("{} needs a comma list of {what}", self.flag));
+        }
+        Ok(items)
+    }
+}
+
+/// The flags that take no value. Every other flag consumes the token after
+/// it, whatever that token looks like.
+const SWITCHES: [&str; 5] = [
+    "--pairs",
+    "--inject-faults",
+    "--boundary-pass",
+    "--online",
+    "--status",
+];
+
+/// A command's argv after the one walk. The command then reads its options
+/// out by name — each read is that flag's one declaration: name, value
+/// kind, default and [`Bound`] — and [`Args::finish`] rejects whatever was
+/// given but never read.
+struct Args<'a> {
+    cmd: &'a str,
+    /// The leading `FILE` positional, until a command takes it.
+    file: Option<&'a str>,
+    /// Every flag given with its value (`None` for a switch, or when argv
+    /// ended before the value), in argv order.
+    given: Vec<(&'a str, Option<&'a str>)>,
+    /// Every flag the command has read so far.
+    known: Vec<&'static str>,
+    /// First absent required flag and first broken cross-flag rule. Both
+    /// wait for `finish`, which reports an unknown flag first — the
+    /// order a reader of argv would find them in.
+    missing: Option<&'static str>,
+    rejected: Option<String>,
+}
+
+impl<'a> Args<'a> {
+    fn walk(cmd: &'a str, tokens: impl Iterator<Item = &'a str>) -> Args<'a> {
+        let mut cur = tokens.peekable();
+        let file = cur.next_if(|tok| !tok.starts_with("--"));
+        let mut given = Vec::new();
+        while let Some(flag) = cur.next() {
+            given.push((flag, cur.next_if(|_| !SWITCHES.contains(&flag))));
+        }
+        Args {
+            cmd,
+            file,
+            given,
+            known: Vec::new(),
+            missing: None,
+            rejected: None,
         }
     }
-    if metrics_every.is_some() && metrics_out.is_none() {
-        return err("--metrics-every needs --metrics-out");
+
+    fn opt_file(&mut self) -> Option<PathBuf> {
+        self.file.take().map(PathBuf::from)
     }
-    if wal_dir.is_none() && (snapshot_every_set || fsync_set || group_commit_set) {
-        return err("--snapshot-every / --fsync / --group-commit need --wal-dir");
+
+    fn file(&mut self) -> Result<PathBuf, ParseError> {
+        let cmd = self.cmd;
+        (self.opt_file()).ok_or_else(|| ParseError(format!("{cmd} requires a file")))
     }
-    if online && boundary_pass {
-        return err("--online and --boundary-pass are incompatible (the rescue overlay is a batch construct)");
+
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(flag, _)| *flag == name)
     }
-    if drift_threshold_set && !online {
-        return err("--drift-threshold needs --online");
+
+    fn switch(&mut self, name: &'static str) -> bool {
+        self.known.push(name);
+        self.has(name)
     }
+
+    /// Parses every occurrence of `name` in argv order (an early bad value
+    /// is an error even when a later one would win) and keeps the last.
+    fn last<T>(
+        &mut self,
+        name: &'static str,
+        mut parse: impl FnMut(Arg<'a>) -> Result<T, ParseError>,
+    ) -> Result<Option<T>, ParseError> {
+        self.known.push(name);
+        let mut last = None;
+        for &(flag, value) in self.given.iter().filter(|(flag, _)| *flag == name) {
+            let Some(text) = value else {
+                return err(format!("{flag} needs a value"));
+            };
+            last = Some(parse(Arg { flag, text })?);
+        }
+        Ok(last)
+    }
+
+    /// Marks `name` as a flag the command cannot run without.
+    fn require(&mut self, name: &'static str) {
+        if !self.has(name) {
+            self.missing.get_or_insert(name);
+        }
+    }
+
+    /// A required flag's value. When it is absent `finish` fails; until
+    /// then the caller holds an empty placeholder.
+    fn required<T: Default>(
+        &mut self,
+        name: &'static str,
+        parse: impl FnMut(Arg<'a>) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.require(name);
+        Ok(self.last(name, parse)?.unwrap_or_default())
+    }
+
+    fn num<N: FromStr>(
+        &mut self,
+        name: &'static str,
+        default: N,
+        bound: Bound,
+    ) -> Result<N, ParseError> {
+        Ok(self.last(name, |v| v.num(bound))?.unwrap_or(default))
+    }
+
+    /// A value from a closed vocabulary, parsed by one of the `parse_*`
+    /// functions.
+    fn named<T>(
+        &mut self,
+        name: &'static str,
+        default: T,
+        parse: fn(&str) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        Ok(self.last(name, |v| parse(v.text))?.unwrap_or(default))
+    }
+
+    /// Records a broken cross-flag rule (the first one is reported).
+    fn reject(&mut self, message: impl Into<String>) {
+        self.rejected.get_or_insert(message.into());
+    }
+
+    /// Giving `flag` without `other` is rejected.
+    fn needs(&mut self, flag: &str, other: &str) {
+        if self.has(flag) && !self.has(other) {
+            self.reject(format!("{flag} needs {other}"));
+        }
+    }
+
+    fn finish(self) -> Result<(), ParseError> {
+        // A token in flag position is a flag, `--` or not; so is a leading
+        // token no command took as its file.
+        let tokens = (self.file.iter().copied()).chain(self.given.iter().map(|(flag, _)| *flag));
+        for flag in tokens {
+            if !self.known.contains(&flag) {
+                return err(format!("unknown flag for {}: '{flag}'", self.cmd));
+            }
+        }
+        if let Some(flag) = self.missing {
+            return err(format!("{} requires {flag}", self.cmd));
+        }
+        self.rejected.map_or(Ok(()), err)
+    }
+
+    // Flags and option groups that more than one command declares.
+
+    fn trace(&mut self) -> Result<PathBuf, ParseError> {
+        self.required("--trace", Arg::text)
+    }
+
+    fn routing(&mut self, default: Routing) -> Result<Routing, ParseError> {
+        self.named("--routing", default, parse_routing)
+    }
+
+    fn queue_cap(&mut self, default: usize) -> Result<usize, ParseError> {
+        self.num("--queue-cap", default, Bound::Ge1)
+    }
+
+    fn batch(&mut self, default: usize) -> Result<usize, ParseError> {
+        self.num("--batch", default, Bound::Ge1)
+    }
+
+    fn drift(&mut self) -> Result<f64, ParseError> {
+        self.num("--drift", 0.0, Bound::Unit)
+    }
+
+    fn combiner(&mut self) -> Result<Combiner, ParseError> {
+        self.named("--combiner", Combiner::balanced(), parse_combiner)
+    }
+
+    fn algorithm(&mut self) -> Result<Algorithm, ParseError> {
+        self.named("--algorithm", EXACT, parse_algorithm)
+    }
+
+    /// The market universe of `gen` / `gen-trace`.
+    fn universe(&mut self) -> Result<WorkloadSpec, ParseError> {
+        let demo = WorkloadSpec::demo(Profile::Uniform);
+        Ok(WorkloadSpec {
+            profile: self.named("--profile", demo.profile, parse_profile)?,
+            n_workers: self.num("--workers", demo.n_workers, Bound::Any)?,
+            n_tasks: self.num("--tasks", demo.n_tasks, Bound::Any)?,
+            avg_worker_degree: self.num("--degree", demo.avg_worker_degree, Bound::NonNeg)?,
+            skill_dims: self.num("--dims", demo.skill_dims, Bound::Ge1)?,
+            seed: self.num("--seed", demo.seed, Bound::Any)?,
+        })
+    }
+
+    /// Durability: the WAL directory, and the knobs that only mean
+    /// something with one (each keeps the destination's value when absent).
+    fn wal(
+        &mut self,
+        fsync: &mut FsyncPolicy,
+        group_commit: &mut u64,
+        snapshot_every: &mut u64,
+    ) -> Result<Option<PathBuf>, ParseError> {
+        *snapshot_every = self.num("--snapshot-every", *snapshot_every, Bound::Any)?;
+        *fsync = self.named("--fsync", *fsync, parse_fsync)?;
+        *group_commit = self.num("--group-commit", *group_commit, Bound::Ge1)?;
+        let knob_given = ["--snapshot-every", "--fsync", "--group-commit"].map(|k| self.has(k));
+        if knob_given.contains(&true) && !self.has("--wal-dir") {
+            self.reject("--snapshot-every / --fsync / --group-commit need --wal-dir");
+        }
+        self.last("--wal-dir", Arg::text)
+    }
+
+    /// Per-event online dispatch: whether it is on, and its drift threshold.
+    fn online(&mut self) -> Result<(bool, f64), ParseError> {
+        self.needs("--drift-threshold", "--online");
+        let drift_threshold = self.num("--drift-threshold", 0.2, Bound::Positive)?;
+        Ok((self.switch("--online"), drift_threshold))
+    }
+}
+
+/// `serve` and `replay`: the same options; `replay` then refuses what
+/// only a wall-clock or network run can mean.
+fn parse_service(a: &mut Args<'_>) -> Result<ServeOpts, ParseError> {
+    let (online, drift_threshold) = a.online()?;
+    let drift = a.drift()?;
+    let replan_threshold = a.last("--replan-threshold", |v| v.num(Bound::Positive))?;
+    let listen: Option<String> = a.last("--listen", Arg::text)?;
     if listen.is_some() {
-        if cmd == "replay" {
-            return err("--listen only applies to serve (replay is a deterministic re-run)");
-        }
-        if drift > 0.0 {
-            return err("--listen takes events from the network; put --drift on `mbta send`");
-        }
-        if replan_threshold.is_some() {
-            return err(
-                "--replan-threshold needs a trace-driven run (network serve never re-plans)",
-            );
+        if a.cmd == "replay" {
+            a.reject("--listen only applies to serve (replay is a deterministic re-run)");
+        } else if drift > 0.0 {
+            a.reject("--listen takes events from the network; put --drift on `mbta send`");
+        } else if replan_threshold.is_some() {
+            a.reject("--replan-threshold needs a trace-driven run (network serve never re-plans)");
         }
     }
-    Ok(ServeOpts {
-        trace,
-        shards,
-        threads,
-        batch_max,
-        batch_bytes,
-        flush_ms,
-        queue_cap,
-        drop_policy,
-        routing,
-        boundary_pass,
-        replan_threshold,
+    let mut o = ServeOpts {
+        trace: a.trace()?,
+        shards: a.num("--shards", 4, Bound::Ge1)?,
+        // 0 is allowed: "use the host's available parallelism".
+        threads: a.num("--threads", 0, Bound::Any)?,
+        batch_max: a.num("--batch-max", 256, Bound::Ge1)?,
+        batch_bytes: a.num("--batch-bytes", 64 * 1024, Bound::Ge1)?,
+        flush_ms: a.num("--flush-ms", 10.0, Bound::Positive)?,
+        queue_cap: a.queue_cap(4096)?,
+        drop_policy: a.named("--drop-policy", DropPolicy::Defer, parse_drop_policy)?,
+        routing: a.routing(Routing::HashId)?,
+        boundary_pass: a.switch("--boundary-pass"),
         online,
         drift_threshold,
-        budget_ms,
-        drift,
-        poison_shard,
-        max_wall_ms,
-        decisions,
-        metrics_out,
-        metrics_every,
-        wal_dir,
-        snapshot_every,
-        fsync,
-        group_commit,
-        listen,
-    })
-}
-
-fn parse_follow_opts(cur: &mut Cursor<'_>) -> Result<FollowOpts, ParseError> {
-    let mut trace = None;
-    let mut wal_dir = None;
-    let mut listen = None;
-    let mut query_listen = None;
-    let mut heartbeat_ms = 1_000u64;
-    let mut poll_ms = 20u64;
-    let mut max_wait_ms = 10_000u64;
-    while let Some(flag) = cur.next() {
-        match flag {
-            "--trace" => trace = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--wal-dir" => wal_dir = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--listen" => listen = Some(cur.value_for(flag)?.to_string()),
-            "--query-listen" => query_listen = Some(cur.value_for(flag)?.to_string()),
-            "--heartbeat-ms" => {
-                heartbeat_ms = parse_num(flag, cur.value_for(flag)?)?;
-                if heartbeat_ms == 0 {
-                    return err("--heartbeat-ms must be >= 1");
-                }
-            }
-            "--poll-ms" => {
-                poll_ms = parse_num(flag, cur.value_for(flag)?)?;
-                if poll_ms == 0 {
-                    return err("--poll-ms must be >= 1");
-                }
-            }
-            "--max-wait-ms" => max_wait_ms = parse_num(flag, cur.value_for(flag)?)?,
-            _ => return err(format!("unknown flag for follow: '{flag}'")),
-        }
-    }
-    let Some(trace) = trace else {
-        return err("follow requires --trace");
+        budget_ms: a.num("--budget-ms", 50, Bound::Ge1)?,
+        poison_shard: a.last("--poison-shard", |v| v.num(Bound::Any))?,
+        max_wall_ms: a.last("--max-wall-ms", |v| v.num(Bound::Any))?,
+        decisions: a.last("--decisions", Arg::text)?,
+        metrics_out: a.last("--metrics-out", Arg::text)?,
+        metrics_every: a.last("--metrics-every", |v| v.num(Bound::Ge1))?,
+        wal_dir: None,
+        snapshot_every: 64,
+        fsync: FsyncPolicy::Batch,
+        group_commit: 1,
+        source: match listen {
+            Some(addr) => Source::Listen(addr),
+            None => Source::Trace {
+                drift,
+                replan_threshold,
+            },
+        },
     };
-    let Some(wal_dir) = wal_dir else {
-        return err("follow requires --wal-dir");
-    };
-    Ok(FollowOpts {
-        trace,
-        wal_dir,
-        listen,
-        query_listen,
-        heartbeat_ms,
-        poll_ms,
-        max_wait_ms,
-    })
-}
-
-fn parse_send_opts(cur: &mut Cursor<'_>) -> Result<SendOpts, ParseError> {
-    let mut addr = None;
-    let mut trace = None;
-    let mut batch = 64usize;
-    let mut namespace = 0u32;
-    let mut drift = 0.0f64;
-    let mut status = false;
-    let mut connect_wait_ms = 5_000u64;
-    while let Some(flag) = cur.next() {
-        match flag {
-            "--addr" => addr = Some(cur.value_for(flag)?.to_string()),
-            "--trace" => trace = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--batch" => {
-                batch = parse_num(flag, cur.value_for(flag)?)?;
-                if batch == 0 {
-                    return err("--batch must be >= 1");
-                }
-            }
-            "--namespace" => namespace = parse_num(flag, cur.value_for(flag)?)?,
-            "--drift" => {
-                drift = parse_num(flag, cur.value_for(flag)?)?;
-                if !(0.0..=1.0).contains(&drift) {
-                    return err("--drift must be in [0,1]");
-                }
-            }
-            "--status" => status = true,
-            "--connect-wait-ms" => connect_wait_ms = parse_num(flag, cur.value_for(flag)?)?,
-            _ => return err(format!("unknown flag for send: '{flag}'")),
-        }
+    o.wal_dir = a.wal(&mut o.fsync, &mut o.group_commit, &mut o.snapshot_every)?;
+    a.needs("--metrics-every", "--metrics-out");
+    if let Some(s) = o.poison_shard.filter(|&s| s >= o.shards) {
+        let shards = o.shards;
+        a.reject(format!("--poison-shard {s} out of range (shards {shards})"));
     }
-    let Some(addr) = addr else {
-        return err("send requires --addr");
-    };
-    if status && trace.is_some() {
-        return err("--status queries the endpoint; drop --trace");
+    if o.online && o.boundary_pass {
+        a.reject("--online and --boundary-pass are incompatible (the rescue overlay is a batch construct)");
     }
-    if !status && trace.is_none() {
-        return err("send requires --trace (or --status)");
+    if a.cmd == "replay" && a.has("--budget-ms") {
+        a.reject("--budget-ms only applies to serve (replay solves are unbudgeted)");
     }
-    Ok(SendOpts {
-        addr,
-        trace,
-        batch,
-        namespace,
-        drift,
-        status,
-        connect_wait_ms,
-    })
-}
-
-fn parse_path_list(flag: &str, v: &str) -> Result<Vec<PathBuf>, ParseError> {
-    let paths: Vec<PathBuf> = v
-        .split(',')
-        .map(|s| s.trim())
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
-        .collect();
-    if paths.is_empty() {
-        return err(format!("{flag} needs a comma list of paths"));
-    }
-    Ok(paths)
-}
-
-fn parse_shard_worker_opts(cur: &mut Cursor<'_>) -> Result<ShardWorkerOpts, ParseError> {
-    let mut traces = None;
-    let mut shard = None;
-    let mut shards = None;
-    let mut listen = "127.0.0.1:0".to_string();
-    let mut routing = Routing::HashId;
-    let mut placements = None;
-    let mut wal_dir = None;
-    let mut fsync = FsyncPolicy::Batch;
-    let mut fsync_set = false;
-    let mut group_commit = 1u64;
-    let mut group_commit_set = false;
-    let mut snapshot_every = 0u64;
-    let mut snapshot_every_set = false;
-    let mut queue_cap = 4096usize;
-    let mut threads = 0usize;
-    let mut online = false;
-    let mut drift_threshold = 0.2f64;
-    let mut budget_ms = 50u64;
-    let mut linger_ms = 3_000u64;
-    let mut decisions_dir = None;
-    while let Some(flag) = cur.next() {
-        match flag {
-            "--traces" => traces = Some(parse_path_list(flag, cur.value_for(flag)?)?),
-            "--shard" => shard = Some(parse_num(flag, cur.value_for(flag)?)?),
-            "--shards" => {
-                let n: usize = parse_num(flag, cur.value_for(flag)?)?;
-                if n == 0 {
-                    return err("--shards must be >= 1");
-                }
-                shards = Some(n);
-            }
-            "--listen" => listen = cur.value_for(flag)?.to_string(),
-            "--routing" => routing = parse_routing(cur.value_for(flag)?)?,
-            "--placements" => placements = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--wal-dir" => wal_dir = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--fsync" => {
-                let v = cur.value_for(flag)?;
-                fsync = FsyncPolicy::parse(v).ok_or_else(|| {
-                    ParseError(format!(
-                        "unknown fsync policy '{v}' (try always|batch|never)"
-                    ))
-                })?;
-                fsync_set = true;
-            }
-            "--group-commit" => {
-                group_commit = parse_num(flag, cur.value_for(flag)?)?;
-                if group_commit == 0 {
-                    return err("--group-commit must be >= 1");
-                }
-                group_commit_set = true;
-            }
-            "--snapshot-every" => {
-                snapshot_every = parse_num(flag, cur.value_for(flag)?)?;
-                snapshot_every_set = true;
-            }
-            "--queue-cap" => {
-                queue_cap = parse_num(flag, cur.value_for(flag)?)?;
-                if queue_cap == 0 {
-                    return err("--queue-cap must be >= 1");
-                }
-            }
-            "--threads" => threads = parse_num(flag, cur.value_for(flag)?)?,
-            "--online" => online = true,
-            "--drift-threshold" => {
-                drift_threshold = parse_num(flag, cur.value_for(flag)?)?;
-                if !drift_threshold.is_finite() || drift_threshold <= 0.0 {
-                    return err("--drift-threshold must be a positive number");
-                }
-            }
-            "--budget-ms" => budget_ms = parse_num(flag, cur.value_for(flag)?)?,
-            "--linger-ms" => linger_ms = parse_num(flag, cur.value_for(flag)?)?,
-            "--decisions-dir" => decisions_dir = Some(PathBuf::from(cur.value_for(flag)?)),
-            _ => return err(format!("unknown flag for shard-worker: '{flag}'")),
-        }
-    }
-    let Some(traces) = traces else {
-        return err("shard-worker requires --traces");
-    };
-    let Some(shard) = shard else {
-        return err("shard-worker requires --shard");
-    };
-    let Some(shards) = shards else {
-        return err("shard-worker requires --shards");
-    };
-    if shard >= shards {
-        return err(format!(
-            "--shard {shard} out of range for --shards {shards}"
-        ));
-    }
-    if wal_dir.is_none() && (fsync_set || group_commit_set || snapshot_every_set) {
-        return err("--snapshot-every / --fsync / --group-commit need --wal-dir");
-    }
-    Ok(ShardWorkerOpts {
-        traces,
-        shard,
-        shards,
-        listen,
-        routing,
-        placements,
-        wal_dir,
-        fsync,
-        group_commit,
-        snapshot_every,
-        queue_cap,
-        threads,
-        online,
-        drift_threshold,
-        budget_ms,
-        linger_ms,
-        decisions_dir,
-    })
-}
-
-fn parse_route_opts(cur: &mut Cursor<'_>) -> Result<RouteOpts, ParseError> {
-    let mut traces = None;
-    let mut owners: Option<Vec<String>> = None;
-    let mut listen = "127.0.0.1:0".to_string();
-    let mut routing = Routing::HashId;
-    let mut placements = None;
-    let mut save_placements = None;
-    let mut queue_cap = 4096usize;
-    let mut batch = 128usize;
-    let mut owner_retry_ms = 2_000u64;
-    let mut report_wait_ms = 10_000u64;
-    while let Some(flag) = cur.next() {
-        match flag {
-            "--traces" => traces = Some(parse_path_list(flag, cur.value_for(flag)?)?),
-            "--owners" => {
-                let list: Vec<String> = cur
-                    .value_for(flag)?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if list.is_empty() {
-                    return err("--owners needs a comma list of addresses");
-                }
-                owners = Some(list);
-            }
-            "--listen" => listen = cur.value_for(flag)?.to_string(),
-            "--routing" => routing = parse_routing(cur.value_for(flag)?)?,
-            "--placements" => placements = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--save-placements" => save_placements = Some(PathBuf::from(cur.value_for(flag)?)),
-            "--queue-cap" => {
-                queue_cap = parse_num(flag, cur.value_for(flag)?)?;
-                if queue_cap == 0 {
-                    return err("--queue-cap must be >= 1");
-                }
-            }
-            "--batch" => {
-                batch = parse_num(flag, cur.value_for(flag)?)?;
-                if batch == 0 {
-                    return err("--batch must be >= 1");
-                }
-            }
-            "--owner-retry-ms" => owner_retry_ms = parse_num(flag, cur.value_for(flag)?)?,
-            "--report-wait-ms" => report_wait_ms = parse_num(flag, cur.value_for(flag)?)?,
-            _ => return err(format!("unknown flag for route: '{flag}'")),
-        }
-    }
-    let Some(traces) = traces else {
-        return err("route requires --traces");
-    };
-    let Some(owners) = owners else {
-        return err("route requires --owners");
-    };
-    Ok(RouteOpts {
-        traces,
-        owners,
-        listen,
-        routing,
-        placements,
-        save_placements,
-        queue_cap,
-        batch,
-        owner_retry_ms,
-        report_wait_ms,
-    })
+    Ok(o)
 }
 
 /// Parses a full command line (without `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let mut cur = Cursor { args, pos: 0 };
-    let Some(cmd) = cur.next() else {
+    let mut tokens = args.iter().map(String::as_str);
+    let Some(cmd) = tokens.next() else {
         return err("no command given");
     };
-    match cmd {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+    let cmd = if matches!(cmd, "--help" | "-h") {
+        "help"
+    } else {
+        cmd
+    };
+    let mut a = Args::walk(cmd, tokens);
+    let command = match cmd {
+        "help" => Command::Help,
         "gen" => {
-            let mut profile = None;
-            let mut workers = 1_000usize;
-            let mut tasks = 500usize;
-            let mut degree = 8.0f64;
-            let mut dims = 8usize;
-            let mut seed = 42u64;
-            let mut out = None;
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--profile" => profile = Some(parse_profile(cur.value_for(flag)?)?),
-                    "--workers" => workers = parse_num(flag, cur.value_for(flag)?)?,
-                    "--tasks" => tasks = parse_num(flag, cur.value_for(flag)?)?,
-                    "--degree" => degree = parse_num(flag, cur.value_for(flag)?)?,
-                    "--dims" => dims = parse_num(flag, cur.value_for(flag)?)?,
-                    "--seed" => seed = parse_num(flag, cur.value_for(flag)?)?,
-                    "--out" => out = Some(PathBuf::from(cur.value_for(flag)?)),
-                    _ => return err(format!("unknown flag for gen: '{flag}'")),
-                }
+            a.require("--profile");
+            Command::Gen {
+                spec: a.universe()?,
+                out: a.required("--out", Arg::text)?,
             }
-            let Some(profile) = profile else {
-                return err("gen requires --profile");
-            };
-            let Some(out) = out else {
-                return err("gen requires --out");
-            };
-            Ok(Command::Gen {
-                profile,
-                workers,
-                tasks,
-                degree,
-                dims,
-                seed,
-                out,
-            })
         }
-        "stats" => {
-            let Some(file) = cur.next() else {
-                return err("stats requires a file");
-            };
-            Ok(Command::Stats {
-                file: PathBuf::from(file),
-            })
-        }
+        "stats" => Command::Stats { file: a.file()? },
         "solve" => {
             // `solve --inject-faults` runs on synthetic instances and takes
-            // no file; every other form requires one, so the positional is
-            // only consumed when the next token is not a flag.
-            let file = match cur.peek() {
-                Some(tok) if !tok.starts_with("--") => {
-                    cur.next();
-                    Some(PathBuf::from(tok))
-                }
-                _ => None,
-            };
-            let mut algorithm = Algorithm::ExactMB {
-                algo: PathAlgo::Dijkstra,
-            };
-            let mut combiner = Combiner::balanced();
-            let mut pairs = false;
-            let mut deadline_ms: Option<u64> = None;
-            let mut fallback: Option<FallbackMode> = None;
-            let mut inject_faults = false;
-            let mut instances = 1_000usize;
-            let mut seed = 0u64;
-            let mut campaign_only_flag: Option<&str> = None;
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--algorithm" => algorithm = parse_algorithm(cur.value_for(flag)?)?,
-                    "--combiner" => combiner = parse_combiner(cur.value_for(flag)?)?,
-                    "--pairs" => pairs = true,
-                    "--deadline-ms" => deadline_ms = Some(parse_num(flag, cur.value_for(flag)?)?),
-                    "--fallback" => fallback = Some(parse_fallback(cur.value_for(flag)?)?),
-                    "--inject-faults" => inject_faults = true,
-                    "--instances" => {
-                        campaign_only_flag = Some(flag);
-                        instances = parse_num(flag, cur.value_for(flag)?)?;
-                        if instances == 0 {
-                            return err("--instances must be >= 1");
-                        }
-                    }
-                    "--seed" => {
-                        campaign_only_flag = Some(flag);
-                        seed = parse_num(flag, cur.value_for(flag)?)?;
-                    }
-                    _ => return err(format!("unknown flag for solve: '{flag}'")),
-                }
-            }
-            if inject_faults {
+            // no file; every other form requires one.
+            let file = a.opt_file();
+            let (algorithm, combiner, pairs) = (a.algorithm()?, a.combiner()?, a.switch("--pairs"));
+            let deadline_ms = a.last("--deadline-ms", |v| v.num(Bound::Any))?;
+            let fallback = a.last("--fallback", |v| parse_fallback(v.text))?;
+            let instances = a.num("--instances", 1_000, Bound::Ge1)?;
+            let seed = a.num("--seed", 0, Bound::Any)?;
+            if a.switch("--inject-faults") {
                 if file.is_some() {
-                    return err("--inject-faults generates its own instances; drop the file");
+                    a.reject("--inject-faults generates its own instances; drop the file");
                 }
-                return Ok(Command::FaultCampaign {
+                Command::FaultCampaign {
                     instances,
                     deadline_ms: deadline_ms.unwrap_or(50),
                     seed,
-                });
-            }
-            if let Some(flag) = campaign_only_flag {
-                return err(format!("{flag} only applies with --inject-faults"));
-            }
-            let Some(file) = file else {
-                return err("solve requires a file (or --inject-faults)");
-            };
-            Ok(Command::Solve {
-                file,
-                algorithm,
-                combiner,
-                pairs,
-                deadline_ms,
-                fallback,
-            })
-        }
-        "gen-trace" => {
-            let mut profile = Profile::Uniform;
-            let mut workers = 1_000usize;
-            let mut tasks = 500usize;
-            let mut degree = 8.0f64;
-            let mut dims = 8usize;
-            let mut seed = 42u64;
-            let mut horizon = 50.0f64;
-            let mut repeats = 4u32;
-            let mut out = None;
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--profile" => profile = parse_profile(cur.value_for(flag)?)?,
-                    "--workers" => workers = parse_num(flag, cur.value_for(flag)?)?,
-                    "--tasks" => tasks = parse_num(flag, cur.value_for(flag)?)?,
-                    "--degree" => degree = parse_num(flag, cur.value_for(flag)?)?,
-                    "--dims" => dims = parse_num(flag, cur.value_for(flag)?)?,
-                    "--seed" => seed = parse_num(flag, cur.value_for(flag)?)?,
-                    "--horizon" => {
-                        horizon = parse_num(flag, cur.value_for(flag)?)?;
-                        if !(horizon > 0.0 && horizon.is_finite()) {
-                            return err("--horizon must be positive and finite");
-                        }
-                    }
-                    "--repeats" => {
-                        repeats = parse_num(flag, cur.value_for(flag)?)?;
-                        if repeats == 0 {
-                            return err("--repeats must be >= 1");
-                        }
-                    }
-                    "--out" => out = Some(PathBuf::from(cur.value_for(flag)?)),
-                    _ => return err(format!("unknown flag for gen-trace: '{flag}'")),
+                }
+            } else {
+                let campaign_only = |flag: &&str| ["--instances", "--seed"].contains(flag);
+                if let Some(flag) = a.given.iter().rev().map(|(f, _)| *f).find(campaign_only) {
+                    a.reject(format!("{flag} only applies with --inject-faults"));
+                }
+                if file.is_none() {
+                    a.reject("solve requires a file (or --inject-faults)");
+                }
+                Command::Solve {
+                    file: file.unwrap_or_default(),
+                    algorithm,
+                    combiner,
+                    pairs,
+                    deadline_ms,
+                    fallback,
                 }
             }
-            let Some(out) = out else {
-                return err("gen-trace requires --out");
-            };
-            Ok(Command::GenTrace {
-                profile,
-                workers,
-                tasks,
-                degree,
-                dims,
-                seed,
-                horizon,
-                repeats,
-                out,
-            })
         }
-        "serve" => Ok(Command::Serve(parse_serve_opts(&mut cur, "serve")?)),
+        "gen-trace" => Command::GenTrace {
+            spec: a.universe()?,
+            horizon: a.num("--horizon", 50.0, Bound::Positive)?,
+            repeats: a.num("--repeats", 4, Bound::Ge1)?,
+            out: a.required("--out", Arg::text)?,
+        },
+        "serve" => Command::Serve(parse_service(&mut a)?),
+        "replay" => Command::Replay(parse_service(&mut a)?),
         "plan-stats" => {
-            let mut trace = None;
-            let mut shards = vec![2usize, 4, 8];
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--trace" => trace = Some(PathBuf::from(cur.value_for(flag)?)),
-                    "--shards" => {
-                        let v = cur.value_for(flag)?;
-                        shards = v
-                            .split(',')
-                            .map(|s| parse_num::<usize>(flag, s.trim()))
-                            .collect::<Result<Vec<_>, _>>()?;
-                        if shards.is_empty() || shards.contains(&0) {
-                            return err("--shards needs a comma list of counts >= 1");
-                        }
+            let counts = |v: Arg<'_>| {
+                let items = v.text.split(',');
+                let counts = (items.map(|s| {
+                    Arg {
+                        text: s.trim(),
+                        ..v
                     }
-                    _ => return err(format!("unknown flag for plan-stats: '{flag}'")),
+                    .num(Bound::Any)
+                }))
+                .collect::<Result<Vec<usize>, _>>()?;
+                if counts.contains(&0) {
+                    return err("--shards needs a comma list of counts >= 1");
                 }
-            }
-            let Some(trace) = trace else {
-                return err("plan-stats requires --trace");
+                Ok(counts)
             };
-            Ok(Command::PlanStats { trace, shards })
+            Command::PlanStats {
+                trace: a.trace()?,
+                shards: (a.last("--shards", counts)?).unwrap_or_else(|| vec![2, 4, 8]),
+            }
         }
-        "replay" => Ok(Command::Replay(parse_serve_opts(&mut cur, "replay")?)),
-        "follow" => Ok(Command::Follow(parse_follow_opts(&mut cur)?)),
-        "send" => Ok(Command::Send(parse_send_opts(&mut cur)?)),
-        "shard-worker" => Ok(Command::ShardWorker(parse_shard_worker_opts(&mut cur)?)),
-        "route" => Ok(Command::Route(parse_route_opts(&mut cur)?)),
-        "recover" => {
-            let mut trace = None;
-            let mut wal_dir = None;
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--trace" => trace = Some(PathBuf::from(cur.value_for(flag)?)),
-                    "--wal-dir" => wal_dir = Some(PathBuf::from(cur.value_for(flag)?)),
-                    _ => return err(format!("unknown flag for recover: '{flag}'")),
-                }
+        "recover" => Command::Recover {
+            trace: a.trace()?,
+            wal_dir: a.required("--wal-dir", Arg::text)?,
+        },
+        "follow" => Command::Follow(FollowOpts {
+            trace: a.trace()?,
+            wal_dir: a.required("--wal-dir", Arg::text)?,
+            listen: a.last("--listen", Arg::text)?,
+            query_listen: a.last("--query-listen", Arg::text)?,
+            heartbeat_ms: a.num("--heartbeat-ms", 1_000, Bound::Ge1)?,
+            poll_ms: a.num("--poll-ms", 20, Bound::Ge1)?,
+            max_wait_ms: a.num("--max-wait-ms", 10_000, Bound::Any)?,
+        }),
+        "send" => {
+            let addr = a.required("--addr", Arg::text)?;
+            let connect_wait_ms = a.num("--connect-wait-ms", 5_000, Bound::Any)?;
+            let (batch, drift) = (a.batch(64)?, a.drift()?);
+            let namespace = a.num("--namespace", 0, Bound::Any)?;
+            let (status, trace) = (a.switch("--status"), a.last("--trace", Arg::text)?);
+            match (status, &trace) {
+                (true, Some(_)) => a.reject("--status queries the endpoint; drop --trace"),
+                (false, None) => a.reject("send requires --trace (or --status)"),
+                _ => {}
             }
-            let Some(trace) = trace else {
-                return err("recover requires --trace");
+            let mode = match trace {
+                Some(trace) => SendMode::Trace {
+                    trace,
+                    batch,
+                    namespace,
+                    drift,
+                },
+                None => SendMode::Status,
             };
-            let Some(wal_dir) = wal_dir else {
-                return err("recover requires --wal-dir");
-            };
-            Ok(Command::Recover { trace, wal_dir })
-        }
-        "sweep" => {
-            let Some(file) = cur.next() else {
-                return err("sweep requires a file");
-            };
-            let mut steps = 11usize;
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--steps" => {
-                        steps = parse_num(flag, cur.value_for(flag)?)?;
-                        if steps < 2 {
-                            return err("--steps must be >= 2");
-                        }
-                    }
-                    _ => return err(format!("unknown flag for sweep: '{flag}'")),
-                }
-            }
-            Ok(Command::Sweep {
-                file: PathBuf::from(file),
-                steps,
+            Command::Send(SendOpts {
+                addr,
+                connect_wait_ms,
+                mode,
             })
         }
-        "maxmin" => {
-            let Some(file) = cur.next() else {
-                return err("maxmin requires a file");
-            };
-            let mut combiner = Combiner::balanced();
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--combiner" => combiner = parse_combiner(cur.value_for(flag)?)?,
-                    _ => return err(format!("unknown flag for maxmin: '{flag}'")),
-                }
+        "shard-worker" => {
+            let traces = a.required("--traces", |v| v.list("paths"))?;
+            let shard = a.required("--shard", |v| v.num(Bound::Any))?;
+            let shards = a.required("--shards", |v| v.num(Bound::Ge1))?;
+            let mut cfg = WorkerConfig::new(traces, shard, shards);
+            cfg.listen = a.last("--listen", Arg::text)?.unwrap_or(cfg.listen);
+            cfg.routing = a.routing(cfg.routing)?;
+            cfg.placements = a.last("--placements", Arg::text)?;
+            cfg.queue_cap = a.queue_cap(cfg.queue_cap)?;
+            cfg.threads = a.num("--threads", cfg.threads, Bound::Any)?;
+            // 0 is allowed: deterministic (unbudgeted) solves.
+            cfg.budget_ms = a.num("--budget-ms", cfg.budget_ms, Bound::Any)?;
+            cfg.linger_ms = a.num("--linger-ms", cfg.linger_ms, Bound::Any)?;
+            cfg.decisions_dir = a.last("--decisions-dir", Arg::text)?;
+            let (online, drift_threshold) = a.online()?;
+            cfg.online = online.then_some(drift_threshold);
+            cfg.wal_dir = a.wal(
+                &mut cfg.fsync,
+                &mut cfg.group_commit,
+                &mut cfg.snapshot_every,
+            )?;
+            if shard >= shards {
+                a.reject(format!(
+                    "--shard {shard} out of range for --shards {shards}"
+                ));
             }
-            Ok(Command::MaxMin {
-                file: PathBuf::from(file),
-                combiner,
-            })
+            Command::ShardWorker(cfg)
         }
-        "budget" => {
-            let Some(file) = cur.next() else {
-                return err("budget requires a file");
-            };
-            let mut limit = None;
-            let mut combiner = Combiner::balanced();
-            let mut iters = 20u32;
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--limit" => {
-                        let v: f64 = parse_num(flag, cur.value_for(flag)?)?;
-                        if !(v.is_finite() && v >= 0.0) {
-                            return err("--limit must be finite and >= 0");
-                        }
-                        limit = Some(v);
-                    }
-                    "--combiner" => combiner = parse_combiner(cur.value_for(flag)?)?,
-                    "--iters" => iters = parse_num(flag, cur.value_for(flag)?)?,
-                    _ => return err(format!("unknown flag for budget: '{flag}'")),
-                }
-            }
-            let Some(limit) = limit else {
-                return err("budget requires --limit");
-            };
-            Ok(Command::Budget {
-                file: PathBuf::from(file),
-                limit,
-                combiner,
-                iters,
-            })
+        "route" => {
+            let traces = a.required("--traces", |v| v.list("paths"))?;
+            let owners = a.required("--owners", |v| v.list("addresses"))?;
+            let mut cfg = RouterConfig::new(traces, owners);
+            cfg.listen = a.last("--listen", Arg::text)?.unwrap_or(cfg.listen);
+            cfg.routing = a.routing(cfg.routing)?;
+            cfg.placements = a.last("--placements", Arg::text)?;
+            cfg.save_placements = a.last("--save-placements", Arg::text)?;
+            cfg.queue_cap = a.queue_cap(cfg.queue_cap)?;
+            cfg.batch = a.batch(cfg.batch)?;
+            cfg.owner_retry_ms = a.num("--owner-retry-ms", cfg.owner_retry_ms, Bound::Any)?;
+            cfg.report_wait_ms = a.num("--report-wait-ms", cfg.report_wait_ms, Bound::Any)?;
+            Command::Route(cfg)
         }
+        "sweep" => Command::Sweep {
+            file: a.file()?,
+            steps: a.num("--steps", 11, Bound::Ge2)?,
+        },
+        "maxmin" => Command::MaxMin {
+            file: a.file()?,
+            combiner: a.combiner()?,
+        },
+        "budget" => Command::Budget {
+            file: a.file()?,
+            limit: a.required("--limit", |v| v.num(Bound::NonNeg))?,
+            combiner: a.combiner()?,
+            iters: a.num("--iters", 20, Bound::Any)?,
+        },
         "online" => {
-            let Some(file) = cur.next() else {
-                return err("online requires a file");
-            };
-            let mut policy = OnlinePolicy::Greedy;
-            let mut order_kind = "random".to_string();
-            let mut seed = 0u64;
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--policy" => {
-                        policy = match cur.value_for(flag)? {
-                            "greedy" => OnlinePolicy::Greedy,
-                            "ranking" => OnlinePolicy::Ranking { seed: 0 },
-                            "twophase" => OnlinePolicy::TwoPhase {
-                                sample_fraction: 0.5,
-                                threshold_quantile: 0.5,
-                            },
-                            "threshold" => OnlinePolicy::RandomThreshold { seed: 0 },
-                            other => return err(format!("unknown policy '{other}'")),
-                        }
-                    }
-                    "--order" => order_kind = cur.value_for(flag)?.to_string(),
-                    "--seed" => seed = parse_num(flag, cur.value_for(flag)?)?,
-                    _ => return err(format!("unknown flag for online: '{flag}'")),
-                }
+            // The seed binds late, so `--seed` may follow the flag it seeds.
+            let seed = a.num("--seed", 0, Bound::Any)?;
+            Command::Online {
+                file: a.file()?,
+                policy: match a.named("--policy", OnlinePolicy::Greedy, parse_policy)? {
+                    OnlinePolicy::Ranking { .. } => OnlinePolicy::Ranking { seed },
+                    OnlinePolicy::RandomThreshold { .. } => OnlinePolicy::RandomThreshold { seed },
+                    p => p,
+                },
+                order: match a.named("--order", ArrivalOrder::Random { seed }, parse_order)? {
+                    ArrivalOrder::Random { .. } => ArrivalOrder::Random { seed },
+                    o => o,
+                },
             }
-            // Late-bind the seed into the seeded variants.
-            policy = match policy {
-                OnlinePolicy::Ranking { .. } => OnlinePolicy::Ranking { seed },
-                OnlinePolicy::RandomThreshold { .. } => OnlinePolicy::RandomThreshold { seed },
-                p => p,
-            };
-            let order = match order_kind.as_str() {
-                "id" => ArrivalOrder::ById,
-                "random" => ArrivalOrder::Random { seed },
-                "best-first" => ArrivalOrder::BestFirst,
-                "best-last" => ArrivalOrder::BestLast,
-                other => return err(format!("unknown order '{other}'")),
-            };
-            Ok(Command::Online {
-                file: PathBuf::from(file),
-                policy,
-                order,
-            })
         }
-        "report" => {
-            let Some(file) = cur.next() else {
-                return err("report requires a file");
-            };
-            let mut algorithm = Algorithm::ExactMB {
-                algo: PathAlgo::Dijkstra,
-            };
-            let mut combiner = Combiner::balanced();
-            let mut top = 10usize;
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--algorithm" => algorithm = parse_algorithm(cur.value_for(flag)?)?,
-                    "--combiner" => combiner = parse_combiner(cur.value_for(flag)?)?,
-                    "--top" => top = parse_num(flag, cur.value_for(flag)?)?,
-                    _ => return err(format!("unknown flag for report: '{flag}'")),
-                }
-            }
-            Ok(Command::Report {
-                file: PathBuf::from(file),
-                algorithm,
-                combiner,
-                top,
-            })
-        }
-        "topk" => {
-            let Some(file) = cur.next() else {
-                return err("topk requires a file");
-            };
-            let mut k = 5usize;
-            let mut combiner = Combiner::balanced();
-            while let Some(flag) = cur.next() {
-                match flag {
-                    "--k" => {
-                        k = parse_num(flag, cur.value_for(flag)?)?;
-                        if k == 0 || k > 100 {
-                            return err("--k must be in 1..=100");
-                        }
-                    }
-                    "--combiner" => combiner = parse_combiner(cur.value_for(flag)?)?,
-                    _ => return err(format!("unknown flag for topk: '{flag}'")),
-                }
-            }
-            Ok(Command::TopK {
-                file: PathBuf::from(file),
-                k,
-                combiner,
-            })
-        }
-        other => err(format!("unknown command '{other}'")),
-    }
+        "report" => Command::Report {
+            file: a.file()?,
+            algorithm: a.algorithm()?,
+            combiner: a.combiner()?,
+            top: a.num("--top", 10, Bound::Any)?,
+        },
+        "topk" => Command::TopK {
+            file: a.file()?,
+            k: a.num("--k", 5, Bound::UpTo100)?,
+            combiner: a.combiner()?,
+        },
+        other => return err(format!("unknown command '{other}'")),
+    };
+    a.finish()?;
+    Ok(command)
 }
 
 #[cfg(test)]
@@ -1418,6 +1082,13 @@ mod tests {
 
     fn sv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn trace_source(drift: f64, replan_threshold: Option<f64>) -> Source {
+        Source::Trace {
+            drift,
+            replan_threshold,
+        }
     }
 
     #[test]
@@ -1445,7 +1116,7 @@ mod tests {
             o.traces,
             vec![PathBuf::from("a.trace"), PathBuf::from("b.trace")]
         );
-        assert_eq!((o.shard, o.shards), (1, 4));
+        assert_eq!((o.shard, o.n_shards), (1, 4));
         assert_eq!(o.routing, Routing::MinCut);
         assert_eq!(o.group_commit, 8);
         assert_eq!(o.listen, "127.0.0.1:0");
@@ -1506,16 +1177,10 @@ mod tests {
         ]))
         .unwrap();
         match cmd {
-            Command::Gen {
-                profile,
-                workers,
-                tasks,
-                out,
-                ..
-            } => {
-                assert_eq!(profile, Profile::Freelance);
-                assert_eq!(workers, 100);
-                assert_eq!(tasks, 500); // default
+            Command::Gen { spec, out } => {
+                assert_eq!(spec.profile, Profile::Freelance);
+                assert_eq!(spec.n_workers, 100);
+                assert_eq!(spec.n_tasks, 500); // default
                 assert_eq!(out, PathBuf::from("x.mbta"));
             }
             _ => panic!("wrong command"),
@@ -1617,15 +1282,13 @@ mod tests {
         .unwrap()
         {
             Command::GenTrace {
-                workers,
-                tasks,
+                spec,
                 repeats,
                 horizon,
                 out,
-                ..
             } => {
-                assert_eq!(workers, 800);
-                assert_eq!(tasks, 500);
+                assert_eq!(spec.n_workers, 800);
+                assert_eq!(spec.n_tasks, 500);
                 assert_eq!(repeats, 4);
                 assert_eq!(horizon, 60.0);
                 assert_eq!(out, PathBuf::from("t.trace"));
@@ -1676,7 +1339,7 @@ mod tests {
                 assert_eq!(o.threads, 2);
                 assert_eq!(o.drop_policy, DropPolicy::DropOldest);
                 assert_eq!(o.routing, Routing::Range);
-                assert_eq!(o.drift, 0.2);
+                assert_eq!(o.source, trace_source(0.2, None));
                 assert_eq!(o.poison_shard, Some(2));
                 assert_eq!(o.decisions, Some(PathBuf::from("out.log")));
                 assert_eq!(o.metrics_out, Some(PathBuf::from("m.prom")));
@@ -1692,7 +1355,7 @@ mod tests {
                 assert_eq!(o.batch_max, 256);
                 assert_eq!(o.drop_policy, DropPolicy::Defer);
                 assert_eq!(o.routing, Routing::HashId);
-                assert_eq!(o.drift, 0.0);
+                assert_eq!(o.source, trace_source(0.0, None));
                 assert_eq!(o.metrics_out, None);
                 assert_eq!(o.metrics_every, None);
             }
@@ -1744,7 +1407,7 @@ mod tests {
             Command::Serve(o) => {
                 assert_eq!(o.routing, Routing::MinCut);
                 assert!(o.boundary_pass);
-                assert_eq!(o.replan_threshold, Some(0.05));
+                assert_eq!(o.source, trace_source(0.0, Some(0.05)));
             }
             _ => panic!("wrong command"),
         }
@@ -1752,7 +1415,7 @@ mod tests {
         match parse(&sv(&["replay", "--trace", "t.trace"])).unwrap() {
             Command::Replay(o) => {
                 assert!(!o.boundary_pass);
-                assert_eq!(o.replan_threshold, None);
+                assert_eq!(o.source, trace_source(0.0, None));
             }
             _ => panic!("wrong command"),
         }
@@ -1958,7 +1621,7 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Serve(o) => assert_eq!(o.listen.as_deref(), Some("127.0.0.1:7700")),
+            Command::Serve(o) => assert_eq!(o.source, Source::Listen("127.0.0.1:7700".into())),
             _ => panic!("wrong command"),
         }
         // Network ingress is serve-only, and drift belongs to the sender.
@@ -2036,15 +1699,20 @@ mod tests {
         {
             Command::Send(o) => {
                 assert_eq!(o.addr, "127.0.0.1:7700");
-                assert_eq!(o.trace, Some(PathBuf::from("t.trace")));
-                assert_eq!(o.batch, 32);
-                assert_eq!(o.drift, 0.1);
-                assert!(!o.status);
+                assert_eq!(
+                    o.mode,
+                    SendMode::Trace {
+                        trace: PathBuf::from("t.trace"),
+                        batch: 32,
+                        namespace: 0,
+                        drift: 0.1,
+                    }
+                );
             }
             _ => panic!("wrong command"),
         }
         match parse(&sv(&["send", "--addr", ":7700", "--status"])).unwrap() {
-            Command::Send(o) => assert!(o.status && o.trace.is_none()),
+            Command::Send(o) => assert_eq!(o.mode, SendMode::Status),
             _ => panic!("wrong command"),
         }
         assert!(parse(&sv(&["send", "--trace", "t"])).is_err()); // needs --addr
@@ -2187,6 +1855,842 @@ mod tests {
         }
         assert!(parse(&sv(&["topk", "m.mbta", "--k", "0"])).is_err());
         assert!(parse(&sv(&["topk", "m.mbta", "--k", "1000"])).is_err());
+    }
+
+    /// Every distinct message the parser can produce, one row per message
+    /// per command, captured at the commit before the parser became
+    /// table-driven. A row changes only in a PR that means to change the
+    /// CLI's behaviour.
+    #[test]
+    fn golden_error_messages() {
+        const WAL_NEED: &str = "--snapshot-every / --fsync / --group-commit need --wal-dir";
+        let rows: &[(&str, &str)] = &[
+            ("", "no command given"),
+            ("frobnicate", "unknown command 'frobnicate'"),
+            // gen
+            ("gen --bogus", "unknown flag for gen: '--bogus'"),
+            ("gen --profile", "--profile needs a value"),
+            ("gen --profile nope --out x", "unknown profile 'nope'"),
+            ("gen --out x", "gen requires --profile"),
+            ("gen --profile uniform", "gen requires --out"),
+            ("gen --workers x", "bad value for --workers: 'x'"),
+            ("gen --seed -1", "bad value for --seed: '-1'"),
+            // stats
+            ("stats", "stats requires a file"),
+            // solve
+            ("solve f --bogus", "unknown flag for solve: '--bogus'"),
+            ("solve f --algorithm", "--algorithm needs a value"),
+            ("solve f --algorithm nope", "unknown algorithm 'nope'"),
+            (
+                "solve f --combiner nope",
+                "unknown combiner 'nope' (try balanced|harmonic|min|linear:0.7)",
+            ),
+            ("solve f --combiner linear:x", "bad lambda 'x'"),
+            ("solve f --combiner linear:1.5", "lambda 1.5 out of [0,1]"),
+            (
+                "solve f --fallback maybe",
+                "unknown fallback mode 'maybe' (try none|chain)",
+            ),
+            ("solve f --deadline-ms x", "bad value for --deadline-ms: 'x'"),
+            ("solve f --pairs --pairs --combiner --pairs", "unknown combiner '--pairs' (try balanced|harmonic|min|linear:0.7)"),
+            ("solve --inject-faults --instances 0", "--instances must be >= 1"),
+            (
+                "solve f --inject-faults",
+                "--inject-faults generates its own instances; drop the file",
+            ),
+            (
+                "solve f --instances 5",
+                "--instances only applies with --inject-faults",
+            ),
+            ("solve f --seed 5", "--seed only applies with --inject-faults"),
+            ("solve", "solve requires a file (or --inject-faults)"),
+            ("solve --pairs", "solve requires a file (or --inject-faults)"),
+            // gen-trace
+            ("gen-trace --bogus", "unknown flag for gen-trace: '--bogus'"),
+            ("gen-trace", "gen-trace requires --out"),
+            ("gen-trace --out", "--out needs a value"),
+            ("gen-trace --out t --profile nope", "unknown profile 'nope'"),
+            (
+                "gen-trace --out t --horizon nan",
+                "--horizon must be positive and finite",
+            ),
+            (
+                "gen-trace --out t --horizon 0",
+                "--horizon must be positive and finite",
+            ),
+            ("gen-trace --out t --repeats 0", "--repeats must be >= 1"),
+            ("gen-trace --out t --repeats x", "bad value for --repeats: 'x'"),
+            // serve
+            ("serve --trace t --bogus", "unknown flag for serve: '--bogus'"),
+            ("serve", "serve requires --trace"),
+            ("serve --trace", "--trace needs a value"),
+            ("serve --trace t --shards x", "bad value for --shards: 'x'"),
+            ("serve --trace t --shards --online", "bad value for --shards: '--online'"),
+            ("serve --trace t --shards 0", "--shards must be >= 1"),
+            ("serve --trace t --threads -1", "bad value for --threads: '-1'"),
+            ("serve --trace t --batch-max 0", "--batch-max must be >= 1"),
+            ("serve --trace t --batch-bytes 0", "--batch-bytes must be >= 1"),
+            (
+                "serve --trace t --flush-ms 0",
+                "--flush-ms must be positive and finite",
+            ),
+            (
+                "serve --trace t --flush-ms inf",
+                "--flush-ms must be positive and finite",
+            ),
+            ("serve --trace t --queue-cap 0", "--queue-cap must be >= 1"),
+            (
+                "serve --trace t --drop-policy yolo",
+                "unknown drop policy 'yolo' (try drop-newest|drop-oldest|defer)",
+            ),
+            (
+                "serve --trace t --routing mincut",
+                "unknown routing 'mincut' (try hash|range|min-cut)",
+            ),
+            (
+                "serve --trace t --replan-threshold 0",
+                "--replan-threshold must be positive and finite",
+            ),
+            (
+                "serve --trace t --online --drift-threshold 0",
+                "--drift-threshold must be positive and finite",
+            ),
+            (
+                "serve --trace t --online --drift-threshold inf",
+                "--drift-threshold must be positive and finite",
+            ),
+            ("serve --trace t --budget-ms 0", "--budget-ms must be >= 1"),
+            ("serve --trace t --drift 1.5", "--drift must be in [0,1]"),
+            ("serve --trace t --drift nan", "--drift must be in [0,1]"),
+            (
+                "serve --trace t --poison-shard x",
+                "bad value for --poison-shard: 'x'",
+            ),
+            (
+                "serve --trace t --poison-shard 5",
+                "--poison-shard 5 out of range (shards 4)",
+            ),
+            (
+                "serve --trace t --shards 2 --poison-shard 2",
+                "--poison-shard 2 out of range (shards 2)",
+            ),
+            (
+                "serve --trace t --max-wall-ms x",
+                "bad value for --max-wall-ms: 'x'",
+            ),
+            (
+                "serve --trace t --metrics-every 5",
+                "--metrics-every needs --metrics-out",
+            ),
+            (
+                "serve --trace t --metrics-out m --metrics-every 0",
+                "--metrics-every must be >= 1",
+            ),
+            ("serve --trace t --snapshot-every 8", WAL_NEED),
+            ("serve --trace t --fsync never", WAL_NEED),
+            ("serve --trace t --group-commit 8", WAL_NEED),
+            (
+                "serve --trace t --wal-dir w --group-commit 0",
+                "--group-commit must be >= 1",
+            ),
+            (
+                "serve --trace t --wal-dir w --fsync sometimes",
+                "unknown fsync policy 'sometimes' (try always|batch|never)",
+            ),
+            (
+                "serve --trace t --online --boundary-pass",
+                "--online and --boundary-pass are incompatible (the rescue overlay is a batch construct)",
+            ),
+            (
+                "serve --trace t --drift-threshold 0.1",
+                "--drift-threshold needs --online",
+            ),
+            (
+                "serve --trace t --listen :1 --drift 0.2",
+                "--listen takes events from the network; put --drift on `mbta send`",
+            ),
+            (
+                "serve --trace t --listen :1 --replan-threshold 0.1",
+                "--replan-threshold needs a trace-driven run (network serve never re-plans)",
+            ),
+            // replay
+            ("replay --trace t --bogus", "unknown flag for replay: '--bogus'"),
+            ("replay", "replay requires --trace"),
+            ("replay --trace t --shards 0", "--shards must be >= 1"),
+            (
+                "replay --trace t --drift-threshold 0.1",
+                "--drift-threshold needs --online",
+            ),
+            ("replay --trace t --fsync never", WAL_NEED),
+            (
+                "replay --trace t --metrics-every 5",
+                "--metrics-every needs --metrics-out",
+            ),
+            (
+                "replay --trace t --poison-shard 4",
+                "--poison-shard 4 out of range (shards 4)",
+            ),
+            (
+                "replay --trace t --listen :1",
+                "--listen only applies to serve (replay is a deterministic re-run)",
+            ),
+            // plan-stats
+            (
+                "plan-stats --trace t --bogus",
+                "unknown flag for plan-stats: '--bogus'",
+            ),
+            ("plan-stats", "plan-stats requires --trace"),
+            ("plan-stats --trace t --shards", "--shards needs a value"),
+            (
+                "plan-stats --trace t --shards 4,0",
+                "--shards needs a comma list of counts >= 1",
+            ),
+            ("plan-stats --trace t --shards x", "bad value for --shards: 'x'"),
+            ("plan-stats --trace t --shards 2,,4", "bad value for --shards: ''"),
+            // recover
+            (
+                "recover --trace t --wal-dir w --bogus",
+                "unknown flag for recover: '--bogus'",
+            ),
+            ("recover --wal-dir w", "recover requires --trace"),
+            ("recover --trace t", "recover requires --wal-dir"),
+            ("recover --trace t --wal-dir", "--wal-dir needs a value"),
+            // follow
+            ("follow --bogus", "unknown flag for follow: '--bogus'"),
+            ("follow --wal-dir w", "follow requires --trace"),
+            ("follow --trace t", "follow requires --wal-dir"),
+            ("follow --trace t --wal-dir w --listen", "--listen needs a value"),
+            (
+                "follow --trace t --wal-dir w --heartbeat-ms 0",
+                "--heartbeat-ms must be >= 1",
+            ),
+            (
+                "follow --trace t --wal-dir w --poll-ms 0",
+                "--poll-ms must be >= 1",
+            ),
+            (
+                "follow --trace t --wal-dir w --max-wait-ms x",
+                "bad value for --max-wait-ms: 'x'",
+            ),
+            // send
+            ("send --bogus", "unknown flag for send: '--bogus'"),
+            ("send --trace t", "send requires --addr"),
+            ("send --addr", "--addr needs a value"),
+            ("send --addr :1", "send requires --trace (or --status)"),
+            (
+                "send --addr :1 --trace t --status",
+                "--status queries the endpoint; drop --trace",
+            ),
+            ("send --addr :1 --trace t --batch 0", "--batch must be >= 1"),
+            (
+                "send --addr :1 --trace t --drift -0.1",
+                "--drift must be in [0,1]",
+            ),
+            (
+                "send --addr :1 --trace t --namespace -1",
+                "bad value for --namespace: '-1'",
+            ),
+            (
+                "send --addr :1 --trace t --connect-wait-ms x",
+                "bad value for --connect-wait-ms: 'x'",
+            ),
+            // shard-worker
+            (
+                "shard-worker --bogus",
+                "unknown flag for shard-worker: '--bogus'",
+            ),
+            (
+                "shard-worker --shard 0 --shards 2",
+                "shard-worker requires --traces",
+            ),
+            (
+                "shard-worker --traces t --shards 2",
+                "shard-worker requires --shard",
+            ),
+            (
+                "shard-worker --traces t --shard 0",
+                "shard-worker requires --shards",
+            ),
+            ("shard-worker --traces", "--traces needs a value"),
+            (
+                "shard-worker --traces , --shard 0 --shards 2",
+                "--traces needs a comma list of paths",
+            ),
+            (
+                "shard-worker --traces t --shard 0 --shards 0",
+                "--shards must be >= 1",
+            ),
+            (
+                "shard-worker --traces t --shard x --shards 2",
+                "bad value for --shard: 'x'",
+            ),
+            (
+                "shard-worker --traces t --shard 4 --shards 4",
+                "--shard 4 out of range for --shards 4",
+            ),
+            (
+                "shard-worker --traces t --shard 0 --shards 2 --routing x",
+                "unknown routing 'x' (try hash|range|min-cut)",
+            ),
+            (
+                "shard-worker --traces t --shard 0 --shards 2 --group-commit 4",
+                WAL_NEED,
+            ),
+            (
+                "shard-worker --traces t --shard 0 --shards 2 --fsync always",
+                WAL_NEED,
+            ),
+            (
+                "shard-worker --traces t --shard 0 --shards 2 --snapshot-every 0",
+                WAL_NEED,
+            ),
+            (
+                "shard-worker --traces t --shard 0 --shards 2 --wal-dir w --group-commit 0",
+                "--group-commit must be >= 1",
+            ),
+            (
+                "shard-worker --traces t --shard 0 --shards 2 --wal-dir w --fsync x",
+                "unknown fsync policy 'x' (try always|batch|never)",
+            ),
+            (
+                "shard-worker --traces t --shard 0 --shards 2 --queue-cap 0",
+                "--queue-cap must be >= 1",
+            ),
+            (
+                "shard-worker --traces t --shard 0 --shards 2 --linger-ms x",
+                "bad value for --linger-ms: 'x'",
+            ),
+            // route
+            ("route --bogus", "unknown flag for route: '--bogus'"),
+            ("route --owners x:1", "route requires --traces"),
+            ("route --traces t", "route requires --owners"),
+            ("route --traces t --owners", "--owners needs a value"),
+            (
+                "route --traces t --owners ,",
+                "--owners needs a comma list of addresses",
+            ),
+            (
+                "route --traces , --owners x:1",
+                "--traces needs a comma list of paths",
+            ),
+            (
+                "route --traces t --owners x:1 --routing x",
+                "unknown routing 'x' (try hash|range|min-cut)",
+            ),
+            (
+                "route --traces t --owners x:1 --queue-cap 0",
+                "--queue-cap must be >= 1",
+            ),
+            ("route --traces t --owners x:1 --batch 0", "--batch must be >= 1"),
+            (
+                "route --traces t --owners x:1 --owner-retry-ms x",
+                "bad value for --owner-retry-ms: 'x'",
+            ),
+            (
+                "route --traces t --owners x:1 --report-wait-ms -5",
+                "bad value for --report-wait-ms: '-5'",
+            ),
+            // sweep
+            ("sweep", "sweep requires a file"),
+            ("sweep f --bogus", "unknown flag for sweep: '--bogus'"),
+            ("sweep f --steps", "--steps needs a value"),
+            ("sweep f --steps 1", "--steps must be >= 2"),
+            ("sweep f --steps --steps", "bad value for --steps: '--steps'"),
+            // maxmin
+            ("maxmin", "maxmin requires a file"),
+            ("maxmin f --bogus", "unknown flag for maxmin: '--bogus'"),
+            (
+                "maxmin f --combiner --combiner",
+                "unknown combiner '--combiner' (try balanced|harmonic|min|linear:0.7)",
+            ),
+            // budget
+            ("budget", "budget requires a file"),
+            ("budget f --bogus", "unknown flag for budget: '--bogus'"),
+            ("budget f", "budget requires --limit"),
+            ("budget f --limit -1", "--limit must be finite and >= 0"),
+            ("budget f --limit inf", "--limit must be finite and >= 0"),
+            ("budget f --limit x", "bad value for --limit: 'x'"),
+            ("budget f --limit 3 --iters x", "bad value for --iters: 'x'"),
+            // online
+            ("online", "online requires a file"),
+            ("online f --bogus", "unknown flag for online: '--bogus'"),
+            ("online f --policy nope", "unknown policy 'nope'"),
+            ("online f --order nope", "unknown order 'nope'"),
+            ("online f --seed --seed", "bad value for --seed: '--seed'"),
+            // report
+            ("report", "report requires a file"),
+            ("report f --bogus", "unknown flag for report: '--bogus'"),
+            ("report f --algorithm nope", "unknown algorithm 'nope'"),
+            ("report f --top --top", "bad value for --top: '--top'"),
+            // topk
+            ("topk", "topk requires a file"),
+            ("topk f --bogus", "unknown flag for topk: '--bogus'"),
+            ("topk f --k 0", "--k must be in 1..=100"),
+            ("topk f --k 101", "--k must be in 1..=100"),
+            ("topk f --k --k", "bad value for --k: '--k'"),
+        ];
+        for (line, want) in rows {
+            let argv: Vec<&str> = line.split_whitespace().collect();
+            match parse(&sv(&argv)) {
+                Err(e) => assert_eq!(e.0, *want, "`mbta {line}`"),
+                Ok(cmd) => panic!("`mbta {line}` parsed as {cmd:?}, expected error: {want}"),
+            }
+        }
+    }
+
+    /// Per command: a repeated flag keeps the last value, and a flag's
+    /// value is the next token verbatim, even when it looks like a flag.
+    #[test]
+    fn repeated_flags_are_last_wins_and_values_are_verbatim() {
+        let same: &[(&str, &str)] = &[
+            (
+                "gen --profile uniform --out a --seed 1 --seed 2 --out b",
+                "gen --profile uniform --seed 2 --out b",
+            ),
+            (
+                "solve f --combiner min --combiner harmonic",
+                "solve f --combiner harmonic",
+            ),
+            (
+                "solve --inject-faults --instances 5 --instances 9",
+                "solve --inject-faults --instances 9",
+            ),
+            (
+                "gen-trace --out a --repeats 2 --out b --repeats 3",
+                "gen-trace --out b --repeats 3",
+            ),
+            (
+                "serve --trace a --shards 2 --trace b --shards 8",
+                "serve --trace b --shards 8",
+            ),
+            (
+                "replay --trace a --online --routing range --routing min-cut --online",
+                "replay --trace a --routing min-cut --online",
+            ),
+            (
+                "plan-stats --trace a --shards 2 --shards 3,5",
+                "plan-stats --trace a --shards 3,5",
+            ),
+            (
+                "recover --trace a --wal-dir w --wal-dir v",
+                "recover --trace a --wal-dir v",
+            ),
+            (
+                "follow --trace a --wal-dir w --poll-ms 5 --poll-ms 7",
+                "follow --trace a --wal-dir w --poll-ms 7",
+            ),
+            (
+                "send --addr :1 --addr :2 --trace t --batch 3 --batch 4",
+                "send --addr :2 --trace t --batch 4",
+            ),
+            (
+                "shard-worker --traces a --traces b,c --shard 1 --shard 0 --shards 2",
+                "shard-worker --traces b,c --shard 0 --shards 2",
+            ),
+            (
+                "route --traces a --owners x:1 --owners y:1,z:2 --batch 5 --batch 6",
+                "route --traces a --owners y:1,z:2 --batch 6",
+            ),
+            ("sweep f --steps 3 --steps 5", "sweep f --steps 5"),
+            (
+                "maxmin f --combiner min --combiner linear:0.3",
+                "maxmin f --combiner linear:0.3",
+            ),
+            (
+                "budget f --limit 1 --iters 3 --limit 2",
+                "budget f --iters 3 --limit 2",
+            ),
+            (
+                "online f --seed 1 --order id --order random --seed 9",
+                "online f --order random --seed 9",
+            ),
+            ("report f --top 1 --top 2", "report f --top 2"),
+            ("topk f --k 1 --k 2", "topk f --k 2"),
+        ];
+        for (a, b) in same {
+            let p = |l: &str| parse(&sv(&l.split_whitespace().collect::<Vec<_>>()));
+            let (pa, pb) = (p(a), p(b));
+            assert!(pa.is_ok(), "`mbta {a}`: {pa:?}");
+            assert_eq!(pa, pb, "`mbta {a}` vs `mbta {b}`");
+        }
+        // The token after a value flag is its value, whatever it looks
+        // like; the switch of the same spelling stays off.
+        let verbatim: &[(&str, &str)] = &[
+            ("gen --profile uniform --out --seed", "\"--seed\""),
+            ("gen-trace --out --profile", "\"--profile\""),
+            ("serve --trace t --decisions --online", "\"--online\""),
+            (
+                "replay --trace t --metrics-out --boundary-pass",
+                "\"--boundary-pass\"",
+            ),
+            ("plan-stats --trace --shards", "\"--shards\""),
+            ("recover --trace --wal-dir --wal-dir --trace", "\"--trace\""),
+            (
+                "follow --trace t --wal-dir w --listen --query-listen",
+                "\"--query-listen\"",
+            ),
+            ("send --addr --status --status", "\"--status\""),
+            (
+                "shard-worker --traces --online --shard 0 --shards 1",
+                "\"--online\"",
+            ),
+            ("route --traces t --owners --listen", "\"--listen\""),
+        ];
+        for (line, needle) in verbatim {
+            let argv: Vec<&str> = line.split_whitespace().collect();
+            let cmd = parse(&sv(&argv)).unwrap_or_else(|e| panic!("`mbta {line}`: {e}"));
+            let shown = format!("{cmd:?}");
+            assert!(
+                shown.contains(needle),
+                "`mbta {line}` lost {needle}: {shown}"
+            );
+        }
+        for line in [
+            "serve --trace t --decisions --online",
+            "shard-worker --traces --online --shard 0 --shards 1",
+        ] {
+            let argv: Vec<&str> = line.split_whitespace().collect();
+            let shown = format!("{:?}", parse(&sv(&argv)).unwrap());
+            assert!(
+                shown.contains("online: false") || shown.contains("online: None"),
+                "{shown}"
+            );
+        }
+    }
+
+    fn parse_line(line: &str) -> Result<Command, ParseError> {
+        parse(&sv(&line.split_whitespace().collect::<Vec<_>>()))
+    }
+
+    /// The error message `mbta <line>` is rejected with.
+    fn rejection(line: &str) -> String {
+        match parse_line(line) {
+            Err(e) => e.0,
+            Ok(cmd) => panic!("`mbta {line}` parsed as {cmd:?}"),
+        }
+    }
+
+    /// The `--flag` names in `text`, each with whether a value placeholder
+    /// (`N`, `FILE`, `<a|b>`, ...) follows it.
+    fn flags_in(text: &str) -> Vec<(String, bool)> {
+        let words: Vec<&str> = text.split_whitespace().collect();
+        let mut flags = Vec::new();
+        for (i, word) in words.iter().enumerate() {
+            let Some(at) = word.find("--") else { continue };
+            let name: String = word[at..]
+                .chars()
+                .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                .collect();
+            let ends_word = at + name.len() == word.len();
+            let placeholder = words
+                .get(i + 1)
+                .is_some_and(|next| next.starts_with(|c: char| c.is_ascii_uppercase() || c == '<'));
+            flags.push((name, ends_word && placeholder));
+        }
+        flags
+    }
+
+    /// Usage text and parser cannot drift: per command, the flags its
+    /// `USAGE` stanza prints are exactly the flags it accepts, and the
+    /// flags printed without a value are exactly the `SWITCHES`.
+    #[test]
+    fn usage_and_parser_agree() {
+        use std::collections::{BTreeMap, BTreeSet};
+        // Stanzas: a line `  mbta <cmd> ...` plus its continuation lines.
+        let mut stanzas: BTreeMap<&str, String> = BTreeMap::new();
+        let mut current = "";
+        for line in USAGE.lines().skip(1) {
+            if let Some(rest) = line.strip_prefix("  mbta ") {
+                current = rest.split_whitespace().next().unwrap();
+            }
+            let stanza = stanzas.entry(current).or_default();
+            stanza.push_str(line);
+            stanza.push('\n');
+        }
+        assert_eq!(stanzas.len(), 19, "commands in USAGE: {:?}", stanzas.keys());
+
+        // Every flag any command could know is a string literal of this
+        // file (above the tests) or a token of USAGE.
+        let source = include_str!("args.rs");
+        let source = &source[..source.find("#[cfg(test)]\nmod tests").unwrap()];
+        let mut candidates: BTreeSet<String> = BTreeSet::new();
+        for (name, _) in flags_in(&source.replace('"', " ")) {
+            candidates.insert(name);
+        }
+        assert!(candidates.len() > 60, "source scan found {candidates:?}");
+
+        let mut usage_switches = BTreeSet::new();
+        for (&cmd, stanza) in &stanzas {
+            let mut printed = BTreeSet::new();
+            for (name, takes_value) in flags_in(stanza) {
+                if !takes_value {
+                    usage_switches.insert(name.clone());
+                }
+                printed.insert(name);
+            }
+            if cmd == "replay" {
+                // "[serve flags; deterministic budgets]".
+                assert_eq!(printed, BTreeSet::from(["--trace".to_string()]));
+                printed = flags_in(&stanzas["serve"])
+                    .into_iter()
+                    .map(|f| f.0)
+                    .collect();
+                printed.remove("--listen");
+                printed.remove("--budget-ms");
+            }
+            // Probe with what the command needs to get as far as its
+            // cross-flag rules: `replay` refuses two of `serve`'s flags there.
+            let base = if stanza.contains(&format!("mbta {cmd} FILE")) {
+                format!("{cmd} f")
+            } else if cmd == "replay" {
+                "replay --trace t".to_string()
+            } else {
+                cmd.to_string()
+            };
+            let accepted: BTreeSet<String> = candidates
+                .iter()
+                .filter(|flag| match parse_line(&format!("{base} {flag} 1")) {
+                    Ok(_) => true,
+                    Err(ParseError(why)) => {
+                        why != format!("unknown flag for {cmd}: '{flag}'")
+                            && !why.contains("only applies to serve")
+                    }
+                })
+                .cloned()
+                .collect();
+            assert_eq!(accepted, printed, "`mbta {cmd}`: parser vs USAGE stanza");
+        }
+        let switches: BTreeSet<String> = SWITCHES.iter().map(|s| s.to_string()).collect();
+        assert_eq!(switches, usage_switches);
+    }
+
+    /// Each shared option group behaves the same on every command that
+    /// includes it: same range rules, same messages.
+    #[test]
+    fn shared_groups_agree_across_commands() {
+        const SERVE: &str = "serve --trace t";
+        const REPLAY: &str = "replay --trace t";
+        const WORKER: &str = "shard-worker --traces t --shard 0 --shards 2";
+        const ROUTE: &str = "route --traces t --owners x:1";
+        type Cases<'a> = &'a [(&'a str, &'a str)];
+        let groups: &[(&[&str], Cases<'_>)] = &[
+            // Durability.
+            (
+                &[SERVE, REPLAY, WORKER],
+                &[
+                    (
+                        "--snapshot-every 8",
+                        "--snapshot-every / --fsync / --group-commit need --wal-dir",
+                    ),
+                    (
+                        "--fsync never",
+                        "--snapshot-every / --fsync / --group-commit need --wal-dir",
+                    ),
+                    (
+                        "--group-commit 8",
+                        "--snapshot-every / --fsync / --group-commit need --wal-dir",
+                    ),
+                    (
+                        "--wal-dir w --group-commit 0",
+                        "--group-commit must be >= 1",
+                    ),
+                    (
+                        "--wal-dir w --fsync x",
+                        "unknown fsync policy 'x' (try always|batch|never)",
+                    ),
+                    (
+                        "--wal-dir w --snapshot-every x",
+                        "bad value for --snapshot-every: 'x'",
+                    ),
+                    // Online dispatch.
+                    ("--drift-threshold 0.3", "--drift-threshold needs --online"),
+                    (
+                        "--online --drift-threshold 0",
+                        "--drift-threshold must be positive and finite",
+                    ),
+                    (
+                        "--online --drift-threshold nan",
+                        "--drift-threshold must be positive and finite",
+                    ),
+                ],
+            ),
+            (
+                &[SERVE, REPLAY, WORKER, ROUTE],
+                &[
+                    (
+                        "--routing x",
+                        "unknown routing 'x' (try hash|range|min-cut)",
+                    ),
+                    ("--queue-cap 0", "--queue-cap must be >= 1"),
+                ],
+            ),
+            (
+                &[SERVE, REPLAY, "send --addr :1 --trace t"],
+                &[("--drift 2", "--drift must be in [0,1]")],
+            ),
+            (
+                &[ROUTE, "send --addr :1 --trace t"],
+                &[("--batch 0", "--batch must be >= 1")],
+            ),
+            // The market universe.
+            (
+                &["gen --profile uniform --out x", "gen-trace --out x"],
+                &[
+                    ("--profile nope", "unknown profile 'nope'"),
+                    ("--dims 0", "--dims must be >= 1"),
+                    ("--degree -3", "--degree must be finite and >= 0"),
+                    ("--degree nan", "--degree must be finite and >= 0"),
+                    ("--degree inf", "--degree must be finite and >= 0"),
+                    ("--workers -1", "bad value for --workers: '-1'"),
+                ],
+            ),
+            (
+                &[
+                    "solve f",
+                    "maxmin f",
+                    "budget f --limit 1",
+                    "report f",
+                    "topk f",
+                ],
+                &[
+                    (
+                        "--combiner nope",
+                        "unknown combiner 'nope' (try balanced|harmonic|min|linear:0.7)",
+                    ),
+                    ("--combiner linear:2", "lambda 2 out of [0,1]"),
+                ],
+            ),
+            (
+                &["solve f", "report f"],
+                &[("--algorithm nope", "unknown algorithm 'nope'")],
+            ),
+        ];
+        for (commands, cases) in groups {
+            for base in *commands {
+                assert!(parse_line(base).is_ok(), "`mbta {base}`");
+                for (flags, want) in *cases {
+                    let line = format!("{base} {flags}");
+                    assert_eq!(rejection(&line), *want, "`mbta {line}`");
+                }
+            }
+        }
+        // The leading FILE positional: a flag is not a file.
+        for cmd in [
+            "stats", "sweep", "maxmin", "budget", "online", "report", "topk",
+        ] {
+            let want = format!("{cmd} requires a file");
+            assert_eq!(rejection(cmd), want);
+            assert_eq!(rejection(&format!("{cmd} --combiner min")), want);
+        }
+
+        // Defaults that differ between commands on purpose.
+        let serve_like = |line: &str| match parse_line(line).unwrap() {
+            Command::Serve(o) | Command::Replay(o) => o,
+            other => panic!("wrong command: {other:?}"),
+        };
+        let worker = |line: &str| match parse_line(line).unwrap() {
+            Command::ShardWorker(cfg) => cfg,
+            other => panic!("wrong command: {other:?}"),
+        };
+        for base in [SERVE, REPLAY] {
+            let o = serve_like(&format!("{base} --wal-dir w"));
+            assert_eq!(
+                (o.snapshot_every, o.fsync, o.group_commit),
+                (64, FsyncPolicy::Batch, 1)
+            );
+            assert_eq!((o.online, o.drift_threshold), (false, 0.2));
+            assert_eq!(
+                (o.routing, o.queue_cap, o.budget_ms),
+                (Routing::HashId, 4096, 50)
+            );
+        }
+        let w = worker(&format!("{WORKER} --wal-dir w"));
+        assert_eq!(
+            (w.snapshot_every, w.fsync, w.group_commit),
+            (0, FsyncPolicy::Batch, 1)
+        );
+        assert_eq!(
+            (w.online, w.routing, w.queue_cap, w.budget_ms),
+            (None, Routing::HashId, 4096, 50)
+        );
+        assert_eq!(worker(&format!("{WORKER} --online")).online, Some(0.2));
+        let tuned = worker(&format!("{WORKER} --drift-threshold 0.3 --online"));
+        assert_eq!(tuned.online, Some(0.3));
+        // `--budget-ms 0` means deterministic solves on a shard worker
+        // only; `serve` needs a real budget and `replay` has none to set.
+        assert_eq!(worker(&format!("{WORKER} --budget-ms 0")).budget_ms, 0);
+        assert_eq!(
+            rejection(&format!("{SERVE} --budget-ms 0")),
+            "--budget-ms must be >= 1"
+        );
+        assert_eq!(
+            rejection(&format!("{REPLAY} --budget-ms 20")),
+            "--budget-ms only applies to serve (replay solves are unbudgeted)"
+        );
+    }
+
+    /// Generator flags that used to reach `WorkloadSpec::generate`
+    /// unchecked (`--dims 0` panicked there; a negative or NaN degree
+    /// silently wrote a 0-edge instance).
+    #[test]
+    fn rejects_degenerate_universe_flags() {
+        for base in ["gen --profile uniform --out f", "gen-trace --out f"] {
+            assert_eq!(
+                rejection(&format!("{base} --dims 0")),
+                "--dims must be >= 1"
+            );
+            for degree in ["nan", "-3", "inf"] {
+                assert_eq!(
+                    rejection(&format!("{base} --degree {degree}")),
+                    "--degree must be finite and >= 0"
+                );
+            }
+            assert!(parse_line(&format!("{base} --dims 1 --degree 0")).is_ok());
+        }
+    }
+
+    /// A forgotten FILE no longer swallows the first flag, and commands
+    /// without flags reject trailing tokens instead of ignoring them.
+    #[test]
+    fn positionals_and_trailing_tokens() {
+        assert_eq!(rejection("sweep --steps 5"), "sweep requires a file");
+        assert_eq!(rejection("stats --bogus"), "stats requires a file");
+        assert_eq!(
+            rejection("stats f --bogus junk"),
+            "unknown flag for stats: '--bogus'"
+        );
+        assert_eq!(rejection("stats f junk"), "unknown flag for stats: 'junk'");
+        for help in ["help", "--help", "-h"] {
+            assert_eq!(
+                rejection(&format!("{help} extra")),
+                "unknown flag for help: 'extra'"
+            );
+        }
+        // Commands that take no file still call a stray word a flag.
+        assert_eq!(
+            rejection("serve t.trace --trace t"),
+            "unknown flag for serve: 't.trace'"
+        );
+    }
+
+    /// `shard-worker` used to ignore a threshold given without `--online`
+    /// and worded its range rule differently from `serve`; `replay` used
+    /// to ignore `--budget-ms`.
+    #[test]
+    fn option_groups_no_longer_drift_between_commands() {
+        let worker = "shard-worker --traces t --shard 0 --shards 2";
+        assert_eq!(
+            rejection(&format!("{worker} --drift-threshold 0.3")),
+            "--drift-threshold needs --online"
+        );
+        assert_eq!(
+            rejection(&format!("{worker} --online --drift-threshold 0")),
+            "--drift-threshold must be positive and finite"
+        );
+        assert_eq!(
+            rejection("replay --trace t --budget-ms 20"),
+            "--budget-ms only applies to serve (replay solves are unbudgeted)"
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Command implementations.
 
 use crate::args::{
-    Command, FallbackMode, FollowOpts, RouteOpts, SendOpts, ServeOpts, ShardWorkerOpts, USAGE,
+    Command, FallbackMode, FollowOpts, SendMode, SendOpts, ServeOpts, Source, USAGE,
 };
+use mbta_cluster::{RouterConfig, WorkerConfig};
 use mbta_core::algorithms::solve;
 use mbta_core::budget::{greedy_budgeted, lagrangian_budgeted};
 use mbta_core::engine::{solve_robust, EngineConfig, EngineError, QualityTier};
@@ -30,7 +31,7 @@ use mbta_telemetry::{MetricValue, RegistryDiff, Snapshot};
 use mbta_util::table::{fnum, Table};
 use mbta_workload::faults::adversarial_instance;
 use mbta_workload::trace::TraceSpec;
-use mbta_workload::{TraceFile, WorkloadSpec};
+use mbta_workload::TraceFile;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fs;
@@ -47,23 +48,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             println!("{USAGE}");
             Ok(())
         }
-        Command::Gen {
-            profile,
-            workers,
-            tasks,
-            degree,
-            dims,
-            seed,
-            out,
-        } => {
-            let spec = WorkloadSpec {
-                profile,
-                n_workers: workers,
-                n_tasks: tasks,
-                avg_worker_degree: degree,
-                skill_dims: dims,
-                seed,
-            };
+        Command::Gen { spec, out } => {
             let g = spec.generate().realize(&BenefitParams::default())?;
             fs::write(&out, write_graph(&g))?;
             println!(
@@ -72,8 +57,8 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
                 g.n_workers(),
                 g.n_tasks(),
                 g.n_edges(),
-                profile.name(),
-                seed
+                spec.profile.name(),
+                spec.seed
             );
             Ok(())
         }
@@ -340,24 +325,12 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         Command::GenTrace {
-            profile,
-            workers,
-            tasks,
-            degree,
-            dims,
-            seed,
+            spec,
             horizon,
             repeats,
             out,
         } => {
-            let wspec = WorkloadSpec {
-                profile,
-                n_workers: workers,
-                n_tasks: tasks,
-                avg_worker_degree: degree,
-                skill_dims: dims,
-                seed,
-            };
+            let (workers, tasks, seed) = (spec.n_workers, spec.n_tasks, spec.seed);
             let tspec = TraceSpec {
                 horizon,
                 mean_session: horizon * 0.2,
@@ -365,7 +338,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
                 seed,
             };
             let events = tspec.generate_repeated(workers, tasks, repeats);
-            let tf = TraceFile::new(wspec, events)?;
+            let tf = TraceFile::new(spec, events)?;
             let n = tf.events.len();
             fs::write(&out, tf.render())?;
             println!(
@@ -380,8 +353,8 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
         Command::PlanStats { trace, shards } => run_plan_stats(&trace, &shards),
         Command::Follow(opts) => run_follow(&opts),
         Command::Send(opts) => run_send(&opts),
-        Command::ShardWorker(opts) => run_shard_worker(&opts),
-        Command::Route(opts) => run_route(&opts),
+        Command::ShardWorker(cfg) => run_shard_worker(cfg),
+        Command::Route(cfg) => run_route(cfg),
         Command::Recover { trace, wal_dir } => run_recover(&trace, &wal_dir),
         Command::Sweep { file, steps } => {
             let g = load(&file)?;
@@ -500,14 +473,15 @@ fn render_snapshot_file(snap: &Snapshot, path: &Path) -> String {
     }
 }
 
-/// Tees interval telemetry deltas out of the batch stream: every `every`
-/// batches, the registry delta since the previous write overwrites
-/// `path` (the file is a scrape target, not a log). The final cumulative
-/// snapshot lands after the run via `run_service`.
+/// Passes every batch through to `inner`; when interval scraping was
+/// requested (`--metrics-out` + `--metrics-every`), every `every` batches
+/// the registry delta since the previous write also overwrites `path` (the
+/// file is a scrape target, not a log — it keeps the counters of a primary
+/// that is later `kill -9`ed). The final cumulative snapshot lands after
+/// the run via `run_service`.
 struct MetricsTee<'a, S> {
     inner: &'a mut S,
-    path: &'a Path,
-    every: u64,
+    scrape: Option<(&'a Path, u64)>,
     seen: u64,
     diff: RegistryDiff,
     error: Option<io::Error>,
@@ -517,9 +491,12 @@ impl<S: DecisionSink> DecisionSink for MetricsTee<'_, S> {
     fn on_batch(&mut self, stats: &BatchStats, decisions: &[Decision]) {
         self.inner.on_batch(stats, decisions);
         self.seen += 1;
-        if self.error.is_none() && self.seen.is_multiple_of(self.every) {
+        let Some((path, every)) = self.scrape else {
+            return;
+        };
+        if self.error.is_none() && self.seen.is_multiple_of(every) {
             let delta = self.diff.advance(mbta_telemetry::global().snapshot());
-            if let Err(e) = fs::write(self.path, render_snapshot_file(&delta, self.path)) {
+            if let Err(e) = fs::write(path, render_snapshot_file(&delta, path)) {
                 self.error = Some(e);
             }
         }
@@ -535,14 +512,14 @@ impl<S: DecisionSink> DecisionSink for MetricsTee<'_, S> {
 /// fresh plan is built from the live weights, and the carried state is
 /// resumed under it (journaling a plan record if a WAL is attached). With
 /// no threshold the loop is a single epoch over the initial plan.
-fn drive<S: DecisionSink>(
+fn drive_trace(
     g: &BipartiteGraph,
     mut plan: ShardPlan,
     cfg: &ServiceConfig,
     poison_shard: Option<usize>,
     mut store: Option<DurableStore>,
     events: &[Arrival],
-    sink: &mut S,
+    sink: &mut impl DecisionSink,
 ) -> ServiceReport {
     let mut idx = 0usize;
     let mut carried = None;
@@ -580,15 +557,15 @@ fn drive<S: DecisionSink>(
     }
 }
 
-/// Network analogue of [`drive`]: pops arrivals off the TCP ingress
+/// Network analogue of [`drive_trace`]: pops arrivals off the TCP ingress
 /// queue, keeps the primary's heartbeat file fresh, and publishes live
 /// status for `QUERY_STATUS` replies. Ends when a client has sent `FIN`
 /// and the queue is drained.
-fn drive_net<S: DecisionSink>(
+fn drive_net(
     mut svc: DispatchService<'_>,
     ingress: &NetIngress,
     wal_dir: Option<&Path>,
-    sink: &mut S,
+    sink: &mut impl DecisionSink,
 ) -> Result<ServiceReport, Box<dyn Error>> {
     let beat_every = Duration::from_millis(100);
     let mut last_beat = Instant::now();
@@ -623,66 +600,23 @@ fn drive_net<S: DecisionSink>(
     Ok(svc.finish(sink))
 }
 
-/// [`drive_net`], wrapped in a [`MetricsTee`] when interval scraping was
-/// requested — the tee keeps overwriting the snapshot file during the
-/// run, so the counters survive a `kill -9` of the primary.
-fn drive_net_metered<S: DecisionSink>(
-    svc: DispatchService<'_>,
-    ingress: &NetIngress,
-    wal_dir: Option<&Path>,
-    sink: &mut S,
-    opts: &ServeOpts,
-) -> Result<ServiceReport, Box<dyn Error>> {
-    match (&opts.metrics_out, opts.metrics_every) {
-        (Some(path), Some(every)) => {
-            let mut tee = MetricsTee {
-                inner: sink,
-                path,
-                every,
-                seen: 0,
-                diff: RegistryDiff::new(),
-                error: None,
-            };
-            let report = drive_net(svc, ingress, wal_dir, &mut tee)?;
-            if let Some(e) = tee.error {
-                return Err(format!("cannot write metrics to {}: {e}", path.display()).into());
-            }
-            Ok(report)
-        }
-        _ => drive_net(svc, ingress, wal_dir, sink),
-    }
+/// Reads a trace file and realizes the market universe its spec describes.
+fn load_trace(path: &Path) -> Result<(TraceFile, BipartiteGraph), Box<dyn Error>> {
+    let text = fs::read_to_string(path)
+        .map_err(|e| format!("cannot read trace {}: {e}", path.display()))?;
+    let tf = TraceFile::parse(&text)?;
+    let g = tf.spec.generate().realize(&BenefitParams::default())?;
+    Ok((tf, g))
 }
 
-/// [`drive`], wrapped in a [`MetricsTee`] when interval scraping was
-/// requested via `--metrics-out` + `--metrics-every`.
-#[allow(clippy::too_many_arguments)]
-fn drive_metered<S: DecisionSink>(
-    g: &BipartiteGraph,
-    plan: ShardPlan,
-    cfg: &ServiceConfig,
-    poison_shard: Option<usize>,
-    store: Option<DurableStore>,
-    events: &[Arrival],
-    sink: &mut S,
-    opts: &ServeOpts,
-) -> Result<ServiceReport, Box<dyn Error>> {
-    match (&opts.metrics_out, opts.metrics_every) {
-        (Some(path), Some(every)) => {
-            let mut tee = MetricsTee {
-                inner: sink,
-                path,
-                every,
-                seen: 0,
-                diff: RegistryDiff::new(),
-                error: None,
-            };
-            let report = drive(g, plan, cfg, poison_shard, store, events, &mut tee);
-            if let Some(e) = tee.error {
-                return Err(format!("cannot write metrics to {}: {e}", path.display()).into());
-            }
-            Ok(report)
-        }
-        _ => Ok(drive(g, plan, cfg, poison_shard, store, events, sink)),
+/// The trace's events as service arrivals, with benefit drift woven in
+/// when `drift > 0` (seeded by the trace, so sender and server agree).
+fn trace_arrivals(tf: &TraceFile, g: &BipartiteGraph, drift: f64) -> Vec<Arrival> {
+    let base = tf.events.iter().copied().map(Arrival::from_trace);
+    if drift > 0.0 {
+        BenefitDrift::new(g, drift, tf.spec.seed).weave(base)
+    } else {
+        base.collect()
     }
 }
 
@@ -691,10 +625,7 @@ fn drive_metered<S: DecisionSink>(
 /// across runs). Exits non-zero if the final assignment violates any
 /// capacity, or if `--max-wall-ms` is exceeded.
 fn run_service(opts: &ServeOpts, deterministic: bool) -> Result<(), Box<dyn Error>> {
-    let text = fs::read_to_string(&opts.trace)
-        .map_err(|e| format!("cannot read trace {}: {e}", opts.trace.display()))?;
-    let tf = TraceFile::parse(&text)?;
-    let g = tf.spec.generate().realize(&BenefitParams::default())?;
+    let (tf, g) = load_trace(&opts.trace)?;
     let weights = edge_weights(&g, Combiner::balanced());
     let plan = ShardPlan::build(&g, &weights, opts.shards, opts.routing);
 
@@ -713,7 +644,7 @@ fn run_service(opts: &ServeOpts, deterministic: bool) -> Result<(), Box<dyn Erro
         },
         threads: opts.threads,
         boundary_pass: opts.boundary_pass,
-        replan_threshold: opts.replan_threshold,
+        replan_threshold: None,
         online: opts.online.then_some(OnlineConfig {
             drift_threshold: opts.drift_threshold,
         }),
@@ -745,102 +676,17 @@ fn run_service(opts: &ServeOpts, deterministic: bool) -> Result<(), Box<dyn Erro
         None => None,
     };
 
-    let report = if let Some(addr) = &opts.listen {
-        // The network loop pulls events as they arrive and never detaches,
-        // so the initial plan lives for the whole run.
-        let mut svc = DispatchService::new(&g, &plan, cfg);
-        if let Some(s) = opts.poison_shard {
-            svc.poison_shard(s);
-        }
-        if let Some(store) = store {
-            svc.attach_store(store);
-        }
-        // Network ingress: the trace defines the universe, the events
-        // arrive over TCP. Heartbeat before binding, so any follower that
-        // can see the socket can also see a beat.
-        if let Some(dir) = &opts.wal_dir {
-            heartbeat_touch(dir)
-                .map_err(|e| format!("cannot write heartbeat in {}: {e}", dir.display()))?;
-        }
-        let ingress = NetIngress::bind(NetConfig {
-            addr: addr.clone(),
-            queue_cap: opts.queue_cap,
-            seed: tf.spec.seed,
-            ..NetConfig::default()
-        })
-        .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-        println!("serve: listening on {}", ingress.local_addr());
-        let report = match &opts.decisions {
-            Some(path) => {
-                let file = fs::File::create(path)?;
-                let mut sink = WriteSink::new(io::BufWriter::new(file));
-                let report =
-                    drive_net_metered(svc, &ingress, opts.wal_dir.as_deref(), &mut sink, opts)?;
-                if let Some(e) = sink.error.take() {
-                    return Err(Box::new(e));
-                }
-                sink.into_inner().flush()?;
-                report
+    let report = match &opts.decisions {
+        Some(path) => {
+            let mut sink = WriteSink::new(io::BufWriter::new(fs::File::create(path)?));
+            let report = serve_into(opts, &tf, &g, plan, cfg, store, &mut sink)?;
+            if let Some(e) = sink.error.take() {
+                return Err(Box::new(e));
             }
-            None => drive_net_metered(svc, &ingress, opts.wal_dir.as_deref(), &mut NullSink, opts)?,
-        };
-        let s = ingress.stats();
-        let mut t = Table::new(
-            format!("net ingress: {}", ingress.local_addr()),
-            &["metric", "value"],
-        );
-        let rows: Vec<(&str, u64)> = vec![
-            ("connections", s.conns),
-            ("frames", s.frames),
-            ("events accepted", s.accepted),
-            ("retry-after bounces", s.retry_after),
-            ("malformed frames", s.malformed),
-            ("bytes in", s.bytes_in),
-            ("queue high watermark", s.queue_high_watermark as u64),
-        ];
-        for (k, v) in rows {
-            t.row(vec![k.to_string(), v.to_string()]);
+            sink.into_inner().flush()?;
+            report
         }
-        print!("{}", t.render());
-        report
-    } else {
-        let base = tf.events.iter().copied().map(Arrival::from_trace);
-        let events: Vec<Arrival> = if opts.drift > 0.0 {
-            BenefitDrift::new(&g, opts.drift, tf.spec.seed).weave(base)
-        } else {
-            base.collect()
-        };
-        match &opts.decisions {
-            Some(path) => {
-                let file = fs::File::create(path)?;
-                let mut sink = WriteSink::new(io::BufWriter::new(file));
-                let report = drive_metered(
-                    &g,
-                    plan,
-                    &cfg,
-                    opts.poison_shard,
-                    store,
-                    &events,
-                    &mut sink,
-                    opts,
-                )?;
-                if let Some(e) = sink.error.take() {
-                    return Err(Box::new(e));
-                }
-                sink.into_inner().flush()?;
-                report
-            }
-            None => drive_metered(
-                &g,
-                plan,
-                &cfg,
-                opts.poison_shard,
-                store,
-                &events,
-                &mut NullSink,
-                opts,
-            )?,
-        }
+        None => serve_into(opts, &tf, &g, plan, cfg, store, &mut NullSink)?,
     };
 
     // The final write is the cumulative run snapshot (replacing the last
@@ -891,14 +737,94 @@ fn run_service(opts: &ServeOpts, deterministic: bool) -> Result<(), Box<dyn Erro
     Ok(())
 }
 
+/// Feeds the service from `opts.source` until the source is exhausted,
+/// teeing interval metrics off the batches on their way to `sink`.
+fn serve_into(
+    opts: &ServeOpts,
+    tf: &TraceFile,
+    g: &BipartiteGraph,
+    plan: ShardPlan,
+    cfg: ServiceConfig,
+    store: Option<DurableStore>,
+    sink: &mut impl DecisionSink,
+) -> Result<ServiceReport, Box<dyn Error>> {
+    let mut tee = MetricsTee {
+        inner: sink,
+        scrape: opts.metrics_out.as_deref().zip(opts.metrics_every),
+        seen: 0,
+        diff: RegistryDiff::new(),
+        error: None,
+    };
+    let report = match &opts.source {
+        Source::Trace {
+            drift,
+            replan_threshold,
+        } => {
+            let cfg = ServiceConfig {
+                replan_threshold: *replan_threshold,
+                ..cfg
+            };
+            let events = trace_arrivals(tf, g, *drift);
+            drive_trace(g, plan, &cfg, opts.poison_shard, store, &events, &mut tee)
+        }
+        Source::Listen(addr) => {
+            // The network loop pulls events as they arrive and never detaches,
+            // so the initial plan lives for the whole run.
+            let mut svc = DispatchService::new(g, &plan, cfg);
+            if let Some(s) = opts.poison_shard {
+                svc.poison_shard(s);
+            }
+            if let Some(store) = store {
+                svc.attach_store(store);
+            }
+            // The trace defines the universe, the events arrive over TCP.
+            // Heartbeat before binding, so any follower that can see the
+            // socket can also see a beat.
+            if let Some(dir) = &opts.wal_dir {
+                heartbeat_touch(dir)
+                    .map_err(|e| format!("cannot write heartbeat in {}: {e}", dir.display()))?;
+            }
+            let ingress = NetIngress::bind(NetConfig {
+                addr: addr.clone(),
+                queue_cap: opts.queue_cap,
+                seed: tf.spec.seed,
+                ..NetConfig::default()
+            })
+            .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+            println!("serve: listening on {}", ingress.local_addr());
+            let report = drive_net(svc, &ingress, opts.wal_dir.as_deref(), &mut tee)?;
+            let s = ingress.stats();
+            let mut t = Table::new(
+                format!("net ingress: {}", ingress.local_addr()),
+                &["metric", "value"],
+            );
+            let rows: Vec<(&str, u64)> = vec![
+                ("connections", s.conns),
+                ("frames", s.frames),
+                ("events accepted", s.accepted),
+                ("retry-after bounces", s.retry_after),
+                ("malformed frames", s.malformed),
+                ("bytes in", s.bytes_in),
+                ("queue high watermark", s.queue_high_watermark as u64),
+            ];
+            for (k, v) in rows {
+                t.row(vec![k.to_string(), v.to_string()]);
+            }
+            print!("{}", t.render());
+            report
+        }
+    };
+    if let (Some(e), Some((path, _))) = (tee.error, tee.scrape) {
+        return Err(format!("cannot write metrics to {}: {e}", path.display()).into());
+    }
+    Ok(report)
+}
+
 /// `mbta plan-stats`: tabulate shard-plan quality — cross edges and the
 /// fraction of planned edge weight kept intra-shard — for every routing
 /// policy at each requested shard count, over the trace's universe.
 fn run_plan_stats(trace: &Path, shards: &[usize]) -> Result<(), Box<dyn Error>> {
-    let text = fs::read_to_string(trace)
-        .map_err(|e| format!("cannot read trace {}: {e}", trace.display()))?;
-    let tf = TraceFile::parse(&text)?;
-    let g = tf.spec.generate().realize(&BenefitParams::default())?;
+    let (_, g) = load_trace(trace)?;
     let weights = edge_weights(&g, Combiner::balanced());
 
     let mut t = Table::new(
@@ -940,10 +866,7 @@ fn run_plan_stats(trace: &Path, shards: &[usize]) -> Result<(), Box<dyn Error>> 
 /// universe graph. Exits non-zero on any capacity violation — the durable
 /// state must be safe to act on, not merely parseable.
 fn run_recover(trace: &Path, wal_dir: &Path) -> Result<(), Box<dyn Error>> {
-    let text = fs::read_to_string(trace)
-        .map_err(|e| format!("cannot read trace {}: {e}", trace.display()))?;
-    let tf = TraceFile::parse(&text)?;
-    let g = tf.spec.generate().realize(&BenefitParams::default())?;
+    let (_, g) = load_trace(trace)?;
 
     let start = Instant::now();
     let state =
@@ -1029,10 +952,7 @@ fn follower_status(f: &FollowerState, role: Role) -> StatusInfo {
 /// warm snapshot, and validate the promoted state against the trace's
 /// universe. Exits non-zero on any capacity violation.
 fn run_follow(o: &FollowOpts) -> Result<(), Box<dyn Error>> {
-    let text = fs::read_to_string(&o.trace)
-        .map_err(|e| format!("cannot read trace {}: {e}", o.trace.display()))?;
-    let tf = TraceFile::parse(&text)?;
-    let g = tf.spec.generate().realize(&BenefitParams::default())?;
+    let (_, g) = load_trace(&o.trace)?;
 
     // Anchor a relative --wal-dir to the startup cwd once: the heartbeat
     // file is re-read on every poll, and resolving the path at poll time
@@ -1152,7 +1072,13 @@ fn run_follow(o: &FollowOpts) -> Result<(), Box<dyn Error>> {
 fn run_send(o: &SendOpts) -> Result<(), Box<dyn Error>> {
     let mut client = Client::connect_retry(&o.addr, Duration::from_millis(o.connect_wait_ms))
         .map_err(|e| format!("cannot connect to {}: {e}", o.addr))?;
-    if o.status {
+    let SendMode::Trace {
+        trace,
+        batch,
+        namespace,
+        drift,
+    } = &o.mode
+    else {
         return match client.request(&Request::QueryStatus)? {
             Reply::Status(s) => {
                 println!(
@@ -1166,22 +1092,13 @@ fn run_send(o: &SendOpts) -> Result<(), Box<dyn Error>> {
             }
             other => Err(format!("unexpected reply to status query: {other:?}").into()),
         };
-    }
-    let trace = o.trace.as_ref().expect("parser requires --trace");
-    let text = fs::read_to_string(trace)
-        .map_err(|e| format!("cannot read trace {}: {e}", trace.display()))?;
-    let tf = TraceFile::parse(&text)?;
-    let base = tf.events.iter().copied().map(Arrival::from_trace);
-    let events: Vec<Arrival> = if o.drift > 0.0 {
-        let g = tf.spec.generate().realize(&BenefitParams::default())?;
-        BenefitDrift::new(&g, o.drift, tf.spec.seed).weave(base)
-    } else {
-        base.collect()
     };
+    let (tf, g) = load_trace(trace)?;
+    let events = trace_arrivals(&tf, &g, *drift);
 
     let mut backoff = DeferBackoff::new(5, 500, tf.spec.seed);
     let start = Instant::now();
-    let summary = send_events(&mut client, o.namespace, &events, o.batch, &mut backoff)?;
+    let summary = send_events(&mut client, *namespace, &events, *batch, &mut backoff)?;
     client.request(&Request::Fin)?;
     // Stable one-line summary (the CI overload smoke greps it).
     println!(
@@ -1206,23 +1123,8 @@ fn run_send(o: &SendOpts) -> Result<(), Box<dyn Error>> {
 /// address on startup (scripts capture ephemeral ports from it), serves
 /// until the router FINs, then prints per-namespace reports. Fails if any
 /// namespace ended with capacity violations.
-fn run_shard_worker(o: &ShardWorkerOpts) -> Result<(), Box<dyn Error>> {
-    let mut cfg = mbta_cluster::WorkerConfig::new(o.traces.clone(), o.shard, o.shards);
-    cfg.listen = o.listen.clone();
-    cfg.routing = o.routing;
-    cfg.placements = o.placements.clone();
-    cfg.wal_dir = o.wal_dir.clone();
-    cfg.fsync = o.fsync;
-    cfg.group_commit = o.group_commit;
-    cfg.snapshot_every = o.snapshot_every;
-    cfg.queue_cap = o.queue_cap;
-    cfg.threads = o.threads;
-    cfg.online = o.online.then_some(o.drift_threshold);
-    cfg.budget_ms = o.budget_ms;
-    cfg.linger_ms = o.linger_ms;
-    cfg.decisions_dir = o.decisions_dir.clone();
-
-    let (shard, shards) = (o.shard, o.shards);
+fn run_shard_worker(cfg: WorkerConfig) -> Result<(), Box<dyn Error>> {
+    let (shard, shards) = (cfg.shard, cfg.n_shards);
     let summary = mbta_cluster::worker::run(cfg, |addr| {
         // Stable one-line banner (scripts grep the address out of it).
         println!("shard-worker: shard {shard}/{shards} listening on {addr}");
@@ -1275,20 +1177,9 @@ fn run_shard_worker(o: &ShardWorkerOpts) -> Result<(), Box<dyn Error>> {
 /// shard owners, and reports the aggregated outcome. Poisoned shards
 /// degrade the run (and are surfaced here) but never abort it; the exit
 /// is non-zero only if events went *unaccounted*.
-fn run_route(o: &RouteOpts) -> Result<(), Box<dyn Error>> {
-    let cfg = mbta_cluster::RouterConfig {
-        listen: o.listen.clone(),
-        owners: o.owners.clone(),
-        traces: o.traces.clone(),
-        routing: o.routing,
-        placements: o.placements.clone(),
-        save_placements: o.save_placements.clone(),
-        queue_cap: o.queue_cap,
-        batch: o.batch,
-        owner_retry_ms: o.owner_retry_ms,
-        report_wait_ms: o.report_wait_ms,
-    };
-    let (n_owners, n_tenants) = (o.owners.len(), o.traces.len());
+fn run_route(cfg: RouterConfig) -> Result<(), Box<dyn Error>> {
+    let owners = cfg.owners.clone();
+    let (n_owners, n_tenants) = (owners.len(), cfg.traces.len());
     let summary = mbta_cluster::router::run(cfg, |addr| {
         println!("route: listening on {addr} ({n_owners} owners, {n_tenants} tenants)");
     })?;
@@ -1306,7 +1197,7 @@ fn run_route(o: &RouteOpts) -> Result<(), Box<dyn Error>> {
             "weight",
         ],
     );
-    for (s, addr) in o.owners.iter().enumerate() {
+    for (s, addr) in owners.iter().enumerate() {
         let state = if summary.poisoned[s] {
             "POISONED"
         } else {
@@ -1402,7 +1293,7 @@ mod tests {
     use mbta_core::algorithms::Algorithm;
     use mbta_market::Combiner;
     use mbta_matching::mcmf::PathAlgo;
-    use mbta_workload::Profile;
+    use mbta_workload::{Profile, WorkloadSpec};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -1413,12 +1304,14 @@ mod tests {
     fn gen_stats_solve_sweep_roundtrip() {
         let out = tmp("roundtrip.mbta");
         run(Command::Gen {
-            profile: Profile::Uniform,
-            workers: 50,
-            tasks: 25,
-            degree: 4.0,
-            dims: 4,
-            seed: 9,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 50,
+                n_tasks: 25,
+                avg_worker_degree: 4.0,
+                skill_dims: 4,
+                seed: 9,
+            },
             out: out.clone(),
         })
         .unwrap();
@@ -1498,11 +1391,9 @@ mod tests {
             drop_policy: mbta_service::DropPolicy::Defer,
             routing: mbta_service::Routing::HashId,
             boundary_pass: false,
-            replan_threshold: None,
             online: false,
             drift_threshold: 0.2,
             budget_ms: 50,
-            drift: 0.1,
             poison_shard: None,
             max_wall_ms: None,
             decisions,
@@ -1512,7 +1403,10 @@ mod tests {
             snapshot_every: 64,
             fsync: mbta_service::FsyncPolicy::Batch,
             group_commit: 1,
-            listen: None,
+            source: Source::Trace {
+                drift: 0.1,
+                replan_threshold: None,
+            },
         }
     }
 
@@ -1520,12 +1414,14 @@ mod tests {
     fn serve_with_wal_then_recover_matches() {
         let trace = tmp("walserve.trace");
         run(Command::GenTrace {
-            profile: Profile::Uniform,
-            workers: 50,
-            tasks: 30,
-            degree: 4.0,
-            dims: 4,
-            seed: 29,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 50,
+                n_tasks: 30,
+                avg_worker_degree: 4.0,
+                skill_dims: 4,
+                seed: 29,
+            },
             horizon: 30.0,
             repeats: 2,
             out: trace.clone(),
@@ -1562,12 +1458,14 @@ mod tests {
     fn online_serve_with_wal_then_recover_matches() {
         let trace = tmp("online-serve.trace");
         run(Command::GenTrace {
-            profile: Profile::Uniform,
-            workers: 50,
-            tasks: 30,
-            degree: 4.0,
-            dims: 4,
-            seed: 31,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 50,
+                n_tasks: 30,
+                avg_worker_degree: 4.0,
+                skill_dims: 4,
+                seed: 31,
+            },
             horizon: 30.0,
             repeats: 2,
             out: trace.clone(),
@@ -1579,7 +1477,10 @@ mod tests {
         let mut opts = small_serve_opts(trace.clone(), None);
         opts.online = true;
         opts.drift_threshold = 0.1;
-        opts.drift = 0.3;
+        opts.source = Source::Trace {
+            drift: 0.3,
+            replan_threshold: None,
+        };
         opts.wal_dir = Some(dir.clone());
         opts.snapshot_every = 8;
         opts.fsync = mbta_service::FsyncPolicy::Never;
@@ -1601,12 +1502,14 @@ mod tests {
     fn serve_over_network_then_follow_promotes() {
         let trace = tmp("net.trace");
         run(Command::GenTrace {
-            profile: Profile::Uniform,
-            workers: 50,
-            tasks: 30,
-            degree: 4.0,
-            dims: 4,
-            seed: 31,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 50,
+                n_tasks: 30,
+                avg_worker_degree: 4.0,
+                skill_dims: 4,
+                seed: 31,
+            },
             horizon: 30.0,
             repeats: 2,
             out: trace.clone(),
@@ -1626,8 +1529,8 @@ mod tests {
         opts.wal_dir = Some(dir.clone());
         opts.snapshot_every = 8;
         opts.fsync = mbta_service::FsyncPolicy::Never;
-        opts.drift = 0.0; // with --listen, drift is woven by the sender
-        opts.listen = Some(addr.clone());
+        // With --listen, drift is woven by the sender.
+        opts.source = Source::Listen(addr.clone());
         let primary =
             std::thread::spawn(move || run(Command::Serve(opts)).map_err(|e| e.to_string()));
 
@@ -1645,14 +1548,15 @@ mod tests {
             run(Command::Follow(follow_opts)).map_err(|e| e.to_string())
         });
 
-        run(Command::Send(crate::args::SendOpts {
+        run(Command::Send(SendOpts {
             addr,
-            trace: Some(trace.clone()),
-            batch: 64,
-            drift: 0.1,
-            status: false,
-            namespace: 0,
             connect_wait_ms: 20_000,
+            mode: SendMode::Trace {
+                trace: trace.clone(),
+                batch: 64,
+                namespace: 0,
+                drift: 0.1,
+            },
         }))
         .unwrap();
 
@@ -1677,12 +1581,14 @@ mod tests {
     fn recover_without_wal_dir_errors() {
         let trace = tmp("norecover.trace");
         run(Command::GenTrace {
-            profile: Profile::Uniform,
-            workers: 20,
-            tasks: 10,
-            degree: 3.0,
-            dims: 2,
-            seed: 5,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 20,
+                n_tasks: 10,
+                avg_worker_degree: 3.0,
+                skill_dims: 2,
+                seed: 5,
+            },
             horizon: 10.0,
             repeats: 1,
             out: trace.clone(),
@@ -1700,12 +1606,14 @@ mod tests {
     fn serve_writes_parseable_metrics_snapshot() {
         let trace = tmp("metrics.trace");
         run(Command::GenTrace {
-            profile: Profile::Uniform,
-            workers: 50,
-            tasks: 30,
-            degree: 4.0,
-            dims: 4,
-            seed: 19,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 50,
+                n_tasks: 30,
+                avg_worker_degree: 4.0,
+                skill_dims: 4,
+                seed: 19,
+            },
             horizon: 30.0,
             repeats: 2,
             out: trace.clone(),
@@ -1748,12 +1656,14 @@ mod tests {
     fn gen_trace_then_replay_is_deterministic() {
         let trace = tmp("replay.trace");
         run(Command::GenTrace {
-            profile: Profile::Uniform,
-            workers: 60,
-            tasks: 40,
-            degree: 4.0,
-            dims: 4,
-            seed: 11,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 60,
+                n_tasks: 40,
+                avg_worker_degree: 4.0,
+                skill_dims: 4,
+                seed: 11,
+            },
             horizon: 40.0,
             repeats: 2,
             out: trace.clone(),
@@ -1786,12 +1696,14 @@ mod tests {
     fn replay_min_cut_with_rescue_and_replan_is_deterministic() {
         let trace = tmp("mincut.trace");
         run(Command::GenTrace {
-            profile: Profile::Uniform,
-            workers: 80,
-            tasks: 50,
-            degree: 5.0,
-            dims: 4,
-            seed: 17,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 80,
+                n_tasks: 50,
+                avg_worker_degree: 5.0,
+                skill_dims: 4,
+                seed: 17,
+            },
             horizon: 40.0,
             repeats: 2,
             out: trace.clone(),
@@ -1802,10 +1714,12 @@ mod tests {
             let mut o = small_serve_opts(trace.clone(), Some(log));
             o.routing = mbta_service::Routing::MinCut;
             o.boundary_pass = true;
-            o.replan_threshold = Some(0.01);
+            o.source = Source::Trace {
+                drift: 0.3,
+                replan_threshold: Some(0.01),
+            };
             o.shards = 8;
             o.threads = threads;
-            o.drift = 0.3;
             o
         };
         let log_a = tmp("mincut_a.log");
@@ -1829,16 +1743,73 @@ mod tests {
         }
     }
 
+    /// Byte-level pin of the `replay --decisions` log per dispatch mode.
+    /// The run-vs-run tests above would still pass if the drive loop's
+    /// pump cadence changed; these constants would not. Re-pin only in a
+    /// PR that means to change decisions.
+    #[test]
+    fn replay_decision_logs_match_their_pinned_hashes() {
+        fn cli(line: &str) -> Result<(), String> {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            run(crate::args::parse(&argv).map_err(|e| e.to_string())?).map_err(|e| e.to_string())
+        }
+        let trace = tmp("pinned.trace");
+        let t = trace.display();
+        cli(&format!(
+            "gen-trace --workers 80 --tasks 50 --degree 5 --dims 4 --seed 23 \
+             --horizon 40 --repeats 2 --out {t}"
+        ))
+        .unwrap();
+        let pinned: [(&str, &str, u64); 4] = [
+            ("hash4", "--shards 4", 0xf02f_2ed5_fbc9_a1f3),
+            (
+                "mincut8",
+                "--routing min-cut --shards 8 --boundary-pass",
+                0xd1fc_6087_0357_49a5,
+            ),
+            (
+                "replan",
+                "--routing min-cut --shards 8 --boundary-pass --replan-threshold 1e-4 --drift 0.3 \
+                 --wal-dir WAL",
+                0x455a_7ade_4c74_c2be,
+            ),
+            ("online", "--online --wal-dir WAL", 0xbf0f_f69d_2f40_5e97),
+        ];
+        for (name, flags, want) in pinned {
+            let log = tmp(&format!("pinned_{name}.log"));
+            let wal = tmp(&format!("pinned_{name}.wal"));
+            let _ = std::fs::remove_dir_all(&wal);
+            let flags = flags.replace("WAL", &wal.display().to_string());
+            cli(&format!(
+                "replay --trace {t} --batch-max 32 --flush-ms 5 --threads 2 {flags} \
+                 --decisions {}",
+                log.display()
+            ))
+            .unwrap();
+            let bytes = std::fs::read(&log).unwrap();
+            assert!(!bytes.is_empty(), "{name}: empty decision log");
+            let got = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            assert_eq!(got, want, "{name}: decision log hash {got:#018x}");
+            let _ = std::fs::remove_file(log);
+            let _ = std::fs::remove_dir_all(wal);
+        }
+        let _ = std::fs::remove_file(trace);
+    }
+
     #[test]
     fn serve_with_poisoned_shard_completes() {
         let trace = tmp("poison.trace");
         run(Command::GenTrace {
-            profile: Profile::Uniform,
-            workers: 50,
-            tasks: 30,
-            degree: 4.0,
-            dims: 4,
-            seed: 13,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 50,
+                n_tasks: 30,
+                avg_worker_degree: 4.0,
+                skill_dims: 4,
+                seed: 13,
+            },
             horizon: 30.0,
             repeats: 2,
             out: trace.clone(),
@@ -1855,12 +1826,14 @@ mod tests {
     fn solve_fallback_none_fails_on_degraded_tier() {
         let out = tmp("fallback_none.mbta");
         run(Command::Gen {
-            profile: Profile::Uniform,
-            workers: 400,
-            tasks: 200,
-            degree: 8.0,
-            dims: 4,
-            seed: 7,
+            spec: WorkloadSpec {
+                profile: Profile::Uniform,
+                n_workers: 400,
+                n_tasks: 200,
+                avg_worker_degree: 8.0,
+                skill_dims: 4,
+                seed: 7,
+            },
             out: out.clone(),
         })
         .unwrap();

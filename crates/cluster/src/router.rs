@@ -41,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Router configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
     /// Client-facing listen address (`127.0.0.1:0` binds an ephemeral
     /// port).

@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Shard-owner worker configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerConfig {
     /// Listen address (`127.0.0.1:0` binds an ephemeral port).
     pub listen: String,

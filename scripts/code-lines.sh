@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Prints the code-line counts that CHANGES.md and ROADMAP.md quote: for each
+# first-party crate (and the facade's src/), then for every file of
+# crates/cli/src. A code line is a non-blank line that is not comment-only,
+# above the file's `#[cfg(test)]` module.
+#
+# Run from the repository root: `bash scripts/code-lines.sh`.
+
+set -euo pipefail
+
+count() {
+  awk 'FNR == 1 { in_tests = 0 }
+       /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+       in_tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+       { n++ }
+       END { print n + 0 }' "$@"
+}
+
+total=0
+for dir in crates/*/src src; do
+  mapfile -t files < <(find "$dir" -name '*.rs' | sort)
+  n=$(count "${files[@]}")
+  printf '%-28s %6d\n' "$dir" "$n"
+  total=$((total + n))
+done
+printf '%-28s %6d\n' "total" "$total"
+echo
+for f in crates/cli/src/*.rs; do
+  printf '%-28s %6d\n' "$f" "$(count "$f")"
+done
