@@ -14,7 +14,7 @@
 //! ```
 
 use mbta_store::record::{BatchRecord, DecisionRecord, WeightDelta};
-use mbta_store::snapshot::{self, SnapshotState};
+use mbta_store::snapshot;
 use mbta_store::store::recover;
 use mbta_store::wal::{FsyncPolicy, Wal, WalConfig};
 use mbta_util::SplitMix64;
@@ -97,7 +97,7 @@ fn bench_append(
     )?;
     let start = Instant::now();
     for rec in recs {
-        wal.append(rec)?;
+        wal.append(rec.seq, &rec.encode())?;
     }
     wal.sync()?;
     let wall = start.elapsed().as_secs_f64();
@@ -134,7 +134,7 @@ fn bench_recovery(recs: &[BatchRecord]) -> std::io::Result<RecoveryRun> {
         },
     )?;
     for rec in recs {
-        wal.append(rec)?;
+        wal.append(rec.seq, &rec.encode())?;
     }
     wal.sync()?;
     drop(wal);
@@ -146,13 +146,9 @@ fn bench_recovery(recs: &[BatchRecord]) -> std::io::Result<RecoveryRun> {
     for (s, shard) in shards.iter_mut().enumerate() {
         *shard = (0..400u32).map(|i| i * SHARDS + s as u32).collect();
     }
-    let state = SnapshotState {
-        watermark: half,
-        shards,
-        weights: (0..EDGE_SPACE).map(|e| e as f64 / 1000.0).collect(),
-    };
+    let weights: Vec<f64> = (0..EDGE_SPACE).map(|e| e as f64 / 1000.0).collect();
     let start = Instant::now();
-    snapshot::write(&dir, &state)?;
+    snapshot::write(&dir, half, &shards, &weights)?;
     let snapshot_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     let start = Instant::now();

@@ -1,7 +1,7 @@
 //! Experiment trait, scale control, timing and parallel-sweep helpers.
 
 use mbta_util::table::Table;
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// How big the experiment grids are.
@@ -56,6 +56,9 @@ pub fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     (best_r, best_t)
 }
 
+/// The locks in [`parallel_map`] are released before `f` runs.
+const POISON: &str = "a lock is never held across a call that can panic";
+
 /// Maps `f` over `items` on scoped threads, preserving order.
 ///
 /// Grid points are independent (each builds its own instance), so the sweep
@@ -77,11 +80,11 @@ where
     crossbeam::scope(|s| {
         for _ in 0..threads {
             s.spawn(|_| loop {
-                let item = work.lock().pop();
+                let item = work.lock().expect(POISON).pop();
                 match item {
                     Some((i, t)) => {
                         let r = f(t);
-                        results.lock()[i] = Some(r);
+                        results.lock().expect(POISON)[i] = Some(r);
                     }
                     None => break,
                 }
@@ -91,6 +94,7 @@ where
     .expect("worker thread panicked");
     results
         .into_inner()
+        .expect(POISON)
         .into_iter()
         .map(|r| r.expect("every slot filled"))
         .collect()

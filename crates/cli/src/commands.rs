@@ -26,7 +26,7 @@ use mbta_service::{
     DeferBackoff, DispatchService, DurableStore, NullSink, OfferOutcome, OnlineConfig,
     RecoveredState, ServiceConfig, ServiceReport, ShardPlan, StoreConfig, WriteSink,
 };
-use mbta_store::{heartbeat_age, heartbeat_touch, FollowerState, TailStatus, WalTail};
+use mbta_store::{heartbeat_age, heartbeat_touch, TailStatus, WalTail};
 use mbta_telemetry::{MetricValue, RegistryDiff, Snapshot};
 use mbta_util::table::{fnum, Table};
 use mbta_workload::faults::adversarial_instance;
@@ -937,10 +937,10 @@ fn port_is_dead(addr: &str) -> bool {
     }
 }
 
-fn follower_status(f: &FollowerState, role: Role) -> StatusInfo {
+fn follower_status(f: &RecoveredState, role: Role) -> StatusInfo {
     StatusInfo {
         role,
-        watermark: f.watermark(),
+        watermark: f.watermark,
         assignments: f.assignments() as u64,
         total_weight: f.total_weight(),
     }
@@ -982,13 +982,12 @@ fn run_follow(o: &FollowOpts) -> Result<(), Box<dyn Error>> {
     }
 
     // Warm start from the durable state, then follow the live tail.
-    let state =
+    let mut follower =
         recover(&wal_dir).map_err(|e| format!("cannot recover from {}: {e}", wal_dir.display()))?;
-    let mut follower = FollowerState::from_recovered(&state);
-    let mut tail = WalTail::resume_from(&wal_dir, follower.watermark());
+    let mut tail = WalTail::resume_from(&wal_dir, follower.watermark);
     println!(
         "follow: warm at watermark {}, {} assignments",
-        follower.watermark(),
+        follower.watermark,
         follower.assignments()
     );
 
@@ -1015,10 +1014,9 @@ fn run_follow(o: &FollowOpts) -> Result<(), Box<dyn Error>> {
             // The primary compacted past our position: re-seed from the
             // latest snapshot instead of replaying a hole.
             mbta_telemetry::counter_add("mbta_follow_gaps_total", 1);
-            let state = recover(&wal_dir)
+            follower = recover(&wal_dir)
                 .map_err(|e| format!("cannot re-recover from {}: {e}", wal_dir.display()))?;
-            follower = FollowerState::from_recovered(&state);
-            tail = WalTail::resume_from(&wal_dir, follower.watermark());
+            tail = WalTail::resume_from(&wal_dir, follower.watermark);
         }
         if let Some(s) = &status {
             s.update(follower_status(&follower, Role::Follower));
@@ -1040,8 +1038,9 @@ fn run_follow(o: &FollowOpts) -> Result<(), Box<dyn Error>> {
     for rec in &last.records {
         follower.apply(rec);
     }
-    let violations = recovered_capacity_violations(&g, &follower.to_recovered());
-    let snap_path = mbta_store::snapshot::write(&wal_dir, &follower.to_snapshot())
+    let violations = recovered_capacity_violations(&g, &follower);
+    let snap_path = follower
+        .write_snapshot(&wal_dir)
         .map_err(|e| format!("cannot write promotion snapshot: {e}"))?;
     if let Some(s) = &status {
         s.update(follower_status(&follower, Role::Primary));
@@ -1051,7 +1050,7 @@ fn run_follow(o: &FollowOpts) -> Result<(), Box<dyn Error>> {
     println!(
         "follow: promoted at watermark {}, {} assignments, total weight {}, \
          {} capacity violations, {} bytes in flight dropped",
-        follower.watermark(),
+        follower.watermark,
         follower.assignments(),
         fnum(follower.total_weight(), 4),
         violations,
@@ -1632,20 +1631,15 @@ mod tests {
             (n, MetricValue::Counter(v)) if n == "mbta_service_batches_total" => Some(*v),
             _ => None,
         });
-        #[cfg(feature = "telemetry")]
-        {
-            assert!(
-                batches.unwrap_or(0) > 0,
-                "mbta_service_batches_total missing or zero in snapshot:\n{text}"
-            );
-            // `mbta stats` sniffs the snapshot and pretty-prints it.
-            run(Command::Stats {
-                file: mpath.clone(),
-            })
-            .unwrap();
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = batches;
+        assert!(
+            batches.unwrap_or(0) > 0,
+            "mbta_service_batches_total missing or zero in snapshot:\n{text}"
+        );
+        // `mbta stats` sniffs the snapshot and pretty-prints it.
+        run(Command::Stats {
+            file: mpath.clone(),
+        })
+        .unwrap();
 
         for p in [trace, mpath] {
             let _ = std::fs::remove_file(p);

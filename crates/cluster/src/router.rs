@@ -31,8 +31,7 @@
 
 use crate::topology::{build_plans, load_tenants, save_plans};
 use mbta_net::{Client, NetConfig, NetIngress, Reply, Request, ShardReportInfo};
-use mbta_service::shard::UNMAPPED;
-use mbta_service::{Arrival, Routing, ServiceEvent, ShardPlan};
+use mbta_service::{Arrival, Route, Routing};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -171,40 +170,6 @@ fn bind(cfg: &RouterConfig) -> Result<NetIngress, String> {
     .map_err(|e| format!("cannot bind {}: {e}", cfg.listen))
 }
 
-/// Where one event goes.
-enum Route {
-    Shard(usize),
-    CrossBenefit,
-    Invalid,
-}
-
-/// Routes one event with the namespace's plan — the same maps
-/// `DispatchService` routes with, so owners see zero foreign events when
-/// router and worker agree on the topology.
-fn route_event(plan: &ShardPlan, ev: &ServiceEvent) -> Route {
-    match *ev {
-        ServiceEvent::WorkerJoin(w) | ServiceEvent::WorkerLeave(w) => plan
-            .worker_shard
-            .get(w as usize)
-            .map_or(Route::Invalid, |&s| Route::Shard(s as usize)),
-        ServiceEvent::TaskPost(t) | ServiceEvent::TaskCancel(t) | ServiceEvent::TaskComplete(t) => {
-            plan.task_shard
-                .get(t as usize)
-                .map_or(Route::Invalid, |&s| Route::Shard(s as usize))
-        }
-        ServiceEvent::BenefitUpdate { edge, weight } => {
-            if !weight.is_finite() || weight < 0.0 {
-                return Route::Invalid;
-            }
-            match plan.edge_shard.get(edge as usize) {
-                None => Route::Invalid,
-                Some(&s) if s == UNMAPPED => Route::CrossBenefit,
-                Some(&s) => Route::Shard(s as usize),
-            }
-        }
-    }
-}
-
 /// Minimum spacing between reconnect probes to a poisoned owner. Keeps
 /// the degrade path fast (no per-flush connect attempts against a dead
 /// address) while bounding how long a restarted owner waits to rejoin.
@@ -274,7 +239,7 @@ fn run_with_ingress(cfg: RouterConfig, ingress: NetIngress) -> Result<RouterSumm
                     unknown_namespace += 1;
                     continue;
                 }
-                match route_event(&plans[i], &a.event) {
+                match plans[i].route(&a.event) {
                     Route::Shard(s) => {
                         // A dead sender thread can no longer receive; its
                         // shard is (or is about to be) poisoned.

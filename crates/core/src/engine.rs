@@ -651,7 +651,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_records_tiers_phases_and_rejects() {
         let tier_exact =

@@ -28,8 +28,10 @@
 //! one cluster. A single-tenant `serve` endpoint treats every batch as
 //! namespace 0; the router and shard workers demultiplex by it.
 //!
-//! The network reuses the store's framing so one set of acceptance rules
-//! governs both the journal and the socket — but with a much smaller
+//! The network reuses the store's framing and its byte codec
+//! (`mbta_store::codec`: the `put_*` writers and the bounds-checked
+//! `Reader`), so one set of acceptance rules and one set of bounds checks
+//! govern both the journal and the socket — but with a much smaller
 //! payload cap ([`MAX_NET_FRAME`]): a WAL segment legitimately holds
 //! megabytes, a single request never does, and the cap is checked before
 //! any allocation so a hostile length header cannot balloon memory.
@@ -40,6 +42,8 @@
 //! `tests/properties.rs` holds the decoder to that.
 
 use mbta_service::{Arrival, ServiceEvent};
+use mbta_store::codec::{put_f64, put_u16, put_u32, put_u64, Reader};
+use mbta_store::DecodeError;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -255,6 +259,19 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// The store's bounds-checked [`Reader`] does the byte-level reads; its
+/// two failures map onto the wire's (`BadKind` is never raised by the
+/// reader itself — tags and kinds are matched here).
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        match e {
+            DecodeError::Truncated => WireError::Truncated,
+            DecodeError::TrailingBytes => WireError::TrailingBytes,
+            DecodeError::BadKind(k) => WireError::BadEventKind(k),
+        }
+    }
+}
+
 const KIND_WORKER_JOIN: u8 = 1;
 const KIND_WORKER_LEAVE: u8 = 2;
 const KIND_TASK_POST: u8 = 3;
@@ -266,113 +283,22 @@ const KIND_BENEFIT_UPDATE: u8 = 6;
 /// declared batch count against the actual payload size.
 const MIN_EVENT_BYTES: usize = 1 + 8 + 4;
 
-// ---- little byte reader/writer -------------------------------------------
-// (The store's codec module is private to keep its format ownership clear;
-// the handful of primitives the wire needs is small enough to own.)
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes)
-        }
-    }
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 // ---- events ---------------------------------------------------------------
 
 fn encode_event(out: &mut Vec<u8>, a: &Arrival) {
-    match a.event {
-        ServiceEvent::WorkerJoin(id) => {
-            out.push(KIND_WORKER_JOIN);
-            put_f64(out, a.time);
-            put_u32(out, id);
-        }
-        ServiceEvent::WorkerLeave(id) => {
-            out.push(KIND_WORKER_LEAVE);
-            put_f64(out, a.time);
-            put_u32(out, id);
-        }
-        ServiceEvent::TaskPost(id) => {
-            out.push(KIND_TASK_POST);
-            put_f64(out, a.time);
-            put_u32(out, id);
-        }
-        ServiceEvent::TaskCancel(id) => {
-            out.push(KIND_TASK_CANCEL);
-            put_f64(out, a.time);
-            put_u32(out, id);
-        }
-        ServiceEvent::TaskComplete(id) => {
-            out.push(KIND_TASK_COMPLETE);
-            put_f64(out, a.time);
-            put_u32(out, id);
-        }
-        ServiceEvent::BenefitUpdate { edge, weight } => {
-            out.push(KIND_BENEFIT_UPDATE);
-            put_f64(out, a.time);
-            put_u32(out, edge);
-            put_f64(out, weight);
-        }
+    let (kind, id) = match a.event {
+        ServiceEvent::WorkerJoin(id) => (KIND_WORKER_JOIN, id),
+        ServiceEvent::WorkerLeave(id) => (KIND_WORKER_LEAVE, id),
+        ServiceEvent::TaskPost(id) => (KIND_TASK_POST, id),
+        ServiceEvent::TaskCancel(id) => (KIND_TASK_CANCEL, id),
+        ServiceEvent::TaskComplete(id) => (KIND_TASK_COMPLETE, id),
+        ServiceEvent::BenefitUpdate { edge, .. } => (KIND_BENEFIT_UPDATE, edge),
+    };
+    out.push(kind);
+    put_f64(out, a.time);
+    put_u32(out, id);
+    if let ServiceEvent::BenefitUpdate { weight, .. } = a.event {
+        put_f64(out, weight);
     }
 }
 
@@ -719,6 +645,80 @@ mod tests {
             let bytes = encode_reply(&reply);
             assert_eq!(decode_reply(&bytes), Ok(reply));
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Round trips alone pass a symmetric encode/decode slip (two fields
+    /// swapped on both sides); these vectors pin the bytes themselves,
+    /// one per message kind and one per event kind.
+    #[test]
+    fn golden_wire_bytes() {
+        let requests = [
+            (
+                Request::EventBatch {
+                    ns: 7,
+                    events: sample_events(),
+                },
+                "010700000006000000\
+                 01000000000000e03f03000000\
+                 03000000000000f03f07000000\
+                 06000000000000f83f0b000000000000000000e83f\
+                 05000000000000004007000000\
+                 02000000000000044003000000\
+                 04000000000000084009000000",
+            ),
+            (Request::Fin, "02"),
+            (Request::QueryStatus, "03"),
+            (Request::QueryReport, "04"),
+        ];
+        for (req, golden) in requests {
+            assert_eq!(hex(&encode_request(&req)), golden, "{req:?}");
+        }
+        let replies = [
+            (Reply::Ok { accepted: 42 }, "812a000000"),
+            (Reply::RetryAfter { hint_ms: 150 }, "8296000000"),
+            (
+                Reply::Err {
+                    code: ErrCode::TooLarge,
+                    msg: "batch of 9".to_string(),
+                },
+                "83030a006261746368206f662039",
+            ),
+            (
+                Reply::Status(StatusInfo {
+                    role: Role::Primary,
+                    watermark: 17,
+                    assignments: 120,
+                    total_weight: 88.25,
+                }),
+                "8401110000000000000078000000000000000000000000105640",
+            ),
+            (
+                Reply::ShardReport(ShardReportInfo {
+                    shard: 2,
+                    n_shards: 4,
+                    poisoned: true,
+                    namespaces: 3,
+                    events: 1_000,
+                    foreign_events: 5,
+                    decisions: 740,
+                    assignments: 61,
+                    total_weight: 44.5,
+                }),
+                "8502000000040000000103000000e8030000000000000500000000000000\
+                 e4020000000000003d000000000000000000000000404640",
+            ),
+        ];
+        for (reply, golden) in replies {
+            assert_eq!(hex(&encode_reply(&reply)), golden, "{reply:?}");
+        }
+        // The socket frame around a payload: len, CRC32, payload.
+        let mut framed = Vec::new();
+        write_message(&mut framed, &encode_request(&Request::Fin)).unwrap();
+        assert_eq!(hex(&framed), "01000000a18e0c3c02");
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::online::{self, OnlineConfig, OnlineRuntime, OnlineScratch};
 use crate::pool::{ShardJob, SolvePool};
 use crate::queue::{BoundedQueue, DropPolicy, OfferOutcome};
 use crate::report::ServiceReport;
-use crate::shard::{ShardPlan, UNMAPPED};
+use crate::shard::{Route, ShardPlan, UNMAPPED};
 use crate::sink::{canonical_order, Action, BatchStats, Decision, DecisionSink};
 use mbta_core::engine::{EngineConfig, QualityTier};
 use mbta_core::incremental::IncrementalAssignment;
@@ -70,7 +70,9 @@ use mbta_matching::Matching;
 use mbta_partition::{
     migration_diff, residual_candidates, validate_rescue, CutTracker, MigrationStats,
 };
-use mbta_store::record::{BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WeightDelta};
+use mbta_store::record::{
+    BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
+};
 use mbta_store::snapshot::SnapshotState;
 use mbta_store::store::{DurableStore, StoreStats};
 use mbta_util::{CancelToken, Deadline, SolveCtl};
@@ -378,20 +380,16 @@ impl<'p> Core<'p> {
         }
     }
 
-    /// Runs one store write (and a snapshot, when due) under the
+    /// Journals one record (and a snapshot, when due) under the
     /// first-error-stops-journaling contract.
-    fn journal(
-        &mut self,
-        overlay: Option<&[EdgeId]>,
-        write: impl FnOnce(&mut DurableStore) -> io::Result<()>,
-    ) {
+    fn journal(&mut self, overlay: Option<&[EdgeId]>, rec: &WalRecord) {
         if self.run.report.store_error.is_some() {
             return;
         }
         let Some(mut store) = self.run.store.take() else {
             return;
         };
-        let mut res = write(&mut store);
+        let mut res = store.commit_record(rec);
         if res.is_ok() && store.snapshot_due() {
             res = store.snapshot(&self.snapshot_state(overlay));
         }
@@ -429,49 +427,43 @@ impl<'p> Core<'p> {
         if self.run.store.is_some() {
             let (seq, events) = (stats.seq, stats.events as u32);
             let records = to_records(decisions);
-            match record {
+            let rec = match record {
                 Record::Batch {
                     first_time,
                     last_time,
                     deltas,
-                } => self.journal(overlay, |store| {
-                    store.commit(&BatchRecord {
-                        seq,
-                        first_time,
-                        last_time,
-                        events,
-                        deltas,
-                        decisions: records,
-                    })
+                } => WalRecord::Batch(BatchRecord {
+                    seq,
+                    first_time,
+                    last_time,
+                    events,
+                    deltas,
+                    decisions: records,
                 }),
                 Record::Online {
                     time,
                     fallbacks,
                     deltas,
-                } => self.journal(overlay, |store| {
-                    store.commit_online(&OnlineRecord {
-                        seq,
-                        time,
-                        events,
-                        fallbacks,
-                        deltas,
-                        decisions: records,
-                    })
+                } => WalRecord::Online(OnlineRecord {
+                    seq,
+                    time,
+                    events,
+                    fallbacks,
+                    deltas,
+                    decisions: records,
                 }),
                 // The plan frame carries the full post-migration shard
                 // sets, so recovery and WAL followers replay the exact
                 // same migration at the exact same sequence slot.
-                Record::Plan(moved) => {
-                    let rec = PlanRecord {
-                        seq,
-                        retained_weight: self.plan.retained_weight,
-                        moved_workers: moved.moved_workers,
-                        moved_tasks: moved.moved_tasks,
-                        shards: self.shard_sets(overlay),
-                    };
-                    self.journal(overlay, |store| store.commit_plan(&rec))
-                }
-            }
+                Record::Plan(moved) => WalRecord::Plan(PlanRecord {
+                    seq,
+                    retained_weight: self.plan.retained_weight,
+                    moved_workers: moved.moved_workers,
+                    moved_tasks: moved.moved_tasks,
+                    shards: self.shard_sets(overlay),
+                }),
+            };
+            self.journal(overlay, &rec);
         }
         // A migration that unassigned nothing has nothing to tell the
         // sink; every other commit is announced, decisions or not.
@@ -513,45 +505,14 @@ impl<'p> Core<'p> {
         }
     }
 
+    /// The plan's route, narrowed by the ownership filter: in a shard
+    /// worker, an event for a shard this process does not own is foreign.
     fn route(&self, ev: &ServiceEvent) -> Routed {
-        match self.route_universe(ev) {
-            Routed::Shard(s) if self.run.owned_shard.is_some_and(|own| own != s) => Routed::Foreign,
-            r => r,
-        }
-    }
-
-    fn route_universe(&self, ev: &ServiceEvent) -> Routed {
-        match *ev {
-            ServiceEvent::WorkerJoin(w) | ServiceEvent::WorkerLeave(w) => {
-                if (w as usize) < self.universe.n_workers() {
-                    Routed::Shard(self.plan.worker_shard[w as usize] as usize)
-                } else {
-                    Routed::Invalid
-                }
-            }
-            ServiceEvent::TaskPost(t)
-            | ServiceEvent::TaskCancel(t)
-            | ServiceEvent::TaskComplete(t) => {
-                if (t as usize) < self.universe.n_tasks() {
-                    Routed::Shard(self.plan.task_shard[t as usize] as usize)
-                } else {
-                    Routed::Invalid
-                }
-            }
-            ServiceEvent::BenefitUpdate { edge, weight } => {
-                // The engine's input contract is finite non-negative
-                // weights; a malformed update is rejected here, at the
-                // admission boundary, instead of poisoning every later
-                // solve of the shard.
-                if (edge as usize) >= self.universe.n_edges() || !weight.is_finite() || weight < 0.0
-                {
-                    Routed::Invalid
-                } else if self.plan.edge_shard[edge as usize] == UNMAPPED {
-                    Routed::CrossBenefit
-                } else {
-                    Routed::Shard(self.plan.edge_shard[edge as usize] as usize)
-                }
-            }
+        match self.plan.route(ev) {
+            Route::Shard(s) if self.run.owned_shard.is_some_and(|own| own != s) => Routed::Foreign,
+            Route::Shard(s) => Routed::Shard(s),
+            Route::CrossBenefit => Routed::CrossBenefit,
+            Route::Invalid => Routed::Invalid,
         }
     }
 
@@ -1909,7 +1870,6 @@ mod tests {
 
     /// Global service metrics advance by at least this run's report totals
     /// (`>=`: sibling tests share the process-wide registry).
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_counts_batches_events_and_latency() {
         let (g, w) = universe();
@@ -2207,9 +2167,7 @@ mod tests {
             // (several times — the loop must survive repeated migrations).
             cfg.replan_threshold = Some(1e-6);
             cfg.boundary_pass = boundary_pass;
-            #[cfg(feature = "telemetry")]
             let decisions = mbta_telemetry::global().counter("mbta_service_decisions_total");
-            #[cfg(feature = "telemetry")]
             let d0 = decisions.get();
             let (sink, report) = run_epochs(&g, &w, &cfg, &events);
             assert!(report.replans > 0, "threshold 1e-6 never fired");
@@ -2235,7 +2193,6 @@ mod tests {
             );
             // Registry and report agree (`>=`: sibling tests share the
             // process-wide registry) — migration unassigns included.
-            #[cfg(feature = "telemetry")]
             assert!(decisions.get() >= d0 + report.decisions);
         }
     }

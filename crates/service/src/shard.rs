@@ -20,6 +20,7 @@
 //! the shard count costs in matching quality (the bench harness sweeps
 //! exactly this trade-off).
 
+use crate::event::ServiceEvent;
 use mbta_graph::subgraph::{induce, Subgraph, SubgraphSpec};
 use mbta_graph::{BipartiteGraph, TaskId, WorkerId};
 use mbta_util::fxhash::hash_u64;
@@ -126,7 +127,47 @@ pub struct ShardPlan {
     pub routing: Routing,
 }
 
+/// Where [`ShardPlan::route`] sends one event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// The shard that holds the event's worker, task or edge.
+    Shard(usize),
+    /// A well-formed benefit update for an edge that spans two shards, so
+    /// no shard state holds it.
+    CrossBenefit,
+    /// An id outside the universe, or a weight that is not finite and
+    /// non-negative.
+    Invalid,
+}
+
 impl ShardPlan {
+    /// Routes one event by the plan's maps — the one routing function:
+    /// the dispatch service calls it to find the shard to apply an event
+    /// to, the cluster router to find the owner to forward it to, so the
+    /// two cannot disagree about a plan they share.
+    pub fn route(&self, ev: &ServiceEvent) -> Route {
+        let (map, id) = match *ev {
+            ServiceEvent::WorkerJoin(w) | ServiceEvent::WorkerLeave(w) => (&self.worker_shard, w),
+            ServiceEvent::TaskPost(t)
+            | ServiceEvent::TaskCancel(t)
+            | ServiceEvent::TaskComplete(t) => (&self.task_shard, t),
+            // The engine's input contract is finite non-negative weights;
+            // a malformed update is rejected here, at the admission
+            // boundary, instead of poisoning every later solve of the
+            // shard.
+            ServiceEvent::BenefitUpdate { weight, .. } if !weight.is_finite() || weight < 0.0 => {
+                return Route::Invalid;
+            }
+            ServiceEvent::BenefitUpdate { edge, .. } => (&self.edge_shard, edge),
+        };
+        match map.get(id as usize) {
+            None => Route::Invalid,
+            // Only an edge can be unmapped: every worker and task is homed.
+            Some(&UNMAPPED) => Route::CrossBenefit,
+            Some(&s) => Route::Shard(s as usize),
+        }
+    }
+
     /// Builds the plan: tasks routed by `routing`, workers homed on the
     /// shard holding the plurality of their eligible tasks (ties to the
     /// lowest shard index — fully deterministic).
@@ -343,6 +384,49 @@ mod tests {
         assert_eq!(plan.cross_edges, 0);
         assert!((plan.retained_weight - 1.0).abs() < 1e-12);
         assert_eq!(plan.shards[0].sub.graph.n_edges(), g.n_edges());
+    }
+
+    #[test]
+    fn route_follows_the_maps_and_rejects_what_they_cannot_hold() {
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 4, Routing::HashId);
+        assert!(plan.cross_edges > 0 && plan.cross_edges < g.n_edges());
+        for id in 0..g.n_workers() as u32 {
+            let home = Route::Shard(plan.worker_shard[id as usize] as usize);
+            assert_eq!(plan.route(&ServiceEvent::WorkerJoin(id)), home);
+            assert_eq!(plan.route(&ServiceEvent::WorkerLeave(id)), home);
+        }
+        for id in 0..g.n_tasks() as u32 {
+            let home = Route::Shard(plan.task_shard[id as usize] as usize);
+            assert_eq!(plan.route(&ServiceEvent::TaskPost(id)), home);
+            assert_eq!(plan.route(&ServiceEvent::TaskCancel(id)), home);
+            assert_eq!(plan.route(&ServiceEvent::TaskComplete(id)), home);
+        }
+        for edge in 0..g.n_edges() as u32 {
+            let update = |weight| plan.route(&ServiceEvent::BenefitUpdate { edge, weight });
+            let expect = match plan.edge_shard[edge as usize] {
+                UNMAPPED => Route::CrossBenefit,
+                s => Route::Shard(s as usize),
+            };
+            assert_eq!(update(0.0), expect);
+            assert_eq!(update(3.5), expect);
+            for bad in [-1e-9, f64::NAN, f64::INFINITY] {
+                assert_eq!(update(bad), Route::Invalid);
+            }
+        }
+        // One past the end of each id space.
+        let (nw, nt, ne) = (g.n_workers() as u32, g.n_tasks() as u32, g.n_edges() as u32);
+        for ev in [
+            ServiceEvent::WorkerJoin(nw),
+            ServiceEvent::TaskPost(nt),
+            ServiceEvent::TaskComplete(u32::MAX),
+            ServiceEvent::BenefitUpdate {
+                edge: ne,
+                weight: 1.0,
+            },
+        ] {
+            assert_eq!(plan.route(&ev), Route::Invalid, "{ev:?}");
+        }
     }
 
     #[test]

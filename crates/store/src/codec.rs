@@ -1,42 +1,69 @@
-//! Little-endian byte codec shared by the record and snapshot formats.
+//! The little-endian byte primitives every payload in the system is built
+//! from: the `put_*` writers and the bounds-checked [`Reader`].
 //!
-//! Private on purpose: the on-disk formats are defined by `record` and
-//! `snapshot`; this module only supplies the primitive put/get helpers and
-//! the bounds-checked [`Reader`].
+//! The formats themselves are defined where they are used ([`crate::record`],
+//! [`crate::snapshot`], and `mbta_net::wire` for the socket); this module
+//! only makes sure there is one way to lay a number down and one way to
+//! pick it up, with one set of bounds checks. Everything is `#[inline]`
+//! so the per-event paths in other crates pay nothing for sharing it.
 
 use crate::record::DecodeError;
 
-pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
+/// Appends one byte.
+#[inline]
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
     out.push(v);
 }
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Appends a `u16`, little-endian.
+#[inline]
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Appends a `u32`, little-endian.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u64`, little-endian.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// `f64`s travel as their raw bit pattern: encode/decode must round-trip
 /// bit-for-bit (NaN payloads included) for replay determinism.
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+#[inline]
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// Bounds-checked sequential reader over one decoded payload.
-pub(crate) struct Reader<'a> {
+/// Bounds-checked sequential reader over one decoded payload. Total: any
+/// read past the end is [`DecodeError::Truncated`], never a panic.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    /// A reader at the start of `buf`.
+    #[inline]
+    pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.buf.len() - self.pos < n {
+    /// Bytes not yet consumed.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if self.remaining() < n {
             return Err(DecodeError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -44,27 +71,49 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// Reads one byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// Reads a little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// Reads a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
-    pub(crate) fn f64(&mut self) -> Result<f64, DecodeError> {
+    /// Reads a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads an `f64` from its raw bit pattern.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Guards length prefixes before allocation: a corrupt count must fail
-    /// decode, not trigger a multi-gigabyte `Vec::with_capacity`.
-    pub(crate) fn len_prefix(&mut self, elem_bytes: usize) -> Result<usize, DecodeError> {
+    /// Reads a `u32` element count and checks it against the bytes left
+    /// (`elem_bytes` = smallest encoding of one element) before anything
+    /// is allocated: a corrupt count must fail decode, not trigger a
+    /// multi-gigabyte `Vec::with_capacity`.
+    #[inline]
+    pub fn len_prefix(&mut self, elem_bytes: usize) -> Result<usize, DecodeError> {
         let n = self.u32()? as usize;
-        if n.saturating_mul(elem_bytes) > self.buf.len() - self.pos {
+        if n.saturating_mul(elem_bytes) > self.remaining() {
             return Err(DecodeError::Truncated);
         }
         Ok(n)
@@ -72,8 +121,9 @@ impl<'a> Reader<'a> {
 
     /// Decoding must consume the payload exactly; leftovers mean the
     /// format and the data disagree.
-    pub(crate) fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
+    #[inline]
+    pub fn finish(self) -> Result<(), DecodeError> {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(DecodeError::TrailingBytes)

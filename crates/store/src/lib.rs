@@ -8,35 +8,45 @@
 //! emitted, not re-decide it. The design is the classic checkpoint +
 //! journal pair, with zero external dependencies:
 //!
-//! * [`wal`] — an append-only **write-ahead log** of CRC32-framed,
-//!   length-prefixed records, one [`record::BatchRecord`] per committed
-//!   batch (event range, applied weight deltas, emitted decisions).
-//!   Segmented files, configurable [`wal::FsyncPolicy`]
-//!   (`always`/`batch`/`never`).
+//! * [`wal`] — the append-only **write-ahead log**: CRC32-framed,
+//!   length-prefixed [`record::WalRecord`]s (a batch's or an online
+//!   pump's weight deltas and decisions, or a re-plan's shard sets) in
+//!   one sequence space. Segmented files, configurable
+//!   [`wal::FsyncPolicy`] (`always`/`batch`/`never`), one append path.
 //! * [`snapshot`] — periodic **snapshots** of the full sharded assignment
-//!   state ([`snapshot::SnapshotState`]), written atomically
-//!   (tmp + rename) so a crash mid-snapshot can never shadow a good one.
-//! * [`store`] — [`store::DurableStore`] glues them together: journal a
-//!   batch *before* its decisions reach the sink, snapshot every N
-//!   batches, compact WAL segments older than the newest snapshot.
-//! * **Recovery** ([`store::recover`]) = load the latest *valid* snapshot,
-//!   then replay the WAL tail. Torn or corrupt tail frames are tolerated by
-//!   truncating at the first bad frame — only the incomplete suffix is
-//!   lost, never a committed prefix.
-//! * [`tail`] — the replication read path: [`tail::WalTail`] polls the
-//!   same directory a live primary is appending to and feeds a warm
-//!   [`tail::FollowerState`], the mechanism behind `mbta follow` and
-//!   kill -9 failover. Includes the heartbeat-file liveness helpers.
+//!   state ([`snapshot::SnapshotState`]), written atomically (tmp +
+//!   rename + directory fsync) so a crash mid-snapshot can never shadow
+//!   a good one and a finished one is durable before what it covers is
+//!   deleted.
+//! * [`tail`] — the **one reader**: [`tail::WalTail`], a cursor over the
+//!   segment files positioned at a sequence number. The rule "the first
+//!   torn, corrupt, undecodable or non-sequential frame ends the durable
+//!   prefix" is written there and nowhere else; [`wal::replay`],
+//!   [`store::recover`], repair-on-open and a live follower are that
+//!   cursor started at different sequence numbers. Also the
+//!   heartbeat-file liveness helpers behind `mbta follow`.
+//! * [`store`] — [`store::DurableStore`] glues the write side together:
+//!   journal a record *before* its decisions reach the sink (one write
+//!   body behind the typed `commit*` doors), snapshot every N records,
+//!   compact WAL segments older than the newest snapshot. And the **one
+//!   fold**: [`store::RecoveredState`], whose `apply` is the only code
+//!   that turns records into assignment state — it is what
+//!   [`store::recover`] returns (latest *valid* snapshot + the log from
+//!   its watermark on), what a follower keeps warm, and what a promotion
+//!   snapshot is written from. Only the incomplete suffix of a damaged
+//!   log is ever lost, never a committed prefix.
 //!
 //! Everything on disk is little-endian and versioned; [`frame`] holds the
-//! shared `[len | crc32 | payload]` framing and [`record`]/[`snapshot`]
-//! the payload codecs. See DESIGN.md §11 for format diagrams, recovery
-//! invariants, and the fsync trade-off table.
+//! shared `[len | crc32 | payload]` framing, [`codec`] the byte
+//! primitives and bounds-checked reader (shared with the network wire
+//! format in `mbta-net`), and [`record`]/[`snapshot`] the payload
+//! layouts. See DESIGN.md §11 for format diagrams, recovery invariants,
+//! and the fsync trade-off table.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod codec;
+pub mod codec;
 pub mod crc;
 pub mod frame;
 pub mod record;
@@ -52,7 +62,5 @@ pub use record::{
 };
 pub use snapshot::SnapshotState;
 pub use store::{recover, DurableStore, RecoveredState, StoreConfig, StoreStats};
-pub use tail::{
-    heartbeat_age, heartbeat_touch, FollowerState, TailPoll, TailStatus, WalTail, HEARTBEAT_FILE,
-};
-pub use wal::{FsyncPolicy, Wal, WalConfig, WalReplay};
+pub use tail::{heartbeat_age, heartbeat_touch, TailPoll, TailStatus, WalTail, HEARTBEAT_FILE};
+pub use wal::{FsyncPolicy, Wal, WalConfig};

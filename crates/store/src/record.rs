@@ -1,5 +1,9 @@
-//! The WAL payloads: one [`BatchRecord`] per committed dispatch batch,
-//! plus the rarer [`PlanRecord`] a re-plan writes at a batch boundary.
+//! The WAL payloads: one [`BatchRecord`] per committed dispatch batch
+//! (or one [`OnlineRecord`] per online pump), plus the rarer
+//! [`PlanRecord`] a re-plan writes at a batch boundary. [`WalRecord`] is
+//! any of them, and [`WalRecord::decode`] the one decoder; the two
+//! repeated sub-layouts — a commit's changes (deltas + decisions) and
+//! per-shard edge lists — have one encoder and one decoder each.
 //!
 //! A batch record is everything needed to roll the sharded assignment
 //! state forward by one batch, starting from any state that reflects the
@@ -79,6 +83,93 @@ pub struct DecisionRecord {
     pub weight: f64,
 }
 
+/// Encoded size of one [`WeightDelta`] / one [`DecisionRecord`].
+const DELTA_BYTES: usize = 12;
+const DECISION_BYTES: usize = 25;
+
+/// Encoded size of the changes a batch or online record carries.
+fn changes_len(deltas: &[WeightDelta], decisions: &[DecisionRecord]) -> usize {
+    8 + DELTA_BYTES * deltas.len() + DECISION_BYTES * decisions.len()
+}
+
+/// The one encoder of "what a commit changed": the weight deltas, then
+/// the assignment deltas, each behind a `u32` count. Batch and online
+/// records end with it.
+fn put_changes(out: &mut Vec<u8>, deltas: &[WeightDelta], decisions: &[DecisionRecord]) {
+    put_u32(out, deltas.len() as u32);
+    for d in deltas {
+        put_u32(out, d.edge);
+        put_f64(out, d.weight);
+    }
+    put_u32(out, decisions.len() as u32);
+    for d in decisions {
+        put_u32(out, d.shard);
+        put_u32(out, d.edge);
+        put_u8(out, d.assign as u8);
+        put_u32(out, d.worker);
+        put_u32(out, d.task);
+        put_f64(out, d.weight);
+    }
+}
+
+/// Inverse of [`put_changes`]. `f64` fields round-trip bit-for-bit.
+fn get_changes(r: &mut Reader<'_>) -> Result<(Vec<WeightDelta>, Vec<DecisionRecord>), DecodeError> {
+    let n_deltas = r.len_prefix(DELTA_BYTES)?;
+    let mut deltas = Vec::with_capacity(n_deltas);
+    for _ in 0..n_deltas {
+        deltas.push(WeightDelta {
+            edge: r.u32()?,
+            weight: r.f64()?,
+        });
+    }
+    let n_decisions = r.len_prefix(DECISION_BYTES)?;
+    let mut decisions = Vec::with_capacity(n_decisions);
+    for _ in 0..n_decisions {
+        decisions.push(DecisionRecord {
+            shard: r.u32()?,
+            edge: r.u32()?,
+            assign: r.u8()? != 0,
+            worker: r.u32()?,
+            task: r.u32()?,
+            weight: r.f64()?,
+        });
+    }
+    Ok((deltas, decisions))
+}
+
+/// Encoded size of per-shard edge lists.
+pub(crate) fn shards_len(shards: &[Vec<u32>]) -> usize {
+    4 + shards.iter().map(|s| 4 + 4 * s.len()).sum::<usize>()
+}
+
+/// The one encoder of per-shard edge lists (`u32 n_lists`, then per list
+/// `u32 n_edges` and the edges): the tail of a plan record and the body
+/// of a snapshot.
+pub(crate) fn put_shards(out: &mut Vec<u8>, shards: &[Vec<u32>]) {
+    put_u32(out, shards.len() as u32);
+    for shard in shards {
+        put_u32(out, shard.len() as u32);
+        for &e in shard {
+            put_u32(out, e);
+        }
+    }
+}
+
+/// Inverse of [`put_shards`].
+pub(crate) fn get_shards(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, DecodeError> {
+    let n_lists = r.len_prefix(4)?;
+    let mut shards = Vec::with_capacity(n_lists);
+    for _ in 0..n_lists {
+        let n = r.len_prefix(4)?;
+        let mut edges = Vec::with_capacity(n);
+        for _ in 0..n {
+            edges.push(r.u32()?);
+        }
+        shards.push(edges);
+    }
+    Ok(shards)
+}
+
 /// Everything journaled for one committed batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchRecord {
@@ -122,69 +213,14 @@ impl std::error::Error for DecodeError {}
 impl BatchRecord {
     /// Encodes the record into its WAL payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(37 + 12 * self.deltas.len() + 25 * self.decisions.len());
+        let mut out = Vec::with_capacity(29 + changes_len(&self.deltas, &self.decisions));
         put_u8(&mut out, KIND_BATCH);
         put_u64(&mut out, self.seq);
         put_f64(&mut out, self.first_time);
         put_f64(&mut out, self.last_time);
         put_u32(&mut out, self.events);
-        put_u32(&mut out, self.deltas.len() as u32);
-        for d in &self.deltas {
-            put_u32(&mut out, d.edge);
-            put_f64(&mut out, d.weight);
-        }
-        put_u32(&mut out, self.decisions.len() as u32);
-        for d in &self.decisions {
-            put_u32(&mut out, d.shard);
-            put_u32(&mut out, d.edge);
-            put_u8(&mut out, d.assign as u8);
-            put_u32(&mut out, d.worker);
-            put_u32(&mut out, d.task);
-            put_f64(&mut out, d.weight);
-        }
+        put_changes(&mut out, &self.deltas, &self.decisions);
         out
-    }
-
-    /// Decodes a WAL payload. `f64` fields round-trip bit-for-bit.
-    pub fn decode(payload: &[u8]) -> Result<BatchRecord, DecodeError> {
-        let mut r = Reader::new(payload);
-        let kind = r.u8()?;
-        if kind != KIND_BATCH {
-            return Err(DecodeError::BadKind(kind));
-        }
-        let seq = r.u64()?;
-        let first_time = r.f64()?;
-        let last_time = r.f64()?;
-        let events = r.u32()?;
-        let n_deltas = r.len_prefix(12)?;
-        let mut deltas = Vec::with_capacity(n_deltas);
-        for _ in 0..n_deltas {
-            deltas.push(WeightDelta {
-                edge: r.u32()?,
-                weight: r.f64()?,
-            });
-        }
-        let n_decisions = r.len_prefix(25)?;
-        let mut decisions = Vec::with_capacity(n_decisions);
-        for _ in 0..n_decisions {
-            decisions.push(DecisionRecord {
-                shard: r.u32()?,
-                edge: r.u32()?,
-                assign: r.u8()? != 0,
-                worker: r.u32()?,
-                task: r.u32()?,
-                weight: r.f64()?,
-            });
-        }
-        r.finish()?;
-        Ok(BatchRecord {
-            seq,
-            first_time,
-            last_time,
-            events,
-            deltas,
-            decisions,
-        })
     }
 }
 
@@ -210,52 +246,14 @@ pub struct PlanRecord {
 impl PlanRecord {
     /// Encodes the record into its WAL payload.
     pub fn encode(&self) -> Vec<u8> {
-        let edges: usize = self.shards.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(29 + 4 * self.shards.len() + 4 * edges);
+        let mut out = Vec::with_capacity(25 + shards_len(&self.shards));
         put_u8(&mut out, KIND_PLAN);
         put_u64(&mut out, self.seq);
         put_f64(&mut out, self.retained_weight);
         put_u32(&mut out, self.moved_workers);
         put_u32(&mut out, self.moved_tasks);
-        put_u32(&mut out, self.shards.len() as u32);
-        for shard in &self.shards {
-            put_u32(&mut out, shard.len() as u32);
-            for &e in shard {
-                put_u32(&mut out, e);
-            }
-        }
+        put_shards(&mut out, &self.shards);
         out
-    }
-
-    /// Decodes a WAL payload.
-    pub fn decode(payload: &[u8]) -> Result<PlanRecord, DecodeError> {
-        let mut r = Reader::new(payload);
-        let kind = r.u8()?;
-        if kind != KIND_PLAN {
-            return Err(DecodeError::BadKind(kind));
-        }
-        let seq = r.u64()?;
-        let retained_weight = r.f64()?;
-        let moved_workers = r.u32()?;
-        let moved_tasks = r.u32()?;
-        let n_lists = r.len_prefix(4)?;
-        let mut shards = Vec::with_capacity(n_lists);
-        for _ in 0..n_lists {
-            let n = r.len_prefix(4)?;
-            let mut edges = Vec::with_capacity(n);
-            for _ in 0..n {
-                edges.push(r.u32()?);
-            }
-            shards.push(edges);
-        }
-        r.finish()?;
-        Ok(PlanRecord {
-            seq,
-            retained_weight,
-            moved_workers,
-            moved_tasks,
-            shards,
-        })
     }
 }
 
@@ -295,69 +293,14 @@ pub struct OnlineRecord {
 impl OnlineRecord {
     /// Encodes the record into its WAL payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(33 + 12 * self.deltas.len() + 25 * self.decisions.len());
+        let mut out = Vec::with_capacity(25 + changes_len(&self.deltas, &self.decisions));
         put_u8(&mut out, KIND_ONLINE);
         put_u64(&mut out, self.seq);
         put_f64(&mut out, self.time);
         put_u32(&mut out, self.events);
         put_u32(&mut out, self.fallbacks);
-        put_u32(&mut out, self.deltas.len() as u32);
-        for d in &self.deltas {
-            put_u32(&mut out, d.edge);
-            put_f64(&mut out, d.weight);
-        }
-        put_u32(&mut out, self.decisions.len() as u32);
-        for d in &self.decisions {
-            put_u32(&mut out, d.shard);
-            put_u32(&mut out, d.edge);
-            put_u8(&mut out, d.assign as u8);
-            put_u32(&mut out, d.worker);
-            put_u32(&mut out, d.task);
-            put_f64(&mut out, d.weight);
-        }
+        put_changes(&mut out, &self.deltas, &self.decisions);
         out
-    }
-
-    /// Decodes a WAL payload. `f64` fields round-trip bit-for-bit.
-    pub fn decode(payload: &[u8]) -> Result<OnlineRecord, DecodeError> {
-        let mut r = Reader::new(payload);
-        let kind = r.u8()?;
-        if kind != KIND_ONLINE {
-            return Err(DecodeError::BadKind(kind));
-        }
-        let seq = r.u64()?;
-        let time = r.f64()?;
-        let events = r.u32()?;
-        let fallbacks = r.u32()?;
-        let n_deltas = r.len_prefix(12)?;
-        let mut deltas = Vec::with_capacity(n_deltas);
-        for _ in 0..n_deltas {
-            deltas.push(WeightDelta {
-                edge: r.u32()?,
-                weight: r.f64()?,
-            });
-        }
-        let n_decisions = r.len_prefix(25)?;
-        let mut decisions = Vec::with_capacity(n_decisions);
-        for _ in 0..n_decisions {
-            decisions.push(DecisionRecord {
-                shard: r.u32()?,
-                edge: r.u32()?,
-                assign: r.u8()? != 0,
-                worker: r.u32()?,
-                task: r.u32()?,
-                weight: r.f64()?,
-            });
-        }
-        r.finish()?;
-        Ok(OnlineRecord {
-            seq,
-            time,
-            events,
-            fallbacks,
-            deltas,
-            decisions,
-        })
     }
 }
 
@@ -393,15 +336,47 @@ impl WalRecord {
         }
     }
 
-    /// Decodes any WAL payload by its kind tag.
+    /// Decodes a WAL payload of any kind — the one decoder every reader
+    /// of the log goes through. Total: malformed bytes yield a
+    /// [`DecodeError`], never a panic or an unchecked allocation.
     pub fn decode(payload: &[u8]) -> Result<WalRecord, DecodeError> {
-        match payload.first() {
-            Some(&KIND_BATCH) => Ok(WalRecord::Batch(BatchRecord::decode(payload)?)),
-            Some(&KIND_PLAN) => Ok(WalRecord::Plan(PlanRecord::decode(payload)?)),
-            Some(&KIND_ONLINE) => Ok(WalRecord::Online(OnlineRecord::decode(payload)?)),
-            Some(&k) => Err(DecodeError::BadKind(k)),
-            None => Err(DecodeError::Truncated),
-        }
+        let mut r = Reader::new(payload);
+        let rec = match r.u8()? {
+            KIND_BATCH => {
+                let (seq, first_time, last_time, events) = (r.u64()?, r.f64()?, r.f64()?, r.u32()?);
+                let (deltas, decisions) = get_changes(&mut r)?;
+                WalRecord::Batch(BatchRecord {
+                    seq,
+                    first_time,
+                    last_time,
+                    events,
+                    deltas,
+                    decisions,
+                })
+            }
+            KIND_PLAN => WalRecord::Plan(PlanRecord {
+                seq: r.u64()?,
+                retained_weight: r.f64()?,
+                moved_workers: r.u32()?,
+                moved_tasks: r.u32()?,
+                shards: get_shards(&mut r)?,
+            }),
+            KIND_ONLINE => {
+                let (seq, time, events, fallbacks) = (r.u64()?, r.f64()?, r.u32()?, r.u32()?);
+                let (deltas, decisions) = get_changes(&mut r)?;
+                WalRecord::Online(OnlineRecord {
+                    seq,
+                    time,
+                    events,
+                    fallbacks,
+                    deltas,
+                    decisions,
+                })
+            }
+            kind => return Err(DecodeError::BadKind(kind)),
+        };
+        r.finish()?;
+        Ok(rec)
     }
 }
 
@@ -438,22 +413,21 @@ mod tests {
 
     #[test]
     fn encode_decode_identity() {
-        let rec = sample(42);
-        let back = BatchRecord::decode(&rec.encode()).unwrap();
-        assert_eq!(back, rec);
+        let rec = WalRecord::Batch(sample(42));
+        assert_eq!(WalRecord::decode(&rec.encode()).unwrap(), rec);
     }
 
     #[test]
     fn empty_batch_round_trips() {
-        let rec = BatchRecord {
+        let rec = WalRecord::Batch(BatchRecord {
             seq: 0,
             first_time: 0.0,
             last_time: 0.0,
             events: 0,
             deltas: vec![],
             decisions: vec![],
-        };
-        assert_eq!(BatchRecord::decode(&rec.encode()).unwrap(), rec);
+        });
+        assert_eq!(WalRecord::decode(&rec.encode()).unwrap(), rec);
     }
 
     #[test]
@@ -463,22 +437,22 @@ mod tests {
         // cut always shortens).
         for cut in 0..good.len() {
             assert!(
-                BatchRecord::decode(&good[..cut]).is_err(),
+                WalRecord::decode(&good[..cut]).is_err(),
                 "prefix of {cut} bytes accepted"
             );
         }
         // Trailing garbage.
         let mut extra = good.clone();
         extra.push(0);
-        assert_eq!(BatchRecord::decode(&extra), Err(DecodeError::TrailingBytes));
+        assert_eq!(WalRecord::decode(&extra), Err(DecodeError::TrailingBytes));
         // Wrong kind tag.
         let mut bad = good.clone();
         bad[0] = 0xEE;
-        assert_eq!(BatchRecord::decode(&bad), Err(DecodeError::BadKind(0xEE)));
+        assert_eq!(WalRecord::decode(&bad), Err(DecodeError::BadKind(0xEE)));
         // A corrupt delta count must not allocate or panic.
         let mut huge = good;
         huge[29..33].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(BatchRecord::decode(&huge), Err(DecodeError::Truncated));
+        assert_eq!(WalRecord::decode(&huge), Err(DecodeError::Truncated));
     }
 
     fn sample_plan(seq: u64) -> PlanRecord {
@@ -493,12 +467,12 @@ mod tests {
 
     #[test]
     fn plan_record_round_trips() {
-        let rec = sample_plan(17);
-        assert_eq!(PlanRecord::decode(&rec.encode()).unwrap(), rec);
+        let rec = WalRecord::Plan(sample_plan(17));
+        assert_eq!(WalRecord::decode(&rec.encode()).unwrap(), rec);
         // Every strict prefix fails, never panics.
         let bytes = rec.encode();
         for cut in 0..bytes.len() {
-            assert!(PlanRecord::decode(&bytes[..cut]).is_err());
+            assert!(WalRecord::decode(&bytes[..cut]).is_err());
         }
     }
 
@@ -535,26 +509,23 @@ mod tests {
 
     #[test]
     fn online_record_round_trips_and_rejects_malformed() {
-        let rec = sample_online(9);
+        let rec = WalRecord::Online(sample_online(9));
         let bytes = rec.encode();
-        assert_eq!(OnlineRecord::decode(&bytes).unwrap(), rec);
+        assert_eq!(WalRecord::decode(&bytes).unwrap(), rec);
         for cut in 0..bytes.len() {
             assert!(
-                OnlineRecord::decode(&bytes[..cut]).is_err(),
+                WalRecord::decode(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes accepted"
             );
         }
         let mut extra = bytes.clone();
         extra.push(0);
-        assert_eq!(
-            OnlineRecord::decode(&extra),
-            Err(DecodeError::TrailingBytes)
-        );
+        assert_eq!(WalRecord::decode(&extra), Err(DecodeError::TrailingBytes));
         // A corrupt delta count must not allocate or panic (count sits
         // after kind + seq + time + events + fallbacks = 25 bytes).
         let mut huge = bytes;
         huge[25..29].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(OnlineRecord::decode(&huge), Err(DecodeError::Truncated));
+        assert_eq!(WalRecord::decode(&huge), Err(DecodeError::Truncated));
     }
 
     #[test]

@@ -22,7 +22,8 @@
 
 use crate::codec::{put_f64, put_u32, put_u64, Reader};
 use crate::frame::{read_frame, write_frame, FrameRead};
-use crate::record::DecodeError;
+use crate::record::{get_shards, put_shards, shards_len, DecodeError};
+use crate::wal::numbered_files;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -48,95 +49,69 @@ pub struct SnapshotState {
     pub weights: Vec<f64>,
 }
 
-impl SnapshotState {
-    fn encode(&self) -> Vec<u8> {
-        let n_edges: usize = self.shards.iter().map(Vec::len).sum();
-        let mut out =
-            Vec::with_capacity(16 + 4 * self.shards.len() + 4 * n_edges + 8 * self.weights.len());
-        put_u64(&mut out, self.watermark);
-        put_u32(&mut out, self.shards.len() as u32);
-        for shard in &self.shards {
-            put_u32(&mut out, shard.len() as u32);
-            for &e in shard {
-                put_u32(&mut out, e);
-            }
-        }
-        put_u32(&mut out, self.weights.len() as u32);
-        for &w in &self.weights {
-            put_f64(&mut out, w);
-        }
-        out
+fn encode(watermark: u64, shards: &[Vec<u32>], weights: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + shards_len(shards) + 8 * weights.len());
+    put_u64(&mut out, watermark);
+    put_shards(&mut out, shards);
+    put_u32(&mut out, weights.len() as u32);
+    for &w in weights {
+        put_f64(&mut out, w);
     }
-
-    fn decode(payload: &[u8]) -> Result<SnapshotState, DecodeError> {
-        let mut r = Reader::new(payload);
-        let watermark = r.u64()?;
-        let n_shards = r.len_prefix(4)?;
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let n = r.len_prefix(4)?;
-            let mut edges = Vec::with_capacity(n);
-            for _ in 0..n {
-                edges.push(r.u32()?);
-            }
-            shards.push(edges);
-        }
-        let n_weights = r.len_prefix(8)?;
-        let mut weights = Vec::with_capacity(n_weights);
-        for _ in 0..n_weights {
-            weights.push(r.f64()?);
-        }
-        r.finish()?;
-        Ok(SnapshotState {
-            watermark,
-            shards,
-            weights,
-        })
-    }
+    out
 }
 
-fn snap_path(dir: &Path, watermark: u64) -> PathBuf {
-    dir.join(format!("{SNAP_PREFIX}{watermark:020}{SNAP_SUFFIX}"))
+fn decode(payload: &[u8]) -> Result<SnapshotState, DecodeError> {
+    let mut r = Reader::new(payload);
+    let watermark = r.u64()?;
+    let shards = get_shards(&mut r)?;
+    let n_weights = r.len_prefix(8)?;
+    let mut weights = Vec::with_capacity(n_weights);
+    for _ in 0..n_weights {
+        weights.push(r.f64()?);
+    }
+    r.finish()?;
+    Ok(SnapshotState {
+        watermark,
+        shards,
+        weights,
+    })
 }
 
 /// Lists snapshot files in `dir`, sorted ascending by watermark.
 pub fn snapshot_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut snaps = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix(SNAP_PREFIX)
-            .and_then(|s| s.strip_suffix(SNAP_SUFFIX))
-        else {
-            continue;
-        };
-        let Ok(watermark) = stem.parse::<u64>() else {
-            continue;
-        };
-        snaps.push((watermark, entry.path()));
-    }
-    snaps.sort();
-    Ok(snaps)
+    numbered_files(dir, SNAP_PREFIX, SNAP_SUFFIX)
 }
 
-/// Writes `state` atomically into `dir` (created if missing) and returns
-/// its path. The temp file is fsynced before the rename so the rename
-/// never publishes unflushed bytes.
-pub fn write(dir: &Path, state: &SnapshotState) -> io::Result<PathBuf> {
+/// Writes the state `(watermark, shards, weights)` atomically into `dir`
+/// (created if missing) and returns the snapshot's path. Takes the parts
+/// rather than a [`SnapshotState`] so any holder of the state — the
+/// service's live view, a recovered or followed
+/// [`crate::store::RecoveredState`] — is written without a copy.
+///
+/// Durable on return: the temp file is fsynced before the rename, so the
+/// rename never publishes unflushed bytes, and the directory is fsynced
+/// after it, so the caller may delete what the snapshot covers (older
+/// snapshots, WAL segments) without a power loss keeping the deletions
+/// and losing the rename.
+pub fn write(
+    dir: &Path,
+    watermark: u64,
+    shards: &[Vec<u32>],
+    weights: &[f64],
+) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let final_path = snap_path(dir, state.watermark);
+    let final_path = dir.join(format!("{SNAP_PREFIX}{watermark:020}{SNAP_SUFFIX}"));
     let tmp_path = final_path.with_extension("snap.tmp");
     let mut buf = Vec::new();
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
-    write_frame(&mut buf, &state.encode());
+    write_frame(&mut buf, &encode(watermark, shards, weights));
     let mut f = File::create(&tmp_path)?;
     f.write_all(&buf)?;
     f.sync_data()?;
     drop(f);
     fs::rename(&tmp_path, &final_path)?;
+    File::open(dir)?.sync_all()?;
     Ok(final_path)
 }
 
@@ -150,9 +125,7 @@ fn load_file(path: &Path) -> Option<SnapshotState> {
         return None;
     }
     match read_frame(&buf, 8) {
-        FrameRead::Frame { payload, next } if next == buf.len() => {
-            SnapshotState::decode(payload).ok()
-        }
+        FrameRead::Frame { payload, next } if next == buf.len() => decode(payload).ok(),
         _ => None,
     }
 }
@@ -162,12 +135,7 @@ fn load_file(path: &Path) -> Option<SnapshotState> {
 /// error only for an unreadable directory.
 pub fn load_latest(dir: &Path) -> io::Result<Option<SnapshotState>> {
     let snaps = snapshot_files(dir)?;
-    for (_, path) in snaps.iter().rev() {
-        if let Some(state) = load_file(path) {
-            return Ok(Some(state));
-        }
-    }
-    Ok(None)
+    Ok(snaps.iter().rev().find_map(|(_, path)| load_file(path)))
 }
 
 /// Removes snapshots older than `keep_watermark` (the newest one is kept
@@ -200,6 +168,10 @@ mod tests {
             shards: vec![vec![0, 3, 9], vec![], vec![4]],
             weights: vec![0.5, 0.0, 1.25, f64::MIN_POSITIVE],
         }
+    }
+
+    fn write(dir: &Path, s: &SnapshotState) -> io::Result<PathBuf> {
+        super::write(dir, s.watermark, &s.shards, &s.weights)
     }
 
     #[test]

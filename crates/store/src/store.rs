@@ -26,8 +26,8 @@ use crate::record::{
     BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
 };
 use crate::snapshot::{self, SnapshotState};
+use crate::tail::WalTail;
 use crate::wal::{self, FsyncPolicy, Wal, WalConfig};
-use std::collections::BTreeSet;
 use std::fs::{self, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -75,16 +75,23 @@ pub struct StoreStats {
     pub watermark: u64,
 }
 
-/// State rebuilt from a store directory: the durable prefix of the run.
-#[derive(Debug, Clone, PartialEq)]
+/// The dispatch state folded from a store directory — the one type that
+/// turns [`WalRecord`]s into assignments. [`recover`] returns it at the
+/// durable prefix of a run; a follower keeps it warm by feeding
+/// [`RecoveredState::apply`] what its [`WalTail`] polls; and its
+/// `(watermark, shards, weights)` are exactly what [`snapshot::write`]
+/// persists. Because every path folds through the same `apply`, a state
+/// at watermark `W` is the same however it got there.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveredState {
-    /// Batches folded in — the next expected sequence number.
+    /// Records folded in — the next expected sequence number.
     pub watermark: u64,
     /// Watermark of the snapshot recovery started from, if any.
     pub snapshot_watermark: Option<u64>,
-    /// WAL records replayed on top of the snapshot.
+    /// WAL records applied on top of the snapshot.
     pub records_replayed: u64,
-    /// Bytes of torn/corrupt WAL tail that were ignored.
+    /// Bytes of WAL that recovery ignored: everything on disk past the
+    /// durable prefix (see [`crate::tail::TailPoll::blocked_bytes`]).
     pub truncated_bytes: u64,
     /// Per shard, the sorted universe edge ids assigned.
     pub shards: Vec<Vec<u32>>,
@@ -93,16 +100,79 @@ pub struct RecoveredState {
     pub weights: Vec<f64>,
 }
 
+/// Sorted and free of repeats: the invariant [`RecoveredState::apply`]'s
+/// binary searches rely on, restored on every list that comes off disk.
+fn normalized(mut shards: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+    for shard in &mut shards {
+        shard.sort_unstable();
+        shard.dedup();
+    }
+    shards
+}
+
 impl RecoveredState {
-    fn empty() -> RecoveredState {
-        RecoveredState {
-            watermark: 0,
-            snapshot_watermark: None,
-            records_replayed: 0,
-            truncated_bytes: 0,
-            shards: Vec::new(),
-            weights: Vec::new(),
+    /// Folds one record in. Records must arrive in sequence.
+    ///
+    /// Batch and online records replay identically — weight deltas first,
+    /// then assignment deltas; only their audit metadata differs. A plan
+    /// record carries the full post-migration assignment per shard, so it
+    /// replaces the shard structure wholesale and leaves the weights
+    /// alone: a migration moves edges between shards, it never revalues
+    /// them.
+    pub fn apply(&mut self, rec: &WalRecord) {
+        assert_eq!(
+            rec.seq(),
+            self.watermark,
+            "records must be applied in sequence (got seq {}, expected {})",
+            rec.seq(),
+            self.watermark
+        );
+        let (deltas, decisions): (&[WeightDelta], &[DecisionRecord]) = match rec {
+            WalRecord::Batch(rec) => (&rec.deltas, &rec.decisions),
+            WalRecord::Online(rec) => (&rec.deltas, &rec.decisions),
+            WalRecord::Plan(rec) => {
+                self.shards = normalized(rec.shards.clone());
+                (&[], &[])
+            }
+        };
+        for d in deltas {
+            self.set_weight(d.edge, d.weight);
         }
+        for d in decisions {
+            // The decision carries the live weight at decision time;
+            // applying it fills in weights that predate any journaled
+            // delta (initial graph weights).
+            self.set_weight(d.edge, d.weight);
+            let s = d.shard as usize;
+            if self.shards.len() <= s {
+                self.shards.resize_with(s + 1, Vec::new);
+            }
+            let shard = &mut self.shards[s];
+            match shard.binary_search(&d.edge) {
+                Err(at) if d.assign => shard.insert(at, d.edge),
+                Ok(at) if !d.assign => {
+                    shard.remove(at);
+                }
+                _ => {}
+            }
+        }
+        self.watermark += 1;
+        self.records_replayed += 1;
+    }
+
+    fn set_weight(&mut self, edge: u32, weight: f64) {
+        let i = edge as usize;
+        if self.weights.len() <= i {
+            self.weights.resize(i + 1, 0.0);
+        }
+        self.weights[i] = weight;
+    }
+
+    /// Persists this state as a snapshot in `dir` — durable on return,
+    /// see [`snapshot::write`]. A promoted follower calls this so the
+    /// next recovery starts warm.
+    pub fn write_snapshot(&self, dir: &Path) -> io::Result<PathBuf> {
+        snapshot::write(dir, self.watermark, &self.shards, &self.weights)
     }
 
     /// Number of assigned edges across all shards.
@@ -122,133 +192,34 @@ impl RecoveredState {
         }
         total
     }
-
-    /// The recovered state as a snapshot payload (used to re-seed a
-    /// fresh store from a recovered one, and by tests).
-    pub fn to_snapshot(&self) -> SnapshotState {
-        SnapshotState {
-            watermark: self.watermark,
-            shards: self.shards.clone(),
-            weights: self.weights.clone(),
-        }
-    }
 }
 
-/// The shared fold both batch and online records replay with: weight
-/// deltas first, then assignment deltas.
-fn apply_changes(
-    shards: &mut Vec<BTreeSet<u32>>,
-    weights: &mut Vec<f64>,
-    deltas: &[WeightDelta],
-    decisions: &[DecisionRecord],
-) {
-    let touch = |weights: &mut Vec<f64>, edge: u32, w: f64| {
-        let i = edge as usize;
-        if weights.len() <= i {
-            weights.resize(i + 1, 0.0);
-        }
-        weights[i] = w;
-    };
-    for d in deltas {
-        touch(weights, d.edge, d.weight);
-    }
-    for d in decisions {
-        let s = d.shard as usize;
-        if shards.len() <= s {
-            shards.resize_with(s + 1, BTreeSet::new);
-        }
-        // The decision carries the live weight at decision time; applying
-        // it fills in weights that predate any journaled delta (initial
-        // graph weights).
-        touch(weights, d.edge, d.weight);
-        if d.assign {
-            shards[s].insert(d.edge);
-        } else {
-            shards[s].remove(&d.edge);
-        }
-    }
-}
-
-pub(crate) fn apply_record(
-    shards: &mut Vec<BTreeSet<u32>>,
-    weights: &mut Vec<f64>,
-    rec: &BatchRecord,
-) {
-    apply_changes(shards, weights, &rec.deltas, &rec.decisions);
-}
-
-/// Applies an online (per-event decision) record — the identical fold as
-/// a batch record; only the audit metadata differs.
-pub(crate) fn apply_online(
-    shards: &mut Vec<BTreeSet<u32>>,
-    weights: &mut Vec<f64>,
-    rec: &OnlineRecord,
-) {
-    apply_changes(shards, weights, &rec.deltas, &rec.decisions);
-}
-
-/// Applies a shard-plan (migration) record: the record carries the full
-/// post-migration assignment per shard, so replay replaces the shard
-/// structure wholesale. Weights are untouched — a migration moves edges
-/// between shards, it does not change their live benefit.
-pub(crate) fn apply_plan(shards: &mut Vec<BTreeSet<u32>>, rec: &PlanRecord) {
-    shards.clear();
-    shards.extend(
-        rec.shards
-            .iter()
-            .map(|s| s.iter().copied().collect::<BTreeSet<u32>>()),
-    );
-}
-
-/// Scans `dir` once: latest valid snapshot + WAL tail replay. Also
-/// reports where the WAL tail went bad so [`DurableStore::open`] can
-/// repair it physically.
+/// Scans `dir` once: the latest valid snapshot, then the log from the
+/// snapshot's watermark on. Also reports where the durable prefix ends
+/// when anything lies past it, so [`DurableStore::open`] can repair it
+/// physically.
 fn scan(dir: &Path) -> io::Result<(RecoveredState, Option<(PathBuf, u64)>)> {
-    let base = snapshot::load_latest(dir)?;
-    let mut out = RecoveredState::empty();
-    let mut shards: Vec<BTreeSet<u32>> = Vec::new();
-    if let Some(snap) = base {
-        out.watermark = snap.watermark;
-        out.snapshot_watermark = Some(snap.watermark);
-        out.weights = snap.weights;
-        shards = snap
-            .shards
-            .into_iter()
-            .map(|s| s.into_iter().collect())
-            .collect();
+    let mut state = RecoveredState::default();
+    if let Some(snap) = snapshot::load_latest(dir)? {
+        state.watermark = snap.watermark;
+        state.snapshot_watermark = Some(snap.watermark);
+        state.shards = normalized(snap.shards);
+        state.weights = snap.weights;
     }
-    let replayed = wal::replay(dir)?;
-    out.truncated_bytes = replayed.truncated_bytes;
-    for rec in &replayed.records {
-        if rec.seq() < out.watermark {
-            continue; // segment not yet compacted; the snapshot covers it
-        }
-        if rec.seq() != out.watermark {
-            break; // gap — nothing past it is trustworthy
-        }
-        match rec {
-            WalRecord::Batch(rec) => apply_record(&mut shards, &mut out.weights, rec),
-            WalRecord::Plan(rec) => apply_plan(&mut shards, rec),
-            WalRecord::Online(rec) => apply_online(&mut shards, &mut out.weights, rec),
-        }
-        out.watermark += 1;
-        out.records_replayed += 1;
+    let tail = WalTail::resume_from(dir, state.watermark).poll()?;
+    for rec in &tail.records {
+        state.apply(rec);
     }
-    out.shards = shards
-        .into_iter()
-        .map(|s| s.into_iter().collect())
-        .collect();
-    Ok((out, replayed.torn))
+    state.truncated_bytes = tail.blocked_bytes;
+    Ok((state, tail.torn))
 }
 
 /// Rebuilds dispatch state from a store directory, read-only: latest
-/// valid snapshot + WAL tail, tolerating a torn or corrupt tail by
-/// ignoring everything from the first bad frame on. Nothing on disk is
-/// modified.
+/// valid snapshot + the WAL from its watermark on, ignoring everything
+/// past the durable prefix. Nothing on disk is modified.
 pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
     mbta_telemetry::counter_add("mbta_store_recoveries_total", 1);
-    let (state, _) = scan(dir)?;
-    Ok(state)
+    Ok(scan(dir)?.0)
 }
 
 /// The write half: owns the WAL and decides when to snapshot and compact.
@@ -263,11 +234,11 @@ pub struct DurableStore {
 
 impl DurableStore {
     /// Opens (or creates) a store in `dir` and recovers whatever durable
-    /// state it holds. A torn WAL tail is *repaired* — physically
-    /// truncated at the last good frame, later segments removed — because
-    /// a reopened writer starts a new segment, and a lingering bad frame
-    /// in an old segment would otherwise mask the new records from
-    /// replay.
+    /// state it holds. Whatever recovery ignored is *repaired* — the
+    /// segment where the durable prefix ends is physically truncated
+    /// there, later segments removed — because a reopened writer starts a
+    /// new segment, and a lingering bad frame in an old segment would
+    /// otherwise mask the new records from replay.
     pub fn open(dir: &Path, cfg: StoreConfig) -> io::Result<(DurableStore, RecoveredState)> {
         fs::create_dir_all(dir)?;
         remove_orphan_tmp(dir)?;
@@ -299,39 +270,37 @@ impl DurableStore {
     /// decisions are released to any sink, with strictly sequential
     /// sequence numbers.
     pub fn commit(&mut self, rec: &BatchRecord) -> io::Result<()> {
-        assert_eq!(
-            rec.seq, self.watermark,
-            "store commits must be sequential (got seq {}, expected {})",
-            rec.seq, self.watermark
-        );
-        self.wal.append(rec)?;
-        self.watermark += 1;
-        Ok(())
+        self.append(rec.seq, &rec.encode())
     }
 
     /// Journals one shard-plan migration. Plan records consume a slot in
     /// the same sequence space as batches, so followers and recovery
     /// replay the migration at exactly the batch boundary it happened.
     pub fn commit_plan(&mut self, rec: &PlanRecord) -> io::Result<()> {
-        assert_eq!(
-            rec.seq, self.watermark,
-            "store commits must be sequential (got plan seq {}, expected {})",
-            rec.seq, self.watermark
-        );
-        self.wal.append_plan(rec)?;
-        self.watermark += 1;
-        Ok(())
+        self.append(rec.seq, &rec.encode())
     }
 
     /// Journals one online (per-event decision) record. Same write-ahead
     /// contract and sequence space as [`DurableStore::commit`].
     pub fn commit_online(&mut self, rec: &OnlineRecord) -> io::Result<()> {
+        self.append(rec.seq, &rec.encode())
+    }
+
+    /// Journals a record of whichever kind — what the typed front doors
+    /// above do, for a caller that already holds a [`WalRecord`].
+    pub fn commit_record(&mut self, rec: &WalRecord) -> io::Result<()> {
+        self.append(rec.seq(), &rec.encode())
+    }
+
+    /// The one write body: checks the sequence, appends the encoded
+    /// record to the WAL, advances the watermark.
+    fn append(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
         assert_eq!(
-            rec.seq, self.watermark,
-            "store commits must be sequential (got online seq {}, expected {})",
-            rec.seq, self.watermark
+            seq, self.watermark,
+            "store commits must be sequential (got seq {seq}, expected {})",
+            self.watermark
         );
-        self.wal.append_online(rec)?;
+        self.wal.append(seq, payload)?;
         self.watermark += 1;
         Ok(())
     }
@@ -343,16 +312,17 @@ impl DurableStore {
             && self.watermark.saturating_sub(self.last_snapshot) >= self.cfg.snapshot_every
     }
 
-    /// Writes a snapshot of the caller's full state, then prunes older
-    /// snapshots and compacts WAL segments the new snapshot covers. The
-    /// state's watermark must match the store's.
+    /// Writes a snapshot of the caller's full state and, once it is
+    /// durable ([`snapshot::write`] fsyncs the directory after its
+    /// rename), prunes older snapshots and compacts WAL segments the new
+    /// snapshot covers. The state's watermark must match the store's.
     pub fn snapshot(&mut self, state: &SnapshotState) -> io::Result<()> {
         assert_eq!(
             state.watermark, self.watermark,
             "snapshot watermark must match committed watermark"
         );
         let t = Instant::now();
-        snapshot::write(&self.dir, state)?;
+        snapshot::write(&self.dir, state.watermark, &state.shards, &state.weights)?;
         mbta_telemetry::observe("mbta_store_snapshot_ms", t.elapsed().as_secs_f64() * 1e3);
         mbta_telemetry::counter_add("mbta_store_snapshots_total", 1);
         self.last_snapshot = state.watermark;
@@ -407,7 +377,7 @@ fn remove_orphan_tmp(dir: &Path) -> io::Result<usize> {
     Ok(removed)
 }
 
-/// Physically truncates a torn segment at its last good frame and removes
+/// Physically truncates a segment where the durable prefix ends and removes
 /// any segments after it. An empty repaired segment is deleted outright
 /// so a reopened writer can reuse its sequence-numbered name.
 fn repair(dir: &Path, torn_path: &Path, durable_len: u64) -> io::Result<()> {
@@ -433,7 +403,7 @@ fn repair(dir: &Path, torn_path: &Path, durable_len: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{DecisionRecord, WeightDelta};
+    use std::collections::BTreeSet;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -475,6 +445,17 @@ mod tests {
                 weight: 1.0 + seq as f64,
             }],
             decisions,
+        }
+    }
+
+    /// What the service hands `snapshot`/`seal`: here, the directory's own
+    /// recovered state.
+    fn snap_of(dir: &Path) -> SnapshotState {
+        let state = recover(dir).unwrap();
+        SnapshotState {
+            watermark: state.watermark,
+            shards: state.shards,
+            weights: state.weights,
         }
     }
 
@@ -584,7 +565,7 @@ mod tests {
         for seq in 0..10 {
             store.commit(&rec(seq)).unwrap();
             if store.snapshot_due() {
-                let snap = recover(&dir).unwrap().to_snapshot();
+                let snap = snap_of(&dir);
                 store.snapshot(&snap).unwrap();
             }
         }
@@ -611,7 +592,7 @@ mod tests {
         let dir = tmp("seal");
         let (mut store, _) = DurableStore::open(&dir, StoreConfig::default()).unwrap();
         run(&mut store, 0..5);
-        let snap = recover(&dir).unwrap().to_snapshot();
+        let snap = snap_of(&dir);
         store.seal(&snap).unwrap();
         drop(store);
         let state = recover(&dir).unwrap();
@@ -648,11 +629,56 @@ mod tests {
     }
 
     #[test]
+    fn damage_in_a_middle_segment_counts_every_ignored_byte() {
+        let dir = tmp("middle");
+        let cfg = StoreConfig {
+            snapshot_every: 0,
+            segment_bytes: 96, // a couple of records per segment
+            ..StoreConfig::default()
+        };
+        let (mut store, _) = DurableStore::open(&dir, cfg).unwrap();
+        run(&mut store, 0..12);
+        drop(store);
+        let segs = wal::segment_files(&dir).unwrap();
+        assert!(segs.len() >= 4, "need a middle segment, got {segs:?}");
+        // Flip a payload bit in the first frame of the second segment:
+        // the durable prefix ends right there, and nothing after it —
+        // the rest of that segment and every later one — is reachable.
+        let (cut_seq, cut_path) = &segs[1];
+        let mut bytes = fs::read(cut_path).unwrap();
+        bytes[crate::frame::FRAME_HEADER] ^= 0x01;
+        fs::write(cut_path, &bytes).unwrap();
+        let ignored: u64 = segs[1..]
+            .iter()
+            .map(|(_, p)| fs::metadata(p).unwrap().len())
+            .sum();
+
+        let state = recover(&dir).unwrap();
+        assert_eq!(state.watermark, *cut_seq);
+        assert_eq!(state.truncated_bytes, ignored);
+        assert_eq!(state.shards, expected(*cut_seq).0);
+        let replayed = wal::replay(&dir).unwrap();
+        assert_eq!(replayed.blocked_bytes, ignored);
+        assert_eq!(replayed.torn, Some((cut_path.clone(), 0)));
+
+        // Reopening removes exactly those bytes and resumes at the cut.
+        let (mut store, recovered) = DurableStore::open(&dir, cfg).unwrap();
+        assert_eq!(recovered, state);
+        assert_eq!(wal::segment_files(&dir).unwrap(), segs[..1]);
+        run(&mut store, *cut_seq..12);
+        drop(store);
+        let state = recover(&dir).unwrap();
+        assert_eq!((state.watermark, state.truncated_bytes), (12, 0));
+        assert_eq!(state.shards, expected(12).0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn open_removes_orphan_tmp_snapshots() {
         let dir = tmp("orphan-tmp");
         let (mut store, _) = DurableStore::open(&dir, StoreConfig::default()).unwrap();
         run(&mut store, 0..4);
-        let snap = recover(&dir).unwrap().to_snapshot();
+        let snap = snap_of(&dir);
         store.seal(&snap).unwrap();
         drop(store);
         // Plant a temp file as a crash mid-snapshot would leave it: the

@@ -1,31 +1,27 @@
-//! Tail-following reads: the replication half of the store.
+//! The read path: one cursor over the WAL, and the liveness heartbeat.
 //!
-//! A follower process watches a primary's WAL directory and keeps a warm
-//! copy of the dispatch state without ever writing to the directory:
-//!
-//! * [`WalTail`] — a cursor over the segment files that can be polled
-//!   repeatedly. Each poll returns the batch records that became durable
-//!   since the last poll, using the same frame acceptance rules as
-//!   recovery: the first torn or corrupt frame ends the readable prefix.
+//! * [`WalTail`] — a cursor over the segment files, positioned at a
+//!   sequence number, that can be polled repeatedly. It is the **only**
+//!   code that walks WAL frames, so the acceptance rule is written once,
+//!   in [`WalTail::poll`]: the first torn, corrupt, undecodable or
+//!   non-sequential frame ends the durable prefix. Everything that reads
+//!   the log is this cursor started somewhere: [`crate::wal::replay`]
+//!   (at the first record on disk), [`crate::store::recover`] and
+//!   repair-on-open (at the latest snapshot's watermark), and a follower
+//!   (wherever its warm state stands, polling as the primary appends).
 //!   While the primary is alive a bad frame is *in flight*, not final —
 //!   the cursor parks on it and the next poll re-reads, so a half-written
-//!   append is picked up once the primary finishes it.
-//! * [`FollowerState`] — the incremental mirror of
-//!   [`crate::store::RecoveredState`]: applies records one at a time with
-//!   exactly the fold recovery uses, so `follower state at watermark W ==
-//!   recover() at watermark W` by construction.
+//!   append is picked up once the primary finishes it. The records a poll
+//!   returns feed [`crate::store::RecoveredState::apply`], the one fold.
 //! * [`heartbeat_touch`] / [`heartbeat_age`] — the liveness protocol. The
 //!   primary touches `heartbeat` in the WAL directory while it runs; a
 //!   follower treats a stale mtime as the first (necessary, not
 //!   sufficient) signal of primary death. See DESIGN.md §12 for the full
 //!   promotion gate.
 
+use crate::frame::{read_frame, FrameRead};
 use crate::record::WalRecord;
-use crate::snapshot::SnapshotState;
-use crate::store::{apply_online, apply_plan, apply_record, RecoveredState};
 use crate::wal::segment_files;
-use crate::{read_frame, FrameRead};
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -65,15 +61,17 @@ pub enum TailStatus {
     /// The cursor is parked on a torn or corrupt frame (or an undecodable
     /// payload). While the writer lives this may be an append in flight —
     /// poll again. Once the writer is known dead it is the final torn
-    /// tail, exactly what recovery would truncate.
+    /// tail, exactly what recovery truncates.
     Blocked,
-    /// The record the cursor expects next no longer exists on disk: the
-    /// primary compacted past the follower (or the directory lost data).
-    /// The follower must restart from the latest snapshot.
+    /// The record the cursor expects next is not where it has to be: the
+    /// next frame carries a later sequence number, or every surviving
+    /// segment starts beyond it (the primary compacted past a follower,
+    /// or the directory lost data). A follower must restart from the
+    /// latest snapshot.
     Gap,
 }
 
-/// One incremental read of the log tail.
+/// One incremental read of the log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TailPoll {
     /// Records that became durable since the previous poll, in `seq`
@@ -81,9 +79,14 @@ pub struct TailPoll {
     pub records: Vec<WalRecord>,
     /// How the read ended.
     pub status: TailStatus,
-    /// Bytes from the blocking frame to the end of its segment when
-    /// `status == Blocked` (the would-be truncation), else 0.
+    /// Every byte on disk past the last record this poll accepted: the
+    /// rest of the segment the cursor stopped in plus all later segments,
+    /// which nothing can reach. 0 on a clean log. This is what recovery
+    /// ignores and repair-on-open removes.
     pub blocked_bytes: u64,
+    /// Where those bytes start — segment path and offset — when there
+    /// are any.
+    pub torn: Option<(PathBuf, u64)>,
 }
 
 /// A poll-based incremental reader of a WAL directory.
@@ -122,195 +125,98 @@ impl WalTail {
 
     /// Reads every record that became durable since the last poll.
     ///
-    /// Damaged data never fails the poll (it parks the cursor, see
-    /// [`TailStatus`]); real I/O errors are returned.
+    /// The walk starts in the last segment that begins at or below the
+    /// cursor, skips frames below the cursor (a snapshot covers them),
+    /// accepts each frame that carries exactly the expected sequence
+    /// number, and follows the log into later segments for as long as one
+    /// begins at or below the cursor. It ends at the first frame that is
+    /// torn or corrupt, does not decode ([`TailStatus::Blocked`]), or
+    /// carries a sequence number beyond the expected one
+    /// ([`TailStatus::Gap`]) — or cleanly, at the end of the last segment
+    /// the sequence reaches. Whatever lies on disk past that point is
+    /// reported, never read.
+    ///
+    /// Damaged data never fails the poll; real I/O errors are returned.
     pub fn poll(&mut self) -> io::Result<TailPoll> {
         let mut out = TailPoll {
             records: Vec::new(),
             status: TailStatus::Clean,
             blocked_bytes: 0,
+            torn: None,
         };
         loop {
+            // (Re)resolve the cursor's segment from a fresh listing: the
+            // one read last round may have been compacted away since.
             let segs = segment_files(&self.dir)?;
-            // (Re)resolve the cursor: the segment that holds `next_seq`
-            // is the last one starting at or below it. The previous
-            // cursor segment may have been compacted away after we
-            // consumed it — resolving fresh each round handles that.
-            let home = segs.iter().rev().find(|(first, _)| *first <= self.next_seq);
-            let Some((first_seq, path)) = home else {
-                if segs.is_empty() {
-                    // Nothing written yet (or everything compacted into a
-                    // snapshot at exactly our watermark): caught up.
-                    return Ok(out);
+            let Some(home) = segs.iter().rposition(|(first, _)| *first <= self.next_seq) else {
+                // Nothing written yet (or all of it compacted into a
+                // snapshot at exactly our watermark): caught up. Segments
+                // that all start beyond us: the records we need are gone.
+                if !segs.is_empty() {
+                    out.status = TailStatus::Gap;
+                    out.stop_at(&segs, 0);
                 }
-                // Every surviving segment starts beyond us: the records
-                // we still need are gone.
-                out.status = TailStatus::Gap;
                 return Ok(out);
             };
-            let (first_seq, path) = (*first_seq, path.clone());
-            let buf = match fs::read(&path) {
+            let path = &segs[home].1;
+            let buf = match fs::read(path) {
                 Ok(b) => b,
-                // Compacted between the listing and the read: retry the
-                // resolution with a fresh listing.
+                // Compacted between the listing and the read: list again.
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
             };
             let mut offset = 0usize;
-            loop {
+            // `Some(status)`: the walk stopped at `offset`, short of the
+            // segment's end.
+            let stopped = loop {
                 match read_frame(&buf, offset) {
-                    FrameRead::End => break,
+                    FrameRead::End => break None,
+                    FrameRead::Bad { .. } => break Some(TailStatus::Blocked),
                     FrameRead::Frame { payload, next } => match WalRecord::decode(payload) {
-                        Ok(rec) if rec.seq() < self.next_seq => offset = next,
-                        Ok(rec) if rec.seq() == self.next_seq => {
-                            out.records.push(rec);
-                            self.next_seq += 1;
+                        // A CRC-valid frame that does not decode ends the
+                        // durable prefix like any other damage.
+                        Err(_) => break Some(TailStatus::Blocked),
+                        Ok(rec) if rec.seq() > self.next_seq => break Some(TailStatus::Gap),
+                        Ok(rec) => {
+                            if rec.seq() == self.next_seq {
+                                out.records.push(rec);
+                                self.next_seq += 1;
+                            }
                             offset = next;
                         }
-                        Ok(_) => {
-                            out.status = TailStatus::Gap;
-                            return Ok(out);
-                        }
-                        Err(_) => {
-                            // CRC-valid frame with an undecodable payload:
-                            // same treatment recovery gives it — the
-                            // durable prefix ends here.
-                            out.status = TailStatus::Blocked;
-                            out.blocked_bytes = (buf.len() - offset) as u64;
-                            return Ok(out);
-                        }
                     },
-                    FrameRead::Bad { .. } => {
-                        out.status = TailStatus::Blocked;
-                        out.blocked_bytes = (buf.len() - offset) as u64;
-                        return Ok(out);
-                    }
                 }
+            };
+            if let Some(status) = stopped {
+                out.status = status;
+                out.blocked_bytes = (buf.len() - offset) as u64;
+                out.torn = Some((path.clone(), offset as u64));
+                out.stop_at(&segs, home + 1);
+                return Ok(out);
             }
-            // Segment read cleanly to its end. Did the writer roll to a
-            // segment past this one? If a later segment now holds
-            // `next_seq`, loop and follow it; otherwise this is the live
-            // tail — caught up.
-            let rolled = segment_files(&self.dir)?
+            // The segment read cleanly to its end. If a later segment now
+            // holds the cursor the writer rolled: follow it. Otherwise
+            // this is the live tail, and any later segment starts beyond
+            // a hole nothing can cross.
+            if !segs[home + 1..]
                 .iter()
-                .any(|(first, _)| *first > first_seq && *first <= self.next_seq);
-            if !rolled {
+                .any(|(first, _)| *first <= self.next_seq)
+            {
+                out.stop_at(&segs, home + 1);
                 return Ok(out);
             }
         }
     }
 }
 
-/// A warm, incrementally-maintained mirror of the primary's dispatch
-/// state, fed by [`WalTail::poll`].
-///
-/// Applies each record with the exact fold recovery uses
-/// ([`crate::store::recover`]), so at any watermark the follower state is
-/// byte-for-byte the state a fresh recovery of the same prefix would
-/// produce.
-#[derive(Debug, Clone, Default)]
-pub struct FollowerState {
-    shards: Vec<BTreeSet<u32>>,
-    weights: Vec<f64>,
-    watermark: u64,
-    records_applied: u64,
-}
-
-impl FollowerState {
-    /// An empty state at watermark 0.
-    pub fn new() -> FollowerState {
-        FollowerState::default()
-    }
-
-    /// Seeds the mirror from a recovery of the primary's directory
-    /// (snapshot + durable WAL prefix). Pair with
-    /// [`WalTail::resume_from`] at the same watermark.
-    pub fn from_recovered(state: &RecoveredState) -> FollowerState {
-        FollowerState {
-            shards: state
-                .shards
-                .iter()
-                .map(|s| s.iter().copied().collect())
-                .collect(),
-            weights: state.weights.clone(),
-            watermark: state.watermark,
-            records_applied: 0,
-        }
-    }
-
-    /// Folds one record in. Records must arrive in sequence.
-    pub fn apply(&mut self, rec: &WalRecord) {
-        assert_eq!(
-            rec.seq(),
-            self.watermark,
-            "follower records must be sequential (got seq {}, expected {})",
-            rec.seq(),
-            self.watermark
-        );
-        match rec {
-            WalRecord::Batch(rec) => apply_record(&mut self.shards, &mut self.weights, rec),
-            WalRecord::Plan(rec) => apply_plan(&mut self.shards, rec),
-            WalRecord::Online(rec) => apply_online(&mut self.shards, &mut self.weights, rec),
-        }
-        self.watermark += 1;
-        self.records_applied += 1;
-    }
-
-    /// Batches folded in so far.
-    pub fn watermark(&self) -> u64 {
-        self.watermark
-    }
-
-    /// Records applied through [`FollowerState::apply`] (excludes the
-    /// seeded snapshot/replay prefix).
-    pub fn records_applied(&self) -> u64 {
-        self.records_applied
-    }
-
-    /// Number of assigned edges across all shards.
-    pub fn assignments(&self) -> usize {
-        self.shards.iter().map(BTreeSet::len).sum()
-    }
-
-    /// Total retained weight over assigned edges.
-    pub fn total_weight(&self) -> f64 {
-        let mut total = 0.0;
-        for shard in &self.shards {
-            for &e in shard {
-                total += self.weights.get(e as usize).copied().unwrap_or(0.0);
-            }
-        }
-        total
-    }
-
-    /// The mirror as a [`RecoveredState`] (for validation paths that
-    /// already consume recovery output).
-    pub fn to_recovered(&self) -> RecoveredState {
-        RecoveredState {
-            watermark: self.watermark,
-            snapshot_watermark: None,
-            records_replayed: self.records_applied,
-            truncated_bytes: 0,
-            shards: self
-                .shards
-                .iter()
-                .map(|s| s.iter().copied().collect())
-                .collect(),
-            weights: self.weights.clone(),
-        }
-    }
-
-    /// The mirror as a snapshot payload (written at promotion so the next
-    /// recovery starts warm).
-    pub fn to_snapshot(&self) -> SnapshotState {
-        SnapshotState {
-            watermark: self.watermark,
-            shards: self
-                .shards
-                .iter()
-                .map(|s| s.iter().copied().collect())
-                .collect(),
-            weights: self.weights.clone(),
+impl TailPoll {
+    /// Counts the unreachable segments `segs[from..]` into
+    /// `blocked_bytes`, and marks the first as the torn point unless
+    /// the walk already stopped mid-segment before them.
+    fn stop_at(&mut self, segs: &[(u64, PathBuf)], from: usize) {
+        for (_, path) in &segs[from..] {
+            self.blocked_bytes += fs::metadata(path).map_or(0, |m| m.len());
+            self.torn.get_or_insert_with(|| (path.clone(), 0));
         }
     }
 }
@@ -319,7 +225,8 @@ impl FollowerState {
 mod tests {
     use super::*;
     use crate::record::{BatchRecord, DecisionRecord, PlanRecord, WeightDelta};
-    use crate::store::{recover, DurableStore, StoreConfig};
+    use crate::snapshot::SnapshotState;
+    use crate::store::{recover, DurableStore, RecoveredState, StoreConfig};
     use crate::wal;
 
     fn tmp(name: &str) -> PathBuf {
@@ -363,12 +270,21 @@ mod tests {
         }
     }
 
+    fn snap_of(dir: &Path) -> SnapshotState {
+        let state = recover(dir).unwrap();
+        SnapshotState {
+            watermark: state.watermark,
+            shards: state.shards,
+            weights: state.weights,
+        }
+    }
+
     #[test]
     fn tail_follows_appends_incrementally() {
         let dir = tmp("incremental");
         let (mut store, _) = DurableStore::open(&dir, StoreConfig::default()).unwrap();
         let mut tail = WalTail::new(&dir);
-        let mut follower = FollowerState::new();
+        let mut follower = RecoveredState::default();
 
         for seq in 0..3 {
             store.commit(&rec(seq)).unwrap();
@@ -393,8 +309,8 @@ mod tests {
         // The mirror equals a fresh recovery of the same prefix.
         drop(store);
         let recovered = recover(&dir).unwrap();
-        assert_eq!(follower.watermark(), recovered.watermark);
-        assert_eq!(follower.to_recovered().shards, recovered.shards);
+        assert_eq!(follower.watermark, recovered.watermark);
+        assert_eq!(follower.shards, recovered.shards);
         assert!((follower.total_weight() - recovered.total_weight()).abs() < 1e-12);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -467,14 +383,14 @@ mod tests {
         for seq in 0..6 {
             store.commit(&rec(seq)).unwrap();
             if store.snapshot_due() {
-                let snap = recover(&dir).unwrap().to_snapshot();
+                let snap = snap_of(&dir);
                 store.snapshot(&snap).unwrap();
             }
         }
         drop(store);
         let base = recover(&dir).unwrap();
         assert_eq!(base.snapshot_watermark, Some(4));
-        let mut follower = FollowerState::from_recovered(&base);
+        let mut follower = base.clone();
         let mut tail = WalTail::resume_from(&dir, base.watermark);
         let p = tail.poll().unwrap();
         assert_eq!(p.status, TailStatus::Clean);
@@ -487,7 +403,7 @@ mod tests {
         assert_eq!(p.records.len(), 1);
         assert_eq!(p.records[0].seq(), 6);
         p.records.iter().for_each(|r| follower.apply(r));
-        assert_eq!(follower.watermark(), 7);
+        assert_eq!(follower.watermark, 7);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -506,7 +422,7 @@ mod tests {
         // A follower that never polled; the primary snapshots at the tip
         // and compacts everything behind it.
         let mut tail = WalTail::new(&dir);
-        let snap = recover(&dir).unwrap().to_snapshot();
+        let snap = snap_of(&dir);
         store.snapshot(&snap).unwrap();
         store.commit(&rec(10)).unwrap();
         drop(store);
@@ -520,11 +436,45 @@ mod tests {
     }
 
     #[test]
+    fn segments_beyond_a_hole_are_reported_not_read() {
+        let dir = tmp("hole");
+        let cfg = StoreConfig {
+            segment_bytes: 96,
+            snapshot_every: 0,
+            ..StoreConfig::default()
+        };
+        let (mut store, _) = DurableStore::open(&dir, cfg).unwrap();
+        for seq in 0..10 {
+            store.commit(&rec(seq)).unwrap();
+        }
+        drop(store);
+        // Lose a whole middle segment. The log reads cleanly up to the
+        // hole; what lies beyond can never be reached, and says so.
+        let segs = wal::segment_files(&dir).unwrap();
+        assert!(segs.len() >= 3, "need a middle segment, got {segs:?}");
+        fs::remove_file(&segs[1].1).unwrap();
+        let beyond: u64 = segs[2..]
+            .iter()
+            .map(|(_, p)| fs::metadata(p).unwrap().len())
+            .sum();
+        let p = WalTail::new(&dir).poll().unwrap();
+        assert_eq!(p.status, TailStatus::Clean);
+        assert_eq!(p.records.len() as u64, segs[1].0);
+        assert_eq!(p.blocked_bytes, beyond);
+        assert_eq!(p.torn, Some((segs[2].1.clone(), 0)));
+        // A reader already past the hole is not troubled by it.
+        let mut past = WalTail::resume_from(&dir, segs[2].0 + 1);
+        assert_eq!(past.poll().unwrap().status, TailStatus::Clean);
+        assert_eq!(past.next_seq(), 10);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn follower_replays_plan_frames() {
         let dir = tmp("plan");
         let (mut store, _) = DurableStore::open(&dir, StoreConfig::default()).unwrap();
         let mut tail = WalTail::new(&dir);
-        let mut follower = FollowerState::new();
+        let mut follower = RecoveredState::default();
         for seq in 0..3 {
             store.commit(&rec(seq)).unwrap();
         }
@@ -543,11 +493,11 @@ mod tests {
         assert_eq!(p.status, TailStatus::Clean);
         assert_eq!(p.records.len(), 5);
         p.records.iter().for_each(|r| follower.apply(r));
-        assert_eq!(follower.watermark(), 5);
+        assert_eq!(follower.watermark, 5);
         // The mirror equals a fresh recovery across the plan boundary.
         drop(store);
         let recovered = recover(&dir).unwrap();
-        assert_eq!(follower.to_recovered().shards, recovered.shards);
+        assert_eq!(follower.shards, recovered.shards);
         assert!((follower.total_weight() - recovered.total_weight()).abs() < 1e-12);
         fs::remove_dir_all(&dir).unwrap();
     }

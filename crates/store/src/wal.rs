@@ -4,11 +4,12 @@
 //! (the zero-padded first batch sequence number in the segment, so
 //! lexicographic order is numeric order). Each segment is a run of CRC
 //! frames (see [`crate::frame`]) whose payloads are encoded
-//! [`WalRecord`]s — batch decisions or shard-plan migrations, sharing a
-//! single strictly ascending `seq` space. A new segment starts
-//! when the current one crosses [`WalConfig::segment_bytes`]; compaction
-//! deletes whole segments whose records all fall at or below a snapshot
-//! watermark.
+//! [`crate::record::WalRecord`]s — batch or online decisions, or
+//! shard-plan migrations — sharing a single strictly ascending `seq`
+//! space. A new segment starts when the current one crosses
+//! [`WalConfig::segment_bytes`]; compaction deletes whole segments whose
+//! records all fall at or below a snapshot watermark. This module is the
+//! write half; every read of the log goes through [`crate::tail::WalTail`].
 //!
 //! Durability is governed by [`FsyncPolicy`]: `always` fsyncs after every
 //! append (a crash loses at most the in-flight record), `batch` fsyncs
@@ -23,8 +24,8 @@
 //! window — bounded by the same fsync cadence that already bounds
 //! `batch` — for far fewer syscalls on the per-event online path.
 
-use crate::frame::{read_frame, write_frame, FrameRead};
-use crate::record::{BatchRecord, OnlineRecord, PlanRecord, WalRecord};
+use crate::frame::write_frame;
+use crate::tail::{TailPoll, WalTail};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -95,33 +96,36 @@ impl Default for WalConfig {
 const SEG_PREFIX: &str = "wal-";
 const SEG_SUFFIX: &str = ".seg";
 
-fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
-    dir.join(format!("{SEG_PREFIX}{first_seq:020}{SEG_SUFFIX}"))
+/// Lists the files in `dir` named `<prefix><number><suffix>`, sorted by
+/// number — the one lister behind [`segment_files`] and
+/// [`crate::snapshot::snapshot_files`]. Anything else in the directory
+/// (heartbeat, temp files, strangers) is ignored.
+pub(crate) fn numbered_files(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let number = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok());
+        if let Some(number) = number {
+            files.push((number, entry.path()));
+        }
+    }
+    files.sort();
+    Ok(files)
 }
 
 /// Lists segment files in `dir`, sorted by first sequence number.
 pub fn segment_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segs = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix(SEG_PREFIX)
-            .and_then(|s| s.strip_suffix(SEG_SUFFIX))
-        else {
-            continue;
-        };
-        let Ok(first_seq) = stem.parse::<u64>() else {
-            continue;
-        };
-        segs.push((first_seq, entry.path()));
-    }
-    segs.sort();
-    Ok(segs)
+    numbered_files(dir, SEG_PREFIX, SEG_SUFFIX)
 }
 
-/// The writer half: appends [`BatchRecord`]s to the active segment.
+/// The writer half: appends encoded records to the active segment.
 pub struct Wal {
     dir: PathBuf,
     cfg: WalConfig,
@@ -170,26 +174,11 @@ impl Wal {
         self.bytes
     }
 
-    /// Appends one batch record, honouring the fsync policy. Rolls to a
-    /// new segment first if the active one is full.
-    pub fn append(&mut self, rec: &BatchRecord) -> io::Result<()> {
-        self.append_payload(rec.seq, &rec.encode())
-    }
-
-    /// Appends one shard-plan record. Plan frames share the sequence
-    /// space with batch frames, so replay and followers see a single
-    /// totally-ordered stream.
-    pub fn append_plan(&mut self, rec: &PlanRecord) -> io::Result<()> {
-        self.append_payload(rec.seq, &rec.encode())
-    }
-
-    /// Appends one online (per-event decision) record. Online frames
-    /// share the sequence space with batch and plan frames.
-    pub fn append_online(&mut self, rec: &OnlineRecord) -> io::Result<()> {
-        self.append_payload(rec.seq, &rec.encode())
-    }
-
-    fn append_payload(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
+    /// Appends one encoded record (`payload`, carrying sequence number
+    /// `seq`) as a frame, honouring the fsync policy. Rolls to a new
+    /// segment — named after `seq` — first if the active one is full.
+    /// Every record kind shares this path and the one sequence space.
+    pub fn append(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
         let roll = match &self.active {
             Some(seg) => seg.len + self.pending.len() as u64 >= self.cfg.segment_bytes,
             None => true,
@@ -267,7 +256,9 @@ impl Wal {
                 self.fsync_active()?;
             }
         }
-        let path = segment_path(&self.dir, first_seq);
+        let path = self
+            .dir
+            .join(format!("{SEG_PREFIX}{first_seq:020}{SEG_SUFFIX}"));
         let file = OpenOptions::new()
             .create_new(true)
             .append(true)
@@ -299,85 +290,20 @@ impl Wal {
     }
 }
 
-/// The outcome of scanning a WAL directory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WalReplay {
-    /// All intact records, in ascending `seq` order.
-    pub records: Vec<WalRecord>,
-    /// Bytes of torn/corrupt tail ignored (0 on a clean log).
-    pub truncated_bytes: u64,
-    /// Segment files scanned.
-    pub segments: usize,
-    /// Path and durable length of the segment where the scan stopped, if
-    /// it stopped early. `None` means every segment read cleanly to its
-    /// end. Used by repair-on-open to physically truncate the torn tail.
-    pub torn: Option<(PathBuf, u64)>,
-}
-
-/// Reads every segment in `dir` in order, stopping at the first bad
-/// frame, undecodable payload, or non-monotone sequence number. The scan
-/// never fails on damaged data — damage simply ends the durable prefix —
-/// but real I/O errors (unreadable directory or file) are returned.
-pub fn replay(dir: &Path) -> io::Result<WalReplay> {
-    let segs = segment_files(dir)?;
-    let mut out = WalReplay {
-        records: Vec::new(),
-        truncated_bytes: 0,
-        segments: segs.len(),
-        torn: None,
-    };
-    for (i, (_, path)) in segs.into_iter().enumerate() {
-        let buf = fs::read(&path)?;
-        let mut offset = 0usize;
-        loop {
-            match read_frame(&buf, offset) {
-                FrameRead::End => break,
-                FrameRead::Frame { payload, next } => {
-                    let ok = match WalRecord::decode(payload) {
-                        Ok(rec) => {
-                            let monotone = out
-                                .records
-                                .last()
-                                .map(|prev| rec.seq() == prev.seq() + 1)
-                                .unwrap_or(true);
-                            if monotone {
-                                out.records.push(rec);
-                                true
-                            } else {
-                                false
-                            }
-                        }
-                        Err(_) => false,
-                    };
-                    if !ok {
-                        out.truncated_bytes += (buf.len() - offset) as u64;
-                        out.torn = Some((path.clone(), offset as u64));
-                        break;
-                    }
-                    offset = next;
-                }
-                FrameRead::Bad { .. } => {
-                    out.truncated_bytes += (buf.len() - offset) as u64;
-                    out.torn = Some((path.clone(), offset as u64));
-                    break;
-                }
-            }
-        }
-        if out.torn.is_some() {
-            // Everything after the damaged segment is unreachable tail:
-            // count it but read no further.
-            out.segments = i + 1;
-            break;
-        }
-    }
-    Ok(out)
+/// Reads the whole log in `dir`, from the first record of its first
+/// segment: one poll of a [`WalTail`] started there, so it ends where
+/// every reader's durable prefix ends (see [`WalTail::poll`]). Damaged
+/// data never fails the scan; real I/O errors are returned.
+pub fn replay(dir: &Path) -> io::Result<TailPoll> {
+    let first = segment_files(dir)?.first().map_or(0, |(first, _)| *first);
+    WalTail::resume_from(dir, first).poll()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{BatchRecord, WeightDelta};
-    use std::path::PathBuf;
+    use crate::frame::{read_frame, FrameRead};
+    use crate::record::{BatchRecord, PlanRecord, WalRecord, WeightDelta};
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -400,12 +326,16 @@ mod tests {
         }
     }
 
+    fn append(wal: &mut Wal, rec: &BatchRecord) {
+        wal.append(rec.seq, &rec.encode()).unwrap();
+    }
+
     #[test]
     fn append_replay_round_trip() {
         let dir = tmp("round-trip");
         let mut wal = Wal::open(&dir, WalConfig::default()).unwrap();
         for seq in 0..5 {
-            wal.append(&rec(seq)).unwrap();
+            append(&mut wal, &rec(seq));
         }
         wal.sync().unwrap();
         let replayed = replay(&dir).unwrap();
@@ -413,8 +343,7 @@ mod tests {
             replayed.records,
             (0..5).map(|s| WalRecord::Batch(rec(s))).collect::<Vec<_>>()
         );
-        assert_eq!(replayed.truncated_bytes, 0);
-        assert_eq!(replayed.segments, 1);
+        assert_eq!(replayed.blocked_bytes, 0);
         assert!(replayed.torn.is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -423,7 +352,7 @@ mod tests {
     fn plan_frames_interleave_with_batches() {
         let dir = tmp("plan-frames");
         let mut wal = Wal::open(&dir, WalConfig::default()).unwrap();
-        wal.append(&rec(0)).unwrap();
+        append(&mut wal, &rec(0));
         let plan = PlanRecord {
             seq: 1,
             retained_weight: 0.5,
@@ -431,8 +360,8 @@ mod tests {
             moved_tasks: 3,
             shards: vec![vec![0, 4], vec![1]],
         };
-        wal.append_plan(&plan).unwrap();
-        wal.append(&rec(2)).unwrap();
+        wal.append(plan.seq, &plan.encode()).unwrap();
+        append(&mut wal, &rec(2));
         wal.sync().unwrap();
         let replayed = replay(&dir).unwrap();
         assert_eq!(
@@ -455,7 +384,7 @@ mod tests {
         };
         let mut wal = Wal::open(&dir, cfg).unwrap();
         for seq in 0..10 {
-            wal.append(&rec(seq)).unwrap();
+            append(&mut wal, &rec(seq));
         }
         wal.sync().unwrap();
         let segs = segment_files(&dir).unwrap();
@@ -473,7 +402,7 @@ mod tests {
         let dir = tmp("torn");
         let mut wal = Wal::open(&dir, WalConfig::default()).unwrap();
         for seq in 0..4 {
-            wal.append(&rec(seq)).unwrap();
+            append(&mut wal, &rec(seq));
         }
         wal.sync().unwrap();
         drop(wal);
@@ -483,7 +412,7 @@ mod tests {
         fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         let replayed = replay(&dir).unwrap();
         assert_eq!(replayed.records.len(), 3);
-        assert!(replayed.truncated_bytes > 0);
+        assert!(replayed.blocked_bytes > 0);
         let (torn_path, durable) = replayed.torn.unwrap();
         assert_eq!(torn_path, path);
         assert!(durable < bytes.len() as u64);
@@ -499,7 +428,7 @@ mod tests {
         };
         let mut wal = Wal::open(&dir, cfg).unwrap();
         for seq in 0..12 {
-            wal.append(&rec(seq)).unwrap();
+            append(&mut wal, &rec(seq));
         }
         wal.sync().unwrap();
         let before = segment_files(&dir).unwrap();
@@ -529,14 +458,14 @@ mod tests {
         };
         let mut wal = Wal::open(&dir, cfg).unwrap();
         for seq in 0..3 {
-            wal.append(&rec(seq)).unwrap();
+            append(&mut wal, &rec(seq));
         }
         // Window not reached: all three frames still sit in memory.
         assert_eq!(replay(&dir).unwrap().records.len(), 0);
-        wal.append(&rec(3)).unwrap();
+        append(&mut wal, &rec(3));
         // Fourth append filled the window: one combined write landed.
         assert_eq!(replay(&dir).unwrap().records.len(), 4);
-        wal.append(&rec(4)).unwrap();
+        append(&mut wal, &rec(4));
         assert_eq!(replay(&dir).unwrap().records.len(), 4);
         // Explicit sync drains a partial window.
         wal.sync().unwrap();
@@ -555,7 +484,7 @@ mod tests {
         };
         let mut wal = Wal::open(&dir, cfg).unwrap();
         for seq in 0..10 {
-            wal.append(&rec(seq)).unwrap();
+            append(&mut wal, &rec(seq));
         }
         wal.sync().unwrap();
         let segs = segment_files(&dir).unwrap();

@@ -9,8 +9,7 @@
 //!   fixed-bucket log-scale [`Histogram`]s. All hot-path operations are
 //!   lock-free atomics; registration takes one short shard lock.
 //! * [`Span`] / [`span!`] — monotonic-clock timers feeding `<name>_ms`
-//!   histograms, with nesting and per-span attribute counters. Compiled
-//!   to ZST no-ops without the `enabled` feature.
+//!   histograms, with nesting and per-span attribute counters.
 //! * [`Snapshot`] — plain-data registry copies with two exporters
 //!   (Prometheus text exposition, JSON) and a parser for the Prometheus
 //!   subset this crate writes; [`RegistryDiff`] turns successive
@@ -20,13 +19,11 @@
 //! suffixes for counters / latency histograms; labels ride inline in the
 //! name (`mbta_service_shard_solve_ms{shard="3"}`).
 //!
-//! Two off-switches with different costs: building without the `enabled`
-//! feature stubs the helpers below and [`Span`] to nothing (zero cost,
-//! proven by the `--no-default-features` CI job), while [`set_enabled`]
-//! flips recording at runtime so a single binary can measure its own
-//! instrumentation overhead (see `service_bench`). The data structures
-//! and exporters stay available in both builds — reports and `mbta
-//! stats` keep working on instrumented-off binaries.
+//! One off-switch: [`set_enabled`] flips recording at runtime, so a
+//! single binary can measure its own instrumentation overhead (see
+//! `service_bench` and `mbta-bench`). Switched off, a helper or a span
+//! costs one relaxed atomic load; the data structures and exporters keep
+//! working either way.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,38 +41,29 @@ pub use registry::{enabled, global, set_enabled, MetricEntry, Registry};
 pub use span::Span;
 
 /// Adds `n` to the global counter `name`. No-op when telemetry is
-/// disabled (compile-time or runtime).
+/// disabled.
 #[inline]
 pub fn counter_add(name: &str, n: u64) {
-    #[cfg(feature = "enabled")]
     if enabled() {
         global().counter(name).add(n);
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, n);
 }
 
 /// Sets the global gauge `name` to `v`. No-op when telemetry is disabled.
 #[inline]
 pub fn gauge_set(name: &str, v: f64) {
-    #[cfg(feature = "enabled")]
     if enabled() {
         global().gauge(name).set(v);
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, v);
 }
 
 /// Observes `v` into the global histogram `name`. No-op when telemetry is
 /// disabled.
 #[inline]
 pub fn observe(name: &str, v: f64) {
-    #[cfg(feature = "enabled")]
     if enabled() {
         global().histogram(name).observe(v);
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, v);
 }
 
 /// Drop-guard counter for solver inner loops with multiple exit points:
@@ -124,13 +112,13 @@ impl Drop for DeferredCount {
 /// Serializes unit tests that read or toggle the runtime kill-switch —
 /// they share one process-wide flag and otherwise race under the parallel
 /// test runner.
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 pub(crate) fn test_flag_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

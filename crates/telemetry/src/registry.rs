@@ -143,26 +143,19 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Runtime kill-switch consulted by the global helpers. Compile-time
-/// stubbing (feature `enabled` off) takes precedence — see [`enabled`].
+/// Runtime kill-switch consulted by the global helpers and spans.
 static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Turns global-helper recording on or off at runtime. Used by benches to
-/// measure instrumentation overhead within a single binary; no-op when the
-/// crate was built without the `enabled` feature.
+/// measure instrumentation overhead within a single binary.
 pub fn set_enabled(on: bool) {
     RUNTIME_ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether the global helpers record. Const `false` when the `enabled`
-/// feature is off, so instrumented call sites fold to nothing.
+/// Whether the global helpers record.
 #[inline]
 pub fn enabled() -> bool {
-    if cfg!(feature = "enabled") {
-        RUNTIME_ENABLED.load(Ordering::Relaxed)
-    } else {
-        false
-    }
+    RUNTIME_ENABLED.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -9,96 +9,63 @@
 //! parent's histogram includes its children's time, which is what phase
 //! breakdowns want.
 //!
-//! When the `enabled` feature is off, [`Span`] is a unit struct, every
-//! method is an empty `#[inline]` body, and the compiler erases the call
-//! sites entirely. When built with `enabled` but switched off at runtime
-//! via [`crate::set_enabled`], `enter` skips the clock read — the cost is
-//! one relaxed atomic load.
+//! When recording is switched off at runtime via [`crate::set_enabled`],
+//! `enter` skips the clock read — the cost is one relaxed atomic load.
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use std::cell::Cell;
-    use std::time::Instant;
+use std::cell::Cell;
+use std::time::Instant;
 
-    thread_local! {
-        static DEPTH: Cell<usize> = const { Cell::new(0) };
+thread_local! {
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+/// An open timing span. See the module docs.
+#[derive(Debug)]
+pub struct Span {
+    name: &'static str,
+    start: Option<Instant>,
+}
+
+impl Span {
+    /// Opens a span named `name`. Records nothing if telemetry is
+    /// disabled at runtime.
+    pub fn enter(name: &'static str) -> Self {
+        let start = if crate::enabled() {
+            DEPTH.with(|d| d.set(d.get() + 1));
+            Some(Instant::now())
+        } else {
+            None
+        };
+        Span { name, start }
     }
 
-    /// An open timing span. See the module docs.
-    #[derive(Debug)]
-    pub struct Span {
-        name: &'static str,
-        start: Option<Instant>,
-    }
-
-    impl Span {
-        /// Opens a span named `name`. Records nothing if telemetry is
-        /// disabled at runtime.
-        pub fn enter(name: &'static str) -> Self {
-            let start = if crate::enabled() {
-                DEPTH.with(|d| d.set(d.get() + 1));
-                Some(Instant::now())
-            } else {
-                None
-            };
-            Span { name, start }
-        }
-
-        /// Adds `n` to the counter `<name>_<key>_total`.
-        pub fn attr(&self, key: &str, n: u64) {
-            if self.start.is_some() {
-                crate::global()
-                    .counter(&format!("{}_{key}_total", self.name))
-                    .add(n);
-            }
-        }
-
-        /// Current span nesting depth on this thread (open spans,
-        /// including this one).
-        pub fn depth() -> usize {
-            DEPTH.with(|d| d.get())
+    /// Adds `n` to the counter `<name>_<key>_total`.
+    pub fn attr(&self, key: &str, n: u64) {
+        if self.start.is_some() {
+            crate::global()
+                .counter(&format!("{}_{key}_total", self.name))
+                .add(n);
         }
     }
 
-    impl Drop for Span {
-        fn drop(&mut self) {
-            if let Some(start) = self.start {
-                DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-                let ms = start.elapsed().as_secs_f64() * 1e3;
-                crate::global()
-                    .histogram(&format!("{}_ms", self.name))
-                    .observe(ms);
-            }
-        }
+    /// Current span nesting depth on this thread (open spans,
+    /// including this one).
+    pub fn depth() -> usize {
+        DEPTH.with(|d| d.get())
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    /// Stubbed-out span: a ZST whose methods compile to nothing.
-    #[derive(Debug)]
-    pub struct Span;
-
-    impl Span {
-        /// No-op in telemetry-off builds.
-        #[inline(always)]
-        pub fn enter(_name: &'static str) -> Self {
-            Span
-        }
-
-        /// No-op in telemetry-off builds.
-        #[inline(always)]
-        pub fn attr(&self, _key: &str, _n: u64) {}
-
-        /// Always 0 in telemetry-off builds.
-        #[inline(always)]
-        pub fn depth() -> usize {
-            0
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some(start) = self.start {
+            DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            crate::global()
+                .histogram(&format!("{}_ms", self.name))
+                .observe(ms);
         }
     }
 }
-
-pub use imp::Span;
 
 /// Opens a [`Span`] for the enclosing scope: `let _s = span!("mbta_core_engine_solve");`
 ///
@@ -111,7 +78,7 @@ macro_rules! span {
     };
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Prints the code-line counts that CHANGES.md and ROADMAP.md quote: for each
 # first-party crate (and the facade's src/), then for every file of
-# crates/cli/src. A code line is a non-blank line that is not comment-only,
+# crates/cli/src and crates/store/src. A code line is a non-blank line that is not comment-only,
 # above the file's `#[cfg(test)]` module.
 #
 # Run from the repository root: `bash scripts/code-lines.sh`.
@@ -24,7 +24,9 @@ for dir in crates/*/src src; do
   total=$((total + n))
 done
 printf '%-28s %6d\n' "total" "$total"
-echo
-for f in crates/cli/src/*.rs; do
-  printf '%-28s %6d\n' "$f" "$(count "$f")"
+for dir in crates/cli/src crates/store/src; do
+  echo
+  for f in "$dir"/*.rs; do
+    printf '%-28s %6d\n' "$f" "$(count "$f")"
+  done
 done
