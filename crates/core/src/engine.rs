@@ -335,11 +335,7 @@ pub fn solve_robust(
         ctl = ctl.with_token(token.clone());
     }
 
-    let solution = if config.exact_only {
-        solve_exact_only(g, weights, config, &ctl, start)
-    } else {
-        solve_chain(g, weights, config, &ctl, start)
-    };
+    let solution = solve_chain(g, weights, config, &ctl, start);
     debug_assert!(solution.matching.validate(g).is_ok());
     solve_span.attr("edges", g.n_edges() as u64);
     mbta_telemetry::counter_add(tier_counter(solution.tier), 1);
@@ -356,33 +352,9 @@ fn tier_counter(tier: QualityTier) -> &'static str {
     }
 }
 
-/// Exact solver only; an interrupted solve returns its feasible partial
-/// flow (the augmenting-path prefix) tagged `Degraded`.
-fn solve_exact_only(
-    g: &BipartiteGraph,
-    weights: &[f64],
-    config: &EngineConfig,
-    ctl: &SolveCtl,
-    start: Instant,
-) -> EngineSolution {
-    let _exact = mbta_telemetry::span!("mbta_core_engine_exact");
-    let (m, _, completed) =
-        max_weight_bmatching_ctl(g, weights, FlowMode::FreeCardinality, config.algo, ctl);
-    EngineSolution {
-        value: m.total_weight(weights),
-        tier: if completed {
-            QualityTier::Exact
-        } else {
-            QualityTier::Degraded
-        },
-        exact_completed: completed,
-        local_search_completed: false,
-        elapsed: start.elapsed(),
-        matching: m,
-    }
-}
-
-/// The full degradation chain, cheapest stage first.
+/// The degradation chain, cheapest stage first. With `exact_only` the two
+/// heuristic stages are skipped and the exact stage always runs, its
+/// (possibly partial) flow adopted over the empty incumbent.
 fn solve_chain(
     g: &BipartiteGraph,
     weights: &[f64],
@@ -390,40 +362,48 @@ fn solve_chain(
     ctl: &SolveCtl,
     start: Instant,
 ) -> EngineSolution {
-    // Stage 1: greedy floor. Not interruptible, but O(m log m) — on any
-    // instance where the exact solve could time out, greedy is noise.
-    let mut best = {
-        let _greedy = mbta_telemetry::span!("mbta_core_engine_greedy");
-        greedy_bmatching(g, weights, 0.0)
-    };
+    let mut best = Matching::empty();
     let mut tier = QualityTier::Degraded;
     let mut ls_completed = false;
     let mut exact_completed = false;
 
-    // Stage 2: local search from the greedy floor. Monotone: the result is
-    // never lighter than `best`, even when interrupted mid-pass.
-    if !ctl.stop_requested() {
-        let _ls = mbta_telemetry::span!("mbta_core_engine_local_search");
-        let (improved, _, completed) = local_search_ctl(g, weights, best, config.max_passes, ctl);
-        best = improved;
-        ls_completed = completed;
-        if completed {
-            tier = QualityTier::Approximate;
+    if !config.exact_only {
+        // Stage 1: greedy floor. Not interruptible, but O(m log m) — on any
+        // instance where the exact solve could time out, greedy is noise.
+        best = {
+            let _greedy = mbta_telemetry::span!("mbta_core_engine_greedy");
+            greedy_bmatching(g, weights, 0.0)
+        };
+
+        // Stage 2: local search from the greedy floor. Monotone: the result
+        // is never lighter than `best`, even when interrupted mid-pass.
+        if !ctl.stop_requested() {
+            let _ls = mbta_telemetry::span!("mbta_core_engine_local_search");
+            let (improved, _, completed) =
+                local_search_ctl(g, weights, best, config.max_passes, ctl);
+            best = improved;
+            ls_completed = completed;
+            if completed {
+                tier = QualityTier::Approximate;
+            }
         }
     }
 
-    // Stage 3: exact min-cost flow. Only adopt an interrupted partial flow
-    // if it actually beats the incumbent — the prefix of an exact solve can
-    // be far worse than converged local search.
-    if !ctl.stop_requested() {
+    // Stage 3: exact min-cost flow. Over a heuristic incumbent, only adopt
+    // an interrupted partial flow if it actually beats it — the prefix of an
+    // exact solve can be far worse than converged local search.
+    if config.exact_only || !ctl.stop_requested() {
         let _exact = mbta_telemetry::span!("mbta_core_engine_exact");
         let (exact, _, completed) =
             max_weight_bmatching_ctl(g, weights, FlowMode::FreeCardinality, config.algo, ctl);
         if completed {
-            best = exact;
             tier = QualityTier::Exact;
             exact_completed = true;
-        } else if exact.total_weight(weights) > best.total_weight(weights) {
+        }
+        if completed
+            || config.exact_only
+            || exact.total_weight(weights) > best.total_weight(weights)
+        {
             best = exact;
         }
     }

@@ -10,7 +10,10 @@
 //!
 //! * [`mcmf`] — min-cost max-flow (successive shortest augmenting paths,
 //!   Dijkstra + Johnson potentials, with an SPFA variant for the ablation
-//!   bench). The **exact** solver for weighted b-matching (`ExactMB`).
+//!   bench). The **exact** solver for weighted b-matching (`ExactMB`), and
+//!   the only one: one bipartite network, one augmentation loop and one
+//!   Bellman–Ford, shared by the cold entry points, the certificate
+//!   verifier and [`warm`].
 //! * [`hungarian`] — Kuhn–Munkres O(n³), dense; exact for one-to-one
 //!   assignment on small instances; used as a cross-validation oracle.
 //! * [`auction`] — Bertsekas' auction (single-phase, ε = 1); the third
@@ -31,9 +34,11 @@
 //!   reference baseline.
 //! * [`online`] — irrevocable arrival-order assignment policies (greedy,
 //!   ranking, two-phase sample-then-threshold).
-//! * [`warm`] — a reusable MCMF network ([`warm::WarmNet`]) that carries
-//!   potentials and seeded flow across repeated solves on a fixed
-//!   topology; the exact engine behind the service's online fallback.
+//! * [`warm`] — [`warm::WarmNet`]: the [`mcmf`] solver plus carried state
+//!   (network, potentials, seeded flow) across repeated solves on a fixed
+//!   topology, with only the warm-specific steps — potential refit by
+//!   cycle cancelling, the de-augmentation audit — of its own; the exact
+//!   engine behind the service's online fallback.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -7,10 +7,32 @@
 //! the edge's benefit ([`mbta_util::fixed`]). Integer costs make every
 //! comparison exact; no float drift across thousands of augmentations.
 //!
+//! The solver exists once, in three pieces that every caller shares:
+//!
+//! * `BipartiteNet` — the only code that turns a [`BipartiteGraph`] into
+//!   arcs, rewrites edge costs from weights, applies a [`Matching`] as
+//!   flow and reads one back out. The cold entry points below,
+//!   [`verify_certificate`] and [`crate::warm::WarmNet`] each hold one.
+//! * One successive-shortest-path loop (the only caller of `augment`),
+//!   over one scratch set of labels and queues that lives as long as the
+//!   network does. The loop owns the stop rule, the potential update, the
+//!   `ctl` handling and the telemetry counters.
+//! * One queue Bellman–Ford, which seeds the potentials of a cold solve,
+//!   is the per-iteration search of [`PathAlgo::Spfa`], and does the warm
+//!   solver's potential refit and de-augmentation audit. It always carries
+//!   the exact negative-cycle guard and always consults `ctl`.
+//!
+//! A cold solve is a warm solve with no prior: zero flow, Bellman–Ford
+//! potentials, loop. [`max_weight_bmatching`], [`max_weight_bmatching_ctl`]
+//! and [`max_weight_bmatching_certified`] are projections of that one body.
+//! FIFO queue discipline, arc insertion order and heap tie-breaking decide
+//! which optimal flow is returned and are part of the contract
+//! (`tests/solver_golden.rs` pins them).
+//!
 //! Two path-finding strategies are provided (the F12 ablation):
 //!
 //! * [`PathAlgo::Dijkstra`] — successive shortest augmenting paths on
-//!   *reduced* costs with Johnson potentials; one initial SPFA pass
+//!   *reduced* costs with Johnson potentials; one initial Bellman–Ford pass
 //!   eliminates the negative costs, then every iteration is a plain Dijkstra
 //!   over an [`IndexedHeap`]. The asymptotically right choice.
 //! * [`PathAlgo::Spfa`] — queue-based Bellman–Ford every iteration; simpler,
@@ -30,8 +52,9 @@ use crate::solution::Matching;
 use mbta_graph::BipartiteGraph;
 use mbta_util::fixed::benefit_to_profit;
 use mbta_util::{IndexedHeap, SolveCtl};
+use std::collections::VecDeque;
 
-pub(crate) const NONE: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
 pub(crate) const INF: i64 = i64::MAX / 4;
 
 /// Path-finding strategy for the successive-shortest-path loop.
@@ -56,10 +79,10 @@ pub enum FlowMode {
 #[derive(Debug, Clone)]
 pub struct CostFlow {
     pub(crate) head: Vec<u32>,
-    pub(crate) next: Vec<u32>,
-    pub(crate) first: Vec<u32>,
+    next: Vec<u32>,
+    first: Vec<u32>,
     pub(crate) cap: Vec<u32>,
-    pub(crate) cost: Vec<i64>,
+    cost: Vec<i64>,
     pub(crate) n_nodes: usize,
 }
 
@@ -75,6 +98,57 @@ pub struct FlowResult {
     /// Number of nonzero Johnson-potential adjustments performed across
     /// all iterations (0 for SPFA, which runs without potentials).
     pub potential_updates: u64,
+}
+
+const NO_FLOW: FlowResult = FlowResult {
+    flow: 0,
+    cost: 0,
+    iterations: 0,
+    potential_updates: 0,
+};
+
+/// Node labels and work queues of the path searches: sized once for a
+/// network, then reused by every search on it (no per-search allocation).
+#[derive(Debug, Clone)]
+pub(crate) struct Scratch {
+    /// Node potentials; the reduced cost of `u → v` is `cost + pi[u] − pi[v]`.
+    /// All zero while [`PathAlgo::Spfa`] runs.
+    pub(crate) pi: Vec<i64>,
+    pub(crate) dist: Vec<i64>,
+    pub(crate) parent: Vec<u32>,
+    /// Arc count of the relaxation chain behind each `dist` label — the
+    /// Bellman–Ford cycle guard.
+    len: Vec<u32>,
+    pub(crate) in_queue: Vec<bool>,
+    queue: VecDeque<u32>,
+    heap: IndexedHeap<i64>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            pi: vec![0; n],
+            dist: vec![INF; n],
+            parent: vec![NONE; n],
+            len: vec![0; n],
+            in_queue: vec![false; n],
+            queue: VecDeque::with_capacity(n),
+            heap: IndexedHeap::new(n),
+        }
+    }
+}
+
+/// How a [`CostFlow::bellman_ford`] pass ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BellmanFord {
+    /// The labels converged: `dist[v] ≤ dist[u] + cost` on every residual
+    /// arc out of a labelled node.
+    Converged,
+    /// `ctl` stopped the pass; the labels are partial and must not be used.
+    Interrupted,
+    /// A negative residual cycle exists; the parent chain of this node
+    /// leads into it.
+    NegativeCycle(usize),
 }
 
 impl CostFlow {
@@ -146,40 +220,130 @@ impl CostFlow {
         algo: PathAlgo,
         ctl: &SolveCtl,
     ) -> (FlowResult, bool) {
-        assert_ne!(source, sink);
-        match algo {
-            PathAlgo::Dijkstra => {
-                let (r, _, completed) = self.run_dijkstra_with_potentials(source, sink, mode, ctl);
-                (r, completed)
-            }
-            PathAlgo::Spfa => self.run_spfa(source, sink, mode, ctl),
-        }
+        let mut sc = Scratch::new(self.n_nodes);
+        self.run_cold(source, sink, mode, algo, &mut sc, ctl)
     }
 
-    /// SPFA (queue Bellman–Ford) shortest path on raw residual costs.
-    /// Fills `dist` and `parent_arc`; returns `false` if stopped early by
-    /// `ctl` (in which case the labels must not be used for augmentation).
-    pub(crate) fn spfa(
-        &self,
+    /// The cold solve on the flow currently on the network (callers start
+    /// from zero flow): potentials from one Bellman–Ford pass on raw costs
+    /// — the network has negative arcs but no negative cycles — then the
+    /// loop. SPFA searches raw costs, so its potentials are zero.
+    fn run_cold(
+        &mut self,
         source: usize,
-        dist: &mut [i64],
-        parent_arc: &mut [u32],
+        sink: usize,
+        mode: FlowMode,
+        algo: PathAlgo,
+        sc: &mut Scratch,
         ctl: &SolveCtl,
-    ) -> bool {
-        dist.iter_mut().for_each(|d| *d = INF);
-        parent_arc.iter_mut().for_each(|p| *p = NONE);
-        let mut in_queue = vec![false; self.n_nodes];
-        let mut queue = std::collections::VecDeque::with_capacity(self.n_nodes);
-        dist[source] = 0;
-        queue.push_back(source as u32);
-        in_queue[source] = true;
+    ) -> (FlowResult, bool) {
+        assert_ne!(source, sink);
+        sc.pi.fill(0);
+        if algo == PathAlgo::Dijkstra {
+            if self.bellman_ford(Some(source), sc, ctl) != BellmanFord::Converged {
+                return (NO_FLOW, false);
+            }
+            for (p, &d) in sc.pi.iter_mut().zip(&sc.dist) {
+                *p = if d >= INF { 0 } else { d };
+            }
+        }
+        self.shortest_paths(source, sink, mode, algo, sc, ctl)
+    }
+
+    /// The successive-shortest-path loop, from the flow on the network and
+    /// the potentials in `sc.pi` (which must leave no residual arc with a
+    /// negative reduced cost when `algo` is Dijkstra, and be zero for SPFA).
+    /// Returns `(tallies of this call, completed)`.
+    pub(crate) fn shortest_paths(
+        &mut self,
+        source: usize,
+        sink: usize,
+        mode: FlowMode,
+        algo: PathAlgo,
+        sc: &mut Scratch,
+        ctl: &SolveCtl,
+    ) -> (FlowResult, bool) {
+        let mut r = NO_FLOW;
+        let completed = loop {
+            // An interrupted search leaves partial labels that would
+            // corrupt the potential update; discard it and keep the feasible
+            // flow pushed so far (a prefix of the augmenting-path sequence).
+            let found = !ctl.stop_requested()
+                && match algo {
+                    PathAlgo::Dijkstra => self.dijkstra(source, sink, sc, ctl),
+                    PathAlgo::Spfa => {
+                        self.bellman_ford(Some(source), sc, ctl) == BellmanFord::Converged
+                    }
+                };
+            if !found {
+                break false;
+            }
+            let dt = sc.dist[sink];
+            let true_cost = dt + sc.pi[sink] - sc.pi[source];
+            if dt >= INF || (mode == FlowMode::FreeCardinality && true_cost >= 0) {
+                break true;
+            }
+            r.iterations += 1;
+            let (pushed, path_cost) = self.augment(source, sink, &sc.parent);
+            debug_assert_eq!(path_cost, true_cost);
+            r.flow += u64::from(pushed);
+            r.cost += i64::from(pushed) * path_cost;
+            if algo == PathAlgo::Dijkstra {
+                for (p, &d) in sc.pi.iter_mut().zip(&sc.dist) {
+                    let adj = d.min(dt);
+                    *p += adj;
+                    r.potential_updates += u64::from(adj != 0);
+                }
+            }
+        };
+        record_solve(&r);
+        (r, completed)
+    }
+
+    /// Queue Bellman–Ford (SPFA) over the *current residual graph* on raw
+    /// costs, filling `sc.dist` and `sc.parent`. `from = None` starts every
+    /// node at distance 0 (a virtual super-source), which finds negative
+    /// cycles anywhere in the graph and — absent cycles — yields *globally*
+    /// valid potentials: `dist[v] ≤ dist[u] + cost` for every residual arc.
+    ///
+    /// Cycle detection is exact, by path length: a relaxation chain longer
+    /// than |V| arcs must repeat a node, and labels only ever decrease, so
+    /// the repeated stretch has negative cost.
+    pub(crate) fn bellman_ford(
+        &self,
+        from: Option<usize>,
+        sc: &mut Scratch,
+        ctl: &SolveCtl,
+    ) -> BellmanFord {
+        let n = self.n_nodes as u32;
+        let queue = &mut sc.queue;
+        let (dist, parent) = (&mut sc.dist[..], &mut sc.parent[..]);
+        let (len, in_queue) = (&mut sc.len[..], &mut sc.in_queue[..]);
+        parent.fill(NONE);
+        queue.clear();
+        match from {
+            // A chain length is written before it is read everywhere but at
+            // the start nodes.
+            Some(s) => {
+                dist.fill(INF);
+                in_queue.fill(false);
+                (dist[s], len[s], in_queue[s]) = (0, 0, true);
+                queue.push_back(s as u32);
+            }
+            None => {
+                dist.fill(0);
+                len.fill(0);
+                in_queue.fill(true);
+                queue.extend(0..n);
+            }
+        }
         while let Some(v) = queue.pop_front() {
             if ctl.should_stop() {
-                return false;
+                return BellmanFord::Interrupted;
             }
             let v = v as usize;
             in_queue[v] = false;
-            let dv = dist[v];
+            let (dv, chain) = (dist[v], len[v] + 1);
             let mut a = self.first[v];
             while a != NONE {
                 let ai = a as usize;
@@ -188,7 +352,11 @@ impl CostFlow {
                     let nd = dv + self.cost[ai];
                     if nd < dist[to] {
                         dist[to] = nd;
-                        parent_arc[to] = a;
+                        parent[to] = a;
+                        len[to] = chain;
+                        if chain > n {
+                            return BellmanFord::NegativeCycle(to);
+                        }
                         if !in_queue[to] {
                             in_queue[to] = true;
                             queue.push_back(to as u32);
@@ -198,11 +366,12 @@ impl CostFlow {
                 a = self.next[ai];
             }
         }
-        true
+        BellmanFord::Converged
     }
 
     /// Dijkstra on reduced costs `cost + π[u] − π[v]`, terminating as soon
-    /// as `sink` is finalized.
+    /// as `sink` is finalized. Returns `false` if stopped early by `ctl`
+    /// (in which case the labels must not be used for augmentation).
     ///
     /// Early termination is sound together with the potential update
     /// `π[v] += min(dist[v], dist[sink])` (treating untouched nodes as
@@ -211,19 +380,16 @@ impl CostFlow {
     /// classic argument; any node adjacent to a finalized node was relaxed,
     /// and all still-queued tentative distances are `≥ dist[sink]` at the
     /// moment the sink pops, which covers the remaining cases.
-    #[allow(clippy::too_many_arguments)] // internal: scratch buffers + ctl
-    pub(crate) fn dijkstra(
-        &self,
-        source: usize,
-        sink: usize,
-        pi: &[i64],
-        dist: &mut [i64],
-        parent_arc: &mut [u32],
-        heap: &mut IndexedHeap<i64>,
-        ctl: &SolveCtl,
-    ) -> bool {
-        dist.iter_mut().for_each(|d| *d = INF);
-        parent_arc.iter_mut().for_each(|p| *p = NONE);
+    ///
+    /// Kept out of line on purpose: as a function of its own, `self` and
+    /// `sc` are `noalias` parameters; inlined into the shared loop that
+    /// knowledge is lost and the arc loop measures 3–8% slower.
+    #[inline(never)]
+    fn dijkstra(&self, source: usize, sink: usize, sc: &mut Scratch, ctl: &SolveCtl) -> bool {
+        let heap = &mut sc.heap;
+        let (pi, dist, parent) = (&sc.pi[..], &mut sc.dist[..], &mut sc.parent[..]);
+        dist.fill(INF);
+        parent.fill(NONE);
         heap.clear();
         dist[source] = 0;
         heap.push_or_decrease(source, 0);
@@ -237,17 +403,21 @@ impl CostFlow {
             if v == sink {
                 break;
             }
+            // Read once per node: the label slices are reborrows of one
+            // scratch value, so the compiler cannot prove that a `dist`
+            // store leaves `pi[v]` alone and would reload it per arc.
+            let pv = pi[v];
             let mut a = self.first[v];
             while a != NONE {
                 let ai = a as usize;
                 if self.cap[ai] > 0 {
                     let to = self.head[ai] as usize;
-                    let red = self.cost[ai] + pi[v] - pi[to];
+                    let red = self.cost[ai] + pv - pi[to];
                     debug_assert!(red >= 0, "negative reduced cost {red}");
                     let nd = dv + red;
                     if nd < dist[to] {
                         dist[to] = nd;
-                        parent_arc[to] = a;
+                        parent[to] = a;
                         heap.push_or_decrease(to, nd);
                     }
                 }
@@ -258,7 +428,7 @@ impl CostFlow {
     }
 
     /// Augments along parent arcs; returns `(bottleneck, true_path_cost)`.
-    pub(crate) fn augment(&mut self, source: usize, sink: usize, parent_arc: &[u32]) -> (u32, i64) {
+    fn augment(&mut self, source: usize, sink: usize, parent_arc: &[u32]) -> (u32, i64) {
         let mut bottleneck = u32::MAX;
         let mut cost = 0i64;
         let mut v = sink;
@@ -278,47 +448,166 @@ impl CostFlow {
         (bottleneck, cost)
     }
 
-    fn run_spfa(
+    /// Whether every residual arc has non-negative reduced cost under `pi`
+    /// — the invariant the Dijkstra loop both requires and maintains.
+    /// Holding, it proves the flow on the network is min-cost for its value
+    /// (no improving residual cycle), so continuing from it is sound.
+    pub(crate) fn reduced_costs_ok(&self, pi: &[i64]) -> bool {
+        (0..self.n_nodes).all(|from| {
+            let mut a = self.first[from];
+            while a != NONE {
+                let ai = a as usize;
+                let to = self.head[ai] as usize;
+                if self.cap[ai] > 0 && self.cost[ai] + pi[from] - pi[to] < 0 {
+                    return false;
+                }
+                a = self.next[ai];
+            }
+            true
+        })
+    }
+}
+
+/// The 4-layer flow network of one bipartite market — source (node 0) →
+/// workers → tasks → sink — with the scratch its searches run on. Built
+/// once per topology; costs are set per solve.
+#[derive(Debug, Clone)]
+pub(crate) struct BipartiteNet {
+    pub(crate) net: CostFlow,
+    pub(crate) source: usize,
+    pub(crate) sink: usize,
+    /// Arc id of `source → worker w`.
+    source_arcs: Vec<u32>,
+    /// Arc id of `worker(e) → task(e)` for edge `e`.
+    edge_arcs: Vec<u32>,
+    /// Arc id of `task t → sink`.
+    sink_arcs: Vec<u32>,
+    pub(crate) sc: Scratch,
+}
+
+impl BipartiteNet {
+    /// Builds the zero-flow, zero-cost network for `g`'s topology.
+    pub(crate) fn new(g: &BipartiteGraph) -> Self {
+        let (n_w, n_t) = (g.n_workers(), g.n_tasks());
+        let (source, sink) = (0, 1 + n_w + n_t);
+        let mut net = CostFlow::new(sink + 1);
+        net.reserve(n_w + n_t + g.n_edges());
+        let source_arcs = g
+            .workers()
+            .map(|w| net.add_arc(source, 1 + w.index(), g.capacity(w), 0))
+            .collect();
+        let edge_arcs = g
+            .edges()
+            .map(|e| {
+                let (w, t) = (g.worker_of(e).index(), g.task_of(e).index());
+                net.add_arc(1 + w, 1 + n_w + t, 1, 0)
+            })
+            .collect();
+        let sink_arcs = g
+            .tasks()
+            .map(|t| net.add_arc(1 + n_w + t.index(), sink, g.demand(t), 0))
+            .collect();
+        BipartiteNet {
+            sc: Scratch::new(net.n_nodes),
+            net,
+            source,
+            sink,
+            source_arcs,
+            edge_arcs,
+            sink_arcs,
+        }
+    }
+
+    /// Number of eligibility edges the network was built for.
+    pub(crate) fn n_edges(&self) -> usize {
+        self.edge_arcs.len()
+    }
+
+    /// Rewrites the edge-arc costs in place: `-profit`, twin `+profit`.
+    pub(crate) fn set_costs(&mut self, weights: &[f64]) {
+        assert_eq!(
+            weights.len(),
+            self.n_edges(),
+            "weight slice length mismatch"
+        );
+        for (&a, &w) in self.edge_arcs.iter().zip(weights) {
+            let profit = benefit_to_profit(w);
+            self.net.cost[a as usize] = -profit;
+            self.net.cost[(a ^ 1) as usize] = profit;
+        }
+    }
+
+    /// Zeroes all flow: every twin hands its capacity back.
+    fn reset_flow(&mut self) {
+        for pair in self.net.cap.chunks_exact_mut(2) {
+            pair[0] += pair[1];
+            pair[1] = 0;
+        }
+    }
+
+    /// Applies `m` as flow on the empty network. Returns `false` (leaving
+    /// the flow partially applied) if `m` names an unknown edge, repeats
+    /// one, or exceeds a capacity or demand.
+    pub(crate) fn apply(&mut self, g: &BipartiteGraph, m: &Matching) -> bool {
+        self.reset_flow();
+        for &e in &m.edges {
+            if e.index() >= self.n_edges() {
+                return false;
+            }
+            let arcs = [
+                self.edge_arcs[e.index()],
+                self.source_arcs[g.worker_of(e).index()],
+                self.sink_arcs[g.task_of(e).index()],
+            ];
+            if arcs.iter().any(|&a| self.net.cap[a as usize] == 0) {
+                return false;
+            }
+            for a in arcs {
+                self.net.cap[a as usize] -= 1;
+                self.net.cap[(a ^ 1) as usize] += 1;
+            }
+        }
+        true
+    }
+
+    /// Reads the flow back out: the edges carrying flow, in edge-id order,
+    /// and their total fixed-point profit.
+    pub(crate) fn matching(&self, g: &BipartiteGraph) -> (Matching, i64) {
+        let (mut edges, mut profit) = (Vec::new(), 0);
+        for (e, &a) in g.edges().zip(&self.edge_arcs) {
+            if self.net.flow(a) > 0 {
+                edges.push(e);
+                profit -= self.net.cost[a as usize];
+            }
+        }
+        (Matching::from_edges(edges), profit)
+    }
+
+    /// The cold solve: zero flow, then [`CostFlow::run_cold`].
+    pub(crate) fn solve_cold(
         &mut self,
-        source: usize,
-        sink: usize,
         mode: FlowMode,
+        algo: PathAlgo,
         ctl: &SolveCtl,
     ) -> (FlowResult, bool) {
-        let n = self.n_nodes;
-        let mut dist = vec![INF; n];
-        let mut parent_arc = vec![NONE; n];
-        let mut total_flow = 0u64;
-        let mut total_cost = 0i64;
-        let mut iterations = 0u64;
-        let mut completed = true;
-        loop {
-            if ctl.stop_requested() || !self.spfa(source, &mut dist, &mut parent_arc, ctl) {
-                completed = false;
-                break;
-            }
-            if dist[sink] >= INF {
-                break;
-            }
-            if mode == FlowMode::FreeCardinality && dist[sink] >= 0 {
-                break;
-            }
-            iterations += 1;
-            let (pushed, path_cost) = self.augment(source, sink, &parent_arc);
-            debug_assert_eq!(path_cost, dist[sink]);
-            total_flow += u64::from(pushed);
-            total_cost += i64::from(pushed) * path_cost;
-        }
-        (
-            FlowResult {
-                flow: total_flow,
-                cost: total_cost,
-                iterations,
-                potential_updates: 0,
-            },
-            completed,
-        )
+        self.reset_flow();
+        self.net
+            .run_cold(self.source, self.sink, mode, algo, &mut self.sc, ctl)
     }
+}
+
+/// Publishes a loop run's intrinsic counters to the global telemetry
+/// registry — called at the loop's exit, so every exact solve (cold, warm
+/// continuation, cold redo) is counted exactly once.
+fn record_solve(result: &FlowResult) {
+    mbta_telemetry::counter_add(
+        "mbta_matching_mcmf_augmenting_paths_total",
+        result.iterations,
+    );
+    mbta_telemetry::counter_add(
+        "mbta_matching_mcmf_potential_updates_total",
+        result.potential_updates,
+    );
 }
 
 /// Statistics of an exact b-matching solve, returned alongside the matching.
@@ -332,16 +621,25 @@ pub struct SolveStats {
     pub profit: i64,
 }
 
-/// Publishes a solve's intrinsic counters to the global telemetry registry.
-fn record_solve(result: &FlowResult) {
-    mbta_telemetry::counter_add(
-        "mbta_matching_mcmf_augmenting_paths_total",
-        result.iterations,
-    );
-    mbta_telemetry::counter_add(
-        "mbta_matching_mcmf_potential_updates_total",
-        result.potential_updates,
-    );
+/// The one cold body behind the public entry points: build, solve, read
+/// out `(matching, stats, final potentials, completed)`.
+fn solve(
+    g: &BipartiteGraph,
+    weights: &[f64],
+    mode: FlowMode,
+    algo: PathAlgo,
+    ctl: &SolveCtl,
+) -> (Matching, SolveStats, Vec<i64>, bool) {
+    let mut bn = BipartiteNet::new(g);
+    bn.set_costs(weights);
+    let (r, completed) = bn.solve_cold(mode, algo, ctl);
+    let (m, profit) = bn.matching(g);
+    let stats = SolveStats {
+        iterations: r.iterations,
+        potential_updates: r.potential_updates,
+        profit,
+    };
+    (m, stats, bn.sc.pi, completed)
 }
 
 /// Exact maximum-weight b-matching via min-cost flow.
@@ -376,44 +674,8 @@ pub fn max_weight_bmatching(
     mode: FlowMode,
     algo: PathAlgo,
 ) -> (Matching, SolveStats) {
-    assert_eq!(weights.len(), g.n_edges(), "weight slice length mismatch");
-    let n_w = g.n_workers();
-    let n_t = g.n_tasks();
-    let source = 0usize;
-    let sink = 1 + n_w + n_t;
-    let mut net = CostFlow::new(sink + 1);
-    net.reserve(n_w + n_t + g.n_edges());
-    for w in g.workers() {
-        net.add_arc(source, 1 + w.index(), g.capacity(w), 0);
-    }
-    let mut edge_arcs = vec![NONE; g.n_edges()];
-    for e in g.edges() {
-        let profit = benefit_to_profit(weights[e.index()]);
-        let a = net.add_arc(
-            1 + g.worker_of(e).index(),
-            1 + n_w + g.task_of(e).index(),
-            1,
-            -profit,
-        );
-        edge_arcs[e.index()] = a;
-    }
-    for t in g.tasks() {
-        net.add_arc(1 + n_w + t.index(), sink, g.demand(t), 0);
-    }
-    let result = net.run(source, sink, mode, algo);
-    record_solve(&result);
-    let edges = g
-        .edges()
-        .filter(|e| net.flow(edge_arcs[e.index()]) > 0)
-        .collect();
-    (
-        Matching::from_edges(edges),
-        SolveStats {
-            iterations: result.iterations,
-            potential_updates: result.potential_updates,
-            profit: -result.cost,
-        },
-    )
+    let (m, stats, ..) = solve(g, weights, mode, algo, &SolveCtl::unlimited());
+    (m, stats)
 }
 
 /// Like [`max_weight_bmatching`], but consulting `ctl` so the solve can be
@@ -428,23 +690,8 @@ pub fn max_weight_bmatching_ctl(
     algo: PathAlgo,
     ctl: &SolveCtl,
 ) -> (Matching, SolveStats, bool) {
-    assert_eq!(weights.len(), g.n_edges(), "weight slice length mismatch");
-    let (mut net, edge_arcs, source, sink) = build_network(g, weights);
-    let (result, completed) = net.run_with_ctl(source, sink, mode, algo, ctl);
-    record_solve(&result);
-    let edges = g
-        .edges()
-        .filter(|e| net.flow(edge_arcs[e.index()]) > 0)
-        .collect();
-    (
-        Matching::from_edges(edges),
-        SolveStats {
-            iterations: result.iterations,
-            potential_updates: result.potential_updates,
-            profit: -result.cost,
-        },
-        completed,
-    )
+    let (m, stats, _, completed) = solve(g, weights, mode, algo, ctl);
+    (m, stats, completed)
 }
 
 /// An optimality certificate for a b-matching: node potentials under which
@@ -469,38 +716,21 @@ pub fn max_weight_bmatching_certified(
     g: &BipartiteGraph,
     weights: &[f64],
 ) -> (Matching, SolveStats, Certificate) {
-    assert_eq!(weights.len(), g.n_edges(), "weight slice length mismatch");
-    let (net, edge_arcs, source, sink) = build_network(g, weights);
-    let mut net = net;
-    let (result, pi, _) = net.run_dijkstra_with_potentials(
-        source,
-        sink,
-        FlowMode::FreeCardinality,
-        &SolveCtl::unlimited(),
-    );
-    record_solve(&result);
-    let edges = g
-        .edges()
-        .filter(|e| net.flow(edge_arcs[e.index()]) > 0)
-        .collect();
-    (
-        Matching::from_edges(edges),
-        SolveStats {
-            iterations: result.iterations,
-            potential_updates: result.potential_updates,
-            profit: -result.cost,
-        },
-        Certificate { potentials: pi },
-    )
+    let (mode, algo) = (FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+    let (m, stats, potentials, _) = solve(g, weights, mode, algo, &SolveCtl::unlimited());
+    (m, stats, Certificate { potentials })
 }
 
 /// Verifies a certificate against a matching, from scratch.
 ///
 /// Rebuilds the flow network, applies the matching as a flow, and checks
 /// that (a) the matching is feasible, (b) every residual arc has
-/// non-negative reduced cost under the certificate's potentials, and
-/// (c) no strictly profitable augmenting path remains
-/// (`π[sink] − π[source] ≥ 0` under the convention used by the solver).
+/// non-negative reduced cost under the certificate's potentials — which
+/// rules out improving cycles (same-cardinality reshuffles that would gain
+/// profit) — and (c) no strictly profitable augmenting path remains: the
+/// cheapest residual source → sink distance under *reduced* costs
+/// (non-negative by (b), so Dijkstra is sound) translates back to a true
+/// cost `d_red + π[sink] − π[source] ≥ 0`.
 pub fn verify_certificate(
     g: &BipartiteGraph,
     weights: &[f64],
@@ -510,187 +740,17 @@ pub fn verify_certificate(
     if m.validate(g).is_err() {
         return false;
     }
-    let (mut net, edge_arcs, source, sink) = build_network(g, weights);
-    if cert.potentials.len() != net.n_nodes {
+    let mut bn = BipartiteNet::new(g);
+    bn.set_costs(weights);
+    let pi = &cert.potentials;
+    if pi.len() != bn.net.n_nodes || !bn.apply(g, m) || !bn.net.reduced_costs_ok(pi) {
         return false;
     }
-    // Apply the matching as flow: saturate each chosen edge arc and push
-    // the per-node loads through the source/sink arcs.
-    let w_loads = m.worker_loads(g);
-    let t_loads = m.task_loads(g);
-    for &e in &m.edges {
-        let a = edge_arcs[e.index()] as usize;
-        net.cap[a] -= 1;
-        net.cap[a ^ 1] += 1;
-    }
-    // Source arcs were added in worker order, sink arcs in task order; walk
-    // the adjacency to find them.
-    for (node, load) in std::iter::empty()
-        .chain((0..g.n_workers()).map(|w| (1 + w, w_loads[w])))
-        .chain((0..g.n_tasks()).map(|t| (1 + g.n_workers() + t, t_loads[t])))
-    {
-        if load == 0 {
-            continue;
-        }
-        // Find the arc from source to this worker / this task to sink.
-        let (from, expect_to) = if node <= g.n_workers() {
-            (source, node)
-        } else {
-            (node, sink)
-        };
-        let mut a = net.first[from];
-        let mut applied = false;
-        while a != NONE {
-            let ai = a as usize;
-            if ai.is_multiple_of(2) && net.head[ai] as usize == expect_to {
-                if net.cap[ai] < load {
-                    return false; // over capacity — infeasible flow
-                }
-                net.cap[ai] -= load;
-                net.cap[ai ^ 1] += load;
-                applied = true;
-                break;
-            }
-            a = net.next[ai];
-        }
-        if !applied {
-            return false;
-        }
-    }
-    // (b) Reduced-cost check over every residual arc — rules out improving
-    // cycles (same-cardinality reshuffles that would gain profit).
-    let pi = &cert.potentials;
-    for from in 0..net.n_nodes {
-        let mut a = net.first[from];
-        while a != NONE {
-            let ai = a as usize;
-            if net.cap[ai] > 0 {
-                let to = net.head[ai] as usize;
-                if net.cost[ai] + pi[from] - pi[to] < 0 {
-                    return false;
-                }
-            }
-            a = net.next[ai];
-        }
-    }
-    // (c) No strictly profitable augmenting path: compute the cheapest
-    // residual s→t distance under *reduced* costs (non-negative by (b), so
-    // Dijkstra is sound) and translate back: true cost = d_red + π[t] − π[s].
-    let mut dist = vec![INF; net.n_nodes];
-    let mut parent = vec![NONE; net.n_nodes];
-    let mut heap = IndexedHeap::new(net.n_nodes);
-    net.dijkstra(
-        source,
-        sink,
-        pi,
-        &mut dist,
-        &mut parent,
-        &mut heap,
-        &SolveCtl::unlimited(),
-    );
-    if dist[sink] >= INF {
-        return true; // no augmenting path at all
-    }
-    dist[sink] + pi[sink] - pi[source] >= 0
-}
-
-/// Shared network construction for the solver and the verifier.
-fn build_network(g: &BipartiteGraph, weights: &[f64]) -> (CostFlow, Vec<u32>, usize, usize) {
-    let n_w = g.n_workers();
-    let n_t = g.n_tasks();
-    let source = 0usize;
-    let sink = 1 + n_w + n_t;
-    let mut net = CostFlow::new(sink + 1);
-    net.reserve(n_w + n_t + g.n_edges());
-    for w in g.workers() {
-        net.add_arc(source, 1 + w.index(), g.capacity(w), 0);
-    }
-    let mut edge_arcs = vec![NONE; g.n_edges()];
-    for e in g.edges() {
-        let profit = benefit_to_profit(weights[e.index()]);
-        edge_arcs[e.index()] = net.add_arc(
-            1 + g.worker_of(e).index(),
-            1 + n_w + g.task_of(e).index(),
-            1,
-            -profit,
-        );
-    }
-    for t in g.tasks() {
-        net.add_arc(1 + n_w + t.index(), sink, g.demand(t), 0);
-    }
-    (net, edge_arcs, source, sink)
-}
-
-impl CostFlow {
-    /// Like [`run`](Self::run) with Dijkstra, additionally returning the
-    /// final potentials (the optimality certificate).
-    fn run_dijkstra_with_potentials(
-        &mut self,
-        source: usize,
-        sink: usize,
-        mode: FlowMode,
-        ctl: &SolveCtl,
-    ) -> (FlowResult, Vec<i64>, bool) {
-        // Duplicate of run_dijkstra that hands the potentials back; kept as
-        // a thin wrapper so the hot path stays allocation-identical.
-        let n = self.n_nodes;
-        let mut dist = vec![INF; n];
-        let mut parent_arc = vec![NONE; n];
-        let mut heap = IndexedHeap::new(n);
-        let mut completed = self.spfa(source, &mut dist, &mut parent_arc, ctl);
-        let mut pi: Vec<i64> = dist.iter().map(|&d| if d >= INF { 0 } else { d }).collect();
-        let mut total_flow = 0u64;
-        let mut total_cost = 0i64;
-        let mut iterations = 0u64;
-        let mut potential_updates = 0u64;
-        while completed {
-            // An interrupted Dijkstra pass leaves partial labels that would
-            // corrupt the potential update; discard it and keep the feasible
-            // flow pushed so far (a prefix of the augmenting-path sequence).
-            if ctl.stop_requested()
-                || !self.dijkstra(
-                    source,
-                    sink,
-                    &pi,
-                    &mut dist,
-                    &mut parent_arc,
-                    &mut heap,
-                    ctl,
-                )
-            {
-                completed = false;
-                break;
-            }
-            if dist[sink] >= INF {
-                break;
-            }
-            let true_cost = dist[sink] + pi[sink] - pi[source];
-            if mode == FlowMode::FreeCardinality && true_cost >= 0 {
-                break;
-            }
-            iterations += 1;
-            let (pushed, path_cost) = self.augment(source, sink, &parent_arc);
-            debug_assert_eq!(path_cost, true_cost);
-            total_flow += u64::from(pushed);
-            total_cost += i64::from(pushed) * path_cost;
-            let dt = dist[sink];
-            for v in 0..n {
-                let adj = dist[v].min(dt);
-                pi[v] += adj;
-                potential_updates += u64::from(adj != 0);
-            }
-        }
-        (
-            FlowResult {
-                flow: total_flow,
-                cost: total_cost,
-                iterations,
-                potential_updates,
-            },
-            pi,
-            completed,
-        )
-    }
+    bn.sc.pi.copy_from_slice(pi);
+    bn.net
+        .dijkstra(bn.source, bn.sink, &mut bn.sc, &SolveCtl::unlimited());
+    let dt = bn.sc.dist[bn.sink];
+    dt >= INF || dt + pi[bn.sink] - pi[bn.source] >= 0
 }
 
 #[cfg(test)]

@@ -1,46 +1,59 @@
 //! Warm-started min-cost max-flow for repeated solves on a fixed topology.
 //!
-//! The batch path rebuilds the flow network from scratch on every solve.
 //! When the same shard is re-solved many times with drifting weights —
-//! the online fallback path — almost all of that work is redundant: the
-//! node set and arc arena never change, only costs move and the previous
-//! solution is usually *nearly* optimal. [`WarmNet`] keeps the network,
-//! the Johnson potentials, and the arc layout alive across solves:
+//! the online fallback path — almost all of a cold solve's work is
+//! redundant: the node set and arc arena never change, only costs move and
+//! the previous solution is usually *nearly* optimal. [`WarmNet`] is the
+//! [`crate::mcmf`] solver plus carried state: it keeps one bipartite
+//! network (arena, arc layout, scratch and Johnson potentials) alive across
+//! solves and runs the same successive-shortest-path loop and the same
+//! Bellman–Ford on it. A first solve, a solve after [`WarmNet::invalidate`]
+//! and every fallback below *are* the cold solve of
+//! [`crate::mcmf::max_weight_bmatching`], on the kept network. What this
+//! module adds is only what is genuinely warm:
 //!
-//! 1. **Topology once.** The 4-layer network (source → workers → tasks →
-//!    sink) is built a single time; each solve only rewrites arc costs in
-//!    place and resets capacities.
-//! 2. **Seeded flow.** The previous matching is applied as a feasible
+//! 1. **Seeded flow.** The previous matching is applied as a feasible
 //!    flow before augmentation starts, so the successive-shortest-path
 //!    loop only has to route the *difference* to optimality.
-//! 3. **Carried potentials.** The dual prices from the previous solve
+//! 2. **Carried potentials.** The dual prices from the previous solve
 //!    seed the reduced costs. An O(E) verification pass checks that every
 //!    residual arc still has non-negative reduced cost under the carried
 //!    potentials; when drift broke the invariant (common — optimality
-//!    leaves many inequalities tight) the potentials are *refit* with one
-//!    SPFA pass over the seeded residual graph, which is sound whenever
-//!    no negative residual cycle exists. A pop-count guard detects the
-//!    negative-cycle case and falls back to a cold start (zero flow + one
-//!    SPFA pass on the empty network) — correctness never depends on the
+//!    leaves many inequalities tight) the potentials are *refit* with a
+//!    Bellman–Ford pass over the seeded residual graph, which is sound
+//!    whenever no negative residual cycle exists. Its path-length guard
+//!    finds the cycles that do exist; each is cancelled (a strict
+//!    improvement at constant flow value) and the pass repeats. A seed
+//!    that needs more than `MAX_CYCLE_CANCELS` cancellations
+//!    falls back to the cold solve — correctness never depends on the
 //!    warm state being usable.
-//! 4. **De-augmentation audit.** A warm-seeded flow can carry *more*
+//! 3. **De-augmentation audit.** A warm-seeded flow can carry *more*
 //!    flow than the free-cardinality optimum (the drifted weights may
 //!    make part of the seeded assignment unprofitable), and the forward
-//!    augmentation loop can only add flow. One guarded SPFA pass from the
+//!    augmentation loop can only add flow. One Bellman–Ford pass from the
 //!    sink checks for a negative-true-cost sink → source residual path;
 //!    if one exists the solve restarts cold, which is immune by convexity
 //!    of the flow-cost curve. In practice drift is small and the audit
 //!    passes.
 //!
+//! Every pass consults the caller's [`SolveCtl`]: an interrupted refit or
+//! audit ends the solve like an interrupted augmentation loop does — the
+//! feasible flow reached so far is returned, `completed` is `false` and no
+//! state is carried.
+//!
 //! The result is bit-identical in objective to a cold
 //! [`crate::mcmf::max_weight_bmatching`] solve — the warm path is purely
 //! a latency optimization, checked by the `warm_matches_cold_*` tests.
 
-use crate::mcmf::{CostFlow, INF, NONE};
+use crate::mcmf::{BellmanFord, BipartiteNet, FlowMode, PathAlgo};
 use crate::solution::Matching;
 use mbta_graph::BipartiteGraph;
-use mbta_util::fixed::benefit_to_profit;
-use mbta_util::{IndexedHeap, SolveCtl};
+use mbta_util::SolveCtl;
+
+/// The objective of every warm solve: the free-cardinality optimum, by
+/// Dijkstra on the carried potentials.
+const MODE: FlowMode = FlowMode::FreeCardinality;
+const ALGO: PathAlgo = PathAlgo::Dijkstra;
 
 /// Counters describing one [`WarmNet::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,69 +81,21 @@ pub struct WarmStats {
 /// the [module docs](self) for the warm-start contract.
 #[derive(Debug, Clone)]
 pub struct WarmNet {
-    net: CostFlow,
-    source: usize,
-    sink: usize,
-    n_edges: usize,
-    /// Arc id of `source → worker w`.
-    source_arcs: Vec<u32>,
-    /// Arc id of `worker(e) → task(e)` for edge `e`.
-    edge_arcs: Vec<u32>,
-    /// Arc id of `task t → sink`.
-    sink_arcs: Vec<u32>,
-    /// Forward-arc capacities of the empty (zero-flow) network.
-    base_cap: Vec<u32>,
-    /// Carried potentials from the previous completed solve.
-    pi: Vec<i64>,
+    /// The network; `bn.sc.pi` holds the carried potentials.
+    bn: BipartiteNet,
     has_prior: bool,
-    // Scratch buffers reused across solves (no per-solve allocation).
-    dist: Vec<i64>,
-    parent: Vec<u32>,
-    heap: IndexedHeap<i64>,
 }
+
+/// `ctl` interrupted a warm pass.
+#[derive(Debug, PartialEq, Eq)]
+struct Stopped;
 
 impl WarmNet {
     /// Builds the network for `g`'s topology. Costs are set per solve.
     pub fn new(g: &BipartiteGraph) -> WarmNet {
-        let n_w = g.n_workers();
-        let n_t = g.n_tasks();
-        let source = 0usize;
-        let sink = 1 + n_w + n_t;
-        let n = sink + 1;
-        let mut net = CostFlow::new(n);
-        net.reserve(n_w + n_t + g.n_edges());
-        let mut source_arcs = Vec::with_capacity(n_w);
-        for w in g.workers() {
-            source_arcs.push(net.add_arc(source, 1 + w.index(), g.capacity(w), 0));
-        }
-        let mut edge_arcs = vec![NONE; g.n_edges()];
-        for e in g.edges() {
-            edge_arcs[e.index()] = net.add_arc(
-                1 + g.worker_of(e).index(),
-                1 + n_w + g.task_of(e).index(),
-                1,
-                0,
-            );
-        }
-        let mut sink_arcs = Vec::with_capacity(n_t);
-        for t in g.tasks() {
-            sink_arcs.push(net.add_arc(1 + n_w + t.index(), sink, g.demand(t), 0));
-        }
-        let base_cap = net.cap.clone();
         WarmNet {
-            net,
-            source,
-            sink,
-            n_edges: g.n_edges(),
-            source_arcs,
-            edge_arcs,
-            sink_arcs,
-            base_cap,
-            pi: vec![0; n],
+            bn: BipartiteNet::new(g),
             has_prior: false,
-            dist: vec![INF; n],
-            parent: vec![NONE; n],
-            heap: IndexedHeap::new(n),
         }
     }
 
@@ -159,15 +124,8 @@ impl WarmNet {
         seed: &Matching,
         ctl: &SolveCtl,
     ) -> (Matching, WarmStats) {
-        assert_eq!(weights.len(), self.n_edges, "weight slice length mismatch");
-        assert_eq!(g.n_edges(), self.n_edges, "graph topology changed");
-        // Rewrite costs in place: arc cost is -profit, twin is +profit.
-        for (e, &w) in weights.iter().enumerate() {
-            let profit = benefit_to_profit(w);
-            let a = self.edge_arcs[e] as usize;
-            self.net.cost[a] = -profit;
-            self.net.cost[a ^ 1] = profit;
-        }
+        assert_eq!(g.n_edges(), self.bn.n_edges(), "graph topology changed");
+        self.bn.set_costs(weights);
         let mut stats = WarmStats {
             warm: false,
             audited_cold: false,
@@ -175,240 +133,92 @@ impl WarmNet {
             profit: 0,
             completed: true,
         };
-        // Try the warm path: seed the previous matching as flow and keep
-        // the carried potentials if the reduced-cost invariant survived
-        // the weight drift; refit them with one residual SPFA otherwise.
-        let mut warm = self.has_prior && self.seed_flow(g, seed);
-        if warm && !self.residual_reduced_costs_ok() {
-            warm = self.refit_potentials();
-        }
-        if !warm {
-            self.reset_flow();
-            if !self.cold_potentials(ctl) {
-                // Interrupted before any flow was pushed.
-                self.has_prior = false;
-                stats.completed = false;
-                return (Matching::from_edges(Vec::new()), stats);
+        let warm = self.solve_warm(g, seed, ctl, &mut stats);
+        stats.warm = warm != Ok(false);
+        stats.completed = match warm {
+            Ok(true) => true,
+            Err(Stopped) => false,
+            Ok(false) => {
+                let (r, completed) = self.bn.solve_cold(MODE, ALGO, ctl);
+                stats.iterations += r.iterations;
+                completed
             }
-        }
-        stats.warm = warm;
-        let completed = self.augment_to_optimal(ctl, &mut stats.iterations);
-        // A warm seed can over-commit flow the drifted weights no longer
-        // justify, and forward augmentation cannot retract it. One
-        // guarded SPFA from the sink detects the profitable
-        // de-augmentation; a cold redo (immune by convexity) repairs it.
-        if completed && warm && !self.deaugmentation_audit() {
-            stats.audited_cold = true;
-            stats.warm = false;
-            self.reset_flow();
-            if self.cold_potentials(ctl) {
-                stats.completed = self.augment_to_optimal(ctl, &mut stats.iterations);
-            } else {
-                stats.completed = false;
-            }
-        } else {
-            stats.completed = completed;
-        }
+        };
         self.has_prior = stats.completed;
-        let edges = g
-            .edges()
-            .filter(|e| self.net.flow(self.edge_arcs[e.index()]) > 0)
-            .collect::<Vec<_>>();
-        stats.profit = edges
-            .iter()
-            .map(|e| benefit_to_profit(weights[e.index()]))
-            .sum();
-        (Matching::from_edges(edges), stats)
+        let (m, profit) = self.bn.matching(g);
+        stats.profit = profit;
+        (m, stats)
     }
 
-    /// Zeroes all flow: restores the capacity vector of the empty network.
-    fn reset_flow(&mut self) {
-        self.net.cap.copy_from_slice(&self.base_cap);
-    }
-
-    /// Applies `seed` as a feasible flow on the empty network. Returns
-    /// `false` (leaving the flow partially applied — caller must reset)
-    /// if the seed violates a capacity, which only happens on a caller
-    /// bug; the warm path then degrades to cold rather than panicking.
-    fn seed_flow(&mut self, g: &BipartiteGraph, seed: &Matching) -> bool {
-        self.reset_flow();
-        for &e in &seed.edges {
-            if e.index() >= self.n_edges {
-                return false;
-            }
-            let ea = self.edge_arcs[e.index()] as usize;
-            let sa = self.source_arcs[g.worker_of(e).index()] as usize;
-            let ta = self.sink_arcs[g.task_of(e).index()] as usize;
-            if self.net.cap[ea] < 1 || self.net.cap[sa] < 1 || self.net.cap[ta] < 1 {
-                return false;
-            }
-            for a in [ea, sa, ta] {
-                self.net.cap[a] -= 1;
-                self.net.cap[a ^ 1] += 1;
-            }
+    /// The warm attempt: seed the previous matching as flow, keep the
+    /// carried potentials if the reduced-cost invariant survived the
+    /// weight drift (refit them otherwise), route the difference to
+    /// optimality and audit the flow value. `Ok(true)` when the network
+    /// holds the optimum, `Ok(false)` when the solve has to run cold.
+    fn solve_warm(
+        &mut self,
+        g: &BipartiteGraph,
+        seed: &Matching,
+        ctl: &SolveCtl,
+        stats: &mut WarmStats,
+    ) -> Result<bool, Stopped> {
+        // An infeasible seed only happens on a caller bug; the warm path
+        // then degrades to cold rather than panicking.
+        if !(self.has_prior && self.bn.apply(g, seed)) {
+            return Ok(false);
         }
-        true
-    }
-
-    /// O(E) warm-validity check: every residual arc must have
-    /// non-negative reduced cost under the carried potentials — the
-    /// invariant the successive-shortest-path loop both requires and
-    /// maintains. Holding, it proves the seeded flow is min-cost for its
-    /// value, so continuing from it is sound.
-    fn residual_reduced_costs_ok(&self) -> bool {
-        let net = &self.net;
-        for from in 0..net.n_nodes {
-            let mut a = net.first[from];
-            while a != NONE {
-                let ai = a as usize;
-                if net.cap[ai] > 0 {
-                    let to = net.head[ai] as usize;
-                    if net.cost[ai] + self.pi[from] - self.pi[to] < 0 {
-                        return false;
-                    }
-                }
-                a = net.next[ai];
-            }
+        if !self.bn.net.reduced_costs_ok(&self.bn.sc.pi) && !self.refit_potentials(ctl)? {
+            return Ok(false);
         }
-        true
-    }
-
-    /// Cold potential initialization: one SPFA pass from the source on
-    /// raw costs (the network has negative arcs but no negative cycles).
-    fn cold_potentials(&mut self, ctl: &SolveCtl) -> bool {
-        if !self
+        let bn = &mut self.bn;
+        let (r, completed) = bn
             .net
-            .spfa(self.source, &mut self.dist, &mut self.parent, ctl)
-        {
-            return false;
+            .shortest_paths(bn.source, bn.sink, MODE, ALGO, &mut bn.sc, ctl);
+        stats.iterations += r.iterations;
+        if !completed {
+            return Err(Stopped);
         }
-        for (p, &d) in self.pi.iter_mut().zip(self.dist.iter()) {
-            *p = if d >= INF { 0 } else { d };
-        }
-        true
-    }
-
-    /// The successive-shortest-path loop on reduced costs, stopping at
-    /// the free-cardinality optimum. Returns `false` on interruption.
-    fn augment_to_optimal(&mut self, ctl: &SolveCtl, iterations: &mut u64) -> bool {
-        loop {
-            if ctl.stop_requested()
-                || !self.net.dijkstra(
-                    self.source,
-                    self.sink,
-                    &self.pi,
-                    &mut self.dist,
-                    &mut self.parent,
-                    &mut self.heap,
-                    ctl,
-                )
-            {
-                return false;
-            }
-            if self.dist[self.sink] >= INF {
-                return true;
-            }
-            let true_cost = self.dist[self.sink] + self.pi[self.sink] - self.pi[self.source];
-            if true_cost >= 0 {
-                return true;
-            }
-            *iterations += 1;
-            self.net.augment(self.source, self.sink, &self.parent);
-            let dt = self.dist[self.sink];
-            for (p, &d) in self.pi.iter_mut().zip(self.dist.iter()) {
-                *p += d.min(dt);
-            }
-        }
-    }
-
-    /// Bellman–Ford (queue variant) over the *current residual graph* on
-    /// raw costs. `from = None` initializes every node at distance 0 (a
-    /// virtual super-source), which both finds negative cycles anywhere
-    /// in the graph and — absent cycles — yields *globally* valid
-    /// potentials: `dist[v] ≤ dist[u] + cost` for every residual arc.
-    ///
-    /// Returns `Some(node)` when a negative cycle was detected (the node
-    /// lies on the cycle, reachable through `self.parent`); `None` when
-    /// the labels converged. Detection is exact, by path length: a
-    /// relaxation chain longer than |V| arcs must repeat a node.
-    fn spfa_guarded(&mut self, from: Option<usize>) -> Option<usize> {
-        let n = self.net.n_nodes;
-        self.parent.iter_mut().for_each(|p| *p = NONE);
-        let mut len = vec![0u32; n];
-        let mut in_queue = vec![false; n];
-        let mut queue = std::collections::VecDeque::with_capacity(n);
-        match from {
-            Some(s) => {
-                self.dist.iter_mut().for_each(|d| *d = INF);
-                self.dist[s] = 0;
-                queue.push_back(s as u32);
-                in_queue[s] = true;
-            }
-            None => {
-                self.dist.iter_mut().for_each(|d| *d = 0);
-                for (v, q) in in_queue.iter_mut().enumerate().take(n) {
-                    queue.push_back(v as u32);
-                    *q = true;
-                }
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            let v = v as usize;
-            in_queue[v] = false;
-            let dv = self.dist[v];
-            let mut a = self.net.first[v];
-            while a != NONE {
-                let ai = a as usize;
-                if self.net.cap[ai] > 0 {
-                    let to = self.net.head[ai] as usize;
-                    let nd = dv + self.net.cost[ai];
-                    if nd < self.dist[to] {
-                        self.dist[to] = nd;
-                        self.parent[to] = a;
-                        len[to] = len[v] + 1;
-                        if len[to] > n as u32 {
-                            return Some(to);
-                        }
-                        if !in_queue[to] {
-                            in_queue[to] = true;
-                            queue.push_back(to as u32);
-                        }
-                    }
-                }
-                a = self.net.next[ai];
-            }
-        }
-        None
+        // A warm seed can over-commit flow the drifted weights no longer
+        // justify, and forward augmentation cannot retract it; a cold
+        // redo (immune by convexity) repairs it.
+        stats.audited_cold = !self.deaugmentation_audit(ctl)?;
+        Ok(!stats.audited_cold)
     }
 
     /// Pushes flow around the negative residual cycle that the parent
     /// chain of `trigger` leads into, removing it from the graph. Each
     /// cancellation strictly improves the flow's cost at constant value.
     fn cancel_cycle(&mut self, trigger: usize) {
+        let (head, cap) = (&self.bn.net.head, &mut self.bn.net.cap);
+        let (parent, seen) = (&self.bn.sc.parent, &mut self.bn.sc.in_queue);
+        let tail_of = |a: u32| head[(a ^ 1) as usize] as usize;
         // Walk the parent chain until a node repeats: that node is on
-        // the cycle (the chain can have a tail leading into it).
-        let tail_of = |net: &CostFlow, a: u32| net.head[(a ^ 1) as usize] as usize;
-        let mut seen = vec![false; self.net.n_nodes];
+        // the cycle (the chain can have a tail leading into it). The
+        // queue marks are free between passes; the next pass resets them.
+        seen.fill(false);
         let mut u = trigger;
         while !seen[u] {
             seen[u] = true;
-            u = tail_of(&self.net, self.parent[u]);
+            u = tail_of(parent[u]);
         }
+        // Two laps from there: find the bottleneck, then push it.
         let start = u;
-        let mut arcs = Vec::new();
         let mut bottleneck = u32::MAX;
         loop {
-            let a = self.parent[u];
-            arcs.push(a);
-            bottleneck = bottleneck.min(self.net.cap[a as usize]);
-            u = tail_of(&self.net, a);
+            bottleneck = bottleneck.min(cap[parent[u] as usize]);
+            u = tail_of(parent[u]);
             if u == start {
                 break;
             }
         }
-        for a in arcs {
-            self.net.cap[a as usize] -= bottleneck;
-            self.net.cap[(a ^ 1) as usize] += bottleneck;
+        loop {
+            let a = parent[u] as usize;
+            cap[a] -= bottleneck;
+            cap[a ^ 1] += bottleneck;
+            u = tail_of(parent[u]);
+            if u == start {
+                break;
+            }
         }
     }
 
@@ -421,41 +231,64 @@ impl WarmNet {
     /// Repairs the seeded flow to min-cost-for-its-value and recomputes
     /// globally valid potentials: cancel negative residual cycles until
     /// none remain, then adopt the converged Bellman–Ford labels as
-    /// potentials. Returns `false` (caller goes cold) when the seed
+    /// potentials. Returns `Ok(false)` (caller goes cold) when the seed
     /// needs more repair than [`Self::MAX_CYCLE_CANCELS`] allows.
-    fn refit_potentials(&mut self) -> bool {
+    fn refit_potentials(&mut self, ctl: &SolveCtl) -> Result<bool, Stopped> {
         for _ in 0..=Self::MAX_CYCLE_CANCELS {
-            match self.spfa_guarded(None) {
-                None => {
-                    self.pi.copy_from_slice(&self.dist);
-                    return true;
+            match self.bn.net.bellman_ford(None, &mut self.bn.sc, ctl) {
+                BellmanFord::Converged => {
+                    self.bn.sc.pi.copy_from_slice(&self.bn.sc.dist);
+                    return Ok(true);
                 }
-                Some(node) => self.cancel_cycle(node),
+                BellmanFord::Interrupted => return Err(Stopped),
+                BellmanFord::NegativeCycle(node) => self.cancel_cycle(node),
             }
         }
-        false
+        Ok(false)
     }
 
     /// Post-solve audit: is there a sink → source residual path with
     /// negative true cost (i.e. would *removing* flow increase profit)?
-    /// Uses the guarded Bellman–Ford on raw residual costs so it is
-    /// sound without trusting the potentials; a detected negative cycle
-    /// also fails the audit (the flow is not min-cost for its value).
-    /// Returns `true` when the flow value is certified optimal.
-    fn deaugmentation_audit(&mut self) -> bool {
-        if self.spfa_guarded(Some(self.sink)).is_some() {
-            return false;
+    /// Runs Bellman–Ford on raw residual costs so it is sound without
+    /// trusting the potentials; a detected negative cycle also fails the
+    /// audit (the flow is not min-cost for its value). Returns `Ok(true)`
+    /// when the flow value is certified optimal.
+    fn deaugmentation_audit(&mut self, ctl: &SolveCtl) -> Result<bool, Stopped> {
+        let bn = &mut self.bn;
+        match bn.net.bellman_ford(Some(bn.sink), &mut bn.sc, ctl) {
+            BellmanFord::Converged => Ok(bn.sc.dist[bn.source] >= 0),
+            BellmanFord::NegativeCycle(_) => Ok(false),
+            BellmanFord::Interrupted => Err(Stopped),
         }
-        self.dist[self.source] >= 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
+    use crate::mcmf::{max_weight_bmatching, verify_certificate, Certificate};
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
     use mbta_util::fixed::objectives_close;
+
+    /// The exact cold solve `net` must agree with, and — through the
+    /// independent verifier — proof that the potentials `net` carries
+    /// certify the matching it just returned.
+    fn cold_and_certified(
+        net: &WarmNet,
+        g: &BipartiteGraph,
+        w: &[f64],
+        m: &Matching,
+    ) -> (Matching, i64) {
+        let cert = Certificate {
+            potentials: net.bn.sc.pi.clone(),
+        };
+        assert!(
+            verify_certificate(g, w, m, &cert),
+            "carried potentials do not certify the returned matching"
+        );
+        let (cold, stats) = max_weight_bmatching(g, w, MODE, ALGO);
+        (cold, stats.profit)
+    }
 
     fn weights_of(g: &BipartiteGraph, lambda: f64) -> Vec<f64> {
         g.edges()
@@ -496,12 +329,14 @@ mod tests {
                 let (m, stats) = net.solve(&g, &w, &prev, &SolveCtl::unlimited());
                 m.validate(&g).unwrap();
                 assert!(stats.completed);
-                let (_, cold) =
-                    max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+                let (cold, cold_profit) = cold_and_certified(&net, &g, &w, &m);
                 assert_eq!(
-                    stats.profit, cold.profit,
+                    stats.profit, cold_profit,
                     "seed {seed} round {round}: warm profit diverged from cold"
                 );
+                if round == 0 {
+                    assert_eq!(m, cold, "seed {seed}: a first solve is the cold solve");
+                }
                 warm_hits += u32::from(stats.warm);
                 prev = m;
                 drift(&mut w, round, 0.05);
@@ -535,9 +370,8 @@ mod tests {
                 drift(&mut w, round * 31 + seed, 0.9);
                 let (m, stats) = net.solve(&g, &w, &prev, &SolveCtl::unlimited());
                 m.validate(&g).unwrap();
-                let (_, cold) =
-                    max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-                assert_eq!(stats.profit, cold.profit, "seed {seed} round {round}");
+                let (_, cold_profit) = cold_and_certified(&net, &g, &w, &m);
+                assert_eq!(stats.profit, cold_profit, "seed {seed} round {round}");
                 prev = m;
             }
         }
@@ -557,6 +391,8 @@ mod tests {
         let mut net = WarmNet::new(&g);
         // Round 1: all edges valuable; optimum takes the 0.8+0.7 pair.
         let w1 = vec![0.9, 0.8, 0.7];
+        let paths = mbta_telemetry::global().counter("mbta_matching_mcmf_augmenting_paths_total");
+        let counted = paths.get();
         let (m1, s1) = net.solve(
             &g,
             &w1,
@@ -565,15 +401,16 @@ mod tests {
         );
         assert_eq!(m1.len(), 2);
         assert!(s1.completed);
+        // `>=`: other tests in this binary bump the same process-wide counter.
+        assert!(s1.iterations > 0 && paths.get() >= counted + s1.iterations);
         // Round 2: the pair collapses to zero weight; only edge 0 is
         // worth keeping, so the optimum has fewer edges than the seed.
         let w2 = vec![0.9, 0.0, 0.0];
         let (m2, s2) = net.solve(&g, &w2, &m1, &SolveCtl::unlimited());
         m2.validate(&g).unwrap();
         assert!(s2.completed);
-        let (_, cold) =
-            max_weight_bmatching(&g, &w2, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-        assert_eq!(s2.profit, cold.profit, "zero-drift optimum not recovered");
+        let (_, cold_profit) = cold_and_certified(&net, &g, &w2, &m2);
+        assert_eq!(s2.profit, cold_profit, "zero-drift optimum not recovered");
         // Weight, not cardinality, is what must match the cold solve:
         let chosen: f64 = m2.edges.iter().map(|e| w2[e.index()]).sum();
         assert!(objectives_close(chosen, 0.9, 4));
@@ -641,5 +478,38 @@ mod tests {
         let (_, stats) = net.solve(&g, &w, &Matching::from_edges(Vec::new()), &ctl);
         assert!(!stats.completed);
         assert!(!net.has_prior(), "interrupted solve must not carry state");
+    }
+
+    #[test]
+    fn interrupted_refit_returns_the_seeded_flow() {
+        let g = random_bipartite(
+            &RandomGraphSpec {
+                n_workers: 40,
+                n_tasks: 40,
+                avg_degree: 6.0,
+                capacity: 2,
+                demand: 2,
+            },
+            11,
+        );
+        let mut w = weights_of(&g, 0.5);
+        let mut net = WarmNet::new(&g);
+        let (prev, _) = net.solve(&g, &w, &Matching::empty(), &SolveCtl::unlimited());
+        // Enough drift that the carried potentials need a refit with cycle
+        // cancelling (an uninterrupted solve moves off the seed).
+        drift(&mut w, 1, 0.2);
+        let (free, stats) = net.clone().solve(&g, &w, &prev, &SolveCtl::unlimited());
+        assert!(stats.warm && stats.completed);
+        assert_ne!(free, prev);
+        // The refit sees the cancelled token at its first node and stops:
+        // no cycle is cancelled, so what comes back is exactly the seed.
+        let token = mbta_util::CancelToken::new();
+        token.cancel();
+        let ctl = SolveCtl::unlimited().with_token(token);
+        let (m, stats) = net.solve(&g, &w, &prev, &ctl);
+        m.validate(&g).unwrap();
+        assert_eq!(m, prev);
+        assert!(!stats.completed);
+        assert!(!net.has_prior(), "interrupted refit must not carry state");
     }
 }

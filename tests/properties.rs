@@ -276,25 +276,35 @@ proptest! {
     }
 
     /// The certified exact solver's certificate verifies on every instance,
-    /// and refuses strictly lighter matchings.
+    /// and refuses strictly lighter matchings, infeasible ones, and
+    /// potentials that break a reduced-cost inequality.
     #[test]
     fn certificates_verify(inst in instance(6, 2)) {
+        use mbta::matching::mcmf::{max_weight_bmatching_certified, verify_certificate};
         let g = inst.graph();
         let w = mb_weights(&g);
-        let (m, _, cert) =
-            mbta::matching::mcmf::max_weight_bmatching_certified(&g, &w);
+        let (m, _, mut cert) = max_weight_bmatching_certified(&g, &w);
         prop_assert!(m.validate(&g).is_ok());
-        prop_assert!(mbta::matching::mcmf::verify_certificate(&g, &w, &m, &cert));
+        prop_assert!(verify_certificate(&g, &w, &m, &cert));
         // A strictly worse matching must be rejected with the same
         // certificate (the empty matching, when the optimum is non-empty).
         if m.total_weight(&w) > 1e-6 {
-            prop_assert!(!mbta::matching::mcmf::verify_certificate(
-                &g,
-                &w,
-                &mbta::matching::Matching::empty(),
-                &cert
-            ));
+            let empty = mbta::matching::Matching::empty();
+            prop_assert!(!verify_certificate(&g, &w, &empty, &cert));
         }
+        // Every edge at once, whenever that overloads a node.
+        let all = mbta::matching::Matching::from_edges(g.edges().collect());
+        if all.validate(&g).is_err() {
+            prop_assert!(!verify_certificate(&g, &w, &all, &cert));
+        }
+        // Pricing a matched worker far above every path length makes its
+        // residual task → worker arc negative; a short vector is refused.
+        if let Some(&e) = m.edges.first() {
+            cert.potentials[1 + g.worker_of(e).index()] += 1 << 40;
+            prop_assert!(!verify_certificate(&g, &w, &m, &cert));
+        }
+        cert.potentials.pop();
+        prop_assert!(!verify_certificate(&g, &w, &m, &cert));
     }
 
     /// k-best enumeration: non-increasing order, all feasible, all distinct,
