@@ -27,8 +27,7 @@ use mbta_cluster::topology::{load_tenants, Tenant};
 use mbta_cluster::{router, worker, RouterConfig, WorkerConfig};
 use mbta_net::{send_events, Client, Request};
 use mbta_service::{
-    Arrival, DeferBackoff, DispatchService, NullSink, OfferOutcome, Routing, ServiceConfig,
-    ShardPlan,
+    Arrival, DeferBackoff, DispatchService, NullSink, Routing, ServiceConfig, ShardPlan,
 };
 use mbta_workload::{Profile, TraceFile, TraceSpec, WorkloadSpec};
 use std::path::PathBuf;
@@ -103,10 +102,7 @@ fn run_single_process(tenants: &[Tenant]) -> (u64, f64) {
     for (i, t) in tenants.iter().enumerate() {
         for &a in &t.events {
             n += 1;
-            while let OfferOutcome::Deferred = svcs[i].offer(a) {
-                svcs[i].pump(&mut sink);
-            }
-            svcs[i].pump(&mut sink);
+            svcs[i].submit(a, &mut sink);
         }
     }
     for svc in svcs {

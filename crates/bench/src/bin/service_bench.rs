@@ -23,8 +23,8 @@
 //! ```
 
 use mbta_service::{
-    Arrival, BatchConfig, BenefitDrift, BudgetMode, DispatchService, NullSink, OfferOutcome,
-    OnlineConfig, Routing, ServiceConfig, ServiceReport, ShardPlan,
+    Arrival, BatchConfig, BenefitDrift, BudgetMode, DispatchService, NullSink, OnlineConfig,
+    Routing, ServiceConfig, ServiceReport, ShardPlan,
 };
 use mbta_workload::trace::TraceSpec;
 use mbta_workload::{Profile, WorkloadSpec};
@@ -63,7 +63,6 @@ fn serve_config(threads: usize) -> ServiceConfig {
         boundary_pass: false,
         replan_threshold: None,
         online: None,
-        owned_shard: None,
     }
 }
 
@@ -90,10 +89,7 @@ fn run_online(
     let mut svc = DispatchService::new(g, &plan, cfg);
     let mut sink = NullSink;
     for &a in events {
-        while let OfferOutcome::Deferred = svc.offer(a) {
-            svc.pump(&mut sink);
-        }
-        svc.pump(&mut sink);
+        svc.submit(a, &mut sink);
     }
     svc.finish(&mut sink)
 }
@@ -113,10 +109,7 @@ fn run_routed(
     let mut svc = DispatchService::new(g, &plan, cfg);
     let mut sink = NullSink;
     for &a in events {
-        while let OfferOutcome::Deferred = svc.offer(a) {
-            svc.pump(&mut sink);
-        }
-        svc.pump(&mut sink);
+        svc.submit(a, &mut sink);
     }
     svc.finish(&mut sink)
 }

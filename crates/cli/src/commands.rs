@@ -22,8 +22,8 @@ use mbta_net::{
     send_events, Client, NetConfig, NetIngress, Reply, Request, Role, StatusInfo, StatusServer,
 };
 use mbta_service::{
-    recover, Arrival, BatchConfig, BatchStats, BenefitDrift, BudgetMode, Decision, DecisionSink,
-    DeferBackoff, DispatchService, DurableStore, NullSink, OfferOutcome, OnlineConfig,
+    capacity_violations, recover, Arrival, BatchConfig, BatchStats, BenefitDrift, BudgetMode,
+    Decision, DecisionSink, DeferBackoff, DispatchService, DurableStore, NullSink, OnlineConfig,
     RecoveredState, ServiceConfig, ServiceReport, ShardPlan, StoreConfig, WriteSink,
 };
 use mbta_store::{heartbeat_age, heartbeat_touch, TailStatus, WalTail};
@@ -538,12 +538,8 @@ fn drive_trace(
             Some(c) => DispatchService::resume(g, &plan, c, sink),
         };
         while idx < events.len() {
-            let a = events[idx];
-            while let OfferOutcome::Deferred = svc.offer(a) {
-                svc.pump(sink);
-            }
+            svc.submit(events[idx], sink);
             idx += 1;
-            svc.pump(sink);
             if svc.replan_due() {
                 break;
             }
@@ -557,10 +553,10 @@ fn drive_trace(
     }
 }
 
-/// Network analogue of [`drive_trace`]: pops arrivals off the TCP ingress
-/// queue, keeps the primary's heartbeat file fresh, and publishes live
-/// status for `QUERY_STATUS` replies. Ends when a client has sent `FIN`
-/// and the queue is drained.
+/// Network analogue of [`drive_trace`]: takes arrivals off the TCP ingress
+/// as [`NetIngress::drive`] hands them over (to the end of the stream),
+/// keeps the primary's heartbeat file fresh, and publishes live status for
+/// `QUERY_STATUS` replies.
 fn drive_net(
     mut svc: DispatchService<'_>,
     ingress: &NetIngress,
@@ -569,7 +565,7 @@ fn drive_net(
 ) -> Result<ServiceReport, Box<dyn Error>> {
     let beat_every = Duration::from_millis(100);
     let mut last_beat = Instant::now();
-    loop {
+    ingress.drive(|item| {
         if let Some(dir) = wal_dir {
             if last_beat.elapsed() >= beat_every {
                 heartbeat_touch(dir)
@@ -577,26 +573,17 @@ fn drive_net(
                 last_beat = Instant::now();
             }
         }
-        match ingress.pop_wait(Duration::from_millis(50)) {
-            Some((_ns, a)) => {
-                while let OfferOutcome::Deferred = svc.offer(a) {
-                    svc.pump(sink);
-                }
-                svc.pump(sink);
-            }
-            None => {
-                svc.pump(sink);
-                if ingress.fin_received() && ingress.is_drained() {
-                    break;
-                }
-            }
+        match item {
+            Some((_ns, a)) => svc.submit(a, sink),
+            None => svc.pump(sink),
         }
         ingress.set_status(
             svc.batches_committed(),
             svc.current_assignments(),
             svc.current_value(),
         );
-    }
+        Ok::<(), String>(())
+    })?;
     Ok(svc.finish(sink))
 }
 
@@ -648,7 +635,6 @@ fn run_service(opts: &ServeOpts, deterministic: bool) -> Result<(), Box<dyn Erro
         online: opts.online.then_some(OnlineConfig {
             drift_threshold: opts.drift_threshold,
         }),
-        owned_shard: None,
     };
     let store = match &opts.wal_dir {
         Some(dir) => {
@@ -872,7 +858,7 @@ fn run_recover(trace: &Path, wal_dir: &Path) -> Result<(), Box<dyn Error>> {
     let state =
         recover(wal_dir).map_err(|e| format!("cannot recover from {}: {e}", wal_dir.display()))?;
     let elapsed = start.elapsed();
-    let violations = recovered_capacity_violations(&g, &state);
+    let violations = capacity_violations(&g, state.shards.iter().flatten().copied());
 
     let mut t = Table::new(
         format!("recover: {}", wal_dir.display()),
@@ -1038,7 +1024,7 @@ fn run_follow(o: &FollowOpts) -> Result<(), Box<dyn Error>> {
     for rec in &last.records {
         follower.apply(rec);
     }
-    let violations = recovered_capacity_violations(&g, &follower);
+    let violations = capacity_violations(&g, follower.shards.iter().flatten().copied());
     let snap_path = follower
         .write_snapshot(&wal_dir)
         .map_err(|e| format!("cannot write promotion snapshot: {e}"))?;
@@ -1245,40 +1231,6 @@ fn run_route(cfg: RouterConfig) -> Result<(), Box<dyn Error>> {
         .into());
     }
     Ok(())
-}
-
-/// Counts capacity violations of a recovered state against the universe
-/// graph: out-of-range edges, edges assigned in two shards, workers over
-/// capacity, tasks over demand.
-fn recovered_capacity_violations(g: &BipartiteGraph, state: &RecoveredState) -> usize {
-    let mut seen = vec![false; g.n_edges()];
-    let mut w_load = vec![0u32; g.n_workers()];
-    let mut t_load = vec![0u32; g.n_tasks()];
-    let mut violations = 0usize;
-    for shard in &state.shards {
-        for &e in shard {
-            let Some(slot) = seen.get_mut(e as usize) else {
-                violations += 1; // edge outside the trace's universe
-                continue;
-            };
-            if std::mem::replace(slot, true) {
-                violations += 1; // same edge assigned in two shards
-                continue;
-            }
-            let edge = mbta_graph::EdgeId::new(e);
-            w_load[g.worker_of(edge).index()] += 1;
-            t_load[g.task_of(edge).index()] += 1;
-        }
-    }
-    violations += g
-        .workers()
-        .filter(|&w| w_load[w.index()] > g.capacity(w))
-        .count();
-    violations += g
-        .tasks()
-        .filter(|&t| t_load[t.index()] > g.demand(t))
-        .count();
-    violations
 }
 
 fn load(path: &Path) -> Result<BipartiteGraph, Box<dyn Error>> {

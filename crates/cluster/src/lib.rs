@@ -18,9 +18,11 @@
 //! identically everywhere (the plan build is deterministic; a shared
 //! placement file via `mbta-partition` pins it explicitly). The router
 //! routes each admitted event to the shard that owns its node and forwards
-//! it over a per-owner connection; the worker re-routes on arrival with
-//! [`ServiceConfig::owned_shard`] set, so any router/worker disagreement
-//! surfaces as a `foreign_events` counter instead of silent misplacement.
+//! it over a per-owner connection. That forwarding *is* shard ownership:
+//! an owner runs ordinary dispatch services and sees only its shard's
+//! events. The worker checks each arrival against its own copy of the plan
+//! before offering it, so any router/worker disagreement surfaces as a
+//! `foreign_events` counter instead of silent misplacement.
 //!
 //! # Tenant namespaces
 //!
@@ -44,13 +46,14 @@
 //! poisoned-shard degradations.
 //!
 //! [`DispatchService`]: mbta_service::DispatchService
-//! [`ServiceConfig::owned_shard`]: mbta_service::ServiceConfig::owned_shard
 //! [`ShardPlan`]: mbta_service::ShardPlan
 
+mod process;
 pub mod router;
 pub mod topology;
 pub mod worker;
 
+pub use process::Handle;
 pub use router::{RouterConfig, RouterHandle, RouterSummary};
 pub use topology::{build_plans, load_tenants, save_plans, Tenant};
 pub use worker::{WorkerConfig, WorkerHandle, WorkerSummary};

@@ -29,6 +29,7 @@
 //!
 //! [`ShardPlan`]: mbta_service::ShardPlan
 
+use crate::process::{self, shard_report, Handle};
 use crate::topology::{build_plans, load_tenants, save_plans};
 use mbta_net::{Client, NetConfig, NetIngress, Reply, Request, ShardReportInfo};
 use mbta_service::{Arrival, Route, Routing};
@@ -36,7 +37,6 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Router configuration.
@@ -121,53 +121,29 @@ impl RouterSummary {
 }
 
 /// A router running on a background thread.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    thread: JoinHandle<Result<RouterSummary, String>>,
-}
-
-impl RouterHandle {
-    /// The bound client-facing address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the router to drain, FIN its owners, and finish.
-    pub fn join(self) -> Result<RouterSummary, String> {
-        self.thread
-            .join()
-            .unwrap_or_else(|_| Err("router thread panicked".into()))
-    }
-}
+pub type RouterHandle = Handle<RouterSummary>;
 
 /// Binds the client endpoint, then runs the router on a background
-/// thread. Binding happens first so the caller has the address
-/// immediately.
+/// thread; the handle has the (possibly ephemeral) address immediately.
 pub fn spawn(cfg: RouterConfig) -> Result<RouterHandle, String> {
-    let ingress = bind(&cfg)?;
-    let addr = ingress.local_addr();
-    let thread = std::thread::spawn(move || run_with_ingress(cfg, ingress));
-    Ok(RouterHandle { addr, thread })
+    process::spawn(net_config(&cfg), move |ingress| serve(cfg, ingress))
 }
 
 /// Runs the router to completion on the calling thread, reporting the
 /// bound address through `on_ready` before serving.
 pub fn run(cfg: RouterConfig, on_ready: impl FnOnce(SocketAddr)) -> Result<RouterSummary, String> {
-    let ingress = bind(&cfg)?;
-    on_ready(ingress.local_addr());
-    run_with_ingress(cfg, ingress)
+    process::run(net_config(&cfg), on_ready, |ingress| serve(cfg, ingress))
 }
 
-fn bind(cfg: &RouterConfig) -> Result<NetIngress, String> {
+fn net_config(cfg: &RouterConfig) -> Result<NetConfig, String> {
     if cfg.owners.is_empty() {
         return Err("need at least one owner address".into());
     }
-    NetIngress::bind(NetConfig {
+    Ok(NetConfig {
         addr: cfg.listen.clone(),
         queue_cap: cfg.queue_cap,
         ..NetConfig::default()
     })
-    .map_err(|e| format!("cannot bind {}: {e}", cfg.listen))
 }
 
 /// Minimum spacing between reconnect probes to a poisoned owner. Keeps
@@ -176,6 +152,7 @@ fn bind(cfg: &RouterConfig) -> Result<NetIngress, String> {
 pub const PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
 /// State shared between the main loop and one owner's sender thread.
+#[derive(Default)]
 struct OwnerShared {
     poisoned: AtomicBool,
     sent: AtomicU64,
@@ -187,7 +164,7 @@ enum SenderMsg {
     Finish,
 }
 
-fn run_with_ingress(cfg: RouterConfig, ingress: NetIngress) -> Result<RouterSummary, String> {
+fn serve(cfg: RouterConfig, ingress: NetIngress) -> Result<RouterSummary, String> {
     let tenants = load_tenants(&cfg.traces)?;
     let n_shards = cfg.owners.len();
     let plans = build_plans(&tenants, n_shards, cfg.routing, cfg.placements.as_deref())?;
@@ -198,15 +175,7 @@ fn run_with_ingress(cfg: RouterConfig, ingress: NetIngress) -> Result<RouterSumm
     let n_ns = tenants.len();
     drop(tenants); // the router only needs the plans
 
-    let shared: Vec<Arc<OwnerShared>> = (0..n_shards)
-        .map(|_| {
-            Arc::new(OwnerShared {
-                poisoned: AtomicBool::new(false),
-                sent: AtomicU64::new(0),
-                degraded: AtomicU64::new(0),
-            })
-        })
-        .collect();
+    let shared: Vec<Arc<OwnerShared>> = (0..n_shards).map(|_| Arc::default()).collect();
 
     let mut txs = Vec::with_capacity(n_shards);
     let mut senders = Vec::with_capacity(n_shards);
@@ -220,6 +189,8 @@ fn run_with_ingress(cfg: RouterConfig, ingress: NetIngress) -> Result<RouterSumm
             retry_window: Duration::from_millis(cfg.owner_retry_ms),
             report_wait: Duration::from_millis(cfg.report_wait_ms),
             shared: Arc::clone(&shared[s]),
+            client: None,
+            last_probe: None,
         };
         txs.push(tx);
         senders.push(std::thread::spawn(move || link.run(rx)));
@@ -230,35 +201,25 @@ fn run_with_ingress(cfg: RouterConfig, ingress: NetIngress) -> Result<RouterSumm
     let mut cross_benefit: u64 = 0;
     let mut unknown_namespace: u64 = 0;
     let mut channel_degraded: u64 = 0;
-    loop {
-        match ingress.pop_wait(Duration::from_millis(50)) {
-            Some((ns, a)) => {
-                admitted += 1;
-                let i = ns as usize;
-                if i >= plans.len() {
-                    unknown_namespace += 1;
-                    continue;
-                }
-                match plans[i].route(&a.event) {
-                    Route::Shard(s) => {
-                        // A dead sender thread can no longer receive; its
-                        // shard is (or is about to be) poisoned.
-                        if txs[s].send(SenderMsg::Event(ns, a)).is_err() {
-                            channel_degraded += 1;
-                        }
+    ingress.drive(|item| {
+        if let Some((ns, a)) = item {
+            admitted += 1;
+            match plans.get(ns as usize).map(|plan| plan.route(&a.event)) {
+                None => unknown_namespace += 1,
+                // A dead sender thread can no longer receive; its shard
+                // is (or is about to be) poisoned.
+                Some(Route::Shard(s)) => {
+                    if txs[s].send(SenderMsg::Event(ns, a)).is_err() {
+                        channel_degraded += 1;
                     }
-                    Route::CrossBenefit => cross_benefit += 1,
-                    Route::Invalid => invalid += 1,
                 }
-            }
-            None => {
-                if ingress.fin_received() && ingress.is_drained() {
-                    break;
-                }
+                Some(Route::CrossBenefit) => cross_benefit += 1,
+                Some(Route::Invalid) => invalid += 1,
             }
         }
         ingress.set_status(admitted, 0, 0.0);
-    }
+        Ok::<(), String>(())
+    })?;
 
     for tx in &txs {
         let _ = tx.send(SenderMsg::Finish);
@@ -285,17 +246,14 @@ fn run_with_ingress(cfg: RouterConfig, ingress: NetIngress) -> Result<RouterSumm
         + channel_degraded;
 
     let live = owner_reports.iter().flatten();
-    ingress.set_report(ShardReportInfo {
-        shard: 0,
-        n_shards: n_shards as u32,
-        poisoned: poisoned.iter().any(|&p| p),
-        namespaces: n_ns as u32,
-        events: admitted,
-        foreign_events: live.clone().map(|r| r.foreign_events).sum(),
-        decisions: live.clone().map(|r| r.decisions).sum(),
-        assignments: live.clone().map(|r| r.assignments).sum(),
-        total_weight: live.map(|r| r.total_weight).sum(),
-    });
+    ingress.set_report(shard_report(
+        (0, n_shards),
+        poisoned.iter().any(|&p| p),
+        n_ns,
+        admitted,
+        live.clone().map(|r| r.foreign_events).sum(),
+        live.map(|r| (r.decisions, r.assignments, r.total_weight)),
+    ));
 
     Ok(RouterSummary {
         admitted,
@@ -320,27 +278,27 @@ struct OwnerLink {
     retry_window: Duration,
     report_wait: Duration,
     shared: Arc<OwnerShared>,
+    /// The persistent connection, when one is up.
+    client: Option<Client>,
+    /// When a poisoned owner was last probed.
+    last_probe: Option<Instant>,
 }
 
 impl OwnerLink {
-    fn run(self, rx: mpsc::Receiver<SenderMsg>) -> Option<ShardReportInfo> {
+    fn run(mut self, rx: mpsc::Receiver<SenderMsg>) -> Option<ShardReportInfo> {
         let mut bufs: Vec<Vec<Arrival>> = vec![Vec::new(); self.n_ns];
-        let mut client: Option<Client> = None;
-        let mut last_probe: Option<Instant> = None;
         loop {
             match rx.recv_timeout(Duration::from_millis(5)) {
                 Ok(SenderMsg::Event(ns, a)) => {
                     let buf = &mut bufs[ns as usize];
                     buf.push(a);
                     if buf.len() >= self.batch {
-                        self.flush_ns(&mut client, &mut last_probe, ns, buf);
+                        self.flush(ns, buf);
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    self.flush_all(&mut client, &mut last_probe, &mut bufs);
-                }
+                Err(mpsc::RecvTimeoutError::Timeout) => self.flush_all(&mut bufs),
                 Ok(SenderMsg::Finish) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    self.flush_all(&mut client, &mut last_probe, &mut bufs);
+                    self.flush_all(&mut bufs);
                     break;
                 }
             }
@@ -354,95 +312,81 @@ impl OwnerLink {
             }
             return None;
         }
-        self.fin_and_report(client)
+        self.fin_and_report()
     }
 
-    fn flush_all(
-        &self,
-        client: &mut Option<Client>,
-        last_probe: &mut Option<Instant>,
-        bufs: &mut [Vec<Arrival>],
-    ) {
+    fn flush_all(&mut self, bufs: &mut [Vec<Arrival>]) {
         for (ns, buf) in bufs.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                self.flush_ns(client, last_probe, ns as u32, buf);
-            }
+            self.flush(ns as u32, buf);
         }
     }
 
-    fn flush_ns(
-        &self,
-        client: &mut Option<Client>,
-        last_probe: &mut Option<Instant>,
-        ns: u32,
-        buf: &mut Vec<Arrival>,
-    ) {
+    /// Forwards one namespace's buffer, or counts it degraded: the owner
+    /// is poisoned and not rejoining, or delivery fails past the retry
+    /// window (which poisons it). Either way the buffer ends empty.
+    fn flush(&mut self, ns: u32, buf: &mut Vec<Arrival>) {
         if buf.is_empty() {
             return;
         }
-        if self.shared.poisoned.load(Ordering::SeqCst) && !self.try_rejoin(client, last_probe) {
-            self.shared
+        let down = self.shared.poisoned.load(Ordering::SeqCst) && !self.try_rejoin();
+        let delivered = if down {
+            None
+        } else {
+            match self.deliver(ns, buf) {
+                Ok(accepted) => Some(accepted),
+                Err(reason) => {
+                    self.shared.poisoned.store(true, Ordering::SeqCst);
+                    println!(
+                        "POISONED shard {}: owner {} unreachable ({reason}); degrading its events",
+                        self.shard, self.addr
+                    );
+                    None
+                }
+            }
+        };
+        let shared = &self.shared;
+        match delivered {
+            Some(accepted) => shared.sent.fetch_add(accepted, Ordering::SeqCst),
+            None => shared
                 .degraded
-                .fetch_add(buf.len() as u64, Ordering::SeqCst);
-            buf.clear();
-            return;
-        }
-        match self.deliver(client, ns, buf) {
-            Ok(accepted) => {
-                self.shared.sent.fetch_add(accepted, Ordering::SeqCst);
-                buf.clear();
-            }
-            Err(reason) => {
-                self.shared.poisoned.store(true, Ordering::SeqCst);
-                println!(
-                    "POISONED shard {}: owner {} unreachable ({reason}); degrading its events",
-                    self.shard, self.addr
-                );
-                self.shared
-                    .degraded
-                    .fetch_add(buf.len() as u64, Ordering::SeqCst);
-                buf.clear();
-            }
-        }
+                .fetch_add(buf.len() as u64, Ordering::SeqCst),
+        };
+        buf.clear();
     }
 
     /// One reconnect probe against a poisoned owner, rate-limited to
     /// [`PROBE_INTERVAL`]. A successful connect clears the poisoned flag
     /// and hands the fresh connection to the delivery path; a refused or
     /// skipped probe leaves the shard degrading.
-    fn try_rejoin(&self, client: &mut Option<Client>, last_probe: &mut Option<Instant>) -> bool {
-        if last_probe.is_some_and(|t| t.elapsed() < PROBE_INTERVAL) {
+    fn try_rejoin(&mut self) -> bool {
+        if self
+            .last_probe
+            .is_some_and(|t| t.elapsed() < PROBE_INTERVAL)
+        {
             return false;
         }
-        *last_probe = Some(Instant::now());
-        match Client::connect(&self.addr, Duration::from_millis(250)) {
-            Ok(c) => {
-                *client = Some(c);
-                self.shared.poisoned.store(false, Ordering::SeqCst);
-                println!(
-                    "shard {} owner {} rejoined; resuming forwarding",
-                    self.shard, self.addr
-                );
-                true
-            }
-            Err(_) => false,
-        }
+        self.last_probe = Some(Instant::now());
+        let Ok(c) = Client::connect(&self.addr, Duration::from_millis(250)) else {
+            return false;
+        };
+        self.client = Some(c);
+        self.shared.poisoned.store(false, Ordering::SeqCst);
+        println!(
+            "shard {} owner {} rejoined; resuming forwarding",
+            self.shard, self.addr
+        );
+        true
     }
 
     /// Sends one batch, reconnecting on failure until the retry window
     /// closes. RETRY-AFTER replies reset the window: a backpressuring
     /// owner is alive, not dead.
-    fn deliver(
-        &self,
-        client: &mut Option<Client>,
-        ns: u32,
-        events: &[Arrival],
-    ) -> Result<u64, String> {
+    fn deliver(&mut self, ns: u32, events: &[Arrival]) -> Result<u64, String> {
         let mut deadline = Instant::now() + self.retry_window;
         loop {
-            if client.is_none() {
+            if self.client.is_none() {
                 match Client::connect(&self.addr, Duration::from_secs(5)) {
-                    Ok(c) => *client = Some(c),
+                    Ok(c) => self.client = Some(c),
                     Err(e) => {
                         if Instant::now() >= deadline {
                             return Err(format!("connect: {e}"));
@@ -452,15 +396,8 @@ impl OwnerLink {
                     }
                 }
             }
-            let req = Request::EventBatch {
-                ns,
-                events: events.to_vec(),
-            };
-            match client
-                .as_mut()
-                .expect("client connected above")
-                .request(&req)
-            {
+            let owner = self.client.as_mut().expect("client connected above");
+            match owner.send_batch(ns, events) {
                 Ok(Reply::Ok { accepted }) => return Ok(accepted as u64),
                 Ok(Reply::RetryAfter { hint_ms }) => {
                     std::thread::sleep(Duration::from_millis(hint_ms.max(1) as u64));
@@ -468,7 +405,7 @@ impl OwnerLink {
                 }
                 Ok(other) => return Err(format!("owner rejected batch: {other:?}")),
                 Err(e) => {
-                    *client = None;
+                    self.client = None;
                     if Instant::now() >= deadline {
                         return Err(format!("send: {e}"));
                     }
@@ -481,12 +418,12 @@ impl OwnerLink {
     /// FINs the owner, then polls its report until the admitted count
     /// matches what we forwarded (the owner lingers after finishing
     /// exactly so this poll can land).
-    fn fin_and_report(&self, mut client: Option<Client>) -> Option<ShardReportInfo> {
+    fn fin_and_report(mut self) -> Option<ShardReportInfo> {
         let sent = self.shared.sent.load(Ordering::SeqCst);
-        if client.is_none() {
-            client = Client::connect(&self.addr, Duration::from_secs(5)).ok();
+        if self.client.is_none() {
+            self.client = Client::connect(&self.addr, Duration::from_secs(5)).ok();
         }
-        if let Some(c) = client.as_mut() {
+        if let Some(c) = self.client.as_mut() {
             let _ = c.request(&Request::Fin); // Fin reply closes the conn
         }
         let deadline = Instant::now() + self.report_wait;

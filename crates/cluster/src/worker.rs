@@ -1,35 +1,39 @@
 //! The shard-owner worker: one process, one shard, N tenant namespaces.
 //!
 //! A worker binds a `mbta-net` ingress, reconstructs every tenant's
-//! universe and plan from the shared topology, and runs one
-//! [`DispatchService`] per namespace with
-//! [`ServiceConfig::owned_shard`] pinned to its shard. Events arrive
-//! already routed by the router; the service re-routes on arrival, so a
-//! misrouted event lands in the `foreign_events` counter instead of a
+//! universe and plan from the shared topology, and runs one ordinary
+//! [`DispatchService`] per namespace. *Owning* a shard is nothing the
+//! service knows about: it is what the router forwards here, plus one
+//! safety check at this process boundary — an event whose plan route
+//! names another shard is counted in `foreign_events` and never offered,
+//! so a router/worker disagreement shows up as a counter instead of as a
 //! foreign shard's state. Each namespace gets its own WAL subdirectory
 //! (`<wal_dir>/ns-<i>`) and its own decision log — tenants share the
 //! process, never dispatch state.
 //!
-//! After the FIN drain the worker publishes its final [`ShardReportInfo`]
-//! and *lingers* for a configurable window, still answering
-//! `QUERY_REPORT`, so the router can confirm delivery counts before the
+//! The worker answers `QUERY_REPORT` with a live [`ShardReportInfo`] for
+//! the whole run — events received, foreign count, assignments, weight;
+//! `decisions` is end-of-run only, 0 until then. After the FIN drain it
+//! publishes the final report and *lingers* for a configurable window,
+//! still answering, so the router can confirm delivery counts before the
 //! process exits.
 //!
 //! [`DispatchService`]: mbta_service::DispatchService
-//! [`ServiceConfig::owned_shard`]: mbta_service::ServiceConfig::owned_shard
+//! [`ShardReportInfo`]: mbta_net::ShardReportInfo
 
+use crate::process::{self, shard_report, Handle};
 use crate::topology::{build_plans, load_tenants};
-use mbta_net::{NetConfig, NetIngress, ShardReportInfo};
+use mbta_net::{NetConfig, NetIngress};
 use mbta_service::{
     BatchStats, BudgetMode, Decision, DecisionSink, DispatchService, FsyncPolicy, NullSink,
-    OfferOutcome, OnlineConfig, Routing, ServiceConfig, ServiceReport, StoreConfig, WriteSink,
+    OnlineConfig, Route, Routing, ServiceConfig, ServiceEvent, ServiceReport, ShardPlan,
+    StoreConfig, WriteSink,
 };
 use mbta_store::store::DurableStore;
 use std::io::{BufWriter, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Shard-owner worker configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,60 +133,41 @@ impl WorkerSummary {
 }
 
 /// A worker running on a background thread.
-pub struct WorkerHandle {
-    addr: SocketAddr,
-    thread: JoinHandle<Result<WorkerSummary, String>>,
-}
+pub type WorkerHandle = Handle<WorkerSummary>;
 
-impl WorkerHandle {
-    /// The bound ingress address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the worker to drain and finish.
-    pub fn join(self) -> Result<WorkerSummary, String> {
-        self.thread
-            .join()
-            .unwrap_or_else(|_| Err("worker thread panicked".into()))
-    }
-}
-
-/// Binds the ingress, then runs the worker on a background thread.
-///
-/// Binding happens before the thread starts so the caller has the
-/// ephemeral address immediately — the in-process tests and the client
-/// simulator wire topologies together this way.
+/// Binds the ingress, then runs the worker on a background thread; the
+/// handle has the (possibly ephemeral) address immediately.
 pub fn spawn(cfg: WorkerConfig) -> Result<WorkerHandle, String> {
-    let ingress = bind(&cfg)?;
-    let addr = ingress.local_addr();
-    let thread = std::thread::spawn(move || run_with_ingress(cfg, ingress));
-    Ok(WorkerHandle { addr, thread })
+    process::spawn(net_config(&cfg), move |ingress| serve(cfg, ingress))
 }
 
 /// Runs a worker to completion on the calling thread, reporting the bound
-/// address through `on_ready` before serving (the CLI prints it so shell
-/// scripts can capture ephemeral ports).
+/// address through `on_ready` before serving.
 pub fn run(cfg: WorkerConfig, on_ready: impl FnOnce(SocketAddr)) -> Result<WorkerSummary, String> {
-    let ingress = bind(&cfg)?;
-    on_ready(ingress.local_addr());
-    run_with_ingress(cfg, ingress)
+    process::run(net_config(&cfg), on_ready, |ingress| serve(cfg, ingress))
 }
 
-fn bind(cfg: &WorkerConfig) -> Result<NetIngress, String> {
+fn net_config(cfg: &WorkerConfig) -> Result<NetConfig, String> {
     if cfg.shard >= cfg.n_shards {
         return Err(format!(
             "shard {} out of range for {} shards",
             cfg.shard, cfg.n_shards
         ));
     }
-    NetIngress::bind(NetConfig {
+    Ok(NetConfig {
         addr: cfg.listen.clone(),
         queue_cap: cfg.queue_cap,
         seed: cfg.shard as u64,
         ..NetConfig::default()
     })
-    .map_err(|e| format!("cannot bind {}: {e}", cfg.listen))
+}
+
+/// The boundary filter: whether `plan` routes `ev` to a shard other than
+/// `own`. A correctly routing upstream never sends such an event, so the
+/// count doubles as a routing-agreement check. Cross-shard and malformed
+/// events route to no shard; the service counts those itself.
+fn is_foreign(plan: &ShardPlan, own: usize, ev: &ServiceEvent) -> bool {
+    matches!(plan.route(ev), Route::Shard(s) if s != own)
 }
 
 /// Per-namespace decision sink: memory capture, file log, or discard.
@@ -202,7 +187,7 @@ impl DecisionSink for WorkerSink {
     }
 }
 
-fn run_with_ingress(cfg: WorkerConfig, ingress: NetIngress) -> Result<WorkerSummary, String> {
+fn serve(cfg: WorkerConfig, ingress: NetIngress) -> Result<WorkerSummary, String> {
     let tenants = load_tenants(&cfg.traces)?;
     let plans = build_plans(
         &tenants,
@@ -222,7 +207,6 @@ fn run_with_ingress(cfg: WorkerConfig, ingress: NetIngress) -> Result<WorkerSumm
         online: cfg
             .online
             .map(|drift_threshold| OnlineConfig { drift_threshold }),
-        owned_shard: Some(cfg.shard),
         ..ServiceConfig::default()
     };
 
@@ -268,57 +252,58 @@ fn run_with_ingress(cfg: WorkerConfig, ingress: NetIngress) -> Result<WorkerSumm
         })
         .collect::<Result<_, String>>()?;
 
+    let id = (cfg.shard, cfg.n_shards);
     let mut popped: u64 = 0;
     let mut unknown_namespace: u64 = 0;
-    loop {
-        match ingress.pop_wait(Duration::from_millis(50)) {
+    let mut foreign = vec![0u64; svcs.len()];
+    ingress.drive(|item| {
+        match item {
+            Some((ns, _)) if ns as usize >= svcs.len() => unknown_namespace += 1,
             Some((ns, a)) => {
                 let i = ns as usize;
-                if i >= svcs.len() {
-                    unknown_namespace += 1;
+                popped += 1;
+                if is_foreign(&plans[i], cfg.shard, &a.event) {
+                    foreign[i] += 1;
+                    mbta_telemetry::counter_add("mbta_service_foreign_events_total", 1);
                 } else {
-                    popped += 1;
-                    while let OfferOutcome::Deferred = svcs[i].offer(a) {
-                        svcs[i].pump(&mut sinks[i]);
-                    }
-                    svcs[i].pump(&mut sinks[i]);
+                    svcs[i].submit(a, &mut sinks[i]);
                 }
             }
             None => {
                 for (svc, sink) in svcs.iter_mut().zip(sinks.iter_mut()) {
                     svc.pump(sink);
                 }
-                if ingress.fin_received() && ingress.is_drained() {
-                    break;
-                }
             }
         }
-        publish_live(&ingress, &cfg, &svcs, popped);
-    }
+        // The live view: `decisions` stays 0 until the final report.
+        let batches: u64 = svcs.iter().map(|s| s.batches_committed()).sum();
+        let live = svcs
+            .iter()
+            .map(|s| (0, s.current_assignments() as u64, s.current_value()));
+        let report = shard_report(id, false, svcs.len(), popped, foreign.iter().sum(), live);
+        ingress.set_status(batches, report.assignments as usize, report.total_weight);
+        ingress.set_report(report);
+        Ok::<(), String>(())
+    })?;
 
     let reports: Vec<ServiceReport> = svcs
         .into_iter()
         .zip(sinks.iter_mut())
-        .map(|(svc, sink)| svc.finish(sink))
+        .zip(&foreign)
+        .map(|((svc, sink), &foreign_events)| ServiceReport {
+            foreign_events,
+            ..svc.finish(sink)
+        })
         .collect();
 
-    ingress.set_report(ShardReportInfo {
-        shard: cfg.shard as u32,
-        n_shards: cfg.n_shards as u32,
-        poisoned: false,
-        namespaces: reports.len() as u32,
-        events: popped,
-        foreign_events: reports.iter().map(|r| r.foreign_events).sum(),
-        decisions: reports.iter().map(|r| r.decisions).sum(),
-        assignments: reports.iter().map(|r| r.final_assignments as u64).sum(),
-        total_weight: reports.iter().map(|r| r.final_value).sum(),
-    });
+    let done = reports
+        .iter()
+        .map(|r| (r.decisions, r.final_assignments as u64, r.final_value));
+    let report = shard_report(id, false, reports.len(), popped, foreign.iter().sum(), done);
+    ingress.set_report(report);
 
     // Linger so the router can poll the final report before we exit.
-    let deadline = Instant::now() + Duration::from_millis(cfg.linger_ms);
-    while Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    std::thread::sleep(Duration::from_millis(cfg.linger_ms));
 
     let decision_logs = sinks
         .into_iter()
@@ -351,20 +336,91 @@ fn run_with_ingress(cfg: WorkerConfig, ingress: NetIngress) -> Result<WorkerSumm
     })
 }
 
-fn publish_live(ingress: &NetIngress, cfg: &WorkerConfig, svcs: &[DispatchService], popped: u64) {
-    let assignments: usize = svcs.iter().map(|s| s.current_assignments()).sum();
-    let total_weight: f64 = svcs.iter().map(|s| s.current_value()).sum();
-    let batches: u64 = svcs.iter().map(|s| s.batches_committed()).sum();
-    ingress.set_status(batches, assignments, total_weight);
-    ingress.set_report(ShardReportInfo {
-        shard: cfg.shard as u32,
-        n_shards: cfg.n_shards as u32,
-        poisoned: false,
-        namespaces: svcs.len() as u32,
-        events: popped,
-        foreign_events: 0,
-        decisions: 0,
-        assignments: assignments as u64,
-        total_weight,
-    });
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mbta_graph::random::{random_bipartite, RandomGraphSpec};
+    use mbta_service::{Arrival, BenefitDrift, CollectSink};
+    use mbta_workload::trace::TraceSpec;
+
+    /// Ownership composes: one ordinary online service per shard, each fed
+    /// the stream through the boundary filter, yields exactly the full
+    /// run's decisions partitioned by shard. (In batch mode an owner's
+    /// batches close on its own events only, so only the per-event mode
+    /// partitions exactly.)
+    #[test]
+    fn filtered_owner_runs_partition_the_full_online_run() {
+        let spec = RandomGraphSpec {
+            n_workers: 80,
+            n_tasks: 60,
+            avg_degree: 5.0,
+            capacity: 2,
+            demand: 2,
+        };
+        let g = random_bipartite(&spec, 21);
+        let w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
+        let plan = ShardPlan::build(&g, &w, 3, Routing::HashId);
+        let trace = TraceSpec {
+            horizon: 50.0,
+            mean_session: 10.0,
+            mean_task_lifetime: 15.0,
+            seed: 29,
+        }
+        .generate(g.n_workers(), g.n_tasks());
+        let events =
+            BenefitDrift::new(&g, 0.2, 29).weave(trace.into_iter().map(Arrival::from_trace));
+
+        let run = |own: Option<usize>| {
+            let cfg = ServiceConfig {
+                budget: BudgetMode::Deterministic,
+                threads: 1,
+                online: Some(OnlineConfig {
+                    drift_threshold: 0.1,
+                }),
+                ..ServiceConfig::default()
+            };
+            let mut svc = DispatchService::new(&g, &plan, cfg);
+            let mut sink = CollectSink::default();
+            let mut foreign = 0u64;
+            for &a in &events {
+                if own.is_some_and(|own| is_foreign(&plan, own, &a.event)) {
+                    foreign += 1;
+                } else {
+                    svc.submit(a, &mut sink);
+                }
+            }
+            let report = svc.finish(&mut sink);
+            (sink.decisions, report, foreign)
+        };
+
+        let (full, full_rep, _) = run(None);
+        assert!(!full.is_empty());
+        let mut union: Vec<Decision> = Vec::new();
+        let mut processed = 0u64;
+        for s in 0..plan.n_shards() {
+            let (dec, rep, foreign) = run(Some(s));
+            assert!(
+                dec.iter().all(|d| d.shard == s as u32),
+                "owner {s} emitted a decision for a shard it does not own"
+            );
+            assert_eq!(rep.capacity_violations, 0);
+            assert!(foreign > 0, "3 shards must see foreign events");
+            // Conservation: every event is foreign, processed, invalid or
+            // cross-shard — nothing vanishes silently.
+            assert_eq!(
+                events.len() as u64,
+                foreign + rep.events_processed + rep.invalid_events + rep.cross_benefit_drops
+            );
+            processed += rep.events_processed;
+            union.extend(dec);
+        }
+        assert_eq!(processed, full_rep.events_processed);
+        // Same decisions, shard by shard.
+        let key = |d: &Decision| (d.shard, d.edge, d.action as u8, d.weight.to_bits());
+        let mut full_sorted: Vec<_> = full.iter().map(key).collect();
+        let mut union_sorted: Vec<_> = union.iter().map(key).collect();
+        full_sorted.sort_unstable();
+        union_sorted.sort_unstable();
+        assert_eq!(full_sorted, union_sorted);
+    }
 }

@@ -12,12 +12,60 @@
 
 use mbta_cluster::topology::{build_plans, load_tenants, save_plans};
 use mbta_cluster::{router, worker, RouterConfig, RouterSummary, WorkerConfig, WorkerSummary};
-use mbta_net::{send_events, Client, Request};
-use mbta_service::{DeferBackoff, Routing};
+use mbta_net::{send_events, Client, Reply, Request};
+use mbta_service::{DeferBackoff, Route, Routing, ServiceEvent};
 use mbta_workload::{Profile, TraceFile, TraceSpec, WorkloadSpec};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// `(owner, namespace, decision-log hash, WAL-directory hash)` of the
+/// two-tenant, two-owner deterministic run below. Captured at the commit
+/// before the one-network-path refactor by running this file there; a
+/// correctly routed owner's bytes are re-pinned only by a PR that means to
+/// change decisions or the WAL format.
+const GOLDEN: &[(usize, usize, u64, u64)] = &[
+    (0, 0, 0xfdbf3662c059a09f, 0x815eb92c2c2bd628),
+    (0, 1, 0x562eb3d81e04f52f, 0x90889303db972bb0),
+    (1, 0, 0x579761790bec8341, 0xb7db7f22c1d9d960),
+    (1, 1, 0x1f80aed7bc461797, 0x560479ce0ec3fa25),
+];
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// Hashes every `(owner, namespace)` decision log and `ns-<i>` WAL
+/// directory (file names, file bytes, snapshot count — as
+/// `tests/dispatch_golden.rs` does) of a run journaled under `wal_root`.
+fn golden_hashes(ws: &[WorkerSummary], wal_root: &Path) -> Vec<(usize, usize, u64, u64)> {
+    let mut got = Vec::new();
+    for w in ws {
+        for (ns, log) in w.decision_logs.iter().enumerate() {
+            let mut log_hash = FNV_OFFSET;
+            fnv1a(&mut log_hash, log);
+            let dir = wal_root.join(format!("wal-{}/ns-{ns}", w.shard));
+            let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            files.sort();
+            let mut wal_hash = FNV_OFFSET;
+            for f in files {
+                fnv1a(&mut wal_hash, f.file_name().unwrap().as_encoded_bytes());
+                fnv1a(&mut wal_hash, &std::fs::read(&f).unwrap());
+            }
+            fnv1a(&mut wal_hash, &w.reports[ns].snapshots.to_le_bytes());
+            got.push((w.shard, ns, log_hash, wal_hash));
+        }
+    }
+    got
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mbta_cluster_{}_{name}", std::process::id()));
@@ -50,8 +98,16 @@ fn make_trace(dir: &Path, name: &str, seed: u64) -> PathBuf {
 
 /// Spins up `n_shards` workers + a router over `traces`, drives every
 /// tenant's events through one client connection each, FINs, and joins
-/// everything down.
-fn run_cluster(traces: &[PathBuf], n_shards: usize) -> (RouterSummary, Vec<WorkerSummary>) {
+/// everything down. With `wal_root`, owner `s` journals under
+/// `<wal_root>/wal-<s>`. With `misroute`, one shard-1 event of tenant 0 is
+/// first sent straight to owner 0, bypassing the router, and the call
+/// waits until owner 0's live report counts it.
+fn run_cluster(
+    traces: &[PathBuf],
+    n_shards: usize,
+    wal_root: Option<&Path>,
+    misroute: bool,
+) -> (RouterSummary, Vec<WorkerSummary>) {
     let mut handles = Vec::new();
     let mut owners = Vec::new();
     for s in 0..n_shards {
@@ -60,16 +116,43 @@ fn run_cluster(traces: &[PathBuf], n_shards: usize) -> (RouterSummary, Vec<Worke
         wc.threads = 1;
         wc.collect_decisions = true;
         wc.linger_ms = 400;
+        wc.wal_dir = wal_root.map(|root| root.join(format!("wal-{s}")));
         let h = worker::spawn(wc).unwrap();
         owners.push(h.addr().to_string());
         handles.push(h);
+    }
+    let tenants = load_tenants(traces).unwrap();
+    if misroute {
+        let plans = build_plans(&tenants, n_shards, Routing::HashId, None).unwrap();
+        let task = (0..tenants[0].graph.n_tasks() as u32)
+            .find(|&t| plans[0].route(&ServiceEvent::TaskPost(t)) == Route::Shard(1))
+            .expect("shard 1 holds a task");
+        let stray = mbta_service::Arrival {
+            time: 0.0,
+            event: ServiceEvent::TaskPost(task),
+        };
+        let mut c = Client::connect_retry(&owners[0], Duration::from_secs(5)).unwrap();
+        let reply = c.request(&Request::EventBatch {
+            ns: 0,
+            events: vec![stray],
+        });
+        assert_eq!(reply.unwrap(), Reply::Ok { accepted: 1 });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match c.request(&Request::QueryReport).unwrap() {
+                Reply::ShardReport(r) if r.foreign_events == 1 => break,
+                Reply::ShardReport(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(10))
+                }
+                other => panic!("live report never counted the misroute: {other:?}"),
+            }
+        }
     }
     let rc = RouterConfig::new(traces.to_vec(), owners);
     let rh = router::spawn(rc).unwrap();
     let addr = rh.addr().to_string();
 
     // One connection per tenant preserves each tenant's event order.
-    let tenants = load_tenants(traces).unwrap();
     let senders: Vec<_> = tenants
         .into_iter()
         .map(|t| {
@@ -99,9 +182,13 @@ fn namespace_isolation_is_byte_identical_per_tenant() {
     let trace_b = make_trace(&dir, "b.trace", 23);
     let n_shards = 2;
 
-    let (rs_both, ws_both) = run_cluster(&[trace_a.clone(), trace_b.clone()], n_shards);
-    let (rs_a, ws_a) = run_cluster(&[trace_a], n_shards);
-    let (rs_b, ws_b) = run_cluster(&[trace_b], n_shards);
+    // The two-tenant run journals; the single-tenant runs do not, so the
+    // log comparison below also says a WAL does not change decisions.
+    let wal_root = dir.join("both");
+    let both = [trace_a.clone(), trace_b.clone()];
+    let (rs_both, ws_both) = run_cluster(&both, n_shards, Some(&wal_root), false);
+    let (rs_a, ws_a) = run_cluster(&[trace_a], n_shards, None, false);
+    let (rs_b, ws_b) = run_cluster(&[trace_b], n_shards, None, false);
 
     for rs in [&rs_both, &rs_a, &rs_b] {
         assert!(rs.conserved(), "unaccounted events: {rs:?}");
@@ -136,6 +223,44 @@ fn namespace_isolation_is_byte_identical_per_tenant() {
         .map(|r| r.decisions)
         .sum();
     assert!(decided > 0, "cluster made no decisions at all");
+
+    let got = golden_hashes(&ws_both, &wal_root);
+    if std::env::var_os("GOLDEN_PRINT").is_some() {
+        for (owner, ns, log, wal) in &got {
+            println!("    ({owner}, {ns}, {log:#018x}, {wal:#018x}),");
+        }
+    } else {
+        assert_eq!(got, GOLDEN, "an owner's decision log or WAL bytes changed");
+    }
+}
+
+/// A frame that reaches the wrong owner (here: sent past the router) is
+/// acknowledged, counted as foreign — live and in the summary — and
+/// otherwise leaves no trace: no decision, no WAL record, every byte of
+/// the correctly routed run unchanged.
+#[test]
+fn misrouted_frame_is_counted_foreign_and_leaves_no_trace() {
+    let dir = temp_dir("misroute");
+    let traces = [
+        make_trace(&dir, "a.trace", 11),
+        make_trace(&dir, "b.trace", 23),
+    ];
+    let wal_root = dir.join("wal");
+    let (rs, ws) = run_cluster(&traces, 2, Some(&wal_root), true);
+
+    assert!(rs.conserved(), "unaccounted events: {rs:?}");
+    assert_eq!(ws[0].foreign_events(), 1);
+    assert_eq!(ws[0].reports[0].foreign_events, 1, "tenant 0's stray");
+    assert_eq!(ws[1].foreign_events(), 0);
+    assert_eq!(
+        ws[0].events,
+        rs.per_owner_sent[0] + 1,
+        "the stray was received"
+    );
+    for w in &ws {
+        assert_eq!(w.violations(), 0);
+    }
+    assert_eq!(golden_hashes(&ws, &wal_root), GOLDEN);
 }
 
 #[test]

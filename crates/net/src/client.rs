@@ -11,8 +11,8 @@
 //! stampeding in lockstep.
 
 use crate::wire::{
-    decode_reply, encode_request, read_message, write_message, FrameError, Reply, Request,
-    WireError,
+    decode_reply, encode_event_batch, encode_request, read_message, write_message, FrameError,
+    Reply, Request, WireError,
 };
 use mbta_service::{Arrival, DeferBackoff};
 use std::fmt;
@@ -117,9 +117,19 @@ impl Client {
 
     /// Sends one request and reads its reply.
     pub fn request(&mut self, req: &Request) -> Result<Reply, ClientError> {
-        write_message(&mut self.stream, &encode_request(req))?;
-        let payload = read_message(&mut self.reader)?;
-        decode_reply(&payload).map_err(ClientError::Wire)
+        self.round_trip(&encode_request(req))
+    }
+
+    /// Sends one `EVENT_BATCH` for tenant `ns` from a borrowed slice and
+    /// reads its reply — what a retry loop calls per attempt.
+    pub fn send_batch(&mut self, ns: u32, events: &[Arrival]) -> Result<Reply, ClientError> {
+        self.round_trip(&encode_event_batch(ns, events))
+    }
+
+    fn round_trip(&mut self, payload: &[u8]) -> Result<Reply, ClientError> {
+        write_message(&mut self.stream, payload)?;
+        let reply = read_message(&mut self.reader)?;
+        decode_reply(&reply).map_err(ClientError::Wire)
     }
 }
 
@@ -148,11 +158,7 @@ pub fn send_events(
     let mut summary = SendSummary::default();
     for chunk in events.chunks(batch.max(1)) {
         loop {
-            let req = Request::EventBatch {
-                ns,
-                events: chunk.to_vec(),
-            };
-            match client.request(&req)? {
+            match client.send_batch(ns, chunk)? {
                 Reply::Ok { accepted } => {
                     summary.sent += accepted as u64;
                     summary.batches += 1;

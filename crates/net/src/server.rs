@@ -1,11 +1,15 @@
-//! The ingress server: concurrent framed-TCP connections feeding one
-//! bounded queue, plus the lightweight read-only status server.
+//! The server: concurrent framed-TCP connections feeding one bounded
+//! queue. There is one accept loop, one per-connection loop and one
+//! shutdown; an endpoint differs only in what it may do with a decoded
+//! request. [`NetIngress`] admits event batches; [`StatusServer`] is the
+//! same server in its read-only role — it answers `QUERY_STATUS` and
+//! refuses everything else with [`ErrCode::ReadOnly`].
 //!
 //! Threading model: one accept thread, one OS thread per connection
 //! (`std::net` blocking I/O — connection counts here are a handful of
 //! event producers, not C10K), all funnelling into a single
 //! [`BoundedQueue`] behind a mutex. The dispatch loop drains that queue
-//! from its own thread via [`NetIngress::pop_wait`].
+//! from its own thread via [`NetIngress::drive`].
 //!
 //! Admission control is **atomic per batch**: an `EVENT_BATCH` either
 //! fits the queue's remaining capacity in full and is enqueued, or
@@ -30,7 +34,7 @@ use crate::wire::{
 use mbta_service::{Arrival, BoundedQueue, DeferBackoff, DropPolicy, OfferOutcome};
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -87,6 +91,10 @@ pub struct NetStats {
     pub queue_high_watermark: usize,
 }
 
+/// How long [`NetIngress::drive`] waits on an empty queue before it hands
+/// its driver an idle tick and re-checks for the end of the stream.
+const IDLE_TICK: Duration = Duration::from_millis(50);
+
 /// The ingress queue plus a lockstep deque of namespace tags: entry `i`
 /// of `tags` is the tenant of the `i`-th queued arrival. Both sides are
 /// only ever touched together under the queue mutex, so they cannot skew.
@@ -96,9 +104,12 @@ struct NsQueue {
 }
 
 struct Shared {
+    /// As bound, with `queue_cap` clamped to at least 1.
+    cfg: NetConfig,
+    /// The read-only role: only `QUERY_STATUS` is answered.
+    read_only: bool,
     queue: Mutex<NsQueue>,
     ready: Condvar,
-    cap: usize,
     fin: AtomicBool,
     shutdown: AtomicBool,
     status: Mutex<StatusInfo>,
@@ -109,26 +120,38 @@ struct Shared {
     retry_after: AtomicU64,
     malformed: AtomicU64,
     bytes_in: AtomicU64,
-    conn_seq: AtomicU64,
-    cfg_read_timeout: Duration,
-    cfg_retry_base_ms: u64,
-    cfg_retry_cap_ms: u64,
-    cfg_seed: u64,
+}
+
+/// Adds `n` to one lifetime counter and to its registry twin.
+fn bump(stat: &AtomicU64, metric: &str, n: u64) {
+    stat.fetch_add(n, Ordering::Relaxed);
+    mbta_telemetry::counter_add(metric, n);
 }
 
 impl Shared {
     /// Admits the whole batch or nothing. The all-or-nothing check runs
     /// under the queue lock, so concurrent producers cannot interleave
     /// partial batches.
-    fn push_batch(&self, ns: u32, events: &[Arrival]) -> bool {
+    fn admit(&self, ns: u32, events: &[Arrival], backoff: &mut DeferBackoff) -> Reply {
+        let cap = self.cfg.queue_cap;
+        if events.len() > cap {
+            return Reply::Err {
+                code: ErrCode::TooLarge,
+                msg: format!("batch of {} exceeds queue capacity {cap}", events.len()),
+            };
+        }
         let mut nq = self.queue.lock().unwrap();
-        if self.cap - nq.q.len() < events.len() {
+        if cap - nq.q.len() < events.len() {
             // Count one deferral for the bounced batch (not per event):
             // the queue's own counter feeds the service report. Crucially
             // nothing is enqueued — the batch is all-or-nothing, so the
             // client's identical resend stays exactly-once.
             nq.q.note_deferral();
-            return false;
+            drop(nq);
+            bump(&self.retry_after, "mbta_net_retry_after_total", 1);
+            return Reply::RetryAfter {
+                hint_ms: backoff.next_delay().as_millis() as u32,
+            };
         }
         for &a in events {
             let outcome = nq.q.offer(a);
@@ -137,7 +160,15 @@ impl Shared {
         }
         drop(nq);
         self.ready.notify_all();
-        true
+        bump(
+            &self.accepted,
+            "mbta_net_accepted_total",
+            events.len() as u64,
+        );
+        backoff.reset();
+        Reply::Ok {
+            accepted: events.len() as u32,
+        }
     }
 }
 
@@ -152,25 +183,33 @@ pub struct NetIngress {
 impl NetIngress {
     /// Binds `cfg.addr` and starts accepting connections immediately.
     /// Events pile into the internal queue until the owner drains them
-    /// with [`NetIngress::pop_wait`].
+    /// with [`NetIngress::drive`] (or [`NetIngress::pop_wait`]).
     pub fn bind(cfg: NetConfig) -> io::Result<NetIngress> {
+        let status = StatusInfo {
+            role: Role::Primary,
+            watermark: 0,
+            assignments: 0,
+            total_weight: 0.0,
+        };
+        NetIngress::start(cfg, false, status)
+    }
+
+    /// The one constructor: binds, then serves in the given role.
+    fn start(mut cfg: NetConfig, read_only: bool, status: StatusInfo) -> io::Result<NetIngress> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
+        cfg.queue_cap = cfg.queue_cap.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(NsQueue {
-                q: BoundedQueue::new(cfg.queue_cap.max(1), DropPolicy::Defer),
+                q: BoundedQueue::new(cfg.queue_cap, DropPolicy::Defer),
                 tags: VecDeque::new(),
             }),
+            cfg,
+            read_only,
             ready: Condvar::new(),
-            cap: cfg.queue_cap.max(1),
             fin: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            status: Mutex::new(StatusInfo {
-                role: Role::Primary,
-                watermark: 0,
-                assignments: 0,
-                total_weight: 0.0,
-            }),
+            status: Mutex::new(status),
             report: Mutex::new(ShardReportInfo::default()),
             conns: AtomicU64::new(0),
             frames: AtomicU64::new(0),
@@ -178,11 +217,6 @@ impl NetIngress {
             retry_after: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
             bytes_in: AtomicU64::new(0),
-            conn_seq: AtomicU64::new(0),
-            cfg_read_timeout: cfg.read_timeout,
-            cfg_retry_base_ms: cfg.retry_base_ms,
-            cfg_retry_cap_ms: cfg.retry_cap_ms,
-            cfg_seed: cfg.seed,
         });
         let accept_shared = Arc::clone(&shared);
         let accept_handle = thread::Builder::new()
@@ -206,18 +240,35 @@ impl NetIngress {
     /// drivers can ignore the tag (their clients always send ns 0).
     pub fn pop_wait(&self, timeout: Duration) -> Option<(u32, Arrival)> {
         let mut nq = self.shared.queue.lock().unwrap();
-        if let Some(a) = nq.q.pop() {
-            let ns = nq.tags.pop_front().expect("tags tracks queue in lockstep");
-            return Some((ns, a));
+        if nq.q.is_empty() {
+            let ready = &self.shared.ready;
+            (nq, _) = ready
+                .wait_timeout_while(nq, timeout, |nq| nq.q.is_empty())
+                .unwrap();
         }
-        let (mut nq, _) = self
-            .shared
-            .ready
-            .wait_timeout_while(nq, timeout, |nq| nq.q.is_empty())
-            .unwrap();
         let a = nq.q.pop()?;
         let ns = nq.tags.pop_front().expect("tags tracks queue in lockstep");
         Some((ns, a))
+    }
+
+    /// Runs the stream to its end — the one statement of the
+    /// end-of-stream rule. Every admitted `(namespace, arrival)` is handed
+    /// to `step` as `Some`, in admission order; `None` is an idle tick,
+    /// handed over each time 50 ms pass with the queue empty (where a
+    /// driver pumps, beats and publishes). Returns once a client has sent
+    /// `FIN` and the queue is drained, or with `step`'s first error.
+    pub fn drive<E>(
+        &self,
+        mut step: impl FnMut(Option<(u32, Arrival)>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        loop {
+            let item = self.pop_wait(IDLE_TICK);
+            let idle = item.is_none();
+            step(item)?;
+            if idle && self.is_drained() {
+                return Ok(());
+            }
+        }
     }
 
     /// Whether any client has sent `FIN`.
@@ -278,16 +329,51 @@ impl Drop for NetIngress {
     }
 }
 
+/// A minimal read-only endpoint — the server in its read-only role:
+/// answers `QUERY_STATUS`, refuses everything else with
+/// [`ErrCode::ReadOnly`]. Followers run one while tailing (and keep it
+/// through promotion, with the role flipped).
+pub struct StatusServer(NetIngress);
+
+impl StatusServer {
+    /// Binds `addr` and serves immediately.
+    pub fn bind(addr: &str, initial: StatusInfo) -> io::Result<StatusServer> {
+        // Nothing is ever admitted here, so the queue stays minimal.
+        let cfg = NetConfig {
+            addr: addr.to_string(),
+            queue_cap: 1,
+            read_timeout: Duration::from_secs(10),
+            ..NetConfig::default()
+        };
+        NetIngress::start(cfg, true, initial).map(StatusServer)
+    }
+
+    /// The bound address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.0.local_addr
+    }
+
+    /// Publishes a new status (called as the follower applies records,
+    /// and at promotion to flip the role).
+    pub fn update(&self, status: StatusInfo) {
+        *self.0.shared.status.lock().unwrap() = status;
+    }
+
+    /// Stops accepting and joins the accept thread.
+    pub fn shutdown(&mut self) {
+        self.0.shutdown();
+    }
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        shared.conns.fetch_add(1, Ordering::Relaxed);
+        let id = shared.conns.fetch_add(1, Ordering::Relaxed);
         mbta_telemetry::counter_add("mbta_net_conns_total", 1);
         let conn_shared = Arc::clone(&shared);
-        let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
         let _ = thread::Builder::new()
             .name(format!("mbta-net-conn-{id}"))
             .spawn(move || handle_conn(stream, conn_shared, id));
@@ -299,28 +385,22 @@ fn send_reply(stream: &mut TcpStream, reply: &Reply) -> io::Result<()> {
 }
 
 fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
-    let _ = stream.set_read_timeout(Some(shared.cfg_read_timeout));
+    let cfg = &shared.cfg;
+    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
     let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    let Ok(mut reader) = stream.try_clone() else {
+        return;
     };
-    let mut backoff = DeferBackoff::new(
-        shared.cfg_retry_base_ms,
-        shared.cfg_retry_cap_ms,
-        shared.cfg_seed ^ id,
-    );
+    let mut backoff = DeferBackoff::new(cfg.retry_base_ms, cfg.retry_cap_ms, cfg.seed ^ id);
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
         let payload = match read_message(&mut reader) {
             Ok(p) => p,
-            Err(FrameError::Eof) => return,
-            Err(FrameError::Oversize(_)) | Err(FrameError::Corrupt) => {
+            Err(FrameError::Oversize(_) | FrameError::Corrupt) => {
                 // The stream is out of sync for good; say why, then close.
-                shared.malformed.fetch_add(1, Ordering::Relaxed);
-                mbta_telemetry::counter_add("mbta_net_malformed_total", 1);
+                bump(&shared.malformed, "mbta_net_malformed_total", 1);
                 let _ = send_reply(
                     &mut stream,
                     &Reply::Err {
@@ -330,42 +410,22 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
                 );
                 return;
             }
-            // Timeout or severed connection.
-            Err(FrameError::Io(_)) => return,
+            // Clean close, timeout or severed connection.
+            Err(FrameError::Eof | FrameError::Io(_)) => return,
         };
-        shared.frames.fetch_add(1, Ordering::Relaxed);
-        shared
-            .bytes_in
-            .fetch_add(payload.len() as u64 + 8, Ordering::Relaxed);
-        mbta_telemetry::counter_add("mbta_net_frames_total", 1);
-        mbta_telemetry::counter_add("mbta_net_bytes_total", payload.len() as u64 + 8);
+        bump(&shared.frames, "mbta_net_frames_total", 1);
+        bump(
+            &shared.bytes_in,
+            "mbta_net_bytes_total",
+            payload.len() as u64 + 8,
+        );
         let reply = match decode_request(&payload) {
-            Ok(Request::EventBatch { ns, events }) => {
-                if events.len() > shared.cap {
-                    Reply::Err {
-                        code: ErrCode::TooLarge,
-                        msg: format!(
-                            "batch of {} exceeds queue capacity {}",
-                            events.len(),
-                            shared.cap
-                        ),
-                    }
-                } else if shared.push_batch(ns, &events) {
-                    let n = events.len() as u64;
-                    shared.accepted.fetch_add(n, Ordering::Relaxed);
-                    mbta_telemetry::counter_add("mbta_net_accepted_total", n);
-                    backoff.reset();
-                    Reply::Ok {
-                        accepted: events.len() as u32,
-                    }
-                } else {
-                    shared.retry_after.fetch_add(1, Ordering::Relaxed);
-                    mbta_telemetry::counter_add("mbta_net_retry_after_total", 1);
-                    Reply::RetryAfter {
-                        hint_ms: backoff.next_delay().as_millis() as u32,
-                    }
-                }
-            }
+            Ok(Request::QueryStatus) => Reply::Status(*shared.status.lock().unwrap()),
+            Ok(_) if shared.read_only => Reply::Err {
+                code: ErrCode::ReadOnly,
+                msg: "read-only endpoint: status queries only".to_string(),
+            },
+            Ok(Request::EventBatch { ns, events }) => shared.admit(ns, &events, &mut backoff),
             Ok(Request::Fin) => {
                 shared.fin.store(true, Ordering::Release);
                 // Wake a drainer parked on an empty queue so it can
@@ -374,142 +434,16 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
                 let _ = send_reply(&mut stream, &Reply::Ok { accepted: 0 });
                 return;
             }
-            Ok(Request::QueryStatus) => Reply::Status(*shared.status.lock().unwrap()),
             Ok(Request::QueryReport) => Reply::ShardReport(*shared.report.lock().unwrap()),
             Err(e) => {
                 // The frame was intact — only its payload is garbage — so
                 // the stream is still in sync and the connection survives.
-                shared.malformed.fetch_add(1, Ordering::Relaxed);
-                mbta_telemetry::counter_add("mbta_net_malformed_total", 1);
+                bump(&shared.malformed, "mbta_net_malformed_total", 1);
                 Reply::Err {
                     code: ErrCode::Payload,
                     msg: e.to_string(),
                 }
             }
-        };
-        if send_reply(&mut stream, &reply).is_err() {
-            return;
-        }
-    }
-}
-
-// ---- read-only status serving --------------------------------------------
-
-struct StatusShared {
-    status: Mutex<StatusInfo>,
-    shutdown: AtomicBool,
-}
-
-/// A minimal read-only endpoint: answers `QUERY_STATUS`, refuses event
-/// batches with [`ErrCode::ReadOnly`]. Followers run one while tailing
-/// (and after promotion, on the taken-over primary address).
-pub struct StatusServer {
-    shared: Arc<StatusShared>,
-    local_addr: SocketAddr,
-    accept_handle: Option<thread::JoinHandle<()>>,
-}
-
-impl StatusServer {
-    /// Binds `addr` and serves immediately.
-    pub fn bind(addr: &str, initial: StatusInfo) -> io::Result<StatusServer> {
-        let mut last_err = None;
-        for sock_addr in addr.to_socket_addrs()? {
-            match TcpListener::bind(sock_addr) {
-                Ok(l) => return StatusServer::from_listener(l, initial),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err
-            .unwrap_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved")))
-    }
-
-    /// Serves on an already-bound listener — the promotion path, where
-    /// binding the primary's address *is* the takeover evidence and the
-    /// listener must not be dropped between the bind and the serve.
-    pub fn from_listener(listener: TcpListener, initial: StatusInfo) -> io::Result<StatusServer> {
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(StatusShared {
-            status: Mutex::new(initial),
-            shutdown: AtomicBool::new(false),
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = thread::Builder::new()
-            .name("mbta-net-status".to_string())
-            .spawn(move || status_accept_loop(listener, accept_shared))
-            .expect("spawn status accept thread");
-        Ok(StatusServer {
-            shared,
-            local_addr,
-            accept_handle: Some(accept_handle),
-        })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Publishes a new status (called as the follower applies records,
-    /// and at promotion to flip the role).
-    pub fn update(&self, status: StatusInfo) {
-        *self.shared.status.lock().unwrap() = status;
-    }
-
-    /// Stops accepting and joins the accept thread.
-    pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for StatusServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn status_accept_loop(listener: TcpListener, shared: Arc<StatusShared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let conn_shared = Arc::clone(&shared);
-        let _ = thread::Builder::new()
-            .name("mbta-net-status-conn".to_string())
-            .spawn(move || handle_status_conn(stream, conn_shared));
-    }
-}
-
-fn handle_status_conn(mut stream: TcpStream, shared: Arc<StatusShared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let payload = match read_message(&mut reader) {
-            Ok(p) => p,
-            Err(_) => return,
-        };
-        let reply = match decode_request(&payload) {
-            Ok(Request::QueryStatus) => Reply::Status(*shared.status.lock().unwrap()),
-            Ok(Request::EventBatch { .. }) | Ok(Request::Fin) | Ok(Request::QueryReport) => {
-                Reply::Err {
-                    code: ErrCode::ReadOnly,
-                    msg: "read-only endpoint: status queries only".to_string(),
-                }
-            }
-            Err(e) => Reply::Err {
-                code: ErrCode::Payload,
-                msg: e.to_string(),
-            },
         };
         if send_reply(&mut stream, &reply).is_err() {
             return;

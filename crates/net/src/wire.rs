@@ -168,7 +168,8 @@ pub struct ShardReportInfo {
     /// Events received for a shard this owner does not own (misroutes —
     /// dropped, never applied).
     pub foreign_events: u64,
-    /// Decision records emitted across all namespaces.
+    /// Decision records emitted across all namespaces. End-of-run only:
+    /// an owner's live report carries 0 here until it has finished.
     pub decisions: u64,
     /// Live assigned-edge count across all namespaces.
     pub assignments: u64,
@@ -322,21 +323,26 @@ fn decode_event(r: &mut Reader<'_>) -> Result<Arrival, WireError> {
 
 // ---- requests -------------------------------------------------------------
 
+/// Encodes an `EVENT_BATCH` payload straight from a borrowed slice — the
+/// one batch encoder: senders that retry a batch hand over the slice they
+/// already hold instead of building an owned [`Request`] per attempt.
+pub fn encode_event_batch(ns: u32, events: &[Arrival]) -> Vec<u8> {
+    debug_assert!(events.len() <= MAX_BATCH_EVENTS);
+    let mut out = Vec::with_capacity(9 + events.len() * 25);
+    out.push(TAG_EVENT_BATCH);
+    put_u32(&mut out, ns);
+    put_u32(&mut out, events.len() as u32);
+    for a in events {
+        encode_event(&mut out, a);
+    }
+    out
+}
+
 /// Encodes a request payload (framing is separate; see
 /// [`write_message`]).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
-        Request::EventBatch { ns, events } => {
-            debug_assert!(events.len() <= MAX_BATCH_EVENTS);
-            let mut out = Vec::with_capacity(9 + events.len() * 25);
-            out.push(TAG_EVENT_BATCH);
-            put_u32(&mut out, *ns);
-            put_u32(&mut out, events.len() as u32);
-            for a in events {
-                encode_event(&mut out, a);
-            }
-            out
-        }
+        Request::EventBatch { ns, events } => encode_event_batch(*ns, events),
         Request::Fin => vec![TAG_FIN],
         Request::QueryStatus => vec![TAG_QUERY_STATUS],
         Request::QueryReport => vec![TAG_QUERY_REPORT],

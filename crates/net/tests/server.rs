@@ -119,28 +119,39 @@ fn malformed_payload_gets_error_reply_and_connection_survives() {
 #[test]
 fn damaged_frame_gets_error_reply_then_close() {
     let server = NetIngress::bind(test_cfg(64)).unwrap();
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    // Corrupt the CRC of an otherwise valid frame: resync is impossible,
-    // so the server says why and closes.
-    let mut frame = Vec::new();
-    mbta_net::write_message(
-        &mut frame,
-        &mbta_net::encode_request(&Request::EventBatch {
-            ns: 0,
-            events: vec![ev(1)],
-        }),
-    )
-    .unwrap();
-    frame[5] ^= 0xff; // CRC byte
-    raw.write_all(&frame).unwrap();
-    let payload = mbta_net::read_message(&mut raw).unwrap();
-    match mbta_net::decode_reply(&payload).unwrap() {
-        Reply::Err { code, .. } => assert_eq!(code.as_u8(), 2, "frame error class"),
-        other => panic!("expected ERR, got {other:?}"),
+    let follower = StatusInfo {
+        role: Role::Follower,
+        watermark: 0,
+        assignments: 0,
+        total_weight: 0.0,
+    };
+    let status = StatusServer::bind("127.0.0.1:0", follower).unwrap();
+    // One server loop, two roles: the read-only endpoint answers a
+    // damaged frame exactly as the ingress does.
+    for addr in [server.local_addr(), status.local_addr()] {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        // Corrupt the CRC of an otherwise valid frame: resync is
+        // impossible, so the server says why and closes.
+        let mut frame = Vec::new();
+        mbta_net::write_message(
+            &mut frame,
+            &mbta_net::encode_request(&Request::EventBatch {
+                ns: 0,
+                events: vec![ev(1)],
+            }),
+        )
+        .unwrap();
+        frame[5] ^= 0xff; // CRC byte
+        raw.write_all(&frame).unwrap();
+        let payload = mbta_net::read_message(&mut raw).unwrap();
+        match mbta_net::decode_reply(&payload).unwrap() {
+            Reply::Err { code, .. } => assert_eq!(code.as_u8(), 2, "frame error class"),
+            other => panic!("expected ERR, got {other:?}"),
+        }
+        // The connection is gone: the next read sees EOF (or a reset).
+        assert!(mbta_net::read_message(&mut raw).is_err());
     }
-    // The connection is gone: the next read sees EOF (or a reset).
-    assert!(mbta_net::read_message(&mut raw).is_err());
     // Nothing was admitted.
     assert_eq!(server.stats().accepted, 0);
 }

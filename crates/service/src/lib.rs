@@ -71,7 +71,7 @@ pub use pool::{BatchSolve, ShardJob, ShardOutcome, SolvePool};
 pub use queue::{BoundedQueue, DeferBackoff, DropPolicy, OfferOutcome};
 pub use report::ServiceReport;
 pub use service::{BudgetMode, CarriedState, DispatchService, ServiceConfig};
-pub use shard::{Route, Routing, ShardPlan};
+pub use shard::{capacity_violations, Route, Routing, ShardPlan};
 pub use sink::{Action, BatchStats, CollectSink, Decision, DecisionSink, NullSink, WriteSink};
 
 // Durability wiring surface, re-exported so callers that attach a store

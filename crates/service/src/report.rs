@@ -59,9 +59,11 @@ pub struct ServiceReport {
     pub invalid_events: u64,
     /// Benefit updates dropped because their edge crosses shards.
     pub cross_benefit_drops: u64,
-    /// Events that routed to a shard this process does not own (nonzero
-    /// only in the cluster's single-shard ownership mode; a correctly
-    /// routing upstream sends none).
+    /// Events a cluster shard owner received for a shard it does not own.
+    /// Never set by the service itself, which has no notion of ownership:
+    /// the shard worker counts them at its process boundary, without
+    /// offering them, and stamps the count into the report it returns (a
+    /// correctly routing upstream sends none). 0 everywhere else.
     pub foreign_events: u64,
     /// Deepest the ingress queue ever got.
     pub queue_high_watermark: usize,

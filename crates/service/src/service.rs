@@ -60,7 +60,7 @@ use crate::online::{self, OnlineConfig, OnlineRuntime, OnlineScratch};
 use crate::pool::{ShardJob, SolvePool};
 use crate::queue::{BoundedQueue, DropPolicy, OfferOutcome};
 use crate::report::ServiceReport;
-use crate::shard::{Route, ShardPlan, UNMAPPED};
+use crate::shard::{capacity_violations, Route, ShardPlan, UNMAPPED};
 use crate::sink::{canonical_order, Action, BatchStats, Decision, DecisionSink};
 use mbta_core::engine::{EngineConfig, QualityTier};
 use mbta_core::incremental::IncrementalAssignment;
@@ -105,7 +105,11 @@ impl BudgetMode {
     }
 }
 
-/// Service construction parameters.
+/// Service construction parameters. Three of them switch modes —
+/// `online`, `boundary_pass`, `replan_threshold` — and none says which
+/// shards this process owns: a service applies every event it is offered,
+/// so a cluster shard owner is an ordinary service that is offered one
+/// shard's events (its worker loop filters at the process boundary).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Micro-batch watermarks.
@@ -137,13 +141,6 @@ pub struct ServiceConfig {
     /// configured threshold). Incompatible with `boundary_pass` — the
     /// rescue overlay is a batch-boundary construct.
     pub online: Option<OnlineConfig>,
-    /// Single-shard ownership (the cluster's shard-owner mode): this
-    /// process owns exactly one shard of the plan. Events routing to any
-    /// other shard are counted as *foreign* and skipped — a correctly
-    /// routing upstream never sends them, so the counter doubles as a
-    /// routing-agreement check. Incompatible with `boundary_pass`, which
-    /// needs every shard's residual state in one process.
-    pub owned_shard: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -157,7 +154,6 @@ impl Default for ServiceConfig {
             boundary_pass: false,
             replan_threshold: None,
             online: None,
-            owned_shard: None,
         }
     }
 }
@@ -165,13 +161,13 @@ impl Default for ServiceConfig {
 /// The event-driven dispatch service. See the module docs.
 ///
 /// The driving loop is `offer` → `pump` → `finish`; under the `Defer`
-/// overload policy, a deferred offer means "pump batches, then retry":
+/// overload policy, a deferred offer means "pump batches, then retry".
+/// [`DispatchService::submit`] is that protocol for one event:
 ///
 /// ```
 /// use mbta_graph::random::from_edges;
 /// use mbta_service::{
-///     Arrival, DispatchService, NullSink, OfferOutcome, Routing, ServiceConfig, ServiceEvent,
-///     ShardPlan,
+///     Arrival, DispatchService, NullSink, Routing, ServiceConfig, ServiceEvent, ShardPlan,
 /// };
 ///
 /// let g = from_edges(&[1, 1], &[1, 1], &[(0, 0, 0.9, 0.9), (1, 1, 0.5, 0.5)]);
@@ -184,11 +180,7 @@ impl Default for ServiceConfig {
 ///     (0.0, ServiceEvent::WorkerJoin(0)),
 ///     (0.5, ServiceEvent::TaskPost(0)),
 /// ] {
-///     let arrival = Arrival { time, event };
-///     while let OfferOutcome::Deferred = svc.offer(arrival) {
-///         svc.pump(&mut sink);
-///     }
-///     svc.pump(&mut sink);
+///     svc.submit(Arrival { time, event }, &mut sink);
 /// }
 /// let report = svc.finish(&mut sink);
 /// assert_eq!(report.capacity_violations, 0);
@@ -217,8 +209,6 @@ struct Core<'p> {
 struct RunState {
     budget: BudgetMode,
     replan_threshold: Option<f64>,
-    /// Single-shard ownership (see [`ServiceConfig::owned_shard`]).
-    owned_shard: Option<usize>,
     pool: SolvePool,
     queue: BoundedQueue,
     /// Optional durability: when attached, every commit is journaled to
@@ -300,15 +290,6 @@ enum Record {
     /// A re-plan migration; the post-migration shard sets are read off the
     /// core at commit time.
     Plan(MigrationStats),
-}
-
-/// Where a batch event landed after routing.
-enum Routed {
-    Shard(usize),
-    Invalid,
-    CrossBenefit,
-    /// Routed cleanly, but to a shard this process does not own.
-    Foreign,
 }
 
 impl RunState {
@@ -505,17 +486,6 @@ impl<'p> Core<'p> {
         }
     }
 
-    /// The plan's route, narrowed by the ownership filter: in a shard
-    /// worker, an event for a shard this process does not own is foreign.
-    fn route(&self, ev: &ServiceEvent) -> Routed {
-        match self.plan.route(ev) {
-            Route::Shard(s) if self.run.owned_shard.is_some_and(|own| own != s) => Routed::Foreign,
-            Route::Shard(s) => Routed::Shard(s),
-            Route::CrossBenefit => Routed::CrossBenefit,
-            Route::Invalid => Routed::Invalid,
-        }
-    }
-
     /// Lands a benefit update on the universe weights and the cut tracker
     /// (`cross`: the edge spans shards, so no shard state holds it).
     fn set_live_weight(&mut self, cross: bool, edge: u32, weight: f64) {
@@ -564,32 +534,26 @@ impl<'p> Core<'p> {
         let mut seen = vec![false; self.plan.n_shards()];
         let mut routes = Vec::with_capacity(batch.events.len());
         let mut invalid = 0usize;
-        let mut foreign = 0usize;
         for a in &batch.events {
-            let r = self.route(&a.event);
+            let r = self.plan.route(&a.event);
             match r {
-                Routed::Shard(s) => {
+                Route::Shard(s) => {
                     if !seen[s] {
                         seen[s] = true;
                         touched.push(s);
                     }
                 }
-                Routed::Invalid => invalid += 1,
+                Route::Invalid => invalid += 1,
                 // With the boundary pass on, cross-shard benefit updates
                 // feed the rescue market instead of being dropped.
-                Routed::CrossBenefit if rescue.is_none() => {
-                    self.run.report.cross_benefit_drops += 1
-                }
-                Routed::CrossBenefit => {}
-                Routed::Foreign => foreign += 1,
+                Route::CrossBenefit if rescue.is_none() => self.run.report.cross_benefit_drops += 1,
+                Route::CrossBenefit => {}
             }
             routes.push(r);
         }
         touched.sort_unstable();
         self.run.report.invalid_events += invalid as u64;
         mbta_telemetry::counter_add("mbta_service_invalid_events_total", invalid as u64);
-        self.run.report.foreign_events += foreign as u64;
-        mbta_telemetry::counter_add("mbta_service_foreign_events_total", foreign as u64);
 
         let before: Vec<Matching> = touched.iter().map(|&s| self.states[s].matching()).collect();
 
@@ -600,11 +564,11 @@ impl<'p> Core<'p> {
         let mut deltas: Vec<WeightDelta> = Vec::new();
         for (a, r) in batch.events.iter().zip(&routes) {
             let cross = match *r {
-                Routed::Shard(s) => {
+                Route::Shard(s) => {
                     self.apply(s, &a.event);
                     false
                 }
-                Routed::CrossBenefit if rescue.is_some() => true,
+                Route::CrossBenefit if rescue.is_some() => true,
                 _ => continue,
             };
             self.run.report.events_processed += 1;
@@ -856,22 +820,17 @@ impl<'p> Core<'p> {
     ) {
         let t0 = Instant::now();
         self.run.last_time = self.run.last_time.max(a.time);
-        let s = match self.route(&a.event) {
-            Routed::Shard(s) => s,
-            Routed::Invalid => {
+        let s = match self.plan.route(&a.event) {
+            Route::Shard(s) => s,
+            Route::Invalid => {
                 self.run.report.invalid_events += 1;
                 mbta_telemetry::counter_add("mbta_service_invalid_events_total", 1);
                 return;
             }
             // The rescue overlay is a batch construct; in online mode a
             // cross-shard benefit update has no decision surface.
-            Routed::CrossBenefit => {
+            Route::CrossBenefit => {
                 self.run.report.cross_benefit_drops += 1;
-                return;
-            }
-            Routed::Foreign => {
-                self.run.report.foreign_events += 1;
-                mbta_telemetry::counter_add("mbta_service_foreign_events_total", 1);
                 return;
             }
         };
@@ -988,13 +947,15 @@ impl<'p> Core<'p> {
     /// the last fallback left it. Decisions are committed exactly like
     /// per-event ones (`events: 0` — no arrival triggered them), and
     /// shards whose closing solve changes nothing consume no sequence
-    /// slot.
+    /// slot. A shard with no live worker or no live task has nothing to
+    /// converge and is skipped outright — which is every shard a cluster
+    /// owner does not own, since its router never forwards their events.
     fn drain_online(&mut self, rt: &mut OnlineRuntime, sink: &mut impl DecisionSink) {
         for s in 0..self.plan.n_shards() {
-            if self.run.owned_shard.is_some_and(|own| own != s)
-                || self.run.poisoned[s]
-                || self.shard_degenerate(s)
-            {
+            let st = &self.states[s];
+            let live = st.graph().workers().any(|w| st.worker_active(w))
+                && st.graph().tasks().any(|t| st.task_active(t));
+            if !live || self.run.poisoned[s] || self.shard_degenerate(s) {
                 continue;
             }
             let t0 = Instant::now();
@@ -1024,22 +985,16 @@ impl<'p> Core<'p> {
 impl<'p> DispatchService<'p> {
     /// Builds a service over a shard plan. All nodes start *inactive* —
     /// the market is empty until join/post events arrive.
+    ///
+    /// # Panics
+    /// If `cfg` asks for `online` and `boundary_pass` together — the one
+    /// combination of its fields that names no mode.
     pub fn new(universe: &'p BipartiteGraph, plan: &'p ShardPlan, cfg: ServiceConfig) -> Self {
         assert!(
             !(cfg.boundary_pass && cfg.online.is_some()),
             "online mode is incompatible with the boundary pass"
         );
-        assert!(
-            !(cfg.boundary_pass && cfg.owned_shard.is_some()),
-            "single-shard ownership is incompatible with the boundary pass"
-        );
         let n = plan.n_shards();
-        if let Some(own) = cfg.owned_shard {
-            assert!(
-                own < n,
-                "owned shard {own} out of range (plan has {n} shards)"
-            );
-        }
         let live_weights = plan.universe_weights.clone();
         let (mut states, cut) = seed_plan_state(universe, plan, &live_weights);
         let mode = match cfg.online {
@@ -1057,7 +1012,6 @@ impl<'p> DispatchService<'p> {
         let run = RunState {
             budget: cfg.budget,
             replan_threshold: cfg.replan_threshold,
-            owned_shard: cfg.owned_shard,
             pool: SolvePool::new(cfg.threads),
             queue: BoundedQueue::new(cfg.queue_cap, cfg.drop_policy),
             store: None,
@@ -1174,6 +1128,17 @@ impl<'p> DispatchService<'p> {
         }
     }
 
+    /// The whole per-event protocol in one call: [`offer`](Self::offer),
+    /// on [`OfferOutcome::Deferred`] [`pump`](Self::pump) and re-offer
+    /// until admitted, then pump — so watermark flushes happen promptly
+    /// and `Defer` backpressure makes progress instead of spinning.
+    pub fn submit(&mut self, a: Arrival, sink: &mut impl DecisionSink) {
+        while let OfferOutcome::Deferred = self.offer(a) {
+            self.pump(sink);
+        }
+        self.pump(sink);
+    }
+
     /// Records committed so far (the sequence watermark — see
     /// [`ServiceReport::batches`]); equals the durable watermark when a
     /// store is attached. Cheap; safe to read every loop iteration for
@@ -1230,33 +1195,14 @@ impl<'p> DispatchService<'p> {
         // (plus the rescue overlay), mapped back to universe ids, must be
         // feasible on the universe graph. Shards are node-disjoint and the
         // rescue market's capacities are the shard residuals, so this
-        // holds by construction; re-validate anyway and count violations
-        // per node, on top of the per-batch rescue validations already
-        // in the report.
+        // holds by construction; re-validate anyway, on top of the
+        // per-batch rescue validations already in the report.
         let universe = core.universe;
-        let mut chosen = vec![false; universe.n_edges()];
-        let mut w_load = vec![0u32; universe.n_workers()];
-        let mut t_load = vec![0u32; universe.n_tasks()];
-        let mut violations = 0usize;
         let union = core.assigned().map(|(_, e)| e);
-        for e in union.chain(overlay.iter().copied()) {
-            if chosen[e.index()] {
-                violations += 1;
-            }
-            chosen[e.index()] = true;
-            w_load[universe.worker_of(e).index()] += 1;
-            t_load[universe.task_of(e).index()] += 1;
-        }
-        for w in universe.workers() {
-            if w_load[w.index()] > universe.capacity(w) {
-                violations += 1;
-            }
-        }
-        for t in universe.tasks() {
-            if t_load[t.index()] > universe.demand(t) {
-                violations += 1;
-            }
-        }
+        let violations = capacity_violations(
+            universe,
+            union.chain(overlay.iter().copied()).map(EdgeId::raw),
+        );
 
         let Core {
             plan, states, run, ..
@@ -1672,7 +1618,6 @@ mod tests {
             boundary_pass: false,
             replan_threshold: None,
             online: None,
-            owned_shard: None,
         }
     }
 
@@ -1773,65 +1718,6 @@ mod tests {
         assert_eq!(rep_a.batches, rep_b.batches);
         assert_eq!(rep_a.reseeds, rep_b.reseeds);
         assert_eq!(rep_a.final_assignments, rep_b.final_assignments);
-    }
-
-    /// Single-shard ownership composes: feeding the *full* stream to one
-    /// owned service per shard yields exactly the full run's decisions,
-    /// partitioned by shard, with everything else counted as foreign.
-    #[test]
-    fn owned_shard_runs_partition_the_full_run() {
-        let (g, w) = universe();
-        let plan = ShardPlan::build(&g, &w, 3, Routing::HashId);
-        let events = stream(&g, 29);
-
-        let run = |owned: Option<usize>| {
-            let mut cfg = deterministic_cfg();
-            cfg.owned_shard = owned;
-            let mut svc = DispatchService::new(&g, &plan, cfg);
-            let mut sink = CollectSink::default();
-            for &a in &events {
-                while let OfferOutcome::Deferred = svc.offer(a) {
-                    svc.pump(&mut sink);
-                }
-                svc.pump(&mut sink);
-            }
-            let report = svc.finish(&mut sink);
-            (sink.decisions, report)
-        };
-
-        let (full, full_rep) = run(None);
-        assert!(!full.is_empty());
-        let mut union: Vec<Decision> = Vec::new();
-        let mut processed = 0u64;
-        for s in 0..plan.n_shards() {
-            let (dec, rep) = run(Some(s));
-            assert!(
-                dec.iter().all(|d| d.shard == s as u32),
-                "owned run emitted a decision for a shard it does not own"
-            );
-            assert_eq!(rep.capacity_violations, 0);
-            // Conservation: every ingress event is processed, invalid,
-            // cross-shard, or foreign — nothing vanishes silently.
-            assert_eq!(
-                rep.events_in,
-                rep.events_processed
-                    + rep.invalid_events
-                    + rep.cross_benefit_drops
-                    + rep.foreign_events
-            );
-            assert!(rep.foreign_events > 0, "3 shards must see foreign events");
-            processed += rep.events_processed;
-            union.extend(dec);
-        }
-        assert_eq!(processed, full_rep.events_processed);
-        // Same decisions, shard by shard, in the full run's order.
-        let key = |d: &Decision| (d.shard, d.edge, d.action as u8, d.weight.to_bits());
-        let mut full_sorted: Vec<_> = full.iter().map(key).collect();
-        let mut union_sorted: Vec<_> = union.iter().map(key).collect();
-        full_sorted.sort_unstable();
-        union_sorted.sort_unstable();
-        assert_eq!(full_sorted, union_sorted);
-        assert_eq!(full_rep.foreign_events, 0, "full run owns every shard");
     }
 
     /// The pool's determinism contract at the service level: a 4-thread
@@ -2420,27 +2306,6 @@ mod tests {
         let plan = ShardPlan::build(&g, &w, 4, Routing::HashId);
         let mut cfg = online_cfg(0.1);
         cfg.boundary_pass = true;
-        DispatchService::new(&g, &plan, cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "single-shard ownership is incompatible with the boundary pass")]
-    fn new_rejects_owned_shard_with_boundary_pass() {
-        let (g, w) = universe();
-        let plan = ShardPlan::build(&g, &w, 4, Routing::HashId);
-        let mut cfg = deterministic_cfg();
-        cfg.owned_shard = Some(1);
-        cfg.boundary_pass = true;
-        DispatchService::new(&g, &plan, cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "owned shard 4 out of range (plan has 4 shards)")]
-    fn new_rejects_owned_shard_out_of_range() {
-        let (g, w) = universe();
-        let plan = ShardPlan::build(&g, &w, 4, Routing::HashId);
-        let mut cfg = deterministic_cfg();
-        cfg.owned_shard = Some(4);
         DispatchService::new(&g, &plan, cfg);
     }
 

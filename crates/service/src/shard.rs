@@ -22,7 +22,7 @@
 
 use crate::event::ServiceEvent;
 use mbta_graph::subgraph::{induce, Subgraph, SubgraphSpec};
-use mbta_graph::{BipartiteGraph, TaskId, WorkerId};
+use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
 use mbta_util::fxhash::hash_u64;
 
 /// How tasks are mapped to shards.
@@ -315,6 +315,33 @@ impl ShardPlan {
     }
 }
 
+/// The one feasibility audit: counts what makes `edges` — universe edge
+/// ids, e.g. the union of every shard's assignment — infeasible on the
+/// universe `g`: an id outside the universe, an edge listed twice, a worker
+/// over capacity, a task over demand (one violation each).
+/// [`DispatchService::finish`](crate::DispatchService::finish) runs it over
+/// the live state, `mbta recover` / `mbta follow` over a recovered one.
+pub fn capacity_violations(g: &BipartiteGraph, edges: impl IntoIterator<Item = u32>) -> usize {
+    let mut seen = vec![false; g.n_edges()];
+    let mut w_load = vec![0u32; g.n_workers()];
+    let mut t_load = vec![0u32; g.n_tasks()];
+    let mut violations = 0usize;
+    for e in edges {
+        // `None`: outside the universe; `Some(true)`: listed twice.
+        let listed = seen.get_mut(e as usize).map(|s| std::mem::replace(s, true));
+        if listed != Some(false) {
+            violations += 1;
+            continue;
+        }
+        let edge = EdgeId::new(e);
+        w_load[g.worker_of(edge).index()] += 1;
+        t_load[g.task_of(edge).index()] += 1;
+    }
+    let over_w = g.workers().filter(|&w| w_load[w.index()] > g.capacity(w));
+    let over_t = g.tasks().filter(|&t| t_load[t.index()] > g.demand(t));
+    violations + over_w.count() + over_t.count()
+}
+
 /// Computes the task → shard and worker → shard assignments for `routing`.
 ///
 /// Key-based routings place tasks by key and home each worker on the
@@ -374,6 +401,34 @@ mod tests {
         );
         let w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
         (g, w)
+    }
+
+    #[test]
+    fn capacity_audit_counts_each_kind_of_violation_once() {
+        use mbta_graph::random::from_edges;
+        // Worker 0 (capacity 1) has two edges, task 2 (demand 1) has two.
+        let g = from_edges(
+            &[1, 2, 1],
+            &[1, 1, 1],
+            &[
+                (0, 0, 0.5, 0.5),
+                (0, 1, 0.5, 0.5),
+                (1, 2, 0.5, 0.5),
+                (2, 2, 0.5, 0.5),
+            ],
+        );
+        let table: [(&str, &[u32], usize); 6] = [
+            ("feasible", &[0, 2], 0),
+            ("outside the universe", &[0, 4], 1),
+            ("listed twice", &[0, 2, 2], 1),
+            ("worker over capacity", &[0, 1], 1),
+            ("task over demand", &[2, 3], 1),
+            ("all four", &[0, 1, 2, 3, 3, 9], 4),
+        ];
+        for (what, edges, want) in table {
+            let got = capacity_violations(&g, edges.iter().copied());
+            assert_eq!(got, want, "{what}");
+        }
     }
 
     #[test]

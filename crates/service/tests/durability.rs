@@ -79,7 +79,6 @@ fn cfg() -> ServiceConfig {
         boundary_pass: false,
         replan_threshold: None,
         online: None,
-        owned_shard: None,
     }
 }
 

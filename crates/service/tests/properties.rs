@@ -55,7 +55,6 @@ fn cfg(threads: usize, budget: BudgetMode) -> ServiceConfig {
         boundary_pass: false,
         replan_threshold: None,
         online: None,
-        owned_shard: None,
     }
 }
 

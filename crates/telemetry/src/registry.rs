@@ -79,17 +79,24 @@ impl Registry {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
+    /// Looks `name` up by `&str`; only a first registration allocates the
+    /// key, so the hot-path helpers pay a hash and a short critical
+    /// section per call and nothing else.
+    fn get_or_register(&self, name: &str, make: fn() -> MetricEntry) -> MetricEntry {
+        let mut shard = self.shard(name).lock().expect("registry shard lock");
+        if let Some(entry) = shard.get(name) {
+            return entry.clone();
+        }
+        shard.entry(name.to_owned()).or_insert_with(make).clone()
+    }
+
     /// Returns the counter named `name`, registering it on first use.
     ///
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut shard = self.shard(name).lock().expect("registry shard lock");
-        let entry = shard
-            .entry(name.to_owned())
-            .or_insert_with(|| MetricEntry::Counter(Arc::new(Counter::new())));
-        match entry {
-            MetricEntry::Counter(c) => Arc::clone(c),
+        match self.get_or_register(name, || MetricEntry::Counter(Arc::default())) {
+            MetricEntry::Counter(c) => c,
             other => panic!("metric {name:?} is a {}, not a counter", other.kind()),
         }
     }
@@ -99,12 +106,8 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut shard = self.shard(name).lock().expect("registry shard lock");
-        let entry = shard
-            .entry(name.to_owned())
-            .or_insert_with(|| MetricEntry::Gauge(Arc::new(Gauge::new())));
-        match entry {
-            MetricEntry::Gauge(g) => Arc::clone(g),
+        match self.get_or_register(name, || MetricEntry::Gauge(Arc::default())) {
+            MetricEntry::Gauge(g) => g,
             other => panic!("metric {name:?} is a {}, not a gauge", other.kind()),
         }
     }
@@ -114,12 +117,8 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut shard = self.shard(name).lock().expect("registry shard lock");
-        let entry = shard
-            .entry(name.to_owned())
-            .or_insert_with(|| MetricEntry::Histogram(Arc::new(Histogram::new())));
-        match entry {
-            MetricEntry::Histogram(h) => Arc::clone(h),
+        match self.get_or_register(name, || MetricEntry::Histogram(Arc::default())) {
+            MetricEntry::Histogram(h) => h,
             other => panic!("metric {name:?} is a {}, not a histogram", other.kind()),
         }
     }
@@ -168,6 +167,10 @@ mod tests {
         r.counter("a_total").add(3);
         r.counter("a_total").add(4);
         assert_eq!(r.counter("a_total").get(), 7);
+        assert!(Arc::ptr_eq(&r.counter("a_total"), &r.counter("a_total")));
+        assert!(Arc::ptr_eq(&r.gauge("m_depth"), &r.gauge("m_depth")));
+        assert!(Arc::ptr_eq(&r.histogram("z_ms"), &r.histogram("z_ms")));
+        assert_eq!(r.entries().len(), 3, "a hit registers nothing");
     }
 
     #[test]

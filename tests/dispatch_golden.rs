@@ -3,9 +3,10 @@
 //! One seeded universe and one seeded event stream are driven, under
 //! `BudgetMode::Deterministic`, through every dispatch mode the service
 //! has: batch (1 shard; 4 shards at `threads` 1 and 4), min-cut 8 shards
-//! with the boundary pass, online, online + WAL, single-shard ownership
-//! (each shard of a 4-shard plan), and the `replan_threshold`
-//! detach → rebuild → resume epoch loop + WAL. Each run's `WriteSink`
+//! with the boundary pass, online, online + WAL, a shard owner's view
+//! (each shard of a 4-shard plan, fed only the events the plan routes to
+//! it — what a cluster router forwards — in batch and online mode), and
+//! the `replan_threshold` detach → rebuild → resume epoch loop + WAL. Each run's `WriteSink`
 //! decision log and — where a store is attached — the bytes the store left
 //! on disk (WAL segments and the sealing snapshot) are hashed and compared
 //! against the constants below. Runs with a store also check that
@@ -14,8 +15,10 @@
 //! directory.
 //!
 //! **The constants were captured at the commit before the dispatch-core
-//! refactor and are re-pinned only by a PR that intends to change
-//! decisions or the WAL format.** A refactor that trips this test has
+//! refactor (the `owned-*` ones at the commit before shard ownership left
+//! the core, by driving that commit's owned service through the same
+//! filter) and are re-pinned only by a PR that intends to change decisions
+//! or the WAL format.** A refactor that trips this test has
 //! changed behaviour; fix the refactor, not the constants. To re-pin on
 //! purpose, run `GOLDEN_PRINT=1 cargo test --test dispatch_golden --
 //! --nocapture` and paste the printed table.
@@ -25,8 +28,8 @@ use mbta::graph::BipartiteGraph;
 use mbta::service::{
     recover, Action, Arrival, BatchConfig, BatchStats, BenefitDrift, BudgetMode, Decision,
     DecisionSink, DispatchService, DropPolicy, DurableStore, FsyncPolicy, OfferOutcome,
-    OnlineConfig, RecoveredState, Routing, ServiceConfig, ServiceReport, ShardPlan, StoreConfig,
-    WriteSink,
+    OnlineConfig, RecoveredState, Route, Routing, ServiceConfig, ServiceReport, ShardPlan,
+    StoreConfig, WriteSink,
 };
 use mbta::workload::trace::TraceSpec;
 use std::collections::{BTreeMap, BTreeSet};
@@ -57,10 +60,10 @@ const GOLDEN: &[(&str, u64, u64)] = &[
         0xde8f335ae3869e70,
     ),
     ("replan-online-wal", 0x8f5b6d9e24195d61, 0x85b9b09c65acc81b),
-    ("owned-0", 0x02d43b8d67433a82, 0x7f15967f665c391e),
-    ("owned-1", 0xfb675b9e27caabce, 0x0000000000000000),
-    ("owned-2", 0x520d5c30b0ea97b8, 0x0000000000000000),
-    ("owned-3", 0x5f2b41f92ffb9754, 0x0000000000000000),
+    ("owned-0", 0x31b046fbbd849514, 0x62bc685fbc0d2ffb),
+    ("owned-1-online", 0x2c657962c83611c2, 0x774bfad23f13e4f2),
+    ("owned-2", 0xb4440702337bfd72, 0x0000000000000000),
+    ("owned-3", 0xba2e1afcdd605f28, 0x0000000000000000),
 ];
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
@@ -105,7 +108,9 @@ struct Scenario {
     threads: usize,
     boundary_pass: bool,
     online: Option<f64>,
-    owned_shard: Option<usize>,
+    /// Drive as the owner of this one shard: events the plan routes to
+    /// another shard never reach the service.
+    owner: Option<usize>,
     replan_threshold: Option<f64>,
     wal: bool,
 }
@@ -117,7 +122,7 @@ const BATCH: Scenario = Scenario {
     threads: 1,
     boundary_pass: false,
     online: None,
-    owned_shard: None,
+    owner: None,
     replan_threshold: None,
     wal: false,
 };
@@ -139,7 +144,6 @@ impl Scenario {
             online: self
                 .online
                 .map(|drift_threshold| OnlineConfig { drift_threshold }),
-            owned_shard: self.owned_shard,
         }
     }
 }
@@ -258,10 +262,14 @@ fn run(sc: &Scenario) -> (u64, u64, ServiceReport) {
         };
         while idx < events.len() {
             let a = events[idx];
+            idx += 1;
+            if matches!((sc.owner, plan.route(&a.event)), (Some(own), Route::Shard(s)) if s != own)
+            {
+                continue;
+            }
             while let OfferOutcome::Deferred = svc.offer(a) {
                 svc.pump(&mut sink);
             }
-            idx += 1;
             svc.pump(&mut sink);
             if svc.replan_due() {
                 break;
@@ -397,14 +405,15 @@ fn scenarios() -> Vec<Scenario> {
             ..BATCH
         },
     ];
-    for (s, name) in ["owned-0", "owned-1", "owned-2", "owned-3"]
+    for (s, name) in ["owned-0", "owned-1-online", "owned-2", "owned-3"]
         .into_iter()
         .enumerate()
     {
         all.push(Scenario {
             name,
-            owned_shard: Some(s),
-            wal: s == 0,
+            owner: Some(s),
+            online: (s == 1).then_some(0.1),
+            wal: s < 2,
             ..BATCH
         });
     }
