@@ -7,10 +7,11 @@
 //! [`WarmSolver`] owns an [`mbta_matching::warm::WarmNet`] for the
 //! shard's fixed topology and re-solves against drifting weights,
 //! seeding each solve with the previous matching and carrying the node
-//! potentials across calls. Telemetry
-//! (`mbta_core_warm_solves_total` / `mbta_core_warm_hits_total` /
-//! `mbta_core_warm_audited_cold_total`) records how often the warm
-//! state survives.
+//! potentials across calls, where they are repaired locally instead of
+//! recomputed. Telemetry (`mbta_core_warm_solves_total` /
+//! `mbta_core_warm_hits_total`) records how many solves there were and
+//! how many of them completed on that warm branch — every one but a
+//! shard's first, unless a deadline cuts solves short.
 //!
 //! The returned matching is filtered to strictly positive weights
 //! before it is handed back, so it can always be adopted by
@@ -28,11 +29,10 @@ use mbta_util::SolveCtl;
 pub struct WarmSolverStats {
     /// Exact re-solves performed.
     pub solves: u64,
-    /// Solves that kept the seeded flow (pure warm or cycle-repaired).
+    /// Solves that completed by repairing the carried potentials around
+    /// the seeded flow (not cold, not interrupted).
     pub warm_hits: u64,
-    /// Warm solves that the de-augmentation audit sent back to cold.
-    pub audited_cold: u64,
-    /// Total augmenting-path iterations across all solves.
+    /// Total shortest-path searches that pushed flow, across all solves.
     pub iterations: u64,
 }
 
@@ -116,14 +116,9 @@ impl WarmSolver {
     fn record(&mut self, s: &WarmStats) {
         self.stats.solves += 1;
         self.stats.warm_hits += u64::from(s.warm);
-        self.stats.audited_cold += u64::from(s.audited_cold);
         self.stats.iterations += s.iterations;
         mbta_telemetry::counter_add("mbta_core_warm_solves_total", 1);
         mbta_telemetry::counter_add("mbta_core_warm_hits_total", u64::from(s.warm));
-        mbta_telemetry::counter_add(
-            "mbta_core_warm_audited_cold_total",
-            u64::from(s.audited_cold),
-        );
     }
 }
 

@@ -36,9 +36,10 @@
 //!   ranking, two-phase sample-then-threshold).
 //! * [`warm`] — [`warm::WarmNet`]: the [`mcmf`] solver plus carried state
 //!   (network, potentials, seeded flow) across repeated solves on a fixed
-//!   topology, with only the warm-specific steps — potential refit by
-//!   cycle cancelling, the de-augmentation audit — of its own; the exact
-//!   engine behind the service's online fallback.
+//!   topology, with only the warm-specific steps — re-price the carried
+//!   potentials, saturate the arcs still violated, route the excess by
+//!   [`mcmf`]'s Dijkstra — of its own; the exact engine behind the
+//!   service's online fallback.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -13,18 +13,20 @@
 //!   arcs, rewrites edge costs from weights, applies a [`Matching`] as
 //!   flow and reads one back out. The cold entry points below,
 //!   [`verify_certificate`] and [`crate::warm::WarmNet`] each hold one.
-//! * One successive-shortest-path loop (the only caller of `augment`),
-//!   over one scratch set of labels and queues that lives as long as the
-//!   network does. The loop owns the stop rule, the potential update, the
-//!   `ctl` handling and the telemetry counters.
-//! * One queue Bellman–Ford, which seeds the potentials of a cold solve,
-//!   is the per-iteration search of [`PathAlgo::Spfa`], and does the warm
-//!   solver's potential refit and de-augmentation audit. It always carries
-//!   the exact negative-cycle guard and always consults `ctl`.
+//! * One successive-shortest-path loop, over one scratch set of labels and
+//!   queues that lives as long as the network does. The loop owns the
+//!   source → sink stop rule, the `ctl` handling and its telemetry tallies.
+//! * One Dijkstra on reduced costs, one `augment` and one capped potential
+//!   update — what an iteration of that loop under [`PathAlgo::Dijkstra`]
+//!   is made of, and equally what routes each unit of excess in the warm
+//!   solver's dual repair (the search is the certificate check's too) —
+//!   and one queue Bellman–Ford, which seeds the potentials of a cold solve
+//!   and is the per-iteration search of [`PathAlgo::Spfa`]. Both searches
+//!   always consult `ctl`.
 //!
-//! A cold solve is a warm solve with no prior: zero flow, Bellman–Ford
-//! potentials, loop. [`max_weight_bmatching`], [`max_weight_bmatching_ctl`]
-//! and [`max_weight_bmatching_certified`] are projections of that one body.
+//! A cold solve is zero flow, Bellman–Ford potentials, loop.
+//! [`max_weight_bmatching`], [`max_weight_bmatching_ctl`] and
+//! [`max_weight_bmatching_certified`] are projections of that one body.
 //! FIFO queue discipline, arc insertion order and heap tie-breaking decide
 //! which optimal flow is returned and are part of the contract
 //! (`tests/solver_golden.rs` pins them).
@@ -54,8 +56,8 @@ use mbta_util::fixed::benefit_to_profit;
 use mbta_util::{IndexedHeap, SolveCtl};
 use std::collections::VecDeque;
 
-const NONE: u32 = u32::MAX;
-pub(crate) const INF: i64 = i64::MAX / 4;
+pub(crate) const NONE: u32 = u32::MAX;
+const INF: i64 = i64::MAX / 4;
 
 /// Path-finding strategy for the successive-shortest-path loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,10 +81,10 @@ pub enum FlowMode {
 #[derive(Debug, Clone)]
 pub struct CostFlow {
     pub(crate) head: Vec<u32>,
-    next: Vec<u32>,
-    first: Vec<u32>,
+    pub(crate) next: Vec<u32>,
+    pub(crate) first: Vec<u32>,
     pub(crate) cap: Vec<u32>,
-    cost: Vec<i64>,
+    pub(crate) cost: Vec<i64>,
     pub(crate) n_nodes: usize,
 }
 
@@ -100,7 +102,7 @@ pub struct FlowResult {
     pub potential_updates: u64,
 }
 
-const NO_FLOW: FlowResult = FlowResult {
+pub(crate) const NO_FLOW: FlowResult = FlowResult {
     flow: 0,
     cost: 0,
     iterations: 0,
@@ -119,7 +121,7 @@ pub(crate) struct Scratch {
     /// Arc count of the relaxation chain behind each `dist` label — the
     /// Bellman–Ford cycle guard.
     len: Vec<u32>,
-    pub(crate) in_queue: Vec<bool>,
+    in_queue: Vec<bool>,
     queue: VecDeque<u32>,
     heap: IndexedHeap<i64>,
 }
@@ -136,19 +138,45 @@ impl Scratch {
             heap: IndexedHeap::new(n),
         }
     }
+
+    /// The potential update after a search that stopped at distance `cap`:
+    /// `π[v] += min(dist[v], cap)`, unlabelled nodes counting as `∞`. It
+    /// keeps every residual reduced cost non-negative for any
+    /// `cap ≤ dist[stop node]` (see [`CostFlow::dijkstra`]). Returns how
+    /// many potentials moved.
+    pub(crate) fn lift(&mut self, cap: i64) -> u64 {
+        let mut moved = 0;
+        for (p, &d) in self.pi.iter_mut().zip(&self.dist) {
+            let adj = d.min(cap);
+            *p += adj;
+            moved += u64::from(adj != 0);
+        }
+        moved
+    }
 }
 
 /// How a [`CostFlow::bellman_ford`] pass ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BellmanFord {
+enum BellmanFord {
     /// The labels converged: `dist[v] ≤ dist[u] + cost` on every residual
     /// arc out of a labelled node.
     Converged,
     /// `ctl` stopped the pass; the labels are partial and must not be used.
     Interrupted,
-    /// A negative residual cycle exists; the parent chain of this node
-    /// leads into it.
-    NegativeCycle(usize),
+    /// A negative residual cycle is reachable from the start node.
+    NegativeCycle,
+}
+
+/// How a [`CostFlow::dijkstra`] search ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Search {
+    /// This target was finalized; `dist` and `parent` describe a shortest
+    /// path to it.
+    Reached(usize),
+    /// Every reachable node was finalized and none is a target.
+    Exhausted,
+    /// `ctl` stopped the search; the labels are partial and must not be used.
+    Interrupted,
 }
 
 impl CostFlow {
@@ -240,7 +268,7 @@ impl CostFlow {
         assert_ne!(source, sink);
         sc.pi.fill(0);
         if algo == PathAlgo::Dijkstra {
-            if self.bellman_ford(Some(source), sc, ctl) != BellmanFord::Converged {
+            if self.bellman_ford(source, sc, ctl) != BellmanFord::Converged {
                 return (NO_FLOW, false);
             }
             for (p, &d) in sc.pi.iter_mut().zip(&sc.dist) {
@@ -254,7 +282,7 @@ impl CostFlow {
     /// the potentials in `sc.pi` (which must leave no residual arc with a
     /// negative reduced cost when `algo` is Dijkstra, and be zero for SPFA).
     /// Returns `(tallies of this call, completed)`.
-    pub(crate) fn shortest_paths(
+    fn shortest_paths(
         &mut self,
         source: usize,
         sink: usize,
@@ -270,10 +298,10 @@ impl CostFlow {
             // flow pushed so far (a prefix of the augmenting-path sequence).
             let found = !ctl.stop_requested()
                 && match algo {
-                    PathAlgo::Dijkstra => self.dijkstra(source, sink, sc, ctl),
-                    PathAlgo::Spfa => {
-                        self.bellman_ford(Some(source), sc, ctl) == BellmanFord::Converged
+                    PathAlgo::Dijkstra => {
+                        self.dijkstra([source], |v| v == sink, sc, ctl) != Search::Interrupted
                     }
+                    PathAlgo::Spfa => self.bellman_ford(source, sc, ctl) == BellmanFord::Converged,
                 };
             if !found {
                 break false;
@@ -284,59 +312,37 @@ impl CostFlow {
                 break true;
             }
             r.iterations += 1;
-            let (pushed, path_cost) = self.augment(source, sink, &sc.parent);
+            let (_, pushed, path_cost) = self.augment(sink, &sc.parent, u32::MAX);
             debug_assert_eq!(path_cost, true_cost);
             r.flow += u64::from(pushed);
             r.cost += i64::from(pushed) * path_cost;
             if algo == PathAlgo::Dijkstra {
-                for (p, &d) in sc.pi.iter_mut().zip(&sc.dist) {
-                    let adj = d.min(dt);
-                    *p += adj;
-                    r.potential_updates += u64::from(adj != 0);
-                }
+                r.potential_updates += sc.lift(dt);
             }
         };
         record_solve(&r);
         (r, completed)
     }
 
-    /// Queue Bellman–Ford (SPFA) over the *current residual graph* on raw
-    /// costs, filling `sc.dist` and `sc.parent`. `from = None` starts every
-    /// node at distance 0 (a virtual super-source), which finds negative
-    /// cycles anywhere in the graph and — absent cycles — yields *globally*
-    /// valid potentials: `dist[v] ≤ dist[u] + cost` for every residual arc.
+    /// Queue Bellman–Ford (SPFA) from `from` over the *current residual
+    /// graph* on raw costs, filling `sc.dist` and `sc.parent`.
     ///
     /// Cycle detection is exact, by path length: a relaxation chain longer
     /// than |V| arcs must repeat a node, and labels only ever decrease, so
     /// the repeated stretch has negative cost.
-    pub(crate) fn bellman_ford(
-        &self,
-        from: Option<usize>,
-        sc: &mut Scratch,
-        ctl: &SolveCtl,
-    ) -> BellmanFord {
+    fn bellman_ford(&self, from: usize, sc: &mut Scratch, ctl: &SolveCtl) -> BellmanFord {
         let n = self.n_nodes as u32;
         let queue = &mut sc.queue;
         let (dist, parent) = (&mut sc.dist[..], &mut sc.parent[..]);
         let (len, in_queue) = (&mut sc.len[..], &mut sc.in_queue[..]);
         parent.fill(NONE);
         queue.clear();
-        match from {
-            // A chain length is written before it is read everywhere but at
-            // the start nodes.
-            Some(s) => {
-                dist.fill(INF);
-                in_queue.fill(false);
-                (dist[s], len[s], in_queue[s]) = (0, 0, true);
-                queue.push_back(s as u32);
-            }
-            None => {
-                dist.fill(0);
-                len.fill(0);
-                in_queue.fill(true);
-                queue.extend(0..n);
-            }
-        }
+        dist.fill(INF);
+        in_queue.fill(false);
+        // A chain length is written before it is read everywhere but at the
+        // start node.
+        (dist[from], len[from], in_queue[from]) = (0, 0, true);
+        queue.push_back(from as u32);
         while let Some(v) = queue.pop_front() {
             if ctl.should_stop() {
                 return BellmanFord::Interrupted;
@@ -355,7 +361,7 @@ impl CostFlow {
                         parent[to] = a;
                         len[to] = chain;
                         if chain > n {
-                            return BellmanFord::NegativeCycle(to);
+                            return BellmanFord::NegativeCycle;
                         }
                         if !in_queue[to] {
                             in_queue[to] = true;
@@ -369,39 +375,51 @@ impl CostFlow {
         BellmanFord::Converged
     }
 
-    /// Dijkstra on reduced costs `cost + π[u] − π[v]`, terminating as soon
-    /// as `sink` is finalized. Returns `false` if stopped early by `ctl`
-    /// (in which case the labels must not be used for augmentation).
+    /// Dijkstra on reduced costs `cost + π[u] − π[v]` from `starts` (each at
+    /// distance 0), terminating as soon as a node that `is_target` is
+    /// finalized. The labels of an interrupted search must not be used for
+    /// augmentation.
     ///
     /// Early termination is sound together with the potential update
-    /// `π[v] += min(dist[v], dist[sink])` (treating untouched nodes as
-    /// `dist = ∞ → min = dist[sink]`): for every residual arc `u → v` the
+    /// `π[v] += min(dist[v], dist[target])` (treating untouched nodes as
+    /// `dist = ∞ → min = dist[target]`): for every residual arc `u → v` the
     /// updated reduced cost stays non-negative — finalized→finalized is the
     /// classic argument; any node adjacent to a finalized node was relaxed,
-    /// and all still-queued tentative distances are `≥ dist[sink]` at the
-    /// moment the sink pops, which covers the remaining cases.
+    /// and all still-queued tentative distances are `≥ dist[target]` at the
+    /// moment the target pops, which covers the remaining cases.
     ///
     /// Kept out of line on purpose: as a function of its own, `self` and
     /// `sc` are `noalias` parameters; inlined into the shared loop that
-    /// knowledge is lost and the arc loop measures 3–8% slower.
+    /// knowledge is lost and the arc loop measures 3–8% slower. Starts and
+    /// predicate are monomorphised, so the cold loop's `[source]` and
+    /// `v == sink` compile to the one push and the comparison they always
+    /// were.
     #[inline(never)]
-    fn dijkstra(&self, source: usize, sink: usize, sc: &mut Scratch, ctl: &SolveCtl) -> bool {
+    pub(crate) fn dijkstra(
+        &self,
+        starts: impl IntoIterator<Item = usize>,
+        is_target: impl Fn(usize) -> bool,
+        sc: &mut Scratch,
+        ctl: &SolveCtl,
+    ) -> Search {
         let heap = &mut sc.heap;
         let (pi, dist, parent) = (&sc.pi[..], &mut sc.dist[..], &mut sc.parent[..]);
         dist.fill(INF);
         parent.fill(NONE);
         heap.clear();
-        dist[source] = 0;
-        heap.push_or_decrease(source, 0);
+        for s in starts {
+            dist[s] = 0;
+            heap.push_or_decrease(s, 0);
+        }
         while let Some((v, dv)) = heap.pop() {
             if ctl.should_stop() {
-                return false;
+                return Search::Interrupted;
             }
             if dv > dist[v] {
                 continue;
             }
-            if v == sink {
-                break;
+            if is_target(v) {
+                return Search::Reached(v);
             }
             // Read once per node: the label slices are reborrows of one
             // scratch value, so the compiler cannot prove that a `dist`
@@ -424,47 +442,49 @@ impl CostFlow {
                 a = self.next[ai];
             }
         }
-        true
+        Search::Exhausted
     }
 
-    /// Augments along parent arcs; returns `(bottleneck, true_path_cost)`.
-    fn augment(&mut self, source: usize, sink: usize, parent_arc: &[u32]) -> (u32, i64) {
-        let mut bottleneck = u32::MAX;
+    /// Augments by at most `limit` units along the parent arcs that lead
+    /// from the search's start node (the one without a parent arc) to `to`;
+    /// returns `(start, pushed, true_path_cost)`.
+    pub(crate) fn augment(
+        &mut self,
+        to: usize,
+        parent_arc: &[u32],
+        limit: u32,
+    ) -> (usize, u32, i64) {
+        let mut bottleneck = limit;
         let mut cost = 0i64;
-        let mut v = sink;
-        while v != source {
+        let mut v = to;
+        while parent_arc[v] != NONE {
             let a = parent_arc[v] as usize;
             bottleneck = bottleneck.min(self.cap[a]);
             cost += self.cost[a];
             v = self.head[a ^ 1] as usize;
         }
-        let mut v = sink;
-        while v != source {
+        let start = v;
+        let mut v = to;
+        while v != start {
             let a = parent_arc[v] as usize;
             self.cap[a] -= bottleneck;
             self.cap[a ^ 1] += bottleneck;
             v = self.head[a ^ 1] as usize;
         }
-        (bottleneck, cost)
+        (start, bottleneck, cost)
+    }
+
+    /// Reduced cost of arc `a` under `pi`.
+    pub(crate) fn reduced_cost(&self, a: usize, pi: &[i64]) -> i64 {
+        self.cost[a] + pi[self.head[a ^ 1] as usize] - pi[self.head[a] as usize]
     }
 
     /// Whether every residual arc has non-negative reduced cost under `pi`
     /// — the invariant the Dijkstra loop both requires and maintains.
     /// Holding, it proves the flow on the network is min-cost for its value
     /// (no improving residual cycle), so continuing from it is sound.
-    pub(crate) fn reduced_costs_ok(&self, pi: &[i64]) -> bool {
-        (0..self.n_nodes).all(|from| {
-            let mut a = self.first[from];
-            while a != NONE {
-                let ai = a as usize;
-                let to = self.head[ai] as usize;
-                if self.cap[ai] > 0 && self.cost[ai] + pi[from] - pi[to] < 0 {
-                    return false;
-                }
-                a = self.next[ai];
-            }
-            true
-        })
+    fn reduced_costs_ok(&self, pi: &[i64]) -> bool {
+        (0..self.head.len()).all(|a| self.cap[a] == 0 || self.reduced_cost(a, pi) >= 0)
     }
 }
 
@@ -597,9 +617,9 @@ impl BipartiteNet {
 }
 
 /// Publishes a loop run's intrinsic counters to the global telemetry
-/// registry — called at the loop's exit, so every exact solve (cold, warm
-/// continuation, cold redo) is counted exactly once.
-fn record_solve(result: &FlowResult) {
+/// registry — called at the loop's exit, so every exact solve (cold or
+/// warm repair) is counted exactly once.
+pub(crate) fn record_solve(result: &FlowResult) {
     mbta_telemetry::counter_add(
         "mbta_matching_mcmf_augmenting_paths_total",
         result.iterations,
@@ -747,8 +767,9 @@ pub fn verify_certificate(
         return false;
     }
     bn.sc.pi.copy_from_slice(pi);
+    let (source, sink) = (bn.source, bn.sink);
     bn.net
-        .dijkstra(bn.source, bn.sink, &mut bn.sc, &SolveCtl::unlimited());
+        .dijkstra([source], |v| v == sink, &mut bn.sc, &SolveCtl::unlimited());
     let dt = bn.sc.dist[bn.sink];
     dt >= INF || dt + pi[bn.sink] - pi[bn.source] >= 0
 }

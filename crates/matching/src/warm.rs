@@ -1,51 +1,55 @@
-//! Warm-started min-cost max-flow for repeated solves on a fixed topology.
+//! Warm-started min-cost flow for repeated solves on a fixed topology.
 //!
 //! When the same shard is re-solved many times with drifting weights —
 //! the online fallback path — almost all of a cold solve's work is
 //! redundant: the node set and arc arena never change, only costs move and
 //! the previous solution is usually *nearly* optimal. [`WarmNet`] is the
 //! [`crate::mcmf`] solver plus carried state: it keeps one bipartite
-//! network (arena, arc layout, scratch and Johnson potentials) alive across
-//! solves and runs the same successive-shortest-path loop and the same
-//! Bellman–Ford on it. A first solve, a solve after [`WarmNet::invalidate`]
-//! and every fallback below *are* the cold solve of
-//! [`crate::mcmf::max_weight_bmatching`], on the kept network. What this
-//! module adds is only what is genuinely warm:
+//! network (arena, arc layout, scratch and node potentials) alive across
+//! solves. A first solve and a solve after [`WarmNet::invalidate`] *are*
+//! the cold solve of [`crate::mcmf::max_weight_bmatching`], on the kept
+//! network. Every other solve is the textbook re-optimisation of a min-cost
+//! flow after a cost change — repair the duals where they broke, not
+//! everywhere:
 //!
-//! 1. **Seeded flow.** The previous matching is applied as a feasible
-//!    flow before augmentation starts, so the successive-shortest-path
-//!    loop only has to route the *difference* to optimality.
-//! 2. **Carried potentials.** The dual prices from the previous solve
-//!    seed the reduced costs. An O(E) verification pass checks that every
-//!    residual arc still has non-negative reduced cost under the carried
-//!    potentials; when drift broke the invariant (common — optimality
-//!    leaves many inequalities tight) the potentials are *refit* with a
-//!    Bellman–Ford pass over the seeded residual graph, which is sound
-//!    whenever no negative residual cycle exists. Its path-length guard
-//!    finds the cycles that do exist; each is cancelled (a strict
-//!    improvement at constant flow value) and the pass repeats. A seed
-//!    that needs more than `MAX_CYCLE_CANCELS` cancellations
-//!    falls back to the cold solve — correctness never depends on the
-//!    warm state being usable.
-//! 3. **De-augmentation audit.** A warm-seeded flow can carry *more*
-//!    flow than the free-cardinality optimum (the drifted weights may
-//!    make part of the seeded assignment unprofitable), and the forward
-//!    augmentation loop can only add flow. One Bellman–Ford pass from the
-//!    sink checks for a negative-true-cost sink → source residual path;
-//!    if one exists the solve restarts cold, which is immune by convexity
-//!    of the flow-cost curve. In practice drift is small and the audit
-//!    passes.
+//! 1. **Seed.** New costs are written and the caller's matching is applied
+//!    as flow. Together with the carried potentials that is a *pseudoflow
+//!    candidate*: feasible, but some residual arcs may now have a negative
+//!    reduced cost.
+//! 2. **Re-price.** One O(E) pass moves each worker's and task's potential
+//!    into the interval its own residual in- and out-arcs allow, when that
+//!    interval is not empty. Prices move only where demand changed; about
+//!    half of the violated arcs are mended here, for free.
+//! 3. **Saturate.** One O(E) pass pushes every residual arc whose reduced
+//!    cost is still negative to its capacity, booking the units as excess
+//!    at its head and deficit at its tail. Now every residual arc has a
+//!    non-negative reduced cost — for *any* seed and *any* carried
+//!    potentials, so nothing is ever "too drifted" to repair.
+//! 4. **Route.** While a node holds excess: one Dijkstra on reduced costs
+//!    ([`crate::mcmf`]'s own) from the excess nodes to the nearest deficit,
+//!    the usual potential update, one unit pushed. Each search is local and
+//!    there is at most one per unit of excess and of deficit.
 //!
-//! Every pass consults the caller's [`SolveCtl`]: an interrupted refit or
-//! audit ends the solve like an interrupted augmentation loop does — the
-//! feasible flow reached so far is returned, `completed` is `false` and no
-//! state is carried.
+//! Free cardinality is what makes step 4 uniform: flow value is free, so
+//! source and sink are one **hub** joined by a zero-cost return arc, and the
+//! carried potentials are kept normalised to `π[sink] == π[source]`. The
+//! hub absorbs any excess that reaches either of its ends (that is how
+//! flow the drifted weights no longer justify is retracted) and, once no
+//! inner node holds excess, hands the remaining deficits what they are owed
+//! from both ends. When the imbalances are gone the flow is a circulation
+//! through the hub with no negative residual arc: the optimum, with the
+//! carried potentials as its certificate.
+//!
+//! Every search consults the caller's [`SolveCtl`]. Mid-repair the network
+//! holds a pseudoflow, not a matching, so an interrupted repair hands the
+//! seed back (`completed` is `false`); like an interrupted cold solve it
+//! carries no state.
 //!
 //! The result is bit-identical in objective to a cold
 //! [`crate::mcmf::max_weight_bmatching`] solve — the warm path is purely
 //! a latency optimization, checked by the `warm_matches_cold_*` tests.
 
-use crate::mcmf::{BellmanFord, BipartiteNet, FlowMode, PathAlgo};
+use crate::mcmf::{self, BipartiteNet, Certificate, FlowMode, FlowResult, PathAlgo, Search};
 use crate::solution::Matching;
 use mbta_graph::BipartiteGraph;
 use mbta_util::SolveCtl;
@@ -58,14 +62,12 @@ const ALGO: PathAlgo = PathAlgo::Dijkstra;
 /// Counters describing one [`WarmNet::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmStats {
-    /// `true` when the solve reused the carried potentials and seeded
-    /// flow; `false` when it restarted cold (first solve, or drift broke
-    /// the reduced-cost invariant).
+    /// `true` when the solve completed by repairing the carried potentials
+    /// around the seeded flow; `false` when it ran cold (first solve, after
+    /// [`WarmNet::invalidate`]) or was interrupted.
     pub warm: bool,
-    /// `true` when the post-solve de-augmentation audit failed and the
-    /// solve had to redo its work cold. Always `false` on cold solves.
-    pub audited_cold: bool,
-    /// Augmenting-path iterations performed (including any cold redo).
+    /// Shortest-path searches that pushed flow: augmenting paths of a cold
+    /// solve, routed units of a repair.
     pub iterations: u64,
     /// Total fixed-point profit of the returned matching.
     pub profit: i64,
@@ -81,14 +83,11 @@ pub struct WarmStats {
 /// the [module docs](self) for the warm-start contract.
 #[derive(Debug, Clone)]
 pub struct WarmNet {
-    /// The network; `bn.sc.pi` holds the carried potentials.
+    /// The network; `bn.sc.pi` holds the carried potentials, normalised to
+    /// `pi[source] == pi[sink] == 0` whenever `has_prior`.
     bn: BipartiteNet,
     has_prior: bool,
 }
-
-/// `ctl` interrupted a warm pass.
-#[derive(Debug, PartialEq, Eq)]
-struct Stopped;
 
 impl WarmNet {
     /// Builds the network for `g`'s topology. Costs are set per solve.
@@ -109,14 +108,24 @@ impl WarmNet {
         self.has_prior
     }
 
+    /// The carried potentials: while [`has_prior`](Self::has_prior), the
+    /// proof that the last returned matching is optimal, for
+    /// [`crate::mcmf::verify_certificate`].
+    pub fn certificate(&self) -> Certificate {
+        Certificate {
+            potentials: self.bn.sc.pi.clone(),
+        }
+    }
+
     /// Exact free-cardinality maximum-weight b-matching on the fixed
-    /// topology, warm-started from `seed` (the previous matching) when
-    /// the carried dual state is still valid.
+    /// topology, warm-started from `seed` (the previous matching, or any
+    /// other feasible one) when potentials are carried.
     ///
     /// `weights` must be finite and non-negative; `seed` must be
     /// feasible on `g` (edges within capacity/demand). Returns the
     /// optimal matching and [`WarmStats`]. On `ctl` interruption the
-    /// matching is a feasible prefix and `completed` is `false`.
+    /// matching is feasible — the seed, or a prefix of a cold solve — and
+    /// `completed` is `false`.
     pub fn solve(
         &mut self,
         g: &BipartiteGraph,
@@ -126,162 +135,136 @@ impl WarmNet {
     ) -> (Matching, WarmStats) {
         assert_eq!(g.n_edges(), self.bn.n_edges(), "graph topology changed");
         self.bn.set_costs(weights);
-        let mut stats = WarmStats {
-            warm: false,
-            audited_cold: false,
-            iterations: 0,
-            profit: 0,
-            completed: true,
+        // An infeasible seed only happens on a caller bug; the solve then
+        // runs cold rather than panicking.
+        let warm = self.has_prior && self.bn.apply(g, seed);
+        let (r, completed) = if warm {
+            self.repair(ctl)
+        } else {
+            self.bn.solve_cold(MODE, ALGO, ctl)
         };
-        let warm = self.solve_warm(g, seed, ctl, &mut stats);
-        stats.warm = warm != Ok(false);
-        stats.completed = match warm {
-            Ok(true) => true,
-            Err(Stopped) => false,
-            Ok(false) => {
-                let (r, completed) = self.bn.solve_cold(MODE, ALGO, ctl);
-                stats.iterations += r.iterations;
-                completed
+        if completed {
+            let (sc, source, sink) = (&mut self.bn.sc, self.bn.source, self.bn.sink);
+            if !warm {
+                // The cold loop stops when the next path would not pay:
+                // lifting by the gap that leaves closes it.
+                let gap = sc.pi[source] - sc.pi[sink];
+                debug_assert!((0..=sc.dist[sink]).contains(&gap));
+                sc.lift(gap);
             }
-        };
-        self.has_prior = stats.completed;
+            // Updates only ever raise potentials; reduced costs are
+            // shift-invariant, so re-basing at the hub keeps them bounded.
+            let base = sc.pi[source];
+            sc.pi.iter_mut().for_each(|p| *p -= base);
+        } else if warm {
+            // Mid-repair the network holds a pseudoflow: hand back the seed.
+            self.bn.apply(g, seed);
+        }
+        self.has_prior = completed;
         let (m, profit) = self.bn.matching(g);
-        stats.profit = profit;
+        let stats = WarmStats {
+            warm: warm && completed,
+            iterations: r.iterations,
+            profit,
+            completed,
+        };
         (m, stats)
     }
 
-    /// The warm attempt: seed the previous matching as flow, keep the
-    /// carried potentials if the reduced-cost invariant survived the
-    /// weight drift (refit them otherwise), route the difference to
-    /// optimality and audit the flow value. `Ok(true)` when the network
-    /// holds the optimum, `Ok(false)` when the solve has to run cold.
-    fn solve_warm(
-        &mut self,
-        g: &BipartiteGraph,
-        seed: &Matching,
-        ctl: &SolveCtl,
-        stats: &mut WarmStats,
-    ) -> Result<bool, Stopped> {
-        // An infeasible seed only happens on a caller bug; the warm path
-        // then degrades to cold rather than panicking.
-        if !(self.has_prior && self.bn.apply(g, seed)) {
-            return Ok(false);
-        }
-        if !self.bn.net.reduced_costs_ok(&self.bn.sc.pi) && !self.refit_potentials(ctl)? {
-            return Ok(false);
-        }
+    /// Steps 2–4 of the [module docs](self) on the seeded network: re-price,
+    /// saturate, route. Returns `(tallies, completed)` like the cold loop.
+    fn repair(&mut self, ctl: &SolveCtl) -> (FlowResult, bool) {
         let bn = &mut self.bn;
-        let (r, completed) = bn
-            .net
-            .shortest_paths(bn.source, bn.sink, MODE, ALGO, &mut bn.sc, ctl);
-        stats.iterations += r.iterations;
-        if !completed {
-            return Err(Stopped);
-        }
-        // A warm seed can over-commit flow the drifted weights no longer
-        // justify, and forward augmentation cannot retract it; a cold
-        // redo (immune by convexity) repairs it.
-        stats.audited_cold = !self.deaugmentation_audit(ctl)?;
-        Ok(!stats.audited_cold)
-    }
-
-    /// Pushes flow around the negative residual cycle that the parent
-    /// chain of `trigger` leads into, removing it from the graph. Each
-    /// cancellation strictly improves the flow's cost at constant value.
-    fn cancel_cycle(&mut self, trigger: usize) {
-        let (head, cap) = (&self.bn.net.head, &mut self.bn.net.cap);
-        let (parent, seen) = (&self.bn.sc.parent, &mut self.bn.sc.in_queue);
-        let tail_of = |a: u32| head[(a ^ 1) as usize] as usize;
-        // Walk the parent chain until a node repeats: that node is on
-        // the cycle (the chain can have a tail leading into it). The
-        // queue marks are free between passes; the next pass resets them.
-        seen.fill(false);
-        let mut u = trigger;
-        while !seen[u] {
-            seen[u] = true;
-            u = tail_of(parent[u]);
-        }
-        // Two laps from there: find the bottleneck, then push it.
-        let start = u;
-        let mut bottleneck = u32::MAX;
-        loop {
-            bottleneck = bottleneck.min(cap[parent[u] as usize]);
-            u = tail_of(parent[u]);
-            if u == start {
-                break;
-            }
-        }
-        loop {
-            let a = parent[u] as usize;
-            cap[a] -= bottleneck;
-            cap[a ^ 1] += bottleneck;
-            u = tail_of(parent[u]);
-            if u == start {
-                break;
-            }
-        }
-    }
-
-    /// How many negative-cycle cancellations a warm start will attempt
-    /// before giving up and going cold. Small drift produces zero to a
-    /// handful of cycles; a seed that needs more repair than this is
-    /// cheaper to re-solve from scratch.
-    const MAX_CYCLE_CANCELS: usize = 16;
-
-    /// Repairs the seeded flow to min-cost-for-its-value and recomputes
-    /// globally valid potentials: cancel negative residual cycles until
-    /// none remain, then adopt the converged Bellman–Ford labels as
-    /// potentials. Returns `Ok(false)` (caller goes cold) when the seed
-    /// needs more repair than [`Self::MAX_CYCLE_CANCELS`] allows.
-    fn refit_potentials(&mut self, ctl: &SolveCtl) -> Result<bool, Stopped> {
-        for _ in 0..=Self::MAX_CYCLE_CANCELS {
-            match self.bn.net.bellman_ford(None, &mut self.bn.sc, ctl) {
-                BellmanFord::Converged => {
-                    self.bn.sc.pi.copy_from_slice(&self.bn.sc.dist);
-                    return Ok(true);
+        let (net, sc, source, sink) = (&mut bn.net, &mut bn.sc, bn.source, bn.sink);
+        // Re-price: both bounds an arc pair puts on `pi[v]` are
+        // `pi[other end] − cost`, a floor while the out-arc has capacity
+        // left and a ceiling while its twin (the in-arc) has.
+        for v in source + 1..sink {
+            let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+            let mut a = net.first[v];
+            while a != mcmf::NONE {
+                let ai = a as usize;
+                let bound = sc.pi[net.head[ai] as usize] - net.cost[ai];
+                if net.cap[ai] > 0 {
+                    lo = lo.max(bound);
                 }
-                BellmanFord::Interrupted => return Err(Stopped),
-                BellmanFord::NegativeCycle(node) => self.cancel_cycle(node),
+                if net.cap[ai ^ 1] > 0 {
+                    hi = hi.min(bound);
+                }
+                a = net.next[ai];
+            }
+            if lo <= hi {
+                sc.pi[v] = sc.pi[v].clamp(lo, hi);
             }
         }
-        Ok(false)
-    }
-
-    /// Post-solve audit: is there a sink → source residual path with
-    /// negative true cost (i.e. would *removing* flow increase profit)?
-    /// Runs Bellman–Ford on raw residual costs so it is sound without
-    /// trusting the potentials; a detected negative cycle also fails the
-    /// audit (the flow is not min-cost for its value). Returns `Ok(true)`
-    /// when the flow value is certified optimal.
-    fn deaugmentation_audit(&mut self, ctl: &SolveCtl) -> Result<bool, Stopped> {
-        let bn = &mut self.bn;
-        match bn.net.bellman_ford(Some(bn.sink), &mut bn.sc, ctl) {
-            BellmanFord::Converged => Ok(bn.sc.dist[bn.source] >= 0),
-            BellmanFord::NegativeCycle(_) => Ok(false),
-            BellmanFord::Interrupted => Err(Stopped),
+        // Saturate what is still violated.
+        let mut excess = vec![0i64; net.n_nodes];
+        for a in 0..net.head.len() {
+            let units = net.cap[a];
+            if units > 0 && net.reduced_cost(a, &sc.pi) < 0 {
+                net.cap[a] = 0;
+                net.cap[a ^ 1] += units;
+                excess[net.head[a] as usize] += i64::from(units);
+                excess[net.head[a ^ 1] as usize] -= i64::from(units);
+            }
         }
+        // Route. Inner excess goes first, and to it the hub is always a
+        // target; the hub's own excess (what the inner deficits are still
+        // owed once no inner node holds any) leaves from both of its ends.
+        let mut r = mcmf::NO_FLOW;
+        let completed = loop {
+            let hub_drains = !excess[source + 1..sink].iter().any(|&x| x > 0);
+            if hub_drains && excess[source] + excess[sink] == 0 {
+                break true;
+            }
+            let starts = (source + 1..sink)
+                .filter(|&v| excess[v] > 0)
+                .chain([source, sink].into_iter().filter(|_| hub_drains));
+            let is_target = |v: usize| {
+                if v == source || v == sink {
+                    !hub_drains
+                } else {
+                    excess[v] < 0
+                }
+            };
+            let to = match net.dijkstra(starts, is_target, sc, ctl) {
+                Search::Reached(to) => to,
+                Search::Interrupted => break false,
+                Search::Exhausted => unreachable!("excess always reaches the hub"),
+            };
+            r.potential_updates += sc.lift(sc.dist[to]);
+            let (from, ..) = net.augment(to, &sc.parent, 1);
+            excess[from] -= 1;
+            excess[to] += 1;
+            r.iterations += 1;
+        };
+        mcmf::record_solve(&r);
+        (r, completed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mcmf::{max_weight_bmatching, verify_certificate, Certificate};
+    use crate::mcmf::{max_weight_bmatching, verify_certificate};
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
     use mbta_util::fixed::objectives_close;
 
     /// The exact cold solve `net` must agree with, and — through the
     /// independent verifier — proof that the potentials `net` carries
-    /// certify the matching it just returned.
+    /// certify the matching it just returned, normalised at the hub.
     fn cold_and_certified(
         net: &WarmNet,
         g: &BipartiteGraph,
         w: &[f64],
         m: &Matching,
     ) -> (Matching, i64) {
-        let cert = Certificate {
-            potentials: net.bn.sc.pi.clone(),
-        };
+        let cert = net.certificate();
+        assert_eq!(
+            (cert.potentials[net.bn.source], cert.potentials[net.bn.sink]),
+            (0, 0),
+            "carried potentials are not based at the hub"
+        );
         assert!(
             verify_certificate(g, w, m, &cert),
             "carried potentials do not certify the returned matching"
@@ -324,7 +307,6 @@ mod tests {
             let mut w = weights_of(&g, 0.5);
             let mut net = WarmNet::new(&g);
             let mut prev = Matching::from_edges(Vec::new());
-            let mut warm_hits = 0;
             for round in 0..6 {
                 let (m, stats) = net.solve(&g, &w, &prev, &SolveCtl::unlimited());
                 m.validate(&g).unwrap();
@@ -337,21 +319,17 @@ mod tests {
                 if round == 0 {
                     assert_eq!(m, cold, "seed {seed}: a first solve is the cold solve");
                 }
-                warm_hits += u32::from(stats.warm);
+                assert_eq!(stats.warm, round > 0, "only a first solve runs cold");
                 prev = m;
                 drift(&mut w, round, 0.05);
             }
-            assert!(
-                warm_hits >= 1,
-                "seed {seed}: small drift never produced a warm hit"
-            );
         }
     }
 
     #[test]
     fn large_drift_still_exact() {
-        // Violent drift defeats the carried potentials constantly; the
-        // result must stay exact via the cold fallback.
+        // Violent drift breaks the carried potentials almost everywhere;
+        // nothing is too drifted to repair, and the result stays exact.
         for seed in 0..5 {
             let g = random_bipartite(
                 &RandomGraphSpec {
@@ -372,16 +350,17 @@ mod tests {
                 m.validate(&g).unwrap();
                 let (_, cold_profit) = cold_and_certified(&net, &g, &w, &m);
                 assert_eq!(stats.profit, cold_profit, "seed {seed} round {round}");
+                assert_eq!(stats.warm, round > 0, "seed {seed} round {round}");
                 prev = m;
             }
         }
     }
 
     #[test]
-    fn deaugmentation_is_detected() {
+    fn overcommitted_flow_is_retracted() {
         // Seed a matching that becomes unprofitable: after the drift the
-        // optimal matching is *smaller* than the seed, which forward
-        // augmentation alone cannot reach.
+        // optimal matching is *smaller* than the seed, so the repair has to
+        // send flow back through the hub.
         use mbta_graph::random::from_edges;
         let g = from_edges(
             &[1, 1],
@@ -408,7 +387,7 @@ mod tests {
         let w2 = vec![0.9, 0.0, 0.0];
         let (m2, s2) = net.solve(&g, &w2, &m1, &SolveCtl::unlimited());
         m2.validate(&g).unwrap();
-        assert!(s2.completed);
+        assert!(s2.completed && s2.warm);
         let (_, cold_profit) = cold_and_certified(&net, &g, &w2, &m2);
         assert_eq!(s2.profit, cold_profit, "zero-drift optimum not recovered");
         // Weight, not cardinality, is what must match the cold solve:
@@ -481,35 +460,96 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_refit_returns_the_seeded_flow() {
+    fn interrupted_repair_returns_the_seed_at_every_poll_count() {
         let g = random_bipartite(
             &RandomGraphSpec {
-                n_workers: 40,
-                n_tasks: 40,
-                avg_degree: 6.0,
+                n_workers: 24,
+                n_tasks: 24,
+                avg_degree: 5.0,
                 capacity: 2,
                 demand: 2,
             },
             11,
         );
         let mut w = weights_of(&g, 0.5);
-        let mut net = WarmNet::new(&g);
-        let (prev, _) = net.solve(&g, &w, &Matching::empty(), &SolveCtl::unlimited());
-        // Enough drift that the carried potentials need a refit with cycle
-        // cancelling (an uninterrupted solve moves off the seed).
+        let mut primed = WarmNet::new(&g);
+        let (prev, _) = primed.solve(&g, &w, &Matching::empty(), &SolveCtl::unlimited());
+        // Enough drift that an uninterrupted repair saturates arcs, routes
+        // their excess and moves off the seed.
         drift(&mut w, 1, 0.2);
-        let (free, stats) = net.clone().solve(&g, &w, &prev, &SolveCtl::unlimited());
-        assert!(stats.warm && stats.completed);
+        let (free, stats) = primed.clone().solve(&g, &w, &prev, &SolveCtl::unlimited());
+        assert!(stats.warm && stats.completed && stats.iterations > 0);
         assert_ne!(free, prev);
-        // The refit sees the cancelled token at its first node and stops:
-        // no cycle is cancelled, so what comes back is exactly the seed.
-        let token = mbta_util::CancelToken::new();
-        token.cancel();
-        let ctl = SolveCtl::unlimited().with_token(token);
-        let (m, stats) = net.solve(&g, &w, &prev, &ctl);
-        m.validate(&g).unwrap();
-        assert_eq!(m, prev);
-        assert!(!stats.completed);
-        assert!(!net.has_prior(), "interrupted refit must not carry state");
+        let mut interrupted = 0;
+        for polls in 1.. {
+            // The first `should_stop` is a real check; spend it before the
+            // token is cancelled, and the solve is stopped by its
+            // `polls`-th own poll.
+            let token = mbta_util::CancelToken::new();
+            let ctl = SolveCtl::unlimited()
+                .with_token(token.clone())
+                .with_check_interval(polls);
+            assert!(!ctl.should_stop());
+            token.cancel();
+            let mut net = primed.clone();
+            let (m, stats) = net.solve(&g, &w, &prev, &ctl);
+            m.validate(&g).unwrap();
+            if stats.completed {
+                assert_eq!(m, free, "{polls} polls");
+                break;
+            }
+            interrupted += 1;
+            // Never the half-routed pseudoflow: the seed, and no state.
+            assert_eq!(m, prev, "{polls} polls");
+            assert!(!stats.warm && !net.has_prior(), "{polls} polls");
+            let (next, stats) = net.solve(&g, &w, &m, &SolveCtl::unlimited());
+            assert!(stats.completed);
+            let (_, cold_profit) = cold_and_certified(&net, &g, &w, &next);
+            assert_eq!(stats.profit, cold_profit, "{polls} polls");
+        }
+        assert!(
+            interrupted > stats.iterations,
+            "polls are per node, not per search"
+        );
+    }
+
+    #[test]
+    fn potentials_stay_bounded_in_a_long_lived_net() {
+        let g = random_bipartite(
+            &RandomGraphSpec {
+                n_workers: 14,
+                n_tasks: 10,
+                avg_degree: 3.0,
+                capacity: 2,
+                demand: 2,
+            },
+            5,
+        );
+        let base = weights_of(&g, 0.5);
+        let mut net = WarmNet::new(&g);
+        let mut prev = Matching::empty();
+        let bound = net.bn.net.n_nodes as i64 * mbta_util::fixed::SCALE;
+        for round in 0..10_000u64 {
+            // Drift around the base weights, with one worker switched off
+            // (all its weights 0) in two rounds of three.
+            let mut w = base.clone();
+            drift(&mut w, round, 0.3);
+            let off = (round % 3 < 2).then_some((round / 3) as usize % g.n_workers());
+            for e in g.edges() {
+                if Some(g.worker_of(e).index()) == off {
+                    w[e.index()] = 0.0;
+                }
+            }
+            let (m, stats) = net.solve(&g, &w, &prev, &SolveCtl::unlimited());
+            assert!(stats.completed && stats.warm == (round > 0));
+            let max = net.bn.sc.pi.iter().map(|p| p.abs()).max().unwrap();
+            assert!(max < bound, "round {round}: |pi| reached {max}");
+            if round % 1000 == 999 {
+                m.validate(&g).unwrap();
+                let (_, cold_profit) = cold_and_certified(&net, &g, &w, &m);
+                assert_eq!(stats.profit, cold_profit, "round {round}");
+            }
+            prev = m;
+        }
     }
 }

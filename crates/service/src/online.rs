@@ -17,9 +17,12 @@
 //!   accrue nothing.
 //! * **Warm fallback** — when a shard's accumulated drift exceeds
 //!   [`OnlineConfig::drift_threshold`] × its live assigned weight, the
-//!   shard re-solves exactly through its [`WarmSolver`], which carries
-//!   node potentials and the previous matching across solves (see
-//!   `mbta_matching::warm`), then the accumulator resets.
+//!   shard re-solves exactly through its [`WarmSolver`], then the
+//!   accumulator resets. The solver carries node potentials across solves
+//!   and repairs them around the shard's current matching only where
+//!   drift broke them (see `mbta_matching::warm`), so every fallback but
+//!   a shard's first costs what moved since the last one, not a cold
+//!   solve.
 //!
 //! Decisions come out of the assignment's flip log (folded by parity, so
 //! eviction/re-add churn cancels) and leave through the service's one

@@ -97,8 +97,8 @@ pub struct ServiceReport {
     pub online_exchanges: u64,
     /// Warm-solver re-solves across all shards and plan epochs.
     pub online_warm_solves: u64,
-    /// Warm-solver runs that kept the seeded flow (pure warm or
-    /// cycle-repaired) instead of redoing the solve cold.
+    /// Warm-solver runs that completed by repairing the carried
+    /// potentials around the seeded flow (not cold, not interrupted).
     pub online_warm_hits: u64,
     /// Median per-event online decision latency (wall-clock ms).
     pub p50_online_ms: f64,

@@ -908,9 +908,10 @@ impl<'p> Core<'p> {
     }
 
     /// Warm-started exact re-solve of shard `s` (the caller has ruled
-    /// out poisoned and degenerate shards), adopting the solution when
-    /// it improves on the incremental state. Appends the applied flips
-    /// to the pooled flip buffer.
+    /// out poisoned and degenerate shards): the incremental matching seeds
+    /// the shard's solver, which repairs its carried potentials around it.
+    /// Adopts the solution when it improves on the incremental state and
+    /// appends the applied flips to the pooled flip buffer.
     fn warm_solve_shard(&mut self, rt: &mut OnlineRuntime, s: usize, deadline: Option<Deadline>) {
         let ctl = deadline.map_or_else(SolveCtl::unlimited, |d| {
             SolveCtl::unlimited().with_deadline(d)

@@ -307,6 +307,65 @@ proptest! {
         prop_assert!(!verify_certificate(&g, &w, &m, &cert));
     }
 
+    /// A long-lived `WarmNet` stays exact and certified through arbitrary
+    /// churn (activation, deactivation, benefit drift), whatever feasible
+    /// matching seeds each re-solve.
+    #[test]
+    fn warm_resolves_stay_exact_and_certified(
+        inst in instance(6, 3),
+        ops in proptest::collection::vec((0u8..6, 0usize..36, 0.0f64..=1.0, 0u8..5), 1..24),
+    ) {
+        use mbta::core::incremental::IncrementalAssignment;
+        use mbta::matching::mcmf::verify_certificate;
+        use mbta::matching::warm::WarmNet;
+        use mbta::matching::Matching;
+        use mbta::util::SolveCtl;
+        let g = inst.graph();
+        let exact = |w: &[f64]| max_weight_bmatching(&g, w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+        let positive = |m: &Matching, w: &[f64]| {
+            Matching::from_edges(m.edges.iter().copied().filter(|e| w[e.index()] > 0.0).collect())
+        };
+        let mut inc = IncrementalAssignment::new(&g, mb_weights(&g));
+        let mut net = WarmNet::new(&g);
+        let mut prev = Matching::empty();
+        for (kind, idx, weight, seed_kind) in ops {
+            match kind {
+                0 => { inc.deactivate_worker(WorkerId::from_index(idx % g.n_workers())); }
+                1 => inc.activate_worker(WorkerId::from_index(idx % g.n_workers())),
+                2 => { inc.deactivate_task(TaskId::from_index(idx % g.n_tasks())); }
+                3 => inc.activate_task(TaskId::from_index(idx % g.n_tasks())),
+                _ if g.n_edges() > 0 => {
+                    inc.set_weight(mbta::graph::EdgeId::from_index(idx % g.n_edges()), weight);
+                }
+                _ => {}
+            }
+            let w = inc.active_weights();
+            let seed = match seed_kind {
+                // The previous optimum, as `WarmSolver` hands it on.
+                0 => positive(&prev, &w),
+                // The greedy-evolved state the service seeds from.
+                1 => inc.matching(),
+                // A thinned seed: every third edge dropped.
+                2 => Matching::from_edges(
+                    prev.edges.iter().copied().enumerate().filter(|(k, _)| k % 3 != 2).map(|(_, e)| e).collect(),
+                ),
+                3 => Matching::empty(),
+                // Inverted preferences: about the worst feasible matching.
+                _ => exact(&w.iter().map(|x| 1.0 - x).collect::<Vec<_>>()).0,
+            };
+            let (m, stats) = net.solve(&g, &w, &seed, &SolveCtl::unlimited());
+            prop_assert!(m.validate(&g).is_ok());
+            prop_assert!(stats.completed);
+            prop_assert_eq!(stats.profit, exact(&w).1.profit);
+            let cert = net.certificate();
+            prop_assert!(verify_certificate(&g, &w, &m, &cert));
+            prop_assert_eq!(cert.potentials[0], cert.potentials[cert.potentials.len() - 1]);
+            // The service adopts the solve into its incremental state.
+            prev = positive(&m, &w);
+            prop_assert!(inc.reseed(&prev).is_ok());
+        }
+    }
+
     /// k-best enumeration: non-increasing order, all feasible, all distinct,
     /// first equals the exact optimum.
     #[test]
