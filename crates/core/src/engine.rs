@@ -17,7 +17,10 @@
 //! 3. **Degradation** — the chain runs cheapest-first (greedy → local
 //!    search → exact), so a feasible floor exists almost immediately and
 //!    each stage can only improve on it. The result is tagged with the
-//!    [`QualityTier`] actually achieved.
+//!    [`QualityTier`] actually achieved. The floor is insurance against a
+//!    budget: a solve with neither deadline nor cancel token cannot be
+//!    stopped, always reaches `Exact`, and goes straight to the exact
+//!    stage instead of building a floor it would discard.
 //!
 //! # Tier semantics and monotonicity
 //!
@@ -37,6 +40,7 @@
 //! objective). The returned matching always passes
 //! [`Matching::validate`] — this is asserted before returning.
 
+use crate::warm::WarmSolver;
 use mbta_graph::BipartiteGraph;
 use mbta_matching::greedy::greedy_bmatching;
 use mbta_matching::local_search::local_search_ctl;
@@ -249,7 +253,8 @@ pub struct EngineSolution {
     /// Whether the exact stage ran to completion.
     pub exact_completed: bool,
     /// Whether the local-search stage ran to completion (vacuously `false`
-    /// in `exact_only` mode, where the stage is skipped).
+    /// where the stage is skipped: in `exact_only` mode, and on a solve
+    /// with no deadline and no cancel token).
     pub local_search_completed: bool,
     /// Wall-clock time the solve consumed.
     pub elapsed: Duration,
@@ -315,6 +320,28 @@ pub fn solve_robust(
     weights: &[f64],
     config: &EngineConfig,
 ) -> Result<EngineSolution, EngineError> {
+    solve_carried(g, weights, config, None)
+}
+
+/// A long-lived shard's exact stage: the [`WarmSolver`] built for the
+/// shard's topology and the feasible matching that seeds its re-solve (the
+/// shard's assignment after the batch's churn repair).
+pub type Carried<'a> = (&'a mut WarmSolver, Matching);
+
+/// [`solve_robust`] with the exact stage chosen by the caller: `None` is
+/// the one-shot cold solve, `Some` re-solves through the shard's carried
+/// solver, which pays for what moved since its last solve instead of for a
+/// network build and a cold solve. Validation, budgets, tier tagging and
+/// the adoption rule are the same chain either way (`config.algo` applies
+/// to the cold solve only; the carried solver is Dijkstra on its kept
+/// potentials). A stopped `ctl` never reaches the solver, and a solve the
+/// budget cuts short forfeits the carried duals: its next solve runs cold.
+pub fn solve_carried(
+    g: &BipartiteGraph,
+    weights: &[f64],
+    config: &EngineConfig,
+    carried: Option<Carried<'_>>,
+) -> Result<EngineSolution, EngineError> {
     let start = Instant::now();
     let solve_span = mbta_telemetry::span!("mbta_core_engine_solve");
     {
@@ -335,7 +362,7 @@ pub fn solve_robust(
         ctl = ctl.with_token(token.clone());
     }
 
-    let solution = solve_chain(g, weights, config, &ctl, start);
+    let solution = solve_chain(g, weights, config, &ctl, carried, start);
     debug_assert!(solution.matching.validate(g).is_ok());
     solve_span.attr("edges", g.n_edges() as u64);
     mbta_telemetry::counter_add(tier_counter(solution.tier), 1);
@@ -354,12 +381,15 @@ fn tier_counter(tier: QualityTier) -> &'static str {
 
 /// The degradation chain, cheapest stage first. With `exact_only` the two
 /// heuristic stages are skipped and the exact stage always runs, its
-/// (possibly partial) flow adopted over the empty incumbent.
+/// (possibly partial) flow adopted over the empty incumbent. They are
+/// skipped too when nothing can stop the solve: the exact stage then always
+/// completes and replaces whatever floor was built.
 fn solve_chain(
     g: &BipartiteGraph,
     weights: &[f64],
     config: &EngineConfig,
     ctl: &SolveCtl,
+    carried: Option<Carried<'_>>,
     start: Instant,
 ) -> EngineSolution {
     let mut best = Matching::empty();
@@ -367,7 +397,7 @@ fn solve_chain(
     let mut ls_completed = false;
     let mut exact_completed = false;
 
-    if !config.exact_only {
+    if !config.exact_only && !ctl.is_unlimited() {
         // Stage 1: greedy floor. Not interruptible, but O(m log m) — on any
         // instance where the exact solve could time out, greedy is noise.
         best = {
@@ -394,8 +424,17 @@ fn solve_chain(
     // exact solve can be far worse than converged local search.
     if config.exact_only || !ctl.stop_requested() {
         let _exact = mbta_telemetry::span!("mbta_core_engine_exact");
-        let (exact, _, completed) =
-            max_weight_bmatching_ctl(g, weights, FlowMode::FreeCardinality, config.algo, ctl);
+        let (exact, completed) = match carried {
+            Some((solver, seed)) => {
+                solver.seed(seed);
+                solver.solve(g, weights, ctl)
+            }
+            None => {
+                let mode = FlowMode::FreeCardinality;
+                let (m, _, done) = max_weight_bmatching_ctl(g, weights, mode, config.algo, ctl);
+                (m, done)
+            }
+        };
         if completed {
             tier = QualityTier::Exact;
             exact_completed = true;
@@ -460,6 +499,10 @@ mod tests {
             let sol = solve_robust(&g, &w, &EngineConfig::new()).unwrap();
             assert_eq!(sol.tier, QualityTier::Exact);
             assert!(sol.exact_completed);
+            assert!(
+                !sol.local_search_completed,
+                "nothing can stop this solve: no floor to build"
+            );
             sol.matching.validate(&g).unwrap();
             let (opt, _) =
                 max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
@@ -557,6 +600,7 @@ mod tests {
         let cfg = EngineConfig::new().with_deadline_at(Deadline::after_ms(3_600_000));
         let sol = solve_robust(&g, &w, &cfg).unwrap();
         assert_eq!(sol.tier, QualityTier::Exact);
+        assert!(sol.local_search_completed, "any budget keeps the floor");
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //! * [`rotation`] — repeated rounds with load rotation: temporal fairness
 //!   across the worker pool (experiment F22).
 //! * [`warm`] — warm-started exact re-solves for long-lived shard states:
-//!   carried node potentials + seeded flow over a fixed topology (the
-//!   online drift-fallback engine).
+//!   carried node potentials + seeded flow over a fixed topology (every
+//!   serving exact solve: [`engine::solve_carried`]'s exact stage in batch
+//!   mode, the drift fallback in online mode).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

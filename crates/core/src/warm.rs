@@ -1,17 +1,22 @@
 //! Warm-started exact re-solves for long-lived shard states.
 //!
-//! The online dispatch path keeps an [`crate::incremental::IncrementalAssignment`]
-//! per shard and occasionally needs an exact re-solve (the drift
-//! fallback). Rebuilding the flow network from scratch there wastes the
-//! one thing a long-lived shard has plenty of: prior state.
-//! [`WarmSolver`] owns an [`mbta_matching::warm::WarmNet`] for the
-//! shard's fixed topology and re-solves against drifting weights,
-//! seeding each solve with the previous matching and carrying the node
-//! potentials across calls, where they are repaired locally instead of
-//! recomputed. Telemetry (`mbta_core_warm_solves_total` /
-//! `mbta_core_warm_hits_total`) records how many solves there were and
-//! how many of them completed on that warm branch — every one but a
-//! shard's first, unless a deadline cuts solves short.
+//! A serving shard keeps an [`crate::incremental::IncrementalAssignment`]
+//! and re-solves exactly again and again — every batch that touches it,
+//! every online drift fallback — on a market that differs from the last
+//! solve's by a batch worth of events. Rebuilding the flow network from
+//! scratch there wastes the one thing a long-lived shard has plenty of:
+//! prior state. [`WarmSolver`] owns an [`mbta_matching::warm::WarmNet`]
+//! for the shard's fixed topology and re-solves against drifting weights,
+//! seeding each solve with a feasible matching (the shard's current
+//! assignment, or the previous optimum) and carrying the node potentials
+//! across calls, where they are repaired locally instead of recomputed.
+//! Telemetry (`mbta_core_warm_solves_total` / `mbta_core_warm_hits_total`)
+//! counts every serving exact solve — batch stage 3 through
+//! [`crate::engine::solve_carried`] and online fallbacks alike — and how
+//! many of them completed on that warm branch: every one but a shard's
+//! first, unless a deadline cuts solves short or the caller asks for a
+//! cold start ([`WarmSolver::invalidate`] — the service does before each
+//! batch solve under a wall-clock budget).
 //!
 //! The returned matching is filtered to strictly positive weights
 //! before it is handed back, so it can always be adopted by
@@ -51,10 +56,10 @@ pub struct WarmSolverStats {
 /// );
 /// let mut solver = WarmSolver::new(&g);
 /// // First solve is cold; it picks the 0.8 + 0.7 pairing over the 0.9.
-/// let m1 = solver.solve(&g, &[0.9, 0.8, 0.7], &SolveCtl::unlimited());
-/// assert_eq!(m1.len(), 2);
+/// let (m1, done) = solver.solve(&g, &[0.9, 0.8, 0.7], &SolveCtl::unlimited());
+/// assert!(done && m1.len() == 2);
 /// // Drifted weights re-solve warm, seeded from the previous matching.
-/// let m2 = solver.solve(&g, &[0.95, 0.79, 0.71], &SolveCtl::unlimited());
+/// let (m2, _) = solver.solve(&g, &[0.95, 0.79, 0.71], &SolveCtl::unlimited());
 /// assert_eq!(m2.len(), 2);
 /// assert!(solver.stats().warm_hits >= 1);
 /// ```
@@ -90,11 +95,18 @@ impl WarmSolver {
     }
 
     /// Exact free-cardinality maximum-weight matching under `weights`,
-    /// warm-started when the carried state permits. The result is
+    /// warm-started when the carried state permits, and whether it ran to
+    /// completion (`false`: `ctl` cut it short, the matching is feasible
+    /// but not optimal, and the next solve runs cold). The result is
     /// filtered to strictly positive weights (zero-weight edges encode
-    /// inactive endpoints in the online path) and becomes the seed of
+    /// inactive endpoints on the serving path) and becomes the seed of
     /// the next call.
-    pub fn solve(&mut self, g: &BipartiteGraph, weights: &[f64], ctl: &SolveCtl) -> Matching {
+    pub fn solve(
+        &mut self,
+        g: &BipartiteGraph,
+        weights: &[f64],
+        ctl: &SolveCtl,
+    ) -> (Matching, bool) {
         let (m, stats) = self.net.solve(g, weights, &self.prev, ctl);
         self.record(&stats);
         let filtered = Matching::from_edges(
@@ -105,7 +117,7 @@ impl WarmSolver {
                 .collect(),
         );
         self.prev = filtered.clone();
-        filtered
+        (filtered, stats.completed)
     }
 
     /// Lifetime counters.
@@ -143,7 +155,8 @@ mod tests {
         let mut w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
         let mut solver = WarmSolver::new(&g);
         for round in 0..8u64 {
-            let m = solver.solve(&g, &w, &SolveCtl::unlimited());
+            let (m, completed) = solver.solve(&g, &w, &SolveCtl::unlimited());
+            assert!(completed);
             m.validate(&g).unwrap();
             let (cold, _) =
                 max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
@@ -179,11 +192,85 @@ mod tests {
         let aw = inc.active_weights();
         assert_eq!(aw, vec![0.9, 0.0]);
         let mut solver = WarmSolver::new(&g);
-        let m = solver.solve(&g, &aw, &SolveCtl::unlimited());
+        let (m, _) = solver.solve(&g, &aw, &SolveCtl::unlimited());
         // The filtered result must be adoptable despite the inactive node.
         inc.reseed(&m).unwrap();
         inc.check_invariants();
         assert_eq!(inc.len(), 1);
+    }
+
+    /// The carried solver under the engine's chain: a stopped `ctl` never
+    /// reaches it, a solve the budget cuts hands the seed back and forfeits
+    /// the duals, and the next unbudgeted solve is cold, exact and certified.
+    #[test]
+    fn engine_chain_spares_a_stopped_solver_and_recovers_from_a_cut() {
+        use crate::engine::{solve_carried, EngineConfig, QualityTier};
+        use mbta_matching::mcmf::verify_certificate;
+        use mbta_util::{CancelToken, Deadline};
+        let g = random_bipartite(
+            &RandomGraphSpec {
+                n_workers: 60,
+                n_tasks: 40,
+                avg_degree: 6.0,
+                capacity: 2,
+                demand: 2,
+            },
+            17,
+        );
+        let mut w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
+        let mut solver = WarmSolver::new(&g);
+        let unbudgeted = EngineConfig::new();
+        let primed =
+            solve_carried(&g, &w, &unbudgeted, Some((&mut solver, Matching::empty()))).unwrap();
+        assert_eq!(primed.tier, QualityTier::Exact);
+        assert!(solver.net.has_prior());
+        let seed = primed.matching;
+        for (i, wt) in w.iter_mut().enumerate() {
+            *wt *= if i % 3 == 0 { 0.7 } else { 1.05 };
+        }
+
+        // Poison: the chain stops before stage 3.
+        let token = CancelToken::new();
+        token.cancel();
+        let cfg = EngineConfig::new().with_cancel(token);
+        let floor = solve_carried(&g, &w, &cfg, Some((&mut solver, seed.clone()))).unwrap();
+        assert_eq!(floor.tier, QualityTier::Degraded);
+        assert_eq!(
+            solver.stats().solves,
+            1,
+            "a stopped chain reached the solver"
+        );
+        assert!(solver.net.has_prior());
+
+        // A deadline inside stage 3 (`exact_only` enters it whatever the
+        // clock says; the repair's first poll then stops it).
+        let expired = Deadline::after_ms(0);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let cfg = EngineConfig::new().exact_only().with_deadline_at(expired);
+        let cut = solve_carried(&g, &w, &cfg, Some((&mut solver, seed.clone()))).unwrap();
+        assert_eq!(
+            (cut.tier, cut.exact_completed),
+            (QualityTier::Degraded, false)
+        );
+        assert_eq!(cut.matching, seed, "an interrupted repair returns its seed");
+        assert!(!solver.net.has_prior(), "a cut solve must not carry duals");
+
+        let healed = solve_carried(&g, &w, &unbudgeted, Some((&mut solver, seed))).unwrap();
+        assert_eq!(healed.tier, QualityTier::Exact);
+        let stats = solver.stats();
+        assert_eq!(
+            (stats.solves, stats.warm_hits),
+            (3, 0),
+            "cold after the cut"
+        );
+        let (cold, _) = max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+        assert!((healed.value - cold.total_weight(&w)).abs() < 1e-6);
+        assert!(verify_certificate(
+            &g,
+            &w,
+            &healed.matching,
+            &solver.net.certificate()
+        ));
     }
 
     #[test]

@@ -538,16 +538,16 @@ impl BipartiteNet {
         }
     }
 
-    /// Number of eligibility edges the network was built for.
-    pub(crate) fn n_edges(&self) -> usize {
-        self.edge_arcs.len()
+    /// `[workers, tasks, edges]` of the topology the network was built for.
+    pub(crate) fn shape(&self) -> [usize; 3] {
+        [&self.source_arcs, &self.sink_arcs, &self.edge_arcs].map(Vec::len)
     }
 
     /// Rewrites the edge-arc costs in place: `-profit`, twin `+profit`.
     pub(crate) fn set_costs(&mut self, weights: &[f64]) {
         assert_eq!(
             weights.len(),
-            self.n_edges(),
+            self.edge_arcs.len(),
             "weight slice length mismatch"
         );
         for (&a, &w) in self.edge_arcs.iter().zip(weights) {
@@ -571,7 +571,7 @@ impl BipartiteNet {
     pub(crate) fn apply(&mut self, g: &BipartiteGraph, m: &Matching) -> bool {
         self.reset_flow();
         for &e in &m.edges {
-            if e.index() >= self.n_edges() {
+            if e.index() >= self.edge_arcs.len() {
                 return false;
             }
             let arcs = [

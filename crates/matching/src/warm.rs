@@ -1,16 +1,16 @@
 //! Warm-started min-cost flow for repeated solves on a fixed topology.
 //!
 //! When the same shard is re-solved many times with drifting weights —
-//! the online fallback path — almost all of a cold solve's work is
-//! redundant: the node set and arc arena never change, only costs move and
-//! the previous solution is usually *nearly* optimal. [`WarmNet`] is the
-//! [`crate::mcmf`] solver plus carried state: it keeps one bipartite
-//! network (arena, arc layout, scratch and node potentials) alive across
-//! solves. A first solve and a solve after [`WarmNet::invalidate`] *are*
-//! the cold solve of [`crate::mcmf::max_weight_bmatching`], on the kept
-//! network. Every other solve is the textbook re-optimisation of a min-cost
-//! flow after a cost change — repair the duals where they broke, not
-//! everywhere:
+//! every exact solve of a serving shard, batch or online — almost all of a
+//! cold solve's work is redundant: the node set and arc arena never change,
+//! only costs move and the previous solution is usually *nearly* optimal.
+//! [`WarmNet`] is the [`crate::mcmf`] solver plus carried state: it keeps
+//! one bipartite network (arena, arc layout, scratch and node potentials)
+//! alive across solves. A first solve and a solve after
+//! [`WarmNet::invalidate`] *are* the cold solve of
+//! [`crate::mcmf::max_weight_bmatching`], on the kept network. Every other
+//! solve is the textbook re-optimisation of a min-cost flow after a cost
+//! change — repair the duals where they broke, not everywhere:
 //!
 //! 1. **Seed.** New costs are written and the caller's matching is applied
 //!    as flow. Together with the carried potentials that is a *pseudoflow
@@ -133,7 +133,9 @@ impl WarmNet {
         seed: &Matching,
         ctl: &SolveCtl,
     ) -> (Matching, WarmStats) {
-        assert_eq!(g.n_edges(), self.bn.n_edges(), "graph topology changed");
+        // Edge count alone would let a same-sized shard of another plan in.
+        let shape = [g.n_workers(), g.n_tasks(), g.n_edges()];
+        assert_eq!(shape, self.bn.shape(), "graph topology changed");
         self.bn.set_costs(weights);
         // An infeasible seed only happens on a caller bug; the solve then
         // runs cold rather than panicking.
@@ -435,6 +437,19 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(stats.profit, 0);
         assert!(stats.completed);
+    }
+
+    /// A net is bound to the shape it was built for — node counts too: a
+    /// shard of another plan can have this one's edge count.
+    #[test]
+    #[should_panic(expected = "topology changed")]
+    fn solving_another_topology_with_the_same_edge_count_panics() {
+        use mbta_graph::random::from_edges;
+        let built = from_edges(&[1, 1], &[2], &[(0, 0, 0.5, 0.5), (1, 0, 0.4, 0.4)]);
+        let other = from_edges(&[2], &[1, 1], &[(0, 0, 0.5, 0.5), (0, 1, 0.4, 0.4)]);
+        let mut net = WarmNet::new(&built);
+        let ctl = SolveCtl::unlimited();
+        net.solve(&other, &[0.5, 0.4], &Matching::empty(), &ctl);
     }
 
     #[test]

@@ -28,13 +28,15 @@
 //!   number, tallies, write-ahead journal, sink), and a *mode* that says
 //!   when the core solves — micro-batches through the robust engine and
 //!   the pool (optionally with a boundary-rescue matching over
-//!   cross-shard edges), or every event through [`online`]. Poisoned
+//!   cross-shard edges), or every event through [`online`] — either way
+//!   on one carried exact solver per shard. Poisoned
 //!   shards degrade to the greedy floor without stalling siblings; cut
 //!   drift past a threshold triggers a detach → re-partition → resume
 //!   migration. See DESIGN.md §8, §13.
 //! * [`online`] — the online mode's runtime (`--online`): depth-1
 //!   exchange, per-shard drift accounting, and a warm-started exact
-//!   fallback (`mbta_core::warm::WarmSolver`) past the drift threshold.
+//!   fallback (the core's per-shard `mbta_core::warm::WarmSolver`) past
+//!   the drift threshold.
 //!   Sub-millisecond median decision latency, one commit per deciding
 //!   event. See DESIGN.md §14.
 //! * [`sink`] — pluggable decision output; the textual decision log is

@@ -17,12 +17,14 @@
 //!   accrue nothing.
 //! * **Warm fallback** — when a shard's accumulated drift exceeds
 //!   [`OnlineConfig::drift_threshold`] × its live assigned weight, the
-//!   shard re-solves exactly through its [`WarmSolver`], then the
-//!   accumulator resets. The solver carries node potentials across solves
-//!   and repairs them around the shard's current matching only where
-//!   drift broke them (see `mbta_matching::warm`), so every fallback but
-//!   a shard's first costs what moved since the last one, not a cold
-//!   solve.
+//!   shard re-solves exactly through its carried
+//!   [`WarmSolver`](mbta_core::warm::WarmSolver) — the same per-shard
+//!   solver batch mode's exact stage runs on, owned by the dispatch core —
+//!   then the accumulator resets. The solver carries node potentials
+//!   across solves and repairs them around the shard's current matching
+//!   only where drift broke them (see `mbta_matching::warm`), so every
+//!   fallback but a shard's first costs what moved since the last one,
+//!   not a cold solve.
 //!
 //! Decisions come out of the assignment's flip log (folded by parity, so
 //! eviction/re-add churn cancels) and leave through the service's one
@@ -31,11 +33,8 @@
 //! this module holds the mode's state and the exchange move. See
 //! DESIGN.md §14 for the full contract.
 
-use crate::report::ServiceReport;
-use crate::shard::ShardPlan;
 use crate::sink::Decision;
 use mbta_core::incremental::IncrementalAssignment;
-use mbta_core::warm::WarmSolver;
 use mbta_graph::EdgeId;
 use mbta_telemetry::Histogram;
 
@@ -78,21 +77,16 @@ impl OnlineConfig {
     }
 }
 
-/// Per-shard online state: the warm exact solver and the drift
-/// accumulator that decides when to use it.
-pub(crate) struct ShardOnline {
-    pub warm: WarmSolver,
-    pub acc: f64,
-}
-
-/// The online mode's state. `shards` is bound to one plan's topology
-/// ([`bind`](Self::bind) / [`unbind`](Self::unbind) around a re-plan); the
-/// latency histogram and the pooled buffers live as long as the run. The
-/// run counters (events, fallbacks, exchanges, warm-solver totals)
-/// accumulate in the service's [`ServiceReport`], not here.
+/// The online mode's state. `acc` is per shard of the current plan (a
+/// re-plan zeroes it); the latency histogram and the pooled buffers live
+/// as long as the run. The exact solvers the accumulators trigger belong
+/// to the dispatch core, and the run counters (events, fallbacks,
+/// exchanges, warm-solver totals) accumulate in the service's
+/// [`ServiceReport`](crate::ServiceReport), not here.
 pub(crate) struct OnlineRuntime {
     cfg: OnlineConfig,
-    pub shards: Vec<ShardOnline>,
+    /// Per-shard drift accumulator: decides when the shard re-solves.
+    pub acc: Vec<f64>,
     /// Per-event decision latency (wall-clock ms).
     pub lat: Histogram,
     /// Pooled per-event buffers (see [`OnlineScratch`]).
@@ -143,47 +137,21 @@ impl OnlineScratch {
 }
 
 impl OnlineRuntime {
-    /// Fresh runtime bound to `plan`.
-    pub fn new(cfg: OnlineConfig, plan: &ShardPlan) -> Self {
+    /// Fresh runtime over a plan of `n_shards` shards.
+    pub fn new(cfg: OnlineConfig, n_shards: usize) -> Self {
         cfg.validate();
-        let mut rt = OnlineRuntime {
+        OnlineRuntime {
             cfg,
-            shards: Vec::new(),
+            acc: vec![0.0; n_shards],
             lat: Histogram::new(),
             scratch: OnlineScratch::default(),
-        };
-        rt.bind(plan);
-        rt
-    }
-
-    /// Builds the per-shard state for `plan`: one warm solver per shard
-    /// topology (cold — a re-plan changes every topology) and a zeroed
-    /// drift accumulator.
-    pub fn bind(&mut self, plan: &ShardPlan) {
-        self.shards = plan
-            .shards
-            .iter()
-            .map(|slice| ShardOnline {
-                warm: WarmSolver::new(&slice.sub.graph),
-                acc: 0.0,
-            })
-            .collect();
-    }
-
-    /// Folds the bound solvers' lifetime counters into `report` and drops
-    /// them: the plan they were built for is ending (re-plan or finish).
-    pub fn unbind(&mut self, report: &mut ServiceReport) {
-        for sh in self.shards.drain(..) {
-            let stats = sh.warm.stats();
-            report.online_warm_solves += stats.solves;
-            report.online_warm_hits += stats.warm_hits;
         }
     }
 
     /// Whether shard `s`'s drift accumulator has crossed the fallback
     /// line for a shard currently holding `shard_weight` assigned value.
     pub fn fallback_due(&self, s: usize, shard_weight: f64) -> bool {
-        self.shards[s].acc > self.cfg.drift_threshold * shard_weight.max(1.0)
+        self.acc[s] > self.cfg.drift_threshold * shard_weight.max(1.0)
     }
 }
 
@@ -343,27 +311,5 @@ mod tests {
         st.set_weight(eid(1), 0.5);
         assert!(!try_exchange(&mut st, eid(1)));
         assert!(st.edge_assigned(eid(0)));
-    }
-
-    #[test]
-    fn unbind_folds_warm_counters_and_bind_starts_cold() {
-        let g = from_edges(&[1], &[1], &[(0, 0, 0.5, 0.5)]);
-        let w = vec![0.5];
-        let plan = ShardPlan::build(&g, &w, 1, crate::shard::Routing::HashId);
-        let mut rt = OnlineRuntime::new(OnlineConfig::default(), &plan);
-        let ctl = mbta_util::SolveCtl::unlimited();
-        rt.shards[0].warm.solve(&plan.shards[0].sub.graph, &w, &ctl);
-        rt.shards[0].acc = 0.7;
-        let mut report = ServiceReport::default();
-        rt.unbind(&mut report);
-        assert_eq!(report.online_warm_solves, 1);
-        assert!(rt.shards.is_empty());
-        rt.bind(&plan);
-        assert_eq!(rt.shards[0].acc, 0.0);
-        assert_eq!(rt.shards[0].warm.stats().solves, 0);
-        // A second epoch's solves add to the first's.
-        rt.shards[0].warm.solve(&plan.shards[0].sub.graph, &w, &ctl);
-        rt.unbind(&mut report);
-        assert_eq!(report.online_warm_solves, 2);
     }
 }

@@ -4,8 +4,15 @@
 //! precisely so they can be solved independently; this module is where
 //! that independence is cashed in. [`SolvePool`] takes the batch's
 //! touched-shard jobs and runs them across OS threads (vendored
-//! `crossbeam` scoped threads + MPMC channels), with three properties the
-//! dispatch loop depends on:
+//! `crossbeam` scoped threads + MPMC channels). A job is one pass of the
+//! robust engine's chain whose exact stage is the shard's **carried
+//! solver** (`mbta_core::warm::WarmSolver`, lent to the job exclusively
+//! together with the matching that seeds it): whichever thread runs the
+//! job re-solves on the shard's kept network and duals, so a batch pays
+//! for what its events moved. Only the boundary-rescue job is a one-shot
+//! cold solve — its market is induced afresh from the batch's residual
+//! capacities, so there is no topology to keep a solver for. Three
+//! properties the dispatch loop depends on:
 //!
 //! 1. **Work stealing, largest first.** Jobs are sorted by estimated size
 //!    (sub-market edge count) descending and dealt round-robin onto
@@ -31,7 +38,7 @@
 //! `mbta_service_pool_thread_busy_ms{thread="i"}` histograms whose spread
 //! shows how well stealing balanced the batch.
 
-use mbta_core::engine::{solve_robust, EngineConfig, EngineError, EngineSolution};
+use mbta_core::engine::{solve_carried, Carried, EngineConfig, EngineError, EngineSolution};
 use mbta_graph::BipartiteGraph;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -39,7 +46,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// One shard's solve request: everything the engine needs, owned or
-/// immutably borrowed, so the job can move to a worker thread.
+/// borrowed (the carried solver exclusively — jobs are per shard, so those
+/// borrows are disjoint), so the job can move to a worker thread.
 pub struct ShardJob<'g> {
     /// Shard index in the plan (merge key; results come back sorted by it).
     pub shard: usize,
@@ -50,6 +58,9 @@ pub struct ShardJob<'g> {
     /// Engine configuration, including the batch's shared deadline and any
     /// poison pre-cancellation.
     pub config: EngineConfig,
+    /// The exact stage: the shard's carried solver and the matching that
+    /// seeds it, or `None` for a one-shot cold solve (the rescue market).
+    pub carried: Option<Carried<'g>>,
     /// Size estimate used for largest-first scheduling (edge count of the
     /// sub-market; static, but monotone in actual solve cost).
     pub est_size: usize,
@@ -86,16 +97,20 @@ pub struct BatchSolve {
 ///
 /// ```
 /// use mbta_core::engine::EngineConfig;
+/// use mbta_core::warm::WarmSolver;
 /// use mbta_graph::random::from_edges;
+/// use mbta_matching::Matching;
 /// use mbta_service::pool::{ShardJob, SolvePool};
 ///
 /// let g = from_edges(&[1, 1], &[1, 1], &[(0, 0, 0.9, 0.9), (1, 1, 0.5, 0.5)]);
 /// let pool = SolvePool::new(2);
+/// let mut solver = WarmSolver::new(&g);
 /// let jobs = vec![ShardJob {
 ///     shard: 0,
 ///     graph: &g,
 ///     weights: vec![0.9, 0.5],
 ///     config: EngineConfig::new(),
+///     carried: Some((&mut solver, Matching::empty())),
 ///     est_size: g.n_edges(),
 /// }];
 /// let batch = pool.solve(jobs);
@@ -243,7 +258,7 @@ fn solve_stealing(threads: usize, mut jobs: Vec<ShardJob<'_>>) -> BatchSolve {
 /// Runs one job on the current thread, timing it.
 fn run_job(job: ShardJob<'_>) -> ShardOutcome {
     let start = Instant::now();
-    let result = solve_robust(job.graph, &job.weights, &job.config);
+    let result = solve_carried(job.graph, &job.weights, &job.config, job.carried);
     ShardOutcome {
         shard: job.shard,
         result,
@@ -263,7 +278,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbta_core::warm::WarmSolver;
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
+    use mbta_matching::Matching;
     use mbta_util::{CancelToken, Deadline};
 
     fn market(seed: u64, workers: usize) -> (BipartiteGraph, Vec<f64>) {
@@ -281,15 +298,22 @@ mod tests {
         (g, w)
     }
 
-    fn jobs_for<'g>(markets: &'g [(BipartiteGraph, Vec<f64>)]) -> Vec<ShardJob<'g>> {
-        markets
-            .iter()
-            .enumerate()
-            .map(|(i, (g, w))| ShardJob {
+    fn solvers_for(markets: &[(BipartiteGraph, Vec<f64>)]) -> Vec<WarmSolver> {
+        markets.iter().map(|(g, _)| WarmSolver::new(g)).collect()
+    }
+
+    fn jobs_for<'g>(
+        markets: &'g [(BipartiteGraph, Vec<f64>)],
+        solvers: &'g mut [WarmSolver],
+    ) -> Vec<ShardJob<'g>> {
+        let shards = markets.iter().zip(solvers).enumerate();
+        shards
+            .map(|(i, ((g, w), solver))| ShardJob {
                 shard: i,
                 graph: g,
                 weights: w.clone(),
                 config: EngineConfig::new(),
+                carried: Some((solver, Matching::empty())),
                 est_size: g.n_edges(),
             })
             .collect()
@@ -308,8 +332,9 @@ mod tests {
         let markets: Vec<_> = (0..6)
             .map(|i| market(100 + i, 20 + 30 * i as usize))
             .collect();
-        let seq = SolvePool::new(1).solve(jobs_for(&markets));
-        let par = SolvePool::new(4).solve(jobs_for(&markets));
+        let (mut s1, mut s4) = (solvers_for(&markets), solvers_for(&markets));
+        let seq = SolvePool::new(1).solve(jobs_for(&markets, &mut s1));
+        let par = SolvePool::new(4).solve(jobs_for(&markets, &mut s4));
         assert_eq!(seq.steals, 0, "inline path cannot steal");
         assert_eq!(seq.outcomes.len(), par.outcomes.len());
         for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
@@ -324,7 +349,8 @@ mod tests {
     #[test]
     fn more_workers_than_jobs_is_fine() {
         let markets: Vec<_> = (0..2).map(|i| market(7 + i, 40)).collect();
-        let batch = SolvePool::new(8).solve(jobs_for(&markets));
+        let mut solvers = solvers_for(&markets);
+        let batch = SolvePool::new(8).solve(jobs_for(&markets, &mut solvers));
         assert_eq!(batch.outcomes.len(), 2);
         for o in &batch.outcomes {
             assert!(o.result.is_ok());
@@ -339,10 +365,12 @@ mod tests {
         let markets: Vec<_> = (0..8)
             .map(|i| market(50 + i, if i == 0 { 400 } else { 16 }))
             .collect();
+        let mut solvers = solvers_for(&markets);
         let mut total_steals = 0;
-        for round in 0..5 {
-            let _ = round;
-            total_steals += SolvePool::new(4).solve(jobs_for(&markets)).steals;
+        for _ in 0..5 {
+            total_steals += SolvePool::new(4)
+                .solve(jobs_for(&markets, &mut solvers))
+                .steals;
         }
         assert!(total_steals > 0, "no steal in 5 rounds of a skewed batch");
     }
@@ -352,7 +380,8 @@ mod tests {
         let markets: Vec<_> = (0..4).map(|i| market(9 + i, 60)).collect();
         let expired = Deadline::after_ms(0);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let mut jobs = jobs_for(&markets);
+        let mut solvers = solvers_for(&markets);
+        let mut jobs = jobs_for(&markets, &mut solvers);
         for job in &mut jobs {
             job.config = job.config.clone().with_deadline_at(expired);
         }

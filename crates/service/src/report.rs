@@ -95,10 +95,15 @@ pub struct ServiceReport {
     pub online_fallbacks: u64,
     /// Depth-1 exchanges that displaced a weaker assigned edge.
     pub online_exchanges: u64,
-    /// Warm-solver re-solves across all shards and plan epochs.
+    /// Online-mode exact solves (fallbacks and the closing drain) through
+    /// the shards' carried solvers, across all shards and plan epochs.
+    /// Always 0 in batch mode, whose shard solves run on the same solvers
+    /// but are already counted in `solves` / `tier_exact` (the
+    /// `mbta_core_warm_solves_total` counter has both).
     pub online_warm_solves: u64,
-    /// Warm-solver runs that completed by repairing the carried
-    /// potentials around the seeded flow (not cold, not interrupted).
+    /// Of those, runs that completed by repairing the carried potentials
+    /// around the seeded flow (not cold, not interrupted). Online-only
+    /// and 0 in batch mode, like `online_warm_solves`.
     pub online_warm_hits: u64,
     /// Median per-event online decision latency (wall-clock ms).
     pub p50_online_ms: f64,

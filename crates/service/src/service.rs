@@ -2,9 +2,10 @@
 //!
 //! [`DispatchService`] is the long-running loop this crate exists for:
 //!
-//! * **Core** — per-shard [`IncrementalAssignment`]s over the current
-//!   [`ShardPlan`] plus the plan-independent `RunState` (budget, pool,
-//!   ingress queue, store, live weights, and the run counters,
+//! * **Core** — per-shard [`IncrementalAssignment`]s and carried exact
+//!   solvers (the one exact tier both modes re-solve through) over the
+//!   current [`ShardPlan`], plus the plan-independent `RunState` (budget,
+//!   pool, ingress queue, store, live weights, and the run counters,
 //!   accumulated directly into a [`ServiceReport`]). The single place an
 //!   event is routed and applied; `RunState` is what a re-plan
 //!   ([`DispatchService::detach`] → [`DispatchService::resume`]) moves
@@ -24,12 +25,25 @@
 //! ```text
 //!  producers --offer--> BoundedQueue --pump--> Mode
 //!    Batch:  Batcher --flush--> route + apply churn (greedy repair), then
-//!            solve_robust per touched shard via the SolvePool, racing one
-//!            shared deadline; adopt improvements; [boundary rescue]
+//!            per touched shard, via the SolvePool, the engine chain whose
+//!            exact stage is the shard's carried solver seeded with the
+//!            repaired assignment, racing one shared deadline; adopt
+//!            improvements; [boundary rescue: one cold solve]
 //!    Online: route + apply one event, depth-1 exchange, drift accounting,
-//!            warm exact fallback past the threshold
+//!            past the threshold re-solve on the same carried solver
 //!                 --> commit: seq + tallies --> WAL --> DecisionSink
 //! ```
+//!
+//! **One exact tier.** A shard's market changes by a batch of events
+//! between exact solves, so neither mode builds and cold-solves a flow
+//! network per solve: the core keeps one `WarmSolver` per shard (built at
+//! the shard's first exact solve, dropped with the plan) and every exact
+//! solve — a batch's stage 3 on whichever pool thread runs the shard's
+//! job, an online fallback inline — repairs the duals it carries around
+//! the shard's current assignment. Only the boundary-rescue market, whose
+//! topology is induced afresh from each batch's residuals, builds a
+//! network per solve; batches under a wall-clock budget keep the network
+//! and drop the duals (budget policy, below).
 //!
 //! **Capacity safety.** Shards are node-disjoint ([`ShardPlan`]), so each
 //! worker's capacity is managed by exactly one `IncrementalAssignment`,
@@ -40,19 +54,30 @@
 //!
 //! **Degradation isolation.** A poisoned shard ([`DispatchService::poison_shard`])
 //! gets a pre-cancelled [`CancelToken`], so its solves return the greedy
-//! floor immediately ([`QualityTier::Degraded`]) — it can never stall the
-//! batch loop or its sibling shards, and every degraded solve is counted
-//! per shard.
+//! floor immediately ([`QualityTier::Degraded`]) without reaching its
+//! carried solver — it can never stall the batch loop or its sibling
+//! shards, every degraded solve is counted per shard, and the first
+//! healed solve re-solves warm from the duals the last healthy one left.
 //!
 //! **Determinism.** Under [`BudgetMode::Deterministic`] every solve runs
 //! unbudgeted, so each shard's result is a pure function of the input
-//! events; the [`SolvePool`] merges results in shard-index order, so the
-//! decision stream is too — replaying a trace twice produces
-//! byte-identical decision logs **at any thread count**.
+//! events (its carried solver sees that shard's solves only, in batch
+//! order, on whichever thread); the [`SolvePool`] merges results in
+//! shard-index order, so the decision stream is too — replaying a trace
+//! twice produces byte-identical decision logs **at any thread count**.
 //! [`BudgetMode::Wallclock`] trades that for bounded batch latency: the
 //! budget is one absolute deadline every touched shard races, *never
 //! split* — unused budget flows to whoever can still use it, at the cost
-//! of ordering sensitivity in sequential runs (DESIGN.md §10.2).
+//! of ordering sensitivity in sequential runs (DESIGN.md §10.2). A
+//! budgeted batch solve starts cold on its shard's kept network: a cut
+//! solve forfeits its duals, so duals carried between budgeted batches
+//! last until the first cut, and on a market whose cold solve does not
+//! fit the budget that one timing event decides whether every later batch
+//! finishes early or runs into its deadline — the same trace took 1.2 s
+//! or 2.4 s. The budget is the rate knob; nothing timing-dependent may
+//! outlive the batch it was measured in. (Online fallbacks keep their
+//! duals under a budget: their shards are small, and the next cold solve
+//! that fits re-primes them.)
 
 use crate::batch::{BatchConfig, Batcher, ClosedBatch, FlushReason};
 use crate::event::{Arrival, ServiceEvent};
@@ -64,6 +89,7 @@ use crate::shard::{capacity_violations, Route, ShardPlan, UNMAPPED};
 use crate::sink::{canonical_order, Action, BatchStats, Decision, DecisionSink};
 use mbta_core::engine::{EngineConfig, QualityTier};
 use mbta_core::incremental::IncrementalAssignment;
+use mbta_core::warm::WarmSolver;
 use mbta_graph::subgraph::{induce, SubgraphSpec};
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
 use mbta_matching::Matching;
@@ -198,6 +224,11 @@ struct Core<'p> {
     universe: &'p BipartiteGraph,
     plan: &'p ShardPlan,
     states: Vec<IncrementalAssignment<'p>>,
+    /// Each shard's carried exact solver — the one exact tier of both
+    /// modes. Bound to the plan's topology, so a re-plan drops them all;
+    /// built at a shard's first exact solve ([`solver_for`]), so set-up
+    /// pays nothing for shards that never solve.
+    solvers: Vec<Option<WarmSolver>>,
     /// Live intra/cross weight split for drift-driven re-planning.
     cut: CutTracker,
     run: RunState,
@@ -466,10 +497,13 @@ impl<'p> Core<'p> {
         }
     }
 
-    /// Whether shard `s` has nothing an exact solver could work with.
-    fn shard_degenerate(&self, s: usize) -> bool {
-        let g = &self.plan.shards[s].sub.graph;
-        g.n_edges() == 0 || g.n_workers() == 0 || g.n_tasks() == 0
+    /// Online mode, as the plan ends (re-plan or finish): folds the
+    /// solvers' lifetime counters into the report's online-only totals.
+    fn fold_warm_stats(&mut self) {
+        for stats in self.solvers.iter().flatten().map(WarmSolver::stats) {
+            self.run.report.online_warm_solves += stats.solves;
+            self.run.report.online_warm_hits += stats.warm_hits;
+        }
     }
 
     /// Adopts a solver's matching for shard `s` when it beats the
@@ -586,33 +620,46 @@ impl<'p> Core<'p> {
         }
 
         // Pass 3: re-solve each touched shard's active sub-market via the
-        // worker pool. The batch budget is *shared*: one absolute deadline
-        // for every shard solve (see the module docs' budget policy), so
-        // sequential runs carry unused budget forward and concurrent runs
-        // race the same instant.
+        // worker pool, through the shard's carried solver seeded with the
+        // repaired assignment — the exact stage pays for what this batch's
+        // events moved, not for a network build and a cold solve. The
+        // batch budget is *shared*: one absolute deadline for every shard
+        // solve (see the module docs' budget policy), so sequential runs
+        // carry unused budget forward and concurrent runs race the same
+        // instant.
         let batch_deadline = self.run.budget.deadline(|ms| ms);
         let solve_start = Instant::now();
         // Jobs are built in ascending shard order; with `threads = 1` the
         // pool runs them inline in exactly this order (the sequential
         // dispatch path), otherwise it reorders largest-first internally
         // but still merges results back in shard order.
+        let plan = self.plan;
         let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(touched.len());
-        for &s in &touched {
-            if self.shard_degenerate(s) {
+        let slots = self.solvers.iter_mut().enumerate();
+        for (s, slot) in slots.filter(|&(s, _)| seen[s]) {
+            if plan.degenerate(s) {
                 continue;
             }
+            let graph = &plan.shards[s].sub.graph;
             let mut config = engine_config(batch_deadline);
             if self.run.poisoned[s] {
                 let token = CancelToken::new();
                 token.cancel();
                 config = config.with_cancel(token);
             }
-            let graph = &self.plan.shards[s].sub.graph;
+            let solver = solver_for(slot, graph);
+            // Budgeted batches start cold, on the kept network: duals that
+            // last until the first deadline cut let one solve's timing set
+            // the pace of every batch after it (module docs, Determinism).
+            if batch_deadline.is_some() {
+                solver.invalidate();
+            }
             jobs.push(ShardJob {
                 shard: s,
                 graph,
                 weights: self.states[s].active_weights(),
                 config,
+                carried: Some((solver, self.states[s].matching())),
                 est_size: graph.n_edges(),
             });
         }
@@ -771,6 +818,9 @@ impl<'p> Core<'p> {
                 graph: &sub.graph,
                 weights: sub.project_weights(&self.run.live_weights),
                 config: engine_config(self.run.budget.deadline(|ms| ms / 4 + 1)),
+                // The residual market is induced afresh every batch: there
+                // is no topology to carry a solver across.
+                carried: None,
                 est_size: sub.graph.n_edges(),
             });
             self.run.report.rescue_solves += 1;
@@ -872,19 +922,19 @@ impl<'p> Core<'p> {
         }
         self.run.report.online_events += 1;
         mbta_telemetry::counter_add("mbta_service_online_events_total", 1);
-        rt.shards[s].acc += drift;
+        rt.acc[s] += drift;
         let due = rt.fallback_due(s, self.states[s].total_weight());
 
         // Drift fallback: warm-started exact re-solve of the shard, under
         // the same budget a batch gets — the event is on the latency
         // path. A poisoned shard resets its accumulator without solving:
         // it stays on the greedy floor, like its batch behavior.
-        let fell_back = due && !self.run.poisoned[s] && !self.shard_degenerate(s);
+        let fell_back = due && !self.run.poisoned[s] && !self.plan.degenerate(s);
         if fell_back {
             self.warm_solve_shard(rt, s, self.run.budget.deadline(|ms| ms));
         }
         if fell_back || (due && self.run.poisoned[s]) {
-            rt.shards[s].acc = 0.0;
+            rt.acc[s] = 0.0;
             self.run.report.online_fallbacks += 1;
             mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
         }
@@ -917,9 +967,10 @@ impl<'p> Core<'p> {
             SolveCtl::unlimited().with_deadline(d)
         });
         let aw = self.states[s].active_weights();
-        let warm = &mut rt.shards[s].warm;
+        let graph = &self.plan.shards[s].sub.graph;
+        let warm = solver_for(&mut self.solvers[s], graph);
         warm.seed(self.states[s].matching());
-        let m = warm.solve(&self.plan.shards[s].sub.graph, &aw, &ctl);
+        let (m, _) = warm.solve(graph, &aw, &ctl);
         self.adopt(s, &m, m.total_weight(&aw));
         self.states[s].drain_log_into(&mut rt.scratch.flips);
     }
@@ -956,7 +1007,7 @@ impl<'p> Core<'p> {
             let st = &self.states[s];
             let live = st.graph().workers().any(|w| st.worker_active(w))
                 && st.graph().tasks().any(|t| st.task_active(t));
-            if !live || self.run.poisoned[s] || self.shard_degenerate(s) {
+            if !live || self.run.poisoned[s] || self.plan.degenerate(s) {
                 continue;
             }
             let t0 = Instant::now();
@@ -965,7 +1016,7 @@ impl<'p> Core<'p> {
             // would truncate the one solve whose whole point is to converge.
             rt.scratch.flips.clear();
             self.warm_solve_shard(rt, s, None);
-            rt.shards[s].acc = 0.0;
+            rt.acc[s] = 0.0;
             self.run.report.online_fallbacks += 1;
             mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
             self.online_decisions(&mut rt.scratch, s);
@@ -1003,7 +1054,7 @@ impl<'p> DispatchService<'p> {
                 for st in &mut states {
                     st.enable_log();
                 }
-                Mode::Online(OnlineRuntime::new(oc, plan))
+                Mode::Online(OnlineRuntime::new(oc, n))
             }
             None => Mode::Batch {
                 batcher: Batcher::new(cfg.batch),
@@ -1033,6 +1084,7 @@ impl<'p> DispatchService<'p> {
                 universe,
                 plan,
                 states,
+                solvers: vec![None; n],
                 cut,
                 run,
             },
@@ -1171,7 +1223,7 @@ impl<'p> DispatchService<'p> {
             }
             Mode::Online(rt) => {
                 core.drain_online(rt, sink);
-                rt.unbind(&mut core.run.report);
+                core.fold_warm_stats();
                 let report = &mut core.run.report;
                 report.p50_online_ms = rt.lat.quantile(0.5);
                 report.p99_online_ms = rt.lat.quantile(0.99);
@@ -1308,7 +1360,7 @@ impl<'p> DispatchService<'p> {
                     assigned.extend(r.overlay.drain(..).map(|e| (e, rescue_shard)));
                 }
             }
-            Mode::Online(rt) => rt.unbind(&mut core.run.report),
+            Mode::Online(_) => core.fold_warm_stats(),
         }
         assigned.sort_unstable_by_key(|&(e, _)| e);
         CarriedState {
@@ -1396,13 +1448,12 @@ impl<'p> DispatchService<'p> {
             }
             // Re-arm the flip logs only after the migration reseeds (the
             // migration is committed as a plan record, not as per-event
-            // decisions) and rebuild the warm/drift state for the new
-            // topology.
+            // decisions) and restart drift accounting on the new shards.
             Mode::Online(rt) => {
                 for st in &mut states {
                     st.enable_log();
                 }
-                rt.bind(plan);
+                rt.acc = vec![0.0; n];
             }
         }
 
@@ -1429,6 +1480,7 @@ impl<'p> DispatchService<'p> {
             universe,
             plan,
             states,
+            solvers: vec![None; n],
             cut,
             run,
         };
@@ -1476,6 +1528,12 @@ fn worker_live(plan: &ShardPlan, states: &[IncrementalAssignment<'_>], w: Worker
 /// Whether universe task `t` is live in its shard.
 fn task_live(plan: &ShardPlan, states: &[IncrementalAssignment<'_>], t: TaskId) -> bool {
     states[plan.task_shard[t.index()] as usize].task_active(TaskId::new(plan.task_local[t.index()]))
+}
+
+/// The one place a shard's carried solver is built: on first use, for the
+/// shard graph `g` of the current plan.
+fn solver_for<'a>(slot: &'a mut Option<WarmSolver>, g: &BipartiteGraph) -> &'a mut WarmSolver {
+    slot.get_or_insert_with(|| WarmSolver::new(g))
 }
 
 fn engine_config(deadline: Option<Deadline>) -> EngineConfig {
@@ -1685,6 +1743,10 @@ mod tests {
                 None => DispatchService::new(g, &plan, cfg.clone()),
                 Some(c) => DispatchService::resume(g, &plan, c, &mut sink),
             };
+            // A solver is bound to one plan's shard topology (a stale one
+            // could match a new shard's edge count and solve the wrong
+            // network): no epoch starts with one.
+            assert!(svc.core.solvers.iter().all(Option::is_none));
             while idx < events.len() {
                 let a = events[idx];
                 while let OfferOutcome::Deferred = svc.offer(a) {
@@ -1695,6 +1757,11 @@ mod tests {
                 if svc.replan_due() {
                     break;
                 }
+            }
+            // So within an epoch each shard's first exact solve is cold,
+            // and — unbudgeted — every later one repairs the carried duals.
+            for stats in svc.core.solvers.iter().flatten().map(WarmSolver::stats) {
+                assert_eq!(stats.solves - stats.warm_hits, 1, "{stats:?}");
             }
             if idx >= events.len() {
                 break svc.finish(&mut sink);
@@ -1837,6 +1904,71 @@ mod tests {
             report.degraded_by_shard[0] as usize
         );
         assert!(report.tier_exact > 0, "siblings should still reach exact");
+    }
+
+    /// The carried solver across poison → heal: a poisoned shard's batches
+    /// return the floor without reaching its solver (stage 3 is not entered
+    /// on a stopped `ctl`), and the first healed batch re-solves from the
+    /// duals the last healthy solve left — a warm hit, and exact.
+    #[test]
+    fn poisoned_batches_leave_the_carried_solver_for_the_healed_solve() {
+        use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 1, Routing::HashId);
+        let events = stream(&g, 31);
+        let mut svc = DispatchService::new(&g, &plan, deterministic_cfg());
+        let mut sink = CollectSink::default();
+        let solver_stats =
+            |svc: &DispatchService<'_>| svc.core.solvers[0].as_ref().unwrap().stats();
+        let (healthy, rest) = events.split_at(events.len() / 3);
+        let (poisoned, healed) = rest.split_at(rest.len() / 2);
+
+        for &a in healthy {
+            svc.submit(a, &mut sink);
+        }
+        let primed = solver_stats(&svc);
+        assert!(primed.solves >= 2, "{primed:?}");
+        assert_eq!(
+            primed.solves - primed.warm_hits,
+            1,
+            "only the first is cold"
+        );
+
+        svc.poison_shard(0);
+        for &a in poisoned {
+            svc.submit(a, &mut sink);
+        }
+        assert!(svc.core.run.report.degraded_by_shard[0] > 0);
+        assert_eq!(
+            solver_stats(&svc),
+            primed,
+            "a poisoned batch reached the solver"
+        );
+
+        svc.heal_shard(0);
+        let committed = sink.batches.len();
+        let mut healed = healed.iter();
+        while sink.batches.len() == committed {
+            svc.submit(*healed.next().expect("a batch closes"), &mut sink);
+        }
+        let after = solver_stats(&svc);
+        assert_eq!(after.solves, primed.solves + 1);
+        assert_eq!(
+            after.warm_hits,
+            primed.warm_hits + 1,
+            "healed solve ran cold"
+        );
+        assert_eq!(sink.batches[committed].worst_tier, Some(QualityTier::Exact));
+        let aw = svc.core.states[0].active_weights();
+        let graph = &plan.shards[0].sub.graph;
+        let (cold, _) =
+            max_weight_bmatching(graph, &aw, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+        let (have, opt) = (svc.core.states[0].total_weight(), cold.total_weight(&aw));
+        assert!(
+            mbta_util::fixed::objectives_close(have, opt, graph.n_edges()),
+            "healed shard holds {have}, optimum {opt}"
+        );
+        assert_eq!(svc.finish(&mut sink).capacity_violations, 0);
     }
 
     #[test]
@@ -2059,6 +2191,12 @@ mod tests {
             let (sink, report) = run_epochs(&g, &w, &cfg, &events);
             assert!(report.replans > 0, "threshold 1e-6 never fired");
             assert_eq!(report.capacity_violations, 0);
+            // Every shard solve, before and after each migration, reached
+            // the exact tier — through the carried solvers, which batch
+            // mode does not report as online warm solves.
+            assert!(report.solves > 0);
+            assert_eq!(report.tier_exact, report.solves);
+            assert_eq!(report.online_warm_solves, 0);
             assert_eq!(report.events_in, events.len() as u64);
             assert_eq!(
                 report.events_in,
@@ -2154,6 +2292,28 @@ mod tests {
         assert!(report.solves > 0);
         // Every batch respected the count watermark.
         assert!(sink.batches.iter().all(|b| b.events <= 32));
+    }
+
+    /// Under a wall-clock budget no batch solve leans on the one before it:
+    /// each starts cold on the shard's kept network, so how long a batch
+    /// takes never depends on whether the last one beat its deadline.
+    #[test]
+    fn wallclock_batches_start_cold_on_the_kept_network() {
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 1, Routing::HashId);
+        let mut cfg = deterministic_cfg();
+        cfg.budget = BudgetMode::Wallclock(3_600_000);
+        let mut svc = DispatchService::new(&g, &plan, cfg);
+        let mut sink = CollectSink::default();
+        for &a in &stream(&g, 31) {
+            svc.submit(a, &mut sink);
+        }
+        let stats = svc.core.solvers[0].as_ref().unwrap().stats();
+        assert!(stats.solves >= 2, "{stats:?}");
+        assert_eq!(stats.warm_hits, 0, "a budgeted batch solve ran warm");
+        let report = svc.finish(&mut sink);
+        assert_eq!(report.tier_exact, report.solves, "ample budget: all exact");
+        assert_eq!(report.capacity_violations, 0);
     }
 
     fn online_cfg(drift_threshold: f64) -> ServiceConfig {
@@ -2296,6 +2456,8 @@ mod tests {
         assert!(report.replans > 0, "threshold 1e-6 never fired");
         assert_eq!(report.capacity_violations, 0);
         assert!(report.online_events > 0);
+        // Each epoch's solver counters were folded in as its plan ended.
+        assert_eq!(report.online_warm_solves, report.online_fallbacks);
         assert_watermark_adds_up(&report);
         assert_eq!(net_assignments(&sink), report.final_assignments as i64);
     }

@@ -313,6 +313,12 @@ impl ShardPlan {
     pub fn n_shards(&self) -> usize {
         self.shards.len()
     }
+
+    /// Whether shard `s` has nothing an exact solver could work with.
+    pub(crate) fn degenerate(&self, s: usize) -> bool {
+        let g = &self.shards[s].sub.graph;
+        g.n_edges() == 0 || g.n_workers() == 0 || g.n_tasks() == 0
+    }
 }
 
 /// The one feasibility audit: counts what makes `edges` — universe edge

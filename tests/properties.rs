@@ -16,6 +16,10 @@ use mbta::matching::local_search::local_search;
 use mbta::matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
 use mbta::matching::online::{online_assign, OnlinePolicy};
 use mbta::matching::stable::{deferred_acceptance, find_blocking_pair};
+use mbta::service::{
+    Action, Arrival, BatchConfig, BatchStats, BudgetMode, Decision, DecisionSink, DispatchService,
+    Routing, ServiceConfig, ServiceEvent, ShardPlan, WriteSink,
+};
 use mbta::util::fixed::objectives_close;
 use proptest::prelude::*;
 
@@ -67,6 +71,120 @@ fn instance(max_side: usize, max_cap: u32) -> impl Strategy<Value = Instance> {
 fn mb_weights(g: &BipartiteGraph) -> Vec<f64> {
     let c = Combiner::balanced();
     g.edges().map(|e| c.combine(g.rb(e), g.wb(e))).collect()
+}
+
+/// A service trace over `g`: everyone joins and every task is posted, then
+/// `ops` churns the market (join / leave / post / cancel / complete /
+/// benefit drift), four events per unit of stream time.
+fn service_trace(g: &BipartiteGraph, ops: &[(u8, usize, f64)]) -> Vec<Arrival> {
+    let workers = (0..g.n_workers() as u32).map(ServiceEvent::WorkerJoin);
+    let tasks = (0..g.n_tasks() as u32).map(ServiceEvent::TaskPost);
+    let churn = ops.iter().map(|&(kind, idx, weight)| {
+        let (w, t) = ((idx % g.n_workers()) as u32, (idx % g.n_tasks()) as u32);
+        match kind {
+            0 => ServiceEvent::WorkerJoin(w),
+            1 => ServiceEvent::WorkerLeave(w),
+            2 => ServiceEvent::TaskPost(t),
+            3 => ServiceEvent::TaskCancel(t),
+            4 => ServiceEvent::TaskComplete(t),
+            _ => ServiceEvent::BenefitUpdate {
+                edge: (idx % g.n_edges()) as u32,
+                weight,
+            },
+        }
+    });
+    let events = workers.chain(tasks).chain(churn).enumerate();
+    events
+        .map(|(i, event)| Arrival {
+            time: i as f64 * 0.25,
+            event,
+        })
+        .collect()
+}
+
+/// A sink that audits a batch service from outside: liveness and weights
+/// are mirrored from the offered events (each commit says how many it
+/// consumed), the assignment from the decision stream, and after every
+/// commit each shard must hold the cold optimum of its active sub-market.
+struct ShardAudit<'a> {
+    g: &'a BipartiteGraph,
+    plan: &'a ShardPlan,
+    events: &'a [Arrival],
+    applied: usize,
+    worker_on: Vec<bool>,
+    task_on: Vec<bool>,
+    live: Vec<f64>,
+    assigned: Vec<bool>,
+    log: WriteSink<Vec<u8>>,
+    failure: Option<String>,
+}
+
+impl<'a> ShardAudit<'a> {
+    fn new(g: &'a BipartiteGraph, plan: &'a ShardPlan, events: &'a [Arrival]) -> Self {
+        ShardAudit {
+            g,
+            plan,
+            events,
+            applied: 0,
+            worker_on: vec![false; g.n_workers()],
+            task_on: vec![false; g.n_tasks()],
+            live: plan.universe_weights.clone(),
+            assigned: vec![false; g.n_edges()],
+            log: WriteSink::new(Vec::new()),
+            failure: None,
+        }
+    }
+}
+
+impl DecisionSink for ShardAudit<'_> {
+    fn on_batch(&mut self, stats: &BatchStats, decisions: &[Decision]) {
+        self.log.on_batch(stats, decisions);
+        for a in &self.events[self.applied..self.applied + stats.events] {
+            match a.event {
+                ServiceEvent::WorkerJoin(w) => self.worker_on[w as usize] = true,
+                ServiceEvent::WorkerLeave(w) => self.worker_on[w as usize] = false,
+                ServiceEvent::TaskPost(t) => self.task_on[t as usize] = true,
+                ServiceEvent::TaskCancel(t) | ServiceEvent::TaskComplete(t) => {
+                    self.task_on[t as usize] = false
+                }
+                ServiceEvent::BenefitUpdate { edge, weight } => self.live[edge as usize] = weight,
+            }
+        }
+        self.applied += stats.events;
+        for d in decisions {
+            self.assigned[d.edge as usize] = d.action == Action::Assign;
+        }
+        for (s, slice) in self.plan.shards.iter().enumerate() {
+            let sub = &slice.sub;
+            if sub.graph.n_edges() == 0 {
+                continue;
+            }
+            let active = |e: &mbta::graph::EdgeId| {
+                self.worker_on[self.g.worker_of(*e).index()]
+                    && self.task_on[self.g.task_of(*e).index()]
+            };
+            let back = sub.edge_back.iter();
+            let w: Vec<f64> = back
+                .map(|e| if active(e) { self.live[e.index()] } else { 0.0 })
+                .collect();
+            let assigned = sub.edge_back.iter().filter(|e| self.assigned[e.index()]);
+            let stale = assigned.clone().filter(|e| !active(e)).count();
+            let held: f64 = assigned.map(|e| self.live[e.index()]).sum();
+            let (cold, _) = max_weight_bmatching(
+                &sub.graph,
+                &w,
+                FlowMode::FreeCardinality,
+                PathAlgo::Dijkstra,
+            );
+            let opt = cold.total_weight(&w);
+            if stale > 0 || !objectives_close(held, opt, w.len()) {
+                self.failure.get_or_insert(format!(
+                    "batch {} shard {s}: holds {held} ({stale} on departed nodes), optimum {opt}",
+                    stats.seq
+                ));
+            }
+        }
+    }
 }
 
 proptest! {
@@ -363,6 +481,61 @@ proptest! {
             // The service adopts the solve into its incremental state.
             prev = positive(&m, &w);
             prop_assert!(inc.reseed(&prev).is_ok());
+        }
+    }
+
+    /// Batch dispatch runs its exact tier on each shard's carried solver:
+    /// after every committed batch every shard holds the cold optimum of
+    /// its active sub-market, the decision bytes do not depend on the
+    /// thread count, and every exact solve but a shard's first is a warm
+    /// hit (the counter stays 0 when batches cold-solve a fresh network).
+    #[test]
+    fn batch_service_stays_exact_on_carried_solvers(
+        inst in instance(6, 3),
+        ops in proptest::collection::vec((0u8..8, 0usize..36, 0.0f64..=1.0), 16..56),
+    ) {
+        let g = inst.graph();
+        if g.n_edges() == 0 {
+            return Ok(()); // no market to dispatch
+        }
+        let weights = mb_weights(&g);
+        let events = service_trace(&g, &ops);
+        let hits = mbta::telemetry::global().counter("mbta_core_warm_hits_total");
+        for shards in [1usize, 4] {
+            let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
+            let mut logs = Vec::new();
+            for threads in [1usize, 4] {
+                let cfg = ServiceConfig {
+                    batch: BatchConfig { max_events: 8, max_bytes: 1 << 20, flush_interval: 1.5 },
+                    budget: BudgetMode::Deterministic,
+                    threads,
+                    ..ServiceConfig::default()
+                };
+                let before = hits.get();
+                let mut svc = DispatchService::new(&g, &plan, cfg);
+                let mut audit = ShardAudit::new(&g, &plan, &events);
+                for &a in &events {
+                    svc.submit(a, &mut audit);
+                }
+                let report = svc.finish(&mut audit);
+                prop_assert_eq!(audit.applied, events.len());
+                prop_assert!(
+                    audit.failure.is_none(),
+                    "{} shards, {} threads: {:?}", shards, threads, audit.failure
+                );
+                prop_assert_eq!(report.capacity_violations, 0);
+                prop_assert_eq!(report.tier_exact, report.solves);
+                // One whole-market shard is solved by every batch, and only
+                // a shard's first solve has no duals to repair.
+                prop_assert!(shards > 1 || report.solves >= 2);
+                let warm = hits.get() - before;
+                prop_assert!(
+                    warm >= report.solves.saturating_sub(shards as u64),
+                    "{} warm hits in {} solves over {} shards", warm, report.solves, shards
+                );
+                logs.push(audit.log.into_inner());
+            }
+            prop_assert_eq!(&logs[0], &logs[1], "decisions depend on the thread count");
         }
     }
 
