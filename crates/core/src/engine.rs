@@ -320,7 +320,7 @@ pub fn solve_robust(
     weights: &[f64],
     config: &EngineConfig,
 ) -> Result<EngineSolution, EngineError> {
-    solve_carried(g, weights, config, None)
+    solve_with(g, weights, config, None)
 }
 
 /// A long-lived shard's exact stage: the [`WarmSolver`] built for the
@@ -328,15 +328,25 @@ pub fn solve_robust(
 /// shard's assignment after the batch's churn repair).
 pub type Carried<'a> = (&'a mut WarmSolver, Matching);
 
-/// [`solve_robust`] with the exact stage chosen by the caller: `None` is
-/// the one-shot cold solve, `Some` re-solves through the shard's carried
-/// solver, which pays for what moved since its last solve instead of for a
-/// network build and a cold solve. Validation, budgets, tier tagging and
-/// the adoption rule are the same chain either way (`config.algo` applies
-/// to the cold solve only; the carried solver is Dijkstra on its kept
+/// [`solve_robust`] with the exact stage re-solved through the shard's
+/// carried solver, which pays for what moved since its last solve instead
+/// of for a network build and a cold solve — the one-shot cold solve is
+/// [`solve_robust`]'s alone. Validation, budgets, tier tagging and the
+/// adoption rule are the same chain either way (`config.algo` applies to
+/// the cold solve only; the carried solver is Dijkstra on its kept
 /// potentials). A stopped `ctl` never reaches the solver, and a solve the
 /// budget cuts short forfeits the carried duals: its next solve runs cold.
 pub fn solve_carried(
+    g: &BipartiteGraph,
+    weights: &[f64],
+    config: &EngineConfig,
+    carried: Carried<'_>,
+) -> Result<EngineSolution, EngineError> {
+    solve_with(g, weights, config, Some(carried))
+}
+
+/// The one entry: `carried` picks the exact stage.
+fn solve_with(
     g: &BipartiteGraph,
     weights: &[f64],
     config: &EngineConfig,
@@ -425,10 +435,7 @@ fn solve_chain(
     if config.exact_only || !ctl.stop_requested() {
         let _exact = mbta_telemetry::span!("mbta_core_engine_exact");
         let (exact, completed) = match carried {
-            Some((solver, seed)) => {
-                solver.seed(seed);
-                solver.solve(g, weights, ctl)
-            }
+            Some((solver, seed)) => solver.solve_seeded(g, weights, &seed, ctl),
             None => {
                 let mode = FlowMode::FreeCardinality;
                 let (m, _, done) = max_weight_bmatching_ctl(g, weights, mode, config.algo, ctl);

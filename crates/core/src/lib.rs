@@ -40,8 +40,8 @@
 //!   across the worker pool (experiment F22).
 //! * [`warm`] — warm-started exact re-solves for long-lived shard states:
 //!   carried node potentials + seeded flow over a fixed topology (every
-//!   serving exact solve: [`engine::solve_carried`]'s exact stage in batch
-//!   mode, the drift fallback in online mode).
+//!   serving exact solve: [`engine::solve_carried`]'s exact stage and the
+//!   boundary rescue in batch mode, the drift fallback in online mode).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

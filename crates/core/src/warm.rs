@@ -7,16 +7,19 @@
 //! scratch there wastes the one thing a long-lived shard has plenty of:
 //! prior state. [`WarmSolver`] owns an [`mbta_matching::warm::WarmNet`]
 //! for the shard's fixed topology and re-solves against drifting weights,
-//! seeding each solve with a feasible matching (the shard's current
-//! assignment, or the previous optimum) and carrying the node potentials
-//! across calls, where they are repaired locally instead of recomputed.
+//! seeding each solve with the caller's feasible matching (the shard's
+//! current assignment) and carrying the node potentials across calls,
+//! where they are repaired locally instead of recomputed. The boundary
+//! rescue holds one too, over the plan epoch's cross edges, and moves its
+//! node capacities to each batch's residuals
+//! ([`WarmSolver::set_capacities`]) before it re-solves.
 //! Telemetry (`mbta_core_warm_solves_total` / `mbta_core_warm_hits_total`)
 //! counts every serving exact solve — batch stage 3 through
-//! [`crate::engine::solve_carried`] and online fallbacks alike — and how
-//! many of them completed on that warm branch: every one but a shard's
-//! first, unless a deadline cuts solves short or the caller asks for a
-//! cold start ([`WarmSolver::invalidate`] — the service does before each
-//! batch solve under a wall-clock budget).
+//! [`crate::engine::solve_carried`], online fallbacks and rescue solves
+//! alike — and how many of them completed on that warm branch: every one
+//! but a solver's first, unless a deadline cuts solves short or the caller
+//! asks for a cold start ([`WarmSolver::invalidate`] — the service does
+//! before each batch shard solve under a wall-clock budget).
 //!
 //! The returned matching is filtered to strictly positive weights
 //! before it is handed back, so it can always be adopted by
@@ -47,6 +50,7 @@ pub struct WarmSolverStats {
 /// ```
 /// use mbta_core::warm::WarmSolver;
 /// use mbta_graph::random::from_edges;
+/// use mbta_matching::Matching;
 /// use mbta_util::SolveCtl;
 ///
 /// let g = from_edges(
@@ -54,18 +58,19 @@ pub struct WarmSolverStats {
 ///     &[1, 1],
 ///     &[(0, 0, 0.9, 0.9), (0, 1, 0.8, 0.8), (1, 0, 0.7, 0.7)],
 /// );
-/// let mut solver = WarmSolver::new(&g);
+/// let (mut solver, ctl) = (WarmSolver::new(&g), SolveCtl::unlimited());
 /// // First solve is cold; it picks the 0.8 + 0.7 pairing over the 0.9.
-/// let (m1, done) = solver.solve(&g, &[0.9, 0.8, 0.7], &SolveCtl::unlimited());
+/// let (m1, done) = solver.solve_seeded(&g, &[0.9, 0.8, 0.7], &Matching::empty(), &ctl);
 /// assert!(done && m1.len() == 2);
-/// // Drifted weights re-solve warm, seeded from the previous matching.
-/// let (m2, _) = solver.solve(&g, &[0.95, 0.79, 0.71], &SolveCtl::unlimited());
+/// // Drifted weights re-solve warm, seeded with the previous matching.
+/// let (m2, _) = solver.solve_seeded(&g, &[0.95, 0.79, 0.71], &m1, &ctl);
 /// assert_eq!(m2.len(), 2);
-/// assert!(solver.stats().warm_hits >= 1);
+/// assert_eq!(solver.stats().warm_hits, 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WarmSolver {
     net: WarmNet,
+    /// The last result of [`WarmSolver::solve`], its next seed.
     prev: Matching,
     stats: WarmSolverStats,
 }
@@ -81,43 +86,53 @@ impl WarmSolver {
         }
     }
 
-    /// Seeds the carried matching (e.g. the shard's current incremental
-    /// assignment) without solving; the next [`WarmSolver::solve`] warm
-    /// starts from it once potentials exist.
-    pub fn seed(&mut self, m: Matching) {
-        self.prev = m;
-    }
-
     /// Discards all carried state; the next solve runs cold.
     pub fn invalidate(&mut self) {
         self.net.invalidate();
         self.prev = Matching::empty();
     }
 
+    /// Replaces the node capacities for every later solve (see
+    /// [`WarmNet::set_capacities`]); the carried potentials are kept.
+    pub fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
+        self.net.set_capacities(workers, tasks);
+    }
+
     /// Exact free-cardinality maximum-weight matching under `weights`,
-    /// warm-started when the carried state permits, and whether it ran to
-    /// completion (`false`: `ctl` cut it short, the matching is feasible
-    /// but not optimal, and the next solve runs cold). The result is
-    /// filtered to strictly positive weights (zero-weight edges encode
-    /// inactive endpoints on the serving path) and becomes the seed of
-    /// the next call.
+    /// warm-started from `seed` (any matching feasible on `g` under the
+    /// capacities in force) when potentials are carried, and whether it
+    /// ran to completion (`false`: `ctl` cut it short, the matching is
+    /// feasible but not optimal — the seed, or a prefix of a cold solve —
+    /// and the next solve runs cold). The result is filtered to strictly
+    /// positive weights (zero-weight edges encode inactive endpoints on
+    /// the serving path).
+    pub fn solve_seeded(
+        &mut self,
+        g: &BipartiteGraph,
+        weights: &[f64],
+        seed: &Matching,
+        ctl: &SolveCtl,
+    ) -> (Matching, bool) {
+        let (mut m, stats) = self.net.solve(g, weights, seed, ctl);
+        self.record(&stats);
+        m.edges.retain(|e| weights[e.index()] > 0.0);
+        (m, stats.completed)
+    }
+
+    /// [`solve_seeded`](Self::solve_seeded) for a caller that keeps no
+    /// matching of its own: seeded with this method's previous result. No
+    /// serving path is such a caller; the signature is what `mbta-bench`'s
+    /// `core.warm_solve_ms` probe calls.
     pub fn solve(
         &mut self,
         g: &BipartiteGraph,
         weights: &[f64],
         ctl: &SolveCtl,
     ) -> (Matching, bool) {
-        let (m, stats) = self.net.solve(g, weights, &self.prev, ctl);
-        self.record(&stats);
-        let filtered = Matching::from_edges(
-            m.edges
-                .iter()
-                .copied()
-                .filter(|e| weights[e.index()] > 0.0)
-                .collect(),
-        );
-        self.prev = filtered.clone();
-        (filtered, stats.completed)
+        let seed = std::mem::take(&mut self.prev);
+        let (m, completed) = self.solve_seeded(g, weights, &seed, ctl);
+        self.prev = m.clone();
+        (m, completed)
     }
 
     /// Lifetime counters.
@@ -154,8 +169,9 @@ mod tests {
         );
         let mut w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
         let mut solver = WarmSolver::new(&g);
+        let mut prev = Matching::empty();
         for round in 0..8u64 {
-            let (m, completed) = solver.solve(&g, &w, &SolveCtl::unlimited());
+            let (m, completed) = solver.solve_seeded(&g, &w, &prev, &SolveCtl::unlimited());
             assert!(completed);
             m.validate(&g).unwrap();
             let (cold, _) =
@@ -166,6 +182,7 @@ mod tests {
                 m.total_weight(&w),
                 cold.total_weight(&w)
             );
+            prev = m;
             // Deterministic small drift.
             for (i, wt) in w.iter_mut().enumerate() {
                 let h = (i as u64)
@@ -176,8 +193,11 @@ mod tests {
             }
         }
         let s = solver.stats();
-        assert_eq!(s.solves, 8);
-        assert!(s.warm_hits >= 1, "no warm hit across 8 drift rounds: {s:?}");
+        assert_eq!(
+            (s.solves, s.warm_hits),
+            (8, 7),
+            "only the first solve is cold"
+        );
     }
 
     #[test]
@@ -192,7 +212,7 @@ mod tests {
         let aw = inc.active_weights();
         assert_eq!(aw, vec![0.9, 0.0]);
         let mut solver = WarmSolver::new(&g);
-        let (m, _) = solver.solve(&g, &aw, &SolveCtl::unlimited());
+        let (m, _) = solver.solve_seeded(&g, &aw, &Matching::empty(), &SolveCtl::unlimited());
         // The filtered result must be adoptable despite the inactive node.
         inc.reseed(&m).unwrap();
         inc.check_invariants();
@@ -220,8 +240,7 @@ mod tests {
         let mut w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
         let mut solver = WarmSolver::new(&g);
         let unbudgeted = EngineConfig::new();
-        let primed =
-            solve_carried(&g, &w, &unbudgeted, Some((&mut solver, Matching::empty()))).unwrap();
+        let primed = solve_carried(&g, &w, &unbudgeted, (&mut solver, Matching::empty())).unwrap();
         assert_eq!(primed.tier, QualityTier::Exact);
         assert!(solver.net.has_prior());
         let seed = primed.matching;
@@ -233,7 +252,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let cfg = EngineConfig::new().with_cancel(token);
-        let floor = solve_carried(&g, &w, &cfg, Some((&mut solver, seed.clone()))).unwrap();
+        let floor = solve_carried(&g, &w, &cfg, (&mut solver, seed.clone())).unwrap();
         assert_eq!(floor.tier, QualityTier::Degraded);
         assert_eq!(
             solver.stats().solves,
@@ -247,7 +266,7 @@ mod tests {
         let expired = Deadline::after_ms(0);
         std::thread::sleep(std::time::Duration::from_millis(1));
         let cfg = EngineConfig::new().exact_only().with_deadline_at(expired);
-        let cut = solve_carried(&g, &w, &cfg, Some((&mut solver, seed.clone()))).unwrap();
+        let cut = solve_carried(&g, &w, &cfg, (&mut solver, seed.clone())).unwrap();
         assert_eq!(
             (cut.tier, cut.exact_completed),
             (QualityTier::Degraded, false)
@@ -255,7 +274,7 @@ mod tests {
         assert_eq!(cut.matching, seed, "an interrupted repair returns its seed");
         assert!(!solver.net.has_prior(), "a cut solve must not carry duals");
 
-        let healed = solve_carried(&g, &w, &unbudgeted, Some((&mut solver, seed))).unwrap();
+        let healed = solve_carried(&g, &w, &unbudgeted, (&mut solver, seed)).unwrap();
         assert_eq!(healed.tier, QualityTier::Exact);
         let stats = solver.stats();
         assert_eq!(
@@ -282,5 +301,8 @@ mod tests {
         solver.invalidate();
         solver.solve(&g, &w, &SolveCtl::unlimited());
         assert_eq!(solver.stats().warm_hits, 0, "cold after invalidate");
+        // `solve` seeds itself with its previous result.
+        solver.solve(&g, &w, &SolveCtl::unlimited());
+        assert_eq!(solver.stats().warm_hits, 1);
     }
 }

@@ -36,10 +36,11 @@
 //!   ranking, two-phase sample-then-threshold).
 //! * [`warm`] — [`warm::WarmNet`]: the [`mcmf`] solver plus carried state
 //!   (network, potentials, seeded flow) across repeated solves on a fixed
-//!   topology, with only the warm-specific steps — re-price the carried
+//!   topology (node capacities may move, the arcs may not), with only
+//!   the warm-specific steps — re-price the carried
 //!   potentials, saturate the arcs still violated, route the excess by
-//!   [`mcmf`]'s Dijkstra — of its own; the exact engine behind the
-//!   service's online fallback.
+//!   [`mcmf`]'s Dijkstra — of its own; the exact engine behind every
+//!   serving solve.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

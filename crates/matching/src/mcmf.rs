@@ -557,6 +557,35 @@ impl BipartiteNet {
         }
     }
 
+    /// Rewrites every capacity, leaving the network at zero flow: worker
+    /// `w` may take `workers[w]` units, task `t` needs `tasks[t]`, and an
+    /// edge with an endpoint that has none is closed, so no search enters
+    /// the part of the market that cannot carry flow.
+    pub(crate) fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
+        assert_eq!(
+            [workers.len(), tasks.len()],
+            self.shape()[..2],
+            "capacity slice length mismatch"
+        );
+        let cap = &mut self.net.cap;
+        let mut set = |a: u32, units: u32| {
+            cap[a as usize] = units;
+            cap[(a ^ 1) as usize] = 0;
+        };
+        for (&a, &c) in self.source_arcs.iter().zip(workers) {
+            set(a, c);
+        }
+        for (&a, &d) in self.sink_arcs.iter().zip(tasks) {
+            set(a, d);
+        }
+        for &a in &self.edge_arcs {
+            // Worker `w` is node `1 + w`, task `t` node `1 + workers + t`.
+            let w = self.net.head[(a ^ 1) as usize] as usize - 1;
+            let t = self.net.head[a as usize] as usize - 1 - workers.len();
+            set(a, u32::from(workers[w] > 0 && tasks[t] > 0));
+        }
+    }
+
     /// Zeroes all flow: every twin hands its capacity back.
     fn reset_flow(&mut self) {
         for pair in self.net.cap.chunks_exact_mut(2) {

@@ -40,6 +40,15 @@
 //! through the hub with no negative residual arc: the optimum, with the
 //! carried potentials as its certificate.
 //!
+//! Capacities may move between solves as well as costs
+//! ([`WarmNet::set_capacities`] — the boundary-rescue market of a plan
+//! epoch is one topology whose node capacities are each batch's residuals).
+//! They are rewritten on the emptied network, before the seed is applied,
+//! so steps 1–4 never see the change as such: a seed that fits the new
+//! capacities is a feasible flow, the carried potentials are *some*
+//! potentials, and an arc a capacity opened or widened is saturated or left
+//! alone by the same reduced-cost test as any other.
+//!
 //! Every search consults the caller's [`SolveCtl`]. Mid-repair the network
 //! holds a pseudoflow, not a matching, so an interrupted repair hands the
 //! seed back (`completed` is `false`); like an interrupted cold solve it
@@ -108,6 +117,19 @@ impl WarmNet {
         self.has_prior
     }
 
+    /// Replaces the capacities `g` was built with for every later solve:
+    /// worker `w` may take `workers[w]` edges, task `t` `tasks[t]`, and a
+    /// node given 0 is out of the market (its edges are closed to every
+    /// search). Carried potentials survive — to the repair a capacity
+    /// change is one more way the seed and the duals stopped agreeing — but
+    /// each seed must fit the capacities in force, or its solve runs cold.
+    ///
+    /// # Panics
+    /// If a slice does not have one entry per worker / per task.
+    pub fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
+        self.bn.set_capacities(workers, tasks);
+    }
+
     /// The carried potentials: while [`has_prior`](Self::has_prior), the
     /// proof that the last returned matching is optimal, for
     /// [`crate::mcmf::verify_certificate`].
@@ -122,7 +144,7 @@ impl WarmNet {
     /// other feasible one) when potentials are carried.
     ///
     /// `weights` must be finite and non-negative; `seed` must be
-    /// feasible on `g` (edges within capacity/demand). Returns the
+    /// feasible on `g` (edges within the capacities in force). Returns the
     /// optimal matching and [`WarmStats`]. On `ctl` interruption the
     /// matching is feasible — the seed, or a prefix of a cold solve — and
     /// `completed` is `false`.
@@ -526,6 +548,160 @@ mod tests {
             interrupted > stats.iterations,
             "polls are per node, not per search"
         );
+    }
+
+    /// Deterministic capacities in `0..=3`, about a quarter of them 0 — on
+    /// the capacity-2 graphs below that is nodes leaving the market, nodes
+    /// shrinking under the flow they carried, and nodes growing.
+    fn capacities(n: usize, round: u64, salt: u64) -> Vec<u32> {
+        (0..n as u64)
+            .map(|i| {
+                let h = (i ^ salt.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(round.wrapping_mul(0xBF58_476D_1CE4_E5B9));
+                (h >> 40) as u32 % 4
+            })
+            .collect()
+    }
+
+    /// `m` cut down, in edge order, to what fits `caps = (workers, tasks)`.
+    fn trim(g: &BipartiteGraph, m: &Matching, caps: (&[u32], &[u32])) -> Matching {
+        let (mut wc, mut tc) = (caps.0.to_vec(), caps.1.to_vec());
+        let fits = |e: &mbta_graph::EdgeId| {
+            let (w, t) = (g.worker_of(*e).index(), g.task_of(*e).index());
+            let ok = wc[w] > 0 && tc[t] > 0;
+            if ok {
+                wc[w] -= 1;
+                tc[t] -= 1;
+            }
+            ok
+        };
+        Matching::from_edges(m.edges.iter().copied().filter(fits).collect())
+    }
+
+    /// The cold optimum's profit on `g` induced with `caps` — what a solve
+    /// after `set_capacities(caps)` must reach.
+    fn cold_profit_under(g: &BipartiteGraph, w: &[f64], caps: (&[u32], &[u32])) -> i64 {
+        use mbta_graph::subgraph::{induce, SubgraphSpec};
+        let workers: Vec<_> = g.workers().map(|x| (x, caps.0[x.index()])).collect();
+        let tasks: Vec<_> = g.tasks().map(|x| (x, caps.1[x.index()])).collect();
+        let spec = SubgraphSpec {
+            workers: &workers,
+            tasks: &tasks,
+        };
+        let sub = induce(g, &spec, |_| true);
+        max_weight_bmatching(&sub.graph, &sub.project_weights(w), MODE, ALGO)
+            .1
+            .profit
+    }
+
+    #[test]
+    fn capacity_changes_resolve_warm_and_exact() {
+        for seed in 0..8 {
+            let g = random_bipartite(
+                &RandomGraphSpec {
+                    n_workers: 36,
+                    n_tasks: 28,
+                    avg_degree: 5.0,
+                    capacity: 2,
+                    demand: 2,
+                },
+                40 + seed,
+            );
+            let mut w = weights_of(&g, 0.5);
+            let mut net = WarmNet::new(&g);
+            let mut prev = Matching::empty();
+            for round in 0..8 {
+                let wc = capacities(g.n_workers(), round, seed);
+                let tc = capacities(g.n_tasks(), round, seed + 100);
+                let caps = (&wc[..], &tc[..]);
+                net.set_capacities(&wc, &tc);
+                let start = trim(&g, &prev, caps);
+                let (m, stats) = net.solve(&g, &w, &start, &SolveCtl::unlimited());
+                assert_eq!(
+                    trim(&g, &m, caps),
+                    m,
+                    "seed {seed} round {round}: over capacity"
+                );
+                assert_eq!(
+                    stats.profit,
+                    cold_profit_under(&g, &w, caps),
+                    "seed {seed} round {round}: not the optimum under the new capacities"
+                );
+                assert_eq!(
+                    (stats.completed, stats.warm),
+                    (true, round > 0),
+                    "seed {seed} round {round}"
+                );
+                prev = m;
+                drift(&mut w, round, 0.1);
+            }
+        }
+    }
+
+    #[test]
+    fn interrupted_repair_across_a_capacity_change_returns_the_seed() {
+        let g = random_bipartite(
+            &RandomGraphSpec {
+                n_workers: 24,
+                n_tasks: 24,
+                avg_degree: 5.0,
+                capacity: 2,
+                demand: 2,
+            },
+            11,
+        );
+        let mut w = weights_of(&g, 0.5);
+        let mut primed = WarmNet::new(&g);
+        let (prev, _) = primed.solve(&g, &w, &Matching::empty(), &SolveCtl::unlimited());
+        drift(&mut w, 1, 0.2);
+        let (wc, tc) = (capacities(24, 1, 7), capacities(24, 1, 8));
+        let caps = (&wc[..], &tc[..]);
+        primed.set_capacities(&wc, &tc);
+        let start = trim(&g, &prev, caps);
+        assert!(
+            start.len() < prev.len(),
+            "no capacity shrank below its flow"
+        );
+        let optimum = cold_profit_under(&g, &w, caps);
+        let (free, stats) = primed.clone().solve(&g, &w, &start, &SolveCtl::unlimited());
+        assert!(stats.warm && stats.iterations > 0 && stats.profit == optimum);
+        assert_ne!(free, start);
+        let mut interrupted = 0;
+        for polls in 1.. {
+            let token = mbta_util::CancelToken::new();
+            let ctl = SolveCtl::unlimited()
+                .with_token(token.clone())
+                .with_check_interval(polls);
+            assert!(!ctl.should_stop());
+            token.cancel();
+            let mut net = primed.clone();
+            let (m, stats) = net.solve(&g, &w, &start, &ctl);
+            if stats.completed {
+                assert_eq!(m, free, "{polls} polls");
+                break;
+            }
+            interrupted += 1;
+            // The seed — which fits the *new* capacities — and no state.
+            assert_eq!(m, start, "{polls} polls");
+            assert!(!stats.warm && !net.has_prior(), "{polls} polls");
+            let (next, stats) = net.solve(&g, &w, &m, &SolveCtl::unlimited());
+            assert_eq!(trim(&g, &next, caps), next, "{polls} polls");
+            assert_eq!(
+                (stats.completed, stats.profit),
+                (true, optimum),
+                "{polls} polls"
+            );
+        }
+        assert!(interrupted > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity slice length mismatch")]
+    fn capacities_of_the_wrong_length_panic() {
+        use mbta_graph::random::from_edges;
+        let g = from_edges(&[1, 1], &[2], &[(0, 0, 0.5, 0.5), (1, 0, 0.4, 0.4)]);
+        WarmNet::new(&g).set_capacities(&[1], &[2]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!    merge, the cross edges whose endpoints still have residual
 //!    capacity form a small second-stage matching instance whose
 //!    solution recovers cut weight without touching intra-shard results.
-//!    This module builds and validates that residual instance; the
-//!    service owns the solve.
+//!    This module builds the market once per plan, seeds each batch's
+//!    re-solve and validates the result; the service owns the solve.
 //! 3. [`drift`] — bookkeeping for drift-driven re-planning: an
 //!    incremental cut tracker that watches benefit updates erode the
 //!    current cut, and the migration diff between two plans.
@@ -28,7 +28,7 @@
 //!    re-deriving it.
 //!
 //! The crate deliberately depends only on `mbta-graph`: it computes node
-//! assignments, residual specs, and diffs — never solves, journals, or
+//! assignments, boundary markets, and diffs — never solves, journals, or
 //! schedules. That keeps it reusable below the service layer (the CLI's
 //! `plan-stats` subcommand calls the partitioner directly).
 
@@ -45,4 +45,4 @@ pub use placement::{
     decode_placements, encode_placements, load_placements, save_placements, PlacementError,
     PlacementMap,
 };
-pub use rescue::{residual_candidates, validate_rescue, RescueSpec};
+pub use rescue::{epoch_market, rescue_seed, validate_rescue};

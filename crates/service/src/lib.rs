@@ -28,8 +28,9 @@
 //!   number, tallies, write-ahead journal, sink), and a *mode* that says
 //!   when the core solves — micro-batches through the robust engine and
 //!   the pool (optionally with a boundary-rescue matching over
-//!   cross-shard edges), or every event through [`online`] — either way
-//!   on one carried exact solver per shard. Poisoned
+//!   cross-shard edges, re-solved on a carried solver of its own), or
+//!   every event through [`online`] — either way on one carried exact
+//!   solver per shard. Poisoned
 //!   shards degrade to the greedy floor without stalling siblings; cut
 //!   drift past a threshold triggers a detach → re-partition → resume
 //!   migration. See DESIGN.md §8, §13.

@@ -9,9 +9,8 @@
 //! solver** (`mbta_core::warm::WarmSolver`, lent to the job exclusively
 //! together with the matching that seeds it): whichever thread runs the
 //! job re-solves on the shard's kept network and duals, so a batch pays
-//! for what its events moved. Only the boundary-rescue job is a one-shot
-//! cold solve — its market is induced afresh from the batch's residual
-//! capacities, so there is no topology to keep a solver for. Three
+//! for what its events moved. (The boundary rescue is not a job: its one
+//! market per batch re-solves inline, on a solver of its own.) Three
 //! properties the dispatch loop depends on:
 //!
 //! 1. **Work stealing, largest first.** Jobs are sorted by estimated size
@@ -59,8 +58,8 @@ pub struct ShardJob<'g> {
     /// poison pre-cancellation.
     pub config: EngineConfig,
     /// The exact stage: the shard's carried solver and the matching that
-    /// seeds it, or `None` for a one-shot cold solve (the rescue market).
-    pub carried: Option<Carried<'g>>,
+    /// seeds it.
+    pub carried: Carried<'g>,
     /// Size estimate used for largest-first scheduling (edge count of the
     /// sub-market; static, but monotone in actual solve cost).
     pub est_size: usize,
@@ -110,7 +109,7 @@ pub struct BatchSolve {
 ///     graph: &g,
 ///     weights: vec![0.9, 0.5],
 ///     config: EngineConfig::new(),
-///     carried: Some((&mut solver, Matching::empty())),
+///     carried: (&mut solver, Matching::empty()),
 ///     est_size: g.n_edges(),
 /// }];
 /// let batch = pool.solve(jobs);
@@ -139,13 +138,6 @@ impl SolvePool {
     /// The resolved worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Solves a single job inline on the caller's thread — the
-    /// boundary-rescue path, which has exactly one residual market per
-    /// batch and must not pay scoped-thread setup for it.
-    pub fn solve_one(&self, job: ShardJob<'_>) -> ShardOutcome {
-        run_job(job)
     }
 
     /// Solves every job and returns the outcomes sorted by shard index.
@@ -313,7 +305,7 @@ mod tests {
                 graph: g,
                 weights: w.clone(),
                 config: EngineConfig::new(),
-                carried: Some((solver, Matching::empty())),
+                carried: (solver, Matching::empty()),
                 est_size: g.n_edges(),
             })
             .collect()

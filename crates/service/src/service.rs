@@ -28,7 +28,9 @@
 //!            per touched shard, via the SolvePool, the engine chain whose
 //!            exact stage is the shard's carried solver seeded with the
 //!            repaired assignment, racing one shared deadline; adopt
-//!            improvements; [boundary rescue: one cold solve]
+//!            improvements; [boundary rescue: the plan's cross-edge
+//!            market re-solved on its own carried solver, the batch's
+//!            residuals as capacities]
 //!    Online: route + apply one event, depth-1 exchange, drift accounting,
 //!            past the threshold re-solve on the same carried solver
 //!                 --> commit: seq + tallies --> WAL --> DecisionSink
@@ -40,10 +42,12 @@
 //! the shard's first exact solve, dropped with the plan) and every exact
 //! solve — a batch's stage 3 on whichever pool thread runs the shard's
 //! job, an online fallback inline — repairs the duals it carries around
-//! the shard's current assignment. Only the boundary-rescue market, whose
-//! topology is induced afresh from each batch's residuals, builds a
-//! network per solve; batches under a wall-clock budget keep the network
-//! and drop the duals (budget policy, below).
+//! the shard's current assignment. The boundary rescue is the same
+//! design one level up: the plan's cross edges are one market, built at
+//! the epoch's first rescue pass and dropped with the plan, whose solver
+//! sees each batch's residuals as capacities (DESIGN.md §13.2). Batch
+//! shard solves under a wall-clock budget keep the network and drop the
+//! duals (budget policy, below).
 //!
 //! **Capacity safety.** Shards are node-disjoint ([`ShardPlan`]), so each
 //! worker's capacity is managed by exactly one `IncrementalAssignment`,
@@ -75,9 +79,9 @@
 //! fit the budget that one timing event decides whether every later batch
 //! finishes early or runs into its deadline — the same trace took 1.2 s
 //! or 2.4 s. The budget is the rate knob; nothing timing-dependent may
-//! outlive the batch it was measured in. (Online fallbacks keep their
-//! duals under a budget: their shards are small, and the next cold solve
-//! that fits re-primes them.)
+//! outlive the batch it was measured in. (Online fallbacks and the rescue
+//! solve keep their duals under a budget: their live markets are small,
+//! and the next cold solve that fits re-primes them.)
 
 use crate::batch::{BatchConfig, Batcher, ClosedBatch, FlushReason};
 use crate::event::{Arrival, ServiceEvent};
@@ -90,11 +94,11 @@ use crate::sink::{canonical_order, Action, BatchStats, Decision, DecisionSink};
 use mbta_core::engine::{EngineConfig, QualityTier};
 use mbta_core::incremental::IncrementalAssignment;
 use mbta_core::warm::WarmSolver;
-use mbta_graph::subgraph::{induce, SubgraphSpec};
+use mbta_graph::subgraph::Subgraph;
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
 use mbta_matching::Matching;
 use mbta_partition::{
-    migration_diff, residual_candidates, validate_rescue, CutTracker, MigrationStats,
+    epoch_market, migration_diff, rescue_seed, validate_rescue, CutTracker, MigrationStats,
 };
 use mbta_store::record::{
     BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
@@ -286,12 +290,23 @@ enum Mode {
     Online(OnlineRuntime),
 }
 
-/// Boundary-rescue state: the sorted universe edge ids currently assigned
-/// by the rescue market (pseudo-shard `n_shards` in decisions and
-/// snapshots).
+/// Boundary-rescue state.
 #[derive(Default)]
 struct Rescue {
+    /// The sorted universe edge ids currently assigned by the rescue market
+    /// (pseudo-shard `n_shards` in decisions and snapshots).
     overlay: Vec<EdgeId>,
+    /// The plan epoch's boundary market — every cross edge, so bound to
+    /// the plan like the shard solvers and dropped with them — and the
+    /// solver carried on it. Built at the epoch's first rescue pass.
+    market: Option<(Subgraph, WarmSolver)>,
+    /// Per-batch scratch, kept for its allocations: universe residuals,
+    /// then the market's capacities and weights for this batch.
+    w_res: Vec<u32>,
+    t_res: Vec<u32>,
+    w_cap: Vec<u32>,
+    t_cap: Vec<u32>,
+    weights: Vec<f64>,
 }
 
 impl Mode {
@@ -659,7 +674,7 @@ impl<'p> Core<'p> {
                 graph,
                 weights: self.states[s].active_weights(),
                 config,
-                carried: Some((solver, self.states[s].matching())),
+                carried: (solver, self.states[s].matching()),
                 est_size: graph.n_edges(),
             });
         }
@@ -738,109 +753,98 @@ impl<'p> Core<'p> {
         self.commit(stats, record, &decisions, overlay, sink);
     }
 
-    /// Re-derives the cross-shard rescue overlay from this batch's
+    /// Re-solves the cross-shard rescue overlay under this batch's
     /// residual capacities and appends the overlay's assignment deltas
     /// (pseudo-shard `n_shards` in the decision stream) to `out`.
     ///
-    /// The overlay is *recomputed from scratch* every batch: residual
-    /// capacity is whatever the intra-shard solves left unused, so a shard
-    /// reclaiming capacity automatically evicts overlay edges (emitted as
-    /// unassigns by the diff). Feasibility of the union (shards + overlay)
-    /// holds because the rescue instance's capacities *are* the residuals;
-    /// [`validate_rescue`] re-checks and counts violations anyway.
+    /// The market — every cross edge of the plan — and its solver are
+    /// carried; what a batch changes is the capacities the solver sees: a
+    /// live node's residual (whatever the intra-shard solves left unused),
+    /// nothing for a dead or exhausted one. So a shard reclaiming capacity
+    /// still evicts overlay edges (the seed is trimmed to the residuals
+    /// first; the diff emits the unassigns), and feasibility of the union
+    /// (shards + overlay) holds because the rescue instance's capacities
+    /// *are* the residuals; [`validate_rescue`] re-checks and counts
+    /// violations anyway.
     ///
     /// Budget: a fixed quarter-slice of the batch budget (the rescue
     /// market is tiny relative to the shard solves and must not starve
-    /// them), none in deterministic mode.
+    /// them), none in deterministic mode. The duals outlive a budgeted
+    /// solve, as an online fallback's do: the live part of the market is a
+    /// few hundred edges, so a cut is rare and the next solve re-primes.
     ///
-    /// Determinism: candidates ascend by edge id, the node lists ascend by
-    /// node id, and the single rescue solve runs inline — so under
+    /// Determinism: market ids follow universe ids, the seed is a pure
+    /// function of the previous overlay and the residuals, and the single
+    /// rescue solve runs inline on its own solver — so under
     /// [`BudgetMode::Deterministic`] the overlay is a pure function of the
     /// event history at any thread count.
     fn boundary_rescue(&mut self, rescue: &mut Rescue, out: &mut Vec<Decision>) {
-        let (plan, universe) = (self.plan, self.universe);
+        let _span = mbta_telemetry::span!("mbta_partition_rescue");
+        let (plan, universe, states) = (self.plan, self.universe, &self.states);
+        let is_cross = |e: EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
+        let (sub, solver) = rescue.market.get_or_insert_with(|| {
+            let sub = epoch_market(universe, is_cross);
+            let solver = WarmSolver::new(&sub.graph);
+            (sub, solver)
+        });
 
         // Residuals: universe capacity/demand minus the intra-shard load.
-        let mut w_res: Vec<u32> = universe.workers().map(|w| universe.capacity(w)).collect();
-        let mut t_res: Vec<u32> = universe.tasks().map(|t| universe.demand(t)).collect();
+        let (w_res, t_res) = (&mut rescue.w_res, &mut rescue.t_res);
+        w_res.clear();
+        w_res.extend_from_slice(universe.capacities());
+        t_res.clear();
+        t_res.extend_from_slice(universe.demands());
         for (_, e) in self.assigned() {
             w_res[universe.worker_of(e).index()] -= 1;
             t_res[universe.task_of(e).index()] -= 1;
         }
 
-        let is_cross = |e: EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
-        let states = &self.states;
-        let worker_ok = |w: WorkerId| worker_live(plan, states, w);
-        let task_ok = |t: TaskId| task_live(plan, states, t);
         // A cross edge is "seen" by the rescue market once both endpoints
         // are concurrently live — even with zero residual. Exhausted
         // residual means the capacity went to intra-shard assignments,
         // which is contention, not partition loss; `effective_retained`
         // must charge the partition only for weight it made unreachable.
-        for e in universe.edges() {
+        let worker_ok = |w: WorkerId| worker_live(plan, states, w);
+        let task_ok = |t: TaskId| task_live(plan, states, t);
+        for &e in &sub.edge_back {
             if !self.run.cross_seen[e.index()]
-                && is_cross(e)
                 && worker_ok(universe.worker_of(e))
                 && task_ok(universe.task_of(e))
             {
                 self.run.cross_seen[e.index()] = true;
             }
         }
-        let spec = residual_candidates(
-            universe,
-            &self.run.live_weights,
-            is_cross,
-            worker_ok,
-            task_ok,
-            &w_res,
-            &t_res,
-        );
 
-        // An empty spec still evicts a stale overlay: no candidate means
-        // no previously-rescued edge kept its residuals either.
-        let mut new_overlay: Vec<EdgeId> = if spec.is_empty() {
-            Vec::new()
-        } else {
-            let mut cand = vec![false; universe.n_edges()];
-            for &e in &spec.candidates {
-                cand[e.index()] = true;
-            }
-            let sub = induce(
-                universe,
-                &SubgraphSpec {
-                    workers: &spec.workers,
-                    tasks: &spec.tasks,
-                },
-                |e| cand[e.index()],
-            );
-            let outcome = self.run.pool.solve_one(ShardJob {
-                shard: plan.n_shards(),
-                graph: &sub.graph,
-                weights: sub.project_weights(&self.run.live_weights),
-                config: engine_config(self.run.budget.deadline(|ms| ms / 4 + 1)),
-                // The residual market is induced afresh every batch: there
-                // is no topology to carry a solver across.
-                carried: None,
-                est_size: sub.graph.n_edges(),
-            });
-            self.run.report.rescue_solves += 1;
-            mbta_telemetry::counter_add("mbta_partition_rescue_solves_total", 1);
-            match outcome.result {
-                Ok(sol) => sol
-                    .matching
-                    .edges
-                    .into_iter()
-                    .map(|e| sub.edge_back[e.index()])
-                    .collect(),
-                Err(_) => {
-                    debug_assert!(false, "unexpected engine input error in rescue");
-                    Vec::new()
-                }
+        // This batch's market: capacities are the live nodes' residuals.
+        let (w_cap, t_cap, weights) = (&mut rescue.w_cap, &mut rescue.t_cap, &mut rescue.weights);
+        w_cap.clear();
+        let residual = |w: &WorkerId| if worker_ok(*w) { w_res[w.index()] } else { 0 };
+        w_cap.extend(sub.worker_back.iter().map(residual));
+        t_cap.clear();
+        let residual = |t: &TaskId| if task_ok(*t) { t_res[t.index()] } else { 0 };
+        t_cap.extend(sub.task_back.iter().map(residual));
+        weights.clear();
+        let live = &self.run.live_weights;
+        weights.extend(sub.edge_back.iter().map(|e| live[e.index()]));
+        solver.set_capacities(w_cap, t_cap);
+
+        // No open edge still evicts a stale overlay: no previously-rescued
+        // edge kept its residuals either.
+        let local = |e: &EdgeId| sub.edge_back.binary_search(e).ok();
+        let prev = rescue.overlay.iter().filter_map(local);
+        let prev: Vec<EdgeId> = prev.map(|i| EdgeId::new(i as u32)).collect();
+        let new_overlay: Vec<EdgeId> = match rescue_seed(&sub.graph, weights, &prev, w_cap, t_cap) {
+            None => Vec::new(),
+            Some(seed) => {
+                self.run.report.rescue_solves += 1;
+                mbta_telemetry::counter_add("mbta_partition_rescue_solves_total", 1);
+                let ctl = solve_ctl(self.run.budget.deadline(|ms| ms / 4 + 1));
+                let m = rescue_solve(solver, &sub.graph, weights, Matching { edges: seed }, &ctl);
+                m.edges.iter().map(|e| sub.edge_back[e.index()]).collect()
             }
         };
-        new_overlay.sort_unstable();
         self.run.report.capacity_violations +=
-            validate_rescue(universe, is_cross, &w_res, &t_res, &new_overlay);
+            validate_rescue(universe, is_cross, w_res, t_res, &new_overlay);
 
         let mut assigns = 0u64;
         diff_sorted(&rescue.overlay, &new_overlay, |e, action| {
@@ -849,10 +853,7 @@ impl<'p> Core<'p> {
         });
         self.run.report.rescue_assigns += assigns;
 
-        let rescued: f64 = new_overlay
-            .iter()
-            .map(|e| self.run.live_weights[e.index()])
-            .sum();
+        let rescued: f64 = new_overlay.iter().map(|e| live[e.index()]).sum();
         mbta_telemetry::gauge_set("mbta_partition_rescued_weight", rescued);
         rescue.overlay = new_overlay;
     }
@@ -963,14 +964,11 @@ impl<'p> Core<'p> {
     /// Adopts the solution when it improves on the incremental state and
     /// appends the applied flips to the pooled flip buffer.
     fn warm_solve_shard(&mut self, rt: &mut OnlineRuntime, s: usize, deadline: Option<Deadline>) {
-        let ctl = deadline.map_or_else(SolveCtl::unlimited, |d| {
-            SolveCtl::unlimited().with_deadline(d)
-        });
         let aw = self.states[s].active_weights();
         let graph = &self.plan.shards[s].sub.graph;
         let warm = solver_for(&mut self.solvers[s], graph);
-        warm.seed(self.states[s].matching());
-        let (m, _) = warm.solve(graph, &aw, &ctl);
+        let (m, _) =
+            warm.solve_seeded(graph, &aw, &self.states[s].matching(), &solve_ctl(deadline));
         self.adopt(s, &m, m.total_weight(&aw));
         self.states[s].drain_log_into(&mut rt.scratch.flips);
     }
@@ -1355,9 +1353,12 @@ impl<'p> DispatchService<'p> {
             core.assigned().map(|(s, e)| (e, s as u32)).collect();
         match &mut mode {
             Mode::Batch { rescue, .. } => {
+                // The boundary market is bound to the plan like the shard
+                // solvers, and goes where they go; its overlay is carried.
                 if let Some(r) = rescue {
                     let rescue_shard = plan.n_shards() as u32;
-                    assigned.extend(r.overlay.drain(..).map(|e| (e, rescue_shard)));
+                    let overlay = std::mem::take(r).overlay;
+                    assigned.extend(overlay.into_iter().map(|e| (e, rescue_shard)));
                 }
             }
             Mode::Online(_) => core.fold_warm_stats(),
@@ -1534,6 +1535,32 @@ fn task_live(plan: &ShardPlan, states: &[IncrementalAssignment<'_>], t: TaskId) 
 /// shard graph `g` of the current plan.
 fn solver_for<'a>(slot: &'a mut Option<WarmSolver>, g: &BipartiteGraph) -> &'a mut WarmSolver {
     slot.get_or_insert_with(|| WarmSolver::new(g))
+}
+
+/// One re-solve of the epoch's boundary market from `seed`, under the
+/// capacities the caller just set. The engine chain's greedy floor reads
+/// the graph's own capacities — the universe's, on this market — so the
+/// rescue calls its solver directly and its seed is its floor: a solve
+/// the deadline cuts keeps the heavier of what came back and the seed.
+fn rescue_solve(
+    solver: &mut WarmSolver,
+    market: &BipartiteGraph,
+    weights: &[f64],
+    seed: Matching,
+    ctl: &SolveCtl,
+) -> Matching {
+    let (m, completed) = solver.solve_seeded(market, weights, &seed, ctl);
+    if completed || m.total_weight(weights) >= seed.total_weight(weights) {
+        m
+    } else {
+        seed
+    }
+}
+
+fn solve_ctl(deadline: Option<Deadline>) -> SolveCtl {
+    deadline.map_or_else(SolveCtl::unlimited, |d| {
+        SolveCtl::unlimited().with_deadline(d)
+    })
 }
 
 fn engine_config(deadline: Option<Deadline>) -> EngineConfig {
@@ -1726,6 +1753,15 @@ mod tests {
             .sum()
     }
 
+    /// The boundary market and its solver, once the epoch's first rescue
+    /// pass has built them.
+    fn rescue_market<'s>(svc: &'s DispatchService<'_>) -> Option<&'s (Subgraph, WarmSolver)> {
+        match &svc.mode {
+            Mode::Batch { rescue, .. } => rescue.as_ref()?.market.as_ref(),
+            Mode::Online(_) => None,
+        }
+    }
+
     /// The driver's epoch loop: offer → pump, and on `replan_due` detach
     /// → rebuild the plan from the live weights → resume.
     fn run_epochs(
@@ -1747,6 +1783,7 @@ mod tests {
             // could match a new shard's edge count and solve the wrong
             // network): no epoch starts with one.
             assert!(svc.core.solvers.iter().all(Option::is_none));
+            assert!(rescue_market(&svc).is_none());
             while idx < events.len() {
                 let a = events[idx];
                 while let OfferOutcome::Deferred = svc.offer(a) {
@@ -1760,8 +1797,20 @@ mod tests {
             }
             // So within an epoch each shard's first exact solve is cold,
             // and — unbudgeted — every later one repairs the carried duals.
-            for stats in svc.core.solvers.iter().flatten().map(WarmSolver::stats) {
+            let rescue = rescue_market(&svc);
+            let solvers = svc.core.solvers.iter().flatten();
+            let stats = solvers.chain(rescue.map(|r| &r.1)).map(WarmSolver::stats);
+            // (The market is built by the first rescue pass, which may
+            // find nothing to solve yet.)
+            for stats in stats.filter(|stats| stats.solves > 0) {
                 assert_eq!(stats.solves - stats.warm_hits, 1, "{stats:?}");
+            }
+            // The rescue's market is this epoch's: a stale one would name
+            // edges the new plan made intra.
+            if let Some((market, _)) = rescue {
+                let cross = |e: &EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
+                assert!(market.edge_back.iter().all(cross));
+                assert_eq!(market.edge_back.len(), plan.cross_edges);
             }
             if idx >= events.len() {
                 break svc.finish(&mut sink);
@@ -2161,6 +2210,90 @@ mod tests {
         assert_eq!(rep_on.rescued_weight, rep_on4.rescued_weight);
     }
 
+    /// Unbudgeted, every rescue solve but the epoch's first repairs the
+    /// carried duals: a seed that overran a residual would send its solve
+    /// cold without changing a decision.
+    #[test]
+    fn rescue_resolves_warm_on_the_epoch_market() {
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 8, Routing::MinCut);
+        let mut cfg = deterministic_cfg();
+        cfg.boundary_pass = true;
+        let mut svc = DispatchService::new(&g, &plan, cfg);
+        let mut sink = CollectSink::default();
+        for &a in &stream(&g, 19) {
+            svc.submit(a, &mut sink);
+        }
+        let stats = rescue_market(&svc).expect("rescue ran").1.stats();
+        assert!(stats.solves >= 5, "{stats:?}");
+        assert_eq!(stats.solves, svc.core.run.report.rescue_solves);
+        assert_eq!(stats.warm_hits, stats.solves - 1, "{stats:?}");
+        assert_eq!(svc.finish(&mut sink).capacity_violations, 0);
+    }
+
+    /// Under a wall-clock budget the rescue's seed is its floor: whatever
+    /// the quarter-slice cuts, the overlay stays feasible and non-empty.
+    #[test]
+    fn wallclock_rescue_stays_feasible_on_its_seed() {
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 8, Routing::MinCut);
+        let mut cfg = deterministic_cfg();
+        cfg.budget = BudgetMode::Wallclock(1);
+        cfg.boundary_pass = true;
+        let mut svc = DispatchService::new(&g, &plan, cfg);
+        let mut sink = CollectSink::default();
+        for &a in &stream(&g, 19) {
+            svc.submit(a, &mut sink);
+        }
+        let report = svc.finish(&mut sink);
+        assert_eq!(report.capacity_violations, 0);
+        assert!(report.rescue_solves > 0 && report.rescued_weight > 0.0);
+    }
+
+    /// A rescue solve that starts out of budget hands back exactly its
+    /// seed, cold (the interrupted cold solve's own answer is empty) and
+    /// warm (the interrupted repair's is the seed), and costs nothing but
+    /// the duals: the next solve that fits is exact again.
+    #[test]
+    fn stopped_rescue_solve_returns_its_seed() {
+        use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo::Dijkstra};
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 8, Routing::HashId);
+        let market = epoch_market(&g, |e| plan.edge_shard[e.index()] == UNMAPPED);
+        let mg = &market.graph;
+        let mut weights = market.project_weights(&w);
+        let mut solver = WarmSolver::new(mg);
+        let stopped = {
+            let token = CancelToken::new();
+            token.cancel();
+            SolveCtl::unlimited().with_token(token)
+        };
+        let seed_from = |weights: &[f64], prev: &[EdgeId]| {
+            let (mut wl, mut tl) = (mg.capacities().to_vec(), mg.demands().to_vec());
+            let edges = rescue_seed(mg, weights, prev, &mut wl, &mut tl).expect("open edges");
+            Matching { edges }
+        };
+
+        let seed = seed_from(&weights, &[]);
+        assert!(!seed.is_empty());
+        let cold = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped);
+        assert_eq!(cold, seed);
+        let unlimited = SolveCtl::unlimited();
+        let primed = rescue_solve(&mut solver, mg, &weights, seed.clone(), &unlimited);
+        assert!(primed.total_weight(&weights) > seed.total_weight(&weights));
+
+        for (i, wt) in weights.iter_mut().enumerate() {
+            *wt *= if i % 3 == 0 { 0.5 } else { 1.0 };
+        }
+        let seed = seed_from(&weights, &primed.edges);
+        let warm = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped);
+        assert_eq!(warm, seed);
+        let healed = rescue_solve(&mut solver, mg, &weights, seed.clone(), &unlimited);
+        let (opt, _) = max_weight_bmatching(mg, &weights, FlowMode::FreeCardinality, Dijkstra);
+        assert!((healed.total_weight(&weights) - opt.total_weight(&weights)).abs() < 1e-6);
+        assert_eq!(solver.stats().warm_hits, 0, "a cut forfeits the duals");
+    }
+
     /// Drift-driven re-planning: the epoch loop (detach → rebuild →
     /// resume) fires on a drifting trace, migrates nodes, and keeps every
     /// safety invariant — with the boundary pass (cut assignments move to
@@ -2191,6 +2324,7 @@ mod tests {
             let (sink, report) = run_epochs(&g, &w, &cfg, &events);
             assert!(report.replans > 0, "threshold 1e-6 never fired");
             assert_eq!(report.capacity_violations, 0);
+            assert_eq!(report.rescue_solves > 0, boundary_pass);
             // Every shard solve, before and after each migration, reached
             // the exact tier — through the carried solvers, which batch
             // mode does not report as online warm solves.

@@ -6,7 +6,8 @@
 //! feasibility, optimality dominance, approximation bounds, monotonicity,
 //! and cross-solver agreement.
 
-use mbta::graph::{BipartiteGraph, GraphBuilder, TaskId, WorkerId};
+use mbta::graph::subgraph::{induce, Subgraph, SubgraphSpec};
+use mbta::graph::{BipartiteGraph, EdgeId, GraphBuilder, TaskId, WorkerId};
 use mbta::market::Combiner;
 use mbta::matching::dinic::max_cardinality_bmatching;
 use mbta::matching::greedy::greedy_bmatching;
@@ -16,12 +17,14 @@ use mbta::matching::local_search::local_search;
 use mbta::matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
 use mbta::matching::online::{online_assign, OnlinePolicy};
 use mbta::matching::stable::{deferred_acceptance, find_blocking_pair};
+use mbta::service::shard::UNMAPPED;
 use mbta::service::{
     Action, Arrival, BatchConfig, BatchStats, BudgetMode, Decision, DecisionSink, DispatchService,
-    Routing, ServiceConfig, ServiceEvent, ShardPlan, WriteSink,
+    Routing, ServiceConfig, ServiceEvent, ServiceReport, ShardPlan, WriteSink,
 };
 use mbta::util::fixed::objectives_close;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// A generated instance: node attributes plus a duplicate-free edge list.
 #[derive(Debug, Clone)]
@@ -105,11 +108,14 @@ fn service_trace(g: &BipartiteGraph, ops: &[(u8, usize, f64)]) -> Vec<Arrival> {
 /// A sink that audits a batch service from outside: liveness and weights
 /// are mirrored from the offered events (each commit says how many it
 /// consumed), the assignment from the decision stream, and after every
-/// commit each shard must hold the cold optimum of its active sub-market.
+/// commit each shard must hold the cold optimum of its active sub-market
+/// — and, with the boundary pass on, the overlay that of the residual
+/// market ([`ShardAudit::residual_market`]).
 struct ShardAudit<'a> {
     g: &'a BipartiteGraph,
     plan: &'a ShardPlan,
     events: &'a [Arrival],
+    boundary_pass: bool,
     applied: usize,
     worker_on: Vec<bool>,
     task_on: Vec<bool>,
@@ -120,11 +126,17 @@ struct ShardAudit<'a> {
 }
 
 impl<'a> ShardAudit<'a> {
-    fn new(g: &'a BipartiteGraph, plan: &'a ShardPlan, events: &'a [Arrival]) -> Self {
+    fn new(
+        g: &'a BipartiteGraph,
+        plan: &'a ShardPlan,
+        events: &'a [Arrival],
+        boundary_pass: bool,
+    ) -> Self {
         ShardAudit {
             g,
             plan,
             events,
+            boundary_pass,
             applied: 0,
             worker_on: vec![false; g.n_workers()],
             task_on: vec![false; g.n_tasks()],
@@ -133,6 +145,56 @@ impl<'a> ShardAudit<'a> {
             log: WriteSink::new(Vec::new()),
             failure: None,
         }
+    }
+
+    /// The boundary market as the service built it before it carried one:
+    /// from scratch, out of the cross edges whose endpoints are both live
+    /// and have capacity left over from the shards, with those residuals
+    /// as capacities. Returns it with the overlay edges it does *not*
+    /// admit — not a candidate, or beyond a residual.
+    fn residual_market(&self) -> (Subgraph, usize) {
+        let g = self.g;
+        let is_cross = |e: EdgeId| self.plan.edge_shard[e.index()] == UNMAPPED;
+        let mut w_res = g.capacities().to_vec();
+        let mut t_res = g.demands().to_vec();
+        for e in g
+            .edges()
+            .filter(|&e| self.assigned[e.index()] && !is_cross(e))
+        {
+            w_res[g.worker_of(e).index()] -= 1;
+            t_res[g.task_of(e).index()] -= 1;
+        }
+        let mut cand = vec![false; g.n_edges()];
+        let mut w_in = vec![false; g.n_workers()];
+        let mut t_in = vec![false; g.n_tasks()];
+        for e in g.edges().filter(|&e| is_cross(e)) {
+            let (w, t) = (g.worker_of(e).index(), g.task_of(e).index());
+            if w_res[w] > 0 && t_res[t] > 0 && self.worker_on[w] && self.task_on[t] {
+                (cand[e.index()], w_in[w], t_in[t]) = (true, true, true);
+            }
+        }
+        let workers = g.workers().filter(|w| w_in[w.index()]);
+        let workers: Vec<_> = workers.map(|w| (w, w_res[w.index()])).collect();
+        let tasks = g.tasks().filter(|t| t_in[t.index()]);
+        let tasks: Vec<_> = tasks.map(|t| (t, t_res[t.index()])).collect();
+        let spec = SubgraphSpec {
+            workers: &workers,
+            tasks: &tasks,
+        };
+        let mut misfits = 0;
+        for e in g
+            .edges()
+            .filter(|&e| self.assigned[e.index()] && is_cross(e))
+        {
+            let (w, t) = (g.worker_of(e).index(), g.task_of(e).index());
+            if cand[e.index()] && w_res[w] > 0 && t_res[t] > 0 {
+                w_res[w] -= 1;
+                t_res[t] -= 1;
+            } else {
+                misfits += 1;
+            }
+        }
+        (induce(g, &spec, |e| cand[e.index()]), misfits)
     }
 }
 
@@ -184,7 +246,67 @@ impl DecisionSink for ShardAudit<'_> {
                 ));
             }
         }
+        if self.boundary_pass {
+            let (market, misfits) = self.residual_market();
+            let w = market.project_weights(&self.live);
+            let (cold, _) = max_weight_bmatching(
+                &market.graph,
+                &w,
+                FlowMode::FreeCardinality,
+                PathAlgo::Dijkstra,
+            );
+            let opt = cold.total_weight(&w);
+            let overlay = self.g.edges().filter(|e| {
+                self.assigned[e.index()] && self.plan.edge_shard[e.index()] == UNMAPPED
+            });
+            let held: f64 = overlay.map(|e| self.live[e.index()]).sum();
+            if misfits > 0 || !objectives_close(held, opt, w.len()) {
+                self.failure.get_or_insert(format!(
+                    "batch {} overlay: holds {held} ({misfits} beyond the residuals), optimum {opt}",
+                    stats.seq
+                ));
+            }
+        }
     }
+}
+
+/// One `Deterministic` batch run of `events` under a [`ShardAudit`]: every
+/// event applied, every commit audited clean, nothing over capacity.
+/// Returns the decision bytes and the report.
+fn audited_run(
+    g: &BipartiteGraph,
+    plan: &ShardPlan,
+    events: &[Arrival],
+    threads: usize,
+    boundary_pass: bool,
+) -> Result<(Vec<u8>, ServiceReport), TestCaseError> {
+    let cfg = ServiceConfig {
+        batch: BatchConfig {
+            max_events: 8,
+            max_bytes: 1 << 20,
+            flush_interval: 1.5,
+        },
+        budget: BudgetMode::Deterministic,
+        threads,
+        boundary_pass,
+        ..ServiceConfig::default()
+    };
+    let mut svc = DispatchService::new(g, plan, cfg);
+    let mut audit = ShardAudit::new(g, plan, events, boundary_pass);
+    for &a in events {
+        svc.submit(a, &mut audit);
+    }
+    let report = svc.finish(&mut audit);
+    prop_assert_eq!(audit.applied, events.len());
+    prop_assert!(
+        audit.failure.is_none(),
+        "{} shards, {} threads: {:?}",
+        plan.n_shards(),
+        threads,
+        audit.failure
+    );
+    prop_assert_eq!(report.capacity_violations, 0);
+    Ok((audit.log.into_inner(), report))
 }
 
 proptest! {
@@ -505,25 +627,8 @@ proptest! {
             let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
             let mut logs = Vec::new();
             for threads in [1usize, 4] {
-                let cfg = ServiceConfig {
-                    batch: BatchConfig { max_events: 8, max_bytes: 1 << 20, flush_interval: 1.5 },
-                    budget: BudgetMode::Deterministic,
-                    threads,
-                    ..ServiceConfig::default()
-                };
                 let before = hits.get();
-                let mut svc = DispatchService::new(&g, &plan, cfg);
-                let mut audit = ShardAudit::new(&g, &plan, &events);
-                for &a in &events {
-                    svc.submit(a, &mut audit);
-                }
-                let report = svc.finish(&mut audit);
-                prop_assert_eq!(audit.applied, events.len());
-                prop_assert!(
-                    audit.failure.is_none(),
-                    "{} shards, {} threads: {:?}", shards, threads, audit.failure
-                );
-                prop_assert_eq!(report.capacity_violations, 0);
+                let (log, report) = audited_run(&g, &plan, &events, threads, false)?;
                 prop_assert_eq!(report.tier_exact, report.solves);
                 // One whole-market shard is solved by every batch, and only
                 // a shard's first solve has no duals to repair.
@@ -533,9 +638,34 @@ proptest! {
                     warm >= report.solves.saturating_sub(shards as u64),
                     "{} warm hits in {} solves over {} shards", warm, report.solves, shards
                 );
-                logs.push(audit.log.into_inner());
+                logs.push(log);
             }
             prop_assert_eq!(&logs[0], &logs[1], "decisions depend on the thread count");
+        }
+    }
+
+    /// The boundary rescue re-solves one carried market per plan under each
+    /// batch's residual capacities: after every committed batch the overlay
+    /// holds the cold optimum of the residual market built from scratch
+    /// (and every shard still its own), nothing exceeds a capacity, and the
+    /// decision bytes do not depend on the thread count.
+    #[test]
+    fn boundary_rescue_stays_exact_on_the_epoch_market(
+        inst in instance(6, 3),
+        ops in proptest::collection::vec((0u8..8, 0usize..36, 0.0f64..=1.0), 16..56),
+    ) {
+        let g = inst.graph();
+        if g.n_edges() == 0 {
+            return Ok(()); // no market to dispatch
+        }
+        let weights = mb_weights(&g);
+        let events = service_trace(&g, &ops);
+        for shards in [2usize, 8] {
+            let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
+            let (log1, report) = audited_run(&g, &plan, &events, 1, true)?;
+            let (log4, _) = audited_run(&g, &plan, &events, 4, true)?;
+            prop_assert_eq!(report.cross_benefit_drops, 0);
+            prop_assert_eq!(log1, log4, "decisions depend on the thread count");
         }
     }
 
