@@ -18,11 +18,13 @@
 //!   source → sink stop rule, the `ctl` handling and its telemetry tallies.
 //! * One Dijkstra on reduced costs, one `augment` and one capped potential
 //!   update — what an iteration of that loop under [`PathAlgo::Dijkstra`]
-//!   is made of, and equally what routes each unit of excess in the warm
-//!   solver's dual repair (the search is the certificate check's too) —
-//!   and one queue Bellman–Ford, which seeds the potentials of a cold solve
-//!   and is the per-iteration search of [`PathAlgo::Spfa`]. Both searches
-//!   always consult `ctl`.
+//!   is made of, and equally what routes each unit of imbalance in the warm
+//!   solver's dual repair (the search is the certificate check's too). All
+//!   three take the search direction as a const parameter: the repair
+//!   searches the *transposed* residual graph for the units its hub owes;
+//!   every other caller searches forward. And one queue Bellman–Ford, which
+//!   seeds the potentials of a cold solve and is the per-iteration search of
+//!   [`PathAlgo::Spfa`]. Both searches always consult `ctl`.
 //!
 //! A cold solve is zero flow, Bellman–Ford potentials, loop.
 //! [`max_weight_bmatching`], [`max_weight_bmatching_ctl`] and
@@ -100,6 +102,9 @@ pub struct FlowResult {
     /// Number of nonzero Johnson-potential adjustments performed across
     /// all iterations (0 for SPFA, which runs without potentials).
     pub potential_updates: u64,
+    /// Nodes finalised by the call's Dijkstra searches (0 for SPFA);
+    /// `settled / iterations` is how far a search reaches per path.
+    pub settled: u64,
 }
 
 pub(crate) const NO_FLOW: FlowResult = FlowResult {
@@ -107,6 +112,7 @@ pub(crate) const NO_FLOW: FlowResult = FlowResult {
     cost: 0,
     iterations: 0,
     potential_updates: 0,
+    settled: 0,
 };
 
 /// Node labels and work queues of the path searches: sized once for a
@@ -140,15 +146,15 @@ impl Scratch {
     }
 
     /// The potential update after a search that stopped at distance `cap`:
-    /// `π[v] += min(dist[v], cap)`, unlabelled nodes counting as `∞`. It
-    /// keeps every residual reduced cost non-negative for any
-    /// `cap ≤ dist[stop node]` (see [`CostFlow::dijkstra`]). Returns how
-    /// many potentials moved.
-    pub(crate) fn lift(&mut self, cap: i64) -> u64 {
+    /// `π[v] += min(dist[v], cap)` — `−=` after a search of the transposed
+    /// graph (`REV`) — unlabelled nodes counting as `∞`. It keeps every
+    /// residual reduced cost non-negative for any `cap ≤ dist[stop node]`
+    /// (see [`CostFlow::dijkstra`]). Returns how many potentials moved.
+    pub(crate) fn lift<const REV: bool>(&mut self, cap: i64) -> u64 {
         let mut moved = 0;
         for (p, &d) in self.pi.iter_mut().zip(&self.dist) {
             let adj = d.min(cap);
-            *p += adj;
+            *p += if REV { -adj } else { adj };
             moved += u64::from(adj != 0);
         }
         moved
@@ -299,7 +305,10 @@ impl CostFlow {
             let found = !ctl.stop_requested()
                 && match algo {
                     PathAlgo::Dijkstra => {
-                        self.dijkstra([source], |v| v == sink, sc, ctl) != Search::Interrupted
+                        let (end, settled) =
+                            self.dijkstra::<false>([source], |v| v == sink, sc, ctl);
+                        r.settled += settled;
+                        end != Search::Interrupted
                     }
                     PathAlgo::Spfa => self.bellman_ford(source, sc, ctl) == BellmanFord::Converged,
                 };
@@ -312,12 +321,12 @@ impl CostFlow {
                 break true;
             }
             r.iterations += 1;
-            let (_, pushed, path_cost) = self.augment(sink, &sc.parent, u32::MAX);
+            let (_, pushed, path_cost) = self.augment::<false>(sink, &sc.parent, u32::MAX);
             debug_assert_eq!(path_cost, true_cost);
             r.flow += u64::from(pushed);
             r.cost += i64::from(pushed) * path_cost;
             if algo == PathAlgo::Dijkstra {
-                r.potential_updates += sc.lift(dt);
+                r.potential_updates += sc.lift::<false>(dt);
             }
         };
         record_solve(&r);
@@ -377,8 +386,8 @@ impl CostFlow {
 
     /// Dijkstra on reduced costs `cost + π[u] − π[v]` from `starts` (each at
     /// distance 0), terminating as soon as a node that `is_target` is
-    /// finalized. The labels of an interrupted search must not be used for
-    /// augmentation.
+    /// finalized; returns how it ended and how many nodes it finalized. The
+    /// labels of an interrupted search must not be used for augmentation.
     ///
     /// Early termination is sound together with the potential update
     /// `π[v] += min(dist[v], dist[target])` (treating untouched nodes as
@@ -388,20 +397,27 @@ impl CostFlow {
     /// and all still-queued tentative distances are `≥ dist[target]` at the
     /// moment the target pops, which covers the remaining cases.
     ///
+    /// `REV` searches the transposed residual graph: `dist[u]` is then the
+    /// distance from `u` *to* the starts, the residual arc `u → v` is
+    /// followed from `v` back to `u`, `parent[u]` is that arc (it points
+    /// towards the starts), and the update is the mirror
+    /// `π[v] −= min(dist[v], dist[target])`, sound by the same argument
+    /// with the arc reversed.
+    ///
     /// Kept out of line on purpose: as a function of its own, `self` and
     /// `sc` are `noalias` parameters; inlined into the shared loop that
-    /// knowledge is lost and the arc loop measures 3–8% slower. Starts and
-    /// predicate are monomorphised, so the cold loop's `[source]` and
-    /// `v == sink` compile to the one push and the comparison they always
-    /// were.
+    /// knowledge is lost and the arc loop measures 3–8% slower. Direction,
+    /// starts and predicate are monomorphised, so the cold loop's forward
+    /// search, `[source]` and `v == sink` compile to the arc test, one push
+    /// and the comparison they always were.
     #[inline(never)]
-    pub(crate) fn dijkstra(
+    pub(crate) fn dijkstra<const REV: bool>(
         &self,
         starts: impl IntoIterator<Item = usize>,
         is_target: impl Fn(usize) -> bool,
         sc: &mut Scratch,
         ctl: &SolveCtl,
-    ) -> Search {
+    ) -> (Search, u64) {
         let heap = &mut sc.heap;
         let (pi, dist, parent) = (&sc.pi[..], &mut sc.dist[..], &mut sc.parent[..]);
         dist.fill(INF);
@@ -411,15 +427,17 @@ impl CostFlow {
             dist[s] = 0;
             heap.push_or_decrease(s, 0);
         }
+        let mut settled = 0;
         while let Some((v, dv)) = heap.pop() {
             if ctl.should_stop() {
-                return Search::Interrupted;
+                return (Search::Interrupted, settled);
             }
             if dv > dist[v] {
                 continue;
             }
+            settled += 1;
             if is_target(v) {
-                return Search::Reached(v);
+                return (Search::Reached(v), settled);
             }
             // Read once per node: the label slices are reborrows of one
             // scratch value, so the compiler cannot prove that a `dist`
@@ -428,32 +446,39 @@ impl CostFlow {
             let mut a = self.first[v];
             while a != NONE {
                 let ai = a as usize;
-                if self.cap[ai] > 0 {
+                // The residual arc this step follows: `v → to` itself, or
+                // its twin `to → v` when searching the transposed graph.
+                let r = ai ^ usize::from(REV);
+                if self.cap[r] > 0 {
                     let to = self.head[ai] as usize;
-                    let red = self.cost[ai] + pv - pi[to];
+                    let red = self.cost[r] + if REV { pi[to] - pv } else { pv - pi[to] };
                     debug_assert!(red >= 0, "negative reduced cost {red}");
                     let nd = dv + red;
                     if nd < dist[to] {
                         dist[to] = nd;
-                        parent[to] = a;
+                        parent[to] = r as u32;
                         heap.push_or_decrease(to, nd);
                     }
                 }
                 a = self.next[ai];
             }
         }
-        Search::Exhausted
+        (Search::Exhausted, settled)
     }
 
-    /// Augments by at most `limit` units along the parent arcs that lead
-    /// from the search's start node (the one without a parent arc) to `to`;
-    /// returns `(start, pushed, true_path_cost)`.
-    pub(crate) fn augment(
+    /// Augments by at most `limit` units along the parent arcs between the
+    /// search's start node (the one without a parent arc) and `to`: from
+    /// the start to `to`, or from `to` to the start after a `REV` search.
+    /// Returns `(start, pushed, true_path_cost)`.
+    pub(crate) fn augment<const REV: bool>(
         &mut self,
         to: usize,
         parent_arc: &[u32],
         limit: u32,
     ) -> (usize, u32, i64) {
+        // Walking away from `to`, the next node is a parent arc's tail (the
+        // path runs start → `to`) or, after a `REV` search, its head.
+        let step = |a: usize| a ^ usize::from(!REV);
         let mut bottleneck = limit;
         let mut cost = 0i64;
         let mut v = to;
@@ -461,7 +486,7 @@ impl CostFlow {
             let a = parent_arc[v] as usize;
             bottleneck = bottleneck.min(self.cap[a]);
             cost += self.cost[a];
-            v = self.head[a ^ 1] as usize;
+            v = self.head[step(a)] as usize;
         }
         let start = v;
         let mut v = to;
@@ -469,7 +494,7 @@ impl CostFlow {
             let a = parent_arc[v] as usize;
             self.cap[a] -= bottleneck;
             self.cap[a ^ 1] += bottleneck;
-            v = self.head[a ^ 1] as usize;
+            v = self.head[step(a)] as usize;
         }
         (start, bottleneck, cost)
     }
@@ -657,6 +682,7 @@ pub(crate) fn record_solve(result: &FlowResult) {
         "mbta_matching_mcmf_potential_updates_total",
         result.potential_updates,
     );
+    mbta_telemetry::counter_add("mbta_matching_mcmf_settled_nodes_total", result.settled);
 }
 
 /// Statistics of an exact b-matching solve, returned alongside the matching.
@@ -798,7 +824,7 @@ pub fn verify_certificate(
     bn.sc.pi.copy_from_slice(pi);
     let (source, sink) = (bn.source, bn.sink);
     bn.net
-        .dijkstra([source], |v| v == sink, &mut bn.sc, &SolveCtl::unlimited());
+        .dijkstra::<false>([source], |v| v == sink, &mut bn.sc, &SolveCtl::unlimited());
     let dt = bn.sc.dist[bn.sink];
     dt >= INF || dt + pi[bn.sink] - pi[bn.source] >= 0
 }

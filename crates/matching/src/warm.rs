@@ -27,18 +27,26 @@
 //!    potentials, so nothing is ever "too drifted" to repair.
 //! 4. **Route.** While a node holds excess: one Dijkstra on reduced costs
 //!    ([`crate::mcmf`]'s own) from the excess nodes to the nearest deficit,
-//!    the usual potential update, one unit pushed. Each search is local and
-//!    there is at most one per unit of excess and of deficit.
+//!    the usual potential update, one unit pushed. Then, while the hub owes
+//!    (below): the same Dijkstra over the *transposed* residual graph, from
+//!    the deficits back to the nearest hub end, the mirrored update, one
+//!    unit pushed from that end. Each search is local and there is at most
+//!    one per unit of excess and of deficit.
 //!
 //! Free cardinality is what makes step 4 uniform: flow value is free, so
 //! source and sink are one **hub** joined by a zero-cost return arc, and the
 //! carried potentials are kept normalised to `π[sink] == π[source]`. The
 //! hub absorbs any excess that reaches either of its ends (that is how
 //! flow the drifted weights no longer justify is retracted) and, once no
-//! inner node holds excess, hands the remaining deficits what they are owed
-//! from both ends. When the imbalances are gone the flow is a circulation
-//! through the hub with no negative residual arc: the optimum, with the
-//! carried potentials as its certificate.
+//! inner node holds excess, hands the remaining deficits what they are
+//! owed. Those units are searched from the deficit side: the hub is
+//! adjacent to every worker and every task, so a search started there
+//! settled ~60 % of the market before it met a deficit, where one started
+//! at the deficits meets a hub end within a few nodes
+//! ([`FlowResult::settled`] counts them). When the imbalances
+//! are gone the flow is a circulation through the hub with no negative
+//! residual arc: the optimum, with the carried potentials as its
+//! certificate.
 //!
 //! Capacities may move between solves as well as costs
 //! ([`WarmNet::set_capacities`] — the boundary-rescue market of a plan
@@ -58,7 +66,9 @@
 //! [`crate::mcmf::max_weight_bmatching`] solve — the warm path is purely
 //! a latency optimization, checked by the `warm_matches_cold_*` tests.
 
-use crate::mcmf::{self, BipartiteNet, Certificate, FlowMode, FlowResult, PathAlgo, Search};
+use crate::mcmf::{
+    self, BipartiteNet, Certificate, CostFlow, FlowMode, FlowResult, PathAlgo, Scratch, Search,
+};
 use crate::solution::Matching;
 use mbta_graph::BipartiteGraph;
 use mbta_util::SolveCtl;
@@ -78,6 +88,8 @@ pub struct WarmStats {
     /// Shortest-path searches that pushed flow: augmenting paths of a cold
     /// solve, routed units of a repair.
     pub iterations: u64,
+    /// Nodes those searches settled ([`FlowResult::settled`]).
+    pub settled: u64,
     /// Total fixed-point profit of the returned matching.
     pub profit: i64,
     /// `false` when `ctl` interrupted the solve; the returned matching is
@@ -174,10 +186,11 @@ impl WarmNet {
                 // lifting by the gap that leaves closes it.
                 let gap = sc.pi[source] - sc.pi[sink];
                 debug_assert!((0..=sc.dist[sink]).contains(&gap));
-                sc.lift(gap);
+                sc.lift::<false>(gap);
             }
-            // Updates only ever raise potentials; reduced costs are
-            // shift-invariant, so re-basing at the hub keeps them bounded.
+            // Updates drift all potentials (forward searches raise them,
+            // reverse ones lower them); reduced costs are shift-invariant,
+            // so re-basing at the hub keeps them bounded.
             let base = sc.pi[source];
             sc.pi.iter_mut().for_each(|p| *p -= base);
         } else if warm {
@@ -189,6 +202,7 @@ impl WarmNet {
         let stats = WarmStats {
             warm: warm && completed,
             iterations: r.iterations,
+            settled: r.settled,
             profit,
             completed,
         };
@@ -198,6 +212,37 @@ impl WarmNet {
     /// Steps 2–4 of the [module docs](self) on the seeded network: re-price,
     /// saturate, route. Returns `(tallies, completed)` like the cold loop.
     fn repair(&mut self, ctl: &SolveCtl) -> (FlowResult, bool) {
+        let mut excess = self.saturate();
+        let bn = &mut self.bn;
+        let (net, sc, source, sink) = (&mut bn.net, &mut bn.sc, bn.source, bn.sink);
+        let hub = |v: usize| v == source || v == sink;
+        // Inner excess goes first, and to it the hub is always a target;
+        // what the inner deficits are still owed once no inner node holds
+        // any is the hub's, searched for from the deficits.
+        let mut r = mcmf::NO_FLOW;
+        let completed = loop {
+            let unit = if excess[source + 1..sink].iter().any(|&x| x > 0) {
+                let starts = (source + 1..sink).filter(|&v| excess[v] > 0);
+                route::<false>(net, sc, starts, |v| hub(v) || excess[v] < 0, ctl, &mut r)
+            } else if excess[source] + excess[sink] > 0 {
+                let starts = (source + 1..sink).filter(|&v| excess[v] < 0);
+                route::<true>(net, sc, starts, hub, ctl, &mut r)
+            } else {
+                break true;
+            };
+            let Some((from, to)) = unit else {
+                break false;
+            };
+            excess[from] -= 1;
+            excess[to] += 1;
+        };
+        mcmf::record_solve(&r);
+        (r, completed)
+    }
+
+    /// Steps 2–3 of the [module docs](self) on the seeded network: re-price,
+    /// saturate. Returns every node's excess (negative: deficit).
+    fn saturate(&mut self) -> Vec<i64> {
         let bn = &mut self.bn;
         let (net, sc, source, sink) = (&mut bn.net, &mut bn.sc, bn.source, bn.sink);
         // Re-price: both bounds an arc pair puts on `pi[v]` are
@@ -232,39 +277,38 @@ impl WarmNet {
                 excess[net.head[a ^ 1] as usize] -= i64::from(units);
             }
         }
-        // Route. Inner excess goes first, and to it the hub is always a
-        // target; the hub's own excess (what the inner deficits are still
-        // owed once no inner node holds any) leaves from both of its ends.
-        let mut r = mcmf::NO_FLOW;
-        let completed = loop {
-            let hub_drains = !excess[source + 1..sink].iter().any(|&x| x > 0);
-            if hub_drains && excess[source] + excess[sink] == 0 {
-                break true;
-            }
-            let starts = (source + 1..sink)
-                .filter(|&v| excess[v] > 0)
-                .chain([source, sink].into_iter().filter(|_| hub_drains));
-            let is_target = |v: usize| {
-                if v == source || v == sink {
-                    !hub_drains
-                } else {
-                    excess[v] < 0
-                }
-            };
-            let to = match net.dijkstra(starts, is_target, sc, ctl) {
-                Search::Reached(to) => to,
-                Search::Interrupted => break false,
-                Search::Exhausted => unreachable!("excess always reaches the hub"),
-            };
-            r.potential_updates += sc.lift(sc.dist[to]);
-            let (from, ..) = net.augment(to, &sc.parent, 1);
-            excess[from] -= 1;
-            excess[to] += 1;
-            r.iterations += 1;
-        };
-        mcmf::record_solve(&r);
-        (r, completed)
+        excess
     }
+}
+
+/// Routes one unit: a search from `starts` to the nearest node that
+/// `is_target` — over the transposed residual graph when `REV` — the
+/// matching potential update, and one unit pushed along the path. Returns
+/// the nodes the unit left and reached, or `None` when `ctl` stopped the
+/// search.
+fn route<const REV: bool>(
+    net: &mut CostFlow,
+    sc: &mut Scratch,
+    starts: impl Iterator<Item = usize>,
+    is_target: impl Fn(usize) -> bool,
+    ctl: &SolveCtl,
+    r: &mut FlowResult,
+) -> Option<(usize, usize)> {
+    let (end, settled) = net.dijkstra::<REV>(starts, is_target, sc, ctl);
+    r.settled += settled;
+    let reached = match end {
+        Search::Reached(v) => v,
+        Search::Interrupted => return None,
+        Search::Exhausted => unreachable!("every imbalance reaches the hub"),
+    };
+    r.potential_updates += sc.lift::<REV>(sc.dist[reached]);
+    let (start, ..) = net.augment::<REV>(reached, &sc.parent, 1);
+    r.iterations += 1;
+    Some(if REV {
+        (reached, start)
+    } else {
+        (start, reached)
+    })
 }
 
 #[cfg(test)]
@@ -496,6 +540,54 @@ mod tests {
         assert!(!net.has_prior(), "interrupted solve must not carry state");
     }
 
+    /// Stops `primed`'s solve of `(g, w, seed)` at its first, second, …
+    /// poll until one runs to the end. Every stopped solve hands back the
+    /// seed and no state, and the unlimited solve after it is `optimum`
+    /// again and `fits`. Returns how many poll counts stopped the repair
+    /// and how many units it routes when left alone.
+    fn interrupt_at_every_poll(
+        primed: &WarmNet,
+        g: &BipartiteGraph,
+        w: &[f64],
+        seed: &Matching,
+        optimum: i64,
+        fits: impl Fn(&WarmNet, &Matching) -> bool,
+    ) -> (u64, u64) {
+        let (free, stats) = primed.clone().solve(g, w, seed, &SolveCtl::unlimited());
+        assert!(stats.warm && stats.iterations > 0 && stats.profit == optimum);
+        assert_ne!(&free, seed, "the repair must move off the seed");
+        let mut interrupted = 0;
+        for polls in 1.. {
+            // The first `should_stop` is a real check; spend it before the
+            // token is cancelled, and the solve is stopped by its
+            // `polls`-th own poll.
+            let token = mbta_util::CancelToken::new();
+            let ctl = SolveCtl::unlimited()
+                .with_token(token.clone())
+                .with_check_interval(polls);
+            assert!(!ctl.should_stop());
+            token.cancel();
+            let mut net = primed.clone();
+            let (m, stats) = net.solve(g, w, seed, &ctl);
+            if stats.completed {
+                assert_eq!(m, free, "{polls} polls");
+                break;
+            }
+            interrupted += 1;
+            // Never the half-routed pseudoflow: the seed, and no state.
+            assert_eq!(&m, seed, "{polls} polls");
+            assert!(!stats.warm && !net.has_prior(), "{polls} polls");
+            let (next, stats) = net.solve(g, w, &m, &SolveCtl::unlimited());
+            assert!(fits(&net, &next), "{polls} polls");
+            assert_eq!(
+                (stats.completed, stats.profit),
+                (true, optimum),
+                "{polls} polls"
+            );
+        }
+        (interrupted, stats.iterations)
+    }
+
     #[test]
     fn interrupted_repair_returns_the_seed_at_every_poll_count() {
         let g = random_bipartite(
@@ -514,40 +606,128 @@ mod tests {
         // Enough drift that an uninterrupted repair saturates arcs, routes
         // their excess and moves off the seed.
         drift(&mut w, 1, 0.2);
-        let (free, stats) = primed.clone().solve(&g, &w, &prev, &SolveCtl::unlimited());
-        assert!(stats.warm && stats.completed && stats.iterations > 0);
-        assert_ne!(free, prev);
-        let mut interrupted = 0;
-        for polls in 1.. {
-            // The first `should_stop` is a real check; spend it before the
-            // token is cancelled, and the solve is stopped by its
-            // `polls`-th own poll.
-            let token = mbta_util::CancelToken::new();
-            let ctl = SolveCtl::unlimited()
-                .with_token(token.clone())
-                .with_check_interval(polls);
-            assert!(!ctl.should_stop());
-            token.cancel();
-            let mut net = primed.clone();
-            let (m, stats) = net.solve(&g, &w, &prev, &ctl);
-            m.validate(&g).unwrap();
-            if stats.completed {
-                assert_eq!(m, free, "{polls} polls");
-                break;
-            }
-            interrupted += 1;
-            // Never the half-routed pseudoflow: the seed, and no state.
-            assert_eq!(m, prev, "{polls} polls");
-            assert!(!stats.warm && !net.has_prior(), "{polls} polls");
-            let (next, stats) = net.solve(&g, &w, &m, &SolveCtl::unlimited());
-            assert!(stats.completed);
-            let (_, cold_profit) = cold_and_certified(&net, &g, &w, &next);
-            assert_eq!(stats.profit, cold_profit, "{polls} polls");
-        }
-        assert!(
-            interrupted > stats.iterations,
-            "polls are per node, not per search"
+        let optimum = max_weight_bmatching(&g, &w, MODE, ALGO).1.profit;
+        let certified =
+            |net: &WarmNet, m: &Matching| verify_certificate(&g, &w, m, &net.certificate());
+        let (interrupted, units) =
+            interrupt_at_every_poll(&primed, &g, &w, &prev, optimum, certified);
+        assert!(interrupted > units, "polls are per node, not per search");
+    }
+
+    /// The same on a repair that routes units from the deficit side: the
+    /// nodes a first solve left out of the market are reopened.
+    #[test]
+    fn interrupted_repair_with_hub_owed_units_returns_the_seed() {
+        let (g, base) = market(24, 24, 11);
+        let mut primed = WarmNet::new(&g);
+        let closed = closing(&g, &base, 1);
+        let ctl = SolveCtl::unlimited();
+        let (prev, _) = primed.solve(&g, &closed, &Matching::empty(), &ctl);
+        assert!(hub_owed(&primed, &g, &base, &prev) > 0);
+        let optimum = max_weight_bmatching(&g, &base, MODE, ALGO).1.profit;
+        let certified =
+            |net: &WarmNet, m: &Matching| verify_certificate(&g, &base, m, &net.certificate());
+        let (interrupted, units) =
+            interrupt_at_every_poll(&primed, &g, &base, &prev, optimum, certified);
+        assert!(interrupted > units, "polls are per node, not per search");
+    }
+
+    /// A random market with capacities and demands of 2, and its weights.
+    fn market(n_workers: usize, n_tasks: usize, seed: u64) -> (BipartiteGraph, Vec<f64>) {
+        let spec = RandomGraphSpec {
+            n_workers,
+            n_tasks,
+            avg_degree: 5.0,
+            capacity: 2,
+            demand: 2,
+        };
+        let g = random_bipartite(&spec, seed);
+        let w = weights_of(&g, 0.5);
+        (g, w)
+    }
+
+    /// `w` with every edge of about a quarter of the workers and tasks
+    /// (chosen by `round`) priced at 0: those nodes are out of the market,
+    /// and free in its optimum until a later solve reopens them.
+    fn closing(g: &BipartiteGraph, w: &[f64], round: u64) -> Vec<f64> {
+        let (wc, tc) = (
+            capacities(g.n_workers(), round, 1),
+            capacities(g.n_tasks(), round, 2),
         );
+        let open = |e| wc[g.worker_of(e).index()] > 0 && tc[g.task_of(e).index()] > 0;
+        g.edges()
+            .map(|e| if open(e) { w[e.index()] } else { 0.0 })
+            .collect()
+    }
+
+    /// How many of the units `net`'s repair of `seed` under `w` routes are
+    /// owed by the hub, i.e. searched for from the deficit side. The rest
+    /// are the inner excess that re-pricing and saturating leave, routed
+    /// forward one search per unit; nothing creates inner excess later.
+    fn hub_owed(net: &WarmNet, g: &BipartiteGraph, w: &[f64], seed: &Matching) -> u64 {
+        let (_, stats) = net.clone().solve(g, w, seed, &SolveCtl::unlimited());
+        assert!(stats.warm, "not a repair");
+        let mut net = net.clone();
+        net.bn.set_costs(w);
+        net.bn.apply(g, seed);
+        let excess = net.saturate();
+        let (source, sink) = (net.bn.source, net.bn.sink);
+        let forward: i64 = excess[source + 1..sink].iter().filter(|&&x| x > 0).sum();
+        stats.iterations - forward as u64
+    }
+
+    /// The search for a unit the hub owes starts at the deficits, not at
+    /// the hub, which reaches every worker and task: when a 240 × 120
+    /// market's capacities and demands grow from 1 to 2, the repair settles
+    /// at most an eighth of the nodes per routed unit (searched for from
+    /// the hub, the owed units settled over half of them each).
+    #[test]
+    fn hub_owed_units_are_searched_locally() {
+        let (g, base) = market(240, 120, 3);
+        let mut net = WarmNet::new(&g);
+        let ctl = SolveCtl::unlimited();
+        let of = |c: u32| (vec![c; g.n_workers()], vec![c; g.n_tasks()]);
+        let (wc, tc) = of(1);
+        net.set_capacities(&wc, &tc);
+        let (prev, _) = net.solve(&g, &base, &Matching::empty(), &ctl);
+        // Back to the market's own.
+        let (wc, tc) = of(2);
+        net.set_capacities(&wc, &tc);
+        let owed = hub_owed(&net, &g, &base, &prev);
+        let (m, stats) = net.solve(&g, &base, &prev, &ctl);
+        let units = stats.iterations;
+        assert!(owed * 3 > units, "{owed} of {units} units owed");
+        let (_, cold_profit) = cold_and_certified(&net, &g, &base, &m);
+        assert_eq!(stats.profit, cold_profit);
+        let n = net.bn.net.n_nodes as u64;
+        assert!(
+            stats.settled * 8 <= stats.iterations * n,
+            "{} nodes settled for {} units on {n} nodes",
+            stats.settled,
+            stats.iterations
+        );
+    }
+
+    /// Each round reopens the nodes the last one closed and closes others,
+    /// so every repair owes units from the hub; every one is exact,
+    /// certified and re-based at the hub.
+    #[test]
+    fn reopened_nodes_resolve_exact_and_certified() {
+        for seed in 0..8 {
+            let (g, base) = market(40, 25, 60 + seed);
+            let mut net = WarmNet::new(&g);
+            let mut prev = Matching::empty();
+            for round in 0..8 {
+                let w = closing(&g, &base, round);
+                let owed = (round > 0).then(|| hub_owed(&net, &g, &w, &prev));
+                assert_ne!(owed, Some(0), "seed {seed} round {round}");
+                let (m, stats) = net.solve(&g, &w, &prev, &SolveCtl::unlimited());
+                assert_eq!((stats.completed, stats.warm), (true, round > 0));
+                let (_, cold_profit) = cold_and_certified(&net, &g, &w, &m);
+                assert_eq!(stats.profit, cold_profit, "seed {seed} round {round}");
+                prev = m;
+            }
+        }
     }
 
     /// Deterministic capacities in `0..=3`, about a quarter of them 0 — on
@@ -664,35 +844,9 @@ mod tests {
             "no capacity shrank below its flow"
         );
         let optimum = cold_profit_under(&g, &w, caps);
-        let (free, stats) = primed.clone().solve(&g, &w, &start, &SolveCtl::unlimited());
-        assert!(stats.warm && stats.iterations > 0 && stats.profit == optimum);
-        assert_ne!(free, start);
-        let mut interrupted = 0;
-        for polls in 1.. {
-            let token = mbta_util::CancelToken::new();
-            let ctl = SolveCtl::unlimited()
-                .with_token(token.clone())
-                .with_check_interval(polls);
-            assert!(!ctl.should_stop());
-            token.cancel();
-            let mut net = primed.clone();
-            let (m, stats) = net.solve(&g, &w, &start, &ctl);
-            if stats.completed {
-                assert_eq!(m, free, "{polls} polls");
-                break;
-            }
-            interrupted += 1;
-            // The seed — which fits the *new* capacities — and no state.
-            assert_eq!(m, start, "{polls} polls");
-            assert!(!stats.warm && !net.has_prior(), "{polls} polls");
-            let (next, stats) = net.solve(&g, &w, &m, &SolveCtl::unlimited());
-            assert_eq!(trim(&g, &next, caps), next, "{polls} polls");
-            assert_eq!(
-                (stats.completed, stats.profit),
-                (true, optimum),
-                "{polls} polls"
-            );
-        }
+        // The seed fits the *new* capacities, and so must every re-solve.
+        let fits = |_: &WarmNet, m: &Matching| trim(&g, m, caps) == *m;
+        let (interrupted, _) = interrupt_at_every_poll(&primed, &g, &w, &start, optimum, fits);
         assert!(interrupted > 0);
     }
 

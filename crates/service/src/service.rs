@@ -2263,7 +2263,9 @@ mod tests {
         let mg = &market.graph;
         let mut weights = market.project_weights(&w);
         let mut solver = WarmSolver::new(mg);
-        let stopped = {
+        // One per solve: `should_stop` spends a ctl's real poll once, then
+        // counts down a full interval before it looks again.
+        let stopped = || {
             let token = CancelToken::new();
             token.cancel();
             SolveCtl::unlimited().with_token(token)
@@ -2276,7 +2278,7 @@ mod tests {
 
         let seed = seed_from(&weights, &[]);
         assert!(!seed.is_empty());
-        let cold = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped);
+        let cold = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped());
         assert_eq!(cold, seed);
         let unlimited = SolveCtl::unlimited();
         let primed = rescue_solve(&mut solver, mg, &weights, seed.clone(), &unlimited);
@@ -2286,7 +2288,7 @@ mod tests {
             *wt *= if i % 3 == 0 { 0.5 } else { 1.0 };
         }
         let seed = seed_from(&weights, &primed.edges);
-        let warm = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped);
+        let warm = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped());
         assert_eq!(warm, seed);
         let healed = rescue_solve(&mut solver, mg, &weights, seed.clone(), &unlimited);
         let (opt, _) = max_weight_bmatching(mg, &weights, FlowMode::FreeCardinality, Dijkstra);

@@ -130,6 +130,8 @@ impl SolveCtl {
     ///
     /// Returns `true` once cancellation was requested or the deadline
     /// passed. Cheap: most calls are a counter decrement.
+    /// The countdown carries across solves: a ctl that already spent its
+    /// real poll sees a cancellation only a full interval later.
     #[inline]
     pub fn should_stop(&self) -> bool {
         if self.is_unlimited() {

@@ -600,6 +600,31 @@ proptest! {
             let cert = net.certificate();
             prop_assert!(verify_certificate(&g, &w, &m, &cert));
             prop_assert_eq!(cert.potentials[0], cert.potentials[cert.potentials.len() - 1]);
+            // A reopening, on a copy: every edge at one worker and one task
+            // priced at 0, then one edge between them raised from 0. Both
+            // ends are free in the first optimum, so the second repair
+            // saturates that edge, routes its task's unit into the sink and
+            // owes its worker one from the hub. Each search settles just its
+            // start and its end; searched for from the hub, the owed unit
+            // would settle both hub ends and the worker at least.
+            if g.n_edges() > 0 {
+                let e = mbta::graph::EdgeId::from_index(idx % g.n_edges());
+                let at = |f: &mbta::graph::EdgeId| {
+                    g.worker_of(*f) == g.worker_of(e) || g.task_of(*f) == g.task_of(e)
+                };
+                let mut closed = w.clone();
+                g.edges().filter(at).for_each(|f| closed[f.index()] = 0.0);
+                let mut probe = net.clone();
+                let (freed, _) = probe.solve(&g, &closed, &m, &SolveCtl::unlimited());
+                if !freed.edges.iter().any(at) {
+                    let mut raised = closed;
+                    raised[e.index()] = 0.5;
+                    let (reopened, stats) = probe.solve(&g, &raised, &freed, &SolveCtl::unlimited());
+                    prop_assert_eq!(stats.profit, exact(&raised).1.profit);
+                    prop_assert!(verify_certificate(&g, &raised, &reopened, &probe.certificate()));
+                    prop_assert_eq!((stats.iterations, stats.settled), (2, 4));
+                }
+            }
             // The service adopts the solve into its incremental state.
             prev = positive(&m, &w);
             prop_assert!(inc.reseed(&prev).is_ok());
