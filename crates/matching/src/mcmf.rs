@@ -99,8 +99,9 @@ pub struct FlowResult {
     pub cost: i64,
     /// Number of augmenting-path iterations.
     pub iterations: u64,
-    /// Number of nonzero Johnson-potential adjustments performed across
-    /// all iterations (0 for SPFA, which runs without potentials).
+    /// Number of nonzero Johnson-potential adjustments across all
+    /// iterations, counted as the update over every node would make them
+    /// (0 for SPFA, which runs without potentials).
     pub potential_updates: u64,
     /// Nodes finalised by the call's Dijkstra searches (0 for SPFA);
     /// `settled / iterations` is how far a search reaches per path.
@@ -124,6 +125,10 @@ pub(crate) struct Scratch {
     pub(crate) pi: Vec<i64>,
     pub(crate) dist: Vec<i64>,
     pub(crate) parent: Vec<u32>,
+    /// The nodes whose `dist` / `parent` labels the last search wrote; every
+    /// other node is at `INF` / `NONE`. A search resets only these, and a
+    /// potential update visits only these, so neither costs O(n).
+    touched: Vec<u32>,
     /// Arc count of the relaxation chain behind each `dist` label — the
     /// Bellman–Ford cycle guard.
     len: Vec<u32>,
@@ -138,6 +143,7 @@ impl Scratch {
             pi: vec![0; n],
             dist: vec![INF; n],
             parent: vec![NONE; n],
+            touched: Vec::new(),
             len: vec![0; n],
             in_queue: vec![false; n],
             queue: VecDeque::with_capacity(n),
@@ -145,19 +151,44 @@ impl Scratch {
         }
     }
 
+    /// Puts the labels the last search wrote back to `INF` / `NONE`.
+    fn reset_labels(&mut self) {
+        for &v in &self.touched {
+            (self.dist[v as usize], self.parent[v as usize]) = (INF, NONE);
+        }
+        self.touched.clear();
+        debug_assert!(
+            self.dist.iter().all(|&d| d == INF) && self.parent.iter().all(|&p| p == NONE),
+            "a label outside the touched list"
+        );
+    }
+
     /// The potential update after a search that stopped at distance `cap`:
     /// `π[v] += min(dist[v], cap)` — `−=` after a search of the transposed
     /// graph (`REV`) — unlabelled nodes counting as `∞`. It keeps every
     /// residual reduced cost non-negative for any `cap ≤ dist[stop node]`
-    /// (see [`CostFlow::dijkstra`]). Returns how many potentials moved.
+    /// (see [`CostFlow::dijkstra`]).
+    ///
+    /// Reduced costs do not change when every potential shifts by the same
+    /// amount, so the uniform `+cap` part is left out: only the labelled
+    /// nodes below `cap` move, by `dist[v] − cap`. Every potential comes
+    /// out `cap` below the full update's, which prices every arc the same.
+    /// Returns how many potentials the full update would have moved: every
+    /// node, less the labelled ones at distance 0, unless `cap` is 0.
     pub(crate) fn lift<const REV: bool>(&mut self, cap: i64) -> u64 {
-        let mut moved = 0;
-        for (p, &d) in self.pi.iter_mut().zip(&self.dist) {
-            let adj = d.min(cap);
-            *p += if REV { -adj } else { adj };
-            moved += u64::from(adj != 0);
+        let mut at_zero = 0;
+        for &v in &self.touched {
+            let (p, d) = (&mut self.pi[v as usize], self.dist[v as usize]);
+            if d < cap {
+                *p += if REV { cap - d } else { d - cap };
+            }
+            at_zero += u64::from(d == 0);
         }
-        moved
+        if cap > 0 {
+            self.pi.len() as u64 - at_zero
+        } else {
+            0
+        }
     }
 }
 
@@ -305,8 +336,7 @@ impl CostFlow {
             let found = !ctl.stop_requested()
                 && match algo {
                     PathAlgo::Dijkstra => {
-                        let (end, settled) =
-                            self.dijkstra::<false>([source], |v| v == sink, sc, ctl);
+                        let (end, settled) = self.dijkstra::<false>(source, |v| v == sink, sc, ctl);
                         r.settled += settled;
                         end != Search::Interrupted
                     }
@@ -341,6 +371,9 @@ impl CostFlow {
     /// the repeated stretch has negative cost.
     fn bellman_ford(&self, from: usize, sc: &mut Scratch, ctl: &SolveCtl) -> BellmanFord {
         let n = self.n_nodes as u32;
+        // Any label may be written: the next search resets them all.
+        sc.touched.clear();
+        sc.touched.extend(0..n);
         let queue = &mut sc.queue;
         let (dist, parent) = (&mut sc.dist[..], &mut sc.parent[..]);
         let (len, in_queue) = (&mut sc.len[..], &mut sc.in_queue[..]);
@@ -384,10 +417,13 @@ impl CostFlow {
         BellmanFord::Converged
     }
 
-    /// Dijkstra on reduced costs `cost + π[u] − π[v]` from `starts` (each at
+    /// Dijkstra on reduced costs `cost + π[u] − π[v]` from `start` (at
     /// distance 0), terminating as soon as a node that `is_target` is
     /// finalized; returns how it ended and how many nodes it finalized. The
     /// labels of an interrupted search must not be used for augmentation.
+    /// Only the labels the previous search wrote are reset, and the ones
+    /// this search writes are listed for the next reset and for
+    /// [`Scratch::lift`]: a search costs what it reaches, not O(n).
     ///
     /// Early termination is sound together with the potential update
     /// `π[v] += min(dist[v], dist[target])` (treating untouched nodes as
@@ -406,27 +442,25 @@ impl CostFlow {
     ///
     /// Kept out of line on purpose: as a function of its own, `self` and
     /// `sc` are `noalias` parameters; inlined into the shared loop that
-    /// knowledge is lost and the arc loop measures 3–8% slower. Direction,
-    /// starts and predicate are monomorphised, so the cold loop's forward
-    /// search, `[source]` and `v == sink` compile to the arc test, one push
-    /// and the comparison they always were.
+    /// knowledge is lost and the arc loop measures 3–8% slower. Direction
+    /// and predicate are monomorphised, so the cold loop's forward search
+    /// and `v == sink` compile to the arc test and the comparison they
+    /// always were.
     #[inline(never)]
     pub(crate) fn dijkstra<const REV: bool>(
         &self,
-        starts: impl IntoIterator<Item = usize>,
+        start: usize,
         is_target: impl Fn(usize) -> bool,
         sc: &mut Scratch,
         ctl: &SolveCtl,
     ) -> (Search, u64) {
-        let heap = &mut sc.heap;
+        sc.reset_labels();
+        let (heap, touched) = (&mut sc.heap, &mut sc.touched);
         let (pi, dist, parent) = (&sc.pi[..], &mut sc.dist[..], &mut sc.parent[..]);
-        dist.fill(INF);
-        parent.fill(NONE);
         heap.clear();
-        for s in starts {
-            dist[s] = 0;
-            heap.push_or_decrease(s, 0);
-        }
+        dist[start] = 0;
+        touched.push(start as u32);
+        heap.push_or_decrease(start, 0);
         let mut settled = 0;
         while let Some((v, dv)) = heap.pop() {
             if ctl.should_stop() {
@@ -455,6 +489,9 @@ impl CostFlow {
                     debug_assert!(red >= 0, "negative reduced cost {red}");
                     let nd = dv + red;
                     if nd < dist[to] {
+                        if dist[to] == INF {
+                            touched.push(to as u32);
+                        }
                         dist[to] = nd;
                         parent[to] = r as u32;
                         heap.push_or_decrease(to, nd);
@@ -824,7 +861,7 @@ pub fn verify_certificate(
     bn.sc.pi.copy_from_slice(pi);
     let (source, sink) = (bn.source, bn.sink);
     bn.net
-        .dijkstra::<false>([source], |v| v == sink, &mut bn.sc, &SolveCtl::unlimited());
+        .dijkstra::<false>(source, |v| v == sink, &mut bn.sc, &SolveCtl::unlimited());
     let dt = bn.sc.dist[bn.sink];
     dt >= INF || dt + pi[bn.sink] - pi[bn.source] >= 0
 }
@@ -1095,6 +1132,95 @@ mod tests {
         // Wrong length is rejected outright.
         cert.potentials.pop();
         assert!(!verify_certificate(&g, &w, &m, &cert));
+    }
+
+    /// The potential update over every node, `π[v] ±= min(dist[v], cap)`
+    /// with unlabelled nodes at `∞`: the reference [`Scratch::lift`] must
+    /// price every arc like, and count like.
+    fn full_lift<const REV: bool>(sc: &mut Scratch, cap: i64) -> u64 {
+        let mut moved = 0;
+        for (p, &d) in sc.pi.iter_mut().zip(&sc.dist) {
+            let adj = d.min(cap);
+            *p += if REV { -adj } else { adj };
+            moved += u64::from(adj != 0);
+        }
+        moved
+    }
+
+    /// After the search `sc` holds, stopped at distance `dist`: the sparse
+    /// and the full update at caps `0`, `dist / 2` and `dist` leave every
+    /// arc with the same reduced cost and report the same tally.
+    fn lifts_agree<const REV: bool>(net: &CostFlow, sc: &Scratch, dist: i64) {
+        for cap in [0, dist / 2, dist] {
+            let (mut sparse, mut full) = (sc.clone(), sc.clone());
+            assert_eq!(
+                sparse.lift::<REV>(cap),
+                full_lift::<REV>(&mut full, cap),
+                "cap {cap}"
+            );
+            for a in 0..net.head.len() {
+                assert_eq!(
+                    net.reduced_cost(a, &sparse.pi),
+                    net.reduced_cost(a, &full.pi),
+                    "cap {cap}, arc {a}"
+                );
+            }
+        }
+    }
+
+    /// One successive-shortest-path step from `start` to `end` with the
+    /// two updates compared; returns whether a path was found and pushed.
+    fn checked_step<const REV: bool>(
+        net: &mut CostFlow,
+        sc: &mut Scratch,
+        start: usize,
+        end: usize,
+    ) -> bool {
+        net.dijkstra::<REV>(start, |v| v == end, sc, &SolveCtl::unlimited());
+        let dist = sc.dist[end];
+        if dist >= INF {
+            return false;
+        }
+        lifts_agree::<REV>(net, sc, dist);
+        sc.lift::<REV>(dist);
+        net.augment::<REV>(end, &sc.parent, u32::MAX);
+        true
+    }
+
+    /// Successive shortest paths to saturation, alternating a forward
+    /// search from the source with a search of the transposed graph from
+    /// the sink, comparing the two updates after every search.
+    #[test]
+    fn sparse_lift_prices_every_arc_like_the_full_pass() {
+        for seed in 0..10 {
+            let g = random_bipartite(
+                &RandomGraphSpec {
+                    n_workers: 40,
+                    n_tasks: 25,
+                    avg_degree: 5.0,
+                    capacity: 2,
+                    demand: 2,
+                },
+                seed,
+            );
+            let mut bn = BipartiteNet::new(&g);
+            bn.set_costs(&weights_of(&g, 0.5));
+            let (source, sink) = (bn.source, bn.sink);
+            let (net, sc) = (&mut bn.net, &mut bn.sc);
+            let bf = net.bellman_ford(source, sc, &SolveCtl::unlimited());
+            assert_eq!(bf, BellmanFord::Converged);
+            for (p, &d) in sc.pi.iter_mut().zip(&sc.dist) {
+                *p = if d >= INF { 0 } else { d };
+            }
+            let mut paths = 0;
+            while match paths % 2 {
+                0 => checked_step::<false>(net, sc, source, sink),
+                _ => checked_step::<true>(net, sc, sink, source),
+            } {
+                paths += 1;
+            }
+            assert!(paths > 1, "seed {seed}: {paths} paths");
+        }
     }
 
     #[test]
