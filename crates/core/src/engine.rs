@@ -335,7 +335,8 @@ pub type Carried<'a> = (&'a mut WarmSolver, Matching);
 /// adoption rule are the same chain either way (`config.algo` applies to
 /// the cold solve only; the carried solver is Dijkstra on its kept
 /// potentials). A stopped `ctl` never reaches the solver, and a solve the
-/// budget cuts short forfeits the carried duals: its next solve runs cold.
+/// budget cuts short hands back its seed but keeps the prices it reached:
+/// its next solve resumes from them.
 pub fn solve_carried(
     g: &BipartiteGraph,
     weights: &[f64],

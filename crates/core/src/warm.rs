@@ -16,10 +16,10 @@
 //! Telemetry (`mbta_core_warm_solves_total` / `mbta_core_warm_hits_total`)
 //! counts every serving exact solve — batch stage 3 through
 //! [`crate::engine::solve_carried`], online fallbacks and rescue solves
-//! alike — and how many of them completed on that warm branch: every one
-//! but a solver's first, unless a deadline cuts solves short or the caller
-//! asks for a cold start ([`WarmSolver::invalidate`] — the service does
-//! before each batch shard solve under a wall-clock budget).
+//! alike — and how many of them completed from carried prices: every one
+//! but a solver's first, which repairs from zero prices, less the ones a
+//! deadline cut short. A cut solve hands back its seed but keeps its
+//! prices, so the next one resumes from them.
 //!
 //! The returned matching is filtered to strictly positive weights
 //! before it is handed back, so it can always be adopted by
@@ -38,7 +38,7 @@ pub struct WarmSolverStats {
     /// Exact re-solves performed.
     pub solves: u64,
     /// Solves that completed by repairing the carried potentials around
-    /// the seeded flow (not cold, not interrupted).
+    /// the seeded flow (not a first solve, not interrupted).
     pub warm_hits: u64,
     /// Total shortest-path searches that pushed flow, across all solves.
     pub iterations: u64,
@@ -59,7 +59,8 @@ pub struct WarmSolverStats {
 ///     &[(0, 0, 0.9, 0.9), (0, 1, 0.8, 0.8), (1, 0, 0.7, 0.7)],
 /// );
 /// let (mut solver, ctl) = (WarmSolver::new(&g), SolveCtl::unlimited());
-/// // First solve is cold; it picks the 0.8 + 0.7 pairing over the 0.9.
+/// // A first solve repairs from zero prices; it picks the 0.8 + 0.7
+/// // pairing over the 0.9.
 /// let (m1, done) = solver.solve_seeded(&g, &[0.9, 0.8, 0.7], &Matching::empty(), &ctl);
 /// assert!(done && m1.len() == 2);
 /// // Drifted weights re-solve warm, seeded with the previous matching.
@@ -86,12 +87,6 @@ impl WarmSolver {
         }
     }
 
-    /// Discards all carried state; the next solve runs cold.
-    pub fn invalidate(&mut self) {
-        self.net.invalidate();
-        self.prev = Matching::empty();
-    }
-
     /// Replaces the node capacities for every later solve (see
     /// [`WarmNet::set_capacities`]); the carried potentials are kept.
     pub fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
@@ -99,11 +94,11 @@ impl WarmSolver {
     }
 
     /// Exact free-cardinality maximum-weight matching under `weights`,
-    /// warm-started from `seed` (any matching feasible on `g` under the
-    /// capacities in force) when potentials are carried, and whether it
-    /// ran to completion (`false`: `ctl` cut it short, the matching is
-    /// feasible but not optimal — the seed, or a prefix of a cold solve —
-    /// and the next solve runs cold). The result is filtered to strictly
+    /// repaired from `seed` (any matching feasible on `g` under the
+    /// capacities in force) and the carried potentials, and whether it ran
+    /// to completion (`false`: `ctl` cut it short, the matching is the seed
+    /// and not optimal, and the next solve resumes from the prices the cut
+    /// left). The result is filtered to strictly
     /// positive weights (zero-weight edges encode inactive endpoints on
     /// the serving path).
     pub fn solve_seeded(
@@ -196,7 +191,7 @@ mod tests {
         assert_eq!(
             (s.solves, s.warm_hits),
             (8, 7),
-            "only the first solve is cold"
+            "only the first solve starts from zero prices"
         );
     }
 
@@ -220,8 +215,9 @@ mod tests {
     }
 
     /// The carried solver under the engine's chain: a stopped `ctl` never
-    /// reaches it, a solve the budget cuts hands the seed back and forfeits
-    /// the duals, and the next unbudgeted solve is cold, exact and certified.
+    /// reaches it, a solve the budget cuts hands the seed back and keeps its
+    /// prices, and the next unbudgeted solve resumes from them, exact and
+    /// certified.
     #[test]
     fn engine_chain_spares_a_stopped_solver_and_recovers_from_a_cut() {
         use crate::engine::{solve_carried, EngineConfig, QualityTier};
@@ -272,15 +268,15 @@ mod tests {
             (QualityTier::Degraded, false)
         );
         assert_eq!(cut.matching, seed, "an interrupted repair returns its seed");
-        assert!(!solver.net.has_prior(), "a cut solve must not carry duals");
+        assert!(solver.net.has_prior(), "a cut solve keeps its prices");
 
         let healed = solve_carried(&g, &w, &unbudgeted, (&mut solver, seed)).unwrap();
         assert_eq!(healed.tier, QualityTier::Exact);
         let stats = solver.stats();
         assert_eq!(
             (stats.solves, stats.warm_hits),
-            (3, 0),
-            "cold after the cut"
+            (3, 1),
+            "warm after the cut"
         );
         let (cold, _) = max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
         assert!((healed.value - cold.total_weight(&w)).abs() < 1e-6);
@@ -292,17 +288,18 @@ mod tests {
         ));
     }
 
+    /// `solve` keeps no caller matching: it seeds itself with its previous
+    /// result, so re-solving unchanged weights routes nothing.
     #[test]
-    fn invalidate_forces_cold() {
+    fn solve_seeds_itself_with_its_previous_result() {
         let g = random_bipartite(&RandomGraphSpec::default(), 3);
         let w: Vec<f64> = g.edges().map(|e| g.rb(e)).collect();
         let mut solver = WarmSolver::new(&g);
-        solver.solve(&g, &w, &SolveCtl::unlimited());
-        solver.invalidate();
-        solver.solve(&g, &w, &SolveCtl::unlimited());
-        assert_eq!(solver.stats().warm_hits, 0, "cold after invalidate");
-        // `solve` seeds itself with its previous result.
-        solver.solve(&g, &w, &SolveCtl::unlimited());
-        assert_eq!(solver.stats().warm_hits, 1);
+        let (first, _) = solver.solve(&g, &w, &SolveCtl::unlimited());
+        let routed = solver.stats().iterations;
+        let (again, _) = solver.solve(&g, &w, &SolveCtl::unlimited());
+        assert_eq!(again, first);
+        let stats = solver.stats();
+        assert_eq!((stats.warm_hits, stats.iterations), (1, routed));
     }
 }

@@ -11,9 +11,9 @@
 //! * [`mcmf`] — min-cost max-flow (successive shortest augmenting paths,
 //!   Dijkstra + Johnson potentials, with an SPFA variant for the ablation
 //!   bench). The **exact** solver for weighted b-matching (`ExactMB`), and
-//!   the only one: one bipartite network, one augmentation loop and one
-//!   Bellman–Ford, shared by the cold entry points, the certificate
-//!   verifier and [`warm`].
+//!   the only one: one bipartite network and one Dijkstra, shared by the
+//!   cold entry points, the certificate verifier and [`warm`]; the
+//!   augmentation loop and Bellman–Ford behind the cold entry points alone.
 //! * [`hungarian`] — Kuhn–Munkres O(n³), dense; exact for one-to-one
 //!   assignment on small instances; used as a cross-validation oracle.
 //! * [`auction`] — Bertsekas' auction (single-phase, ε = 1); the third
@@ -39,8 +39,8 @@
 //!   topology (node capacities may move, the arcs may not), with only
 //!   the warm-specific steps — re-price the carried
 //!   potentials, saturate the arcs still violated, route the excess by
-//!   [`mcmf`]'s Dijkstra — of its own; the exact engine behind every
-//!   serving solve.
+//!   [`mcmf`]'s Dijkstra — of its own, a first solve included (from zero
+//!   prices); the exact engine behind every serving solve.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

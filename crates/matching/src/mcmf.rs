@@ -28,7 +28,9 @@
 //!
 //! A cold solve is zero flow, Bellman–Ford potentials, loop.
 //! [`max_weight_bmatching`], [`max_weight_bmatching_ctl`] and
-//! [`max_weight_bmatching_certified`] are projections of that one body.
+//! [`max_weight_bmatching_certified`] are projections of that one body; no
+//! serving solve runs it, since [`crate::warm::WarmNet`] solves by repair
+//! alone, its first solve included (from zero prices).
 //! FIFO queue discipline, arc insertion order and heap tie-breaking decide
 //! which optimal flow is returned and are part of the contract
 //! (`tests/solver_golden.rs` pins them).
@@ -289,10 +291,11 @@ impl CostFlow {
         self.run_cold(source, sink, mode, algo, &mut sc, ctl)
     }
 
-    /// The cold solve on the flow currently on the network (callers start
-    /// from zero flow): potentials from one Bellman–Ford pass on raw costs
-    /// — the network has negative arcs but no negative cycles — then the
-    /// loop. SPFA searches raw costs, so its potentials are zero.
+    /// The cold solve on the flow currently on the network, with a fresh
+    /// scratch (callers start from zero flow and zero potentials):
+    /// potentials from one Bellman–Ford pass on raw costs — the network has
+    /// negative arcs but no negative cycles — then the loop. SPFA searches
+    /// raw costs, so its potentials stay zero.
     fn run_cold(
         &mut self,
         source: usize,
@@ -303,7 +306,6 @@ impl CostFlow {
         ctl: &SolveCtl,
     ) -> (FlowResult, bool) {
         assert_ne!(source, sink);
-        sc.pi.fill(0);
         if algo == PathAlgo::Dijkstra {
             if self.bellman_ford(source, sc, ctl) != BellmanFord::Converged {
                 return (NO_FLOW, false);
@@ -657,11 +659,11 @@ impl BipartiteNet {
     }
 
     /// Applies `m` as flow on the empty network. Returns `false` (leaving
-    /// the flow partially applied) if `m` names an unknown edge, repeats
-    /// one, or exceeds a capacity or demand.
+    /// the network at zero flow) if `m` names an unknown edge, repeats one,
+    /// or exceeds a capacity or demand.
     pub(crate) fn apply(&mut self, g: &BipartiteGraph, m: &Matching) -> bool {
         self.reset_flow();
-        for &e in &m.edges {
+        let fits = m.edges.iter().all(|&e| {
             if e.index() >= self.edge_arcs.len() {
                 return false;
             }
@@ -677,8 +679,12 @@ impl BipartiteNet {
                 self.net.cap[a as usize] -= 1;
                 self.net.cap[(a ^ 1) as usize] += 1;
             }
+            true
+        });
+        if !fits {
+            self.reset_flow();
         }
-        true
+        fits
     }
 
     /// Reads the flow back out: the edges carrying flow, in edge-id order,
@@ -692,18 +698,6 @@ impl BipartiteNet {
             }
         }
         (Matching::from_edges(edges), profit)
-    }
-
-    /// The cold solve: zero flow, then [`CostFlow::run_cold`].
-    pub(crate) fn solve_cold(
-        &mut self,
-        mode: FlowMode,
-        algo: PathAlgo,
-        ctl: &SolveCtl,
-    ) -> (FlowResult, bool) {
-        self.reset_flow();
-        self.net
-            .run_cold(self.source, self.sink, mode, algo, &mut self.sc, ctl)
     }
 }
 
@@ -733,8 +727,8 @@ pub struct SolveStats {
     pub profit: i64,
 }
 
-/// The one cold body behind the public entry points: build, solve, read
-/// out `(matching, stats, final potentials, completed)`.
+/// The one cold body behind the public entry points: build, solve from zero
+/// flow, read out `(matching, stats, final potentials, completed)`.
 fn solve(
     g: &BipartiteGraph,
     weights: &[f64],
@@ -744,7 +738,8 @@ fn solve(
 ) -> (Matching, SolveStats, Vec<i64>, bool) {
     let mut bn = BipartiteNet::new(g);
     bn.set_costs(weights);
-    let (r, completed) = bn.solve_cold(mode, algo, ctl);
+    let (source, sink) = (bn.source, bn.sink);
+    let (r, completed) = bn.net.run_cold(source, sink, mode, algo, &mut bn.sc, ctl);
     let (m, profit) = bn.matching(g);
     let stats = SolveStats {
         iterations: r.iterations,

@@ -23,8 +23,8 @@
 //!   then the accumulator resets. The solver carries node potentials
 //!   across solves and repairs them around the shard's current matching
 //!   only where drift broke them (see `mbta_matching::warm`), so every
-//!   fallback but a shard's first costs what moved since the last one,
-//!   not a cold solve.
+//!   fallback but a shard's first (a repair from zero prices) costs what
+//!   moved since the last one.
 //!
 //! Decisions come out of the assignment's flip log (folded by parity, so
 //! eviction/re-add churn cancels) and leave through the service's one

@@ -102,7 +102,7 @@ pub struct ServiceReport {
     /// `mbta_core_warm_solves_total` counter has both).
     pub online_warm_solves: u64,
     /// Of those, runs that completed by repairing the carried potentials
-    /// around the seeded flow (not cold, not interrupted). Online-only
+    /// around the seeded flow (not a first solve, not interrupted). Online-only
     /// and 0 in batch mode, like `online_warm_solves`.
     pub online_warm_hits: u64,
     /// Median per-event online decision latency (wall-clock ms).

@@ -45,9 +45,9 @@
 //! the shard's current assignment. The boundary rescue is the same
 //! design one level up: the plan's cross edges are one market, built at
 //! the epoch's first rescue pass and dropped with the plan, whose solver
-//! sees each batch's residuals as capacities (DESIGN.md §13.2). Batch
-//! shard solves under a wall-clock budget keep the network and drop the
-//! duals (budget policy, below).
+//! sees each batch's residuals as capacities (DESIGN.md §13.2). A solver's
+//! first solve is the same repair, from zero prices, and a solve a
+//! deadline cuts keeps its prices for the next (budget policy, below).
 //!
 //! **Capacity safety.** Shards are node-disjoint ([`ShardPlan`]), so each
 //! worker's capacity is managed by exactly one `IncrementalAssignment`,
@@ -72,16 +72,14 @@
 //! [`BudgetMode::Wallclock`] trades that for bounded batch latency: the
 //! budget is one absolute deadline every touched shard races, *never
 //! split* — unused budget flows to whoever can still use it, at the cost
-//! of ordering sensitivity in sequential runs (DESIGN.md §10.2). A
-//! budgeted batch solve starts cold on its shard's kept network: a cut
-//! solve forfeits its duals, so duals carried between budgeted batches
-//! last until the first cut, and on a market whose cold solve does not
-//! fit the budget that one timing event decides whether every later batch
-//! finishes early or runs into its deadline — the same trace took 1.2 s
-//! or 2.4 s. The budget is the rate knob; nothing timing-dependent may
-//! outlive the batch it was measured in. (Online fallbacks and the rescue
-//! solve keep their duals under a budget: their live markets are small,
-//! and the next cold solve that fits re-primes them.)
+//! of ordering sensitivity in sequential runs (DESIGN.md §10.2). Budgeted
+//! batch solves repair the carried duals like unbudgeted ones. A cut solve
+//! hands back its seed (the batch adopts the heavier of it and the
+//! local-search floor) but keeps the prices it reached, and the next
+//! batch's repair starts from them: a cut means "finish next batch", and
+//! no single timing event sets the pace of the batches after it. When the
+//! budget covers every repair, a budgeted run makes the same decisions as
+//! a `Deterministic` one.
 
 use crate::batch::{BatchConfig, Batcher, ClosedBatch, FlushReason};
 use crate::event::{Arrival, ServiceEvent};
@@ -662,19 +660,12 @@ impl<'p> Core<'p> {
                 token.cancel();
                 config = config.with_cancel(token);
             }
-            let solver = solver_for(slot, graph);
-            // Budgeted batches start cold, on the kept network: duals that
-            // last until the first deadline cut let one solve's timing set
-            // the pace of every batch after it (module docs, Determinism).
-            if batch_deadline.is_some() {
-                solver.invalidate();
-            }
             jobs.push(ShardJob {
                 shard: s,
                 graph,
                 weights: self.states[s].active_weights(),
                 config,
-                carried: (solver, self.states[s].matching()),
+                carried: (solver_for(slot, graph), self.states[s].matching()),
                 est_size: graph.n_edges(),
             });
         }
@@ -1795,8 +1786,8 @@ mod tests {
                     break;
                 }
             }
-            // So within an epoch each shard's first exact solve is cold,
-            // and — unbudgeted — every later one repairs the carried duals.
+            // So within an epoch each shard's first exact solve starts
+            // from zero prices, and every later one from the carried duals.
             let rescue = rescue_market(&svc);
             let solvers = svc.core.solvers.iter().flatten();
             let stats = solvers.chain(rescue.map(|r| &r.1)).map(WarmSolver::stats);
@@ -1980,7 +1971,7 @@ mod tests {
         assert_eq!(
             primed.solves - primed.warm_hits,
             1,
-            "only the first is cold"
+            "only the first starts from zero prices"
         );
 
         svc.poison_shard(0);
@@ -2005,7 +1996,7 @@ mod tests {
         assert_eq!(
             after.warm_hits,
             primed.warm_hits + 1,
-            "healed solve ran cold"
+            "healed solve lost the carried duals"
         );
         assert_eq!(sink.batches[committed].worst_tier, Some(QualityTier::Exact));
         let aw = svc.core.states[0].active_weights();
@@ -2211,8 +2202,8 @@ mod tests {
     }
 
     /// Unbudgeted, every rescue solve but the epoch's first repairs the
-    /// carried duals: a seed that overran a residual would send its solve
-    /// cold without changing a decision.
+    /// carried duals around its seed: a seed that overran a residual would
+    /// be repaired from the empty flow, a miss, without changing a decision.
     #[test]
     fn rescue_resolves_warm_on_the_epoch_market() {
         let (g, w) = universe();
@@ -2251,9 +2242,8 @@ mod tests {
     }
 
     /// A rescue solve that starts out of budget hands back exactly its
-    /// seed, cold (the interrupted cold solve's own answer is empty) and
-    /// warm (the interrupted repair's is the seed), and costs nothing but
-    /// the duals: the next solve that fits is exact again.
+    /// seed, on the market's first solve and on a later one, and keeps its
+    /// prices: the next solve that fits resumes from them and is exact.
     #[test]
     fn stopped_rescue_solve_returns_its_seed() {
         use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo::Dijkstra};
@@ -2278,8 +2268,8 @@ mod tests {
 
         let seed = seed_from(&weights, &[]);
         assert!(!seed.is_empty());
-        let cold = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped());
-        assert_eq!(cold, seed);
+        let first = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped());
+        assert_eq!(first, seed);
         let unlimited = SolveCtl::unlimited();
         let primed = rescue_solve(&mut solver, mg, &weights, seed.clone(), &unlimited);
         assert!(primed.total_weight(&weights) > seed.total_weight(&weights));
@@ -2288,12 +2278,11 @@ mod tests {
             *wt *= if i % 3 == 0 { 0.5 } else { 1.0 };
         }
         let seed = seed_from(&weights, &primed.edges);
-        let warm = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped());
-        assert_eq!(warm, seed);
+        let later = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped());
+        assert_eq!(later, seed);
         let healed = rescue_solve(&mut solver, mg, &weights, seed.clone(), &unlimited);
         let (opt, _) = max_weight_bmatching(mg, &weights, FlowMode::FreeCardinality, Dijkstra);
         assert!((healed.total_weight(&weights) - opt.total_weight(&weights)).abs() < 1e-6);
-        assert_eq!(solver.stats().warm_hits, 0, "a cut forfeits the duals");
     }
 
     /// Drift-driven re-planning: the epoch loop (detach → rebuild →
@@ -2430,11 +2419,11 @@ mod tests {
         assert!(sink.batches.iter().all(|b| b.events <= 32));
     }
 
-    /// Under a wall-clock budget no batch solve leans on the one before it:
-    /// each starts cold on the shard's kept network, so how long a batch
-    /// takes never depends on whether the last one beat its deadline.
+    /// Under a wall-clock budget that covers them, batch solves repair the
+    /// carried duals exactly like unbudgeted ones: every solve but the
+    /// shard's first is a warm hit, and all of them are exact.
     #[test]
-    fn wallclock_batches_start_cold_on_the_kept_network() {
+    fn wallclock_batches_repair_on_carried_prices() {
         let (g, w) = universe();
         let plan = ShardPlan::build(&g, &w, 1, Routing::HashId);
         let mut cfg = deterministic_cfg();
@@ -2446,7 +2435,7 @@ mod tests {
         }
         let stats = svc.core.solvers[0].as_ref().unwrap().stats();
         assert!(stats.solves >= 2, "{stats:?}");
-        assert_eq!(stats.warm_hits, 0, "a budgeted batch solve ran warm");
+        assert_eq!(stats.warm_hits, stats.solves - 1, "{stats:?}");
         let report = svc.finish(&mut sink);
         assert_eq!(report.tier_exact, report.solves, "ample budget: all exact");
         assert_eq!(report.capacity_violations, 0);

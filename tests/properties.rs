@@ -270,33 +270,43 @@ impl DecisionSink for ShardAudit<'_> {
     }
 }
 
-/// One `Deterministic` batch run of `events` under a [`ShardAudit`]: every
+/// Serializes this binary's service runs: each reads its warm hits off the
+/// process-wide `mbta_core_warm_hits_total` counter.
+static SERVICE_RUN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// One batch run of `events` under `budget` and a [`ShardAudit`]: every
 /// event applied, every commit audited clean, nothing over capacity.
-/// Returns the decision bytes and the report.
+/// Returns the decision bytes, the report and how many of the run's exact
+/// solves were warm hits.
 fn audited_run(
     g: &BipartiteGraph,
     plan: &ShardPlan,
     events: &[Arrival],
     threads: usize,
     boundary_pass: bool,
-) -> Result<(Vec<u8>, ServiceReport), TestCaseError> {
+    budget: BudgetMode,
+) -> Result<(Vec<u8>, ServiceReport, u64), TestCaseError> {
     let cfg = ServiceConfig {
         batch: BatchConfig {
             max_events: 8,
             max_bytes: 1 << 20,
             flush_interval: 1.5,
         },
-        budget: BudgetMode::Deterministic,
+        budget,
         threads,
         boundary_pass,
         ..ServiceConfig::default()
     };
+    let _alone = SERVICE_RUN.lock().unwrap_or_else(|e| e.into_inner());
+    let hits = mbta::telemetry::global().counter("mbta_core_warm_hits_total");
+    let before = hits.get();
     let mut svc = DispatchService::new(g, plan, cfg);
     let mut audit = ShardAudit::new(g, plan, events, boundary_pass);
     for &a in events {
         svc.submit(a, &mut audit);
     }
     let report = svc.finish(&mut audit);
+    let warm = hits.get() - before;
     prop_assert_eq!(audit.applied, events.len());
     prop_assert!(
         audit.failure.is_none(),
@@ -306,7 +316,17 @@ fn audited_run(
         audit.failure
     );
     prop_assert_eq!(report.capacity_violations, 0);
-    Ok((audit.log.into_inner(), report))
+    Ok((audit.log.into_inner(), report, warm))
+}
+
+/// How many of `plan`'s shards an exact solver works on: every one with an
+/// edge. [`service_trace`] opens with every node, so each of them is solved
+/// from the first batches on.
+fn solving_shards(plan: &ShardPlan) -> u64 {
+    plan.shards
+        .iter()
+        .filter(|s| s.sub.graph.n_edges() > 0)
+        .count() as u64
 }
 
 proptest! {
@@ -635,7 +655,7 @@ proptest! {
     /// after every committed batch every shard holds the cold optimum of
     /// its active sub-market, the decision bytes do not depend on the
     /// thread count, and every exact solve but a shard's first is a warm
-    /// hit (the counter stays 0 when batches cold-solve a fresh network).
+    /// hit.
     #[test]
     fn batch_service_stays_exact_on_carried_solvers(
         inst in instance(6, 3),
@@ -647,25 +667,51 @@ proptest! {
         }
         let weights = mb_weights(&g);
         let events = service_trace(&g, &ops);
-        let hits = mbta::telemetry::global().counter("mbta_core_warm_hits_total");
         for shards in [1usize, 4] {
             let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
             let mut logs = Vec::new();
             for threads in [1usize, 4] {
-                let before = hits.get();
-                let (log, report) = audited_run(&g, &plan, &events, threads, false)?;
+                let deterministic = BudgetMode::Deterministic;
+                let (log, report, warm) =
+                    audited_run(&g, &plan, &events, threads, false, deterministic)?;
                 prop_assert_eq!(report.tier_exact, report.solves);
                 // One whole-market shard is solved by every batch, and only
                 // a shard's first solve has no duals to repair.
                 prop_assert!(shards > 1 || report.solves >= 2);
-                let warm = hits.get() - before;
-                prop_assert!(
-                    warm >= report.solves.saturating_sub(shards as u64),
-                    "{} warm hits in {} solves over {} shards", warm, report.solves, shards
+                prop_assert_eq!(
+                    warm,
+                    report.solves - solving_shards(&plan),
+                    "{} solves over {} shards", report.solves, shards
                 );
                 logs.push(log);
             }
             prop_assert_eq!(&logs[0], &logs[1], "decisions depend on the thread count");
+        }
+    }
+
+    /// A wall-clock budget that covers every repair changes nothing:
+    /// budgeted batch solves repair the carried duals as unbudgeted ones
+    /// do, so the decision bytes are a `Deterministic` replay's and every
+    /// exact solve but a shard's first is a warm hit.
+    #[test]
+    fn ample_wallclock_budget_replays_like_deterministic(
+        inst in instance(6, 3),
+        ops in proptest::collection::vec((0u8..8, 0usize..36, 0.0f64..=1.0), 16..56),
+    ) {
+        let g = inst.graph();
+        if g.n_edges() == 0 {
+            return Ok(()); // no market to dispatch
+        }
+        let weights = mb_weights(&g);
+        let events = service_trace(&g, &ops);
+        for shards in [1usize, 4] {
+            let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
+            let run = |budget| audited_run(&g, &plan, &events, 1, false, budget);
+            let (log, ..) = run(BudgetMode::Deterministic)?;
+            let (budgeted, report, warm) = run(BudgetMode::Wallclock(3_600_000))?;
+            prop_assert_eq!(log, budgeted, "an ample budget moved a decision");
+            prop_assert_eq!(report.tier_exact, report.solves);
+            prop_assert_eq!(warm, report.solves - solving_shards(&plan));
         }
     }
 
@@ -687,8 +733,9 @@ proptest! {
         let events = service_trace(&g, &ops);
         for shards in [2usize, 8] {
             let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
-            let (log1, report) = audited_run(&g, &plan, &events, 1, true)?;
-            let (log4, _) = audited_run(&g, &plan, &events, 4, true)?;
+            let run = |threads| audited_run(&g, &plan, &events, threads, true, BudgetMode::Deterministic);
+            let (log1, report, _) = run(1)?;
+            let (log4, ..) = run(4)?;
             prop_assert_eq!(report.cross_benefit_drops, 0);
             prop_assert_eq!(log1, log4, "decisions depend on the thread count");
         }
