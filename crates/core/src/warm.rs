@@ -215,9 +215,9 @@ mod tests {
     }
 
     /// The carried solver under the engine's chain: a stopped `ctl` never
-    /// reaches it, a solve the budget cuts hands the seed back and keeps its
-    /// prices, and the next unbudgeted solve resumes from them, exact and
-    /// certified.
+    /// reaches it and returns the seed, a solve the budget cuts hands the
+    /// seed back and keeps its prices, and the next unbudgeted solve resumes
+    /// from them, exact and certified.
     #[test]
     fn engine_chain_spares_a_stopped_solver_and_recovers_from_a_cut() {
         use crate::engine::{solve_carried, EngineConfig, QualityTier};
@@ -244,12 +244,16 @@ mod tests {
             *wt *= if i % 3 == 0 { 0.7 } else { 1.05 };
         }
 
-        // Poison: the chain stops before stage 3.
+        // Poison: the chain never enters the exact stage, and the seed is
+        // the whole answer — no greedy floor is built beside it.
         let token = CancelToken::new();
         token.cancel();
         let cfg = EngineConfig::new().with_cancel(token);
         let floor = solve_carried(&g, &w, &cfg, (&mut solver, seed.clone())).unwrap();
         assert_eq!(floor.tier, QualityTier::Degraded);
+        assert_eq!(floor.matching, seed, "a stopped chain returns its seed");
+        assert_eq!(floor.value, seed.total_weight(&w));
+        assert!(!floor.local_search_completed);
         assert_eq!(
             solver.stats().solves,
             1,

@@ -31,7 +31,8 @@
 //!   cross-shard edges, re-solved on a carried solver of its own), or
 //!   every event through [`online`] — either way on one carried exact
 //!   solver per shard. Poisoned
-//!   shards degrade to the greedy floor without stalling siblings; cut
+//!   shards keep their greedy-repaired assignment without stalling
+//!   siblings; cut
 //!   drift past a threshold triggers a detach → re-partition → resume
 //!   migration. See DESIGN.md §8, §13.
 //! * [`online`] — the online mode's runtime (`--online`): depth-1

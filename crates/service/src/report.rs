@@ -116,9 +116,11 @@ pub struct ServiceReport {
     pub solves: u64,
     /// Solves that achieved the exact tier.
     pub tier_exact: u64,
-    /// Solves that achieved the approximate tier.
+    /// Solves that achieved the approximate tier (none: a shard solve is
+    /// carried, so it is exact or its seed).
     pub tier_approximate: u64,
-    /// Solves that degraded to the greedy floor.
+    /// Solves that degraded to their seed, the shard's greedy-repaired
+    /// assignment.
     pub tier_degraded: u64,
     /// Degraded-solve count per shard (poisoned shards show up here).
     pub degraded_by_shard: Vec<u64>,

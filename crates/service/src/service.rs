@@ -57,11 +57,12 @@
 //! and reports the violation count (the CI smoke test asserts it is zero).
 //!
 //! **Degradation isolation.** A poisoned shard ([`DispatchService::poison_shard`])
-//! gets a pre-cancelled [`CancelToken`], so its solves return the greedy
-//! floor immediately ([`QualityTier::Degraded`]) without reaching its
-//! carried solver — it can never stall the batch loop or its sibling
-//! shards, every degraded solve is counted per shard, and the first
-//! healed solve re-solves warm from the duals the last healthy one left.
+//! gets a pre-cancelled [`CancelToken`], so its solves return their seed
+//! (the churn-repaired assignment) immediately ([`QualityTier::Degraded`])
+//! without reaching its carried solver — it can never stall the batch loop
+//! or its sibling shards, every degraded solve is counted per shard, and
+//! the first healed solve re-solves warm from the duals the last healthy
+//! one left.
 //!
 //! **Determinism.** Under [`BudgetMode::Deterministic`] every solve runs
 //! unbudgeted, so each shard's result is a pure function of the input
@@ -73,13 +74,14 @@
 //! budget is one absolute deadline every touched shard races, *never
 //! split* — unused budget flows to whoever can still use it, at the cost
 //! of ordering sensitivity in sequential runs (DESIGN.md §10.2). Budgeted
-//! batch solves repair the carried duals like unbudgeted ones. A cut solve
-//! hands back its seed (the batch adopts the heavier of it and the
-//! local-search floor) but keeps the prices it reached, and the next
-//! batch's repair starts from them: a cut means "finish next batch", and
-//! no single timing event sets the pace of the batches after it. When the
-//! budget covers every repair, a budgeted run makes the same decisions as
-//! a `Deterministic` one.
+//! batch solves repair the carried duals like unbudgeted ones, exact stage
+//! first: the seed is the floor, so no greedy or local-search floor is
+//! built beside it and the whole budget goes to the repair. A cut solve
+//! hands back its seed (the shard keeps its repaired assignment) but keeps
+//! the prices it reached, and the next batch's repair starts from them: a
+//! cut means "finish next batch", and no single timing event sets the pace
+//! of the batches after it. When the budget covers every repair, a
+//! budgeted run makes the same decisions as a `Deterministic` one.
 
 use crate::batch::{BatchConfig, Batcher, ClosedBatch, FlushReason};
 use crate::event::{Arrival, ServiceEvent};
@@ -1098,7 +1100,8 @@ impl<'p> DispatchService<'p> {
     }
 
     /// Marks a shard as poisoned: its solves are pre-cancelled and return
-    /// the greedy floor immediately. Sibling shards are unaffected.
+    /// their seed, the shard's current assignment, immediately. Sibling
+    /// shards are unaffected.
     pub fn poison_shard(&mut self, s: usize) {
         if !self.core.run.poisoned[s] {
             mbta_telemetry::counter_add("mbta_service_shard_poisoned_total", 1);
@@ -1529,10 +1532,12 @@ fn solver_for<'a>(slot: &'a mut Option<WarmSolver>, g: &BipartiteGraph) -> &'a m
 }
 
 /// One re-solve of the epoch's boundary market from `seed`, under the
-/// capacities the caller just set. The engine chain's greedy floor reads
-/// the graph's own capacities — the universe's, on this market — so the
-/// rescue calls its solver directly and its seed is its floor: a solve
-/// the deadline cuts keeps the heavier of what came back and the seed.
+/// capacities the caller just set. Its seed is its floor, as in the
+/// engine's carried chain, but the rescue calls its solver directly: the
+/// engine would validate against the graph's own capacities (the
+/// universe's, on this market) and count the solve as a shard's tier. A
+/// solve the deadline cuts keeps the heavier of what came back and the
+/// seed.
 fn rescue_solve(
     solver: &mut WarmSolver,
     market: &BipartiteGraph,
@@ -1947,9 +1952,10 @@ mod tests {
     }
 
     /// The carried solver across poison → heal: a poisoned shard's batches
-    /// return the floor without reaching its solver (stage 3 is not entered
-    /// on a stopped `ctl`), and the first healed batch re-solves from the
-    /// duals the last healthy solve left — a warm hit, and exact.
+    /// return their seed without reaching its solver (the exact stage is
+    /// not entered on a stopped `ctl`), and the first healed batch
+    /// re-solves from the duals the last healthy solve left — a warm hit,
+    /// and exact.
     #[test]
     fn poisoned_batches_leave_the_carried_solver_for_the_healed_solve() {
         use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
