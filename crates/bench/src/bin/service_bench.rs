@@ -132,7 +132,6 @@ fn json_entry(shards: usize, r: &ServiceReport) -> String {
             "      \"max_batch_solve_ms\": {:.3},\n",
             "      \"wall_ms\": {:.1},\n",
             "      \"tier_exact\": {},\n",
-            "      \"tier_approximate\": {},\n",
             "      \"tier_degraded\": {},\n",
             "      \"capacity_violations\": {}\n",
             "    }}"
@@ -149,7 +148,6 @@ fn json_entry(shards: usize, r: &ServiceReport) -> String {
         r.max_solve_ms,
         r.wall_ms,
         r.tier_exact,
-        r.tier_approximate,
         r.tier_degraded,
         r.capacity_violations
     )

@@ -151,8 +151,8 @@ pub struct ServeOpts {
     /// Per-batch wall-clock solve budget in ms (`serve` only; `replay`
     /// always runs deterministic, unbudgeted solves).
     pub budget_ms: u64,
-    /// Pre-poison one shard (fault-injection demo): its solves return its
-    /// greedy-repaired assignment without stalling siblings.
+    /// Pre-poison one shard (fault-injection demo): it is not solved and
+    /// keeps its greedy-repaired assignment without stalling siblings.
     pub poison_shard: Option<usize>,
     /// Fail (non-zero exit) if the whole run exceeds this wall-clock
     /// budget.

@@ -15,19 +15,17 @@
 //!    [`CancelToken`] are threaded into every solver inner loop via
 //!    [`SolveCtl`], so even the exact min-cost-flow solve is interruptible.
 //! 3. **Degradation** — every answer is at least a feasible floor, and the
-//!    result is tagged with the [`QualityTier`] actually achieved. Where
-//!    the floor comes from depends on the entry:
-//!    * [`solve_robust`] holds no state, so it builds one: the chain runs
-//!      cheapest-first (greedy → local search → exact), a floor exists
-//!      almost immediately and each stage can only improve on it. The
-//!      floor is insurance against a budget: a solve with neither deadline
-//!      nor cancel token cannot be stopped, always reaches `Exact`, and
-//!      goes straight to the exact stage instead of building a floor it
-//!      would discard.
-//!    * [`solve_carried`] already holds one: the seed, the shard's feasible
-//!      assignment, which a cut repair hands back as it is. It runs the
-//!      exact stage first, on the carried solver, and builds no heuristic
-//!      floor beside it.
+//!    result is tagged with the [`QualityTier`] actually achieved. The
+//!    engine holds no state, so it builds its floor: the chain runs
+//!    cheapest-first (greedy → local search → exact), a floor exists almost
+//!    immediately and each stage can only improve on it. The floor is
+//!    insurance against a budget: a solve with neither deadline nor cancel
+//!    token cannot be stopped, always reaches `Exact`, and goes straight to
+//!    the exact stage instead of building a floor it would discard.
+//!
+//! The serving path does not come through here: a long-lived shard already
+//! holds a floor, its assignment, and re-solves it on its carried
+//! [`WarmSolver`](crate::warm::WarmSolver) directly.
 //!
 //! # Tier semantics and monotonicity
 //!
@@ -35,12 +33,10 @@
 //!   matching maximizes total weight (up to fixed-point rounding).
 //! * [`QualityTier::Approximate`] — local search converged (or exhausted
 //!   its pass budget) without interruption; the matching is at least the
-//!   greedy ½-approximation and usually much closer to optimal. Only
-//!   [`solve_robust`] returns it: a carried solve is `Exact` or `Degraded`.
-//! * [`QualityTier::Degraded`] — the exact stage did not complete. From
-//!   [`solve_robust`], only the greedy floor (plus whatever prefix of local
-//!   search fit in the budget) was achieved; from [`solve_carried`], the
-//!   answer is the seed.
+//!   greedy ½-approximation and usually much closer to optimal.
+//! * [`QualityTier::Degraded`] — the exact stage did not complete: only the
+//!   greedy floor (plus whatever prefix of local search fit in the budget)
+//!   was achieved.
 //!
 //! Because every stage is deterministic and only ever *improves* the
 //! incumbent (local search is monotone; an interrupted stage's output is a
@@ -50,7 +46,6 @@
 //! objective). The returned matching always passes
 //! [`Matching::validate`] — this is asserted before returning.
 
-use crate::warm::WarmSolver;
 use mbta_graph::BipartiteGraph;
 use mbta_matching::greedy::greedy_bmatching;
 use mbta_matching::local_search::local_search_ctl;
@@ -135,8 +130,8 @@ impl std::error::Error for EngineError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QualityTier {
     /// The exact stage did not complete: the answer is the floor (greedy
-    /// plus a partial local-search prefix, an `exact_only` solve's partial
-    /// flow, or a carried solve's seed).
+    /// plus a partial local-search prefix, or an `exact_only` solve's
+    /// partial flow; on the serving path, the shard's seed).
     Degraded,
     /// Local search completed; the exact solve did not.
     Approximate,
@@ -264,8 +259,8 @@ pub struct EngineSolution {
     /// Whether the exact stage ran to completion.
     pub exact_completed: bool,
     /// Whether the local-search stage ran to completion (vacuously `false`
-    /// where the stage is skipped: in `exact_only` mode, on a solve with
-    /// no deadline and no cancel token, and on every [`solve_carried`]).
+    /// where the stage is skipped: in `exact_only` mode and on a solve with
+    /// no deadline and no cancel token).
     pub local_search_completed: bool,
     /// Wall-clock time the solve consumed.
     pub elapsed: Duration,
@@ -331,41 +326,6 @@ pub fn solve_robust(
     weights: &[f64],
     config: &EngineConfig,
 ) -> Result<EngineSolution, EngineError> {
-    solve_with(g, weights, config, None)
-}
-
-/// A long-lived shard's exact stage: the [`WarmSolver`] built for the
-/// shard's topology and the feasible matching that seeds its re-solve (the
-/// shard's assignment after the batch's churn repair).
-pub type Carried<'a> = (&'a mut WarmSolver, Matching);
-
-/// [`solve_robust`] for a long-lived shard: the exact stage re-solved
-/// through the shard's carried solver, which pays for what moved since its
-/// last solve instead of for a network build and a cold solve. Validation
-/// and budgets are [`solve_robust`]'s; the chain is not. The seed is the
-/// floor, so the exact stage runs first and there is no greedy or
-/// local-search stage: a completed repair is `Exact`, anything else is the
-/// seed tagged `Degraded`. A stopped `ctl` never reaches the solver (with
-/// `exact_only`, it enters and its first poll cuts it), and a solve the
-/// budget cuts short hands back its seed but keeps the prices it reached:
-/// its next solve resumes from them. `config.algo` and `config.max_passes`
-/// do not apply; the carried solver is Dijkstra on its kept potentials.
-pub fn solve_carried(
-    g: &BipartiteGraph,
-    weights: &[f64],
-    config: &EngineConfig,
-    carried: Carried<'_>,
-) -> Result<EngineSolution, EngineError> {
-    solve_with(g, weights, config, Some(carried))
-}
-
-/// The one entry: `carried` picks the chain.
-fn solve_with(
-    g: &BipartiteGraph,
-    weights: &[f64],
-    config: &EngineConfig,
-    carried: Option<Carried<'_>>,
-) -> Result<EngineSolution, EngineError> {
     let start = Instant::now();
     let solve_span = mbta_telemetry::span!("mbta_core_engine_solve");
     {
@@ -386,69 +346,11 @@ fn solve_with(
         ctl = ctl.with_token(token.clone());
     }
 
-    let solution = match carried {
-        Some(carried) => carried_chain(g, weights, config, &ctl, carried, start),
-        None => solve_chain(g, weights, config, &ctl, start),
-    };
-    debug_assert!(solution.matching.validate(g).is_ok());
-    solve_span.attr("edges", g.n_edges() as u64);
-    mbta_telemetry::counter_add(tier_counter(solution.tier), 1);
-    Ok(solution)
-}
-
-/// Static counter name for each quality tier (static so the per-solve hot
-/// path allocates nothing).
-fn tier_counter(tier: QualityTier) -> &'static str {
-    match tier {
-        QualityTier::Degraded => "mbta_core_engine_tier_total{tier=\"degraded\"}",
-        QualityTier::Approximate => "mbta_core_engine_tier_total{tier=\"approximate\"}",
-        QualityTier::Exact => "mbta_core_engine_tier_total{tier=\"exact\"}",
-    }
-}
-
-/// The carried chain: the exact stage only, on the seed, which is the floor
-/// — a cut repair returns it, and a stopped `ctl` returns it without
-/// touching the solver (unless `exact_only`, which always enters).
-fn carried_chain(
-    g: &BipartiteGraph,
-    weights: &[f64],
-    config: &EngineConfig,
-    ctl: &SolveCtl,
-    (solver, seed): Carried<'_>,
-    start: Instant,
-) -> EngineSolution {
-    let (matching, completed) = if config.exact_only || !ctl.stop_requested() {
-        let _exact = mbta_telemetry::span!("mbta_core_engine_exact");
-        solver.solve_seeded(g, weights, &seed, ctl)
-    } else {
-        (seed, false)
-    };
-    EngineSolution {
-        value: matching.total_weight(weights),
-        tier: if completed {
-            QualityTier::Exact
-        } else {
-            QualityTier::Degraded
-        },
-        exact_completed: completed,
-        local_search_completed: false,
-        elapsed: start.elapsed(),
-        matching,
-    }
-}
-
-/// The degradation chain, cheapest stage first. With `exact_only` the two
-/// heuristic stages are skipped and the exact stage always runs, its
-/// (possibly partial) flow adopted over the empty incumbent. They are
-/// skipped too when nothing can stop the solve: the exact stage then always
-/// completes and replaces whatever floor was built.
-fn solve_chain(
-    g: &BipartiteGraph,
-    weights: &[f64],
-    config: &EngineConfig,
-    ctl: &SolveCtl,
-    start: Instant,
-) -> EngineSolution {
+    // The degradation chain, cheapest stage first. With `exact_only` the two
+    // heuristic stages are skipped and the exact stage always runs, its
+    // (possibly partial) flow adopted over the empty incumbent. They are
+    // skipped too when nothing can stop the solve: the exact stage then
+    // always completes and replaces whatever floor was built.
     let mut best = Matching::empty();
     let mut tier = QualityTier::Degraded;
     let mut ls_completed = false;
@@ -467,7 +369,7 @@ fn solve_chain(
         if !ctl.stop_requested() {
             let _ls = mbta_telemetry::span!("mbta_core_engine_local_search");
             let (improved, _, completed) =
-                local_search_ctl(g, weights, best, config.max_passes, ctl);
+                local_search_ctl(g, weights, best, config.max_passes, &ctl);
             best = improved;
             ls_completed = completed;
             if completed {
@@ -482,7 +384,7 @@ fn solve_chain(
     if config.exact_only || !ctl.stop_requested() {
         let _exact = mbta_telemetry::span!("mbta_core_engine_exact");
         let mode = FlowMode::FreeCardinality;
-        let (exact, _, completed) = max_weight_bmatching_ctl(g, weights, mode, config.algo, ctl);
+        let (exact, _, completed) = max_weight_bmatching_ctl(g, weights, mode, config.algo, &ctl);
         if completed {
             tier = QualityTier::Exact;
             exact_completed = true;
@@ -495,28 +397,28 @@ fn solve_chain(
         }
     }
 
-    EngineSolution {
+    debug_assert!(best.validate(g).is_ok());
+    solve_span.attr("edges", g.n_edges() as u64);
+    mbta_telemetry::counter_add(tier_counter(tier), 1);
+    Ok(EngineSolution {
         value: best.total_weight(weights),
         tier,
         exact_completed,
         local_search_completed: ls_completed,
         elapsed: start.elapsed(),
         matching: best,
-    }
+    })
 }
 
-// Thread-safety contract, checked at compile time: the service's solve
-// pool moves configs and solutions across worker threads, so these types
-// must stay `Send` (and the config `Sync`, since one immutable config can
-// be shared by several concurrent solves).
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    const fn assert_sync<T: Sync>() {}
-    assert_send::<EngineConfig>();
-    assert_sync::<EngineConfig>();
-    assert_send::<EngineSolution>();
-    assert_send::<EngineError>();
-};
+/// Static counter name for each quality tier (static so the per-solve hot
+/// path allocates nothing).
+fn tier_counter(tier: QualityTier) -> &'static str {
+    match tier {
+        QualityTier::Degraded => "mbta_core_engine_tier_total{tier=\"degraded\"}",
+        QualityTier::Approximate => "mbta_core_engine_tier_total{tier=\"approximate\"}",
+        QualityTier::Exact => "mbta_core_engine_tier_total{tier=\"exact\"}",
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -649,33 +551,6 @@ mod tests {
         let sol = solve_robust(&g, &w, &cfg).unwrap();
         assert_eq!(sol.tier, QualityTier::Exact);
         assert!(sol.local_search_completed, "any budget keeps the floor");
-    }
-
-    /// A carried solve builds no floor under a budget either: the seed is
-    /// its floor, so an ample deadline changes nothing but the clock it
-    /// races — same matching, same value as the unbudgeted carried solve.
-    #[test]
-    fn carried_solve_under_an_ample_deadline_is_the_unbudgeted_one() {
-        use crate::warm::WarmSolver;
-        let (g, mut w) = instance(21);
-        let (mut plain, ctl) = (WarmSolver::new(&g), SolveCtl::unlimited());
-        let (seed, _) = plain.solve_seeded(&g, &w, &Matching::empty(), &ctl);
-        let mut budgeted = plain.clone();
-        for (i, wt) in w.iter_mut().enumerate() {
-            *wt *= if i % 4 == 0 { 0.6 } else { 1.1 };
-        }
-        let unbudgeted = EngineConfig::new();
-        let ample = EngineConfig::new().with_deadline_at(Deadline::after_ms(3_600_000));
-        let a = solve_carried(&g, &w, &unbudgeted, (&mut plain, seed.clone())).unwrap();
-        let b = solve_carried(&g, &w, &ample, (&mut budgeted, seed)).unwrap();
-        assert_eq!((a.tier, b.tier), (QualityTier::Exact, QualityTier::Exact));
-        assert_eq!(b.matching, a.matching);
-        assert_eq!(b.value, a.value);
-        assert!(
-            !b.local_search_completed,
-            "a budgeted carried solve ran local search"
-        );
-        assert_eq!(plain.stats(), budgeted.stats());
     }
 
     #[test]

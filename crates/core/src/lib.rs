@@ -22,9 +22,10 @@
 //!   worker-side welfare, and the balance-constrained variant built on it.
 //! * [`online`] — arrival orders and empirical competitive ratios for the
 //!   online policies.
-//! * [`engine`] — the fault-tolerant serving boundary: typed input
-//!   validation, deadline/cancellation budgets, and the graceful-degradation
-//!   fallback chain (greedy → local search → exact) with tiered quality.
+//! * [`engine`] — the fault-tolerant one-shot solve (`mbta solve`): typed
+//!   input validation, deadline/cancellation budgets, and the
+//!   graceful-degradation fallback chain (greedy → local search → exact)
+//!   with tiered quality.
 //! * [`incremental`] — assignment maintenance under worker/task churn with
 //!   greedy local repair (experiment F14).
 //! * [`budget`] — MB-Budget: budget-constrained assignment via density
@@ -40,8 +41,8 @@
 //!   across the worker pool (experiment F22).
 //! * [`warm`] — warm-started exact re-solves for long-lived shard states:
 //!   carried node potentials + seeded flow over a fixed topology (every
-//!   serving exact solve: [`engine::solve_carried`]'s exact stage and the
-//!   boundary rescue in batch mode, the drift fallback in online mode).
+//!   serving exact solve: each shard's and the boundary rescue's in batch
+//!   mode, the drift fallback in online mode).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -14,9 +14,10 @@
 //! node capacities to each batch's residuals
 //! ([`WarmSolver::set_capacities`]) before it re-solves.
 //! Telemetry (`mbta_core_warm_solves_total` / `mbta_core_warm_hits_total`)
-//! counts every serving exact solve — batch stage 3 through
-//! [`crate::engine::solve_carried`], online fallbacks and rescue solves
-//! alike — and how many of them completed from carried prices: every one
+//! counts every serving exact solve — batch shard solves on the service's
+//! pool threads, online fallbacks and rescue solves alike, each a direct
+//! [`WarmSolver::solve_seeded`] — and how many of them completed from
+//! carried prices: every one
 //! but a solver's first, which repairs from zero prices, less the ones a
 //! deadline cut short. A cut solve hands back its seed but keeps its
 //! prices, so the next one resumes from them.
@@ -149,6 +150,7 @@ mod tests {
     use super::*;
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
     use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
+    use mbta_util::Deadline;
 
     #[test]
     fn warm_solver_tracks_cold_objective_through_drift() {
@@ -164,11 +166,19 @@ mod tests {
         );
         let mut w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
         let mut solver = WarmSolver::new(&g);
+        // A twin under a deadline that never bites: the clock it races
+        // changes nothing, round by round and in the lifetime counters.
+        let mut budgeted = WarmSolver::new(&g);
+        let ample = SolveCtl::unlimited().with_deadline(Deadline::after_ms(3_600_000));
         let mut prev = Matching::empty();
         for round in 0..8u64 {
             let (m, completed) = solver.solve_seeded(&g, &w, &prev, &SolveCtl::unlimited());
             assert!(completed);
             m.validate(&g).unwrap();
+            assert_eq!(
+                budgeted.solve_seeded(&g, &w, &prev, &ample),
+                (m.clone(), true)
+            );
             let (cold, _) =
                 max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
             assert!(
@@ -193,6 +203,7 @@ mod tests {
             (8, 7),
             "only the first solve starts from zero prices"
         );
+        assert_eq!(budgeted.stats(), s);
     }
 
     #[test]
@@ -212,84 +223,6 @@ mod tests {
         inc.reseed(&m).unwrap();
         inc.check_invariants();
         assert_eq!(inc.len(), 1);
-    }
-
-    /// The carried solver under the engine's chain: a stopped `ctl` never
-    /// reaches it and returns the seed, a solve the budget cuts hands the
-    /// seed back and keeps its prices, and the next unbudgeted solve resumes
-    /// from them, exact and certified.
-    #[test]
-    fn engine_chain_spares_a_stopped_solver_and_recovers_from_a_cut() {
-        use crate::engine::{solve_carried, EngineConfig, QualityTier};
-        use mbta_matching::mcmf::verify_certificate;
-        use mbta_util::{CancelToken, Deadline};
-        let g = random_bipartite(
-            &RandomGraphSpec {
-                n_workers: 60,
-                n_tasks: 40,
-                avg_degree: 6.0,
-                capacity: 2,
-                demand: 2,
-            },
-            17,
-        );
-        let mut w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
-        let mut solver = WarmSolver::new(&g);
-        let unbudgeted = EngineConfig::new();
-        let primed = solve_carried(&g, &w, &unbudgeted, (&mut solver, Matching::empty())).unwrap();
-        assert_eq!(primed.tier, QualityTier::Exact);
-        assert!(solver.net.has_prior());
-        let seed = primed.matching;
-        for (i, wt) in w.iter_mut().enumerate() {
-            *wt *= if i % 3 == 0 { 0.7 } else { 1.05 };
-        }
-
-        // Poison: the chain never enters the exact stage, and the seed is
-        // the whole answer — no greedy floor is built beside it.
-        let token = CancelToken::new();
-        token.cancel();
-        let cfg = EngineConfig::new().with_cancel(token);
-        let floor = solve_carried(&g, &w, &cfg, (&mut solver, seed.clone())).unwrap();
-        assert_eq!(floor.tier, QualityTier::Degraded);
-        assert_eq!(floor.matching, seed, "a stopped chain returns its seed");
-        assert_eq!(floor.value, seed.total_weight(&w));
-        assert!(!floor.local_search_completed);
-        assert_eq!(
-            solver.stats().solves,
-            1,
-            "a stopped chain reached the solver"
-        );
-        assert!(solver.net.has_prior());
-
-        // A deadline inside stage 3 (`exact_only` enters it whatever the
-        // clock says; the repair's first poll then stops it).
-        let expired = Deadline::after_ms(0);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let cfg = EngineConfig::new().exact_only().with_deadline_at(expired);
-        let cut = solve_carried(&g, &w, &cfg, (&mut solver, seed.clone())).unwrap();
-        assert_eq!(
-            (cut.tier, cut.exact_completed),
-            (QualityTier::Degraded, false)
-        );
-        assert_eq!(cut.matching, seed, "an interrupted repair returns its seed");
-        assert!(solver.net.has_prior(), "a cut solve keeps its prices");
-
-        let healed = solve_carried(&g, &w, &unbudgeted, (&mut solver, seed)).unwrap();
-        assert_eq!(healed.tier, QualityTier::Exact);
-        let stats = solver.stats();
-        assert_eq!(
-            (stats.solves, stats.warm_hits),
-            (3, 1),
-            "warm after the cut"
-        );
-        let (cold, _) = max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-        assert!((healed.value - cold.total_weight(&w)).abs() < 1e-6);
-        assert!(verify_certificate(
-            &g,
-            &w,
-            &healed.matching,
-            &solver.net.certificate()
-        ));
     }
 
     /// `solve` keeps no caller matching: it seeds itself with its previous

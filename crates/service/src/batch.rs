@@ -1,7 +1,7 @@
 //! Micro-batch accumulation with count, byte, and time watermarks.
 //!
 //! The dispatcher trades latency for solve quality by accumulating events
-//! into bounded micro-batches: one engine call amortizes over many churn
+//! into bounded micro-batches: one shard solve amortizes over many churn
 //! events, and the local-repair noise of applying events one at a time is
 //! cleaned up by the batch re-solve. [`Batcher`] closes a batch on the
 //! first watermark tripped:

@@ -18,23 +18,22 @@
 //!   invariant hold by construction. Three routings: `hash`, `range`,
 //!   and `min-cut` (edge-cut-aware label propagation from
 //!   `mbta-partition`).
-//! * [`pool`] — the worker pool that solves a batch's touched shards
-//!   concurrently: work-stealing largest-first scheduling over vendored
-//!   crossbeam scoped threads + channels, with a deterministic
-//!   shard-index merge so threaded replay stays byte-identical.
+//! * `pool` (crate-private) — the worker pool that solves a batch's
+//!   touched shards concurrently: work-stealing largest-first scheduling
+//!   over vendored crossbeam scoped threads + channels, with a
+//!   deterministic shard-index merge so threaded replay stays
+//!   byte-identical.
 //! * [`service`] — [`DispatchService`] itself: a *core* (per-shard
 //!   incremental states plus the run state a re-plan carries over
 //!   whole), one *commit path* every decision leaves through (sequence
 //!   number, tallies, write-ahead journal, sink), and a *mode* that says
-//!   when the core solves — micro-batches through the robust engine and
-//!   the pool (optionally with a boundary-rescue matching over
-//!   cross-shard edges, re-solved on a carried solver of its own), or
-//!   every event through [`online`] — either way on one carried exact
-//!   solver per shard. Poisoned
-//!   shards keep their greedy-repaired assignment without stalling
-//!   siblings; cut
-//!   drift past a threshold triggers a detach → re-partition → resume
-//!   migration. See DESIGN.md §8, §13.
+//!   when the core solves — micro-batches through the pool (optionally
+//!   with a boundary-rescue matching over cross-shard edges, re-solved on
+//!   a carried solver of its own), or every event through [`online`] —
+//!   either way on one carried exact solver per shard. Poisoned shards
+//!   keep their greedy-repaired assignment without solving or stalling
+//!   siblings; cut drift past a threshold triggers a detach →
+//!   re-partition → resume migration. See DESIGN.md §8, §13.
 //! * [`online`] — the online mode's runtime (`--online`): depth-1
 //!   exchange, per-shard drift accounting, and a warm-started exact
 //!   fallback (the core's per-shard `mbta_core::warm::WarmSolver`) past
@@ -61,7 +60,7 @@
 pub mod batch;
 pub mod event;
 pub mod online;
-pub mod pool;
+mod pool;
 pub mod queue;
 pub mod report;
 pub mod service;
@@ -71,7 +70,6 @@ pub mod sink;
 pub use batch::{BatchConfig, Batcher, ClosedBatch, FlushReason};
 pub use event::{Arrival, BenefitDrift, ServiceEvent};
 pub use online::OnlineConfig;
-pub use pool::{BatchSolve, ShardJob, ShardOutcome, SolvePool};
 pub use queue::{BoundedQueue, DeferBackoff, DropPolicy, OfferOutcome};
 pub use report::ServiceReport;
 pub use service::{BudgetMode, CarriedState, DispatchService, ServiceConfig};

@@ -19,7 +19,7 @@
 //!   [`OnlineConfig::drift_threshold`] × its live assigned weight, the
 //!   shard re-solves exactly through its carried
 //!   [`WarmSolver`](mbta_core::warm::WarmSolver) — the same per-shard
-//!   solver batch mode's exact stage runs on, owned by the dispatch core —
+//!   solver batch mode's shard solves run on, owned by the dispatch core —
 //!   then the accumulator resets. The solver carries node potentials
 //!   across solves and repairs them around the shard's current matching
 //!   only where drift broke them (see `mbta_matching::warm`), so every

@@ -4,14 +4,13 @@
 //! precisely so they can be solved independently; this module is where
 //! that independence is cashed in. [`SolvePool`] takes the batch's
 //! touched-shard jobs and runs them across OS threads (vendored
-//! `crossbeam` scoped threads + MPMC channels). A job is one pass of the
-//! robust engine's chain whose exact stage is the shard's **carried
-//! solver** (`mbta_core::warm::WarmSolver`, lent to the job exclusively
-//! together with the matching that seeds it): whichever thread runs the
-//! job re-solves on the shard's kept network and duals, so a batch pays
-//! for what its events moved. (The boundary rescue is not a job: its one
-//! market per batch re-solves inline, on a solver of its own.) Three
-//! properties the dispatch loop depends on:
+//! `crossbeam` scoped threads + MPMC channels). A job is one re-solve on
+//! the shard's **carried solver** (`mbta_core::warm::WarmSolver`, lent to
+//! the job exclusively together with the matching that seeds it):
+//! whichever thread runs the job repairs the shard's kept network and
+//! duals, so a batch pays for what its events moved. (The boundary rescue
+//! is not a job: its one market per batch re-solves inline, on a solver of
+//! its own.) Three properties the dispatch loop depends on:
 //!
 //! 1. **Work stealing, largest first.** Jobs are sorted by estimated size
 //!    (sub-market edge count) descending and dealt round-robin onto
@@ -28,23 +27,25 @@
 //!    byte-identical to `--threads 1` for every `N`.
 //! 3. **Shared budgets.** The pool never splits a batch budget: callers
 //!    put one absolute [`Deadline`](mbta_util::Deadline) into every job's
-//!    [`EngineConfig`], and all shards race that same instant — in
-//!    parallel mode concurrently, in sequential mode with unused budget
-//!    carrying forward to later shards.
+//!    [`SolveCtl`], and all shards race that same instant — in parallel
+//!    mode concurrently, in sequential mode with unused budget carrying
+//!    forward to later shards.
 //!
 //! Telemetry: `mbta_service_pool_queue_depth` (jobs not yet claimed),
 //! `mbta_service_pool_steals_total`, and per-thread
 //! `mbta_service_pool_thread_busy_ms{thread="i"}` histograms whose spread
 //! shows how well stealing balanced the batch.
 
-use mbta_core::engine::{solve_carried, Carried, EngineConfig, EngineError, EngineSolution};
+use mbta_core::warm::WarmSolver;
 use mbta_graph::BipartiteGraph;
+use mbta_matching::Matching;
+use mbta_util::SolveCtl;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// One shard's solve request: everything the engine needs, owned or
+/// One shard's solve request: everything the solve needs, owned or
 /// borrowed (the carried solver exclusively — jobs are per shard, so those
 /// borrows are disjoint), so the job can move to a worker thread.
 pub struct ShardJob<'g> {
@@ -54,12 +55,13 @@ pub struct ShardJob<'g> {
     pub graph: &'g BipartiteGraph,
     /// Active edge weights for the sub-market (inactive edges weigh 0).
     pub weights: Vec<f64>,
-    /// Engine configuration, including the batch's shared deadline and any
-    /// poison pre-cancellation.
-    pub config: EngineConfig,
-    /// The exact stage: the shard's carried solver and the matching that
-    /// seeds it.
-    pub carried: Carried<'g>,
+    /// The shard's carried solver.
+    pub solver: &'g mut WarmSolver,
+    /// The feasible matching that seeds the re-solve, and its floor: a cut
+    /// solve hands it back.
+    pub seed: Matching,
+    /// The solve's budget: the batch's shared deadline, if any.
+    pub ctl: SolveCtl,
     /// Size estimate used for largest-first scheduling (edge count of the
     /// sub-market; static, but monotone in actual solve cost).
     pub est_size: usize,
@@ -69,10 +71,12 @@ pub struct ShardJob<'g> {
 pub struct ShardOutcome {
     /// Shard index the result belongs to.
     pub shard: usize,
-    /// The engine's answer (input errors cannot normally occur here — the
-    /// service validates events at admission — but are surfaced rather
-    /// than swallowed).
-    pub result: Result<EngineSolution, EngineError>,
+    /// The optimum, or the seed when the budget cut the solve short.
+    pub matching: Matching,
+    /// Total weight of `matching` under the job's weights.
+    pub value: f64,
+    /// Whether the solve ran to completion.
+    pub completed: bool,
     /// Wall-clock milliseconds the solve took on its worker.
     pub solve_ms: f64,
 }
@@ -93,29 +97,6 @@ pub struct BatchSolve {
 /// shard plan without `'static` gymnastics. Width 1 (or a single job)
 /// runs inline on the caller's thread in the order given — byte-for-byte
 /// the sequential dispatch path.
-///
-/// ```
-/// use mbta_core::engine::EngineConfig;
-/// use mbta_core::warm::WarmSolver;
-/// use mbta_graph::random::from_edges;
-/// use mbta_matching::Matching;
-/// use mbta_service::pool::{ShardJob, SolvePool};
-///
-/// let g = from_edges(&[1, 1], &[1, 1], &[(0, 0, 0.9, 0.9), (1, 1, 0.5, 0.5)]);
-/// let pool = SolvePool::new(2);
-/// let mut solver = WarmSolver::new(&g);
-/// let jobs = vec![ShardJob {
-///     shard: 0,
-///     graph: &g,
-///     weights: vec![0.9, 0.5],
-///     config: EngineConfig::new(),
-///     carried: (&mut solver, Matching::empty()),
-///     est_size: g.n_edges(),
-/// }];
-/// let batch = pool.solve(jobs);
-/// let sol = batch.outcomes[0].result.as_ref().unwrap();
-/// assert!((sol.value - 1.4).abs() < 1e-6);
-/// ```
 #[derive(Debug, Clone)]
 pub struct SolvePool {
     threads: usize,
@@ -250,10 +231,13 @@ fn solve_stealing(threads: usize, mut jobs: Vec<ShardJob<'_>>) -> BatchSolve {
 /// Runs one job on the current thread, timing it.
 fn run_job(job: ShardJob<'_>) -> ShardOutcome {
     let start = Instant::now();
-    let result = solve_carried(job.graph, &job.weights, &job.config, job.carried);
+    let (g, w) = (job.graph, &job.weights);
+    let (matching, completed) = job.solver.solve_seeded(g, w, &job.seed, &job.ctl);
     ShardOutcome {
         shard: job.shard,
-        result,
+        value: matching.total_weight(w),
+        matching,
+        completed,
         solve_ms: start.elapsed().as_secs_f64() * 1e3,
     }
 }
@@ -270,10 +254,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbta_core::warm::WarmSolver;
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
-    use mbta_matching::Matching;
-    use mbta_util::{CancelToken, Deadline};
+    use mbta_util::Deadline;
 
     fn market(seed: u64, workers: usize) -> (BipartiteGraph, Vec<f64>) {
         let g = random_bipartite(
@@ -304,8 +286,9 @@ mod tests {
                 shard: i,
                 graph: g,
                 weights: w.clone(),
-                config: EngineConfig::new(),
-                carried: (solver, Matching::empty()),
+                solver,
+                seed: Matching::empty(),
+                ctl: SolveCtl::unlimited(),
                 est_size: g.n_edges(),
             })
             .collect()
@@ -331,21 +314,26 @@ mod tests {
         assert_eq!(seq.outcomes.len(), par.outcomes.len());
         for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
             assert_eq!(a.shard, b.shard, "merge order must be shard-ascending");
-            let (sa, sb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert_eq!(sa.tier, sb.tier);
-            assert_eq!(sa.matching.edges, sb.matching.edges, "shard {}", a.shard);
-            assert!((sa.value - sb.value).abs() < 1e-12);
+            assert_eq!(a.completed, b.completed);
+            assert_eq!(a.matching.edges, b.matching.edges, "shard {}", a.shard);
+            assert!((a.value - b.value).abs() < 1e-12);
         }
     }
 
+    /// Each job comes back solved: the optimum of its market, and its value.
     #[test]
     fn more_workers_than_jobs_is_fine() {
+        use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
         let markets: Vec<_> = (0..2).map(|i| market(7 + i, 40)).collect();
         let mut solvers = solvers_for(&markets);
         let batch = SolvePool::new(8).solve(jobs_for(&markets, &mut solvers));
         assert_eq!(batch.outcomes.len(), 2);
-        for o in &batch.outcomes {
-            assert!(o.result.is_ok());
+        for (o, (g, w)) in batch.outcomes.iter().zip(&markets) {
+            let (opt, _) =
+                max_weight_bmatching(g, w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+            assert!(o.completed);
+            assert_eq!(o.value, o.matching.total_weight(w));
+            assert!((o.value - opt.total_weight(w)).abs() < 1e-6);
             assert!(o.solve_ms >= 0.0);
         }
     }
@@ -368,28 +356,26 @@ mod tests {
     }
 
     #[test]
-    fn shared_deadline_and_poison_survive_the_pool() {
+    fn shared_deadline_survives_the_pool() {
         let markets: Vec<_> = (0..4).map(|i| market(9 + i, 60)).collect();
         let expired = Deadline::after_ms(0);
         std::thread::sleep(std::time::Duration::from_millis(1));
         let mut solvers = solvers_for(&markets);
         let mut jobs = jobs_for(&markets, &mut solvers);
         for job in &mut jobs {
-            job.config = job.config.clone().with_deadline_at(expired);
+            job.ctl = SolveCtl::unlimited().with_deadline(expired);
         }
-        let poisoned = CancelToken::new();
-        poisoned.cancel();
-        jobs[2].config = jobs[2].config.clone().with_cancel(poisoned);
         let batch = SolvePool::new(4).solve(jobs);
+        assert_eq!(batch.outcomes.len(), 4);
         for o in &batch.outcomes {
-            let sol = o.result.as_ref().unwrap();
-            // Expired shared budget: nothing may reach the exact tier.
+            // Expired shared budget: every solve is cut and hands back its
+            // (empty) seed.
             assert!(
-                !sol.exact_completed,
+                !o.completed,
                 "shard {} ran past an expired shared deadline",
                 o.shard
             );
-            sol.matching.validate(&markets[o.shard].0).unwrap();
+            assert!(o.matching.is_empty());
         }
     }
 }

@@ -112,15 +112,13 @@ pub struct ServiceReport {
     /// Worst per-event online decision latency (ms).
     pub max_online_ms: f64,
 
-    /// Per-shard engine solves executed.
+    /// Per-shard batch solves: one per touched shard per batch, a poisoned
+    /// shard's included. Each is exact or keeps its seed.
     pub solves: u64,
     /// Solves that achieved the exact tier.
     pub tier_exact: u64,
-    /// Solves that achieved the approximate tier (none: a shard solve is
-    /// carried, so it is exact or its seed).
-    pub tier_approximate: u64,
     /// Solves that degraded to their seed, the shard's greedy-repaired
-    /// assignment.
+    /// assignment (cut by the budget, or not run on a poisoned shard).
     pub tier_degraded: u64,
     /// Degraded-solve count per shard (poisoned shards show up here).
     pub degraded_by_shard: Vec<u64>,
@@ -204,7 +202,6 @@ impl ServiceReport {
                 "count/bytes/time/drain/online",
                 "solves",
                 "exact",
-                "approx",
                 "degraded",
                 "reseeds",
                 "decisions",
@@ -222,7 +219,6 @@ impl ServiceReport {
             ),
             self.solves.to_string(),
             self.tier_exact.to_string(),
-            self.tier_approximate.to_string(),
             self.tier_degraded.to_string(),
             self.reseeds.to_string(),
             self.decisions.to_string(),
@@ -384,8 +380,7 @@ mod tests {
             p99_online_ms: 0.9,
             max_online_ms: 1.4,
             solves: 12,
-            tier_exact: 9,
-            tier_approximate: 2,
+            tier_exact: 11,
             tier_degraded: 1,
             degraded_by_shard: vec![1, 0, 0, 0],
             reseeds: 6,

@@ -25,12 +25,11 @@
 //! ```text
 //!  producers --offer--> BoundedQueue --pump--> Mode
 //!    Batch:  Batcher --flush--> route + apply churn (greedy repair), then
-//!            per touched shard, via the SolvePool, the engine chain whose
-//!            exact stage is the shard's carried solver seeded with the
-//!            repaired assignment, racing one shared deadline; adopt
-//!            improvements; [boundary rescue: the plan's cross-edge
-//!            market re-solved on its own carried solver, the batch's
-//!            residuals as capacities]
+//!            per touched healthy shard, via the SolvePool, one re-solve
+//!            on the shard's carried solver seeded with the repaired
+//!            assignment, racing one shared deadline; adopt improvements;
+//!            [boundary rescue: the plan's cross-edge market re-solved on
+//!            its own carried solver, the batch's residuals as capacities]
 //!    Online: route + apply one event, depth-1 exchange, drift accounting,
 //!            past the threshold re-solve on the same carried solver
 //!                 --> commit: seq + tallies --> WAL --> DecisionSink
@@ -40,8 +39,8 @@
 //! between exact solves, so neither mode builds and cold-solves a flow
 //! network per solve: the core keeps one `WarmSolver` per shard (built at
 //! the shard's first exact solve, dropped with the plan) and every exact
-//! solve — a batch's stage 3 on whichever pool thread runs the shard's
-//! job, an online fallback inline — repairs the duals it carries around
+//! solve — a batch's on whichever pool thread runs the shard's job, an
+//! online fallback inline — repairs the duals it carries around
 //! the shard's current assignment. The boundary rescue is the same
 //! design one level up: the plan's cross edges are one market, built at
 //! the epoch's first rescue pass and dropped with the plan, whose solver
@@ -57,26 +56,26 @@
 //! and reports the violation count (the CI smoke test asserts it is zero).
 //!
 //! **Degradation isolation.** A poisoned shard ([`DispatchService::poison_shard`])
-//! gets a pre-cancelled [`CancelToken`], so its solves return their seed
-//! (the churn-repaired assignment) immediately ([`QualityTier::Degraded`])
-//! without reaching its carried solver — it can never stall the batch loop
-//! or its sibling shards, every degraded solve is counted per shard, and
-//! the first healed solve re-solves warm from the duals the last healthy
-//! one left.
+//! gets no solve job: it keeps its seed (the churn-repaired assignment),
+//! tallied as a [`QualityTier::Degraded`] solve, and its carried solver is
+//! neither entered nor, before the shard's first healthy solve, built — it
+//! can never stall the batch loop or its sibling shards, every degraded
+//! solve is counted per shard, and the first healed solve re-solves warm
+//! from the duals the last healthy one left.
 //!
 //! **Determinism.** Under [`BudgetMode::Deterministic`] every solve runs
 //! unbudgeted, so each shard's result is a pure function of the input
 //! events (its carried solver sees that shard's solves only, in batch
-//! order, on whichever thread); the [`SolvePool`] merges results in
+//! order, on whichever thread); the solve pool merges results in
 //! shard-index order, so the decision stream is too — replaying a trace
 //! twice produces byte-identical decision logs **at any thread count**.
 //! [`BudgetMode::Wallclock`] trades that for bounded batch latency: the
 //! budget is one absolute deadline every touched shard races, *never
 //! split* — unused budget flows to whoever can still use it, at the cost
 //! of ordering sensitivity in sequential runs (DESIGN.md §10.2). Budgeted
-//! batch solves repair the carried duals like unbudgeted ones, exact stage
-//! first: the seed is the floor, so no greedy or local-search floor is
-//! built beside it and the whole budget goes to the repair. A cut solve
+//! batch solves repair the carried duals like unbudgeted ones: the seed is
+//! the floor, so no greedy or local-search floor is built beside it and
+//! the whole budget goes to the repair. A cut solve
 //! hands back its seed (the shard keeps its repaired assignment) but keeps
 //! the prices it reached, and the next batch's repair starts from them: a
 //! cut means "finish next batch", and no single timing event sets the pace
@@ -91,7 +90,7 @@ use crate::queue::{BoundedQueue, DropPolicy, OfferOutcome};
 use crate::report::ServiceReport;
 use crate::shard::{capacity_violations, Route, ShardPlan, UNMAPPED};
 use crate::sink::{canonical_order, Action, BatchStats, Decision, DecisionSink};
-use mbta_core::engine::{EngineConfig, QualityTier};
+use mbta_core::engine::QualityTier;
 use mbta_core::incremental::IncrementalAssignment;
 use mbta_core::warm::WarmSolver;
 use mbta_graph::subgraph::Subgraph;
@@ -105,7 +104,7 @@ use mbta_store::record::{
 };
 use mbta_store::snapshot::SnapshotState;
 use mbta_store::store::{DurableStore, StoreStats};
-use mbta_util::{CancelToken, Deadline, SolveCtl};
+use mbta_util::{Deadline, SolveCtl};
 use std::io;
 use std::time::Instant;
 
@@ -118,7 +117,7 @@ pub enum BudgetMode {
     /// same instant (see the module docs' budget policy). Bounded latency,
     /// non-deterministic quality tiers.
     Wallclock(u64),
-    /// No deadlines: every solve runs the full chain to the exact tier.
+    /// No deadlines: every solve runs to the exact tier.
     /// Deterministic decisions; latency bounded only by instance size.
     Deterministic,
 }
@@ -359,6 +358,24 @@ impl RunState {
             solve_ms,
             invalid_events: 0,
         }
+    }
+
+    /// Tallies one shard solve of a batch into the report and the batch's
+    /// `stats`: `Exact` when it completed, else `Degraded` — the shard kept
+    /// its seed (a solve the budget cut, or a poisoned shard's, never run).
+    fn tally(&mut self, stats: &mut BatchStats, s: usize, completed: bool) {
+        let report = &mut self.report;
+        report.solves += 1;
+        let tier = if completed {
+            report.tier_exact += 1;
+            QualityTier::Exact
+        } else {
+            report.tier_degraded += 1;
+            report.degraded_by_shard[s] += 1;
+            stats.degraded_shards += 1;
+            QualityTier::Degraded
+        };
+        stats.worst_tier = Some(stats.worst_tier.map_or(tier, |t| t.min(tier)));
     }
 
     /// Records the first store I/O error. Journaling stops for good — the
@@ -635,15 +652,17 @@ impl<'p> Core<'p> {
         }
 
         // Pass 3: re-solve each touched shard's active sub-market via the
-        // worker pool, through the shard's carried solver seeded with the
-        // repaired assignment — the exact stage pays for what this batch's
-        // events moved, not for a network build and a cold solve. The
-        // batch budget is *shared*: one absolute deadline for every shard
-        // solve (see the module docs' budget policy), so sequential runs
-        // carry unused budget forward and concurrent runs race the same
-        // instant.
+        // worker pool, on the shard's carried solver seeded with the
+        // repaired assignment — the solve pays for what this batch's events
+        // moved, not for a network build and a cold solve. The batch budget
+        // is *shared*: one absolute deadline for every shard solve (see the
+        // module docs' budget policy), so sequential runs carry unused
+        // budget forward and concurrent runs race the same instant.
         let batch_deadline = self.run.budget.deadline(|ms| ms);
         let solve_start = Instant::now();
+        let (events, shards) = (batch.events.len(), touched.len());
+        let mut stats = self.run.stats(batch.reason, events, shards, 0.0);
+        stats.invalid_events = invalid;
         // Jobs are built in ascending shard order; with `threads = 1` the
         // pool runs them inline in exactly this order (the sequential
         // dispatch path), otherwise it reorders largest-first internally
@@ -651,23 +670,20 @@ impl<'p> Core<'p> {
         let plan = self.plan;
         let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(touched.len());
         let slots = self.solvers.iter_mut().enumerate();
-        for (s, slot) in slots.filter(|&(s, _)| seen[s]) {
-            if plan.degenerate(s) {
+        for (s, slot) in slots.filter(|&(s, _)| seen[s] && !plan.degenerate(s)) {
+            // A poisoned shard keeps its seed: no job, and no solver built.
+            if self.run.poisoned[s] {
+                self.run.tally(&mut stats, s, false);
                 continue;
             }
             let graph = &plan.shards[s].sub.graph;
-            let mut config = engine_config(batch_deadline);
-            if self.run.poisoned[s] {
-                let token = CancelToken::new();
-                token.cancel();
-                config = config.with_cancel(token);
-            }
             jobs.push(ShardJob {
                 shard: s,
                 graph,
                 weights: self.states[s].active_weights(),
-                config,
-                carried: (solver_for(slot, graph), self.states[s].matching()),
+                solver: solver_for(slot, graph),
+                seed: self.states[s].matching(),
+                ctl: solve_ctl(batch_deadline),
                 est_size: graph.n_edges(),
             });
         }
@@ -677,33 +693,10 @@ impl<'p> Core<'p> {
         // Merge: outcomes arrive sorted by shard index, so adoption order
         // (and therefore the decision stream) is independent of which
         // worker thread finished first.
-        let mut degraded_shards = 0usize;
-        let mut worst_tier: Option<QualityTier> = None;
         for outcome in solved.outcomes {
             let s = outcome.shard;
-            match outcome.result {
-                Ok(sol) => {
-                    let report = &mut self.run.report;
-                    report.solves += 1;
-                    match sol.tier {
-                        QualityTier::Exact => report.tier_exact += 1,
-                        QualityTier::Approximate => report.tier_approximate += 1,
-                        QualityTier::Degraded => {
-                            report.tier_degraded += 1;
-                            report.degraded_by_shard[s] += 1;
-                            degraded_shards += 1;
-                        }
-                    }
-                    worst_tier = Some(worst_tier.map_or(sol.tier, |t| t.min(sol.tier)));
-                    self.adopt(s, &sol.matching, sol.value);
-                }
-                Err(_) => {
-                    // Input errors cannot occur here (admission rejects bad
-                    // weights, degenerate shards are skipped above); if one
-                    // does, the shard simply keeps its repaired state.
-                    debug_assert!(false, "unexpected engine input error");
-                }
-            }
+            self.run.tally(&mut stats, s, outcome.completed);
+            self.adopt(s, &outcome.matching, outcome.value);
             // The labeled name allocates, so gate on the runtime switch.
             if mbta_telemetry::enabled() {
                 mbta_telemetry::observe(
@@ -712,9 +705,9 @@ impl<'p> Core<'p> {
                 );
             }
         }
-        let solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
-        self.run.solve_lat.observe(solve_ms);
-        mbta_telemetry::observe("mbta_service_batch_solve_ms", solve_ms);
+        stats.solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
+        self.run.solve_lat.observe(stats.solve_ms);
+        mbta_telemetry::observe("mbta_service_batch_solve_ms", stats.solve_ms);
 
         // Pass 4: the batch's decisions — each touched shard's
         // before/after diff, plus the re-derived rescue overlay's.
@@ -731,12 +724,6 @@ impl<'p> Core<'p> {
         }
         canonical_order(&mut decisions);
 
-        let mut stats = self
-            .run
-            .stats(batch.reason, batch.events.len(), touched.len(), solve_ms);
-        stats.degraded_shards = degraded_shards;
-        stats.worst_tier = worst_tier;
-        stats.invalid_events = invalid;
         let record = Record::Batch {
             first_time: batch.events.first().map_or(0.0, |a| a.time),
             last_time: batch.events.last().map_or(0.0, |a| a.time),
@@ -831,8 +818,10 @@ impl<'p> Core<'p> {
             Some(seed) => {
                 self.run.report.rescue_solves += 1;
                 mbta_telemetry::counter_add("mbta_partition_rescue_solves_total", 1);
+                // The seed is the floor: a cut solve hands it back.
                 let ctl = solve_ctl(self.run.budget.deadline(|ms| ms / 4 + 1));
-                let m = rescue_solve(solver, &sub.graph, weights, Matching { edges: seed }, &ctl);
+                let seed = Matching { edges: seed };
+                let (m, _) = solver.solve_seeded(&sub.graph, weights, &seed, &ctl);
                 m.edges.iter().map(|e| sub.edge_back[e.index()]).collect()
             }
         };
@@ -1099,8 +1088,8 @@ impl<'p> DispatchService<'p> {
         self.core.run.store = Some(store);
     }
 
-    /// Marks a shard as poisoned: its solves are pre-cancelled and return
-    /// their seed, the shard's current assignment, immediately. Sibling
+    /// Marks a shard as poisoned: it is not solved, and keeps its current
+    /// assignment (tallied as a degraded solve per touching batch). Sibling
     /// shards are unaffected.
     pub fn poison_shard(&mut self, s: usize) {
         if !self.core.run.poisoned[s] {
@@ -1531,37 +1520,9 @@ fn solver_for<'a>(slot: &'a mut Option<WarmSolver>, g: &BipartiteGraph) -> &'a m
     slot.get_or_insert_with(|| WarmSolver::new(g))
 }
 
-/// One re-solve of the epoch's boundary market from `seed`, under the
-/// capacities the caller just set. Its seed is its floor, as in the
-/// engine's carried chain, but the rescue calls its solver directly: the
-/// engine would validate against the graph's own capacities (the
-/// universe's, on this market) and count the solve as a shard's tier. A
-/// solve the deadline cuts keeps the heavier of what came back and the
-/// seed.
-fn rescue_solve(
-    solver: &mut WarmSolver,
-    market: &BipartiteGraph,
-    weights: &[f64],
-    seed: Matching,
-    ctl: &SolveCtl,
-) -> Matching {
-    let (m, completed) = solver.solve_seeded(market, weights, &seed, ctl);
-    if completed || m.total_weight(weights) >= seed.total_weight(weights) {
-        m
-    } else {
-        seed
-    }
-}
-
 fn solve_ctl(deadline: Option<Deadline>) -> SolveCtl {
     deadline.map_or_else(SolveCtl::unlimited, |d| {
         SolveCtl::unlimited().with_deadline(d)
-    })
-}
-
-fn engine_config(deadline: Option<Deadline>) -> EngineConfig {
-    deadline.map_or_else(EngineConfig::new, |d| {
-        EngineConfig::new().with_deadline_at(d)
     })
 }
 
@@ -1951,11 +1912,36 @@ mod tests {
         assert!(report.tier_exact > 0, "siblings should still reach exact");
     }
 
+    /// Poisoned before its first batch, a shard gets no solve job, so its
+    /// solver slot stays empty while every healthy shard the stream touched
+    /// carries one.
+    #[test]
+    fn poisoned_shard_builds_no_solver() {
+        let (g, w) = universe();
+        let plan = ShardPlan::build(&g, &w, 4, Routing::HashId);
+        let mut svc = DispatchService::new(&g, &plan, deterministic_cfg());
+        svc.poison_shard(0);
+        let mut sink = CollectSink::default();
+        for &a in &stream(&g, 31) {
+            svc.submit(a, &mut sink);
+        }
+        assert!(sink.batches.len() >= 3, "{} batches", sink.batches.len());
+        assert!(
+            svc.core.run.report.degraded_by_shard[0] > 0,
+            "shard 0 untouched"
+        );
+        assert!(
+            svc.core.solvers[0].is_none(),
+            "a poisoned shard built a solver"
+        );
+        assert!(svc.core.solvers[1..].iter().all(Option::is_some));
+        assert_eq!(svc.finish(&mut sink).capacity_violations, 0);
+    }
+
     /// The carried solver across poison → heal: a poisoned shard's batches
-    /// return their seed without reaching its solver (the exact stage is
-    /// not entered on a stopped `ctl`), and the first healed batch
-    /// re-solves from the duals the last healthy solve left — a warm hit,
-    /// and exact.
+    /// keep their seed without reaching its solver, and the first healed
+    /// batch re-solves from the duals the last healthy solve left — a warm
+    /// hit, and exact.
     #[test]
     fn poisoned_batches_leave_the_carried_solver_for_the_healed_solve() {
         use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
@@ -2110,16 +2096,26 @@ mod tests {
                     weight: 0.5,
                 },
             },
+            Arrival {
+                time: 0.6,
+                event: ServiceEvent::BenefitUpdate {
+                    edge: 0,
+                    weight: f64::INFINITY,
+                },
+            },
         ];
-        let mut svc = DispatchService::new(&g, &plan, deterministic_cfg());
-        let mut sink = CollectSink::default();
-        for a in bad {
-            svc.offer(a);
+        // Admission is the one weight check: no solver re-validates.
+        for cfg in [deterministic_cfg(), online_cfg(0.1)] {
+            let mut svc = DispatchService::new(&g, &plan, cfg);
+            let mut sink = CollectSink::default();
+            for a in bad {
+                svc.offer(a);
+            }
+            let report = svc.finish(&mut sink);
+            assert_eq!(report.invalid_events, 6);
+            assert_eq!(report.events_processed, 0);
+            assert_eq!(report.capacity_violations, 0);
         }
-        let report = svc.finish(&mut sink);
-        assert_eq!(report.invalid_events, 5);
-        assert_eq!(report.events_processed, 0);
-        assert_eq!(report.capacity_violations, 0);
     }
 
     /// Satellite regression: the report's retained fraction must follow
@@ -2247,12 +2243,13 @@ mod tests {
         assert!(report.rescue_solves > 0 && report.rescued_weight > 0.0);
     }
 
-    /// A rescue solve that starts out of budget hands back exactly its
-    /// seed, on the market's first solve and on a later one, and keeps its
-    /// prices: the next solve that fits resumes from them and is exact.
+    /// A boundary-market solve that starts out of budget hands back exactly
+    /// its seed, on the market's first solve and on a later one, and keeps
+    /// its prices: the next solve that fits resumes from them and is exact.
     #[test]
-    fn stopped_rescue_solve_returns_its_seed() {
+    fn stopped_boundary_solve_returns_its_seed() {
         use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo::Dijkstra};
+        use mbta_util::CancelToken;
         let (g, w) = universe();
         let plan = ShardPlan::build(&g, &w, 8, Routing::HashId);
         let market = epoch_market(&g, |e| plan.edge_shard[e.index()] == UNMAPPED);
@@ -2274,20 +2271,21 @@ mod tests {
 
         let seed = seed_from(&weights, &[]);
         assert!(!seed.is_empty());
-        let first = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped());
-        assert_eq!(first, seed);
+        let first = solver.solve_seeded(mg, &weights, &seed, &stopped());
+        assert_eq!(first, (seed.clone(), false));
         let unlimited = SolveCtl::unlimited();
-        let primed = rescue_solve(&mut solver, mg, &weights, seed.clone(), &unlimited);
+        let (primed, _) = solver.solve_seeded(mg, &weights, &seed, &unlimited);
         assert!(primed.total_weight(&weights) > seed.total_weight(&weights));
 
         for (i, wt) in weights.iter_mut().enumerate() {
             *wt *= if i % 3 == 0 { 0.5 } else { 1.0 };
         }
         let seed = seed_from(&weights, &primed.edges);
-        let later = rescue_solve(&mut solver, mg, &weights, seed.clone(), &stopped());
-        assert_eq!(later, seed);
-        let healed = rescue_solve(&mut solver, mg, &weights, seed.clone(), &unlimited);
+        let later = solver.solve_seeded(mg, &weights, &seed, &stopped());
+        assert_eq!(later, (seed.clone(), false));
+        let (healed, completed) = solver.solve_seeded(mg, &weights, &seed, &unlimited);
         let (opt, _) = max_weight_bmatching(mg, &weights, FlowMode::FreeCardinality, Dijkstra);
+        assert!(completed);
         assert!((healed.total_weight(&weights) - opt.total_weight(&weights)).abs() < 1e-6);
     }
 

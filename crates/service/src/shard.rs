@@ -151,10 +151,10 @@ impl ShardPlan {
             ServiceEvent::TaskPost(t)
             | ServiceEvent::TaskCancel(t)
             | ServiceEvent::TaskComplete(t) => (&self.task_shard, t),
-            // The engine's input contract is finite non-negative weights;
+            // The solvers' input contract is finite non-negative weights;
             // a malformed update is rejected here, at the admission
-            // boundary, instead of poisoning every later solve of the
-            // shard.
+            // boundary and nowhere else, instead of poisoning every later
+            // solve of the shard.
             ServiceEvent::BenefitUpdate { weight, .. } if !weight.is_finite() || weight < 0.0 => {
                 return Route::Invalid;
             }

@@ -61,7 +61,8 @@ pub struct BatchStats {
     pub queue_depth: usize,
     /// Shards that received at least one event.
     pub shards_touched: usize,
-    /// Shard solves that came back [`QualityTier::Degraded`].
+    /// Shard solves tagged [`QualityTier::Degraded`]: the shard kept its
+    /// seed (the budget cut the solve, or the shard is poisoned).
     pub degraded_shards: usize,
     /// Worst quality tier across the touched shards' solves (`None` when
     /// no shard needed a solve).
