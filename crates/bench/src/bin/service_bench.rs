@@ -61,7 +61,6 @@ fn serve_config(threads: usize) -> ServiceConfig {
         budget: BudgetMode::Wallclock(50),
         threads,
         boundary_pass: false,
-        replan_threshold: None,
         online: None,
     }
 }

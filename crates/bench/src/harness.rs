@@ -77,9 +77,10 @@ where
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n.max(1));
-    crossbeam::scope(|s| {
+    // A panicking thread re-panics here, when the scope joins it.
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let item = work.lock().expect(POISON).pop();
                 match item {
                     Some((i, t)) => {
@@ -90,8 +91,7 @@ where
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     results
         .into_inner()
         .expect(POISON)

@@ -512,10 +512,12 @@ impl<S: DecisionSink> DecisionSink for MetricsTee<'_, S> {
 /// fresh plan is built from the live weights, and the carried state is
 /// resumed under it (journaling a plan record if a WAL is attached). With
 /// no threshold the loop is a single epoch over the initial plan.
+#[allow(clippy::too_many_arguments)]
 fn drive_trace(
     g: &BipartiteGraph,
     mut plan: ShardPlan,
     cfg: &ServiceConfig,
+    replan_threshold: Option<f64>,
     poison_shard: Option<usize>,
     mut store: Option<DurableStore>,
     events: &[Arrival],
@@ -540,7 +542,7 @@ fn drive_trace(
         while idx < events.len() {
             svc.submit(events[idx], sink);
             idx += 1;
-            if svc.replan_due() {
+            if replan_threshold.is_some_and(|t| svc.cut_degradation() > t) {
                 break;
             }
         }
@@ -631,7 +633,6 @@ fn run_service(opts: &ServeOpts, deterministic: bool) -> Result<(), Box<dyn Erro
         },
         threads: opts.threads,
         boundary_pass: opts.boundary_pass,
-        replan_threshold: None,
         online: opts.online.then_some(OnlineConfig {
             drift_threshold: opts.drift_threshold,
         }),
@@ -746,12 +747,9 @@ fn serve_into(
             drift,
             replan_threshold,
         } => {
-            let cfg = ServiceConfig {
-                replan_threshold: *replan_threshold,
-                ..cfg
-            };
             let events = trace_arrivals(tf, g, *drift);
-            drive_trace(g, plan, &cfg, opts.poison_shard, store, &events, &mut tee)
+            let (threshold, poison) = (*replan_threshold, opts.poison_shard);
+            drive_trace(g, plan, &cfg, threshold, poison, store, &events, &mut tee)
         }
         Source::Listen(addr) => {
             // The network loop pulls events as they arrive and never detaches,

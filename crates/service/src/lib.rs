@@ -18,11 +18,10 @@
 //!   invariant hold by construction. Three routings: `hash`, `range`,
 //!   and `min-cut` (edge-cut-aware label propagation from
 //!   `mbta-partition`).
-//! * `pool` (crate-private) — the worker pool that solves a batch's
-//!   touched shards concurrently: work-stealing largest-first scheduling
-//!   over vendored crossbeam scoped threads + channels, with a
-//!   deterministic shard-index merge so threaded replay stays
-//!   byte-identical.
+//! * `pool` (crate-private) — solves a batch's touched shards
+//!   concurrently: `std::thread::scope` threads drain one largest-first
+//!   job queue, and a deterministic shard-index merge keeps threaded
+//!   replay byte-identical.
 //! * [`service`] — [`DispatchService`] itself: a *core* (per-shard
 //!   incremental states plus the run state a re-plan carries over
 //!   whole), one *commit path* every decision leaves through (sequence

@@ -150,8 +150,8 @@ pub struct ServiceReport {
     /// Solver-pool width the run used (resolved: `--threads 0` reports the
     /// host's available parallelism, not 0).
     pub pool_threads: usize,
-    /// Shard jobs a pool worker took from a sibling's deque; always zero
-    /// with one thread, and a load-imbalance signal otherwise.
+    /// Always 0: the solve pool has one shared queue, so nothing is stolen.
+    /// Kept because the system benchmark's `service.pool_steals` reads it.
     pub steals: u64,
 
     /// Batch records journaled to the WAL (0 when no store is attached).
@@ -229,7 +229,6 @@ impl ServiceReport {
             &[
                 "shards",
                 "threads",
-                "steals",
                 "retained wt",
                 "events/sec",
                 "p50 ms",
@@ -241,7 +240,6 @@ impl ServiceReport {
         perf.row(vec![
             self.n_shards.to_string(),
             self.pool_threads.to_string(),
-            self.steals.to_string(),
             fnum(self.retained_weight, 3),
             fnum(self.events_per_sec, 0),
             fnum(self.p50_solve_ms, 3),
@@ -394,7 +392,7 @@ mod tests {
             final_assignments: 33,
             capacity_violations: 0,
             pool_threads: 4,
-            steals: 3,
+            steals: 0,
             wal_records: 7,
             wal_bytes: 1024,
             snapshots: 2,
@@ -406,7 +404,6 @@ mod tests {
         assert!(s.contains("snapshots"));
         assert!(s.contains("events/sec"));
         assert!(s.contains("threads"));
-        assert!(s.contains("steals"));
         assert!(
             s.contains("792") || s.contains("791"),
             "events/sec rendered: {s}"

@@ -25,7 +25,7 @@
 //! ```text
 //!  producers --offer--> BoundedQueue --pump--> Mode
 //!    Batch:  Batcher --flush--> route + apply churn (greedy repair), then
-//!            per touched healthy shard, via the SolvePool, one re-solve
+//!            per touched healthy shard, via the solve pool, one re-solve
 //!            on the shard's carried solver seeded with the repaired
 //!            assignment, racing one shared deadline; adopt improvements;
 //!            [boundary rescue: the plan's cross-edge market re-solved on
@@ -85,7 +85,7 @@
 use crate::batch::{BatchConfig, Batcher, ClosedBatch, FlushReason};
 use crate::event::{Arrival, ServiceEvent};
 use crate::online::{self, OnlineConfig, OnlineRuntime, OnlineScratch};
-use crate::pool::{ShardJob, SolvePool};
+use crate::pool::{self, ShardJob};
 use crate::queue::{BoundedQueue, DropPolicy, OfferOutcome};
 use crate::report::ServiceReport;
 use crate::shard::{capacity_violations, Route, ShardPlan, UNMAPPED};
@@ -134,11 +134,12 @@ impl BudgetMode {
     }
 }
 
-/// Service construction parameters. Three of them switch modes —
-/// `online`, `boundary_pass`, `replan_threshold` — and none says which
-/// shards this process owns: a service applies every event it is offered,
-/// so a cluster shard owner is an ordinary service that is offered one
-/// shard's events (its worker loop filters at the process boundary).
+/// Service construction parameters. Two of them switch modes — `online`
+/// and `boundary_pass` — and none says which shards this process owns: a
+/// service applies every event it is offered, so a cluster shard owner is
+/// an ordinary service that is offered one shard's events (its worker loop
+/// filters at the process boundary). Re-planning is the driver's: it reads
+/// [`DispatchService::cut_degradation`] against its own threshold.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Micro-batch watermarks.
@@ -159,11 +160,6 @@ pub struct ServiceConfig {
     /// makes cross-shard benefit updates *processed* (they feed the
     /// rescue market) instead of dropped.
     pub boundary_pass: bool,
-    /// Re-plan trigger: when the live cut fraction degrades past this
-    /// value above its plan-time baseline, [`DispatchService::replan_due`]
-    /// starts returning true and the driver should detach → rebuild the
-    /// plan → resume. `None` disables drift-driven re-planning.
-    pub replan_threshold: Option<f64>,
     /// Per-event online decision path: `Some` bypasses the batcher and
     /// decides on every event (greedy repair + depth-1 exchange, with a
     /// warm-started exact fallback once per-shard drift crosses the
@@ -181,7 +177,6 @@ impl Default for ServiceConfig {
             budget: BudgetMode::Wallclock(50),
             threads: 0,
             boundary_pass: false,
-            replan_threshold: None,
             online: None,
         }
     }
@@ -229,7 +224,7 @@ struct Core<'p> {
     states: Vec<IncrementalAssignment<'p>>,
     /// Each shard's carried exact solver — the one exact tier of both
     /// modes. Bound to the plan's topology, so a re-plan drops them all;
-    /// built at a shard's first exact solve ([`solver_for`]), so set-up
+    /// built at a shard's first exact solve ([`shard_job`]), so set-up
     /// pays nothing for shards that never solve.
     solvers: Vec<Option<WarmSolver>>,
     /// Live intra/cross weight split for drift-driven re-planning.
@@ -242,8 +237,8 @@ struct Core<'p> {
 /// `resume` moves it back.
 struct RunState {
     budget: BudgetMode,
-    replan_threshold: Option<f64>,
-    pool: SolvePool,
+    /// Solver threads for a batch's shard jobs, resolved ([`pool::width`]).
+    threads: usize,
     queue: BoundedQueue,
     /// Optional durability: when attached, every commit is journaled to
     /// the WAL *before* its decisions reach the sink, and full-state
@@ -676,24 +671,14 @@ impl<'p> Core<'p> {
                 self.run.tally(&mut stats, s, false);
                 continue;
             }
-            let graph = &plan.shards[s].sub.graph;
-            jobs.push(ShardJob {
-                shard: s,
-                graph,
-                weights: self.states[s].active_weights(),
-                solver: solver_for(slot, graph),
-                seed: self.states[s].matching(),
-                ctl: solve_ctl(batch_deadline),
-                est_size: graph.n_edges(),
-            });
+            jobs.push(shard_job(plan, &self.states[s], slot, s, batch_deadline));
         }
-        let solved = self.run.pool.solve(jobs);
-        self.run.report.steals += solved.steals;
+        let outcomes = pool::solve(self.run.threads, jobs);
 
         // Merge: outcomes arrive sorted by shard index, so adoption order
         // (and therefore the decision stream) is independent of which
-        // worker thread finished first.
-        for outcome in solved.outcomes {
+        // thread finished first.
+        for outcome in outcomes {
             let s = outcome.shard;
             self.run.tally(&mut stats, s, outcome.completed);
             self.adopt(s, &outcome.matching, outcome.value);
@@ -946,12 +931,9 @@ impl<'p> Core<'p> {
     /// Adopts the solution when it improves on the incremental state and
     /// appends the applied flips to the pooled flip buffer.
     fn warm_solve_shard(&mut self, rt: &mut OnlineRuntime, s: usize, deadline: Option<Deadline>) {
-        let aw = self.states[s].active_weights();
-        let graph = &self.plan.shards[s].sub.graph;
-        let warm = solver_for(&mut self.solvers[s], graph);
-        let (m, _) =
-            warm.solve_seeded(graph, &aw, &self.states[s].matching(), &solve_ctl(deadline));
-        self.adopt(s, &m, m.total_weight(&aw));
+        let (plan, state, slot) = (self.plan, &self.states[s], &mut self.solvers[s]);
+        let solved = pool::run_job(shard_job(plan, state, slot, s, deadline));
+        self.adopt(s, &solved.matching, solved.value);
         self.states[s].drain_log_into(&mut rt.scratch.flips);
     }
 
@@ -1043,8 +1025,7 @@ impl<'p> DispatchService<'p> {
         };
         let run = RunState {
             budget: cfg.budget,
-            replan_threshold: cfg.replan_threshold,
-            pool: SolvePool::new(cfg.threads),
+            threads: pool::width(cfg.threads),
             queue: BoundedQueue::new(cfg.queue_cap, cfg.drop_policy),
             store: None,
             live_weights,
@@ -1292,19 +1273,19 @@ impl<'p> DispatchService<'p> {
         report.final_value = states.iter().map(|s| s.total_weight()).sum::<f64>() + rescued_weight;
         report.final_assignments = states.iter().map(|s| s.len()).sum::<usize>() + overlay.len();
         report.capacity_violations += violations;
-        report.pool_threads = run.pool.threads();
+        report.pool_threads = run.threads;
         report.wal_records = store_stats.wal_records;
         report.wal_bytes = store_stats.wal_bytes;
         report.snapshots = store_stats.snapshots;
         report
     }
 
-    /// Whether drift-driven re-planning is armed and the live cut
-    /// fraction has degraded past the configured threshold. Cheap (two
-    /// float reads); the driver polls it at batch boundaries.
-    pub fn replan_due(&self) -> bool {
-        let threshold = self.core.run.replan_threshold;
-        threshold.is_some_and(|t| self.core.cut.degradation() > t)
+    /// How far the live cut fraction has degraded above the plan's
+    /// baseline. Cheap (two float reads): a driver doing drift-driven
+    /// re-planning polls it at batch boundaries and, past its threshold,
+    /// detaches → rebuilds the plan → resumes.
+    pub fn cut_degradation(&self) -> f64 {
+        self.core.cut.degradation()
     }
 
     /// Tears the service down to exactly the state a successor needs to
@@ -1514,10 +1495,26 @@ fn task_live(plan: &ShardPlan, states: &[IncrementalAssignment<'_>], t: TaskId) 
     states[plan.task_shard[t.index()] as usize].task_active(TaskId::new(plan.task_local[t.index()]))
 }
 
-/// The one place a shard's carried solver is built: on first use, for the
-/// shard graph `g` of the current plan.
-fn solver_for<'a>(slot: &'a mut Option<WarmSolver>, g: &BipartiteGraph) -> &'a mut WarmSolver {
-    slot.get_or_insert_with(|| WarmSolver::new(g))
+/// The one way a shard solve is built, batch or online: shard `s`'s
+/// carried solver (built here on first use, for the current plan's shard
+/// graph), its active weights, and its incremental matching as the seed,
+/// under `deadline`.
+fn shard_job<'a>(
+    plan: &'a ShardPlan,
+    state: &IncrementalAssignment<'_>,
+    slot: &'a mut Option<WarmSolver>,
+    s: usize,
+    deadline: Option<Deadline>,
+) -> ShardJob<'a> {
+    let graph = &plan.shards[s].sub.graph;
+    ShardJob {
+        shard: s,
+        graph,
+        weights: state.active_weights(),
+        solver: slot.get_or_insert_with(|| WarmSolver::new(graph)),
+        seed: state.matching(),
+        ctl: solve_ctl(deadline),
+    }
 }
 
 fn solve_ctl(deadline: Option<Deadline>) -> SolveCtl {
@@ -1659,7 +1656,6 @@ mod tests {
             budget: BudgetMode::Deterministic,
             threads: 1,
             boundary_pass: false,
-            replan_threshold: None,
             online: None,
         }
     }
@@ -1719,8 +1715,10 @@ mod tests {
         }
     }
 
-    /// The driver's epoch loop: offer → pump, and on `replan_due` detach
-    /// → rebuild the plan from the live weights → resume.
+    /// The driver's epoch loop: offer → pump, and once the cut has degraded
+    /// past a hair-trigger threshold (so a drifting trace fires it several
+    /// times — the loop must survive repeated migrations) detach → rebuild
+    /// the plan from the live weights → resume.
     fn run_epochs(
         g: &BipartiteGraph,
         w: &[f64],
@@ -1748,7 +1746,7 @@ mod tests {
                 }
                 idx += 1;
                 svc.pump(&mut sink);
-                if svc.replan_due() {
+                if svc.cut_degradation() > 1e-6 {
                     break;
                 }
             }
@@ -1825,7 +1823,6 @@ mod tests {
         assert_eq!(rep_4.capacity_violations, 0);
         assert_eq!(rep_1.pool_threads, 1);
         assert_eq!(rep_4.pool_threads, 4);
-        assert_eq!(rep_1.steals, 0, "sequential path cannot steal");
     }
 
     /// Global service metrics advance by at least this run's report totals
@@ -2310,9 +2307,6 @@ mod tests {
         };
         for boundary_pass in [true, false] {
             let mut cfg = deterministic_cfg();
-            // Hair-trigger threshold so the drifting trace actually fires it
-            // (several times — the loop must survive repeated migrations).
-            cfg.replan_threshold = Some(1e-6);
             cfg.boundary_pass = boundary_pass;
             let decisions = mbta_telemetry::global().counter("mbta_service_decisions_total");
             let d0 = decisions.get();
@@ -2382,7 +2376,6 @@ mod tests {
         for online in [None, Some(OnlineConfig::default())] {
             let mut cfg = deterministic_cfg();
             cfg.batch.max_events = 24;
-            cfg.replan_threshold = Some(1e-6);
             cfg.online = online;
             let (sink, report) = run_epochs(&g, &w, &cfg, &events);
             assert!(report.replans > 0);
@@ -2579,8 +2572,7 @@ mod tests {
     fn online_replan_loop_migrates_and_stays_feasible() {
         let (g, w) = universe();
         let events = stream(&g, 37);
-        let mut cfg = online_cfg(0.1);
-        cfg.replan_threshold = Some(1e-6);
+        let cfg = online_cfg(0.1);
         let (sink, report) = run_epochs(&g, &w, &cfg, &events);
         assert!(report.replans > 0, "threshold 1e-6 never fired");
         assert_eq!(report.capacity_violations, 0);

@@ -77,7 +77,6 @@ fn cfg() -> ServiceConfig {
         budget: BudgetMode::Deterministic,
         threads: 1,
         boundary_pass: false,
-        replan_threshold: None,
         online: None,
     }
 }

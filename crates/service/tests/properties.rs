@@ -53,7 +53,6 @@ fn cfg(threads: usize, budget: BudgetMode) -> ServiceConfig {
         budget,
         threads,
         boundary_pass: false,
-        replan_threshold: None,
         online: None,
     }
 }

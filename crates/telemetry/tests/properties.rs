@@ -18,17 +18,16 @@ proptest! {
         per_thread in vec(vec(0.0f64..5_000.0, 1..64), 2..8)
     ) {
         let h = Histogram::new();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             let h = &h;
             for chunk in &per_thread {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for &v in chunk {
                         h.observe(v);
                     }
                 });
             }
-        })
-        .expect("threads join");
+        });
 
         let total: usize = per_thread.iter().map(Vec::len).sum();
         prop_assert_eq!(h.count(), total as u64);

@@ -140,7 +140,6 @@ impl Scenario {
             budget: BudgetMode::Deterministic,
             threads: self.threads,
             boundary_pass: self.boundary_pass,
-            replan_threshold: self.replan_threshold,
             online: self
                 .online
                 .map(|drift_threshold| OnlineConfig { drift_threshold }),
@@ -226,8 +225,8 @@ fn assert_recovered(
     }
 }
 
-/// Drives the scenario as the CLI does (offer → pump, epoch loop on
-/// `replan_due`) and returns `(log hash, store hash, report)`.
+/// Drives the scenario as the CLI does (offer → pump, epoch loop once the
+/// cut degrades past `replan_threshold`) and returns `(log hash, store hash, report)`.
 fn run(sc: &Scenario) -> (u64, u64, ServiceReport) {
     let (g, w) = universe();
     let events = stream(&g);
@@ -271,7 +270,10 @@ fn run(sc: &Scenario) -> (u64, u64, ServiceReport) {
                 svc.pump(&mut sink);
             }
             svc.pump(&mut sink);
-            if svc.replan_due() {
+            if sc
+                .replan_threshold
+                .is_some_and(|t| svc.cut_degradation() > t)
+            {
                 break;
             }
         }
