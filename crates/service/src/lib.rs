@@ -19,9 +19,9 @@
 //!   and `min-cut` (edge-cut-aware label propagation from
 //!   `mbta-partition`).
 //! * `pool` (crate-private) — solves a batch's touched shards
-//!   concurrently: `std::thread::scope` threads drain one largest-first
-//!   job queue, and a deterministic shard-index merge keeps threaded
-//!   replay byte-identical.
+//!   concurrently: the dispatching thread and `std::thread::scope` helpers
+//!   drain one largest-first job queue, and a deterministic shard-index
+//!   merge keeps threaded replay byte-identical.
 //! * [`service`] — [`DispatchService`] itself: a *core* (per-shard
 //!   incremental states plus the run state a re-plan carries over
 //!   whole), one *commit path* every decision leaves through (sequence

@@ -3,8 +3,9 @@
 //! [`ShardPlan`](crate::ShardPlan) produces node-disjoint sub-markets
 //! precisely so they can be solved independently; this module is where
 //! that independence is cashed in. [`solve`] takes the batch's
-//! touched-shard jobs and runs them across `std::thread::scope` threads.
-//! A job is one re-solve on the shard's **carried solver**
+//! touched-shard jobs and runs them on the dispatching thread plus
+//! `std::thread::scope` helpers. A job is one re-solve on the shard's
+//! **carried solver**
 //! (`mbta_core::warm::WarmSolver`, lent to the job exclusively together
 //! with the matching that seeds it): whichever thread runs the job repairs
 //! the shard's kept network and duals, so a batch pays for what its events
@@ -12,33 +13,39 @@
 //! re-solves inline, on a solver of its own.) Three properties the
 //! dispatch loop depends on:
 //!
-//! 1. **One queue, largest first.** Jobs are sorted by sub-market edge
-//!    count, descending, into one shared queue, and each thread takes the
-//!    next job whenever it is free. That is LPT list scheduling: the big
-//!    solves start immediately and the small ones pack around them, so the
-//!    makespan stays close to the `max(job)` lower bound.
+//! 1. **One queue, largest first, the caller as thread 0.** Jobs are
+//!    sorted by sub-market edge count, descending, into one shared queue.
+//!    The dispatching thread starts draining it at once, and the
+//!    `min(threads, jobs) - 1` helpers take the next job whenever they are
+//!    free — a helper only once it has woken, so no solve waits for a
+//!    spawn. That is LPT list scheduling: the big solves start immediately
+//!    and the small ones pack around them, so the makespan stays close to
+//!    the `max(job)` lower bound. One thread is the same loop with no
+//!    helper.
 //! 2. **Deterministic merge.** Threads race, but their outcomes are
 //!    re-sorted by shard index before they are handed back, so the caller
-//!    applies them in exactly the order the single-threaded loop would.
+//!    applies them in shard order at every width.
 //!    Under deterministic budgets every solve is a pure function of its
 //!    inputs, which makes `--threads N` replay byte-identical to
 //!    `--threads 1` for every `N`.
 //! 3. **Shared budgets.** The pool never splits a batch budget: callers
 //!    put one absolute [`Deadline`](mbta_util::Deadline) into every job's
-//!    [`SolveCtl`], and all shards race that same instant — in parallel
-//!    mode concurrently, in sequential mode with unused budget carrying
-//!    forward to later shards.
+//!    [`SolveCtl`], and all shards race that same instant — concurrently
+//!    across threads, and on each thread with unused budget carrying
+//!    forward to the jobs it takes later (largest first).
 //!
-//! Telemetry: `mbta_service_pool_queue_depth` (jobs not yet claimed) and
+//! Telemetry, only for batches that spawn a helper (width > 1 and ≥ 2
+//! jobs): `mbta_service_pool_queue_depth` (jobs not yet claimed) and
 //! per-thread `mbta_service_pool_thread_busy_ms{thread="i"}` histograms
-//! whose spread shows how well the queue balanced the batch.
+//! (`thread="0"` is the dispatching thread) whose spread shows how well
+//! the queue balanced the batch.
 
 use mbta_core::warm::WarmSolver;
 use mbta_graph::BipartiteGraph;
 use mbta_matching::Matching;
 use mbta_util::SolveCtl;
-use std::sync::Mutex;
 use std::time::Instant;
+use std::{panic, sync::Mutex};
 
 /// One shard's solve request: everything the solve needs, owned or
 /// borrowed (the carried solver exclusively — jobs are per shard, so those
@@ -84,54 +91,58 @@ pub fn width(threads: usize) -> usize {
 
 /// Solves every job and returns the outcomes sorted by shard index.
 ///
-/// With one thread (or at most one job) this runs inline, in the order the
-/// jobs were given — byte-for-byte the sequential dispatch path. Otherwise
-/// `min(threads, jobs)` scoped threads drain one largest-first queue.
+/// The calling thread drains one largest-first queue as thread 0, and
+/// `min(threads, jobs) - 1` scoped helpers take whatever is left when they
+/// wake. With one thread or one job no helper spawns: the caller runs
+/// every job itself. A panicking solve reaches the caller with its own
+/// payload, whichever thread ran it.
 pub fn solve(threads: usize, mut jobs: Vec<ShardJob<'_>>) -> Vec<ShardOutcome> {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.into_iter().map(run_job).collect();
-    }
     // Ties by shard, so the schedule itself is deterministic even though
     // completion order is not.
     jobs.sort_by_key(|j| (std::cmp::Reverse(j.graph.n_edges()), j.shard));
     let n_jobs = jobs.len();
-    mbta_telemetry::gauge_set("mbta_service_pool_queue_depth", n_jobs as f64);
+    let helpers = threads.min(n_jobs).saturating_sub(1);
+    // Pool metrics only for batches that spawn a helper: a one-thread run
+    // emits none.
+    let metered = helpers > 0;
     let queue = Mutex::new(jobs.into_iter());
-    let mut outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-        let queue = &queue;
-        let handles: Vec<_> = (0..threads.min(n_jobs))
-            .map(|me| {
-                scope.spawn(move || {
-                    let (mut done, mut busy) = (Vec::new(), 0.0f64);
-                    loop {
-                        // Claim in a statement of its own: the guard must
-                        // drop before the solve, or the solves serialise.
-                        let (job, left) = {
-                            let mut q = queue.lock().expect("no solve runs under the lock");
-                            (q.next(), q.len())
-                        };
-                        let Some(job) = job else { break };
-                        mbta_telemetry::gauge_set("mbta_service_pool_queue_depth", left as f64);
-                        let outcome = run_job(job);
-                        busy += outcome.solve_ms;
-                        done.push(outcome);
-                    }
-                    // One observation per thread per batch: the spread
-                    // across threads is the load-balance signal.
-                    if mbta_telemetry::enabled() {
-                        mbta_telemetry::observe(
-                            &format!("mbta_service_pool_thread_busy_ms{{thread=\"{me}\"}}"),
-                            busy,
-                        );
-                    }
-                    done
-                })
-            })
+    // Captures only shared borrows, so it is `Copy`: every thread gets one.
+    let drain = |me: usize| {
+        let (mut done, mut busy) = (Vec::new(), 0.0f64);
+        loop {
+            // Claim in a statement of its own: the guard must drop before
+            // the solve, or the solves serialise.
+            let (job, left) = {
+                let mut q = queue.lock().expect("no solve runs under the lock");
+                (q.next(), q.len())
+            };
+            let Some(job) = job else { break };
+            if metered {
+                mbta_telemetry::gauge_set("mbta_service_pool_queue_depth", left as f64);
+            }
+            let outcome = run_job(job);
+            busy += outcome.solve_ms;
+            done.push(outcome);
+        }
+        // One observation per thread per batch: the spread across threads
+        // is the load-balance signal.
+        if metered && mbta_telemetry::enabled() {
+            mbta_telemetry::observe(
+                &format!("mbta_service_pool_thread_busy_ms{{thread=\"{me}\"}}"),
+                busy,
+            );
+        }
+        done
+    };
+    let mut outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..=helpers)
+            .map(|me| scope.spawn(move || drain(me)))
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|t| t.join().expect("solve thread panicked"))
-            .collect()
+        let mut outcomes = drain(0);
+        for helper in handles {
+            outcomes.extend(helper.join().unwrap_or_else(|p| panic::resume_unwind(p)));
+        }
+        outcomes
     });
     debug_assert_eq!(outcomes.len(), n_jobs);
     outcomes.sort_by_key(|o| o.shard);
@@ -206,16 +217,39 @@ mod tests {
         let markets: Vec<_> = (0..6)
             .map(|i| market(100 + i, 20 + 30 * i as usize))
             .collect();
-        let (mut s1, mut s4) = (solvers_for(&markets), solvers_for(&markets));
-        let seq = solve(1, jobs_for(&markets, &mut s1));
-        let par = solve(4, jobs_for(&markets, &mut s4));
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.shard, b.shard, "merge order must be shard-ascending");
-            assert_eq!(a.completed, b.completed);
-            assert_eq!(a.matching.edges, b.matching.edges, "shard {}", a.shard);
-            assert!((a.value - b.value).abs() < 1e-12);
+        let mut s = solvers_for(&markets);
+        let seq: Vec<_> = jobs_for(&markets, &mut s)
+            .into_iter()
+            .map(run_job)
+            .collect();
+        for threads in 1..=8 {
+            let mut s = solvers_for(&markets);
+            let par = solve(threads, jobs_for(&markets, &mut s));
+            assert_eq!(seq.len(), par.len());
+            for (a, b) in seq.iter().zip(&par) {
+                assert_eq!(a.shard, b.shard, "merge order must be shard-ascending");
+                assert_eq!(a.completed, b.completed);
+                let at = format!("{threads} threads, shard {}", a.shard);
+                assert_eq!(a.matching.edges, b.matching.edges, "{at}");
+                assert!((a.value - b.value).abs() < 1e-12);
+            }
         }
+    }
+
+    /// A panicking solve reaches the caller with its own message, whether
+    /// the caller or the helper ran it.
+    #[test]
+    #[should_panic(expected = "graph topology changed")]
+    fn a_panicking_solve_reaches_the_caller() {
+        let markets: Vec<_> = (0..2)
+            .map(|i| market(11 + i, 40 + 20 * i as usize))
+            .collect();
+        let mut solvers = solvers_for(&markets);
+        // The smaller shard's solver is built for the other market. The
+        // caller claims the larger job first, so either thread may take
+        // this one.
+        solvers[0] = WarmSolver::new(&markets[1].0);
+        solve(2, jobs_for(&markets, &mut solvers));
     }
 
     /// Each job comes back solved: the optimum of its market, and its value.

@@ -113,7 +113,7 @@ use std::time::Instant;
 pub enum BudgetMode {
     /// Each batch gets this many wall-clock milliseconds of solve budget,
     /// shared by its touched shards as one absolute deadline: unused
-    /// budget carries forward sequentially, and concurrent shards race the
+    /// budget carries forward on each thread, and concurrent shards race the
     /// same instant (see the module docs' budget policy). Bounded latency,
     /// non-deterministic quality tiers.
     Wallclock(u64),
@@ -150,8 +150,8 @@ pub struct ServiceConfig {
     pub drop_policy: DropPolicy,
     /// Solve budget mode.
     pub budget: BudgetMode,
-    /// Solver threads for touched-shard solves; `0` = available
-    /// parallelism, `1` = the exact sequential dispatch path.
+    /// Solver threads for touched-shard solves, the dispatching thread
+    /// among them; `0` = available parallelism, `1` = no helper thread.
     pub threads: usize,
     /// Run the cross-shard boundary-rescue pass after every batch's shard
     /// solves merge: cross edges whose endpoints still have residual
@@ -658,10 +658,9 @@ impl<'p> Core<'p> {
         let (events, shards) = (batch.events.len(), touched.len());
         let mut stats = self.run.stats(batch.reason, events, shards, 0.0);
         stats.invalid_events = invalid;
-        // Jobs are built in ascending shard order; with `threads = 1` the
-        // pool runs them inline in exactly this order (the sequential
-        // dispatch path), otherwise it reorders largest-first internally
-        // but still merges results back in shard order.
+        // Jobs are built in ascending shard order; the pool runs them
+        // largest-first, this thread taking the first, and merges the
+        // results back in shard order.
         let plan = self.plan;
         let mut jobs: Vec<ShardJob<'_>> = Vec::with_capacity(touched.len());
         let slots = self.solvers.iter_mut().enumerate();

@@ -670,7 +670,8 @@ proptest! {
         for shards in [1usize, 4] {
             let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
             let mut logs = Vec::new();
-            for threads in [1usize, 4] {
+            // Width 2 is the dispatching thread plus one helper.
+            for threads in [1usize, 2, 4] {
                 let deterministic = BudgetMode::Deterministic;
                 let (log, report, warm) =
                     audited_run(&g, &plan, &events, threads, false, deterministic)?;
@@ -685,13 +686,16 @@ proptest! {
                 );
                 logs.push(log);
             }
-            prop_assert_eq!(&logs[0], &logs[1], "decisions depend on the thread count");
+            for log in &logs[1..] {
+                prop_assert_eq!(&logs[0], log, "decisions depend on the thread count");
+            }
         }
     }
 
     /// A wall-clock budget that covers every repair changes nothing:
     /// budgeted batch solves repair the carried duals as unbudgeted ones
-    /// do, so the decision bytes are a `Deterministic` replay's and every
+    /// do, so the decision bytes are a `Deterministic` replay's — whether
+    /// a shard ran on the dispatching thread or on a helper — and every
     /// exact solve but a shard's first is a warm hit.
     #[test]
     fn ample_wallclock_budget_replays_like_deterministic(
@@ -706,12 +710,14 @@ proptest! {
         let events = service_trace(&g, &ops);
         for shards in [1usize, 4] {
             let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
-            let run = |budget| audited_run(&g, &plan, &events, 1, false, budget);
-            let (log, ..) = run(BudgetMode::Deterministic)?;
-            let (budgeted, report, warm) = run(BudgetMode::Wallclock(3_600_000))?;
-            prop_assert_eq!(log, budgeted, "an ample budget moved a decision");
-            prop_assert_eq!(report.tier_exact, report.solves);
-            prop_assert_eq!(warm, report.solves - solving_shards(&plan));
+            let run = |threads, budget| audited_run(&g, &plan, &events, threads, false, budget);
+            let (log, ..) = run(1, BudgetMode::Deterministic)?;
+            for threads in [1usize, 4] {
+                let (budgeted, report, warm) = run(threads, BudgetMode::Wallclock(3_600_000))?;
+                prop_assert_eq!(&log, &budgeted, "an ample budget moved a decision");
+                prop_assert_eq!(report.tier_exact, report.solves);
+                prop_assert_eq!(warm, report.solves - solving_shards(&plan));
+            }
         }
     }
 
@@ -735,9 +741,11 @@ proptest! {
             let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
             let run = |threads| audited_run(&g, &plan, &events, threads, true, BudgetMode::Deterministic);
             let (log1, report, _) = run(1)?;
-            let (log4, ..) = run(4)?;
             prop_assert_eq!(report.cross_benefit_drops, 0);
-            prop_assert_eq!(log1, log4, "decisions depend on the thread count");
+            for threads in [2usize, 4] {
+                let (log, ..) = run(threads)?;
+                prop_assert_eq!(&log1, &log, "decisions depend on the thread count");
+            }
         }
     }
 
