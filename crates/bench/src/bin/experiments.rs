@@ -4,11 +4,13 @@
 //! experiments [--quick] [--out DIR] [ids...]
 //! ```
 //!
-//! With no ids, runs everything in the registry. Each table is printed
-//! aligned to stdout and written as `<out>/<id>[_k].csv`.
+//! With no ids, runs everything in the experiment table. Each table is
+//! printed aligned to stdout and written as `<out>/<id>[_k].csv`. Exits 1
+//! when a CSV cannot be written or an experiment produces no table or an
+//! empty one (after running the rest), 2 on a usage error.
 
-use mbta_bench::experiments::registry;
-use mbta_bench::{Experiment, Scale};
+use mbta_bench::experiments::EXPERIMENTS;
+use mbta_bench::Scale;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -30,8 +32,8 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!("usage: experiments [--quick] [--out DIR] [ids...]");
                 eprintln!("known ids:");
-                for e in registry() {
-                    eprintln!("  {:<5} {}", e.id(), e.title());
+                for e in EXPERIMENTS {
+                    eprintln!("  {:<5} {}", e.id, e.title);
                 }
                 return;
             }
@@ -39,20 +41,17 @@ fn main() {
         }
     }
 
-    let reg = registry();
-    let selected: Vec<&Box<dyn Experiment>> = if ids.is_empty() {
-        reg.iter().collect()
-    } else {
-        for id in &ids {
-            if !reg.iter().any(|e| e.id() == id) {
-                eprintln!("unknown experiment id: {id} (use --help for the list)");
-                std::process::exit(2);
-            }
-        }
-        reg.iter()
-            .filter(|e| ids.iter().any(|i| i == e.id()))
-            .collect()
-    };
+    if let Some(id) = ids
+        .iter()
+        .find(|id| !EXPERIMENTS.iter().any(|e| e.id == *id))
+    {
+        eprintln!("unknown experiment id: {id} (use --help for the list)");
+        std::process::exit(2);
+    }
+    let selected: Vec<_> = EXPERIMENTS
+        .iter()
+        .filter(|e| ids.is_empty() || ids.iter().any(|i| i == e.id))
+        .collect();
 
     println!(
         "mbta experiments: {} experiment(s), scale = {:?}, out = {}",
@@ -61,24 +60,38 @@ fn main() {
         out_dir.display()
     );
 
+    let mut failures = 0usize;
     for exp in selected {
         let start = Instant::now();
-        let tables = exp.run(scale);
+        let tables = (exp.run)(scale, exp.title);
         let elapsed = start.elapsed();
+        if tables.is_empty() {
+            eprintln!("error: {} produced no table", exp.id);
+            failures += 1;
+        }
         for (k, table) in tables.iter().enumerate() {
             println!("\n{}", table.render());
             let name = if tables.len() == 1 {
-                format!("{}.csv", exp.id())
+                format!("{}.csv", exp.id)
             } else {
-                format!("{}_{}.csv", exp.id(), k)
+                format!("{}_{}.csv", exp.id, k)
             };
             let path = out_dir.join(name);
+            if table.is_empty() {
+                eprintln!("error: {} produced an empty table", path.display());
+                failures += 1;
+            }
             if let Err(e) = table.write_csv(&path) {
-                eprintln!("warning: failed to write {}: {e}", path.display());
+                eprintln!("error: failed to write {}: {e}", path.display());
+                failures += 1;
             } else {
                 println!("[written {}]", path.display());
             }
         }
-        println!("[{} done in {:.2?}]", exp.id(), elapsed);
+        println!("[{} done in {:.2?}]", exp.id, elapsed);
+    }
+    if failures > 0 {
+        eprintln!("experiments: {failures} failure(s)");
+        std::process::exit(1);
     }
 }

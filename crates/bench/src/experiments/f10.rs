@@ -4,7 +4,7 @@
 //! multiple-choice microtasks under each assignment policy, aggregate, and
 //! measure accuracy against planted ground truth.
 
-use crate::harness::{parallel_map, Experiment, Scale};
+use crate::harness::{parallel_map, table, Scale};
 use mbta_core::algorithms::{solve, Algorithm};
 use mbta_market::aggregate::{accuracy_against, dawid_skene, majority_vote, weighted_vote};
 use mbta_market::answers::{simulate_answers, GroundTruth};
@@ -20,109 +20,65 @@ use mbta_workload::{Profile, WorkloadSpec};
 /// workers whose expected accuracy is higher; Dawid–Skene ≥ weighted vote ≥
 /// majority vote, with the aggregator gap *shrinking* as assignment
 /// improves (good assignment leaves less noise to clean up).
-pub struct RealizedQuality;
-
-impl Experiment for RealizedQuality {
-    fn id(&self) -> &'static str {
-        "f10"
+pub fn realized_quality(scale: Scale, title: &'static str) -> Vec<Table> {
+    let (n_w, n_t) = match scale {
+        Scale::Quick => (150, 100),
+        Scale::Full => (1_500, 1_000),
+    };
+    let market: Market = WorkloadSpec {
+        profile: Profile::Microtask,
+        n_workers: n_w,
+        n_tasks: n_t,
+        avg_worker_degree: 12.0,
+        skill_dims: 8,
+        seed: 51,
     }
+    .generate();
+    let g = market.realize(&BenefitParams::default()).unwrap();
+    let truth = GroundTruth::random(n_t, 4, 52);
+    let combiner = Combiner::balanced();
 
-    fn title(&self) -> &'static str {
-        "F10: realized answer accuracy (assignment x aggregation, microtask profile)"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let (n_w, n_t) = match scale {
-            Scale::Quick => (150, 100),
-            Scale::Full => (1_500, 1_000),
-        };
-        let market: Market = WorkloadSpec {
-            profile: Profile::Microtask,
-            n_workers: n_w,
-            n_tasks: n_t,
-            avg_worker_degree: 12.0,
-            skill_dims: 8,
-            seed: 51,
-        }
-        .generate();
-        let g = market.realize(&BenefitParams::default()).unwrap();
-        let truth = GroundTruth::random(n_t, 4, 52);
-        let combiner = Combiner::balanced();
-
-        let algorithms = vec![
-            Algorithm::ExactMB {
-                algo: PathAlgo::Dijkstra,
-            },
-            Algorithm::GreedyMB,
-            Algorithm::QualityOnly,
-            Algorithm::Cardinality,
-            Algorithm::Random { seed: 0xD1CE },
-        ];
-        let rows = parallel_map(algorithms, |alg| {
-            let m = solve(&g, combiner, alg);
-            let answers = simulate_answers(&g, &m, &truth, 53);
-            let mv = majority_vote(&answers, n_t, 4);
-            // Weighted vote uses the platform's knowledge of worker
-            // reliability (available in practice from history).
-            let wv = weighted_vote(&answers, n_t, 4, |w| {
-                market.workers()[w as usize].reliability
-            });
-            let ds = dawid_skene(&answers, n_t, n_w, 4, 50, 1e-6);
-            let acc = |est: &Vec<Option<u8>>| {
-                accuracy_against(est, &truth.labels)
-                    .map(|a| fnum(a, 3))
-                    .unwrap_or_else(|| "-".to_string())
-            };
-            let answered = mv.iter().filter(|e| e.is_some()).count();
-            vec![
-                alg.name().to_string(),
-                m.len().to_string(),
-                answered.to_string(),
-                acc(&mv),
-                acc(&wv),
-                acc(&ds.estimates),
-            ]
+    let algorithms = vec![
+        Algorithm::ExactMB {
+            algo: PathAlgo::Dijkstra,
+        },
+        Algorithm::GreedyMB,
+        Algorithm::QualityOnly,
+        Algorithm::Cardinality,
+        Algorithm::Random { seed: 0xD1CE },
+    ];
+    let rows = parallel_map(algorithms, |alg| {
+        let m = solve(&g, combiner, alg);
+        let answers = simulate_answers(&g, &m, &truth, 53);
+        let mv = majority_vote(&answers, n_t, 4);
+        // Weighted vote uses the platform's knowledge of worker
+        // reliability (available in practice from history).
+        let wv = weighted_vote(&answers, n_t, 4, |w| {
+            market.workers()[w as usize].reliability
         });
-        let mut t = Table::new(
-            self.title(),
-            &[
-                "algorithm",
-                "answers",
-                "tasks_answered",
-                "majority",
-                "weighted",
-                "dawid_skene",
-            ],
-        );
-        for row in rows {
-            t.row(row);
-        }
-        vec![t]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn benefit_aware_beats_random_on_majority_vote() {
-        let t = &RealizedQuality.run(Scale::Quick)[0];
-        let csv = t.to_csv();
-        let find = |name: &str| -> f64 {
-            csv.lines()
-                .skip(1)
-                .find(|l| l.starts_with(name))
-                .and_then(|l| l.split(',').nth(3))
-                .unwrap()
-                .parse()
-                .unwrap()
+        let ds = dawid_skene(&answers, n_t, n_w, 4, 50, 1e-6);
+        let acc = |est: &Vec<Option<u8>>| {
+            accuracy_against(est, &truth.labels)
+                .map(|a| fnum(a, 3))
+                .unwrap_or_else(|| "-".to_string())
         };
-        let exact = find("ExactMB");
-        let random = find("Random");
-        assert!(
-            exact > random,
-            "quality-aware assignment ({exact}) must beat random ({random})"
-        );
-    }
+        let answered = mv.iter().filter(|e| e.is_some()).count();
+        vec![
+            alg.name().to_string(),
+            m.len().to_string(),
+            answered.to_string(),
+            acc(&mv),
+            acc(&wv),
+            acc(&ds.estimates),
+        ]
+    });
+    let header = [
+        "algorithm",
+        "answers",
+        "tasks_answered",
+        "majority",
+        "weighted",
+        "dawid_skene",
+    ];
+    vec![table(title, &header, rows)]
 }

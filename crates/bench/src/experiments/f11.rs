@@ -2,7 +2,7 @@
 //! per-side balance of the optimal assignment.
 
 use super::uniform_graph;
-use crate::harness::{Experiment, Scale};
+use crate::harness::{table, Scale};
 use mbta_core::algorithms::{solve, Algorithm};
 use mbta_core::evaluate::Evaluation;
 use mbta_market::Combiner;
@@ -14,94 +14,45 @@ use mbta_util::table::{fnum, Table};
 /// Expected shape: `Linear(1.0)`/`Linear(0.0)` pin one side; `Harmonic` and
 /// `Min` push the optimum toward edges good for *both* sides, raising the
 /// min-edge benefit and the per-side fairness at a small total-welfare cost.
-pub struct CombinerAblation;
-
-impl Experiment for CombinerAblation {
-    fn id(&self) -> &'static str {
-        "f11"
-    }
-
-    fn title(&self) -> &'static str {
-        "F11: combiner ablation (ExactMB under each mutual-benefit definition)"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let g = match scale {
-            Scale::Quick => uniform_graph(300, 150, 8.0, 54),
-            Scale::Full => uniform_graph(3_000, 1_500, 8.0, 54),
-        };
-        let combiners: Vec<(&str, Combiner)> = vec![
-            ("Linear(1.0)=rb", Combiner::requester_only()),
-            ("Linear(0.75)", Combiner::Linear { lambda: 0.75 }),
-            ("Linear(0.5)", Combiner::balanced()),
-            ("Linear(0.25)", Combiner::Linear { lambda: 0.25 }),
-            ("Linear(0.0)=wb", Combiner::worker_only()),
-            ("Harmonic", Combiner::Harmonic),
-            ("Min", Combiner::Min),
-        ];
-        let mut t = Table::new(
-            self.title(),
-            &[
-                "combiner",
-                "total_rb",
-                "total_wb",
-                "welfare",
-                "min_edge_mb",
-                "cardinality",
-                "w_fairness",
-                "t_fairness",
-            ],
-        );
-        for (name, combiner) in combiners {
-            let m = solve(
-                &g,
-                combiner,
-                Algorithm::ExactMB {
-                    algo: PathAlgo::Dijkstra,
-                },
-            );
-            let ev = Evaluation::compute(&g, &m, combiner);
-            t.row(vec![
-                name.to_string(),
-                fnum(ev.total_rb, 1),
-                fnum(ev.total_wb, 1),
-                fnum(ev.total_rb + ev.total_wb, 1),
-                fnum(ev.min_edge_mb, 4),
-                ev.cardinality.to_string(),
-                fnum(ev.worker_fairness, 3),
-                fnum(ev.task_fairness, 3),
-            ]);
-        }
-        vec![t]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn extremes_pin_their_side() {
-        let t = &CombinerAblation.run(Scale::Quick)[0];
-        let csv = t.to_csv();
-        let get = |name: &str, col: usize| -> f64 {
-            csv.lines()
-                .skip(1)
-                .find(|l| l.starts_with(name))
-                .and_then(|l| l.split(',').nth(col))
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        // Requester-only maximizes Σrb over all rows; worker-only maximizes Σwb.
-        let rb_at_rbonly = get("Linear(1.0)=rb", 1);
-        let wb_at_wbonly = get("Linear(0.0)=wb", 2);
-        for line in csv.lines().skip(1) {
-            let cells: Vec<&str> = line.split(',').collect();
-            let rb: f64 = cells[1].parse().unwrap();
-            let wb: f64 = cells[2].parse().unwrap();
-            assert!(rb <= rb_at_rbonly + 0.2, "{line}");
-            assert!(wb <= wb_at_wbonly + 0.2, "{line}");
-        }
-    }
+pub fn combiner_ablation(scale: Scale, title: &'static str) -> Vec<Table> {
+    let g = match scale {
+        Scale::Quick => uniform_graph(300, 150, 8.0, 54),
+        Scale::Full => uniform_graph(3_000, 1_500, 8.0, 54),
+    };
+    let combiners: Vec<(&str, Combiner)> = vec![
+        ("Linear(1.0)=rb", Combiner::requester_only()),
+        ("Linear(0.75)", Combiner::Linear { lambda: 0.75 }),
+        ("Linear(0.5)", Combiner::balanced()),
+        ("Linear(0.25)", Combiner::Linear { lambda: 0.25 }),
+        ("Linear(0.0)=wb", Combiner::worker_only()),
+        ("Harmonic", Combiner::Harmonic),
+        ("Min", Combiner::Min),
+    ];
+    let exact = Algorithm::ExactMB {
+        algo: PathAlgo::Dijkstra,
+    };
+    let rows = combiners.into_iter().map(|(name, combiner)| {
+        let ev = Evaluation::compute(&g, &solve(&g, combiner, exact), combiner);
+        vec![
+            name.to_string(),
+            fnum(ev.total_rb, 1),
+            fnum(ev.total_wb, 1),
+            fnum(ev.total_rb + ev.total_wb, 1),
+            fnum(ev.min_edge_mb, 4),
+            ev.cardinality.to_string(),
+            fnum(ev.worker_fairness, 3),
+            fnum(ev.task_fairness, 3),
+        ]
+    });
+    let header = [
+        "combiner",
+        "total_rb",
+        "total_wb",
+        "welfare",
+        "min_edge_mb",
+        "cardinality",
+        "w_fairness",
+        "t_fairness",
+    ];
+    vec![table(title, &header, rows.collect())]
 }

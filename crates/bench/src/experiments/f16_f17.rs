@@ -1,7 +1,7 @@
 //! F16/F17 — model calibration and the aggregator ablation with
 //! adversarial (systematically confused) workers.
 
-use crate::harness::{Experiment, Scale};
+use crate::harness::{table, Scale};
 use mbta_core::algorithms::{solve, Algorithm};
 use mbta_market::aggregate::{accuracy_against, dawid_skene, majority_vote};
 use mbta_market::aggregate_full::dawid_skene_full;
@@ -19,59 +19,46 @@ use mbta_workload::{Profile, WorkloadSpec};
 /// from the model, so this is a pipeline-consistency check; drift here
 /// means the optimizer is optimizing a prediction the market does not
 /// deliver.
-pub struct ModelCalibration;
-
-impl Experiment for ModelCalibration {
-    fn id(&self) -> &'static str {
-        "f16"
+pub fn model_calibration(scale: Scale, title: &'static str) -> Vec<Table> {
+    let (n_w, n_t) = match scale {
+        Scale::Quick => (300, 200),
+        Scale::Full => (3_000, 2_000),
+    };
+    let g = WorkloadSpec {
+        profile: Profile::Microtask,
+        n_workers: n_w,
+        n_tasks: n_t,
+        avg_worker_degree: 12.0,
+        skill_dims: 8,
+        seed: 80,
     }
+    .generate()
+    .realize(&BenefitParams::default())
+    .unwrap();
+    let m = solve(&g, Combiner::balanced(), Algorithm::GreedyMB);
+    let truth = GroundTruth::random(n_t, 4, 81);
+    let answers = simulate_answers(&g, &m, &truth, 82);
+    let cal = calibration(&g, &answers, &truth, 10);
 
-    fn title(&self) -> &'static str {
-        "F16: benefit-model calibration (predicted vs realized accuracy)"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let (n_w, n_t) = match scale {
-            Scale::Quick => (300, 200),
-            Scale::Full => (3_000, 2_000),
-        };
-        let g = WorkloadSpec {
-            profile: Profile::Microtask,
-            n_workers: n_w,
-            n_tasks: n_t,
-            avg_worker_degree: 12.0,
-            skill_dims: 8,
-            seed: 80,
-        }
-        .generate()
-        .realize(&BenefitParams::default())
-        .unwrap();
-        let m = solve(&g, Combiner::balanced(), Algorithm::GreedyMB);
-        let truth = GroundTruth::random(n_t, 4, 81);
-        let answers = simulate_answers(&g, &m, &truth, 82);
-        let cal = calibration(&g, &answers, &truth, 10);
-
-        let mut t = Table::new(
-            self.title(),
-            &["bin", "count", "mean_predicted", "observed", "gap"],
-        );
-        for b in &cal.bins {
-            t.row(vec![
-                format!("[{:.2},{:.2})", b.lo, b.hi),
-                b.count.to_string(),
-                fnum(b.mean_predicted, 3),
-                fnum(b.observed, 3),
-                fnum((b.mean_predicted - b.observed).abs(), 3),
-            ]);
-        }
-        let mut summary = Table::new("F16 summary", &["answers", "ece", "mce"]);
-        summary.row(vec![
-            cal.n_answers.to_string(),
-            fnum(cal.ece, 4),
-            fnum(cal.mce, 4),
-        ]);
-        vec![t, summary]
-    }
+    let bins = cal.bins.iter().map(|b| {
+        vec![
+            format!("[{:.2},{:.2})", b.lo, b.hi),
+            b.count.to_string(),
+            fnum(b.mean_predicted, 3),
+            fnum(b.observed, 3),
+            fnum((b.mean_predicted - b.observed).abs(), 3),
+        ]
+    });
+    let header = ["bin", "count", "mean_predicted", "observed", "gap"];
+    let summary = vec![
+        cal.n_answers.to_string(),
+        fnum(cal.ece, 4),
+        fnum(cal.mce, 4),
+    ];
+    vec![
+        table(title, &header, bins.collect()),
+        table("F16 summary", &["answers", "ece", "mce"], vec![summary]),
+    ]
 }
 
 /// F17: aggregator ablation under an adversarial crowd: a slice of workers
@@ -82,116 +69,62 @@ impl Experiment for ModelCalibration {
 /// Dawid–Skene *inverts* them and stays near-perfect until rotators
 /// approach a majority, where identifiability genuinely collapses for
 /// every aggregator.
-pub struct AdversarialAggregation;
-
-impl Experiment for AdversarialAggregation {
-    fn id(&self) -> &'static str {
-        "f17"
-    }
-
-    fn title(&self) -> &'static str {
-        "F17: aggregation under systematically confused workers"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let (n_tasks, n_workers, redundancy) = match scale {
-            Scale::Quick => (150usize, 30usize, 5usize),
-            Scale::Full => (1_000, 100, 7),
-        };
-        let k = 4u8;
-        let mut t = Table::new(
-            self.title(),
-            &["rotator_share", "majority", "ds_one_coin", "ds_full"],
-        );
-        for share_pct in [0usize, 10, 20, 30, 40] {
-            let n_rot = n_workers * share_pct / 100;
-            let truth = GroundTruth::random(n_tasks, k, 83);
-            let mut rng = SplitMix64::new(84 + share_pct as u64);
-            let mut answers: Vec<Answer> = Vec::new();
-            for task in 0..n_tasks as u32 {
-                let gt = truth.labels[task as usize];
-                // `redundancy` distinct random workers per task — random
-                // bipartite structure keeps the answer graph connected, so
-                // every worker's confusion matrix is globally identified
-                // (block-structured assignments would create rotator-only
-                // components where no aggregator can recover the truth).
-                let mut picked: Vec<u32> = Vec::with_capacity(redundancy);
-                while picked.len() < redundancy.min(n_workers) {
-                    let w = rng.next_index(n_workers) as u32;
-                    if !picked.contains(&w) {
-                        picked.push(w);
-                    }
-                }
-                for &w in &picked {
-                    let label = if (w as usize) < n_rot {
-                        (gt + 1) % k // rotator
-                    } else if rng.next_bool(0.75) {
-                        gt // honest, 75% accurate
-                    } else {
-                        let mut wrong = rng.next_below(u64::from(k) - 1) as u8;
-                        if wrong >= gt {
-                            wrong += 1;
-                        }
-                        wrong
-                    };
-                    answers.push(Answer {
-                        edge: mbta_graph::EdgeId::new(0),
-                        worker: w,
-                        task,
-                        label,
-                    });
+pub fn adversarial_aggregation(scale: Scale, title: &'static str) -> Vec<Table> {
+    let (n_tasks, n_workers, redundancy) = match scale {
+        Scale::Quick => (150usize, 30usize, 5usize),
+        Scale::Full => (1_000, 100, 7),
+    };
+    let k = 4u8;
+    let rows = [0usize, 10, 20, 30, 40].into_iter().map(|share_pct| {
+        let n_rot = n_workers * share_pct / 100;
+        let truth = GroundTruth::random(n_tasks, k, 83);
+        let mut rng = SplitMix64::new(84 + share_pct as u64);
+        let mut answers: Vec<Answer> = Vec::new();
+        for task in 0..n_tasks as u32 {
+            let gt = truth.labels[task as usize];
+            // `redundancy` distinct random workers per task — random
+            // bipartite structure keeps the answer graph connected, so
+            // every worker's confusion matrix is globally identified
+            // (block-structured assignments would create rotator-only
+            // components where no aggregator can recover the truth).
+            let mut picked: Vec<u32> = Vec::with_capacity(redundancy);
+            while picked.len() < redundancy.min(n_workers) {
+                let w = rng.next_index(n_workers) as u32;
+                if !picked.contains(&w) {
+                    picked.push(w);
                 }
             }
-            let mv = majority_vote(&answers, n_tasks, k);
-            let one = dawid_skene(&answers, n_tasks, n_workers, k, 60, 1e-7);
-            let full = dawid_skene_full(&answers, n_tasks, n_workers, k, 60, 1e-7);
-            t.row(vec![
-                format!("{share_pct}%"),
-                fnum(accuracy_against(&mv, &truth.labels).unwrap_or(0.0), 3),
-                fnum(
-                    accuracy_against(&one.estimates, &truth.labels).unwrap_or(0.0),
-                    3,
-                ),
-                fnum(
-                    accuracy_against(&full.estimates, &truth.labels).unwrap_or(0.0),
-                    3,
-                ),
-            ]);
+            for &w in &picked {
+                let label = if (w as usize) < n_rot {
+                    (gt + 1) % k // rotator
+                } else if rng.next_bool(0.75) {
+                    gt // honest, 75% accurate
+                } else {
+                    let mut wrong = rng.next_below(u64::from(k) - 1) as u8;
+                    if wrong >= gt {
+                        wrong += 1;
+                    }
+                    wrong
+                };
+                answers.push(Answer {
+                    edge: mbta_graph::EdgeId::new(0),
+                    worker: w,
+                    task,
+                    label,
+                });
+            }
         }
-        vec![t]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f16_well_calibrated() {
-        let tables = ModelCalibration.run(Scale::Quick);
-        assert_eq!(tables.len(), 2);
-        let ece: f64 = tables[1]
-            .to_csv()
-            .lines()
-            .nth(1)
-            .unwrap()
-            .split(',')
-            .nth(1)
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!(ece < 0.05, "ECE {ece}");
-    }
-
-    #[test]
-    fn f17_full_ds_resists_rotators() {
-        let t = &AdversarialAggregation.run(Scale::Quick)[0];
-        let csv = t.to_csv();
-        // At 30% rotators, full DS should beat majority vote clearly.
-        let row30 = csv.lines().find(|l| l.starts_with("30%")).unwrap();
-        let cells: Vec<&str> = row30.split(',').collect();
-        let mv: f64 = cells[1].parse().unwrap();
-        let full: f64 = cells[3].parse().unwrap();
-        assert!(full > mv + 0.05, "full {full} vs mv {mv}");
-    }
+        let acc =
+            |est: &Vec<Option<u8>>| fnum(accuracy_against(est, &truth.labels).unwrap_or(0.0), 3);
+        let one = dawid_skene(&answers, n_tasks, n_workers, k, 60, 1e-7);
+        let full = dawid_skene_full(&answers, n_tasks, n_workers, k, 60, 1e-7);
+        vec![
+            format!("{share_pct}%"),
+            acc(&majority_vote(&answers, n_tasks, k)),
+            acc(&one.estimates),
+            acc(&full.estimates),
+        ]
+    });
+    let header = ["rotator_share", "majority", "ds_one_coin", "ds_full"];
+    vec![table(title, &header, rows.collect())]
 }

@@ -1,7 +1,7 @@
 //! F20 — acceptance-aware throughput: the abstract's claim, measured.
 
 use super::uniform_graph;
-use crate::harness::{parallel_map, Experiment, Scale};
+use crate::harness::{parallel_map, table, Scale};
 use mbta_core::algorithms::Algorithm;
 use mbta_core::offers::run_offer_loop;
 use mbta_market::acceptance::AcceptanceModel;
@@ -18,109 +18,55 @@ use mbta_util::table::{fnum, Table};
 /// mutual-benefit solvers complete more total value and need fewer re-offer
 /// rounds — the willingness-to-participate argument from the abstract,
 /// operationalized.
-pub struct AcceptanceThroughput;
+pub fn acceptance_throughput(scale: Scale, title: &'static str) -> Vec<Table> {
+    let (n_w, n_t, n_seeds) = match scale {
+        Scale::Quick => (200usize, 100usize, 2u64),
+        Scale::Full => (1_500, 750, 4),
+    };
+    let algorithms = vec![
+        Algorithm::ExactMB {
+            algo: PathAlgo::Dijkstra,
+        },
+        Algorithm::GreedyMB,
+        Algorithm::QualityOnly,
+        Algorithm::WorkerOnly,
+    ];
+    let crowds = [
+        ("benefit_sensitive", AcceptanceModel::benefit_sensitive()),
+        ("compliant", AcceptanceModel::compliant()),
+    ];
 
-impl Experiment for AcceptanceThroughput {
-    fn id(&self) -> &'static str {
-        "f20"
-    }
-
-    fn title(&self) -> &'static str {
-        "F20: completed work under offer/decline dynamics"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let (n_w, n_t, n_seeds) = match scale {
-            Scale::Quick => (200usize, 100usize, 2u64),
-            Scale::Full => (1_500, 750, 4),
-        };
-        let algorithms = vec![
-            Algorithm::ExactMB {
-                algo: PathAlgo::Dijkstra,
-            },
-            Algorithm::GreedyMB,
-            Algorithm::QualityOnly,
-            Algorithm::WorkerOnly,
-        ];
-        let crowds = [
-            ("benefit_sensitive", AcceptanceModel::benefit_sensitive()),
-            ("compliant", AcceptanceModel::compliant()),
-        ];
-
-        let grid: Vec<(Algorithm, &str, AcceptanceModel)> = algorithms
-            .into_iter()
-            .flat_map(|a| crowds.iter().map(move |&(n, m)| (a, n, m)))
-            .collect();
-        let rows = parallel_map(grid, |(alg, crowd_name, model)| {
-            let g = uniform_graph(n_w, n_t, 8.0, 100);
-            let w = edge_weights(&g, Combiner::balanced());
-            let mut value = 0.0;
-            let mut rate = 0.0;
-            let mut coverage = 0.0;
-            for seed in 0..n_seeds {
-                let r = run_offer_loop(&g, Combiner::balanced(), alg, &model, 3, 200 + seed);
-                value += r.accepted.total_weight(&w);
-                rate += r.acceptance_rate();
-                coverage += r.accepted.len() as f64 / g.total_demand() as f64;
-            }
-            let k = n_seeds as f64;
-            vec![
-                alg.name().to_string(),
-                crowd_name.to_string(),
-                fnum(value / k, 1),
-                fnum(rate / k, 3),
-                fnum(coverage / k, 3),
-            ]
-        });
-        let mut t = Table::new(
-            self.title(),
-            &[
-                "algorithm",
-                "crowd",
-                "completed_mb",
-                "accept_rate",
-                "coverage",
-            ],
-        );
-        for row in rows {
-            t.row(row);
+    let grid: Vec<(Algorithm, &str, AcceptanceModel)> = algorithms
+        .into_iter()
+        .flat_map(|a| crowds.iter().map(move |&(n, m)| (a, n, m)))
+        .collect();
+    let g = uniform_graph(n_w, n_t, 8.0, 100);
+    let w = edge_weights(&g, Combiner::balanced());
+    let rows = parallel_map(grid, |(alg, crowd_name, model)| {
+        let mut value = 0.0;
+        let mut rate = 0.0;
+        let mut coverage = 0.0;
+        for seed in 0..n_seeds {
+            let r = run_offer_loop(&g, Combiner::balanced(), alg, &model, 3, 200 + seed);
+            value += r.accepted.total_weight(&w);
+            rate += r.acceptance_rate();
+            coverage += r.accepted.len() as f64 / g.total_demand() as f64;
         }
-        vec![t]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mutual_beats_quality_only_in_sensitive_crowd() {
-        let t = &AcceptanceThroughput.run(Scale::Quick)[0];
-        let csv = t.to_csv();
-        let get = |alg: &str, crowd: &str| -> f64 {
-            csv.lines()
-                .skip(1)
-                .find(|l| l.starts_with(&format!("{alg},{crowd}")))
-                .and_then(|l| l.split(',').nth(2))
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        let exact = get("ExactMB", "benefit_sensitive");
-        let quality = get("QualityOnly", "benefit_sensitive");
-        assert!(
-            exact > quality,
-            "benefit-sensitive crowd: ExactMB {exact} must beat QualityOnly {quality}"
-        );
-        // In the compliant crowd the gap shrinks (or reverses) — quality
-        // only "loses" when workers can say no.
-        let exact_c = get("ExactMB", "compliant");
-        let quality_c = get("QualityOnly", "compliant");
-        let sensitive_gap = (exact - quality) / quality;
-        let compliant_gap = (exact_c - quality_c) / quality_c;
-        assert!(
-            sensitive_gap > compliant_gap,
-            "gap should be larger in the sensitive crowd: {sensitive_gap} vs {compliant_gap}"
-        );
-    }
+        let k = n_seeds as f64;
+        vec![
+            alg.name().to_string(),
+            crowd_name.to_string(),
+            fnum(value / k, 1),
+            fnum(rate / k, 3),
+            fnum(coverage / k, 3),
+        ]
+    });
+    let header = [
+        "algorithm",
+        "crowd",
+        "completed_mb",
+        "accept_rate",
+        "coverage",
+    ];
+    vec![table(title, &header, rows)]
 }

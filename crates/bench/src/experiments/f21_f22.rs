@@ -1,7 +1,7 @@
 //! F21/F22 — arrival-side asymmetry and repeated-round fairness.
 
 use super::profile_graph;
-use crate::harness::{parallel_map, Experiment, Scale};
+use crate::harness::{parallel_map, table, Scale};
 use mbta_core::rotation::{repeated_rounds, RotationPolicy};
 use mbta_market::benefit::edge_weights;
 use mbta_market::Combiner;
@@ -19,54 +19,38 @@ use mbta_workload::Profile;
 /// demand) task arrival is almost harmless, while in freelance markets
 /// (capacity-1 specialists) both sides hurt, worker arrival slightly more
 /// (an early mediocre specialist burns a project's only slot).
-pub struct ArrivalAsymmetry;
+pub fn arrival_asymmetry(scale: Scale, title: &'static str) -> Vec<Table> {
+    let (n_w, n_t, n_seeds) = match scale {
+        Scale::Quick => (200usize, 100usize, 2u64),
+        Scale::Full => (2_000, 1_000, 5),
+    };
+    let rows = parallel_map(Profile::all().to_vec(), |profile| {
+        let g = profile_graph(profile, n_w, n_t, 8.0, 110);
+        let w = edge_weights(&g, Combiner::balanced());
+        let (opt, _) = max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+        let ov = opt.total_weight(&w);
+        let ratio = |v: f64| if ov > 0.0 { v / ov } else { 1.0 };
 
-impl Experiment for ArrivalAsymmetry {
-    fn id(&self) -> &'static str {
-        "f21"
-    }
-
-    fn title(&self) -> &'static str {
-        "F21: worker-arrival vs task-arrival greedy (competitive ratios)"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let (n_w, n_t, n_seeds) = match scale {
-            Scale::Quick => (200usize, 100usize, 2u64),
-            Scale::Full => (2_000, 1_000, 5),
-        };
-        let rows = parallel_map(Profile::all().to_vec(), |profile| {
-            let g = profile_graph(profile, n_w, n_t, 8.0, 110);
-            let w = edge_weights(&g, Combiner::balanced());
-            let (opt, _) =
-                max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-            let ov = opt.total_weight(&w);
-            let ratio = |v: f64| if ov > 0.0 { v / ov } else { 1.0 };
-
-            let mut worker_sum = 0.0;
-            let mut task_sum = 0.0;
-            for seed in 0..n_seeds {
-                let mut rng = SplitMix64::new(111 + seed);
-                let mut workers: Vec<_> = g.workers().collect();
-                rng.shuffle(&mut workers);
-                worker_sum +=
-                    ratio(online_assign(&g, &w, &workers, OnlinePolicy::Greedy).total_weight(&w));
-                let mut tasks: Vec<_> = g.tasks().collect();
-                rng.shuffle(&mut tasks);
-                task_sum += ratio(online_assign_tasks(&g, &w, &tasks).total_weight(&w));
-            }
-            vec![
-                profile.name().to_string(),
-                fnum(worker_sum / n_seeds as f64, 3),
-                fnum(task_sum / n_seeds as f64, 3),
-            ]
-        });
-        let mut t = Table::new(self.title(), &["profile", "worker_arrival", "task_arrival"]);
-        for row in rows {
-            t.row(row);
+        let mut worker_sum = 0.0;
+        let mut task_sum = 0.0;
+        for seed in 0..n_seeds {
+            let mut rng = SplitMix64::new(111 + seed);
+            let mut workers: Vec<_> = g.workers().collect();
+            rng.shuffle(&mut workers);
+            worker_sum +=
+                ratio(online_assign(&g, &w, &workers, OnlinePolicy::Greedy).total_weight(&w));
+            let mut tasks: Vec<_> = g.tasks().collect();
+            rng.shuffle(&mut tasks);
+            task_sum += ratio(online_assign_tasks(&g, &w, &tasks).total_weight(&w));
         }
-        vec![t]
-    }
+        vec![
+            profile.name().to_string(),
+            fnum(worker_sum / n_seeds as f64, 3),
+            fnum(task_sum / n_seeds as f64, 3),
+        ]
+    });
+    let header = ["profile", "worker_arrival", "task_arrival"];
+    vec![table(title, &header, rows)]
 }
 
 /// F22: repeated rounds with load rotation — spreading work across the
@@ -76,97 +60,40 @@ impl Experiment for ArrivalAsymmetry {
 /// the same best-matched workers round after round (high cumulative-benefit
 /// Gini); the rotation policy (discount a worker's edges by its cumulative
 /// load) spreads participation at a small per-round welfare cost.
-pub struct RotationFairness;
-
-impl Experiment for RotationFairness {
-    fn id(&self) -> &'static str {
-        "f22"
-    }
-
-    fn title(&self) -> &'static str {
-        "F22: repeated rounds — cumulative fairness under load rotation"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let (n_w, n_t, rounds) = match scale {
-            Scale::Quick => (150usize, 50usize, 6u32),
-            Scale::Full => (1_500, 500, 10),
-        };
-        // Scarce tasks (n_t ≪ capacity supply) so rotation has teeth.
-        let g = profile_graph(Profile::Uniform, n_w, n_t, 8.0, 112);
-        let policies = vec![
-            ("myopic", RotationPolicy::Myopic),
-            (
-                "rotate(0.5)",
-                RotationPolicy::LoadDiscount { strength: 0.5 },
-            ),
-            (
-                "rotate(1.0)",
-                RotationPolicy::LoadDiscount { strength: 1.0 },
-            ),
-        ];
-        let mut t = Table::new(
-            self.title(),
-            &[
-                "policy",
-                "total_welfare",
-                "per_round_avg",
-                "cum_benefit_gini",
-                "workers_ever_used",
-            ],
-        );
-        for (name, policy) in policies {
-            let r = repeated_rounds(&g, Combiner::balanced(), policy, rounds);
-            t.row(vec![
-                name.to_string(),
-                fnum(r.total_welfare, 1),
-                fnum(r.total_welfare / f64::from(rounds), 1),
-                fnum(r.cumulative_gini, 3),
-                r.workers_ever_used.to_string(),
-            ]);
-        }
-        vec![t]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f21_ratios_in_range() {
-        let t = &ArrivalAsymmetry.run(Scale::Quick)[0];
-        for line in t.to_csv().lines().skip(1) {
-            for c in line.split(',').skip(1) {
-                let r: f64 = c.parse().unwrap();
-                assert!((0.0..=1.000001).contains(&r), "{line}");
-            }
-        }
-    }
-
-    #[test]
-    fn f22_rotation_lowers_gini_at_some_welfare_cost() {
-        let t = &RotationFairness.run(Scale::Quick)[0];
-        let csv = t.to_csv();
-        let get = |name: &str, col: usize| -> f64 {
-            csv.lines()
-                .skip(1)
-                .find(|l| l.starts_with(name))
-                .and_then(|l| l.split(',').nth(col))
-                .unwrap()
-                .parse()
-                .unwrap()
-        };
-        let myopic_gini = get("myopic", 3);
-        let rot_gini = get("rotate(1.0)", 3);
-        assert!(
-            rot_gini < myopic_gini,
-            "rotation should reduce Gini: {rot_gini} vs {myopic_gini}"
-        );
-        let myopic_welfare = get("myopic", 1);
-        let rot_welfare = get("rotate(1.0)", 1);
-        assert!(rot_welfare <= myopic_welfare + 1e-6);
-        // Rotation widens participation.
-        assert!(get("rotate(1.0)", 4) >= get("myopic", 4));
-    }
+pub fn rotation_fairness(scale: Scale, title: &'static str) -> Vec<Table> {
+    let (n_w, n_t, rounds) = match scale {
+        Scale::Quick => (150usize, 50usize, 6u32),
+        Scale::Full => (1_500, 500, 10),
+    };
+    // Scarce tasks (n_t ≪ capacity supply) so rotation has teeth.
+    let g = profile_graph(Profile::Uniform, n_w, n_t, 8.0, 112);
+    let policies = [
+        ("myopic", RotationPolicy::Myopic),
+        (
+            "rotate(0.5)",
+            RotationPolicy::LoadDiscount { strength: 0.5 },
+        ),
+        (
+            "rotate(1.0)",
+            RotationPolicy::LoadDiscount { strength: 1.0 },
+        ),
+    ];
+    let rows = policies.into_iter().map(|(name, policy)| {
+        let r = repeated_rounds(&g, Combiner::balanced(), policy, rounds);
+        vec![
+            name.to_string(),
+            fnum(r.total_welfare, 1),
+            fnum(r.total_welfare / f64::from(rounds), 1),
+            fnum(r.cumulative_gini, 3),
+            r.workers_ever_used.to_string(),
+        ]
+    });
+    let header = [
+        "policy",
+        "total_welfare",
+        "per_round_avg",
+        "cum_benefit_gini",
+        "workers_ever_used",
+    ];
+    vec![table(title, &header, rows.collect())]
 }

@@ -7,138 +7,60 @@
 //! baselines leave the other side's benefit on the table, which is the
 //! paper's core claim.
 
-use super::uniform_graph;
-use crate::harness::{parallel_map, Experiment, Scale};
+use super::{exact_skipped, uniform_graph};
+use crate::harness::{parallel_map, table, Scale};
 use mbta_core::algorithms::{solve, Algorithm};
 use mbta_graph::BipartiteGraph;
 use mbta_market::benefit::edge_weights;
 use mbta_market::Combiner;
 use mbta_util::table::{fnum, Table};
 
-/// Exact (min-cost-flow) solvers — ExactMB, QualityOnly and WorkerOnly all
-/// are — get skipped above this worker count (their solve time explodes;
-/// that cliff is itself one of the findings F6 reports).
-const EXACT_MAX_WORKERS: usize = 4_000;
-
-fn algorithms_for(n_workers: usize, scale: Scale) -> Vec<Algorithm> {
-    Algorithm::comparison_set()
-        .into_iter()
-        .filter(|a| !a.is_exact_flow() || scale == Scale::Quick || n_workers <= EXACT_MAX_WORKERS)
-        .collect()
-}
-
 fn benefit_row(g: &BipartiteGraph, scale: Scale, label: String) -> Vec<String> {
     let combiner = Combiner::balanced();
     let w = edge_weights(g, combiner);
     let mut row = vec![label];
     for alg in Algorithm::comparison_set() {
-        let included = algorithms_for(g.n_workers(), scale)
-            .iter()
-            .any(|a| a.name() == alg.name());
-        if included {
-            let m = solve(g, combiner, alg);
-            row.push(fnum(m.total_weight(&w), 1));
+        row.push(if exact_skipped(alg, g.n_workers(), scale) {
+            "-".to_string()
         } else {
-            row.push("-".to_string());
-        }
+            fnum(solve(g, combiner, alg).total_weight(&w), 1)
+        });
     }
     row
 }
 
 fn header() -> Vec<&'static str> {
     let mut h = vec!["size"];
-    // Leak the algorithm names into 'static strs (they already are).
-    for alg in Algorithm::comparison_set() {
-        h.push(alg.name());
-    }
+    h.extend(Algorithm::comparison_set().iter().map(|a| a.name()));
     h
 }
 
 /// F2: total mutual benefit vs number of workers (tasks scale as n/2).
-pub struct BenefitVsWorkers;
-
-impl Experiment for BenefitVsWorkers {
-    fn id(&self) -> &'static str {
-        "f2"
-    }
-
-    fn title(&self) -> &'static str {
-        "F2: total mutual benefit vs #workers (n_tasks = n/2, deg 8)"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let sizes = scale.pick(&[200usize, 400], &[1_000, 2_000, 4_000, 8_000, 16_000]);
-        let rows = parallel_map(sizes, |n_w| {
-            let g = uniform_graph(n_w, n_w / 2, 8.0, 42);
-            benefit_row(&g, scale, n_w.to_string())
-        });
-        let mut t = Table::new(self.title(), &header());
-        for row in rows {
-            t.row(row);
-        }
-        vec![t]
-    }
+pub fn benefit_vs_workers(scale: Scale, title: &'static str) -> Vec<Table> {
+    let sizes = scale.pick(&[200usize, 400], &[1_000, 2_000, 4_000, 8_000, 16_000]);
+    let rows = parallel_map(sizes, |n_w| {
+        let g = uniform_graph(n_w, n_w / 2, 8.0, 42);
+        benefit_row(&g, scale, n_w.to_string())
+    });
+    vec![table(title, &header(), rows)]
 }
 
 /// F3: total mutual benefit vs number of tasks (workers fixed).
-pub struct BenefitVsTasks;
-
-impl Experiment for BenefitVsTasks {
-    fn id(&self) -> &'static str {
-        "f3"
-    }
-
-    fn title(&self) -> &'static str {
-        "F3: total mutual benefit vs #tasks (workers fixed, deg 8)"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let n_w = match scale {
-            Scale::Quick => 400,
-            Scale::Full => 4_000,
-        };
-        let fracs: Vec<(usize, &str)> = vec![
-            (n_w / 8, "n/8"),
-            (n_w / 4, "n/4"),
-            (n_w / 2, "n/2"),
-            (n_w, "n"),
-            (n_w * 2, "2n"),
-        ];
-        let rows = parallel_map(fracs, |(n_t, label)| {
-            let g = uniform_graph(n_w, n_t, 8.0, 43);
-            benefit_row(&g, scale, format!("{n_t} ({label})"))
-        });
-        let mut t = Table::new(self.title(), &header());
-        for row in rows {
-            t.row(row);
-        }
-        vec![t]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f2_exact_dominates_and_random_trails() {
-        let tables = BenefitVsWorkers.run(Scale::Quick);
-        let csv = tables[0].to_csv();
-        // Parse the first data row and check ordering Exact >= Greedy >= Random.
-        let line = csv.lines().nth(1).unwrap();
-        let cells: Vec<&str> = line.split(',').collect();
-        let head: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
-        let col = |name: &str| head.iter().position(|&h| h == name).unwrap();
-        let exact: f64 = cells[col("ExactMB")].parse().unwrap();
-        let greedy: f64 = cells[col("GreedyMB")].parse().unwrap();
-        let random: f64 = cells[col("Random")].parse().unwrap();
-        assert!(exact >= greedy - 1e-9);
-        assert!(greedy > random);
-    }
-
-    #[test]
-    fn f3_produces_five_rows() {
-        let tables = BenefitVsTasks.run(Scale::Quick);
-        assert_eq!(tables[0].len(), 5);
-    }
+pub fn benefit_vs_tasks(scale: Scale, title: &'static str) -> Vec<Table> {
+    let n_w = match scale {
+        Scale::Quick => 400,
+        Scale::Full => 4_000,
+    };
+    let fracs: Vec<(usize, &str)> = vec![
+        (n_w / 8, "n/8"),
+        (n_w / 4, "n/4"),
+        (n_w / 2, "n/2"),
+        (n_w, "n"),
+        (n_w * 2, "2n"),
+    ];
+    let rows = parallel_map(fracs, |(n_t, label)| {
+        let g = uniform_graph(n_w, n_t, 8.0, 43);
+        benefit_row(&g, scale, format!("{n_t} ({label})"))
+    });
+    vec![table(title, &header(), rows)]
 }

@@ -2,7 +2,7 @@
 //! λ-sweep Pareto frontier.
 
 use super::uniform_graph;
-use crate::harness::{Experiment, Scale};
+use crate::harness::{table, Scale};
 use mbta_core::algorithms::{solve, Algorithm};
 use mbta_core::evaluate::Evaluation;
 use mbta_core::frontier::{default_lambda_grid, lambda_sweep};
@@ -15,119 +15,64 @@ use mbta_util::table::{fnum, Table};
 /// mirrors it; `ExactMB` sits near both tops simultaneously — mutual
 /// benefit is not a 50% compromise, because benefit heterogeneity lets a
 /// good assignment satisfy both sides at once.
-pub struct PerSideBenefit;
-
-impl Experiment for PerSideBenefit {
-    fn id(&self) -> &'static str {
-        "f4"
-    }
-
-    fn title(&self) -> &'static str {
-        "F4: per-side benefit decomposition by algorithm"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let g = match scale {
-            Scale::Quick => uniform_graph(400, 200, 8.0, 44),
-            Scale::Full => uniform_graph(4_000, 2_000, 8.0, 44),
-        };
-        let combiner = Combiner::balanced();
-        let mut t = Table::new(
-            self.title(),
-            &[
-                "algorithm",
-                "total_mb",
-                "total_rb",
-                "total_wb",
-                "cardinality",
-                "coverage",
-                "participation",
-                "w_fairness",
-            ],
-        );
-        for alg in Algorithm::comparison_set() {
-            let m = solve(&g, combiner, alg);
-            let ev = Evaluation::compute(&g, &m, combiner);
-            t.row(vec![
-                alg.name().to_string(),
-                fnum(ev.total_mb, 1),
-                fnum(ev.total_rb, 1),
-                fnum(ev.total_wb, 1),
-                ev.cardinality.to_string(),
-                fnum(ev.demand_coverage, 3),
-                fnum(ev.worker_participation, 3),
-                fnum(ev.worker_fairness, 3),
-            ]);
-        }
-        vec![t]
-    }
+pub fn per_side_benefit(scale: Scale, title: &'static str) -> Vec<Table> {
+    let g = match scale {
+        Scale::Quick => uniform_graph(400, 200, 8.0, 44),
+        Scale::Full => uniform_graph(4_000, 2_000, 8.0, 44),
+    };
+    let combiner = Combiner::balanced();
+    let rows = Algorithm::comparison_set().into_iter().map(|alg| {
+        let m = solve(&g, combiner, alg);
+        let ev = Evaluation::compute(&g, &m, combiner);
+        vec![
+            alg.name().to_string(),
+            fnum(ev.total_mb, 1),
+            fnum(ev.total_rb, 1),
+            fnum(ev.total_wb, 1),
+            ev.cardinality.to_string(),
+            fnum(ev.demand_coverage, 3),
+            fnum(ev.worker_participation, 3),
+            fnum(ev.worker_fairness, 3),
+        ]
+    });
+    let header = [
+        "algorithm",
+        "total_mb",
+        "total_rb",
+        "total_wb",
+        "cardinality",
+        "coverage",
+        "participation",
+        "w_fairness",
+    ];
+    vec![table(title, &header, rows.collect())]
 }
 
 /// F5: the achievable (Σrb, Σwb) frontier as λ sweeps 0 → 1.
-pub struct LambdaSweep;
-
-impl Experiment for LambdaSweep {
-    fn id(&self) -> &'static str {
-        "f5"
-    }
-
-    fn title(&self) -> &'static str {
-        "F5: lambda-sweep Pareto frontier (ExactMB under Linear(lambda))"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let g = match scale {
-            Scale::Quick => uniform_graph(300, 150, 8.0, 45),
-            Scale::Full => uniform_graph(3_000, 1_500, 8.0, 45),
-        };
-        let pts = lambda_sweep(&g, &default_lambda_grid());
-        let mut t = Table::new(
-            self.title(),
-            &[
-                "lambda",
-                "total_rb",
-                "total_wb",
-                "welfare",
-                "worker_share",
-                "cardinality",
-            ],
-        );
-        for p in pts {
-            t.row(vec![
+pub fn lambda_frontier(scale: Scale, title: &'static str) -> Vec<Table> {
+    let g = match scale {
+        Scale::Quick => uniform_graph(300, 150, 8.0, 45),
+        Scale::Full => uniform_graph(3_000, 1_500, 8.0, 45),
+    };
+    let rows = lambda_sweep(&g, &default_lambda_grid())
+        .into_iter()
+        .map(|p| {
+            vec![
                 fnum(p.lambda, 1),
                 fnum(p.total_rb, 1),
                 fnum(p.total_wb, 1),
                 fnum(p.total_welfare(), 1),
                 fnum(p.worker_share(), 3),
                 p.cardinality.to_string(),
-            ]);
-        }
-        vec![t]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f4_has_all_algorithms() {
-        let t = &PerSideBenefit.run(Scale::Quick)[0];
-        assert_eq!(t.len(), Algorithm::comparison_set().len());
-    }
-
-    #[test]
-    fn f5_frontier_monotone() {
-        let t = &LambdaSweep.run(Scale::Quick)[0];
-        let csv = t.to_csv();
-        let rbs: Vec<f64> = csv
-            .lines()
-            .skip(1)
-            .map(|l| l.split(',').nth(1).unwrap().parse().unwrap())
-            .collect();
-        assert_eq!(rbs.len(), 11);
-        for w in rbs.windows(2) {
-            assert!(w[1] >= w[0] - 0.5, "rb not ~monotone: {w:?}");
-        }
-    }
+            ]
+        });
+    let header = [
+        "lambda",
+        "total_rb",
+        "total_wb",
+        "welfare",
+        "worker_share",
+        "cardinality",
+    ];
+    vec![table(title, &header, rows.collect())]
 }

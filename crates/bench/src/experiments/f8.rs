@@ -1,7 +1,7 @@
 //! F8 — the egalitarian objective (MB-MaxMin / bottleneck b-matching).
 
 use super::profile_graph;
-use crate::harness::{parallel_map, Experiment, Scale};
+use crate::harness::{parallel_map, table, Scale};
 use mbta_core::algorithms::{solve, Algorithm};
 use mbta_core::maxmin::{maxmin_with_weights, min_edge_weight};
 use mbta_market::benefit::edge_weights;
@@ -16,93 +16,51 @@ use mbta_workload::Profile;
 /// Expected shape: `ExactMB` and `GreedyMB` happily include one miserable
 /// edge if it raises the sum, so their min-edge benefit is near zero, while
 /// the bottleneck solver keeps the same cardinality at a much higher floor.
-pub struct Egalitarian;
-
-impl Experiment for Egalitarian {
-    fn id(&self) -> &'static str {
-        "f8"
-    }
-
-    fn title(&self) -> &'static str {
-        "F8: egalitarian (MaxMin) floor vs sum-maximizing solutions"
-    }
-
-    fn run(&self, scale: Scale) -> Vec<Table> {
-        let (n_w, n_t) = match scale {
-            Scale::Quick => (200, 100),
-            Scale::Full => (2_000, 1_000),
-        };
-        let grid: Vec<(Profile, u64)> = [Profile::Uniform, Profile::Zipfian, Profile::Microtask]
-            .iter()
-            .flat_map(|&p| [(p, 48u64), (p, 49u64)])
-            .collect();
-        let rows = parallel_map(grid, |(profile, seed)| {
-            let g = profile_graph(profile, n_w, n_t, 8.0, seed);
-            let combiner = Combiner::balanced();
-            let w = edge_weights(&g, combiner);
-            let bottleneck = maxmin_with_weights(&g, &w);
-            let exact_sum = solve(
-                &g,
-                combiner,
-                Algorithm::ExactMB {
-                    algo: PathAlgo::Dijkstra,
-                },
-            );
-            let greedy = solve(&g, combiner, Algorithm::GreedyMB);
-            vec![
-                profile.name().to_string(),
-                seed.to_string(),
-                bottleneck.cardinality.to_string(),
-                fnum(bottleneck.bottleneck, 4),
-                format!(
-                    "{} @{}",
-                    fnum(min_edge_weight(&exact_sum, &w), 4),
-                    exact_sum.len()
-                ),
-                format!(
-                    "{} @{}",
-                    fnum(min_edge_weight(&greedy, &w), 4),
-                    greedy.len()
-                ),
-                fnum(bottleneck.matching.total_weight(&w), 1),
-                fnum(exact_sum.total_weight(&w), 1),
-            ]
-        });
-        let mut t = Table::new(
-            self.title(),
-            &[
-                "profile",
-                "seed",
-                "max_card",
-                "maxmin_floor",
-                "exactsum_min@card",
-                "greedy_min@card",
-                "maxmin_total",
-                "exactsum_total",
-            ],
+pub fn egalitarian(scale: Scale, title: &'static str) -> Vec<Table> {
+    let (n_w, n_t) = match scale {
+        Scale::Quick => (200, 100),
+        Scale::Full => (2_000, 1_000),
+    };
+    let grid: Vec<(Profile, u64)> = [Profile::Uniform, Profile::Zipfian, Profile::Microtask]
+        .iter()
+        .flat_map(|&p| [(p, 48u64), (p, 49u64)])
+        .collect();
+    let rows = parallel_map(grid, |(profile, seed)| {
+        let g = profile_graph(profile, n_w, n_t, 8.0, seed);
+        let combiner = Combiner::balanced();
+        let w = edge_weights(&g, combiner);
+        let bottleneck = maxmin_with_weights(&g, &w);
+        let exact_sum = solve(
+            &g,
+            combiner,
+            Algorithm::ExactMB {
+                algo: PathAlgo::Dijkstra,
+            },
         );
-        for row in rows {
-            t.row(row);
-        }
-        vec![t]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn floor_dominates_sum_solutions() {
-        let t = &Egalitarian.run(Scale::Quick)[0];
-        let csv = t.to_csv();
-        for line in csv.lines().skip(1) {
-            let cells: Vec<&str> = line.split(',').collect();
-            let floor: f64 = cells[3].parse().unwrap();
-            let exact_min: f64 = cells[4].split(' ').next().unwrap().parse().unwrap();
-            // The bottleneck solver's floor is >= the exact-sum solution's
-            // min edge (both at maximum cardinality).
-            assert!(floor >= exact_min - 1e-9, "{line}");
-        }
-    }
+        let greedy = solve(&g, combiner, Algorithm::GreedyMB);
+        let min_at_card = |m: &mbta_matching::Matching| {
+            format!("{} @{}", fnum(min_edge_weight(m, &w), 4), m.len())
+        };
+        vec![
+            profile.name().to_string(),
+            seed.to_string(),
+            bottleneck.cardinality.to_string(),
+            fnum(bottleneck.bottleneck, 4),
+            min_at_card(&exact_sum),
+            min_at_card(&greedy),
+            fnum(bottleneck.matching.total_weight(&w), 1),
+            fnum(exact_sum.total_weight(&w), 1),
+        ]
+    });
+    let header = [
+        "profile",
+        "seed",
+        "max_card",
+        "maxmin_floor",
+        "exactsum_min@card",
+        "greedy_min@card",
+        "maxmin_total",
+        "exactsum_total",
+    ];
+    vec![table(title, &header, rows)]
 }

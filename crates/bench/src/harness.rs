@@ -1,4 +1,5 @@
-//! Experiment trait, scale control, timing and parallel-sweep helpers.
+//! The experiment entry, scale control, table, timing and parallel-sweep
+//! helpers.
 
 use mbta_util::table::Table;
 use std::sync::Mutex;
@@ -24,14 +25,25 @@ impl Scale {
     }
 }
 
-/// One reproducible experiment (a table or figure of the evaluation).
-pub trait Experiment: Sync {
+/// One reproducible experiment (a table or figure of the evaluation): an
+/// entry of [`crate::experiments::EXPERIMENTS`].
+pub struct Experiment {
     /// Short id (`t1`, `f2`, …) used on the command line and as CSV name.
-    fn id(&self) -> &'static str;
+    pub id: &'static str,
     /// Human title echoed above the rendered table.
-    fn title(&self) -> &'static str;
-    /// Runs the experiment, returning one or more tables.
-    fn run(&self, scale: Scale) -> Vec<Table>;
+    pub title: &'static str,
+    /// Runs the experiment at a scale, returning one or more tables; the
+    /// second argument is [`Experiment::title`].
+    pub run: fn(Scale, &'static str) -> Vec<Table>,
+}
+
+/// One table: `title` over `header`, then `rows` in order.
+pub fn table(title: &str, header: &[&str], rows: Vec<Vec<String>>) -> Table {
+    let mut t = Table::new(title, header);
+    for row in rows {
+        t.row(row);
+    }
+    t
 }
 
 /// Times one invocation of `f` in seconds, returning `(result, secs)`.

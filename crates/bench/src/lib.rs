@@ -2,8 +2,11 @@
 //!
 //! Regenerates every table and figure of the (reconstructed) evaluation —
 //! see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for
-//! expected-vs-measured shapes. The `experiments` binary prints each
-//! table as aligned text and writes a CSV per table under `results/`:
+//! expected-vs-measured shapes. An experiment is one entry of
+//! [`experiments::EXPERIMENTS`] (id, title, run function) plus the plain
+//! function it names, which returns its tables. The `experiments` binary
+//! prints each table as aligned text and writes a CSV per table under
+//! `results/`, exiting non-zero when a table is missing, empty or unwritten:
 //!
 //! ```text
 //! cargo run -p mbta-bench --release --bin experiments            # all
@@ -32,4 +35,4 @@
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{Experiment, Scale};
+pub use harness::Scale;

@@ -159,35 +159,20 @@ impl fmt::Display for QualityTier {
 /// Engine configuration: budgets plus fallback-chain knobs.
 ///
 /// Built fluently; the default is the full degradation chain with no
-/// budget. A relative budget (`with_deadline_ms`) is the common case;
-/// an absolute one (`with_deadline_at`) is how several solves share one
-/// batch budget:
+/// budget:
 ///
 /// ```
 /// use mbta_core::engine::EngineConfig;
-/// use mbta_util::Deadline;
 ///
-/// let batch_deadline = Deadline::after_ms(50);
-/// let cfg = EngineConfig::new()
-///     .with_deadline_ms(10)                // ignored in favor of...
-///     .with_deadline_at(batch_deadline);   // ...the shared absolute deadline
-/// assert!(cfg.deadline_at.is_some());
+/// let cfg = EngineConfig::new().with_deadline_ms(10);
+/// assert_eq!(cfg.deadline_ms, Some(10));
 /// assert!(!cfg.exact_only);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Wall-clock budget in milliseconds (measured from the start of
-    /// [`solve_robust`]). `None` = unbounded. Ignored when [`deadline_at`]
-    /// is set.
-    ///
-    /// [`deadline_at`]: EngineConfig::deadline_at
+    /// [`solve_robust`]). `None` = unbounded.
     pub deadline_ms: Option<u64>,
-    /// Absolute wall-clock deadline, taking precedence over `deadline_ms`.
-    /// This is how a batch dispatcher shares one budget across several
-    /// solves (sequentially or concurrently): every shard races the same
-    /// clock instant, so budget a fast shard leaves unused is automatically
-    /// available to the shards still running.
-    pub deadline_at: Option<Deadline>,
     /// External cancellation (e.g. the caller's request was dropped).
     pub cancel: Option<CancelToken>,
     /// When `false`, skip the heuristic floor and run the exact solver
@@ -212,7 +197,6 @@ impl EngineConfig {
     pub fn new() -> Self {
         EngineConfig {
             deadline_ms: None,
-            deadline_at: None,
             cancel: None,
             exact_only: false,
             max_passes: 8,
@@ -223,13 +207,6 @@ impl EngineConfig {
     /// Sets a wall-clock budget in milliseconds.
     pub fn with_deadline_ms(mut self, ms: u64) -> Self {
         self.deadline_ms = Some(ms);
-        self
-    }
-
-    /// Sets an absolute wall-clock deadline (shared-budget solves; takes
-    /// precedence over [`with_deadline_ms`](Self::with_deadline_ms)).
-    pub fn with_deadline_at(mut self, deadline: Deadline) -> Self {
-        self.deadline_at = Some(deadline);
         self
     }
 
@@ -337,9 +314,7 @@ pub fn solve_robust(
     }
 
     let mut ctl = SolveCtl::unlimited();
-    if let Some(at) = config.deadline_at {
-        ctl = ctl.with_deadline(at);
-    } else if let Some(ms) = config.deadline_ms {
+    if let Some(ms) = config.deadline_ms {
         ctl = ctl.with_deadline(Deadline::after_ms(ms));
     }
     if let Some(token) = &config.cancel {
@@ -529,28 +504,6 @@ mod tests {
             assert!(QualityTier::Degraded < QualityTier::Approximate);
             assert!(QualityTier::Approximate < QualityTier::Exact);
         }
-    }
-
-    #[test]
-    fn absolute_deadline_takes_precedence_and_shares_budget() {
-        let (g, w) = instance(9);
-        // An already-expired absolute deadline wins over a generous
-        // relative one: the solve degrades instead of running for 10 s.
-        let past = Deadline::after_ms(0);
-        std::thread::sleep(Duration::from_millis(1));
-        let cfg = EngineConfig::new()
-            .with_deadline_ms(10_000)
-            .with_deadline_at(past);
-        let sol = solve_robust(&g, &w, &cfg).unwrap();
-        assert!(sol.tier <= QualityTier::Approximate, "tier {}", sol.tier);
-        assert!(!sol.exact_completed);
-        sol.matching.validate(&g).unwrap();
-
-        // A far-future absolute deadline is as good as unbounded here.
-        let cfg = EngineConfig::new().with_deadline_at(Deadline::after_ms(3_600_000));
-        let sol = solve_robust(&g, &w, &cfg).unwrap();
-        assert_eq!(sol.tier, QualityTier::Exact);
-        assert!(sol.local_search_completed, "any budget keeps the floor");
     }
 
     #[test]

@@ -419,10 +419,12 @@ impl<'g> IncrementalAssignment<'g> {
     /// let weights: Vec<f64> = g.edges().map(|e| g.rb(e)).collect();
     /// let mut inc = IncrementalAssignment::new(&g, weights);
     /// inc.enable_log();
-    /// inc.drain_log(); // discard the churn that predates our interest
+    /// let mut flips = Vec::new();
+    /// inc.drain_log_into(&mut flips);
+    /// flips.clear(); // discard the churn that predates our interest
     /// inc.deactivate_worker(WorkerId::new(0));
     /// // The departure dropped edge 0 and repair picked up edge 1.
-    /// let flips = inc.drain_log();
+    /// inc.drain_log_into(&mut flips);
     /// assert_eq!(flips.len(), 2);
     /// assert!(!flips[0].1 && flips[1].1);
     /// ```
@@ -430,17 +432,10 @@ impl<'g> IncrementalAssignment<'g> {
         self.log_enabled = true;
     }
 
-    /// Takes the accumulated `(edge, assigned)` flip log, leaving it
-    /// empty. An edge may appear multiple times (evicted then re-added
-    /// within one event); fold by flip parity to get net decisions.
-    pub fn drain_log(&mut self) -> Vec<(EdgeId, bool)> {
-        std::mem::take(&mut self.log)
-    }
-
-    /// Appends the accumulated flip log to `out` and clears it. The
-    /// allocation-free counterpart of [`Self::drain_log`]: both the
-    /// internal log buffer and the caller's pooled `out` keep their
-    /// capacity across events.
+    /// Appends the accumulated `(edge, assigned)` flip log to `out` and
+    /// clears it; both buffers keep their capacity across events. An edge
+    /// may appear multiple times (evicted then re-added within one event);
+    /// fold by flip parity to get net decisions.
     pub fn drain_log_into(&mut self, out: &mut Vec<(EdgeId, bool)>) {
         out.extend_from_slice(&self.log);
         self.log.clear();

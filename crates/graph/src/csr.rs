@@ -134,28 +134,10 @@ impl BipartiteGraph {
         self.edge_wb[e.index()]
     }
 
-    /// Raw requester-benefit array, indexed by edge id.
-    #[inline]
-    pub fn rb_slice(&self) -> &[f64] {
-        &self.edge_rb
-    }
-
-    /// Raw worker-benefit array, indexed by edge id.
-    #[inline]
-    pub fn wb_slice(&self) -> &[f64] {
-        &self.edge_wb
-    }
-
     /// Raw edge→task endpoint array, indexed by edge id.
     #[inline]
     pub fn edge_tasks(&self) -> &[u32] {
         &self.edge_task
-    }
-
-    /// Raw edge→worker endpoint array, indexed by edge id.
-    #[inline]
-    pub fn edge_workers(&self) -> &[u32] {
-        &self.edge_worker
     }
 
     /// Degree (number of eligible tasks) of a worker.
@@ -175,13 +157,6 @@ impl BipartiteGraph {
     #[inline]
     pub fn worker_edges(&self, w: WorkerId) -> impl Iterator<Item = EdgeId> + '_ {
         (self.w_off[w.index()]..self.w_off[w.index() + 1]).map(EdgeId::new)
-    }
-
-    /// Edge-id range of a worker as raw bounds; the matching inner loops use
-    /// this to iterate without iterator overhead.
-    #[inline]
-    pub fn worker_edge_range(&self, w: WorkerId) -> std::ops::Range<usize> {
-        self.w_off[w.index()] as usize..self.w_off[w.index() + 1] as usize
     }
 
     /// Iterates the edge ids incident to a task.
@@ -313,15 +288,5 @@ mod tests {
         }
         let g2 = b.build().unwrap();
         assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn edge_range_matches_iterator() {
-        let g = diamond();
-        for w in g.workers() {
-            let via_iter: Vec<usize> = g.worker_edges(w).map(|e| e.index()).collect();
-            let via_range: Vec<usize> = g.worker_edge_range(w).collect();
-            assert_eq!(via_iter, via_range);
-        }
     }
 }

@@ -136,28 +136,6 @@ pub fn connected_components(g: &BipartiteGraph) -> usize {
     components
 }
 
-/// Degree histogram of one side, bucketed as `hist[min(deg, cap)] += 1`.
-///
-/// `cap` bounds the histogram length; the last bucket aggregates all degrees
-/// `>= cap` (heavy tails in the power-law profiles would otherwise make the
-/// table unbounded).
-pub fn worker_degree_histogram(g: &BipartiteGraph, cap: usize) -> Vec<usize> {
-    let mut hist = vec![0usize; cap + 1];
-    for w in g.workers() {
-        hist[g.worker_degree(w).min(cap)] += 1;
-    }
-    hist
-}
-
-/// Task-side analogue of [`worker_degree_histogram`].
-pub fn task_degree_histogram(g: &BipartiteGraph, cap: usize) -> Vec<usize> {
-    let mut hist = vec![0usize; cap + 1];
-    for t in g.tasks() {
-        hist[g.task_degree(t).min(cap)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,17 +192,5 @@ mod tests {
         b.add_edge(ws[1], ts[1], 0.5, 0.5).unwrap();
         let g = b.build().unwrap();
         assert_eq!(connected_components(&g), 1);
-    }
-
-    #[test]
-    fn degree_histograms() {
-        let g = two_component_graph();
-        let wh = worker_degree_histogram(&g, 4);
-        assert_eq!(wh[0], 1); // w3 isolated
-        assert_eq!(wh[1], 3);
-        let th = task_degree_histogram(&g, 1);
-        // Bucket 1 aggregates degree >= 1 (t0 has degree 2, t1 degree 1).
-        assert_eq!(th[0], 1);
-        assert_eq!(th[1], 2);
     }
 }

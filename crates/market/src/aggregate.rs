@@ -7,7 +7,6 @@
 //! F10 demonstrates.
 
 use crate::answers::Answer;
-use mbta_util::FxHashMap;
 
 /// Aggregated output: an estimated label per task (`None` if unanswered).
 pub type Estimates = Vec<Option<u8>>;
@@ -208,23 +207,6 @@ pub fn accuracy_against(estimates: &Estimates, truth: &[u8]) -> Option<f64> {
     (answered > 0).then(|| correct as f64 / answered as f64)
 }
 
-/// Per-worker empirical accuracy from raw answers and ground truth (for
-/// reporting; the aggregators never see ground truth).
-pub fn empirical_worker_accuracy(answers: &[Answer], truth: &[u8]) -> FxHashMap<u32, f64> {
-    let mut counts: FxHashMap<u32, (u32, u32)> = FxHashMap::default();
-    for a in answers {
-        let entry = counts.entry(a.worker).or_insert((0, 0));
-        entry.1 += 1;
-        if a.label == truth[a.task as usize] {
-            entry.0 += 1;
-        }
-    }
-    counts
-        .into_iter()
-        .map(|(w, (c, n))| (w, f64::from(c) / f64::from(n)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,15 +349,6 @@ mod tests {
         // Worker 0 (rb .95) should be rated above workers 1-2 (rb .4).
         assert!(ds.worker_accuracy[0] > ds.worker_accuracy[1]);
         assert!(ds.worker_accuracy[0] > ds.worker_accuracy[2]);
-    }
-
-    #[test]
-    fn empirical_accuracy_counts() {
-        let truth = vec![0u8, 1];
-        let answers = vec![answer(0, 0, 0), answer(0, 1, 0), answer(1, 1, 1)];
-        let acc = empirical_worker_accuracy(&answers, &truth);
-        assert!((acc[&0] - 0.5).abs() < 1e-12);
-        assert!((acc[&1] - 1.0).abs() < 1e-12);
     }
 
     #[test]

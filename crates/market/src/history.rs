@@ -2,9 +2,8 @@
 //!
 //! Real platforms do not *know* worker reliability — they learn it from
 //! answer history. This module provides the learning loop's state: a
-//! per-worker Beta posterior over answer accuracy, updated either against
-//! aggregated labels (what a platform can actually do — no ground truth)
-//! or against true labels (the oracle upper bound, for experiments).
+//! per-worker Beta posterior over answer accuracy, updated against
+//! aggregated labels (what a platform can actually do — no ground truth).
 //!
 //! The estimated accuracy is converted back to the benefit model's
 //! *reliability* attribute through the inverse of
@@ -81,17 +80,6 @@ impl ReliabilityTracker {
         }
     }
 
-    /// Oracle update against ground truth (experiments only).
-    pub fn update_from_truth(&mut self, answers: &[Answer], truth: &[u8]) {
-        for a in answers {
-            if a.label == truth[a.task as usize] {
-                self.alpha[a.worker as usize] += 1.0;
-            } else {
-                self.beta[a.worker as usize] += 1.0;
-            }
-        }
-    }
-
     /// Builds a copy of `market` whose workers carry the tracker's
     /// *estimated* reliabilities — the market the platform actually
     /// optimizes each round. Eligibility, tasks and all other worker
@@ -141,6 +129,11 @@ mod tests {
         }
     }
 
+    /// Ground truth as aggregated labels: the oracle update.
+    fn decided(truth: &[u8]) -> Estimates {
+        truth.iter().map(|&l| Some(l)).collect()
+    }
+
     #[test]
     fn prior_mean_and_updates() {
         let mut t = ReliabilityTracker::new(2, 1.0, 1.0, 4);
@@ -175,7 +168,7 @@ mod tests {
         let answers: Vec<Answer> = (0..1000)
             .map(|i| answer(0, i as u32, if i % 10 == 0 { 1 } else { 0 }))
             .collect();
-        t.update_from_truth(&answers, &truth);
+        t.update_from_estimates(&answers, &decided(&truth));
         let acc = t.accuracy(0);
         let rel = t.reliability(0);
         assert!((edge_accuracy(rel, 4) - acc).abs() < 1e-9);
@@ -203,7 +196,7 @@ mod tests {
         let answers = simulate_answers(&g, &m, &truth, 8);
 
         let mut tracker = ReliabilityTracker::new(2, 1.0, 1.0, 4);
-        tracker.update_from_truth(&answers, &truth.labels);
+        tracker.update_from_estimates(&answers, &decided(&truth.labels));
         assert!(
             tracker.reliability(0) > tracker.reliability(1) + 0.3,
             "learned {} vs {}",

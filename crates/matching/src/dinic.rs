@@ -259,22 +259,6 @@ pub fn max_cardinality_bmatching(g: &BipartiteGraph) -> Matching {
     Matching::from_edges(edges)
 }
 
-/// Like [`max_cardinality_bmatching`], but consulting `ctl`. Returns
-/// `(matching, completed)`; on early stop the matching is feasible but may
-/// not be maximum.
-pub fn max_cardinality_bmatching_ctl(g: &BipartiteGraph, ctl: &SolveCtl) -> (Matching, bool) {
-    let mut bn = build_bipartite_network(g, None);
-    let (_, completed) = bn.net.max_flow_with_ctl(bn.source, bn.sink, ctl);
-    let edges = g
-        .edges()
-        .filter(|e| {
-            let a = bn.edge_arcs[e.index()];
-            a != NONE && bn.net.flow(a) > 0
-        })
-        .collect();
-    (Matching::from_edges(edges), completed)
-}
-
 /// Size of the maximum b-matching using only edges where `edge_mask` is true.
 /// The feasibility probe of the egalitarian threshold search.
 pub fn max_cardinality_masked(g: &BipartiteGraph, edge_mask: &[bool]) -> u64 {

@@ -91,74 +91,6 @@ pub fn deferred_acceptance(g: &BipartiteGraph) -> Matching {
     Matching::from_edges(edges)
 }
 
-/// Task-proposing deferred acceptance — the mirror of
-/// [`deferred_acceptance`]: tasks propose to workers in decreasing `rb`
-/// order, and each worker tentatively holds up to `capacity` proposals,
-/// evicting the lowest-`wb` held task when a better one proposes.
-///
-/// Classic two-sided-market theory says the proposing side gets its
-/// best stable outcome: on one-to-one instances the worker-proposing run
-/// is weakly better for every worker (by `wb`) and the task-proposing run
-/// weakly better for every task (by `rb`). Comparing the two quantifies
-/// how much is at stake in the choice of mechanism.
-pub fn deferred_acceptance_tasks(g: &BipartiteGraph) -> Matching {
-    let n_t = g.n_tasks();
-
-    let proposal_order: Vec<Vec<EdgeId>> = (0..n_t)
-        .map(|t| {
-            let mut edges: Vec<EdgeId> = g.task_edges(TaskId::from_index(t)).collect();
-            edges.sort_unstable_by(|&a, &b| {
-                g.rb(b)
-                    .partial_cmp(&g.rb(a))
-                    .expect("weights are finite")
-                    .then(a.cmp(&b))
-            });
-            edges
-        })
-        .collect();
-    let mut next_proposal = vec![0usize; n_t];
-    let mut held_count = vec![0u32; n_t];
-    let mut holds: Vec<Vec<EdgeId>> = vec![Vec::new(); g.n_workers()];
-
-    let mut active: Vec<u32> = (0..n_t as u32).rev().collect();
-    while let Some(ti) = active.pop() {
-        let t = ti as usize;
-        while held_count[t] < g.demand(TaskId::new(ti))
-            && next_proposal[t] < proposal_order[t].len()
-        {
-            let e = proposal_order[t][next_proposal[t]];
-            next_proposal[t] += 1;
-            let w = g.worker_of(e);
-            let hold = &mut holds[w.index()];
-            if (hold.len() as u32) < g.capacity(w) {
-                hold.push(e);
-                held_count[t] += 1;
-            } else {
-                let (worst_idx, &worst_edge) = hold
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, &a), (_, &b)| {
-                        g.wb(a)
-                            .partial_cmp(&g.wb(b))
-                            .expect("weights are finite")
-                            .then(b.cmp(&a))
-                    })
-                    .expect("non-empty hold");
-                if g.wb(e) > g.wb(worst_edge) {
-                    hold[worst_idx] = e;
-                    held_count[t] += 1;
-                    let evicted_task = g.task_of(worst_edge).index();
-                    held_count[evicted_task] -= 1;
-                    active.push(evicted_task as u32);
-                }
-            }
-        }
-    }
-
-    let edges = holds.into_iter().flatten().collect();
-    Matching::from_edges(edges)
-}
-
 /// Checks pairwise stability of a matching under the (wb, rb) preferences.
 ///
 /// Returns the first blocking pair found as `(worker, task)`, or `None` if
@@ -293,61 +225,6 @@ mod tests {
         let m = Matching::from_edges(vec![EdgeId::new(1), EdgeId::new(2)]);
         let blocking = find_blocking_pair(&g, &m);
         assert_eq!(blocking, Some((WorkerId::new(0), TaskId::new(0))));
-    }
-
-    #[test]
-    fn task_proposing_is_stable_too() {
-        for seed in 0..10 {
-            let g = random_bipartite(
-                &RandomGraphSpec {
-                    n_workers: 30,
-                    n_tasks: 20,
-                    avg_degree: 5.0,
-                    capacity: 2,
-                    demand: 2,
-                },
-                seed,
-            );
-            let m = deferred_acceptance_tasks(&g);
-            m.validate(&g).unwrap();
-            assert!(
-                find_blocking_pair(&g, &m).is_none(),
-                "blocking pair at seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn proposing_side_gets_its_optimum_one_to_one() {
-        // On unit instances: worker-proposing Σwb ≥ task-proposing Σwb, and
-        // task-proposing Σrb ≥ worker-proposing Σrb (side-optimality).
-        for seed in 0..15 {
-            let g = random_bipartite(
-                &RandomGraphSpec {
-                    n_workers: 20,
-                    n_tasks: 15,
-                    avg_degree: 4.0,
-                    capacity: 1,
-                    demand: 1,
-                },
-                seed,
-            );
-            let mw = deferred_acceptance(&g);
-            let mt = deferred_acceptance_tasks(&g);
-            let sum = |m: &Matching, f: &dyn Fn(EdgeId) -> f64| -> f64 {
-                m.edges.iter().map(|&e| f(e)).sum()
-            };
-            let wb = |e: EdgeId| g.wb(e);
-            let rb = |e: EdgeId| g.rb(e);
-            assert!(
-                sum(&mw, &wb) >= sum(&mt, &wb) - 1e-9,
-                "seed {seed}: workers should prefer worker-proposing"
-            );
-            assert!(
-                sum(&mt, &rb) >= sum(&mw, &rb) - 1e-9,
-                "seed {seed}: tasks should prefer task-proposing"
-            );
-        }
     }
 
     #[test]

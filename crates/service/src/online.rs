@@ -155,18 +155,6 @@ impl OnlineRuntime {
     }
 }
 
-/// Allocating convenience over [`OnlineScratch::fold`], kept as the test
-/// oracle for the fold. Output ascends by edge id.
-#[cfg(test)]
-pub(crate) fn net_flips(flips: &[(EdgeId, bool)]) -> Vec<(EdgeId, bool)> {
-    let mut scratch = OnlineScratch {
-        flips: flips.to_vec(),
-        ..OnlineScratch::default()
-    };
-    scratch.fold();
-    scratch.net
-}
-
 /// Depth-1 exchange for an unassigned edge whose endpoints are
 /// saturated: evict the cheapest assigned edge at each full endpoint if
 /// `e` is strictly heavier than everything it displaces, assign `e`,
@@ -244,6 +232,17 @@ mod tests {
 
     fn eid(i: u32) -> EdgeId {
         EdgeId::new(i)
+    }
+
+    /// Allocating convenience over [`OnlineScratch::fold`], the test oracle
+    /// for the fold. Output ascends by edge id.
+    fn net_flips(flips: &[(EdgeId, bool)]) -> Vec<(EdgeId, bool)> {
+        let mut scratch = OnlineScratch {
+            flips: flips.to_vec(),
+            ..OnlineScratch::default()
+        };
+        scratch.fold();
+        scratch.net
     }
 
     #[test]

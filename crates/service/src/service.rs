@@ -388,9 +388,9 @@ impl<'p> Core<'p> {
     /// Every shard-assigned edge as `(shard, universe edge)`.
     fn assigned(&self) -> impl Iterator<Item = (usize, EdgeId)> + use<'_, 'p> {
         let shards = self.plan.shards.iter().zip(&self.states).enumerate();
-        shards.flat_map(|(s, (slice, st))| {
+        shards.flat_map(|(s, (sub, st))| {
             let edges = st.matching().edges.into_iter();
-            edges.map(move |e| (s, slice.sub.edge_back[e.index()]))
+            edges.map(move |e| (s, sub.edge_back[e.index()]))
         })
     }
 
@@ -698,7 +698,7 @@ impl<'p> Core<'p> {
         let mut decisions: Vec<Decision> = Vec::new();
         for (&s, pre) in touched.iter().zip(&before) {
             let post = self.states[s].matching();
-            let back = &self.plan.shards[s].sub.edge_back;
+            let back = &self.plan.shards[s].edge_back;
             diff_sorted(&pre.edges, &post.edges, |local, action| {
                 decisions.push(self.decision(s as u32, back[local.index()], action));
             });
@@ -941,7 +941,7 @@ impl<'p> Core<'p> {
     fn online_decisions(&self, scratch: &mut OnlineScratch, s: usize) {
         scratch.fold();
         let OnlineScratch { net, decisions, .. } = scratch;
-        let back = &self.plan.shards[s].sub.edge_back;
+        let back = &self.plan.shards[s].edge_back;
         decisions.clear();
         decisions.extend(net.iter().map(|&(local, added)| {
             let action = if added {
@@ -1505,7 +1505,7 @@ fn shard_job<'a>(
     s: usize,
     deadline: Option<Deadline>,
 ) -> ShardJob<'a> {
-    let graph = &plan.shards[s].sub.graph;
+    let graph = &plan.shards[s].graph;
     ShardJob {
         shard: s,
         graph,
@@ -1538,16 +1538,14 @@ fn seed_plan_state<'p>(
         "live weights mismatch"
     );
     let mut states = Vec::with_capacity(plan.n_shards());
-    for slice in &plan.shards {
-        let back = slice.sub.edge_back.iter();
-        let weights = back.map(|parent| live_weights[parent.index()]).collect();
-        let mut st =
-            IncrementalAssignment::from_matching(&slice.sub.graph, weights, &Matching::empty())
-                .expect("empty seed is always feasible");
-        for w in slice.sub.graph.workers() {
+    for sub in &plan.shards {
+        let weights = sub.project_weights(live_weights);
+        let mut st = IncrementalAssignment::from_matching(&sub.graph, weights, &Matching::empty())
+            .expect("empty seed is always feasible");
+        for w in sub.graph.workers() {
             st.deactivate_worker(w);
         }
-        for t in slice.sub.graph.tasks() {
+        for t in sub.graph.tasks() {
             st.deactivate_task(t);
         }
         states.push(st);
@@ -1988,7 +1986,7 @@ mod tests {
         );
         assert_eq!(sink.batches[committed].worst_tier, Some(QualityTier::Exact));
         let aw = svc.core.states[0].active_weights();
-        let graph = &plan.shards[0].sub.graph;
+        let graph = &plan.shards[0].graph;
         let (cold, _) =
             max_weight_bmatching(graph, &aw, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
         let (have, opt) = (svc.core.states[0].total_weight(), cold.total_weight(&aw));

@@ -87,22 +87,15 @@ impl Routing {
     }
 }
 
-/// One shard's slice of the universe.
-pub struct ShardSlice {
-    /// The induced subgraph plus back-maps to universe ids.
-    pub sub: Subgraph,
-    /// Universe weights projected onto the subgraph's edges.
-    pub weights: Vec<f64>,
-}
-
 /// Sentinel for "not mapped to any shard" in the forward maps.
 pub const UNMAPPED: u32 = u32::MAX;
 
-/// The full sharding of a market universe: per-shard slices plus forward
+/// The full sharding of a market universe: per-shard subgraphs plus forward
 /// maps from universe ids to `(shard, local id)`.
 pub struct ShardPlan {
-    /// Per-shard slices, indexed by shard.
-    pub shards: Vec<ShardSlice>,
+    /// Per-shard induced subgraphs with back-maps to universe ids, indexed
+    /// by shard.
+    pub shards: Vec<Subgraph>,
     /// Universe worker id → shard (every worker is homed somewhere).
     pub worker_shard: Vec<u32>,
     /// Universe worker id → local id within its shard.
@@ -276,11 +269,7 @@ impl ShardPlan {
                 edge_shard[parent.index()] = s as u32;
                 edge_local[parent.index()] = local as u32;
             }
-            let sub_weights = sub.project_weights(weights);
-            shards.push(ShardSlice {
-                sub,
-                weights: sub_weights,
-            });
+            shards.push(sub);
         }
 
         let cross_edges = edge_shard.iter().filter(|&&s| s == UNMAPPED).count();
@@ -316,7 +305,7 @@ impl ShardPlan {
 
     /// Whether shard `s` has nothing an exact solver could work with.
     pub(crate) fn degenerate(&self, s: usize) -> bool {
-        let g = &self.shards[s].sub.graph;
+        let g = &self.shards[s].graph;
         g.n_edges() == 0 || g.n_workers() == 0 || g.n_tasks() == 0
     }
 }
@@ -444,7 +433,7 @@ mod tests {
         assert_eq!(plan.n_shards(), 1);
         assert_eq!(plan.cross_edges, 0);
         assert!((plan.retained_weight - 1.0).abs() < 1e-12);
-        assert_eq!(plan.shards[0].sub.graph.n_edges(), g.n_edges());
+        assert_eq!(plan.shards[0].graph.n_edges(), g.n_edges());
     }
 
     #[test]
@@ -496,25 +485,25 @@ mod tests {
         for routing in [Routing::HashId, Routing::Range] {
             let plan = ShardPlan::build(&g, &w, 4, routing);
             // Every node mapped exactly once; shard sizes sum to universe.
-            let tot_w: usize = plan.shards.iter().map(|s| s.sub.graph.n_workers()).sum();
-            let tot_t: usize = plan.shards.iter().map(|s| s.sub.graph.n_tasks()).sum();
+            let tot_w: usize = plan.shards.iter().map(|s| s.graph.n_workers()).sum();
+            let tot_t: usize = plan.shards.iter().map(|s| s.graph.n_tasks()).sum();
             assert_eq!(tot_w, g.n_workers());
             assert_eq!(tot_t, g.n_tasks());
             // Forward and back maps invert each other.
             for wid in g.workers() {
                 let s = plan.worker_shard[wid.index()] as usize;
                 let l = plan.worker_local[wid.index()] as usize;
-                assert_eq!(plan.shards[s].sub.worker_back[l], wid);
+                assert_eq!(plan.shards[s].worker_back[l], wid);
                 // Capacity preserved.
                 assert_eq!(
-                    plan.shards[s].sub.graph.capacity(WorkerId::new(l as u32)),
+                    plan.shards[s].graph.capacity(WorkerId::new(l as u32)),
                     g.capacity(wid)
                 );
             }
             for tid in g.tasks() {
                 let s = plan.task_shard[tid.index()] as usize;
                 let l = plan.task_local[tid.index()] as usize;
-                assert_eq!(plan.shards[s].sub.task_back[l], tid);
+                assert_eq!(plan.shards[s].task_back[l], tid);
             }
             // Edge maps: intra-shard edges round-trip; cross edges counted.
             let mut mapped = 0usize;
@@ -525,9 +514,9 @@ mod tests {
                 }
                 mapped += 1;
                 let l = plan.edge_local[e.index()] as usize;
-                let slice = &plan.shards[s as usize];
-                assert_eq!(slice.sub.edge_back[l], e);
-                assert_eq!(slice.weights[l], w[e.index()]);
+                let sub = &plan.shards[s as usize];
+                assert_eq!(sub.edge_back[l], e);
+                assert_eq!(sub.project_weights(&w)[l], w[e.index()]);
             }
             assert_eq!(mapped + plan.cross_edges, g.n_edges());
             assert!(
@@ -599,10 +588,10 @@ mod tests {
             assert_eq!(rebuilt.routing, plan.routing);
             assert!((rebuilt.retained_weight - plan.retained_weight).abs() < 1e-12);
             for (a, b) in rebuilt.shards.iter().zip(plan.shards.iter()) {
-                assert_eq!(a.sub.worker_back, b.sub.worker_back);
-                assert_eq!(a.sub.task_back, b.sub.task_back);
-                assert_eq!(a.sub.edge_back, b.sub.edge_back);
-                assert_eq!(a.weights, b.weights);
+                assert_eq!(a.worker_back, b.worker_back);
+                assert_eq!(a.task_back, b.task_back);
+                assert_eq!(a.edge_back, b.edge_back);
+                assert_eq!(a.project_weights(&w), b.project_weights(&w));
             }
         }
     }
@@ -630,8 +619,8 @@ mod tests {
                 hash.retained_weight
             );
             // Same structural invariants as the key routings.
-            let tot_w: usize = mincut.shards.iter().map(|s| s.sub.graph.n_workers()).sum();
-            let tot_t: usize = mincut.shards.iter().map(|s| s.sub.graph.n_tasks()).sum();
+            let tot_w: usize = mincut.shards.iter().map(|s| s.graph.n_workers()).sum();
+            let tot_t: usize = mincut.shards.iter().map(|s| s.graph.n_tasks()).sum();
             assert_eq!(tot_w, g.n_workers());
             assert_eq!(tot_t, g.n_tasks());
         }

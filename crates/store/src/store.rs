@@ -352,11 +352,6 @@ impl DurableStore {
             watermark: self.watermark,
         }
     }
-
-    /// The configured fsync policy (for report rendering).
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.cfg.fsync
-    }
 }
 
 /// Deletes orphaned `*.tmp` files left behind by a crash mid-snapshot.

@@ -11,8 +11,8 @@
 //! * [`rng`] — a tiny deterministic `SplitMix64` generator and seed-derivation
 //!   helpers so every experiment is reproducible without pulling `rand` into
 //!   every crate.
-//! * [`stats`] — online mean/variance accumulators and exact percentile
-//!   summaries for the experiment harness.
+//! * [`stats`] — online mean/variance accumulators for the experiment
+//!   harness.
 //! * [`fixed`] — fixed-point scaling between `f64` benefits in `[0,1]` and
 //!   `i64` costs, so min-cost-flow runs on exact integers.
 //! * [`table`] — aligned text tables and CSV emission for experiment output.
@@ -38,4 +38,4 @@ pub use cancel::{CancelToken, Deadline, SolveCtl};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use heap::IndexedHeap;
 pub use rng::SplitMix64;
-pub use stats::{OnlineStats, Percentiles};
+pub use stats::OnlineStats;

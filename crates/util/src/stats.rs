@@ -1,8 +1,5 @@
-//! Statistics accumulators for the experiment harness.
-//!
-//! Two shapes: [`OnlineStats`] (Welford mean/variance, O(1) memory, used for
-//! timing loops) and [`Percentiles`] (stores samples, exact quantiles, used
-//! for benefit-distribution reporting in the tables).
+//! Statistics accumulators for the experiment harness: [`OnlineStats`]
+//! (Welford mean/variance, O(1) memory, used for timing loops).
 
 /// Streaming mean / variance / min / max accumulator (Welford's algorithm).
 #[derive(Debug, Clone)]
@@ -120,75 +117,6 @@ impl OnlineStats {
     }
 }
 
-/// Sample-retaining summary for exact percentile queries.
-#[derive(Debug, Clone, Default)]
-pub struct Percentiles {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Percentiles {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation. `NaN` observations are rejected with a panic —
-    /// they indicate an upstream bug, not a data condition.
-    pub fn push(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN pushed into Percentiles");
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Exact p-quantile by linear interpolation, `p ∈ [0, 1]`.
-    /// Returns `None` when empty.
-    pub fn quantile(&mut self, p: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        assert!((0.0..=1.0).contains(&p), "quantile p out of range: {p}");
-        if !self.sorted {
-            self.samples
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            self.sorted = true;
-        }
-        let n = self.samples.len();
-        if n == 1 {
-            return Some(self.samples[0]);
-        }
-        let rank = p * (n - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let frac = rank - lo as f64;
-        Some(self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac)
-    }
-
-    /// Median (0.5-quantile).
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.samples.iter().sum()
-    }
-
-    /// Mean of all observations (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.sum() / self.samples.len() as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,43 +202,5 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.min(), 2.5);
         assert_eq!(b.max(), 2.5);
-    }
-
-    #[test]
-    fn percentiles_exact() {
-        let mut p = Percentiles::new();
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            p.push(x);
-        }
-        assert_eq!(p.quantile(0.0), Some(1.0));
-        assert_eq!(p.quantile(1.0), Some(5.0));
-        assert_eq!(p.median(), Some(3.0));
-        assert_eq!(p.quantile(0.25), Some(2.0));
-        assert_eq!(p.mean(), Some(3.0));
-        assert_eq!(p.sum(), 15.0);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let mut p = Percentiles::new();
-        p.push(0.0);
-        p.push(10.0);
-        assert_eq!(p.quantile(0.5), Some(5.0));
-        assert_eq!(p.quantile(0.75), Some(7.5));
-    }
-
-    #[test]
-    fn percentile_empty_and_single() {
-        let mut p = Percentiles::new();
-        assert_eq!(p.median(), None);
-        assert_eq!(p.mean(), None);
-        p.push(42.0);
-        assert_eq!(p.quantile(0.99), Some(42.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn percentiles_reject_nan() {
-        Percentiles::new().push(f64::NAN);
     }
 }

@@ -216,8 +216,7 @@ impl DecisionSink for ShardAudit<'_> {
         for d in decisions {
             self.assigned[d.edge as usize] = d.action == Action::Assign;
         }
-        for (s, slice) in self.plan.shards.iter().enumerate() {
-            let sub = &slice.sub;
+        for (s, sub) in self.plan.shards.iter().enumerate() {
             if sub.graph.n_edges() == 0 {
                 continue;
             }
@@ -323,10 +322,7 @@ fn audited_run(
 /// edge. [`service_trace`] opens with every node, so each of them is solved
 /// from the first batches on.
 fn solving_shards(plan: &ShardPlan) -> u64 {
-    plan.shards
-        .iter()
-        .filter(|s| s.sub.graph.n_edges() > 0)
-        .count() as u64
+    plan.shards.iter().filter(|s| s.graph.n_edges() > 0).count() as u64
 }
 
 proptest! {
