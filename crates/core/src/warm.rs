@@ -28,7 +28,7 @@
 //! edges on inactive endpoints; inactive endpoints read as weight 0
 //! through [`crate::incremental::IncrementalAssignment::active_weights`]).
 
-use mbta_graph::BipartiteGraph;
+use mbta_graph::{BipartiteGraph, EdgeId};
 use mbta_matching::warm::{WarmNet, WarmStats};
 use mbta_matching::Matching;
 use mbta_util::SolveCtl;
@@ -92,6 +92,12 @@ impl WarmSolver {
     /// [`WarmNet::set_capacities`]); the carried potentials are kept.
     pub fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
         self.net.set_capacities(workers, tasks);
+    }
+
+    /// The edges the capacities in force leave open, ascending (see
+    /// [`WarmNet::open_edges`]).
+    pub fn open_edges(&self) -> Option<&[EdgeId]> {
+        self.net.open_edges()
     }
 
     /// Exact free-cardinality maximum-weight matching under `weights`,

@@ -55,7 +55,7 @@
 //!   assignments, the most profitable one.
 
 use crate::solution::Matching;
-use mbta_graph::BipartiteGraph;
+use mbta_graph::{BipartiteGraph, EdgeId};
 use mbta_util::fixed::benefit_to_profit;
 use mbta_util::{IndexedHeap, SolveCtl};
 use std::collections::VecDeque;
@@ -555,6 +555,9 @@ impl CostFlow {
 /// The 4-layer flow network of one bipartite market — source (node 0) →
 /// workers → tasks → sink — with the scratch its searches run on. Built
 /// once per topology; costs are set per solve.
+///
+/// Arc ids follow the build order: every `source → worker` arc, then every
+/// edge arc in edge order, then every `task → sink` arc.
 #[derive(Debug, Clone)]
 pub(crate) struct BipartiteNet {
     pub(crate) net: CostFlow,
@@ -567,6 +570,27 @@ pub(crate) struct BipartiteNet {
     /// Arc id of `task t → sink`.
     sink_arcs: Vec<u32>,
     pub(crate) sc: Scratch,
+    /// The part of the market [`set_capacities`](Self::set_capacities)
+    /// left open; `None` until it is first called, and then every pass that
+    /// would walk the whole network walks this instead.
+    pub(crate) open: Option<Open>,
+}
+
+/// The open part of a capacity-restricted [`BipartiteNet`]: the workers
+/// and tasks with capacity, and the edges between two of them. A closed
+/// node's arcs and a closed edge's arc have no capacity either way, so no
+/// search reaches them, re-pricing a closed node moves nothing, and
+/// neither saturating nor resetting them writes anything: a pass over the
+/// open set does what the pass over the whole network did.
+#[derive(Debug, Clone)]
+pub(crate) struct Open {
+    /// Open worker and task nodes, ascending (every worker before every
+    /// task, as in the network).
+    pub(crate) nodes: Vec<u32>,
+    /// Open edges, ascending.
+    edges: Vec<EdgeId>,
+    /// The open nodes' hub arcs and the open edges' arcs, ascending.
+    pub(crate) arcs: Vec<u32>,
 }
 
 impl BipartiteNet {
@@ -599,6 +623,7 @@ impl BipartiteNet {
             source_arcs,
             edge_arcs,
             sink_arcs,
+            open: None,
         }
     }
 
@@ -607,31 +632,142 @@ impl BipartiteNet {
         [&self.source_arcs, &self.sink_arcs, &self.edge_arcs].map(Vec::len)
     }
 
-    /// Rewrites the edge-arc costs in place: `-profit`, twin `+profit`.
+    /// Rewrites the edge-arc costs in place: `-profit`, twin `+profit`. On
+    /// a capacity-restricted network only the open edges' are written: no
+    /// pass reads a closed arc's cost, and an edge that reopens has its
+    /// cost written by the next call.
     pub(crate) fn set_costs(&mut self, weights: &[f64]) {
         assert_eq!(
             weights.len(),
             self.edge_arcs.len(),
             "weight slice length mismatch"
         );
-        for (&a, &w) in self.edge_arcs.iter().zip(weights) {
+        let cost = &mut self.net.cost;
+        let mut set = |a: u32, w: f64| {
             let profit = benefit_to_profit(w);
-            self.net.cost[a as usize] = -profit;
-            self.net.cost[(a ^ 1) as usize] = profit;
+            cost[a as usize] = -profit;
+            cost[(a ^ 1) as usize] = profit;
+        };
+        match &self.open {
+            None => {
+                for (&a, &w) in self.edge_arcs.iter().zip(weights) {
+                    set(a, w);
+                }
+            }
+            Some(open) => {
+                for e in &open.edges {
+                    set(self.edge_arcs[e.index()], weights[e.index()]);
+                }
+            }
         }
     }
 
-    /// Rewrites every capacity, leaving the network at zero flow: worker
+    /// Rewrites the capacities, leaving the network at zero flow: worker
     /// `w` may take `workers[w]` units, task `t` needs `tasks[t]`, and an
     /// edge with an endpoint that has none is closed, so no search enters
     /// the part of the market that cannot carry flow.
+    ///
+    /// The first call writes every arc and lists the open set. Later ones
+    /// write only the arcs whose capacity or open state changed — a node's
+    /// own arc when its capacity moved, a node's edge arcs when it opened
+    /// or closed — and cost one comparison per node plus what changed and
+    /// what is open.
     pub(crate) fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
         assert_eq!(
             [workers.len(), tasks.len()],
             self.shape()[..2],
             "capacity slice length mismatch"
         );
-        let cap = &mut self.net.cap;
+        let Some(mut open) = self.open.take() else {
+            self.open = Some(self.open_all(workers, tasks));
+            return;
+        };
+        let (net, n_w, mut flipped) = (&mut self.net, workers.len(), Vec::new());
+        // Worker `w` is node `1 + w` and task `t` node `1 + workers + t`, so
+        // the open nodes come out in ascending order.
+        let hubs = [
+            (&self.source_arcs, workers, 1),
+            (&self.sink_arcs, tasks, 1 + n_w),
+        ];
+        open.nodes.clear();
+        for (arcs, units, first) in hubs {
+            for (v, (&a, &c)) in (first..).zip(arcs.iter().zip(units)) {
+                let a = a as usize;
+                let was = net.cap[a] + net.cap[a ^ 1];
+                if was != c {
+                    (net.cap[a], net.cap[a ^ 1]) = (c, 0);
+                    if (was == 0) != (c == 0) {
+                        flipped.push(v);
+                    }
+                }
+                if c > 0 {
+                    open.nodes.push(v as u32);
+                }
+            }
+        }
+        if !flipped.is_empty() {
+            // A node that opened or closed opens or closes its edges.
+            let mut edges = Vec::new();
+            for &v in &flipped {
+                self.edges_at(v, &mut edges);
+            }
+            for e in edges {
+                let a = self.edge_arcs[e.index()] as usize;
+                let (w, t) = (self.net.head[a ^ 1] as usize, self.net.head[a] as usize);
+                let is_open = workers[w - 1] > 0 && tasks[t - 1 - n_w] > 0;
+                (self.net.cap[a], self.net.cap[a ^ 1]) = (u32::from(is_open), 0);
+                if is_open {
+                    open.edges.push(e);
+                }
+            }
+            // Drop what closed, add what opened, back in ascending order.
+            open.edges.retain(|&e| self.edge_open(e));
+            open.edges.sort_unstable();
+            open.edges.dedup();
+            self.index_arcs(&mut open);
+        }
+        self.open = Some(open);
+        self.reset_flow();
+    }
+
+    /// Appends the edges at inner node `v` to `out`. Edge `e`'s arc is the
+    /// `e`-th after the source arcs, so the arc names the edge.
+    fn edges_at(&self, v: usize, out: &mut Vec<EdgeId>) {
+        let first = 2 * self.source_arcs.len();
+        let edge_arcs = first..first + 2 * self.edge_arcs.len();
+        let mut a = self.net.first[v];
+        while a != NONE {
+            let arc = (a & !1) as usize;
+            if edge_arcs.contains(&arc) {
+                let e = (arc - first) / 2;
+                debug_assert_eq!(self.edge_arcs[e] as usize, arc);
+                out.push(EdgeId::from_index(e));
+            }
+            a = self.net.next[a as usize];
+        }
+    }
+
+    /// Inner node `v`'s hub arc: its worker's source arc or its task's
+    /// sink arc.
+    fn hub_arc(&self, v: usize) -> u32 {
+        let n_w = self.source_arcs.len();
+        match v - 1 {
+            w if w < n_w => self.source_arcs[w],
+            t => self.sink_arcs[t - n_w],
+        }
+    }
+
+    /// Whether edge `e`'s arc has capacity, used or not.
+    fn edge_open(&self, e: EdgeId) -> bool {
+        let a = self.edge_arcs[e.index()] as usize;
+        self.net.cap[a] + self.net.cap[a ^ 1] > 0
+    }
+
+    /// The first restriction: every arc rewritten at zero flow, and the
+    /// open set listed.
+    fn open_all(&mut self, workers: &[u32], tasks: &[u32]) -> Open {
+        let net = &mut self.net;
+        let (cap, head) = (&mut net.cap, &net.head);
         let mut set = |a: u32, units: u32| {
             cap[a as usize] = units;
             cap[(a ^ 1) as usize] = 0;
@@ -642,19 +778,66 @@ impl BipartiteNet {
         for (&a, &d) in self.sink_arcs.iter().zip(tasks) {
             set(a, d);
         }
-        for &a in &self.edge_arcs {
+        let mut edges = Vec::new();
+        for (e, &a) in self.edge_arcs.iter().enumerate() {
             // Worker `w` is node `1 + w`, task `t` node `1 + workers + t`.
-            let w = self.net.head[(a ^ 1) as usize] as usize - 1;
-            let t = self.net.head[a as usize] as usize - 1 - workers.len();
-            set(a, u32::from(workers[w] > 0 && tasks[t] > 0));
+            let w = head[(a ^ 1) as usize] as usize - 1;
+            let t = head[a as usize] as usize - 1 - workers.len();
+            let is_open = workers[w] > 0 && tasks[t] > 0;
+            set(a, u32::from(is_open));
+            if is_open {
+                edges.push(EdgeId::from_index(e));
+            }
         }
+        let units = workers.iter().chain(tasks);
+        let nodes = (1..).zip(units).filter(|&(_, &c)| c > 0);
+        let mut open = Open {
+            nodes: nodes.map(|(v, _)| v).collect(),
+            edges,
+            arcs: Vec::new(),
+        };
+        self.index_arcs(&mut open);
+        open
+    }
+
+    /// Lists the open set's arcs, ascending: the open workers' source arcs,
+    /// the open edges' arcs, the open tasks' sink arcs.
+    fn index_arcs(&self, open: &mut Open) {
+        let split = open
+            .nodes
+            .partition_point(|&v| v as usize <= self.source_arcs.len());
+        let (workers, tasks) = open.nodes.split_at(split);
+        let hub = |&v: &u32| self.hub_arc(v as usize);
+        open.arcs.clear();
+        open.arcs.extend(workers.iter().map(hub));
+        open.arcs
+            .extend(open.edges.iter().map(|e| self.edge_arcs[e.index()]));
+        open.arcs.extend(tasks.iter().map(hub));
+    }
+
+    /// The edges the capacities in force leave open, ascending; `None`
+    /// before the first [`set_capacities`](Self::set_capacities).
+    pub(crate) fn open_edges(&self) -> Option<&[EdgeId]> {
+        self.open.as_ref().map(|o| &o.edges[..])
     }
 
     /// Zeroes all flow: every twin hands its capacity back.
     fn reset_flow(&mut self) {
-        for pair in self.net.cap.chunks_exact_mut(2) {
-            pair[0] += pair[1];
-            pair[1] = 0;
+        let cap = &mut self.net.cap;
+        match &self.open {
+            None => {
+                for pair in cap.chunks_exact_mut(2) {
+                    pair[0] += pair[1];
+                    pair[1] = 0;
+                }
+            }
+            Some(open) => {
+                for &a in &open.arcs {
+                    let a = a as usize;
+                    cap[a] += cap[a ^ 1];
+                    cap[a ^ 1] = 0;
+                }
+            }
         }
     }
 
@@ -691,10 +874,22 @@ impl BipartiteNet {
     /// and their total fixed-point profit.
     pub(crate) fn matching(&self, g: &BipartiteGraph) -> (Matching, i64) {
         let (mut edges, mut profit) = (Vec::new(), 0);
-        for (e, &a) in g.edges().zip(&self.edge_arcs) {
+        let mut read = |e: EdgeId, a: u32| {
             if self.net.flow(a) > 0 {
                 edges.push(e);
                 profit -= self.net.cost[a as usize];
+            }
+        };
+        match &self.open {
+            None => {
+                for (e, &a) in g.edges().zip(&self.edge_arcs) {
+                    read(e, a);
+                }
+            }
+            Some(open) => {
+                for &e in &open.edges {
+                    read(e, self.edge_arcs[e.index()]);
+                }
             }
         }
         (Matching::from_edges(edges), profit)

@@ -63,7 +63,19 @@
 //! so steps 1–4 never see the change as such: a seed that fits the new
 //! capacities is a feasible flow, the carried potentials are *some*
 //! potentials, and an arc a capacity opened or widened is saturated or left
-//! alone by the same reduced-cost test as any other.
+//! alone by the same reduced-cost test as any other. A node given no
+//! capacity is closed, and so is every edge at it: their arcs have no
+//! capacity either way, so no search enters them, re-pricing a closed node
+//! moves nothing, and saturating or resetting its arcs writes nothing.
+//! Once capacities are set, then, a solve walks only the open part: the
+//! net keeps the open workers, tasks and edges in ascending order, rewrites
+//! only the arcs whose capacity or open state changed, and its cost write,
+//! flow reset, re-price, saturate, imbalance scan and read-out visit the
+//! open set alone — in the order the whole-network passes would, so flow,
+//! potentials and routing are theirs. An edge's cost is written when it is
+//! open, so one that reopens carries the weight of the solve it reopens
+//! in. A net that never calls `set_capacities` keeps the whole-network
+//! loops.
 //!
 //! Every search consults the caller's [`SolveCtl`]. Mid-repair the network
 //! holds a pseudoflow, not a matching, so an interrupted repair hands the
@@ -73,19 +85,18 @@
 //! primal is kept too, in the caller's next seed: a deadline that cuts
 //! every solve of an empty seed short never finishes, while one that cuts
 //! solves seeded with a greedy matching does
-//! (`cut_solves_finish_from_a_greedy_seed`). Prices are re-based at the hub
-//! after every solve, cut or not.
+//! (`cut_solves_finish_from_a_greedy_seed`). No search moves a hub end, so
+//! the prices stay based at the hub, cut or not.
 //!
 //! The result is bit-identical in objective to a cold
 //! [`crate::mcmf::max_weight_bmatching`] solve — the warm path is purely
 //! a latency optimization, checked by the `warm_matches_cold_*` tests.
 
-use crate::mcmf::{self, BipartiteNet, Certificate, CostFlow, FlowResult, Scratch, Search};
+use crate::mcmf::{self, BipartiteNet, Certificate, CostFlow, FlowResult, Open, Scratch, Search};
 use crate::solution::Matching;
-use mbta_graph::BipartiteGraph;
+use mbta_graph::{BipartiteGraph, EdgeId};
 use mbta_util::SolveCtl;
 use std::collections::VecDeque;
-use std::ops::Range;
 
 /// Counters describing one [`WarmNet::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +169,13 @@ impl WarmNet {
         }
     }
 
+    /// The edges the capacities in force leave open — both endpoints have
+    /// capacity — ascending; `None` before the first
+    /// [`set_capacities`](Self::set_capacities), when every edge is.
+    pub fn open_edges(&self) -> Option<&[EdgeId]> {
+        self.bn.open_edges()
+    }
+
     /// Exact free-cardinality maximum-weight b-matching on the fixed
     /// topology: the repair of the [module docs](self) from `seed` (the
     /// previous matching, or any other feasible one) and the carried
@@ -190,15 +208,12 @@ impl WarmNet {
             // accepts any.
             self.bn.apply(g, start);
         }
-        let (sc, source, sink) = (&mut self.bn.sc, self.bn.source, self.bn.sink);
         // No search moves a hub end: both are targets, so the one a search
-        // stops at is its cap and the other one is no nearer.
-        debug_assert_eq!(sc.pi[source], sc.pi[sink], "a hub end moved");
-        // Updates drift all potentials (forward searches raise them, reverse
-        // ones lower them); reduced costs are shift-invariant, so re-basing
-        // at the hub keeps them bounded.
-        let base = sc.pi[source];
-        sc.pi.iter_mut().for_each(|p| *p -= base);
+        // stops at is its cap and the other one is no nearer, and an update
+        // moves only the nodes settled below its cap. The potentials stay
+        // based at the hub, where the first solve started them.
+        let (pi, source, sink) = (&self.bn.sc.pi, self.bn.source, self.bn.sink);
+        debug_assert_eq!((pi[source], pi[sink]), (0, 0), "a hub end moved");
         let warm = std::mem::replace(&mut self.has_prior, true) && seeded && completed;
         let (m, profit) = self.bn.matching(g);
         let stats = WarmStats {
@@ -221,7 +236,7 @@ impl WarmNet {
         // An inner imbalance only moves towards zero, so these worklists
         // only lose entries; a settled one is dropped when it reaches the
         // front.
-        let [mut surplus, mut owed] = imbalances(&excess, source + 1..sink);
+        let [mut surplus, mut owed] = imbalances(&excess, inner(source, sink, &bn.open));
         // Inner excess goes first, and to it the hub is always a target;
         // what the inner deficits are still owed once no inner node holds
         // any is the hub's, searched for from the deficits. Each search
@@ -235,7 +250,7 @@ impl WarmNet {
             }
             debug_assert!(
                 {
-                    let [s, o] = imbalances(&excess, source + 1..sink);
+                    let [s, o] = imbalances(&excess, inner(source, sink, &bn.open));
                     surplus == s && owed.iter().filter(|&&v| excess[v] != 0).eq(&o)
                 },
                 "a worklist disagrees with a scan of the excess"
@@ -259,49 +274,85 @@ impl WarmNet {
     }
 
     /// Steps 2–3 of the [module docs](self) on the seeded network: re-price,
-    /// saturate. Returns every node's excess (negative: deficit).
+    /// saturate. Returns every node's excess (negative: deficit). On a
+    /// capacity-restricted network both walk the open set: a closed node
+    /// has no arc with capacity either way, so re-pricing it moves nothing
+    /// and none of its arcs saturates.
     fn saturate(&mut self) -> Vec<i64> {
+        let n_arcs = self.bn.net.head.len();
         let bn = &mut self.bn;
-        let (net, sc, source, sink) = (&mut bn.net, &mut bn.sc, bn.source, bn.sink);
-        // Re-price: both bounds an arc pair puts on `pi[v]` are
-        // `pi[other end] − cost`, a floor while the out-arc has capacity
-        // left and a ceiling while its twin (the in-arc) has.
-        for v in source + 1..sink {
-            let (mut lo, mut hi) = (i64::MIN, i64::MAX);
-            let mut a = net.first[v];
-            while a != mcmf::NONE {
-                let ai = a as usize;
-                let bound = sc.pi[net.head[ai] as usize] - net.cost[ai];
-                if net.cap[ai] > 0 {
-                    lo = lo.max(bound);
-                }
-                if net.cap[ai ^ 1] > 0 {
-                    hi = hi.min(bound);
-                }
-                a = net.next[ai];
+        let (net, pi) = (&mut bn.net, &mut bn.sc.pi);
+        match &bn.open {
+            None => {
+                reprice(net, pi, bn.source + 1..bn.sink);
+                saturate(net, pi, 0..n_arcs)
             }
-            if lo <= hi {
-                sc.pi[v] = sc.pi[v].clamp(lo, hi);
+            Some(open) => {
+                reprice(net, pi, open.nodes.iter().map(|&v| v as usize));
+                // Each open arc, then its twin: arc order.
+                let arcs = open.arcs.iter().map(|&a| a as usize);
+                saturate(net, pi, arcs.flat_map(|a| [a, a ^ 1]))
             }
         }
-        // Saturate what is still violated.
-        let mut excess = vec![0i64; net.n_nodes];
-        for a in 0..net.head.len() {
-            let units = net.cap[a];
-            if units > 0 && net.reduced_cost(a, &sc.pi) < 0 {
-                net.cap[a] = 0;
-                net.cap[a ^ 1] += units;
-                excess[net.head[a] as usize] += i64::from(units);
-                excess[net.head[a ^ 1] as usize] -= i64::from(units);
-            }
-        }
-        excess
     }
+}
+
+/// Step 2, re-price: both bounds an arc pair puts on `pi[v]` are
+/// `pi[other end] − cost`, a floor while the out-arc has capacity left and
+/// a ceiling while its twin (the in-arc) has. Each of `nodes` moves into
+/// its interval when that is not empty.
+fn reprice(net: &CostFlow, pi: &mut [i64], nodes: impl Iterator<Item = usize>) {
+    for v in nodes {
+        let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+        let mut a = net.first[v];
+        while a != mcmf::NONE {
+            let ai = a as usize;
+            let bound = pi[net.head[ai] as usize] - net.cost[ai];
+            if net.cap[ai] > 0 {
+                lo = lo.max(bound);
+            }
+            if net.cap[ai ^ 1] > 0 {
+                hi = hi.min(bound);
+            }
+            a = net.next[ai];
+        }
+        if lo <= hi {
+            pi[v] = pi[v].clamp(lo, hi);
+        }
+    }
+}
+
+/// Step 3, saturate: pushes each of `arcs` whose reduced cost is still
+/// negative to its capacity, in the order given. Returns every node's
+/// excess.
+fn saturate(net: &mut CostFlow, pi: &[i64], arcs: impl Iterator<Item = usize>) -> Vec<i64> {
+    let mut excess = vec![0i64; net.n_nodes];
+    for a in arcs {
+        let units = net.cap[a];
+        if units > 0 && net.reduced_cost(a, pi) < 0 {
+            net.cap[a] = 0;
+            net.cap[a ^ 1] += units;
+            excess[net.head[a] as usize] += i64::from(units);
+            excess[net.head[a ^ 1] as usize] -= i64::from(units);
+        }
+    }
+    excess
+}
+
+/// The worker and task nodes in ascending order: all of them, or on a
+/// capacity-restricted network the open ones — a closed node's arcs carry
+/// nothing either way, so it never holds excess.
+fn inner(source: usize, sink: usize, open: &Option<Open>) -> impl Iterator<Item = usize> + '_ {
+    let (all, open) = match open {
+        None => (source + 1..sink, &[][..]),
+        Some(open) => (0..0, &open.nodes[..]),
+    };
+    all.chain(open.iter().map(|&v| v as usize))
 }
 
 /// The nodes of `inner` that hold excess and those that hold a deficit,
 /// each in ascending order.
-fn imbalances(excess: &[i64], inner: Range<usize>) -> [VecDeque<usize>; 2] {
+fn imbalances(excess: &[i64], inner: impl Iterator<Item = usize>) -> [VecDeque<usize>; 2] {
     let (mut surplus, mut owed) = (VecDeque::new(), VecDeque::new());
     for v in inner {
         if excess[v] > 0 {
@@ -348,7 +399,10 @@ mod tests {
     use super::*;
     use crate::mcmf::{max_weight_bmatching, verify_certificate, FlowMode, PathAlgo};
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
+    use mbta_graph::subgraph::{induce, Subgraph, SubgraphSpec};
+    use mbta_graph::TaskId;
     use mbta_util::fixed::objectives_close;
+    use mbta_util::SplitMix64;
 
     /// The objective every solve reaches: the cold free-cardinality optimum.
     const MODE: FlowMode = FlowMode::FreeCardinality;
@@ -849,20 +903,111 @@ mod tests {
         Matching::from_edges(m.edges.iter().copied().filter(fits).collect())
     }
 
-    /// The cold optimum's profit on `g` induced with `caps` — what a solve
-    /// after `set_capacities(caps)` must reach.
-    fn cold_profit_under(g: &BipartiteGraph, w: &[f64], caps: (&[u32], &[u32])) -> i64 {
-        use mbta_graph::subgraph::{induce, SubgraphSpec};
+    /// `g` induced with `caps = (workers, tasks)`: the market a solve after
+    /// `set_capacities(caps)` sees, its closed nodes left out.
+    fn restricted(g: &BipartiteGraph, caps: (&[u32], &[u32])) -> Subgraph {
         let workers: Vec<_> = g.workers().map(|x| (x, caps.0[x.index()])).collect();
         let tasks: Vec<_> = g.tasks().map(|x| (x, caps.1[x.index()])).collect();
         let spec = SubgraphSpec {
             workers: &workers,
             tasks: &tasks,
         };
-        let sub = induce(g, &spec, |_| true);
+        induce(g, &spec, |_| true)
+    }
+
+    /// The cold optimum's profit on `g` induced with `caps` — what a solve
+    /// after `set_capacities(caps)` must reach.
+    fn cold_profit_under(g: &BipartiteGraph, w: &[f64], caps: (&[u32], &[u32])) -> i64 {
+        let sub = restricted(g, caps);
         max_weight_bmatching(&sub.graph, &sub.project_weights(w), MODE, ALGO)
             .1
             .profit
+    }
+
+    /// Whether the potentials `net` carries, read on `g` induced with
+    /// `caps`, certify `m` there.
+    fn certified_under(
+        net: &WarmNet,
+        g: &BipartiteGraph,
+        w: &[f64],
+        m: &Matching,
+        caps: (&[u32], &[u32]),
+    ) -> bool {
+        let sub = restricted(g, caps);
+        let full = net.certificate().potentials;
+        let task = |t: &TaskId| full[1 + g.n_workers() + t.index()];
+        let mut pi = vec![full[0]];
+        pi.extend(sub.worker_back.iter().map(|x| full[1 + x.index()]));
+        pi.extend(sub.task_back.iter().map(task));
+        pi.push(full[full.len() - 1]);
+        let local = |e: &EdgeId| EdgeId::from_index(sub.edge_back.binary_search(e).unwrap());
+        let m = Matching::from_edges(m.edges.iter().map(local).collect());
+        let cert = Certificate { potentials: pi };
+        verify_certificate(&sub.graph, &sub.project_weights(w), &m, &cert)
+    }
+
+    /// One round of capacity churn: an open node closes with probability
+    /// 0.2 or else is resized with probability 0.2, a closed one opens with
+    /// probability 0.05 — about a fifth of the nodes open at any time.
+    fn churn(caps: &mut [u32], rng: &mut SplitMix64) {
+        for c in caps {
+            let size = |rng: &mut SplitMix64| 1 + rng.next_below(3) as u32;
+            *c = match *c {
+                0 if rng.next_bool(0.05) => size(rng),
+                0 => 0,
+                _ if rng.next_bool(0.2) => 0,
+                _ if rng.next_bool(0.2) => size(rng),
+                open => open,
+            };
+        }
+    }
+
+    /// A rescue-shaped market: about 4 % of the edges open, nodes closing
+    /// and reopening every round while every weight drifts, so an edge
+    /// that reopens carries a weight written while it was closed. Each of
+    /// 240 solves is the cold optimum of the restricted market, certified
+    /// there by hub-based potentials, and equal — matching, counters and
+    /// every node's potential — to the same solve by a net whose passes
+    /// walk the whole network.
+    #[test]
+    fn capacity_churn_resolves_exact_on_the_open_market() {
+        const ROUNDS: u64 = 240;
+        let (g, mut w) = market(600, 300, 21);
+        let mut rng = SplitMix64::new(5);
+        let mut open = |n| (0..n).map(|_| u32::from(rng.next_bool(0.2)) * 2).collect();
+        let (mut wc, mut tc): (Vec<u32>, Vec<u32>) = (open(g.n_workers()), open(g.n_tasks()));
+        let (mut net, mut whole) = (WarmNet::new(&g), WarmNet::new(&g));
+        let (mut prev, mut open_edges, ctl) = (Matching::empty(), 0, SolveCtl::unlimited());
+        for round in 0..ROUNDS {
+            let caps = (&wc[..], &tc[..]);
+            net.set_capacities(&wc, &tc);
+            whole.set_capacities(&wc, &tc);
+            whole.bn.open = None;
+            let seed = trim(&g, &prev, caps);
+            let (m, stats) = net.solve(&g, &w, &seed, &ctl);
+            assert!(stats.completed && hub_based(&net), "round {round}");
+            let solved = (m, stats);
+            assert_eq!(solved, whole.solve(&g, &w, &seed, &ctl), "round {round}");
+            let (m, stats) = solved;
+            let pi = net.certificate().potentials;
+            assert_eq!(pi, whole.certificate().potentials, "round {round}");
+            assert_eq!(
+                stats.profit,
+                cold_profit_under(&g, &w, caps),
+                "round {round}"
+            );
+            assert!(certified_under(&net, &g, &w, &m, caps), "round {round}");
+            open_edges += net.open_edges().unwrap().len();
+            prev = m;
+            drift(&mut w, round, 0.1);
+            churn(&mut wc, &mut rng);
+            churn(&mut tc, &mut rng);
+        }
+        let share = open_edges as f64 / (ROUNDS as usize * g.n_edges()) as f64;
+        assert!(
+            (0.02..0.08).contains(&share),
+            "{share:.3} of the edges open"
+        );
     }
 
     #[test]

@@ -290,16 +290,29 @@ struct Rescue {
     /// The sorted universe edge ids currently assigned by the rescue market
     /// (pseudo-shard `n_shards` in decisions and snapshots).
     overlay: Vec<EdgeId>,
-    /// The plan epoch's boundary market — every cross edge, so bound to
-    /// the plan like the shard solvers and dropped with them — and the
-    /// solver carried on it. Built at the epoch's first rescue pass.
-    market: Option<(Subgraph, WarmSolver)>,
-    /// Per-batch scratch, kept for its allocations: universe residuals,
-    /// then the market's capacities and weights for this batch.
-    w_res: Vec<u32>,
-    t_res: Vec<u32>,
+    /// The plan epoch's boundary market, bound to the plan like the shard
+    /// solvers and dropped with them. Built at the epoch's first rescue
+    /// pass.
+    market: Option<Market>,
+}
+
+/// The boundary market of one plan epoch — every cross edge — with the
+/// solver carried on it and what its solves read. The epoch's first
+/// rescue pass builds it whole; every later pass moves only what its batch
+/// changed ([`Core::follow_batch`]).
+struct Market {
+    sub: Subgraph,
+    solver: WarmSolver,
+    /// Universe worker, task and edge ids to market ids ([`UNMAPPED`]
+    /// outside the market): `sub`'s back maps inverted.
+    worker_local: Vec<u32>,
+    task_local: Vec<u32>,
+    edge_local: Vec<u32>,
+    /// Per market worker / task, the capacity the next solve sees: what
+    /// its home shard leaves of it while it is live, 0 otherwise.
     w_cap: Vec<u32>,
     t_cap: Vec<u32>,
+    /// Per market edge, its live weight.
     weights: Vec<f64>,
 }
 
@@ -704,7 +717,7 @@ impl<'p> Core<'p> {
             });
         }
         if let Some(rescue) = rescue.as_deref_mut() {
-            self.boundary_rescue(rescue, &mut decisions);
+            self.boundary_rescue(rescue, (&batch.events, &routes), &mut decisions);
         }
         canonical_order(&mut decisions);
 
@@ -719,7 +732,8 @@ impl<'p> Core<'p> {
 
     /// Re-solves the cross-shard rescue overlay under this batch's
     /// residual capacities and appends the overlay's assignment deltas
-    /// (pseudo-shard `n_shards` in the decision stream) to `out`.
+    /// (pseudo-shard `n_shards` in the decision stream) to `out`, which
+    /// holds the batch's shard decisions on entry.
     ///
     /// The market — every cross edge of the plan — and its solver are
     /// carried; what a batch changes is the capacities the solver sees: a
@@ -729,7 +743,10 @@ impl<'p> Core<'p> {
     /// first; the diff emits the unassigns), and feasibility of the union
     /// (shards + overlay) holds because the rescue instance's capacities
     /// *are* the residuals; [`validate_rescue`] re-checks and counts
-    /// violations anyway.
+    /// violations anyway. Those capacities, the weights and the "seen"
+    /// marks follow the batch, and every pass of the solve walks the open
+    /// market only, so a pass costs what the batch changed plus the open
+    /// market, not the whole cut (DESIGN.md §13.2).
     ///
     /// Budget: a fixed quarter-slice of the batch budget (the rescue
     /// market is tiny relative to the shard solves and must not starve
@@ -742,62 +759,36 @@ impl<'p> Core<'p> {
     /// rescue solve runs inline on its own solver — so under
     /// [`BudgetMode::Deterministic`] the overlay is a pure function of the
     /// event history at any thread count.
-    fn boundary_rescue(&mut self, rescue: &mut Rescue, out: &mut Vec<Decision>) {
+    fn boundary_rescue(
+        &mut self,
+        rescue: &mut Rescue,
+        batch: (&[Arrival], &[Route]),
+        out: &mut Vec<Decision>,
+    ) {
         let _span = mbta_telemetry::span!("mbta_partition_rescue");
-        let (plan, universe, states) = (self.plan, self.universe, &self.states);
-        let is_cross = |e: EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
-        let (sub, solver) = rescue.market.get_or_insert_with(|| {
-            let sub = epoch_market(universe, is_cross);
-            let solver = WarmSolver::new(&sub.graph);
-            (sub, solver)
-        });
-
-        // Residuals: universe capacity/demand minus the intra-shard load.
-        let (w_res, t_res) = (&mut rescue.w_res, &mut rescue.t_res);
-        w_res.clear();
-        w_res.extend_from_slice(universe.capacities());
-        t_res.clear();
-        t_res.extend_from_slice(universe.demands());
-        for (_, e) in self.assigned() {
-            w_res[universe.worker_of(e).index()] -= 1;
-            t_res[universe.task_of(e).index()] -= 1;
+        if let Some(market) = &mut rescue.market {
+            self.follow_batch(market, batch, out);
+            debug_assert!(self.is_current(market), "the market fell behind its batch");
         }
-
-        // A cross edge is "seen" by the rescue market once both endpoints
-        // are concurrently live — even with zero residual. Exhausted
-        // residual means the capacity went to intra-shard assignments,
-        // which is contention, not partition loss; `effective_retained`
-        // must charge the partition only for weight it made unreachable.
-        let worker_ok = |w: WorkerId| worker_live(plan, states, w);
-        let task_ok = |t: TaskId| task_live(plan, states, t);
-        for &e in &sub.edge_back {
-            if !self.run.cross_seen[e.index()]
-                && worker_ok(universe.worker_of(e))
-                && task_ok(universe.task_of(e))
-            {
-                self.run.cross_seen[e.index()] = true;
-            }
-        }
-
-        // This batch's market: capacities are the live nodes' residuals.
-        let (w_cap, t_cap, weights) = (&mut rescue.w_cap, &mut rescue.t_cap, &mut rescue.weights);
-        w_cap.clear();
-        let residual = |w: &WorkerId| if worker_ok(*w) { w_res[w.index()] } else { 0 };
-        w_cap.extend(sub.worker_back.iter().map(residual));
-        t_cap.clear();
-        let residual = |t: &TaskId| if task_ok(*t) { t_res[t.index()] } else { 0 };
-        t_cap.extend(sub.task_back.iter().map(residual));
-        weights.clear();
-        let live = &self.run.live_weights;
-        weights.extend(sub.edge_back.iter().map(|e| live[e.index()]));
+        let market = rescue.market.get_or_insert_with(|| self.build_market());
+        let Market {
+            sub,
+            solver,
+            edge_local,
+            w_cap,
+            t_cap,
+            weights,
+            ..
+        } = market;
         solver.set_capacities(w_cap, t_cap);
 
         // No open edge still evicts a stale overlay: no previously-rescued
         // edge kept its residuals either.
-        let local = |e: &EdgeId| sub.edge_back.binary_search(e).ok();
-        let prev = rescue.overlay.iter().filter_map(local);
-        let prev: Vec<EdgeId> = prev.map(|i| EdgeId::new(i as u32)).collect();
-        let new_overlay: Vec<EdgeId> = match rescue_seed(&sub.graph, weights, &prev, w_cap, t_cap) {
+        let local = rescue.overlay.iter().map(|e| edge_local[e.index()]);
+        let prev: Vec<EdgeId> = local.filter(|&i| i != UNMAPPED).map(EdgeId::new).collect();
+        let open = solver.open_edges().expect("the capacities are set");
+        let seed = rescue_seed(&sub.graph, weights, open, &prev, w_cap, t_cap);
+        let new_overlay: Vec<EdgeId> = match seed {
             None => Vec::new(),
             Some(seed) => {
                 self.run.report.rescue_solves += 1;
@@ -809,8 +800,12 @@ impl<'p> Core<'p> {
                 m.edges.iter().map(|e| sub.edge_back[e.index()]).collect()
             }
         };
+        let plan = self.plan;
+        let homes = Homes::new(self.universe, plan, &self.states);
+        let is_cross = |e: EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
+        let (w_res, t_res) = (|w| homes.worker_residual(w), |t| homes.task_residual(t));
         self.run.report.capacity_violations +=
-            validate_rescue(universe, is_cross, w_res, t_res, &new_overlay);
+            validate_rescue(self.universe, is_cross, w_res, t_res, &new_overlay);
 
         let mut assigns = 0u64;
         diff_sorted(&rescue.overlay, &new_overlay, |e, action| {
@@ -819,9 +814,130 @@ impl<'p> Core<'p> {
         });
         self.run.report.rescue_assigns += assigns;
 
+        let live = &self.run.live_weights;
         let rescued: f64 = new_overlay.iter().map(|e| live[e.index()]).sum();
         mbta_telemetry::gauge_set("mbta_partition_rescued_weight", rescued);
         rescue.overlay = new_overlay;
+    }
+
+    /// The epoch's boundary market as the shards stand: every cross edge
+    /// at its live weight and every market node at its capacity. Every
+    /// cross edge whose ends are both live is marked seen.
+    fn build_market(&mut self) -> Market {
+        let plan = self.plan;
+        let homes = Homes::new(self.universe, plan, &self.states);
+        let sub = epoch_market(self.universe, |e| plan.edge_shard[e.index()] == UNMAPPED);
+        let solver = WarmSolver::new(&sub.graph);
+        let w_cap = sub.worker_back.iter().map(|&w| homes.worker_capacity(w));
+        let t_cap = sub.task_back.iter().map(|&t| homes.task_capacity(t));
+        let live = &self.run.live_weights;
+        let weights = sub.edge_back.iter().map(|e| live[e.index()]).collect();
+        for &e in &sub.edge_back {
+            homes.mark_seen(e, &mut self.run.cross_seen);
+        }
+        let universe = self.universe;
+        Market {
+            worker_local: local_ids(
+                sub.worker_back.iter().map(|w| w.index()),
+                universe.n_workers(),
+            ),
+            task_local: local_ids(sub.task_back.iter().map(|t| t.index()), universe.n_tasks()),
+            edge_local: local_ids(sub.edge_back.iter().map(|e| e.index()), universe.n_edges()),
+            w_cap: w_cap.collect(),
+            t_cap: t_cap.collect(),
+            weights,
+            solver,
+            sub,
+        }
+    }
+
+    /// Whether `market` is what [`build_market`](Self::build_market) would
+    /// build now, with its seen marks set.
+    fn is_current(&self, market: &Market) -> bool {
+        let homes = Homes::new(self.universe, self.plan, &self.states);
+        let sub = &market.sub;
+        let w_cap = sub.worker_back.iter().map(|&w| homes.worker_capacity(w));
+        let t_cap = sub.task_back.iter().map(|&t| homes.task_capacity(t));
+        let weights = sub
+            .edge_back
+            .iter()
+            .map(|e| self.run.live_weights[e.index()]);
+        let mut seen = self.run.cross_seen.clone();
+        sub.edge_back
+            .iter()
+            .for_each(|&e| homes.mark_seen(e, &mut seen));
+        w_cap.eq(market.w_cap.iter().copied())
+            && t_cap.eq(market.t_cap.iter().copied())
+            && weights.eq(market.weights.iter().copied())
+            && seen == self.run.cross_seen
+    }
+
+    /// Moves `market` to where this batch left the shards. A node's
+    /// capacity changes only with its load, which one of the batch's shard
+    /// `decisions` then names, or with its liveness, which one of its
+    /// events names; an edge becomes seen only when an end of it comes
+    /// live, and its weight moves only with a cross-shard benefit update.
+    /// Everything else is as the last pass left it.
+    ///
+    /// A cross edge is "seen" by the rescue market once both endpoints are
+    /// concurrently live — even with zero residual. Exhausted residual
+    /// means the capacity went to intra-shard assignments, which is
+    /// contention, not partition loss; `effective_retained` must charge
+    /// the partition only for weight it made unreachable.
+    fn follow_batch(
+        &mut self,
+        market: &mut Market,
+        (events, routes): (&[Arrival], &[Route]),
+        decisions: &[Decision],
+    ) {
+        let homes = Homes::new(self.universe, self.plan, &self.states);
+        let (sub, seen) = (&market.sub, &mut self.run.cross_seen);
+        let in_market = |i: u32| (i != UNMAPPED).then_some(i as usize);
+        let worker = |w: u32| in_market(market.worker_local[w as usize]);
+        let task = |t: u32| in_market(market.task_local[t as usize]);
+        for d in decisions {
+            if let Some(i) = worker(d.worker) {
+                market.w_cap[i] = homes.worker_capacity(sub.worker_back[i]);
+            }
+            if let Some(i) = task(d.task) {
+                market.t_cap[i] = homes.task_capacity(sub.task_back[i]);
+            }
+        }
+        for (a, r) in events.iter().zip(routes) {
+            match (a.event, r) {
+                (_, Route::Invalid) => {}
+                (ServiceEvent::WorkerJoin(w) | ServiceEvent::WorkerLeave(w), _) => {
+                    let Some(i) = worker(w) else { continue };
+                    let w = sub.worker_back[i];
+                    market.w_cap[i] = homes.worker_capacity(w);
+                    if homes.worker_live(w) {
+                        for e in sub.graph.worker_edges(WorkerId::from_index(i)) {
+                            homes.mark_seen(sub.edge_back[e.index()], seen);
+                        }
+                    }
+                }
+                (
+                    ServiceEvent::TaskPost(t)
+                    | ServiceEvent::TaskCancel(t)
+                    | ServiceEvent::TaskComplete(t),
+                    _,
+                ) => {
+                    let Some(i) = task(t) else { continue };
+                    let t = sub.task_back[i];
+                    market.t_cap[i] = homes.task_capacity(t);
+                    if homes.task_live(t) {
+                        for e in sub.graph.task_edges(TaskId::from_index(i)) {
+                            homes.mark_seen(sub.edge_back[e.index()], seen);
+                        }
+                    }
+                }
+                (ServiceEvent::BenefitUpdate { edge, .. }, Route::CrossBenefit) => {
+                    let i = market.edge_local[edge as usize] as usize;
+                    market.weights[i] = self.run.live_weights[edge as usize];
+                }
+                (ServiceEvent::BenefitUpdate { .. }, _) => {}
+            }
+        }
     }
 
     /// Online mode: one event, start to commit (see the [`crate::online`]
@@ -1304,14 +1420,9 @@ impl<'p> DispatchService<'p> {
     pub fn detach(self) -> CarriedState {
         let DispatchService { mut core, mut mode } = self;
         let (universe, plan) = (core.universe, core.plan);
-        let active_workers = universe
-            .workers()
-            .map(|w| worker_live(plan, &core.states, w))
-            .collect();
-        let active_tasks = universe
-            .tasks()
-            .map(|t| task_live(plan, &core.states, t))
-            .collect();
+        let homes = Homes::new(universe, plan, &core.states);
+        let active_workers = universe.workers().map(|w| homes.worker_live(w)).collect();
+        let active_tasks = universe.tasks().map(|t| homes.task_live(t)).collect();
         let mut assigned: Vec<(EdgeId, u32)> =
             core.assigned().map(|(s, e)| (e, s as u32)).collect();
         match &mut mode {
@@ -1483,15 +1594,107 @@ impl CarriedState {
     }
 }
 
-/// Whether universe worker `w` is live in its home shard.
-fn worker_live(plan: &ShardPlan, states: &[IncrementalAssignment<'_>], w: WorkerId) -> bool {
-    states[plan.worker_shard[w.index()] as usize]
-        .worker_active(WorkerId::new(plan.worker_local[w.index()]))
+/// The inverse of a back map with `n` entries on the parent side:
+/// parent id → local id, [`UNMAPPED`] where there is none.
+fn local_ids(back: impl Iterator<Item = usize>, n: usize) -> Vec<u32> {
+    let mut local = vec![UNMAPPED; n];
+    for (i, parent) in back.enumerate() {
+        local[parent] = i as u32;
+    }
+    local
 }
 
-/// Whether universe task `t` is live in its shard.
-fn task_live(plan: &ShardPlan, states: &[IncrementalAssignment<'_>], t: TaskId) -> bool {
-    states[plan.task_shard[t.index()] as usize].task_active(TaskId::new(plan.task_local[t.index()]))
+/// The shard states seen from the universe: each worker and task is
+/// managed by its home shard's state alone.
+#[derive(Clone, Copy)]
+struct Homes<'a, 'p> {
+    universe: &'p BipartiteGraph,
+    plan: &'p ShardPlan,
+    states: &'a [IncrementalAssignment<'p>],
+}
+
+impl<'a, 'p> Homes<'a, 'p> {
+    fn new(
+        universe: &'p BipartiteGraph,
+        plan: &'p ShardPlan,
+        states: &'a [IncrementalAssignment<'p>],
+    ) -> Self {
+        Homes {
+            universe,
+            plan,
+            states,
+        }
+    }
+
+    /// Universe worker `w`'s home state and its id there.
+    fn worker(self, w: WorkerId) -> (&'a IncrementalAssignment<'p>, WorkerId) {
+        let (s, local) = (
+            self.plan.worker_shard[w.index()],
+            self.plan.worker_local[w.index()],
+        );
+        (&self.states[s as usize], WorkerId::new(local))
+    }
+
+    /// Universe task `t`'s home state and its id there.
+    fn task(self, t: TaskId) -> (&'a IncrementalAssignment<'p>, TaskId) {
+        let (s, local) = (
+            self.plan.task_shard[t.index()],
+            self.plan.task_local[t.index()],
+        );
+        (&self.states[s as usize], TaskId::new(local))
+    }
+
+    /// Whether universe worker `w` is live in its home shard.
+    fn worker_live(self, w: WorkerId) -> bool {
+        let (st, local) = self.worker(w);
+        st.worker_active(local)
+    }
+
+    /// Whether universe task `t` is live in its shard.
+    fn task_live(self, t: TaskId) -> bool {
+        let (st, local) = self.task(t);
+        st.task_active(local)
+    }
+
+    /// Worker `w`'s capacity less the load its home shard assigned it.
+    fn worker_residual(self, w: WorkerId) -> u32 {
+        let (st, local) = self.worker(w);
+        self.universe.capacity(w) - st.worker_load(local)
+    }
+
+    /// Task `t`'s demand less the load its shard assigned it.
+    fn task_residual(self, t: TaskId) -> u32 {
+        let (st, local) = self.task(t);
+        self.universe.demand(t) - st.task_load(local)
+    }
+
+    /// What the boundary market may give worker `w`: its residual while
+    /// it is live, nothing otherwise.
+    fn worker_capacity(self, w: WorkerId) -> u32 {
+        if self.worker_live(w) {
+            self.worker_residual(w)
+        } else {
+            0
+        }
+    }
+
+    /// What the boundary market may give task `t`: its residual while it is
+    /// live, nothing otherwise.
+    fn task_capacity(self, t: TaskId) -> u32 {
+        if self.task_live(t) {
+            self.task_residual(t)
+        } else {
+            0
+        }
+    }
+
+    /// Marks cross edge `e` seen if both its ends are live.
+    fn mark_seen(self, e: EdgeId, seen: &mut [bool]) {
+        let (w, t) = (self.universe.worker_of(e), self.universe.task_of(e));
+        if !seen[e.index()] && self.worker_live(w) && self.task_live(t) {
+            seen[e.index()] = true;
+        }
+    }
 }
 
 /// The one way a shard solve is built, batch or online: shard `s`'s
@@ -1705,11 +1908,12 @@ mod tests {
 
     /// The boundary market and its solver, once the epoch's first rescue
     /// pass has built them.
-    fn rescue_market<'s>(svc: &'s DispatchService<'_>) -> Option<&'s (Subgraph, WarmSolver)> {
+    fn rescue_market<'s>(svc: &'s DispatchService<'_>) -> Option<(&'s Subgraph, &'s WarmSolver)> {
         match &svc.mode {
             Mode::Batch { rescue, .. } => rescue.as_ref()?.market.as_ref(),
             Mode::Online(_) => None,
         }
+        .map(|m| (&m.sub, &m.solver))
     }
 
     /// The driver's epoch loop: offer → pump, and once the cut has degraded
@@ -1751,7 +1955,7 @@ mod tests {
             // from zero prices, and every later one from the carried duals.
             let rescue = rescue_market(&svc);
             let solvers = svc.core.solvers.iter().flatten();
-            let stats = solvers.chain(rescue.map(|r| &r.1)).map(WarmSolver::stats);
+            let stats = solvers.chain(rescue.map(|r| r.1)).map(WarmSolver::stats);
             // (The market is built by the first rescue pass, which may
             // find nothing to solve yet.)
             for stats in stats.filter(|stats| stats.solves > 0) {
@@ -2257,10 +2461,14 @@ mod tests {
             token.cancel();
             SolveCtl::unlimited().with_token(token)
         };
+        // At the market's own capacities every edge is open.
+        let open: Vec<EdgeId> = mg.edges().collect();
         let seed_from = |weights: &[f64], prev: &[EdgeId]| {
             let (mut wl, mut tl) = (mg.capacities().to_vec(), mg.demands().to_vec());
-            let edges = rescue_seed(mg, weights, prev, &mut wl, &mut tl).expect("open edges");
-            Matching { edges }
+            let edges = rescue_seed(mg, weights, &open, prev, &mut wl, &mut tl);
+            Matching {
+                edges: edges.expect("open edges"),
+            }
         };
 
         let seed = seed_from(&weights, &[]);
