@@ -13,7 +13,7 @@
 //! cargo run -p mbta-bench --release --bin store_bench -- --merge BENCH_service.json
 //! ```
 
-use mbta_store::record::{BatchRecord, DecisionRecord, WeightDelta};
+use mbta_store::record::{Action, BatchRecord, Decision, WeightDelta};
 use mbta_store::snapshot;
 use mbta_store::store::recover;
 use mbta_store::wal::{FsyncPolicy, Wal, WalConfig};
@@ -48,10 +48,10 @@ fn record(seq: u64, rng: &mut SplitMix64) -> BatchRecord {
     let decisions = (0..DECISIONS_PER_RECORD)
         .map(|_| {
             let edge = (rng.next_u64() as u32) % EDGE_SPACE;
-            DecisionRecord {
+            Decision {
                 shard: edge % SHARDS,
                 edge,
-                assign: !rng.next_u64().is_multiple_of(4), // mostly assigns, like a warm run
+                action: Action::from(!rng.next_u64().is_multiple_of(4)), // mostly assigns, like a warm run
                 worker: edge / 7,
                 task: edge / 13,
                 weight: rng.next_f64() * 2.0,

@@ -22,21 +22,25 @@
 //!   concurrently: the dispatching thread and `std::thread::scope` helpers
 //!   drain one largest-first job queue, and a deterministic shard-index
 //!   merge keeps threaded replay byte-identical.
-//! * [`service`] — [`DispatchService`] itself: a *core* (per-shard
-//!   incremental states plus the run state a re-plan carries over
-//!   whole), one *commit path* every decision leaves through (sequence
-//!   number, tallies, write-ahead journal, sink), and a *mode* that says
-//!   when the core solves — micro-batches through the pool (optionally
-//!   with a boundary-rescue matching over cross-shard edges, re-solved on
-//!   a carried solver of its own), or every event through [`online`] —
-//!   either way on one carried exact solver per shard. Poisoned shards
-//!   keep their greedy-repaired assignment without solving or stalling
-//!   siblings; cut drift past a threshold triggers a detach →
-//!   re-partition → resume migration. See DESIGN.md §8, §13.
-//! * [`online`] — the online mode's runtime (`--online`): depth-1
-//!   exchange, per-shard drift accounting, and a warm-started exact
-//!   fallback (the core's per-shard `mbta_core::warm::WarmSolver`) past
-//!   the drift threshold.
+//! * [`dispatch`] — the [`Dispatcher`]: every decision, from one state
+//!   machine that does no I/O. Per-shard incremental states and carried
+//!   exact solvers over the current plan, the cut tracker, live weights,
+//!   poison marks, and the mode's state — the boundary-rescue overlay and
+//!   market (a second matching over cross-shard edges, re-solved on a
+//!   carried solver of its own) or the online drift accumulators. Its
+//!   steps (`batch`, `event`, the online `close`, `detach` → `replan`)
+//!   each return a [`Commit`]; poisoned shards keep their greedy-repaired
+//!   assignment without solving or stalling siblings. See DESIGN.md §8.4,
+//!   §13.
+//! * [`service`] — [`DispatchService`], the driver around one dispatcher:
+//!   the ingress queue and batcher, the one *commit path* every decision
+//!   leaves through (sequence number, tallies, write-ahead journal, sink),
+//!   the clocks and the report. Cut drift past a threshold triggers the
+//!   driver's detach → re-partition → resume migration.
+//! * [`online`] — the online mode (`--online`): its config, the flip
+//!   fold and the depth-1 exchange; the dispatcher adds per-shard drift
+//!   accounting and a warm-started exact fallback (its per-shard
+//!   `mbta_core::warm::WarmSolver`) past the drift threshold.
 //!   Sub-millisecond median decision latency, one commit per deciding
 //!   event. See DESIGN.md §14.
 //! * [`sink`] — pluggable decision output; the textual decision log is
@@ -57,6 +61,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
+pub mod dispatch;
 pub mod event;
 pub mod online;
 mod pool;
@@ -67,11 +72,12 @@ pub mod shard;
 pub mod sink;
 
 pub use batch::{BatchConfig, Batcher, ClosedBatch, FlushReason};
+pub use dispatch::{BudgetMode, Commit, Detached, Dispatcher, Head};
 pub use event::{Arrival, BenefitDrift, ServiceEvent};
 pub use online::OnlineConfig;
 pub use queue::{BoundedQueue, DeferBackoff, DropPolicy, OfferOutcome};
 pub use report::ServiceReport;
-pub use service::{BudgetMode, CarriedState, DispatchService, ServiceConfig};
+pub use service::{CarriedState, DispatchService, ServiceConfig};
 pub use shard::{capacity_violations, Route, Routing, ShardPlan};
 pub use sink::{Action, BatchStats, CollectSink, Decision, DecisionSink, NullSink, WriteSink};
 

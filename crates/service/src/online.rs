@@ -19,7 +19,7 @@
 //!   [`OnlineConfig::drift_threshold`] × its live assigned weight, the
 //!   shard re-solves exactly through its carried
 //!   [`WarmSolver`](mbta_core::warm::WarmSolver) — the same per-shard
-//!   solver batch mode's shard solves run on, owned by the dispatch core —
+//!   solver batch mode's shard solves run on, owned by the dispatcher —
 //!   then the accumulator resets. The solver carries node potentials
 //!   across solves and repairs them around the shard's current matching
 //!   only where drift broke them (see `mbta_matching::warm`), so every
@@ -29,14 +29,13 @@
 //! Decisions come out of the assignment's flip log (folded by parity, so
 //! eviction/re-add churn cancels) and leave through the service's one
 //! commit path as an `OnlineRecord` per deciding event. The per-event
-//! procedure itself lives with the dispatch core in [`crate::service`];
-//! this module holds the mode's state and the exchange move. See
-//! DESIGN.md §14 for the full contract.
+//! procedure and its state (drift accumulators, pooled buffers) live in
+//! the dispatcher ([`crate::dispatch`]); this module holds the mode's
+//! configuration, the flip fold and the exchange move. See DESIGN.md §14
+//! for the full contract.
 
-use crate::sink::Decision;
 use mbta_core::incremental::IncrementalAssignment;
 use mbta_graph::EdgeId;
-use mbta_telemetry::Histogram;
 
 /// Tunables for the per-event online decision path.
 ///
@@ -75,29 +74,20 @@ impl OnlineConfig {
             "drift_threshold must be positive and finite"
         );
     }
+
+    /// Whether a shard whose drift accumulator reads `drift` has crossed
+    /// the fallback line while holding `shard_weight` assigned value.
+    pub(crate) fn fallback_due(&self, drift: f64, shard_weight: f64) -> bool {
+        drift > self.drift_threshold * shard_weight.max(1.0)
+    }
 }
 
-/// The online mode's state. `acc` is per shard of the current plan (a
-/// re-plan zeroes it); the latency histogram and the pooled buffers live
-/// as long as the run. The exact solvers the accumulators trigger belong
-/// to the dispatch core, and the run counters (events, fallbacks,
-/// exchanges, warm-solver totals) accumulate in the service's
-/// [`ServiceReport`](crate::ServiceReport), not here.
-pub(crate) struct OnlineRuntime {
-    cfg: OnlineConfig,
-    /// Per-shard drift accumulator: decides when the shard re-solves.
-    pub acc: Vec<f64>,
-    /// Per-event decision latency (wall-clock ms).
-    pub lat: Histogram,
-    /// Pooled per-event buffers (see [`OnlineScratch`]).
-    pub scratch: OnlineScratch,
-}
-
-/// Pooled working buffers for the per-event decision path. The flip
-/// log, its parity fold, and the outgoing decision list are the Vecs a
-/// profile shows on every online event; owning them here and clearing
-/// them per event makes the steady-state path allocation-free once the
-/// buffers have grown to the event-size high-water mark.
+/// Pooled working buffers for the per-event decision path, owned by the
+/// dispatcher. The flip log and its parity fold are Vecs a profile shows
+/// on every online event (the outgoing decisions are the dispatcher's
+/// pooled buffer); clearing them per event makes the steady-state path
+/// allocation-free once the buffers have grown to the event-size
+/// high-water mark.
 #[derive(Default)]
 pub(crate) struct OnlineScratch {
     /// Raw flips drained for the current event (greedy + fallback).
@@ -106,8 +96,6 @@ pub(crate) struct OnlineScratch {
     sorted: Vec<(EdgeId, bool)>,
     /// `flips` folded to net per-edge changes, ascending by edge id.
     pub net: Vec<(EdgeId, bool)>,
-    /// The event's outgoing decisions, in canonical order.
-    pub decisions: Vec<Decision>,
 }
 
 impl OnlineScratch {
@@ -133,25 +121,6 @@ impl OnlineScratch {
             }
             i = j;
         }
-    }
-}
-
-impl OnlineRuntime {
-    /// Fresh runtime over a plan of `n_shards` shards.
-    pub fn new(cfg: OnlineConfig, n_shards: usize) -> Self {
-        cfg.validate();
-        OnlineRuntime {
-            cfg,
-            acc: vec![0.0; n_shards],
-            lat: Histogram::new(),
-            scratch: OnlineScratch::default(),
-        }
-    }
-
-    /// Whether shard `s`'s drift accumulator has crossed the fallback
-    /// line for a shard currently holding `shard_weight` assigned value.
-    pub fn fallback_due(&self, s: usize, shard_weight: f64) -> bool {
-        self.acc[s] > self.cfg.drift_threshold * shard_weight.max(1.0)
     }
 }
 

@@ -40,6 +40,7 @@
 //! (`thread="0"` is the dispatching thread) whose spread shows how well
 //! the queue balanced the batch.
 
+use mbta_core::incremental::IncrementalAssignment;
 use mbta_core::warm::WarmSolver;
 use mbta_graph::BipartiteGraph;
 use mbta_matching::Matching;
@@ -64,6 +65,29 @@ pub struct ShardJob<'g> {
     pub seed: Matching,
     /// The solve's budget: the batch's shared deadline, if any.
     pub ctl: SolveCtl,
+}
+
+impl<'g> ShardJob<'g> {
+    /// The one way a shard solve is built, batch or online: shard `shard`'s
+    /// carried solver (built here on first use, for `graph`), the active
+    /// weights of its incremental `state`, and that state's matching as the
+    /// seed, under `ctl`.
+    pub fn new(
+        shard: usize,
+        graph: &'g BipartiteGraph,
+        state: &IncrementalAssignment<'_>,
+        solver: &'g mut Option<WarmSolver>,
+        ctl: SolveCtl,
+    ) -> Self {
+        ShardJob {
+            shard,
+            graph,
+            weights: state.active_weights(),
+            solver: solver.get_or_insert_with(|| WarmSolver::new(graph)),
+            seed: state.matching(),
+            ctl,
+        }
+    }
 }
 
 /// One shard's solve result.

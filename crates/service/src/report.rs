@@ -9,6 +9,8 @@
 //! capacity-violation count from the cross-shard reconciliation, which
 //! must be zero on every run.
 
+use crate::sink::BatchStats;
+use mbta_core::engine::QualityTier;
 use mbta_util::table::{fnum, Table};
 
 /// Aggregated statistics for one service run. The service accumulates
@@ -167,6 +169,23 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
+    /// Tallies one shard solve of a batch here and in the batch's `stats`:
+    /// `Exact` when it completed, else `Degraded` — shard `s` kept its seed
+    /// (a solve the budget cut, or a poisoned shard's, never run).
+    pub(crate) fn tally_solve(&mut self, stats: &mut BatchStats, s: usize, completed: bool) {
+        self.solves += 1;
+        let tier = if completed {
+            self.tier_exact += 1;
+            QualityTier::Exact
+        } else {
+            self.tier_degraded += 1;
+            self.degraded_by_shard[s] += 1;
+            stats.degraded_shards += 1;
+            QualityTier::Degraded
+        };
+        stats.worst_tier = Some(stats.worst_tier.map_or(tier, |t| t.min(tier)));
+    }
+
     /// Renders the operator-facing summary tables.
     pub fn render(&self) -> String {
         let mut ingress = Table::new(

@@ -12,41 +12,9 @@ use crate::batch::FlushReason;
 use mbta_core::engine::QualityTier;
 use std::io::{self, Write};
 
-/// Assignment delta direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Action {
-    /// The edge left the assignment.
-    Unassign,
-    /// The edge entered the assignment.
-    Assign,
-}
-
-impl Action {
-    /// Stable log keyword.
-    pub fn name(self) -> &'static str {
-        match self {
-            Action::Assign => "assign",
-            Action::Unassign => "unassign",
-        }
-    }
-}
-
-/// One assignment change, in universe (parent-graph) ids.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct Decision {
-    /// Shard that made the change.
-    pub shard: u32,
-    /// Universe edge id (sort key — deterministic log order).
-    pub edge: u32,
-    /// Direction.
-    pub action: Action,
-    /// Universe worker id.
-    pub worker: u32,
-    /// Universe task id.
-    pub task: u32,
-    /// Edge weight at decision time.
-    pub weight: f64,
-}
+/// The WAL journals the decision the sink receives, so the two share one
+/// type, defined below the service in `mbta-store`.
+pub use mbta_store::record::{Action, Decision};
 
 /// Per-batch telemetry delivered alongside the decisions.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +39,24 @@ pub struct BatchStats {
     pub solve_ms: f64,
     /// Events rejected as malformed (unknown ids, non-finite weights).
     pub invalid_events: usize,
+}
+
+impl BatchStats {
+    /// A batch's stats as the dispatcher knows them; the driver stamps
+    /// `seq` and `queue_depth` at commit.
+    pub fn new(reason: FlushReason, events: usize, shards_touched: usize) -> Self {
+        BatchStats {
+            seq: 0,
+            reason,
+            events,
+            queue_depth: 0,
+            shards_touched,
+            degraded_shards: 0,
+            worst_tier: None,
+            solve_ms: 0.0,
+            invalid_events: 0,
+        }
+    }
 }
 
 /// Receives every dispatched batch.

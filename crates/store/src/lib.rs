@@ -58,7 +58,7 @@ pub mod wal;
 pub use crc::crc32;
 pub use frame::{read_frame, write_frame, BadFrame, FrameRead};
 pub use record::{
-    BatchRecord, DecisionRecord, DecodeError, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
+    Action, BatchRecord, Decision, DecodeError, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
 };
 pub use snapshot::SnapshotState;
 pub use store::{recover, DurableStore, RecoveredState, StoreConfig, StoreStats};

@@ -65,16 +65,46 @@ pub struct WeightDelta {
     pub weight: f64,
 }
 
-/// One emitted assignment delta, mirroring the service's decision struct
-/// (this crate sits below the service, so it carries its own copy).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecisionRecord {
+/// Assignment delta direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Action {
+    /// The edge left the assignment.
+    Unassign,
+    /// The edge entered the assignment.
+    Assign,
+}
+
+impl Action {
+    /// Stable log keyword.
+    pub fn name(self) -> &'static str {
+        match self {
+            Action::Assign => "assign",
+            Action::Unassign => "unassign",
+        }
+    }
+}
+
+impl From<bool> for Action {
+    /// `true` is `Assign`: the journal's `assign` byte.
+    fn from(assign: bool) -> Self {
+        if assign {
+            Action::Assign
+        } else {
+            Action::Unassign
+        }
+    }
+}
+
+/// One assignment change, in universe (parent-graph) ids: what the
+/// dispatch service emits and what the WAL journals, one type for both.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+pub struct Decision {
     /// Shard that made the change.
     pub shard: u32,
-    /// Universe edge id.
+    /// Universe edge id (sort key — deterministic log order).
     pub edge: u32,
-    /// `true` = the edge entered the assignment, `false` = it left.
-    pub assign: bool,
+    /// Direction; journaled as one `assign` byte (1 = `Assign`).
+    pub action: Action,
     /// Universe worker id.
     pub worker: u32,
     /// Universe task id.
@@ -83,19 +113,19 @@ pub struct DecisionRecord {
     pub weight: f64,
 }
 
-/// Encoded size of one [`WeightDelta`] / one [`DecisionRecord`].
+/// Encoded size of one [`WeightDelta`] / one [`Decision`].
 const DELTA_BYTES: usize = 12;
 const DECISION_BYTES: usize = 25;
 
 /// Encoded size of the changes a batch or online record carries.
-fn changes_len(deltas: &[WeightDelta], decisions: &[DecisionRecord]) -> usize {
+fn changes_len(deltas: &[WeightDelta], decisions: &[Decision]) -> usize {
     8 + DELTA_BYTES * deltas.len() + DECISION_BYTES * decisions.len()
 }
 
 /// The one encoder of "what a commit changed": the weight deltas, then
 /// the assignment deltas, each behind a `u32` count. Batch and online
 /// records end with it.
-fn put_changes(out: &mut Vec<u8>, deltas: &[WeightDelta], decisions: &[DecisionRecord]) {
+fn put_changes(out: &mut Vec<u8>, deltas: &[WeightDelta], decisions: &[Decision]) {
     put_u32(out, deltas.len() as u32);
     for d in deltas {
         put_u32(out, d.edge);
@@ -105,7 +135,7 @@ fn put_changes(out: &mut Vec<u8>, deltas: &[WeightDelta], decisions: &[DecisionR
     for d in decisions {
         put_u32(out, d.shard);
         put_u32(out, d.edge);
-        put_u8(out, d.assign as u8);
+        put_u8(out, u8::from(d.action == Action::Assign));
         put_u32(out, d.worker);
         put_u32(out, d.task);
         put_f64(out, d.weight);
@@ -113,7 +143,7 @@ fn put_changes(out: &mut Vec<u8>, deltas: &[WeightDelta], decisions: &[DecisionR
 }
 
 /// Inverse of [`put_changes`]. `f64` fields round-trip bit-for-bit.
-fn get_changes(r: &mut Reader<'_>) -> Result<(Vec<WeightDelta>, Vec<DecisionRecord>), DecodeError> {
+fn get_changes(r: &mut Reader<'_>) -> Result<(Vec<WeightDelta>, Vec<Decision>), DecodeError> {
     let n_deltas = r.len_prefix(DELTA_BYTES)?;
     let mut deltas = Vec::with_capacity(n_deltas);
     for _ in 0..n_deltas {
@@ -125,10 +155,10 @@ fn get_changes(r: &mut Reader<'_>) -> Result<(Vec<WeightDelta>, Vec<DecisionReco
     let n_decisions = r.len_prefix(DECISION_BYTES)?;
     let mut decisions = Vec::with_capacity(n_decisions);
     for _ in 0..n_decisions {
-        decisions.push(DecisionRecord {
+        decisions.push(Decision {
             shard: r.u32()?,
             edge: r.u32()?,
-            assign: r.u8()? != 0,
+            action: Action::from(r.u8()? != 0),
             worker: r.u32()?,
             task: r.u32()?,
             weight: r.f64()?,
@@ -184,7 +214,7 @@ pub struct BatchRecord {
     /// Weight updates applied, in application order.
     pub deltas: Vec<WeightDelta>,
     /// Assignment deltas emitted, in canonical log order.
-    pub decisions: Vec<DecisionRecord>,
+    pub decisions: Vec<Decision>,
 }
 
 /// Why a payload failed to decode.
@@ -287,7 +317,7 @@ pub struct OnlineRecord {
     /// Weight updates applied, in application order.
     pub deltas: Vec<WeightDelta>,
     /// Assignment deltas emitted, in canonical log order.
-    pub decisions: Vec<DecisionRecord>,
+    pub decisions: Vec<Decision>,
 }
 
 impl OnlineRecord {
@@ -400,10 +430,10 @@ mod tests {
                     weight: f64::MIN_POSITIVE,
                 },
             ],
-            decisions: vec![DecisionRecord {
+            decisions: vec![Decision {
                 shard: 1,
                 edge: 7,
-                assign: true,
+                action: Action::Assign,
                 worker: 3,
                 task: 9,
                 weight: 0.5,
@@ -487,18 +517,18 @@ mod tests {
                 weight: 0.75,
             }],
             decisions: vec![
-                DecisionRecord {
+                Decision {
                     shard: 0,
                     edge: 3,
-                    assign: false,
+                    action: Action::Unassign,
                     worker: 1,
                     task: 2,
                     weight: 0.2,
                 },
-                DecisionRecord {
+                Decision {
                     shard: 0,
                     edge: 5,
-                    assign: true,
+                    action: Action::Assign,
                     worker: 1,
                     task: 4,
                     weight: 0.75,

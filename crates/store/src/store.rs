@@ -23,7 +23,7 @@
 //!    state.
 
 use crate::record::{
-    BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
+    Action, BatchRecord, Decision, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
 };
 use crate::snapshot::{self, SnapshotState};
 use crate::tail::WalTail;
@@ -127,7 +127,7 @@ impl RecoveredState {
             rec.seq(),
             self.watermark
         );
-        let (deltas, decisions): (&[WeightDelta], &[DecisionRecord]) = match rec {
+        let (deltas, decisions): (&[WeightDelta], &[Decision]) = match rec {
             WalRecord::Batch(rec) => (&rec.deltas, &rec.decisions),
             WalRecord::Online(rec) => (&rec.deltas, &rec.decisions),
             WalRecord::Plan(rec) => {
@@ -149,8 +149,8 @@ impl RecoveredState {
             }
             let shard = &mut self.shards[s];
             match shard.binary_search(&d.edge) {
-                Err(at) if d.assign => shard.insert(at, d.edge),
-                Ok(at) if !d.assign => {
+                Err(at) if d.action == Action::Assign => shard.insert(at, d.edge),
+                Ok(at) if d.action == Action::Unassign => {
                     shard.remove(at);
                 }
                 _ => {}
@@ -411,20 +411,20 @@ mod tests {
     /// to shard `seq % 2` with weight `1 + seq`, and unassigns edge
     /// `seq - 3` (once it exists) from its shard.
     fn rec(seq: u64) -> BatchRecord {
-        let mut decisions = vec![DecisionRecord {
+        let mut decisions = vec![Decision {
             shard: (seq % 2) as u32,
             edge: seq as u32,
-            assign: true,
+            action: Action::Assign,
             worker: seq as u32,
             task: seq as u32,
             weight: 1.0 + seq as f64,
         }];
         if seq >= 3 {
             let old = seq - 3;
-            decisions.push(DecisionRecord {
+            decisions.push(Decision {
                 shard: (old % 2) as u32,
                 edge: old as u32,
-                assign: false,
+                action: Action::Unassign,
                 worker: old as u32,
                 task: old as u32,
                 weight: 1.0 + old as f64,
@@ -517,18 +517,18 @@ mod tests {
                     weight: 0.25,
                 }],
                 decisions: vec![
-                    DecisionRecord {
+                    Decision {
                         shard: 0,
                         edge: 0,
-                        assign: false,
+                        action: Action::Unassign,
                         worker: 0,
                         task: 0,
                         weight: 0.25,
                     },
-                    DecisionRecord {
+                    Decision {
                         shard: 1,
                         edge: 10,
-                        assign: true,
+                        action: Action::Assign,
                         worker: 4,
                         task: 5,
                         weight: 9.0,

@@ -224,7 +224,7 @@ impl TailPoll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{BatchRecord, DecisionRecord, PlanRecord, WeightDelta};
+    use crate::record::{Action, BatchRecord, Decision, PlanRecord, WeightDelta};
     use crate::snapshot::SnapshotState;
     use crate::store::{recover, DurableStore, RecoveredState, StoreConfig};
     use crate::wal;
@@ -238,20 +238,20 @@ mod tests {
 
     /// Same deterministic workload the store tests use.
     fn rec(seq: u64) -> BatchRecord {
-        let mut decisions = vec![DecisionRecord {
+        let mut decisions = vec![Decision {
             shard: (seq % 2) as u32,
             edge: seq as u32,
-            assign: true,
+            action: Action::Assign,
             worker: seq as u32,
             task: seq as u32,
             weight: 1.0 + seq as f64,
         }];
         if seq >= 3 {
             let old = seq - 3;
-            decisions.push(DecisionRecord {
+            decisions.push(Decision {
                 shard: (old % 2) as u32,
                 edge: old as u32,
-                assign: false,
+                action: Action::Unassign,
                 worker: old as u32,
                 task: old as u32,
                 weight: 1.0 + old as f64,

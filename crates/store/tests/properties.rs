@@ -8,7 +8,7 @@
 //! the crash-recovery and failover paths are built on.
 
 use mbta_store::record::{
-    BatchRecord, DecisionRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
+    Action, BatchRecord, Decision, OnlineRecord, PlanRecord, WalRecord, WeightDelta,
 };
 use mbta_store::store::{recover, DurableStore, RecoveredState, StoreConfig};
 use mbta_store::wal::{replay, segment_files, FsyncPolicy};
@@ -35,7 +35,7 @@ fn arb_delta() -> impl Strategy<Value = WeightDelta> {
     (0u32..10_000, arb_weight()).prop_map(|(edge, weight)| WeightDelta { edge, weight })
 }
 
-fn arb_decision() -> impl Strategy<Value = DecisionRecord> {
+fn arb_decision() -> impl Strategy<Value = Decision> {
     (
         0u32..8,
         0u32..10_000,
@@ -44,16 +44,14 @@ fn arb_decision() -> impl Strategy<Value = DecisionRecord> {
         0u32..5_000,
         arb_weight(),
     )
-        .prop_map(
-            |(shard, edge, assign, worker, task, weight)| DecisionRecord {
-                shard,
-                edge,
-                assign,
-                worker,
-                task,
-                weight,
-            },
-        )
+        .prop_map(|(shard, edge, assign, worker, task, weight)| Decision {
+            shard,
+            edge,
+            action: Action::from(assign),
+            worker,
+            task,
+            weight,
+        })
 }
 
 /// A record of any kind; `seq` is patched in by the caller. Plan records
@@ -146,7 +144,7 @@ fn replay_by_hand(recs: &[WalRecord]) -> View {
                 shards.resize_with(s + 1, BTreeSet::new);
             }
             touch(d.edge, d.weight);
-            if d.assign {
+            if d.action == Action::Assign {
                 shards[s].insert(d.edge);
             } else {
                 shards[s].remove(&d.edge);

@@ -287,12 +287,10 @@ fn run(sc: &Scenario) -> (u64, u64, ServiceReport) {
                 }
                 let state = recover(&copy).unwrap();
                 assert_recovered(&state, &sink, svc.batches_committed(), replans);
-                // The live status getters cover the shard states only,
-                // not the rescue overlay.
-                if !sc.boundary_pass {
-                    assert_eq!(state.assignments(), svc.current_assignments());
-                    assert!((state.total_weight() - svc.current_value()).abs() < 1e-9);
-                }
+                // The live status getters count what recovery counts, the
+                // rescue overlay's pseudo-shard included.
+                assert_eq!(state.assignments(), svc.current_assignments());
+                assert!((state.total_weight() - svc.current_value()).abs() < 1e-9);
                 std::fs::remove_dir_all(&copy).unwrap();
             }
             break svc.finish(&mut sink);
