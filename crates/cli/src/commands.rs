@@ -987,9 +987,9 @@ fn run_follow(o: &FollowOpts) -> Result<(), Box<dyn Error>> {
 
     loop {
         let poll = tail.poll()?;
-        mbta_telemetry::counter_add("mbta_follow_polls_total", 1);
+        mbta_telemetry::counter_add!("mbta_follow_polls_total", 1);
         if !poll.records.is_empty() {
-            mbta_telemetry::counter_add("mbta_follow_records_total", poll.records.len() as u64);
+            mbta_telemetry::counter_add!("mbta_follow_records_total", poll.records.len() as u64);
         }
         for rec in &poll.records {
             follower.apply(rec);
@@ -997,7 +997,7 @@ fn run_follow(o: &FollowOpts) -> Result<(), Box<dyn Error>> {
         if poll.status == TailStatus::Gap {
             // The primary compacted past our position: re-seed from the
             // latest snapshot instead of replaying a hole.
-            mbta_telemetry::counter_add("mbta_follow_gaps_total", 1);
+            mbta_telemetry::counter_add!("mbta_follow_gaps_total", 1);
             follower = recover(&wal_dir)
                 .map_err(|e| format!("cannot re-recover from {}: {e}", wal_dir.display()))?;
             tail = WalTail::resume_from(&wal_dir, follower.watermark);

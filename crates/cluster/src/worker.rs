@@ -264,7 +264,7 @@ fn serve(cfg: WorkerConfig, ingress: NetIngress) -> Result<WorkerSummary, String
                 popped += 1;
                 if is_foreign(&plans[i], cfg.shard, &a.event) {
                     foreign[i] += 1;
-                    mbta_telemetry::counter_add("mbta_service_foreign_events_total", 1);
+                    mbta_telemetry::counter_add!("mbta_service_foreign_events_total", 1);
                 } else {
                     svcs[i].submit(a, &mut sinks[i]);
                 }

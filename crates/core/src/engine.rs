@@ -51,6 +51,7 @@ use mbta_matching::greedy::greedy_bmatching;
 use mbta_matching::local_search::local_search_ctl;
 use mbta_matching::mcmf::{max_weight_bmatching_ctl, FlowMode, PathAlgo};
 use mbta_matching::Matching;
+use mbta_telemetry::counter_add;
 use mbta_util::{CancelToken, Deadline, SolveCtl};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -304,11 +305,11 @@ pub fn solve_robust(
     config: &EngineConfig,
 ) -> Result<EngineSolution, EngineError> {
     let start = Instant::now();
-    let solve_span = mbta_telemetry::span!("mbta_core_engine_solve");
+    let _solve = mbta_telemetry::span!("mbta_core_engine_solve");
     {
         let _validate = mbta_telemetry::span!("mbta_core_engine_validate");
         if let Err(e) = validate_inputs(g, weights) {
-            mbta_telemetry::counter_add("mbta_core_engine_rejects_total", 1);
+            counter_add!("mbta_core_engine_rejects_total", 1);
             return Err(e);
         }
     }
@@ -373,8 +374,14 @@ pub fn solve_robust(
     }
 
     debug_assert!(best.validate(g).is_ok());
-    solve_span.attr("edges", g.n_edges() as u64);
-    mbta_telemetry::counter_add(tier_counter(tier), 1);
+    counter_add!("mbta_core_engine_solve_edges_total", g.n_edges() as u64);
+    match tier {
+        QualityTier::Degraded => counter_add!("mbta_core_engine_tier_total{tier=\"degraded\"}", 1),
+        QualityTier::Approximate => {
+            counter_add!("mbta_core_engine_tier_total{tier=\"approximate\"}", 1)
+        }
+        QualityTier::Exact => counter_add!("mbta_core_engine_tier_total{tier=\"exact\"}", 1),
+    }
     Ok(EngineSolution {
         value: best.total_weight(weights),
         tier,
@@ -383,16 +390,6 @@ pub fn solve_robust(
         elapsed: start.elapsed(),
         matching: best,
     })
-}
-
-/// Static counter name for each quality tier (static so the per-solve hot
-/// path allocates nothing).
-fn tier_counter(tier: QualityTier) -> &'static str {
-    match tier {
-        QualityTier::Degraded => "mbta_core_engine_tier_total{tier=\"degraded\"}",
-        QualityTier::Approximate => "mbta_core_engine_tier_total{tier=\"approximate\"}",
-        QualityTier::Exact => "mbta_core_engine_tier_total{tier=\"exact\"}",
-    }
 }
 
 #[cfg(test)]

@@ -146,8 +146,8 @@ impl WarmSolver {
         self.stats.solves += 1;
         self.stats.warm_hits += u64::from(s.warm);
         self.stats.iterations += s.iterations;
-        mbta_telemetry::counter_add("mbta_core_warm_solves_total", 1);
-        mbta_telemetry::counter_add("mbta_core_warm_hits_total", u64::from(s.warm));
+        mbta_telemetry::counter_add!("mbta_core_warm_solves_total", 1);
+        mbta_telemetry::counter_add!("mbta_core_warm_hits_total", u64::from(s.warm));
     }
 }
 

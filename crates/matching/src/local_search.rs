@@ -262,7 +262,7 @@ pub fn local_search_ctl(
         }
     }
 
-    mbta_telemetry::counter_add(
+    mbta_telemetry::counter_add!(
         "mbta_matching_local_search_moves_total",
         stats.adds + stats.swaps + stats.splits,
     );

@@ -900,15 +900,15 @@ impl BipartiteNet {
 /// registry — called at the loop's exit, so every exact solve (cold or
 /// warm repair) is counted exactly once.
 pub(crate) fn record_solve(result: &FlowResult) {
-    mbta_telemetry::counter_add(
+    mbta_telemetry::counter_add!(
         "mbta_matching_mcmf_augmenting_paths_total",
         result.iterations,
     );
-    mbta_telemetry::counter_add(
+    mbta_telemetry::counter_add!(
         "mbta_matching_mcmf_potential_updates_total",
         result.potential_updates,
     );
-    mbta_telemetry::counter_add("mbta_matching_mcmf_settled_nodes_total", result.settled);
+    mbta_telemetry::counter_add!("mbta_matching_mcmf_settled_nodes_total", result.settled);
 }
 
 /// Statistics of an exact b-matching solve, returned alongside the matching.

@@ -122,10 +122,14 @@ struct Shared {
     bytes_in: AtomicU64,
 }
 
-/// Adds `n` to one lifetime counter and to its registry twin.
-fn bump(stat: &AtomicU64, metric: &str, n: u64) {
-    stat.fetch_add(n, Ordering::Relaxed);
-    mbta_telemetry::counter_add(metric, n);
+/// Adds `n` to one lifetime counter (`&AtomicU64`) and to its registry
+/// twin `metric`, a literal: each call site keeps its own cached handle.
+macro_rules! bump {
+    ($stat:expr, $metric:literal, $n:expr $(,)?) => {{
+        let n: u64 = $n;
+        $stat.fetch_add(n, Ordering::Relaxed);
+        mbta_telemetry::counter_add!($metric, n);
+    }};
 }
 
 impl Shared {
@@ -148,7 +152,7 @@ impl Shared {
             // client's identical resend stays exactly-once.
             nq.q.note_deferral();
             drop(nq);
-            bump(&self.retry_after, "mbta_net_retry_after_total", 1);
+            bump!(&self.retry_after, "mbta_net_retry_after_total", 1);
             return Reply::RetryAfter {
                 hint_ms: backoff.next_delay().as_millis() as u32,
             };
@@ -160,7 +164,7 @@ impl Shared {
         }
         drop(nq);
         self.ready.notify_all();
-        bump(
+        bump!(
             &self.accepted,
             "mbta_net_accepted_total",
             events.len() as u64,
@@ -372,7 +376,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         let Ok(stream) = stream else { continue };
         let id = shared.conns.fetch_add(1, Ordering::Relaxed);
-        mbta_telemetry::counter_add("mbta_net_conns_total", 1);
+        mbta_telemetry::counter_add!("mbta_net_conns_total", 1);
         let conn_shared = Arc::clone(&shared);
         let _ = thread::Builder::new()
             .name(format!("mbta-net-conn-{id}"))
@@ -400,7 +404,7 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
             Ok(p) => p,
             Err(FrameError::Oversize(_) | FrameError::Corrupt) => {
                 // The stream is out of sync for good; say why, then close.
-                bump(&shared.malformed, "mbta_net_malformed_total", 1);
+                bump!(&shared.malformed, "mbta_net_malformed_total", 1);
                 let _ = send_reply(
                     &mut stream,
                     &Reply::Err {
@@ -413,8 +417,8 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
             // Clean close, timeout or severed connection.
             Err(FrameError::Eof | FrameError::Io(_)) => return,
         };
-        bump(&shared.frames, "mbta_net_frames_total", 1);
-        bump(
+        bump!(&shared.frames, "mbta_net_frames_total", 1);
+        bump!(
             &shared.bytes_in,
             "mbta_net_bytes_total",
             payload.len() as u64 + 8,
@@ -438,7 +442,7 @@ fn handle_conn(mut stream: TcpStream, shared: Arc<Shared>, id: u64) {
             Err(e) => {
                 // The frame was intact — only its payload is garbage — so
                 // the stream is still in sync and the connection survives.
-                bump(&shared.malformed, "mbta_net_malformed_total", 1);
+                bump!(&shared.malformed, "mbta_net_malformed_total", 1);
                 Reply::Err {
                     code: ErrCode::Payload,
                     msg: e.to_string(),

@@ -87,6 +87,7 @@ use mbta_partition::{
     epoch_market, migration_diff, rescue_seed, validate_rescue, CutTracker, MigrationStats,
 };
 use mbta_store::record::{BatchRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta};
+use mbta_telemetry::HistogramFamily;
 use mbta_util::{Deadline, SolveCtl};
 use std::time::Instant;
 
@@ -125,6 +126,10 @@ pub struct Dispatcher<'p> {
     budget: BudgetMode,
     /// Solver threads for a batch's shard jobs, resolved ([`pool::width`]).
     threads: usize,
+    /// Per-shard solve time and per-pool-thread busy time: labelled
+    /// series, so each label's handle is looked up once, not per batch.
+    shard_solve_ms: HistogramFamily,
+    pool_busy_ms: HistogramFamily,
     pub(crate) states: Vec<IncrementalAssignment<'p>>,
     /// Each shard's carried exact solver — the one exact tier of both
     /// modes. Bound to the plan's topology, so a re-plan drops them all;
@@ -365,7 +370,7 @@ impl<'p> Dispatcher<'p> {
     /// assignment (tallied as a degraded solve per touching batch).
     pub fn poison_shard(&mut self, s: usize) {
         if !self.poisoned[s] {
-            mbta_telemetry::counter_add("mbta_service_shard_poisoned_total", 1);
+            mbta_telemetry::counter_add!("mbta_service_shard_poisoned_total", 1);
         }
         self.poisoned[s] = true;
     }
@@ -373,7 +378,7 @@ impl<'p> Dispatcher<'p> {
     /// Clears a shard's poison mark.
     pub fn heal_shard(&mut self, s: usize) {
         if self.poisoned[s] {
-            mbta_telemetry::counter_add("mbta_service_shard_healed_total", 1);
+            mbta_telemetry::counter_add!("mbta_service_shard_healed_total", 1);
         }
         self.poisoned[s] = false;
     }
@@ -438,7 +443,7 @@ impl<'p> Dispatcher<'p> {
                 .reseed(matching)
                 .expect("solution is feasible on the active sub-market");
             tally.reseeds += 1;
-            mbta_telemetry::counter_add("mbta_service_reseeds_total", 1);
+            mbta_telemetry::counter_add!("mbta_service_reseeds_total", 1);
         }
     }
 
@@ -502,7 +507,7 @@ impl<'p> Dispatcher<'p> {
         }
         touched.sort_unstable();
         tally.invalid_events += invalid as u64;
-        mbta_telemetry::counter_add("mbta_service_invalid_events_total", invalid as u64);
+        mbta_telemetry::counter_add!("mbta_service_invalid_events_total", invalid as u64);
 
         let before: Vec<Matching> = touched.iter().map(|&s| self.states[s].matching()).collect();
 
@@ -557,7 +562,7 @@ impl<'p> Dispatcher<'p> {
             let graph = &plan.shards[s].graph;
             jobs.push(ShardJob::new(s, graph, &self.states[s], slot, ctl.clone()));
         }
-        let outcomes = pool::solve(self.threads, jobs);
+        let outcomes = pool::solve(self.threads, jobs, &self.pool_busy_ms);
 
         // Merge: outcomes arrive sorted by shard index, so adoption order
         // (and therefore the decision stream) is independent of which
@@ -566,13 +571,7 @@ impl<'p> Dispatcher<'p> {
             let s = outcome.shard;
             tally.tally_solve(&mut stats, s, outcome.completed);
             self.adopt(s, &outcome.matching, outcome.value, tally);
-            // The labeled name allocates, so gate on the runtime switch.
-            if mbta_telemetry::enabled() {
-                mbta_telemetry::observe(
-                    &format!("mbta_service_shard_solve_ms{{shard=\"{s}\"}}"),
-                    outcome.solve_ms,
-                );
-            }
+            self.shard_solve_ms.observe(s, outcome.solve_ms);
         }
         stats.solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
 
@@ -662,7 +661,7 @@ impl<'p> Dispatcher<'p> {
             None => Vec::new(),
             Some(seed) => {
                 tally.rescue_solves += 1;
-                mbta_telemetry::counter_add("mbta_partition_rescue_solves_total", 1);
+                mbta_telemetry::counter_add!("mbta_partition_rescue_solves_total", 1);
                 // The seed is the floor: a cut solve hands it back.
                 let ctl = self.budget.ctl(|ms| ms / 4 + 1);
                 let seed = Matching { edges: seed };
@@ -686,7 +685,7 @@ impl<'p> Dispatcher<'p> {
 
         let live = &self.live_weights;
         rescue.weight = new_overlay.iter().map(|e| live[e.index()]).sum::<f64>() + 0.0;
-        mbta_telemetry::gauge_set("mbta_partition_rescued_weight", rescue.weight);
+        mbta_telemetry::gauge_set!("mbta_partition_rescued_weight", rescue.weight);
         rescue.overlay = new_overlay;
     }
 
@@ -829,7 +828,7 @@ impl<'p> Dispatcher<'p> {
             Route::Shard(s) => s,
             Route::Invalid => {
                 tally.invalid_events += 1;
-                mbta_telemetry::counter_add("mbta_service_invalid_events_total", 1);
+                mbta_telemetry::counter_add!("mbta_service_invalid_events_total", 1);
                 return None;
             }
             // The rescue overlay is a batch construct; in online mode a
@@ -858,7 +857,7 @@ impl<'p> Dispatcher<'p> {
             if !st.edge_assigned(local) && !st.try_assign(local) && online::try_exchange(st, local)
             {
                 tally.online_exchanges += 1;
-                mbta_telemetry::counter_add("mbta_service_online_exchanges_total", 1);
+                mbta_telemetry::counter_add!("mbta_service_online_exchanges_total", 1);
             }
         }
 
@@ -873,7 +872,7 @@ impl<'p> Dispatcher<'p> {
             }
         }
         tally.online_events += 1;
-        mbta_telemetry::counter_add("mbta_service_online_events_total", 1);
+        mbta_telemetry::counter_add!("mbta_service_online_events_total", 1);
         self.acc[s] += drift;
         let due = cfg.fallback_due(self.acc[s], self.states[s].total_weight());
 
@@ -888,7 +887,7 @@ impl<'p> Dispatcher<'p> {
         if fell_back || (due && self.poisoned[s]) {
             self.acc[s] = 0.0;
             tally.online_fallbacks += 1;
-            mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
+            mbta_telemetry::counter_add!("mbta_service_online_fallbacks_total", 1);
         }
 
         self.online_decisions(s);
@@ -921,7 +920,7 @@ impl<'p> Dispatcher<'p> {
         self.warm_solve_shard(s, SolveCtl::unlimited(), tally);
         self.acc[s] = 0.0;
         tally.online_fallbacks += 1;
-        mbta_telemetry::counter_add("mbta_service_online_fallbacks_total", 1);
+        mbta_telemetry::counter_add!("mbta_service_online_fallbacks_total", 1);
         self.online_decisions(s);
         self.deltas.clear();
         let head = Head::Online(self.last_time, 1);
@@ -1080,6 +1079,12 @@ impl<'p> Dispatcher<'p> {
             plan,
             budget: detached.budget,
             threads: detached.threads,
+            shard_solve_ms: HistogramFamily::new("mbta_service_shard_solve_ms", "shard", n),
+            pool_busy_ms: HistogramFamily::new(
+                "mbta_service_pool_thread_busy_ms",
+                "thread",
+                detached.threads,
+            ),
             states,
             solvers: vec![None; n],
             cut,

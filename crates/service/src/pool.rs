@@ -38,12 +38,14 @@
 //! jobs): `mbta_service_pool_queue_depth` (jobs not yet claimed) and
 //! per-thread `mbta_service_pool_thread_busy_ms{thread="i"}` histograms
 //! (`thread="0"` is the dispatching thread) whose spread shows how well
-//! the queue balanced the batch.
+//! the queue balanced the batch. The caller owns that labelled family, so
+//! each thread's handle is looked up once, not once per batch.
 
 use mbta_core::incremental::IncrementalAssignment;
 use mbta_core::warm::WarmSolver;
 use mbta_graph::BipartiteGraph;
 use mbta_matching::Matching;
+use mbta_telemetry::HistogramFamily;
 use mbta_util::SolveCtl;
 use std::time::Instant;
 use std::{panic, sync::Mutex};
@@ -119,8 +121,13 @@ pub fn width(threads: usize) -> usize {
 /// `min(threads, jobs) - 1` scoped helpers take whatever is left when they
 /// wake. With one thread or one job no helper spawns: the caller runs
 /// every job itself. A panicking solve reaches the caller with its own
-/// payload, whichever thread ran it.
-pub fn solve(threads: usize, mut jobs: Vec<ShardJob<'_>>) -> Vec<ShardOutcome> {
+/// payload, whichever thread ran it. Thread `i`'s busy time goes to
+/// `busy_ms`'s value `i`, so the family needs `threads` values.
+pub fn solve(
+    threads: usize,
+    mut jobs: Vec<ShardJob<'_>>,
+    busy_ms: &HistogramFamily,
+) -> Vec<ShardOutcome> {
     // Ties by shard, so the schedule itself is deterministic even though
     // completion order is not.
     jobs.sort_by_key(|j| (std::cmp::Reverse(j.graph.n_edges()), j.shard));
@@ -142,7 +149,7 @@ pub fn solve(threads: usize, mut jobs: Vec<ShardJob<'_>>) -> Vec<ShardOutcome> {
             };
             let Some(job) = job else { break };
             if metered {
-                mbta_telemetry::gauge_set("mbta_service_pool_queue_depth", left as f64);
+                mbta_telemetry::gauge_set!("mbta_service_pool_queue_depth", left as f64);
             }
             let outcome = run_job(job);
             busy += outcome.solve_ms;
@@ -150,11 +157,8 @@ pub fn solve(threads: usize, mut jobs: Vec<ShardJob<'_>>) -> Vec<ShardOutcome> {
         }
         // One observation per thread per batch: the spread across threads
         // is the load-balance signal.
-        if metered && mbta_telemetry::enabled() {
-            mbta_telemetry::observe(
-                &format!("mbta_service_pool_thread_busy_ms{{thread=\"{me}\"}}"),
-                busy,
-            );
+        if metered {
+            busy_ms.observe(me, busy);
         }
         done
     };
@@ -229,6 +233,10 @@ mod tests {
             .collect()
     }
 
+    fn busy(threads: usize) -> HistogramFamily {
+        HistogramFamily::new("mbta_service_pool_thread_busy_ms", "thread", threads)
+    }
+
     #[test]
     fn zero_threads_resolves_to_host_parallelism() {
         assert!(width(0) >= 1);
@@ -248,7 +256,7 @@ mod tests {
             .collect();
         for threads in 1..=8 {
             let mut s = solvers_for(&markets);
-            let par = solve(threads, jobs_for(&markets, &mut s));
+            let par = solve(threads, jobs_for(&markets, &mut s), &busy(threads));
             assert_eq!(seq.len(), par.len());
             for (a, b) in seq.iter().zip(&par) {
                 assert_eq!(a.shard, b.shard, "merge order must be shard-ascending");
@@ -273,7 +281,7 @@ mod tests {
         // caller claims the larger job first, so either thread may take
         // this one.
         solvers[0] = WarmSolver::new(&markets[1].0);
-        solve(2, jobs_for(&markets, &mut solvers));
+        solve(2, jobs_for(&markets, &mut solvers), &busy(2));
     }
 
     /// Each job comes back solved: the optimum of its market, and its value.
@@ -282,7 +290,7 @@ mod tests {
         use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
         let markets: Vec<_> = (0..2).map(|i| market(7 + i, 40)).collect();
         let mut solvers = solvers_for(&markets);
-        let outcomes = solve(8, jobs_for(&markets, &mut solvers));
+        let outcomes = solve(8, jobs_for(&markets, &mut solvers), &busy(8));
         assert_eq!(outcomes.len(), 2);
         for (o, (g, w)) in outcomes.iter().zip(&markets) {
             let (opt, _) =
@@ -304,7 +312,7 @@ mod tests {
         for job in &mut jobs {
             job.ctl = SolveCtl::unlimited().with_deadline(expired);
         }
-        let outcomes = solve(4, jobs);
+        let outcomes = solve(4, jobs, &busy(4));
         assert_eq!(outcomes.len(), 4);
         for o in &outcomes {
             // Expired shared budget: every solve is cut and hands back its

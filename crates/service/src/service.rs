@@ -165,7 +165,7 @@ impl Driver {
     /// dispatching; the report carries the error.
     fn note_store_result(&mut self, res: io::Result<()>) {
         if let Err(e) = res {
-            mbta_telemetry::counter_add("mbta_store_errors_total", 1);
+            mbta_telemetry::counter_add!("mbta_store_errors_total", 1);
             self.report.store_error = Some(e.to_string());
         }
     }
@@ -186,8 +186,8 @@ impl Driver {
                 report.migrated_workers += u64::from(moved.moved_workers);
                 report.migrated_tasks += u64::from(moved.moved_tasks);
                 let nodes = moved.moved_workers + moved.moved_tasks;
-                mbta_telemetry::counter_add("mbta_partition_replans_total", 1);
-                mbta_telemetry::gauge_set("mbta_partition_migrated_nodes", f64::from(nodes));
+                mbta_telemetry::counter_add!("mbta_partition_replans_total", 1);
+                mbta_telemetry::gauge_set!("mbta_partition_migrated_nodes", f64::from(nodes));
             }
             (_, FlushReason::Count) => report.flush_count += 1,
             (_, FlushReason::Bytes) => report.flush_bytes += 1,
@@ -197,7 +197,7 @@ impl Driver {
         }
         let decisions = d.decisions();
         report.decisions += decisions.len() as u64;
-        mbta_telemetry::counter_add("mbta_service_decisions_total", decisions.len() as u64);
+        mbta_telemetry::counter_add!("mbta_service_decisions_total", decisions.len() as u64);
         if report.store_error.is_none() {
             if let Some(store) = &mut self.store {
                 let mut res = store.commit_record(&d.record(&c, c.stats.seq));
@@ -216,14 +216,14 @@ impl Driver {
 
     /// One closed micro-batch through the dispatcher, then committed.
     fn batch(&mut self, d: &mut Dispatcher<'_>, batch: ClosedBatch, sink: &mut impl DecisionSink) {
-        let batch_span = mbta_telemetry::span!("mbta_service_batch");
-        batch_span.attr("events", batch.events.len() as u64);
-        mbta_telemetry::counter_add("mbta_service_batches_total", 1);
-        mbta_telemetry::observe("mbta_service_batch_events", batch.events.len() as f64);
-        mbta_telemetry::gauge_set("mbta_service_queue_depth", self.queue.len() as f64);
+        let _span = mbta_telemetry::span!("mbta_service_batch");
+        mbta_telemetry::counter_add!("mbta_service_batch_events_total", batch.events.len() as u64);
+        mbta_telemetry::counter_add!("mbta_service_batches_total", 1);
+        mbta_telemetry::observe!("mbta_service_batch_events", batch.events.len() as f64);
+        mbta_telemetry::gauge_set!("mbta_service_queue_depth", self.queue.len() as f64);
         let c = d.batch(&batch, &mut self.report);
         self.solve_lat.observe(c.stats.solve_ms);
-        mbta_telemetry::observe("mbta_service_batch_solve_ms", c.stats.solve_ms);
+        mbta_telemetry::observe!("mbta_service_batch_solve_ms", c.stats.solve_ms);
         self.commit(c, d, sink);
     }
 }
@@ -299,22 +299,22 @@ impl<'p> DispatchService<'p> {
         match outcome {
             OfferOutcome::Deferred => {
                 run.defer_pending = true;
-                mbta_telemetry::counter_add("mbta_service_deferrals_total", 1);
+                mbta_telemetry::counter_add!("mbta_service_deferrals_total", 1);
             }
             admitted => {
                 run.report.events_in += 1;
-                mbta_telemetry::counter_add("mbta_service_events_total", 1);
+                mbta_telemetry::counter_add!("mbta_service_events_total", 1);
                 if run.defer_pending {
                     run.defer_pending = false;
                     run.report.defer_retry_ok += 1;
-                    mbta_telemetry::counter_add("mbta_service_defer_retry_ok_total", 1);
+                    mbta_telemetry::counter_add!("mbta_service_defer_retry_ok_total", 1);
                 }
                 match admitted {
-                    OfferOutcome::DroppedNewest => mbta_telemetry::counter_add(
+                    OfferOutcome::DroppedNewest => mbta_telemetry::counter_add!(
                         "mbta_service_queue_dropped_total{policy=\"newest\"}",
                         1,
                     ),
-                    OfferOutcome::DroppedOldest => mbta_telemetry::counter_add(
+                    OfferOutcome::DroppedOldest => mbta_telemetry::counter_add!(
                         "mbta_service_queue_dropped_total{policy=\"oldest\"}",
                         1,
                     ),
@@ -342,7 +342,7 @@ impl<'p> DispatchService<'p> {
                     let c = dispatcher.event(a, &mut driver.report);
                     let event_ms = t0.elapsed().as_secs_f64() * 1e3;
                     driver.event_lat.observe(event_ms);
-                    mbta_telemetry::observe("mbta_service_online_event_ms", event_ms);
+                    mbta_telemetry::observe!("mbta_service_online_event_ms", event_ms);
                     if let Some(mut c) = c {
                         c.stats.solve_ms = event_ms;
                         driver.commit(c, dispatcher, sink);

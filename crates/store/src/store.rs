@@ -218,7 +218,7 @@ fn scan(dir: &Path) -> io::Result<(RecoveredState, Option<(PathBuf, u64)>)> {
 /// valid snapshot + the WAL from its watermark on, ignoring everything
 /// past the durable prefix. Nothing on disk is modified.
 pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
-    mbta_telemetry::counter_add("mbta_store_recoveries_total", 1);
+    mbta_telemetry::counter_add!("mbta_store_recoveries_total", 1);
     Ok(scan(dir)?.0)
 }
 
@@ -323,8 +323,8 @@ impl DurableStore {
         );
         let t = Instant::now();
         snapshot::write(&self.dir, state.watermark, &state.shards, &state.weights)?;
-        mbta_telemetry::observe("mbta_store_snapshot_ms", t.elapsed().as_secs_f64() * 1e3);
-        mbta_telemetry::counter_add("mbta_store_snapshots_total", 1);
+        mbta_telemetry::observe!("mbta_store_snapshot_ms", t.elapsed().as_secs_f64() * 1e3);
+        mbta_telemetry::counter_add!("mbta_store_snapshots_total", 1);
         self.last_snapshot = state.watermark;
         self.snapshots += 1;
         snapshot::prune(&self.dir, state.watermark)?;

@@ -194,8 +194,8 @@ impl Wal {
         self.pending_records += 1;
         self.records += 1;
         self.bytes += frame_len;
-        mbta_telemetry::counter_add("mbta_store_wal_records_total", 1);
-        mbta_telemetry::counter_add("mbta_store_wal_bytes_total", frame_len);
+        mbta_telemetry::counter_add!("mbta_store_wal_records_total", 1);
+        mbta_telemetry::counter_add!("mbta_store_wal_bytes_total", frame_len);
 
         self.appends_since_fsync += 1;
         let due = match self.cfg.fsync {
@@ -240,7 +240,7 @@ impl Wal {
         if let Some(seg) = &mut self.active {
             let t = Instant::now();
             seg.file.sync_data()?;
-            mbta_telemetry::observe("mbta_store_fsync_ms", t.elapsed().as_secs_f64() * 1e3);
+            mbta_telemetry::observe!("mbta_store_fsync_ms", t.elapsed().as_secs_f64() * 1e3);
         }
         self.appends_since_fsync = 0;
         Ok(())
@@ -264,7 +264,7 @@ impl Wal {
             .append(true)
             .open(&path)?;
         self.active = Some(ActiveSegment { file, len: 0 });
-        mbta_telemetry::counter_add("mbta_store_wal_segments_total", 1);
+        mbta_telemetry::counter_add!("mbta_store_wal_segments_total", 1);
         Ok(())
     }
 

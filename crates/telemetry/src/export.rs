@@ -494,14 +494,19 @@ impl RegistryDiff {
         Self::default()
     }
 
-    /// Returns `cur - base` and makes `cur` the new base.
+    /// Returns `cur - base` and makes `cur` the new base. A metric the
+    /// base lacks diffs to its full value. Both snapshots are sorted by
+    /// name (as [`Registry::snapshot`] makes them), so one merge walk
+    /// pairs them up; the output keeps `cur`'s order.
     pub fn advance(&mut self, cur: Snapshot) -> Snapshot {
+        debug_assert!(cur.metrics.is_sorted_by(|a, b| a.name < b.name));
         let out = match &self.base {
             None => cur.clone(),
             Some(base) => {
-                let mut metrics = Vec::with_capacity(cur.metrics.len());
-                for m in &cur.metrics {
-                    let prev = base.metrics.iter().find(|b| b.name == m.name);
+                let mut base = base.metrics.iter().peekable();
+                let metrics = cur.metrics.iter().map(|m| {
+                    while base.next_if(|b| b.name < m.name).is_some() {}
+                    let prev = base.next_if(|b| b.name == m.name);
                     let value = match (&m.value, prev.map(|p| &p.value)) {
                         (MetricValue::Counter(c), Some(MetricValue::Counter(p))) => {
                             MetricValue::Counter(c.saturating_sub(*p))
@@ -522,12 +527,14 @@ impl RegistryDiff {
                         }
                         (v, _) => v.clone(),
                     };
-                    metrics.push(Metric {
+                    Metric {
                         name: m.name.clone(),
                         value,
-                    });
+                    }
+                });
+                Snapshot {
+                    metrics: metrics.collect(),
                 }
-                Snapshot { metrics }
             }
         };
         self.base = Some(cur);
@@ -624,5 +631,52 @@ mod tests {
             get("mbta_test_tier_total{tier=\"exact\"}"),
             MetricValue::Counter(0)
         );
+    }
+
+    #[test]
+    fn a_base_metric_the_current_snapshot_lacks_is_stepped_over() {
+        // Registries never drop a metric, but snapshots parsed from two
+        // files can differ either way.
+        let r = sample_registry();
+        let mut diff = RegistryDiff::new();
+        diff.advance(r.snapshot());
+        r.counter("mbta_test_tier_total{tier=\"exact\"}").add(3);
+        let mut cur = r.snapshot();
+        cur.metrics.retain(|m| m.name != "mbta_test_events_total");
+        let delta = diff.advance(cur);
+        let get = |name: &str| {
+            let m = delta.metrics.iter().find(|m| m.name == name).unwrap();
+            m.value.clone()
+        };
+        let tier = |t: &str| get(&format!("mbta_test_tier_total{{tier=\"{t}\"}}"));
+        assert_eq!(tier("degraded"), MetricValue::Counter(0));
+        assert_eq!(tier("exact"), MetricValue::Counter(3));
+    }
+
+    #[test]
+    fn a_metric_new_since_the_base_diffs_to_its_full_value_in_order() {
+        let r = sample_registry();
+        let mut diff = RegistryDiff::new();
+        diff.advance(r.snapshot());
+        // Sorts first, last and between the existing names.
+        r.counter("mbta_a_new_total").add(4);
+        r.counter("mbta_test_events_total").add(1);
+        r.histogram("mbta_test_new_ms").observe(2.0);
+        r.counter("mbta_zz_new_total").add(9);
+        let cur = r.snapshot();
+        let delta = diff.advance(cur.clone());
+        let names = |s: &Snapshot| s.metrics.iter().map(|m| m.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&delta), names(&cur));
+        let get = |name: &str| {
+            let m = delta.metrics.iter().find(|m| m.name == name).unwrap();
+            m.value.clone()
+        };
+        assert_eq!(get("mbta_a_new_total"), MetricValue::Counter(4));
+        assert_eq!(get("mbta_zz_new_total"), MetricValue::Counter(9));
+        assert_eq!(get("mbta_test_events_total"), MetricValue::Counter(1));
+        match get("mbta_test_new_ms") {
+            MetricValue::Histogram(h) => assert_eq!((h.count, h.sum), (1, 2.0)),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

@@ -9,7 +9,9 @@
 //! without losing the count or the exact sum/min/max.
 //!
 //! Everything is `Relaxed` atomics: [`Histogram::observe`] is one indexed
-//! `fetch_add` plus three CAS loops (sum/min/max), safe to call from any
+//! `fetch_add` plus CAS loops folding in the sum, min and max (a fold that
+//! leaves its value unchanged — most min/max updates — skips its CAS),
+//! safe to call from any
 //! number of threads without locks. The invariant the property tests pin
 //! down is that bucket counts always sum to [`Histogram::count`] once all
 //! recorders have quiesced.
@@ -170,11 +172,15 @@ impl Histogram {
     }
 }
 
-/// CAS loop applying `f` to an f64 stored as bits.
+/// CAS loop applying `f` to an f64 stored as bits; no write when `f`
+/// leaves the bits as they are.
 fn f64_update(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
     let mut cur = bits.load(Ordering::Relaxed);
     loop {
         let next = f(f64::from_bits(cur)).to_bits();
+        if next == cur {
+            return;
+        }
         match bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
             Ok(_) => return,
             Err(seen) => cur = seen,
@@ -208,6 +214,38 @@ mod tests {
         assert_eq!(h.max(), 42.0);
         let buckets = h.bucket_counts();
         assert_eq!(buckets.iter().sum::<u64>(), 4);
+    }
+
+    #[test]
+    fn concurrent_observers_fold_exactly() {
+        // Dyadic values, so every partial sum is exact in any order.
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 500;
+        let values = [0.25, 0.5, 1.0, 3.0, 64.0];
+        let h = Histogram::new();
+        // Every thread starts at once, so the CASes contend.
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (h, start) = (&h, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        for v in values {
+                            h.observe(v * (t + 1) as f64);
+                        }
+                    }
+                });
+            }
+        });
+        let n = (THREADS * ROUNDS * values.len()) as u64;
+        let per_round: f64 = values.iter().sum();
+        let sum = per_round * ROUNDS as f64 * (1..=THREADS).sum::<usize>() as f64;
+        assert_eq!(h.count(), n);
+        assert_eq!(h.sum(), sum);
+        assert_eq!(h.min(), 0.25);
+        assert_eq!(h.max(), 64.0 * THREADS as f64);
+        assert_eq!(h.bucket_counts().iter().sum::<u64>(), n);
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! measurement vocabulary:
 //!
 //! * [`Registry`] — a sharded map of named [`Counter`]s, [`Gauge`]s, and
-//!   fixed-bucket log-scale [`Histogram`]s. All hot-path operations are
-//!   lock-free atomics; registration takes one short shard lock.
+//!   fixed-bucket log-scale [`Histogram`]s. Recording is lock-free
+//!   atomics; a name lookup takes one short shard lock.
+//! * [`counter_add!`], [`gauge_set!`], [`observe!`] — record into the
+//!   [`global`] registry. Each call site looks its instrument up once, on
+//!   its first record, and keeps the handle in a `static` [`Site`]; a
+//!   labelled series keeps one handle per label value in a
+//!   [`HistogramFamily`].
 //! * [`Span`] / [`span!`] — monotonic-clock timers feeding `<name>_ms`
-//!   histograms, with nesting and per-span attribute counters.
+//!   histograms (cached per call site the same way), with nesting.
 //! * [`Snapshot`] — plain-data registry copies with two exporters
 //!   (Prometheus text exposition, JSON) and a parser for the Prometheus
 //!   subset this crate writes; [`RegistryDiff`] turns successive
@@ -21,9 +26,11 @@
 //!
 //! One off-switch: [`set_enabled`] flips recording at runtime, so a
 //! single binary can measure its own instrumentation overhead (see
-//! `service_bench` and `mbta-bench`). Switched off, a helper or a span
-//! costs one relaxed atomic load; the data structures and exporters keep
-//! working either way.
+//! `service_bench` and `mbta-bench`). Switched off, a macro, a span or a
+//! family costs one relaxed atomic load (a macro's arguments are still
+//! evaluated once); switched on, a record after a site's first costs that
+//! load, one `OnceLock` load and the instrument's own atomics. The data
+//! structures and exporters keep working either way.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -37,33 +44,56 @@ pub mod span;
 pub use export::{HistSnapshot, Metric, MetricValue, RegistryDiff, Snapshot};
 pub use hist::Histogram;
 pub use metrics::{Counter, Gauge};
-pub use registry::{enabled, global, set_enabled, MetricEntry, Registry};
+pub use registry::{enabled, global, set_enabled, HistogramFamily, MetricEntry, Registry, Site};
 pub use span::Span;
 
-/// Adds `n` to the global counter `name`. No-op when telemetry is
-/// disabled.
-#[inline]
-pub fn counter_add(name: &str, n: u64) {
-    if enabled() {
-        global().counter(name).add(n);
-    }
+/// Adds `n` (a `u64`) to the global counter `name`, a string literal:
+/// `counter_add!("mbta_x_total", 1)`. No-op when telemetry is disabled.
+///
+/// The counter is looked up once per call site, on its first record, and
+/// held in a `static` [`Site`] after that. `n` is evaluated exactly once,
+/// whether telemetry is enabled or not.
+#[macro_export]
+macro_rules! counter_add {
+    ($name:literal, $n:expr $(,)?) => {
+        $crate::__record!(Counter, counter, add, u64, $name, $n)
+    };
 }
 
-/// Sets the global gauge `name` to `v`. No-op when telemetry is disabled.
-#[inline]
-pub fn gauge_set(name: &str, v: f64) {
-    if enabled() {
-        global().gauge(name).set(v);
-    }
+/// Sets the global gauge `name`, a string literal, to `v` (an `f64`).
+/// No-op when telemetry is disabled; cached per call site and evaluated
+/// once like [`counter_add!`].
+#[macro_export]
+macro_rules! gauge_set {
+    ($name:literal, $v:expr $(,)?) => {
+        $crate::__record!(Gauge, gauge, set, f64, $name, $v)
+    };
 }
 
-/// Observes `v` into the global histogram `name`. No-op when telemetry is
-/// disabled.
-#[inline]
-pub fn observe(name: &str, v: f64) {
-    if enabled() {
-        global().histogram(name).observe(v);
-    }
+/// Observes `v` (an `f64`) into the global histogram `name`, a string
+/// literal. No-op when telemetry is disabled; cached per call site and
+/// evaluated once like [`counter_add!`].
+#[macro_export]
+macro_rules! observe {
+    ($name:literal, $v:expr $(,)?) => {
+        $crate::__record!(Histogram, histogram, observe, f64, $name, $v)
+    };
+}
+
+/// The recording macros' shared body: evaluates the value once, then
+/// records it through the call site's `static` [`Site`] if telemetry is
+/// enabled.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __record {
+    ($kind:ident, $register:ident, $record:ident, $ty:ty, $name:literal, $value:expr) => {{
+        let value: $ty = $value;
+        if $crate::enabled() {
+            static SITE: $crate::Site<$crate::$kind> =
+                $crate::Site::new($name, $crate::Registry::$register);
+            SITE.get().$record(value);
+        }
+    }};
 }
 
 /// Drop-guard counter for solver inner loops with multiple exit points:
@@ -94,17 +124,14 @@ impl DeferredCount {
     pub fn add(&mut self, n: u64) {
         self.n += n;
     }
-
-    /// Locally accumulated value (for tests / reuse as a plain counter).
-    pub fn get(&self) -> u64 {
-        self.n
-    }
 }
 
 impl Drop for DeferredCount {
+    /// Looks the counter up by name: once per loop run, in solvers the
+    /// serving path does not call.
     fn drop(&mut self) {
-        if self.n > 0 {
-            counter_add(self.name, self.n);
+        if self.n > 0 && enabled() {
+            global().counter(self.name).add(self.n);
         }
     }
 }
@@ -123,15 +150,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn runtime_kill_switch_gates_helpers() {
+    fn runtime_kill_switch_gates_macros() {
         let _g = test_flag_guard();
         let c = global().counter("mbta_telemetry_test_kill_switch_total");
-        counter_add("mbta_telemetry_test_kill_switch_total", 1);
-        set_enabled(false);
-        counter_add("mbta_telemetry_test_kill_switch_total", 10);
-        set_enabled(true);
-        counter_add("mbta_telemetry_test_kill_switch_total", 1);
+        for (on, n) in [(true, 1), (false, 10), (true, 1)] {
+            set_enabled(on);
+            counter_add!("mbta_telemetry_test_kill_switch_total", n);
+        }
         assert_eq!(c.get(), 2);
+    }
+
+    #[test]
+    fn a_family_registers_only_the_values_that_record() {
+        let _g = test_flag_guard();
+        let family = HistogramFamily::new("mbta_telemetry_test_family_ms", "shard", 3);
+        family.observe(2, 1.5);
+        family.observe(2, 2.5);
+        let names: Vec<String> = global()
+            .entries()
+            .into_iter()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with("mbta_telemetry_test_family_ms"))
+            .collect();
+        assert_eq!(names, ["mbta_telemetry_test_family_ms{shard=\"2\"}"]);
+        let h = global().histogram("mbta_telemetry_test_family_ms{shard=\"2\"}");
+        assert_eq!((h.count(), h.sum()), (2, 4.0));
     }
 
     #[test]
@@ -141,7 +184,6 @@ mod tests {
             let mut d = DeferredCount::new("mbta_telemetry_test_deferred_total");
             d.add(3);
             d.add(4);
-            assert_eq!(d.get(), 7);
         }
         assert_eq!(
             global().counter("mbta_telemetry_test_deferred_total").get(),

@@ -29,12 +29,6 @@ impl Counter {
         self.n.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.n.load(Ordering::Relaxed)
@@ -91,7 +85,7 @@ mod tests {
     #[test]
     fn counter_accumulates() {
         let c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(41);
         assert_eq!(c.get(), 42);
     }

@@ -1,10 +1,12 @@
 //! Sharded name → metric registry.
 //!
 //! Sixteen mutex-guarded shards keyed by FxHash of the metric name keep
-//! registration cheap and contention-free; the returned `Arc` handles are
-//! what hot paths hold on to, so the shard lock is only taken on first
-//! lookup (or when a caller is too lazy to cache — still just one short
-//! critical section per call).
+//! registration cheap and contention-free. A lookup hashes the name, locks
+//! its shard and clones an `Arc`, so nothing records through one per event:
+//! the recording macros keep each call site's handle in a `static`
+//! [`Site`], and a labelled series keeps one handle per label value in a
+//! [`HistogramFamily`]. Either way the name is looked up once, when the
+//! site (or label value) first records.
 //!
 //! Metric names follow the workspace convention `mbta_<crate>_<name>`,
 //! with optional labels encoded in the name itself in canonical form:
@@ -80,8 +82,7 @@ impl Registry {
     }
 
     /// Looks `name` up by `&str`; only a first registration allocates the
-    /// key, so the hot-path helpers pay a hash and a short critical
-    /// section per call and nothing else.
+    /// key.
     fn get_or_register(&self, name: &str, make: fn() -> MetricEntry) -> MetricEntry {
         let mut shard = self.shard(name).lock().expect("registry shard lock");
         if let Some(entry) = shard.get(name) {
@@ -135,23 +136,95 @@ impl Registry {
     }
 }
 
-/// The process-wide registry used by the `counter_add` / `gauge_set` /
-/// `observe` helpers and the span API.
+/// The process-wide registry the recording macros, spans and labelled
+/// families record into.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Runtime kill-switch consulted by the global helpers and spans.
+/// One call site's instrument in the [`global`] registry: its name, the
+/// [`Registry`] method that registers its kind, and its handle once the
+/// site first records. The recording macros ([`crate::counter_add!`],
+/// [`crate::gauge_set!`], [`crate::observe!`], [`crate::span!`]) keep one
+/// in a `static` per call site, so a record after the first costs one
+/// `OnceLock` load and the instrument's atomics.
+#[derive(Debug)]
+pub struct Site<T> {
+    name: &'static str,
+    register: fn(&Registry, &str) -> Arc<T>,
+    handle: OnceLock<Arc<T>>,
+}
+
+impl<T> Site<T> {
+    /// A site for the instrument `name`, which `register` (one of
+    /// [`Registry::counter`], [`Registry::gauge`], [`Registry::histogram`])
+    /// looks up on first use.
+    pub const fn new(name: &'static str, register: fn(&Registry, &str) -> Arc<T>) -> Self {
+        Site {
+            name,
+            register,
+            handle: OnceLock::new(),
+        }
+    }
+
+    /// The instrument, looked up in [`global`] on the first call only.
+    ///
+    /// # Panics
+    /// If the name is registered as a different metric kind.
+    pub fn get(&self) -> &T {
+        self.handle
+            .get_or_init(|| (self.register)(global(), self.name))
+    }
+}
+
+/// The histograms of one labelled series, `name{label="i"}` for `i` in
+/// `0..n` (a shard, a solver thread): each label value's handle is looked
+/// up in [`global`] when that value first records and held after that. A
+/// value that never records is never registered.
+#[derive(Debug)]
+pub struct HistogramFamily {
+    name: &'static str,
+    label: &'static str,
+    handles: Box<[OnceLock<Arc<Histogram>>]>,
+}
+
+impl HistogramFamily {
+    /// The family `name{label="i"}` for label values `0..n`.
+    pub fn new(name: &'static str, label: &'static str, n: usize) -> Self {
+        HistogramFamily {
+            name,
+            label,
+            handles: (0..n).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Observes `v` into label value `i`'s histogram. No-op when telemetry
+    /// is disabled.
+    ///
+    /// # Panics
+    /// If `i` is not below the family's `n`.
+    pub fn observe(&self, i: usize, v: f64) {
+        if enabled() {
+            let name = || format!("{}{{{}=\"{i}\"}}", self.name, self.label);
+            self.handles[i]
+                .get_or_init(|| global().histogram(&name()))
+                .observe(v);
+        }
+    }
+}
+
+/// Runtime kill-switch consulted by the recording macros and spans.
 static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Turns global-helper recording on or off at runtime. Used by benches to
-/// measure instrumentation overhead within a single binary.
+/// Turns recording through the [`global`] registry on or off at runtime.
+/// Used by benches to measure instrumentation overhead within a single
+/// binary.
 pub fn set_enabled(on: bool) {
     RUNTIME_ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether the global helpers record.
+/// Whether the recording macros, spans and families record.
 #[inline]
 pub fn enabled() -> bool {
     RUNTIME_ENABLED.load(Ordering::Relaxed)

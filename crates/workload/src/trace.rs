@@ -213,8 +213,8 @@ pub fn normalize_trace(events: &mut Vec<TimedEvent>) {
         }
         prev = Some(e.time);
     }
-    mbta_telemetry::counter_add("mbta_workload_trace_events_total", events.len() as u64);
-    mbta_telemetry::counter_add("mbta_workload_trace_time_bumps_total", time_bumps);
+    mbta_telemetry::counter_add!("mbta_workload_trace_events_total", events.len() as u64);
+    mbta_telemetry::counter_add!("mbta_workload_trace_time_bumps_total", time_bumps);
 }
 
 /// Error from [`TraceFile::parse`], locating the problem both ways a

@@ -7,11 +7,13 @@
 //! - the code side is every `"mbta_…"` string literal in the first-party
 //!   non-test sources (`crates/*/src`, `src`; a file's test module starts at
 //!   its first `#[cfg(test)]` line, comment lines are skipped), which covers
-//!   the literals handed to `counter_add`, `gauge_set`, `observe`,
-//!   `DeferredCount::new` and the registry constructors and the names
-//!   routed through small helpers; a `span!("x")` literal emits `x_ms`
-//!   instead, and `s.attr("k", n)` on a span bound as `let s = span!("x")`
-//!   emits `x_k_total`;
+//!   the literals handed to the `counter_add!`, `gauge_set!` and
+//!   `observe!` macros (and to macros that wrap them, like `net`'s
+//!   `bump!`), to `HistogramFamily::new`, `DeferredCount::new` and the
+//!   registry constructors; a `span!("x")` literal emits `x_ms` instead,
+//!   and `s.attr("k", n)` on a span bound as `let s = span!("x")` would
+//!   emit `x_k_total` (no span takes attributes today; the rule stays so
+//!   one that did would be caught);
 //! - the doc side is every backticked `mbta_…` name in §6.
 //!
 //! Label sets (`{shard="3"}`) are stripped on both sides. A new series
@@ -145,10 +147,10 @@ fn every_emitted_series_is_catalogued_and_every_catalogued_one_is_emitted() {
 fn the_scanner_reads_literals_spans_and_attributes() {
     let source = r#"
 fn solve() {
-    // counter_add("mbta_commented_out_total", 1);
+    // counter_add!("mbta_commented_out_total", 1);
     let batch = mbta_telemetry::span!("mbta_demo_batch");
     batch.attr("events", 3);
-    mbta_telemetry::counter_add(
+    mbta_telemetry::counter_add!(
         "mbta_demo_events_total",
         1,
     );
@@ -157,7 +159,7 @@ fn solve() {
 
 #[cfg(test)]
 mod tests {
-    fn t() { counter_add("mbta_demo_test_only_total", 1); }
+    fn t() { counter_add!("mbta_demo_test_only_total", 1); }
 }
 "#;
     let mut names = BTreeSet::new();
