@@ -555,10 +555,10 @@ fn drive_trace(
     }
 }
 
-/// Network analogue of [`drive_trace`]: takes arrivals off the TCP ingress
-/// as [`NetIngress::drive`] hands them over (to the end of the stream),
-/// keeps the primary's heartbeat file fresh, and publishes live status for
-/// `QUERY_STATUS` replies.
+/// Network analogue of [`drive_trace`]: applies each admitted frame as
+/// [`NetIngress::drive`] hands it over (to the end of the stream), keeps
+/// the primary's heartbeat file fresh, and publishes live status for
+/// `QUERY_STATUS` replies once per frame and idle tick.
 fn drive_net(
     mut svc: DispatchService<'_>,
     ingress: &NetIngress,
@@ -567,7 +567,7 @@ fn drive_net(
 ) -> Result<ServiceReport, Box<dyn Error>> {
     let beat_every = Duration::from_millis(100);
     let mut last_beat = Instant::now();
-    ingress.drive(|item| {
+    ingress.drive(|_ns, events| {
         if let Some(dir) = wal_dir {
             if last_beat.elapsed() >= beat_every {
                 heartbeat_touch(dir)
@@ -575,9 +575,11 @@ fn drive_net(
                 last_beat = Instant::now();
             }
         }
-        match item {
-            Some((_ns, a)) => svc.submit(a, sink),
-            None => svc.pump(sink),
+        if events.is_empty() {
+            svc.pump(sink);
+        }
+        for &a in events {
+            svc.submit(a, sink);
         }
         ingress.set_status(
             svc.batches_committed(),

@@ -3,11 +3,11 @@
 //! The router owns the client-facing endpoint. Admission reuses the
 //! `mbta-net` ingress — bounded queue, all-or-nothing batch pushes,
 //! RETRY-AFTER backpressure — so a client's event is either admitted
-//! exactly once or never admitted at all. Each admitted `(namespace,
-//! event)` pair is routed with the namespace's [`ShardPlan`] (the same
-//! node→shard maps the workers hold) and handed to the owning shard's
-//! sender thread, which batches and forwards it over a persistent
-//! connection.
+//! exactly once or never admitted at all. Each admitted frame's events
+//! are routed with its namespace's [`ShardPlan`] (the same node→shard
+//! maps the workers hold) and handed, one message per owner per frame,
+//! to the owning shards' sender threads, which batch and forward them
+//! over persistent connections.
 //!
 //! Forwarding is at-least-once: a reply lost to a broken connection is
 //! retried after reconnecting. A send failure that outlives the reconnect
@@ -160,7 +160,8 @@ struct OwnerShared {
 }
 
 enum SenderMsg {
-    Event(u32, Arrival),
+    /// One admitted frame's events routed to this owner, in order.
+    Frame(u32, Vec<Arrival>),
     Finish,
 }
 
@@ -201,20 +202,27 @@ fn serve(cfg: RouterConfig, ingress: NetIngress) -> Result<RouterSummary, String
     let mut cross_benefit: u64 = 0;
     let mut unknown_namespace: u64 = 0;
     let mut channel_degraded: u64 = 0;
-    ingress.drive(|item| {
-        if let Some((ns, a)) = item {
-            admitted += 1;
-            match plans.get(ns as usize).map(|plan| plan.route(&a.event)) {
-                None => unknown_namespace += 1,
-                // A dead sender thread can no longer receive; its shard
-                // is (or is about to be) poisoned.
-                Some(Route::Shard(s)) => {
-                    if txs[s].send(SenderMsg::Event(ns, a)).is_err() {
-                        channel_degraded += 1;
+    let mut outs: Vec<Vec<Arrival>> = vec![Vec::new(); n_shards];
+    ingress.drive(|ns, events| {
+        admitted += events.len() as u64;
+        match plans.get(ns as usize) {
+            None => unknown_namespace += events.len() as u64,
+            Some(plan) => {
+                for &a in events {
+                    match plan.route(&a.event) {
+                        Route::Shard(s) => outs[s].push(a),
+                        Route::CrossBenefit => cross_benefit += 1,
+                        Route::Invalid => invalid += 1,
                     }
                 }
-                Some(Route::CrossBenefit) => cross_benefit += 1,
-                Some(Route::Invalid) => invalid += 1,
+            }
+        }
+        // One message per owner per frame. A dead sender thread can no
+        // longer receive; its shard is (or is about to be) poisoned.
+        for (tx, out) in txs.iter().zip(&mut outs) {
+            let n = out.len() as u64;
+            if n > 0 && tx.send(SenderMsg::Frame(ns, std::mem::take(out))).is_err() {
+                channel_degraded += n;
             }
         }
         ingress.set_status(admitted, 0, 0.0);
@@ -289,11 +297,13 @@ impl OwnerLink {
         let mut bufs: Vec<Vec<Arrival>> = vec![Vec::new(); self.n_ns];
         loop {
             match rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(SenderMsg::Event(ns, a)) => {
+                Ok(SenderMsg::Frame(ns, events)) => {
                     let buf = &mut bufs[ns as usize];
-                    buf.push(a);
-                    if buf.len() >= self.batch {
-                        self.flush(ns, buf);
+                    for a in events {
+                        buf.push(a);
+                        if buf.len() >= self.batch {
+                            self.flush(ns, buf);
+                        }
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => self.flush_all(&mut bufs),

@@ -12,10 +12,11 @@
 //! process, never dispatch state.
 //!
 //! The worker answers `QUERY_REPORT` with a live [`ShardReportInfo`] for
-//! the whole run — events received, foreign count, assignments, weight;
-//! `decisions` is end-of-run only, 0 until then. After the FIN drain it
-//! publishes the final report and *lingers* for a configurable window,
-//! still answering, so the router can confirm delivery counts before the
+//! the whole run — events received, foreign count, assignments, weight,
+//! republished after each applied frame and idle tick; `decisions` is
+//! end-of-run only, 0 until then. After the FIN drain it publishes the
+//! final report and *lingers* for a configurable window, still
+//! answering, so the router can confirm delivery counts before the
 //! process exits.
 //!
 //! [`DispatchService`]: mbta_service::DispatchService
@@ -256,12 +257,17 @@ fn serve(cfg: WorkerConfig, ingress: NetIngress) -> Result<WorkerSummary, String
     let mut popped: u64 = 0;
     let mut unknown_namespace: u64 = 0;
     let mut foreign = vec![0u64; svcs.len()];
-    ingress.drive(|item| {
-        match item {
-            Some((ns, _)) if ns as usize >= svcs.len() => unknown_namespace += 1,
-            Some((ns, a)) => {
-                let i = ns as usize;
-                popped += 1;
+    ingress.drive(|ns, events| {
+        let i = ns as usize;
+        if events.is_empty() {
+            for (svc, sink) in svcs.iter_mut().zip(sinks.iter_mut()) {
+                svc.pump(sink);
+            }
+        } else if i >= svcs.len() {
+            unknown_namespace += events.len() as u64;
+        } else {
+            popped += events.len() as u64;
+            for &a in events {
                 if is_foreign(&plans[i], cfg.shard, &a.event) {
                     foreign[i] += 1;
                     mbta_telemetry::counter_add!("mbta_service_foreign_events_total", 1);
@@ -269,13 +275,9 @@ fn serve(cfg: WorkerConfig, ingress: NetIngress) -> Result<WorkerSummary, String
                     svcs[i].submit(a, &mut sinks[i]);
                 }
             }
-            None => {
-                for (svc, sink) in svcs.iter_mut().zip(sinks.iter_mut()) {
-                    svc.pump(sink);
-                }
-            }
         }
-        // The live view: `decisions` stays 0 until the final report.
+        // The live view, once per frame: `decisions` stays 0 until the
+        // final report.
         let batches: u64 = svcs.iter().map(|s| s.batches_committed()).sum();
         let live = svcs
             .iter()

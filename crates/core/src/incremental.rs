@@ -87,6 +87,8 @@ pub struct IncrementalAssignment<'g> {
     worker_active: Vec<bool>,
     task_active: Vec<bool>,
     total: f64,
+    /// Assigned edges, kept by `insert` and `remove`.
+    assigned: usize,
     /// When `true`, every insert/remove is appended to `log` so an online
     /// caller can journal per-event assignment deltas. Off by default:
     /// batch users never pay for the bookkeeping.
@@ -139,6 +141,7 @@ impl<'g> IncrementalAssignment<'g> {
             worker_active: vec![true; g.n_workers()],
             task_active: vec![true; g.n_tasks()],
             total: 0.0,
+            assigned: 0,
             log_enabled: false,
             log: Vec::new(),
         };
@@ -153,14 +156,15 @@ impl<'g> IncrementalAssignment<'g> {
         self.total
     }
 
-    /// Number of assigned edges.
+    /// Number of assigned edges. O(1): the count is kept by the two
+    /// funnels every assignment change goes through.
     pub fn len(&self) -> usize {
-        self.in_matching.iter().filter(|&&b| b).count()
+        self.assigned
     }
 
-    /// Whether nothing is assigned.
+    /// Whether nothing is assigned. O(1).
     pub fn is_empty(&self) -> bool {
-        !self.in_matching.iter().any(|&b| b)
+        self.assigned == 0
     }
 
     /// Whether a worker is currently active.
@@ -186,6 +190,7 @@ impl<'g> IncrementalAssignment<'g> {
     fn insert(&mut self, e: EdgeId) {
         debug_assert!(!self.in_matching[e.index()]);
         self.in_matching[e.index()] = true;
+        self.assigned += 1;
         self.w_load[self.g.worker_of(e).index()] += 1;
         self.t_load[self.g.task_of(e).index()] += 1;
         self.total += self.weights[e.index()];
@@ -197,6 +202,7 @@ impl<'g> IncrementalAssignment<'g> {
     fn remove(&mut self, e: EdgeId) {
         debug_assert!(self.in_matching[e.index()]);
         self.in_matching[e.index()] = false;
+        self.assigned -= 1;
         self.w_load[self.g.worker_of(e).index()] -= 1;
         self.t_load[self.g.task_of(e).index()] -= 1;
         self.total -= self.weights[e.index()];
@@ -501,10 +507,13 @@ impl<'g> IncrementalAssignment<'g> {
         self.repair_task(t);
     }
 
-    /// Debug validation: feasibility, activity and total consistency.
+    /// Debug validation: feasibility, activity, count and total
+    /// consistency.
     pub fn check_invariants(&self) {
         let m = self.matching();
         m.validate(self.g).expect("maintained matching feasible");
+        assert_eq!(self.len(), m.len(), "assigned-edge count drift");
+        assert_eq!(self.is_empty(), m.is_empty());
         for &e in &m.edges {
             assert!(self.worker_active[self.g.worker_of(e).index()]);
             assert!(self.task_active[self.g.task_of(e).index()]);

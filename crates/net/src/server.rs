@@ -9,16 +9,18 @@
 //! (`std::net` blocking I/O — connection counts here are a handful of
 //! event producers, not C10K), all funnelling into a single
 //! [`BoundedQueue`] behind a mutex. The dispatch loop drains that queue
-//! from its own thread via [`NetIngress::drive`].
+//! from its own thread via [`NetIngress::drive`], one admitted frame at a
+//! time.
 //!
 //! Admission control is **atomic per batch**: an `EVENT_BATCH` either
-//! fits the queue's remaining capacity in full and is enqueued, or
-//! nothing is enqueued and the client gets `RETRY_AFTER` with a
-//! backoff-scheduled hint. All-or-nothing is what makes client retry
-//! safe: a bounced batch left no partial prefix behind, so resending it
-//! cannot double-admit, and every accepted event is delivered exactly
-//! once without any deduplication state. The accept loop itself never
-//! touches the queue, so saturation can never stall new connections.
+//! fits in full beside the queued events and the frame in application,
+//! and is enqueued, or nothing is enqueued and the client gets
+//! `RETRY_AFTER` with a backoff-scheduled hint. All-or-nothing is what
+//! makes client retry safe: a bounced batch left no partial prefix
+//! behind, so resending it cannot double-admit, and every accepted event
+//! is delivered exactly once without any deduplication state. The accept
+//! loop itself never touches the queue, so saturation can never stall new
+//! connections.
 //!
 //! Failure handling per connection: a payload that does not decode gets
 //! an `ERR` reply and the connection *survives* (the CRC frame boundary
@@ -36,7 +38,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
@@ -95,12 +97,16 @@ pub struct NetStats {
 /// its driver an idle tick and re-checks for the end of the stream.
 const IDLE_TICK: Duration = Duration::from_millis(50);
 
-/// The ingress queue plus a lockstep deque of namespace tags: entry `i`
-/// of `tags` is the tenant of the `i`-th queued arrival. Both sides are
-/// only ever touched together under the queue mutex, so they cannot skew.
+/// The ingress queue plus one `(namespace, length)` entry per admitted
+/// frame, in admission order: the lengths sum to the queue's depth, so
+/// every queued arrival keeps its tenant. `in_flight` holds the length of
+/// the frame [`NetIngress::drive`] is applying — it has left the queue but
+/// still counts against the cap until `step` returns. All three are only
+/// ever touched together under the queue mutex, so they cannot skew.
 struct NsQueue {
     q: BoundedQueue,
-    tags: VecDeque<u32>,
+    frames: VecDeque<(u32, usize)>,
+    in_flight: usize,
 }
 
 struct Shared {
@@ -145,7 +151,7 @@ impl Shared {
             };
         }
         let mut nq = self.queue.lock().unwrap();
-        if cap - nq.q.len() < events.len() {
+        if cap - nq.q.len() - nq.in_flight < events.len() {
             // Count one deferral for the bounced batch (not per event):
             // the queue's own counter feeds the service report. Crucially
             // nothing is enqueued — the batch is all-or-nothing, so the
@@ -160,7 +166,11 @@ impl Shared {
         for &a in events {
             let outcome = nq.q.offer(a);
             debug_assert_eq!(outcome, OfferOutcome::Accepted, "capacity checked above");
-            nq.tags.push_back(ns);
+        }
+        // Every entry covers at least one queued event, so an empty batch
+        // leaves none: `pop_wait` and `drive` rely on it.
+        if !events.is_empty() {
+            nq.frames.push_back((ns, events.len()));
         }
         drop(nq);
         self.ready.notify_all();
@@ -206,7 +216,8 @@ impl NetIngress {
         let shared = Arc::new(Shared {
             queue: Mutex::new(NsQueue {
                 q: BoundedQueue::new(cfg.queue_cap, DropPolicy::Defer),
-                tags: VecDeque::new(),
+                frames: VecDeque::new(),
+                in_flight: 0,
             }),
             cfg,
             read_only,
@@ -239,37 +250,57 @@ impl NetIngress {
         self.local_addr
     }
 
-    /// Pops the oldest admitted event and its namespace tag, waiting up
-    /// to `timeout` for one to arrive. `None` on timeout. Single-tenant
-    /// drivers can ignore the tag (their clients always send ns 0).
+    /// Waits up to `timeout` for the queue to hold an event; the guard
+    /// comes back either way.
+    fn wait_nonempty(&self, timeout: Duration) -> MutexGuard<'_, NsQueue> {
+        let nq = self.shared.queue.lock().unwrap();
+        let ready = &self.shared.ready;
+        let (nq, _) = ready
+            .wait_timeout_while(nq, timeout, |nq| nq.q.is_empty())
+            .unwrap();
+        nq
+    }
+
+    /// Pops the oldest admitted event and its namespace, waiting up to
+    /// `timeout` for one to arrive. `None` on timeout. Single-tenant
+    /// loops can ignore the namespace (their clients always send ns 0).
     pub fn pop_wait(&self, timeout: Duration) -> Option<(u32, Arrival)> {
-        let mut nq = self.shared.queue.lock().unwrap();
-        if nq.q.is_empty() {
-            let ready = &self.shared.ready;
-            (nq, _) = ready
-                .wait_timeout_while(nq, timeout, |nq| nq.q.is_empty())
-                .unwrap();
-        }
+        let mut nq = self.wait_nonempty(timeout);
         let a = nq.q.pop()?;
-        let ns = nq.tags.pop_front().expect("tags tracks queue in lockstep");
+        let head = nq.frames.front_mut().expect("frames cover the queue");
+        let ns = head.0;
+        head.1 -= 1;
+        if head.1 == 0 {
+            nq.frames.pop_front();
+        }
         Some((ns, a))
     }
 
     /// Runs the stream to its end — the one statement of the
-    /// end-of-stream rule. Every admitted `(namespace, arrival)` is handed
-    /// to `step` as `Some`, in admission order; `None` is an idle tick,
-    /// handed over each time 50 ms pass with the queue empty (where a
-    /// driver pumps, beats and publishes). Returns once a client has sent
-    /// `FIN` and the queue is drained, or with `step`'s first error.
+    /// end-of-stream rule. Every admitted frame is handed to `step` whole,
+    /// as its namespace and its events, in admission order, one queue lock
+    /// per frame. An empty frame (namespace 0) is an idle tick, handed
+    /// over each time 50 ms pass with the queue empty (where a drive loop
+    /// pumps, beats and publishes). The frame being applied counts
+    /// against `queue_cap` until `step` returns, so admitted but
+    /// unapplied events never exceed the cap. Returns once a client has
+    /// sent `FIN` and the queue is drained, or with `step`'s first error.
     pub fn drive<E>(
         &self,
-        mut step: impl FnMut(Option<(u32, Arrival)>) -> Result<(), E>,
+        mut step: impl FnMut(u32, &[Arrival]) -> Result<(), E>,
     ) -> Result<(), E> {
+        let mut frame: Vec<Arrival> = Vec::new();
         loop {
-            let item = self.pop_wait(IDLE_TICK);
-            let idle = item.is_none();
-            step(item)?;
-            if idle && self.is_drained() {
+            let mut nq = self.wait_nonempty(IDLE_TICK);
+            let (ns, len) = nq.frames.pop_front().unwrap_or((0, 0));
+            frame.clear();
+            frame.extend((0..len).map(|_| nq.q.pop().expect("frames cover the queue")));
+            nq.in_flight = len;
+            drop(nq);
+            let applied = step(ns, &frame);
+            self.shared.queue.lock().unwrap().in_flight = 0;
+            applied?;
+            if frame.is_empty() && self.is_drained() {
                 return Ok(());
             }
         }
@@ -280,13 +311,15 @@ impl NetIngress {
         self.shared.fin.load(Ordering::Acquire)
     }
 
-    /// Whether the stream is over: `FIN` seen and the queue drained.
+    /// Whether the stream is over: `FIN` seen, the queue drained and no
+    /// frame in application.
     pub fn is_drained(&self) -> bool {
-        self.fin_received() && self.shared.queue.lock().unwrap().q.is_empty()
+        let nq = self.shared.queue.lock().unwrap();
+        self.fin_received() && nq.q.is_empty() && nq.in_flight == 0
     }
 
-    /// Publishes the state a `QUERY_STATUS` reply reports. Called by the
-    /// dispatch loop after each batch.
+    /// Publishes the state a `QUERY_STATUS` reply reports. Called by a
+    /// drive loop once per applied frame and idle tick.
     pub fn set_status(&self, watermark: u64, assignments: usize, total_weight: f64) {
         let mut s = self.shared.status.lock().unwrap();
         s.watermark = watermark;
@@ -295,7 +328,8 @@ impl NetIngress {
     }
 
     /// Publishes the snapshot a `QUERY_REPORT` reply carries. Called by
-    /// a shard-owner drive loop alongside [`NetIngress::set_status`].
+    /// a shard-owner drive loop alongside [`NetIngress::set_status`], once
+    /// per applied frame and idle tick.
     pub fn set_report(&self, report: ShardReportInfo) {
         *self.shared.report.lock().unwrap() = report;
     }

@@ -14,7 +14,9 @@
 //!   it journals, decoded, and folded with `RecoveredState::apply`; after
 //!   each, the fold must hold the dispatcher's per-shard edge sets (an
 //!   empty shard and a missing one are the same) and the live weight of
-//!   every assigned edge, and agree with its status getters.
+//!   every assigned edge, and agree with its status getters. After every
+//!   step, commit or not, `assignments()` equals the summed `shard_sets()`
+//!   lengths.
 
 use mbta::graph::random::{random_bipartite, RandomGraphSpec};
 use mbta::graph::BipartiteGraph;
@@ -286,6 +288,13 @@ fn fold_and_check(d: &Dispatcher<'_>, c: &Commit, folded: &mut RecoveredState, a
     }
     assert_eq!(folded.assignments(), d.assignments(), "{at}");
     assert!((folded.total_weight() - d.value()).abs() < 1e-9, "{at}");
+    check_count(d, at);
+}
+
+/// The O(shards) assignment count agrees with the edge sets it counts.
+fn check_count(d: &Dispatcher<'_>, at: &str) {
+    let sets: usize = d.shard_sets().iter().map(Vec::len).sum();
+    assert_eq!(d.assignments(), sets, "{at}: assignment count");
 }
 
 /// Drives one mode over one seeded trace, checking every commit; returns
@@ -334,6 +343,7 @@ fn run(mode: &Mode, seed: u64) -> (u64, u64) {
                 if let Some(c) = d.event(a, &mut report) {
                     fold_and_check(&d, &c, &mut folded, &at(idx));
                 }
+                check_count(&d, &at(idx));
             } else if let Some(closed) = batcher.offer(a) {
                 let c = d.batch(&closed, &mut report);
                 fold_and_check(&d, &c, &mut folded, &at(idx));

@@ -460,13 +460,20 @@ proptest! {
     }
 
     /// The incremental maintainer stays feasible and internally consistent
-    /// under arbitrary churn sequences, and never exceeds the exact optimum
-    /// of the active sub-market.
+    /// (its assigned-edge count included) under arbitrary churn sequences —
+    /// activations, deactivations, non-finite benefit updates, reseeds
+    /// from an exact re-solve and full deactivation storms — and never
+    /// exceeds the exact optimum of the active sub-market.
     #[test]
-    fn incremental_churn_invariants(inst in instance(6, 2), ops in proptest::collection::vec((0u8..4, 0usize..6), 0..30)) {
+    fn incremental_churn_invariants(inst in instance(6, 2), ops in proptest::collection::vec((0u8..7, 0usize..6), 0..30)) {
         let g = inst.graph();
         let w = mb_weights(&g);
         let mut inc = mbta::core::incremental::IncrementalAssignment::new(&g, w.clone());
+        // The active sub-market with non-finite edges zeroed: what an exact
+        // solver may seed from, and what bounds the maintained total.
+        let finite_active = |inc: &mbta::core::incremental::IncrementalAssignment<'_>| -> Vec<f64> {
+            inc.active_weights().into_iter().map(|x| if x.is_finite() { x } else { 0.0 }).collect()
+        };
         for (kind, idx) in ops {
             match kind {
                 0 if g.n_workers() > 0 => {
@@ -481,11 +488,27 @@ proptest! {
                 3 if g.n_tasks() > 0 => {
                     inc.activate_task(TaskId::from_index(idx % g.n_tasks()));
                 }
+                4 if g.n_edges() > 0 => {
+                    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][idx % 3];
+                    inc.set_weight(EdgeId::new((idx % g.n_edges()) as u32), bad);
+                }
+                5 => {
+                    let aw = finite_active(&inc);
+                    let (m, _) = max_weight_bmatching(&g, &aw, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
+                    prop_assert!(inc.reseed(&m).is_ok());
+                    prop_assert_eq!(inc.len(), m.len());
+                }
+                6 => {
+                    for i in 0..g.n_workers() {
+                        inc.deactivate_worker(WorkerId::from_index(i));
+                    }
+                    prop_assert!(inc.is_empty());
+                }
                 _ => {}
             }
             inc.check_invariants();
         }
-        let aw = inc.active_weights();
+        let aw = finite_active(&inc);
         let (opt, _) = max_weight_bmatching(&g, &aw, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
         prop_assert!(inc.total_weight() <= opt.total_weight(&aw) + 1e-6);
     }
