@@ -12,10 +12,21 @@
 //! * **activate worker/task** — the node greedily takes its best available
 //!   edges.
 //!
-//! Repair is O(deg · log deg) per event. Experiment F14 measures the
-//! quality gap between this and a from-scratch re-solve across a churn
-//! trace (the gap stays small because greedy repair is itself locally
-//! ½-optimal, and churn rarely moves the global structure).
+//! Repair is O(deg · log deg) per event and allocates nothing once its two
+//! pooled edge buffers have grown. Experiment F14 measures the quality gap
+//! between this and a from-scratch re-solve across a churn trace (the gap
+//! stays small because greedy repair is itself locally ½-optimal, and
+//! churn rarely moves the global structure).
+//!
+//! **Change set.** Every assignment change, whatever its funnel (repair,
+//! eviction, exchange, [`reseed`](IncrementalAssignment::reseed)), lands
+//! in one always-on change set: an edge is recorded once, at its first
+//! flip since the last drain, with its assignment at that moment.
+//! [`drain_changes`](IncrementalAssignment::drain_changes) yields the
+//! edges whose assignment now differs — the net effect of everything since
+//! the previous drain — and [`changes`](IncrementalAssignment::changes)
+//! reads the same without resetting. Holding each edge at most once, the
+//! set stays bounded by the edge count even for callers that never drain.
 
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
 use mbta_matching::{Infeasibility, Matching};
@@ -89,11 +100,15 @@ pub struct IncrementalAssignment<'g> {
     total: f64,
     /// Assigned edges, kept by `insert` and `remove`.
     assigned: usize,
-    /// When `true`, every insert/remove is appended to `log` so an online
-    /// caller can journal per-event assignment deltas. Off by default:
-    /// batch users never pay for the bookkeeping.
-    log_enabled: bool,
-    log: Vec<(EdgeId, bool)>,
+    /// The change set: each edge flipped since the last drain, once, with
+    /// whether it was assigned before that first flip. `dirty` marks the
+    /// recorded edges.
+    changed: Vec<(EdgeId, bool)>,
+    dirty: Vec<bool>,
+    /// Pooled buffers, empty between calls: a deactivation's dropped edges,
+    /// and a repair's candidates (a reseed's sorted seed).
+    dropped: Vec<EdgeId>,
+    candidates: Vec<EdgeId>,
 }
 
 impl<'g> IncrementalAssignment<'g> {
@@ -142,12 +157,16 @@ impl<'g> IncrementalAssignment<'g> {
             task_active: vec![true; g.n_tasks()],
             total: 0.0,
             assigned: 0,
-            log_enabled: false,
-            log: Vec::new(),
+            changed: Vec::new(),
+            dirty: vec![false; g.n_edges()],
+            dropped: Vec::new(),
+            candidates: Vec::new(),
         };
         for &e in &m.edges {
             s.insert(e);
         }
+        // The seed is the baseline the first drain is measured from.
+        s.drain_changes(|_, _| {});
         Ok(s)
     }
 
@@ -177,37 +196,40 @@ impl<'g> IncrementalAssignment<'g> {
         self.task_active[t.index()]
     }
 
-    /// Snapshot of the current assignment.
+    /// Snapshot of the current assignment, ascending by edge id, in one
+    /// allocation.
     pub fn matching(&self) -> Matching {
-        Matching::from_edges(
-            (0..self.g.n_edges() as u32)
-                .map(EdgeId::new)
-                .filter(|e| self.in_matching[e.index()])
-                .collect(),
-        )
+        let mut edges = Vec::with_capacity(self.assigned);
+        let all = (0..self.g.n_edges() as u32).map(EdgeId::new);
+        edges.extend(all.filter(|e| self.in_matching[e.index()]));
+        Matching::from_edges(edges)
     }
 
     fn insert(&mut self, e: EdgeId) {
         debug_assert!(!self.in_matching[e.index()]);
+        self.record(e);
         self.in_matching[e.index()] = true;
         self.assigned += 1;
         self.w_load[self.g.worker_of(e).index()] += 1;
         self.t_load[self.g.task_of(e).index()] += 1;
         self.total += self.weights[e.index()];
-        if self.log_enabled {
-            self.log.push((e, true));
-        }
     }
 
     fn remove(&mut self, e: EdgeId) {
         debug_assert!(self.in_matching[e.index()]);
+        self.record(e);
         self.in_matching[e.index()] = false;
         self.assigned -= 1;
         self.w_load[self.g.worker_of(e).index()] -= 1;
         self.t_load[self.g.task_of(e).index()] -= 1;
         self.total -= self.weights[e.index()];
-        if self.log_enabled {
-            self.log.push((e, false));
+    }
+
+    /// Enters `e` in the change set at its first flip since the last drain.
+    fn record(&mut self, e: EdgeId) {
+        if !self.dirty[e.index()] {
+            self.dirty[e.index()] = true;
+            self.changed.push((e, self.in_matching[e.index()]));
         }
     }
 
@@ -227,49 +249,37 @@ impl<'g> IncrementalAssignment<'g> {
 
     /// Greedily fills a task's remaining demand from its best addable edges.
     fn repair_task(&mut self, t: TaskId) {
-        if !self.task_active[t.index()] {
-            return;
-        }
-        let mut candidates: Vec<EdgeId> =
-            self.g.task_edges(t).filter(|&e| self.addable(e)).collect();
-        candidates.sort_unstable_by(|&a, &b| {
-            self.weights[b.index()]
-                .total_cmp(&self.weights[a.index()])
-                .then(a.cmp(&b))
-        });
-        for e in candidates {
-            if self.t_load[t.index()] >= self.g.demand(t) {
-                break;
-            }
-            if self.addable(e) {
-                self.insert(e);
-            }
+        if self.task_active[t.index()] {
+            let g = self.g;
+            self.fill(g.task_edges(t), |s| s.t_load[t.index()] >= g.demand(t));
         }
     }
 
     /// Greedily fills a worker's remaining capacity.
     fn repair_worker(&mut self, w: WorkerId) {
-        if !self.worker_active[w.index()] {
-            return;
+        if self.worker_active[w.index()] {
+            let g = self.g;
+            self.fill(g.worker_edges(w), |s| s.w_load[w.index()] >= g.capacity(w));
         }
-        let mut candidates: Vec<EdgeId> = self
-            .g
-            .worker_edges(w)
-            .filter(|&e| self.addable(e))
-            .collect();
-        candidates.sort_unstable_by(|&a, &b| {
-            self.weights[b.index()]
-                .total_cmp(&self.weights[a.index()])
-                .then(a.cmp(&b))
-        });
-        for e in candidates {
-            if self.w_load[w.index()] >= self.g.capacity(w) {
+    }
+
+    /// Assigns one node's addable `edges` best first — weight descending,
+    /// then edge id — until `full` says the node is.
+    fn fill(&mut self, edges: impl Iterator<Item = EdgeId>, full: impl Fn(&Self) -> bool) {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.extend(edges.filter(|&e| self.addable(e)));
+        let w = &self.weights;
+        candidates.sort_unstable_by(|&a, &b| w[b.index()].total_cmp(&w[a.index()]).then(a.cmp(&b)));
+        for &e in &candidates {
+            if full(self) {
                 break;
             }
             if self.addable(e) {
                 self.insert(e);
             }
         }
+        candidates.clear();
+        self.candidates = candidates;
     }
 
     /// Deactivates a worker (logs off): drops its assignments and repairs
@@ -280,18 +290,8 @@ impl<'g> IncrementalAssignment<'g> {
             return 0;
         }
         self.worker_active[w.index()] = false;
-        let dropped: Vec<EdgeId> = self
-            .g
-            .worker_edges(w)
-            .filter(|&e| self.in_matching[e.index()])
-            .collect();
-        for &e in &dropped {
-            self.remove(e);
-        }
-        for &e in &dropped {
-            self.repair_task(self.g.task_of(e));
-        }
-        dropped.len()
+        let g = self.g;
+        self.drop_all(g.worker_edges(w), |s, e| s.repair_task(g.task_of(e)))
     }
 
     /// Deactivates a task (cancelled): drops its assignments and repairs
@@ -301,18 +301,29 @@ impl<'g> IncrementalAssignment<'g> {
             return 0;
         }
         self.task_active[t.index()] = false;
-        let dropped: Vec<EdgeId> = self
-            .g
-            .task_edges(t)
-            .filter(|&e| self.in_matching[e.index()])
-            .collect();
+        let g = self.g;
+        self.drop_all(g.task_edges(t), |s, e| s.repair_worker(g.worker_of(e)))
+    }
+
+    /// Unassigns every assigned edge of `edges`, then runs `repair` on
+    /// each dropped edge in turn. Returns how many were dropped.
+    fn drop_all(
+        &mut self,
+        edges: impl Iterator<Item = EdgeId>,
+        mut repair: impl FnMut(&mut Self, EdgeId),
+    ) -> usize {
+        let mut dropped = std::mem::take(&mut self.dropped);
+        dropped.extend(edges.filter(|&e| self.in_matching[e.index()]));
         for &e in &dropped {
             self.remove(e);
         }
         for &e in &dropped {
-            self.repair_worker(self.g.worker_of(e));
+            repair(self, e);
         }
-        dropped.len()
+        let n = dropped.len();
+        dropped.clear();
+        self.dropped = dropped;
+        n
     }
 
     /// Re-activates a worker (logs back in) and greedily assigns it.
@@ -334,9 +345,10 @@ impl<'g> IncrementalAssignment<'g> {
 
     /// Replaces the maintained matching with `m`, *keeping* the current
     /// activity flags. This is how a batch-level re-solve is adopted by a
-    /// long-running maintainer (the dispatch service solves the active
-    /// sub-market with the robust engine, then reseeds): greedy repair
-    /// resumes from the better matching on the next churn event.
+    /// long-running maintainer (the dispatch service solves a shard's
+    /// active sub-market exactly, then reseeds): greedy repair resumes from
+    /// the better matching on the next churn event. Only the difference is
+    /// applied, so the change set records just the edges `m` moves.
     ///
     /// `m` must be feasible for the graph, touch only active nodes, and
     /// carry finite weights; otherwise the state is left unchanged and the
@@ -356,16 +368,24 @@ impl<'g> IncrementalAssignment<'g> {
                 return Err(SeedRejection::InactiveEndpoint { edge: e.raw() });
             }
         }
-        let current: Vec<EdgeId> = (0..self.g.n_edges() as u32)
-            .map(EdgeId::new)
-            .filter(|e| self.in_matching[e.index()])
-            .collect();
-        for e in current {
-            self.remove(e);
+        // Apply the difference, so the change set holds only what `m`
+        // changes: drop the assigned edges `m` leaves out, then add its
+        // new ones.
+        let mut keep = std::mem::take(&mut self.candidates);
+        keep.extend_from_slice(&m.edges);
+        keep.sort_unstable();
+        for e in (0..self.g.n_edges() as u32).map(EdgeId::new) {
+            if self.in_matching[e.index()] && keep.binary_search(&e).is_err() {
+                self.remove(e);
+            }
         }
         for &e in &m.edges {
-            self.insert(e);
+            if !self.in_matching[e.index()] {
+                self.insert(e);
+            }
         }
+        keep.clear();
+        self.candidates = keep;
         Ok(())
     }
 
@@ -410,41 +430,49 @@ impl<'g> IncrementalAssignment<'g> {
             .collect()
     }
 
-    /// Turns on assignment-delta logging: every subsequent edge insert
-    /// and remove (from repair, reseed, eviction — any funnel) is
-    /// recorded so an online caller can journal per-event decisions.
-    /// Existing batch users never enable this and pay nothing.
+    /// The change set, without resetting it: each edge whose assignment
+    /// differs from the last drain (or the seed), with its assignment now,
+    /// ascending by edge id.
+    pub fn changes(&mut self) -> impl Iterator<Item = (EdgeId, bool)> + '_ {
+        self.changed.sort_unstable_by_key(|&(e, _)| e);
+        let now = &self.in_matching;
+        let flipped = |&(e, was): &(EdgeId, bool)| (now[e.index()] != was).then_some((e, !was));
+        self.changed.iter().filter_map(flipped)
+    }
+
+    /// Hands `emit` the [`changes`](Self::changes), then resets the change
+    /// set: the next drain reports what happens from here on.
     ///
     /// # Example
     /// ```
     /// use mbta_core::incremental::IncrementalAssignment;
     /// use mbta_graph::random::from_edges;
-    /// use mbta_graph::WorkerId;
+    /// use mbta_graph::{EdgeId, WorkerId};
     ///
     /// let g = from_edges(&[1, 1], &[1], &[(0, 0, 0.9, 0.9), (1, 0, 0.5, 0.5)]);
     /// let weights: Vec<f64> = g.edges().map(|e| g.rb(e)).collect();
     /// let mut inc = IncrementalAssignment::new(&g, weights);
-    /// inc.enable_log();
-    /// let mut flips = Vec::new();
-    /// inc.drain_log_into(&mut flips);
-    /// flips.clear(); // discard the churn that predates our interest
+    /// let mut changes = Vec::new();
+    /// // The departure drops edge 0 and repair picks up edge 1.
     /// inc.deactivate_worker(WorkerId::new(0));
-    /// // The departure dropped edge 0 and repair picked up edge 1.
-    /// inc.drain_log_into(&mut flips);
-    /// assert_eq!(flips.len(), 2);
-    /// assert!(!flips[0].1 && flips[1].1);
+    /// inc.activate_worker(WorkerId::new(0)); // the task is full: no change
+    /// inc.drain_changes(|e, assigned| changes.push((e.raw(), assigned)));
+    /// assert_eq!(changes, [(0, false), (1, true)]);
+    ///
+    /// // Evicting edge 1 hands the task back to edge 0; the second
+    /// // departure hands it to edge 1 again. Both edges end as they were.
+    /// inc.set_weight(EdgeId::new(1), f64::NAN);
+    /// inc.set_weight(EdgeId::new(1), 0.5);
+    /// inc.deactivate_worker(WorkerId::new(0));
+    /// changes.clear();
+    /// inc.drain_changes(|e, assigned| changes.push((e.raw(), assigned)));
+    /// assert!(changes.is_empty());
     /// ```
-    pub fn enable_log(&mut self) {
-        self.log_enabled = true;
-    }
-
-    /// Appends the accumulated `(edge, assigned)` flip log to `out` and
-    /// clears it; both buffers keep their capacity across events. An edge
-    /// may appear multiple times (evicted then re-added within one event);
-    /// fold by flip parity to get net decisions.
-    pub fn drain_log_into(&mut self, out: &mut Vec<(EdgeId, bool)>) {
-        out.extend_from_slice(&self.log);
-        self.log.clear();
+    pub fn drain_changes(&mut self, mut emit: impl FnMut(EdgeId, bool)) {
+        self.changes().for_each(|(e, assigned)| emit(e, assigned));
+        for (e, _) in self.changed.drain(..) {
+            self.dirty[e.index()] = false;
+        }
     }
 
     /// Whether edge `e` is currently assigned.
@@ -507,8 +535,8 @@ impl<'g> IncrementalAssignment<'g> {
         self.repair_task(t);
     }
 
-    /// Debug validation: feasibility, activity, count and total
-    /// consistency.
+    /// Debug validation: feasibility, activity, count, change-set and
+    /// total consistency.
     pub fn check_invariants(&self) {
         let m = self.matching();
         m.validate(self.g).expect("maintained matching feasible");
@@ -518,6 +546,12 @@ impl<'g> IncrementalAssignment<'g> {
             assert!(self.worker_active[self.g.worker_of(e).index()]);
             assert!(self.task_active[self.g.task_of(e).index()]);
         }
+        let mut listed = vec![false; self.g.n_edges()];
+        for &(e, _) in &self.changed {
+            assert!(!listed[e.index()], "change set lists edge {e} twice");
+            listed[e.index()] = true;
+        }
+        assert_eq!(listed, self.dirty, "change set and dirty marks disagree");
         let recomputed = m.total_weight(&self.weights);
         assert!(
             (recomputed - self.total).abs() < 1e-6,

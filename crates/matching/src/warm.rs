@@ -96,6 +96,7 @@ use crate::mcmf::{self, BipartiteNet, Certificate, CostFlow, FlowResult, Open, S
 use crate::solution::Matching;
 use mbta_graph::{BipartiteGraph, EdgeId};
 use mbta_util::SolveCtl;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// Counters describing one [`WarmNet::solve`] call.
@@ -128,6 +129,8 @@ pub struct WarmNet {
     /// `pi[source] == pi[sink] == 0` between solves.
     bn: BipartiteNet,
     has_prior: bool,
+    /// The repair's two imbalance worklists, pooled across solves.
+    lists: [VecDeque<usize>; 2],
 }
 
 impl WarmNet {
@@ -136,6 +139,7 @@ impl WarmNet {
         WarmNet {
             bn: BipartiteNet::new(g),
             has_prior: false,
+            lists: Default::default(),
         }
     }
 
@@ -233,25 +237,38 @@ impl WarmNet {
         let bn = &mut self.bn;
         let (net, sc, source, sink) = (&mut bn.net, &mut bn.sc, bn.source, bn.sink);
         let hub = |v: usize| v == source || v == sink;
-        // An inner imbalance only moves towards zero, so these worklists
-        // only lose entries; a settled one is dropped when it reaches the
-        // front.
-        let [mut surplus, mut owed] = imbalances(&excess, inner(source, sink, &bn.open));
+        // The inner nodes holding excess and those holding a deficit, each
+        // ascending, in the pooled worklists. An inner imbalance only moves
+        // towards zero, so these only lose entries; a settled one is
+        // dropped when it reaches the front.
+        let [surplus, owed] = &mut self.lists;
+        surplus.clear();
+        owed.clear();
+        for v in inner(source, sink, &bn.open) {
+            match excess[v].cmp(&0) {
+                Ordering::Greater => surplus.push_back(v),
+                Ordering::Less => owed.push_back(v),
+                Ordering::Equal => {}
+            }
+        }
         // Inner excess goes first, and to it the hub is always a target;
         // what the inner deficits are still owed once no inner node holds
         // any is the hub's, searched for from the deficits. Each search
         // starts at the lowest-index imbalance of its kind.
         let mut r = mcmf::NO_FLOW;
         let completed = loop {
-            for list in [&mut surplus, &mut owed] {
+            for list in [&mut *surplus, &mut *owed] {
                 while list.front().is_some_and(|&v| excess[v] == 0) {
                     list.pop_front();
                 }
             }
             debug_assert!(
                 {
-                    let [s, o] = imbalances(&excess, inner(source, sink, &bn.open));
-                    surplus == s && owed.iter().filter(|&&v| excess[v] != 0).eq(&o)
+                    let scan = || inner(source, sink, &bn.open);
+                    let surplus_scan = scan().filter(|&v| excess[v] > 0);
+                    let owed_scan = scan().filter(|&v| excess[v] < 0);
+                    let pending = owed.iter().copied().filter(|&v| excess[v] != 0);
+                    surplus.iter().copied().eq(surplus_scan) && pending.eq(owed_scan)
                 },
                 "a worklist disagrees with a scan of the excess"
             );
@@ -348,20 +365,6 @@ fn inner(source: usize, sink: usize, open: &Option<Open>) -> impl Iterator<Item 
         Some(open) => (0..0, &open.nodes[..]),
     };
     all.chain(open.iter().map(|&v| v as usize))
-}
-
-/// The nodes of `inner` that hold excess and those that hold a deficit,
-/// each in ascending order.
-fn imbalances(excess: &[i64], inner: impl Iterator<Item = usize>) -> [VecDeque<usize>; 2] {
-    let (mut surplus, mut owed) = (VecDeque::new(), VecDeque::new());
-    for v in inner {
-        if excess[v] > 0 {
-            surplus.push_back(v);
-        } else if excess[v] < 0 {
-            owed.push_back(v);
-        }
-    }
-    [surplus, owed]
 }
 
 /// Routes one unit: a search from `start` to the nearest node that

@@ -170,8 +170,11 @@ impl Batcher {
 
     fn close(&mut self, reason: FlushReason) -> ClosedBatch {
         self.bytes = 0;
+        // The next buffer is sized like the batch it follows: one
+        // allocation per batch, not a doubling series as long as the batch.
+        let next = Vec::with_capacity(self.buf.len());
         ClosedBatch {
-            events: std::mem::take(&mut self.buf),
+            events: std::mem::replace(&mut self.buf, next),
             reason,
         }
     }

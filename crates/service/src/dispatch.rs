@@ -19,14 +19,23 @@
 //!  batch:  route + apply churn (greedy repair), then per touched healthy
 //!          shard, via the solve pool, one re-solve on the shard's carried
 //!          solver seeded with the repaired assignment, racing one shared
-//!          deadline; adopt improvements; [boundary rescue: the plan's
-//!          cross-edge market re-solved on its own carried solver, the
-//!          batch's residuals as capacities]
-//!  event:  route + apply one event, depth-1 exchange, drift accounting,
-//!          past the threshold re-solve on the same carried solver
-//!  close:  one unbudgeted closing solve per live online shard
+//!          deadline; adopt improvements; drain the touched shards' change
+//!          sets; [boundary rescue: the plan's cross-edge market re-solved
+//!          on its own carried solver, the batch's residuals as capacities]
+//!  event:  route + apply one event, depth-1 exchange, drift accounting
+//!          off the change set, past the threshold re-solve on the same
+//!          carried solver; drain the shard's change set
+//!  close:  one unbudgeted closing solve per live online shard; drain it
 //!                 --> Commit (+ pooled deltas and decisions)
 //! ```
+//!
+//! **One decision path.** Each shard state keeps one change set: every
+//! edge whose assignment moved since the last drain, once (see
+//! `mbta_core::incremental`). Every shard decision — a batch's, an online
+//! event's, a closing solve's — comes from draining it in
+//! `shard_decisions`, so however a step churned an edge (repair, eviction,
+//! exchange, reseed), only its net change is decided. A re-plan drains and
+//! discards after its migration reseeds: the migration is a plan record.
 //!
 //! **One exact tier.** A shard's market changes by a batch of events
 //! between exact solves, so neither mode builds and cold-solves a flow
@@ -72,7 +81,7 @@
 
 use crate::batch::{ClosedBatch, FlushReason};
 use crate::event::{Arrival, ServiceEvent};
-use crate::online::{self, OnlineConfig, OnlineScratch};
+use crate::online::{self, OnlineConfig};
 use crate::pool::{self, ShardJob};
 use crate::report::ServiceReport;
 use crate::service::ServiceConfig;
@@ -151,10 +160,8 @@ pub struct Dispatcher<'p> {
     /// timestamp seen, which stamps the closing solves' records.
     acc: Vec<f64>,
     last_time: f64,
-    /// Pooled buffers: the online flip fold, and the last step's weight
-    /// updates and decisions — a [`Commit`] leaves those here, so a step
-    /// allocates no output.
-    scratch: OnlineScratch,
+    /// Pooled buffers: the last step's weight updates and decisions — a
+    /// [`Commit`] leaves them here, so a step allocates no output.
     deltas: Vec<WeightDelta>,
     decisions: Vec<Decision>,
 }
@@ -409,17 +416,21 @@ impl<'p> Dispatcher<'p> {
         })
     }
 
-    /// The one place a [`Decision`] is built: universe ids plus the live
-    /// weight at decision time.
-    fn decision(&self, shard: u32, edge: EdgeId, action: Action) -> Decision {
-        Decision {
-            shard,
-            edge: edge.raw(),
-            action,
-            worker: self.universe.worker_of(edge).raw(),
-            task: self.universe.task_of(edge).raw(),
-            weight: self.live_weights[edge.index()],
+    /// The one place shard decisions are built, for a batch, an online
+    /// event and a closing solve alike: drains each of `shards`' change
+    /// sets into the pooled decision buffer, in universe ids and canonical
+    /// order.
+    fn shard_decisions(&mut self, shards: &[usize]) {
+        let (universe, live, out) = (self.universe, &self.live_weights, &mut self.decisions);
+        out.clear();
+        for &s in shards {
+            let back = &self.plan.shards[s].edge_back;
+            self.states[s].drain_changes(|local, assigned| {
+                let (edge, action) = (back[local.index()], Action::from(assigned));
+                out.push(decision(universe, live, s as u32, edge, action));
+            });
         }
+        canonical_order(out);
     }
 
     /// Online mode, as the plan ends (re-plan or finish): folds the
@@ -482,8 +493,7 @@ impl<'p> Dispatcher<'p> {
         rescue: Option<&mut Rescue>,
         tally: &mut ServiceReport,
     ) -> Commit {
-        // Pass 1: route every event so the touched-shard set (and thus the
-        // pre-batch snapshots) is known before any state changes.
+        // Pass 1: route every event, collecting the touched-shard set.
         let mut touched: Vec<usize> = Vec::new();
         let mut seen = vec![false; self.plan.n_shards()];
         let mut routes = Vec::with_capacity(batch.events.len());
@@ -508,8 +518,6 @@ impl<'p> Dispatcher<'p> {
         touched.sort_unstable();
         tally.invalid_events += invalid as u64;
         mbta_telemetry::counter_add!("mbta_service_invalid_events_total", invalid as u64);
-
-        let before: Vec<Matching> = touched.iter().map(|&s| self.states[s].matching()).collect();
 
         // Pass 2: apply churn in arrival order (greedy local repair keeps
         // every intermediate state feasible), collecting the applied weight
@@ -575,23 +583,19 @@ impl<'p> Dispatcher<'p> {
         }
         stats.solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
 
-        // Pass 4: the batch's decisions — each touched shard's
-        // before/after diff, plus the re-derived rescue overlay's.
-        let mut decisions = std::mem::take(&mut self.decisions);
-        decisions.clear();
-        for (&s, pre) in touched.iter().zip(&before) {
-            let post = self.states[s].matching();
-            let back = &self.plan.shards[s].edge_back;
-            diff_sorted(&pre.edges, &post.edges, |local, action| {
-                decisions.push(self.decision(s as u32, back[local.index()], action));
-            });
-        }
+        // Pass 4: the batch's decisions — what the touched shards' change
+        // sets hold, then the re-derived rescue overlay's diff. The overlay
+        // is pseudo-shard `n_shards` and its diff ascends by edge, so the
+        // buffer stays in canonical order.
+        self.shard_decisions(&touched);
         if let Some(rescue) = rescue {
+            let mut decisions = std::mem::take(&mut self.decisions);
             let batch = (&batch.events[..], &routes[..]);
             self.boundary_rescue(rescue, batch, &mut decisions, tally);
+            self.decisions = decisions;
         }
-        canonical_order(&mut decisions);
-        self.decisions = decisions;
+        let key = |d: &Decision| (d.shard, d.edge, d.action);
+        debug_assert!(self.decisions.is_sorted_by_key(key));
 
         let time = |a: Option<&Arrival>| a.map_or(0.0, |a| a.time);
         let head = Head::Batch(time(batch.events.first()), time(batch.events.last()));
@@ -676,14 +680,14 @@ impl<'p> Dispatcher<'p> {
         tally.capacity_violations +=
             validate_rescue(self.universe, is_cross, w_res, t_res, &new_overlay);
 
+        let (live, rescue_shard) = (&self.live_weights, plan.n_shards() as u32);
         let mut assigns = 0u64;
         diff_sorted(&rescue.overlay, &new_overlay, |e, action| {
             assigns += u64::from(action == Action::Assign);
-            out.push(self.decision(plan.n_shards() as u32, e, action));
+            out.push(decision(self.universe, live, rescue_shard, e, action));
         });
         tally.rescue_assigns += assigns;
 
-        let live = &self.live_weights;
         rescue.weight = new_overlay.iter().map(|e| live[e.index()]).sum::<f64>() + 0.0;
         mbta_telemetry::gauge_set!("mbta_partition_rescued_weight", rescue.weight);
         rescue.overlay = new_overlay;
@@ -861,14 +865,13 @@ impl<'p> Dispatcher<'p> {
             }
         }
 
-        // Drift: |Δw| of the update plus every net-removed edge's weight
-        // (departures and evictions — plain greedy fills accrue nothing).
-        self.scratch.flips.clear();
-        self.states[s].drain_log_into(&mut self.scratch.flips);
-        self.scratch.fold();
-        for &(e, added) in &self.scratch.net {
-            if !added {
-                drift += self.states[s].weight_of(e).max(0.0);
+        // Drift: |Δw| of the update plus every net-removed edge's live
+        // weight (departures and evictions — plain greedy fills accrue
+        // nothing), read off the change set before a fallback adds to it.
+        let back = &self.plan.shards[s].edge_back;
+        for (local, assigned) in self.states[s].changes() {
+            if !assigned {
+                drift += self.live_weights[back[local.index()].index()].max(0.0);
             }
         }
         tally.online_events += 1;
@@ -890,7 +893,7 @@ impl<'p> Dispatcher<'p> {
             mbta_telemetry::counter_add!("mbta_service_online_fallbacks_total", 1);
         }
 
-        self.online_decisions(s);
+        self.shard_decisions(&[s]);
         let stats = BatchStats::new(FlushReason::Online, 1, 1);
         let head = Head::Online(a.time, u32::from(fell_back));
         (!self.decisions.is_empty() || !self.deltas.is_empty()).then_some(Commit { stats, head })
@@ -916,12 +919,11 @@ impl<'p> Dispatcher<'p> {
         if !live || self.poisoned[s] || self.plan.degenerate(s) {
             return None;
         }
-        self.scratch.flips.clear();
         self.warm_solve_shard(s, SolveCtl::unlimited(), tally);
         self.acc[s] = 0.0;
         tally.online_fallbacks += 1;
         mbta_telemetry::counter_add!("mbta_service_online_fallbacks_total", 1);
-        self.online_decisions(s);
+        self.shard_decisions(&[s]);
         self.deltas.clear();
         let head = Head::Online(self.last_time, 1);
         let stats = BatchStats::new(FlushReason::Online, 0, 1);
@@ -931,27 +933,11 @@ impl<'p> Dispatcher<'p> {
     /// Warm-started exact re-solve of shard `s` (the caller has ruled
     /// out poisoned and degenerate shards): the incremental matching seeds
     /// the shard's solver, which repairs its carried potentials around it.
-    /// Adopts the solution when it improves on the incremental state and
-    /// appends the applied flips to the pooled flip buffer.
+    /// Adopts the solution when it improves on the incremental state.
     fn warm_solve_shard(&mut self, s: usize, ctl: SolveCtl, tally: &mut ServiceReport) {
         let (graph, slot) = (&self.plan.shards[s].graph, &mut self.solvers[s]);
         let solved = pool::run_job(ShardJob::new(s, graph, &self.states[s], slot, ctl));
         self.adopt(s, &solved.matching, solved.value, tally);
-        self.states[s].drain_log_into(&mut self.scratch.flips);
-    }
-
-    /// Folds shard `s`'s pooled flip log into canonical universe-id
-    /// decisions, in the pooled decision buffer.
-    fn online_decisions(&mut self, s: usize) {
-        self.scratch.fold();
-        let back = &self.plan.shards[s].edge_back;
-        let mut decisions = std::mem::take(&mut self.decisions);
-        decisions.clear();
-        decisions.extend(self.scratch.net.iter().map(|&(local, added)| {
-            self.decision(s as u32, back[local.index()], Action::from(added))
-        }));
-        canonical_order(&mut decisions);
-        self.decisions = decisions;
     }
 
     /// Tears the dispatcher down to the plan-free state a successor needs
@@ -1039,28 +1025,19 @@ impl<'p> Dispatcher<'p> {
         // Re-activation above greedily filled each shard; the reseed
         // replaces those fills with exactly the carried assignment — in
         // every shard, including one that carries nothing, so no edge is
-        // ever assigned without having been announced.
+        // ever assigned without having been announced. The migration is
+        // committed as a plan record, not as decisions, so every change
+        // set then starts empty.
         for (st, mut edges) in states.iter_mut().zip(per_shard) {
             edges.sort_unstable();
             st.reseed(&Matching { edges })
                 .expect("carried assignment stays feasible restricted to its new shard");
+            st.drain_changes(|_, _| {});
         }
-        let live = &detached.live_weights;
-        match &mut detached.mode {
-            Mode::Batch(rescue) => {
-                if let Some(r) = rescue {
-                    r.weight = overlay.iter().map(|e| live[e.index()]).sum::<f64>() + 0.0;
-                    r.overlay = overlay;
-                }
-            }
-            // Re-arm the flip logs only after the migration reseeds (the
-            // migration is committed as a plan record, not as per-event
-            // decisions) and restart drift accounting on the new shards.
-            Mode::Online(_) => {
-                for st in &mut states {
-                    st.enable_log();
-                }
-            }
+        if let Mode::Batch(Some(r)) = &mut detached.mode {
+            let live = &detached.live_weights;
+            r.weight = overlay.iter().map(|e| live[e.index()]).sum::<f64>() + 0.0;
+            r.overlay = overlay;
         }
 
         let moved = migration_diff(
@@ -1094,11 +1071,12 @@ impl<'p> Dispatcher<'p> {
             mode: detached.mode,
             acc: vec![0.0; n],
             last_time: detached.last_time,
-            scratch: OnlineScratch::default(),
             deltas: Vec::new(),
             decisions: Vec::new(),
         };
-        let unassign = |&(e, old_shard): &(EdgeId, u32)| d.decision(old_shard, e, Action::Unassign);
+        let unassign = |&(e, old_shard): &(EdgeId, u32)| {
+            decision(universe, &d.live_weights, old_shard, e, Action::Unassign)
+        };
         let mut decisions: Vec<Decision> = dropped.iter().map(unassign).collect();
         canonical_order(&mut decisions);
         d.decisions = decisions;
@@ -1184,6 +1162,25 @@ impl Detached {
     /// passes to [`ShardPlan::build`] for the replacement plan.
     pub fn live_weights(&self) -> &[f64] {
         &self.live_weights
+    }
+}
+
+/// The one place a [`Decision`] is built: universe ids plus the live
+/// weight at decision time.
+fn decision(
+    universe: &BipartiteGraph,
+    live: &[f64],
+    shard: u32,
+    edge: EdgeId,
+    action: Action,
+) -> Decision {
+    Decision {
+        shard,
+        edge: edge.raw(),
+        action,
+        worker: universe.worker_of(edge).raw(),
+        task: universe.task_of(edge).raw(),
+        weight: live[edge.index()],
     }
 }
 

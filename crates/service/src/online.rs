@@ -26,13 +26,14 @@
 //!   fallback but a shard's first (a repair from zero prices) costs what
 //!   moved since the last one.
 //!
-//! Decisions come out of the assignment's flip log (folded by parity, so
-//! eviction/re-add churn cancels) and leave through the service's one
-//! commit path as an `OnlineRecord` per deciding event. The per-event
-//! procedure and its state (drift accumulators, pooled buffers) live in
-//! the dispatcher ([`crate::dispatch`]); this module holds the mode's
-//! configuration, the flip fold and the exchange move. See DESIGN.md §14
-//! for the full contract.
+//! Decisions come out of the shard assignment's change set — each edge
+//! once, with its net change, so eviction/re-add churn cancels — drained
+//! by the same dispatcher function a batch uses, and leave through the
+//! service's one commit path as an `OnlineRecord` per deciding event. The
+//! per-event procedure and its state (drift accumulators, pooled buffers)
+//! live in the dispatcher ([`crate::dispatch`]); this module holds the
+//! mode's configuration and the exchange move. See DESIGN.md §14 for the
+//! full contract.
 
 use mbta_core::incremental::IncrementalAssignment;
 use mbta_graph::EdgeId;
@@ -79,48 +80,6 @@ impl OnlineConfig {
     /// the fallback line while holding `shard_weight` assigned value.
     pub(crate) fn fallback_due(&self, drift: f64, shard_weight: f64) -> bool {
         drift > self.drift_threshold * shard_weight.max(1.0)
-    }
-}
-
-/// Pooled working buffers for the per-event decision path, owned by the
-/// dispatcher. The flip log and its parity fold are Vecs a profile shows
-/// on every online event (the outgoing decisions are the dispatcher's
-/// pooled buffer); clearing them per event makes the steady-state path
-/// allocation-free once the buffers have grown to the event-size
-/// high-water mark.
-#[derive(Default)]
-pub(crate) struct OnlineScratch {
-    /// Raw flips drained for the current event (greedy + fallback).
-    pub flips: Vec<(EdgeId, bool)>,
-    /// Sort buffer for the parity fold.
-    sorted: Vec<(EdgeId, bool)>,
-    /// `flips` folded to net per-edge changes, ascending by edge id.
-    pub net: Vec<(EdgeId, bool)>,
-}
-
-impl OnlineScratch {
-    /// Folds `flips` by parity into `net`. Flips for one edge strictly
-    /// alternate (an assigned edge cannot be inserted again), so an edge
-    /// with an odd flip count net-changed state, in the direction of its
-    /// last flip; even counts cancel out.
-    pub fn fold(&mut self) {
-        self.sorted.clear();
-        self.sorted.extend_from_slice(&self.flips);
-        // Stable sort: chronological order within each edge survives.
-        self.sorted.sort_by_key(|&(e, _)| e);
-        self.net.clear();
-        let mut i = 0;
-        while i < self.sorted.len() {
-            let e = self.sorted[i].0;
-            let mut j = i;
-            while j < self.sorted.len() && self.sorted[j].0 == e {
-                j += 1;
-            }
-            if (j - i) % 2 == 1 {
-                self.net.push((e, self.sorted[j - 1].1));
-            }
-            i = j;
-        }
     }
 }
 
@@ -201,51 +160,6 @@ mod tests {
 
     fn eid(i: u32) -> EdgeId {
         EdgeId::new(i)
-    }
-
-    /// Allocating convenience over [`OnlineScratch::fold`], the test oracle
-    /// for the fold. Output ascends by edge id.
-    fn net_flips(flips: &[(EdgeId, bool)]) -> Vec<(EdgeId, bool)> {
-        let mut scratch = OnlineScratch {
-            flips: flips.to_vec(),
-            ..OnlineScratch::default()
-        };
-        scratch.fold();
-        scratch.net
-    }
-
-    #[test]
-    fn net_flips_folds_by_parity() {
-        let flips = vec![
-            (eid(3), false),
-            (eid(1), true),
-            (eid(3), true), // edge 3: remove + re-add = net zero
-            (eid(2), true),
-            (eid(2), false),
-            (eid(2), true), // edge 2: odd count, net assign
-        ];
-        assert_eq!(net_flips(&flips), vec![(eid(1), true), (eid(2), true)]);
-        assert!(net_flips(&[]).is_empty());
-        // A bare removal survives the fold.
-        assert_eq!(net_flips(&[(eid(5), false)]), vec![(eid(5), false)]);
-    }
-
-    #[test]
-    fn scratch_fold_matches_net_flips_across_reuse() {
-        // One scratch, many folds: reuse must never leak a previous
-        // event's flips into the next fold.
-        let mut scratch = OnlineScratch::default();
-        let logs: Vec<Vec<(EdgeId, bool)>> = vec![
-            vec![(eid(7), false), (eid(2), true), (eid(7), true)],
-            vec![],
-            vec![(eid(1), true), (eid(1), false), (eid(1), true)],
-            vec![(eid(9), false)],
-        ];
-        for log in &logs {
-            scratch.flips.clone_from(log);
-            scratch.fold();
-            assert_eq!(scratch.net, net_flips(log));
-        }
     }
 
     #[test]

@@ -142,11 +142,9 @@ impl<W: Write> DecisionSink for WriteSink<W> {
 
 /// Sorts decisions into the canonical log order.
 pub(crate) fn canonical_order(decisions: &mut [Decision]) {
-    decisions.sort_by(|a, b| {
-        (a.shard, a.edge, a.action)
-            .partial_cmp(&(b.shard, b.edge, b.action))
-            .expect("ids and actions are totally ordered")
-    });
+    // Unstable gives the stable order: a step's keys are unique (one net
+    // action per (shard, edge), the rescue overlay its own shard id).
+    decisions.sort_unstable_by_key(|d| (d.shard, d.edge, d.action));
 }
 
 #[cfg(test)]

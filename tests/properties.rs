@@ -460,12 +460,16 @@ proptest! {
     }
 
     /// The incremental maintainer stays feasible and internally consistent
-    /// (its assigned-edge count included) under arbitrary churn sequences —
-    /// activations, deactivations, non-finite benefit updates, reseeds
-    /// from an exact re-solve and full deactivation storms — and never
-    /// exceeds the exact optimum of the active sub-market.
+    /// (its assigned-edge count and change set included) under arbitrary
+    /// churn sequences — activations, deactivations, finite and non-finite
+    /// benefit updates, single-edge assigns and unassigns, reseeds from an
+    /// exact re-solve and full deactivation storms — and never exceeds the
+    /// exact optimum of the active sub-market. Its change set, drained at
+    /// random points, is exactly the diff of the `matching()` snapshots
+    /// taken at consecutive drains, ascending by edge id with no edge twice,
+    /// and a non-draining read just before the drain agrees with it.
     #[test]
-    fn incremental_churn_invariants(inst in instance(6, 2), ops in proptest::collection::vec((0u8..7, 0usize..6), 0..30)) {
+    fn incremental_churn_invariants(inst in instance(6, 2), ops in proptest::collection::vec((0u8..11, 0usize..6), 0..30)) {
         let g = inst.graph();
         let w = mb_weights(&g);
         let mut inc = mbta::core::incremental::IncrementalAssignment::new(&g, w.clone());
@@ -474,6 +478,9 @@ proptest! {
         let finite_active = |inc: &mbta::core::incremental::IncrementalAssignment<'_>| -> Vec<f64> {
             inc.active_weights().into_iter().map(|x| if x.is_finite() { x } else { 0.0 }).collect()
         };
+        let edge = |idx: usize| EdgeId::new((idx % g.n_edges()) as u32);
+        // The snapshot at the last drain; construction is the first.
+        let mut drained_at = inc.matching().edges;
         for (kind, idx) in ops {
             match kind {
                 0 if g.n_workers() > 0 => {
@@ -503,6 +510,27 @@ proptest! {
                         inc.deactivate_worker(WorkerId::from_index(i));
                     }
                     prop_assert!(inc.is_empty());
+                }
+                7 if g.n_edges() > 0 => inc.set_weight(edge(idx), 0.25 * (idx + 1) as f64),
+                8 if g.n_edges() > 0 => {
+                    inc.try_assign(edge(idx));
+                }
+                9 if g.n_edges() > 0 => {
+                    inc.unassign(edge(idx));
+                }
+                10 => {
+                    let now = inc.matching().edges;
+                    let left = drained_at.iter().filter(|e| !now.contains(e)).map(|&e| (e, false));
+                    let came = now.iter().filter(|e| !drained_at.contains(e)).map(|&e| (e, true));
+                    let mut want: Vec<(EdgeId, bool)> = left.chain(came).collect();
+                    want.sort_unstable_by_key(|&(e, _)| e);
+                    let read: Vec<(EdgeId, bool)> = inc.changes().collect();
+                    let mut got = Vec::new();
+                    inc.drain_changes(|e, assigned| got.push((e, assigned)));
+                    prop_assert_eq!(&read, &got);
+                    prop_assert_eq!(&got, &want);
+                    prop_assert!(inc.changes().next().is_none(), "a drain resets the change set");
+                    drained_at = now;
                 }
                 _ => {}
             }
