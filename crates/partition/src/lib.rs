@@ -45,4 +45,4 @@ pub use placement::{
     decode_placements, encode_placements, load_placements, save_placements, PlacementError,
     PlacementMap,
 };
-pub use rescue::{epoch_market, rescue_seed, validate_rescue};
+pub use rescue::{epoch_market, validate_rescue};
