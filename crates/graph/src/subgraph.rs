@@ -11,6 +11,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::{BipartiteGraph, EdgeId, TaskId, WorkerId};
+use std::sync::Arc;
 
 /// Selection for [`induce`].
 pub struct SubgraphSpec<'a> {
@@ -25,8 +26,9 @@ pub struct SubgraphSpec<'a> {
 
 /// An induced subgraph plus the maps back to parent ids.
 pub struct Subgraph {
-    /// The induced graph.
-    pub graph: BipartiteGraph,
+    /// The induced graph, shared: a solver thread may hold it past the
+    /// borrow of its owner.
+    pub graph: Arc<BipartiteGraph>,
     /// Subgraph worker id → parent worker id.
     pub worker_back: Vec<WorkerId>,
     /// Subgraph task id → parent task id.
@@ -115,7 +117,7 @@ pub fn induce(
         }
     }
     Subgraph {
-        graph: b.build().expect("induced graph is valid"),
+        graph: Arc::new(b.build().expect("induced graph is valid")),
         worker_back,
         task_back,
         edge_back,

@@ -144,8 +144,8 @@ fn batch_dispatch_allocates_per_batch_not_per_event() {
     // (shards, batch_max, allocations per event ceiling): the readings at
     // the time of pinning plus at most 20 % headroom.
     let ceilings: [(usize, [(usize, f64); 3]); 2] = [
-        (1, [(48, 0.47), (96, 0.24), (192, 0.12)]),
-        (4, [(48, 1.02), (96, 0.53), (192, 0.28)]),
+        (1, [(48, 0.39), (96, 0.2), (192, 0.098)]),
+        (4, [(48, 0.85), (96, 0.43), (192, 0.22)]),
     ];
     for (shards, row) in ceilings {
         let plan = ShardPlan::build(&g, &w, shards, Routing::MinCut);
