@@ -185,7 +185,8 @@ fn round(i: usize, n: usize) -> usize {
 
 /// Warm re-solves on one carried net, through 64 precomputed rounds.
 /// `full_resolve`: a 1000 × 500 market, every node open, weights drifting
-/// ±20 % — the shard solve, whose passes walk the whole network.
+/// ±20 % — a shard solve with every node live, whose passes walk every
+/// node and edge.
 /// `rescue_churn`: the same market shaped like a boundary rescue — about a
 /// fifth of the workers and tasks open, so ~4 % of the edges, and a fifth
 /// of those nodes closing or resizing each round — whose passes walk the

@@ -27,6 +27,17 @@
 //! the previous drain — and [`changes`](IncrementalAssignment::changes)
 //! reads the same without resetting. Holding each edge at most once, the
 //! set stays bounded by the edge count even for callers that never drain.
+//!
+//! **Node change set.** The same idiom, for nodes: every node whose
+//! *effective capacity* — its held capacity while active, 0 while not —
+//! may have moved since the last take is held once, and
+//! [`drain_node_changes`](IncrementalAssignment::drain_node_changes) hands
+//! each over with its effective capacity now. That is how an exact solver
+//! carried beside the state learns who is out of the market: a node with
+//! no units is closed, as [`crate::warm::WarmSolver::update_capacities`]
+//! closes it, rather than priced out. A solver built on the state's graph
+//! starts at the graph's capacities with every node active, which is where
+//! a fresh state starts with an empty set.
 
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
 use mbta_matching::{Infeasibility, Matching};
@@ -92,10 +103,6 @@ impl From<Infeasibility> for SeedRejection {
 pub struct IncrementalAssignment<'g> {
     g: &'g BipartiteGraph,
     weights: Vec<f64>,
-    /// Per edge, its weight while both its ends are active, 0 otherwise:
-    /// [`active_weights`](Self::active_weights), kept as activity and
-    /// weights move.
-    active: Vec<f64>,
     in_matching: Vec<bool>,
     w_load: Vec<u32>,
     t_load: Vec<u32>,
@@ -114,6 +121,11 @@ pub struct IncrementalAssignment<'g> {
     /// recorded edges.
     changed: Vec<(EdgeId, bool)>,
     dirty: Vec<bool>,
+    /// The node change set: each node (workers, then tasks) whose
+    /// effective capacity may have moved since the last take, once;
+    /// `noted` marks them.
+    nodes_moved: Vec<u32>,
+    noted: Vec<bool>,
     /// Pooled buffers, empty between calls: a deactivation's dropped edges,
     /// and a repair's candidates (a reseed's sorted seed).
     dropped: Vec<EdgeId>,
@@ -158,7 +170,6 @@ impl<'g> IncrementalAssignment<'g> {
         }
         let mut s = Self {
             g,
-            active: weights.clone(),
             weights,
             in_matching: vec![false; g.n_edges()],
             w_load: vec![0; g.n_workers()],
@@ -171,6 +182,8 @@ impl<'g> IncrementalAssignment<'g> {
             assigned: 0,
             changed: Vec::new(),
             dirty: vec![false; g.n_edges()],
+            nodes_moved: Vec::new(),
+            noted: vec![false; g.n_workers() + g.n_tasks()],
             dropped: Vec::new(),
             candidates: Vec::new(),
         };
@@ -245,6 +258,14 @@ impl<'g> IncrementalAssignment<'g> {
         }
     }
 
+    /// Enters node `v` (workers, then tasks) in the node change set.
+    fn note(&mut self, v: usize) {
+        if !self.noted[v] {
+            self.noted[v] = true;
+            self.nodes_moved.push(v as u32);
+        }
+    }
+
     /// Whether edge `e` could be added right now. Non-finite weights are
     /// never addable: repair must not poison the running total.
     fn addable(&self, e: EdgeId) -> bool {
@@ -306,10 +327,8 @@ impl<'g> IncrementalAssignment<'g> {
             return 0;
         }
         self.worker_active[w.index()] = false;
+        self.note(w.index());
         let g = self.g;
-        for e in g.worker_edges(w) {
-            self.active[e.index()] = 0.0;
-        }
         self.drop_all(g.worker_edges(w), |s, e| s.repair_task(g.task_of(e)))
     }
 
@@ -320,10 +339,8 @@ impl<'g> IncrementalAssignment<'g> {
             return 0;
         }
         self.task_active[t.index()] = false;
+        self.note(self.g.n_workers() + t.index());
         let g = self.g;
-        for e in g.task_edges(t) {
-            self.active[e.index()] = 0.0;
-        }
         self.drop_all(g.task_edges(t), |s, e| s.repair_worker(g.worker_of(e)))
     }
 
@@ -336,8 +353,11 @@ impl<'g> IncrementalAssignment<'g> {
         let i = w.index();
         assert!(cap <= self.g.capacity(w), "above the graph's capacity");
         let over = self.w_load[i].saturating_sub(cap) as usize;
-        let grown = cap > std::mem::replace(&mut self.w_cap[i], cap);
-        let g = self.g;
+        let old = std::mem::replace(&mut self.w_cap[i], cap);
+        if cap != old {
+            self.note(i);
+        }
+        let (grown, g) = (cap > old, self.g);
         self.drop_lightest(g.worker_edges(w), over, |s, e| s.repair_task(g.task_of(e)));
         if grown {
             self.repair_worker(w);
@@ -349,8 +369,11 @@ impl<'g> IncrementalAssignment<'g> {
         let i = t.index();
         assert!(cap <= self.g.demand(t), "above the graph's demand");
         let over = self.t_load[i].saturating_sub(cap) as usize;
-        let grown = cap > std::mem::replace(&mut self.t_cap[i], cap);
-        let g = self.g;
+        let old = std::mem::replace(&mut self.t_cap[i], cap);
+        if cap != old {
+            self.note(self.g.n_workers() + i);
+        }
+        let (grown, g) = (cap > old, self.g);
         self.drop_lightest(g.task_edges(t), over, |s, e| {
             s.repair_worker(g.worker_of(e))
         });
@@ -420,11 +443,7 @@ impl<'g> IncrementalAssignment<'g> {
     pub fn activate_worker(&mut self, w: WorkerId) {
         if !self.worker_active[w.index()] {
             self.worker_active[w.index()] = true;
-            for e in self.g.worker_edges(w) {
-                if self.task_active[self.g.task_of(e).index()] {
-                    self.active[e.index()] = self.weights[e.index()];
-                }
-            }
+            self.note(w.index());
             self.repair_worker(w);
         }
     }
@@ -433,11 +452,7 @@ impl<'g> IncrementalAssignment<'g> {
     pub fn activate_task(&mut self, t: TaskId) {
         if !self.task_active[t.index()] {
             self.task_active[t.index()] = true;
-            for e in self.g.task_edges(t) {
-                if self.worker_active[self.g.worker_of(e).index()] {
-                    self.active[e.index()] = self.weights[e.index()];
-                }
-            }
+            self.note(self.g.n_workers() + t.index());
             self.repair_task(t);
         }
     }
@@ -551,11 +566,6 @@ impl<'g> IncrementalAssignment<'g> {
     /// clean) and greedily repairs both endpoints.
     pub fn set_weight(&mut self, e: EdgeId, w: f64) {
         let i = e.index();
-        if self.worker_active[self.g.worker_of(e).index()]
-            && self.task_active[self.g.task_of(e).index()]
-        {
-            self.active[i] = w;
-        }
         if self.in_matching[i] {
             if w.is_finite() {
                 let old = self.weights[i];
@@ -575,9 +585,44 @@ impl<'g> IncrementalAssignment<'g> {
     /// The active-subgraph weights for re-solve comparisons: inactive
     /// endpoints get weight 0 so a from-scratch solver sees the same market
     /// state (zero-weight edges are never taken in free-cardinality mode).
-    /// Kept as the state moves, so this is one copy.
+    /// Computed in one pass over the edges.
     pub fn active_weights(&self) -> Vec<f64> {
-        self.active.clone()
+        let (g, w) = (self.g, &self.weights);
+        let live = |e: EdgeId| {
+            self.worker_active[g.worker_of(e).index()] && self.task_active[g.task_of(e).index()]
+        };
+        let weight = |e: EdgeId| if live(e) { w[e.index()] } else { 0.0 };
+        g.edges().map(weight).collect()
+    }
+
+    /// Every edge's live weight, active or not.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// Takes the node change set: each node whose effective capacity —
+    /// its held capacity while active, 0 while not — may have moved since
+    /// the last take, once, with that capacity now. Node `i` is worker `i`
+    /// below the worker count and task `i − workers` above it, as
+    /// [`crate::warm::WarmSolver::update_capacities`] names them. The set
+    /// is empty afterwards, whether or not the iterator is run to its end.
+    pub fn drain_node_changes(&mut self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        let n_w = self.g.n_workers();
+        for &v in &self.nodes_moved {
+            self.noted[v as usize] = false;
+        }
+        let (w_cap, t_cap) = (&self.w_cap, &self.t_cap);
+        let (w_on, t_on) = (&self.worker_active, &self.task_active);
+        let units = move |v: u32| {
+            let v = v as usize;
+            let units = match v.checked_sub(n_w) {
+                None if w_on[v] => w_cap[v],
+                Some(t) if t_on[t] => t_cap[t],
+                _ => 0,
+            };
+            (v, units)
+        };
+        self.nodes_moved.drain(..).map(units)
     }
 
     /// The change set, without resetting it: each edge whose assignment
@@ -694,8 +739,8 @@ impl<'g> IncrementalAssignment<'g> {
         self.repair_task(t);
     }
 
-    /// Debug validation: feasibility, activity, count, change-set and
-    /// total consistency.
+    /// Debug validation: feasibility, activity, count, change-set (edge
+    /// and node) and total consistency.
     pub fn check_invariants(&self) {
         let m = self.matching();
         m.validate(self.g).expect("maintained matching feasible");
@@ -717,21 +762,12 @@ impl<'g> IncrementalAssignment<'g> {
                 "task {t} over"
             );
         }
-        let g = self.g;
-        let live = |e: EdgeId| {
-            self.worker_active[g.worker_of(e).index()] && self.task_active[g.task_of(e).index()]
-        };
-        for e in g.edges() {
-            let want = if live(e) {
-                self.weights[e.index()]
-            } else {
-                0.0
-            };
-            assert!(
-                self.active[e.index()].to_bits() == want.to_bits(),
-                "active weight of edge {e} drifted"
-            );
+        let mut noted = vec![false; self.noted.len()];
+        for &v in &self.nodes_moved {
+            assert!(!noted[v as usize], "node change set lists node {v} twice");
+            noted[v as usize] = true;
         }
+        assert_eq!(noted, self.noted, "node change set and its marks disagree");
         let mut listed = vec![false; self.g.n_edges()];
         for &(e, _) in &self.changed {
             assert!(!listed[e.index()], "change set lists edge {e} twice");
@@ -806,7 +842,10 @@ mod tests {
     /// Capacities below the graph's, moved among churn: lowering one to no
     /// less than its load moves nothing, lowering it further drops the
     /// lightest edges there, and the invariants — loads within the
-    /// capacities held, active weights kept — hold after every step.
+    /// capacities held, the node change set listed once — hold after every
+    /// step. Taken at random points, the node change set keeps a mirror
+    /// that starts at the graph's capacities equal to every node's
+    /// effective capacity.
     #[test]
     fn capacity_moves_keep_the_state_within_them() {
         let g = random_bipartite(
@@ -823,10 +862,20 @@ mod tests {
         let mut inc = IncrementalAssignment::new(&g, weights);
         let mut rng = SplitMix64::new(3);
         let (mut lowered, mut dropped) = (0, 0);
+        let mut mirror: Vec<u32> = g.capacities().iter().chain(g.demands()).copied().collect();
+        let effective = |inc: &IncrementalAssignment<'_>| -> Vec<u32> {
+            let w = g
+                .workers()
+                .map(|w| inc.worker_capacity(w) * u32::from(inc.worker_active(w)));
+            let t = g
+                .tasks()
+                .map(|t| inc.task_capacity(t) * u32::from(inc.task_active(t)));
+            w.chain(t).collect()
+        };
         for _ in 0..400 {
             let w = WorkerId::from_index(rng.next_index(g.n_workers()));
             let t = TaskId::from_index(rng.next_index(g.n_tasks()));
-            match rng.next_below(5) {
+            match rng.next_below(7) {
                 0 => {
                     let (load, old) = (inc.worker_load(w), inc.worker_capacity(w));
                     let cap = rng.next_below(u64::from(g.capacity(w)) + 1) as u32;
@@ -850,12 +899,22 @@ mod tests {
                     inc.deactivate_worker(w);
                 }
                 3 => inc.activate_worker(w),
+                4 => {
+                    inc.deactivate_task(t);
+                }
+                5 => inc.activate_task(t),
                 _ => {
                     let e = EdgeId::from_index(rng.next_index(g.n_edges()));
                     inc.set_weight(e, rng.next_f64());
                 }
             }
             inc.check_invariants();
+            if rng.next_bool(0.1) {
+                for (v, units) in inc.drain_node_changes() {
+                    mirror[v] = units;
+                }
+                assert_eq!(mirror, effective(&inc), "a moved node was not noted");
+            }
         }
         assert!(
             lowered > 20 && dropped > 5,

@@ -9,10 +9,12 @@
 //! for the shard's fixed topology and re-solves against drifting weights,
 //! seeding each solve with the caller's feasible matching (the shard's
 //! current assignment) and carrying the node potentials across calls,
-//! where they are repaired locally instead of recomputed. The boundary
-//! rescue holds one too, over the plan epoch's cross edges, and moves its
-//! node capacities to each batch's residuals
-//! ([`WarmSolver::set_capacities`]) before it re-solves.
+//! where they are repaired locally instead of recomputed. A node out of
+//! the shard's market — inactive, or with no units left — is closed at
+//! capacity 0 ([`WarmSolver::update_capacities`]), not priced out. The
+//! boundary rescue holds one too, over the plan epoch's cross edges, and
+//! moves its node capacities to each batch's residuals the same way
+//! before it re-solves.
 //! Telemetry (`mbta_core_warm_solves_total` / `mbta_core_warm_hits_total`)
 //! counts every serving exact solve — batch shard solves on the service's
 //! pool threads, online fallbacks and rescue solves alike, each a direct
@@ -23,10 +25,9 @@
 //! prices, so the next one resumes from them.
 //!
 //! The returned matching is filtered to strictly positive weights
-//! before it is handed back, so it can always be adopted by
-//! [`crate::incremental::IncrementalAssignment::reseed`] (which rejects
-//! edges on inactive endpoints; inactive endpoints read as weight 0
-//! through [`crate::incremental::IncrementalAssignment::active_weights`]).
+//! before it is handed back: a zero-weight edge adds nothing, and an
+//! assignment that takes none is what
+//! [`crate::incremental::IncrementalAssignment::reseed`] adopts.
 
 use mbta_graph::{BipartiteGraph, EdgeId};
 use mbta_matching::warm::{WarmNet, WarmStats};
@@ -102,7 +103,7 @@ impl WarmSolver {
 
     /// The edges the capacities in force leave open (see
     /// [`WarmNet::open_edges`]).
-    pub fn open_edges(&self) -> Option<impl Iterator<Item = EdgeId> + '_> {
+    pub fn open_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.net.open_edges()
     }
 
@@ -111,9 +112,7 @@ impl WarmSolver {
     /// capacities in force) and the carried potentials, and whether it ran
     /// to completion (`false`: `ctl` cut it short, the matching is the seed
     /// and not optimal, and the next solve resumes from the prices the cut
-    /// left). The result is filtered to strictly
-    /// positive weights (zero-weight edges encode inactive endpoints on
-    /// the serving path).
+    /// left). The result is filtered to strictly positive weights.
     pub fn solve_seeded(
         &mut self,
         g: &BipartiteGraph,

@@ -570,20 +570,21 @@ pub(crate) struct BipartiteNet {
     /// Arc id of `task t → sink`.
     sink_arcs: Vec<u32>,
     pub(crate) sc: Scratch,
-    /// The part of the market [`set_capacities`](Self::set_capacities)
-    /// left open; `None` until it is first called, and then every pass that
+    /// The part of the market the capacities in force leave open, listed
+    /// when the network is built and kept by
+    /// [`update_capacities`](Self::update_capacities): every pass that
     /// would walk the whole network walks this instead.
-    pub(crate) open: Option<Open>,
+    pub(crate) open: Open,
 }
 
-/// The listed part of a capacity-restricted [`BipartiteNet`]: every worker
-/// and task with capacity and every edge between two of them, plus nodes
-/// and edges that closed since the list was last compacted. A closed
-/// node's arcs and a closed edge's arc have no capacity either way, so no
-/// search reaches them, re-pricing a closed node moves nothing, and
-/// neither saturating nor resetting them writes anything: a pass over the
-/// listed part does what the pass over the whole network did.
-#[derive(Debug, Clone)]
+/// The listed part of a [`BipartiteNet`]: every worker and task with
+/// capacity and every edge between two of them, plus nodes and edges that
+/// closed since the list was last compacted. A closed node's arcs and a
+/// closed edge's arc have no capacity either way, so no search reaches
+/// them, re-pricing a closed node moves nothing, and neither saturating
+/// nor resetting them writes anything: a pass over the listed part does
+/// what the pass over the whole network would.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Open {
     /// Listed worker and task nodes, ascending (every worker before every
     /// task, as in the network): re-pricing walks them in this order.
@@ -604,10 +605,15 @@ pub(crate) struct Open {
     node_open: Vec<bool>,
     /// How many listed edges are open.
     open_edges: usize,
+    /// Pooled buffers, empty between calls: the nodes a capacity update
+    /// opened or closed, and the edges at them.
+    flipped: Vec<usize>,
+    at_flipped: Vec<EdgeId>,
 }
 
 impl BipartiteNet {
-    /// Builds the zero-flow, zero-cost network for `g`'s topology.
+    /// Builds the zero-flow, zero-cost network for `g`'s topology at `g`'s
+    /// capacities, its open set listed.
     pub(crate) fn new(g: &BipartiteGraph) -> Self {
         let (n_w, n_t) = (g.n_workers(), g.n_tasks());
         let (source, sink) = (0, 1 + n_w + n_t);
@@ -620,15 +626,16 @@ impl BipartiteNet {
         let edge_arcs = g
             .edges()
             .map(|e| {
-                let (w, t) = (g.worker_of(e).index(), g.task_of(e).index());
-                net.add_arc(1 + w, 1 + n_w + t, 1, 0)
+                let (w, t) = (g.worker_of(e), g.task_of(e));
+                let units = u32::from(g.capacity(w) > 0 && g.demand(t) > 0);
+                net.add_arc(1 + w.index(), 1 + n_w + t.index(), units, 0)
             })
             .collect();
         let sink_arcs = g
             .tasks()
             .map(|t| net.add_arc(1 + n_w + t.index(), sink, g.demand(t), 0))
             .collect();
-        BipartiteNet {
+        let mut bn = BipartiteNet {
             sc: Scratch::new(net.n_nodes),
             net,
             source,
@@ -636,8 +643,10 @@ impl BipartiteNet {
             source_arcs,
             edge_arcs,
             sink_arcs,
-            open: None,
-        }
+            open: Open::default(),
+        };
+        bn.open = bn.list_open();
+        bn
     }
 
     /// `[workers, tasks, edges]` of the topology the network was built for.
@@ -645,10 +654,9 @@ impl BipartiteNet {
         [&self.source_arcs, &self.sink_arcs, &self.edge_arcs].map(Vec::len)
     }
 
-    /// Rewrites the edge-arc costs in place: `-profit`, twin `+profit`. On
-    /// a capacity-restricted network only the open edges' are written: no
-    /// pass reads a closed arc's cost, and an edge that reopens has its
-    /// cost written by the next call.
+    /// Rewrites the open edges' arc costs in place: `-profit`, twin
+    /// `+profit`. No pass reads a closed arc's cost, and an edge that
+    /// reopens has its cost written by the next call.
     pub(crate) fn set_costs(&mut self, weights: &[f64]) {
         assert_eq!(
             weights.len(),
@@ -656,43 +664,26 @@ impl BipartiteNet {
             "weight slice length mismatch"
         );
         let cost = &mut self.net.cost;
-        let mut set = |a: u32, w: f64| {
-            let profit = benefit_to_profit(w);
-            cost[a as usize] = -profit;
-            cost[(a ^ 1) as usize] = profit;
-        };
-        match &self.open {
-            None => {
-                for (&a, &w) in self.edge_arcs.iter().zip(weights) {
-                    set(a, w);
-                }
-            }
-            Some(open) => {
-                for e in &open.edges {
-                    set(self.edge_arcs[e.index()], weights[e.index()]);
-                }
-            }
+        for e in &self.open.edges {
+            let a = self.edge_arcs[e.index()] as usize;
+            let profit = benefit_to_profit(weights[e.index()]);
+            cost[a] = -profit;
+            cost[a ^ 1] = profit;
         }
     }
 
     /// Rewrites the capacities, leaving the network at zero flow: worker
     /// `w` may take `workers[w]` units, task `t` needs `tasks[t]`, and an
     /// edge with an endpoint that has none is closed, so no search enters
-    /// the part of the market that cannot carry flow.
-    ///
-    /// The first call writes every arc and lists the open set. Later ones
-    /// are [`update_capacities`](Self::update_capacities) of every node:
-    /// one comparison per node plus what changed and what is open.
+    /// the part of the market that cannot carry flow. It is
+    /// [`update_capacities`](Self::update_capacities) of every node: one
+    /// comparison per node plus what changed and what is open.
     pub(crate) fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
         assert_eq!(
             [workers.len(), tasks.len()],
             self.shape()[..2],
             "capacity slice length mismatch"
         );
-        if self.open.is_none() {
-            self.open = Some(self.open_all(workers, tasks));
-            return;
-        }
         self.update_capacities(workers.iter().chain(tasks).copied().enumerate());
         self.reset_flow();
     }
@@ -707,16 +698,7 @@ impl BipartiteNet {
     /// not the market. The flow it leaves on the open part is the next
     /// [`apply`](Self::apply)'s to reset.
     pub(crate) fn update_capacities(&mut self, units: impl IntoIterator<Item = (usize, u32)>) {
-        let Some(mut open) = self.open.take() else {
-            let [n_w, n_t, _] = self.shape();
-            let mut caps: Vec<u32> = (1..=n_w + n_t).map(|v| self.hub_units(v)).collect();
-            for (i, c) in units {
-                caps[i] = c;
-            }
-            self.open = Some(self.open_all(&caps[..n_w], &caps[n_w..]));
-            return;
-        };
-        let mut flipped = Vec::new();
+        let mut open = std::mem::take(&mut self.open);
         for (i, c) in units {
             let v = 1 + i;
             let a = self.hub_arc(v) as usize;
@@ -724,27 +706,27 @@ impl BipartiteNet {
             if was != c {
                 (self.net.cap[a], self.net.cap[a ^ 1]) = (c, 0);
                 if (was == 0) != (c == 0) {
-                    flipped.push(v);
+                    open.flipped.push(v);
                 }
             }
         }
-        if !flipped.is_empty() {
-            self.reopen(&mut open, flipped);
+        if !open.flipped.is_empty() {
+            self.reopen(&mut open);
         }
-        self.open = Some(open);
+        self.open = open;
     }
 
-    /// Opens or closes the edges at each of `flipped` — nodes that opened
-    /// or closed — and lists what opened. A node or edge that closed stays
-    /// listed, so one that reopens costs only its arcs, until the closed
-    /// edges listed outnumber an eighth of the open ones (and 16): then the
-    /// list drops every closed node and edge.
-    fn reopen(&mut self, open: &mut Open, flipped: Vec<usize>) {
+    /// Opens or closes the edges at each of `open.flipped` — nodes that
+    /// opened or closed — and lists what opened. A node or edge that closed
+    /// stays listed, so one that reopens costs only its arcs, until the
+    /// closed edges listed outnumber an eighth of the open ones (and 16):
+    /// then the list drops every closed node and edge.
+    fn reopen(&mut self, open: &mut Open) {
         // A node named twice may have flipped back; every step below reads
         // the node as it now stands, so a repeat changes nothing.
         let mut listed = false;
-        let mut edges = Vec::new();
-        for &v in &flipped {
+        let mut edges = std::mem::take(&mut open.at_flipped);
+        for v in open.flipped.drain(..) {
             let is_open = self.hub_units(v) > 0;
             open.node_open[v] = is_open;
             if is_open && !open.node_listed[v] {
@@ -756,7 +738,7 @@ impl BipartiteNet {
             self.edges_at(v, &mut edges);
         }
         let (cap, head) = (&mut self.net.cap, &self.net.head);
-        for e in edges {
+        for e in edges.drain(..) {
             let a = self.edge_arcs[e.index()] as usize;
             let (w, t) = (head[a ^ 1] as usize, head[a] as usize);
             let is_open = open.node_open[w] && open.node_open[t];
@@ -771,6 +753,7 @@ impl BipartiteNet {
                 open.arcs.push(a as u32);
             }
         }
+        open.at_flipped = edges;
         if open.edges.len() > open.open_edges + open.open_edges / 8 + 16 {
             let node_open = &open.node_open;
             open.nodes.retain(|&v| {
@@ -829,40 +812,17 @@ impl BipartiteNet {
         self.net.cap[a] + self.net.cap[a ^ 1] > 0
     }
 
-    /// The first restriction: every arc rewritten at zero flow, and the
-    /// open set listed.
-    fn open_all(&mut self, workers: &[u32], tasks: &[u32]) -> Open {
-        let net = &mut self.net;
-        let (cap, head) = (&mut net.cap, &net.head);
-        let mut set = |a: u32, units: u32| {
-            cap[a as usize] = units;
-            cap[(a ^ 1) as usize] = 0;
-        };
-        for (&a, &c) in self.source_arcs.iter().zip(workers) {
-            set(a, c);
+    /// The open set of the capacities on the network: every inner node
+    /// with units and every edge with capacity, ascending.
+    fn list_open(&self) -> Open {
+        let inner = 1..self.sink;
+        let mut node_open = vec![false; self.sink + 1];
+        for v in inner.clone() {
+            node_open[v] = self.hub_units(v) > 0;
         }
-        for (&a, &d) in self.sink_arcs.iter().zip(tasks) {
-            set(a, d);
-        }
-        let mut edges = Vec::new();
-        for (e, &a) in self.edge_arcs.iter().enumerate() {
-            // Worker `w` is node `1 + w`, task `t` node `1 + workers + t`.
-            let w = head[(a ^ 1) as usize] as usize - 1;
-            let t = head[a as usize] as usize - 1 - workers.len();
-            let is_open = workers[w] > 0 && tasks[t] > 0;
-            set(a, u32::from(is_open));
-            if is_open {
-                edges.push(EdgeId::from_index(e));
-            }
-        }
-        let units = workers.iter().chain(tasks);
-        let nodes = (1..).zip(units).filter(|&(_, &c)| c > 0);
-        let nodes: Vec<u32> = nodes.map(|(v, _)| v).collect();
-        let mut node_listed = vec![false; self.sink + 1];
-        for &v in &nodes {
-            node_listed[v as usize] = true;
-        }
-        let node_open = node_listed.clone();
+        let nodes = inner.filter(|&v| node_open[v]).map(|v| v as u32).collect();
+        let all = (0..self.edge_arcs.len()).map(EdgeId::from_index);
+        let edges: Vec<EdgeId> = all.filter(|&e| self.edge_open(e)).collect();
         let mut edge_listed = vec![false; self.edge_arcs.len()];
         for e in &edges {
             edge_listed[e.index()] = true;
@@ -871,10 +831,10 @@ impl BipartiteNet {
             nodes,
             open_edges: edges.len(),
             edges,
-            arcs: Vec::new(),
-            node_listed,
+            node_listed: node_open.clone(),
             edge_listed,
             node_open,
+            ..Open::default()
         };
         self.index_arcs(&mut open);
         open
@@ -890,30 +850,19 @@ impl BipartiteNet {
     }
 
     /// The edges the capacities in force leave open, in no particular
-    /// order; `None` before the first
-    /// [`set_capacities`](Self::set_capacities).
-    pub(crate) fn open_edges(&self) -> Option<impl Iterator<Item = EdgeId> + '_> {
-        let open = self.open.as_ref()?;
-        Some(open.edges.iter().copied().filter(|&e| self.edge_open(e)))
+    /// order.
+    pub(crate) fn open_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        let open = self.open.edges.iter().copied();
+        open.filter(|&e| self.edge_open(e))
     }
 
-    /// Zeroes all flow: every twin hands its capacity back.
+    /// Zeroes all flow: every listed arc's twin hands its capacity back.
     fn reset_flow(&mut self) {
         let cap = &mut self.net.cap;
-        match &self.open {
-            None => {
-                for pair in cap.chunks_exact_mut(2) {
-                    pair[0] += pair[1];
-                    pair[1] = 0;
-                }
-            }
-            Some(open) => {
-                for &a in &open.arcs {
-                    let a = a as usize;
-                    cap[a] += cap[a ^ 1];
-                    cap[a ^ 1] = 0;
-                }
-            }
+        for &a in &self.open.arcs {
+            let a = a as usize;
+            cap[a] += cap[a ^ 1];
+            cap[a ^ 1] = 0;
         }
     }
 
@@ -948,27 +897,16 @@ impl BipartiteNet {
 
     /// Reads the flow back out: the edges carrying flow, in edge-id order,
     /// and their total fixed-point profit.
-    pub(crate) fn matching(&self, g: &BipartiteGraph) -> (Matching, i64) {
+    pub(crate) fn matching(&self) -> (Matching, i64) {
         let (mut edges, mut profit) = (Vec::new(), 0);
-        let mut read = |e: EdgeId, a: u32| {
+        for &e in &self.open.edges {
+            let a = self.edge_arcs[e.index()];
             if self.net.flow(a) > 0 {
                 edges.push(e);
                 profit -= self.net.cost[a as usize];
             }
-        };
-        match &self.open {
-            None => {
-                for (e, &a) in g.edges().zip(&self.edge_arcs) {
-                    read(e, a);
-                }
-            }
-            Some(open) => {
-                for &e in &open.edges {
-                    read(e, self.edge_arcs[e.index()]);
-                }
-                edges.sort_unstable();
-            }
         }
+        edges.sort_unstable();
         (Matching::from_edges(edges), profit)
     }
 }
@@ -1012,7 +950,7 @@ fn solve(
     bn.set_costs(weights);
     let (source, sink) = (bn.source, bn.sink);
     let (r, completed) = bn.net.run_cold(source, sink, mode, algo, &mut bn.sc, ctl);
-    let (m, profit) = bn.matching(g);
+    let (m, profit) = bn.matching();
     let stats = SolveStats {
         iterations: r.iterations,
         potential_updates: r.potential_updates,

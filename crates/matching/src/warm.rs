@@ -57,8 +57,9 @@
 //! certificate.
 //!
 //! Capacities may move between solves as well as costs
-//! ([`WarmNet::set_capacities`] — the boundary-rescue market of a plan
-//! epoch is one topology whose node capacities are each batch's residuals).
+//! ([`WarmNet::update_capacities`] — a serving shard closes the nodes that
+//! are out of its market, and the boundary-rescue market of a plan epoch
+//! is one topology whose node capacities are each batch's residuals).
 //! They are rewritten on the emptied network, before the seed is applied,
 //! so steps 1–4 never see the change as such: a seed that fits the new
 //! capacities is a feasible flow, the carried potentials are *some*
@@ -67,15 +68,14 @@
 //! capacity is closed, and so is every edge at it: their arcs have no
 //! capacity either way, so no search enters them, re-pricing a closed node
 //! moves nothing, and saturating or resetting its arcs writes nothing.
-//! Once capacities are set, then, a solve walks only the open part: the
-//! net keeps the open workers, tasks and edges in ascending order, rewrites
-//! only the arcs whose capacity or open state changed, and its cost write,
-//! flow reset, re-price, saturate, imbalance scan and read-out visit the
-//! open set alone — in the order the whole-network passes would, so flow,
-//! potentials and routing are theirs. An edge's cost is written when it is
-//! open, so one that reopens carries the weight of the solve it reopens
-//! in. A net that never calls `set_capacities` keeps the whole-network
-//! loops.
+//! A solve therefore walks only the open part: the net lists the open
+//! workers, tasks and edges when it is built (from the graph's
+//! capacities), rewrites only the arcs whose capacity or open state
+//! changed, and its cost write, flow reset, re-price, saturate, imbalance
+//! scan and read-out visit the listed set alone — in the order a
+//! whole-network pass would, so flow, potentials and routing are its. An
+//! edge's cost is written when it is open, so one that reopens carries the
+//! weight of the solve it reopens in.
 //!
 //! Every search consults the caller's [`SolveCtl`]. Mid-repair the network
 //! holds a pseudoflow, not a matching, so an interrupted repair hands the
@@ -92,7 +92,7 @@
 //! [`crate::mcmf::max_weight_bmatching`] solve — the warm path is purely
 //! a latency optimization, checked by the `warm_matches_cold_*` tests.
 
-use crate::mcmf::{self, BipartiteNet, Certificate, CostFlow, FlowResult, Open, Scratch, Search};
+use crate::mcmf::{self, BipartiteNet, Certificate, CostFlow, FlowResult, Scratch, Search};
 use crate::solution::Matching;
 use mbta_graph::{BipartiteGraph, EdgeId};
 use mbta_util::SolveCtl;
@@ -186,9 +186,8 @@ impl WarmNet {
     }
 
     /// The edges the capacities in force leave open — both endpoints have
-    /// capacity — in no particular order; `None` before the first
-    /// [`set_capacities`](Self::set_capacities), when every edge is.
-    pub fn open_edges(&self) -> Option<impl Iterator<Item = EdgeId> + '_> {
+    /// capacity — in no particular order.
+    pub fn open_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.bn.open_edges()
     }
 
@@ -231,7 +230,7 @@ impl WarmNet {
         let (pi, source, sink) = (&self.bn.sc.pi, self.bn.source, self.bn.sink);
         debug_assert_eq!((pi[source], pi[sink]), (0, 0), "a hub end moved");
         let warm = std::mem::replace(&mut self.has_prior, true) && seeded && completed;
-        let (m, profit) = self.bn.matching(g);
+        let (m, profit) = self.bn.matching();
         let stats = WarmStats {
             warm,
             iterations: r.iterations,
@@ -256,7 +255,7 @@ impl WarmNet {
         let [surplus, owed] = &mut self.lists;
         surplus.clear();
         owed.clear();
-        for v in inner(source, sink, &bn.open) {
+        for v in inner(&bn.open.nodes) {
             match excess[v].cmp(&0) {
                 Ordering::Greater => surplus.push_back(v),
                 Ordering::Less => owed.push_back(v),
@@ -276,7 +275,7 @@ impl WarmNet {
             }
             debug_assert!(
                 {
-                    let scan = || inner(source, sink, &bn.open);
+                    let scan = || inner(&bn.open.nodes);
                     let surplus_scan = scan().filter(|&v| excess[v] > 0);
                     let owed_scan = scan().filter(|&v| excess[v] < 0);
                     let pending = owed.iter().copied().filter(|&v| excess[v] != 0);
@@ -303,27 +302,17 @@ impl WarmNet {
     }
 
     /// Steps 2–3 of the [module docs](self) on the seeded network: re-price,
-    /// saturate. Returns every node's excess (negative: deficit). On a
-    /// capacity-restricted network both walk the open set: a closed node
-    /// has no arc with capacity either way, so re-pricing it moves nothing
-    /// and none of its arcs saturates.
+    /// saturate. Returns every node's excess (negative: deficit). Both walk
+    /// the listed set: a closed node has no arc with capacity either way,
+    /// so re-pricing it moves nothing and none of its arcs saturates.
     fn saturate(&mut self) -> Vec<i64> {
-        let n_arcs = self.bn.net.head.len();
         let bn = &mut self.bn;
-        let (net, pi) = (&mut bn.net, &mut bn.sc.pi);
-        match &bn.open {
-            None => {
-                reprice(net, pi, bn.source + 1..bn.sink);
-                saturate(net, pi, 0..n_arcs)
-            }
-            Some(open) => {
-                reprice(net, pi, open.nodes.iter().map(|&v| v as usize));
-                // Each listed arc, then its twin; the order of the pairs
-                // does not matter (see `mcmf::Open::arcs`).
-                let arcs = open.arcs.iter().map(|&a| a as usize);
-                saturate(net, pi, arcs.flat_map(|a| [a, a ^ 1]))
-            }
-        }
+        let (net, pi, open) = (&mut bn.net, &mut bn.sc.pi, &bn.open);
+        reprice(net, pi, open.nodes.iter().map(|&v| v as usize));
+        // Each listed arc, then its twin; the order of the pairs does not
+        // matter (see `mcmf::Open::arcs`).
+        let arcs = open.arcs.iter().map(|&a| a as usize);
+        saturate(net, pi, arcs.flat_map(|a| [a, a ^ 1]))
     }
 }
 
@@ -369,15 +358,10 @@ fn saturate(net: &mut CostFlow, pi: &[i64], arcs: impl Iterator<Item = usize>) -
     excess
 }
 
-/// The worker and task nodes in ascending order: all of them, or on a
-/// capacity-restricted network the open ones — a closed node's arcs carry
-/// nothing either way, so it never holds excess.
-fn inner(source: usize, sink: usize, open: &Option<Open>) -> impl Iterator<Item = usize> + '_ {
-    let (all, open) = match open {
-        None => (source + 1..sink, &[][..]),
-        Some(open) => (0..0, &open.nodes[..]),
-    };
-    all.chain(open.iter().map(|&v| v as usize))
+/// The listed worker and task nodes, ascending — a closed node's arcs
+/// carry nothing either way, so it never holds excess.
+fn inner(nodes: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    nodes.iter().map(|&v| v as usize)
 }
 
 /// Routes one unit: a search from `start` to the nearest node that
@@ -983,9 +967,8 @@ mod tests {
     /// that reopens carries a weight written while it was closed. Each of
     /// 240 solves is the cold optimum of the restricted market, certified
     /// there by hub-based potentials, and equal — matching, counters and
-    /// every node's potential — to the same solve by a net whose passes
-    /// walk the whole network and by one told only the nodes that moved
-    /// ([`WarmNet::update_capacities`]).
+    /// every node's potential — to the same solve by a net told only the
+    /// nodes that moved ([`WarmNet::update_capacities`]).
     #[test]
     fn capacity_churn_resolves_exact_on_the_open_market() {
         const ROUNDS: u64 = 240;
@@ -993,8 +976,8 @@ mod tests {
         let mut rng = SplitMix64::new(5);
         let mut open = |n| (0..n).map(|_| u32::from(rng.next_bool(0.2)) * 2).collect();
         let (mut wc, mut tc): (Vec<u32>, Vec<u32>) = (open(g.n_workers()), open(g.n_tasks()));
-        let (mut net, mut whole) = (WarmNet::new(&g), WarmNet::new(&g));
-        // A third net hears only the nodes whose capacity moved (the first
+        let mut net = WarmNet::new(&g);
+        // A second net hears only the nodes whose capacity moved (the first
         // round: those off the graph's), one of them named twice.
         let mut named = WarmNet::new(&g);
         let mut last: Vec<u32> = g.capacities().iter().chain(g.demands()).copied().collect();
@@ -1002,8 +985,6 @@ mod tests {
         for round in 0..ROUNDS {
             let caps = (&wc[..], &tc[..]);
             net.set_capacities(&wc, &tc);
-            whole.set_capacities(&wc, &tc);
-            whole.bn.open = None;
             let now: Vec<u32> = wc.iter().chain(&tc).copied().collect();
             let mut moved: Vec<(usize, u32)> = (0..now.len())
                 .filter(|&i| now[i] != last[i])
@@ -1018,9 +999,8 @@ mod tests {
             let (m, stats) = net.solve(&g, &w, &seed, &ctl);
             assert!(stats.completed && hub_based(&net), "round {round}");
             let solved = (m, stats);
-            assert_eq!(solved, whole.solve(&g, &w, &seed, &ctl), "round {round}");
             let open = |net: &WarmNet| {
-                let mut open: Vec<EdgeId> = net.open_edges().unwrap().collect();
+                let mut open: Vec<EdgeId> = net.open_edges().collect();
                 open.sort_unstable();
                 open
             };
@@ -1028,7 +1008,6 @@ mod tests {
             assert_eq!(solved, named.solve(&g, &w, &seed, &ctl), "round {round}");
             let (m, stats) = solved;
             let pi = net.certificate().potentials;
-            assert_eq!(pi, whole.certificate().potentials, "round {round}");
             assert_eq!(pi, named.certificate().potentials, "round {round}");
             assert_eq!(
                 stats.profit,
@@ -1036,7 +1015,7 @@ mod tests {
                 "round {round}"
             );
             assert!(certified_under(&net, &g, &w, &m, caps), "round {round}");
-            open_edges += net.open_edges().unwrap().count();
+            open_edges += net.open_edges().count();
             prev = m;
             drift(&mut w, round, 0.1);
             churn(&mut wc, &mut rng);

@@ -235,10 +235,6 @@ pub(crate) struct Market {
     /// Per shard, per shard node (workers, then tasks) its market node,
     /// [`UNMAPPED`] outside the market.
     local: Vec<Vec<u32>>,
-    /// Per shard, the nodes whose capacity its state moved since its
-    /// solver last took them, each with the capacity it moved to (shard
-    /// node ids, workers then tasks).
-    caps_moved: Vec<Vec<(usize, u32)>>,
 }
 
 impl Market {
@@ -252,13 +248,7 @@ impl Market {
     /// units and open edges in force: the next solve's seed. `None` when
     /// no edge is open (nothing to solve; the overlay empties).
     fn seed(&mut self, overlay: &[EdgeId]) -> Option<Vec<EdgeId>> {
-        if self
-            .solver
-            .open_edges()
-            .is_none_or(|mut open| open.next().is_none())
-        {
-            return None;
-        }
+        self.solver.open_edges().next()?;
         let mut seed = Vec::with_capacity(overlay.len());
         for &e in overlay {
             let [w, t] = self.ends(e);
@@ -569,7 +559,7 @@ impl<'p> Dispatcher<'p> {
 
     /// Adopts a solver's matching for shard `s` when it beats the
     /// incrementally repaired state. The solvers work on the active
-    /// sub-market (inactive edges weigh 0 and are never taken), so the
+    /// sub-market (inactive nodes are closed at capacity 0), so the
     /// matching touches only active nodes and reseed cannot reject it.
     fn adopt(&mut self, s: usize, matching: &Matching, value: f64, tally: &mut ServiceReport) {
         if value > self.states[s].total_weight() + 1e-12 {
@@ -712,9 +702,9 @@ impl<'p> Dispatcher<'p> {
 
     /// Solves `shards` (ascending, none degenerate) through the pool under
     /// `ctl` and adopts what improves. A poisoned shard keeps its seed, no
-    /// job and no solver built. With the boundary `market`, a shard's
-    /// solver first takes the capacities its state moved to after ceding,
-    /// and the market notes what each shard changed.
+    /// job and no solver built; its state keeps its node changes for the
+    /// first healed job. With the boundary `market`, the market notes what
+    /// each shard changed.
     fn solve_shards(
         &mut self,
         shards: &[usize],
@@ -735,11 +725,8 @@ impl<'p> Dispatcher<'p> {
                 poisoned.push(s);
                 continue;
             }
-            let (graph, state) = (&plan.shards[s].graph, &self.states[s]);
-            let mut job = ShardJob::new(s, graph, state, &mut self.solvers[s], ctl.clone());
-            if let Some(m) = market.as_deref_mut() {
-                job.capacities = std::mem::take(&mut m.caps_moved[s]);
-            }
+            let (graph, state) = (&plan.shards[s].graph, &mut self.states[s]);
+            let job = ShardJob::new(s, graph, state, &mut self.solvers[s], ctl.clone());
             jobs.push(job);
         }
         let outcomes = self.pool.solve(jobs, &self.pool_busy_ms);
@@ -760,9 +747,6 @@ impl<'p> Dispatcher<'p> {
         if let Some(m) = market {
             for s in poisoned {
                 m.note_changes(s, &self.states[s]);
-                if let Some(solver) = self.solvers[s].as_mut() {
-                    solver.update_capacities(m.caps_moved[s].drain(..));
-                }
             }
         }
     }
@@ -825,14 +809,11 @@ impl<'p> Dispatcher<'p> {
 
     /// Sets market node `v`'s home capacity to its universe capacity less
     /// the units it has ceded; returns the home shard. The state drops its
-    /// lightest edges there if it is now over, or fills the room it gained.
+    /// lightest edges there if it is now over, or fills the room it gained,
+    /// and notes the node for its solver's next job.
     fn set_home(&mut self, market: &mut Market, v: usize) -> usize {
         let (s, node, full) = self.home(market, v);
         let cap = full - market.ceded[v];
-        // A degenerate shard is never solved, so its solver needs none.
-        if !self.plan.degenerate(s) {
-            market.caps_moved[s].push((node, cap));
-        }
         let (st, n_w) = (&mut self.states[s], self.plan.shards[s].graph.n_workers());
         match node.checked_sub(n_w) {
             None => st.set_worker_capacity(WorkerId::from_index(node), cap),
@@ -993,7 +974,6 @@ impl<'p> Dispatcher<'p> {
             used: vec![0; n],
             moved: Vec::new(),
             changed: Vec::new(),
-            caps_moved: vec![Vec::new(); local.len()],
             local,
             weights,
             solver,
@@ -1242,7 +1222,7 @@ impl<'p> Dispatcher<'p> {
     /// the shard's solver, which repairs its carried potentials around it.
     /// Adopts the solution when it improves on the incremental state.
     fn warm_solve_shard(&mut self, s: usize, ctl: SolveCtl, tally: &mut ServiceReport) {
-        let (graph, state) = (&self.plan.shards[s].graph, &self.states[s]);
+        let (graph, state) = (&self.plan.shards[s].graph, &mut self.states[s]);
         let solved = pool::run_job(ShardJob::new(s, graph, state, &mut self.solvers[s], ctl));
         self.solvers[s] = Some(solved.solver);
         self.adopt(s, &solved.matching, solved.value, tally);

@@ -8,8 +8,11 @@
 //! solver** (`mbta_core::warm::WarmSolver`, moved into the job together
 //! with the matching that seeds it, and back out in its outcome):
 //! whichever thread runs the job repairs the shard's kept network and
-//! duals, so a batch pays for what its events moved. (The boundary rescue
-//! is not a job: its market re-solves inline, on a solver of its own.)
+//! duals, so a batch pays for what its events moved. Building a job
+//! ([`ShardJob::new`]) hands the solver the shard state's node change set
+//! first, so a node out of the shard's market is closed at capacity 0.
+//! (The boundary rescue is not a job: its market re-solves inline, on a
+//! solver of its own.)
 //! Four properties the dispatch loop depends on:
 //!
 //! 1. **One queue, largest first, the caller as thread 0.** Jobs are
@@ -66,14 +69,11 @@ pub struct ShardJob {
     pub shard: usize,
     /// The shard's sub-market graph, shared with the plan.
     pub graph: Arc<BipartiteGraph>,
-    /// Active edge weights for the sub-market (inactive edges weigh 0).
+    /// Live edge weights for the sub-market; the solver's capacities close
+    /// the edges at inactive nodes.
     pub weights: Vec<f64>,
-    /// The shard's carried solver.
+    /// The shard's carried solver, at the state's effective capacities.
     pub solver: WarmSolver,
-    /// Node capacities the solver takes before it solves — `(node,
-    /// units)`, as [`WarmSolver::update_capacities`] names them: what a
-    /// boundary shard's state moved since its last solve.
-    pub capacities: Vec<(usize, u32)>,
     /// The feasible matching that seeds the re-solve, and its floor: a cut
     /// solve hands it back.
     pub seed: Matching,
@@ -84,25 +84,53 @@ pub struct ShardJob {
 impl ShardJob {
     /// The one way a shard solve is built, batch or online: shard `shard`'s
     /// carried solver (taken from its slot, built for `graph` on first
-    /// use), the active weights of its incremental `state`, and that
-    /// state's matching as the seed, under `ctl`.
+    /// use) after it takes the node change set of its incremental `state`
+    /// — so every node out of the state's market is closed at capacity 0 —
+    /// the state's live weights, and its matching as the seed, under `ctl`.
+    ///
+    /// A solver is built at its shard's first solve, when the set holds
+    /// every node the state ever moved off the graph's capacities, so a
+    /// fresh solver needs no special case. Debug builds check that the
+    /// solver's open edges are the shard edges whose two ends both have
+    /// effective capacity.
     pub fn new(
         shard: usize,
         graph: &Arc<BipartiteGraph>,
-        state: &IncrementalAssignment<'_>,
+        state: &mut IncrementalAssignment<'_>,
         solver: &mut Option<WarmSolver>,
         ctl: SolveCtl,
     ) -> Self {
+        let mut solver = solver.take().unwrap_or_else(|| WarmSolver::new(graph));
+        solver.update_capacities(state.drain_node_changes());
+        debug_assert!(
+            follows(&solver, graph, state),
+            "shard {shard}: the solver's open edges are not the state's"
+        );
         ShardJob {
             shard,
-            weights: state.active_weights(),
-            solver: solver.take().unwrap_or_else(|| WarmSolver::new(graph)),
-            capacities: Vec::new(),
+            weights: state.weights().to_vec(),
+            solver,
             graph: Arc::clone(graph),
             seed: state.matching(),
             ctl,
         }
     }
+}
+
+/// Whether `solver`'s open edges are exactly `g`'s edges whose two ends
+/// have effective capacity in `state`. The solver lists each open edge
+/// once, so equal counts and containment are set equality; compared
+/// without collecting, debug builds allocate what release builds do.
+fn follows(solver: &WarmSolver, g: &BipartiteGraph, state: &IncrementalAssignment<'_>) -> bool {
+    let has_units = |w, t| {
+        state.worker_active(w)
+            && state.task_active(t)
+            && state.worker_capacity(w) > 0
+            && state.task_capacity(t) > 0
+    };
+    let live = |e| has_units(g.worker_of(e), g.task_of(e));
+    let open = solver.open_edges().count();
+    solver.open_edges().all(live) && open == g.edges().filter(|&e| live(e)).count()
 }
 
 /// One shard's solve result.
@@ -268,13 +296,9 @@ fn drain(queue: &Queue, metered: bool) -> (Vec<ShardOutcome>, f64) {
     (done, busy)
 }
 
-/// Runs one job on the current thread, timing it: the solver takes the
-/// job's capacities, then solves.
+/// Runs one job on the current thread, timing it.
 pub fn run_job(mut job: ShardJob) -> ShardOutcome {
     let start = Instant::now();
-    if !job.capacities.is_empty() {
-        job.solver.update_capacities(job.capacities.drain(..));
-    }
     let (g, w) = (&*job.graph, &job.weights);
     let (matching, completed) = job.solver.solve_seeded(g, w, &job.seed, &job.ctl);
     ShardOutcome {
@@ -323,7 +347,6 @@ mod tests {
                 graph: Arc::clone(g),
                 weights: w.clone(),
                 solver,
-                capacities: Vec::new(),
                 seed: Matching::empty(),
                 ctl: SolveCtl::unlimited(),
             })

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Prints the code-line counts that CHANGES.md and ROADMAP.md quote: for each
 # first-party crate (and the facade's src/), then for every file of
-# crates/cli/src, crates/store/src, crates/matching/src, crates/net/src,
-# crates/cluster/src and crates/service/src. A code line is a non-blank line
+# crates/cli/src, crates/store/src, crates/core/src, crates/matching/src,
+# crates/net/src, crates/cluster/src and crates/service/src. A code line is a non-blank line
 # that is not comment-only, above the file's `#[cfg(test)]` module.
 #
 # Run from the repository root: `bash scripts/code-lines.sh`.
@@ -25,7 +25,7 @@ for dir in crates/*/src src; do
   total=$((total + n))
 done
 printf '%-28s %6d\n' "total" "$total"
-for dir in crates/cli/src crates/store/src crates/matching/src \
+for dir in crates/cli/src crates/store/src crates/core/src crates/matching/src \
   crates/net/src crates/cluster/src crates/service/src; do
   echo
   for f in "$dir"/*.rs; do

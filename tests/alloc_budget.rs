@@ -1,12 +1,14 @@
-//! Heap allocations per event and per batch on the batch dispatch path.
+//! Heap allocations per event and per batch on the dispatch paths.
 //!
 //! `DispatchService` is driven with a `NullSink` over a seeded market
-//! (400 workers × 200 tasks, two lifecycle passes, benefit drift 0.2) at
-//! 1 and 4 min-cut shards and at `batch_max` 48, 96 and 192, under
-//! `BudgetMode::Deterministic` on one solver thread. A counting global
-//! allocator tallies the allocations of the driving thread after the
-//! first quarter of the events (the warm-up, where buffers grow to their
-//! high-water marks and solvers are built). The test asserts
+//! (400 workers × 200 tasks, two lifecycle passes, benefit drift 0.2)
+//! under `BudgetMode::Deterministic` on one solver thread. A counting
+//! global allocator tallies the allocations of the driving thread after
+//! the first quarter of the events (the warm-up, where buffers grow to
+//! their high-water marks and solvers are built).
+//!
+//! In batch mode, at 1 and 4 min-cut shards and at `batch_max` 48, 96 and
+//! 192, the test asserts
 //!
 //! - allocations per event stay under a pinned ceiling per configuration
 //!   (the measured count plus at most 20 % headroom), and
@@ -16,6 +18,10 @@
 //!   buffers have grown; what a batch allocates is its solve and its
 //!   bookkeeping, whatever its size.
 //!
+//! In online mode, at 1 shard with a drift threshold low enough that
+//! drift fallbacks (exact re-solves on the event path) fire, allocations
+//! per event stay under a pinned ceiling too.
+//!
 //! The allocator counts on a `const`-initialised thread-local, so tests
 //! running on other threads of this binary do not pollute the count; the
 //! file is its own test binary because it installs a `#[global_allocator]`.
@@ -24,8 +30,8 @@ use mbta::graph::BipartiteGraph;
 use mbta::market::benefit::edge_weights;
 use mbta::market::{BenefitParams, Combiner};
 use mbta::service::{
-    Arrival, BatchConfig, BenefitDrift, BudgetMode, DispatchService, NullSink, Routing,
-    ServiceConfig, ShardPlan,
+    Arrival, BatchConfig, BenefitDrift, BudgetMode, DispatchService, NullSink, OnlineConfig,
+    Routing, ServiceConfig, ShardPlan,
 };
 use mbta::workload::{Profile, TraceSpec, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -101,23 +107,30 @@ fn inputs() -> (BipartiteGraph, Vec<f64>, Vec<Arrival>) {
     (g, w, events)
 }
 
-/// One run's allocations after the warm-up quarter.
+/// One run's allocations after the warm-up quarter, and the run's drift
+/// fallbacks (0 in batch mode).
 #[derive(Debug)]
 struct Reading {
     per_event: f64,
     per_batch: f64,
+    fallbacks: u64,
 }
 
-fn measure(g: &BipartiteGraph, plan: &ShardPlan, events: &[Arrival], batch_max: usize) -> Reading {
-    let cfg = ServiceConfig {
-        batch: BatchConfig {
-            max_events: batch_max,
-            ..BatchConfig::default()
-        },
+/// The configuration every run shares: deterministic, one solver thread.
+fn config() -> ServiceConfig {
+    ServiceConfig {
         budget: BudgetMode::Deterministic,
         threads: 1,
         ..ServiceConfig::default()
-    };
+    }
+}
+
+fn measure(
+    g: &BipartiteGraph,
+    plan: &ShardPlan,
+    events: &[Arrival],
+    cfg: ServiceConfig,
+) -> Reading {
     let mut svc = DispatchService::new(g, plan, cfg);
     let mut sink = NullSink;
     let warm = events.len() / 4;
@@ -135,6 +148,7 @@ fn measure(g: &BipartiteGraph, plan: &ShardPlan, events: &[Arrival], batch_max: 
     Reading {
         per_event: allocated as f64 / (events.len() - warm) as f64,
         per_batch: allocated as f64 / batches as f64,
+        fallbacks: report.online_fallbacks,
     }
 }
 
@@ -151,7 +165,11 @@ fn batch_dispatch_allocates_per_batch_not_per_event() {
         let plan = ShardPlan::build(&g, &w, shards, Routing::MinCut);
         let mut per_batch = Vec::new();
         for (batch_max, ceiling) in row {
-            let r = measure(&g, &plan, &events, batch_max);
+            let batch = BatchConfig {
+                max_events: batch_max,
+                ..BatchConfig::default()
+            };
+            let r = measure(&g, &plan, &events, ServiceConfig { batch, ..config() });
             println!("{shards} shards, batch_max {batch_max}: {r:?}");
             assert!(
                 r.per_event <= ceiling,
@@ -170,4 +188,23 @@ fn batch_dispatch_allocates_per_batch_not_per_event() {
             "{shards} shards: allocations per batch {per_batch:?} grow with batch_max"
         );
     }
+}
+
+#[test]
+fn online_dispatch_allocates_a_bounded_amount_per_event() {
+    let (g, w, events) = inputs();
+    let plan = ShardPlan::build(&g, &w, 1, Routing::MinCut);
+    let online = Some(OnlineConfig {
+        drift_threshold: 0.05,
+    });
+    let r = measure(&g, &plan, &events, ServiceConfig { online, ..config() });
+    println!("online, 1 shard: {r:?}");
+    assert!(r.fallbacks > 0, "no drift fallback fired");
+    // The reading at the time of pinning plus at most 20 % headroom.
+    let ceiling = 0.91;
+    assert!(
+        r.per_event <= ceiling,
+        "online, 1 shard: {:.3} allocations per event, ceiling {ceiling}",
+        r.per_event
+    );
 }

@@ -1234,3 +1234,38 @@ fn ceding_keeps_at_least_the_residual_rescue() {
     );
     println!("mean union/optimum {head:.4}, residual rescue {reference:.4}");
 }
+
+/// A unit the overlay lets go returns to its home shard at the next
+/// batch, and that shard is solved in that batch, touched by its events
+/// or not. Where the two sides hold as many units as each other (240
+/// workers of capacity 1, 120 tasks of demand 2), a returned unit's
+/// greedy refill is often not the shard's optimum, so the boundary
+/// audit's shard clause sees a shard left unsolved: with `return_units`
+/// not adding its shard to the touched set, it fails at batch 86.
+#[test]
+fn returned_units_are_solved_on_a_balanced_market() {
+    use mbta::graph::random::{random_bipartite, RandomGraphSpec};
+    let spec = RandomGraphSpec {
+        n_workers: 240,
+        n_tasks: 120,
+        avg_degree: 6.0,
+        capacity: 1,
+        demand: 2,
+    };
+    let g = random_bipartite(&spec, 42);
+    let plan = ShardPlan::build(&g, &mb_weights(&g), 8, Routing::MinCut);
+    let mut rng = mbta::util::SplitMix64::new(42);
+    let ops: Vec<(u8, usize, f64)> = (0..400)
+        .map(|_| {
+            (
+                rng.next_below(8) as u8,
+                rng.next_below(10_000) as usize,
+                rng.next_f64(),
+            )
+        })
+        .collect();
+    let events = service_trace(&g, &ops);
+    let run = audited_run(&g, &plan, &events, 1, true, BudgetMode::Deterministic);
+    let (_, report, _) = run.expect("every commit audits clean");
+    assert!(report.batches > 86, "{} batches", report.batches);
+}
