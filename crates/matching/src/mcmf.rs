@@ -26,6 +26,16 @@
 //!   seeds the potentials of a cold solve and is the per-iteration search of
 //!   [`PathAlgo::Spfa`]. Both searches always consult `ctl`.
 //!
+//! The same network holds the certificate test
+//! (`BipartiteNet::certifies`): the matching fits the capacities in
+//! force, every residual arc has a non-negative reduced cost with edge
+//! costs derived from the caller's weights — not read back from the arena
+//! — and no hub-to-hub path is profitable. [`verify_certificate`] runs it
+//! on a network built fresh; in debug builds every completed
+//! free-cardinality solve runs it on itself — each cold Dijkstra solve
+//! here and every [`crate::warm::WarmNet`] solve — so a solve that is
+//! wrong for its caller's inputs fails where it happens.
+//!
 //! A cold solve is zero flow, Bellman–Ford potentials, loop.
 //! [`max_weight_bmatching`], [`max_weight_bmatching_ctl`] and
 //! [`max_weight_bmatching_certified`] are projections of that one body; no
@@ -271,24 +281,9 @@ impl CostFlow {
         mode: FlowMode,
         algo: PathAlgo,
     ) -> FlowResult {
-        self.run_with_ctl(source, sink, mode, algo, &SolveCtl::unlimited())
-            .0
-    }
-
-    /// Like [`run`](Self::run), but consulting `ctl` between (and inside)
-    /// path searches. Returns `(result, completed)`: on early stop the
-    /// partial flow is still feasible — a prefix of the augmenting-path
-    /// sequence — but `completed` is `false` and optimality is forfeited.
-    pub fn run_with_ctl(
-        &mut self,
-        source: usize,
-        sink: usize,
-        mode: FlowMode,
-        algo: PathAlgo,
-        ctl: &SolveCtl,
-    ) -> (FlowResult, bool) {
         let mut sc = Scratch::new(self.n_nodes);
-        self.run_cold(source, sink, mode, algo, &mut sc, ctl)
+        let ctl = SolveCtl::unlimited();
+        self.run_cold(source, sink, mode, algo, &mut sc, &ctl).0
     }
 
     /// The cold solve on the flow currently on the network, with a fresh
@@ -541,14 +536,6 @@ impl CostFlow {
     /// Reduced cost of arc `a` under `pi`.
     pub(crate) fn reduced_cost(&self, a: usize, pi: &[i64]) -> i64 {
         self.cost[a] + pi[self.head[a ^ 1] as usize] - pi[self.head[a] as usize]
-    }
-
-    /// Whether every residual arc has non-negative reduced cost under `pi`
-    /// — the invariant the Dijkstra loop both requires and maintains.
-    /// Holding, it proves the flow on the network is min-cost for its value
-    /// (no improving residual cycle), so continuing from it is sound.
-    fn reduced_costs_ok(&self, pi: &[i64]) -> bool {
-        (0..self.head.len()).all(|a| self.cap[a] == 0 || self.reduced_cost(a, pi) >= 0)
     }
 }
 
@@ -861,8 +848,7 @@ impl BipartiteNet {
         let cap = &mut self.net.cap;
         for &a in &self.open.arcs {
             let a = a as usize;
-            cap[a] += cap[a ^ 1];
-            cap[a ^ 1] = 0;
+            cap[a] += std::mem::take(&mut cap[a ^ 1]);
         }
     }
 
@@ -893,6 +879,49 @@ impl BipartiteNet {
             self.reset_flow();
         }
         fits
+    }
+
+    /// The certificate test: whether `m` is an optimal free-cardinality
+    /// b-matching at the capacities in force and under `weights`, with
+    /// the potentials in the scratch as its proof. It holds when
+    ///
+    /// * `m` fits the capacities ([`apply`](Self::apply));
+    /// * every residual arc has a non-negative reduced cost, each edge's
+    ///   cost derived from `weights` rather than read from the arena, so a
+    ///   cost write a solve missed shows here;
+    /// * no residual hub-to-hub path is profitable. With the hub ends
+    ///   priced alike the clause above says so already; otherwise one
+    ///   search each way on reduced costs (non-negative by then) measures
+    ///   the cheapest path, whose true cost is that plus the ends' price
+    ///   gap.
+    ///
+    /// It leaves the flow at `m` and the potentials as they were, and
+    /// allocates nothing: re-applying the matching a completed solve just
+    /// read out writes back the flow the solve left.
+    pub(crate) fn certifies(&mut self, g: &BipartiteGraph, weights: &[f64], m: &Matching) -> bool {
+        if self.sc.pi.len() != self.net.n_nodes || !self.apply(g, m) {
+            return false;
+        }
+        let (net, pi, open) = (&self.net, &self.sc.pi, &self.open);
+        let hubs = open.nodes.iter().map(|&v| (self.hub_arc(v as usize), 0));
+        let edge = |&e: &EdgeId| {
+            let i = e.index();
+            (self.edge_arcs[i], -benefit_to_profit(weights[i]))
+        };
+        let mut arcs = hubs.chain(open.edges.iter().map(edge));
+        let sound = arcs.all(|(a, cost)| {
+            let a = a as usize;
+            let red = cost + pi[net.head[a ^ 1] as usize] - pi[net.head[a] as usize];
+            (net.cap[a] == 0 || red >= 0) && (net.cap[a ^ 1] == 0 || red <= 0)
+        });
+        let (source, sink, gap) = (self.source, self.sink, pi[self.sink] - pi[self.source]);
+        // The reduced length of the cheapest residual path, `INF` if none.
+        let (net, sc, ctl) = (&self.net, &mut self.sc, SolveCtl::unlimited());
+        let mut path = |from: usize, to: usize| {
+            net.dijkstra::<false>(from, |v| v == to, sc, &ctl);
+            sc.dist[to]
+        };
+        sound && (gap == 0 || path(source, sink) + gap >= 0 && path(sink, source) >= gap)
     }
 
     /// Reads the flow back out: the edges carrying flow, in edge-id order,
@@ -951,6 +980,9 @@ fn solve(
     let (source, sink) = (bn.source, bn.sink);
     let (r, completed) = bn.net.run_cold(source, sink, mode, algo, &mut bn.sc, ctl);
     let (m, profit) = bn.matching();
+    // SPFA searches raw costs and carries no potentials to check.
+    let certified = completed && mode == FlowMode::FreeCardinality && algo == PathAlgo::Dijkstra;
+    debug_assert!(!certified || bn.certifies(g, weights, &m));
     let stats = SolveStats {
         iterations: r.iterations,
         potential_updates: r.potential_updates,
@@ -1038,37 +1070,25 @@ pub fn max_weight_bmatching_certified(
     (m, stats, Certificate { potentials })
 }
 
-/// Verifies a certificate against a matching, from scratch.
-///
-/// Rebuilds the flow network, applies the matching as a flow, and checks
-/// that (a) the matching is feasible, (b) every residual arc has
-/// non-negative reduced cost under the certificate's potentials — which
-/// rules out improving cycles (same-cardinality reshuffles that would gain
-/// profit) — and (c) no strictly profitable augmenting path remains: the
-/// cheapest residual source → sink distance under *reduced* costs
-/// (non-negative by (b), so Dijkstra is sound) translates back to a true
-/// cost `d_red + π[sink] − π[source] ≥ 0`.
+/// Verifies a certificate against a matching, from scratch: builds the
+/// flow network of `g` at its capacities, costs it from `weights` and runs
+/// the certificate test every exact solve runs on itself in debug builds.
+/// It checks that (a) the matching is feasible, (b) every residual arc of
+/// the flow it induces has non-negative reduced cost under the
+/// certificate's potentials — which rules out improving cycles
+/// (same-cardinality reshuffles that would gain profit) — and (c) no
+/// strictly profitable source → sink or sink → source path remains, so
+/// neither adding nor dropping units gains.
 pub fn verify_certificate(
     g: &BipartiteGraph,
     weights: &[f64],
     m: &Matching,
     cert: &Certificate,
 ) -> bool {
-    if m.validate(g).is_err() {
-        return false;
-    }
     let mut bn = BipartiteNet::new(g);
     bn.set_costs(weights);
-    let pi = &cert.potentials;
-    if pi.len() != bn.net.n_nodes || !bn.apply(g, m) || !bn.net.reduced_costs_ok(pi) {
-        return false;
-    }
-    bn.sc.pi.copy_from_slice(pi);
-    let (source, sink) = (bn.source, bn.sink);
-    bn.net
-        .dijkstra::<false>(source, |v| v == sink, &mut bn.sc, &SolveCtl::unlimited());
-    let dt = bn.sc.dist[bn.sink];
-    dt >= INF || dt + pi[bn.sink] - pi[bn.source] >= 0
+    bn.sc.pi.clone_from(&cert.potentials);
+    bn.certifies(g, weights, m)
 }
 
 #[cfg(test)]

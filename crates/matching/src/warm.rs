@@ -91,6 +91,13 @@
 //! The result is bit-identical in objective to a cold
 //! [`crate::mcmf::max_weight_bmatching`] solve — the warm path is purely
 //! a latency optimization, checked by the `warm_matches_cold_*` tests.
+//! Debug builds also certify every completed solve against its own
+//! inputs: the returned matching is re-applied (writing back the flow the
+//! repair left) and the carried potentials are tested with the edge costs
+//! derived from `weights` ([`crate::mcmf`]'s certificate test, the body of
+//! [`crate::mcmf::verify_certificate`]). The test allocates nothing and
+//! changes neither flow nor prices; a cost write the solve missed fails
+//! it.
 
 use crate::mcmf::{self, BipartiteNet, Certificate, CostFlow, FlowResult, Scratch, Search};
 use crate::solution::Matching;
@@ -231,6 +238,7 @@ impl WarmNet {
         debug_assert_eq!((pi[source], pi[sink]), (0, 0), "a hub end moved");
         let warm = std::mem::replace(&mut self.has_prior, true) && seeded && completed;
         let (m, profit) = self.bn.matching();
+        debug_assert!(!completed || self.bn.certifies(g, weights, &m));
         let stats = WarmStats {
             warm,
             iterations: r.iterations,
@@ -251,11 +259,12 @@ impl WarmNet {
         // The inner nodes holding excess and those holding a deficit, each
         // ascending, in the pooled worklists. An inner imbalance only moves
         // towards zero, so these only lose entries; a settled one is
-        // dropped when it reaches the front.
+        // dropped when it reaches the front. Only the listed nodes are
+        // scanned: a closed node's arcs carry nothing, so it holds none.
         let [surplus, owed] = &mut self.lists;
         surplus.clear();
         owed.clear();
-        for v in inner(&bn.open.nodes) {
+        for v in bn.open.nodes.iter().map(|&v| v as usize) {
             match excess[v].cmp(&0) {
                 Ordering::Greater => surplus.push_back(v),
                 Ordering::Less => owed.push_back(v),
@@ -275,7 +284,7 @@ impl WarmNet {
             }
             debug_assert!(
                 {
-                    let scan = || inner(&bn.open.nodes);
+                    let scan = || bn.open.nodes.iter().map(|&v| v as usize);
                     let surplus_scan = scan().filter(|&v| excess[v] > 0);
                     let owed_scan = scan().filter(|&v| excess[v] < 0);
                     let pending = owed.iter().copied().filter(|&v| excess[v] != 0);
@@ -356,12 +365,6 @@ fn saturate(net: &mut CostFlow, pi: &[i64], arcs: impl Iterator<Item = usize>) -
         }
     }
     excess
-}
-
-/// The listed worker and task nodes, ascending — a closed node's arcs
-/// carry nothing either way, so it never holds excess.
-fn inner(nodes: &[u32]) -> impl Iterator<Item = usize> + '_ {
-    nodes.iter().map(|&v| v as usize)
 }
 
 /// Routes one unit: a search from `start` to the nearest node that

@@ -4,6 +4,9 @@
 # URLs, mailto links, and in-page anchors are skipped; a `path#anchor`
 # link is checked for the path half only. Exits non-zero listing every
 # broken link, so CI fails loudly instead of shipping dead references.
+# It also checks that every test a DESIGN.md invariant list names — written
+# `fn name` — exists as a function under tests/, crates/*/tests or a
+# #[cfg(test)] module of the sources.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,7 +30,22 @@ for doc in "${DOCS[@]}"; do
   done < <(grep -oE '\]\([^)]+\)' "$doc" | sed -E 's/^\]\(//; s/\)$//' |
     grep -vE '^(https?:|mailto:|#)' || true)
 done
+test_fns() {
+  grep -rhoE 'fn [a-z_0-9]+' tests crates/*/tests
+  find src crates -path '*/src/*' -name '*.rs' -exec awk \
+    'FNR == 1 { t = 0 } /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 } t' {} + |
+    grep -oE 'fn [a-z_0-9]+'
+}
+known=$(test_fns | sort -u)
+named=$(grep -oE '`fn [a-z_0-9]+`' DESIGN.md | tr -d '`' | sort -u)
+while IFS= read -r f; do
+  [ -z "$f" ] && continue
+  if ! grep -qxF "$f" <<<"$known"; then
+    echo "DESIGN.md: an invariant names a test that does not exist: $f"
+    fail=1
+  fi
+done <<<"$named"
 if [ "$fail" -eq 0 ]; then
-  echo "doc links OK: ${DOCS[*]}"
+  echo "doc links OK: ${DOCS[*]}; $(wc -l <<<"$named") named tests exist"
 fi
 exit "$fail"

@@ -4,6 +4,9 @@
 # crates/cli/src, crates/store/src, crates/core/src, crates/matching/src,
 # crates/net/src, crates/cluster/src and crates/service/src. A code line is a non-blank line
 # that is not comment-only, above the file's `#[cfg(test)]` module.
+# Then, informational and outside the total, every file of the root
+# `tests/` (the tier-1 suite and the modules its binaries share), in the
+# same unit, with their own total.
 #
 # Run from the repository root: `bash scripts/code-lines.sh`.
 
@@ -32,3 +35,12 @@ for dir in crates/cli/src crates/store/src crates/core/src crates/matching/src \
     printf '%-38s %6d\n' "$f" "$(count "$f")"
   done
 done
+echo
+echo "informational: root tests/, not in the total above"
+tests_total=0
+while IFS= read -r f; do
+  n=$(count "$f")
+  printf '%-38s %6d\n' "$f" "$n"
+  tests_total=$((tests_total + n))
+done < <(find tests -name '*.rs' | sort)
+printf '%-38s %6d\n' "tests total" "$tests_total"

@@ -6,13 +6,16 @@
 //! with the boundary pass, online, online + WAL, a shard owner's view
 //! (each shard of a 4-shard plan, fed only the events the plan routes to
 //! it — what a cluster router forwards — in batch and online mode), and
-//! the `replan_threshold` detach → rebuild → resume epoch loop + WAL. Each run's `WriteSink`
-//! decision log and — where a store is attached — the bytes the store left
-//! on disk (WAL segments and the sealing snapshot) are hashed and compared
-//! against the constants below. Runs with a store also check that
-//! `recover()` equals the live state, both on a crash copy taken before
-//! `finish` (pure WAL replay past the last snapshot) and on the sealed
-//! directory.
+//! the `replan_threshold` detach → rebuild → resume epoch loop + WAL. Each
+//! run's `WriteSink` decision log and — where a store is attached — the
+//! bytes the store left on disk (WAL segments and the sealing snapshot) are
+//! hashed and compared against the constants below. Runs with a store also check that
+//! `recover()` equals the live state the reference market mirrors, both on
+//! a crash copy taken before `finish` (pure WAL replay past the last
+//! snapshot) and on the sealed directory. The reference audits every
+//! scenario at every commit: announcements, feasibility, shard optima and
+//! the overlay where they apply, and the union against the unsharded
+//! optimum at every 4th commit and at the end.
 //!
 //! **The constants were captured at the commit before the dispatch-core
 //! refactor (the `owned-*` ones at the commit before shard ownership left
@@ -23,17 +26,16 @@
 //! purpose, run `GOLDEN_PRINT=1 cargo test --test dispatch_golden --
 //! --nocapture` and paste the printed table.
 
-use mbta::graph::random::{random_bipartite, RandomGraphSpec};
-use mbta::graph::BipartiteGraph;
 use mbta::service::{
-    recover, Action, Arrival, BatchConfig, BatchStats, BenefitDrift, BudgetMode, Decision,
-    DecisionSink, DispatchService, DropPolicy, DurableStore, FsyncPolicy, OfferOutcome,
-    OnlineConfig, RecoveredState, Route, Routing, ServiceConfig, ServiceReport, ShardPlan,
-    StoreConfig, WriteSink,
+    recover, BatchConfig, BudgetMode, DispatchService, DropPolicy, DurableStore, FsyncPolicy,
+    OfferOutcome, OnlineConfig, RecoveredState, Route, Routing, ServiceConfig, ServiceReport,
+    ShardPlan, StoreConfig,
 };
-use mbta::workload::trace::TraceSpec;
-use std::collections::{BTreeMap, BTreeSet};
+use reference::Reference;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+
+mod reference;
 
 /// `(scenario, decision-log hash, store-bytes hash)`; the store hash is 0
 /// for scenarios that run without a WAL.
@@ -74,32 +76,6 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 }
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-fn universe() -> (BipartiteGraph, Vec<f64>) {
-    let g = random_bipartite(
-        &RandomGraphSpec {
-            n_workers: 120,
-            n_tasks: 90,
-            avg_degree: 6.0,
-            capacity: 2,
-            demand: 2,
-        },
-        91,
-    );
-    let w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
-    (g, w)
-}
-
-fn stream(g: &BipartiteGraph) -> Vec<Arrival> {
-    let trace = TraceSpec {
-        horizon: 60.0,
-        mean_session: 20.0,
-        mean_task_lifetime: 25.0,
-        seed: 23,
-    }
-    .generate(g.n_workers(), g.n_tasks());
-    BenefitDrift::new(g, 0.3, 23).weave(trace.into_iter().map(Arrival::from_trace))
-}
 
 struct Scenario {
     name: &'static str,
@@ -147,39 +123,6 @@ impl Scenario {
     }
 }
 
-/// Writes the decision log and tracks the live assignment the decisions
-/// add up to (edge → the shard that assigned it) — the state `recover()`
-/// must reproduce.
-struct TrackingSink {
-    log: WriteSink<Vec<u8>>,
-    live: BTreeMap<u32, u32>,
-    /// Decisions that arrived with a re-plan's migration commit (no
-    /// events, no shard touched).
-    migration_unassigns: usize,
-}
-
-impl DecisionSink for TrackingSink {
-    fn on_batch(&mut self, stats: &BatchStats, decisions: &[Decision]) {
-        self.log.on_batch(stats, decisions);
-        if stats.events == 0 && stats.shards_touched == 0 {
-            self.migration_unassigns += decisions.len();
-        }
-        for d in decisions {
-            match d.action {
-                Action::Assign => {
-                    assert!(self.live.insert(d.edge, d.shard).is_none(), "double assign")
-                }
-                // A re-plan relabels shards, so only the edge must match.
-                Action::Unassign => assert!(
-                    self.live.remove(&d.edge).is_some(),
-                    "unassign of an edge never announced: {d:?} at seq {}",
-                    stats.seq
-                ),
-            }
-        }
-    }
-}
-
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "mbta-dispatch-golden-{name}-{}",
@@ -198,29 +141,24 @@ fn sorted_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// `recovered` holds exactly the edges the sink saw assigned. A re-plan
-/// relabels shards wholesale without re-announcing still-assigned edges,
-/// so after one only the edge union is comparable.
-fn assert_recovered(
-    recovered: &RecoveredState,
-    sink: &TrackingSink,
-    watermark: u64,
-    replans: bool,
-) {
+/// `recovered` holds exactly the edges the reference saw assigned. A
+/// re-plan relabels shards wholesale without re-announcing still-assigned
+/// edges, so after one only the edge union is comparable.
+fn assert_recovered(recovered: &RecoveredState, mirror: &Reference, watermark: u64, replans: bool) {
     assert_eq!(recovered.watermark, watermark);
+    let shard_edges = recovered.shards.iter().enumerate();
+    let got = shard_edges.flat_map(|(s, edges)| edges.iter().map(move |&e| (e, s as u32)));
+    let got: BTreeSet<(u32, u32)> = got.collect();
+    let want: BTreeSet<(u32, u32)> = mirror.assigned().collect();
     if replans {
-        let got: BTreeSet<u32> = recovered.shards.iter().flatten().copied().collect();
-        let want: BTreeSet<u32> = sink.live.keys().copied().collect();
-        assert_eq!(got, want, "recovered edge union diverged from live state");
+        let edges = |set: &BTreeSet<(u32, u32)>| set.iter().map(|p| p.0).collect::<Vec<_>>();
+        assert_eq!(
+            edges(&got),
+            edges(&want),
+            "recovered edge union diverged from live state"
+        );
         assert_eq!(recovered.assignments(), want.len(), "edge in two shards");
     } else {
-        let got: BTreeSet<(u32, u32)> = recovered
-            .shards
-            .iter()
-            .enumerate()
-            .flat_map(|(s, edges)| edges.iter().map(move |&e| (s as u32, e)))
-            .collect();
-        let want: BTreeSet<(u32, u32)> = sink.live.iter().map(|(&e, &s)| (s, e)).collect();
         assert_eq!(got, want, "recovered state diverged from live state");
     }
 }
@@ -228,8 +166,8 @@ fn assert_recovered(
 /// Drives the scenario as the CLI does (offer → pump, epoch loop once the
 /// cut degrades past `replan_threshold`) and returns `(log hash, store hash, report)`.
 fn run(sc: &Scenario) -> (u64, u64, ServiceReport) {
-    let (g, w) = universe();
-    let events = stream(&g);
+    let (g, w) = reference::universe(120, 90, 6.0, (2, 2), 91);
+    let events = reference::stream(&g, 20.0, 25.0, 23);
     let mut plan = ShardPlan::build(&g, &w, sc.shards, sc.routing);
     let dir = tmp(sc.name);
     let mut store = sc.wal.then(|| {
@@ -240,11 +178,8 @@ fn run(sc: &Scenario) -> (u64, u64, ServiceReport) {
         };
         DurableStore::open(&dir, cfg).unwrap().0
     });
-    let mut sink = TrackingSink {
-        log: WriteSink::new(Vec::new()),
-        live: BTreeMap::new(),
-        migration_unassigns: 0,
-    };
+    let mut sink = Reference::new(&g, &plan, &sc.config());
+    sink.every = 4;
     let mut idx = 0usize;
     let mut carried = None;
     let mut replans = false;
@@ -257,7 +192,10 @@ fn run(sc: &Scenario) -> (u64, u64, ServiceReport) {
                 }
                 svc
             }
-            Some(c) => DispatchService::resume(&g, &plan, c, &mut sink),
+            Some(c) => {
+                sink.replan(&plan);
+                DispatchService::resume(&g, &plan, c, &mut sink)
+            }
         };
         while idx < events.len() {
             let a = events[idx];
@@ -266,6 +204,7 @@ fn run(sc: &Scenario) -> (u64, u64, ServiceReport) {
             {
                 continue;
             }
+            sink.offer(a);
             while let OfferOutcome::Deferred = svc.offer(a) {
                 svc.pump(&mut sink);
             }
@@ -300,11 +239,10 @@ fn run(sc: &Scenario) -> (u64, u64, ServiceReport) {
         carried = Some(c);
         replans = true;
     };
+    sink.finish(&report);
     assert!(sink.log.error.is_none());
-    assert_eq!(report.capacity_violations, 0, "{}", sc.name);
     assert!(report.store_error.is_none(), "{:?}", report.store_error);
     assert_eq!(report.replans > 0, replans);
-    assert_eq!(report.final_assignments, sink.live.len());
     if sc.name == "replan-wal" {
         // Without the boundary pass, edges a new plan cuts are unassigned
         // by the migration itself — the commit path `resume` owns.

@@ -16,16 +16,18 @@
 //!   empty shard and a missing one are the same) and the live weight of
 //!   every assigned edge, and agree with its status getters. After every
 //!   step, commit or not, `assignments()` equals the summed `shard_sets()`
-//!   lengths.
+//!   lengths. Every commit is also audited by the reference market
+//!   (`tests/reference`), its union against the unsharded optimum at every
+//!   4th commit and at the end.
 
-use mbta::graph::random::{random_bipartite, RandomGraphSpec};
-use mbta::graph::BipartiteGraph;
 use mbta::service::{
-    Arrival, BatchConfig, Batcher, BenefitDrift, BudgetMode, Commit, Dispatcher, OnlineConfig,
-    RecoveredState, Routing, ServiceConfig, ServiceReport, ShardPlan,
+    BatchConfig, Batcher, BudgetMode, Commit, Dispatcher, OnlineConfig, RecoveredState, Routing,
+    ServiceConfig, ServiceReport, ShardPlan,
 };
 use mbta::store::WalRecord;
-use mbta::workload::trace::TraceSpec;
+use reference::Reference;
+
+mod reference;
 
 /// Every identifier in `code`.
 fn identifiers(code: &str) -> impl Iterator<Item = &str> {
@@ -174,30 +176,6 @@ fn the_scanner_catches_every_forbidden_form() {
     assert_eq!(violations("fn f() {}"), ["0 clock reads"]);
 }
 
-fn universe(seed: u64) -> BipartiteGraph {
-    random_bipartite(
-        &RandomGraphSpec {
-            n_workers: 90,
-            n_tasks: 70,
-            avg_degree: 5.0,
-            capacity: 2,
-            demand: 2,
-        },
-        seed,
-    )
-}
-
-fn stream(g: &BipartiteGraph, seed: u64) -> Vec<Arrival> {
-    let trace = TraceSpec {
-        horizon: 60.0,
-        mean_session: 12.0,
-        mean_task_lifetime: 16.0,
-        seed,
-    }
-    .generate(g.n_workers(), g.n_tasks());
-    BenefitDrift::new(g, 0.3, seed).weave(trace.into_iter().map(Arrival::from_trace))
-}
-
 /// One mode of the property.
 struct Mode {
     name: &'static str,
@@ -261,8 +239,15 @@ const MODES: [Mode; 5] = [
 ];
 
 /// Folds one commit, as the WAL would carry it, into `folded` and checks
-/// the result against the dispatcher's live state.
-fn fold_and_check(d: &Dispatcher<'_>, c: &Commit, folded: &mut RecoveredState, at: &str) {
+/// the result against the dispatcher's live state; then audits it against
+/// the reference market.
+fn fold_and_check(
+    d: &Dispatcher<'_>,
+    c: &Commit,
+    folded: &mut RecoveredState,
+    mirror: &mut Reference,
+    at: &str,
+) {
     let rec = d.record(c, folded.watermark);
     let decoded = WalRecord::decode(&rec.encode()).expect("a journaled record decodes");
     assert_eq!(decoded, rec, "{at}: record changed through the codec");
@@ -289,6 +274,7 @@ fn fold_and_check(d: &Dispatcher<'_>, c: &Commit, folded: &mut RecoveredState, a
     assert_eq!(folded.assignments(), d.assignments(), "{at}");
     assert!((folded.total_weight() - d.value()).abs() < 1e-9, "{at}");
     check_count(d, at);
+    mirror.commit(&c.stats, d.decisions());
 }
 
 /// The O(shards) assignment count agrees with the edge sets it counts.
@@ -300,8 +286,7 @@ fn check_count(d: &Dispatcher<'_>, at: &str) {
 /// Drives one mode over one seeded trace, checking every commit; returns
 /// how many commits were checked and how many of them were re-plans.
 fn run(mode: &Mode, seed: u64) -> (u64, u64) {
-    let g = universe(seed);
-    let w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
+    let (g, w) = reference::universe(90, 70, 5.0, (2, 2), seed);
     let cfg = ServiceConfig {
         batch: BatchConfig {
             max_events: 8,
@@ -316,8 +301,10 @@ fn run(mode: &Mode, seed: u64) -> (u64, u64) {
         }),
         ..ServiceConfig::default()
     };
-    let events = stream(&g, seed);
+    let events = reference::stream(&g, 12.0, 16.0, seed);
     let mut plan = ShardPlan::build(&g, &w, mode.shards, mode.routing);
+    let mut mirror = Reference::new(&g, &plan, &cfg);
+    mirror.every = 4;
     let mut report = ServiceReport {
         degraded_by_shard: vec![0; mode.shards],
         ..ServiceReport::default()
@@ -330,8 +317,9 @@ fn run(mode: &Mode, seed: u64) -> (u64, u64) {
         let mut d = match carried.take() {
             None => Dispatcher::new(&g, &plan, &cfg),
             Some(detached) => {
+                mirror.replan(&plan);
                 let (d, c) = Dispatcher::replan(&g, &plan, detached);
-                fold_and_check(&d, &c, &mut folded, &at(idx));
+                fold_and_check(&d, &c, &mut folded, &mut mirror, &at(idx));
                 replans += 1;
                 d
             }
@@ -339,14 +327,15 @@ fn run(mode: &Mode, seed: u64) -> (u64, u64) {
         while idx < events.len() {
             let a = events[idx];
             idx += 1;
+            mirror.offer(a);
             if mode.online {
                 if let Some(c) = d.event(a, &mut report) {
-                    fold_and_check(&d, &c, &mut folded, &at(idx));
+                    fold_and_check(&d, &c, &mut folded, &mut mirror, &at(idx));
                 }
                 check_count(&d, &at(idx));
             } else if let Some(closed) = batcher.offer(a) {
                 let c = d.batch(&closed, &mut report);
-                fold_and_check(&d, &c, &mut folded, &at(idx));
+                fold_and_check(&d, &c, &mut folded, &mut mirror, &at(idx));
                 if mode.replan && d.cut_degradation() > 1e-6 {
                     break;
                 }
@@ -361,15 +350,15 @@ fn run(mode: &Mode, seed: u64) -> (u64, u64) {
         if mode.online {
             for s in 0..d.n_shards() {
                 if let Some(c) = d.close(s, &mut report) {
-                    fold_and_check(&d, &c, &mut folded, &at(idx));
+                    fold_and_check(&d, &c, &mut folded, &mut mirror, &at(idx));
                 }
             }
         } else if let Some(closed) = batcher.drain() {
             let c = d.batch(&closed, &mut report);
-            fold_and_check(&d, &c, &mut folded, &at(idx));
+            fold_and_check(&d, &c, &mut folded, &mut mirror, &at(idx));
         }
         d.finish(&mut report);
-        assert_eq!(report.capacity_violations, 0, "{}", at(idx));
+        mirror.finish(&report);
         assert_eq!(report.rescue_assigns > 0, cfg.boundary_pass, "{}", at(idx));
         assert_eq!(
             report.final_assignments,

@@ -6,7 +6,6 @@
 //! feasibility, optimality dominance, approximation bounds, monotonicity,
 //! and cross-solver agreement.
 
-use mbta::graph::subgraph::{induce, Subgraph, SubgraphSpec};
 use mbta::graph::{BipartiteGraph, EdgeId, GraphBuilder, TaskId, WorkerId};
 use mbta::market::Combiner;
 use mbta::matching::dinic::max_cardinality_bmatching;
@@ -17,14 +16,16 @@ use mbta::matching::local_search::local_search;
 use mbta::matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
 use mbta::matching::online::{online_assign, OnlinePolicy};
 use mbta::matching::stable::{deferred_acceptance, find_blocking_pair};
-use mbta::service::shard::UNMAPPED;
 use mbta::service::{
-    Action, Arrival, BatchConfig, BatchStats, BudgetMode, Decision, DecisionSink, DispatchService,
-    Routing, ServiceConfig, ServiceEvent, ServiceReport, ShardPlan, WriteSink,
+    Arrival, BatchConfig, BudgetMode, DispatchService, Routing, ServiceConfig, ServiceReport,
+    ShardPlan,
 };
 use mbta::util::fixed::objectives_close;
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
+use reference::Reference;
+use std::sync::{PoisonError, RwLock};
+
+mod reference;
 
 /// A generated instance: node attributes plus a duplicate-free edge list.
 #[derive(Debug, Clone)]
@@ -76,309 +77,22 @@ fn mb_weights(g: &BipartiteGraph) -> Vec<f64> {
     g.edges().map(|e| c.combine(g.rb(e), g.wb(e))).collect()
 }
 
-/// A service trace over `g`: everyone joins and every task is posted, then
-/// `ops` churns the market (join / leave / post / cancel / complete /
-/// benefit drift), four events per unit of stream time.
-fn service_trace(g: &BipartiteGraph, ops: &[(u8, usize, f64)]) -> Vec<Arrival> {
-    let workers = (0..g.n_workers() as u32).map(ServiceEvent::WorkerJoin);
-    let tasks = (0..g.n_tasks() as u32).map(ServiceEvent::TaskPost);
-    let churn = ops.iter().map(|&(kind, idx, weight)| {
-        let (w, t) = ((idx % g.n_workers()) as u32, (idx % g.n_tasks()) as u32);
-        match kind {
-            0 => ServiceEvent::WorkerJoin(w),
-            1 => ServiceEvent::WorkerLeave(w),
-            2 => ServiceEvent::TaskPost(t),
-            3 => ServiceEvent::TaskCancel(t),
-            4 => ServiceEvent::TaskComplete(t),
-            _ => ServiceEvent::BenefitUpdate {
-                edge: (idx % g.n_edges()) as u32,
-                weight,
-            },
-        }
-    });
-    let events = workers.chain(tasks).chain(churn).enumerate();
-    events
-        .map(|(i, event)| Arrival {
-            time: i as f64 * 0.25,
-            event,
-        })
-        .collect()
-}
+/// Orders this binary's service runs around the process-wide
+/// `mbta_core_warm_hits_total` counter: a run that reads its warm hits off
+/// it holds the lock alone, every other run shares it.
+static SERVICE_RUN: RwLock<()> = RwLock::new(());
 
-/// A sink that audits a batch service from outside: liveness and weights
-/// are mirrored from the offered events (each commit says how many it
-/// consumed), the assignment from the decision stream, and after every
-/// commit each shard must hold the cold optimum of its active sub-market
-/// — and, with the boundary pass on, the overlay that of the residual
-/// market ([`ShardAudit::residual_market`]), and the union no more than
-/// the unsharded optimum.
-///
-/// With the boundary pass on, a shard holds its optimum at the capacities
-/// it keeps after ceding units to the overlay, not at the universe's: a
-/// shard cedes every unit the overlay holds and gets one back only at the
-/// batch after the overlay let it go, so at each commit a node's shard
-/// capacity is its universe capacity less the larger of the overlay's
-/// load there before and after the commit — read off the decision stream
-/// ([`ShardAudit::overlay_load`]), every commit `finish` makes included.
-struct ShardAudit<'a> {
-    g: &'a BipartiteGraph,
-    plan: &'a ShardPlan,
-    events: &'a [Arrival],
-    boundary_pass: bool,
-    applied: usize,
-    worker_on: Vec<bool>,
-    task_on: Vec<bool>,
-    live: Vec<f64>,
-    assigned: Vec<bool>,
-    log: WriteSink<Vec<u8>>,
-    failure: Option<String>,
-    /// Shard clauses checked below the universe capacities somewhere.
-    ceded_checks: usize,
-}
-
-impl<'a> ShardAudit<'a> {
-    fn new(
-        g: &'a BipartiteGraph,
-        plan: &'a ShardPlan,
-        events: &'a [Arrival],
-        boundary_pass: bool,
-    ) -> Self {
-        ShardAudit {
-            g,
-            plan,
-            events,
-            boundary_pass,
-            applied: 0,
-            worker_on: vec![false; g.n_workers()],
-            task_on: vec![false; g.n_tasks()],
-            live: plan.universe_weights.clone(),
-            assigned: vec![false; g.n_edges()],
-            log: WriteSink::new(Vec::new()),
-            failure: None,
-            ceded_checks: 0,
-        }
-    }
-
-    /// The shard clause: every shard holds the cold optimum of its active
-    /// sub-market at `caps` — `(worker, task)` capacities, universe-indexed
-    /// — or at the universe's own.
-    fn check_shards(&mut self, seq: u64, caps: Option<(&[u32], &[u32])>) {
-        for (s, sub) in self.plan.shards.iter().enumerate() {
-            if sub.graph.n_edges() == 0 {
-                continue;
-            }
-            let active = |e: &EdgeId| {
-                self.worker_on[self.g.worker_of(*e).index()]
-                    && self.task_on[self.g.task_of(*e).index()]
-            };
-            let g = &sub.graph;
-            let workers: Vec<_> = g
-                .workers()
-                .map(|w| {
-                    let cap =
-                        caps.map_or(g.capacity(w), |c| c.0[sub.worker_back[w.index()].index()]);
-                    (w, cap)
-                })
-                .collect();
-            let tasks: Vec<_> = g
-                .tasks()
-                .map(|t| {
-                    let cap = caps.map_or(g.demand(t), |c| c.1[sub.task_back[t.index()].index()]);
-                    (t, cap)
-                })
-                .collect();
-            let spec = SubgraphSpec {
-                workers: &workers,
-                tasks: &tasks,
-            };
-            let held_market = induce(g, &spec, |_| true);
-            let back = sub.edge_back.iter();
-            let w: Vec<f64> = back
-                .map(|e| if active(e) { self.live[e.index()] } else { 0.0 })
-                .collect();
-            let assigned = sub.edge_back.iter().filter(|e| self.assigned[e.index()]);
-            let stale = assigned.clone().filter(|e| !active(e)).count();
-            let held: f64 = assigned.map(|e| self.live[e.index()]).sum();
-            let (cold, _) = max_weight_bmatching(
-                &held_market.graph,
-                &held_market.project_weights(&w),
-                FlowMode::FreeCardinality,
-                PathAlgo::Dijkstra,
-            );
-            let opt = cold.total_weight(&held_market.project_weights(&w));
-            if stale > 0 || !objectives_close(held, opt, w.len()) {
-                self.failure.get_or_insert(format!(
-                    "batch {seq} shard {s}: holds {held} ({stale} on departed nodes), optimum {opt}"
-                ));
-            }
-        }
-    }
-
-    /// The rescue overlay's load per universe worker and task: the
-    /// assigned cross edges at each.
-    fn overlay_load(&self) -> (Vec<u32>, Vec<u32>) {
-        let g = self.g;
-        let (mut w, mut t) = (vec![0; g.n_workers()], vec![0; g.n_tasks()]);
-        let cross = g
-            .edges()
-            .filter(|e| self.plan.edge_shard[e.index()] == UNMAPPED);
-        for e in cross.filter(|e| self.assigned[e.index()]) {
-            w[g.worker_of(e).index()] += 1;
-            t[g.task_of(e).index()] += 1;
-        }
-        (w, t)
-    }
-
-    /// The boundary market as the service built it before it carried one:
-    /// from scratch, out of the cross edges whose endpoints are both live
-    /// and have capacity left over from the shards, with those residuals
-    /// as capacities. Returns it with the overlay edges it does *not*
-    /// admit — not a candidate, or beyond a residual.
-    fn residual_market(&self) -> (Subgraph, usize) {
-        let g = self.g;
-        let is_cross = |e: EdgeId| self.plan.edge_shard[e.index()] == UNMAPPED;
-        let mut w_res = g.capacities().to_vec();
-        let mut t_res = g.demands().to_vec();
-        for e in g
-            .edges()
-            .filter(|&e| self.assigned[e.index()] && !is_cross(e))
-        {
-            w_res[g.worker_of(e).index()] -= 1;
-            t_res[g.task_of(e).index()] -= 1;
-        }
-        let mut cand = vec![false; g.n_edges()];
-        let mut w_in = vec![false; g.n_workers()];
-        let mut t_in = vec![false; g.n_tasks()];
-        for e in g.edges().filter(|&e| is_cross(e)) {
-            let (w, t) = (g.worker_of(e).index(), g.task_of(e).index());
-            if w_res[w] > 0 && t_res[t] > 0 && self.worker_on[w] && self.task_on[t] {
-                (cand[e.index()], w_in[w], t_in[t]) = (true, true, true);
-            }
-        }
-        let workers = g.workers().filter(|w| w_in[w.index()]);
-        let workers: Vec<_> = workers.map(|w| (w, w_res[w.index()])).collect();
-        let tasks = g.tasks().filter(|t| t_in[t.index()]);
-        let tasks: Vec<_> = tasks.map(|t| (t, t_res[t.index()])).collect();
-        let spec = SubgraphSpec {
-            workers: &workers,
-            tasks: &tasks,
-        };
-        let mut misfits = 0;
-        for e in g
-            .edges()
-            .filter(|&e| self.assigned[e.index()] && is_cross(e))
-        {
-            let (w, t) = (g.worker_of(e).index(), g.task_of(e).index());
-            if cand[e.index()] && w_res[w] > 0 && t_res[t] > 0 {
-                w_res[w] -= 1;
-                t_res[t] -= 1;
-            } else {
-                misfits += 1;
-            }
-        }
-        (induce(g, &spec, |e| cand[e.index()]), misfits)
-    }
-}
-
-impl DecisionSink for ShardAudit<'_> {
-    fn on_batch(&mut self, stats: &BatchStats, decisions: &[Decision]) {
-        self.log.on_batch(stats, decisions);
-        for a in &self.events[self.applied..self.applied + stats.events] {
-            match a.event {
-                ServiceEvent::WorkerJoin(w) => self.worker_on[w as usize] = true,
-                ServiceEvent::WorkerLeave(w) => self.worker_on[w as usize] = false,
-                ServiceEvent::TaskPost(t) => self.task_on[t as usize] = true,
-                ServiceEvent::TaskCancel(t) | ServiceEvent::TaskComplete(t) => {
-                    self.task_on[t as usize] = false
-                }
-                ServiceEvent::BenefitUpdate { edge, weight } => self.live[edge as usize] = weight,
-            }
-        }
-        self.applied += stats.events;
-        let before = self.boundary_pass.then(|| self.overlay_load());
-        for d in decisions {
-            self.assigned[d.edge as usize] = d.action == Action::Assign;
-        }
-        match before {
-            None => self.check_shards(stats.seq, None),
-            Some((w_before, t_before)) => {
-                let (w_after, t_after) = self.overlay_load();
-                let g = self.g;
-                let cap = |full: &[u32], a: &[u32], b: &[u32]| -> Vec<u32> {
-                    (0..full.len()).map(|i| full[i] - a[i].max(b[i])).collect()
-                };
-                let w_cap = cap(g.capacities(), &w_before, &w_after);
-                let t_cap = cap(g.demands(), &t_before, &t_after);
-                if w_cap != g.capacities() || t_cap != g.demands() {
-                    self.ceded_checks += 1;
-                }
-                self.check_shards(stats.seq, Some((&w_cap, &t_cap)));
-            }
-        }
-        if self.boundary_pass {
-            let (market, misfits) = self.residual_market();
-            let w = market.project_weights(&self.live);
-            let (cold, _) = max_weight_bmatching(
-                &market.graph,
-                &w,
-                FlowMode::FreeCardinality,
-                PathAlgo::Dijkstra,
-            );
-            let opt = cold.total_weight(&w);
-            let overlay = self.g.edges().filter(|e| {
-                self.assigned[e.index()] && self.plan.edge_shard[e.index()] == UNMAPPED
-            });
-            let held: f64 = overlay.map(|e| self.live[e.index()]).sum();
-            if misfits > 0 || !objectives_close(held, opt, w.len()) {
-                self.failure.get_or_insert(format!(
-                    "batch {} overlay: holds {held} ({misfits} beyond the residuals), optimum {opt}",
-                    stats.seq
-                ));
-            }
-            // Ceding moves value between the shards and the overlay; the
-            // union never beats the unsharded optimum.
-            let g = self.g;
-            let on = |e: EdgeId| {
-                self.worker_on[g.worker_of(e).index()] && self.task_on[g.task_of(e).index()]
-            };
-            let w: Vec<f64> = g
-                .edges()
-                .map(|e| if on(e) { self.live[e.index()] } else { 0.0 })
-                .collect();
-            let (whole, _) =
-                max_weight_bmatching(g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-            let best = whole.total_weight(&w);
-            let union: f64 = g
-                .edges()
-                .filter(|e| self.assigned[e.index()])
-                .map(|e| self.live[e.index()])
-                .sum();
-            if union > best + 1e-6 {
-                self.failure.get_or_insert(format!(
-                    "batch {}: the union holds {union}, above the unsharded optimum {best}",
-                    stats.seq
-                ));
-            }
-        }
-    }
-}
-
-/// Serializes this binary's service runs: each reads its warm hits off the
-/// process-wide `mbta_core_warm_hits_total` counter.
-static SERVICE_RUN: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// One batch run of `events` under `budget` and a [`ShardAudit`]: every
-/// event applied, every commit audited clean, nothing over capacity.
-/// Returns the decision bytes, the report and how many of the run's exact
-/// solves were warm hits.
+/// One batch run of `events` under `budget`, audited by the reference
+/// market at every commit. Returns the decision bytes, the report and how
+/// many of the run's exact solves were warm hits — a count that holds
+/// only for a run `alone`.
 fn audited_run(
     g: &BipartiteGraph,
     plan: &ShardPlan,
     events: &[Arrival],
-    threads: usize,
-    boundary_pass: bool,
+    (threads, boundary_pass, alone): (usize, bool, bool),
     budget: BudgetMode,
-) -> Result<(Vec<u8>, ServiceReport, u64), TestCaseError> {
+) -> (Vec<u8>, ServiceReport, u64) {
     let cfg = ServiceConfig {
         batch: BatchConfig {
             max_events: 8,
@@ -390,30 +104,21 @@ fn audited_run(
         boundary_pass,
         ..ServiceConfig::default()
     };
-    let _alone = SERVICE_RUN.lock().unwrap_or_else(|e| e.into_inner());
+    let (_alone, _shared);
+    if alone {
+        _alone = SERVICE_RUN.write().unwrap_or_else(PoisonError::into_inner);
+    } else {
+        _shared = SERVICE_RUN.read().unwrap_or_else(PoisonError::into_inner);
+    }
     let hits = mbta::telemetry::global().counter("mbta_core_warm_hits_total");
     let before = hits.get();
-    let mut svc = DispatchService::new(g, plan, cfg);
-    let mut audit = ShardAudit::new(g, plan, events, boundary_pass);
-    for &a in events {
-        svc.submit(a, &mut audit);
-    }
-    let report = svc.finish(&mut audit);
-    let warm = hits.get() - before;
-    prop_assert_eq!(audit.applied, events.len());
-    prop_assert!(
-        audit.failure.is_none(),
-        "{} shards, {} threads: {:?}",
-        plan.n_shards(),
-        threads,
-        audit.failure
-    );
-    prop_assert_eq!(report.capacity_violations, 0);
-    Ok((audit.log.into_inner(), report, warm))
+    let mut audit = Reference::new(g, plan, &cfg);
+    let report = reference::drive(DispatchService::new(g, plan, cfg), &mut audit, events);
+    (audit.log.into_inner(), report, hits.get() - before)
 }
 
 /// How many of `plan`'s shards an exact solver works on: every one with an
-/// edge. [`service_trace`] opens with every node, so each of them is solved
+/// edge. [`reference::churn`] opens with every node, so each of them is solved
 /// from the first batches on.
 fn solving_shards(plan: &ShardPlan) -> u64 {
     plan.shards.iter().filter(|s| s.graph.n_edges() > 0).count() as u64
@@ -807,7 +512,7 @@ proptest! {
             return Ok(()); // no market to dispatch
         }
         let weights = mb_weights(&g);
-        let events = service_trace(&g, &ops);
+        let events = reference::churn(&g, &ops);
         for shards in [1usize, 4] {
             let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
             let mut logs = Vec::new();
@@ -815,7 +520,7 @@ proptest! {
             for threads in [1usize, 2, 4] {
                 let deterministic = BudgetMode::Deterministic;
                 let (log, report, warm) =
-                    audited_run(&g, &plan, &events, threads, false, deterministic)?;
+                    audited_run(&g, &plan, &events, (threads, false, true), deterministic);
                 prop_assert_eq!(report.tier_exact, report.solves);
                 // One whole-market shard is solved by every batch, and only
                 // a shard's first solve has no duals to repair.
@@ -848,13 +553,13 @@ proptest! {
             return Ok(()); // no market to dispatch
         }
         let weights = mb_weights(&g);
-        let events = service_trace(&g, &ops);
+        let events = reference::churn(&g, &ops);
         for shards in [1usize, 4] {
             let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
-            let run = |threads, budget| audited_run(&g, &plan, &events, threads, false, budget);
-            let (log, ..) = run(1, BudgetMode::Deterministic)?;
+            let run = |threads, budget| audited_run(&g, &plan, &events, (threads, false, true), budget);
+            let (log, ..) = run(1, BudgetMode::Deterministic);
             for threads in [1usize, 4] {
-                let (budgeted, report, warm) = run(threads, BudgetMode::Wallclock(3_600_000))?;
+                let (budgeted, report, warm) = run(threads, BudgetMode::Wallclock(3_600_000));
                 prop_assert_eq!(&log, &budgeted, "an ample budget moved a decision");
                 prop_assert_eq!(report.tier_exact, report.solves);
                 prop_assert_eq!(warm, report.solves - solving_shards(&plan));
@@ -877,14 +582,14 @@ proptest! {
             return Ok(()); // no market to dispatch
         }
         let weights = mb_weights(&g);
-        let events = service_trace(&g, &ops);
+        let events = reference::churn(&g, &ops);
         for shards in [2usize, 8] {
             let plan = ShardPlan::build(&g, &weights, shards, Routing::HashId);
-            let run = |threads| audited_run(&g, &plan, &events, threads, true, BudgetMode::Deterministic);
-            let (log1, report, _) = run(1)?;
+            let run = |threads| audited_run(&g, &plan, &events, (threads, true, false), BudgetMode::Deterministic);
+            let (log1, report, _) = run(1);
             prop_assert_eq!(report.cross_benefit_drops, 0);
             for threads in [2usize, 4] {
-                let (log, ..) = run(threads)?;
+                let (log, ..) = run(threads);
                 prop_assert_eq!(&log1, &log, "decisions depend on the thread count");
             }
         }
@@ -1065,130 +770,18 @@ proptest! {
     }
 }
 
-/// Mirrors a boundary run from its events and decisions and, at every
-/// commit, scores the union against the unsharded optimum next to a
-/// reference built from scratch: each shard's cold optimum at its full
-/// capacity plus the cold optimum of the residual cross-edge market they
-/// leave — the rescue without ceding or prices.
-struct QualityProbe<'a> {
-    g: &'a BipartiteGraph,
-    plan: &'a ShardPlan,
-    events: &'a [Arrival],
-    applied: usize,
-    on: (Vec<bool>, Vec<bool>),
-    live: Vec<f64>,
-    assigned: Vec<bool>,
-    ratios: Vec<(f64, f64)>,
-}
-
-impl QualityProbe<'_> {
-    /// The cold optimum of `g` under `w`, restricted to `keep` edges at
-    /// `caps`, as universe edges.
-    fn optimum(&self, caps: (&[u32], &[u32]), keep: impl Fn(EdgeId) -> bool) -> Vec<EdgeId> {
-        let g = self.g;
-        let workers: Vec<_> = g.workers().map(|w| (w, caps.0[w.index()])).collect();
-        let tasks: Vec<_> = g.tasks().map(|t| (t, caps.1[t.index()])).collect();
-        let spec = SubgraphSpec {
-            workers: &workers,
-            tasks: &tasks,
-        };
-        let sub = induce(g, &spec, |e| {
-            keep(e) && self.on.0[g.worker_of(e).index()] && self.on.1[g.task_of(e).index()]
-        });
-        let w = sub.project_weights(&self.live);
-        let (m, _) = max_weight_bmatching(
-            &sub.graph,
-            &w,
-            FlowMode::FreeCardinality,
-            PathAlgo::Dijkstra,
-        );
-        m.edges.iter().map(|e| sub.edge_back[e.index()]).collect()
-    }
-}
-
-impl DecisionSink for QualityProbe<'_> {
-    fn on_batch(&mut self, stats: &BatchStats, decisions: &[Decision]) {
-        for a in &self.events[self.applied..self.applied + stats.events] {
-            match a.event {
-                ServiceEvent::WorkerJoin(w) => self.on.0[w as usize] = true,
-                ServiceEvent::WorkerLeave(w) => self.on.0[w as usize] = false,
-                ServiceEvent::TaskPost(t) => self.on.1[t as usize] = true,
-                ServiceEvent::TaskCancel(t) | ServiceEvent::TaskComplete(t) => {
-                    self.on.1[t as usize] = false
-                }
-                ServiceEvent::BenefitUpdate { edge, weight } => self.live[edge as usize] = weight,
-            }
-        }
-        self.applied += stats.events;
-        for d in decisions {
-            self.assigned[d.edge as usize] = d.action == Action::Assign;
-        }
-        let g = self.g;
-        let full = (g.capacities(), g.demands());
-        let weight = |edges: &[EdgeId]| edges.iter().map(|e| self.live[e.index()]).sum::<f64>();
-        let best = weight(&self.optimum(full, |_| true));
-        if best <= 0.0 {
-            return;
-        }
-        let is_cross = |e: EdgeId| self.plan.edge_shard[e.index()] == UNMAPPED;
-        let shards = self.optimum(full, |e| !is_cross(e));
-        let (mut w_res, mut t_res) = (g.capacities().to_vec(), g.demands().to_vec());
-        for &e in &shards {
-            w_res[g.worker_of(e).index()] -= 1;
-            t_res[g.task_of(e).index()] -= 1;
-        }
-        let rescue = self.optimum((&w_res, &t_res), is_cross);
-        let reference = weight(&shards) + weight(&rescue);
-        let union: f64 = g
-            .edges()
-            .filter(|e| self.assigned[e.index()])
-            .map(|e| self.live[e.index()])
-            .sum();
-        self.ratios.push((union / best, reference / best));
-    }
-}
-
-/// Forwards every commit to two sinks.
-struct Both<'x, A, B>(&'x mut A, &'x mut B);
-
-impl<A: DecisionSink, B: DecisionSink> DecisionSink for Both<'_, A, B> {
-    fn on_batch(&mut self, stats: &BatchStats, decisions: &[Decision]) {
-        self.0.on_batch(stats, decisions);
-        self.1.on_batch(stats, decisions);
-    }
-}
-
 /// On a small market shaped like the `sharded_rescue` benchmark — 8
 /// min-cut shards, boundary pass, churn and benefit drift — the run's
 /// mean union / unsharded optimum over its commits is at least the
-/// reference rescue's (shard optima at full capacity plus a cold
-/// residual rescue, rebuilt at every commit): ceding only adds. The
-/// boundary audit passes on the same run, its shard clause checked below
+/// residual rescue's (shard optima at full capacity plus a cold residual
+/// rescue, rebuilt at every commit): ceding only adds. Every other check
+/// of the reference passes on the same run, its shard check made below
 /// the universe capacities at most commits.
 #[test]
 fn ceding_keeps_at_least_the_residual_rescue() {
-    use mbta::graph::random::{random_bipartite, RandomGraphSpec};
-    let spec = RandomGraphSpec {
-        n_workers: 240,
-        n_tasks: 120,
-        avg_degree: 6.0,
-        capacity: 2,
-        demand: 2,
-    };
-    let g = random_bipartite(&spec, 42);
-    let weights = mb_weights(&g);
+    let (g, weights) = reference::universe(240, 120, 6.0, (2, 2), 42);
     let plan = ShardPlan::build(&g, &weights, 8, Routing::MinCut);
-    let mut rng = mbta::util::SplitMix64::new(42);
-    let ops: Vec<(u8, usize, f64)> = (0..1200)
-        .map(|_| {
-            (
-                rng.next_below(8) as u8,
-                rng.next_below(10_000) as usize,
-                rng.next_f64(),
-            )
-        })
-        .collect();
-    let events = service_trace(&g, &ops);
+    let events = reference::churn(&g, &reference::random_ops(1200, 42));
     let cfg = ServiceConfig {
         batch: BatchConfig {
             max_events: 16,
@@ -1200,72 +793,38 @@ fn ceding_keeps_at_least_the_residual_rescue() {
         boundary_pass: true,
         ..ServiceConfig::default()
     };
-    let mut probe = QualityProbe {
-        g: &g,
-        plan: &plan,
-        events: &events,
-        applied: 0,
-        on: (vec![false; g.n_workers()], vec![false; g.n_tasks()]),
-        live: plan.universe_weights.clone(),
-        assigned: vec![false; g.n_edges()],
-        ratios: Vec::new(),
-    };
-    let mut audit = ShardAudit::new(&g, &plan, &events, true);
-    let _alone = SERVICE_RUN.lock().unwrap_or_else(|e| e.into_inner());
-    let mut svc = DispatchService::new(&g, &plan, cfg);
-    for &a in &events {
-        svc.submit(a, &mut Both(&mut probe, &mut audit));
-    }
-    let report = svc.finish(&mut Both(&mut probe, &mut audit));
-    assert_eq!(report.capacity_violations, 0);
-    assert_eq!(audit.failure, None);
+    let mut audit = Reference::new(&g, &plan, &cfg);
+    let _shared = SERVICE_RUN.read().unwrap_or_else(PoisonError::into_inner);
+    let report = reference::drive(DispatchService::new(&g, &plan, cfg), &mut audit, &events);
     assert!(
         2 * audit.ceded_checks > report.batches as usize,
         "{} of {} commits checked below the universe capacities",
         audit.ceded_checks,
         report.batches
     );
-    let n = probe.ratios.len() as f64;
-    let head = probe.ratios.iter().map(|r| r.0).sum::<f64>() / n;
-    let reference = probe.ratios.iter().map(|r| r.1).sum::<f64>() / n;
+    let n = audit.ratios.len() as f64;
+    let head = audit.ratios.iter().map(|r| r.0).sum::<f64>() / n;
+    let rescue = audit.ratios.iter().map(|r| r.1).sum::<f64>() / n;
     assert!(
-        head >= reference,
-        "mean union/optimum {head:.4} below the residual rescue's {reference:.4}"
+        head >= rescue,
+        "mean union/optimum {head:.4} below the residual rescue's {rescue:.4}"
     );
-    println!("mean union/optimum {head:.4}, residual rescue {reference:.4}");
+    println!("mean union/optimum {head:.4}, residual rescue {rescue:.4}");
 }
 
 /// A unit the overlay lets go returns to its home shard at the next
 /// batch, and that shard is solved in that batch, touched by its events
 /// or not. Where the two sides hold as many units as each other (240
 /// workers of capacity 1, 120 tasks of demand 2), a returned unit's
-/// greedy refill is often not the shard's optimum, so the boundary
-/// audit's shard clause sees a shard left unsolved: with `return_units`
-/// not adding its shard to the touched set, it fails at batch 86.
+/// greedy refill is often not the shard's optimum, so the reference's
+/// shard check sees a shard left unsolved: with `return_units` not adding
+/// its shard to the touched set, it fails at batch 86.
 #[test]
 fn returned_units_are_solved_on_a_balanced_market() {
-    use mbta::graph::random::{random_bipartite, RandomGraphSpec};
-    let spec = RandomGraphSpec {
-        n_workers: 240,
-        n_tasks: 120,
-        avg_degree: 6.0,
-        capacity: 1,
-        demand: 2,
-    };
-    let g = random_bipartite(&spec, 42);
-    let plan = ShardPlan::build(&g, &mb_weights(&g), 8, Routing::MinCut);
-    let mut rng = mbta::util::SplitMix64::new(42);
-    let ops: Vec<(u8, usize, f64)> = (0..400)
-        .map(|_| {
-            (
-                rng.next_below(8) as u8,
-                rng.next_below(10_000) as usize,
-                rng.next_f64(),
-            )
-        })
-        .collect();
-    let events = service_trace(&g, &ops);
-    let run = audited_run(&g, &plan, &events, 1, true, BudgetMode::Deterministic);
-    let (_, report, _) = run.expect("every commit audits clean");
+    let (g, weights) = reference::universe(240, 120, 6.0, (1, 2), 42);
+    let plan = ShardPlan::build(&g, &weights, 8, Routing::MinCut);
+    let events = reference::churn(&g, &reference::random_ops(400, 42));
+    let deterministic = BudgetMode::Deterministic;
+    let (_, report, _) = audited_run(&g, &plan, &events, (1, true, false), deterministic);
     assert!(report.batches > 86, "{} batches", report.batches);
 }
