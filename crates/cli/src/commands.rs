@@ -1711,13 +1711,13 @@ mod tests {
             (
                 "mincut8",
                 "--routing min-cut --shards 8 --boundary-pass",
-                0x71c4_8e28_58b2_4d41,
+                0xd07c_208f_444c_d307,
             ),
             (
                 "replan",
                 "--routing min-cut --shards 8 --boundary-pass --replan-threshold 1e-4 --drift 0.3 \
                  --wal-dir WAL",
-                0xb0dc_7821_4b01_0ba5,
+                0xa61f_4279_d3a5_e3ad,
             ),
             ("online", "--online --wal-dir WAL", 0xbf0f_f69d_2f40_5e97),
         ];

@@ -16,13 +16,16 @@
 //! and the commit path are the driver's ([`crate::service`]).
 //!
 //! ```text
-//!  batch:  route + apply churn (greedy repair), then per touched healthy
-//!          shard, via the solve pool, one re-solve on the shard's carried
-//!          solver seeded with the repaired assignment, racing one shared
-//!          deadline; adopt improvements; [boundary rescue: the plan's
-//!          cross-edge market re-solved on its own carried solver over
-//!          the units the shards leave, every unit it takes ceded by its
-//!          home shard]; drain the touched shards' change sets
+//!  batch:  route + apply churn (greedy repair); [return the units the
+//!          overlay let go, cede the units the last pass reserved]; then
+//!          per touched healthy shard, via the solve pool, one re-solve on
+//!          the shard's carried solver seeded with the repaired
+//!          assignment, racing one shared deadline; adopt improvements;
+//!          [boundary rescue: the plan's cross-edge market re-solved on
+//!          its own carried solver over the units the shards leave, every
+//!          unit it takes ceded by its home shard; then reserve, at posted
+//!          prices, the units the next batch cedes]; drain the touched
+//!          shards' change sets
 //!  event:  route + apply one event, depth-1 exchange, drift accounting
 //!          off the change set, past the threshold re-solve on the same
 //!          carried solver; drain the shard's change set
@@ -50,6 +53,15 @@
 //! each batch's residuals as node capacities (DESIGN.md §13.2). A solver's
 //! first solve is the same repair, from zero prices, and a solve a
 //! deadline cuts keeps its prices for the next.
+//!
+//! **Posted prices.** With the boundary pass on, a cross edge may buy an
+//! intra-shard unit, one batch ahead: each rescue pass ends by posting, at
+//! every saturated market node, the weight of the lightest edge its home
+//! shard holds there, and reserving a unit at each priced end of the
+//! cross edges that outbid their ends (node-disjoint, surplus first). The
+//! next batch cedes those units before its shards solve, so the rescue
+//! sees them free and takes or leaves them; one it leaves returns the
+//! batch after (DESIGN.md §13.2).
 //!
 //! **Capacity safety.** Shards are node-disjoint ([`ShardPlan`]), so each
 //! worker's capacity is managed by exactly one `IncrementalAssignment`,
@@ -85,7 +97,7 @@
 use crate::batch::{ClosedBatch, FlushReason};
 use crate::event::{Arrival, ServiceEvent};
 use crate::online::{self, OnlineConfig};
-use crate::pool::{self, Pool, ShardJob};
+use crate::pool::{self, Pool, ShardJob, ShardOutcome};
 use crate::report::ServiceReport;
 use crate::service::ServiceConfig;
 use crate::shard::{capacity_violations, Route, ShardPlan, UNMAPPED};
@@ -147,6 +159,9 @@ pub struct Dispatcher<'p> {
     /// modes. Bound to the plan's topology, so a re-plan drops them all;
     /// built at a shard's first exact solve ([`ShardJob::new`]).
     pub(crate) solvers: Vec<Option<WarmSolver>>,
+    /// Per shard, the buffer its jobs carry the state's node changes in,
+    /// lent to each job and handed back empty.
+    node_bufs: Vec<Vec<(usize, u32)>>,
     /// Live intra/cross weight split for drift-driven re-planning.
     cut: CutTracker,
     /// Universe-indexed live weights (benefit updates land here too, so
@@ -218,23 +233,77 @@ pub(crate) struct Market {
     weights: Vec<f64>,
     /// Per market node, the units its home shard has ceded to the overlay,
     /// and the nodes with any. Between batches a node has ceded the larger
-    /// of the overlay's load there before and after the last one
-    /// ([`Dispatcher::return_units`], [`Dispatcher::hold_overlay`]).
+    /// of the overlay's load there before the last one plus the units
+    /// reserved there for it, and the overlay's load after it
+    /// ([`Dispatcher::trade_units`], [`Dispatcher::hold_overlay`]).
     ceded: Vec<u32>,
     ceding: Vec<usize>,
-    /// Per market node, the overlay's load, and the nodes it loads; and a
-    /// per-node count the seed is cut with, zero between calls.
+    /// The overlay in market ids, ascending, and per market edge whether
+    /// the overlay holds it.
+    held: Vec<EdgeId>,
+    in_held: Vec<bool>,
+    /// Per market node, the overlay's load, and the nodes it loads (with a
+    /// spare list the next count fills); and a per-node count the seed is
+    /// cut with and the reservation marks taken ends with, zero between
+    /// calls.
     load: Vec<u32>,
     loaded: Vec<usize>,
+    spare: Vec<usize>,
     used: Vec<u32>,
-    /// Market nodes whose liveness the batch's events moved, and the
-    /// market nodes whose offered units moved since the last solve, each
-    /// with what it now offers.
+    /// Per market node, what it asks for one unit as the last pass left
+    /// it; the nodes whose inputs moved since, once each; and the nodes
+    /// that asked a price (a node's entry outlives its price until the
+    /// next pass).
+    asks: Vec<Ask>,
+    stale: Vec<bool>,
+    repricing: Vec<usize>,
+    priced: Vec<usize>,
+    /// The market edges that outbid their asks, with their surpluses (a
+    /// buffer, empty between passes), and the market nodes the last pass
+    /// reserved a unit of, ceded at the next batch.
+    bids: Vec<(f64, EdgeId)>,
+    reserved: Vec<usize>,
+    /// Market nodes the batch's events name — a liveness move, or a
+    /// weight update on an intra-shard edge at the node — refreshed once
+    /// the shards have solved; and the market nodes whose offered units
+    /// moved since the last solve, each with what it now offers.
     moved: Vec<usize>,
     changed: Vec<(usize, u32)>,
     /// Per shard, per shard node (workers, then tasks) its market node,
-    /// [`UNMAPPED`] outside the market.
+    /// [`UNMAPPED`] outside the market; and per market node, its home
+    /// shard, its node there and its universe capacity.
     local: Vec<Vec<u32>>,
+    homes: Vec<[u32; 3]>,
+}
+
+/// What a market node asks for one more unit of the overlay, posted at the
+/// end of each rescue pass ([`Dispatcher::ask`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Ask {
+    /// It does not sell: it is not live, or its home shard holds nothing
+    /// there.
+    Closed,
+    /// A unit is free: it costs nothing.
+    Free,
+    /// It has no free unit: one more costs its home shard the lightest
+    /// edge it holds there — the edge ceding a unit drops — at this live
+    /// weight.
+    Price(f64),
+}
+
+impl Ask {
+    /// What a unit costs, `None` when it is not for sale.
+    fn cost(self) -> Option<f64> {
+        match self {
+            Ask::Closed => None,
+            Ask::Free => Some(0.0),
+            Ask::Price(p) => Some(p),
+        }
+    }
+
+    fn priced(self) -> bool {
+        matches!(self, Ask::Price(_))
+    }
 }
 
 impl Market {
@@ -244,13 +313,29 @@ impl Market {
         [g.worker_of(e).index(), g.n_workers() + g.task_of(e).index()]
     }
 
-    /// The overlay `overlay` (ascending market ids) cut, in order, to the
-    /// units and open edges in force: the next solve's seed. `None` when
-    /// no edge is open (nothing to solve; the overlay empties).
-    fn seed(&mut self, overlay: &[EdgeId]) -> Option<Vec<EdgeId>> {
+    /// Market node `v`'s home shard, its node there (as the shard's
+    /// solver numbers it: workers, then tasks) and its universe capacity.
+    fn home(&self, v: usize) -> (usize, usize, u32) {
+        let [s, node, full] = self.homes[v];
+        (s as usize, node as usize, full)
+    }
+
+    /// Notes market node `v` for re-pricing at the end of the pass.
+    fn mark(&mut self, v: usize) {
+        if !self.stale[v] {
+            self.stale[v] = true;
+            self.repricing.push(v);
+        }
+    }
+
+    /// The overlay cut, in order, to the units and open edges in force:
+    /// the next solve's seed. `None` when no edge is open (nothing to
+    /// solve; the overlay empties).
+    fn seed(&mut self) -> Option<Vec<EdgeId>> {
         self.solver.open_edges().next()?;
-        let mut seed = Vec::with_capacity(overlay.len());
-        for &e in overlay {
+        let mut seed = Vec::with_capacity(self.held.len());
+        for i in 0..self.held.len() {
+            let e = self.held[i];
             let [w, t] = self.ends(e);
             if self.used[w] < self.w_cap[w] && self.used[t] < self.t_cap[t - self.w_cap.len()] {
                 self.used[w] += 1;
@@ -298,8 +383,11 @@ impl Market {
         self.local[s] = local;
     }
 
-    /// Sets market node `v`'s offered units, noting it when they moved.
+    /// Sets market node `v`'s offered units, noting it for the solver
+    /// when they moved; its home's load or liveness may have moved either
+    /// way, so it is re-priced.
     fn offer(&mut self, v: usize, free: u32) {
+        self.mark(v);
         let units = match v.checked_sub(self.w_cap.len()) {
             None => &mut self.w_cap[v],
             Some(t) => &mut self.t_cap[t],
@@ -309,19 +397,102 @@ impl Market {
         }
     }
 
-    /// Recounts the overlay's load per market node for `overlay`.
-    fn count_load(&mut self, overlay: &[EdgeId]) {
-        for v in self.loaded.drain(..) {
-            self.load[v] = 0;
+    /// Makes `overlay` (ascending market ids) the overlay the market holds,
+    /// and recounts its load per market node, re-pricing each node whose
+    /// load moved.
+    fn hold(&mut self, overlay: Vec<EdgeId>) {
+        for &e in &self.held {
+            self.in_held[e.index()] = false;
         }
-        for &e in overlay {
+        let mut fresh = std::mem::take(&mut self.spare);
+        for &e in &overlay {
+            self.in_held[e.index()] = true;
             for v in self.ends(e) {
-                if self.load[v] == 0 {
-                    self.loaded.push(v);
+                if self.used[v] == 0 {
+                    fresh.push(v);
                 }
-                self.load[v] += 1;
+                self.used[v] += 1;
             }
         }
+        for i in 0..self.loaded.len() {
+            let v = self.loaded[i];
+            if self.used[v] == 0 {
+                self.load[v] = 0;
+                self.mark(v);
+            }
+        }
+        for &v in &fresh {
+            if self.load[v] != self.used[v] {
+                self.load[v] = self.used[v];
+                self.mark(v);
+            }
+            self.used[v] = 0;
+        }
+        self.loaded.clear();
+        self.spare = std::mem::replace(&mut self.loaded, fresh);
+        self.held = overlay;
+    }
+
+    /// Reserves the units the next batch cedes, at the asks posted: every
+    /// cross edge the overlay does not hold, with an end that asks a price,
+    /// whose live weight exceeds what its two ends ask, is a bid of that
+    /// surplus. Bids are taken node-disjoint, by surplus descending (ties
+    /// by edge id), and each taken bid reserves a unit at every end that
+    /// asks a price. Only the priced nodes' edges are walked. Returns the
+    /// units reserved.
+    fn reserve(&mut self) -> u64 {
+        let asks = &self.asks;
+        self.priced.retain(|&v| asks[v].priced());
+        let (g, n_w) = (&self.sub.graph, self.w_cap.len());
+        let (held, weights, bids) = (&self.in_held, &self.weights, &mut self.bids);
+        let mut bid = |v: usize, e: EdgeId| {
+            let (w, t) = (g.worker_of(e).index(), n_w + g.task_of(e).index());
+            // An edge priced at both ends is bid from its worker.
+            if held[e.index()] || (v == t && asks[w].priced()) {
+                return;
+            }
+            let (Some(pw), Some(pt)) = (asks[w].cost(), asks[t].cost()) else {
+                return;
+            };
+            let weight = weights[e.index()];
+            if weight > pw + pt {
+                bids.push((weight - (pw + pt), e));
+            }
+        };
+        for &v in &self.priced {
+            let Ask::Price(p) = asks[v] else { continue };
+            let edges: &mut dyn Iterator<Item = EdgeId> = match v.checked_sub(n_w) {
+                None => &mut g.worker_edges(WorkerId::from_index(v)),
+                Some(t) => &mut g.task_edges(TaskId::from_index(t)),
+            };
+            // Every bid outbids `v`'s own price first.
+            for e in edges.filter(|e| weights[e.index()] > p) {
+                bid(v, e);
+            }
+        }
+        self.bids
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let mut units = 0;
+        for i in 0..self.bids.len() {
+            let ends = self.ends(self.bids[i].1);
+            if ends.iter().any(|&v| self.used[v] > 0) {
+                continue;
+            }
+            for v in ends {
+                self.used[v] = 1;
+                if self.asks[v].priced() {
+                    self.reserved.push(v);
+                    units += 1;
+                }
+            }
+        }
+        for i in 0..self.bids.len() {
+            for v in self.ends(self.bids[i].1) {
+                self.used[v] = 0;
+            }
+        }
+        self.bids.clear();
+        units
     }
 }
 
@@ -622,13 +793,15 @@ impl<'p> Dispatcher<'p> {
                 }
                 Route::Invalid => invalid += 1,
                 // With the boundary pass on, cross-shard benefit updates
-                // feed the rescue market instead of being dropped.
+                // feed the rescue market; without it they decide nothing.
                 Route::CrossBenefit if rescue.is_none() => tally.cross_benefit_drops += 1,
                 Route::CrossBenefit => {}
             }
             routes.push(r);
         }
         touched.sort_unstable();
+        // The helpers wake while the events are applied and the jobs built.
+        self.pool.wake(touched.len());
         tally.invalid_events += invalid as u64;
         mbta_telemetry::counter_add!("mbta_service_invalid_events_total", invalid as u64);
 
@@ -642,15 +815,17 @@ impl<'p> Dispatcher<'p> {
                     self.apply(s, &a.event);
                     false
                 }
-                Route::CrossBenefit if rescue.is_some() => true,
-                _ => continue,
+                Route::CrossBenefit => true,
+                Route::Invalid => continue,
             };
-            tally.events_processed += 1;
+            if !cross || rescue.is_some() {
+                tally.events_processed += 1;
+            }
             if let ServiceEvent::BenefitUpdate { edge, weight } = a.event {
                 self.deltas.push(WeightDelta { edge, weight });
                 // Cross-shard edges live outside every shard state; the
-                // update lands on the universe weights directly and is
-                // picked up by the next rescue solve.
+                // update lands on the universe weights directly, for the
+                // next rescue solve or the next plan, and in the record.
                 if cross {
                     self.set_live_weight(true, edge, weight);
                 }
@@ -671,7 +846,7 @@ impl<'p> Dispatcher<'p> {
             let market = rescue
                 .market
                 .get_or_insert_with(|| self.build_market(&rescue.overlay));
-            self.return_units(market, &mut touched);
+            self.trade_units(market, &mut touched);
         }
         let ctl = self.budget.ctl(|ms| ms);
         let solve_start = Instant::now();
@@ -726,7 +901,8 @@ impl<'p> Dispatcher<'p> {
                 continue;
             }
             let (graph, state) = (&plan.shards[s].graph, &mut self.states[s]);
-            let job = ShardJob::new(s, graph, state, &mut self.solvers[s], ctl.clone());
+            let nodes = std::mem::take(&mut self.node_bufs[s]);
+            let job = ShardJob::new(s, graph, state, &mut self.solvers[s], nodes, ctl.clone());
             jobs.push(job);
         }
         let outcomes = self.pool.solve(jobs, &self.pool_busy_ms);
@@ -737,9 +913,8 @@ impl<'p> Dispatcher<'p> {
         for outcome in outcomes {
             let s = outcome.shard;
             tally.tally_solve(stats, s, outcome.completed);
-            self.adopt(s, &outcome.matching, outcome.value, tally);
             self.shard_solve_ms.observe(s, outcome.solve_ms);
-            self.solvers[s] = Some(outcome.solver);
+            self.settle(outcome, tally);
             if let Some(m) = market.as_deref_mut() {
                 m.note_changes(s, &self.states[s]);
             }
@@ -751,10 +926,32 @@ impl<'p> Dispatcher<'p> {
         }
     }
 
-    /// Hands every unit the overlay let go at the last batch back to its
-    /// home shard — each node's ceded units drop to the overlay's load
-    /// there — and adds each shard that got one back to `touched`
+    /// Moves units between the shards and the overlay before the shards
+    /// solve: hands every unit the overlay let go at the last batch back
+    /// to its home shard — each node's ceded units drop to the overlay's
+    /// load there — then cedes one unit at every node the last pass
+    /// reserved, and adds each shard either moved to `touched`
     /// (ascending), so it is solved at its new capacities this batch.
+    fn trade_units(&mut self, market: &mut Market, touched: &mut Vec<usize>) {
+        let before = touched.len();
+        self.return_units(market, touched);
+        for i in 0..market.reserved.len() {
+            let v = market.reserved[i];
+            if market.ceded[v] == 0 {
+                market.ceding.push(v);
+            }
+            market.ceded[v] += 1;
+            touched.push(self.set_home(market, v));
+        }
+        market.reserved.clear();
+        if touched.len() > before {
+            touched.sort_unstable();
+            touched.dedup();
+        }
+    }
+
+    /// Hands every unit the overlay let go at the last batch back to its
+    /// home shard, and pushes each shard that got one back onto `touched`.
     fn return_units(&mut self, market: &mut Market, touched: &mut Vec<usize>) {
         let mut grown = Vec::new();
         let Market {
@@ -770,40 +967,8 @@ impl<'p> Dispatcher<'p> {
             }
             ceded[v] > 0
         });
-        let before = touched.len();
         for v in grown {
             touched.push(self.set_home(market, v));
-        }
-        if touched.len() > before {
-            touched.sort_unstable();
-            touched.dedup();
-        }
-    }
-
-    /// Market node `v`'s home shard, its node there (as the shard's
-    /// solver numbers it: workers, then tasks) and its universe capacity.
-    fn home(&self, market: &Market, v: usize) -> (usize, usize, u32) {
-        let (sub, n_w) = (&market.sub, market.sub.graph.n_workers());
-        match v.checked_sub(n_w) {
-            None => {
-                let w = sub.worker_back[v];
-                let s = self.plan.worker_shard[w.index()] as usize;
-                (
-                    s,
-                    self.plan.worker_local[w.index()] as usize,
-                    self.universe.capacity(w),
-                )
-            }
-            Some(i) => {
-                let t = sub.task_back[i];
-                let s = self.plan.task_shard[t.index()] as usize;
-                let n_w = self.plan.shards[s].graph.n_workers();
-                (
-                    s,
-                    n_w + self.plan.task_local[t.index()] as usize,
-                    self.universe.demand(t),
-                )
-            }
         }
     }
 
@@ -812,7 +977,7 @@ impl<'p> Dispatcher<'p> {
     /// lightest edges there if it is now over, or fills the room it gained,
     /// and notes the node for its solver's next job.
     fn set_home(&mut self, market: &mut Market, v: usize) -> usize {
-        let (s, node, full) = self.home(market, v);
+        let (s, node, full) = market.home(v);
         let cap = full - market.ceded[v];
         let (st, n_w) = (&mut self.states[s], self.plan.shards[s].graph.n_workers());
         match node.checked_sub(n_w) {
@@ -826,8 +991,9 @@ impl<'p> Dispatcher<'p> {
     /// plan's carried boundary market, where each node offers what its
     /// home shard leaves of it — the units the overlay holds there
     /// included, since its shard has ceded them — then has each shard cede
-    /// every unit the new overlay takes. Returns the new overlay,
-    /// ascending universe edge ids.
+    /// every unit the new overlay takes, posts the market's asks and
+    /// reserves the units the next batch cedes ([`Market::reserve`]).
+    /// Returns the new overlay, ascending universe edge ids.
     ///
     /// The market — every cross edge of the plan — and its solver are
     /// carried; what a batch changes is the units its nodes offer, moved
@@ -854,9 +1020,7 @@ impl<'p> Dispatcher<'p> {
         self.follow_batch(&mut market, batch);
         self.refresh_market(&mut market);
         debug_assert!(self.is_current(&market), "the market fell behind its batch");
-        let local = rescue.overlay.iter().map(|e| market.edge_local[e.index()]);
-        let overlay: Vec<EdgeId> = local.filter(|&i| i != UNMAPPED).map(EdgeId::new).collect();
-        let overlay = match market.seed(&overlay) {
+        let overlay = match market.seed() {
             None => Vec::new(),
             Some(seed) => {
                 tally.rescue_solves += 1;
@@ -877,12 +1041,77 @@ impl<'p> Dispatcher<'p> {
                     .edges
             }
         };
-        market.count_load(&overlay);
-        self.hold_overlay(&mut market);
         let new_overlay = overlay.iter().map(|e| market.sub.edge_back[e.index()]);
         let new_overlay: Vec<EdgeId> = new_overlay.collect();
+        market.hold(overlay);
+        self.hold_overlay(&mut market);
+        self.post_asks(&mut market);
+        let units = market.reserve();
+        tally.reserved_units += units;
+        mbta_telemetry::counter_add!("mbta_partition_reserved_units_total", units);
         rescue.market = Some(market);
         new_overlay
+    }
+
+    /// Re-prices every market node whose inputs moved since the last pass
+    /// — its home's load there (a flip in the home's change set) or
+    /// liveness (both through [`Market::offer`]), the overlay's load there
+    /// ([`Market::hold`]), or the live weight of an edge its home holds
+    /// there ([`Dispatcher::follow_batch`]) — and lists the nodes that now
+    /// ask a price. Debug builds compare every node's ask with a fresh
+    /// one.
+    fn post_asks(&self, market: &mut Market) {
+        for i in 0..market.repricing.len() {
+            let v = market.repricing[i];
+            market.stale[v] = false;
+            let ask = self.ask(market, v);
+            if ask.priced() && !market.asks[v].priced() {
+                market.priced.push(v);
+            }
+            market.asks[v] = ask;
+        }
+        market.repricing.clear();
+        debug_assert!(
+            (0..market.asks.len()).all(|v| market.asks[v] == self.ask(market, v)),
+            "a market node's ask fell behind its inputs"
+        );
+    }
+
+    /// What market node `v` asks for one more unit of the overlay, as its
+    /// home shard and the overlay stand ([`Ask`]). It has no free unit when
+    /// its home's load and the overlay's use up its universe capacity; the
+    /// price is then the live weight of the lightest edge its home holds
+    /// there, which is what ceding a unit drops, so it bounds the home's
+    /// loss from above.
+    fn ask(&self, market: &Market, v: usize) -> Ask {
+        let (s, node, full) = market.home(v);
+        let (st, n_w) = (&self.states[s], self.plan.shards[s].graph.n_workers());
+        let g = st.graph();
+        let (live, load, edges): (_, _, &mut dyn Iterator<Item = EdgeId>) =
+            match node.checked_sub(n_w) {
+                None => {
+                    let w = WorkerId::from_index(node);
+                    (
+                        st.worker_active(w),
+                        st.worker_load(w),
+                        &mut g.worker_edges(w),
+                    )
+                }
+                Some(t) => {
+                    let t = TaskId::from_index(t);
+                    (st.task_active(t), st.task_load(t), &mut g.task_edges(t))
+                }
+            };
+        if !live {
+            return Ask::Closed;
+        }
+        if load + market.load[v] < full {
+            return Ask::Free;
+        }
+        let held = edges
+            .filter(|&e| st.edge_assigned(e))
+            .map(|e| st.weight_of(e));
+        held.min_by(f64::total_cmp).map_or(Ask::Closed, Ask::Price)
     }
 
     /// Cedes to the overlay every unit it now uses beyond what its node
@@ -942,22 +1171,26 @@ impl<'p> Dispatcher<'p> {
             homes.mark_seen(e, &mut self.cross_seen);
         }
         let universe = self.universe;
+        let worker_home = sub.worker_back.iter().map(|w| {
+            let (s, node) = (plan.worker_shard[w.index()], plan.worker_local[w.index()]);
+            [s, node, universe.capacity(*w)]
+        });
+        let task_home = sub.task_back.iter().map(|t| {
+            let s = plan.task_shard[t.index()];
+            let n_w = plan.shards[s as usize].graph.n_workers() as u32;
+            [s, n_w + plan.task_local[t.index()], universe.demand(*t)]
+        });
+        let homes: Vec<[u32; 3]> = worker_home.chain(task_home).collect();
         let mut local: Vec<Vec<u32>> = plan
             .shards
             .iter()
             .map(|sh| vec![UNMAPPED; sh.graph.n_workers() + sh.graph.n_tasks()])
             .collect();
-        for (i, w) in sub.worker_back.iter().enumerate() {
-            local[plan.worker_shard[w.index()] as usize][plan.worker_local[w.index()] as usize] =
-                i as u32;
+        for (v, &[s, node, _]) in homes.iter().enumerate() {
+            local[s as usize][node as usize] = v as u32;
         }
         let n_w = sub.graph.n_workers();
-        for (i, t) in sub.task_back.iter().enumerate() {
-            let s = plan.task_shard[t.index()] as usize;
-            let node = plan.shards[s].graph.n_workers() + plan.task_local[t.index()] as usize;
-            local[s][node] = (n_w + i) as u32;
-        }
-        let n = n_w + sub.graph.n_tasks();
+        let (n, n_e) = (n_w + sub.graph.n_tasks(), sub.graph.n_edges());
         let mut market = Market {
             worker_local: local_ids(
                 sub.worker_back.iter().map(|w| w.index()),
@@ -969,12 +1202,23 @@ impl<'p> Dispatcher<'p> {
             t_cap,
             ceded: vec![0; n],
             ceding: Vec::new(),
+            held: Vec::new(),
+            in_held: vec![false; n_e],
             load: vec![0; n],
             loaded: Vec::new(),
+            spare: Vec::new(),
             used: vec![0; n],
+            // Every node is priced at the first pass.
+            asks: vec![Ask::Closed; n],
+            stale: vec![true; n],
+            repricing: (0..n).collect(),
+            priced: Vec::new(),
+            bids: Vec::new(),
+            reserved: Vec::new(),
             moved: Vec::new(),
             changed: Vec::new(),
             local,
+            homes,
             weights,
             solver,
             sub,
@@ -983,7 +1227,7 @@ impl<'p> Dispatcher<'p> {
             .iter()
             .map(|e| EdgeId::new(market.edge_local[e.index()]))
             .collect();
-        market.count_load(&overlay);
+        market.hold(overlay);
         self.hold_overlay(&mut market);
         market
     }
@@ -1065,7 +1309,13 @@ impl<'p> Dispatcher<'p> {
                     let i = market.edge_local[edge as usize] as usize;
                     market.weights[i] = self.live_weights[edge as usize];
                 }
-                (ServiceEvent::BenefitUpdate { .. }, _) => {}
+                // An intra-shard edge's weight moves its ends' asks.
+                (ServiceEvent::BenefitUpdate { edge, .. }, _) => {
+                    let e = EdgeId::new(edge);
+                    let (w, t) = (self.universe.worker_of(e), self.universe.task_of(e));
+                    moved.extend(worker(w.raw()));
+                    moved.extend(task(t.raw()).map(|i| n_w + i));
+                }
             }
         }
     }
@@ -1122,12 +1372,7 @@ impl<'p> Dispatcher<'p> {
                 mbta_telemetry::counter_add!("mbta_service_invalid_events_total", 1);
                 return None;
             }
-            // The rescue overlay is a batch construct; in online mode a
-            // cross-shard benefit update has no decision surface.
-            Route::CrossBenefit => {
-                tally.cross_benefit_drops += 1;
-                return None;
-            }
+            Route::CrossBenefit => return Some(self.cross_event(a, tally)),
         };
 
         // Benefit drift accrues before the weight is overwritten.
@@ -1186,6 +1431,26 @@ impl<'p> Dispatcher<'p> {
         (!self.decisions.is_empty() || !self.deltas.is_empty()).then_some(Commit { stats, head })
     }
 
+    /// Online mode: a cross-shard benefit update. The rescue overlay is a
+    /// batch construct, so it decides nothing; its weight still lands — the
+    /// next plan may make the edge intra-shard — and is committed, so
+    /// recovery folds it.
+    #[cold]
+    fn cross_event(&mut self, a: Arrival, tally: &mut ServiceReport) -> Commit {
+        tally.cross_benefit_drops += 1;
+        let ServiceEvent::BenefitUpdate { edge, weight } = a.event else {
+            unreachable!("only a benefit update routes across shards")
+        };
+        self.set_live_weight(true, edge, weight);
+        self.deltas.clear();
+        self.deltas.push(WeightDelta { edge, weight });
+        self.decisions.clear();
+        Commit {
+            stats: BatchStats::new(FlushReason::Online, 1, 0),
+            head: Head::Online(a.time, 0),
+        }
+    }
+
     /// Online mode, at the end of the stream: shard `s`'s closing solve,
     /// the online analog of the batcher's final partial batch — one warm
     /// exact solve, unbudgeted (shutdown is off the latency path, and a
@@ -1223,9 +1488,24 @@ impl<'p> Dispatcher<'p> {
     /// Adopts the solution when it improves on the incremental state.
     fn warm_solve_shard(&mut self, s: usize, ctl: SolveCtl, tally: &mut ServiceReport) {
         let (graph, state) = (&self.plan.shards[s].graph, &mut self.states[s]);
-        let solved = pool::run_job(ShardJob::new(s, graph, state, &mut self.solvers[s], ctl));
-        self.solvers[s] = Some(solved.solver);
-        self.adopt(s, &solved.matching, solved.value, tally);
+        let nodes = std::mem::take(&mut self.node_bufs[s]);
+        let job = ShardJob::new(s, graph, state, &mut self.solvers[s], nodes, ctl);
+        self.settle(pool::run_job(job), tally);
+    }
+
+    /// Takes a shard solve's outcome back: its solver and node buffer
+    /// return to the shard's slots, and its matching is adopted if it
+    /// improves. Debug builds check that the solver's open edges are the
+    /// shard edges whose two ends both have effective capacity.
+    fn settle(&mut self, outcome: ShardOutcome, tally: &mut ServiceReport) {
+        let s = outcome.shard;
+        debug_assert!(
+            pool::follows(&outcome.solver, &self.plan.shards[s].graph, &self.states[s]),
+            "shard {s}: the solver's open edges are not the state's"
+        );
+        self.adopt(s, &outcome.matching, outcome.value, tally);
+        self.solvers[s] = Some(outcome.solver);
+        self.node_bufs[s] = outcome.nodes;
     }
 
     /// Tears the dispatcher down to the plan-free state a successor needs
@@ -1353,6 +1633,7 @@ impl<'p> Dispatcher<'p> {
             pool: Pool::new(detached.threads),
             states,
             solvers: vec![None; n],
+            node_bufs: vec![Vec::new(); n],
             cut,
             live_weights: detached.live_weights,
             cross_seen: detached.cross_seen,

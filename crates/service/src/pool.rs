@@ -9,8 +9,10 @@
 //! with the matching that seeds it, and back out in its outcome):
 //! whichever thread runs the job repairs the shard's kept network and
 //! duals, so a batch pays for what its events moved. Building a job
-//! ([`ShardJob::new`]) hands the solver the shard state's node change set
-//! first, so a node out of the shard's market is closed at capacity 0.
+//! ([`ShardJob::new`]) copies the shard state's node change set into a
+//! buffer the job carries; the thread that runs it hands the set to the
+//! solver first, so a node out of the shard's market is closed at
+//! capacity 0, and the emptied buffer comes back in the outcome.
 //! (The boundary rescue is not a job: its market re-solves inline, on a
 //! solver of its own.)
 //! Four properties the dispatch loop depends on:
@@ -19,16 +21,20 @@
 //!    sorted by sub-market edge count, descending, into one shared queue.
 //!    The dispatching thread starts draining it at once, and the
 //!    `min(threads, jobs) - 1` helpers take the next job whenever they are
-//!    free — a helper only once it has woken, so no solve waits for one.
+//!    free. A batch wakes its helpers ([`Pool::wake`]) before it builds
+//!    its jobs, and they spin for the queue to fill — for at most
+//!    [`SPIN`], then they block — so they are up when it does; a late one
+//!    only takes less, no solve waits for one.
 //!    That is LPT list scheduling: the big solves start immediately and
 //!    the small ones pack around them, so the makespan stays close to the
 //!    `max(job)` lower bound. One thread is the same loop with no helper.
 //! 2. **Helpers outlive the batch, not the pool.** A helper is spawned at
 //!    the first batch with a job for it and then parks on its work channel
 //!    between batches: a batch's jobs are ~25 µs apiece, less than a
-//!    thread spawn. Dropping the pool (with its dispatcher) closes the
-//!    channels and joins the helpers, and a solve that panics on a helper
-//!    reaches the caller with its own payload.
+//!    thread spawn and about what waking a parked thread takes. Dropping
+//!    the pool (with its dispatcher) closes the channels and joins the
+//!    helpers, and a solve that panics on a helper reaches the caller with
+//!    its own payload.
 //! 3. **Deterministic merge.** Threads race, but their outcomes are
 //!    re-sorted by shard index before they are handed back, so the caller
 //!    applies them in shard order at every width.
@@ -56,10 +62,11 @@ use mbta_telemetry::HistogramFamily;
 use mbta_util::SolveCtl;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One shard's solve request: everything the solve needs, owned — the
 /// carried solver moved in, and back out in the [`ShardOutcome`] — so the
@@ -72,8 +79,12 @@ pub struct ShardJob {
     /// Live edge weights for the sub-market; the solver's capacities close
     /// the edges at inactive nodes.
     pub weights: Vec<f64>,
-    /// The shard's carried solver, at the state's effective capacities.
+    /// The shard's carried solver.
     pub solver: WarmSolver,
+    /// The node change set ([`IncrementalAssignment::drain_node_changes`])
+    /// the solver takes before it solves: `(node, effective capacity)`,
+    /// workers then tasks.
+    pub nodes: Vec<(usize, u32)>,
     /// The feasible matching that seeds the re-solve, and its floor: a cut
     /// solve hands it back.
     pub seed: Matching,
@@ -84,32 +95,31 @@ pub struct ShardJob {
 impl ShardJob {
     /// The one way a shard solve is built, batch or online: shard `shard`'s
     /// carried solver (taken from its slot, built for `graph` on first
-    /// use) after it takes the node change set of its incremental `state`
-    /// — so every node out of the state's market is closed at capacity 0 —
-    /// the state's live weights, and its matching as the seed, under `ctl`.
+    /// use), the node change set of its incremental `state` drained into
+    /// `nodes` (an empty buffer, reused from the last outcome) for the
+    /// solver to take as the job runs — so every node out of the state's
+    /// market is closed at capacity 0 — the state's live weights, and its
+    /// matching as the seed, under `ctl`.
     ///
     /// A solver is built at its shard's first solve, when the set holds
     /// every node the state ever moved off the graph's capacities, so a
-    /// fresh solver needs no special case. Debug builds check that the
-    /// solver's open edges are the shard edges whose two ends both have
-    /// effective capacity.
+    /// fresh solver needs no special case. The caller checks the outcome's
+    /// solver against the state in debug builds ([`follows`]).
     pub fn new(
         shard: usize,
         graph: &Arc<BipartiteGraph>,
         state: &mut IncrementalAssignment<'_>,
         solver: &mut Option<WarmSolver>,
+        mut nodes: Vec<(usize, u32)>,
         ctl: SolveCtl,
     ) -> Self {
-        let mut solver = solver.take().unwrap_or_else(|| WarmSolver::new(graph));
-        solver.update_capacities(state.drain_node_changes());
-        debug_assert!(
-            follows(&solver, graph, state),
-            "shard {shard}: the solver's open edges are not the state's"
-        );
+        let solver = solver.take().unwrap_or_else(|| WarmSolver::new(graph));
+        nodes.extend(state.drain_node_changes());
         ShardJob {
             shard,
             weights: state.weights().to_vec(),
             solver,
+            nodes,
             graph: Arc::clone(graph),
             seed: state.matching(),
             ctl,
@@ -121,7 +131,11 @@ impl ShardJob {
 /// have effective capacity in `state`. The solver lists each open edge
 /// once, so equal counts and containment are set equality; compared
 /// without collecting, debug builds allocate what release builds do.
-fn follows(solver: &WarmSolver, g: &BipartiteGraph, state: &IncrementalAssignment<'_>) -> bool {
+pub(crate) fn follows(
+    solver: &WarmSolver,
+    g: &BipartiteGraph,
+    state: &IncrementalAssignment<'_>,
+) -> bool {
     let has_units = |w, t| {
         state.worker_active(w)
             && state.task_active(t)
@@ -139,6 +153,8 @@ pub struct ShardOutcome {
     pub shard: usize,
     /// The shard's carried solver, handed back.
     pub solver: WarmSolver,
+    /// The job's node buffer, handed back empty for the next job.
+    pub nodes: Vec<(usize, u32)>,
     /// The optimum, or the seed when the budget cut the solve short.
     pub matching: Matching,
     /// Total weight of `matching` under the job's weights.
@@ -158,8 +174,70 @@ pub fn width(threads: usize) -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// How long a woken helper spins for its batch's jobs before it blocks:
+/// a few times what building a `sharded_rescue` batch's jobs takes. A
+/// bound, so a helper never holds a core while the dispatching thread is
+/// held up.
+const SPIN: Duration = Duration::from_micros(100);
+
 /// One batch's jobs, largest first, shared by every thread draining it.
-type Queue = Mutex<std::vec::IntoIter<ShardJob>>;
+/// Helpers are handed it before its jobs are in ([`Pool::wake`]) and
+/// claim nothing until it is `ready`.
+struct Queue {
+    jobs: Mutex<std::vec::IntoIter<ShardJob>>,
+    ready: AtomicBool,
+    filled: Condvar,
+}
+
+impl Queue {
+    fn new() -> Queue {
+        Queue {
+            jobs: Mutex::new(Vec::new().into_iter()),
+            ready: AtomicBool::new(false),
+            filled: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, std::vec::IntoIter<ShardJob>> {
+        self.jobs.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Puts the batch's jobs in and releases every helper waiting for them.
+    fn fill(&self, jobs: Vec<ShardJob>) {
+        let mut queue = self.lock();
+        *queue = jobs.into_iter();
+        // Under the lock, so a helper that saw the queue empty is already
+        // waiting when the notice comes.
+        self.ready.store(true, Ordering::Release);
+        drop(queue);
+        self.filled.notify_all();
+    }
+
+    /// Waits until the jobs are in: spinning for up to [`SPIN`], blocked
+    /// after that.
+    fn wait(&self) {
+        let start = Instant::now();
+        while !self.ready.load(Ordering::Acquire) {
+            if start.elapsed() > SPIN {
+                let mut queue = self.lock();
+                while !self.ready.load(Ordering::Acquire) {
+                    queue = self.filled.wait(queue).unwrap_or_else(|e| e.into_inner());
+                }
+                return;
+            }
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// The helpers woken for the next batch: its queue, the channel their
+/// outcomes come back on, and how many there are.
+struct Woken {
+    queue: Arc<Queue>,
+    done: Sender<Drained>,
+    results: Receiver<Drained>,
+    helpers: usize,
+}
 
 /// What a helper hands back for one batch: its outcomes and busy time, or
 /// the payload of the solve that panicked.
@@ -178,6 +256,7 @@ struct Helper {
 pub struct Pool {
     width: usize,
     helpers: Vec<Helper>,
+    woken: Option<Woken>,
 }
 
 impl Pool {
@@ -187,17 +266,52 @@ impl Pool {
         Pool {
             width,
             helpers: Vec::new(),
+            woken: None,
         }
+    }
+
+    /// Wakes the helpers a batch of up to `jobs` jobs will use —
+    /// `min(width, jobs) − 1` in all — ahead of its [`solve`](Self::solve),
+    /// so they are up by the time the jobs are built: a parked thread takes
+    /// about as long to wake as a small shard takes to solve. Helpers woken
+    /// already for the batch count; no helper wakes for one job.
+    pub fn wake(&mut self, jobs: usize) {
+        let want = self.width.min(jobs).saturating_sub(1);
+        let have = self.woken.as_ref().map_or(0, |w| w.helpers);
+        if want <= have {
+            return;
+        }
+        while self.helpers.len() < want {
+            self.helpers.push(spawn_helper());
+        }
+        let woken = self.woken.get_or_insert_with(|| {
+            let (done, results) = mpsc::channel();
+            Woken {
+                queue: Arc::new(Queue::new()),
+                done,
+                results,
+                helpers: 0,
+            }
+        });
+        for helper in &self.helpers[have..want] {
+            let sent = helper
+                .work
+                .send((Arc::clone(&woken.queue), woken.done.clone()));
+            sent.expect("a helper lives as long as its pool");
+        }
+        woken.helpers = want;
     }
 
     /// Solves every job and returns the outcomes sorted by shard index.
     ///
     /// The calling thread drains one largest-first queue as thread 0, and
-    /// `min(width, jobs) − 1` helpers take whatever is left when they wake.
-    /// With one thread or one job no helper is woken: the caller runs every
-    /// job itself. A panicking solve reaches the caller with its own
-    /// payload, whichever thread ran it. Thread `i`'s busy time goes to
-    /// `busy_ms`'s value `i`, so the family needs `width` values.
+    /// the helpers woken for the batch — at least `min(width, jobs) − 1`,
+    /// more if [`wake`](Self::wake) asked for more — take whatever is left
+    /// once they are up. With one thread, or one job and no helper woken,
+    /// the caller runs every job itself. A panicking solve reaches the
+    /// caller with its own payload, whichever thread ran it. Thread `i`'s
+    /// busy time goes to `busy_ms`'s value `i`, so the family needs `width`
+    /// values.
     pub fn solve(
         &mut self,
         mut jobs: Vec<ShardJob>,
@@ -207,26 +321,22 @@ impl Pool {
         // completion order is not.
         jobs.sort_by_key(|j| (std::cmp::Reverse(j.graph.n_edges()), j.shard));
         let n_jobs = jobs.len();
-        let helpers = self.width.min(n_jobs).saturating_sub(1);
+        self.wake(n_jobs);
         // Pool metrics only for batches that wake a helper: a one-thread
         // run emits none.
-        let metered = helpers > 0;
-        if !metered {
+        let Some(Woken {
+            queue,
+            results,
+            helpers,
+            ..
+        }) = self.woken.take()
+        else {
             let mut outcomes: Vec<ShardOutcome> = jobs.into_iter().map(run_job).collect();
             outcomes.sort_by_key(|o| o.shard);
             return outcomes;
-        }
-        let queue = Arc::new(Mutex::new(jobs.into_iter()));
-        while self.helpers.len() < helpers {
-            self.helpers.push(spawn_helper());
-        }
-        let (done, results) = mpsc::channel();
-        for helper in &self.helpers[..helpers] {
-            let sent = helper.work.send((Arc::clone(&queue), done.clone()));
-            sent.expect("a helper lives as long as its pool");
-        }
-        drop(done);
-        let (mut outcomes, busy) = drain(&queue, metered);
+        };
+        queue.fill(jobs);
+        let (mut outcomes, busy) = drain(&queue);
         busy_ms.observe(0, busy);
         let mut panicked = None;
         for (i, drained) in results.iter().take(helpers).enumerate() {
@@ -251,6 +361,10 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
+        // Helpers woken for a batch that never came find its queue empty.
+        if let Some(woken) = self.woken.take() {
+            woken.queue.fill(Vec::new());
+        }
         for helper in self.helpers.drain(..) {
             drop(helper.work);
             // A helper's own panic was handed to the batch that caused it.
@@ -266,7 +380,8 @@ fn spawn_helper() -> Helper {
     let (work, inbox): (_, Receiver<(Arc<Queue>, Sender<Drained>)>) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         for (queue, done) in inbox {
-            let drained = panic::catch_unwind(AssertUnwindSafe(|| drain(&queue, true)));
+            queue.wait();
+            let drained = panic::catch_unwind(AssertUnwindSafe(|| drain(&queue)));
             // The dispatcher may already be unwinding; nothing to tell it.
             let _ = done.send(drained);
         }
@@ -276,19 +391,17 @@ fn spawn_helper() -> Helper {
 
 /// Takes jobs off `queue` until it is empty; returns what was solved and
 /// the milliseconds spent solving.
-fn drain(queue: &Queue, metered: bool) -> (Vec<ShardOutcome>, f64) {
+fn drain(queue: &Queue) -> (Vec<ShardOutcome>, f64) {
     let (mut done, mut busy) = (Vec::new(), 0.0f64);
     loop {
         // Claim in a statement of its own: the guard must drop before the
         // solve, or the solves serialise.
         let (job, left) = {
-            let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = queue.lock();
             (q.next(), q.len())
         };
         let Some(job) = job else { break };
-        if metered {
-            mbta_telemetry::gauge_set!("mbta_service_pool_queue_depth", left as f64);
-        }
+        mbta_telemetry::gauge_set!("mbta_service_pool_queue_depth", left as f64);
         let outcome = run_job(job);
         busy += outcome.solve_ms;
         done.push(outcome);
@@ -296,15 +409,18 @@ fn drain(queue: &Queue, metered: bool) -> (Vec<ShardOutcome>, f64) {
     (done, busy)
 }
 
-/// Runs one job on the current thread, timing it.
+/// Runs one job on the current thread, timing it: the solver takes the
+/// job's node changes, then solves.
 pub fn run_job(mut job: ShardJob) -> ShardOutcome {
     let start = Instant::now();
+    job.solver.update_capacities(job.nodes.drain(..));
     let (g, w) = (&*job.graph, &job.weights);
     let (matching, completed) = job.solver.solve_seeded(g, w, &job.seed, &job.ctl);
     ShardOutcome {
         shard: job.shard,
         value: matching.total_weight(w),
         solver: job.solver,
+        nodes: job.nodes,
         matching,
         completed,
         solve_ms: start.elapsed().as_secs_f64() * 1e3,
@@ -347,6 +463,7 @@ mod tests {
                 graph: Arc::clone(g),
                 weights: w.clone(),
                 solver,
+                nodes: Vec::new(),
                 seed: Matching::empty(),
                 ctl: SolveCtl::unlimited(),
             })
@@ -387,6 +504,32 @@ mod tests {
                 assert!((a.value - b.value).abs() < 1e-12);
             }
         }
+    }
+
+    /// Helpers woken ahead of their batch wait for its jobs — spinning,
+    /// then blocked once the wait outlasts the spin — and solve them; a
+    /// pool dropped before the batch comes releases and joins them.
+    #[test]
+    fn woken_helpers_wait_for_their_batch() {
+        let markets: Vec<_> = (0..4).map(|i| market(21 + i, 30)).collect();
+        let seq: Vec<_> = jobs_for(&markets, solvers_for(&markets))
+            .into_iter()
+            .map(run_job)
+            .collect();
+        let mut pool = Pool::new(3);
+        for pause in [0, 2] {
+            pool.wake(4);
+            std::thread::sleep(std::time::Duration::from_millis(pause));
+            let par = pool.solve(jobs_for(&markets, solvers_for(&markets)), &busy(3));
+            let edges = |o: &[ShardOutcome]| {
+                o.iter()
+                    .map(|o| o.matching.edges.clone())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(edges(&seq), edges(&par), "after a {pause} ms wait");
+        }
+        pool.wake(4);
+        drop(pool);
     }
 
     /// A panicking solve reaches the caller with its own message, whether

@@ -37,6 +37,9 @@ pub struct ServiceReport {
     pub rescue_solves: u64,
     /// Assign decisions the rescue overlay emitted across the run.
     pub rescue_assigns: u64,
+    /// Units the boundary pass reserved at posted prices: each is ceded by
+    /// its home shard at the next batch, for the rescue to take or leave.
+    pub reserved_units: u64,
     /// Drift-driven re-plans applied (detach → rebuild → resume cycles).
     pub replans: u64,
     /// Workers whose home shard changed across all re-plans.
@@ -369,6 +372,7 @@ mod tests {
             rescued_weight: 1.25,
             rescue_solves: 6,
             rescue_assigns: 4,
+            reserved_units: 2,
             replans: 1,
             migrated_workers: 12,
             migrated_tasks: 9,

@@ -110,9 +110,10 @@ impl DecisionSink for StateTrackingSink {
                 Action::Assign => {
                     self.live.insert((d.shard, d.edge));
                 }
-                Action::Unassign => {
-                    self.live.remove(&(d.shard, d.edge));
-                }
+                // By edge: a re-plan relabels an edge it keeps assigned
+                // without announcing it, and a later unassign names the
+                // new shard.
+                Action::Unassign => self.live.retain(|&(_, e)| e != d.edge),
             }
         }
         self.per_batch.push(self.live.clone());

@@ -6,7 +6,9 @@
 # broken link, so CI fails loudly instead of shipping dead references.
 # It also checks that every test a DESIGN.md invariant list names — written
 # `fn name` — exists as a function under tests/, crates/*/tests or a
-# #[cfg(test)] module of the sources.
+# #[cfg(test)] module of the sources, and that every CHANGES.md entry from
+# PR 49 on (its `- **PR N` line and the indented lines under it) is at most
+# 15 lines, none wider than 120 columns; older entries are exempt.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +47,32 @@ while IFS= read -r f; do
     fail=1
   fi
 done <<<"$named"
+# Columns are characters: the entries are UTF-8.
+check_changes() (
+  export LC_ALL=C.UTF-8
+  local head='^- \*\*PR ([0-9]+)' pr=0 lines=0 n=0 bad=0 line
+  while IFS= read -r line || [ -n "$line" ]; do
+    n=$((n + 1))
+    if [[ $line =~ $head ]]; then
+      pr=${BASH_REMATCH[1]}
+      lines=0
+    elif [[ ! $line =~ ^[[:space:]] ]]; then
+      pr=0
+    fi
+    [ "$pr" -ge 49 ] || continue
+    lines=$((lines + 1))
+    if [ "$lines" -eq 16 ]; then
+      echo "CHANGES.md:$n: the PR $pr entry is longer than 15 lines"
+      bad=1
+    fi
+    if [ "${#line}" -gt 120 ]; then
+      echo "CHANGES.md:$n: a PR $pr entry line is ${#line} columns, over 120"
+      bad=1
+    fi
+  done <CHANGES.md
+  exit "$bad"
+)
+check_changes || fail=1
 if [ "$fail" -eq 0 ]; then
   echo "doc links OK: ${DOCS[*]}; $(wc -l <<<"$named") named tests exist"
 fi

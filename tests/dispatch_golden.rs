@@ -41,29 +41,29 @@ mod reference;
 /// for scenarios that run without a WAL.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("batch-1", 0xde53e9b20851dff1, 0x0000000000000000),
-    ("batch-4-t1", 0x4d8af7941ab1f595, 0x8613414163f5bb1c),
-    ("batch-4-t4", 0x4d8af7941ab1f595, 0x8613414163f5bb1c),
+    ("batch-4-t1", 0x4d8af7941ab1f595, 0x5498902524513649),
+    ("batch-4-t4", 0x4d8af7941ab1f595, 0x5498902524513649),
     (
         "mincut-8-boundary-t1",
-        0x508fc0281ab0ba0e,
-        0xdcab33f75f4d581f,
+        0x2875e9d73922afd1,
+        0x541f8f8f7b98fe3d,
     ),
     (
         "mincut-8-boundary-t4",
-        0x508fc0281ab0ba0e,
-        0xdcab33f75f4d581f,
+        0x2875e9d73922afd1,
+        0x541f8f8f7b98fe3d,
     ),
-    ("online", 0x395d1159e9c0d6b4, 0x0000000000000000),
-    ("online-wal", 0x395d1159e9c0d6b4, 0xe8bf652e36e9ac67),
-    ("replan-wal", 0xe78f9c9598a243b5, 0x8ae24e11dae506f8),
+    ("online", 0x504f07a0ba518506, 0x0000000000000000),
+    ("online-wal", 0x504f07a0ba518506, 0x8bb1fd28e7837532),
+    ("replan-wal", 0xf1b6d383b998ac3d, 0x7e439cc38dbfb51d),
     (
         "replan-boundary-wal",
-        0x2f9e723db60f318e,
-        0x8c05a5778e988181,
+        0xc8803f2045372da0,
+        0xee9545e4ad75edee,
     ),
-    ("replan-online-wal", 0x8f5b6d9e24195d61, 0x85b9b09c65acc81b),
-    ("owned-0", 0x31b046fbbd849514, 0x62bc685fbc0d2ffb),
-    ("owned-1-online", 0x2c657962c83611c2, 0x774bfad23f13e4f2),
+    ("replan-online-wal", 0x4556940c787b5a6f, 0x9c1dbbd07b9980a7),
+    ("owned-0", 0x31b046fbbd849514, 0x1272e39f793050d6),
+    ("owned-1-online", 0x77d00adf81584ebe, 0x8a61935279334186),
     ("owned-2", 0xb4440702337bfd72, 0x0000000000000000),
     ("owned-3", 0xba2e1afcdd605f28, 0x0000000000000000),
 ];

@@ -28,9 +28,13 @@
 //! cold optimum of the cross-edge market they leave.
 //!
 //! With the boundary pass on, a shard cedes every unit the overlay holds
-//! and gets one back only at the batch after the overlay let it go, so at
-//! each commit a node's shard capacity is its universe capacity less the
-//! larger of the overlay's load there before and after the commit.
+//! and gets one back only at the batch after the overlay let it go. It also
+//! cedes, at the start of a batch, every unit the commit before reserved
+//! at posted prices ([`Reference::reserve`] derives them from that commit's
+//! state by the service's rule). So at each commit a node's shard capacity
+//! is its universe capacity less the larger of the overlay's load there
+//! before the commit plus the units reserved there, and the overlay's load
+//! after it.
 //!
 //! A re-plan ([`Reference::replan`], before the migration commit) reseeds
 //! every shard without solving it. At the migration commit only checks 1,
@@ -55,6 +59,7 @@ use mbta::workload::trace::TraceSpec;
 
 /// A seeded random market with every node at `capacity` / `demand`, each
 /// edge weighted by the mean of its two benefits.
+#[allow(dead_code)]
 pub fn universe(
     n_workers: usize,
     n_tasks: usize,
@@ -172,6 +177,8 @@ pub struct Reference<'g> {
     live: Vec<f64>,
     /// Per edge, the shard that announced it ([`UNMAPPED`]: unassigned).
     shard_of: Vec<u32>,
+    /// Per worker and per task, the units the last commit reserved.
+    reserved: (Vec<u32>, Vec<u32>),
     commits: u64,
     /// The run's decision log, as `replay` writes it.
     pub log: WriteSink<Vec<u8>>,
@@ -204,6 +211,7 @@ impl<'g> Reference<'g> {
             task_on: vec![false; g.n_tasks()],
             live: plan.universe_weights.clone(),
             shard_of: vec![UNMAPPED; g.n_edges()],
+            reserved: (vec![0; g.n_workers()], vec![0; g.n_tasks()]),
             commits: 0,
             log: WriteSink::new(Vec::new()),
             ceded_checks: 0,
@@ -226,6 +234,9 @@ impl<'g> Reference<'g> {
     pub fn replan(&mut self, plan: &ShardPlan) {
         self.follow(plan);
         self.stale.fill(true);
+        // The old plan's market, and what it reserved, go with it.
+        self.reserved.0.fill(0);
+        self.reserved.1.fill(0);
     }
 
     fn follow(&mut self, plan: &ShardPlan) {
@@ -284,12 +295,15 @@ impl<'g> Reference<'g> {
         let mut shards = None;
         if !migration && !self.online {
             let after = self.load(self.overlay());
-            let cede = |full: &[u32], a: &[u32], b: &[u32]| -> Vec<u32> {
-                (0..full.len()).map(|i| full[i] - a[i].max(b[i])).collect()
+            let cede = |full: &[u32], a: &[u32], r: &[u32], b: &[u32]| -> Vec<u32> {
+                (0..full.len())
+                    .map(|i| full[i] - (a[i] + r[i]).max(b[i]))
+                    .collect()
             };
+            let (r_w, r_t) = &self.reserved;
             let caps = (
-                cede(full.0, &before.0, &after.0),
-                cede(full.1, &before.1, &after.1),
+                cede(full.0, &before.0, r_w, &after.0),
+                cede(full.1, &before.1, r_t, &after.1),
             );
             let ceded = (&caps.0[..], &caps.1[..]) != full;
             self.ceded_checks += usize::from(ceded);
@@ -298,6 +312,14 @@ impl<'g> Reference<'g> {
             if self.boundary_pass {
                 self.check_overlay(at);
             }
+        }
+        if self.boundary_pass {
+            // A migration runs no rescue pass, so it reserves nothing.
+            self.reserved = if migration {
+                (vec![0; g.n_workers()], vec![0; g.n_tasks()])
+            } else {
+                self.reserve()
+            };
         }
         if at.is_multiple_of(self.every) {
             self.check_union(at, shards);
@@ -342,13 +364,8 @@ impl<'g> Reference<'g> {
                     self.task_shard[t as usize]
                 }
                 ServiceEvent::BenefitUpdate { edge, weight } => {
-                    let s = self.edge_shard[edge as usize];
-                    // Without the overlay a cross edge has no decision
-                    // surface: the service drops its updates.
-                    if s != UNMAPPED || self.boundary_pass {
-                        self.live[edge as usize] = weight;
-                    }
-                    s
+                    self.live[edge as usize] = weight;
+                    self.edge_shard[edge as usize]
                 }
             };
             if s != UNMAPPED {
@@ -420,6 +437,69 @@ impl<'g> Reference<'g> {
         let (w, t) = self.load(edges);
         let less = |cap: &[u32], used: Vec<u32>| cap.iter().zip(used).map(|(c, u)| c - u).collect();
         (less(self.g.capacities(), w), less(self.g.demands(), t))
+    }
+
+    /// The units the service reserves at the end of a rescue pass, derived
+    /// from the commit's state: per worker and per task, from the live
+    /// weights, liveness, the shards' assignment and the overlay.
+    ///
+    /// A live node with a unit its shard and the overlay leave free asks
+    /// 0; one without asks the live weight of the lightest edge its shard
+    /// holds there — a price — unless its shard holds none there; a node
+    /// that is not live does not sell. Every cross edge the overlay does
+    /// not hold, with a priced end, whose weight exceeds what its two ends
+    /// ask, bids that surplus; bids are taken node-disjoint by surplus
+    /// descending, ties by edge id, and reserve a unit at each priced end.
+    pub fn reserve(&self) -> (Vec<u32>, Vec<u32>) {
+        let (g, n_w) = (self.g, self.g.n_workers());
+        let n = n_w + g.n_tasks();
+        let mut shard = vec![0u32; n];
+        let mut lightest = vec![f64::INFINITY; n];
+        let overlay = self.load(self.overlay());
+        for e in g.edges().filter(|&e| !self.cross(e) && self.is_assigned(e)) {
+            for v in [g.worker_of(e).index(), n_w + g.task_of(e).index()] {
+                shard[v] += 1;
+                lightest[v] = lightest[v].min(self.live[e.index()]);
+            }
+        }
+        // `None`: not for sale; `Some((cost, priced))`.
+        let ask = |v: usize| -> Option<(f64, bool)> {
+            let (on, full, used) = match v.checked_sub(n_w) {
+                None => (self.worker_on[v], g.capacities()[v], overlay.0[v]),
+                Some(t) => (self.task_on[t], g.demands()[t], overlay.1[t]),
+            };
+            if !on {
+                None
+            } else if shard[v] + used < full {
+                Some((0.0, false))
+            } else {
+                (shard[v] > 0).then_some((lightest[v], true))
+            }
+        };
+        let mut bids = Vec::new();
+        for e in g.edges().filter(|&e| self.cross(e) && !self.is_assigned(e)) {
+            let [w, t] = [g.worker_of(e).index(), n_w + g.task_of(e).index()];
+            let (Some((pw, priced_w)), Some((pt, priced_t))) = (ask(w), ask(t)) else {
+                continue;
+            };
+            let weight = self.live[e.index()];
+            if (priced_w || priced_t) && weight > pw + pt {
+                bids.push((weight - (pw + pt), e, [(w, priced_w), (t, priced_t)]));
+            }
+        }
+        bids.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let (mut taken, mut units) = (vec![false; n], vec![0u32; n]);
+        for (_, _, ends) in bids {
+            if ends.iter().any(|&(v, _)| taken[v]) {
+                continue;
+            }
+            for (v, priced) in ends {
+                taken[v] = true;
+                units[v] += u32::from(priced);
+            }
+        }
+        let tasks = units.split_off(n_w);
+        (units, tasks)
     }
 
     /// Check 3 at `caps`, for every shard re-solved since the last re-plan:
