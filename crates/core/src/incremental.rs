@@ -28,18 +28,30 @@
 //! reads the same without resetting. Holding each edge at most once, the
 //! set stays bounded by the edge count even for callers that never drain.
 //!
-//! **Node change set.** The same idiom, for nodes: every node whose
-//! *effective capacity* — its held capacity while active, 0 while not —
-//! may have moved since the last take is held once, and
-//! [`drain_node_changes`](IncrementalAssignment::drain_node_changes) hands
-//! each over with its effective capacity now. That is how an exact solver
-//! carried beside the state learns who is out of the market: a node with
-//! no units is closed, as [`crate::warm::WarmSolver::update_capacities`]
-//! closes it, rather than priced out. A solver built on the state's graph
-//! starts at the graph's capacities with every node active, which is where
-//! a fresh state starts with an empty set.
+//! **Carried network.** A serving shard re-solves its market exactly, again
+//! and again, on a min-cost flow network it keeps
+//! ([`mbta_matching::warm::WarmNet`]), and the state owns that network: it
+//! is built at the first [`lend_net`](IncrementalAssignment::lend_net) —
+//! every edge costed from its weight, every node at its *effective
+//! capacity* (its held capacity while active, 0 while not: a node out of
+//! the market is closed, not priced out) and the assignment as its flow —
+//! and from then on every change is written to it as it happens, each in
+//! O(1): a flip through the two funnels every assignment change goes
+//! through, a weight through [`set_weight`](IncrementalAssignment::set_weight),
+//! a moved effective capacity through the liveness and capacity calls. So
+//! the flow on the network *is* the assignment, whenever the network is
+//! home ([`check_invariants`](IncrementalAssignment::check_invariants)
+//! asserts it). A solve borrows the network — owned, so it may run on
+//! another thread — repairs it in place ([`crate::warm::resolve`]) and
+//! hands it back to [`settle`](IncrementalAssignment::settle), which reads
+//! the flow the repair left into the change set when it improves on the
+//! assignment, and otherwise writes the assignment back as the flow.
+//! Nothing is copied into a solve, and nothing but the flow's difference
+//! out of it. The state must not change while its network is lent.
 
+use crate::warm::WarmSolverStats;
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
+use mbta_matching::warm::{WarmNet, WarmStats};
 use mbta_matching::{Infeasibility, Matching};
 use std::fmt;
 
@@ -117,17 +129,20 @@ pub struct IncrementalAssignment<'g> {
     /// Assigned edges, kept by `insert` and `remove`.
     assigned: usize,
     /// The change set: each edge flipped since the last drain, once, with
-    /// whether it was assigned before that first flip. `dirty` marks the
-    /// recorded edges.
+    /// whether it was assigned before that first flip (sized for every
+    /// edge). `dirty` marks the recorded edges.
     changed: Vec<(EdgeId, bool)>,
     dirty: Vec<bool>,
-    /// The node change set: each node (workers, then tasks) whose
-    /// effective capacity may have moved since the last take, once;
-    /// `noted` marks them.
-    nodes_moved: Vec<u32>,
-    noted: Vec<bool>,
-    /// Pooled buffers, empty between calls: a deactivation's dropped edges,
-    /// and a repair's candidates (a reseed's sorted seed).
+    /// The carried network once built, holding the assignment as its flow
+    /// (`None` while it is lent, and `lent` says so), and the tallies of
+    /// the solves it came back from.
+    net: Option<WarmNet>,
+    lent: bool,
+    solves: WarmSolverStats,
+    /// Pooled buffers, empty between calls and sized for every edge, so
+    /// no call grows them: a deactivation's dropped edges (a reseed's
+    /// moved ones), and a repair's candidates (a reseed's sorted seed, a
+    /// settled solve's added edges).
     dropped: Vec<EdgeId>,
     candidates: Vec<EdgeId>,
 }
@@ -180,12 +195,13 @@ impl<'g> IncrementalAssignment<'g> {
             task_active: vec![true; g.n_tasks()],
             total: 0.0,
             assigned: 0,
-            changed: Vec::new(),
+            changed: Vec::with_capacity(g.n_edges()),
             dirty: vec![false; g.n_edges()],
-            nodes_moved: Vec::new(),
-            noted: vec![false; g.n_workers() + g.n_tasks()],
-            dropped: Vec::new(),
-            candidates: Vec::new(),
+            net: None,
+            lent: false,
+            solves: WarmSolverStats::default(),
+            dropped: Vec::with_capacity(g.n_edges()),
+            candidates: Vec::with_capacity(g.n_edges()),
         };
         for &e in &m.edges {
             s.insert(e);
@@ -225,8 +241,7 @@ impl<'g> IncrementalAssignment<'g> {
     /// allocation.
     pub fn matching(&self) -> Matching {
         let mut edges = Vec::with_capacity(self.assigned);
-        let all = (0..self.g.n_edges() as u32).map(EdgeId::new);
-        edges.extend(all.filter(|e| self.in_matching[e.index()]));
+        edges.extend(self.assigned_edges());
         Matching::from_edges(edges)
     }
 
@@ -238,6 +253,9 @@ impl<'g> IncrementalAssignment<'g> {
         self.w_load[self.g.worker_of(e).index()] += 1;
         self.t_load[self.g.task_of(e).index()] += 1;
         self.total += self.weights[e.index()];
+        if let Some(net) = self.carried() {
+            net.flip(e, true);
+        }
     }
 
     fn remove(&mut self, e: EdgeId) {
@@ -248,6 +266,15 @@ impl<'g> IncrementalAssignment<'g> {
         self.w_load[self.g.worker_of(e).index()] -= 1;
         self.t_load[self.g.task_of(e).index()] -= 1;
         self.total -= self.weights[e.index()];
+        if let Some(net) = self.carried() {
+            net.flip(e, false);
+        }
+    }
+
+    /// The carried network, for a write: `None` before it is built.
+    fn carried(&mut self) -> Option<&mut WarmNet> {
+        debug_assert!(!self.lent, "the state changed while its network was lent");
+        self.net.as_mut()
     }
 
     /// Enters `e` in the change set at its first flip since the last drain.
@@ -258,11 +285,23 @@ impl<'g> IncrementalAssignment<'g> {
         }
     }
 
-    /// Enters node `v` (workers, then tasks) in the node change set.
-    fn note(&mut self, v: usize) {
-        if !self.noted[v] {
-            self.noted[v] = true;
-            self.nodes_moved.push(v as u32);
+    /// Writes node `v`'s (workers, then tasks) effective capacity to the
+    /// carried network: its held capacity while it is active, 0 while not.
+    /// Called after the drops a lower capacity needs and before the fills
+    /// a higher one allows, so the flow through `v` always fits.
+    fn write_units(&mut self, v: usize) {
+        let units = self.effective_capacity(v);
+        if let Some(net) = self.carried() {
+            net.set_units(v, units);
+        }
+    }
+
+    /// Node `v`'s (workers, then tasks) effective capacity.
+    fn effective_capacity(&self, v: usize) -> u32 {
+        match v.checked_sub(self.g.n_workers()) {
+            None if self.worker_active[v] => self.w_cap[v],
+            Some(t) if self.task_active[t] => self.t_cap[t],
+            _ => 0,
         }
     }
 
@@ -327,9 +366,10 @@ impl<'g> IncrementalAssignment<'g> {
             return 0;
         }
         self.worker_active[w.index()] = false;
-        self.note(w.index());
         let g = self.g;
-        self.drop_all(g.worker_edges(w), |s, e| s.repair_task(g.task_of(e)))
+        let dropped = self.drop_all(g.worker_edges(w), |s, e| s.repair_task(g.task_of(e)));
+        self.write_units(w.index());
+        dropped
     }
 
     /// Deactivates a task (cancelled): drops its assignments and repairs
@@ -339,9 +379,10 @@ impl<'g> IncrementalAssignment<'g> {
             return 0;
         }
         self.task_active[t.index()] = false;
-        self.note(self.g.n_workers() + t.index());
         let g = self.g;
-        self.drop_all(g.task_edges(t), |s, e| s.repair_worker(g.worker_of(e)))
+        let dropped = self.drop_all(g.task_edges(t), |s, e| s.repair_worker(g.worker_of(e)));
+        self.write_units(g.n_workers() + t.index());
+        dropped
     }
 
     /// Sets worker `w`'s capacity to `cap` (at most the graph's). Below
@@ -354,11 +395,9 @@ impl<'g> IncrementalAssignment<'g> {
         assert!(cap <= self.g.capacity(w), "above the graph's capacity");
         let over = self.w_load[i].saturating_sub(cap) as usize;
         let old = std::mem::replace(&mut self.w_cap[i], cap);
-        if cap != old {
-            self.note(i);
-        }
         let (grown, g) = (cap > old, self.g);
         self.drop_lightest(g.worker_edges(w), over, |s, e| s.repair_task(g.task_of(e)));
+        self.write_units(i);
         if grown {
             self.repair_worker(w);
         }
@@ -370,13 +409,11 @@ impl<'g> IncrementalAssignment<'g> {
         assert!(cap <= self.g.demand(t), "above the graph's demand");
         let over = self.t_load[i].saturating_sub(cap) as usize;
         let old = std::mem::replace(&mut self.t_cap[i], cap);
-        if cap != old {
-            self.note(self.g.n_workers() + i);
-        }
         let (grown, g) = (cap > old, self.g);
         self.drop_lightest(g.task_edges(t), over, |s, e| {
             s.repair_worker(g.worker_of(e))
         });
+        self.write_units(g.n_workers() + i);
         if grown {
             self.repair_task(t);
         }
@@ -443,7 +480,7 @@ impl<'g> IncrementalAssignment<'g> {
     pub fn activate_worker(&mut self, w: WorkerId) {
         if !self.worker_active[w.index()] {
             self.worker_active[w.index()] = true;
-            self.note(w.index());
+            self.write_units(w.index());
             self.repair_worker(w);
         }
     }
@@ -452,7 +489,7 @@ impl<'g> IncrementalAssignment<'g> {
     pub fn activate_task(&mut self, t: TaskId) {
         if !self.task_active[t.index()] {
             self.task_active[t.index()] = true;
-            self.note(self.g.n_workers() + t.index());
+            self.write_units(self.g.n_workers() + t.index());
             self.repair_task(t);
         }
     }
@@ -563,9 +600,13 @@ impl<'g> IncrementalAssignment<'g> {
     /// market event stream). If the edge is currently assigned, the running
     /// total is adjusted; a non-finite update on an assigned edge evicts it
     /// (while the old finite weight is still in place, so the total stays
-    /// clean) and greedily repairs both endpoints.
+    /// clean) and greedily repairs both endpoints. The carried network, if
+    /// built, has the edge's cost rewritten, so it must not be NaN then.
     pub fn set_weight(&mut self, e: EdgeId, w: f64) {
         let i = e.index();
+        if let Some(net) = self.carried() {
+            net.set_cost(e, w);
+        }
         if self.in_matching[i] {
             if w.is_finite() {
                 let old = self.weights[i];
@@ -600,29 +641,92 @@ impl<'g> IncrementalAssignment<'g> {
         &self.weights
     }
 
-    /// Takes the node change set: each node whose effective capacity —
-    /// its held capacity while active, 0 while not — may have moved since
-    /// the last take, once, with that capacity now. Node `i` is worker `i`
-    /// below the worker count and task `i − workers` above it, as
-    /// [`crate::warm::WarmSolver::update_capacities`] names them. The set
-    /// is empty afterwards, whether or not the iterator is run to its end.
-    pub fn drain_node_changes(&mut self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        let n_w = self.g.n_workers();
-        for &v in &self.nodes_moved {
-            self.noted[v as usize] = false;
+    /// Lends the carried network out for a solve ([`crate::warm::resolve`]),
+    /// building it at the first call: the graph's network with every edge
+    /// costed from its weight, every node at its effective capacity and
+    /// the assignment as its flow. The state must not change until the
+    /// network comes back through [`settle`](Self::settle).
+    ///
+    /// # Panics
+    /// If the network is lent already.
+    pub fn lend_net(&mut self) -> WarmNet {
+        assert!(!self.lent, "the carried network is lent already");
+        let net = self.net.take().unwrap_or_else(|| self.build_net());
+        self.lent = true;
+        net
+    }
+
+    /// The carried network of the state as it stands.
+    fn build_net(&self) -> WarmNet {
+        let mut net = WarmNet::new(self.g);
+        for e in self.g.edges() {
+            net.set_cost(e, self.weights[e.index()]);
         }
-        let (w_cap, t_cap) = (&self.w_cap, &self.t_cap);
-        let (w_on, t_on) = (&self.worker_active, &self.task_active);
-        let units = move |v: u32| {
-            let v = v as usize;
-            let units = match v.checked_sub(n_w) {
-                None if w_on[v] => w_cap[v],
-                Some(t) if t_on[t] => t_cap[t],
-                _ => 0,
-            };
-            (v, units)
-        };
-        self.nodes_moved.drain(..).map(units)
+        for v in 0..self.g.n_workers() + self.g.n_tasks() {
+            net.set_units(v, self.effective_capacity(v));
+        }
+        for e in self.assigned_edges() {
+            net.flip(e, true);
+        }
+        net
+    }
+
+    /// Takes the carried network back from the solve `stats` describes.
+    /// A completed solve whose flow — less its edges of no positive
+    /// weight, which add nothing — is worth more than the assignment, by
+    /// more than 1e-12 summed in ascending edge order, becomes the
+    /// assignment: its difference is applied like a
+    /// [`reseed`](Self::reseed)'s, drops then additions, into the change
+    /// set, and the weightless edges leave the flow. Any other solve — cut
+    /// short, or no better — leaves the assignment as it is and writes it
+    /// back as the flow. The prices the solve left stay either way. Returns
+    /// whether the flow was adopted.
+    ///
+    /// Debug builds certify a completed solve's flow against costs derived
+    /// from the state's weights, so a cost write the state missed fails
+    /// here.
+    ///
+    /// # Panics
+    /// If no network is lent.
+    pub fn settle(&mut self, mut net: WarmNet, stats: &WarmStats) -> bool {
+        assert!(self.lent, "no carried network is lent");
+        self.lent = false;
+        self.solves.add(stats);
+        debug_assert!(
+            !stats.completed || net.certifies(&self.weights),
+            "the carried potentials do not certify the solve"
+        );
+        // The flow's edges of positive weight, ascending; the rest leave it.
+        let mut keep = std::mem::take(&mut self.candidates);
+        for e in self.g.edges() {
+            if net.carries(e) && self.weights[e.index()] > 0.0 {
+                keep.push(e);
+            } else if net.carries(e) {
+                net.flip(e, false);
+            }
+        }
+        let value: f64 = keep.iter().map(|e| self.weights[e.index()]).sum();
+        let adopted = stats.completed && value > self.total + 1e-12;
+        if adopted {
+            self.apply_seed(&keep)
+                .expect("the flow fits the capacities it was solved at");
+        } else {
+            net.restore(self.assigned_edges());
+        }
+        keep.clear();
+        self.candidates = keep;
+        self.net = Some(net);
+        adopted
+    }
+
+    /// The assigned edges, ascending.
+    fn assigned_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        self.g.edges().filter(|e| self.in_matching[e.index()])
+    }
+
+    /// Tallies of the solves the carried network came back from.
+    pub fn solve_stats(&self) -> WarmSolverStats {
+        self.solves
     }
 
     /// The change set, without resetting it: each edge whose assignment
@@ -739,8 +843,10 @@ impl<'g> IncrementalAssignment<'g> {
         self.repair_task(t);
     }
 
-    /// Debug validation: feasibility, activity, count, change-set (edge
-    /// and node) and total consistency.
+    /// Debug validation: feasibility, activity, count, change-set and
+    /// total consistency, and — while the carried network is home — that
+    /// its flow is the assignment and its node capacities the effective
+    /// ones.
     pub fn check_invariants(&self) {
         let m = self.matching();
         m.validate(self.g).expect("maintained matching feasible");
@@ -762,12 +868,17 @@ impl<'g> IncrementalAssignment<'g> {
                 "task {t} over"
             );
         }
-        let mut noted = vec![false; self.noted.len()];
-        for &v in &self.nodes_moved {
-            assert!(!noted[v as usize], "node change set lists node {v} twice");
-            noted[v as usize] = true;
+        if let Some(net) = &self.net {
+            for e in self.g.edges() {
+                assert_eq!(net.carries(e), self.edge_assigned(e), "edge {e}: flow");
+            }
+            let loads = self.w_load.iter().chain(&self.t_load);
+            for (v, &load) in loads.enumerate() {
+                let (units, flow) = net.node_units(v);
+                assert_eq!(units, self.effective_capacity(v), "node {v}: capacity");
+                assert_eq!(flow, load, "node {v}: flow");
+            }
         }
-        assert_eq!(noted, self.noted, "node change set and its marks disagree");
         let mut listed = vec![false; self.g.n_edges()];
         for &(e, _) in &self.changed {
             assert!(!listed[e.index()], "change set lists edge {e} twice");
@@ -788,7 +899,166 @@ mod tests {
     use super::*;
     use mbta_graph::random::{from_edges, random_bipartite, RandomGraphSpec};
     use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
-    use mbta_util::SplitMix64;
+    use mbta_util::{CancelToken, SolveCtl, SplitMix64};
+
+    /// One solve of `inc`'s carried network under `ctl`, settled: whether
+    /// it completed and whether its flow was adopted.
+    fn solve(inc: &mut IncrementalAssignment<'_>, ctl: &SolveCtl) -> (bool, bool) {
+        let mut net = inc.lend_net();
+        let stats = crate::warm::resolve(&mut net, ctl);
+        (stats.completed, inc.settle(net, &stats))
+    }
+
+    /// A control block that stops the solve it is handed at that solve's
+    /// `polls`-th poll.
+    fn cut_after(polls: u32) -> SolveCtl {
+        let token = CancelToken::new();
+        let ctl = SolveCtl::unlimited()
+            .with_token(token.clone())
+            .with_check_interval(polls);
+        // The first `should_stop` is a real check; spend it before the
+        // token is cancelled.
+        assert!(!ctl.should_stop());
+        token.cancel();
+        ctl
+    }
+
+    /// The carried potentials, read on a network lent and handed back
+    /// unchanged.
+    fn prices(inc: &mut IncrementalAssignment<'_>) -> Vec<i64> {
+        let net = inc.lend_net();
+        let pi = net.certificate().potentials;
+        let stats = mbta_matching::warm::WarmStats {
+            warm: false,
+            iterations: 0,
+            settled: 0,
+            completed: false,
+        };
+        assert!(!inc.settle(net, &stats));
+        pi
+    }
+
+    /// A 30 × 20 market whose state's carried network has solved once,
+    /// then moved: a fifth of the weights halved, two workers out.
+    fn primed(g: &BipartiteGraph) -> IncrementalAssignment<'_> {
+        let w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
+        let mut inc = IncrementalAssignment::new(g, w.clone());
+        assert_eq!(solve(&mut inc, &SolveCtl::unlimited()), (true, true));
+        for e in g.edges().step_by(5) {
+            inc.set_weight(e, w[e.index()] * 0.5);
+        }
+        inc.deactivate_worker(WorkerId::new(3));
+        inc.deactivate_worker(WorkerId::new(8));
+        inc
+    }
+
+    fn market() -> BipartiteGraph {
+        let spec = RandomGraphSpec {
+            n_workers: 30,
+            n_tasks: 20,
+            avg_degree: 5.0,
+            capacity: 2,
+            demand: 2,
+        };
+        random_bipartite(&spec, 7)
+    }
+
+    /// A carried solve cut at its first, second, … poll settles to
+    /// nothing: the assignment, its change set and the flow stay the seed,
+    /// and the prices the cut left stay too — the next, uncut, solve
+    /// starts from them (a warm one) and reaches the optimum.
+    #[test]
+    fn a_cut_carried_solve_leaves_the_seed_and_keeps_its_prices() {
+        let g = market();
+        let primed = primed(&g);
+        let mut free = primed.clone();
+        assert_eq!(solve(&mut free, &SolveCtl::unlimited()), (true, true));
+        let mut cut = 0;
+        for polls in 1.. {
+            let mut inc = primed.clone();
+            let (seed, changes) = (inc.matching(), inc.changes().collect::<Vec<_>>());
+            let mut net = inc.lend_net();
+            let stats = crate::warm::resolve(&mut net, &cut_after(polls));
+            if stats.completed {
+                assert!(inc.settle(net, &stats));
+                assert_eq!(inc.matching(), free.matching(), "{polls} polls");
+                break;
+            }
+            cut += 1;
+            let left = net.certificate().potentials;
+            assert!(!inc.settle(net, &stats), "{polls} polls");
+            inc.check_invariants();
+            assert_eq!(inc.matching(), seed, "{polls} polls");
+            assert_eq!(inc.changes().collect::<Vec<_>>(), changes, "{polls} polls");
+            assert_eq!(prices(&mut inc), left, "{polls} polls");
+            let mut net = inc.lend_net();
+            let stats = crate::warm::resolve(&mut net, &SolveCtl::unlimited());
+            assert!(stats.completed && stats.warm, "{polls} polls");
+            assert!(inc.settle(net, &stats), "{polls} polls");
+            inc.check_invariants();
+            assert!((inc.total_weight() - free.total_weight()).abs() < 1e-9);
+        }
+        assert!(cut > 1, "the cuts did not bite");
+        let s = free.solve_stats();
+        assert_eq!((s.solves, s.warm_hits), (2, 1));
+    }
+
+    /// Solved again with nothing moved, a state already at its optimum
+    /// settles to nothing: same assignment, empty change set, the flow
+    /// still the assignment.
+    #[test]
+    fn a_non_improving_carried_solve_changes_nothing() {
+        let g = market();
+        let mut inc = primed(&g);
+        assert_eq!(solve(&mut inc, &SolveCtl::unlimited()), (true, true));
+        inc.drain_changes(|_, _| {});
+        let before = inc.matching();
+        assert_eq!(solve(&mut inc, &SolveCtl::unlimited()), (true, false));
+        inc.check_invariants();
+        assert_eq!(inc.matching(), before);
+        assert_eq!(inc.changes().count(), 0);
+        // A tie: the solve may route the unit either way; the state keeps
+        // the edge it holds, and the flow follows it.
+        let tie = from_edges(&[1], &[1, 1], &[(0, 0, 0.5, 0.5), (0, 1, 0.5, 0.5)]);
+        let mut inc = IncrementalAssignment::new(&tie, vec![0.5, 0.5]);
+        let before = inc.matching();
+        assert_eq!(solve(&mut inc, &SolveCtl::unlimited()), (true, false));
+        inc.check_invariants();
+        assert_eq!(inc.matching(), before);
+    }
+
+    /// An edge whose weight fell to 0 while assigned stays so through
+    /// churn (greedy repair does not look at held edges), but a solve the
+    /// state adopts drops it from the assignment and from the flow.
+    #[test]
+    fn a_zero_weight_edge_never_stays_assigned_through_a_solve() {
+        let g = from_edges(
+            &[1, 1, 1],
+            &[1, 1, 1],
+            &[
+                (0, 0, 0.9, 0.9),
+                (1, 1, 0.9, 0.9),
+                (1, 2, 0.8, 0.8),
+                (2, 1, 0.1, 0.1),
+            ],
+        );
+        let w: Vec<f64> = g.edges().map(|e| g.rb(e)).collect();
+        let mut inc = IncrementalAssignment::new(&g, w);
+        // Greedy's edges 0 and 1 are the optimum: nothing to adopt.
+        assert_eq!(solve(&mut inc, &SolveCtl::unlimited()), (true, false));
+        inc.drain_changes(|_, _| {});
+        // Now the 0.8 + 0.7 pair beats edge 1, and edge 0 is weightless.
+        inc.set_weight(EdgeId::new(3), 0.7);
+        inc.set_weight(EdgeId::new(0), 0.0);
+        assert!(inc.edge_assigned(EdgeId::new(0)));
+        inc.check_invariants();
+        assert_eq!(solve(&mut inc, &SolveCtl::unlimited()), (true, true));
+        inc.check_invariants();
+        assert!(!inc.edge_assigned(EdgeId::new(0)));
+        let mut changes = Vec::new();
+        inc.drain_changes(|e, assigned| changes.push((e.raw(), assigned)));
+        assert_eq!(changes, [(0, false), (1, false), (2, true), (3, true)]);
+    }
 
     #[test]
     fn departure_triggers_repair() {
@@ -842,10 +1112,9 @@ mod tests {
     /// Capacities below the graph's, moved among churn: lowering one to no
     /// less than its load moves nothing, lowering it further drops the
     /// lightest edges there, and the invariants — loads within the
-    /// capacities held, the node change set listed once — hold after every
-    /// step. Taken at random points, the node change set keeps a mirror
-    /// that starts at the graph's capacities equal to every node's
-    /// effective capacity.
+    /// capacities held; the carried network's flow the assignment and its
+    /// node capacities the effective ones — hold after every step. The
+    /// network is built before the churn and solved at random points.
     #[test]
     fn capacity_moves_keep_the_state_within_them() {
         let g = random_bipartite(
@@ -862,16 +1131,7 @@ mod tests {
         let mut inc = IncrementalAssignment::new(&g, weights);
         let mut rng = SplitMix64::new(3);
         let (mut lowered, mut dropped) = (0, 0);
-        let mut mirror: Vec<u32> = g.capacities().iter().chain(g.demands()).copied().collect();
-        let effective = |inc: &IncrementalAssignment<'_>| -> Vec<u32> {
-            let w = g
-                .workers()
-                .map(|w| inc.worker_capacity(w) * u32::from(inc.worker_active(w)));
-            let t = g
-                .tasks()
-                .map(|t| inc.task_capacity(t) * u32::from(inc.task_active(t)));
-            w.chain(t).collect()
-        };
+        solve(&mut inc, &SolveCtl::unlimited());
         for _ in 0..400 {
             let w = WorkerId::from_index(rng.next_index(g.n_workers()));
             let t = TaskId::from_index(rng.next_index(g.n_tasks()));
@@ -910,10 +1170,8 @@ mod tests {
             }
             inc.check_invariants();
             if rng.next_bool(0.1) {
-                for (v, units) in inc.drain_node_changes() {
-                    mirror[v] = units;
-                }
-                assert_eq!(mirror, effective(&inc), "a moved node was not noted");
+                solve(&mut inc, &SolveCtl::unlimited());
+                inc.check_invariants();
             }
         }
         assert!(

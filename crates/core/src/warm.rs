@@ -1,32 +1,41 @@
-//! Warm-started exact re-solves for long-lived shard states.
+//! Warm-started exact re-solves for long-lived markets.
 //!
-//! A serving shard keeps an [`crate::incremental::IncrementalAssignment`]
-//! and re-solves exactly again and again — every batch that touches it,
-//! every online drift fallback — on a market that differs from the last
-//! solve's by a batch worth of events. Rebuilding the flow network from
-//! scratch there wastes the one thing a long-lived shard has plenty of:
-//! prior state. [`WarmSolver`] owns an [`mbta_matching::warm::WarmNet`]
-//! for the shard's fixed topology and re-solves against drifting weights,
-//! seeding each solve with the caller's feasible matching (the shard's
-//! current assignment) and carrying the node potentials across calls,
-//! where they are repaired locally instead of recomputed. A node out of
-//! the shard's market — inactive, or with no units left — is closed at
-//! capacity 0 ([`WarmSolver::update_capacities`]), not priced out. The
-//! boundary rescue holds one too, over the plan epoch's cross edges, and
-//! moves its node capacities to each batch's residuals the same way
-//! before it re-solves.
+//! A serving shard re-solves exactly again and again — every batch that
+//! touches it, every online drift fallback — on a market that differs from
+//! the last solve's by a batch worth of events. Rebuilding the flow network
+//! from scratch there wastes the one thing a long-lived shard has plenty
+//! of: prior state. So every serving exact solve repairs a kept
+//! [`mbta_matching::warm::WarmNet`], carrying its node potentials across
+//! calls, where they are repaired locally instead of recomputed. There are
+//! two ways to keep one:
+//!
+//! * **Carried by the shard state.** A shard's
+//!   [`crate::incremental::IncrementalAssignment`] owns its network and
+//!   writes every assignment change, weight and capacity to it as it
+//!   happens, so the flow on it is the assignment; a solve is [`resolve`]
+//!   on the lent network, on whichever thread, and
+//!   [`IncrementalAssignment::settle`](crate::incremental::IncrementalAssignment::settle)
+//!   reads the result back. Nothing is copied in.
+//! * **Seeded by the caller.** [`WarmSolver`] holds a network for a
+//!   market whose state lives elsewhere — the boundary rescue's, over the
+//!   plan epoch's cross edges, whose node capacities move to each batch's
+//!   residuals — and each [`WarmSolver::solve_seeded`] writes the costs,
+//!   applies the caller's matching and runs the same repair. A node out of
+//!   the market is closed at capacity 0
+//!   ([`WarmSolver::update_capacities`]), not priced out.
+//!
 //! Telemetry (`mbta_core_warm_solves_total` / `mbta_core_warm_hits_total`)
 //! counts every serving exact solve — batch shard solves on the service's
-//! pool threads, online fallbacks and rescue solves alike, each a direct
-//! [`WarmSolver::solve_seeded`] — and how many of them completed from
-//! carried prices: every one
-//! but a solver's first, which repairs from zero prices, less the ones a
-//! deadline cut short. A cut solve hands back its seed but keeps its
-//! prices, so the next one resumes from them.
+//! pool threads, online fallbacks and rescue solves alike — and how many of
+//! them completed from carried prices: every one but a network's first,
+//! which repairs from zero prices, less the ones a deadline cut short. A
+//! cut solve's flow is no result — the seed comes back — but its prices
+//! stay, so the next one resumes from them.
 //!
-//! The returned matching is filtered to strictly positive weights
-//! before it is handed back: a zero-weight edge adds nothing, and an
-//! assignment that takes none is what
+//! A seeded solve's matching is filtered to strictly positive weights
+//! before it is handed back, as a carried solve's settling drops its
+//! weightless edges: a zero-weight edge adds nothing, and an assignment
+//! that takes none is what
 //! [`crate::incremental::IncrementalAssignment::reseed`] adopts.
 
 use mbta_graph::{BipartiteGraph, EdgeId};
@@ -34,7 +43,8 @@ use mbta_matching::warm::{WarmNet, WarmStats};
 use mbta_matching::Matching;
 use mbta_util::SolveCtl;
 
-/// Lifetime counters of one [`WarmSolver`].
+/// Lifetime counters of one kept network: a [`WarmSolver`]'s, or a shard
+/// state's carried one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmSolverStats {
     /// Exact re-solves performed.
@@ -46,7 +56,32 @@ pub struct WarmSolverStats {
     pub iterations: u64,
 }
 
-/// A reusable exact solver bound to one shard topology.
+impl WarmSolverStats {
+    /// Counts one solve.
+    pub fn add(&mut self, s: &WarmStats) {
+        self.solves += 1;
+        self.warm_hits += u64::from(s.warm);
+        self.iterations += s.iterations;
+    }
+}
+
+/// One solve of a shard state's carried network
+/// ([`IncrementalAssignment::lend_net`](crate::incremental::IncrementalAssignment::lend_net)):
+/// the repair of the flow the state wrote, in place, counted like every
+/// serving solve. The state settles it.
+pub fn resolve(net: &mut WarmNet, ctl: &SolveCtl) -> WarmStats {
+    let stats = net.resolve(ctl);
+    record(&stats);
+    stats
+}
+
+/// Counts one serving exact solve in telemetry.
+fn record(s: &WarmStats) {
+    mbta_telemetry::counter_add!("mbta_core_warm_solves_total", 1);
+    mbta_telemetry::counter_add!("mbta_core_warm_hits_total", u64::from(s.warm));
+}
+
+/// A reusable exact solver bound to one topology, seeded by its caller.
 ///
 /// # Example
 /// ```
@@ -63,11 +98,12 @@ pub struct WarmSolverStats {
 /// let (mut solver, ctl) = (WarmSolver::new(&g), SolveCtl::unlimited());
 /// // A first solve repairs from zero prices; it picks the 0.8 + 0.7
 /// // pairing over the 0.9.
-/// let (m1, done) = solver.solve_seeded(&g, &[0.9, 0.8, 0.7], &Matching::empty(), &ctl);
-/// assert!(done && m1.len() == 2);
+/// let mut m = Matching::empty();
+/// assert!(solver.solve_seeded(&g, &[0.9, 0.8, 0.7], &mut m, &ctl));
+/// assert_eq!(m.len(), 2);
 /// // Drifted weights re-solve warm, seeded with the previous matching.
-/// let (m2, _) = solver.solve_seeded(&g, &[0.95, 0.79, 0.71], &m1, &ctl);
-/// assert_eq!(m2.len(), 2);
+/// solver.solve_seeded(&g, &[0.95, 0.79, 0.71], &mut m, &ctl);
+/// assert_eq!(m.len(), 2);
 /// assert_eq!(solver.stats().warm_hits, 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -79,7 +115,7 @@ pub struct WarmSolver {
 }
 
 impl WarmSolver {
-    /// Builds the solver for `g`'s topology (done once per shard per
+    /// Builds the solver for `g`'s topology (done once per market per
     /// plan epoch; the graph must not change shape afterwards).
     pub fn new(g: &BipartiteGraph) -> WarmSolver {
         WarmSolver {
@@ -108,22 +144,23 @@ impl WarmSolver {
     }
 
     /// Exact free-cardinality maximum-weight matching under `weights`,
-    /// repaired from `seed` (any matching feasible on `g` under the
-    /// capacities in force) and the carried potentials, and whether it ran
-    /// to completion (`false`: `ctl` cut it short, the matching is the seed
-    /// and not optimal, and the next solve resumes from the prices the cut
-    /// left). The result is filtered to strictly positive weights.
+    /// repaired from the seed `m` (any matching feasible on `g` under the
+    /// capacities in force) and the carried potentials, which replaces
+    /// `m`; and whether it ran to completion (`false`: `ctl` cut it short,
+    /// `m` is the seed and not optimal, and the next solve resumes from the
+    /// prices the cut left). The result is filtered to strictly positive
+    /// weights. Allocates nothing once `m` has room for the result.
     pub fn solve_seeded(
         &mut self,
         g: &BipartiteGraph,
         weights: &[f64],
-        seed: &Matching,
+        m: &mut Matching,
         ctl: &SolveCtl,
-    ) -> (Matching, bool) {
-        let (mut m, stats) = self.net.solve(g, weights, seed, ctl);
+    ) -> bool {
+        let stats = self.net.solve_in_place(g, weights, m, ctl);
         self.record(&stats);
         m.edges.retain(|e| weights[e.index()] > 0.0);
-        (m, stats.completed)
+        stats.completed
     }
 
     /// [`solve_seeded`](Self::solve_seeded) for a caller that keeps no
@@ -136,8 +173,8 @@ impl WarmSolver {
         weights: &[f64],
         ctl: &SolveCtl,
     ) -> (Matching, bool) {
-        let seed = std::mem::take(&mut self.prev);
-        let (m, completed) = self.solve_seeded(g, weights, &seed, ctl);
+        let mut m = std::mem::take(&mut self.prev);
+        let completed = self.solve_seeded(g, weights, &mut m, ctl);
         self.prev = m.clone();
         (m, completed)
     }
@@ -148,11 +185,8 @@ impl WarmSolver {
     }
 
     fn record(&mut self, s: &WarmStats) {
-        self.stats.solves += 1;
-        self.stats.warm_hits += u64::from(s.warm);
-        self.stats.iterations += s.iterations;
-        mbta_telemetry::counter_add!("mbta_core_warm_solves_total", 1);
-        mbta_telemetry::counter_add!("mbta_core_warm_hits_total", u64::from(s.warm));
+        self.stats.add(s);
+        record(s);
     }
 }
 
@@ -181,15 +215,13 @@ mod tests {
         // changes nothing, round by round and in the lifetime counters.
         let mut budgeted = WarmSolver::new(&g);
         let ample = SolveCtl::unlimited().with_deadline(Deadline::after_ms(3_600_000));
-        let mut prev = Matching::empty();
+        let mut m = Matching::empty();
         for round in 0..8u64 {
-            let (m, completed) = solver.solve_seeded(&g, &w, &prev, &SolveCtl::unlimited());
-            assert!(completed);
+            let mut twin = m.clone();
+            assert!(solver.solve_seeded(&g, &w, &mut m, &SolveCtl::unlimited()));
             m.validate(&g).unwrap();
-            assert_eq!(
-                budgeted.solve_seeded(&g, &w, &prev, &ample),
-                (m.clone(), true)
-            );
+            assert!(budgeted.solve_seeded(&g, &w, &mut twin, &ample));
+            assert_eq!(twin, m);
             let (cold, _) =
                 max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
             assert!(
@@ -198,7 +230,6 @@ mod tests {
                 m.total_weight(&w),
                 cold.total_weight(&w)
             );
-            prev = m;
             // Deterministic small drift.
             for (i, wt) in w.iter_mut().enumerate() {
                 let h = (i as u64)
@@ -229,7 +260,8 @@ mod tests {
         let aw = inc.active_weights();
         assert_eq!(aw, vec![0.9, 0.0]);
         let mut solver = WarmSolver::new(&g);
-        let (m, _) = solver.solve_seeded(&g, &aw, &Matching::empty(), &SolveCtl::unlimited());
+        let mut m = Matching::empty();
+        solver.solve_seeded(&g, &aw, &mut m, &SolveCtl::unlimited());
         // The filtered result must be adoptable despite the inactive node.
         inc.reseed(&m).unwrap();
         inc.check_invariants();

@@ -27,11 +27,12 @@
 //!   [`PathAlgo::Spfa`]. Both searches always consult `ctl`.
 //!
 //! The same network holds the certificate test
-//! (`BipartiteNet::certifies`): the matching fits the capacities in
-//! force, every residual arc has a non-negative reduced cost with edge
-//! costs derived from the caller's weights — not read back from the arena
-//! — and no hub-to-hub path is profitable. [`verify_certificate`] runs it
-//! on a network built fresh; in debug builds every completed
+//! (`BipartiteNet::certified`): on the flow the network holds, every
+//! residual arc has a non-negative reduced cost with edge costs derived
+//! from the caller's weights — not read back from the arena — and no
+//! hub-to-hub path is profitable. [`verify_certificate`] runs it on a
+//! network built fresh, after applying the matching it is handed (which
+//! must fit the capacities); in debug builds every completed
 //! free-cardinality solve runs it on itself — each cold Dijkstra solve
 //! here and every [`crate::warm::WarmNet`] solve — so a solve that is
 //! wrong for its caller's inputs fails where it happens.
@@ -155,7 +156,7 @@ impl Scratch {
             pi: vec![0; n],
             dist: vec![INF; n],
             parent: vec![NONE; n],
-            touched: Vec::new(),
+            touched: Vec::with_capacity(n),
             len: vec![0; n],
             in_queue: vec![false; n],
             queue: VecDeque::with_capacity(n),
@@ -592,9 +593,11 @@ pub(crate) struct Open {
     node_open: Vec<bool>,
     /// How many listed edges are open.
     open_edges: usize,
-    /// Pooled buffers, empty between calls: the nodes a capacity update
-    /// opened or closed, and the edges at them.
+    /// The nodes a capacity write may have opened or closed since the last
+    /// [`flush`](BipartiteNet::flush), once each (`pending` marks them),
+    /// and a pooled buffer for the edges at them, empty between calls.
     flipped: Vec<usize>,
+    pending: Vec<bool>,
     at_flipped: Vec<EdgeId>,
 }
 
@@ -650,13 +653,18 @@ impl BipartiteNet {
             self.edge_arcs.len(),
             "weight slice length mismatch"
         );
-        let cost = &mut self.net.cost;
-        for e in &self.open.edges {
-            let a = self.edge_arcs[e.index()] as usize;
-            let profit = benefit_to_profit(weights[e.index()]);
-            cost[a] = -profit;
-            cost[a ^ 1] = profit;
+        for i in 0..self.open.edges.len() {
+            let e = self.open.edges[i];
+            self.set_cost(e, weights[e.index()]);
         }
+    }
+
+    /// Writes edge `e`'s arc costs from its weight, whether it is open or
+    /// not.
+    pub(crate) fn set_cost(&mut self, e: EdgeId, weight: f64) {
+        let a = self.edge_arcs[e.index()] as usize;
+        let profit = benefit_to_profit(weight);
+        (self.net.cost[a], self.net.cost[a ^ 1]) = (-profit, profit);
     }
 
     /// Rewrites the capacities, leaving the network at zero flow: worker
@@ -678,42 +686,92 @@ impl BipartiteNet {
     /// [`set_capacities`](Self::set_capacities) for the named nodes only:
     /// each of `units` — `(node, units)`, node `i` being worker `i` below
     /// the worker count and task `i − workers` above it — moves to its new
-    /// capacity, and every other node keeps its own. Writes only the arcs
-    /// whose capacity or open state changed — a node's own arc when its
-    /// capacity moved, a node's edge arcs when it opened or closed — so it
-    /// costs what changed, plus what is open when a node opened or closed,
-    /// not the market. The flow it leaves on the open part is the next
+    /// capacity ([`set_units`](Self::set_units)), and every other node
+    /// keeps its own; then the [`flush`](Self::flush). It costs what
+    /// changed, plus what is open when a node opened or closed, not the
+    /// market. Flow more than a moved capacity fits is the next
     /// [`apply`](Self::apply)'s to reset.
     pub(crate) fn update_capacities(&mut self, units: impl IntoIterator<Item = (usize, u32)>) {
-        let mut open = std::mem::take(&mut self.open);
         for (i, c) in units {
-            let v = 1 + i;
-            let a = self.hub_arc(v) as usize;
-            let was = self.hub_units(v);
-            if was != c {
-                (self.net.cap[a], self.net.cap[a ^ 1]) = (c, 0);
-                if (was == 0) != (c == 0) {
-                    open.flipped.push(v);
-                }
+            self.set_units(1 + i, c);
+        }
+        self.flush();
+    }
+
+    /// Moves inner node `v`'s capacity to `c`, keeping the flow through it
+    /// as far as `c` holds it. O(1): when `v` opens or closes, the edges at
+    /// it follow at the next [`flush`](Self::flush), which `v` is named for.
+    pub(crate) fn set_units(&mut self, v: usize, c: u32) {
+        let a = self.hub_arc(v) as usize;
+        let (cap, open) = (&mut self.net.cap, &mut self.open);
+        let was = cap[a] + cap[a ^ 1];
+        if was == c {
+            return;
+        }
+        let flow = cap[a ^ 1].min(c);
+        (cap[a], cap[a ^ 1]) = (c - flow, flow);
+        if (was == 0) != (c == 0) && !open.pending[v] {
+            open.pending[v] = true;
+            open.flipped.push(v);
+        }
+    }
+
+    /// Brings the open set up to the capacities in force: opens or closes
+    /// the edges at every node a capacity write named since the last flush
+    /// ([`reopen`](Self::reopen)). Every pass that walks the listed part
+    /// runs after one.
+    pub(crate) fn flush(&mut self) {
+        if !self.open.flipped.is_empty() {
+            let mut open = std::mem::take(&mut self.open);
+            self.reopen(&mut open);
+            self.open = open;
+        }
+    }
+
+    /// Moves one unit of flow onto edge `e` (`on`) or off it, through its
+    /// worker's and its task's hub arcs: the ends must have the room, or
+    /// the flow. An edge the last flush left closed — an end of it opened
+    /// since — is opened and listed as it gains the unit.
+    pub(crate) fn flip(&mut self, e: EdgeId, on: bool) {
+        let a = self.edge_arcs[e.index()] as usize;
+        if on && !self.edge_open(e) {
+            let open = &mut self.open;
+            self.net.cap[a] = 1;
+            open.open_edges += 1;
+            if !open.edge_listed[e.index()] {
+                open.edge_listed[e.index()] = true;
+                open.edges.push(e);
+                open.arcs.push(a as u32);
             }
         }
-        if !open.flipped.is_empty() {
-            self.reopen(&mut open);
+        let (w, t) = (self.net.head[a ^ 1] as usize, self.net.head[a] as usize);
+        let arcs = [a, self.hub_arc(w) as usize, self.hub_arc(t) as usize];
+        for a in arcs {
+            let (from, to) = if on { (a, a ^ 1) } else { (a ^ 1, a) };
+            self.net.cap[from] -= 1;
+            self.net.cap[to] += 1;
         }
-        self.open = open;
+    }
+
+    /// Whether edge `e` carries flow.
+    pub(crate) fn carries(&self, e: EdgeId) -> bool {
+        self.net.flow(self.edge_arcs[e.index()]) > 0
     }
 
     /// Opens or closes the edges at each of `open.flipped` — nodes that
-    /// opened or closed — and lists what opened. A node or edge that closed
-    /// stays listed, so one that reopens costs only its arcs, until the
-    /// closed edges listed outnumber an eighth of the open ones (and 16):
-    /// then the list drops every closed node and edge.
+    /// may have opened or closed — and lists what opened. A node or edge
+    /// that closed stays listed, so one that reopens costs only its arcs,
+    /// until the closed edges listed outnumber an eighth of the open ones
+    /// (and 16): then the list drops every closed node and edge. On a
+    /// carried network a node closes with no flow through it, so no edge
+    /// closes under a unit; a seeded solve resets the flow anyway.
     fn reopen(&mut self, open: &mut Open) {
         // A node named twice may have flipped back; every step below reads
         // the node as it now stands, so a repeat changes nothing.
         let mut listed = false;
         let mut edges = std::mem::take(&mut open.at_flipped);
         for v in open.flipped.drain(..) {
+            open.pending[v] = false;
             let is_open = self.hub_units(v) > 0;
             open.node_open[v] = is_open;
             if is_open && !open.node_listed[v] {
@@ -779,7 +837,7 @@ impl BipartiteNet {
 
     /// Inner node `v`'s hub arc: its worker's source arc or its task's
     /// sink arc.
-    fn hub_arc(&self, v: usize) -> u32 {
+    pub(crate) fn hub_arc(&self, v: usize) -> u32 {
         let n_w = self.source_arcs.len();
         match v - 1 {
             w if w < n_w => self.source_arcs[w],
@@ -788,7 +846,7 @@ impl BipartiteNet {
     }
 
     /// Inner node `v`'s capacity: its hub arc's units, used or not.
-    fn hub_units(&self, v: usize) -> u32 {
+    pub(crate) fn hub_units(&self, v: usize) -> u32 {
         let a = self.hub_arc(v) as usize;
         self.net.cap[a] + self.net.cap[a ^ 1]
     }
@@ -820,6 +878,7 @@ impl BipartiteNet {
             edges,
             node_listed: node_open.clone(),
             edge_listed,
+            pending: vec![false; node_open.len()],
             node_open,
             ..Open::default()
         };
@@ -852,20 +911,17 @@ impl BipartiteNet {
         }
     }
 
-    /// Applies `m` as flow on the empty network. Returns `false` (leaving
-    /// the network at zero flow) if `m` names an unknown edge, repeats one,
-    /// or exceeds a capacity or demand.
-    pub(crate) fn apply(&mut self, g: &BipartiteGraph, m: &Matching) -> bool {
+    /// Applies `edges` as flow on the empty network. Returns `false`
+    /// (leaving the network at zero flow) if it names an unknown edge,
+    /// repeats one, or exceeds a capacity or demand.
+    pub(crate) fn apply(&mut self, edges: impl IntoIterator<Item = EdgeId>) -> bool {
         self.reset_flow();
-        let fits = m.edges.iter().all(|&e| {
-            if e.index() >= self.edge_arcs.len() {
+        let fits = edges.into_iter().all(|e| {
+            let Some(&a) = self.edge_arcs.get(e.index()) else {
                 return false;
-            }
-            let arcs = [
-                self.edge_arcs[e.index()],
-                self.source_arcs[g.worker_of(e).index()],
-                self.sink_arcs[g.task_of(e).index()],
-            ];
+            };
+            let (w, t) = (self.net.head[(a ^ 1) as usize], self.net.head[a as usize]);
+            let arcs = [a, self.hub_arc(w as usize), self.hub_arc(t as usize)];
             if arcs.iter().any(|&a| self.net.cap[a as usize] == 0) {
                 return false;
             }
@@ -881,11 +937,11 @@ impl BipartiteNet {
         fits
     }
 
-    /// The certificate test: whether `m` is an optimal free-cardinality
-    /// b-matching at the capacities in force and under `weights`, with
-    /// the potentials in the scratch as its proof. It holds when
+    /// The certificate test: whether the flow on the network is an optimal
+    /// free-cardinality b-matching at the capacities in force and under
+    /// `weights`, with the potentials in the scratch as its proof. It
+    /// holds when
     ///
-    /// * `m` fits the capacities ([`apply`](Self::apply));
     /// * every residual arc has a non-negative reduced cost, each edge's
     ///   cost derived from `weights` rather than read from the arena, so a
     ///   cost write a solve missed shows here;
@@ -895,11 +951,10 @@ impl BipartiteNet {
     ///   the cheapest path, whose true cost is that plus the ends' price
     ///   gap.
     ///
-    /// It leaves the flow at `m` and the potentials as they were, and
-    /// allocates nothing: re-applying the matching a completed solve just
-    /// read out writes back the flow the solve left.
-    pub(crate) fn certifies(&mut self, g: &BipartiteGraph, weights: &[f64], m: &Matching) -> bool {
-        if self.sc.pi.len() != self.net.n_nodes || !self.apply(g, m) {
+    /// It changes neither flow nor potentials, and allocates nothing. The
+    /// open set must be flushed.
+    pub(crate) fn certified(&mut self, weights: &[f64]) -> bool {
+        if self.sc.pi.len() != self.net.n_nodes {
             return false;
         }
         let (net, pi, open) = (&self.net, &self.sc.pi, &self.open);
@@ -924,19 +979,24 @@ impl BipartiteNet {
         sound && (gap == 0 || path(source, sink) + gap >= 0 && path(sink, source) >= gap)
     }
 
-    /// Reads the flow back out: the edges carrying flow, in edge-id order,
-    /// and their total fixed-point profit.
-    pub(crate) fn matching(&self) -> (Matching, i64) {
-        let (mut edges, mut profit) = (Vec::new(), 0);
-        for &e in &self.open.edges {
-            let a = self.edge_arcs[e.index()];
-            if self.net.flow(a) > 0 {
-                edges.push(e);
-                profit -= self.net.cost[a as usize];
-            }
-        }
+    /// Reads the flow back out into `edges`, replacing what it holds: the
+    /// edges carrying flow, in edge-id order.
+    pub(crate) fn read_out(&self, edges: &mut Vec<EdgeId>) {
+        edges.clear();
+        edges.extend(self.flowing());
         edges.sort_unstable();
-        (Matching::from_edges(edges), profit)
+    }
+
+    /// The total fixed-point profit of the flow, at the costs on the arcs.
+    pub(crate) fn profit(&self) -> i64 {
+        let cost = |e: EdgeId| self.net.cost[self.edge_arcs[e.index()] as usize];
+        -self.flowing().map(cost).sum::<i64>()
+    }
+
+    /// The listed edges carrying flow, in no particular order.
+    fn flowing(&self) -> impl Iterator<Item = EdgeId> + '_ {
+        let listed = self.open.edges.iter().copied();
+        listed.filter(|&e| self.carries(e))
     }
 }
 
@@ -979,10 +1039,12 @@ fn solve(
     bn.set_costs(weights);
     let (source, sink) = (bn.source, bn.sink);
     let (r, completed) = bn.net.run_cold(source, sink, mode, algo, &mut bn.sc, ctl);
-    let (m, profit) = bn.matching();
+    let mut m = Matching::empty();
+    bn.read_out(&mut m.edges);
+    let profit = bn.profit();
     // SPFA searches raw costs and carries no potentials to check.
     let certified = completed && mode == FlowMode::FreeCardinality && algo == PathAlgo::Dijkstra;
-    debug_assert!(!certified || bn.certifies(g, weights, &m));
+    debug_assert!(!certified || bn.certified(weights));
     let stats = SolveStats {
         iterations: r.iterations,
         potential_updates: r.potential_updates,
@@ -1088,7 +1150,7 @@ pub fn verify_certificate(
     let mut bn = BipartiteNet::new(g);
     bn.set_costs(weights);
     bn.sc.pi.clone_from(&cert.potentials);
-    bn.certifies(g, weights, m)
+    bn.apply(m.edges.iter().copied()) && bn.certified(weights)
 }
 
 #[cfg(test)]

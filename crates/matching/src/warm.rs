@@ -15,10 +15,14 @@
 //! does not fit (on a 1000 × 500 market, ~1 ms where that cold solve takes
 //! ~150 ms).
 //!
-//! 1. **Seed.** New costs are written and the caller's matching is applied
-//!    as flow. Together with the carried potentials that is a *pseudoflow
-//!    candidate*: feasible, but some residual arcs may now have a negative
-//!    reduced cost.
+//! 1. **Seed.** The network holds a feasible flow at the current costs:
+//!    written by [`WarmNet::solve`] from the caller's weights and matching,
+//!    or, on a **carried** network, already there — its owner writes each
+//!    assignment change, cost and capacity as it happens
+//!    ([`WarmNet::flip`], [`WarmNet::set_cost`], [`WarmNet::set_units`]),
+//!    and [`WarmNet::resolve`] starts from what it finds. Together with the
+//!    carried potentials that is a *pseudoflow candidate*: feasible, but
+//!    some residual arcs may now have a negative reduced cost.
 //! 2. **Re-price.** One O(E) pass moves each worker's and task's potential
 //!    into the interval its own residual in- and out-arcs allow, when that
 //!    interval is not empty. Prices move only where demand changed; about
@@ -37,6 +41,10 @@
 //!    is local, there is at most one per unit of excess and of deficit, and
 //!    it resets and lifts only the labels it wrote: a unit costs what its
 //!    search settles, not O(n) and not O(imbalances).
+//!
+//! Steps 2–4 are one repair core, which both entries run; `solve` is "write
+//! the costs, apply the seed, repair, read the matching out", `resolve` is
+//! the repair alone.
 //!
 //! Free cardinality is what makes step 4 uniform: flow value is free, so
 //! source and sink are one **hub** joined by a zero-cost return arc, and the
@@ -57,30 +65,33 @@
 //! certificate.
 //!
 //! Capacities may move between solves as well as costs
-//! ([`WarmNet::update_capacities`] — a serving shard closes the nodes that
-//! are out of its market, and the boundary-rescue market of a plan epoch
-//! is one topology whose node capacities are each batch's residuals).
-//! They are rewritten on the emptied network, before the seed is applied,
-//! so steps 1–4 never see the change as such: a seed that fits the new
-//! capacities is a feasible flow, the carried potentials are *some*
-//! potentials, and an arc a capacity opened or widened is saturated or left
-//! alone by the same reduced-cost test as any other. A node given no
-//! capacity is closed, and so is every edge at it: their arcs have no
-//! capacity either way, so no search enters them, re-pricing a closed node
-//! moves nothing, and saturating or resetting its arcs writes nothing.
-//! A solve therefore walks only the open part: the net lists the open
-//! workers, tasks and edges when it is built (from the graph's
-//! capacities), rewrites only the arcs whose capacity or open state
-//! changed, and its cost write, flow reset, re-price, saturate, imbalance
-//! scan and read-out visit the listed set alone — in the order a
-//! whole-network pass would, so flow, potentials and routing are its. An
-//! edge's cost is written when it is open, so one that reopens carries the
-//! weight of the solve it reopens in.
+//! ([`WarmNet::update_capacities`], [`WarmNet::set_units`] — a serving
+//! shard closes the nodes that are out of its market, and the
+//! boundary-rescue market of a plan epoch is one topology whose node
+//! capacities are each batch's residuals). Steps 1–4 never see the change
+//! as such: a flow that fits the new capacities is a feasible flow, the
+//! carried potentials are *some* potentials, and an arc a capacity opened
+//! or widened is saturated or left alone by the same reduced-cost test as
+//! any other. A node given no capacity is closed, and so is every edge at
+//! it: their arcs have no capacity either way, so no search enters them,
+//! re-pricing a closed node moves nothing, and saturating or resetting its
+//! arcs writes nothing. A solve therefore walks only the open part: the net
+//! lists the open workers, tasks and edges when it is built (from the
+//! graph's capacities); a capacity write moves the node's own arc at once
+//! and names a node that opened or closed for the flush every solve starts
+//! with, which opens or closes the edges at it; and the cost write, flow
+//! reset, re-price, saturate, imbalance scan and read-out visit the listed
+//! set alone — in the order a whole-network pass would, so flow, potentials
+//! and routing are its. A seeded solve writes the open edges' costs, so an
+//! edge that reopens carries the weight of the solve it reopens in; a
+//! carried net has every edge's cost written as it moves.
 //!
 //! Every search consults the caller's [`SolveCtl`]. Mid-repair the network
-//! holds a pseudoflow, not a matching, so an interrupted repair hands the
-//! seed back (`completed` is `false`), but it keeps the prices its routed
-//! units left: the next repair accepts any potentials, so a cut solve
+//! holds a pseudoflow, not a matching, so an interrupted repair is no
+//! result (`completed` is `false`): `solve` hands the seed back, and the
+//! owner of a carried net writes its assignment back
+//! ([`WarmNet::restore`]). Either way the prices its routed units left
+//! are kept: the next repair accepts any potentials, so a cut solve
 //! becomes "finish next time". That is progress only where something
 //! primal is kept too, in the caller's next seed: a deadline that cuts
 //! every solve of an empty seed short never finishes, while one that cuts
@@ -91,13 +102,13 @@
 //! The result is bit-identical in objective to a cold
 //! [`crate::mcmf::max_weight_bmatching`] solve — the warm path is purely
 //! a latency optimization, checked by the `warm_matches_cold_*` tests.
-//! Debug builds also certify every completed solve against its own
-//! inputs: the returned matching is re-applied (writing back the flow the
-//! repair left) and the carried potentials are tested with the edge costs
-//! derived from `weights` ([`crate::mcmf`]'s certificate test, the body of
-//! [`crate::mcmf::verify_certificate`]). The test allocates nothing and
-//! changes neither flow nor prices; a cost write the solve missed fails
-//! it.
+//! Debug builds also certify every completed seeded solve against its own
+//! inputs: the carried potentials are tested on the flow the repair left,
+//! with the edge costs derived from `weights` ([`crate::mcmf`]'s
+//! certificate test, the body of [`crate::mcmf::verify_certificate`]); a
+//! carried net's owner runs the same test through
+//! [`WarmNet::certifies`]. The test allocates nothing and changes neither
+//! flow nor prices; a cost write the solve or the owner missed fails it.
 
 use crate::mcmf::{self, BipartiteNet, Certificate, CostFlow, FlowResult, Scratch, Search};
 use crate::solution::Matching;
@@ -106,7 +117,8 @@ use mbta_util::SolveCtl;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 
-/// Counters describing one [`WarmNet::solve`] call.
+/// Counters describing one [`WarmNet::solve`] or [`WarmNet::resolve`]
+/// call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarmStats {
     /// `true` when the solve completed starting from carried prices and
@@ -118,17 +130,16 @@ pub struct WarmStats {
     pub iterations: u64,
     /// Nodes those searches settled ([`FlowResult::settled`]).
     pub settled: u64,
-    /// Total fixed-point profit of the returned matching.
-    pub profit: i64,
-    /// `false` when `ctl` interrupted the solve; the returned matching is
-    /// the seed and optimality is forfeited, but the prices are kept.
+    /// `false` when `ctl` interrupted the solve; its flow is no result and
+    /// optimality is forfeited, but the prices are kept.
     pub completed: bool,
 }
 
 /// A reusable min-cost-flow network for one fixed bipartite topology.
 ///
 /// Build once per shard (or per plan epoch), then call
-/// [`WarmNet::solve`] every time the shard needs an exact re-solve. See
+/// [`WarmNet::solve`] every time the shard needs an exact re-solve — or
+/// carry the shard's assignment on it and call [`WarmNet::resolve`]. See
 /// the [module docs](self) for the warm-start contract.
 #[derive(Debug, Clone)]
 pub struct WarmNet {
@@ -136,18 +147,31 @@ pub struct WarmNet {
     /// `pi[source] == pi[sink] == 0` between solves.
     bn: BipartiteNet,
     has_prior: bool,
-    /// The repair's two imbalance worklists, pooled across solves.
+    /// The repair's two imbalance worklists, sized for every inner node,
+    /// and its per-node excess (negative: deficit), pooled across solves;
+    /// the excess is all zero between them.
     lists: [VecDeque<usize>; 2],
+    excess: Vec<i64>,
 }
 
 impl WarmNet {
-    /// Builds the network for `g`'s topology. Costs are set per solve.
+    /// Builds the network for `g`'s topology at `g`'s capacities, with no
+    /// flow. Costs are set per solve, or written as they move.
     pub fn new(g: &BipartiteGraph) -> WarmNet {
+        let (bn, list) = (BipartiteNet::new(g), || {
+            VecDeque::with_capacity(g.n_workers() + g.n_tasks())
+        });
         WarmNet {
-            bn: BipartiteNet::new(g),
+            excess: vec![0; bn.net.n_nodes],
+            bn,
             has_prior: false,
-            lists: Default::default(),
+            lists: [list(), list()],
         }
+    }
+
+    /// `[workers, tasks, edges]` of the topology the net was built for.
+    pub fn shape(&self) -> [usize; 3] {
+        self.bn.shape()
     }
 
     /// Whether the net carries the prices of an earlier solve, completed or
@@ -215,47 +239,112 @@ impl WarmNet {
         seed: &Matching,
         ctl: &SolveCtl,
     ) -> (Matching, WarmStats) {
-        // Edge count alone would let a same-sized shard of another plan in.
-        let shape = [g.n_workers(), g.n_tasks(), g.n_edges()];
-        assert_eq!(shape, self.bn.shape(), "graph topology changed");
-        self.bn.set_costs(weights);
-        // An infeasible seed only happens on a caller bug; the repair then
-        // starts from the empty flow rather than panicking.
-        let (empty, seeded) = (Matching::empty(), self.bn.apply(g, seed));
-        let start = if seeded { seed } else { &empty };
-        let (r, completed) = self.repair(ctl);
-        if !completed {
-            // Mid-repair the network holds a pseudoflow: hand back the
-            // start. The prices stay, valid or not — the next repair
-            // accepts any.
-            self.bn.apply(g, start);
-        }
-        // No search moves a hub end: both are targets, so the one a search
-        // stops at is its cap and the other one is no nearer, and an update
-        // moves only the nodes settled below its cap. The potentials stay
-        // based at the hub, where the first solve started them.
-        let (pi, source, sink) = (&self.bn.sc.pi, self.bn.source, self.bn.sink);
-        debug_assert_eq!((pi[source], pi[sink]), (0, 0), "a hub end moved");
-        let warm = std::mem::replace(&mut self.has_prior, true) && seeded && completed;
-        let (m, profit) = self.bn.matching();
-        debug_assert!(!completed || self.bn.certifies(g, weights, &m));
-        let stats = WarmStats {
-            warm,
-            iterations: r.iterations,
-            settled: r.settled,
-            profit,
-            completed,
-        };
+        let mut m = seed.clone();
+        let stats = self.solve_in_place(g, weights, &mut m, ctl);
         (m, stats)
     }
 
-    /// Steps 2–4 of the [module docs](self) on the seeded network: re-price,
-    /// saturate, route. Returns `(tallies, completed)` like the cold loop.
-    fn repair(&mut self, ctl: &SolveCtl) -> (FlowResult, bool) {
-        let mut excess = self.saturate();
+    /// [`solve`](Self::solve) from the seed `m`, which the matching
+    /// replaces: no allocation once `m` has room for it.
+    pub fn solve_in_place(
+        &mut self,
+        g: &BipartiteGraph,
+        weights: &[f64],
+        m: &mut Matching,
+        ctl: &SolveCtl,
+    ) -> WarmStats {
+        // Edge count alone would let a same-sized shard of another plan in.
+        let shape = [g.n_workers(), g.n_tasks(), g.n_edges()];
+        assert_eq!(shape, self.shape(), "graph topology changed");
+        self.bn.set_costs(weights);
+        // An infeasible seed only happens on a caller bug; the repair then
+        // starts from the empty flow rather than panicking.
+        let seeded = self.bn.apply(m.edges.iter().copied());
+        let stats = self.repair(seeded, ctl);
+        if !stats.completed {
+            // Mid-repair the network holds a pseudoflow: hand back the
+            // start. The prices stay, valid or not — the next repair
+            // accepts any.
+            m.edges.truncate(if seeded { m.edges.len() } else { 0 });
+            self.bn.apply(m.edges.iter().copied());
+        }
+        debug_assert!(!stats.completed || self.bn.certified(weights));
+        self.bn.read_out(&mut m.edges);
+        stats
+    }
+
+    /// The repair of the [module docs](self) on the flow a carried net
+    /// holds — its owner's assignment, at the costs and capacities its
+    /// owner wrote — from the carried potentials. On completion the net
+    /// holds the optimum; on `ctl` interruption a pseudoflow, which the
+    /// owner replaces ([`restore`](Self::restore)), and the potentials the
+    /// cut left are kept for the next solve.
+    pub fn resolve(&mut self, ctl: &SolveCtl) -> WarmStats {
+        self.bn.flush();
+        self.repair(true, ctl)
+    }
+
+    /// Moves one unit of flow onto edge `e` (`on`) or off it, through both
+    /// of its ends: a carried net's owner writing one assignment change.
+    /// The ends must have the room, or the flow.
+    pub fn flip(&mut self, e: EdgeId, on: bool) {
+        self.bn.flip(e, on);
+    }
+
+    /// Writes edge `e`'s cost from its (finite) weight, whether it is open
+    /// or not.
+    pub fn set_cost(&mut self, e: EdgeId, weight: f64) {
+        self.bn.set_cost(e, weight);
+    }
+
+    /// Moves node `i`'s capacity to `units` — worker `i` below the worker
+    /// count, task `i − workers` above it — keeping the flow through it,
+    /// which must fit. O(1): the edges at a node that opens or closes
+    /// follow at the next solve.
+    pub fn set_units(&mut self, i: usize, units: u32) {
+        debug_assert!(self.bn.net.flow(self.bn.hub_arc(1 + i)) <= units);
+        self.bn.set_units(1 + i, units);
+    }
+
+    /// Whether edge `e` carries flow.
+    pub fn carries(&self, e: EdgeId) -> bool {
+        self.bn.carries(e)
+    }
+
+    /// Node `i`'s capacity and the flow through it (node numbering as in
+    /// [`set_units`](Self::set_units)).
+    pub fn node_units(&self, i: usize) -> (u32, u32) {
+        let a = self.bn.hub_arc(1 + i);
+        (self.bn.hub_units(1 + i), self.bn.net.flow(a))
+    }
+
+    /// Replaces the flow with `edges`, which must fit the capacities in
+    /// force; the potentials are kept. How a carried net's owner takes a
+    /// cut or an unadopted solve back to its assignment.
+    ///
+    /// # Panics
+    /// If `edges` does not fit.
+    pub fn restore(&mut self, edges: impl IntoIterator<Item = EdgeId>) {
+        self.bn.flush();
+        assert!(self.bn.apply(edges), "the restored flow does not fit");
+    }
+
+    /// The certificate test on the flow the net holds, with the edge costs
+    /// derived from `weights`: whether the carried potentials prove it an
+    /// optimum at the capacities in force. Allocates nothing.
+    pub fn certifies(&mut self, weights: &[f64]) -> bool {
+        self.bn.flush();
+        self.bn.certified(weights)
+    }
+
+    /// Steps 2–4 of the [module docs](self) on the flow the network holds
+    /// (`seeded`: the caller's; else the empty flow): re-price, saturate,
+    /// route. Leaves the excess zeroed.
+    fn repair(&mut self, seeded: bool, ctl: &SolveCtl) -> WarmStats {
+        self.saturate();
         let bn = &mut self.bn;
         let (net, sc, source, sink) = (&mut bn.net, &mut bn.sc, bn.source, bn.sink);
-        let hub = |v: usize| v == source || v == sink;
+        let (hub, excess) = (|v: usize| v == source || v == sink, &mut self.excess);
         // The inner nodes holding excess and those holding a deficit, each
         // ascending, in the pooled worklists. An inner imbalance only moves
         // towards zero, so these only lose entries; a settled one is
@@ -306,22 +395,39 @@ impl WarmNet {
             excess[from] -= 1;
             excess[to] += 1;
         };
+        // Only the listed nodes and the hub ends can hold an imbalance.
+        for v in bn.open.nodes.iter().map(|&v| v as usize) {
+            excess[v] = 0;
+        }
+        (excess[source], excess[sink]) = (0, 0);
+        debug_assert!(excess.iter().all(|&x| x == 0));
         mcmf::record_solve(&r);
-        (r, completed)
+        // No search moves a hub end: both are targets, so the one a search
+        // stops at is its cap and the other one is no nearer, and an update
+        // moves only the nodes settled below its cap. The potentials stay
+        // based at the hub, where the first solve started them.
+        debug_assert_eq!((sc.pi[source], sc.pi[sink]), (0, 0), "a hub end moved");
+        let warm = std::mem::replace(&mut self.has_prior, true) && seeded && completed;
+        WarmStats {
+            warm,
+            iterations: r.iterations,
+            settled: r.settled,
+            completed,
+        }
     }
 
     /// Steps 2–3 of the [module docs](self) on the seeded network: re-price,
-    /// saturate. Returns every node's excess (negative: deficit). Both walk
-    /// the listed set: a closed node has no arc with capacity either way,
-    /// so re-pricing it moves nothing and none of its arcs saturates.
-    fn saturate(&mut self) -> Vec<i64> {
+    /// saturate, booking every node's excess. Both walk the listed set: a
+    /// closed node has no arc with capacity either way, so re-pricing it
+    /// moves nothing and none of its arcs saturates.
+    fn saturate(&mut self) {
         let bn = &mut self.bn;
         let (net, pi, open) = (&mut bn.net, &mut bn.sc.pi, &bn.open);
         reprice(net, pi, open.nodes.iter().map(|&v| v as usize));
         // Each listed arc, then its twin; the order of the pairs does not
         // matter (see `mcmf::Open::arcs`).
         let arcs = open.arcs.iter().map(|&a| a as usize);
-        saturate(net, pi, arcs.flat_map(|a| [a, a ^ 1]))
+        saturate(net, pi, arcs.flat_map(|a| [a, a ^ 1]), &mut self.excess);
     }
 }
 
@@ -351,10 +457,9 @@ fn reprice(net: &CostFlow, pi: &mut [i64], nodes: impl Iterator<Item = usize>) {
 }
 
 /// Step 3, saturate: pushes each of `arcs` whose reduced cost is still
-/// negative to its capacity, in the order given. Returns every node's
-/// excess.
-fn saturate(net: &mut CostFlow, pi: &[i64], arcs: impl Iterator<Item = usize>) -> Vec<i64> {
-    let mut excess = vec![0i64; net.n_nodes];
+/// negative to its capacity, in the order given, booking every node's
+/// excess in `excess` (all zero before).
+fn saturate(net: &mut CostFlow, pi: &[i64], arcs: impl Iterator<Item = usize>, excess: &mut [i64]) {
     for a in arcs {
         let units = net.cap[a];
         if units > 0 && net.reduced_cost(a, pi) < 0 {
@@ -364,7 +469,6 @@ fn saturate(net: &mut CostFlow, pi: &[i64], arcs: impl Iterator<Item = usize>) -
             excess[net.head[a ^ 1] as usize] -= i64::from(units);
         }
     }
-    excess
 }
 
 /// Routes one unit: a search from `start` to the nearest node that
@@ -473,7 +577,8 @@ mod tests {
                 assert!(stats.completed);
                 let (cold, cold_profit) = cold_and_certified(&net, &g, &w, &m);
                 assert_eq!(
-                    stats.profit, cold_profit,
+                    net.bn.profit(),
+                    cold_profit,
                     "seed {seed} round {round}: warm profit diverged from cold"
                 );
                 if round == 0 {
@@ -509,7 +614,7 @@ mod tests {
                 let (m, stats) = net.solve(&g, &w, &prev, &SolveCtl::unlimited());
                 m.validate(&g).unwrap();
                 let (_, cold_profit) = cold_and_certified(&net, &g, &w, &m);
-                assert_eq!(stats.profit, cold_profit, "seed {seed} round {round}");
+                assert_eq!(net.bn.profit(), cold_profit, "seed {seed} round {round}");
                 assert_eq!(stats.warm, round > 0, "seed {seed} round {round}");
                 prev = m;
             }
@@ -549,7 +654,11 @@ mod tests {
         m2.validate(&g).unwrap();
         assert!(s2.completed && s2.warm);
         let (_, cold_profit) = cold_and_certified(&net, &g, &w2, &m2);
-        assert_eq!(s2.profit, cold_profit, "zero-drift optimum not recovered");
+        assert_eq!(
+            net.bn.profit(),
+            cold_profit,
+            "zero-drift optimum not recovered"
+        );
         // Weight, not cardinality, is what must match the cold solve:
         let chosen: f64 = m2.edges.iter().map(|e| w2[e.index()]).sum();
         assert!(objectives_close(chosen, 0.9, 4));
@@ -572,7 +681,7 @@ mod tests {
             "an unfit seed counts as no hit"
         );
         let (_, cold_profit) = cold_and_certified(&net, &g, &w, &m2);
-        assert_eq!(stats.profit, cold_profit);
+        assert_eq!(net.bn.profit(), cold_profit);
         assert!(objectives_close(
             m2.edges.iter().map(|e| w[e.index()]).sum::<f64>(),
             0.6,
@@ -595,7 +704,7 @@ mod tests {
             &SolveCtl::unlimited(),
         );
         assert!(m.is_empty());
-        assert_eq!(stats.profit, 0);
+        assert_eq!(net.bn.profit(), 0);
         assert!(stats.completed);
     }
 
@@ -657,7 +766,7 @@ mod tests {
         let (next, stats) = net.solve(&g, &w, &m, &SolveCtl::unlimited());
         assert!(stats.completed && stats.warm);
         let (_, cold_profit) = cold_and_certified(&net, &g, &w, &next);
-        assert_eq!(stats.profit, cold_profit);
+        assert_eq!(net.bn.profit(), cold_profit);
     }
 
     /// Stops `primed`'s solve of `(g, w, seed)` at its first, second, …
@@ -674,8 +783,9 @@ mod tests {
         optimum: i64,
         fits: impl Fn(&WarmNet, &Matching) -> bool,
     ) -> (u64, u64) {
-        let (free, stats) = primed.clone().solve(g, w, seed, &SolveCtl::unlimited());
-        assert!(stats.warm && stats.iterations > 0 && stats.profit == optimum);
+        let mut free_net = primed.clone();
+        let (free, stats) = free_net.solve(g, w, seed, &SolveCtl::unlimited());
+        assert!(stats.warm && stats.iterations > 0 && free_net.bn.profit() == optimum);
         assert_ne!(&free, seed, "the repair must move off the seed");
         let mut interrupted = 0;
         for polls in 1.. {
@@ -692,7 +802,7 @@ mod tests {
             let (next, stats) = net.solve(g, w, &m, &SolveCtl::unlimited());
             assert!(fits(&net, &next), "{polls} polls");
             assert_eq!(
-                (stats.completed, stats.warm, stats.profit),
+                (stats.completed, stats.warm, net.bn.profit()),
                 (true, true, optimum),
                 "{polls} polls"
             );
@@ -781,9 +891,9 @@ mod tests {
         assert!(stats.warm, "not a repair");
         let mut net = net.clone();
         net.bn.set_costs(w);
-        net.bn.apply(g, seed);
-        let excess = net.saturate();
-        let (source, sink) = (net.bn.source, net.bn.sink);
+        net.bn.apply(seed.edges.iter().copied());
+        net.saturate();
+        let (excess, source, sink) = (&net.excess, net.bn.source, net.bn.sink);
         let forward: i64 = excess[source + 1..sink].iter().filter(|&&x| x > 0).sum();
         stats.iterations - forward as u64
     }
@@ -810,7 +920,7 @@ mod tests {
         let units = stats.iterations;
         assert!(owed * 3 > units, "{owed} of {units} units owed");
         let (_, cold_profit) = cold_and_certified(&net, &g, &base, &m);
-        assert_eq!(stats.profit, cold_profit);
+        assert_eq!(net.bn.profit(), cold_profit);
         let n = net.bn.net.n_nodes as u64;
         assert!(
             stats.settled * 8 <= stats.iterations * n,
@@ -871,7 +981,7 @@ mod tests {
                 let (m, stats) = net.solve(&g, &w, &prev, &SolveCtl::unlimited());
                 assert_eq!((stats.completed, stats.warm), (true, round > 0));
                 let (_, cold_profit) = cold_and_certified(&net, &g, &w, &m);
-                assert_eq!(stats.profit, cold_profit, "seed {seed} round {round}");
+                assert_eq!(net.bn.profit(), cold_profit, "seed {seed} round {round}");
                 prev = m;
             }
         }
@@ -1009,11 +1119,11 @@ mod tests {
             };
             assert_eq!(open(&named), open(&net), "round {round}");
             assert_eq!(solved, named.solve(&g, &w, &seed, &ctl), "round {round}");
-            let (m, stats) = solved;
+            let m = solved.0;
             let pi = net.certificate().potentials;
             assert_eq!(pi, named.certificate().potentials, "round {round}");
             assert_eq!(
-                stats.profit,
+                net.bn.profit(),
                 cold_profit_under(&g, &w, caps),
                 "round {round}"
             );
@@ -1060,7 +1170,7 @@ mod tests {
                     "seed {seed} round {round}: over capacity"
                 );
                 assert_eq!(
-                    stats.profit,
+                    net.bn.profit(),
                     cold_profit_under(&g, &w, caps),
                     "seed {seed} round {round}: not the optimum under the new capacities"
                 );
@@ -1143,14 +1253,14 @@ mod tests {
         let mut net = WarmNet::new(&g);
         let finished = (1..=CUT_SOLVES).find_map(|solves| {
             let (m, stats) = net.solve(&g, &w, &greedy, &cut_after(polls));
-            stats.completed.then_some((solves, m, stats))
+            stats.completed.then_some((solves, m))
         });
-        let Some((solves, m, stats)) = finished else {
+        let Some((solves, m)) = finished else {
             panic!("{CUT_SOLVES} solves cut at {polls} polls did not finish");
         };
         assert!(solves > 1, "the cut did not bite");
         let (_, cold_profit) = cold_and_certified(&net, &g, &w, &m);
-        assert_eq!(stats.profit, cold_profit);
+        assert_eq!(net.bn.profit(), cold_profit);
         // The empty seed at the same cut: nothing primal is kept.
         let mut net = WarmNet::new(&g);
         for _ in 0..CUT_SOLVES {
@@ -1207,7 +1317,7 @@ mod tests {
             if round % 1000 == 999 && stats.completed {
                 m.validate(&g).unwrap();
                 let (_, cold_profit) = cold_and_certified(&net, &g, &w, &m);
-                assert_eq!(stats.profit, cold_profit, "round {round}");
+                assert_eq!(net.bn.profit(), cold_profit, "round {round}");
             }
             prev = m;
         }

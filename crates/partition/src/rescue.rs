@@ -5,7 +5,7 @@
 //! ([`epoch_market`]), that the service re-solves every batch on a carried
 //! solver: each node offers the units its home shard leaves it, and every
 //! unit the overlay holds is ceded by that shard. The ceding itself lives
-//! in the service, which owns the shard states, the carried solvers and
+//! in the service, which owns the shard states, their carried networks and
 //! the deadline policy (DESIGN.md §13.2). [`validate_rescue`] re-checks a
 //! proposed overlay against the residuals the shards leave: keeping the
 //! instance algebra here makes it testable without a running service.

@@ -2,8 +2,8 @@
 //! machine that does no I/O.
 //!
 //! A [`Dispatcher`] holds the decision state and nothing else: over the
-//! current [`ShardPlan`], per-shard [`IncrementalAssignment`]s and carried
-//! exact solvers, the [`CutTracker`], the live weights, poison marks, and
+//! current [`ShardPlan`], per-shard [`IncrementalAssignment`]s (each owning
+//! its shard's carried flow network), the [`CutTracker`], the live weights, poison marks, and
 //! the mode's own state — the boundary-rescue overlay and market in batch
 //! mode, the drift accumulators in online mode. Its steps are plain calls:
 //! [`Dispatcher::batch`], [`Dispatcher::event`] and [`Dispatcher::close`]
@@ -18,8 +18,8 @@
 //! ```text
 //!  batch:  route + apply churn (greedy repair); [return the units the
 //!          overlay let go, cede the units the last pass reserved]; then
-//!          per touched healthy shard, via the solve pool, one re-solve on
-//!          the shard's carried solver seeded with the repaired
+//!          per touched healthy shard, via the solve pool, one re-solve of
+//!          the shard's carried network, which holds the repaired
 //!          assignment, racing one shared deadline; adopt improvements;
 //!          [boundary rescue: the plan's cross-edge market re-solved on
 //!          its own carried solver over the units the shards leave, every
@@ -27,8 +27,8 @@
 //!          prices, the units the next batch cedes]; drain the touched
 //!          shards' change sets
 //!  event:  route + apply one event, depth-1 exchange, drift accounting
-//!          off the change set, past the threshold re-solve on the same
-//!          carried solver; drain the shard's change set
+//!          off the change set, past the threshold re-solve the same
+//!          carried network; drain the shard's change set
 //!  close:  one unbudgeted closing solve per live online shard; drain it
 //!                 --> Commit (+ pooled deltas and decisions)
 //! ```
@@ -43,16 +43,18 @@
 //!
 //! **One exact tier.** A shard's market changes by a batch of events
 //! between exact solves, so neither mode builds and cold-solves a flow
-//! network per solve: the dispatcher keeps one `WarmSolver` per shard
-//! (built at the shard's first exact solve, dropped with the plan) and
-//! every exact solve — a batch's on whichever pool thread runs the shard's
-//! job, an online fallback inline — repairs the duals it carries around
-//! the shard's current assignment. The boundary rescue is the same design
-//! one level up: the plan's cross edges are one market, built at the
-//! epoch's first rescue pass and dropped with the plan, whose solver sees
-//! each batch's residuals as node capacities (DESIGN.md §13.2). A solver's
-//! first solve is the same repair, from zero prices, and a solve a
-//! deadline cuts keeps its prices for the next.
+//! network per solve: each shard state owns one (built at the shard's
+//! first exact solve, dropped with the plan), writes every change to it as
+//! it happens, and every exact solve — a batch's on whichever pool thread
+//! runs the shard's job, an online fallback inline — lends it out, repairs
+//! it in place and settles it back: nothing is copied in, and only the
+//! flow's difference comes out. The boundary rescue is the same design one
+//! level up: the plan's cross edges are one market, built at the epoch's
+//! first rescue pass and dropped with the plan, whose `WarmSolver` sees
+//! each batch's residuals as node capacities and is seeded with the last
+//! overlay (DESIGN.md §13.2). A network's first solve is the same repair,
+//! from zero prices, and a solve a deadline cuts keeps its prices for the
+//! next.
 //!
 //! **Posted prices.** With the boundary pass on, a cross edge may buy an
 //! intra-shard unit, one batch ahead: each rescue pass ends by posting, at
@@ -74,14 +76,14 @@
 //!
 //! **Degradation isolation.** A poisoned shard ([`Dispatcher::poison_shard`])
 //! gets no solve job: it keeps its seed (the churn-repaired assignment),
-//! tallied as a `Degraded` solve, and its carried solver is
-//! neither entered nor, before the shard's first healthy solve, built — it
+//! tallied as a `Degraded` solve, and its carried network is
+//! neither lent nor, before the shard's first healthy solve, built — it
 //! can never stall the batch or its sibling shards, and the first healed
 //! solve re-solves warm from the duals the last healthy one left.
 //!
 //! **Determinism.** Under [`BudgetMode::Deterministic`] every solve runs
 //! unbudgeted, so each shard's result is a pure function of the input
-//! events (its carried solver sees that shard's solves only, in batch
+//! events (its carried network sees that shard's solves only, in batch
 //! order, on whichever thread); the solve pool merges results in
 //! shard-index order, so the decision stream is too — byte-identical **at
 //! any thread count**. [`BudgetMode::Wallclock`] trades that for bounded
@@ -111,6 +113,7 @@ use mbta_partition::{epoch_market, migration_diff, validate_rescue, CutTracker, 
 use mbta_store::record::{BatchRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta};
 use mbta_telemetry::HistogramFamily;
 use mbta_util::{Deadline, SolveCtl};
+use std::mem::take;
 use std::time::Instant;
 
 /// How solve budgets are assigned per batch.
@@ -154,14 +157,10 @@ pub struct Dispatcher<'p> {
     pool_busy_ms: HistogramFamily,
     /// The solver threads of the plan's batches (none in online mode).
     pool: Pool,
+    /// Per shard, its state — which owns the shard's carried network, the
+    /// one exact tier of both modes, built at the shard's first exact solve
+    /// ([`ShardJob::new`]) and dropped with the plan.
     pub(crate) states: Vec<IncrementalAssignment<'p>>,
-    /// Each shard's carried exact solver — the one exact tier of both
-    /// modes. Bound to the plan's topology, so a re-plan drops them all;
-    /// built at a shard's first exact solve ([`ShardJob::new`]).
-    pub(crate) solvers: Vec<Option<WarmSolver>>,
-    /// Per shard, the buffer its jobs carry the state's node changes in,
-    /// lent to each job and handed back empty.
-    node_bufs: Vec<Vec<(usize, u32)>>,
     /// Live intra/cross weight split for drift-driven re-planning.
     cut: CutTracker,
     /// Universe-indexed live weights (benefit updates land here too, so
@@ -179,9 +178,16 @@ pub struct Dispatcher<'p> {
     acc: Vec<f64>,
     last_time: f64,
     /// Pooled buffers: the last step's weight updates and decisions — a
-    /// [`Commit`] leaves them here, so a step allocates no output.
+    /// [`Commit`] leaves them here, so a step allocates no output — and a
+    /// batch's routes, touched shards (and their marks), jobs and outcomes,
+    /// empty between batches.
     deltas: Vec<WeightDelta>,
     decisions: Vec<Decision>,
+    routes: Vec<Route>,
+    touched: Vec<usize>,
+    seen: Vec<bool>,
+    jobs: Vec<ShardJob>,
+    outcomes: Vec<ShardOutcome>,
 }
 
 /// When the dispatcher solves, and what only batches need. A dispatcher
@@ -204,8 +210,10 @@ pub(crate) struct Rescue {
     /// The overlay's live weight, as the last pass (or re-plan) summed it
     /// (`+ 0.0` normalizes the empty sum's -0.0, cosmetic in reports).
     weight: f64,
+    /// The overlay before it, a buffer the next pass fills.
+    spare: Vec<EdgeId>,
     /// The plan epoch's boundary market, bound to the plan like the shard
-    /// solvers and dropped with them. Built at the epoch's first rescue
+    /// networks and dropped with them. Built at the epoch's first rescue
     /// pass.
     pub(crate) market: Option<Market>,
 }
@@ -239,9 +247,11 @@ pub(crate) struct Market {
     ceded: Vec<u32>,
     ceding: Vec<usize>,
     /// The overlay in market ids, ascending, and per market edge whether
-    /// the overlay holds it.
+    /// the overlay holds it; and the overlay before it, a buffer the next
+    /// pass seeds its solve in and reads the result out into.
     held: Vec<EdgeId>,
     in_held: Vec<bool>,
+    next: Vec<EdgeId>,
     /// Per market node, the overlay's load, and the nodes it loads (with a
     /// spare list the next count fills); and a per-node count the seed is
     /// cut with and the reservation marks taken ends with, zero between
@@ -329,11 +339,12 @@ impl Market {
     }
 
     /// The overlay cut, in order, to the units and open edges in force:
-    /// the next solve's seed. `None` when no edge is open (nothing to
-    /// solve; the overlay empties).
-    fn seed(&mut self) -> Option<Vec<EdgeId>> {
+    /// the next solve's seed, in the buffer [`hold`](Self::hold) left.
+    /// `None` when no edge is open (nothing to solve; the overlay empties).
+    fn seed(&mut self) -> Option<Matching> {
         self.solver.open_edges().next()?;
-        let mut seed = Vec::with_capacity(self.held.len());
+        let mut seed = take(&mut self.next);
+        seed.clear();
         for i in 0..self.held.len() {
             let e = self.held[i];
             let [w, t] = self.ends(e);
@@ -348,7 +359,7 @@ impl Market {
                 self.used[v] = 0;
             }
         }
-        Some(seed)
+        Some(Matching { edges: seed })
     }
 
     /// Moves the market nodes of shard `s` (in `st`) at an edge flipped
@@ -430,7 +441,7 @@ impl Market {
         }
         self.loaded.clear();
         self.spare = std::mem::replace(&mut self.loaded, fresh);
-        self.held = overlay;
+        self.next = std::mem::replace(&mut self.held, overlay);
     }
 
     /// Reserves the units the next batch cedes, at the asks posted: every
@@ -718,27 +729,14 @@ impl<'p> Dispatcher<'p> {
     }
 
     /// Online mode, as the plan ends (re-plan or finish): folds the
-    /// solvers' lifetime counters into the report's online-only totals.
+    /// carried networks' lifetime counters into the report's online-only
+    /// totals.
     fn fold_warm_stats(&self, tally: &mut ServiceReport) {
         if let Mode::Online(_) = self.mode {
-            for stats in self.solvers.iter().flatten().map(WarmSolver::stats) {
+            for stats in self.states.iter().map(IncrementalAssignment::solve_stats) {
                 tally.online_warm_solves += stats.solves;
                 tally.online_warm_hits += stats.warm_hits;
             }
-        }
-    }
-
-    /// Adopts a solver's matching for shard `s` when it beats the
-    /// incrementally repaired state. The solvers work on the active
-    /// sub-market (inactive nodes are closed at capacity 0), so the
-    /// matching touches only active nodes and reseed cannot reject it.
-    fn adopt(&mut self, s: usize, matching: &Matching, value: f64, tally: &mut ServiceReport) {
-        if value > self.states[s].total_weight() + 1e-12 {
-            self.states[s]
-                .reseed(matching)
-                .expect("solution is feasible on the active sub-market");
-            tally.reseeds += 1;
-            mbta_telemetry::counter_add!("mbta_service_reseeds_total", 1);
         }
     }
 
@@ -778,9 +776,9 @@ impl<'p> Dispatcher<'p> {
         tally: &mut ServiceReport,
     ) -> Commit {
         // Pass 1: route every event, collecting the touched-shard set.
-        let mut touched: Vec<usize> = Vec::new();
-        let mut seen = vec![false; self.plan.n_shards()];
-        let mut routes = Vec::with_capacity(batch.events.len());
+        let (mut touched, mut routes) = (take(&mut self.touched), take(&mut self.routes));
+        let seen = &mut self.seen;
+        seen.resize(self.plan.n_shards(), false);
         let mut invalid = 0usize;
         for a in &batch.events {
             let r = self.plan.route(&a.event);
@@ -798,6 +796,9 @@ impl<'p> Dispatcher<'p> {
                 Route::CrossBenefit => {}
             }
             routes.push(r);
+        }
+        for &s in &touched {
+            seen[s] = false;
         }
         touched.sort_unstable();
         // The helpers wake while the events are applied and the jobs built.
@@ -833,7 +834,7 @@ impl<'p> Dispatcher<'p> {
         }
 
         // Pass 3: re-solve each touched shard's active sub-market via the
-        // worker pool, on the shard's carried solver seeded with the
+        // worker pool, on the shard's carried network, which holds the
         // repaired assignment — the solve pays for what this batch's events
         // moved, not for a network build and a cold solve. The batch budget
         // is *shared*: one absolute deadline for every shard solve (see the
@@ -869,6 +870,9 @@ impl<'p> Dispatcher<'p> {
         }
         let key = |d: &Decision| (d.shard, d.edge, d.action);
         debug_assert!(self.decisions.is_sorted_by_key(key));
+        touched.clear();
+        routes.clear();
+        (self.touched, self.routes) = (touched, routes);
 
         let time = |a: Option<&Arrival>| a.map_or(0.0, |a| a.time);
         let head = Head::Batch(time(batch.events.first()), time(batch.events.last()));
@@ -877,9 +881,9 @@ impl<'p> Dispatcher<'p> {
 
     /// Solves `shards` (ascending, none degenerate) through the pool under
     /// `ctl` and adopts what improves. A poisoned shard keeps its seed, no
-    /// job and no solver built; its state keeps its node changes for the
-    /// first healed job. With the boundary `market`, the market notes what
-    /// each shard changed.
+    /// job and no network lent or built; its state keeps writing its
+    /// changes to its network for the first healed job. With the boundary
+    /// `market`, the market notes what each shard changed.
     fn solve_shards(
         &mut self,
         shards: &[usize],
@@ -892,7 +896,6 @@ impl<'p> Dispatcher<'p> {
         // largest-first, this thread taking the first, and merges the
         // results back in shard order.
         let plan = self.plan;
-        let mut jobs: Vec<ShardJob> = Vec::with_capacity(shards.len());
         let mut poisoned = Vec::new();
         for &s in shards.iter().filter(|&&s| !plan.degenerate(s)) {
             if self.poisoned[s] {
@@ -901,24 +904,25 @@ impl<'p> Dispatcher<'p> {
                 continue;
             }
             let (graph, state) = (&plan.shards[s].graph, &mut self.states[s]);
-            let nodes = std::mem::take(&mut self.node_bufs[s]);
-            let job = ShardJob::new(s, graph, state, &mut self.solvers[s], nodes, ctl.clone());
-            jobs.push(job);
+            self.jobs.push(ShardJob::new(s, graph, state, ctl.clone()));
         }
-        let outcomes = self.pool.solve(jobs, &self.pool_busy_ms);
+        let mut outcomes = take(&mut self.outcomes);
+        self.pool
+            .solve(&mut self.jobs, &mut outcomes, &self.pool_busy_ms);
 
         // Merge: outcomes arrive sorted by shard index, so adoption order
         // (and therefore the decision stream) is independent of which
         // thread finished first.
-        for outcome in outcomes {
+        for outcome in outcomes.drain(..) {
             let s = outcome.shard;
-            tally.tally_solve(stats, s, outcome.completed);
+            tally.tally_solve(stats, s, outcome.stats.completed);
             self.shard_solve_ms.observe(s, outcome.solve_ms);
             self.settle(outcome, tally);
             if let Some(m) = market.as_deref_mut() {
                 m.note_changes(s, &self.states[s]);
             }
         }
+        self.outcomes = outcomes;
         if let Some(m) = market {
             for s in poisoned {
                 m.note_changes(s, &self.states[s]);
@@ -975,7 +979,7 @@ impl<'p> Dispatcher<'p> {
     /// Sets market node `v`'s home capacity to its universe capacity less
     /// the units it has ceded; returns the home shard. The state drops its
     /// lightest edges there if it is now over, or fills the room it gained,
-    /// and notes the node for its solver's next job.
+    /// and writes the node's capacity to its carried network.
     fn set_home(&mut self, market: &mut Market, v: usize) -> usize {
         let (s, node, full) = market.home(v);
         let cap = full - market.ceded[v];
@@ -1022,7 +1026,7 @@ impl<'p> Dispatcher<'p> {
         debug_assert!(self.is_current(&market), "the market fell behind its batch");
         let overlay = match market.seed() {
             None => Vec::new(),
-            Some(seed) => {
+            Some(mut seed) => {
                 tally.rescue_solves += 1;
                 mbta_telemetry::counter_add!("mbta_partition_rescue_solves_total", 1);
                 let ctl = self.budget.ctl(|ms| ms / 4 + 1);
@@ -1034,15 +1038,13 @@ impl<'p> Dispatcher<'p> {
                 } = &mut market;
                 // A cut solve hands back its seed: the previous overlay,
                 // cut to what still fits.
-                let seed = Matching { edges: seed };
-                solver
-                    .solve_seeded(&sub.graph, weights, &seed, &ctl)
-                    .0
-                    .edges
+                solver.solve_seeded(&sub.graph, weights, &mut seed, &ctl);
+                seed.edges
             }
         };
-        let new_overlay = overlay.iter().map(|e| market.sub.edge_back[e.index()]);
-        let new_overlay: Vec<EdgeId> = new_overlay.collect();
+        let mut new_overlay = take(&mut rescue.spare);
+        new_overlay.clear();
+        new_overlay.extend(overlay.iter().map(|e| market.sub.edge_back[e.index()]));
         market.hold(overlay);
         self.hold_overlay(&mut market);
         self.post_asks(&mut market);
@@ -1204,6 +1206,7 @@ impl<'p> Dispatcher<'p> {
             ceding: Vec::new(),
             held: Vec::new(),
             in_held: vec![false; n_e],
+            next: Vec::new(),
             load: vec![0; n],
             loaded: Vec::new(),
             spare: Vec::new(),
@@ -1347,7 +1350,7 @@ impl<'p> Dispatcher<'p> {
 
         rescue.weight = new_overlay.iter().map(|e| live[e.index()]).sum::<f64>() + 0.0;
         mbta_telemetry::gauge_set!("mbta_partition_rescued_weight", rescue.weight);
-        rescue.overlay = new_overlay;
+        rescue.spare = std::mem::replace(&mut rescue.overlay, new_overlay);
     }
 
     /// Online mode: one arrival, start to commit (see the [`crate::online`]
@@ -1482,36 +1485,30 @@ impl<'p> Dispatcher<'p> {
         (!self.decisions.is_empty()).then_some(Commit { stats, head })
     }
 
-    /// Warm-started exact re-solve of shard `s` (the caller has ruled
-    /// out poisoned and degenerate shards): the incremental matching seeds
-    /// the shard's solver, which repairs its carried potentials around it.
-    /// Adopts the solution when it improves on the incremental state.
+    /// Warm-started exact re-solve of shard `s` on this thread (the caller
+    /// has ruled out poisoned and degenerate shards): the shard's carried
+    /// network, which holds its assignment, is repaired in place around
+    /// it, and the result adopted when it improves on the assignment.
     fn warm_solve_shard(&mut self, s: usize, ctl: SolveCtl, tally: &mut ServiceReport) {
         let (graph, state) = (&self.plan.shards[s].graph, &mut self.states[s]);
-        let nodes = std::mem::take(&mut self.node_bufs[s]);
-        let job = ShardJob::new(s, graph, state, &mut self.solvers[s], nodes, ctl);
+        let job = ShardJob::new(s, graph, state, ctl);
         self.settle(pool::run_job(job), tally);
     }
 
-    /// Takes a shard solve's outcome back: its solver and node buffer
-    /// return to the shard's slots, and its matching is adopted if it
-    /// improves. Debug builds check that the solver's open edges are the
-    /// shard edges whose two ends both have effective capacity.
+    /// Hands a shard solve's network back to its state, which adopts the
+    /// flow when it improves on the assignment
+    /// ([`IncrementalAssignment::settle`]).
     fn settle(&mut self, outcome: ShardOutcome, tally: &mut ServiceReport) {
-        let s = outcome.shard;
-        debug_assert!(
-            pool::follows(&outcome.solver, &self.plan.shards[s].graph, &self.states[s]),
-            "shard {s}: the solver's open edges are not the state's"
-        );
-        self.adopt(s, &outcome.matching, outcome.value, tally);
-        self.solvers[s] = Some(outcome.solver);
-        self.node_bufs[s] = outcome.nodes;
+        if self.states[outcome.shard].settle(outcome.net, &outcome.stats) {
+            tally.reseeds += 1;
+            mbta_telemetry::counter_add!("mbta_service_reseeds_total", 1);
+        }
     }
 
     /// Tears the dispatcher down to the plan-free state a successor needs
     /// to continue under a **new** plan ([`Dispatcher::replan`]): live
     /// weights, seen and poison marks, the mode (the rescue market and the
-    /// shard solvers are bound to the old plan and dropped; the overlay is
+    /// shard networks are bound to the old plan and dropped; the overlay is
     /// carried), node liveness, the assigned-edge union, and the old
     /// node→shard maps for migration accounting.
     pub fn detach(self, tally: &mut ServiceReport) -> Detached {
@@ -1632,8 +1629,6 @@ impl<'p> Dispatcher<'p> {
             ),
             pool: Pool::new(detached.threads),
             states,
-            solvers: vec![None; n],
-            node_bufs: vec![Vec::new(); n],
             cut,
             live_weights: detached.live_weights,
             cross_seen: detached.cross_seen,
@@ -1643,6 +1638,11 @@ impl<'p> Dispatcher<'p> {
             last_time: detached.last_time,
             deltas: Vec::new(),
             decisions: Vec::new(),
+            routes: Vec::new(),
+            touched: Vec::new(),
+            seen: Vec::new(),
+            jobs: Vec::new(),
+            outcomes: Vec::new(),
         };
         let unassign = |&(e, old_shard): &(EdgeId, u32)| {
             decision(universe, &d.live_weights, old_shard, e, Action::Unassign)
@@ -1657,7 +1657,7 @@ impl<'p> Dispatcher<'p> {
         (d, commit)
     }
 
-    /// The end of the run: folds the online solvers' counters into `tally`
+    /// The end of the run: folds the online networks' counters into `tally`
     /// and fills in its end-of-plan figures — the assignment, the
     /// re-validated capacity of the union, and the sharding's live cost.
     pub fn finish(self, tally: &mut ServiceReport) {

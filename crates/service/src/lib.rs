@@ -19,12 +19,14 @@
 //!   and `min-cut` (edge-cut-aware label propagation from
 //!   `mbta-partition`).
 //! * `pool` (crate-private) — solves a batch's touched shards
-//!   concurrently: the dispatching thread and `std::thread::scope` helpers
-//!   drain one largest-first job queue, and a deterministic shard-index
-//!   merge keeps threaded replay byte-identical.
+//!   concurrently: the dispatching thread and parked helper threads drain
+//!   one largest-first queue of jobs, each a shard's carried network lent
+//!   by its state, and a deterministic shard-index merge keeps threaded
+//!   replay byte-identical.
 //! * [`dispatch`] — the [`Dispatcher`]: every decision, from one state
-//!   machine that does no I/O. Per-shard incremental states and carried
-//!   exact solvers over the current plan, the cut tracker, live weights,
+//!   machine that does no I/O. Per-shard incremental states, each owning
+//!   its shard's carried flow network, over the current plan, the cut
+//!   tracker, live weights,
 //!   poison marks, and the mode's state — the boundary-rescue overlay and
 //!   market (a second matching over cross-shard edges, re-solved on a
 //!   carried solver of its own) or the online drift accumulators. Its
@@ -39,8 +41,8 @@
 //!   driver's detach → re-partition → resume migration.
 //! * [`online`] — the online mode (`--online`): its config, the flip
 //!   fold and the depth-1 exchange; the dispatcher adds per-shard drift
-//!   accounting and a warm-started exact fallback (its per-shard
-//!   `mbta_core::warm::WarmSolver`) past the drift threshold.
+//!   accounting and a warm-started exact fallback (the shard state's
+//!   carried network) past the drift threshold.
 //!   Sub-millisecond median decision latency, one commit per deciding
 //!   event. See DESIGN.md §14.
 //! * [`sink`] — pluggable decision output; the textual decision log is

@@ -17,10 +17,10 @@
 //!   accrue nothing.
 //! * **Warm fallback** — when a shard's accumulated drift exceeds
 //!   [`OnlineConfig::drift_threshold`] × its live assigned weight, the
-//!   shard re-solves exactly through its carried
-//!   [`WarmSolver`](mbta_core::warm::WarmSolver) — the same per-shard
-//!   solver batch mode's shard solves run on, owned by the dispatcher —
-//!   then the accumulator resets. The solver carries node potentials
+//!   shard re-solves exactly on its carried network — the one batch mode's
+//!   shard solves run on, owned by the shard's incremental state, which
+//!   keeps its assignment on it as flow ([`mbta_core::warm::resolve`]) —
+//!   then the accumulator resets. The network carries node potentials
 //!   across solves and repairs them around the shard's current matching
 //!   only where drift broke them (see `mbta_matching::warm`), so every
 //!   fallback but a shard's first (a repair from zero prices) costs what

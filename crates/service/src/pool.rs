@@ -4,17 +4,14 @@
 //! precisely so they can be solved independently; this module is where
 //! that independence is cashed in. [`Pool::solve`] takes the batch's
 //! touched-shard jobs and runs them on the dispatching thread plus the
-//! pool's helper threads. A job is one re-solve on the shard's **carried
-//! solver** (`mbta_core::warm::WarmSolver`, moved into the job together
-//! with the matching that seeds it, and back out in its outcome):
-//! whichever thread runs the job repairs the shard's kept network and
-//! duals, so a batch pays for what its events moved. Building a job
-//! ([`ShardJob::new`]) copies the shard state's node change set into a
-//! buffer the job carries; the thread that runs it hands the set to the
-//! solver first, so a node out of the shard's market is closed at
-//! capacity 0, and the emptied buffer comes back in the outcome.
-//! (The boundary rescue is not a job: its market re-solves inline, on a
-//! solver of its own.)
+//! pool's helper threads. A job is one re-solve of the shard's **carried
+//! network** (`mbta_matching::warm::WarmNet`), which the shard state owns
+//! and has kept holding its assignment as flow, at its live costs and
+//! capacities: lent into the job ([`ShardJob::new`]) and back out in its
+//! outcome, for the state to settle. Whichever thread runs the job
+//! repairs the network and its duals in place, so a batch pays for what
+//! its events moved, and nothing is copied in or out. (The boundary rescue
+//! is not a job: its market re-solves inline, on a solver of its own.)
 //! Four properties the dispatch loop depends on:
 //!
 //! 1. **One queue, largest first, the caller as thread 0.** Jobs are
@@ -55,9 +52,8 @@
 //! each thread's handle is looked up once, not once per batch.
 
 use mbta_core::incremental::IncrementalAssignment;
-use mbta_core::warm::WarmSolver;
 use mbta_graph::BipartiteGraph;
-use mbta_matching::Matching;
+use mbta_matching::warm::{WarmNet, WarmStats};
 use mbta_telemetry::HistogramFamily;
 use mbta_util::SolveCtl;
 use std::any::Any;
@@ -69,98 +65,50 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One shard's solve request: everything the solve needs, owned — the
-/// carried solver moved in, and back out in the [`ShardOutcome`] — so the
+/// carried network lent in, and back out in the [`ShardOutcome`] — so the
 /// job can move to a solver thread.
 pub struct ShardJob {
     /// Shard index in the plan (merge key; results come back sorted by it).
     pub shard: usize,
-    /// The shard's sub-market graph, shared with the plan.
+    /// The shard's sub-market graph, shared with the plan: what the jobs
+    /// are sorted by, and what the network must have been built for.
     pub graph: Arc<BipartiteGraph>,
-    /// Live edge weights for the sub-market; the solver's capacities close
-    /// the edges at inactive nodes.
-    pub weights: Vec<f64>,
-    /// The shard's carried solver.
-    pub solver: WarmSolver,
-    /// The node change set ([`IncrementalAssignment::drain_node_changes`])
-    /// the solver takes before it solves: `(node, effective capacity)`,
-    /// workers then tasks.
-    pub nodes: Vec<(usize, u32)>,
-    /// The feasible matching that seeds the re-solve, and its floor: a cut
-    /// solve hands it back.
-    pub seed: Matching,
+    /// The shard state's carried network, its assignment as the flow.
+    pub net: WarmNet,
     /// The solve's budget: the batch's shared deadline, if any.
     pub ctl: SolveCtl,
 }
 
 impl ShardJob {
     /// The one way a shard solve is built, batch or online: shard `shard`'s
-    /// carried solver (taken from its slot, built for `graph` on first
-    /// use), the node change set of its incremental `state` drained into
-    /// `nodes` (an empty buffer, reused from the last outcome) for the
-    /// solver to take as the job runs — so every node out of the state's
-    /// market is closed at capacity 0 — the state's live weights, and its
-    /// matching as the seed, under `ctl`.
-    ///
-    /// A solver is built at its shard's first solve, when the set holds
-    /// every node the state ever moved off the graph's capacities, so a
-    /// fresh solver needs no special case. The caller checks the outcome's
-    /// solver against the state in debug builds ([`follows`]).
+    /// carried network, lent by its `state` (and built from it at the
+    /// shard's first solve), under `ctl`. The state must not change until
+    /// the outcome is settled
+    /// ([`IncrementalAssignment::settle`]).
     pub fn new(
         shard: usize,
         graph: &Arc<BipartiteGraph>,
         state: &mut IncrementalAssignment<'_>,
-        solver: &mut Option<WarmSolver>,
-        mut nodes: Vec<(usize, u32)>,
         ctl: SolveCtl,
     ) -> Self {
-        let solver = solver.take().unwrap_or_else(|| WarmSolver::new(graph));
-        nodes.extend(state.drain_node_changes());
         ShardJob {
             shard,
-            weights: state.weights().to_vec(),
-            solver,
-            nodes,
             graph: Arc::clone(graph),
-            seed: state.matching(),
+            net: state.lend_net(),
             ctl,
         }
     }
-}
-
-/// Whether `solver`'s open edges are exactly `g`'s edges whose two ends
-/// have effective capacity in `state`. The solver lists each open edge
-/// once, so equal counts and containment are set equality; compared
-/// without collecting, debug builds allocate what release builds do.
-pub(crate) fn follows(
-    solver: &WarmSolver,
-    g: &BipartiteGraph,
-    state: &IncrementalAssignment<'_>,
-) -> bool {
-    let has_units = |w, t| {
-        state.worker_active(w)
-            && state.task_active(t)
-            && state.worker_capacity(w) > 0
-            && state.task_capacity(t) > 0
-    };
-    let live = |e| has_units(g.worker_of(e), g.task_of(e));
-    let open = solver.open_edges().count();
-    solver.open_edges().all(live) && open == g.edges().filter(|&e| live(e)).count()
 }
 
 /// One shard's solve result.
 pub struct ShardOutcome {
     /// Shard index the result belongs to.
     pub shard: usize,
-    /// The shard's carried solver, handed back.
-    pub solver: WarmSolver,
-    /// The job's node buffer, handed back empty for the next job.
-    pub nodes: Vec<(usize, u32)>,
-    /// The optimum, or the seed when the budget cut the solve short.
-    pub matching: Matching,
-    /// Total weight of `matching` under the job's weights.
-    pub value: f64,
-    /// Whether the solve ran to completion.
-    pub completed: bool,
+    /// The shard's carried network, handed back holding what the solve
+    /// left: the optimum, or a pseudoflow when the budget cut it short.
+    pub net: WarmNet,
+    /// The solve's counters; `completed` says whether it ran to the end.
+    pub stats: WarmStats,
     /// Wall-clock milliseconds the solve took on its thread.
     pub solve_ms: f64,
 }
@@ -302,7 +250,8 @@ impl Pool {
         woken.helpers = want;
     }
 
-    /// Solves every job and returns the outcomes sorted by shard index.
+    /// Solves every job in `jobs` (which it empties) and appends the
+    /// outcomes to `outcomes` (empty), sorted by shard index.
     ///
     /// The calling thread drains one largest-first queue as thread 0, and
     /// the helpers woken for the batch — at least `min(width, jobs) − 1`,
@@ -314,16 +263,17 @@ impl Pool {
     /// values.
     pub fn solve(
         &mut self,
-        mut jobs: Vec<ShardJob>,
+        jobs: &mut Vec<ShardJob>,
+        outcomes: &mut Vec<ShardOutcome>,
         busy_ms: &HistogramFamily,
-    ) -> Vec<ShardOutcome> {
+    ) {
         // Ties by shard, so the schedule itself is deterministic even though
         // completion order is not.
         jobs.sort_by_key(|j| (std::cmp::Reverse(j.graph.n_edges()), j.shard));
         let n_jobs = jobs.len();
         self.wake(n_jobs);
         // Pool metrics only for batches that wake a helper: a one-thread
-        // run emits none.
+        // run emits none, and allocates nothing here.
         let Some(Woken {
             queue,
             results,
@@ -331,12 +281,12 @@ impl Pool {
             ..
         }) = self.woken.take()
         else {
-            let mut outcomes: Vec<ShardOutcome> = jobs.into_iter().map(run_job).collect();
+            outcomes.extend(jobs.drain(..).map(run_job));
             outcomes.sort_by_key(|o| o.shard);
-            return outcomes;
+            return;
         };
-        queue.fill(jobs);
-        let (mut outcomes, busy) = drain(&queue);
+        queue.fill(std::mem::take(jobs));
+        let busy = drain(&queue, outcomes);
         busy_ms.observe(0, busy);
         let mut panicked = None;
         for (i, drained) in results.iter().take(helpers).enumerate() {
@@ -355,7 +305,6 @@ impl Pool {
         }
         debug_assert_eq!(outcomes.len(), n_jobs);
         outcomes.sort_by_key(|o| o.shard);
-        outcomes
     }
 }
 
@@ -381,7 +330,11 @@ fn spawn_helper() -> Helper {
     let handle = std::thread::spawn(move || {
         for (queue, done) in inbox {
             queue.wait();
-            let drained = panic::catch_unwind(AssertUnwindSafe(|| drain(&queue)));
+            let drained = panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut done = Vec::new();
+                let busy = drain(&queue, &mut done);
+                (done, busy)
+            }));
             // The dispatcher may already be unwinding; nothing to tell it.
             let _ = done.send(drained);
         }
@@ -389,10 +342,10 @@ fn spawn_helper() -> Helper {
     Helper { work, handle }
 }
 
-/// Takes jobs off `queue` until it is empty; returns what was solved and
-/// the milliseconds spent solving.
-fn drain(queue: &Queue) -> (Vec<ShardOutcome>, f64) {
-    let (mut done, mut busy) = (Vec::new(), 0.0f64);
+/// Takes jobs off `queue` until it is empty, pushing what was solved onto
+/// `done`; returns the milliseconds spent solving.
+fn drain(queue: &Queue, done: &mut Vec<ShardOutcome>) -> f64 {
+    let mut busy = 0.0f64;
     loop {
         // Claim in a statement of its own: the guard must drop before the
         // solve, or the solves serialise.
@@ -406,23 +359,24 @@ fn drain(queue: &Queue) -> (Vec<ShardOutcome>, f64) {
         busy += outcome.solve_ms;
         done.push(outcome);
     }
-    (done, busy)
+    busy
 }
 
-/// Runs one job on the current thread, timing it: the solver takes the
-/// job's node changes, then solves.
+/// Runs one job on the current thread, timing it: the carried network is
+/// repaired in place ([`mbta_core::warm::resolve`]).
+///
+/// # Panics
+/// If the network was built for another topology than the job's graph.
 pub fn run_job(mut job: ShardJob) -> ShardOutcome {
     let start = Instant::now();
-    job.solver.update_capacities(job.nodes.drain(..));
-    let (g, w) = (&*job.graph, &job.weights);
-    let (matching, completed) = job.solver.solve_seeded(g, w, &job.seed, &job.ctl);
+    let g = &job.graph;
+    let shape = [g.n_workers(), g.n_tasks(), g.n_edges()];
+    assert_eq!(shape, job.net.shape(), "graph topology changed");
+    let stats = mbta_core::warm::resolve(&mut job.net, &job.ctl);
     ShardOutcome {
         shard: job.shard,
-        value: matching.total_weight(w),
-        solver: job.solver,
-        nodes: job.nodes,
-        matching,
-        completed,
+        net: job.net,
+        stats,
         solve_ms: start.elapsed().as_secs_f64() * 1e3,
     }
 }
@@ -431,9 +385,10 @@ pub fn run_job(mut job: ShardJob) -> ShardOutcome {
 mod tests {
     use super::*;
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
+    use mbta_matching::Matching;
     use mbta_util::Deadline;
 
-    fn market(seed: u64, workers: usize) -> (Arc<BipartiteGraph>, Vec<f64>) {
+    fn market(seed: u64, workers: usize) -> Arc<BipartiteGraph> {
         let g = random_bipartite(
             &RandomGraphSpec {
                 n_workers: workers,
@@ -444,30 +399,45 @@ mod tests {
             },
             seed,
         );
-        let w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
-        (Arc::new(g), w)
+        Arc::new(g)
     }
 
-    fn solvers_for(markets: &[(Arc<BipartiteGraph>, Vec<f64>)]) -> Vec<WarmSolver> {
-        markets.iter().map(|(g, _)| WarmSolver::new(g)).collect()
+    /// One state per market, all weights `(rb + wb) / 2`, nothing assigned.
+    fn states_for(markets: &[Arc<BipartiteGraph>]) -> Vec<IncrementalAssignment<'_>> {
+        let mut states = Vec::new();
+        for g in markets {
+            let w: Vec<f64> = g.edges().map(|e| 0.5 * (g.rb(e) + g.wb(e))).collect();
+            states.push(IncrementalAssignment::from_matching(g, w, &Matching::empty()).unwrap());
+        }
+        states
     }
 
     fn jobs_for(
-        markets: &[(Arc<BipartiteGraph>, Vec<f64>)],
-        solvers: Vec<WarmSolver>,
+        markets: &[Arc<BipartiteGraph>],
+        states: &mut [IncrementalAssignment<'_>],
     ) -> Vec<ShardJob> {
-        let shards = markets.iter().zip(solvers).enumerate();
-        shards
-            .map(|(i, ((g, w), solver))| ShardJob {
-                shard: i,
-                graph: Arc::clone(g),
-                weights: w.clone(),
-                solver,
-                nodes: Vec::new(),
-                seed: Matching::empty(),
-                ctl: SolveCtl::unlimited(),
-            })
-            .collect()
+        let shards = markets.iter().zip(states).enumerate();
+        let job = |(i, (g, st))| ShardJob::new(i, g, st, SolveCtl::unlimited());
+        shards.map(job).collect()
+    }
+
+    /// Runs `jobs` through `pool` and hands the networks back to `states`:
+    /// per shard, in shard order, the settled assignment.
+    fn solve(
+        pool: &mut Pool,
+        jobs: Vec<ShardJob>,
+        states: &mut [IncrementalAssignment<'_>],
+        threads: usize,
+    ) -> Vec<(usize, bool, Matching)> {
+        let (mut jobs, mut outcomes) = (jobs, Vec::new());
+        pool.solve(&mut jobs, &mut outcomes, &busy(threads));
+        assert!(jobs.is_empty());
+        let settle = |o: ShardOutcome| {
+            let st = &mut states[o.shard];
+            st.settle(o.net, &o.stats);
+            (o.shard, o.stats.completed, st.matching())
+        };
+        outcomes.into_iter().map(settle).collect()
     }
 
     fn busy(threads: usize) -> HistogramFamily {
@@ -486,23 +456,19 @@ mod tests {
         let markets: Vec<_> = (0..6)
             .map(|i| market(100 + i, 20 + 30 * i as usize))
             .collect();
-        let seq: Vec<_> = jobs_for(&markets, solvers_for(&markets))
-            .into_iter()
-            .map(run_job)
-            .collect();
+        let mut states = states_for(&markets);
+        let jobs = jobs_for(&markets, &mut states);
+        let seq = solve(&mut Pool::new(1), jobs, &mut states, 1);
         for threads in 1..=8 {
             let mut pool = Pool::new(threads);
             // Twice through one pool: its helpers serve batch after batch.
-            pool.solve(jobs_for(&markets, solvers_for(&markets)), &busy(threads));
-            let par = pool.solve(jobs_for(&markets, solvers_for(&markets)), &busy(threads));
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.shard, b.shard, "merge order must be shard-ascending");
-                assert_eq!(a.completed, b.completed);
-                let at = format!("{threads} threads, shard {}", a.shard);
-                assert_eq!(a.matching.edges, b.matching.edges, "{at}");
-                assert!((a.value - b.value).abs() < 1e-12);
-            }
+            let mut states = states_for(&markets);
+            let jobs = jobs_for(&markets, &mut states);
+            solve(&mut pool, jobs, &mut states, threads);
+            let mut states = states_for(&markets);
+            let jobs = jobs_for(&markets, &mut states);
+            let par = solve(&mut pool, jobs, &mut states, threads);
+            assert_eq!(seq, par, "{threads} threads: merge order, results");
         }
     }
 
@@ -512,21 +478,17 @@ mod tests {
     #[test]
     fn woken_helpers_wait_for_their_batch() {
         let markets: Vec<_> = (0..4).map(|i| market(21 + i, 30)).collect();
-        let seq: Vec<_> = jobs_for(&markets, solvers_for(&markets))
-            .into_iter()
-            .map(run_job)
-            .collect();
+        let mut states = states_for(&markets);
+        let jobs = jobs_for(&markets, &mut states);
+        let seq = solve(&mut Pool::new(1), jobs, &mut states, 1);
         let mut pool = Pool::new(3);
         for pause in [0, 2] {
             pool.wake(4);
             std::thread::sleep(std::time::Duration::from_millis(pause));
-            let par = pool.solve(jobs_for(&markets, solvers_for(&markets)), &busy(3));
-            let edges = |o: &[ShardOutcome]| {
-                o.iter()
-                    .map(|o| o.matching.edges.clone())
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(edges(&seq), edges(&par), "after a {pause} ms wait");
+            let mut states = states_for(&markets);
+            let jobs = jobs_for(&markets, &mut states);
+            let par = solve(&mut pool, jobs, &mut states, 3);
+            assert_eq!(seq, par, "after a {pause} ms wait");
         }
         pool.wake(4);
         drop(pool);
@@ -540,29 +502,35 @@ mod tests {
         let markets: Vec<_> = (0..2)
             .map(|i| market(11 + i, 40 + 20 * i as usize))
             .collect();
-        let mut solvers = solvers_for(&markets);
-        // The smaller shard's solver is built for the other market. The
+        let mut states = states_for(&markets);
+        let mut jobs = jobs_for(&markets, &mut states);
+        // The smaller shard's network is built for the other market. The
         // caller claims the larger job first, so either thread may take
         // this one.
-        solvers[0] = WarmSolver::new(&markets[1].0);
-        Pool::new(2).solve(jobs_for(&markets, solvers), &busy(2));
+        jobs[0].net = mbta_matching::warm::WarmNet::new(&markets[1]);
+        solve(&mut Pool::new(2), jobs, &mut states, 2);
     }
 
-    /// Each job comes back solved: the optimum of its market, and its value.
+    /// Each job comes back solved: settled, its state holds the optimum of
+    /// its market.
     #[test]
     fn more_workers_than_jobs_is_fine() {
         use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
         let markets: Vec<_> = (0..2).map(|i| market(7 + i, 40)).collect();
-        let solvers = solvers_for(&markets);
-        let outcomes = Pool::new(8).solve(jobs_for(&markets, solvers), &busy(8));
-        assert_eq!(outcomes.len(), 2);
-        for (o, (g, w)) in outcomes.iter().zip(&markets) {
-            let (opt, _) =
-                max_weight_bmatching(g, w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-            assert!(o.completed);
-            assert_eq!(o.value, o.matching.total_weight(w));
-            assert!((o.value - opt.total_weight(w)).abs() < 1e-6);
-            assert!(o.solve_ms >= 0.0);
+        let mut states = states_for(&markets);
+        let jobs = jobs_for(&markets, &mut states);
+        let solved = solve(&mut Pool::new(8), jobs, &mut states, 8);
+        assert_eq!(solved.len(), 2);
+        for ((g, st), (_, completed, _)) in markets.iter().zip(&states).zip(&solved) {
+            let (opt, _) = max_weight_bmatching(
+                g,
+                st.weights(),
+                FlowMode::FreeCardinality,
+                PathAlgo::Dijkstra,
+            );
+            assert!(completed);
+            assert!((st.total_weight() - opt.total_weight(st.weights())).abs() < 1e-6);
+            st.check_invariants();
         }
     }
 
@@ -571,21 +539,20 @@ mod tests {
         let markets: Vec<_> = (0..4).map(|i| market(9 + i, 60)).collect();
         let expired = Deadline::after_ms(0);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        let mut jobs = jobs_for(&markets, solvers_for(&markets));
+        let mut states = states_for(&markets);
+        let mut jobs = jobs_for(&markets, &mut states);
         for job in &mut jobs {
             job.ctl = SolveCtl::unlimited().with_deadline(expired);
         }
-        let outcomes = Pool::new(4).solve(jobs, &busy(4));
-        assert_eq!(outcomes.len(), 4);
-        for o in &outcomes {
-            // Expired shared budget: every solve is cut and hands back its
-            // (empty) seed.
+        for (shard, completed, m) in solve(&mut Pool::new(4), jobs, &mut states, 4) {
+            // Expired shared budget: every solve is cut, and its state
+            // keeps its (empty) seed.
             assert!(
-                !o.completed,
-                "shard {} ran past an expired shared deadline",
-                o.shard
+                !completed,
+                "shard {shard} ran past an expired shared deadline"
             );
-            assert!(o.matching.is_empty());
+            assert!(m.is_empty());
+            states[shard].check_invariants();
         }
     }
 }

@@ -100,9 +100,9 @@ pub struct ServiceReport {
     pub online_fallbacks: u64,
     /// Depth-1 exchanges that displaced a weaker assigned edge.
     pub online_exchanges: u64,
-    /// Online-mode exact solves (fallbacks and the closing drain) through
-    /// the shards' carried solvers, across all shards and plan epochs.
-    /// Always 0 in batch mode, whose shard solves run on the same solvers
+    /// Online-mode exact solves (fallbacks and the closing drain) of the
+    /// shards' carried networks, across all shards and plan epochs.
+    /// Always 0 in batch mode, whose shard solves run on the same networks
     /// but are already counted in `solves` / `tier_exact` (the
     /// `mbta_core_warm_solves_total` counter has both).
     pub online_warm_solves: u64,

@@ -641,10 +641,11 @@ mod tests {
                 None => DispatchService::new(g, &plan, cfg.clone()),
                 Some(c) => DispatchService::resume(g, &plan, c, &mut sink),
             };
-            // A solver is bound to one plan's shard topology (a stale one
-            // could match a new shard's edge count and solve the wrong
-            // network): no epoch starts with one.
-            assert!(svc.dispatcher.solvers.iter().all(Option::is_none));
+            // A carried network is bound to one plan's shard topology (a
+            // stale one could match a new shard's edge count and solve the
+            // wrong network): no epoch starts with one.
+            let states = &svc.dispatcher.states;
+            assert!(states.iter().all(|st| st.solve_stats().solves == 0));
             assert!(rescue_market(&svc).is_none());
             while idx < events.len() {
                 let a = events[idx];
@@ -660,8 +661,8 @@ mod tests {
             // So within an epoch each shard's first exact solve starts
             // from zero prices, and every later one from the carried duals.
             let rescue = rescue_market(&svc);
-            let solvers = svc.dispatcher.solvers.iter().flatten();
-            let stats = solvers.chain(rescue.map(|r| r.1)).map(WarmSolver::stats);
+            let shards = svc.dispatcher.states.iter().map(|st| st.solve_stats());
+            let stats = shards.chain(rescue.map(|r| r.1.stats()));
             // (The market is built by the first rescue pass, which may
             // find nothing to solve yet.)
             for stats in stats.filter(|stats| stats.solves > 0) {
@@ -834,16 +835,14 @@ mod tests {
             svc.driver.report.degraded_by_shard[0] > 0,
             "shard 0 untouched"
         );
-        assert!(
-            svc.dispatcher.solvers[0].is_none(),
-            "a poisoned shard built a solver"
-        );
-        assert!(svc.dispatcher.solvers[1..].iter().all(Option::is_some));
+        let solves = |s: usize| svc.dispatcher.states[s].solve_stats().solves;
+        assert_eq!(solves(0), 0, "a poisoned shard's network was solved");
+        assert!((1..4).all(|s| solves(s) > 0));
         assert_eq!(svc.finish(&mut sink).capacity_violations, 0);
     }
 
-    /// The carried solver across poison → heal: a poisoned shard's batches
-    /// keep their seed without reaching its solver, and the first healed
+    /// The carried network across poison → heal: a poisoned shard's batches
+    /// keep their seed without reaching its network, and the first healed
     /// batch re-solves from the duals the last healthy solve left — a warm
     /// hit, and exact.
     #[test]
@@ -854,8 +853,7 @@ mod tests {
         let events = stream(&g, 31);
         let mut svc = DispatchService::new(&g, &plan, deterministic_cfg());
         let mut sink = CollectSink::default();
-        let solver_stats =
-            |svc: &DispatchService<'_>| svc.dispatcher.solvers[0].as_ref().unwrap().stats();
+        let solver_stats = |svc: &DispatchService<'_>| svc.dispatcher.states[0].solve_stats();
         let (healthy, rest) = events.split_at(events.len() / 3);
         let (poisoned, healed) = rest.split_at(rest.len() / 2);
 
@@ -1180,21 +1178,27 @@ mod tests {
             seed
         };
 
+        let mut solve = |weights: &[f64], seed: &Matching, ctl: &SolveCtl| {
+            let mut m = seed.clone();
+            let completed = solver.solve_seeded(mg, weights, &mut m, ctl);
+            (m, completed)
+        };
+
         let seed = seed_from(&weights, &[]);
         assert!(!seed.is_empty());
-        let first = solver.solve_seeded(mg, &weights, &seed, &stopped());
+        let first = solve(&weights, &seed, &stopped());
         assert_eq!(first, (seed.clone(), false));
         let unlimited = SolveCtl::unlimited();
-        let (primed, _) = solver.solve_seeded(mg, &weights, &seed, &unlimited);
+        let (primed, _) = solve(&weights, &seed, &unlimited);
         assert!(primed.total_weight(&weights) > seed.total_weight(&weights));
 
         for (i, wt) in weights.iter_mut().enumerate() {
             *wt *= if i % 3 == 0 { 0.5 } else { 1.0 };
         }
         let seed = seed_from(&weights, &primed.edges);
-        let later = solver.solve_seeded(mg, &weights, &seed, &stopped());
+        let later = solve(&weights, &seed, &stopped());
         assert_eq!(later, (seed.clone(), false));
-        let (healed, completed) = solver.solve_seeded(mg, &weights, &seed, &unlimited);
+        let (healed, completed) = solve(&weights, &seed, &unlimited);
         let (opt, _) = max_weight_bmatching(mg, &weights, FlowMode::FreeCardinality, Dijkstra);
         assert!(completed);
         assert!((healed.total_weight(&weights) - opt.total_weight(&weights)).abs() < 1e-6);
@@ -1229,7 +1233,7 @@ mod tests {
             assert_eq!(report.capacity_violations, 0);
             assert_eq!(report.rescue_solves > 0, boundary_pass);
             // Every shard solve, before and after each migration, reached
-            // the exact tier — through the carried solvers, which batch
+            // the exact tier — through the carried networks, which batch
             // mode does not report as online warm solves.
             assert!(report.solves > 0);
             assert_eq!(report.tier_exact, report.solves);
@@ -1344,7 +1348,7 @@ mod tests {
         for &a in &stream(&g, 31) {
             svc.submit(a, &mut sink);
         }
-        let stats = svc.dispatcher.solvers[0].as_ref().unwrap().stats();
+        let stats = svc.dispatcher.states[0].solve_stats();
         assert!(stats.solves >= 2, "{stats:?}");
         assert_eq!(stats.warm_hits, stats.solves - 1, "{stats:?}");
         let report = svc.finish(&mut sink);

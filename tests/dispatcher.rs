@@ -8,8 +8,13 @@
 //!   `Batcher`, `DecisionSink`) or `SystemTime`, and it reads the clock
 //!   exactly once (the solve span `BatchStats::solve_ms` reports).
 //! - A `Dispatcher` is driven directly — no service, no store, no tempdir —
-//!   over seeded traces in five modes: batch at 4 shards on 1 and 4
-//!   threads, min-cut at 8 shards with the boundary rescue, online, and a
+//!   over seeded traces in seven modes: batch at 4 shards on 1 and 4
+//!   threads, min-cut at 8 shards with the boundary rescue on 1 and 2
+//!   threads (the shards' carried networks move to a helper thread and
+//!   back every batch), online with frequent drift fallbacks and with
+//!   none over a stream cut off while sessions are open (the closing
+//!   solves are then each shard's only exact solve, on live shards, so the
+//!   reference's shard check at the end sees a skipped one), and a
 //!   drift-driven re-plan loop. Every commit is encoded as the WAL record
 //!   it journals, decoded, and folded with `RecoveredState::apply`; after
 //!   each, the fold must hold the dispatcher's per-shard edge sets (an
@@ -183,19 +188,23 @@ struct Mode {
     routing: Routing,
     threads: usize,
     boundary_pass: bool,
-    online: bool,
+    /// Online, with this drift threshold.
+    online: Option<f64>,
     replan: bool,
+    /// The stream stops two thirds in, while sessions are still open.
+    cut_short: bool,
 }
 
-const MODES: [Mode; 5] = [
+const MODES: [Mode; 7] = [
     Mode {
         name: "batch-4-t1",
         shards: 4,
         routing: Routing::HashId,
         threads: 1,
         boundary_pass: false,
-        online: false,
+        online: None,
         replan: false,
+        cut_short: false,
     },
     Mode {
         name: "batch-4-t4",
@@ -203,8 +212,9 @@ const MODES: [Mode; 5] = [
         routing: Routing::HashId,
         threads: 4,
         boundary_pass: false,
-        online: false,
+        online: None,
         replan: false,
+        cut_short: false,
     },
     Mode {
         name: "mincut-8-rescue",
@@ -212,8 +222,19 @@ const MODES: [Mode; 5] = [
         routing: Routing::MinCut,
         threads: 1,
         boundary_pass: true,
-        online: false,
+        online: None,
         replan: false,
+        cut_short: false,
+    },
+    Mode {
+        name: "mincut-8-rescue-t2",
+        shards: 8,
+        routing: Routing::MinCut,
+        threads: 2,
+        boundary_pass: true,
+        online: None,
+        replan: false,
+        cut_short: false,
     },
     Mode {
         name: "online",
@@ -221,8 +242,21 @@ const MODES: [Mode; 5] = [
         routing: Routing::HashId,
         threads: 1,
         boundary_pass: false,
-        online: true,
+        online: Some(0.1),
         replan: false,
+        cut_short: false,
+    },
+    // No drift reaches this threshold: each shard's one exact solve is
+    // its closing one, on the nodes still live when the stream stops.
+    Mode {
+        name: "online-closing",
+        shards: 4,
+        routing: Routing::HashId,
+        threads: 1,
+        boundary_pass: false,
+        online: Some(1e9),
+        replan: false,
+        cut_short: true,
     },
     // The re-plan loop runs with the rescue overlay on odd seeds, so plan
     // records carry the overlay's pseudo-shard, and without it on even
@@ -233,8 +267,9 @@ const MODES: [Mode; 5] = [
         routing: Routing::MinCut,
         threads: 1,
         boundary_pass: false,
-        online: false,
+        online: None,
         replan: true,
+        cut_short: false,
     },
 ];
 
@@ -296,12 +331,15 @@ fn run(mode: &Mode, seed: u64) -> (u64, u64) {
         budget: BudgetMode::Deterministic,
         threads: mode.threads,
         boundary_pass: mode.boundary_pass || (mode.replan && seed % 2 == 1),
-        online: mode.online.then_some(OnlineConfig {
-            drift_threshold: 0.1,
-        }),
+        online: mode
+            .online
+            .map(|drift_threshold| OnlineConfig { drift_threshold }),
         ..ServiceConfig::default()
     };
-    let events = reference::stream(&g, 12.0, 16.0, seed);
+    let mut events = reference::stream(&g, 12.0, 16.0, seed);
+    if mode.cut_short {
+        events.truncate(events.len() * 2 / 3);
+    }
     let mut plan = ShardPlan::build(&g, &w, mode.shards, mode.routing);
     let mut mirror = Reference::new(&g, &plan, &cfg);
     mirror.every = 4;
@@ -328,7 +366,7 @@ fn run(mode: &Mode, seed: u64) -> (u64, u64) {
             let a = events[idx];
             idx += 1;
             mirror.offer(a);
-            if mode.online {
+            if mode.online.is_some() {
                 if let Some(c) = d.event(a, &mut report) {
                     fold_and_check(&d, &c, &mut folded, &mut mirror, &at(idx));
                 }
@@ -347,7 +385,7 @@ fn run(mode: &Mode, seed: u64) -> (u64, u64) {
             carried = Some(detached);
             continue;
         }
-        if mode.online {
+        if mode.online.is_some() {
             for s in 0..d.n_shards() {
                 if let Some(c) = d.close(s, &mut report) {
                     fold_and_check(&d, &c, &mut folded, &mut mirror, &at(idx));

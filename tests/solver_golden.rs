@@ -35,6 +35,7 @@ use mbta::graph::BipartiteGraph;
 use mbta::matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo};
 use mbta::matching::warm::WarmNet;
 use mbta::matching::Matching;
+use mbta::util::fixed::benefit_to_profit;
 use mbta::util::SolveCtl;
 
 /// `(instance/algo/mode, edge-list hash, iterations, potential_updates,
@@ -314,8 +315,13 @@ fn warm_sequence_returns_the_pinned_flows() {
         m.validate(&g).unwrap();
         assert!(s.completed, "{step}");
         let (_, cold) = max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
-        assert_eq!(s.profit, cold.profit, "{step}: warm objective is not exact");
-        rows.push((step, edge_hash(&m), s.warm, s.iterations, s.profit));
+        let profit: i64 = m
+            .edges
+            .iter()
+            .map(|e| benefit_to_profit(w[e.index()]))
+            .sum();
+        assert_eq!(profit, cold.profit, "{step}: warm objective is not exact");
+        rows.push((step, edge_hash(&m), s.warm, s.iterations, profit));
         prev = m;
     }
     if print {
