@@ -235,7 +235,10 @@ fn bench_warm(c: &mut Criterion) {
             i += 1;
             let k = round(i, ROUNDS);
             let (w_cap, t_cap) = &caps[k];
-            net.set_capacities(w_cap, t_cap);
+            net.restore(std::iter::empty());
+            for (v, &c) in w_cap.iter().chain(t_cap).enumerate() {
+                net.set_units(v, c);
+            }
             let seed = trim(&g, &prev, w_cap, t_cap);
             prev = net.solve(&g, &weights[k], &seed, &ctl).0;
         })

@@ -28,26 +28,28 @@
 //! reads the same without resetting. Holding each edge at most once, the
 //! set stays bounded by the edge count even for callers that never drain.
 //!
-//! **Carried network.** A serving shard re-solves its market exactly, again
-//! and again, on a min-cost flow network it keeps
-//! ([`mbta_matching::warm::WarmNet`]), and the state owns that network: it
-//! is built at the first [`lend_net`](IncrementalAssignment::lend_net) —
-//! every edge costed from its weight, every node at its *effective
-//! capacity* (its held capacity while active, 0 while not: a node out of
-//! the market is closed, not priced out) and the assignment as its flow —
-//! and from then on every change is written to it as it happens, each in
-//! O(1): a flip through the two funnels every assignment change goes
-//! through, a weight through [`set_weight`](IncrementalAssignment::set_weight),
+//! **Carried network.** A serving market — a shard, or the boundary market
+//! over a plan's cut — is re-solved exactly, again and again, on a min-cost
+//! flow network it keeps ([`mbta_matching::warm::WarmNet`]), and the state
+//! owns that network from construction: every edge costed from its weight,
+//! every node at its *effective capacity* (its held capacity while active,
+//! 0 while not: a node out of the market is closed, not priced out) and the
+//! assignment as its flow. Every change is written to it as it happens,
+//! each in O(1): a flip through the two funnels every assignment change
+//! goes through, a weight through [`set_weight`](IncrementalAssignment::set_weight),
 //! a moved effective capacity through the liveness and capacity calls. So
-//! the flow on the network *is* the assignment, whenever the network is
-//! home ([`check_invariants`](IncrementalAssignment::check_invariants)
-//! asserts it). A solve borrows the network — owned, so it may run on
-//! another thread — repairs it in place ([`crate::warm::resolve`]) and
-//! hands it back to [`settle`](IncrementalAssignment::settle), which reads
-//! the flow the repair left into the change set when it improves on the
+//! the flow on the network *is* the assignment, and each node's load and
+//! room are read off it: greedy repair fills a node while its hub arc has
+//! room ([`check_invariants`](IncrementalAssignment::check_invariants)
+//! asserts the flow, the units and the loads). A solve borrows the network
+//! — owned, so it may run on another thread; the state holds `None` while
+//! it is out — repairs it in place ([`crate::warm::resolve`]) and hands it
+//! back to [`settle`](IncrementalAssignment::settle), which reads the flow
+//! the repair left into the change set when it improves on the
 //! assignment, and otherwise writes the assignment back as the flow.
 //! Nothing is copied into a solve, and nothing but the flow's difference
-//! out of it. The state must not change while its network is lent.
+//! out of it. The state must not change, nor its loads be read, while its
+//! network is lent.
 
 use crate::warm::WarmSolverStats;
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
@@ -116,15 +118,12 @@ pub struct IncrementalAssignment<'g> {
     g: &'g BipartiteGraph,
     weights: Vec<f64>,
     in_matching: Vec<bool>,
-    w_load: Vec<u32>,
-    t_load: Vec<u32>,
-    /// Each node's capacity, at most the graph's: what a boundary shard
-    /// keeps after ceding units to the rescue overlay
-    /// ([`set_worker_capacity`](Self::set_worker_capacity)).
-    w_cap: Vec<u32>,
-    t_cap: Vec<u32>,
-    worker_active: Vec<bool>,
-    task_active: Vec<bool>,
+    /// Per node (workers, then tasks), its capacity, at most the graph's
+    /// — what a boundary shard keeps after ceding units to the rescue
+    /// overlay, or the units a boundary-market node is offered
+    /// ([`set_capacity`](Self::set_capacity)) — and whether it is active.
+    caps: Vec<u32>,
+    active: Vec<bool>,
     total: f64,
     /// Assigned edges, kept by `insert` and `remove`.
     assigned: usize,
@@ -133,16 +132,14 @@ pub struct IncrementalAssignment<'g> {
     /// edge). `dirty` marks the recorded edges.
     changed: Vec<(EdgeId, bool)>,
     dirty: Vec<bool>,
-    /// The carried network once built, holding the assignment as its flow
-    /// (`None` while it is lent, and `lent` says so), and the tallies of
-    /// the solves it came back from.
+    /// The carried network, holding the assignment as its flow (`None`
+    /// while it is lent), and the tallies of the solves it came back from.
     net: Option<WarmNet>,
-    lent: bool,
     solves: WarmSolverStats,
     /// Pooled buffers, empty between calls and sized for every edge, so
-    /// no call grows them: a deactivation's dropped edges (a reseed's
-    /// moved ones), and a repair's candidates (a reseed's sorted seed, a
-    /// settled solve's added edges).
+    /// no call grows them: the edges a deactivation or a lowered capacity
+    /// drops (a reseed's and a settled solve's moved ones), and a repair's
+    /// candidates (a reseed's sorted seed, a settled solve's added edges).
     dropped: Vec<EdgeId>,
     candidates: Vec<EdgeId>,
 }
@@ -163,6 +160,7 @@ impl<'g> IncrementalAssignment<'g> {
     /// the maintained running total). Formerly these were `debug_assert!`s,
     /// which made release builds accept corrupt seeds; churn traces replay
     /// against this state for thousands of events, so reject loudly instead.
+    /// The carried network is built here, at the graph's capacities.
     pub fn from_matching(
         g: &'g BipartiteGraph,
         weights: Vec<f64>,
@@ -183,22 +181,21 @@ impl<'g> IncrementalAssignment<'g> {
                 });
             }
         }
+        let mut net = WarmNet::new(g);
+        for e in g.edges() {
+            net.set_cost(e, cost(weights[e.index()]));
+        }
         let mut s = Self {
             g,
             weights,
             in_matching: vec![false; g.n_edges()],
-            w_load: vec![0; g.n_workers()],
-            t_load: vec![0; g.n_tasks()],
-            w_cap: g.capacities().to_vec(),
-            t_cap: g.demands().to_vec(),
-            worker_active: vec![true; g.n_workers()],
-            task_active: vec![true; g.n_tasks()],
+            caps: g.capacities().iter().chain(g.demands()).copied().collect(),
+            active: vec![true; g.n_workers() + g.n_tasks()],
             total: 0.0,
             assigned: 0,
             changed: Vec::with_capacity(g.n_edges()),
             dirty: vec![false; g.n_edges()],
-            net: None,
-            lent: false,
+            net: Some(net),
             solves: WarmSolverStats::default(),
             dropped: Vec::with_capacity(g.n_edges()),
             candidates: Vec::with_capacity(g.n_edges()),
@@ -229,12 +226,18 @@ impl<'g> IncrementalAssignment<'g> {
 
     /// Whether a worker is currently active.
     pub fn worker_active(&self, w: WorkerId) -> bool {
-        self.worker_active[w.index()]
+        self.active[w.index()]
     }
 
     /// Whether a task is currently active.
     pub fn task_active(&self, t: TaskId) -> bool {
-        self.task_active[t.index()]
+        self.active[self.g.n_workers() + t.index()]
+    }
+
+    /// Whether node `v` is active: worker `v` below the worker count, task
+    /// `v − workers` above it, the numbering of every node-indexed call.
+    pub fn active(&self, v: usize) -> bool {
+        self.active[v]
     }
 
     /// Snapshot of the current assignment, ascending by edge id, in one
@@ -246,35 +249,41 @@ impl<'g> IncrementalAssignment<'g> {
     }
 
     fn insert(&mut self, e: EdgeId) {
-        debug_assert!(!self.in_matching[e.index()]);
-        self.record(e);
-        self.in_matching[e.index()] = true;
-        self.assigned += 1;
-        self.w_load[self.g.worker_of(e).index()] += 1;
-        self.t_load[self.g.task_of(e).index()] += 1;
-        self.total += self.weights[e.index()];
-        if let Some(net) = self.carried() {
-            net.flip(e, true);
-        }
+        self.mark(e, true);
+        self.net_mut().flip(e, true);
     }
 
     fn remove(&mut self, e: EdgeId) {
-        debug_assert!(self.in_matching[e.index()]);
+        self.mark(e, false);
+        self.net_mut().flip(e, false);
+    }
+
+    /// Moves `e` in or out of the assignment in the state's own books —
+    /// the change set, the count and the running total — but not on the
+    /// network, which `insert` and `remove` flip and a settled solve
+    /// already holds.
+    fn mark(&mut self, e: EdgeId, on: bool) {
+        debug_assert_ne!(self.in_matching[e.index()], on);
         self.record(e);
-        self.in_matching[e.index()] = false;
-        self.assigned -= 1;
-        self.w_load[self.g.worker_of(e).index()] -= 1;
-        self.t_load[self.g.task_of(e).index()] -= 1;
-        self.total -= self.weights[e.index()];
-        if let Some(net) = self.carried() {
-            net.flip(e, false);
+        self.in_matching[e.index()] = on;
+        if on {
+            self.assigned += 1;
+            self.total += self.weights[e.index()];
+        } else {
+            self.assigned -= 1;
+            self.total -= self.weights[e.index()];
         }
     }
 
-    /// The carried network, for a write: `None` before it is built.
-    fn carried(&mut self) -> Option<&mut WarmNet> {
-        debug_assert!(!self.lent, "the state changed while its network was lent");
-        self.net.as_mut()
+    /// The carried network, for a read.
+    fn net(&self) -> &WarmNet {
+        self.net.as_ref().expect("the carried network is lent")
+    }
+
+    /// The carried network, for a write.
+    fn net_mut(&mut self) -> &mut WarmNet {
+        let lent = "the state changed while its network was lent";
+        self.net.as_mut().expect(lent)
     }
 
     /// Enters `e` in the change set at its first flip since the last drain.
@@ -288,54 +297,46 @@ impl<'g> IncrementalAssignment<'g> {
     /// Writes node `v`'s (workers, then tasks) effective capacity to the
     /// carried network: its held capacity while it is active, 0 while not.
     /// Called after the drops a lower capacity needs and before the fills
-    /// a higher one allows, so the flow through `v` always fits.
+    /// a higher one allows, so the flow through `v` always fits and no
+    /// repair refills what `v` no longer has.
     fn write_units(&mut self, v: usize) {
-        let units = self.effective_capacity(v);
-        if let Some(net) = self.carried() {
-            net.set_units(v, units);
-        }
+        let units = if self.active[v] { self.caps[v] } else { 0 };
+        self.net_mut().set_units(v, units);
     }
 
-    /// Node `v`'s (workers, then tasks) effective capacity.
-    fn effective_capacity(&self, v: usize) -> u32 {
-        match v.checked_sub(self.g.n_workers()) {
-            None if self.worker_active[v] => self.w_cap[v],
-            Some(t) if self.task_active[t] => self.t_cap[t],
-            _ => 0,
-        }
+    /// Node `v`'s (workers, then tasks) units left on the carried network:
+    /// its effective capacity less its load.
+    fn room(&self, v: usize) -> u32 {
+        let (units, load) = self.net().node_units(v);
+        units - load
     }
 
-    /// Whether edge `e` could be added right now. Non-finite weights are
-    /// never addable: repair must not poison the running total.
+    /// Whether edge `e` could be added right now: unassigned, of positive
+    /// finite weight (repair must not poison the running total), with room
+    /// at both ends — an inactive end has none.
     fn addable(&self, e: EdgeId) -> bool {
-        let w = self.g.worker_of(e);
-        let t = self.g.task_of(e);
+        let (w, t) = (self.g.worker_of(e), self.g.task_of(e));
+        let weight = self.weights[e.index()];
         !self.in_matching[e.index()]
-            && self.weights[e.index()] > 0.0
-            && self.weights[e.index()].is_finite()
-            && self.worker_active[w.index()]
-            && self.task_active[t.index()]
-            && self.w_load[w.index()] < self.w_cap[w.index()]
-            && self.t_load[t.index()] < self.t_cap[t.index()]
+            && weight > 0.0
+            && weight.is_finite()
+            && self.room(w.index()) > 0
+            && self.room(self.g.n_workers() + t.index()) > 0
     }
 
     /// Greedily fills a task's remaining demand from its best addable edges.
     fn repair_task(&mut self, t: TaskId) {
-        if self.task_active[t.index()] {
-            let g = self.g;
-            self.fill(g.task_edges(t), |s| {
-                s.t_load[t.index()] >= s.t_cap[t.index()]
-            });
+        let (g, v) = (self.g, self.g.n_workers() + t.index());
+        if self.active[v] {
+            self.fill(g.task_edges(t), |s| s.room(v) == 0);
         }
     }
 
     /// Greedily fills a worker's remaining capacity.
     fn repair_worker(&mut self, w: WorkerId) {
-        if self.worker_active[w.index()] {
+        if self.active[w.index()] {
             let g = self.g;
-            self.fill(g.worker_edges(w), |s| {
-                s.w_load[w.index()] >= s.w_cap[w.index()]
-            });
+            self.fill(g.worker_edges(w), |s| s.room(w.index()) == 0);
         }
     }
 
@@ -362,110 +363,108 @@ impl<'g> IncrementalAssignment<'g> {
     /// the tasks it was serving. Returns the number of dropped edges.
     /// Idempotent.
     pub fn deactivate_worker(&mut self, w: WorkerId) -> usize {
-        if !self.worker_active[w.index()] {
+        if !std::mem::replace(&mut self.active[w.index()], false) {
             return 0;
         }
-        self.worker_active[w.index()] = false;
         let g = self.g;
-        let dropped = self.drop_all(g.worker_edges(w), |s, e| s.repair_task(g.task_of(e)));
-        self.write_units(w.index());
-        dropped
+        self.drop_all(g.worker_edges(w), w.index(), |s, e| {
+            s.repair_task(g.task_of(e))
+        })
     }
 
     /// Deactivates a task (cancelled): drops its assignments and repairs
     /// the workers that were serving it. Returns dropped edge count.
     pub fn deactivate_task(&mut self, t: TaskId) -> usize {
-        if !self.task_active[t.index()] {
+        let (g, v) = (self.g, self.g.n_workers() + t.index());
+        if !std::mem::replace(&mut self.active[v], false) {
             return 0;
         }
-        self.task_active[t.index()] = false;
-        let g = self.g;
-        let dropped = self.drop_all(g.task_edges(t), |s, e| s.repair_worker(g.worker_of(e)));
-        self.write_units(g.n_workers() + t.index());
-        dropped
+        self.drop_all(g.task_edges(t), v, |s, e| s.repair_worker(g.worker_of(e)))
     }
 
-    /// Sets worker `w`'s capacity to `cap` (at most the graph's). Below
-    /// its load, its lightest assigned edges (ties to the higher id) are
-    /// dropped and the tasks they served repaired; raised, an active
-    /// worker greedily fills the room it gained. Lowered to no less than
-    /// its load, nothing moves.
-    pub fn set_worker_capacity(&mut self, w: WorkerId, cap: u32) {
-        let i = w.index();
-        assert!(cap <= self.g.capacity(w), "above the graph's capacity");
-        let over = self.w_load[i].saturating_sub(cap) as usize;
-        let old = std::mem::replace(&mut self.w_cap[i], cap);
-        let (grown, g) = (cap > old, self.g);
-        self.drop_lightest(g.worker_edges(w), over, |s, e| s.repair_task(g.task_of(e)));
-        self.write_units(i);
-        if grown {
-            self.repair_worker(w);
+    /// Sets node `v`'s capacity to `cap` (at most the graph's). Below its
+    /// load, its lightest assigned edges (ties to the higher id) are
+    /// dropped and the nodes they reached repaired; raised, an active node
+    /// greedily fills the room it gained. Lowered to no less than its
+    /// load, nothing moves.
+    pub fn set_capacity(&mut self, v: usize, cap: u32) {
+        let (g, over) = (self.g, self.load(v).saturating_sub(cap) as usize);
+        let grown = cap > std::mem::replace(&mut self.caps[v], cap);
+        match v.checked_sub(g.n_workers()) {
+            None => {
+                let w = WorkerId::from_index(v);
+                assert!(cap <= g.capacity(w), "above the graph's capacity");
+                self.drop_lightest(g.worker_edges(w), over, v, |s, e| {
+                    s.repair_task(g.task_of(e))
+                });
+                if grown {
+                    self.repair_worker(w);
+                }
+            }
+            Some(i) => {
+                let t = TaskId::from_index(i);
+                assert!(cap <= g.demand(t), "above the graph's demand");
+                self.drop_lightest(g.task_edges(t), over, v, |s, e| {
+                    s.repair_worker(g.worker_of(e))
+                });
+                if grown {
+                    self.repair_task(t);
+                }
+            }
         }
     }
 
-    /// [`set_worker_capacity`](Self::set_worker_capacity) for task `t`.
-    pub fn set_task_capacity(&mut self, t: TaskId, cap: u32) {
-        let i = t.index();
-        assert!(cap <= self.g.demand(t), "above the graph's demand");
-        let over = self.t_load[i].saturating_sub(cap) as usize;
-        let old = std::mem::replace(&mut self.t_cap[i], cap);
-        let (grown, g) = (cap > old, self.g);
-        self.drop_lightest(g.task_edges(t), over, |s, e| {
-            s.repair_worker(g.worker_of(e))
-        });
-        self.write_units(g.n_workers() + i);
-        if grown {
-            self.repair_task(t);
-        }
-    }
-
-    /// Worker `w`'s capacity ([`set_worker_capacity`](Self::set_worker_capacity)).
-    pub fn worker_capacity(&self, w: WorkerId) -> u32 {
-        self.w_cap[w.index()]
-    }
-
-    /// Task `t`'s capacity ([`set_task_capacity`](Self::set_task_capacity)).
-    pub fn task_capacity(&self, t: TaskId) -> u32 {
-        self.t_cap[t.index()]
-    }
-
-    /// Every worker's and every task's capacity.
-    pub fn capacities(&self) -> (&[u32], &[u32]) {
-        (&self.w_cap, &self.t_cap)
+    /// Node `v`'s capacity ([`set_capacity`](Self::set_capacity)).
+    pub fn capacity(&self, v: usize) -> u32 {
+        self.caps[v]
     }
 
     /// Drops the `n` lightest assigned edges of `edges` (ties to the higher
-    /// id), then runs `repair` on each.
+    /// id) at node `v`, writes `v`'s units, then runs `repair` on each.
     fn drop_lightest(
         &mut self,
         edges: impl Iterator<Item = EdgeId>,
         n: usize,
+        v: usize,
         repair: impl FnMut(&mut Self, EdgeId),
     ) {
-        if n == 0 {
-            return;
+        let mut held = std::mem::take(&mut self.dropped);
+        if n > 0 {
+            held.extend(edges.filter(|&e| self.in_matching[e.index()]));
+            let w = &self.weights;
+            held.sort_unstable_by(|&a, &b| w[a.index()].total_cmp(&w[b.index()]).then(b.cmp(&a)));
+            held.truncate(n);
         }
-        let mut held = std::mem::take(&mut self.candidates);
-        held.extend(edges.filter(|&e| self.in_matching[e.index()]));
-        let w = &self.weights;
-        held.sort_unstable_by(|&a, &b| w[a.index()].total_cmp(&w[b.index()]).then(b.cmp(&a)));
-        held.truncate(n);
-        self.drop_all(held.drain(..), repair);
-        self.candidates = held;
+        self.drop_listed(held, v, repair);
     }
 
-    /// Unassigns every assigned edge of `edges`, then runs `repair` on
-    /// each dropped edge in turn. Returns how many were dropped.
+    /// Unassigns every assigned edge of `edges` at node `v`, writes `v`'s
+    /// units, then runs `repair` on each dropped edge in turn. Returns how
+    /// many were dropped.
     fn drop_all(
         &mut self,
         edges: impl Iterator<Item = EdgeId>,
-        mut repair: impl FnMut(&mut Self, EdgeId),
+        v: usize,
+        repair: impl FnMut(&mut Self, EdgeId),
     ) -> usize {
         let mut dropped = std::mem::take(&mut self.dropped);
         dropped.extend(edges.filter(|&e| self.in_matching[e.index()]));
+        self.drop_listed(dropped, v, repair)
+    }
+
+    /// Unassigns `dropped`, assigned edges at node `v`, writes `v`'s units,
+    /// runs `repair` on each, and pools the buffer again; the repairs fill
+    /// from the other pooled buffer. Returns how many were dropped.
+    fn drop_listed(
+        &mut self,
+        mut dropped: Vec<EdgeId>,
+        v: usize,
+        mut repair: impl FnMut(&mut Self, EdgeId),
+    ) -> usize {
         for &e in &dropped {
             self.remove(e);
         }
+        self.write_units(v);
         for &e in &dropped {
             repair(self, e);
         }
@@ -478,8 +477,7 @@ impl<'g> IncrementalAssignment<'g> {
     /// Re-activates a worker (logs back in) and greedily assigns it.
     /// Idempotent.
     pub fn activate_worker(&mut self, w: WorkerId) {
-        if !self.worker_active[w.index()] {
-            self.worker_active[w.index()] = true;
+        if !std::mem::replace(&mut self.active[w.index()], true) {
             self.write_units(w.index());
             self.repair_worker(w);
         }
@@ -487,9 +485,9 @@ impl<'g> IncrementalAssignment<'g> {
 
     /// Re-activates a task and greedily fills its demand.
     pub fn activate_task(&mut self, t: TaskId) {
-        if !self.task_active[t.index()] {
-            self.task_active[t.index()] = true;
-            self.write_units(self.g.n_workers() + t.index());
+        let v = self.g.n_workers() + t.index();
+        if !std::mem::replace(&mut self.active[v], true) {
+            self.write_units(v);
             self.repair_task(t);
         }
     }
@@ -530,58 +528,54 @@ impl<'g> IncrementalAssignment<'g> {
                     weight: self.weights[e.index()],
                 });
             }
-            if !self.worker_active[self.g.worker_of(e).index()]
-                || !self.task_active[self.g.task_of(e).index()]
-            {
+            if !self.worker_active(self.g.worker_of(e)) || !self.task_active(self.g.task_of(e)) {
                 return Err(SeedRejection::InactiveEndpoint { edge: e.raw() });
             }
         }
         Ok(())
     }
 
-    /// Applies the difference between the assignment and `keep` (sorted),
-    /// so the change set holds only what it moves: drops the assigned edges
-    /// `keep` leaves out, then adds its new ones. A node over its capacity
-    /// afterwards undoes it all (the total restored bit for bit) and is
-    /// reported.
+    /// Applies the difference between the assignment and `keep` (sorted,
+    /// on active nodes), so the change set holds only what it moves: drops
+    /// the assigned edges `keep` leaves out, then adds its new ones. An
+    /// addition with no room at an end undoes it all (the total restored
+    /// bit for bit) and is reported.
     fn apply_seed(&mut self, keep: &[EdgeId]) -> Result<(), SeedRejection> {
         let total = self.total;
         // The dropped edges, then the added ones.
         let mut moved = std::mem::take(&mut self.dropped);
-        for e in (0..self.g.n_edges() as u32).map(EdgeId::new) {
+        for e in self.g.edges() {
             if self.in_matching[e.index()] && keep.binary_search(&e).is_err() {
                 self.remove(e);
                 moved.push(e);
             }
         }
         let n_dropped = moved.len();
+        let mut over = None;
         for &e in keep {
-            if !self.in_matching[e.index()] {
-                self.insert(e);
-                moved.push(e);
+            if self.in_matching[e.index()] {
+                continue;
             }
-        }
-        let over = keep.iter().find_map(|&e| {
             let (w, t) = (self.g.worker_of(e), self.g.task_of(e));
-            let (wl, tl) = (self.w_load[w.index()], self.t_load[t.index()]);
-            if wl > self.w_cap[w.index()] {
-                let (worker, capacity) = (w.raw(), self.w_cap[w.index()]);
-                Some(Infeasibility::WorkerOverload {
-                    worker,
-                    load: wl,
-                    capacity,
-                })
-            } else if tl > self.t_cap[t.index()] {
-                let (task, demand) = (t.raw(), self.t_cap[t.index()]);
-                Some(Infeasibility::TaskOverload {
-                    task,
-                    load: tl,
-                    demand,
-                })
-            } else {
-                None
+            if self.room(w.index()) == 0 {
+                over = Some(Infeasibility::WorkerOverload {
+                    worker: w.raw(),
+                    load: self.worker_load(w) + 1,
+                    capacity: self.caps[w.index()],
+                });
+            } else if self.room(self.g.n_workers() + t.index()) == 0 {
+                over = Some(Infeasibility::TaskOverload {
+                    task: t.raw(),
+                    load: self.task_load(t) + 1,
+                    demand: self.caps[self.g.n_workers() + t.index()],
+                });
             }
-        });
+            if over.is_some() {
+                break;
+            }
+            self.insert(e);
+            moved.push(e);
+        }
         if over.is_some() {
             for &e in &moved[n_dropped..] {
                 self.remove(e);
@@ -600,13 +594,12 @@ impl<'g> IncrementalAssignment<'g> {
     /// market event stream). If the edge is currently assigned, the running
     /// total is adjusted; a non-finite update on an assigned edge evicts it
     /// (while the old finite weight is still in place, so the total stays
-    /// clean) and greedily repairs both endpoints. The carried network, if
-    /// built, has the edge's cost rewritten, so it must not be NaN then.
+    /// clean) and greedily repairs both endpoints. The carried network has
+    /// the edge's cost rewritten (a NaN as no profit: no solve runs on a
+    /// non-finite weight).
     pub fn set_weight(&mut self, e: EdgeId, w: f64) {
         let i = e.index();
-        if let Some(net) = self.carried() {
-            net.set_cost(e, w);
-        }
+        self.net_mut().set_cost(e, cost(w));
         if self.in_matching[i] {
             if w.is_finite() {
                 let old = self.weights[i];
@@ -629,9 +622,7 @@ impl<'g> IncrementalAssignment<'g> {
     /// Computed in one pass over the edges.
     pub fn active_weights(&self) -> Vec<f64> {
         let (g, w) = (self.g, &self.weights);
-        let live = |e: EdgeId| {
-            self.worker_active[g.worker_of(e).index()] && self.task_active[g.task_of(e).index()]
-        };
+        let live = |e: EdgeId| self.worker_active(g.worker_of(e)) && self.task_active(g.task_of(e));
         let weight = |e: EdgeId| if live(e) { w[e.index()] } else { 0.0 };
         g.edges().map(weight).collect()
     }
@@ -641,46 +632,30 @@ impl<'g> IncrementalAssignment<'g> {
         &self.weights
     }
 
-    /// Lends the carried network out for a solve ([`crate::warm::resolve`]),
-    /// building it at the first call: the graph's network with every edge
-    /// costed from its weight, every node at its effective capacity and
-    /// the assignment as its flow. The state must not change until the
-    /// network comes back through [`settle`](Self::settle).
+    /// Lends the carried network out for a solve ([`crate::warm::resolve`]):
+    /// the graph's network with every edge costed from its weight, every
+    /// node at its effective capacity and the assignment as its flow. The
+    /// state must not change until the network comes back through
+    /// [`settle`](Self::settle).
     ///
     /// # Panics
     /// If the network is lent already.
     pub fn lend_net(&mut self) -> WarmNet {
-        assert!(!self.lent, "the carried network is lent already");
-        let net = self.net.take().unwrap_or_else(|| self.build_net());
-        self.lent = true;
-        net
-    }
-
-    /// The carried network of the state as it stands.
-    fn build_net(&self) -> WarmNet {
-        let mut net = WarmNet::new(self.g);
-        for e in self.g.edges() {
-            net.set_cost(e, self.weights[e.index()]);
-        }
-        for v in 0..self.g.n_workers() + self.g.n_tasks() {
-            net.set_units(v, self.effective_capacity(v));
-        }
-        for e in self.assigned_edges() {
-            net.flip(e, true);
-        }
-        net
+        self.net
+            .take()
+            .expect("the carried network is lent already")
     }
 
     /// Takes the carried network back from the solve `stats` describes.
     /// A completed solve whose flow — less its edges of no positive
     /// weight, which add nothing — is worth more than the assignment, by
     /// more than 1e-12 summed in ascending edge order, becomes the
-    /// assignment: its difference is applied like a
-    /// [`reseed`](Self::reseed)'s, drops then additions, into the change
-    /// set, and the weightless edges leave the flow. Any other solve — cut
-    /// short, or no better — leaves the assignment as it is and writes it
-    /// back as the flow. The prices the solve left stay either way. Returns
-    /// whether the flow was adopted.
+    /// assignment: its difference, drops then additions, each ascending,
+    /// is applied into the change set, and the weightless edges leave the
+    /// flow. Any other solve — cut short, or no better — leaves the
+    /// assignment as it is and writes it back as the flow. The prices the
+    /// solve left stay either way. One pass over the edges reads the flow,
+    /// its value and its difference. Returns whether the flow was adopted.
     ///
     /// Debug builds certify a completed solve's flow against costs derived
     /// from the state's weights, so a cost write the state missed fails
@@ -689,38 +664,51 @@ impl<'g> IncrementalAssignment<'g> {
     /// # Panics
     /// If no network is lent.
     pub fn settle(&mut self, mut net: WarmNet, stats: &WarmStats) -> bool {
-        assert!(self.lent, "no carried network is lent");
-        self.lent = false;
+        assert!(self.net.is_none(), "no carried network is lent");
         self.solves.add(stats);
         debug_assert!(
             !stats.completed || net.certifies(&self.weights),
             "the carried potentials do not certify the solve"
         );
-        // The flow's edges of positive weight, ascending; the rest leave it.
-        let mut keep = std::mem::take(&mut self.candidates);
+        let (mut drops, mut adds) = (
+            std::mem::take(&mut self.dropped),
+            std::mem::take(&mut self.candidates),
+        );
+        let mut value = 0.0;
         for e in self.g.edges() {
-            if net.carries(e) && self.weights[e.index()] > 0.0 {
-                keep.push(e);
-            } else if net.carries(e) {
+            let (carried, weight) = (net.carries(e), self.weights[e.index()]);
+            let kept = carried && weight > 0.0;
+            if kept {
+                value += weight;
+            } else if carried {
                 net.flip(e, false);
             }
+            match (kept, self.in_matching[e.index()]) {
+                (true, false) => adds.push(e),
+                (false, true) => drops.push(e),
+                _ => {}
+            }
         }
-        let value: f64 = keep.iter().map(|e| self.weights[e.index()]).sum();
         let adopted = stats.completed && value > self.total + 1e-12;
         if adopted {
-            self.apply_seed(&keep)
-                .expect("the flow fits the capacities it was solved at");
+            for &e in &drops {
+                self.mark(e, false);
+            }
+            for &e in &adds {
+                self.mark(e, true);
+            }
         } else {
             net.restore(self.assigned_edges());
         }
-        keep.clear();
-        self.candidates = keep;
+        drops.clear();
+        adds.clear();
+        (self.dropped, self.candidates) = (drops, adds);
         self.net = Some(net);
         adopted
     }
 
-    /// The assigned edges, ascending.
-    fn assigned_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
+    /// The assigned edges, ascending: one pass over the edges.
+    pub fn assigned_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
         self.g.edges().filter(|e| self.in_matching[e.index()])
     }
 
@@ -793,14 +781,19 @@ impl<'g> IncrementalAssignment<'g> {
         self.weights[e.index()]
     }
 
-    /// Current assigned load of a worker.
+    /// Current assigned load of a worker, read off the carried network.
     pub fn worker_load(&self, w: WorkerId) -> u32 {
-        self.w_load[w.index()]
+        self.load(w.index())
     }
 
-    /// Current assigned load of a task.
+    /// Current assigned load of a task, read off the carried network.
     pub fn task_load(&self, t: TaskId) -> u32 {
-        self.t_load[t.index()]
+        self.load(self.g.n_workers() + t.index())
+    }
+
+    /// Node `v`'s current assigned load, read off the carried network.
+    pub fn load(&self, v: usize) -> u32 {
+        self.net().node_units(v).1
     }
 
     /// The underlying graph.
@@ -844,40 +837,37 @@ impl<'g> IncrementalAssignment<'g> {
     }
 
     /// Debug validation: feasibility, activity, count, change-set and
-    /// total consistency, and — while the carried network is home — that
-    /// its flow is the assignment and its node capacities the effective
-    /// ones.
+    /// total consistency, and the carried network's own: its flow is the
+    /// assignment, each node's flow its load, within the capacity the
+    /// node holds, and its units the effective capacity.
+    ///
+    /// # Panics
+    /// At the first inconsistency, or if the network is lent.
     pub fn check_invariants(&self) {
         let m = self.matching();
         m.validate(self.g).expect("maintained matching feasible");
         assert_eq!(self.len(), m.len(), "assigned-edge count drift");
         assert_eq!(self.is_empty(), m.is_empty());
+        let (n_w, net) = (self.g.n_workers(), self.net());
+        let mut loads = vec![0; self.caps.len()];
         for &e in &m.edges {
-            assert!(self.worker_active[self.g.worker_of(e).index()]);
-            assert!(self.task_active[self.g.task_of(e).index()]);
-        }
-        for w in self.g.workers() {
+            let (w, t) = (self.g.worker_of(e).index(), n_w + self.g.task_of(e).index());
             assert!(
-                self.w_load[w.index()] <= self.w_cap[w.index()],
-                "worker {w} over"
+                self.active[w] && self.active[t],
+                "edge {e} at an inactive node"
             );
+            loads[w] += 1;
+            loads[t] += 1;
         }
-        for t in self.g.tasks() {
-            assert!(
-                self.t_load[t.index()] <= self.t_cap[t.index()],
-                "task {t} over"
-            );
+        for e in self.g.edges() {
+            assert_eq!(net.carries(e), self.edge_assigned(e), "edge {e}: flow");
         }
-        if let Some(net) = &self.net {
-            for e in self.g.edges() {
-                assert_eq!(net.carries(e), self.edge_assigned(e), "edge {e}: flow");
-            }
-            let loads = self.w_load.iter().chain(&self.t_load);
-            for (v, &load) in loads.enumerate() {
-                let (units, flow) = net.node_units(v);
-                assert_eq!(units, self.effective_capacity(v), "node {v}: capacity");
-                assert_eq!(flow, load, "node {v}: flow");
-            }
+        for (v, &load) in loads.iter().enumerate() {
+            let (units, flow) = net.node_units(v);
+            let effective = if self.active[v] { self.caps[v] } else { 0 };
+            assert_eq!(units, effective, "node {v}: capacity");
+            assert_eq!(flow, load, "node {v}: flow");
+            assert!(load <= self.caps[v], "node {v} over");
         }
         let mut listed = vec![false; self.g.n_edges()];
         for &(e, _) in &self.changed {
@@ -891,6 +881,15 @@ impl<'g> IncrementalAssignment<'g> {
             "total drift: cached {} vs recomputed {recomputed}",
             self.total
         );
+    }
+}
+
+/// The weight a carried network is costed at: a NaN as no profit.
+fn cost(w: f64) -> f64 {
+    if w.is_nan() {
+        0.0
+    } else {
+        w
     }
 }
 
@@ -1137,11 +1136,11 @@ mod tests {
             let t = TaskId::from_index(rng.next_index(g.n_tasks()));
             match rng.next_below(7) {
                 0 => {
-                    let (load, old) = (inc.worker_load(w), inc.worker_capacity(w));
+                    let (load, old) = (inc.worker_load(w), inc.capacity(w.index()));
                     let cap = rng.next_below(u64::from(g.capacity(w)) + 1) as u32;
                     let before = inc.matching();
-                    inc.set_worker_capacity(w, cap);
-                    assert_eq!(inc.worker_capacity(w), cap);
+                    inc.set_capacity(w.index(), cap);
+                    assert_eq!(inc.capacity(w.index()), cap);
                     if cap < load {
                         assert_eq!(inc.worker_load(w), cap, "drops only the excess");
                         dropped += 1;
@@ -1152,7 +1151,7 @@ mod tests {
                 }
                 1 => {
                     let cap = rng.next_below(u64::from(g.demand(t)) + 1) as u32;
-                    inc.set_task_capacity(t, cap);
+                    inc.set_capacity(g.n_workers() + t.index(), cap);
                     assert!(inc.task_load(t) <= cap);
                 }
                 2 => {

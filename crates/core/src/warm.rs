@@ -6,23 +6,18 @@
 //! from scratch there wastes the one thing a long-lived shard has plenty
 //! of: prior state. So every serving exact solve repairs a kept
 //! [`mbta_matching::warm::WarmNet`], carrying its node potentials across
-//! calls, where they are repaired locally instead of recomputed. There are
-//! two ways to keep one:
+//! calls, where they are repaired locally instead of recomputed.
 //!
-//! * **Carried by the shard state.** A shard's
-//!   [`crate::incremental::IncrementalAssignment`] owns its network and
-//!   writes every assignment change, weight and capacity to it as it
-//!   happens, so the flow on it is the assignment; a solve is [`resolve`]
-//!   on the lent network, on whichever thread, and
-//!   [`IncrementalAssignment::settle`](crate::incremental::IncrementalAssignment::settle)
-//!   reads the result back. Nothing is copied in.
-//! * **Seeded by the caller.** [`WarmSolver`] holds a network for a
-//!   market whose state lives elsewhere — the boundary rescue's, over the
-//!   plan epoch's cross edges, whose node capacities move to each batch's
-//!   residuals — and each [`WarmSolver::solve_seeded`] writes the costs,
-//!   applies the caller's matching and runs the same repair. A node out of
-//!   the market is closed at capacity 0
-//!   ([`WarmSolver::update_capacities`]), not priced out.
+//! The network is carried by the market's state: a
+//! [`crate::incremental::IncrementalAssignment`] — a shard's, or the
+//! boundary market's over a plan's cut — owns it and writes every
+//! assignment change, weight and capacity to it as it happens, so the flow
+//! on it is the assignment. A solve is [`resolve`] on the lent network, on
+//! whichever thread, and
+//! [`IncrementalAssignment::settle`](crate::incremental::IncrementalAssignment::settle)
+//! reads the result back. Nothing is copied in. [`WarmSolver`] is the
+//! same repair for a caller that keeps no state of its own: it seeds each
+//! solve with its previous result. No serving path is such a caller.
 //!
 //! Telemetry (`mbta_core_warm_solves_total` / `mbta_core_warm_hits_total`)
 //! counts every serving exact solve — batch shard solves on the service's
@@ -31,20 +26,14 @@
 //! which repairs from zero prices, less the ones a deadline cut short. A
 //! cut solve's flow is no result — the seed comes back — but its prices
 //! stay, so the next one resumes from them.
-//!
-//! A seeded solve's matching is filtered to strictly positive weights
-//! before it is handed back, as a carried solve's settling drops its
-//! weightless edges: a zero-weight edge adds nothing, and an assignment
-//! that takes none is what
-//! [`crate::incremental::IncrementalAssignment::reseed`] adopts.
 
-use mbta_graph::{BipartiteGraph, EdgeId};
+use mbta_graph::BipartiteGraph;
 use mbta_matching::warm::{WarmNet, WarmStats};
 use mbta_matching::Matching;
 use mbta_util::SolveCtl;
 
-/// Lifetime counters of one kept network: a [`WarmSolver`]'s, or a shard
-/// state's carried one.
+/// Lifetime counters of one kept network: a [`WarmSolver`]'s, or a
+/// market state's carried one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmSolverStats {
     /// Exact re-solves performed.
@@ -65,7 +54,7 @@ impl WarmSolverStats {
     }
 }
 
-/// One solve of a shard state's carried network
+/// One solve of a market state's carried network
 /// ([`IncrementalAssignment::lend_net`](crate::incremental::IncrementalAssignment::lend_net)):
 /// the repair of the flow the state wrote, in place, counted like every
 /// serving solve. The state settles it.
@@ -81,13 +70,13 @@ fn record(s: &WarmStats) {
     mbta_telemetry::counter_add!("mbta_core_warm_hits_total", u64::from(s.warm));
 }
 
-/// A reusable exact solver bound to one topology, seeded by its caller.
+/// A reusable exact solver bound to one topology, seeded with its own
+/// previous result.
 ///
 /// # Example
 /// ```
 /// use mbta_core::warm::WarmSolver;
 /// use mbta_graph::random::from_edges;
-/// use mbta_matching::Matching;
 /// use mbta_util::SolveCtl;
 ///
 /// let g = from_edges(
@@ -98,11 +87,10 @@ fn record(s: &WarmStats) {
 /// let (mut solver, ctl) = (WarmSolver::new(&g), SolveCtl::unlimited());
 /// // A first solve repairs from zero prices; it picks the 0.8 + 0.7
 /// // pairing over the 0.9.
-/// let mut m = Matching::empty();
-/// assert!(solver.solve_seeded(&g, &[0.9, 0.8, 0.7], &mut m, &ctl));
-/// assert_eq!(m.len(), 2);
+/// let (m, completed) = solver.solve(&g, &[0.9, 0.8, 0.7], &ctl);
+/// assert!(completed && m.len() == 2);
 /// // Drifted weights re-solve warm, seeded with the previous matching.
-/// solver.solve_seeded(&g, &[0.95, 0.79, 0.71], &mut m, &ctl);
+/// let (m, _) = solver.solve(&g, &[0.95, 0.79, 0.71], &ctl);
 /// assert_eq!(m.len(), 2);
 /// assert_eq!(solver.stats().warm_hits, 1);
 /// ```
@@ -125,47 +113,12 @@ impl WarmSolver {
         }
     }
 
-    /// Replaces the node capacities for every later solve (see
-    /// [`WarmNet::set_capacities`]); the carried potentials are kept.
-    pub fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
-        self.net.set_capacities(workers, tasks);
-    }
-
-    /// Moves the named nodes' capacities for every later solve (see
-    /// [`WarmNet::update_capacities`]); the carried potentials are kept.
-    pub fn update_capacities(&mut self, units: impl IntoIterator<Item = (usize, u32)>) {
-        self.net.update_capacities(units);
-    }
-
-    /// The edges the capacities in force leave open (see
-    /// [`WarmNet::open_edges`]).
-    pub fn open_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.net.open_edges()
-    }
-
     /// Exact free-cardinality maximum-weight matching under `weights`,
-    /// repaired from the seed `m` (any matching feasible on `g` under the
-    /// capacities in force) and the carried potentials, which replaces
-    /// `m`; and whether it ran to completion (`false`: `ctl` cut it short,
-    /// `m` is the seed and not optimal, and the next solve resumes from the
-    /// prices the cut left). The result is filtered to strictly positive
-    /// weights. Allocates nothing once `m` has room for the result.
-    pub fn solve_seeded(
-        &mut self,
-        g: &BipartiteGraph,
-        weights: &[f64],
-        m: &mut Matching,
-        ctl: &SolveCtl,
-    ) -> bool {
-        let stats = self.net.solve_in_place(g, weights, m, ctl);
-        self.record(&stats);
-        m.edges.retain(|e| weights[e.index()] > 0.0);
-        stats.completed
-    }
-
-    /// [`solve_seeded`](Self::solve_seeded) for a caller that keeps no
-    /// matching of its own: seeded with this method's previous result. No
-    /// serving path is such a caller; the signature is what `mbta-bench`'s
+    /// repaired from this method's previous result and the carried
+    /// potentials; and whether it ran to completion (`false`: `ctl` cut it
+    /// short, the matching is the seed and not optimal, and the next solve
+    /// resumes from the prices the cut left). The result is filtered to
+    /// strictly positive weights. The signature is what `mbta-bench`'s
     /// `core.warm_solve_ms` probe calls.
     pub fn solve(
         &mut self,
@@ -174,19 +127,17 @@ impl WarmSolver {
         ctl: &SolveCtl,
     ) -> (Matching, bool) {
         let mut m = std::mem::take(&mut self.prev);
-        let completed = self.solve_seeded(g, weights, &mut m, ctl);
+        let stats = self.net.solve_in_place(g, weights, &mut m, ctl);
+        self.stats.add(&stats);
+        record(&stats);
+        m.edges.retain(|e| weights[e.index()] > 0.0);
         self.prev = m.clone();
-        (m, completed)
+        (m, stats.completed)
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> WarmSolverStats {
         self.stats
-    }
-
-    fn record(&mut self, s: &WarmStats) {
-        self.stats.add(s);
-        record(s);
     }
 }
 
@@ -215,13 +166,11 @@ mod tests {
         // changes nothing, round by round and in the lifetime counters.
         let mut budgeted = WarmSolver::new(&g);
         let ample = SolveCtl::unlimited().with_deadline(Deadline::after_ms(3_600_000));
-        let mut m = Matching::empty();
         for round in 0..8u64 {
-            let mut twin = m.clone();
-            assert!(solver.solve_seeded(&g, &w, &mut m, &SolveCtl::unlimited()));
+            let (m, completed) = solver.solve(&g, &w, &SolveCtl::unlimited());
+            assert!(completed);
             m.validate(&g).unwrap();
-            assert!(budgeted.solve_seeded(&g, &w, &mut twin, &ample));
-            assert_eq!(twin, m);
+            assert_eq!(budgeted.solve(&g, &w, &ample), (m.clone(), true));
             let (cold, _) =
                 max_weight_bmatching(&g, &w, FlowMode::FreeCardinality, PathAlgo::Dijkstra);
             assert!(
@@ -259,9 +208,7 @@ mod tests {
         // Active-subgraph weights zero out the deactivated worker's edge.
         let aw = inc.active_weights();
         assert_eq!(aw, vec![0.9, 0.0]);
-        let mut solver = WarmSolver::new(&g);
-        let mut m = Matching::empty();
-        solver.solve_seeded(&g, &aw, &mut m, &SolveCtl::unlimited());
+        let (m, _) = WarmSolver::new(&g).solve(&g, &aw, &SolveCtl::unlimited());
         // The filtered result must be adoptable despite the inactive node.
         inc.reseed(&m).unwrap();
         inc.check_invariants();

@@ -69,7 +69,11 @@ pub fn induce(
     let mut w_map = vec![NONE; parent.n_workers()];
     let mut t_map = vec![NONE; parent.n_tasks()];
 
-    let mut b = GraphBuilder::new();
+    // Sized for every edge of the selected workers: the builder's duplicate
+    // check would otherwise rehash as the subgraph grows.
+    let degree = |&(w, _): &(WorkerId, u32)| parent.worker_degree(w);
+    let n_edges = spec.workers.iter().map(degree).sum();
+    let mut b = GraphBuilder::with_capacity(spec.workers.len(), spec.tasks.len(), n_edges);
     let mut worker_back = Vec::new();
     for &(w, cap) in spec.workers {
         if cap == 0 {

@@ -559,9 +559,9 @@ pub(crate) struct BipartiteNet {
     sink_arcs: Vec<u32>,
     pub(crate) sc: Scratch,
     /// The part of the market the capacities in force leave open, listed
-    /// when the network is built and kept by
-    /// [`update_capacities`](Self::update_capacities): every pass that
-    /// would walk the whole network walks this instead.
+    /// when the network is built and kept by [`set_units`](Self::set_units)
+    /// and [`flush`](Self::flush): every pass that would walk the whole
+    /// network walks this instead.
     pub(crate) open: Open,
 }
 
@@ -665,37 +665,6 @@ impl BipartiteNet {
         let a = self.edge_arcs[e.index()] as usize;
         let profit = benefit_to_profit(weight);
         (self.net.cost[a], self.net.cost[a ^ 1]) = (-profit, profit);
-    }
-
-    /// Rewrites the capacities, leaving the network at zero flow: worker
-    /// `w` may take `workers[w]` units, task `t` needs `tasks[t]`, and an
-    /// edge with an endpoint that has none is closed, so no search enters
-    /// the part of the market that cannot carry flow. It is
-    /// [`update_capacities`](Self::update_capacities) of every node: one
-    /// comparison per node plus what changed and what is open.
-    pub(crate) fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
-        assert_eq!(
-            [workers.len(), tasks.len()],
-            self.shape()[..2],
-            "capacity slice length mismatch"
-        );
-        self.update_capacities(workers.iter().chain(tasks).copied().enumerate());
-        self.reset_flow();
-    }
-
-    /// [`set_capacities`](Self::set_capacities) for the named nodes only:
-    /// each of `units` — `(node, units)`, node `i` being worker `i` below
-    /// the worker count and task `i − workers` above it — moves to its new
-    /// capacity ([`set_units`](Self::set_units)), and every other node
-    /// keeps its own; then the [`flush`](Self::flush). It costs what
-    /// changed, plus what is open when a node opened or closed, not the
-    /// market. Flow more than a moved capacity fits is the next
-    /// [`apply`](Self::apply)'s to reset.
-    pub(crate) fn update_capacities(&mut self, units: impl IntoIterator<Item = (usize, u32)>) {
-        for (i, c) in units {
-            self.set_units(1 + i, c);
-        }
-        self.flush();
     }
 
     /// Moves inner node `v`'s capacity to `c`, keeping the flow through it
@@ -893,13 +862,6 @@ impl BipartiteNet {
         open.arcs.extend(open.nodes.iter().map(hub));
         open.arcs
             .extend(open.edges.iter().map(|e| self.edge_arcs[e.index()]));
-    }
-
-    /// The edges the capacities in force leave open, in no particular
-    /// order.
-    pub(crate) fn open_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        let open = self.open.edges.iter().copied();
-        open.filter(|&e| self.edge_open(e))
     }
 
     /// Zeroes all flow: every listed arc's twin hands its capacity back.

@@ -65,15 +65,15 @@
 //! certificate.
 //!
 //! Capacities may move between solves as well as costs
-//! ([`WarmNet::update_capacities`], [`WarmNet::set_units`] — a serving
-//! shard closes the nodes that are out of its market, and the
-//! boundary-rescue market of a plan epoch is one topology whose node
-//! capacities are each batch's residuals). Steps 1–4 never see the change
-//! as such: a flow that fits the new capacities is a feasible flow, the
-//! carried potentials are *some* potentials, and an arc a capacity opened
-//! or widened is saturated or left alone by the same reduced-cost test as
-//! any other. A node given no capacity is closed, and so is every edge at
-//! it: their arcs have no capacity either way, so no search enters them,
+//! ([`WarmNet::set_units`]: a serving shard closes the nodes that are out
+//! of its market, and the boundary market of a plan epoch, a shard state
+//! too, moves its nodes to the units the shards offer it each batch).
+//! Steps 1–4 never see the change as such: a flow that fits the new
+//! capacities is a feasible flow, the carried potentials are *some*
+//! potentials, and an arc a capacity opened or widened is saturated or
+//! left alone by the same reduced-cost test as any other. A node given no
+//! capacity is closed, and so is every edge at it: their arcs have no
+//! capacity either way, so no search enters them,
 //! re-pricing a closed node moves nothing, and saturating or resetting its
 //! arcs writes nothing. A solve therefore walks only the open part: the net
 //! lists the open workers, tasks and edges when it is built (from the
@@ -180,32 +180,6 @@ impl WarmNet {
         self.has_prior
     }
 
-    /// Replaces the capacities `g` was built with for every later solve:
-    /// worker `w` may take `workers[w]` edges, task `t` `tasks[t]`, and a
-    /// node given 0 is out of the market (its edges are closed to every
-    /// search). Carried potentials survive — to the repair a capacity
-    /// change is one more way the seed and the duals stopped agreeing — but
-    /// each seed must fit the capacities in force, or its solve repairs
-    /// from the empty flow.
-    ///
-    /// # Panics
-    /// If a slice does not have one entry per worker / per task.
-    pub fn set_capacities(&mut self, workers: &[u32], tasks: &[u32]) {
-        self.bn.set_capacities(workers, tasks);
-    }
-
-    /// [`set_capacities`](Self::set_capacities) for the named nodes only:
-    /// each of `units` is `(node, units)`, node `i` being worker `i` below
-    /// the worker count and task `i − workers` above it; every other node
-    /// keeps its capacity. It costs what changed plus what is open, where
-    /// `set_capacities` also compares every node.
-    ///
-    /// # Panics
-    /// If a node is out of range.
-    pub fn update_capacities(&mut self, units: impl IntoIterator<Item = (usize, u32)>) {
-        self.bn.update_capacities(units);
-    }
-
     /// The carried potentials, based at the hub: after a completed solve,
     /// the proof that the matching it returned is optimal, for
     /// [`crate::mcmf::verify_certificate`]; after a cut one, only where the
@@ -214,12 +188,6 @@ impl WarmNet {
         Certificate {
             potentials: self.bn.sc.pi.clone(),
         }
-    }
-
-    /// The edges the capacities in force leave open — both endpoints have
-    /// capacity — in no particular order.
-    pub fn open_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.bn.open_edges()
     }
 
     /// Exact free-cardinality maximum-weight b-matching on the fixed
@@ -256,6 +224,7 @@ impl WarmNet {
         // Edge count alone would let a same-sized shard of another plan in.
         let shape = [g.n_workers(), g.n_tasks(), g.n_edges()];
         assert_eq!(shape, self.shape(), "graph topology changed");
+        self.bn.flush();
         self.bn.set_costs(weights);
         // An infeasible seed only happens on a caller bug; the repair then
         // starts from the empty flow rather than panicking.
@@ -314,8 +283,8 @@ impl WarmNet {
     /// Node `i`'s capacity and the flow through it (node numbering as in
     /// [`set_units`](Self::set_units)).
     pub fn node_units(&self, i: usize) -> (u32, u32) {
-        let a = self.bn.hub_arc(1 + i);
-        (self.bn.hub_units(1 + i), self.bn.net.flow(a))
+        let (a, cap) = (self.bn.hub_arc(1 + i) as usize, &self.bn.net.cap);
+        (cap[a] + cap[a ^ 1], cap[a ^ 1])
     }
 
     /// Replaces the flow with `edges`, which must fit the capacities in
@@ -910,11 +879,11 @@ mod tests {
         let ctl = SolveCtl::unlimited();
         let of = |c: u32| (vec![c; g.n_workers()], vec![c; g.n_tasks()]);
         let (wc, tc) = of(1);
-        net.set_capacities(&wc, &tc);
+        set_capacities(&mut net, &wc, &tc);
         let (prev, _) = net.solve(&g, &base, &Matching::empty(), &ctl);
         // Back to the market's own.
         let (wc, tc) = of(2);
-        net.set_capacities(&wc, &tc);
+        set_capacities(&mut net, &wc, &tc);
         let owed = hub_owed(&net, &g, &base, &prev);
         let (m, stats) = net.solve(&g, &base, &prev, &ctl);
         let units = stats.iterations;
@@ -1016,6 +985,15 @@ mod tests {
         Matching::from_edges(m.edges.iter().copied().filter(fits).collect())
     }
 
+    /// Moves every node of `net` to `workers` and `tasks`, at zero flow:
+    /// the next solve's seed is applied afresh.
+    fn set_capacities(net: &mut WarmNet, workers: &[u32], tasks: &[u32]) {
+        net.restore(std::iter::empty());
+        for (i, &c) in workers.iter().chain(tasks).enumerate() {
+            net.set_units(i, c);
+        }
+    }
+
     /// `g` induced with `caps = (workers, tasks)`: the market a solve after
     /// `set_capacities(caps)` sees, its closed nodes left out.
     fn restricted(g: &BipartiteGraph, caps: (&[u32], &[u32])) -> Subgraph {
@@ -1081,7 +1059,7 @@ mod tests {
     /// 240 solves is the cold optimum of the restricted market, certified
     /// there by hub-based potentials, and equal — matching, counters and
     /// every node's potential — to the same solve by a net told only the
-    /// nodes that moved ([`WarmNet::update_capacities`]).
+    /// nodes that moved ([`WarmNet::set_units`]).
     #[test]
     fn capacity_churn_resolves_exact_on_the_open_market() {
         const ROUNDS: u64 = 240;
@@ -1097,7 +1075,7 @@ mod tests {
         let (mut prev, mut open_edges, ctl) = (Matching::empty(), 0, SolveCtl::unlimited());
         for round in 0..ROUNDS {
             let caps = (&wc[..], &tc[..]);
-            net.set_capacities(&wc, &tc);
+            set_capacities(&mut net, &wc, &tc);
             let now: Vec<u32> = wc.iter().chain(&tc).copied().collect();
             let mut moved: Vec<(usize, u32)> = (0..now.len())
                 .filter(|&i| now[i] != last[i])
@@ -1106,18 +1084,18 @@ mod tests {
             if let Some(&(i, c)) = moved.first() {
                 moved.insert(0, (i, c + 1));
             }
-            named.update_capacities(moved);
+            named.restore(std::iter::empty());
+            for (i, c) in moved {
+                named.set_units(i, c);
+            }
             last = now;
             let seed = trim(&g, &prev, caps);
             let (m, stats) = net.solve(&g, &w, &seed, &ctl);
             assert!(stats.completed && hub_based(&net), "round {round}");
             let solved = (m, stats);
-            let open = |net: &WarmNet| {
-                let mut open: Vec<EdgeId> = net.open_edges().collect();
-                open.sort_unstable();
-                open
-            };
-            assert_eq!(open(&named), open(&net), "round {round}");
+            let units = |net: &WarmNet| (0..last.len()).map(|i| net.node_units(i).0).collect();
+            let units: (Vec<_>, Vec<_>) = (units(&named), units(&net));
+            assert_eq!(units.0, units.1, "round {round}");
             assert_eq!(solved, named.solve(&g, &w, &seed, &ctl), "round {round}");
             let m = solved.0;
             let pi = net.certificate().potentials;
@@ -1128,7 +1106,8 @@ mod tests {
                 "round {round}"
             );
             assert!(certified_under(&net, &g, &w, &m, caps), "round {round}");
-            open_edges += net.open_edges().count();
+            let open = |e: &EdgeId| wc[g.worker_of(*e).index()] * tc[g.task_of(*e).index()] > 0;
+            open_edges += g.edges().filter(open).count();
             prev = m;
             drift(&mut w, round, 0.1);
             churn(&mut wc, &mut rng);
@@ -1161,7 +1140,7 @@ mod tests {
                 let wc = capacities(g.n_workers(), round, seed);
                 let tc = capacities(g.n_tasks(), round, seed + 100);
                 let caps = (&wc[..], &tc[..]);
-                net.set_capacities(&wc, &tc);
+                set_capacities(&mut net, &wc, &tc);
                 let start = trim(&g, &prev, caps);
                 let (m, stats) = net.solve(&g, &w, &start, &SolveCtl::unlimited());
                 assert_eq!(
@@ -1203,7 +1182,7 @@ mod tests {
         drift(&mut w, 1, 0.2);
         let (wc, tc) = (capacities(24, 1, 7), capacities(24, 1, 8));
         let caps = (&wc[..], &tc[..]);
-        primed.set_capacities(&wc, &tc);
+        set_capacities(&mut primed, &wc, &tc);
         let start = trim(&g, &prev, caps);
         assert!(
             start.len() < prev.len(),
@@ -1214,14 +1193,6 @@ mod tests {
         let fits = |_: &WarmNet, m: &Matching| trim(&g, m, caps) == *m;
         let (interrupted, _) = interrupt_at_every_poll(&primed, &g, &w, &start, optimum, fits);
         assert!(interrupted > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity slice length mismatch")]
-    fn capacities_of_the_wrong_length_panic() {
-        use mbta_graph::random::from_edges;
-        let g = from_edges(&[1, 1], &[2], &[(0, 0, 0.5, 0.5), (1, 0, 0.4, 0.4)]);
-        WarmNet::new(&g).set_capacities(&[1], &[2]);
     }
 
     /// A cut keeps its prices, and those carry the cut's work into the next

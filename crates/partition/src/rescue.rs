@@ -2,9 +2,9 @@
 //!
 //! Cross-shard edges are unassignable by the shard solvers. Together they
 //! form a second-stage matching market, built once per plan epoch
-//! ([`epoch_market`]), that the service re-solves every batch on a carried
-//! solver: each node offers the units its home shard leaves it, and every
-//! unit the overlay holds is ceded by that shard. The ceding itself lives
+//! ([`epoch_market`]), that the service keeps as one more shard state and
+//! re-solves every batch: each node offers the units its home shard leaves
+//! it, and every unit the overlay holds is ceded by that shard. The ceding itself lives
 //! in the service, which owns the shard states, their carried networks and
 //! the deadline policy (DESIGN.md §13.2). [`validate_rescue`] re-checks a
 //! proposed overlay against the residuals the shards leave: keeping the
@@ -41,29 +41,37 @@ pub fn epoch_market(g: &BipartiteGraph, is_cross: impl Fn(EdgeId) -> bool) -> Su
 /// (as an overlay is): a chosen edge that is not cross-shard, chosen twice,
 /// or a worker or task whose load exceeds its residual. Zero means the
 /// union (shards + rescue) is feasible. Loads are counted over the
-/// overlay's own nodes, so a check costs the overlay, not the universe.
+/// overlay's own nodes, in the pooled `ends` (empty between calls), so a
+/// check costs the overlay, not the universe, and allocates nothing once
+/// `ends` has grown.
 pub fn validate_rescue(
     g: &BipartiteGraph,
     mut is_cross: impl FnMut(EdgeId) -> bool,
     w_residual: impl Fn(WorkerId) -> u32,
     t_residual: impl Fn(TaskId) -> u32,
-    chosen: &[EdgeId],
+    chosen: impl IntoIterator<Item = EdgeId>,
+    ends: &mut (Vec<WorkerId>, Vec<TaskId>),
 ) -> usize {
-    debug_assert!(chosen.is_sorted(), "the overlay is not sorted");
-    let not_cross = chosen.iter().filter(|&&e| !is_cross(e)).count();
-    let repeated = chosen.windows(2).filter(|p| p[0] == p[1]).count();
-    let workers = chosen.iter().map(|&e| g.worker_of(e)).collect();
-    let tasks = chosen.iter().map(|&e| g.task_of(e)).collect();
-    not_cross + repeated + overloaded(workers, w_residual) + overloaded(tasks, t_residual)
+    let (mut faults, mut last) = (0, None);
+    for e in chosen {
+        debug_assert!(last <= Some(e), "the overlay is not sorted");
+        faults += usize::from(!is_cross(e)) + usize::from(last == Some(e));
+        last = Some(e);
+        ends.0.push(g.worker_of(e));
+        ends.1.push(g.task_of(e));
+    }
+    faults + overloaded(&mut ends.0, w_residual) + overloaded(&mut ends.1, t_residual)
 }
 
 /// How many distinct nodes of `ends` — one entry per chosen edge at the
-/// node — occur more often than `residual` allows.
-fn overloaded<N: Ord + Copy>(mut ends: Vec<N>, residual: impl Fn(N) -> u32) -> usize {
+/// node — occur more often than `residual` allows; `ends` is left empty.
+fn overloaded<N: Ord + Copy>(ends: &mut Vec<N>, residual: impl Fn(N) -> u32) -> usize {
     ends.sort_unstable();
     let load = ends.chunk_by(|a, b| a == b);
-    load.filter(|run| run.len() > residual(run[0]) as usize)
-        .count()
+    let over = load.filter(|run| run.len() > residual(run[0]) as usize);
+    let n = over.count();
+    ends.clear();
+    n
 }
 
 #[cfg(test)]
@@ -108,7 +116,7 @@ mod tests {
 
     #[test]
     fn validator_counts_each_failure_mode() {
-        let (g, _) = tiny();
+        let ((g, _), mut pool) = (tiny(), Default::default());
         // Edge 0 is intra (not cross) and chosen twice (two not-cross
         // hits plus one duplicate), and worker 0's residual is 0: four
         // violations in all.
@@ -117,40 +125,48 @@ mod tests {
             |e| e.index() != 0,
             |w| [0, 2][w.index()],
             |_| 2,
-            &[EdgeId::new(0), EdgeId::new(0)],
+            [EdgeId::new(0), EdgeId::new(0)],
+            &mut pool,
         );
         assert_eq!(v, 4);
         // A clean rescue passes.
-        let v = validate_rescue(&g, |_| true, |_| 1, |_| 1, &[EdgeId::new(3)]);
+        let v = validate_rescue(&g, |_| true, |_| 1, |_| 1, [EdgeId::new(3)], &mut pool);
         assert_eq!(v, 0);
     }
 
     #[test]
     fn validator_counts_a_duplicate_once_per_repeat() {
-        let (g, _) = tiny();
-        let v = validate_rescue(&g, |_| true, |_| 4, |_| 4, &ids(&[1, 3, 3, 3]));
+        let ((g, _), mut pool) = (tiny(), Default::default());
+        let v = validate_rescue(&g, |_| true, |_| 4, |_| 4, ids(&[1, 3, 3, 3]), &mut pool);
         assert_eq!(v, 2);
     }
 
     #[test]
     fn validator_counts_each_non_cross_edge() {
-        let (g, _) = tiny();
-        let v = validate_rescue(&g, |e| e.index() == 3, |_| 2, |_| 2, &ids(&[0, 2, 3]));
+        let ((g, _), mut pool) = (tiny(), Default::default());
+        let v = validate_rescue(
+            &g,
+            |e| e.index() == 3,
+            |_| 2,
+            |_| 2,
+            ids(&[0, 2, 3]),
+            &mut pool,
+        );
         assert_eq!(v, 2);
     }
 
     #[test]
     fn validator_counts_each_overloaded_node_once() {
-        let (g, _) = tiny();
+        let ((g, _), mut pool) = (tiny(), Default::default());
         // Worker 1 takes both its edges on a residual of 1; tasks 0 and 1
         // take one each. One violation, however far over.
-        let v = validate_rescue(&g, |_| true, |_| 1, |_| 1, &ids(&[2, 3]));
+        let v = validate_rescue(&g, |_| true, |_| 1, |_| 1, ids(&[2, 3]), &mut pool);
         assert_eq!(v, 1);
         // Task 0 takes edges 0 and 2 on a residual of 1: one more.
-        let v = validate_rescue(&g, |_| true, |_| 2, |_| 1, &ids(&[0, 2]));
+        let v = validate_rescue(&g, |_| true, |_| 2, |_| 1, ids(&[0, 2]), &mut pool);
         assert_eq!(v, 1);
         // A residual of 0 is overloaded by a single edge, at both ends.
-        let v = validate_rescue(&g, |_| true, |_| 0, |_| 0, &ids(&[1]));
+        let v = validate_rescue(&g, |_| true, |_| 0, |_| 0, ids(&[1]), &mut pool);
         assert_eq!(v, 2);
     }
 }

@@ -2,10 +2,12 @@
 //! machine that does no I/O.
 //!
 //! A [`Dispatcher`] holds the decision state and nothing else: over the
-//! current [`ShardPlan`], per-shard [`IncrementalAssignment`]s (each owning
-//! its shard's carried flow network), the [`CutTracker`], the live weights, poison marks, and
-//! the mode's own state — the boundary-rescue overlay and market in batch
-//! mode, the drift accumulators in online mode. Its steps are plain calls:
+//! current [`ShardPlan`], one [`IncrementalAssignment`] per market — each
+//! shard's and, with the boundary pass on, the boundary market's over the
+//! plan's cut, each owning its carried flow network — the [`CutTracker`],
+//! the live weights, poison marks, and the mode's own state — the boundary
+//! market's ceding and prices in batch mode, the drift accumulators in
+//! online mode. Its steps are plain calls:
 //! [`Dispatcher::batch`], [`Dispatcher::event`] and [`Dispatcher::close`]
 //! each return a [`Commit`] (stats and record head; the weight updates and
 //! decisions stay in the dispatcher's pooled buffers, lent by
@@ -21,11 +23,11 @@
 //!          per touched healthy shard, via the solve pool, one re-solve of
 //!          the shard's carried network, which holds the repaired
 //!          assignment, racing one shared deadline; adopt improvements;
-//!          [boundary rescue: the plan's cross-edge market re-solved on
-//!          its own carried solver over the units the shards leave, every
-//!          unit it takes ceded by its home shard; then reserve, at posted
-//!          prices, the units the next batch cedes]; drain the touched
-//!          shards' change sets
+//!          [boundary rescue: the boundary market's state moved to the
+//!          units the shards leave and re-solved the same way, every unit
+//!          its overlay takes ceded by its home shard; then reserve, at
+//!          posted prices, the units the next batch cedes]; drain the
+//!          touched markets' change sets
 //!  event:  route + apply one event, depth-1 exchange, drift accounting
 //!          off the change set, past the threshold re-solve the same
 //!          carried network; drain the shard's change set
@@ -33,28 +35,27 @@
 //!                 --> Commit (+ pooled deltas and decisions)
 //! ```
 //!
-//! **One decision path.** Each shard state keeps one change set: every
+//! **One decision path.** Each market state keeps one change set: every
 //! edge whose assignment moved since the last drain, once (see
-//! `mbta_core::incremental`). Every shard decision — a batch's, an online
-//! event's, a closing solve's — comes from draining it in
-//! `shard_decisions`, so however a step churned an edge (repair, eviction,
-//! exchange, reseed), only its net change is decided. A re-plan drains and
-//! discards after its migration reseeds: the migration is a plan record.
+//! `mbta_core::incremental`). Every decision — a shard's in a batch, the
+//! overlay's (pseudo-shard `n_shards`), an online event's, a closing
+//! solve's — comes from draining it in `shard_decisions`, so however a step
+//! churned an edge (repair, eviction, exchange, reseed), only its net
+//! change is decided. A re-plan drains and discards after its migration
+//! reseeds: the migration is a plan record.
 //!
-//! **One exact tier.** A shard's market changes by a batch of events
-//! between exact solves, so neither mode builds and cold-solves a flow
-//! network per solve: each shard state owns one (built at the shard's
-//! first exact solve, dropped with the plan), writes every change to it as
-//! it happens, and every exact solve — a batch's on whichever pool thread
-//! runs the shard's job, an online fallback inline — lends it out, repairs
-//! it in place and settles it back: nothing is copied in, and only the
-//! flow's difference comes out. The boundary rescue is the same design one
-//! level up: the plan's cross edges are one market, built at the epoch's
-//! first rescue pass and dropped with the plan, whose `WarmSolver` sees
-//! each batch's residuals as node capacities and is seeded with the last
-//! overlay (DESIGN.md §13.2). A network's first solve is the same repair,
-//! from zero prices, and a solve a deadline cuts keeps its prices for the
-//! next.
+//! **One exact tier.** A market changes by a batch of events between exact
+//! solves, so neither mode builds and cold-solves a flow network per
+//! solve: each market state owns one (built with the state, dropped with
+//! the plan), writes every change to it as it happens, and every exact
+//! solve — a shard's on whichever pool thread runs its job, the boundary
+//! market's and an online fallback inline — lends it out, repairs it in
+//! place and settles it back: nothing is copied in, and only the flow's
+//! difference comes out. The boundary market is one more such state, over
+//! the plan's cross edges, built once per plan when first needed: a node's
+//! capacity there is the units its home shard offers it, 0 while it is not
+//! live (DESIGN.md §13.2). A network's first solve is the same repair, from
+//! zero prices, and a solve a deadline cuts keeps its prices for the next.
 //!
 //! **Posted prices.** With the boundary pass on, a cross edge may buy an
 //! intra-shard unit, one batch ahead: each rescue pass ends by posting, at
@@ -66,18 +67,17 @@
 //! batch after (DESIGN.md §13.2).
 //!
 //! **Capacity safety.** Shards are node-disjoint ([`ShardPlan`]), so each
-//! worker's capacity is managed by exactly one `IncrementalAssignment`,
-//! whose every mutation preserves feasibility — at the capacity it holds
-//! after ceding units to the rescue overlay, which holds only units ceded
-//! or left free. The union of shard assignments and overlay is therefore
-//! feasible on the universe graph by construction;
-//! [`Dispatcher::finish`] re-validates the union anyway and counts the
-//! violations (the CI smoke test asserts zero).
+//! worker's capacity is managed by exactly one shard state, whose every
+//! mutation preserves feasibility — at the capacity it holds after ceding
+//! units to the overlay, whose state holds only the units ceded or left
+//! free. The union of shard assignments and overlay is therefore feasible
+//! on the universe graph by construction; [`Dispatcher::finish`]
+//! re-validates the union anyway and counts the violations (the CI smoke
+//! test asserts zero).
 //!
 //! **Degradation isolation.** A poisoned shard ([`Dispatcher::poison_shard`])
 //! gets no solve job: it keeps its seed (the churn-repaired assignment),
-//! tallied as a `Degraded` solve, and its carried network is
-//! neither lent nor, before the shard's first healthy solve, built — it
+//! tallied as a `Degraded` solve, and its carried network is not lent — it
 //! can never stall the batch or its sibling shards, and the first healed
 //! solve re-solves warm from the duals the last healthy one left.
 //!
@@ -105,11 +105,9 @@ use crate::service::ServiceConfig;
 use crate::shard::{capacity_violations, Route, ShardPlan, UNMAPPED};
 use crate::sink::{canonical_order, Action, BatchStats, Decision};
 use mbta_core::incremental::IncrementalAssignment;
-use mbta_core::warm::WarmSolver;
-use mbta_graph::subgraph::Subgraph;
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
 use mbta_matching::Matching;
-use mbta_partition::{epoch_market, migration_diff, validate_rescue, CutTracker, MigrationStats};
+use mbta_partition::{migration_diff, validate_rescue, CutTracker, MigrationStats};
 use mbta_store::record::{BatchRecord, OnlineRecord, PlanRecord, WalRecord, WeightDelta};
 use mbta_telemetry::HistogramFamily;
 use mbta_util::{Deadline, SolveCtl};
@@ -157,9 +155,10 @@ pub struct Dispatcher<'p> {
     pool_busy_ms: HistogramFamily,
     /// The solver threads of the plan's batches (none in online mode).
     pool: Pool,
-    /// Per shard, its state — which owns the shard's carried network, the
-    /// one exact tier of both modes, built at the shard's first exact solve
-    /// ([`ShardJob::new`]) and dropped with the plan.
+    /// Per shard, its state, then — with the boundary pass on — the
+    /// boundary market's (pseudo-shard `n_shards`). Each owns its carried
+    /// network, the one exact tier of both modes, and is dropped with the
+    /// plan.
     pub(crate) states: Vec<IncrementalAssignment<'p>>,
     /// Live intra/cross weight split for drift-driven re-planning.
     cut: CutTracker,
@@ -196,49 +195,21 @@ pub struct Dispatcher<'p> {
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Mode {
     /// Micro-batches; `Some` with the boundary pass on.
-    Batch(Option<Rescue>),
+    Batch(Option<Market>),
     /// Decide on every event (see [`crate::online`]).
     Online(OnlineConfig),
 }
 
-/// Boundary-rescue state.
+/// What the boundary market of one plan epoch keeps besides its state —
+/// the last of [`Dispatcher::states`], over the plan's cross edges, whose
+/// node capacities are the units each node's home shard offers it and
+/// whose assignment is the overlay: the units each home has ceded, the
+/// asks and what moved since the last pass. Built when first needed — to
+/// hold a re-plan's carried overlay, or at the epoch's first batch — and
+/// empty until then. Market node `i` is market worker `i` below the worker
+/// count and market task `i − workers` above it.
 #[derive(Default)]
-pub(crate) struct Rescue {
-    /// The sorted universe edge ids currently assigned by the rescue market
-    /// (pseudo-shard `n_shards` in decisions and snapshots).
-    overlay: Vec<EdgeId>,
-    /// The overlay's live weight, as the last pass (or re-plan) summed it
-    /// (`+ 0.0` normalizes the empty sum's -0.0, cosmetic in reports).
-    weight: f64,
-    /// The overlay before it, a buffer the next pass fills.
-    spare: Vec<EdgeId>,
-    /// The plan epoch's boundary market, bound to the plan like the shard
-    /// networks and dropped with them. Built at the epoch's first rescue
-    /// pass.
-    pub(crate) market: Option<Market>,
-}
-
-/// The boundary market of one plan epoch — every cross edge — with the
-/// solver carried on it and what its solves read. The epoch's first
-/// rescue pass builds it whole; every later pass moves only what its batch
-/// changed ([`Dispatcher::follow_batch`]). Market node `i` is market
-/// worker `i` below the worker count and market task `i − workers` above
-/// it.
 pub(crate) struct Market {
-    pub(crate) sub: Subgraph,
-    pub(crate) solver: WarmSolver,
-    /// Universe worker, task and edge ids to market ids ([`UNMAPPED`]
-    /// outside the market): `sub`'s back maps inverted.
-    worker_local: Vec<u32>,
-    task_local: Vec<u32>,
-    edge_local: Vec<u32>,
-    /// Per market worker / task, the units it offers the overlay: what its
-    /// home shard leaves of it while it is live — the overlay's own units
-    /// included — 0 otherwise.
-    w_cap: Vec<u32>,
-    t_cap: Vec<u32>,
-    /// Per market edge, its live weight.
-    weights: Vec<f64>,
     /// Per market node, the units its home shard has ceded to the overlay,
     /// and the nodes with any. Between batches a node has ceded the larger
     /// of the overlay's load there before the last one plus the units
@@ -246,20 +217,9 @@ pub(crate) struct Market {
     /// ([`Dispatcher::trade_units`], [`Dispatcher::hold_overlay`]).
     ceded: Vec<u32>,
     ceding: Vec<usize>,
-    /// The overlay in market ids, ascending, and per market edge whether
-    /// the overlay holds it; and the overlay before it, a buffer the next
-    /// pass seeds its solve in and reads the result out into.
-    held: Vec<EdgeId>,
-    in_held: Vec<bool>,
-    next: Vec<EdgeId>,
-    /// Per market node, the overlay's load, and the nodes it loads (with a
-    /// spare list the next count fills); and a per-node count the seed is
-    /// cut with and the reservation marks taken ends with, zero between
-    /// calls.
-    load: Vec<u32>,
-    loaded: Vec<usize>,
-    spare: Vec<usize>,
-    used: Vec<u32>,
+    /// Per market node, whether a bid [`reserve`](Self::reserve) took ends
+    /// there; all false between calls.
+    taken: Vec<bool>,
     /// Per market node, what it asks for one unit as the last pass left
     /// it; the nodes whose inputs moved since, once each; and the nodes
     /// that asked a price (a node's entry outlives its price until the
@@ -275,15 +235,15 @@ pub(crate) struct Market {
     reserved: Vec<usize>,
     /// Market nodes the batch's events name — a liveness move, or a
     /// weight update on an intra-shard edge at the node — refreshed once
-    /// the shards have solved; and the market nodes whose offered units
-    /// moved since the last solve, each with what it now offers.
+    /// the shards have solved.
     moved: Vec<usize>,
-    changed: Vec<(usize, u32)>,
     /// Per shard, per shard node (workers, then tasks) its market node,
     /// [`UNMAPPED`] outside the market; and per market node, its home
     /// shard, its node there and its universe capacity.
     local: Vec<Vec<u32>>,
     homes: Vec<[u32; 3]>,
+    /// The overlay's ends, a buffer for [`validate_rescue`].
+    ends: (Vec<WorkerId>, Vec<TaskId>),
 }
 
 /// What a market node asks for one more unit of the overlay, posted at the
@@ -317,17 +277,23 @@ impl Ask {
 }
 
 impl Market {
-    /// Market edge `e`'s two market nodes.
-    fn ends(&self, e: EdgeId) -> [usize; 2] {
-        let g = &self.sub.graph;
-        [g.worker_of(e).index(), g.n_workers() + g.task_of(e).index()]
-    }
-
-    /// Market node `v`'s home shard, its node there (as the shard's
-    /// solver numbers it: workers, then tasks) and its universe capacity.
+    /// Market node `v`'s home shard, its node there (workers, then tasks)
+    /// and its universe capacity.
     fn home(&self, v: usize) -> (usize, usize, u32) {
         let [s, node, full] = self.homes[v];
         (s as usize, node as usize, full)
+    }
+
+    /// The units market node `v` is offered by `home`, its home shard's
+    /// state: its universe capacity less the home's load there while it is
+    /// live, the overlay's own units included, and 0 otherwise.
+    fn offered(&self, home: &IncrementalAssignment<'_>, v: usize) -> u32 {
+        let (_, node, full) = self.home(v);
+        if home.active(node) {
+            full - home.load(node)
+        } else {
+            0
+        }
     }
 
     /// Notes market node `v` for re-pricing at the end of the pass.
@@ -338,173 +304,110 @@ impl Market {
         }
     }
 
-    /// The overlay cut, in order, to the units and open edges in force:
-    /// the next solve's seed, in the buffer [`hold`](Self::hold) left.
-    /// `None` when no edge is open (nothing to solve; the overlay empties).
-    fn seed(&mut self) -> Option<Matching> {
-        self.solver.open_edges().next()?;
-        let mut seed = take(&mut self.next);
-        seed.clear();
-        for i in 0..self.held.len() {
-            let e = self.held[i];
-            let [w, t] = self.ends(e);
-            if self.used[w] < self.w_cap[w] && self.used[t] < self.t_cap[t - self.w_cap.len()] {
-                self.used[w] += 1;
-                self.used[t] += 1;
-                seed.push(e);
-            }
-        }
-        for &e in &seed {
-            for v in self.ends(e) {
-                self.used[v] = 0;
-            }
-        }
-        Some(Matching { edges: seed })
-    }
-
-    /// Moves the market nodes of shard `s` (in `st`) at an edge flipped
-    /// since the state's last drain to what the state now leaves them —
-    /// flipped back too: a node's load may have moved in between. The
-    /// shard graph holds the universe's capacities.
-    fn note_changes(&mut self, s: usize, st: &IncrementalAssignment<'_>) {
+    /// Offers every market node at an edge of shard `s` (in `st`) flipped
+    /// since the state's last drain what the state now leaves it — flipped
+    /// back too: a node's load may have moved in between.
+    fn note_changes(
+        &mut self,
+        s: usize,
+        st: &IncrementalAssignment<'_>,
+        market: &mut IncrementalAssignment<'_>,
+    ) {
         // Taken out for the walk, so `offer` can borrow the market.
         let (g, local) = (st.graph(), std::mem::take(&mut self.local[s]));
-        let n_w = g.n_workers();
         for e in st.flipped() {
-            let (w, t) = (g.worker_of(e), g.task_of(e));
-            if let Some(v) = in_market(local[w.index()]) {
-                let live = st.worker_active(w);
-                let free = if live {
-                    g.capacity(w) - st.worker_load(w)
-                } else {
-                    0
-                };
-                self.offer(v, free);
-            }
-            if let Some(v) = in_market(local[n_w + t.index()]) {
-                let live = st.task_active(t);
-                let free = if live {
-                    g.demand(t) - st.task_load(t)
-                } else {
-                    0
-                };
-                self.offer(v, free);
+            for node in [g.worker_of(e).index(), g.n_workers() + g.task_of(e).index()] {
+                if let Some(v) = in_market(local[node]) {
+                    self.offer(market, v, self.offered(st, v));
+                }
             }
         }
         self.local[s] = local;
     }
 
-    /// Sets market node `v`'s offered units, noting it for the solver
-    /// when they moved; its home's load or liveness may have moved either
-    /// way, so it is re-priced.
-    fn offer(&mut self, v: usize, free: u32) {
+    /// Moves market node `v`'s capacity in the market state to the units
+    /// it is offered, `free`: the state drops its lightest overlay edges
+    /// there if it is now over, or fills the room it gained. Its home's
+    /// load or liveness may have moved either way, so it is re-priced.
+    fn offer(&mut self, market: &mut IncrementalAssignment<'_>, v: usize, free: u32) {
         self.mark(v);
-        let units = match v.checked_sub(self.w_cap.len()) {
-            None => &mut self.w_cap[v],
-            Some(t) => &mut self.t_cap[t],
-        };
-        if std::mem::replace(units, free) != free {
-            self.changed.push((v, free));
-        }
+        market.set_capacity(v, free);
     }
 
-    /// Makes `overlay` (ascending market ids) the overlay the market holds,
-    /// and recounts its load per market node, re-pricing each node whose
-    /// load moved.
-    fn hold(&mut self, overlay: Vec<EdgeId>) {
-        for &e in &self.held {
-            self.in_held[e.index()] = false;
-        }
-        let mut fresh = std::mem::take(&mut self.spare);
-        for &e in &overlay {
-            self.in_held[e.index()] = true;
-            for v in self.ends(e) {
-                if self.used[v] == 0 {
-                    fresh.push(v);
-                }
-                self.used[v] += 1;
-            }
-        }
-        for i in 0..self.loaded.len() {
-            let v = self.loaded[i];
-            if self.used[v] == 0 {
-                self.load[v] = 0;
-                self.mark(v);
-            }
-        }
-        for &v in &fresh {
-            if self.load[v] != self.used[v] {
-                self.load[v] = self.used[v];
-                self.mark(v);
-            }
-            self.used[v] = 0;
-        }
-        self.loaded.clear();
-        self.spare = std::mem::replace(&mut self.loaded, fresh);
-        self.next = std::mem::replace(&mut self.held, overlay);
+    /// Sets market node `v`'s home capacity to its universe capacity less
+    /// the units it has ceded; returns the home shard. The state drops its
+    /// lightest edges there if it is now over, or fills the room it gained,
+    /// and writes the node's capacity to its carried network.
+    fn set_home(&self, shards: &mut [IncrementalAssignment<'_>], v: usize) -> usize {
+        let (s, node, full) = self.home(v);
+        shards[s].set_capacity(node, full - self.ceded[v]);
+        s
     }
 
     /// Reserves the units the next batch cedes, at the asks posted: every
-    /// cross edge the overlay does not hold, with an end that asks a price,
-    /// whose live weight exceeds what its two ends ask, is a bid of that
-    /// surplus. Bids are taken node-disjoint, by surplus descending (ties
-    /// by edge id), and each taken bid reserves a unit at every end that
-    /// asks a price. Only the priced nodes' edges are walked. Returns the
-    /// units reserved.
-    fn reserve(&mut self) -> u64 {
+    /// cross edge the overlay (`market`'s assignment) does not hold, with
+    /// an end that asks a price, whose live weight exceeds what its two
+    /// ends ask, is a bid of that surplus. Bids are taken node-disjoint, by
+    /// surplus descending (ties by edge id), and each taken bid reserves a
+    /// unit at every end that asks a price. Only the priced nodes' edges
+    /// are walked. Returns the units reserved.
+    fn reserve(&mut self, market: &IncrementalAssignment<'_>) -> u64 {
         let asks = &self.asks;
         self.priced.retain(|&v| asks[v].priced());
-        let (g, n_w) = (&self.sub.graph, self.w_cap.len());
-        let (held, weights, bids) = (&self.in_held, &self.weights, &mut self.bids);
+        let (g, bids) = (market.graph(), &mut self.bids);
         let mut bid = |v: usize, e: EdgeId| {
-            let (w, t) = (g.worker_of(e).index(), n_w + g.task_of(e).index());
+            let [w, t] = ends(g, e);
             // An edge priced at both ends is bid from its worker.
-            if held[e.index()] || (v == t && asks[w].priced()) {
+            if market.edge_assigned(e) || (v == t && asks[w].priced()) {
                 return;
             }
             let (Some(pw), Some(pt)) = (asks[w].cost(), asks[t].cost()) else {
                 return;
             };
-            let weight = weights[e.index()];
+            let weight = market.weight_of(e);
             if weight > pw + pt {
                 bids.push((weight - (pw + pt), e));
             }
         };
         for &v in &self.priced {
             let Ask::Price(p) = asks[v] else { continue };
-            let edges: &mut dyn Iterator<Item = EdgeId> = match v.checked_sub(n_w) {
+            let edges: &mut dyn Iterator<Item = EdgeId> = match v.checked_sub(g.n_workers()) {
                 None => &mut g.worker_edges(WorkerId::from_index(v)),
                 Some(t) => &mut g.task_edges(TaskId::from_index(t)),
             };
             // Every bid outbids `v`'s own price first.
-            for e in edges.filter(|e| weights[e.index()] > p) {
+            for e in edges.filter(|&e| market.weight_of(e) > p) {
                 bid(v, e);
             }
         }
         self.bids
             .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut units = 0;
-        for i in 0..self.bids.len() {
-            let ends = self.ends(self.bids[i].1);
-            if ends.iter().any(|&v| self.used[v] > 0) {
+        for &(_, e) in &self.bids {
+            let ends = ends(g, e);
+            if ends.iter().any(|&v| self.taken[v]) {
                 continue;
             }
             for v in ends {
-                self.used[v] = 1;
+                self.taken[v] = true;
                 if self.asks[v].priced() {
                     self.reserved.push(v);
                     units += 1;
                 }
             }
         }
-        for i in 0..self.bids.len() {
-            for v in self.ends(self.bids[i].1) {
-                self.used[v] = 0;
+        for (_, e) in self.bids.drain(..) {
+            for v in ends(g, e) {
+                self.taken[v] = false;
             }
         }
-        self.bids.clear();
         units
     }
+}
+
+/// Market edge `e`'s two market nodes in `g`, the boundary market's graph.
+fn ends(g: &BipartiteGraph, e: EdgeId) -> [usize; 2] {
+    [g.worker_of(e).index(), g.n_workers() + g.task_of(e).index()]
 }
 
 /// What one dispatcher step hands its driver to commit. The weight
@@ -550,7 +453,7 @@ impl<'p> Dispatcher<'p> {
         );
         let mode = match cfg.online {
             Some(oc) => Mode::Online(oc),
-            None => Mode::Batch(cfg.boundary_pass.then(Rescue::default)),
+            None => Mode::Batch(cfg.boundary_pass.then(Market::default)),
         };
         if let Mode::Online(oc) = &mode {
             oc.validate();
@@ -594,43 +497,31 @@ impl<'p> Dispatcher<'p> {
         self.cut.degradation()
     }
 
-    fn rescue(&self) -> Option<&Rescue> {
-        match &self.mode {
-            Mode::Batch(rescue) => rescue.as_ref(),
-            Mode::Online(_) => None,
-        }
-    }
-
-    /// Per shard, the sorted universe edge ids currently assigned; the
-    /// rescue overlay, with the boundary pass on, follows as pseudo-shard
-    /// `n_shards` — the shard id its decisions carry. What a snapshot and
-    /// a plan record hold.
+    /// Per market — each shard, then, with the boundary pass on, the
+    /// overlay as pseudo-shard `n_shards`, the shard id its decisions carry
+    /// — the sorted universe edge ids currently assigned. What a snapshot
+    /// and a plan record hold.
     pub fn shard_sets(&self) -> Vec<Vec<u32>> {
-        let mut shards: Vec<Vec<u32>> = vec![Vec::new(); self.plan.n_shards()];
+        let overlay = matches!(self.mode, Mode::Batch(Some(_)));
+        let mut sets: Vec<Vec<u32>> = vec![Vec::new(); self.plan.n_shards() + usize::from(overlay)];
         for (s, e) in self.assigned() {
-            shards[s].push(e.raw());
+            sets[s].push(e.raw());
         }
-        for edges in &mut shards {
+        for edges in &mut sets {
             edges.sort_unstable();
         }
-        let overlay = self
-            .rescue()
-            .map(|r| r.overlay.iter().map(|e| e.raw()).collect());
-        shards.extend(overlay);
-        shards
+        sets
     }
 
-    /// Assigned edges, the rescue overlay's included. O(shards).
+    /// Assigned edges, the rescue overlay's included. O(markets).
     pub fn assignments(&self) -> usize {
-        let overlay = self.rescue().map_or(0, |r| r.overlay.len());
-        self.states.iter().map(|s| s.len()).sum::<usize>() + overlay
+        self.states.iter().map(|s| s.len()).sum()
     }
 
     /// Live weight of the assigned edges, the rescue overlay's included.
-    /// O(shards).
+    /// O(markets).
     pub fn value(&self) -> f64 {
-        let states: f64 = self.states.iter().map(|s| s.total_weight()).sum();
-        states + self.rescue().map_or(0.0, |r| r.weight)
+        self.states.iter().map(|s| s.total_weight()).sum()
     }
 
     /// `c` as the WAL journals it at sequence number `seq`. Read the
@@ -691,35 +582,36 @@ impl<'p> Dispatcher<'p> {
     /// # Panics
     /// On an online dispatcher.
     pub fn batch(&mut self, batch: &ClosedBatch, tally: &mut ServiceReport) -> Commit {
-        let Mode::Batch(rescue) = &mut self.mode else {
+        let Mode::Batch(market) = &mut self.mode else {
             panic!("a batch reached an online dispatcher")
         };
-        // Taken out for the step, so it and the shard states can be
+        // Taken out for the step, so it and the market states can be
         // borrowed side by side.
-        let mut rescue = rescue.take();
-        let commit = self.dispatch_batch(batch, rescue.as_mut(), tally);
-        self.mode = Mode::Batch(rescue);
+        let mut market = market.take();
+        let commit = self.dispatch_batch(batch, market.as_mut(), tally);
+        self.mode = Mode::Batch(market);
         commit
     }
 
-    /// Every shard-assigned edge as `(shard, universe edge)`.
+    /// Every assigned edge as `(market, universe edge)`: each shard's,
+    /// then the overlay's as pseudo-shard `n_shards`.
     fn assigned(&self) -> impl Iterator<Item = (usize, EdgeId)> + use<'_, 'p> {
-        let shards = self.plan.shards.iter().zip(&self.states).enumerate();
-        shards.flat_map(|(s, (sub, st))| {
-            let edges = st.matching().edges.into_iter();
-            edges.map(move |e| (s, sub.edge_back[e.index()]))
+        let (plan, universe) = (self.plan, self.universe);
+        self.states.iter().enumerate().flat_map(move |(s, st)| {
+            let back = plan.edge_back(universe, s);
+            st.assigned_edges().map(move |e| (s, back[e.index()]))
         })
     }
 
-    /// The one place shard decisions are built, for a batch, an online
-    /// event and a closing solve alike: drains each of `shards`' change
-    /// sets into the pooled decision buffer, in universe ids and canonical
-    /// order.
+    /// The one place decisions are built, for a batch's shards and
+    /// overlay, an online event and a closing solve alike: drains each of
+    /// `shards`' change sets (`n_shards`: the boundary market's) into the
+    /// pooled decision buffer, in universe ids and canonical order.
     fn shard_decisions(&mut self, shards: &[usize]) {
         let (universe, live, out) = (self.universe, &self.live_weights, &mut self.decisions);
         out.clear();
         for &s in shards {
-            let back = &self.plan.shards[s].edge_back;
+            let back = self.plan.edge_back(universe, s);
             self.states[s].drain_changes(|local, assigned| {
                 let (edge, action) = (back[local.index()], Action::from(assigned));
                 out.push(decision(universe, live, s as u32, edge, action));
@@ -741,10 +633,19 @@ impl<'p> Dispatcher<'p> {
     }
 
     /// Lands a benefit update on the universe weights and the cut tracker
-    /// (`cross`: the edge spans shards, so no shard state holds it).
+    /// (`cross`: the edge spans shards, so no shard state holds it, and
+    /// it lands on the boundary market's state, if there is one).
     fn set_live_weight(&mut self, cross: bool, edge: u32, weight: f64) {
         let old = std::mem::replace(&mut self.live_weights[edge as usize], weight);
         self.cut.update(cross, old, weight);
+        let (plan, universe) = (self.plan, self.universe);
+        if let (true, Some(st)) = (cross, self.states.get_mut(plan.n_shards())) {
+            let back = &plan.boundary(universe).edge_back;
+            let i = back
+                .binary_search(&EdgeId::new(edge))
+                .expect("a cross edge");
+            st.set_weight(EdgeId::from_index(i), weight);
+        }
     }
 
     fn apply(&mut self, shard: usize, ev: &ServiceEvent) {
@@ -772,7 +673,7 @@ impl<'p> Dispatcher<'p> {
     fn dispatch_batch(
         &mut self,
         batch: &ClosedBatch,
-        rescue: Option<&mut Rescue>,
+        market: Option<&mut Market>,
         tally: &mut ServiceReport,
     ) -> Commit {
         // Pass 1: route every event, collecting the touched-shard set.
@@ -792,7 +693,7 @@ impl<'p> Dispatcher<'p> {
                 Route::Invalid => invalid += 1,
                 // With the boundary pass on, cross-shard benefit updates
                 // feed the rescue market; without it they decide nothing.
-                Route::CrossBenefit if rescue.is_none() => tally.cross_benefit_drops += 1,
+                Route::CrossBenefit if market.is_none() => tally.cross_benefit_drops += 1,
                 Route::CrossBenefit => {}
             }
             routes.push(r);
@@ -819,14 +720,15 @@ impl<'p> Dispatcher<'p> {
                 Route::CrossBenefit => true,
                 Route::Invalid => continue,
             };
-            if !cross || rescue.is_some() {
+            if !cross || market.is_some() {
                 tally.events_processed += 1;
             }
             if let ServiceEvent::BenefitUpdate { edge, weight } = a.event {
                 self.deltas.push(WeightDelta { edge, weight });
                 // Cross-shard edges live outside every shard state; the
                 // update lands on the universe weights directly, for the
-                // next rescue solve or the next plan, and in the record.
+                // next plan, on the boundary market's state, if any, and
+                // in the record.
                 if cross {
                     self.set_live_weight(true, edge, weight);
                 }
@@ -842,32 +744,28 @@ impl<'p> Dispatcher<'p> {
         // concurrent runs race the same instant. With the boundary pass on,
         // units the overlay let go last batch go back to their shards
         // first, and every shard that gets one back is solved too.
-        let mut rescue = rescue;
-        if let Some(rescue) = rescue.as_deref_mut() {
-            let market = rescue
-                .market
-                .get_or_insert_with(|| self.build_market(&rescue.overlay));
+        let mut market = market;
+        if let Some(market) = market.as_deref_mut() {
+            if self.states.len() == self.plan.n_shards() {
+                *market = self.build_market(&[]);
+            }
             self.trade_units(market, &mut touched);
         }
         let ctl = self.budget.ctl(|ms| ms);
         let solve_start = Instant::now();
         let mut stats = BatchStats::new(batch.reason, batch.events.len(), touched.len());
         stats.invalid_events = invalid;
-        let market = rescue.as_deref_mut().and_then(|r| r.market.as_mut());
-        self.solve_shards(&touched, ctl, market, &mut stats, tally);
+        self.solve_shards(&touched, ctl, market.as_deref_mut(), &mut stats, tally);
         stats.solve_ms = solve_start.elapsed().as_secs_f64() * 1e3;
 
-        // Pass 4: the batch's decisions — what the touched shards' change
-        // sets hold, then the re-derived rescue overlay's diff. The overlay
-        // is pseudo-shard `n_shards` and its diff ascends by edge, so the
-        // buffer stays in canonical order.
-        let overlay = rescue
-            .as_deref_mut()
-            .map(|rescue| self.boundary_rescue(rescue, (&batch.events[..], &routes[..]), tally));
-        self.shard_decisions(&touched);
-        if let (Some(rescue), Some(new_overlay)) = (rescue, overlay) {
-            self.commit_overlay(rescue, new_overlay, tally);
+        // Pass 4: the boundary rescue, then the batch's decisions — what
+        // the touched shards' change sets hold, then the overlay's
+        // (pseudo-shard `n_shards`).
+        if let Some(market) = market {
+            self.boundary_rescue(market, (&batch.events[..], &routes[..]), tally);
+            touched.push(self.plan.n_shards());
         }
+        self.shard_decisions(&touched);
         let key = |d: &Decision| (d.shard, d.edge, d.action);
         debug_assert!(self.decisions.is_sorted_by_key(key));
         touched.clear();
@@ -881,9 +779,9 @@ impl<'p> Dispatcher<'p> {
 
     /// Solves `shards` (ascending, none degenerate) through the pool under
     /// `ctl` and adopts what improves. A poisoned shard keeps its seed, no
-    /// job and no network lent or built; its state keeps writing its
-    /// changes to its network for the first healed job. With the boundary
-    /// `market`, the market notes what each shard changed.
+    /// job and no network lent; its state keeps writing its changes to its
+    /// network for the first healed job. With the boundary `market`, the
+    /// market is offered what each shard changed.
     fn solve_shards(
         &mut self,
         shards: &[usize],
@@ -913,19 +811,22 @@ impl<'p> Dispatcher<'p> {
         // Merge: outcomes arrive sorted by shard index, so adoption order
         // (and therefore the decision stream) is independent of which
         // thread finished first.
+        let n = plan.n_shards();
         for outcome in outcomes.drain(..) {
             let s = outcome.shard;
             tally.tally_solve(stats, s, outcome.stats.completed);
             self.shard_solve_ms.observe(s, outcome.solve_ms);
             self.settle(outcome, tally);
             if let Some(m) = market.as_deref_mut() {
-                m.note_changes(s, &self.states[s]);
+                let (shards, boundary) = self.states.split_at_mut(n);
+                m.note_changes(s, &shards[s], &mut boundary[0]);
             }
         }
         self.outcomes = outcomes;
         if let Some(m) = market {
+            let (shards, boundary) = self.states.split_at_mut(n);
             for s in poisoned {
-                m.note_changes(s, &self.states[s]);
+                m.note_changes(s, &shards[s], &mut boundary[0]);
             }
         }
     }
@@ -945,7 +846,7 @@ impl<'p> Dispatcher<'p> {
                 market.ceding.push(v);
             }
             market.ceded[v] += 1;
-            touched.push(self.set_home(market, v));
+            touched.push(market.set_home(&mut self.states, v));
         }
         market.reserved.clear();
         if touched.len() > before {
@@ -957,111 +858,90 @@ impl<'p> Dispatcher<'p> {
     /// Hands every unit the overlay let go at the last batch back to its
     /// home shard, and pushes each shard that got one back onto `touched`.
     fn return_units(&mut self, market: &mut Market, touched: &mut Vec<usize>) {
-        let mut grown = Vec::new();
-        let Market {
-            ceded,
-            ceding,
-            load,
-            ..
-        } = market;
-        ceding.retain(|&v| {
-            if ceded[v] > load[v] {
-                ceded[v] = load[v];
-                grown.push(v);
+        let n = self.plan.n_shards();
+        for i in 0..market.ceding.len() {
+            let v = market.ceding[i];
+            let load = self.states[n].load(v);
+            if market.ceded[v] > load {
+                market.ceded[v] = load;
+                touched.push(market.set_home(&mut self.states, v));
             }
-            ceded[v] > 0
-        });
-        for v in grown {
-            touched.push(self.set_home(market, v));
         }
+        let ceded = &market.ceded;
+        market.ceding.retain(|&v| ceded[v] > 0);
     }
 
-    /// Sets market node `v`'s home capacity to its universe capacity less
-    /// the units it has ceded; returns the home shard. The state drops its
-    /// lightest edges there if it is now over, or fills the room it gained,
-    /// and writes the node's capacity to its carried network.
-    fn set_home(&mut self, market: &mut Market, v: usize) -> usize {
-        let (s, node, full) = market.home(v);
-        let cap = full - market.ceded[v];
-        let (st, n_w) = (&mut self.states[s], self.plan.shards[s].graph.n_workers());
-        match node.checked_sub(n_w) {
-            None => st.set_worker_capacity(WorkerId::from_index(node), cap),
-            Some(t) => st.set_task_capacity(TaskId::from_index(t), cap),
-        }
-        s
-    }
-
-    /// The boundary rescue (DESIGN.md §13.2): re-solves the overlay on the
-    /// plan's carried boundary market, where each node offers what its
-    /// home shard leaves of it — the units the overlay holds there
-    /// included, since its shard has ceded them — then has each shard cede
-    /// every unit the new overlay takes, posts the market's asks and
-    /// reserves the units the next batch cedes ([`Market::reserve`]).
-    /// Returns the new overlay, ascending universe edge ids.
+    /// The boundary rescue (DESIGN.md §13.2): moves the boundary market's
+    /// state to where the batch left it — each node at the units its home
+    /// shard leaves it, the overlay's own units included, since its shard
+    /// has ceded them — re-solves it like a shard, has each shard cede
+    /// every unit the overlay now uses, posts the market's asks and
+    /// reserves the units the next batch cedes ([`Market::reserve`]). The
+    /// overlay's decisions are its change set's, drained with the shards'.
     ///
-    /// The market — every cross edge of the plan — and its solver are
-    /// carried; what a batch changes is the units its nodes offer, moved
-    /// from the nodes the batch and the shard solves touched, and every
-    /// pass of the solve walks the open market only (DESIGN.md §13.2).
+    /// What a batch changes is the units the market's nodes are offered,
+    /// moved from the nodes the batch and the shard solves touched, and
+    /// every pass of the solve walks the open market only (DESIGN.md
+    /// §13.2).
     ///
     /// Budget: a fixed quarter-slice of the batch budget (the rescue
     /// market is tiny relative to the shard solves and must not starve
-    /// them), none in deterministic mode; a cut solve keeps the previous
-    /// overlay, cut to what still fits.
+    /// them), none in deterministic mode; a cut solve leaves the overlay
+    /// as the batch's repairs left it.
     ///
-    /// Determinism: market ids follow universe ids, seeds follow the
-    /// previous overlay, and the solve runs inline — so under
+    /// Determinism: market ids follow universe ids, the market state moves
+    /// in a fixed order, and the solve runs inline — so under
     /// [`BudgetMode::Deterministic`] the overlay is a pure function of the
     /// event history at any thread count.
     fn boundary_rescue(
         &mut self,
-        rescue: &mut Rescue,
+        market: &mut Market,
         batch: (&[Arrival], &[Route]),
         tally: &mut ServiceReport,
-    ) -> Vec<EdgeId> {
+    ) {
         let _span = mbta_telemetry::span!("mbta_partition_rescue");
-        let mut market = rescue.market.take().expect("built before the shard solves");
-        self.follow_batch(&mut market, batch);
-        self.refresh_market(&mut market);
-        debug_assert!(self.is_current(&market), "the market fell behind its batch");
-        let overlay = match market.seed() {
-            None => Vec::new(),
-            Some(mut seed) => {
-                tally.rescue_solves += 1;
-                mbta_telemetry::counter_add!("mbta_partition_rescue_solves_total", 1);
-                let ctl = self.budget.ctl(|ms| ms / 4 + 1);
-                let Market {
-                    sub,
-                    solver,
-                    weights,
-                    ..
-                } = &mut market;
-                // A cut solve hands back its seed: the previous overlay,
-                // cut to what still fits.
-                solver.solve_seeded(&sub.graph, weights, &mut seed, &ctl);
-                seed.edges
-            }
-        };
-        let mut new_overlay = take(&mut rescue.spare);
-        new_overlay.clear();
-        new_overlay.extend(overlay.iter().map(|e| market.sub.edge_back[e.index()]));
-        market.hold(overlay);
-        self.hold_overlay(&mut market);
-        self.post_asks(&mut market);
-        let units = market.reserve();
+        self.follow_batch(market, batch);
+        self.refresh_market(market);
+        debug_assert!(self.is_current(market), "the market fell behind its batch");
+        tally.rescue_solves += 1;
+        mbta_telemetry::counter_add!("mbta_partition_rescue_solves_total", 1);
+        let (ctl, n) = (self.budget.ctl(|ms| ms / 4 + 1), self.plan.n_shards());
+        let st = &mut self.states[n];
+        let mut net = st.lend_net();
+        let stats = mbta_core::warm::resolve(&mut net, &ctl);
+        st.settle(net, &stats);
+        self.hold_overlay(market);
+        self.post_asks(market);
+        let units = market.reserve(&self.states[n]);
         tally.reserved_units += units;
         mbta_telemetry::counter_add!("mbta_partition_reserved_units_total", units);
-        rescue.market = Some(market);
-        new_overlay
+        self.audit_overlay(market, tally);
+    }
+
+    /// Re-checks that the overlay fits what the shards leave, and counts
+    /// the units it newly assigns and its weight.
+    fn audit_overlay(&mut self, market: &mut Market, tally: &mut ServiceReport) {
+        let (universe, plan) = (self.universe, self.plan);
+        let (shards, boundary) = self.states.split_at_mut(plan.n_shards());
+        let (homes, st) = (Homes(universe, plan, shards), &mut boundary[0]);
+        let is_cross = |e: EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
+        let (w_res, t_res) = (|w| homes.worker_residual(w), |t| homes.task_residual(t));
+        let back = &plan.boundary(universe).edge_back;
+        let overlay = st.assigned_edges().map(|e| back[e.index()]);
+        let ends = &mut market.ends;
+        tally.capacity_violations +=
+            validate_rescue(universe, is_cross, w_res, t_res, overlay, ends);
+        tally.rescue_assigns += st.changes().filter(|&(_, assigned)| assigned).count() as u64;
+        mbta_telemetry::gauge_set!("mbta_partition_rescued_weight", st.total_weight());
     }
 
     /// Re-prices every market node whose inputs moved since the last pass
     /// — its home's load there (a flip in the home's change set) or
     /// liveness (both through [`Market::offer`]), the overlay's load there
-    /// ([`Market::hold`]), or the live weight of an edge its home holds
-    /// there ([`Dispatcher::follow_batch`]) — and lists the nodes that now
-    /// ask a price. Debug builds compare every node's ask with a fresh
-    /// one.
+    /// ([`Dispatcher::hold_overlay`]), or the live weight of an edge its
+    /// home holds there ([`Dispatcher::follow_batch`]) — and lists the
+    /// nodes that now ask a price. Debug builds compare every node's ask
+    /// with a fresh one.
     fn post_asks(&self, market: &mut Market) {
         for i in 0..market.repricing.len() {
             let v = market.repricing[i];
@@ -1087,29 +967,18 @@ impl<'p> Dispatcher<'p> {
     /// loss from above.
     fn ask(&self, market: &Market, v: usize) -> Ask {
         let (s, node, full) = market.home(v);
-        let (st, n_w) = (&self.states[s], self.plan.shards[s].graph.n_workers());
-        let g = st.graph();
-        let (live, load, edges): (_, _, &mut dyn Iterator<Item = EdgeId>) =
-            match node.checked_sub(n_w) {
-                None => {
-                    let w = WorkerId::from_index(node);
-                    (
-                        st.worker_active(w),
-                        st.worker_load(w),
-                        &mut g.worker_edges(w),
-                    )
-                }
-                Some(t) => {
-                    let t = TaskId::from_index(t);
-                    (st.task_active(t), st.task_load(t), &mut g.task_edges(t))
-                }
-            };
-        if !live {
+        let (st, overlay) = (&self.states[s], &self.states[self.plan.n_shards()]);
+        if !st.active(node) {
             return Ask::Closed;
         }
-        if load + market.load[v] < full {
+        if st.load(node) + overlay.load(v) < full {
             return Ask::Free;
         }
+        let g = st.graph();
+        let edges: &mut dyn Iterator<Item = EdgeId> = match node.checked_sub(g.n_workers()) {
+            None => &mut g.worker_edges(WorkerId::from_index(node)),
+            Some(t) => &mut g.task_edges(TaskId::from_index(t)),
+        };
         let held = edges
             .filter(|&e| st.edge_assigned(e))
             .map(|e| st.weight_of(e));
@@ -1117,62 +986,59 @@ impl<'p> Dispatcher<'p> {
     }
 
     /// Cedes to the overlay every unit it now uses beyond what its node
-    /// has ceded: the home shard's capacity there drops to its universe
-    /// capacity less the overlay's load, which the shard's load already
-    /// fits (the market offered only what it left), so its assignment —
-    /// and its optimum — stand.
+    /// has ceded, at the ends of every market edge flipped since the
+    /// market state's last drain, and notes those ends for re-pricing: the
+    /// home shard's capacity there drops to its universe capacity less the
+    /// overlay's load, which the shard's load already fits (the market
+    /// offered only what it left), so its assignment — and its optimum —
+    /// stand.
     fn hold_overlay(&mut self, market: &mut Market) {
-        let mut gained = 0;
-        for i in 0..market.loaded.len() {
-            let v = market.loaded[i];
-            if market.load[v] <= market.ceded[v] {
-                continue;
+        let (shards, boundary) = self.states.split_at_mut(self.plan.n_shards());
+        let (st, mut gained) = (&boundary[0], 0);
+        for e in st.flipped() {
+            for v in ends(st.graph(), e) {
+                market.mark(v);
+                let load = st.load(v);
+                if load <= market.ceded[v] {
+                    continue;
+                }
+                if market.ceded[v] == 0 {
+                    market.ceding.push(v);
+                }
+                gained += u64::from(load - market.ceded[v]);
+                market.ceded[v] = load;
+                market.set_home(shards, v);
             }
-            if market.ceded[v] == 0 {
-                market.ceding.push(v);
-            }
-            gained += u64::from(market.load[v] - market.ceded[v]);
-            market.ceded[v] = market.load[v];
-            self.set_home(market, v);
         }
         mbta_telemetry::counter_add!("mbta_partition_ceded_units_total", gained);
     }
 
-    /// Moves every market node whose liveness the batch moved to the
-    /// units its home shard now leaves it — the shard solves moved the
-    /// rest as they were adopted ([`Market::note_changes`]) — and hands
-    /// the solver every node whose units changed.
-    fn refresh_market(&self, market: &mut Market) {
-        let homes = Homes(self.universe, self.plan, &self.states);
-        let n_w = market.sub.graph.n_workers();
+    /// Offers every market node the batch's events named the units its
+    /// home shard now leaves it — the shard solves offered the rest as
+    /// they were adopted ([`Market::note_changes`]).
+    fn refresh_market(&mut self, market: &mut Market) {
+        let (shards, boundary) = self.states.split_at_mut(self.plan.n_shards());
         for i in 0..market.moved.len() {
             let v = market.moved[i];
-            let free = match v.checked_sub(n_w) {
-                None => homes.worker_capacity(market.sub.worker_back[v]),
-                Some(t) => homes.task_capacity(market.sub.task_back[t]),
-            };
-            market.offer(v, free);
+            let free = market.offered(&shards[market.home(v).0], v);
+            market.offer(&mut boundary[0], v, free);
         }
         market.moved.clear();
-        market.solver.update_capacities(market.changed.drain(..));
     }
 
-    /// The epoch's boundary market as the shards stand: every cross edge
-    /// at its live weight and every market node offering what its home
-    /// shard leaves. The carried `overlay` (a re-plan's; empty on a fresh
-    /// dispatcher) is ceded at once. Every cross edge whose ends are both
+    /// Builds the plan's boundary market as the shards stand — every cross
+    /// edge at its live weight, every node offered what its home shard
+    /// leaves — as the last state, holding the carried `overlay` (ascending
+    /// universe ids: a re-plan's, or none at an epoch's first batch), whose
+    /// units its homes cede at once. Every cross edge whose ends are both
     /// live is marked seen.
     fn build_market(&mut self, overlay: &[EdgeId]) -> Market {
-        let plan = self.plan;
-        let homes = Homes(self.universe, plan, &self.states);
-        let sub = epoch_market(self.universe, |e| plan.edge_shard[e.index()] == UNMAPPED);
-        let mut solver = WarmSolver::new(&sub.graph);
-        let (w_cap, t_cap, weights) = self.market_inputs(&sub);
-        solver.set_capacities(&w_cap, &t_cap);
+        let (universe, plan) = (self.universe, self.plan);
+        let sub = plan.boundary(universe);
+        let homes = Homes(universe, plan, &self.states);
         for &e in &sub.edge_back {
             homes.mark_seen(e, &mut self.cross_seen);
         }
-        let universe = self.universe;
         let worker_home = sub.worker_back.iter().map(|w| {
             let (s, node) = (plan.worker_shard[w.index()], plan.worker_local[w.index()]);
             [s, node, universe.capacity(*w)]
@@ -1191,81 +1057,61 @@ impl<'p> Dispatcher<'p> {
         for (v, &[s, node, _]) in homes.iter().enumerate() {
             local[s as usize][node as usize] = v as u32;
         }
-        let n_w = sub.graph.n_workers();
-        let (n, n_e) = (n_w + sub.graph.n_tasks(), sub.graph.n_edges());
+        let n = homes.len();
         let mut market = Market {
-            worker_local: local_ids(
-                sub.worker_back.iter().map(|w| w.index()),
-                universe.n_workers(),
-            ),
-            task_local: local_ids(sub.task_back.iter().map(|t| t.index()), universe.n_tasks()),
-            edge_local: local_ids(sub.edge_back.iter().map(|e| e.index()), universe.n_edges()),
-            w_cap,
-            t_cap,
             ceded: vec![0; n],
-            ceding: Vec::new(),
-            held: Vec::new(),
-            in_held: vec![false; n_e],
-            next: Vec::new(),
-            load: vec![0; n],
-            loaded: Vec::new(),
-            spare: Vec::new(),
-            used: vec![0; n],
+            taken: vec![false; n],
             // Every node is priced at the first pass.
             asks: vec![Ask::Closed; n],
             stale: vec![true; n],
             repricing: (0..n).collect(),
-            priced: Vec::new(),
-            bids: Vec::new(),
-            reserved: Vec::new(),
-            moved: Vec::new(),
-            changed: Vec::new(),
             local,
             homes,
-            weights,
-            solver,
-            sub,
+            ..Market::default()
         };
-        let overlay: Vec<EdgeId> = overlay
-            .iter()
-            .map(|e| EdgeId::new(market.edge_local[e.index()]))
-            .collect();
-        market.hold(overlay);
+        let weights = sub.project_weights(&self.live_weights);
+        let mut st = IncrementalAssignment::from_matching(&sub.graph, weights, &Matching::empty())
+            .expect("an empty seed is always feasible");
+        for v in 0..n {
+            st.set_capacity(v, market.offered(&self.states[market.home(v).0], v));
+        }
+        let local_edge = |e: &EdgeId| EdgeId::from_index(sub.edge_back.binary_search(e).unwrap());
+        let edges = overlay.iter().map(local_edge).collect();
+        st.reseed(&Matching { edges })
+            .expect("the carried overlay fits what its shards leave");
+        self.states.push(st);
         self.hold_overlay(&mut market);
+        self.states[plan.n_shards()].drain_changes(|_, _| {});
         market
     }
 
-    /// What the market's solves read, as the shards stand: per market
-    /// worker and task its free units ([`Homes::worker_capacity`]), per
-    /// market edge its live weight.
-    fn market_inputs(&self, sub: &Subgraph) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
-        let homes = Homes(self.universe, self.plan, &self.states);
-        let w_cap = sub.worker_back.iter().map(|&w| homes.worker_capacity(w));
-        let t_cap = sub.task_back.iter().map(|&t| homes.task_capacity(t));
-        let weights = sub.edge_back.iter().map(|e| self.live_weights[e.index()]);
-        (w_cap.collect(), t_cap.collect(), weights.collect())
-    }
-
-    /// Whether `market` is what [`build_market`](Self::build_market) would
-    /// build now, with its seen marks set.
+    /// Whether the boundary market's state is what the shards and the live
+    /// weights make it — each node's capacity the units its home offers
+    /// ([`Market::offered`]), each edge at its live weight — with every
+    /// cross edge whose ends are both live marked seen. Allocates nothing.
     fn is_current(&self, market: &Market) -> bool {
-        let homes = Homes(self.universe, self.plan, &self.states);
-        let mut seen = self.cross_seen.clone();
-        for &e in &market.sub.edge_back {
-            homes.mark_seen(e, &mut seen);
-        }
-        let inputs = (&market.w_cap, &market.t_cap, &market.weights);
-        let (w_cap, t_cap, weights) = self.market_inputs(&market.sub);
-        (&w_cap, &t_cap, &weights) == inputs && seen == self.cross_seen
+        let (universe, plan) = (self.universe, self.plan);
+        let (sub, st) = (plan.boundary(universe), &self.states[plan.n_shards()]);
+        let homes = Homes(universe, plan, &self.states);
+        let offered = |v: usize| market.offered(&self.states[market.home(v).0], v);
+        let units = (0..market.homes.len()).all(|v| st.capacity(v) == offered(v));
+        let edges = sub.edge_back.iter().enumerate().all(|(i, &e)| {
+            let live =
+                homes.worker_live(universe.worker_of(e)) && homes.task_live(universe.task_of(e));
+            let weight = st.weight_of(EdgeId::from_index(i)) == self.live_weights[e.index()];
+            weight && (self.cross_seen[e.index()] || !live)
+        });
+        units && edges
     }
 
-    /// Moves `market` to where this batch's events left it, and notes the
-    /// market nodes they name as moved. A node's free units change only
-    /// with its load or capacity — a change its home shard's change set
-    /// names, noted as the shard is solved — or with its liveness, which
-    /// one of its events names; an edge becomes seen only when an end of it
-    /// comes live, and its weight moves only with a cross-shard benefit
-    /// update. Everything else is as the last pass left it.
+    /// Moves the market to where this batch's events left it, and notes the
+    /// market nodes they name as moved. A node's offered units change only
+    /// with its home's load or capacity — a change its home shard's change
+    /// set names, offered as the shard is solved — or with its liveness,
+    /// which one of its events names; and an edge becomes seen only when an
+    /// end of it comes live. (A cross-shard benefit update lands on the
+    /// market's state as it is applied.) Everything else is as the last
+    /// pass left it.
     ///
     /// A cross edge is "seen" by the rescue market once both endpoints are
     /// concurrently live — even with zero residual. Exhausted residual
@@ -1273,25 +1119,15 @@ impl<'p> Dispatcher<'p> {
     /// contention, not partition loss; `effective_retained` must charge
     /// the partition only for weight it made unreachable.
     fn follow_batch(&mut self, market: &mut Market, (events, routes): (&[Arrival], &[Route])) {
-        let homes = Homes(self.universe, self.plan, &self.states);
-        let (sub, seen) = (&market.sub, &mut self.cross_seen);
-        let n_w = sub.graph.n_workers();
-        let moved = &mut market.moved;
-        let in_market = |i: u32| (i != UNMAPPED).then_some(i as usize);
-        let worker = |w: u32| in_market(market.worker_local[w as usize]);
-        let task = |t: u32| in_market(market.task_local[t as usize]);
+        let (universe, plan) = (self.universe, self.plan);
+        let (homes, sub) = (Homes(universe, plan, &self.states), plan.boundary(universe));
+        let (seen, moved, local) = (&mut self.cross_seen, &mut market.moved, &market.local);
+        let node = |s: u32, i: u32| in_market(local[s as usize][i as usize]);
         for (a, r) in events.iter().zip(routes) {
-            match (a.event, r) {
-                (_, Route::Invalid) => {}
+            let v = match (a.event, r) {
+                (_, Route::Invalid) => continue,
                 (ServiceEvent::WorkerJoin(w) | ServiceEvent::WorkerLeave(w), _) => {
-                    let Some(i) = worker(w) else { continue };
-                    moved.push(i);
-                    let w = sub.worker_back[i];
-                    if homes.worker_live(w) {
-                        for e in sub.graph.worker_edges(WorkerId::from_index(i)) {
-                            homes.mark_seen(sub.edge_back[e.index()], seen);
-                        }
-                    }
+                    node(plan.worker_shard[w as usize], plan.worker_local[w as usize])
                 }
                 (
                     ServiceEvent::TaskPost(t)
@@ -1299,58 +1135,35 @@ impl<'p> Dispatcher<'p> {
                     | ServiceEvent::TaskComplete(t),
                     _,
                 ) => {
-                    let Some(i) = task(t) else { continue };
-                    moved.push(n_w + i);
-                    let t = sub.task_back[i];
-                    if homes.task_live(t) {
-                        for e in sub.graph.task_edges(TaskId::from_index(i)) {
-                            homes.mark_seen(sub.edge_back[e.index()], seen);
-                        }
-                    }
+                    let s = plan.task_shard[t as usize];
+                    let n_w = plan.shards[s as usize].graph.n_workers() as u32;
+                    node(s, n_w + plan.task_local[t as usize])
                 }
-                (ServiceEvent::BenefitUpdate { edge, .. }, Route::CrossBenefit) => {
-                    let i = market.edge_local[edge as usize] as usize;
-                    market.weights[i] = self.live_weights[edge as usize];
-                }
+                (ServiceEvent::BenefitUpdate { .. }, Route::CrossBenefit) => continue,
                 // An intra-shard edge's weight moves its ends' asks.
                 (ServiceEvent::BenefitUpdate { edge, .. }, _) => {
                     let e = EdgeId::new(edge);
-                    let (w, t) = (self.universe.worker_of(e), self.universe.task_of(e));
-                    moved.extend(worker(w.raw()));
-                    moved.extend(task(t.raw()).map(|i| n_w + i));
+                    let (w, t) = (universe.worker_of(e).index(), universe.task_of(e).index());
+                    moved.extend(node(plan.worker_shard[w], plan.worker_local[w]));
+                    let s = plan.task_shard[t];
+                    let n_w = plan.shards[s as usize].graph.n_workers() as u32;
+                    node(s, n_w + plan.task_local[t])
+                }
+            };
+            let Some(v) = v else { continue };
+            moved.push(v);
+            // A liveness event: a node that came live marks its edges seen.
+            if let ServiceEvent::WorkerJoin(_) | ServiceEvent::TaskPost(_) = a.event {
+                let g = &sub.graph;
+                let edges: &mut dyn Iterator<Item = EdgeId> = match v.checked_sub(g.n_workers()) {
+                    None => &mut g.worker_edges(WorkerId::from_index(v)),
+                    Some(t) => &mut g.task_edges(TaskId::from_index(t)),
+                };
+                for e in edges {
+                    homes.mark_seen(sub.edge_back[e.index()], seen);
                 }
             }
         }
-    }
-
-    /// Diffs the overlay against `new_overlay` into the decision buffer
-    /// (pseudo-shard `n_shards`, after the shards' decisions), re-checks
-    /// that the union fits, and makes it the overlay.
-    fn commit_overlay(
-        &mut self,
-        rescue: &mut Rescue,
-        new_overlay: Vec<EdgeId>,
-        tally: &mut ServiceReport,
-    ) {
-        let plan = self.plan;
-        let homes = Homes(self.universe, plan, &self.states);
-        let is_cross = |e: EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
-        let (w_res, t_res) = (|w| homes.worker_residual(w), |t| homes.task_residual(t));
-        tally.capacity_violations +=
-            validate_rescue(self.universe, is_cross, w_res, t_res, &new_overlay);
-
-        let (live, rescue_shard) = (&self.live_weights, plan.n_shards() as u32);
-        let (universe, out) = (self.universe, &mut self.decisions);
-        let mut assigns = 0u64;
-        diff_sorted(&rescue.overlay, &new_overlay, |e, action| {
-            assigns += u64::from(action == Action::Assign);
-            out.push(decision(universe, live, rescue_shard, e, action));
-        });
-        tally.rescue_assigns += assigns;
-
-        rescue.weight = new_overlay.iter().map(|e| live[e.index()]).sum::<f64>() + 0.0;
-        mbta_telemetry::gauge_set!("mbta_partition_rescued_weight", rescue.weight);
-        rescue.spare = std::mem::replace(&mut rescue.overlay, new_overlay);
     }
 
     /// Online mode: one arrival, start to commit (see the [`crate::online`]
@@ -1507,10 +1320,11 @@ impl<'p> Dispatcher<'p> {
 
     /// Tears the dispatcher down to the plan-free state a successor needs
     /// to continue under a **new** plan ([`Dispatcher::replan`]): live
-    /// weights, seen and poison marks, the mode (the rescue market and the
-    /// shard networks are bound to the old plan and dropped; the overlay is
-    /// carried), node liveness, the assigned-edge union, and the old
-    /// node→shard maps for migration accounting.
+    /// weights, seen and poison marks, the mode (every market state is
+    /// bound to the old plan and dropped, and the next plan builds its own
+    /// boundary market), node liveness, the assigned-edge union — the
+    /// overlay's as pseudo-shard `n_shards` — and the old node→shard maps
+    /// for migration accounting.
     pub fn detach(self, tally: &mut ServiceReport) -> Detached {
         self.fold_warm_stats(tally);
         let (universe, plan) = (self.universe, self.plan);
@@ -1519,12 +1333,6 @@ impl<'p> Dispatcher<'p> {
         let active_tasks = universe.tasks().map(|t| homes.task_live(t)).collect();
         let mut assigned: Vec<(EdgeId, u32)> =
             self.assigned().map(|(s, e)| (e, s as u32)).collect();
-        let mut mode = self.mode;
-        if let Mode::Batch(Some(r)) = &mut mode {
-            let rescue_shard = plan.n_shards() as u32;
-            let overlay = std::mem::take(r).overlay;
-            assigned.extend(overlay.into_iter().map(|e| (e, rescue_shard)));
-        }
         assigned.sort_unstable_by_key(|&(e, _)| e);
         Detached {
             budget: self.budget,
@@ -1532,7 +1340,7 @@ impl<'p> Dispatcher<'p> {
             live_weights: self.live_weights,
             cross_seen: self.cross_seen,
             poisoned: self.poisoned,
-            mode,
+            mode: self.mode,
             last_time: self.last_time,
             active_workers,
             active_tasks,
@@ -1599,12 +1407,6 @@ impl<'p> Dispatcher<'p> {
                 .expect("carried assignment stays feasible restricted to its new shard");
             st.drain_changes(|_, _| {});
         }
-        if let Mode::Batch(Some(r)) = &mut detached.mode {
-            let live = &detached.live_weights;
-            r.weight = overlay.iter().map(|e| live[e.index()]).sum::<f64>() + 0.0;
-            r.overlay = overlay;
-        }
-
         let moved = migration_diff(
             &detached.old_worker_shard,
             &plan.worker_shard,
@@ -1644,6 +1446,11 @@ impl<'p> Dispatcher<'p> {
             jobs: Vec::new(),
             outcomes: Vec::new(),
         };
+        // The boundary market is built when first needed: here to hold a
+        // carried overlay, else at the epoch's first batch.
+        if let (Mode::Batch(Some(_)), false) = (&d.mode, overlay.is_empty()) {
+            d.mode = Mode::Batch(Some(d.build_market(&overlay)));
+        }
         let unassign = |&(e, old_shard): &(EdgeId, u32)| {
             decision(universe, &d.live_weights, old_shard, e, Action::Unassign)
         };
@@ -1663,16 +1470,14 @@ impl<'p> Dispatcher<'p> {
     pub fn finish(self, tally: &mut ServiceReport) {
         self.fold_warm_stats(tally);
         // Cross-shard reconciliation: the union of per-shard assignments
-        // (plus the rescue overlay), mapped back to universe ids, must be
+        // and the rescue overlay, mapped back to universe ids, must be
         // feasible on the universe graph. Shards are node-disjoint and the
-        // rescue market's capacities are the shard residuals, so this
+        // boundary market's capacities are what the shards leave, so this
         // holds by construction; re-validate anyway, on top of the
         // per-batch rescue validations already tallied.
         let (universe, plan) = (self.universe, self.plan);
-        let overlay = self.rescue().map_or(&[][..], |r| &r.overlay[..]);
         let union = self.assigned().map(|(_, e)| e.raw());
-        let overlay = overlay.iter().map(|e| e.raw());
-        tally.capacity_violations += capacity_violations(universe, union.chain(overlay));
+        tally.capacity_violations += capacity_violations(universe, union);
 
         // Retained weight from the *live* weights, not the plan-time ones
         // — benefit drift moves weight across the cut after planning, and
@@ -1700,7 +1505,8 @@ impl<'p> Dispatcher<'p> {
         tally.cross_edges = plan.cross_edges;
         tally.retained_weight = frac(intra_live);
         tally.effective_retained = frac(intra_live + seen_live);
-        tally.rescued_weight = self.rescue().map_or(0.0, |r| r.weight);
+        let overlay = self.states.get(plan.n_shards());
+        tally.rescued_weight = overlay.map_or(0.0, IncrementalAssignment::total_weight);
         tally.final_value = self.value();
         tally.final_assignments = self.assignments();
         tally.pool_threads = self.threads;
@@ -1759,16 +1565,6 @@ fn in_market(i: u32) -> Option<usize> {
     (i != UNMAPPED).then_some(i as usize)
 }
 
-/// The inverse of a back map with `n` entries on the parent side:
-/// parent id → local id, [`UNMAPPED`] where there is none.
-fn local_ids(back: impl Iterator<Item = usize>, n: usize) -> Vec<u32> {
-    let mut local = vec![UNMAPPED; n];
-    for (i, parent) in back.enumerate() {
-        local[parent] = i as u32;
-    }
-    local
-}
-
 /// The shard states seen from the universe — `(universe, plan, states)`:
 /// each worker and task is managed by its home shard's state alone.
 #[derive(Clone, Copy)]
@@ -1818,26 +1614,6 @@ impl<'a, 'p> Homes<'a, 'p> {
         self.0.demand(t) - st.task_load(local)
     }
 
-    /// What the boundary market may give worker `w`: its residual while
-    /// it is live, nothing otherwise.
-    fn worker_capacity(self, w: WorkerId) -> u32 {
-        if self.worker_live(w) {
-            self.worker_residual(w)
-        } else {
-            0
-        }
-    }
-
-    /// What the boundary market may give task `t`: its residual while it is
-    /// live, nothing otherwise.
-    fn task_capacity(self, t: TaskId) -> u32 {
-        if self.task_live(t) {
-            self.task_residual(t)
-        } else {
-            0
-        }
-    }
-
     /// Marks cross edge `e` seen if both its ends are live.
     fn mark_seen(self, e: EdgeId, seen: &mut [bool]) {
         let (w, t) = (self.0.worker_of(e), self.0.task_of(e));
@@ -1884,32 +1660,4 @@ fn seed_plan_state<'p>(
         }
     }
     (states, CutTracker::new(intra, cross))
-}
-
-/// Two-pointer diff of sorted edge lists: `Unassign` for entries only in
-/// `before`, `Assign` for entries only in `after`.
-fn diff_sorted(before: &[EdgeId], after: &[EdgeId], mut emit: impl FnMut(EdgeId, Action)) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < before.len() && j < after.len() {
-        match before[i].cmp(&after[j]) {
-            std::cmp::Ordering::Less => {
-                emit(before[i], Action::Unassign);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                emit(after[j], Action::Assign);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    for &e in &before[i..] {
-        emit(e, Action::Unassign);
-    }
-    for &e in &after[j..] {
-        emit(e, Action::Assign);
-    }
 }

@@ -99,29 +99,30 @@ pub(crate) fn try_exchange(st: &mut IncrementalAssignment<'_>, e: EdgeId) -> boo
     if !st.worker_active(wk) || !st.task_active(tk) {
         return false;
     }
-    let mut victims: Vec<EdgeId> = Vec::with_capacity(2);
+    // At most one victim per saturated end, held inline: no allocation.
+    let mut victims: [Option<EdgeId>; 2] = [None; 2];
     if st.worker_load(wk) >= g.capacity(wk) {
-        match min_assigned(st, g.worker_edges(wk), &victims) {
-            Some(v) => victims.push(v),
-            None => return false,
+        victims[0] = min_assigned(st, g.worker_edges(wk), None);
+        if victims[0].is_none() {
+            return false;
         }
     }
     if st.task_load(tk) >= g.demand(tk) {
-        match min_assigned(st, g.task_edges(tk), &victims) {
-            Some(v) => victims.push(v),
-            None => return false,
+        victims[1] = min_assigned(st, g.task_edges(tk), victims[0]);
+        if victims[1].is_none() {
+            return false;
         }
     }
-    if victims.is_empty() {
+    if victims == [None; 2] {
         // Spare capacity on both sides: this was a plain `try_assign`
         // situation, not an exchange.
         return false;
     }
-    let displaced: f64 = victims.iter().map(|&v| st.weight_of(v)).sum();
+    let displaced: f64 = victims.iter().flatten().map(|&v| st.weight_of(v)).sum();
     if w_new <= displaced + 1e-12 {
         return false;
     }
-    for &v in &victims {
+    for &v in victims.iter().flatten() {
         st.unassign(v);
     }
     let took = st.try_assign(e);
@@ -129,7 +130,7 @@ pub(crate) fn try_exchange(st: &mut IncrementalAssignment<'_>, e: EdgeId) -> boo
     // The evicted edges' far endpoints regained capacity; refill them
     // greedily (the evicted edge itself stays blocked at the shared
     // endpoint, so this cannot oscillate).
-    for &v in &victims {
+    for &v in victims.iter().flatten() {
         let (vw, vt) = (g.worker_of(v), g.task_of(v));
         if vw != wk {
             st.fill_worker(vw);
@@ -142,14 +143,14 @@ pub(crate) fn try_exchange(st: &mut IncrementalAssignment<'_>, e: EdgeId) -> boo
 }
 
 /// The lightest currently-assigned candidate (ties to the lower edge
-/// id), skipping already-chosen victims.
+/// id), skipping an already-chosen victim.
 fn min_assigned(
     st: &IncrementalAssignment<'_>,
     cands: impl Iterator<Item = EdgeId>,
-    excl: &[EdgeId],
+    excl: Option<EdgeId>,
 ) -> Option<EdgeId> {
     cands
-        .filter(|&c| st.edge_assigned(c) && !excl.contains(&c))
+        .filter(|&c| st.edge_assigned(c) && Some(c) != excl)
         .min_by(|&a, &b| st.weight_of(a).total_cmp(&st.weight_of(b)).then(a.cmp(&b)))
 }
 

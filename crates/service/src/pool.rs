@@ -11,7 +11,7 @@
 //! outcome, for the state to settle. Whichever thread runs the job
 //! repairs the network and its duals in place, so a batch pays for what
 //! its events moved, and nothing is copied in or out. (The boundary rescue
-//! is not a job: its market re-solves inline, on a solver of its own.)
+//! is not a job: its market's state is solved the same way, inline.)
 //! Four properties the dispatch loop depends on:
 //!
 //! 1. **One queue, largest first, the caller as thread 0.** Jobs are
@@ -81,9 +81,8 @@ pub struct ShardJob {
 
 impl ShardJob {
     /// The one way a shard solve is built, batch or online: shard `shard`'s
-    /// carried network, lent by its `state` (and built from it at the
-    /// shard's first solve), under `ctl`. The state must not change until
-    /// the outcome is settled
+    /// carried network, lent by its `state`, under `ctl`. The state must
+    /// not change until the outcome is settled
     /// ([`IncrementalAssignment::settle`]).
     pub fn new(
         shard: usize,

@@ -508,17 +508,13 @@ impl CarriedState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::Mode;
     use crate::event::{BenefitDrift, ServiceEvent};
     use crate::shard::{Routing, UNMAPPED};
     use crate::sink::{Action, CollectSink, WriteSink};
     use mbta_core::engine::QualityTier;
-    use mbta_core::warm::WarmSolver;
+    use mbta_core::incremental::IncrementalAssignment;
     use mbta_graph::random::{random_bipartite, RandomGraphSpec};
-    use mbta_graph::subgraph::Subgraph;
     use mbta_graph::EdgeId;
-    use mbta_matching::Matching;
-    use mbta_partition::epoch_market;
     use mbta_store::store::StoreConfig;
     use mbta_util::SolveCtl;
     use mbta_workload::trace::TraceSpec;
@@ -612,14 +608,10 @@ mod tests {
             .sum()
     }
 
-    /// The boundary market and its solver, once the epoch's first rescue
-    /// pass has built them.
-    fn rescue_market<'s>(svc: &'s DispatchService<'_>) -> Option<(&'s Subgraph, &'s WarmSolver)> {
-        match &svc.dispatcher.mode {
-            Mode::Batch(rescue) => rescue.as_ref()?.market.as_ref(),
-            Mode::Online(_) => None,
-        }
-        .map(|m| (&m.sub, &m.solver))
+    /// The boundary market's state, with the boundary pass on: the last
+    /// market state, after the shards'.
+    fn boundary<'s, 'p>(svc: &'s DispatchService<'p>) -> Option<&'s IncrementalAssignment<'p>> {
+        svc.dispatcher.states.get(svc.dispatcher.n_shards())
     }
 
     /// The driver's epoch loop: offer → pump, and once the cut has degraded
@@ -641,12 +633,14 @@ mod tests {
                 None => DispatchService::new(g, &plan, cfg.clone()),
                 Some(c) => DispatchService::resume(g, &plan, c, &mut sink),
             };
-            // A carried network is bound to one plan's shard topology (a
-            // stale one could match a new shard's edge count and solve the
-            // wrong network): no epoch starts with one.
+            // A carried network is bound to one plan's topology (a stale
+            // one could match a new shard's edge count and solve the wrong
+            // network): every epoch starts with its own, unsolved — the
+            // boundary market's, if a carried overlay built it yet.
             let states = &svc.dispatcher.states;
             assert!(states.iter().all(|st| st.solve_stats().solves == 0));
-            assert!(rescue_market(&svc).is_none());
+            let markets = plan.n_shards() + usize::from(cfg.boundary_pass);
+            assert!(states.len() <= markets);
             while idx < events.len() {
                 let a = events[idx];
                 while let OfferOutcome::Deferred = svc.offer(a) {
@@ -658,22 +652,20 @@ mod tests {
                     break;
                 }
             }
-            // So within an epoch each shard's first exact solve starts
+            // So within an epoch each market's first exact solve starts
             // from zero prices, and every later one from the carried duals.
-            let rescue = rescue_market(&svc);
-            let shards = svc.dispatcher.states.iter().map(|st| st.solve_stats());
-            let stats = shards.chain(rescue.map(|r| r.1.stats()));
-            // (The market is built by the first rescue pass, which may
-            // find nothing to solve yet.)
-            for stats in stats.filter(|stats| stats.solves > 0) {
+            let states = svc.dispatcher.states.iter().map(|st| st.solve_stats());
+            for stats in states.filter(|stats| stats.solves > 0) {
                 assert_eq!(stats.solves - stats.warm_hits, 1, "{stats:?}");
             }
-            // The rescue's market is this epoch's: a stale one would name
+            // The boundary market is this epoch's: a stale one would name
             // edges the new plan made intra.
-            if let Some((market, _)) = rescue {
+            if let Some(market) = boundary(&svc) {
+                let sub = plan.boundary(g);
+                assert!(std::ptr::eq(market.graph(), &*sub.graph));
                 let cross = |e: &EdgeId| plan.edge_shard[e.index()] == UNMAPPED;
-                assert!(market.edge_back.iter().all(cross));
-                assert_eq!(market.edge_back.len(), plan.cross_edges);
+                assert!(sub.edge_back.iter().all(cross));
+                assert_eq!(sub.edge_back.len(), plan.cross_edges);
             }
             if idx >= events.len() {
                 break svc.finish(&mut sink);
@@ -1109,8 +1101,8 @@ mod tests {
     }
 
     /// Unbudgeted, every rescue solve but the epoch's first repairs the
-    /// carried duals around its seed: a seed that overran a residual would
-    /// be repaired from the empty flow, a miss, without changing a decision.
+    /// duals the last one left, around the boundary market's state: one
+    /// solve per pass, each a warm hit but the first.
     #[test]
     fn rescue_resolves_warm_on_the_epoch_market() {
         let (g, w) = universe();
@@ -1122,15 +1114,18 @@ mod tests {
         for &a in &stream(&g, 19) {
             svc.submit(a, &mut sink);
         }
-        let stats = rescue_market(&svc).expect("rescue ran").1.stats();
+        let stats = boundary(&svc)
+            .expect("the boundary pass is on")
+            .solve_stats();
         assert!(stats.solves >= 5, "{stats:?}");
         assert_eq!(stats.solves, svc.driver.report.rescue_solves);
         assert_eq!(stats.warm_hits, stats.solves - 1, "{stats:?}");
         assert_eq!(svc.finish(&mut sink).capacity_violations, 0);
     }
 
-    /// Under a wall-clock budget the rescue's seed is its floor: whatever
-    /// the quarter-slice cuts, the overlay stays feasible and non-empty.
+    /// Under a wall-clock budget the boundary market's state is its floor:
+    /// whatever the quarter-slice cuts, the overlay stays feasible and
+    /// non-empty, and the state consistent with its carried network.
     #[test]
     fn wallclock_rescue_stays_feasible_on_its_seed() {
         let (g, w) = universe();
@@ -1143,24 +1138,29 @@ mod tests {
         for &a in &stream(&g, 19) {
             svc.submit(a, &mut sink);
         }
+        boundary(&svc)
+            .expect("the boundary pass is on")
+            .check_invariants();
         let report = svc.finish(&mut sink);
         assert_eq!(report.capacity_violations, 0);
         assert!(report.rescue_solves > 0 && report.rescued_weight > 0.0);
     }
 
-    /// A boundary-market solve that starts out of budget hands back exactly
-    /// its seed, on the market's first solve and on a later one, and keeps
-    /// its prices: the next solve that fits resumes from them and is exact.
+    /// A boundary-market solve that starts out of budget leaves the
+    /// overlay exactly as it was, on the market's first solve and on a
+    /// later one, and keeps its prices: the next solve that fits resumes
+    /// from them, warm, and is exact.
     #[test]
     fn stopped_boundary_solve_returns_its_seed() {
         use mbta_matching::mcmf::{max_weight_bmatching, FlowMode, PathAlgo::Dijkstra};
         use mbta_util::CancelToken;
         let (g, w) = universe();
         let plan = ShardPlan::build(&g, &w, 8, Routing::HashId);
-        let market = epoch_market(&g, |e| plan.edge_shard[e.index()] == UNMAPPED);
+        let market = plan.boundary(&g);
         let mg = &market.graph;
-        let mut weights = market.project_weights(&w);
-        let mut solver = WarmSolver::new(mg);
+        // A greedy overlay over the whole market, then the optimum it
+        // leads to: each a solve's start.
+        let mut st = IncrementalAssignment::new(mg, market.project_weights(&w));
         // One per solve: `should_stop` spends a ctl's real poll once, then
         // counts down a full interval before it looks again.
         let stopped = || {
@@ -1168,40 +1168,36 @@ mod tests {
             token.cancel();
             SolveCtl::unlimited().with_token(token)
         };
-        // A greedy seed, then the optimum it leads to: each a solve's start.
-        let seed_from = |weights: &[f64], prev: &[EdgeId]| {
-            let mut seed = match prev {
-                [] => mbta_matching::greedy::greedy_bmatching(mg, weights, 0.0),
-                prev => Matching::from_edges(prev.to_vec()),
-            };
-            seed.canonicalize();
-            seed
-        };
-
-        let mut solve = |weights: &[f64], seed: &Matching, ctl: &SolveCtl| {
-            let mut m = seed.clone();
-            let completed = solver.solve_seeded(mg, weights, &mut m, ctl);
-            (m, completed)
-        };
-
-        let seed = seed_from(&weights, &[]);
-        assert!(!seed.is_empty());
-        let first = solve(&weights, &seed, &stopped());
-        assert_eq!(first, (seed.clone(), false));
-        let unlimited = SolveCtl::unlimited();
-        let (primed, _) = solve(&weights, &seed, &unlimited);
-        assert!(primed.total_weight(&weights) > seed.total_weight(&weights));
-
-        for (i, wt) in weights.iter_mut().enumerate() {
-            *wt *= if i % 3 == 0 { 0.5 } else { 1.0 };
+        // One solve of the state's carried network: completed, adopted.
+        fn solve(st: &mut IncrementalAssignment<'_>, ctl: &SolveCtl) -> (bool, bool, bool) {
+            let mut net = st.lend_net();
+            let stats = mbta_core::warm::resolve(&mut net, ctl);
+            (stats.completed, stats.warm, st.settle(net, &stats))
         }
-        let seed = seed_from(&weights, &primed.edges);
-        let later = solve(&weights, &seed, &stopped());
-        assert_eq!(later, (seed.clone(), false));
-        let (healed, completed) = solve(&weights, &seed, &unlimited);
-        let (opt, _) = max_weight_bmatching(mg, &weights, FlowMode::FreeCardinality, Dijkstra);
-        assert!(completed);
-        assert!((healed.total_weight(&weights) - opt.total_weight(&weights)).abs() < 1e-6);
+
+        let seed = st.matching();
+        assert!(!seed.is_empty());
+        assert_eq!(solve(&mut st, &stopped()), (false, false, false));
+        assert_eq!(st.matching(), seed);
+        st.check_invariants();
+        let unlimited = SolveCtl::unlimited();
+        assert!(solve(&mut st, &unlimited).2);
+        assert!(st.total_weight() > seed.total_weight(st.weights()));
+
+        for (i, e) in mg.edges().enumerate() {
+            if i % 3 == 0 {
+                st.set_weight(e, st.weight_of(e) * 0.5);
+            }
+        }
+        let seed = st.matching();
+        assert_eq!(solve(&mut st, &stopped()), (false, false, false));
+        assert_eq!(st.matching(), seed);
+        st.check_invariants();
+        let (completed, warm, _) = solve(&mut st, &unlimited);
+        assert!(completed && warm);
+        let weights = st.weights();
+        let (opt, _) = max_weight_bmatching(mg, weights, FlowMode::FreeCardinality, Dijkstra);
+        assert!((st.total_weight() - opt.total_weight(weights)).abs() < 1e-6);
     }
 
     /// Drift-driven re-planning: the epoch loop (detach → rebuild →

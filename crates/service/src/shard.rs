@@ -23,7 +23,9 @@
 use crate::event::ServiceEvent;
 use mbta_graph::subgraph::{induce, Subgraph, SubgraphSpec};
 use mbta_graph::{BipartiteGraph, EdgeId, TaskId, WorkerId};
+use mbta_partition::epoch_market;
 use mbta_util::fxhash::hash_u64;
+use std::sync::OnceLock;
 
 /// How tasks are mapped to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +120,9 @@ pub struct ShardPlan {
     pub universe_weights: Vec<f64>,
     /// The routing that produced this plan.
     pub routing: Routing,
+    /// The boundary market, built at the first [`boundary`](Self::boundary)
+    /// call.
+    boundary: OnceLock<Subgraph>,
 }
 
 /// Where [`ShardPlan::route`] sends one event.
@@ -295,12 +300,31 @@ impl ShardPlan {
             },
             universe_weights: weights.to_vec(),
             routing,
+            boundary: OnceLock::new(),
         }
     }
 
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The plan's boundary market: every cross edge of `universe`, the
+    /// universe the plan was built over, at its universe capacities
+    /// ([`mbta_partition::epoch_market`]). Built at the first call, by the
+    /// dispatcher of a run with the boundary pass on.
+    pub(crate) fn boundary(&self, universe: &BipartiteGraph) -> &Subgraph {
+        let cross = |e: EdgeId| self.edge_shard[e.index()] == UNMAPPED;
+        self.boundary.get_or_init(|| epoch_market(universe, cross))
+    }
+
+    /// Market `s`'s edges in universe ids: shard `s`'s, or for
+    /// pseudo-shard `n_shards` the boundary market's ([`boundary`](Self::boundary)).
+    pub(crate) fn edge_back(&self, universe: &BipartiteGraph, s: usize) -> &[EdgeId] {
+        match self.shards.get(s) {
+            Some(sub) => &sub.edge_back,
+            None => &self.boundary(universe).edge_back,
+        }
     }
 
     /// Whether shard `s` has nothing an exact solver could work with.

@@ -8,7 +8,10 @@
 # `fn name` — exists as a function under tests/, crates/*/tests or a
 # #[cfg(test)] module of the sources, and that every CHANGES.md entry from
 # PR 49 on (its `- **PR N` line and the indented lines under it) is at most
-# 15 lines, none wider than 120 columns; older entries are exempt.
+# 15 lines, none wider than 120 columns; older entries are exempt. And it
+# checks that every `Type::member` README.md, DESIGN.md and OPERATIONS.md
+# name is a `fn` or a field in a first-party file that defines `Type` or
+# implements it; a type no such file defines (a dependency's) is skipped.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,6 +50,22 @@ while IFS= read -r f; do
     fail=1
   fi
 done <<<"$named"
+mapfile -t sources < <(find src crates -path '*/src/*' -name '*.rs' | sort)
+paths=0
+for doc in README.md DESIGN.md OPERATIONS.md; do
+  while read -r ty member; do
+    defs=$(grep -lE "^\s*(pub(\([a-z]+\))? )?(struct|enum|trait|type) $ty\b|^impl(<[^>]*>)? $ty\b" \
+      "${sources[@]}" || true)
+    [ -z "$defs" ] && continue
+    paths=$((paths + 1))
+    # shellcheck disable=SC2086 # one argument per defining file
+    if ! grep -qE "\bfn $member\b|^\s*(pub(\([a-z]+\))? )?$member:" $defs; then
+      echo "$doc: \`$ty::$member\` names no fn or field where $ty is defined or implemented"
+      fail=1
+    fi
+  done < <(grep -oE '`[A-Z][A-Za-z0-9_]*::[a-z_][a-z0-9_]*(\([^`]*\))?`' "$doc" |
+    sed -E 's/^`([A-Za-z0-9_]+)::([a-z0-9_]+).*/\1 \2/' | sort -u)
+done
 # Columns are characters: the entries are UTF-8.
 check_changes() (
   export LC_ALL=C.UTF-8
@@ -74,6 +93,7 @@ check_changes() (
 )
 check_changes || fail=1
 if [ "$fail" -eq 0 ]; then
-  echo "doc links OK: ${DOCS[*]}; $(wc -l <<<"$named") named tests exist"
+  echo "doc links OK: ${DOCS[*]}; $(wc -l <<<"$named") named tests exist;" \
+    "$paths \`Type::member\` paths resolve"
 fi
 exit "$fail"

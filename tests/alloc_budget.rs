@@ -7,18 +7,22 @@
 //! the first quarter of the events (the warm-up, where buffers grow to
 //! their high-water marks and the shards' carried networks are built).
 //!
-//! In batch mode, at 1 and 4 min-cut shards and at `batch_max` 48, 96 and
-//! 192, the test asserts
+//! In batch mode, at 1 and 4 min-cut shards and at 8 with the boundary
+//! pass, each at `batch_max` 48, 96 and 192, the test asserts
 //!
 //! - allocations per event stay under a pinned ceiling per configuration
 //!   (the measured count plus at most 20 % headroom), and
-//! - allocations per batch do not grow with the batch: across `batch_max`
-//!   48 → 192 they vary by at most 15 %. Per-event work (routing, greedy
-//!   repair, the change set, decisions) allocates nothing once its pooled
-//!   buffers have grown, and neither does a shard solve, which copies
-//!   nothing in or out of the network its state carries: what a batch
-//!   allocates is its bookkeeping — at one thread, the batcher's event
-//!   buffer alone — whatever its size.
+//! - without the boundary pass, allocations per batch do not grow with the
+//!   batch: across `batch_max` 48 → 192 they vary by at most 15 %.
+//!   Per-event work (routing, greedy repair, the change set, decisions)
+//!   allocates nothing once its pooled buffers have grown, and neither
+//!   does a shard solve, which copies nothing in or out of the network its
+//!   state carries: what a batch allocates is its bookkeeping — at one
+//!   thread, the batcher's event buffer alone — whatever its size. With
+//!   the boundary pass, the boundary market's pooled buffers still reach a
+//!   few new high-water marks after the warm-up, a handful per run, so
+//!   fewer, larger batches read more per batch; the per-event ceiling
+//!   holds that row.
 //!
 //! In online mode, at 1 shard with a drift threshold low enough that
 //! drift fallbacks (exact re-solves on the event path) fire, allocations
@@ -159,19 +163,27 @@ fn batch_dispatch_allocates_per_batch_not_per_event() {
     let (g, w, events) = inputs();
     // (shards, batch_max, allocations per event ceiling): the readings at
     // the time of pinning plus at most 20 % headroom.
-    let ceilings: [(usize, [(usize, f64); 3]); 2] = [
+    // The 8-shard row runs the boundary pass.
+    let ceilings: [(usize, [(usize, f64); 3]); 3] = [
         (1, [(48, 0.025), (96, 0.0125), (192, 0.0063)]),
         (4, [(48, 0.025), (96, 0.0125), (192, 0.0063)]),
+        (8, [(48, 0.0255), (96, 0.0149), (192, 0.0099)]),
     ];
     for (shards, row) in ceilings {
         let plan = ShardPlan::build(&g, &w, shards, Routing::MinCut);
+        let boundary_pass = shards == 8;
         let mut per_batch = Vec::new();
         for (batch_max, ceiling) in row {
             let batch = BatchConfig {
                 max_events: batch_max,
                 ..BatchConfig::default()
             };
-            let r = measure(&g, &plan, &events, ServiceConfig { batch, ..config() });
+            let cfg = ServiceConfig {
+                batch,
+                boundary_pass,
+                ..config()
+            };
+            let r = measure(&g, &plan, &events, cfg);
             println!("{shards} shards, batch_max {batch_max}: {r:?}");
             assert!(
                 r.per_event <= ceiling,
@@ -186,7 +198,7 @@ fn batch_dispatch_allocates_per_batch_not_per_event() {
                 (lo.min(x), hi.max(x))
             });
         assert!(
-            hi <= 1.15 * lo,
+            boundary_pass || hi <= 1.15 * lo,
             "{shards} shards: allocations per batch {per_batch:?} grow with batch_max"
         );
     }
@@ -202,8 +214,9 @@ fn online_dispatch_allocates_a_bounded_amount_per_event() {
     let r = measure(&g, &plan, &events, ServiceConfig { online, ..config() });
     println!("online, 1 shard: {r:?}");
     assert!(r.fallbacks > 0, "no drift fallback fired");
-    // The reading at the time of pinning plus at most 20 % headroom.
-    let ceiling = 0.018;
+    // The reading at the time of pinning (none: the exchange holds its
+    // victims inline) plus at most 20 % headroom.
+    let ceiling = 0.0;
     assert!(
         r.per_event <= ceiling,
         "online, 1 shard: {:.3} allocations per event, ceiling {ceiling}",

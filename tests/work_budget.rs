@@ -152,9 +152,9 @@ const TRACES: [Trace; 5] = [
 /// 20 %.
 const CEILINGS: [(&str, [f64; 5]); 5] = [
     ("batch_exact", [3.37, 0.879, 0.0378, 0.0938, 0.0]),
-    ("online_warm", [2.43, 0.669, 0.0144, 0.0635, 0.0]),
-    ("sharded_rescue", [3.78, 1.23, 0.32, 0.665, 0.0]),
-    ("boundary_replan", [3.17, 1.07, 0.187, 1.32, 0.0]),
+    ("online_warm", [2.43, 0.669, 0.0144, 0.0476, 0.0]),
+    ("sharded_rescue", [2.65, 0.740, 0.32, 0.276, 0.0]),
+    ("boundary_replan", [2.22, 0.655, 0.187, 0.822, 0.0]),
     ("durable_online", [0.264, 0.0858, 0.000466, 2.06, 58.5]),
 ];
 
